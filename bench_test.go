@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/algebra/inc"
 	"repro/internal/baseline"
 	"repro/internal/consistency"
 	"repro/internal/core"
@@ -181,26 +182,10 @@ func BenchmarkPubSubRouting(b *testing.B) {
 
 // --- Ablations ---
 
-// Three-way sequence-matching ablation over the same workload and monitor:
-// the delta-driven matcher tree (the default plan, rewrite
-// `incremental-pattern`), the semi-naive re-deriving evaluator
-// (WithoutSpecialization), and the hand-specialized flat chain matcher
-// (algebra.SequenceOp, kept purely as this ablation's upper baseline).
-func seqBenchOp(b *testing.B, mk func() operators.Op) {
-	src, _ := workload.MachineEvents(workload.DefaultMachines())
-	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := consistency.NewMonitor(mk(), consistency.Middle())
-		for _, e := range delivered {
-			m.Push(0, e)
-		}
-		m.Finish()
-	}
-	b.ReportMetric(float64(len(delivered))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
+// Sequence-matching ablation over the same workload and monitor: the
+// delta-driven matcher tree (the default plan, rewrite
+// `incremental-pattern`) against the semi-naive re-deriving evaluator
+// (WithoutSpecialization).
 func seqBench(b *testing.B, opts ...plan.Option) {
 	const q = `EVENT Pairs WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
 WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
@@ -208,7 +193,18 @@ WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 	if err != nil {
 		b.Fatal(err)
 	}
-	seqBenchOp(b, func() operators.Op { return p.Stages[0].Clone() })
+	src, _ := workload.MachineEvents(workload.DefaultMachines())
+	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := consistency.NewMonitor(p.Stages[0].Clone(), consistency.Middle())
+		for _, e := range delivered {
+			m.Push(0, e)
+		}
+		m.Finish()
+	}
+	b.ReportMetric(float64(len(delivered))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 func BenchmarkAblationSequenceIncremental(b *testing.B) { seqBench(b) }
@@ -252,17 +248,6 @@ WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 	}
 	b.ReportMetric(float64(len(delivered))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
-func BenchmarkAblationSequenceSpecialized(b *testing.B) {
-	pred := func(p event.Payload) bool {
-		return event.ValueEqual(p["x.Machine_Id"], p["y.Machine_Id"])
-	}
-	seqBenchOp(b, func() operators.Op {
-		op := algebra.NewSequenceOp([]string{"INSTALL", "SHUTDOWN"}, []string{"x", "y"},
-			12*temporal.Hour, algebra.SCMode{Cons: algebra.Consume}, "Pairs")
-		op.Pred = pred
-		return op
-	})
-}
 
 // Consumption: the §1 claim that SEQUENCE without consumption has
 // multiplicative output.
@@ -280,11 +265,12 @@ func consumptionBench(b *testing.B, mode algebra.SCMode) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		op := algebra.NewSequenceOp([]string{"A", "B"}, []string{"a", "b"},
-			expr.W, mode, "out")
+		op := inc.NewOp(expr, mode, "out")
 		total := 0
 		for _, e := range src {
-			total += len(op.Process(0, e))
+			// Driven as the monitor drives it at an optimistic level: the
+			// frontier follows each event, so detections emit at once.
+			total += len(op.Advance(e.Sync())) + len(op.Process(0, e))
 		}
 		if total == 0 {
 			b.Fatal("no matches")

@@ -330,28 +330,6 @@ func (s *System) Register(src string, opts ...QueryOption) (*Query, error) {
 	return &Query{q: q}, nil
 }
 
-// RegisterAt registers a query with an explicit consistency level.
-//
-// Deprecated: use Register(src, WithSpec(spec)).
-func (s *System) RegisterAt(src string, spec Spec) (*Query, error) {
-	return s.Register(src, WithSpec(spec))
-}
-
-// RegisterOpts registers a query with explicit plan options (for example
-// plan.WithSpec, plan.WithShards).
-//
-// Deprecated: use Register with query options (WithSpec, WithShards, ...).
-func (s *System) RegisterOpts(src string, opts ...plan.Option) (*Query, error) {
-	cfg := queryConfig{share: true}
-	cfg.popts = append(cfg.popts, opts...)
-	popts := append(cfg.popts, plan.WithSharing())
-	q, err := s.eng.RegisterText(src, popts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Query{q: q}, nil
-}
-
 // Queries returns every standing query in registration order. After Open
 // recovers a crashed system this is how the caller re-acquires handles to
 // the replayed queries (subscriptions are not persisted — re-Subscribe

@@ -313,46 +313,6 @@ func TestPatternOpMatchesDenotation(t *testing.T) {
 	}
 }
 
-// The specialized SequenceOp must agree with PatternOp.
-func TestSequenceOpMatchesPatternOp(t *testing.T) {
-	w := temporal.Duration(12)
-	rng := rand.New(rand.NewSource(5))
-	for _, mode := range []SCMode{{}, {Cons: Consume}} {
-		for trial := 0; trial < 10; trial++ {
-			var store []event.Event
-			vs := temporal.Time(0)
-			for i := 0; i < 40; i++ {
-				vs += temporal.Time(rng.Intn(3) + 1)
-				typs := []string{"A", "B"}
-				store = append(store, ev(event.ID(i+1), typs[rng.Intn(2)], vs))
-			}
-			generic := NewPatternOp(SequenceExpr{Kids: []Expr{typ("A", "a"), typ("B", "b")}, W: w}, mode, "out")
-			fast := NewSequenceOp([]string{"A", "B"}, []string{"a", "b"}, w, mode, "out")
-			var g, f int
-			gIDs := map[event.ID]bool{}
-			fIDs := map[event.ID]bool{}
-			for _, e := range store {
-				for _, o := range generic.Process(0, e) {
-					g++
-					gIDs[o.ID] = true
-				}
-				for _, o := range fast.Process(0, e) {
-					f++
-					fIDs[o.ID] = true
-				}
-			}
-			if g != f {
-				t.Fatalf("mode %v trial %d: generic %d vs fast %d", mode, trial, g, f)
-			}
-			for id := range gIDs {
-				if !fIDs[id] {
-					t.Fatalf("mode %v trial %d: ID sets differ", mode, trial)
-				}
-			}
-		}
-	}
-}
-
 func TestPatternOpScopePruning(t *testing.T) {
 	op := NewPatternOp(SequenceExpr{Kids: []Expr{typ("A", ""), typ("B", "")}, W: 10}, SCMode{}, "out")
 	for i := 0; i < 100; i++ {

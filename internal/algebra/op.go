@@ -1,8 +1,6 @@
 package algebra
 
 import (
-	"sort"
-
 	"repro/internal/event"
 	"repro/internal/operators"
 	"repro/internal/ordkey"
@@ -316,256 +314,4 @@ func (p *PatternOp) ensureOwned() {
 	for id, m := range emitted {
 		p.emitted[id] = m
 	}
-}
-
-// SequenceOp is a specialized incremental implementation of
-// SEQUENCE(T1, ..., Tk, w) over plain event types: a partial-match chain
-// store advanced in arrival (Vs) order, instead of re-deriving the full
-// denotation per step. It exists as the optimized counterpart for the
-// ablation benchmarks (incremental vs semi-naive pattern matching) and
-// supports the same consume-mode pruning.
-type SequenceOp struct {
-	Types   []string
-	W       temporal.Duration
-	Mode    SCMode
-	OutType string
-	Pred    func(event.Payload) bool // over the merged namespaced payload
-	Aliases []string
-
-	partials [][]event.Event // partials[i]: matches of length i+1
-	frontier temporal.Time
-}
-
-// NewSequenceOp builds the specialized sequence matcher.
-func NewSequenceOp(types []string, aliases []string, w temporal.Duration, mode SCMode, outType string) *SequenceOp {
-	if outType == "" {
-		outType = "composite"
-	}
-	if len(aliases) == 0 {
-		aliases = types
-	}
-	return &SequenceOp{
-		Types:    types,
-		W:        w,
-		Mode:     mode,
-		OutType:  outType,
-		Aliases:  aliases,
-		partials: make([][]event.Event, len(types)),
-		frontier: temporal.MinTime,
-	}
-}
-
-// Name implements operators.Op.
-func (s *SequenceOp) Name() string { return "sequence" }
-
-// Arity implements operators.Op.
-func (s *SequenceOp) Arity() int { return 1 }
-
-func (s *SequenceOp) merged(chain []event.Event) event.Payload {
-	p := event.Payload{}
-	for i, e := range chain {
-		prefix := s.Aliases[i]
-		for k, v := range e.Payload {
-			p[prefix+"."+k] = v
-		}
-	}
-	return p
-}
-
-// Process implements operators.Op. Events must arrive in Vs order (the
-// consistency monitor guarantees it); each event extends existing partial
-// chains whose next expected type matches.
-func (s *SequenceOp) Process(_ int, e event.Event) []event.Event {
-	if e.Kind == event.Retract {
-		// Full removals arrive as stragglers and are handled by monitor
-		// replay; shrinks are no-ops for Vs-only semantics.
-		if e.V.Empty() {
-			s.dropContributor(e.ID)
-		}
-		return nil
-	}
-	if e.V.Start > s.frontier {
-		s.frontier = e.V.Start
-	}
-	var outs []event.Event
-	k := len(s.Types)
-	consumedNow := map[event.ID]bool{}
-	var drops []event.ID
-	// Extend longest chains first so an event cannot extend a chain it just
-	// created.
-	for i := k - 2; i >= 0; i-- {
-		if s.Types[i+1] != e.Type {
-			continue
-		}
-		// partials[i] stores flattened chains of i+1 events each; commit in
-		// chronicle order (earliest anchor first), matching ApplySC.
-		chains := s.chains(i)
-		sortChains(chains)
-		for _, chain := range chains {
-			if consumedNow[e.ID] {
-				break // the trigger itself was consumed by an earlier commit
-			}
-			if anyConsumed(chain, consumedNow) {
-				continue
-			}
-			first := chain[0]
-			if !(chain[len(chain)-1].V.Start < e.V.Start) ||
-				e.V.Start.Sub(first.V.Start) > s.W {
-				continue
-			}
-			ext := append(append([]event.Event{}, chain...), e.Clone())
-			if i+1 == k-1 {
-				// Complete.
-				p := s.merged(ext)
-				if s.Pred != nil && !s.Pred(p) {
-					continue
-				}
-				ids := make([]event.ID, len(ext))
-				mids := make([]event.ID, len(ext))
-				for j, c := range ext {
-					ids[j] = c.ID
-					mids[j] = event.Pair(c.ID) // primitive match IDs, as the generic evaluator derives them
-				}
-				out := event.Event{
-					ID:      event.Pair(mids...),
-					Kind:    event.Insert,
-					Type:    s.OutType,
-					V:       temporal.NewInterval(e.V.Start, first.V.Start.Add(s.W)),
-					O:       temporal.From(e.V.Start),
-					RT:      first.V.Start,
-					CBT:     ids,
-					Payload: p,
-				}
-				outs = append(outs, out)
-				if s.Mode.Cons == Consume {
-					// Record the consumption and defer the physical drop to
-					// after the loop: dropContributor compacts the chain
-					// storage in place, which must not run while `chains`
-					// headers alias it. The consumedNow guard gives the
-					// in-loop semantics the immediate drop used to.
-					for _, c := range ext {
-						consumedNow[c.ID] = true
-						drops = append(drops, c.ID)
-					}
-				}
-			} else {
-				s.partials[i+1] = append(s.partials[i+1], ext...)
-			}
-		}
-	}
-	for _, id := range drops {
-		s.dropContributor(id)
-	}
-	if s.Types[0] == e.Type {
-		s.partials[0] = append(s.partials[0], e.Clone())
-	}
-	return outs
-}
-
-func sortChains(chains [][]event.Event) {
-	// Stable: chains anchored at the same instant must keep arrival order,
-	// which is the tiebreak the consume-mode commit loop relies on.
-	sort.SliceStable(chains, func(i, j int) bool {
-		return chains[i][0].V.Start < chains[j][0].V.Start
-	})
-}
-
-func anyConsumed(chain []event.Event, consumed map[event.ID]bool) bool {
-	for _, c := range chain {
-		if consumed[c.ID] {
-			return true
-		}
-	}
-	return false
-}
-
-// chains reconstructs the chain list at level i from the flattened storage.
-func (s *SequenceOp) chains(i int) [][]event.Event {
-	width := i + 1
-	flat := s.partials[i]
-	var out [][]event.Event
-	for j := 0; j+width <= len(flat); j += width {
-		out = append(out, flat[j:j+width])
-	}
-	return out
-}
-
-func (s *SequenceOp) dropContributor(id event.ID) {
-	for lvl := range s.partials {
-		width := lvl + 1
-		flat := s.partials[lvl]
-		kept := flat[:0] // filter in place: the kept prefix reuses the backing array
-		for j := 0; j+width <= len(flat); j += width {
-			chain := flat[j : j+width]
-			has := false
-			for _, c := range chain {
-				if c.ID == id {
-					has = true
-					break
-				}
-			}
-			if !has {
-				kept = append(kept, chain...)
-			}
-		}
-		s.partials[lvl] = kept
-	}
-}
-
-// Advance implements operators.Op: prune chains whose scope has expired.
-func (s *SequenceOp) Advance(t temporal.Time) []event.Event {
-	if t > s.frontier {
-		s.frontier = t
-	}
-	if s.frontier.IsInfinite() {
-		s.partials = make([][]event.Event, len(s.Types))
-		return nil
-	}
-	horizon := s.frontier.Add(-s.W)
-	for lvl := range s.partials {
-		width := lvl + 1
-		flat := s.partials[lvl]
-		kept := flat[:0]
-		for j := 0; j+width <= len(flat); j += width {
-			if flat[j].V.Start >= horizon {
-				kept = append(kept, flat[j:j+width]...)
-			}
-		}
-		s.partials[lvl] = kept
-	}
-	return nil
-}
-
-// OutputGuarantee implements operators.Op.
-func (s *SequenceOp) OutputGuarantee(t temporal.Time) temporal.Time {
-	if t.IsInfinite() {
-		return t
-	}
-	return t.Add(-s.W)
-}
-
-// StateSize implements operators.Op.
-func (s *SequenceOp) StateSize() int {
-	n := 0
-	for lvl, flat := range s.partials {
-		width := lvl + 1
-		n += len(flat) / width
-	}
-	return n
-}
-
-// Clone implements operators.Op.
-func (s *SequenceOp) Clone() operators.Op {
-	c := NewSequenceOp(s.Types, s.Aliases, s.W, s.Mode, s.OutType)
-	c.Pred = s.Pred
-	c.frontier = s.frontier
-	c.partials = make([][]event.Event, len(s.partials))
-	for i, flat := range s.partials {
-		cp := make([]event.Event, len(flat))
-		for j, e := range flat {
-			cp[j] = e.Clone()
-		}
-		c.partials[i] = cp
-	}
-	return c
 }

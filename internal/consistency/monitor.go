@@ -17,7 +17,7 @@ import (
 //	           ┌──────────────────────────────┐
 //	input ───► │ consistency monitor          │
 //	guarantees │   alignment buffer           │ ───► output
-//	           │   checkpoint + input log     │      + output guarantees
+//	           │   base version + input log   │      + output guarantees
 //	           │   operational module (Op)    │
 //	           └──────────────────────────────┘
 //
@@ -32,9 +32,9 @@ import (
 //     the operator speculatively advanced to each event's Sync time so that
 //     blocking operators (difference, aggregation) emit early output.
 //
-//   - Repair (M > 0): the monitor keeps a checkpoint of the operator as of
+//   - Repair (M > 0): the monitor keeps a version of the operator as of
 //     the last input guarantee plus the log of every input since. When a
-//     straggler arrives, the operator is rolled back to a snapshot taken at
+//     straggler arrives, the operator is rolled back to a version marked at
 //     or before the straggler's position and the log suffix is replayed
 //     with the straggler in its proper place; the difference between the
 //     previously emitted output and the replayed output is emitted as
@@ -44,57 +44,53 @@ import (
 //     dropped (the weak level's license to leave earlier state wrong), and
 //     repair state older than M is folded irrevocably into the checkpoint.
 //
+// Operator state is captured and restored one way only, through
+// operators.Versioned, which every operator reaches the monitor as
+// (operators.AsVersioned): the stateful operators and the incremental
+// matcher journal their own mutations, so a Mark is O(1) and a Rollback
+// O(mutations since); reference evaluators and test doubles fall back to a
+// clone per Mark; a Stateless operator has nothing to version. The monitor
+// holds no second operator — the checkpoint is a base Version of the live
+// one, repair snapshots are further Versions, and a repair rewinds the live
+// operator in place. The one shortcut on top is repairStateless, which
+// skips rollback and replay where a stateless operator's own output is
+// provably the whole delta.
+//
 // At common sync points all levels have output the same state, which is
 // what makes the levels seamlessly switchable (Section 5); the tests verify
 // this against a frozen reference implementation, item for item.
 //
-// Hot-path representation invariants (the performance work of ISSUE 1):
+// Hot-path representation invariants:
 //
 //   - log[head:] is the live window, sorted by (sync, seq). Items before
-//     head are absorbed into the checkpoint; the window is compacted
-//     amortizedly instead of copied per checkpoint. New items enter by
-//     binary-search insertion — the window is already sorted.
+//     head are absorbed into the checkpoint and compacted away amortizedly.
+//     New items enter by binary-search insertion.
 //
 //   - Every net-emitted fact records the (sync, seq) key of the log item
 //     whose output produced it (netFact.srcSync/srcSeq). Absorbing a log
-//     prefix into the checkpoint then reduces to dropping facts whose
-//     source key is covered — an O(table) filter instead of the former
-//     full-log replay.
+//     prefix into the checkpoint is then an O(table) filter: drop the facts
+//     whose source key is covered.
 //
-//   - Repair snapshots: every snapEvery admitted items the monitor clones
-//     the operator and the net-fact table. A straggler replays from the
-//     nearest snapshot at or before its position instead of from the
+//   - Repair snapshots: every snapEvery admitted items the monitor marks
+//     the operator and copies the net-fact table. A straggler replays from
+//     the nearest snapshot at or before its position instead of from the
 //     checkpoint, making repair O(straggler depth + snapEvery) rather than
 //     O(items since the last guarantee). Snapshot state is a derived cache
 //     and is excluded from the Metrics state-size axis.
 //
 //   - The slices returned by Push, SetSpec and Finish alias an internal
 //     buffer and are valid only until the next call on this monitor;
-//     callers must copy what they keep. All in-repo callers already append
-//     the items elsewhere.
+//     callers must copy what they keep.
 type Monitor struct {
-	op   operators.Op // live operator
-	ckpt operators.Op // operator state as of the last absorbed guarantee (nil on the versioned path)
+	op   operators.Versioned // live operator
 	spec Spec
 
-	// The versioned checkpoint path (ISSUE 7): when the operator implements
-	// operators.Versioned (and is not stateless), the monitor stops keeping
-	// a second operator copy entirely. Checkpoints and repair snapshots
-	// become O(1) journal marks on the live operator:
-	//
-	//   - maybeSnapshot records vop.Mark() instead of op.Clone();
-	//   - repair rewinds the live operator with vop.Rollback instead of
-	//     cloning a snapshot and replaying the whole suffix;
-	//   - checkpointTo no longer re-Processes absorbed items into a ckpt
-	//     operator — it just slides the base version forward and compacts
-	//     the journal below it.
-	//
 	// base is the newest version at or below the absorbed boundary; tail is
 	// the index of the first log item after base's boundary. Items in
 	// [tail, head) are absorbed but physically retained: a repair falling
 	// back to base re-drives them with discarded output (their facts were
-	// already finalized), which reproduces the legacy checkpoint state.
-	vop  operators.Versioned
+	// already finalized), which rebuilds the operator state as of the
+	// absorbed boundary.
 	base operators.Version
 	tail int
 
@@ -126,7 +122,7 @@ type Monitor struct {
 
 	out       []event.Event // reusable output buffer (valid until next call)
 	diffIDs   []event.ID    // reusable diff scratch
-	ckptState int           // cached ckpt.StateSize(), changes only on checkpoint
+	absState  int           // operator state size as of the absorbed boundary
 	stateless bool          // op implements operators.Stateless
 
 	// Sharded-execution support (see PushTagged). All of it is inert — and
@@ -214,10 +210,8 @@ type logItem struct {
 	// changed since, so the policy travels with the item.
 	opt bool
 	// stateAfter is the operator's StateSize after this item was applied to
-	// the sorted prefix ending at it (maintained on the versioned path
-	// only; repair rewrites it for the replayed suffix). It lets
-	// checkpointTo report the exact checkpoint state size without holding a
-	// checkpoint operator to measure.
+	// the sorted prefix ending at it (repair rewrites it for the replayed
+	// suffix): the checkpoint's state size once the item is its boundary.
 	stateAfter int
 }
 
@@ -258,7 +252,7 @@ func keyLE(a temporal.Time, as int, b temporal.Time, bs int) bool {
 	return a < b || (a == b && as <= bs)
 }
 
-// snapshot is a repair cache entry: the operator state and net-fact table
+// snapshot is a repair cache entry: the operator version and net-fact table
 // as of the log prefix ending at boundary (bSync, bSeq).
 type snapshot struct {
 	bSync temporal.Time
@@ -268,12 +262,8 @@ type snapshot struct {
 	// repair can skip the staleness filter.
 	absSync temporal.Time
 	absSeq  int
-	// Exactly one of op/ver is meaningful: a deep operator clone on the
-	// legacy path, a journal version of the live operator on the versioned
-	// path (an O(1) handle instead of an O(state) copy).
-	op  operators.Op
-	ver operators.Version
-	tbl map[event.ID]*netFact
+	ver     operators.Version
+	tbl     map[event.ID]*netFact
 }
 
 // Metrics quantifies the three axes of Figure 8 — blocking, state size and
@@ -348,7 +338,7 @@ func NewMonitor(op operators.Op, spec Spec, opts ...MonitorOption) *Monitor {
 	m := &Monitor{
 		stateless:      stateless,
 		advKey:         advKey,
-		op:             op,
+		op:             operators.AsVersioned(op),
 		spec:           spec,
 		emitted:        map[event.ID]*netFact{},
 		gen:            map[event.ID]uint64{},
@@ -364,17 +354,10 @@ func NewMonitor(op operators.Op, spec Spec, opts ...MonitorOption) *Monitor {
 	for _, o := range opts {
 		o(m)
 	}
-	if vop, ok := op.(operators.Versioned); ok && !stateless {
-		// Versioned path: no checkpoint operator at all. The genesis mark is
-		// the base — the empty prefix's state — and checkpointTo slides it
-		// forward as guarantees absorb the log.
-		m.vop = vop
-		m.base = vop.Mark()
-		m.ckptState = op.StateSize()
-	} else {
-		m.ckpt = op.Clone()
-		m.ckptState = m.ckpt.StateSize()
-	}
+	// The genesis mark is the base — the empty prefix's state — and
+	// checkpointTo slides it forward as guarantees absorb the log.
+	m.base = m.op.Mark()
+	m.absState = m.op.StateSize()
 	return m
 }
 
@@ -588,9 +571,7 @@ func (m *Monitor) pushCTI(port int, t temporal.Time, arrival []byte) {
 	}
 	m.insertLog(logItem{marker: true, t: g, key: key, seq: sq})
 	m.emit(key, sq, tagAdvance, m.op.Advance(g))
-	if m.vop != nil {
-		m.log[len(m.log)-1].stateAfter = m.op.StateSize()
-	}
+	m.log[len(m.log)-1].stateAfter = m.op.StateSize()
 	// Absorb everything the guarantee finalizes into the checkpoint.
 	m.checkpointTo(g)
 	// Timed-out releases may also be due (the guarantee moved the frontier).
@@ -706,9 +687,7 @@ func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []b
 		if !probe {
 			m.emit(src, li.seq, tagProcess, m.op.Process(port, e))
 		}
-		if m.vop != nil {
-			m.log[len(m.log)-1].stateAfter = m.op.StateSize()
-		}
+		m.log[len(m.log)-1].stateAfter = m.op.StateSize()
 		m.processedSync = src
 		m.maybeSnapshot()
 		return
@@ -801,47 +780,32 @@ func (m *Monitor) repairStateless(li logItem) bool {
 	return true
 }
 
-// repair rewinds the operator to the latest snapshot preceding the
-// straggler li (falling back to the checkpoint state), replays the log
-// suffix, and emits the compensating deltas. On the versioned path the
-// rewind is a journal rollback of the live operator in place; on the legacy
-// path it clones the snapshot (or checkpoint) operator.
+// repair rolls the live operator back to the latest snapshot preceding the
+// straggler li (falling back to the base version), replays the log suffix
+// through it, and emits the compensating deltas.
 func (m *Monitor) repair(li logItem) {
 	s, q := li.sync(), li.seq
 	// Snapshots whose prefix spans the straggler's position were built
 	// without it and are no longer reachable states.
-	for len(m.snaps) > 0 {
-		sn := &m.snaps[len(m.snaps)-1]
-		if sn.bSync > s || (sn.bSync == s && sn.bSeq > q) {
-			m.recycle(sn.tbl)
-			m.snaps[len(m.snaps)-1] = snapshot{}
-			m.snaps = m.snaps[:len(m.snaps)-1]
-			continue
-		}
-		break
+	for n := len(m.snaps); n > 0 && !keyLE(m.snaps[n-1].bSync, m.snaps[n-1].bSeq, s, q); n-- {
+		m.recycle(m.snaps[n-1].tbl)
+		m.snaps[n-1] = snapshot{}
+		m.snaps = m.snaps[:n-1]
 	}
-	start := m.head
-	// replay marks where folding begins: items before it (absorbed items a
-	// versioned base rewind re-drives) have finalized facts, so their
-	// outputs are discarded exactly as checkpointTo discarded them.
-	replay := m.head
+	// A base rewind re-drives the retained absorbed items [tail, head) to
+	// rebuild the state at the absorbed boundary. replay marks where
+	// folding begins: the facts of items before it are final, so their
+	// outputs are discarded.
+	start, replay := m.tail, m.head
 	// bSync/bSeq is the replay's start boundary: facts whose producer is at
 	// or before it are inherited and cannot silently vanish, so the diff
 	// only needs to visit fold-touched ids plus live facts produced by the
 	// replayed suffix.
 	bSync, bSeq := m.absSync, m.absSeq
-	var fresh operators.Op
+	ver := m.base
 	tbl := m.spare
 	if tbl == nil {
-		// Prefer a recycled snapshot table over a fresh allocation.
-		if n := len(m.tblPool); n > 0 {
-			tbl = m.tblPool[n-1]
-			m.tblPool[n-1] = nil
-			m.tblPool = m.tblPool[:n-1]
-			clear(tbl)
-		} else {
-			tbl = make(map[event.ID]*netFact, len(m.emitted)+8)
-		}
+		tbl = m.takeTable(len(m.emitted) + 8)
 	} else {
 		clear(tbl)
 	}
@@ -849,14 +813,7 @@ func (m *Monitor) repair(li logItem) {
 	m.dirty = m.dirty[:0]
 	if n := len(m.snaps); n > 0 {
 		sn := m.snaps[n-1]
-		if m.vop != nil {
-			if !m.vop.Rollback(sn.ver) {
-				panic("consistency: snapshot version no longer rollbackable")
-			}
-			fresh = m.op
-		} else {
-			fresh = sn.op.Clone()
-		}
+		ver = sn.ver
 		for id, nf := range sn.tbl {
 			tbl[id] = nf
 		}
@@ -873,65 +830,39 @@ func (m *Monitor) repair(li logItem) {
 				}
 			}
 		}
-	} else if m.vop != nil {
-		if !m.vop.Rollback(m.base) {
-			panic("consistency: base version no longer rollbackable")
-		}
-		fresh = m.op
-		// The base sits at or below the absorbed boundary: re-drive the
-		// retained absorbed items [tail, head) with discarded output to
-		// rebuild the checkpoint state, then fold the window as usual.
-		start = m.tail
-	} else {
-		fresh = m.ckpt.Clone()
+	}
+	if !m.op.Rollback(ver) {
+		panic("consistency: retained version no longer rollbackable")
 	}
 	m.sinceSnap = 0
 	var created []map[event.ID]*netFact
 	for i := start; i < len(m.log); i++ {
 		item := m.log[i]
-		discard := i < replay
+		into := tbl
+		if i < replay {
+			into = nil // absorbed: drive the operator, discard the output
+		}
 		if item.marker {
-			outs := fresh.Advance(item.t)
-			if !discard {
-				m.foldInto(tbl, item.key, item.seq, outs)
-			}
+			m.foldInto(into, item.key, item.seq, m.op.Advance(item.t))
 		} else {
 			if item.opt {
-				outs := fresh.Advance(item.ev.Sync())
-				if !discard {
-					m.foldInto(tbl, item.ev.Sync(), item.seq, outs)
-				}
+				m.foldInto(into, item.ev.Sync(), item.seq, m.op.Advance(item.ev.Sync()))
 			}
 			if !item.probe {
-				outs := fresh.Process(item.port, item.ev)
-				if !discard {
-					m.foldInto(tbl, item.ev.Sync(), item.seq, outs)
-				}
+				m.foldInto(into, item.ev.Sync(), item.seq, m.op.Process(item.port, item.ev))
 			}
 		}
-		if m.vop != nil {
-			// The straggler shifted every later prefix: re-record the
-			// checkpoint state sizes along the new timeline.
-			m.log[i].stateAfter = fresh.StateSize()
-		}
-		if discard {
+		// The straggler shifted every later prefix: re-record the checkpoint
+		// state sizes along the new timeline.
+		m.log[i].stateAfter = m.op.StateSize()
+		if into == nil {
 			continue
 		}
 		// Re-seed the snapshot cache as the replay walks forward, so
 		// straggler bursts do not degenerate to checkpoint replays.
 		m.sinceSnap++
 		if m.sinceSnap >= m.snapCadence && i+1 < len(m.log) && m.wantSnapshots() {
-			ct := m.copyTable(tbl)
-			created = append(created, ct)
-			sn := snapshot{bSync: item.sync(), bSeq: item.seq,
-				absSync: m.absSync, absSeq: m.absSeq, tbl: ct}
-			if m.vop != nil {
-				sn.ver = m.vop.Mark()
-			} else {
-				sn.op = fresh.Clone()
-			}
-			m.addSnapshot(sn)
-			m.sinceSnap = 0
+			created = append(created, m.addSnapshot(item.sync(), item.seq, tbl))
 		}
 	}
 	// Live facts produced by the replayed suffix either got re-derived
@@ -944,7 +875,6 @@ func (m *Monitor) repair(li logItem) {
 			m.dirty = append(m.dirty, id)
 		}
 	}
-	m.op = fresh
 	m.diff(tbl)
 	// Snapshots taken during this replay captured entries before diff
 	// patched their generations. Re-point them at the live entries where
@@ -966,10 +896,9 @@ func (m *Monitor) repair(li logItem) {
 }
 
 // insertLog places li at its (sync, seq) position in the live window by
-// binary search — the window is already sorted, so insertion replaces the
-// former full-log sort. The new item carries the largest seq ever issued,
-// so the upper bound after its key is its unique position; fast-path items
-// land at the end with zero movement.
+// binary search. The new item carries the largest seq ever issued, so the
+// upper bound after its key is its unique position; fast-path items land at
+// the end with zero movement.
 func (m *Monitor) insertLog(li logItem) {
 	if li.probe {
 		m.probeLog++
@@ -1005,8 +934,7 @@ func (m *Monitor) insertLog(li logItem) {
 func (m *Monitor) searchAfter(bSync temporal.Time, bSeq int) int {
 	return sort.Search(len(m.log)-m.head, func(k int) bool {
 		it := &m.log[m.head+k]
-		is := it.sync()
-		return is > bSync || (is == bSync && it.seq > bSeq)
+		return !keyLE(it.sync(), it.seq, bSync, bSeq)
 	}) + m.head
 }
 
@@ -1020,8 +948,8 @@ func (m *Monitor) wantSnapshots() bool {
 }
 
 // maybeSnapshot records a repair snapshot at the current end of the log
-// every snapCadence admitted items. On the versioned path the operator
-// part is an O(1) journal mark; only the net-fact table is copied.
+// every snapCadence admitted items: a Mark of the operator and a copy of
+// the net-fact table.
 func (m *Monitor) maybeSnapshot() {
 	if !m.wantSnapshots() {
 		return
@@ -1031,44 +959,58 @@ func (m *Monitor) maybeSnapshot() {
 		return
 	}
 	last := &m.log[len(m.log)-1]
-	sn := snapshot{bSync: last.sync(), bSeq: last.seq, tbl: m.copyTable(m.emitted)}
-	if m.vop != nil {
-		sn.ver = m.vop.Mark()
-		sn.absSync, sn.absSeq = m.absSync, m.absSeq
-	} else {
-		sn.op = m.op.Clone()
-	}
-	m.addSnapshot(sn)
-	m.sinceSnap = 0
+	m.addSnapshot(last.sync(), last.seq, m.emitted)
 }
 
-func (m *Monitor) addSnapshot(sn snapshot) {
+// addSnapshot records the live operator's version and a copy of tbl, which
+// it returns, as the snapshot of the log prefix ending at (bSync, bSeq). A
+// full cache evicts its oldest entry first: that version lies between base
+// and the kept snapshots, so no Compact will ever cover it and it must be
+// released by name.
+func (m *Monitor) addSnapshot(bSync temporal.Time, bSeq int, tbl map[event.ID]*netFact) map[event.ID]*netFact {
 	if len(m.snaps) >= m.snapBound {
-		m.recycle(m.snaps[0].tbl)
-		copy(m.snaps, m.snaps[1:])
-		m.snaps[len(m.snaps)-1] = sn
-		return
+		m.op.Release(m.snaps[0].ver)
+		m.dropSnaps(1)
 	}
-	m.snaps = append(m.snaps, sn)
+	ct := m.copyTable(tbl)
+	m.snaps = append(m.snaps, snapshot{bSync: bSync, bSeq: bSeq,
+		absSync: m.absSync, absSeq: m.absSeq, ver: m.op.Mark(), tbl: ct})
+	m.sinceSnap = 0
+	return ct
 }
 
 // copyTable duplicates a net-fact table (sharing the immutable entries),
 // preferring a recycled map from discarded snapshots over a fresh
 // allocation.
 func (m *Monitor) copyTable(tbl map[event.ID]*netFact) map[event.ID]*netFact {
-	var out map[event.ID]*netFact
-	if n := len(m.tblPool); n > 0 {
-		out = m.tblPool[n-1]
-		m.tblPool[n-1] = nil
-		m.tblPool = m.tblPool[:n-1]
-		clear(out)
-	} else {
-		out = make(map[event.ID]*netFact, len(tbl))
-	}
+	out := m.takeTable(len(tbl))
 	for id, nf := range tbl {
 		out[id] = nf
 	}
 	return out
+}
+
+// takeTable returns an empty net-fact table: a recycled one when the pool
+// has any, else a fresh one sized for n entries.
+func (m *Monitor) takeTable(n int) map[event.ID]*netFact {
+	if k := len(m.tblPool); k > 0 {
+		tbl := m.tblPool[k-1]
+		m.tblPool[k-1] = nil
+		m.tblPool = m.tblPool[:k-1]
+		clear(tbl)
+		return tbl
+	}
+	return make(map[event.ID]*netFact, n)
+}
+
+// dropSnaps discards the n oldest snapshots, recycling their tables.
+func (m *Monitor) dropSnaps(n int) {
+	for i := 0; i < n; i++ {
+		m.recycle(m.snaps[i].tbl)
+	}
+	k := copy(m.snaps, m.snaps[n:])
+	clear(m.snaps[k:])
+	m.snaps = m.snaps[:k]
 }
 
 // recycle returns a snapshot table to the pool.
@@ -1080,34 +1022,18 @@ func (m *Monitor) recycle(tbl map[event.ID]*netFact) {
 }
 
 // checkpointTo absorbs every log item with Sync <= g into the checkpoint.
-// On the legacy path the items are re-Processed into the checkpoint
-// operator (with the same advance policy the live path used, so the two
-// stay identical); on the versioned path no operator is driven at all —
-// the base version just slides forward to the newest mark at or below the
-// new boundary and the journal below it is compacted. Instead of replaying
-// the remaining suffix to rebuild the net-emitted table, it drops the
-// facts the absorbed prefix produced — each fact records its source item's
-// Sync — which is equivalent and O(table).
+// No operator is driven: the base version slides forward to the newest mark
+// at or below the new boundary and the history below it is compacted.
+// Instead of replaying the remaining suffix to rebuild the net-emitted
+// table, it drops the facts the absorbed prefix produced — each fact
+// records its source item's Sync — which is equivalent and O(table).
 func (m *Monitor) checkpointTo(g temporal.Time) {
 	cut := m.head
 	for cut < len(m.log) && m.log[cut].sync() <= g {
-		item := m.log[cut]
-		if m.ckpt != nil {
-			if item.marker {
-				m.ckpt.Advance(item.t)
-			} else {
-				if item.opt {
-					m.ckpt.Advance(item.ev.Sync())
-				}
-				if !item.probe {
-					m.ckpt.Process(item.port, item.ev)
-				}
-			}
-		}
-		if item.probe {
+		if m.log[cut].probe {
 			m.probeLog--
 		}
-		if item.marker {
+		if m.log[cut].marker {
 			m.markerLog--
 		}
 		cut++
@@ -1116,44 +1042,28 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 		return
 	}
 	ls, lq := m.log[cut-1].sync(), m.log[cut-1].seq
-	if m.vop != nil && cut == len(m.log) {
-		// Every window item is absorbed: the live operator state IS the new
-		// checkpoint. Re-mark the base here and drop the whole snapshot
-		// cache — every snapshot's prefix is covered by the new base, and
-		// compacting the journal to the fresh mark would invalidate their
-		// versions anyway.
-		for i := range m.snaps {
-			m.recycle(m.snaps[i].tbl)
-			m.snaps[i] = snapshot{}
-		}
-		m.snaps = m.snaps[:0]
-		m.base = m.vop.Mark()
+	if cut == len(m.log) || m.stateless {
+		// Every window item is absorbed (or there is no state to be ahead
+		// of the boundary): the live operator state IS the new checkpoint.
+		// Re-mark the base here and drop the whole snapshot cache — every
+		// snapshot's prefix is covered by the new base, and compacting to
+		// the fresh mark would invalidate their versions anyway.
+		m.dropSnaps(len(m.snaps))
+		m.base = m.op.Mark()
 		m.tail = cut
 	} else {
 		// Snapshots that do not cover the absorbed prefix would need
-		// discarded log items to replay; drop them. On the versioned path
-		// the newest dropped snapshot becomes the base: the closest journal
-		// position at or below the new absorbed boundary.
+		// discarded log items to replay; drop them. The newest dropped
+		// snapshot becomes the base: the closest version at or below the
+		// new absorbed boundary.
 		keep := 0
-		for keep < len(m.snaps) {
-			sn := &m.snaps[keep]
-			if sn.bSync < ls || (sn.bSync == ls && sn.bSeq < lq) {
-				keep++
-				continue
-			}
-			break
+		for keep < len(m.snaps) && !keyLE(ls, lq, m.snaps[keep].bSync, m.snaps[keep].bSeq) {
+			keep++
 		}
 		if keep > 0 {
-			if m.vop != nil {
-				m.base = m.snaps[keep-1].ver
-				m.tail = m.searchAfter(m.snaps[keep-1].bSync, m.snaps[keep-1].bSeq)
-			}
-			for i := 0; i < keep; i++ {
-				m.recycle(m.snaps[i].tbl)
-			}
-			n := copy(m.snaps, m.snaps[keep:])
-			clear(m.snaps[n:])
-			m.snaps = m.snaps[:n]
+			m.base = m.snaps[keep-1].ver
+			m.tail = m.searchAfter(m.snaps[keep-1].bSync, m.snaps[keep-1].bSeq)
+			m.dropSnaps(keep)
 		}
 	}
 	m.head = cut
@@ -1171,30 +1081,16 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 			delete(m.emitted, id)
 		}
 	}
-	if m.vop != nil {
-		// The recorded post-item state size of the boundary item is exactly
-		// what a checkpoint operator would measure after absorbing the
-		// prefix.
-		m.ckptState = m.log[cut-1].stateAfter
-		m.vop.Compact(m.base)
-		// Amortized compaction of the log prefix below the base boundary
-		// (items in [tail, head) must stay: a base rewind re-drives them).
-		if m.tail >= compactAt && m.tail >= len(m.log)-m.tail {
-			n := copy(m.log, m.log[m.tail:])
-			clear(m.log[n:])
-			m.log = m.log[:n]
-			m.head -= m.tail
-			m.tail = 0
-		}
-		return
-	}
-	m.ckptState = m.ckpt.StateSize()
-	// Amortized compaction of the absorbed prefix.
-	if m.head >= compactAt && m.head >= len(m.log)-m.head {
-		n := copy(m.log, m.log[m.head:])
+	m.absState = m.log[cut-1].stateAfter
+	m.op.Compact(m.base)
+	// Amortized compaction of the log prefix below the base boundary
+	// (items in [tail, head) must stay: a base rewind re-drives them).
+	if m.tail >= compactAt && m.tail >= len(m.log)-m.tail {
+		n := copy(m.log, m.log[m.tail:])
 		clear(m.log[n:])
 		m.log = m.log[:n]
-		m.head = 0
+		m.head -= m.tail
+		m.tail = 0
 	}
 }
 
@@ -1249,11 +1145,15 @@ func (m *Monitor) genOf(id event.ID) uint64 {
 	return m.gen[id]
 }
 
-// foldInto applies operator outputs to a net-fact table without emitting.
-// When a replayed output reproduces the live table's entry exactly, the
-// existing entry is shared instead of allocating a new one; diff then
-// recognizes untouched facts by pointer identity and skips them.
+// foldInto applies operator outputs to a net-fact table without emitting
+// (a nil table discards them). When a replayed output reproduces the live
+// table's entry exactly, the existing entry is shared instead of allocating
+// a new one; diff then recognizes untouched facts by pointer identity and
+// skips them.
 func (m *Monitor) foldInto(tbl map[event.ID]*netFact, srcSync temporal.Time, srcSeq int, outs []event.Event) {
+	if tbl == nil {
+		return
+	}
 	for _, e := range outs {
 		if e.Kind == event.Retract {
 			if nf, ok := tbl[e.ID]; ok {
@@ -1396,7 +1296,7 @@ func (m *Monitor) sampleState() {
 	// the reference semantics. Probes are a sibling shard's events seen
 	// through a keyhole — the sibling counts them, so this monitor must not.
 	cur := (len(m.buffer) - m.probeBuf) + (len(m.log) - m.head - m.probeLog) +
-		m.op.StateSize() + m.ckptState
+		m.op.StateSize() + m.absState
 	m.met.CurState = cur
 	if cur > m.met.MaxState {
 		m.met.MaxState = cur

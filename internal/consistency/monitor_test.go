@@ -423,3 +423,74 @@ func TestFinishFlushesBlockingOp(t *testing.T) {
 		t.Fatal("Finish must flush the buffered event through the aggregate")
 	}
 }
+
+// liveVersions wraps a Versioned operator and tracks which of its versions
+// the Versioned contract still obliges it to keep: marked, and not yet
+// ended by a Release, a Compact above them or a Rollback below them.
+type liveVersions struct {
+	operators.Versioned
+	live map[uint64]bool
+	max  int
+}
+
+func (l *liveVersions) Mark() operators.Version {
+	v := l.Versioned.Mark()
+	l.live[v.Pos] = true
+	if len(l.live) > l.max {
+		l.max = len(l.live)
+	}
+	return v
+}
+
+func (l *liveVersions) Rollback(v operators.Version) bool {
+	if !l.Versioned.Rollback(v) {
+		return false
+	}
+	for pos := range l.live {
+		if pos > v.Pos {
+			delete(l.live, pos)
+		}
+	}
+	return true
+}
+
+func (l *liveVersions) Compact(v operators.Version) {
+	l.Versioned.Compact(v)
+	for pos := range l.live {
+		if pos < v.Pos {
+			delete(l.live, pos)
+		}
+	}
+}
+
+func (l *liveVersions) Release(v operators.Version) {
+	l.Versioned.Release(v)
+	delete(l.live, v.Pos)
+}
+
+// TestRetainedVersionsBounded: on a Middle stream that never sends a
+// guarantee the base never moves, so no Compact ever runs; the monitor must
+// still keep at most the base plus maxSnaps versions alive — by releasing
+// each snapshot it evicts — or the clone-backed fallback, which holds an
+// operator copy per live version, would grow without bound.
+func TestRetainedVersionsBounded(t *testing.T) {
+	src := mkSource(40*snapEvery, 3, 20)
+	delivered := delivery.Deliver(src, delivery.Config{Seed: 11,
+		Latency: delivery.Latency{Base: 1, Jitter: 10, StragglerProb: 0.1, StragglerDelay: 40}})
+	op := &liveVersions{live: map[uint64]bool{},
+		Versioned: operators.AsVersioned(foreign{operators.NewAggregate(operators.Count, "", "g")})}
+	m := NewMonitor(op, Middle())
+	for _, e := range delivered {
+		if e.IsCTI() {
+			t.Fatal("the delivery was meant to carry no guarantees")
+		}
+		m.Push(0, e)
+	}
+	if m.Metrics().Replays == 0 || len(m.snaps) != maxSnaps {
+		t.Fatalf("stream did not exercise eviction and repair: %d replays, %d snapshots",
+			m.Metrics().Replays, len(m.snaps))
+	}
+	if op.max > maxSnaps+1 {
+		t.Fatalf("monitor kept %d versions alive, bound is maxSnaps+1 = %d", op.max, maxSnaps+1)
+	}
+}

@@ -470,34 +470,41 @@ func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 	}
 }
 
-// TestFabricSharingThroughput: a fleet of identical standing queries on
-// the fabric must outrun the same fleet on private chains by a wide margin
-// (the full 10× criterion at 10k queries is gated in cedrbench; this is
-// the in-tree sanity floor at a size cheap enough for the test suite).
+// TestFabricSharingThroughput: a fleet of identical standing queries on the
+// fabric does the work of one query; on private chains it does the work of
+// all of them. The assertion is on operation counts — chains built, events
+// evaluated by the head monitors — which is what the wall-clock win follows
+// from; the timing relation itself is gated in cedrbench's calibrated
+// suite (fabric_mixed_fleet_10k vs its _unshared reference).
 func TestFabricSharingThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
 	const fleet = 1500
 	in := durabilityWorkload()
+	events := 0
+	for _, ev := range in {
+		if !ev.IsCTI() {
+			events++
+		}
+	}
 
-	elapse := func(opts ...plan.Option) time.Duration {
+	work := func(opts ...plan.Option) (chains, evaluated int) {
 		e := New()
 		for i := 0; i < fleet; i++ {
 			if _, err := e.RegisterText(monitorQuery, opts...); err != nil {
 				t.Fatal(err)
 			}
 		}
-		start := time.Now()
 		e.Run(in)
-		return time.Since(start)
+		live := e.chainsSnapshot()
+		for _, ch := range live {
+			evaluated += ch.metrics()[0].InputEvents
+		}
+		return len(live), evaluated
 	}
-	shared := elapse(plan.WithSharing())
-	private := elapse()
-	t.Logf("fleet=%d events=%d shared=%v private=%v speedup=%.1fx",
-		fleet, len(in), shared, private, float64(private)/float64(shared))
-	if private < 4*shared {
-		t.Errorf("sharing speedup only %.1fx (shared %v, private %v), want ≥4x",
-			float64(private)/float64(shared), shared, private)
+	if chains, evaluated := work(plan.WithSharing()); chains != 1 || evaluated != events {
+		t.Errorf("shared fleet: %d chains evaluated %d events, want 1 chain and %d", chains, evaluated, events)
+	}
+	if chains, evaluated := work(); chains != fleet || evaluated != fleet*events {
+		t.Errorf("private fleet: %d chains evaluated %d events, want %d chains and %d",
+			chains, evaluated, fleet, fleet*events)
 	}
 }

@@ -218,12 +218,16 @@ type StallOp struct {
 	After int64
 	Stall time.Duration
 	count *int64
+	slept *int64
 }
 
 // NewStallOp arms inner to stall once on the nth Process call.
 func NewStallOp(inner operators.Op, after int, stall time.Duration) *StallOp {
-	return &StallOp{Inner: inner, After: int64(after), Stall: stall, count: new(int64)}
+	return &StallOp{Inner: inner, After: int64(after), Stall: stall, count: new(int64), slept: new(int64)}
 }
+
+// Stalls reports how many times the operator (or a clone) has slept.
+func (s *StallOp) Stalls() int { return int(atomic.LoadInt64(s.slept)) }
 
 // Name implements operators.Op.
 func (s *StallOp) Name() string { return "faultinject.stall(" + s.Inner.Name() + ")" }
@@ -235,6 +239,7 @@ func (s *StallOp) Arity() int { return s.Inner.Arity() }
 func (s *StallOp) Process(port int, e event.Event) []event.Event {
 	if atomic.AddInt64(s.count, 1) == s.After {
 		time.Sleep(s.Stall)
+		atomic.AddInt64(s.slept, 1)
 	}
 	return s.Inner.Process(port, e)
 }
@@ -248,9 +253,9 @@ func (s *StallOp) OutputGuarantee(t temporal.Time) temporal.Time { return s.Inne
 // StateSize implements operators.Op.
 func (s *StallOp) StateSize() int { return s.Inner.StateSize() }
 
-// Clone implements operators.Op; clones share the trigger counter.
+// Clone implements operators.Op; clones share the trigger and stall counters.
 func (s *StallOp) Clone() operators.Op {
-	return &StallOp{Inner: s.Inner.Clone(), After: s.After, Stall: s.Stall, count: s.count}
+	return &StallOp{Inner: s.Inner.Clone(), After: s.After, Stall: s.Stall, count: s.count, slept: s.slept}
 }
 
 // AppendAdvanceKey forwards the shard-merge ordering hook when the inner

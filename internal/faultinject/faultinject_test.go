@@ -44,17 +44,20 @@ func TestStallOpDelaysButCompletes(t *testing.T) {
 	const stall = 50 * time.Millisecond
 	op := faultinject.NewStallOp(passthrough(), 2, stall)
 	ev := event.NewInsert(1, "X", 0, temporal.Infinity, nil)
-	start := time.Now()
 	op.Process(0, ev)
-	if d := time.Since(start); d >= stall {
-		t.Fatalf("first Process stalled (%v)", d)
+	if n := op.Stalls(); n != 0 {
+		t.Fatalf("first Process stalled (%d stalls)", n)
 	}
-	start = time.Now()
+	start := time.Now()
 	if out := op.Process(0, ev); len(out) != 1 {
 		t.Fatalf("stalled Process dropped output")
 	}
-	if d := time.Since(start); d < stall {
-		t.Fatalf("armed Process returned in %v, want >= %v", d, stall)
+	if d := time.Since(start); d < stall || op.Stalls() != 1 {
+		t.Fatalf("armed Process returned in %v after %d stalls, want >= %v and 1", d, op.Stalls(), stall)
+	}
+	op.Process(0, ev)
+	if n := op.Stalls(); n != 1 {
+		t.Fatalf("the stall fired %d times, want once", n)
 	}
 }
 

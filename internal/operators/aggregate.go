@@ -64,8 +64,10 @@ type Aggregate struct {
 	frontier temporal.Time
 	// live holds the in-scope input events by pointer; entries are
 	// immutable once stored (retractions replace the pointer), so Clone is
-	// a pointer-sharing copy.
+	// a pointer-sharing copy. live and frontier are the operator's whole
+	// durable state, and every mutation of them goes through the journal.
 	live map[event.ID]*event.Event
+	mapJournal[*event.Event]
 
 	// scratch holds per-Advance working storage, reused across calls so the
 	// monitor's replay path does not allocate group maps per advance. It is
@@ -142,16 +144,16 @@ func (a *Aggregate) Process(_ int, e event.Event) []event.Event {
 	if e.Kind == event.Retract {
 		if old, ok := a.live[e.ID]; ok {
 			if e.V.Empty() {
-				delete(a.live, e.ID)
+				a.del(a.live, e.ID)
 			} else {
 				shrunk := *old // copy-on-write: old may be shared with clones
 				shrunk.V.End = e.V.End
-				a.live[e.ID] = &shrunk
+				a.set(a.live, e.ID, &shrunk)
 			}
 		}
 		return nil
 	}
-	a.live[e.ID] = &e
+	a.set(a.live, e.ID, &e)
 	return nil
 }
 
@@ -266,10 +268,10 @@ func (a *Aggregate) Advance(t temporal.Time) []event.Event {
 		})
 		out = a.segments(out, bs[bi].key, members, window)
 	}
-	a.frontier = t
+	a.setTime(&a.frontier, t)
 	for id, e := range a.live {
 		if e.V.End <= t {
-			delete(a.live, id)
+			a.del(a.live, id)
 		}
 	}
 	sc.out = out
@@ -400,8 +402,9 @@ func (a *Aggregate) OutputGuarantee(t temporal.Time) temporal.Time { return t }
 // StateSize implements Op.
 func (a *Aggregate) StateSize() int { return len(a.live) }
 
-// Clone implements Op. Live entries are immutable and shared by pointer,
-// but the Advance scratch and the payload-interning cache are per-clone:
+// Clone implements Op; the clone starts with its journal off. Live entries
+// are immutable and shared by pointer, but the Advance scratch and the
+// payload-interning cache are per-clone:
 // the sharded runtime hands clones to concurrently running workers, so
 // mutable working state must not be shared (the scratch reallocates
 // lazily, the cache simply refills).

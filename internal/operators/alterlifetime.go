@@ -37,6 +37,7 @@ type AlterLifetime struct {
 
 	inputs  map[event.ID]event.Event // input ID → current input version
 	emitted map[event.ID]event.Event // input ID → last emitted output (if any)
+	mapJournal[event.Event]
 }
 
 // NewAlterLifetime builds the operator from the two lifetime functions.
@@ -130,7 +131,7 @@ func (a *AlterLifetime) Process(_ int, e event.Event) []event.Event {
 	if e.Kind == event.Retract {
 		return a.retract(e)
 	}
-	a.inputs[e.ID] = e.Clone()
+	a.set(a.inputs, e.ID, e.Clone())
 	iv, ok := a.outputFor(e)
 	if !ok {
 		return nil
@@ -145,7 +146,7 @@ func (a *AlterLifetime) Process(_ int, e event.Event) []event.Event {
 		CBT:     []event.ID{e.ID},
 		Payload: e.Payload.Clone(),
 	}
-	a.emitted[e.ID] = out
+	a.set(a.emitted, e.ID, out)
 	return []event.Event{out}
 }
 
@@ -161,9 +162,9 @@ func (a *AlterLifetime) retract(e event.Event) []event.Event {
 		in.V.End = e.V.End
 	}
 	if in.V.Empty() {
-		delete(a.inputs, e.ID)
+		a.del(a.inputs, e.ID)
 	} else {
-		a.inputs[e.ID] = in
+		a.set(a.inputs, e.ID, in)
 	}
 
 	old, had := a.emitted[e.ID]
@@ -180,14 +181,14 @@ func (a *AlterLifetime) retract(e event.Event) []event.Event {
 	case had && !newOK:
 		// Output disappears entirely.
 		out = append(out, retractTo(old, old.V.Start))
-		delete(a.emitted, e.ID)
+		a.del(a.emitted, e.ID)
 	case had && newOK && newIv == old.V:
 		// Unchanged (e.g. Inserts ignores Ve).
 	case had && newOK && newIv.Start == old.V.Start && newIv.End < old.V.End:
 		// Pure shrink at the end: expressible as an output retraction.
 		out = append(out, retractTo(old, newIv.End))
 		old.V = newIv
-		a.emitted[e.ID] = old
+		a.set(a.emitted, e.ID, old)
 	case had && newOK:
 		// Start moved, or lifetime grew: remove the old output and insert
 		// the new lifetime under a derived ID (the Figure 2
@@ -213,7 +214,7 @@ func (a *AlterLifetime) reinsert(in event.Event, iv temporal.Interval) event.Eve
 		CBT:     []event.ID{in.ID},
 		Payload: in.Payload.Clone(),
 	}
-	a.emitted[in.ID] = out
+	a.set(a.emitted, in.ID, out)
 	return out
 }
 
@@ -224,8 +225,8 @@ func (a *AlterLifetime) reinsert(in event.Event, iv temporal.Interval) event.Eve
 func (a *AlterLifetime) Advance(t temporal.Time) []event.Event {
 	for id, in := range a.inputs {
 		if !in.V.End.IsInfinite() && in.V.End <= t {
-			delete(a.inputs, id)
-			delete(a.emitted, id)
+			a.del(a.inputs, id)
+			a.del(a.emitted, id)
 		}
 	}
 	return nil
@@ -242,7 +243,7 @@ func (a *AlterLifetime) OutputGuarantee(t temporal.Time) temporal.Time {
 // StateSize implements Op.
 func (a *AlterLifetime) StateSize() int { return len(a.inputs) }
 
-// Clone implements Op.
+// Clone implements Op; the clone starts with its journal off.
 func (a *AlterLifetime) Clone() Op {
 	c := &AlterLifetime{name: a.name, FVs: a.FVs, FDur: a.FDur, Guarantee: a.Guarantee,
 		inputs:  make(map[event.ID]event.Event, len(a.inputs)),

@@ -22,6 +22,7 @@ type Difference struct {
 	frontier temporal.Time
 	left     map[event.ID]event.Event
 	right    map[event.ID]event.Event
+	mapJournal[event.Event]
 }
 
 // NewDifference builds a difference operator. Port 0 is the left (positive)
@@ -49,15 +50,15 @@ func (d *Difference) Process(port int, e event.Event) []event.Event {
 	if e.Kind == event.Retract {
 		if old, ok := side[e.ID]; ok {
 			if e.V.Empty() {
-				delete(side, e.ID)
+				d.del(side, e.ID)
 			} else {
 				old.V.End = e.V.End
-				side[e.ID] = old
+				d.set(side, e.ID, old)
 			}
 		}
 		return nil
 	}
-	side[e.ID] = e.Clone()
+	d.set(side, e.ID, e.Clone())
 	return nil
 }
 
@@ -90,11 +91,14 @@ func (d *Difference) Advance(t temporal.Time) []event.Event {
 		if out[i].V.Start != out[j].V.Start {
 			return out[i].V.Start < out[j].V.Start
 		}
-		return out[i].Payload.Key() < out[j].Payload.Key()
+		if ki, kj := out[i].Payload.Key(), out[j].Payload.Key(); ki != kj {
+			return ki < kj
+		}
+		return out[i].ID < out[j].ID // equal-payload ties: never map order
 	})
-	d.frontier = t
-	trim(d.left, t)
-	trim(d.right, t)
+	d.setTime(&d.frontier, t)
+	d.trim(d.left, t)
+	d.trim(d.right, t)
 	return out
 }
 
@@ -134,10 +138,10 @@ func subtractAll(base temporal.Interval, cover []temporal.Interval) []temporal.I
 	return pieces
 }
 
-func trim(m map[event.ID]event.Event, t temporal.Time) {
+func (d *Difference) trim(m map[event.ID]event.Event, t temporal.Time) {
 	for id, e := range m {
 		if e.V.End <= t {
-			delete(m, id)
+			d.del(m, id)
 		}
 	}
 }
@@ -148,7 +152,7 @@ func (d *Difference) OutputGuarantee(t temporal.Time) temporal.Time { return t }
 // StateSize implements Op.
 func (d *Difference) StateSize() int { return len(d.left) + len(d.right) }
 
-// Clone implements Op.
+// Clone implements Op; the clone starts with its journal off.
 func (d *Difference) Clone() Op {
 	c := NewDifference()
 	c.frontier = d.frontier

@@ -32,11 +32,57 @@ type Join struct {
 	items [2][]joinEntry
 	index [2]map[event.ID]int
 	dead  [2]int
+	journal[joinRec]
 }
 
 type joinEntry struct {
 	ev   event.Event
 	dead bool
+}
+
+// joinRec is the inverse of one mutation of a side's state.
+type joinRec struct {
+	j    *Join
+	kind uint8
+	port int
+	i    int              // joinReplaced: the slot
+	old  joinEntry        // joinReplaced: its prior (live) entry
+	side []joinEntry      // joinCompacted: the replaced slice, ...
+	idx  map[event.ID]int // ... its index, ...
+	dead int              // ... and its tombstone count
+}
+
+const (
+	joinAppended  uint8 = iota // a new entry at the end of items[port]
+	joinReplaced               // items[port][i] overwritten, shrunk or killed
+	joinCompacted              // items[port] and index[port] replaced wholesale
+)
+
+func (r joinRec) undo() {
+	j, p := r.j, r.port
+	switch r.kind {
+	case joinAppended:
+		n := len(j.items[p]) - 1
+		delete(j.index[p], j.items[p][n].ev.ID)
+		j.items[p][n] = joinEntry{}
+		j.items[p] = j.items[p][:n]
+	case joinReplaced:
+		if j.items[p][r.i].dead {
+			j.dead[p]--
+			j.index[p][r.old.ev.ID] = r.i
+		}
+		j.items[p][r.i] = r.old
+	case joinCompacted:
+		j.items[p], j.index[p], j.dead[p] = r.side, r.idx, r.dead
+	}
+}
+
+// replace journals the overwrite of the live entry in slot i.
+func (j *Join) replace(port, i int, ent joinEntry) {
+	if j.on {
+		j.recs = append(j.recs, joinRec{j: j, kind: joinReplaced, port: port, i: i, old: j.items[port][i]})
+	}
+	j.items[port][i] = ent
 }
 
 // NewJoin builds a θ-join.
@@ -77,8 +123,11 @@ func (j *Join) Process(port int, e event.Event) []event.Event {
 		}
 	}
 	if i, ok := j.index[port][e.ID]; ok {
-		j.items[port][i] = joinEntry{ev: e}
+		j.replace(port, i, joinEntry{ev: e})
 	} else {
+		if j.on {
+			j.recs = append(j.recs, joinRec{j: j, kind: joinAppended, port: port})
+		}
 		j.index[port][e.ID] = len(j.items[port])
 		j.items[port] = append(j.items[port], joinEntry{ev: e})
 	}
@@ -125,35 +174,41 @@ func (j *Join) retract(port int, e event.Event) []event.Event {
 		j.kill(port, i, e.ID)
 		j.maybeCompact(port)
 	} else {
-		j.items[port][i].ev.V.End = e.V.End
+		shrunk := j.items[port][i]
+		shrunk.ev.V.End = e.V.End
+		j.replace(port, i, shrunk)
 	}
 	return out
 }
 
 func (j *Join) kill(port, i int, id event.ID) {
-	j.items[port][i] = joinEntry{dead: true}
+	j.replace(port, i, joinEntry{dead: true})
 	delete(j.index[port], id)
 	j.dead[port]++
 }
 
 // maybeCompact drops tombstones once they dominate, preserving insertion
 // order so output determinism survives. Never call while iterating items.
+// It builds a fresh slice and index rather than compacting in place, so
+// the journal can restore the replaced pair by reference.
 func (j *Join) maybeCompact(port int) {
 	if j.dead[port] <= 16 || j.dead[port] <= len(j.items[port])/2 {
 		return
 	}
-	live := j.items[port][:0]
+	if j.on {
+		j.recs = append(j.recs, joinRec{j: j, kind: joinCompacted, port: port,
+			side: j.items[port], idx: j.index[port], dead: j.dead[port]})
+	}
+	n := len(j.items[port]) - j.dead[port]
+	live := make([]joinEntry, 0, n)
+	index := make(map[event.ID]int, n)
 	for _, ent := range j.items[port] {
 		if !ent.dead {
-			j.index[port][ent.ev.ID] = len(live)
+			index[ent.ev.ID] = len(live)
 			live = append(live, ent)
 		}
 	}
-	for k := len(live); k < len(j.items[port]); k++ {
-		j.items[port][k] = joinEntry{}
-	}
-	j.items[port] = live
-	j.dead[port] = 0
+	j.items[port], j.index[port], j.dead[port] = live, index, 0
 }
 
 // pair constructs a join output event from the two contributors.
@@ -204,7 +259,7 @@ func (j *Join) OutputGuarantee(t temporal.Time) temporal.Time { return t }
 // StateSize implements Op.
 func (j *Join) StateSize() int { return len(j.index[0]) + len(j.index[1]) }
 
-// Clone implements Op.
+// Clone implements Op; the clone starts with its journal off.
 func (j *Join) Clone() Op {
 	c := &Join{Theta: j.Theta, RightPrefix: j.RightPrefix, dead: j.dead}
 	for port := 0; port < 2; port++ {

@@ -1,0 +1,208 @@
+package operators
+
+import (
+	"slices"
+
+	"repro/internal/event"
+	"repro/internal/temporal"
+)
+
+// versions is the ascending list of a Versioned operator's live version
+// handles, each carrying what the implementation needs to restore it (a
+// journal position, an operator copy). Handles are serial numbers that are
+// never reissued, so a version invalidated by a deeper Rollback or by
+// Compact stays invalid for good.
+type versions[T any] struct {
+	ids  []uint64
+	vals []T
+	next uint64
+}
+
+func (vs *versions[T]) push(val T) Version {
+	vs.next++
+	vs.ids = append(vs.ids, vs.next)
+	vs.vals = append(vs.vals, val)
+	return Version{Pos: vs.next}
+}
+
+// find returns the index of v among the live versions, -1 when v was
+// invalidated.
+func (vs *versions[T]) find(v Version) int {
+	i, ok := slices.BinarySearch(vs.ids, v.Pos)
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// cut removes the versions [lo, hi).
+func (vs *versions[T]) cut(lo, hi int) {
+	vs.ids = slices.Delete(vs.ids, lo, hi)
+	vs.vals = slices.Delete(vs.vals, lo, hi)
+}
+
+// journal is the undo log behind the stateful operators' Versioned
+// implementation: while it is on, every mutation of the operator's durable
+// state first appends its exact inverse as an R. Mark is then an O(1)
+// barrier, Rollback undoes records LIFO back to it, Compact truncates the
+// history below it. Journaling turns on at the first Mark, so a standalone
+// operator (and every Clone, which starts with a zero journal) pays one
+// predictable branch per mutation. Derived caches and scratch buffers are
+// not state and are never journaled.
+//
+// Operators embed a journal, which promotes the Versioned methods.
+type journal[R interface{ undo() }] struct {
+	on    bool
+	recs  []R           // inverse records since the oldest live mark, in mutation order
+	marks versions[int] // live versions → len(recs) at mark time
+}
+
+// Mark implements Versioned.
+func (j *journal[R]) Mark() Version {
+	j.on = true
+	return j.marks.push(len(j.recs))
+}
+
+// Rollback implements Versioned, in O(mutations since v).
+func (j *journal[R]) Rollback(v Version) bool {
+	i := j.marks.find(v)
+	if i < 0 {
+		return false
+	}
+	at := j.marks.vals[i]
+	for n := len(j.recs); n > at; n-- {
+		j.recs[n-1].undo()
+	}
+	clear(j.recs[at:])
+	j.recs = j.recs[:at]
+	j.marks.cut(i+1, len(j.marks.ids))
+	return true
+}
+
+// Compact implements Versioned, in O(records kept).
+func (j *journal[R]) Compact(v Version) {
+	i := j.marks.find(v)
+	if i <= 0 {
+		return
+	}
+	at := j.marks.vals[i]
+	n := copy(j.recs, j.recs[at:])
+	clear(j.recs[n:])
+	j.recs = j.recs[:n]
+	j.marks.cut(0, i)
+	for k := range j.marks.vals {
+		j.marks.vals[k] -= at
+	}
+}
+
+// Release implements Versioned: a journal holds nothing per version.
+func (j *journal[R]) Release(Version) {}
+
+// mapRec is the inverse of one set or delete on a map[event.ID]V, or (m ==
+// nil) of one assignment to the operator's frontier.
+type mapRec[V any] struct {
+	m   map[event.ID]V
+	id  event.ID
+	old V
+	had bool
+	p   *temporal.Time
+	t   temporal.Time
+}
+
+func (r mapRec[V]) undo() {
+	switch {
+	case r.m == nil:
+		*r.p = r.t
+	case r.had:
+		r.m[r.id] = r.old
+	default:
+		delete(r.m, r.id)
+	}
+}
+
+// mapJournal journals operators whose state is maps keyed by event ID plus
+// a frontier: all their mutations go through set, del and setTime.
+type mapJournal[V any] struct {
+	journal[mapRec[V]]
+}
+
+func (j *mapJournal[V]) set(m map[event.ID]V, id event.ID, v V) {
+	if j.on {
+		old, had := m[id]
+		j.recs = append(j.recs, mapRec[V]{m: m, id: id, old: old, had: had})
+	}
+	m[id] = v
+}
+
+func (j *mapJournal[V]) del(m map[event.ID]V, id event.ID) {
+	if j.on {
+		if old, had := m[id]; had {
+			j.recs = append(j.recs, mapRec[V]{m: m, id: id, old: old, had: true})
+		}
+	}
+	delete(m, id)
+}
+
+func (j *mapJournal[V]) setTime(p *temporal.Time, t temporal.Time) {
+	if j.on {
+		j.recs = append(j.recs, mapRec[V]{p: p, t: *p})
+	}
+	*p = t
+}
+
+// AsVersioned gives any operator the Versioned protocol, so a caller needs
+// one checkpoint strategy only. An operator that journals its own state is
+// returned as is; a Stateless one has nothing to version; everything else —
+// reference evaluators, test doubles, foreign operators in hand-built plans
+// — gets a clone-backed fallback whose Mark costs an O(state) Clone.
+func AsVersioned(op Op) Versioned {
+	if v, ok := op.(Versioned); ok {
+		return v
+	}
+	if _, ok := op.(Stateless); ok {
+		return statelessVersioned{op}
+	}
+	return &cloneVersioned{Op: op}
+}
+
+// statelessVersioned: with no state, every version is the current one, so
+// Rollback always succeeds — the one implementation no version of which can
+// ever be invalidated.
+type statelessVersioned struct{ Op }
+
+func (statelessVersioned) Mark() Version         { return Version{} }
+func (statelessVersioned) Rollback(Version) bool { return true }
+func (statelessVersioned) Compact(Version)       {}
+func (statelessVersioned) Release(Version)       {}
+
+// cloneVersioned keeps one operator copy per live version. The embedded Op
+// is the live operator; Rollback swaps in a clone of the marked copy, so
+// the copy itself stays a valid target.
+type cloneVersioned struct {
+	Op
+	copies versions[Op]
+}
+
+func (c *cloneVersioned) Mark() Version { return c.copies.push(c.Op.Clone()) }
+
+func (c *cloneVersioned) Rollback(v Version) bool {
+	i := c.copies.find(v)
+	if i < 0 {
+		return false
+	}
+	c.Op = c.copies.vals[i].Clone()
+	c.copies.cut(i+1, len(c.copies.ids))
+	return true
+}
+
+func (c *cloneVersioned) Compact(v Version) {
+	if i := c.copies.find(v); i > 0 {
+		c.copies.cut(0, i)
+	}
+}
+
+func (c *cloneVersioned) Release(v Version) {
+	if i := c.copies.find(v); i >= 0 {
+		c.copies.cut(i, i+1)
+	}
+}

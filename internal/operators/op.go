@@ -56,35 +56,33 @@ type Op interface {
 	StateSize() int
 	// Clone copies the operator and its state. Clones may share immutable
 	// internals and reusable scratch with the original, so an operator and
-	// its clones must only be driven sequentially (the consistency monitor,
-	// which checkpoints operators by cloning, uses them this way). Clones
-	// intended for concurrent use need an operator-specific deep copy.
+	// its clones must only be driven sequentially (AsVersioned's clone
+	// fallback uses them this way). Clones intended for concurrent use need
+	// an operator-specific deep copy.
 	Clone() Op
 }
 
-// Version is a handle onto a point in a Versioned operator's mutation
-// history: an opaque position in its undo journal. Versions are ordered by
-// Pos (later marks have larger positions) and stay valid until a Rollback
-// ends below them or a Compact discards the history at or above them.
+// Version is an opaque handle onto a point in a Versioned operator's
+// mutation history. Versions are ordered by Pos (later marks have larger
+// positions) and stay valid until a Rollback ends below them, a Compact
+// discards the history below a later version, or they are Released.
 type Version struct {
 	Pos uint64
 }
 
-// Versioned is implemented by operators that maintain an undo journal of
-// their own state mutations, so a caller can capture a point-in-time handle
-// in O(1) and later restore the operator to it in O(mutations since) —
-// instead of deep-cloning the whole state and replaying events into the
-// clone. The consistency monitor uses this for delta-driven checkpointing:
-// snapshots become Marks, rollback replaces clone-and-replay repair.
+// Versioned is the one protocol by which a caller captures and restores
+// operator state: a point-in-time handle now, a return to it later. The
+// stateful operators implement it with an undo journal of their own state
+// mutations — capture is O(1), restore O(mutations since) — and AsVersioned
+// adapts everything else. The consistency monitor checkpoints through it:
+// snapshots are Marks, repair is a Rollback plus a replay of the log suffix.
 //
 // The contract: Mark returns a handle for the operator's current state.
 // Rollback(v) restores the state the operator had when v was marked and
-// reports success; it fails (leaving state untouched) when v was
-// invalidated by an earlier deeper Rollback or by Compact. A successful
-// Rollback invalidates every version marked after v; v itself stays valid
-// and may be rolled back to again. Compact(v) declares that no version
-// older than v will ever be rolled back to, letting the operator discard
-// the journal below v.
+// reports success; it fails (leaving state untouched) when v is no longer
+// valid. A successful Rollback invalidates every version marked after v; v
+// itself stays valid and may be rolled back to again. Compact(v) declares
+// that no version older than v will ever be rolled back to.
 type Versioned interface {
 	Op
 	// Mark enables journaling (first call) and returns a handle for the
@@ -95,6 +93,11 @@ type Versioned interface {
 	// Compact discards undo history strictly below v; v and every later
 	// version remain valid rollback targets.
 	Compact(v Version)
+	// Release declares that v alone will never be rolled back to, while
+	// older and newer versions stay valid — what a caller bounding its
+	// retained versions says about the one it evicts. An implementation
+	// holding resources per version frees them; a journal ignores it.
+	Release(v Version)
 }
 
 // Stateless marks operators whose Process output depends only on the input

@@ -97,9 +97,7 @@ func partitionOf(an *lang.Analysis, p *Plan) Partition {
 		}
 		return Partition{Mode: PartitionByAttr, Attr: op.GroupBy}
 	// Pattern stages: the incremental matcher tree (the default) and the
-	// semi-naive oracle (WithoutSpecialization). The flat SequenceOp never
-	// reaches partitionOf — it survives only in hand-built ablation
-	// benchmarks, which bypass plan compilation.
+	// semi-naive oracle (WithoutSpecialization).
 	case *algebra.PatternOp, *inc.Op:
 		if an == nil || an.PartitionAttr == "" {
 			return partitionNone("no CorrelationKey(attr, EQUAL) clause")

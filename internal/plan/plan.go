@@ -42,9 +42,9 @@ type Plan struct {
 	// Part is the partitionability verdict (see partition.go).
 	Part Partition
 	// MonitorOpts configure the consistency monitors the engine wraps each
-	// stage in (e.g. repair-snapshot cadence). A tuning knob only — it never
-	// changes output — so it is deliberately not part of Durable: recovery
-	// rebuilds the plan with default cadence and identical results.
+	// stage in. Compile leaves it empty; a hand-built plan may set it. It
+	// is a tuning knob only — it never changes output — and is not part of
+	// Durable or ShareKey.
 	MonitorOpts []consistency.MonitorOption
 	// Share marks the plan as shareable: the engine may attach this
 	// registration to an already-running chain with the same identity
@@ -77,9 +77,6 @@ type config struct {
 	noPushdown bool
 	outputName string
 	shards     int
-	snapSet    bool
-	snapEvery  int
-	snapMax    int
 	share      bool
 	bindings   map[string]event.Value
 }
@@ -103,19 +100,6 @@ func WithoutSpecialization() Option {
 // the pushdown's contribution.
 func WithoutPushdown() Option {
 	return func(c *config) { c.noPushdown = true }
-}
-
-// WithSnapshotCadence overrides the consistency monitors' repair-snapshot
-// policy for every stage: a snapshot every `every` admitted items, keeping
-// at most `max` (max <= 0 keeps the default bound). every <= 0 disables
-// snapshots, making every repair rebuild from the checkpoint state. Output
-// is identical at any cadence; only repair latency and memory shift.
-func WithSnapshotCadence(every, max int) Option {
-	return func(c *config) {
-		c.snapSet = true
-		c.snapEvery = every
-		c.snapMax = max
-	}
 }
 
 // AutoShards, passed to WithShards (or the engine's default), asks the
@@ -225,10 +209,6 @@ func fromAnalysis(an *lang.Analysis, cfg config) (*Plan, error) {
 
 	p.Spec = resolveSpec(an, cfg)
 	p.Part = partitionOf(an, p)
-	if cfg.snapSet {
-		p.MonitorOpts = append(p.MonitorOpts,
-			consistency.WithSnapshotCadence(cfg.snapEvery, cfg.snapMax))
-	}
 	return p, nil
 }
 
@@ -297,17 +277,16 @@ func (d Durable) Options() []Option {
 // whose keys are equal would build byte-identically behaving operator
 // chains, so the engine may run them on one shared chain. The key covers
 // the source text, the template bindings, the resolved consistency spec,
-// the requested shard count, the rewrite switches, and the snapshot
-// cadence. ok is false for hand-built plans (no source identity) — they
-// never share.
+// the requested shard count and the rewrite switches. ok is false for
+// hand-built plans (no source identity) — they never share.
 func (p *Plan) ShareKey() (string, bool) {
 	if p.Src == "" || p.an == nil {
 		return "", false
 	}
 	c := p.cfg
-	return fmt.Sprintf("%s\x1f%d,%d\x1f%d\x1f%t,%t\x1f%t,%d,%d\x1f%s",
+	return fmt.Sprintf("%s\x1f%d,%d\x1f%d\x1f%t,%t\x1f%s",
 		p.Src, p.Spec.B, p.Spec.M, c.shards, c.noSpecial, c.noPushdown,
-		c.snapSet, c.snapEvery, c.snapMax, canonBindings(c.bindings)), true
+		canonBindings(c.bindings)), true
 }
 
 // canonBindings renders bindings deterministically (sorted keys, dynamic
