@@ -394,15 +394,20 @@ type Query struct {
 func (q *Query) Name() string { return q.q.Name() }
 
 // Results returns everything emitted so far: inserts, retractions and
-// punctuation, in emission order.
+// punctuation, in emission order: a copy of the query's window of its
+// chain's history, from registration to now (or quarantine or unregistration).
 func (q *Query) Results() Stream { return q.q.Results() }
+
+// Len returns the number of items Results would return, without copying.
+func (q *Query) Len() int { return q.q.Len() }
 
 // Alerts returns the net surviving detections: inserts that were not
 // subsequently retracted (compensated).
 func (q *Query) Alerts() []Event {
 	live := map[ID]Event{}
 	var order []ID
-	for _, e := range q.q.Results() {
+	results, _ := q.q.View()
+	for _, e := range results {
 		if e.IsCTI() {
 			continue
 		}
@@ -442,8 +447,8 @@ func (q *Query) Subscribe(fn func(Event)) { q.q.Subscribe(fn) }
 
 // SubscribeTagged registers a synchronous callback receiving every output
 // item together with its chain order tag (see Tags). With replay set the
-// callback first receives the query's accumulated output, atomically with
-// the registration — no gap or duplication against concurrent delivery.
+// callback first receives the query's output so far — no gap or duplication
+// against concurrent delivery.
 func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) {
 	q.q.SubscribeTagged(replay, fn)
 }
@@ -462,7 +467,7 @@ func (q *Query) Tags() []uint64 { return q.q.Tags() }
 // endpoint of the standing query observes the released output.
 func (q *Query) SetConsistency(spec Spec) { q.q.SetSpec(spec) }
 
-// Unregister removes the standing query: its accumulated Results stay
+// Unregister removes the standing query: its Results up to this point stay
 // readable, subscribers receive nothing further, and when it was the last
 // registration of a shared group the underlying execution pipeline is torn
 // down (goroutines exit, input is no longer delivered to it). On a durable

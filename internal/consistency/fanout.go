@@ -2,24 +2,26 @@ package consistency
 
 import "repro/internal/event"
 
-// Fanout delivers one shared monitor chain's output to N independent
-// subscriber endpoints. Each delivered item carries a per-chain order tag
-// (its position in the chain's cumulative output sequence), so an endpoint
-// that attaches mid-stream can still place every item it sees at the exact
-// chain position an independently-run query would have assigned — the
-// byte-identity the fabric's differential suite checks. Endpoint failures
-// are isolated: a delivery callback that panics quarantines only its own
-// endpoint (OnFail fires, the endpoint is skipped from then on); sibling
-// endpoints and the driving chain are undisturbed.
+// Fanout delivers one shared monitor chain's output to the endpoints that
+// subscribed to it. Each delivered item carries a per-chain order tag (its
+// position in the chain's cumulative output sequence, which the chain owns),
+// so an endpoint that attaches mid-stream can still place every item it sees
+// at the exact chain position an independently-run query would have
+// assigned — the byte-identity the fabric's differential suite checks.
+// Only endpoints with a callback are attached: a registration nobody
+// subscribed to is, to its owner, a reference count and a window over the
+// chain's one output history, so Deliver is O(batch + subscribers), not
+// O(registrations). Endpoint failures are isolated: a delivery callback that
+// panics quarantines only its own endpoint (OnFail fires, the endpoint is
+// skipped from then on); siblings and the driving chain are undisturbed.
 //
 // Fanout is not internally synchronized — the owning chain serializes
 // Attach, Detach, and Deliver under its own lock.
 type Fanout struct {
-	emitted   uint64
 	endpoints []*Endpoint
 }
 
-// Endpoint is one attached subscriber of a Fanout.
+// Endpoint is one subscribed consumer of a Fanout.
 type Endpoint struct {
 	// Deliver receives an output batch plus the chain order tag of its
 	// first item (item i in the batch has tag firstTag+i).
@@ -30,9 +32,8 @@ type Endpoint struct {
 	dead   bool
 }
 
-// Attach adds an endpoint. An endpoint attached after the chain has already
-// emitted output starts at the current chain position: its first delivered
-// item carries tag Emitted().
+// Attach subscribes an endpoint: it receives every batch delivered from now
+// on, so one attached mid-stream starts at the current chain position.
 func (f *Fanout) Attach(deliver func([]event.Event, uint64), onFail func(any)) *Endpoint {
 	ep := &Endpoint{Deliver: deliver, OnFail: onFail}
 	f.endpoints = append(f.endpoints, ep)
@@ -50,15 +51,10 @@ func (f *Fanout) Detach(ep *Endpoint) {
 	}
 }
 
-// Deliver fans one output batch out to every live endpoint and advances the
-// chain position. Panicking endpoints are quarantined individually; the
-// batch still reaches every other endpoint.
-func (f *Fanout) Deliver(items []event.Event) {
-	if len(items) == 0 {
-		return
-	}
-	first := f.emitted
-	f.emitted += uint64(len(items))
+// Deliver hands one output batch, whose first item has chain order tag
+// first, to every live subscribed endpoint. Panicking endpoints are
+// quarantined individually; the batch still reaches every other endpoint.
+func (f *Fanout) Deliver(items []event.Event, first uint64) {
 	for _, ep := range f.endpoints {
 		if !ep.dead {
 			deliverOne(ep, items, first)
@@ -78,26 +74,3 @@ func deliverOne(ep *Endpoint, items []event.Event, first uint64) {
 	}()
 	ep.Deliver(items, first)
 }
-
-// Dead reports whether the endpoint has been quarantined by a delivery
-// panic.
-func (ep *Endpoint) Dead() bool { return ep.dead }
-
-// Len counts attached endpoints, dead or alive — the chain's reference
-// count.
-func (f *Fanout) Len() int { return len(f.endpoints) }
-
-// Live counts the endpoints still accepting delivery.
-func (f *Fanout) Live() int {
-	n := 0
-	for _, ep := range f.endpoints {
-		if !ep.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// Emitted returns the chain position: how many items have been fanned out
-// so far (the order tag the next item will carry).
-func (f *Fanout) Emitted() uint64 { return f.emitted }

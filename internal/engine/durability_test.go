@@ -96,6 +96,10 @@ func redrive(t *testing.T, e *Engine, recs []wal.Record) {
 	}
 }
 
+// fullSweep is set by the fault-injection CI job (CEDR_EVERY_BOUNDARY): the
+// sweeps and grids that plain `go test` samples run in full.
+var fullSweep = os.Getenv("CEDR_EVERY_BOUNDARY") != ""
+
 // TestCrashRecoveryAtEveryRecordBoundary is the crash-point differential:
 // for shard counts 1 and 4, the oracle's WAL is cut at every record
 // boundary — plus a torn cut inside every record — and each survivor is
@@ -108,7 +112,7 @@ func redrive(t *testing.T, e *Engine, recs []wal.Record) {
 // plus the last.
 func TestCrashRecoveryAtEveryRecordBoundary(t *testing.T) {
 	stride := 7
-	if os.Getenv("CEDR_EVERY_BOUNDARY") != "" {
+	if fullSweep {
 		stride = 1
 	}
 	in := durabilityWorkload()

@@ -6,12 +6,13 @@
 //
 // Standing-query fabric: registration is split into two layers. A *chain*
 // is one executing operator pipeline (single-shard monitors or the sharded
-// runtime) plus a consistency.Fanout of subscriber endpoints; a *Query* is
-// one registered endpoint. Plans compiled with plan.WithSharing that carry
-// the same sharing identity (plan.ShareKey) attach to one shared chain, so
-// N identical registrations cost one execution; each Query still has its
-// own Results, Subscribe callbacks, and Err. Lock order across the layers
-// is fixed: pushMu → Engine.mu → chain.mu → Query.mu.
+// runtime), the one history of its output, and a consistency.Fanout of the
+// endpoints that subscribed; a *Query* is one registered endpoint — a
+// window [from, cut) over its chain's history. Plans compiled with
+// plan.WithSharing that carry the same sharing identity (plan.ShareKey)
+// attach to one shared chain, so N identical registrations cost one
+// execution and one history; each Query still has its own window, Subscribe
+// callbacks, and Err. Lock order: pushMu → Engine.mu → chain.mu.
 package engine
 
 import (
@@ -157,8 +158,8 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 		e.nonDur = append(e.nonDur, p.Name)
 	}
 	e.queries = append(e.queries, q)
-	// Attach before publishing the chain, so a fresh chain never emits into
-	// an empty fanout (no output-loss window for the first endpoint).
+	// Attach before publishing the chain, so the first endpoint's window
+	// opens at position 0 of a fresh chain's history.
 	ch.attach(q)
 	if fresh {
 		e.chains = append(e.chains, ch)
@@ -236,10 +237,7 @@ func (e *Engine) Queries() []*Query {
 	defer e.mu.RUnlock()
 	out := make([]*Query, 0, len(e.queries))
 	for _, q := range e.queries {
-		q.mu.Lock()
-		gone := q.unregistered
-		q.mu.Unlock()
-		if !gone {
+		if !q.unregistered {
 			out = append(out, q)
 		}
 	}
@@ -273,10 +271,7 @@ func (e *Engine) Query(name string) (*Query, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, q := range e.queries {
-		q.mu.Lock()
-		gone := q.unregistered
-		q.mu.Unlock()
-		if q.name == name && !gone {
+		if q.name == name && !q.unregistered {
 			return q, true
 		}
 	}
@@ -378,9 +373,12 @@ func (e *Engine) Run(s stream.Stream) {
 
 // chain is one executing operator pipeline — a chain of consistency
 // monitors, or the sharded parallel runtime behind a deterministic merge —
-// fanning its output out to the attached query endpoints. A private chain
-// has exactly one endpoint for its whole life; a shared chain (key != "")
-// gains and loses endpoints as identical plans register and unregister.
+// and the single record of what it emitted: history is append-only, never
+// trimmed, and an item's index in it is its chain order tag. Query
+// endpoints are windows over it and only the subscribed ones join fan, so
+// a delivery costs one append plus the subscribers, however many queries
+// share the chain. A private chain has one endpoint for its whole life; a
+// shared chain (key != "") gains and loses them as plans (un)register.
 type chain struct {
 	name     string // name of the first registrant, for quarantine errors
 	plan     *plan.Plan
@@ -394,43 +392,49 @@ type chain struct {
 	finished bool
 	closed   bool  // engine shutdown or last-endpoint teardown: delivery muted
 	err      error // chain-level quarantine: operator stage or shard worker panic
-	live     int   // healthy endpoints; at 0 the chain stops consuming input
-	fan      consistency.Fanout
+	refs     int   // registered endpoints, healthy or quarantined; at 0 the chain is torn down
+	live     int   // endpoints whose window is still open; at 0 the chain stops consuming input
+	history  stream.Stream
+	fan      consistency.Fanout // the subscribed endpoints
 
 	// batchA/batchB are the double-buffered inter-stage batches reused by
 	// push and finish, so driving the chain allocates nothing per event.
 	batchA, batchB []event.Event
 }
 
-// attach adds q as an endpoint. The endpoint's failure handler runs on the
-// delivery path under ch.mu: a panicking subscriber callback quarantines
-// the endpoint alone — sibling endpoints on the same chain keep receiving.
+// attach opens q's window at the chain's current position (q joins the
+// fanout only when it subscribes).
 func (ch *chain) attach(q *Query) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	q.ep = ch.fan.Attach(q.endpointDeliver, func(r any) {
-		ch.live--
-		q.quarantine(recoverPanic(q.name, "subscriber callback", r))
-	})
+	q.from, q.cut = ch.pos(), openCut
+	ch.refs++
 	ch.live++
 }
 
-// detach removes q's endpoint and reports whether the chain is now
-// unreferenced (no endpoints at all — dead ones still count as references
-// until their queries unregister). Caller holds e.mu.
+// detach closes q's window, removes its fanout endpoint if it subscribed,
+// and reports whether the chain is now unreferenced (quarantined endpoints
+// count as references until they unregister). Once per query, under e.mu.
 func (ch *chain) detach(q *Query) bool {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	if q.ep == nil {
-		return ch.fan.Len() == 0
-	}
-	if !q.ep.Dead() {
+	ch.cutLocked(q)
+	ch.fan.Detach(q.ep) // nil if q never subscribed: ignored
+	q.ep = nil
+	ch.refs--
+	return ch.refs == 0
+}
+
+// cutLocked closes q's window, if still open, at the chain's position.
+func (ch *chain) cutLocked(q *Query) {
+	if q.cut == openCut {
+		q.cut = ch.pos()
 		ch.live--
 	}
-	ch.fan.Detach(q.ep)
-	q.ep = nil
-	return ch.fan.Len() == 0
 }
+
+// pos is the chain position: the order tag the next output item will carry.
+func (ch *chain) pos() uint64 { return uint64(len(ch.history)) }
 
 // push feeds one physical item through the pipeline, delivering any final-
 // stage output to the endpoints, and returns that output (nil on sharded
@@ -512,15 +516,17 @@ func (ch *chain) finish() []event.Event {
 	return final
 }
 
-// deliverLocked fans one output batch out to the endpoints. Caller holds
+// deliverLocked records one output batch in the history — which delivers
+// it to every open window — and runs the subscribed endpoints. Caller holds
 // ch.mu. A closed chain discards late output; a chain-quarantined one has
-// stopped emitting (each endpoint's results up to the failure stay
-// readable).
+// stopped emitting (the history up to the failure stays readable).
 func (ch *chain) deliverLocked(items []event.Event) {
 	if ch.closed || ch.err != nil || len(items) == 0 {
 		return
 	}
-	ch.fan.Deliver(items)
+	first := ch.pos()
+	ch.history = append(ch.history, items...)
+	ch.fan.Deliver(items, first)
 }
 
 // deliverMerged is the sharded runtime's delivery callback; it runs on the
@@ -546,13 +552,6 @@ func (ch *chain) quarantineLocked(err error) {
 	if ch.err == nil {
 		ch.err = err
 	}
-}
-
-// Err returns the chain-level quarantine error, if any.
-func (ch *chain) Err() error {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.err
 }
 
 // metrics returns per-stage monitor metrics (see Query.Metrics).
@@ -620,12 +619,14 @@ func (ch *chain) shutdown() {
 }
 
 // Query is one registered standing query: an endpoint of an executing
-// chain. On a private chain the query is the chain's only consumer; on a
-// shared chain it is one of N endpoints receiving the same output
-// sequence. Results, subscriber callbacks, order tags, and subscriber-
-// panic quarantine are per-endpoint; Push, Finish, SetSpec, and Metrics
-// address the underlying chain (on a shared chain they affect the whole
-// group — documented on each method).
+// chain. It holds no output of its own — it is the window [from, cut) over
+// the chain's history: from is the chain position when the query
+// registered (0 on a fresh chain, later on a warm shared one); cut is set
+// to the chain position when its subscriber panics (behind the batch in
+// flight) or it unregisters, and until then the window grows with the
+// chain. Window, subscribers, and subscriber-panic quarantine are per-
+// endpoint; Push, Finish, SetSpec, and Metrics address the chain (on a
+// shared chain, the whole group — documented on each method).
 type Query struct {
 	name   string
 	eng    *Engine // owning engine, for durable logging and unregistration
@@ -633,15 +634,16 @@ type Query struct {
 	idx    int  // position in the engine's registration list (the WAL's query id)
 	nonDur bool // registration bypassed the WAL (plan had no source text)
 
-	mu           sync.Mutex
-	unregistered bool
-	err          error // endpoint quarantine: this query's subscriber panicked
-	results      stream.Stream
-	tags         []uint64 // chain order tag of each results[i]
-	subs         []func(event.Event)
-	tsubs        []func(event.Event, uint64)
-	ep           *consistency.Endpoint
+	unregistered bool // guarded by eng.mu
+
+	// Guarded by ch.mu.
+	from, cut uint64 // window over ch.history; cut is openCut while live
+	subs      []func(event.Event, uint64)
+	ep        *consistency.Endpoint // non-nil once subscribed, until detach
+	err       error                 // endpoint quarantine: this query's subscriber panicked
 }
+
+const openCut = ^uint64(0) // the cut of a window that still grows with its chain
 
 // Err returns the error that quarantined the query: the recovered panic of
 // this query's subscriber callback (endpoint-level — siblings sharing the
@@ -651,22 +653,12 @@ type Query struct {
 // queries on other chains are unaffected. Err is nil while the query is
 // healthy.
 func (q *Query) Err() error {
-	q.mu.Lock()
-	err := q.err
-	q.mu.Unlock()
-	if err != nil {
-		return err
+	q.ch.mu.Lock()
+	defer q.ch.mu.Unlock()
+	if q.err != nil {
+		return q.err
 	}
-	return q.ch.Err()
-}
-
-// quarantine records the endpoint failure. The first error wins.
-func (q *Query) quarantine(err error) {
-	q.mu.Lock()
-	if q.err == nil {
-		q.err = err
-	}
-	q.mu.Unlock()
+	return q.ch.err
 }
 
 // recoverPanic converts a recovered panic value into the quarantine error.
@@ -674,32 +666,42 @@ func recoverPanic(name, where string, r any) error {
 	return fmt.Errorf("engine: query %s quarantined: %s panicked: %v\n%s", name, where, r, debug.Stack())
 }
 
-// endpointDeliver is the query's Fanout callback: it records the batch and
-// its chain order tags and runs the subscriber callbacks. It runs under
-// ch.mu (and takes q.mu), on the pushing goroutine for single-shard chains
-// and on the merger goroutine for sharded ones. A subscriber panic unwinds
-// out of here into the Fanout's recover barrier, which quarantines this
-// endpoint only; the batch items appended before the panic stay recorded.
+// endpointDeliver is the query's Fanout callback: it runs the subscriber
+// callbacks over a batch the chain has already recorded, under ch.mu, on
+// the pushing goroutine (single-shard) or the merger goroutine (sharded).
+// A subscriber panic unwinds through the Fanout's recover barrier into
+// endpointFail.
 func (q *Query) endpointDeliver(items []event.Event, firstTag uint64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.err != nil || q.unregistered {
-		return
-	}
-	q.results = append(q.results, items...)
-	for i := range items {
-		q.tags = append(q.tags, firstTag+uint64(i))
-	}
 	for _, fn := range q.subs {
-		for _, it := range items {
-			fn(it)
-		}
-	}
-	for _, fn := range q.tsubs {
 		for i, it := range items {
 			fn(it, firstTag+uint64(i))
 		}
 	}
+}
+
+// endpointFail quarantines this endpoint alone after its subscriber
+// panicked: the window closes behind the batch in flight, which stays
+// readable; siblings on the chain keep receiving. Runs under ch.mu.
+func (q *Query) endpointFail(r any) {
+	q.ch.cutLocked(q)
+	q.err = recoverPanic(q.name, "subscriber callback", r)
+}
+
+// View returns the query's window of its chain's history without copying,
+// and the chain order tag of its first item (item i has tag first+i). The
+// slice is shared with the chain and every sibling endpoint: read-only.
+func (q *Query) View() (items stream.Stream, first uint64) {
+	ch := q.ch
+	ch.mu.Lock()
+	h, from, cut := ch.history, q.from, q.cut
+	ch.mu.Unlock()
+	return h[from:min(cut, uint64(len(h)))], from
+}
+
+// Len returns how many items Results would return, in O(1).
+func (q *Query) Len() int {
+	items, _ := q.View()
+	return len(items)
 }
 
 // Name returns the query's registered name.
@@ -718,30 +720,43 @@ func (q *Query) Shared() bool { return q.ch.key != "" }
 
 // Subscribe adds a callback invoked for every output item (including
 // punctuation) delivered to this endpoint. Callbacks run synchronously on
-// the delivering goroutine. A callback added after the chain has already
-// emitted output sees only subsequent output.
+// the delivering goroutine, under the chain's lock: they must not call back
+// into a query of the same chain. A callback added after the chain has
+// already emitted output sees only subsequent output.
 func (q *Query) Subscribe(fn func(event.Event)) {
-	q.mu.Lock()
-	q.subs = append(q.subs, fn)
-	q.mu.Unlock()
+	q.SubscribeTagged(false, func(e event.Event, _ uint64) { fn(e) })
 }
 
 // SubscribeTagged adds a callback invoked for every output item delivered
-// to this endpoint together with the item's chain order tag. With replay
-// set, the callback first receives everything the endpoint has already
-// accumulated — atomically with the registration, so the combined sequence
-// is exactly the endpoint's output from its attachment point, with no gap
-// or duplication against concurrent delivery. The network server uses this
-// to frame a remote subscriber's stream identically to an in-process one.
+// to this endpoint together with the item's chain order tag; the first
+// subscription attaches the endpoint to the chain's fanout. With replay
+// set, the callback first receives the endpoint's window so far, with no
+// gap or duplication against concurrent delivery: the bulk is replayed
+// without holding up the chain, what the chain emitted meanwhile under its
+// lock, atomically with the subscription. A closed window is replayed and
+// receives nothing further. The network server uses this to frame a remote
+// subscriber's stream identically to an in-process one.
 func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) {
-	q.mu.Lock()
+	ch := q.ch
+	var next uint64
 	if replay {
-		for i, e := range q.results {
-			fn(e, q.tags[i])
+		items, first := q.View()
+		for i, e := range items {
+			fn(e, first+uint64(i))
+		}
+		next = first + uint64(len(items))
+	}
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if replay {
+		for end := min(q.cut, ch.pos()); next < end; next++ {
+			fn(ch.history[next], next)
 		}
 	}
-	q.tsubs = append(q.tsubs, fn)
-	q.mu.Unlock()
+	q.subs = append(q.subs, fn)
+	if q.ep == nil && q.cut == openCut {
+		q.ep = ch.fan.Attach(q.endpointDeliver, q.endpointFail)
+	}
 }
 
 // Push feeds one physical item through the query's chain and returns the
@@ -765,24 +780,27 @@ func (q *Query) Finish() []event.Event {
 	return q.ch.finish()
 }
 
-// Results returns everything delivered to this endpoint so far (data and
-// punctuation), in emission order.
+// Results returns a copy of everything delivered to this endpoint so far
+// (data and punctuation), in emission order: the chain's history from the
+// query's registration to now, or to its quarantine or unregistration.
 func (q *Query) Results() stream.Stream {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append(stream.Stream(nil), q.results...)
+	items, _ := q.View()
+	return append(stream.Stream(nil), items...)
 }
 
 // Tags returns the chain output position of each Results item: Tags()[i]
-// is the cumulative index the chain assigned to Results()[i]. On an
-// endpoint attached at registration the tags are 0,1,2,…; an endpoint
-// attached to a warm shared chain starts at the chain's position at attach
-// time. An independently-executed copy of the same plan over the same
-// input assigns the same positions — the fabric's order-identity witness.
+// is the index of Results()[i] in the chain's history. On an endpoint
+// attached at registration the tags are 0,1,2,…; an endpoint attached to a
+// warm shared chain starts at the chain's position at attach time. An
+// independently-executed copy of the same plan over the same input assigns
+// the same positions — the fabric's order-identity witness.
 func (q *Query) Tags() []uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]uint64(nil), q.tags...)
+	items, first := q.View()
+	tags := make([]uint64, len(items))
+	for i := range tags {
+		tags[i] = first + uint64(i)
+	}
+	return tags
 }
 
 // Metrics returns per-stage monitor metrics of the query's chain (shared
@@ -821,7 +839,7 @@ func (q *Query) setSpecApply(s consistency.Spec) {
 }
 
 // Unregister removes the standing query. The endpoint detaches — its
-// accumulated Results stay readable, subscribers receive nothing further —
+// window closes and stays readable, subscribers receive nothing further —
 // and when it was the chain's last reference the chain itself is torn
 // down: input is no longer delivered to it and the sharded runtime's
 // goroutines exit. On a shared chain with remaining endpoints execution
@@ -848,14 +866,11 @@ func (q *Query) Unregister() {
 func (q *Query) unregisterApply() {
 	e := q.eng
 	e.mu.Lock()
-	q.mu.Lock()
-	already := q.unregistered
-	q.unregistered = true
-	q.mu.Unlock()
-	if already {
+	if q.unregistered {
 		e.mu.Unlock()
 		return
 	}
+	q.unregistered = true
 	if q.nonDur {
 		// Release this registration's snapshot refusal.
 		for i, name := range e.nonDur {

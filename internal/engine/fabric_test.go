@@ -417,7 +417,8 @@ func TestFabricUnregisterDurableRoundTrip(t *testing.T) {
 
 // TestFabricConcurrentSubscribeUnregister is the race smoke test: endpoints
 // join, subscribe, and leave a shared chain while pushes are in flight.
-// Success is the absence of data races (-race), deadlocks, and leaks.
+// Success is the absence of data races (-race), deadlocks, and leaks, and
+// a replayed subscription whose tags run consecutively.
 func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 	defer leakcheck.Check(t)()
 	in := durabilityWorkload()
@@ -453,6 +454,15 @@ func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 					return
 				}
 				q.Subscribe(func(event.Event) {})
+				// Replay against in-flight delivery: no gap, no duplicate.
+				var next uint64
+				started := false
+				q.SubscribeTagged(true, func(_ event.Event, tag uint64) {
+					if started && tag != next {
+						t.Errorf("replayed subscription jumped from tag %d to %d", next-1, tag)
+					}
+					started, next = true, tag+1
+				})
 				_ = q.Results()
 				q.Unregister()
 			}

@@ -129,7 +129,13 @@ func compareStreams(t *testing.T, label string, got, want stream.Stream) {
 
 func TestShardedOpEquivalence(t *testing.T) {
 	cases := shardOpCases()
-	for trial := 0; trial < 6; trial++ {
+	// Four trials visit every disorder class and the corrections rewrite on
+	// and off; the full sweep's six pair each class with both.
+	trials := 4
+	if fullSweep {
+		trials = 6
+	}
+	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(4242 + int64(trial)))
 		src := shardRandSource(rng, 150+rng.Intn(150))
 		if trial%2 == 1 {
@@ -435,8 +441,15 @@ func TestPushAfterFinishUniform(t *testing.T) {
 
 // Concurrent RegisterText traffic (same and different sources) while events
 // are in flight: exercises the compile cache and the Register/Push snapshot
-// under the race detector.
+// under the race detector. Without a sync point the ~100 private chains
+// never trim their alignment state and every push walks all of it, so plain
+// `go test` punctuates the stream; with CEDR_EVERY_BOUNDARY set (the
+// fault-injection CI job) it runs unpunctuated as before.
 func TestConcurrentRegisterTextAndPush(t *testing.T) {
+	syncEvery := 100
+	if fullSweep {
+		syncEvery = 0
+	}
 	defer leakcheck.Check(t)()
 	eng := New()
 	if _, err := eng.RegisterText(`EVENT Out WHEN ANY(E e)`); err != nil {
@@ -463,6 +476,9 @@ func TestConcurrentRegisterTextAndPush(t *testing.T) {
 		ev := event.NewInsert(event.ID(i+1), "E", temporal.Time(i), temporal.Time(i+5), nil)
 		ev.C = temporal.From(temporal.Time(i))
 		eng.Push(ev)
+		if syncEvery > 0 && i%syncEvery == syncEvery-1 {
+			eng.Push(event.NewCTI(temporal.Time(i)))
+		}
 	}
 	for g := 0; g < 4; g++ {
 		if err := <-done; err != nil {

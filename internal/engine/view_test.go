@@ -1,0 +1,239 @@
+// Endpoint windows: a Query keeps no output of its own, so what it reports
+// through Results/Tags/Len/replay must be exactly what a live subscriber on
+// the same endpoint was handed — through late attach, subscriber panic,
+// unregistration, and chain failure — and a chain's delivery cost must not
+// grow with the endpoints nobody subscribed to.
+package engine
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/consistency"
+	"repro/internal/delivery"
+	"repro/internal/event"
+	"repro/internal/faultinject"
+	"repro/internal/leakcheck"
+	"repro/internal/plan"
+	"repro/internal/stream"
+	"repro/internal/temporal"
+	"repro/internal/workload"
+)
+
+// recorder is the test-only witness: it keeps every item and tag a
+// SubscribeTagged callback was handed.
+type recorder struct {
+	items stream.Stream
+	tags  []uint64
+}
+
+func (r *recorder) add(e event.Event, tag uint64) {
+	r.items = append(r.items, e)
+	r.tags = append(r.tags, tag)
+}
+
+func record(q *Query) *recorder {
+	r := &recorder{}
+	q.SubscribeTagged(false, r.add)
+	return r
+}
+
+// armOperatorPanic swaps the head operator of q's chain (of every shard) for
+// one that panics on its nth Process call. Call before any push.
+func armOperatorPanic(t *testing.T, q *Query, after int) {
+	t.Helper()
+	arm := func(ms []*consistency.Monitor) {
+		ms[0] = consistency.NewMonitor(faultinject.NewPanicOp(mustStages(t)[0], after), q.ch.plan.Spec)
+	}
+	if q.ch.sh == nil {
+		arm(q.ch.monitors)
+		return
+	}
+	for _, w := range q.ch.sh.workers {
+		arm(w.monitors)
+	}
+}
+
+// TestViewEquivalence: on a shared chain, an endpoint's window reads item
+// for item and tag for tag what a recorder subscribed on that endpoint for
+// its whole life saw — whether the endpoint attached at registration or
+// warm, lost its subscriber to a panic mid-batch, was unregistered
+// mid-stream, or sat on a chain whose operator panicked.
+func TestViewEquivalence(t *testing.T) {
+	src, _ := workload.MachineEvents(workload.Machines{
+		Seed: 11, Machines: 16, Cycles: 3,
+		RestartDeadline: 5 * temporal.Minute, MissProb: 0.5, CycleGap: 30 * temporal.Minute,
+	})
+	in := delivery.Deliver(src, delivery.Disordered(11, temporal.Minute, 10*temporal.Minute, 0.2))
+	warmAt, unregisterAt, panicAt := len(in)/3, 2*len(in)/3, 5
+
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			register := func(e *Engine) *Query {
+				q, err := e.RegisterText(monitorQuery, plan.WithSharing(), plan.WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if q.Shards() != shards {
+					t.Fatalf("query runs %d shards, want %d", q.Shards(), shards)
+				}
+				return q
+			}
+			healthy, doomed := New(), New()
+			defer healthy.Close()
+			defer doomed.Close()
+
+			type endpoint struct {
+				name string
+				q    *Query
+				rec  *recorder
+			}
+			add := func(name string, e *Engine) endpoint {
+				q := register(e)
+				return endpoint{name, q, record(q)}
+			}
+			atReg := add("attached at registration", healthy)
+			unreg := add("unregistered mid-stream", healthy)
+			// The bomb runs after the endpoint's recorder, so the recorder has
+			// the whole batch by then; it goes off on its panicAt-th item or
+			// the first later one that is not the last of its batch.
+			panicky := add("subscriber panics mid-batch", healthy)
+			seen := 0
+			panicky.q.SubscribeTagged(false, func(_ event.Event, tag uint64) {
+				if seen++; seen >= panicAt && tag < panicky.rec.tags[len(panicky.rec.tags)-1] {
+					panic("subscriber exploded")
+				}
+			})
+			failed := add("operator panics, attached at registration", doomed)
+			armOperatorPanic(t, failed.q, len(in)/(2*shards))
+			eps := []endpoint{atReg, unreg, panicky, failed}
+
+			for i, ev := range in {
+				if i == warmAt {
+					// Settle sharded delivery so registering and subscribing the
+					// warm endpoints is one step in the chain's output order.
+					healthy.Drain()
+					doomed.Drain()
+					eps = append(eps,
+						add("attached warm", healthy),
+						add("operator panics, attached warm", doomed))
+				}
+				if i == unregisterAt {
+					unreg.q.Unregister()
+				}
+				healthy.Push(ev)
+				doomed.Push(ev)
+			}
+			healthy.Finish()
+			doomed.Finish()
+
+			for _, ep := range eps {
+				items, first := ep.q.View()
+				compareStreams(t, ep.name+": Results", ep.q.Results(), ep.rec.items)
+				compareStreams(t, ep.name+": View", items, ep.rec.items)
+				if got := ep.q.Tags(); len(got) != len(ep.rec.tags) || (len(got) > 0 && !reflect.DeepEqual(got, ep.rec.tags)) {
+					t.Errorf("%s: Tags = %v, recorder saw %v", ep.name, got, ep.rec.tags)
+				}
+				if len(ep.rec.tags) > 0 && first != ep.rec.tags[0] {
+					t.Errorf("%s: window starts at tag %d, recorder's first is %d", ep.name, first, ep.rec.tags[0])
+				}
+				if got := ep.q.Len(); got != len(ep.rec.items) {
+					t.Errorf("%s: Len = %d, recorder saw %d", ep.name, got, len(ep.rec.items))
+				}
+				var replay recorder
+				ep.q.SubscribeTagged(true, replay.add)
+				compareStreams(t, ep.name+": replay", replay.items, ep.rec.items)
+				if len(replay.tags) > 0 && !reflect.DeepEqual(replay.tags, ep.rec.tags) {
+					t.Errorf("%s: replayed tags = %v, recorder saw %v", ep.name, replay.tags, ep.rec.tags)
+				}
+			}
+
+			// The windows relate to the full history as the events say.
+			full := atReg.rec
+			if atReg.q.Err() != nil || len(full.items) == 0 || full.tags[0] != 0 {
+				t.Fatalf("reference endpoint: err %v, %d items", atReg.q.Err(), len(full.items))
+			}
+			warm := eps[4]
+			if n := len(warm.rec.items); n == 0 || n >= len(full.items) || warm.rec.tags[0] != uint64(len(full.items)-n) {
+				t.Errorf("warm endpoint holds %d of %d items, not a proper suffix", n, len(full.items))
+			}
+			if n := len(unreg.rec.items); n == 0 || n >= len(full.items) || unreg.rec.tags[0] != 0 {
+				t.Errorf("unregistered endpoint holds %d of %d items, not a proper prefix", n, len(full.items))
+			}
+			if panicky.q.Err() == nil {
+				t.Fatal("subscriber never panicked mid-batch; the case tested nothing")
+			}
+			if n := len(panicky.rec.items); n < panicAt+1 || n >= len(full.items) || panicky.rec.tags[0] != 0 {
+				t.Errorf("quarantined endpoint holds %d of %d items, want a proper prefix past item %d", n, len(full.items), panicAt)
+			}
+			if failed.q.Err() == nil || eps[5].q.Err() == nil {
+				t.Fatal("operator panic did not quarantine the chain's endpoints")
+			}
+			if n := len(failed.rec.items); n == 0 || n >= len(full.items) {
+				t.Errorf("failed chain emitted %d items, healthy chain %d: want some, not all", n, len(full.items))
+			}
+		})
+	}
+}
+
+// TestFanoutWidthCeiling: the cost of delivering a batch on a shared chain
+// does not depend on how many endpoints are registered on it, only on how
+// many subscribed: allocations per push are the same at 10 and at 1,000
+// subscriber-less endpoints, and a delivery runs exactly one callback per
+// subscribed live endpoint.
+func TestFanoutWidthCeiling(t *testing.T) {
+	// ANY(INSTALL) echoes every pushed INSTALL, so every push delivers.
+	const echo = `EVENT AnyInstall WHEN ANY(INSTALL i)`
+	allocsPerPush := func(width int) (float64, *Engine, []*Query) {
+		e := New()
+		qs := make([]*Query, width)
+		for i := range qs {
+			q, err := e.RegisterText(echo, plan.WithSharing())
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs[i] = q
+		}
+		if qs[0].ch != qs[width-1].ch {
+			t.Fatal("endpoints did not share one chain")
+		}
+		id := event.ID(0)
+		push := func() {
+			id++
+			e.Push(event.NewInsert(id, "INSTALL", temporal.Time(id), temporal.Time(id)+1, nil))
+		}
+		for i := 0; i < 64; i++ {
+			push()
+		}
+		before := qs[0].Len()
+		avg := testing.AllocsPerRun(2000, push)
+		if got := qs[width-1].Len() - before; got < 2000 {
+			t.Fatalf("%d endpoints: %d items delivered over 2000 pushes", width, got)
+		}
+		return avg, e, qs
+	}
+	narrow, _, _ := allocsPerPush(10)
+	wide, e, qs := allocsPerPush(1000)
+	if wide > narrow+0.5 {
+		t.Errorf("allocs per delivering push: %.2f at 1,000 endpoints, %.2f at 10: fan-out width costs allocations", wide, narrow)
+	}
+
+	// Subscribe 4 of the 1,000; quarantine one and unregister another.
+	calls := 0
+	for _, q := range qs[:4] {
+		q.Subscribe(func(event.Event) { calls++ })
+	}
+	qs[1].Subscribe(func(event.Event) { panic("subscriber exploded") })
+	e.Push(event.NewInsert(1<<20, "INSTALL", 1<<20, 1<<20+1, nil))
+	qs[2].Unregister()
+	calls = 0
+	n := len(qs[0].Push(event.NewInsert(1<<20+1, "INSTALL", 1<<20+1, 1<<20+2, nil)))
+	if n == 0 || calls != 2*n {
+		t.Errorf("a delivery of %d items ran %d subscriber callbacks, want %d (2 live subscribed endpoints of 1,000)", n, calls, 2*n)
+	}
+	if live := qs[0].ch.live; live != 998 {
+		t.Errorf("chain counts %d open windows, want 998", live)
+	}
+}

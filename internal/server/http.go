@@ -101,7 +101,7 @@ func infoOf(e *entry) queryInfo {
 		Name:    e.q.Name(),
 		Shards:  e.q.Shards(),
 		Shared:  e.q.Shared(),
-		Results: len(e.q.Results()),
+		Results: e.q.Len(),
 	}
 	if err := e.q.Err(); err != nil {
 		info.Err = err.Error()

@@ -533,7 +533,7 @@ func (c *conn) handle(t frameType, body []byte) error {
 		}
 		b := appendU32(nil, uint32(ent.id))
 		b = appendU32(b, uint32(ent.q.Shards()))
-		b = appendU64(b, uint64(len(ent.q.Results())))
+		b = appendU64(b, uint64(ent.q.Len()))
 		msg := ""
 		if qerr := ent.q.Err(); qerr != nil {
 			msg = qerr.Error()
