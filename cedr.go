@@ -443,12 +443,18 @@ func (q *Query) Err() error { return q.q.Err() }
 
 // Subscribe registers a synchronous callback for every output item
 // delivered to this query from now on.
+//
+// The callback runs on the delivering goroutine with the query's pipeline
+// locked, and every read of a query (Results, Tags, Len, Alerts, Err,
+// Subscribe) takes that lock: a callback that calls into this query or any
+// query sharing its pipeline — by default, any query registered from the
+// same text — deadlocks. Hand the item to another goroutine instead.
 func (q *Query) Subscribe(fn func(Event)) { q.q.Subscribe(fn) }
 
 // SubscribeTagged registers a synchronous callback receiving every output
 // item together with its chain order tag (see Tags). With replay set the
 // callback first receives the query's output so far — no gap or duplication
-// against concurrent delivery.
+// against concurrent delivery. Subscribe's no-call-back rule applies.
 func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) {
 	q.q.SubscribeTagged(replay, fn)
 }

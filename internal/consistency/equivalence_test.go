@@ -158,26 +158,13 @@ func runBoth(t *testing.T, label string, opt *Monitor, ref *refMonitor, delivere
 	}
 }
 
-// fullGrid selects the whole equivalence grid. The reference monitor
-// rebuilds from its full log on every repair, so over the operators that
-// are quadratic in their own right the grid dominates the package's run
-// time; plain `go test` runs fewer trials and gives those operators half
-// the stream, and the fault-injection CI job, which sets
-// CEDR_EVERY_BOUNDARY, runs everything at full length.
-var fullGrid = os.Getenv("CEDR_EVERY_BOUNDARY") != ""
-
-// gridTrials is the trial count of a grid test: full, or the inner-loop
-// subset.
-func gridTrials(full, short int) int {
-	if fullGrid {
-		return full
-	}
-	return short
-}
-
-// shortStream halves the stream outside the full grid.
+// shortStream halves the stream under plain `go test`. The reference
+// monitor rebuilds from its full log on every repair, so the two operators
+// that are quadratic in their own right dominate the package's run time;
+// the fault-injection CI job, which sets CEDR_EVERY_BOUNDARY, feeds them
+// the full stream.
 func shortStream(in stream.Stream) stream.Stream {
-	if fullGrid {
+	if os.Getenv("CEDR_EVERY_BOUNDARY") != "" {
 		return in
 	}
 	return in[:len(in)/2]
@@ -190,7 +177,7 @@ func TestMonitorEquivalenceRandomized(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for trial := 0; trial < gridTrials(12, 8); trial++ {
+	for trial := 0; trial < 12; trial++ {
 		// A fresh rng per trial keeps every case reproducible from its
 		// trial number alone.
 		rng := rand.New(rand.NewSource(1729 + int64(trial)))
@@ -255,24 +242,21 @@ func TestMonitorEquivalenceCheckpointCadences(t *testing.T) {
 	}
 	sort.Strings(names)
 	cadences := []int{1, 3, 24, 0}
-	for trial := 0; trial < gridTrials(4, 3); trial++ {
+	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(4200 + int64(trial)))
 		src := randSource(rng, 120+rng.Intn(80))
 		delivered := delivery.Deliver(src, delivery.Disordered(rng.Int63(),
 			temporal.Duration(rng.Intn(80)+20), temporal.Duration(rng.Intn(60)+10),
 			0.15+rng.Float64()*0.3))
 		for _, name := range names {
-			mk, in := ops[name], delivered
-			if name == "inc-seq" {
-				in = shortStream(in) // the reference replays the matcher from its full log
-			}
+			mk := ops[name]
 			for _, spec := range []Spec{Strong(), Middle(), Weak(40), Level(10, 50)} {
 				for _, every := range cadences {
 					label := fmt.Sprintf("cadence trial %d op %s level %s every %d",
 						trial, name, spec.Name(), every)
 					runBoth(t, label,
 						NewMonitor(mk(), spec, WithSnapshotCadence(every, 0)),
-						newRefMonitor(mk(), spec), in, 0, Spec{})
+						newRefMonitor(mk(), spec), delivered, 0, Spec{})
 				}
 			}
 		}

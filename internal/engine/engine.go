@@ -738,20 +738,21 @@ func (q *Query) Subscribe(fn func(event.Event)) {
 // subscriber's stream identically to an in-process one.
 func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) {
 	ch := q.ch
-	var next uint64
-	if replay {
-		items, first := q.View()
+	// replayed runs fn over items tagged first, first+1, …; returns the next tag.
+	replayed := func(items stream.Stream, first uint64) uint64 {
 		for i, e := range items {
 			fn(e, first+uint64(i))
 		}
-		next = first + uint64(len(items))
+		return first + uint64(len(items))
+	}
+	var next uint64
+	if replay {
+		next = replayed(q.View())
 	}
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	if replay {
-		for end := min(q.cut, ch.pos()); next < end; next++ {
-			fn(ch.history[next], next)
-		}
+		replayed(ch.history[next:min(q.cut, ch.pos())], next)
 	}
 	q.subs = append(q.subs, fn)
 	if q.ep == nil && q.cut == openCut {

@@ -129,13 +129,7 @@ func compareStreams(t *testing.T, label string, got, want stream.Stream) {
 
 func TestShardedOpEquivalence(t *testing.T) {
 	cases := shardOpCases()
-	// Four trials visit every disorder class and the corrections rewrite on
-	// and off; the full sweep's six pair each class with both.
-	trials := 4
-	if fullSweep {
-		trials = 6
-	}
-	for trial := 0; trial < trials; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(4242 + int64(trial)))
 		src := shardRandSource(rng, 150+rng.Intn(150))
 		if trial%2 == 1 {
