@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/event"
+	"repro/internal/lang"
 	"repro/internal/temporal"
 )
 
@@ -20,19 +21,18 @@ import (
 // The bounds sit ~1.5–3× above the measured steady state, loose enough
 // for map rehash jitter across Go releases, tight enough to catch a
 // return to per-delta allocation (a fresh-cache run measures ~29/event;
-// the interned replay ~8). (Skipped under -race: instrumentation changes
+// the interned replay ~6). (Skipped under -race: instrumentation changes
 // allocation counts.)
 
-// allocSeqEvents builds an INSTALL/SHUTDOWN workload shaped like the
-// sequence-ablation benchmark: interleaved pairs over a small key domain.
-func allocSeqEvents(n int) []event.Event {
+// allocSeqEvents builds a workload shaped like the sequence-ablation
+// benchmark: the given types interleaved over a small key domain.
+func allocSeqEvents(n int, types ...string) []event.Event {
 	rng := rand.New(rand.NewSource(7))
-	types := []string{"INSTALL", "SHUTDOWN"}
 	out := make([]event.Event, 0, n)
 	vs := temporal.Time(0)
 	for i := 0; i < n; i++ {
 		vs += temporal.Time(rng.Intn(3) + 1)
-		out = append(out, event.NewInsert(event.ID(i+1), types[i%2], vs,
+		out = append(out, event.NewInsert(event.ID(i+1), types[i%len(types)], vs,
 			temporal.Infinity, event.Payload{
 				"Machine_Id": fmt.Sprintf("m%d", rng.Intn(4)),
 			}))
@@ -59,9 +59,7 @@ func allocSeqExpr() algebra.Expr {
 // Warm the caches through one full pass, then measure replays by clones
 // taken from the pre-stream snapshot — each run sees warmed caches and
 // empty state, exactly like the checkpoint chasing the live operator.
-func measureSeqHotPath(events []event.Event, opts ...OpOption) float64 {
-	mode := algebra.SCMode{Cons: algebra.Consume}
-	base := NewOp(allocSeqExpr(), mode, "Pairs", opts...)
+func measureSeqHotPath(base *Op, events []event.Event) float64 {
 	snapshot := base.Clone()
 	run := func(op *Op) {
 		for i, e := range events {
@@ -78,11 +76,12 @@ func measureSeqHotPath(events []event.Event, opts ...OpOption) float64 {
 }
 
 func TestAllocsSequenceHotPath(t *testing.T) {
-	perEvent := measureSeqHotPath(allocSeqEvents(400))
-	const ceiling = 12.0
-	t.Logf("incremental sequence hot path: %.2f allocs/event (ceiling %.0f)", perEvent, ceiling)
+	op := NewOp(allocSeqExpr(), algebra.SCMode{Cons: algebra.Consume}, "Pairs")
+	perEvent := measureSeqHotPath(op, allocSeqEvents(400, "INSTALL", "SHUTDOWN"))
+	const ceiling = 9.0 // measured 5.76
+	t.Logf("incremental sequence hot path: %.2f allocs/event (ceiling %.1f)", perEvent, ceiling)
 	if perEvent > ceiling {
-		t.Fatalf("incremental sequence hot path allocates %.2f/event, above the pinned ceiling %.0f — the interned-payload/scratch-delta discipline regressed", perEvent, ceiling)
+		t.Fatalf("incremental sequence hot path allocates %.2f/event, above the pinned ceiling %.1f — the interned-payload/scratch-delta discipline regressed", perEvent, ceiling)
 	}
 }
 
@@ -94,7 +93,7 @@ func TestAllocsSequenceHotPath(t *testing.T) {
 func TestAllocsCOWClone(t *testing.T) {
 	mode := algebra.SCMode{Cons: algebra.Consume}
 	op := NewOp(allocSeqExpr(), mode, "Pairs")
-	for i, e := range allocSeqEvents(400) {
+	for i, e := range allocSeqEvents(400, "INSTALL", "SHUTDOWN") {
 		op.Process(0, e)
 		if i%16 == 15 {
 			op.Advance(e.V.Start)
@@ -122,7 +121,7 @@ func TestAllocsJournalMark(t *testing.T) {
 	mode := algebra.SCMode{Cons: algebra.Consume}
 	op := NewOp(allocSeqExpr(), mode, "Pairs")
 	op.Mark() // turn the journal on before state accumulates
-	for i, e := range allocSeqEvents(400) {
+	for i, e := range allocSeqEvents(400, "INSTALL", "SHUTDOWN") {
 		op.Process(0, e)
 		if i%16 == 15 {
 			op.Advance(e.V.Start)
@@ -139,17 +138,43 @@ func TestAllocsJournalMark(t *testing.T) {
 	}
 }
 
-// TestAllocsKeyedSequenceHotPath pins the same replay path with
-// correlation-key pushdown enabled: the key-indexed join must not cost
-// steady-state allocations beyond the flat path's — bucket lookups and the
-// key extraction are allocation-free, and buckets themselves amortize to
-// nothing once every key's bucket exists. The ceiling matches the flat
-// path's; the measured value sits well under it (~6.4/event vs ~5.8 flat).
+// TestAllocsKeyedSequenceHotPath pins the same replay path for §3.1's query
+// as the planner builds it: lang's analysis supplies the expression — with
+// the *compiled* CorrelationKey(Machine_Id, EQUAL) filter and correlation
+// predicates, not a hand-written stand-in — the SC mode and the pushdown
+// attribute (windows scaled to this stream's clock). With string keys this
+// path used to cost several times the flat one: every pos/corr call built a
+// []event.Value and every key extraction re-boxed the string it was handed.
+// Now the predicates stream over the payload and the key, resolved once
+// when the match is interned, travels beside it (key.go).
 func TestAllocsKeyedSequenceHotPath(t *testing.T) {
-	perEvent := measureSeqHotPath(allocSeqEvents(400), WithJoinKey("Machine_Id"))
-	const ceiling = 12.0
-	t.Logf("keyed sequence hot path: %.2f allocs/event (ceiling %.0f)", perEvent, ceiling)
+	an, err := lang.Compile(`EVENT Pairs
+WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 64), RESTART AS z, 8)
+WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := NewOp(an.Expr, an.Mode, an.Query.Name, WithJoinKey(an.PushKeyAttr))
+	perEvent := measureSeqHotPath(op, allocSeqEvents(600, "INSTALL", "SHUTDOWN", "RESTART"))
+	const ceiling = 4.5 // measured 2.84 (11.87 before the key was carried)
+	t.Logf("keyed sequence hot path: %.2f allocs/event (ceiling %.1f)", perEvent, ceiling)
 	if perEvent > ceiling {
-		t.Fatalf("keyed sequence hot path allocates %.2f/event, above the pinned ceiling %.0f — the key-indexed join path regressed", perEvent, ceiling)
+		t.Fatalf("keyed sequence hot path allocates %.2f/event, above the pinned ceiling %.1f — the key-indexed join path regressed", perEvent, ceiling)
+	}
+}
+
+// TestAllocsKeyResolution pins key resolution itself at zero allocations
+// for every bucketable value type: the key is a plain struct (no boxing of
+// the canonical float64, the string shares the payload's data).
+func TestAllocsKeyResolution(t *testing.T) {
+	cfg := newKeyCfg("Machine_Id")
+	for _, v := range []event.Value{"m017", int64(1 << 40), 2.5, true} {
+		p := event.Payload{"x.Machine_Id": v, "y.Machine_Id": v, "x.i": int64(1)}
+		var sink corrKey
+		allocs := testing.AllocsPerRun(200, func() { sink = cfg.of(p) })
+		t.Logf("key resolution over %T: %.2f allocs (ceiling 0)", v, allocs)
+		if allocs != 0 || !sink.def() {
+			t.Fatalf("resolving a %T key: %.2f allocs, definite=%v; want 0 and definite", v, allocs, sink.def())
+		}
 	}
 }

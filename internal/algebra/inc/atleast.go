@@ -16,17 +16,16 @@ import (
 // can derive the same composite from different position subsets, so outputs
 // are reference-counted (the denotational evaluator dedupes by ID).
 //
-// Under correlation-key pushdown (key != nil, see key.go) the per-position
+// Under correlation-key pushdown (keyed, see key.go) the per-position
 // stores are key-indexed exactly like seqNode's: a definite-key match
 // joins picks from its own bucket plus the wild list.
 type atLeastNode struct {
-	n    int
-	w    temporal.Duration
-	kids []node
-	key  *keyCfg
+	n     int
+	w     temporal.Duration
+	kids  []node
+	keyed bool // this node's lists are indexed by key
 
-	lists  []matchList // unkeyed join state (key == nil)
-	klists []keyedList // key-indexed join state (key != nil)
+	lists []keyedList // per-position join state
 
 	outs map[event.ID]algebra.Match
 	refs map[event.ID]int
@@ -44,20 +43,16 @@ func newAtLeastNode(e algebra.AtLeastExpr, sh *shared, ctx buildCtx) *atLeastNod
 	a := &atLeastNode{
 		n:      e.N,
 		w:      e.W,
-		key:    ctx.joinKey(sh),
+		keyed:  ctx.joinKeyed(sh),
+		lists:  make([]keyedList, len(e.Kids)),
 		outs:   map[event.ID]algebra.Match{},
 		refs:   map[event.ID]int{},
 		uses:   map[event.ID][]event.ID{},
 		picks:  make([]algebra.Match, 0, e.N),
 		sorted: make([]algebra.Match, e.N),
 		ids:    make([]event.ID, e.N),
-		comb:   newCombCache(),
+		comb:   newCombCache(sh.key),
 		u:      sh.u,
-	}
-	if a.key != nil {
-		a.klists = make([]keyedList, len(e.Kids))
-	} else {
-		a.lists = make([]matchList, len(e.Kids))
 	}
 	for _, k := range e.Kids {
 		a.kids = append(a.kids, build(k, sh, ctx))
@@ -90,19 +85,12 @@ func (a *atLeastNode) prune(horizon temporal.Time, out *delta) {
 }
 
 func (a *atLeastNode) applyKid(i int, out *delta) {
-	for _, it := range a.kd.items {
-		var kv event.Value
-		def := false
-		if a.key != nil {
-			kv, def = a.key.of(it.m.Payload)
-		}
+	for j := range a.kd.items {
+		it := &a.kd.items[j]
+		k := route(a.keyed, it.key)
 		if it.del {
-			if a.key != nil {
-				if a.klists[i].remove(it.m, kv, def) {
-					a.u.kListDel(&a.klists[i], &it.m, kv, def)
-				}
-			} else if a.lists[i].removeMatch(it.m) {
-				a.u.listDel(&a.lists[i], &it.m)
+			if a.lists[i].remove(it.m, k) {
+				a.u.listDel(&a.lists[i], &it.m, k)
 			}
 			for _, oid := range a.uses[it.m.ID] {
 				if _, ok := a.outs[oid]; !ok {
@@ -116,7 +104,7 @@ func (a *atLeastNode) applyKid(i int, out *delta) {
 					delete(a.outs, oid)
 					a.u.intMap(a.refs, oid)
 					delete(a.refs, oid)
-					out.del(m)
+					out.del(m, a.comb.keyOf(oid, &m))
 				}
 			}
 			a.u.usesDel(a.uses, it.m.ID)
@@ -124,22 +112,17 @@ func (a *atLeastNode) applyKid(i int, out *delta) {
 			continue
 		}
 		if a.n >= 1 && a.n <= len(a.kids) {
-			a.enumerate(i, it.m, kv, def, out)
+			a.enumerate(i, it.m, k, out)
 		}
-		if a.key != nil {
-			a.klists[i].insert(it.m, kv, def)
-			a.u.kListIns(&a.klists[i], &it.m, kv, def)
-		} else {
-			a.lists[i].insert(it.m)
-			a.u.listIns(&a.lists[i], &it.m)
-		}
+		a.lists[i].insert(it.m, k)
+		a.u.listIns(&a.lists[i], &it.m, k)
 	}
 }
 
 // enumerate emits every n-subset of positions containing fix, with one
 // stored match per other chosen position, whose times are pairwise
 // distinct and within w of each other.
-func (a *atLeastNode) enumerate(fix int, nm algebra.Match, kv event.Value, def bool, out *delta) {
+func (a *atLeastNode) enumerate(fix int, nm algebra.Match, key corrKey, out *delta) {
 	picks := a.picks[:0]
 	picks = append(picks, nm)
 	minVs, maxVs := nm.V.Start, nm.V.Start
@@ -186,11 +169,7 @@ func (a *atLeastNode) enumerate(fix int, nm algebra.Match, kv event.Value, def b
 					picks = picks[:len(picks)-1]
 				}
 			}
-			if a.key == nil {
-				scan(&a.lists[p])
-				continue
-			}
-			a.klists[p].scan(kv, def, scan)
+			a.lists[p].scan(key, scan)
 		}
 	}
 	rec(0, minVs, maxVs)
@@ -218,14 +197,10 @@ func (a *atLeastNode) commit(sorted []algebra.Match, out *delta) {
 		a.uses[p.ID] = append(a.uses[p.ID], id)
 	}
 	if a.refs[id] == 1 {
-		m, ok := a.comb.get(id)
-		if !ok {
-			m = algebra.Combine(sorted, a.w)
-			a.comb.put(id, m)
-		}
+		km := a.comb.combined(id, sorted, a.w)
 		a.u.matchMap(a.outs, id)
-		a.outs[id] = m
-		out.add(m)
+		a.outs[id] = km.m
+		out.add(km.m, km.key)
 	}
 }
 
@@ -233,7 +208,8 @@ func (a *atLeastNode) clone(sh *shared) node {
 	c := &atLeastNode{
 		n:      a.n,
 		w:      a.w,
-		key:    a.key,
+		keyed:  a.keyed,
+		lists:  make([]keyedList, len(a.lists)),
 		outs:   make(map[event.ID]algebra.Match, len(a.outs)),
 		refs:   make(map[event.ID]int, len(a.refs)),
 		uses:   make(map[event.ID][]event.ID, len(a.uses)),
@@ -246,16 +222,8 @@ func (a *atLeastNode) clone(sh *shared) node {
 	for _, k := range a.kids {
 		c.kids = append(c.kids, k.clone(sh))
 	}
-	if a.key != nil {
-		c.klists = make([]keyedList, len(a.klists))
-		for i := range a.klists {
-			c.klists[i] = a.klists[i].clone()
-		}
-	} else {
-		c.lists = make([]matchList, len(a.lists))
-		for i := range a.lists {
-			c.lists[i] = a.lists[i].clone()
-		}
+	for i := range a.lists {
+		c.lists[i] = a.lists[i].clone()
 	}
 	for id, m := range a.outs {
 		c.outs[id] = m

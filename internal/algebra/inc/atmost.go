@@ -30,6 +30,7 @@ type atMostNode struct {
 
 type amEntry struct {
 	m   algebra.Match
+	key corrKey // m's correlation key, passed through to the anchor's output
 	cnt int
 }
 
@@ -80,7 +81,8 @@ func (a *atMostNode) lowerBound(t temporal.Time) int {
 }
 
 func (a *atMostNode) apply(out *delta) {
-	for _, it := range a.kd.items {
+	for k := range a.kd.items {
+		it := &a.kd.items[k]
 		t := it.m.V.Start
 		if it.del {
 			// Drop one entry with this identity.
@@ -95,14 +97,14 @@ func (a *atMostNode) apply(out *delta) {
 			a.entries = append(a.entries[:i], a.entries[i+1:]...)
 			a.u.amDel(a, i, gone)
 			if gone.cnt <= a.n {
-				a.deref(gone.m, out)
+				a.deref(&gone, out)
 			}
 			// Anchors whose window [Vs, Vs+w) contained t lose one.
 			for j := a.lowerBound(t.Add(-a.w) + 1); j < len(a.entries) && a.entries[j].m.V.Start <= t; j++ {
 				a.u.amCnt(a, j, false)
 				a.entries[j].cnt--
 				if a.entries[j].cnt == a.n {
-					a.ref(a.entries[j].m, out)
+					a.ref(&a.entries[j], out)
 				}
 			}
 			continue
@@ -111,7 +113,7 @@ func (a *atMostNode) apply(out *delta) {
 		i := sort.Search(len(a.entries), func(i int) bool { return !matchBefore(&a.entries[i].m, &it.m) })
 		a.entries = append(a.entries, amEntry{})
 		copy(a.entries[i+1:], a.entries[i:])
-		a.entries[i] = amEntry{m: it.m} // place before searching: the array must be sorted
+		a.entries[i] = amEntry{m: it.m, key: it.key} // place before searching: the array must be sorted
 		a.entries[i].cnt = a.lowerBound(t.Add(a.w)) - a.lowerBound(t)
 		a.u.amIns(a, i)
 		// Existing anchors whose window contains t gain one.
@@ -122,11 +124,11 @@ func (a *atMostNode) apply(out *delta) {
 			a.u.amCnt(a, j, true)
 			a.entries[j].cnt++
 			if a.entries[j].cnt == a.n+1 {
-				a.deref(a.entries[j].m, out)
+				a.deref(&a.entries[j], out)
 			}
 		}
 		if a.entries[i].cnt <= a.n {
-			a.ref(a.entries[i].m, out)
+			a.ref(&a.entries[i], out)
 		}
 	}
 }
@@ -140,19 +142,19 @@ func (a *atMostNode) transform(b algebra.Match) algebra.Match {
 	return m
 }
 
-func (a *atMostNode) ref(b algebra.Match, out *delta) {
-	m := a.transform(b)
+func (a *atMostNode) ref(b *amEntry, out *delta) {
+	m := a.transform(b.m)
 	a.u.intMap(a.refs, m.ID)
 	a.refs[m.ID]++
 	if a.refs[m.ID] == 1 {
 		a.u.matchMap(a.outs, m.ID)
 		a.outs[m.ID] = m
-		out.add(m)
+		out.add(m, b.key)
 	}
 }
 
-func (a *atMostNode) deref(b algebra.Match, out *delta) {
-	m := a.transform(b)
+func (a *atMostNode) deref(b *amEntry, out *delta) {
+	m := a.transform(b.m)
 	a.u.intMap(a.refs, m.ID)
 	a.refs[m.ID]--
 	if a.refs[m.ID] == 0 {
@@ -160,7 +162,7 @@ func (a *atMostNode) deref(b algebra.Match, out *delta) {
 		delete(a.refs, m.ID)
 		a.u.matchMap(a.outs, m.ID)
 		delete(a.outs, m.ID)
-		out.del(m)
+		out.del(m, b.key)
 	}
 }
 

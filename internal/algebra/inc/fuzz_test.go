@@ -2,6 +2,7 @@ package inc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -95,6 +96,48 @@ func FuzzIncVsOracle(f *testing.F) {
 		mode = (mode + 1) % 4
 	}
 
+	// One seed per payload shape on which a correlation key carried beside
+	// the match could part from keyCfg.of (carriedkey_test.go has the same
+	// five as plain tests): with one string key (keys selector 0) the key
+	// codes are 0 = "k0", 1 = omitted, 2 = dotted, 3 = NaN, 4 = int64(3),
+	// 5 = float64(3). Types: 0 = A, 1 = B, 2 = C.
+	shapeIdx := func(name string) byte {
+		for i, sh := range shapes {
+			if sh.name == name {
+				return byte(i)
+			}
+		}
+		f.Fatalf("no fuzz shape %q", name)
+		return 0
+	}
+	ins := func(typ, code int) []byte { return []byte{byte(typ << 4), byte(code<<2 | 1)} }
+	tail := []byte{
+		0x0c, 0x02, // advance
+		0x0e, 0x01, // mark
+		0x10, 0x01, // insert B "k0"
+		0x0a, 0x00, // remove
+		0x0f, 0x10, // far advance: prune
+		0x0e, 0x02, // rollback: replay over the interning caches
+		0x20, 0x01, // insert C "k0"
+		0x0c, 0x05, // advance
+	}
+	for _, c := range []struct {
+		shape string
+		codes [][2]int // (type, key code) per insert
+	}{
+		{"kunless-dupneg", [][2]int{{0, 0}, {1, 0}, {1, 5}, {1, 0}}},  // b.k vs prime-renamed b.k'
+		{"kcidr07", [][2]int{{0, 2}, {1, 0}, {2, 2}, {0, 0}}},         // dotted attribute
+		{"kcidr07", [][2]int{{0, 1}, {1, 0}, {0, 0}, {1, 1}, {2, 1}}}, // absent value
+		{"kcidr07", [][2]int{{0, 3}, {1, 3}, {0, 0}, {1, 3}, {2, 3}}}, // NaN
+		{"kcidr07", [][2]int{{0, 4}, {1, 5}, {2, 4}, {0, 5}, {1, 0}}}, // int64(3) vs float64(3)
+	} {
+		seed := []byte{shapeIdx(c.shape), 1, 0}
+		for _, tc := range c.codes {
+			seed = append(seed, ins(tc[0], tc[1])...)
+		}
+		f.Add(append(seed, tail...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -109,6 +152,7 @@ func FuzzIncVsOracle(f *testing.F) {
 			opts = append(opts, WithJoinKey(shape.joinKey))
 		}
 		fast := NewOp(shape.expr, mode, "out", opts...)
+		watchKeys(t, fast)
 
 		types := []string{"A", "B", "C", "X"}
 		vs := temporal.Time(0)
@@ -145,16 +189,22 @@ func FuzzIncVsOracle(f *testing.F) {
 					vs += temporal.Time(a&0x03) + 1
 				}
 				p := event.Payload{"i": int64(nextID)}
-				switch key := int(a>>2) % (keys + 2); {
+				switch key := int(a>>2) % (keys + 5); {
 				case key < keys:
 					p["k"] = fmt.Sprintf("k%d", key)
 				case key == keys:
 					// attribute omitted — the wild path
-				default:
+				case key == keys+1:
 					// dotted payload attribute: suffix-visible to the
 					// CorrelationKey filters, invisible to exact lookups —
 					// must route wild (TestKeyedPairwiseExactLookup).
 					p["sub.k"] = "k0"
+				case key == keys+2:
+					p["k"] = math.NaN() // never self-equal: must route wild
+				case key == keys+3:
+					p["k"] = int64(3) // one bucket with the float64 below
+				default:
+					p["k"] = float64(3)
 				}
 				e := event.NewInsert(nextID, types[int(c>>4)%len(types)], vs,
 					temporal.Infinity, p)

@@ -115,8 +115,8 @@ func TestOpScopePruning(t *testing.T) {
 	// The tree's internal stores must shrink too, not only the driver maps.
 	seq := op.root.(*seqNode)
 	leaf := seq.kids[0].(*leafNode)
-	if len(leaf.live) > 10 || len(seq.lists[0].ms) > 10 {
-		t.Errorf("tree state leaked: leaf=%d list=%d", len(leaf.live), len(seq.lists[0].ms))
+	if len(leaf.live) > 10 || len(seq.lists[0].wild.ms) > 10 {
+		t.Errorf("tree state leaked: leaf=%d list=%d", len(leaf.live), len(seq.lists[0].wild.ms))
 	}
 }
 

@@ -57,6 +57,7 @@ type undoLog struct {
 
 	// Side payload stacks, LIFO-paired with the spine records that use them.
 	ms   []algebra.Match
+	ks   []corrKey // routing keys of the keyed-store records (key.go)
 	evs  []event.Event
 	cs   []negCand
 	ams  []amEntry
@@ -68,13 +69,15 @@ type undoLog struct {
 	// entries compact has dropped from each. Together with the per-barrier
 	// top positions recorded at mark time they make compact's payload
 	// accounting O(1) instead of a per-record scan of the dropped prefix.
-	msDrop, evsDrop, csDrop, amsDrop, idssDrop, rstsDrop, scalDrop uint64
+	msDrop, ksDrop, evsDrop, csDrop, amsDrop, idssDrop, rstsDrop, scalDrop uint64
 }
 
 // undoRec is one spine record. The kind decides which fields are live; node
-// holds the mutated container (a map, a *matchList/*keyedList, or the owning
-// node) as an interface over a pointer-shaped value, so appending a record
-// never allocates.
+// holds the mutated container (a map, a *keyedList, or the owning node) as
+// an interface over a pointer-shaped value, so appending a record never
+// allocates. The routing key a keyed-store mutation filed its match or
+// candidate under (as carried by the delta item, key.go) rides the ks
+// stack, so the other record kinds do not pay for it.
 type undoRec struct {
 	kind uint8
 	flag bool
@@ -82,7 +85,6 @@ type undoRec struct {
 	id   event.ID
 	t    temporal.Time
 	node any
-	kv   event.Value
 }
 
 const (
@@ -91,10 +93,8 @@ const (
 	jTimeMap               // map[ID]Time set/delete; flag=existed; t=old
 	jIntMap                // map[ID]int set/delete; flag=existed; i=old
 	jMatchMap              // map[ID]Match set/delete; flag=existed; payload ms if existed
-	jListIns               // matchList.insert; payload ms
-	jListDel               // matchList.removeMatch (successful); payload ms
-	jKListIns              // keyedList.insert; flag=def; payload ms
-	jKListDel              // keyedList.remove (successful); flag=def; payload ms
+	jListIns               // keyedList.insert; payload ms, ks
+	jListDel               // keyedList.remove (successful); payload ms, ks
 	jPendIns               // pendingList.insertAt(i)
 	jPendDel               // pendingList.removeAt(i); payload ms
 	jPendSet               // pendingList.ms[i] overwrite; payload ms (old)
@@ -103,19 +103,11 @@ const (
 	jAmIns                 // atMost entries insert at i
 	jAmDel                 // atMost entries remove at i; payload ams
 	jAmCnt                 // atMost entries[i].cnt += delta; flag = delta>0
-	jCandAdd               // negNode.candAdd; t=lo, id=a.ID, flag=def
-	jCandDel               // negNode.candRemove (successful); flag=def; payload cs
-	jBlock                 // negCand.blockers += delta; i=bucket kind; flag = delta>0
+	jCandAdd               // negNode.candAdd; t=lo, id=a.ID; payload ks
+	jCandDel               // negNode.candRemove (successful); payload cs
+	jBlock                 // negCand.blockers += delta; t=lo, id=a.ID; flag = delta>0; payload ks
 	jLeafMin               // leafNode.minVs assignment; t=old
 	jReset                 // Advance(∞) full reset; payload rsts
-)
-
-// Bucket kinds for jBlock: which candidate list the mutated candidate lives
-// in (never store a *negCand — the slice backing reallocates).
-const (
-	bkFlat = iota // negNode.cands
-	bkKey         // negNode.kcands[kv]
-	bkWild        // negNode.wcands
 )
 
 // opScalars is the barrier payload: every Op scalar Rollback restores
@@ -131,7 +123,7 @@ type opScalars struct {
 	lowVs        temporal.Time
 	lowEmit      temporal.Time
 
-	nMs, nEvs, nCs, nAms, nIdss, nRsts uint64
+	nMs, nKs, nEvs, nCs, nAms, nIdss, nRsts uint64
 }
 
 // resetState is the jReset payload: the wholesale-replaced containers of an
@@ -210,38 +202,22 @@ func (u *undoLog) matchMapSlow(m map[event.ID]algebra.Match, id event.ID) {
 	u.run = append(u.run, undoRec{kind: jMatchMap, flag: existed, id: id, node: m})
 }
 
-func (u *undoLog) listIns(l *matchList, m *algebra.Match) {
+func (u *undoLog) listIns(l *keyedList, m *algebra.Match, k corrKey) {
 	if u.on {
-		u.listSlow(jListIns, l, m)
+		u.listSlow(jListIns, l, m, k)
 	}
 }
 
-func (u *undoLog) listDel(l *matchList, m *algebra.Match) {
+func (u *undoLog) listDel(l *keyedList, m *algebra.Match, k corrKey) {
 	if u.on {
-		u.listSlow(jListDel, l, m)
+		u.listSlow(jListDel, l, m, k)
 	}
 }
 
-func (u *undoLog) listSlow(kind uint8, l *matchList, m *algebra.Match) {
+func (u *undoLog) listSlow(kind uint8, l *keyedList, m *algebra.Match, k corrKey) {
 	u.ms = append(u.ms, *m)
+	u.ks = append(u.ks, k)
 	u.run = append(u.run, undoRec{kind: kind, node: l})
-}
-
-func (u *undoLog) kListIns(l *keyedList, m *algebra.Match, kv event.Value, def bool) {
-	if u.on {
-		u.kListSlow(jKListIns, l, m, kv, def)
-	}
-}
-
-func (u *undoLog) kListDel(l *keyedList, m *algebra.Match, kv event.Value, def bool) {
-	if u.on {
-		u.kListSlow(jKListDel, l, m, kv, def)
-	}
-}
-
-func (u *undoLog) kListSlow(kind uint8, l *keyedList, m *algebra.Match, kv event.Value, def bool) {
-	u.ms = append(u.ms, *m)
-	u.run = append(u.run, undoRec{kind: kind, flag: def, kv: kv, node: l})
 }
 
 func (u *undoLog) pendIns(l *pendingList, i int) {
@@ -316,26 +292,26 @@ func (u *undoLog) amCnt(n *atMostNode, i int, inc bool) {
 	}
 }
 
-func (u *undoLog) candAdd(n *negNode, lo temporal.Time, id event.ID, kv event.Value, def bool) {
+func (u *undoLog) candAdd(n *negNode, lo temporal.Time, id event.ID, k corrKey) {
 	if u.on {
-		u.run = append(u.run, undoRec{kind: jCandAdd, t: lo, id: id, kv: kv, flag: def, node: n})
+		u.ks = append(u.ks, k)
+		u.run = append(u.run, undoRec{kind: jCandAdd, t: lo, id: id, node: n})
 	}
 }
 
-func (u *undoLog) candDel(n *negNode, c *negCand, kv event.Value, def bool) {
+func (u *undoLog) candDel(n *negNode, c *negCand) {
 	if u.on {
-		u.candDelSlow(n, c, kv, def)
+		u.cs = append(u.cs, *c)
+		u.run = append(u.run, undoRec{kind: jCandDel, node: n})
 	}
 }
 
-func (u *undoLog) candDelSlow(n *negNode, c *negCand, kv event.Value, def bool) {
-	u.cs = append(u.cs, *c)
-	u.run = append(u.run, undoRec{kind: jCandDel, kv: kv, flag: def, node: n})
-}
-
-func (u *undoLog) block(n *negNode, bucket int, bkv event.Value, lo temporal.Time, id event.ID, inc bool) {
+// block journals a blocker-count change of c, re-locatable by its routing
+// key, lo and ID (never store a *negCand — the slice backing reallocates).
+func (u *undoLog) block(n *negNode, c *negCand, inc bool) {
 	if u.on {
-		u.run = append(u.run, undoRec{kind: jBlock, i: bucket, kv: bkv, t: lo, id: id, flag: inc, node: n})
+		u.ks = append(u.ks, route(n.keyed, c.key))
+		u.run = append(u.run, undoRec{kind: jBlock, t: c.lo, id: c.a.ID, flag: inc, node: n})
 	}
 }
 
@@ -386,6 +362,7 @@ func (u *undoLog) mark(p *Op) uint64 {
 		lowEmit:      p.lowEmit,
 
 		nMs:   u.msDrop + uint64(len(u.ms)),
+		nKs:   u.ksDrop + uint64(len(u.ks)),
 		nEvs:  u.evsDrop + uint64(len(u.evs)),
 		nCs:   u.csDrop + uint64(len(u.cs)),
 		nAms:  u.amsDrop + uint64(len(u.ams)),
@@ -448,6 +425,7 @@ func (u *undoLog) compact(pos uint64) {
 	// them, so the payload accounting is O(1) — no per-record scan.
 	s := &u.scal[u.recs[bar].i-int(u.scalDrop)]
 	dMs := int(s.nMs - u.msDrop)
+	dKs := int(s.nKs - u.ksDrop)
 	dEvs := int(s.nEvs - u.evsDrop)
 	dCs := int(s.nCs - u.csDrop)
 	dAms := int(s.nAms - u.amsDrop)
@@ -457,6 +435,7 @@ func (u *undoLog) compact(pos uint64) {
 	u.recs = u.recs[:copy(u.recs, u.recs[bar:])]
 	u.base += uint64(bar)
 	u.ms = u.ms[:copy(u.ms, u.ms[dMs:])]
+	u.ks = u.ks[:copy(u.ks, u.ks[dKs:])]
 	u.evs = u.evs[:copy(u.evs, u.evs[dEvs:])]
 	u.cs = u.cs[:copy(u.cs, u.cs[dCs:])]
 	u.ams = u.ams[:copy(u.ams, u.ams[dAms:])]
@@ -464,6 +443,7 @@ func (u *undoLog) compact(pos uint64) {
 	u.rsts = u.rsts[:copy(u.rsts, u.rsts[dRsts:])]
 	u.scal = u.scal[:copy(u.scal, u.scal[bars:])]
 	u.msDrop += uint64(dMs)
+	u.ksDrop += uint64(dKs)
 	u.evsDrop += uint64(dEvs)
 	u.csDrop += uint64(dCs)
 	u.amsDrop += uint64(dAms)
@@ -477,6 +457,13 @@ func (u *undoLog) popMatch() algebra.Match {
 	m := u.ms[len(u.ms)-1]
 	u.ms = u.ms[:len(u.ms)-1]
 	return m
+}
+
+// popKey pops the ks stack top.
+func (u *undoLog) popKey() corrKey {
+	k := u.ks[len(u.ks)-1]
+	u.ks = u.ks[:len(u.ks)-1]
+	return k
 }
 
 // undo reverses one record, popping its payloads.
@@ -514,15 +501,9 @@ func (u *undoLog) undo(r *undoRec) {
 			delete(m, r.id)
 		}
 	case jListIns:
-		m := u.popMatch()
-		r.node.(*matchList).removeMatch(m)
+		r.node.(*keyedList).remove(u.popMatch(), u.popKey())
 	case jListDel:
-		r.node.(*matchList).insert(u.popMatch())
-	case jKListIns:
-		m := u.popMatch()
-		r.node.(*keyedList).remove(m, r.kv, r.flag)
-	case jKListDel:
-		r.node.(*keyedList).insert(u.popMatch(), r.kv, r.flag)
+		r.node.(*keyedList).insert(u.popMatch(), u.popKey())
 	case jPendIns:
 		r.node.(*pendingList).removeAt(r.i)
 	case jPendDel:
@@ -559,22 +540,17 @@ func (u *undoLog) undo(r *undoRec) {
 		}
 	case jCandAdd:
 		n := r.node.(*negNode)
-		n.candRemove(r.t, r.id, r.kv, r.flag)
+		n.candRemove(r.t, r.id, u.popKey())
 	case jCandDel:
 		n := r.node.(*negNode)
 		c := u.cs[len(u.cs)-1]
 		u.cs = u.cs[:len(u.cs)-1]
-		n.candAdd(c, r.kv, r.flag)
+		n.candAdd(c)
 	case jBlock:
 		n := r.node.(*negNode)
-		var cs []negCand
-		switch r.i {
-		case bkFlat:
-			cs = n.cands
-		case bkKey:
-			cs = n.kcands[r.kv]
-		default:
-			cs = n.wcands
+		cs := n.wcands
+		if k := u.popKey(); k.def() {
+			cs = n.kcands[k]
 		}
 		if i := candFind(cs, r.t, r.id); i >= 0 {
 			if r.flag {

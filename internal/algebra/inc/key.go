@@ -38,8 +38,42 @@ import (
 //     when the site's Corr is provably false on such pairs — so blocker
 //     counts, and therefore the node's output set, are unchanged exactly.
 //
-// Numeric keys are canonicalized to float64 so the buckets equate int64(3)
-// with float64(3) the way event.ValueEqual does.
+// Who computes a match's key, and when. A key is resolved *once*, by the
+// node that builds the match: the leaf when it first interns an event's
+// namespaced match, a join node when it first interns a composite (one of()
+// scan over the payload Combine just built — exact for its prime-renamed
+// duplicate names by construction). The resolved key is stored beside the
+// match in the interning cache (combCache) and travels beside it in every
+// delta item, so the keyed stores above, their journal records and the
+// negation candidates read it instead of re-scanning the payload on every
+// add, retraction, prune and replayed item. Nodes that only re-head a match
+// (negation, ATMOST, FILTER) pass their input's key through — the payload is
+// the same map. Retractions leave a node from its plain match stores, which
+// do not hold the key; they look it up in the node's interning cache by ID
+// and fall back to of() only on a miss (a cache reset at internCap).
+//
+// Keys live in a concrete comparable struct, not an interface: numbers
+// collapse to one float64 (so the buckets equate int64(3) with float64(3)
+// the way event.ValueEqual does) without boxing, and a string key shares
+// the payload's string data. Resolving a key allocates nothing.
+
+// corrKey is a match's resolved correlation key; the zero value is wild.
+type corrKey struct {
+	kind keyKind
+	num  float64 // keyNum: the value; keyBool: 0 or 1
+	str  string  // keyStr: the value
+}
+
+type keyKind uint8
+
+const (
+	keyWild keyKind = iota // no definite key: combines with every bucket
+	keyNum
+	keyStr
+	keyBool
+)
+
+func (k corrKey) def() bool { return k.kind != keyWild }
 
 // keyCfg is the pushdown configuration shared by the tree: the correlation
 // attribute and its precomputed namespace suffix.
@@ -55,8 +89,8 @@ func newKeyCfg(attr string) *keyCfg {
 	return &keyCfg{attr: attr, suffix: "." + attr}
 }
 
-// of extracts a match's correlation key from its (namespaced) payload.
-// def reports a definite key; otherwise the match is wild.
+// of resolves a match's correlation key from its (namespaced) payload; a
+// nil configuration (unkeyed tree) resolves everything wild.
 //
 // Only names of the exact `<alias>.<attr>` form (dot-free prefix) may make
 // a key definite, and all of them must agree. A dotted payload attribute
@@ -68,101 +102,105 @@ func newKeyCfg(attr string) *keyCfg {
 // definite unless its exact lookup really carries the key value. Wild is
 // always the safe direction; definite is reserved for matches where every
 // pushable predicate family provably sees exactly this one value.
-func (c *keyCfg) of(p event.Payload) (kv event.Value, def bool) {
+func (c *keyCfg) of(p event.Payload) corrKey {
+	var key corrKey
+	if c == nil {
+		return key
+	}
 	for name, v := range p {
 		if !strings.HasSuffix(name, c.suffix) {
 			continue
 		}
 		if strings.Contains(name[:len(name)-len(c.suffix)], ".") {
-			return nil, false // dotted payload attribute, not an alias.attr lookup
+			return corrKey{} // dotted payload attribute, not an alias.attr lookup
 		}
-		cv, ok := canonKeyValue(v)
-		if !ok {
-			return nil, false
+		cv := canonKey(v)
+		if !cv.def() || (key.def() && cv != key) {
+			return corrKey{}
 		}
-		if !def {
-			kv, def = cv, true
-		} else if cv != kv {
-			return nil, false
-		}
+		key = cv
 	}
-	return kv, def
+	return key
 }
 
-// canonKeyValue maps a payload value onto the canonical bucket domain:
-// numbers collapse to float64 (matching event.ValueEqual's cross-type
-// numeric equality), strings and bools stand for themselves. Other dynamic
-// types are not bucketable and make the match wild — as does NaN, which is
-// not self-equal: a NaN map key could be inserted but never looked up
-// again (and ValueEqual(NaN, NaN) is false, so nothing equality-based can
-// ever accept a NaN-keyed combination anyway).
-func canonKeyValue(v event.Value) (event.Value, bool) {
+// canonKey maps a payload value onto the canonical bucket domain: numbers
+// collapse to float64 (matching event.ValueEqual's cross-type numeric
+// equality), strings and bools stand for themselves. Other dynamic types
+// are not bucketable and make the match wild — as does NaN, which is not
+// self-equal: a NaN map key could be inserted but never looked up again
+// (and ValueEqual(NaN, NaN) is false, so nothing equality-based can ever
+// accept a NaN-keyed combination anyway).
+func canonKey(v event.Value) corrKey {
 	switch x := v.(type) {
 	case int:
-		return float64(x), true
+		return corrKey{kind: keyNum, num: float64(x)}
 	case int64:
-		return float64(x), true
+		return corrKey{kind: keyNum, num: float64(x)}
 	case float64:
 		if x != x {
-			return nil, false
+			return corrKey{}
 		}
-		return x, true
+		return corrKey{kind: keyNum, num: x}
 	case string:
-		return x, true
+		return corrKey{kind: keyStr, str: x}
 	case bool:
-		return x, true
+		if x {
+			return corrKey{kind: keyBool, num: 1}
+		}
+		return corrKey{kind: keyBool}
 	default:
-		return nil, false
+		return corrKey{}
 	}
 }
 
-// keyedList is the key-indexed variant of matchList: one sorted bucket per
-// definite key plus one list for wild matches. Empty buckets are deleted
-// eagerly — the pruning seam for key-heavy streams: a source cycling
-// through many distinct keys must not leave a map of dead keys behind once
-// the watermark (or a removal storm) drains their matches.
+// keyedList is the join and negation nodes' match store: one (V.Start, ID)-
+// sorted bucket per definite key plus one list for wild matches — which, in
+// an unkeyed node, is every match. Empty buckets are deleted eagerly — the
+// pruning seam for key-heavy streams: a source cycling through many
+// distinct keys must not leave a map of dead keys behind once the watermark
+// (or a removal storm) drains their matches.
 type keyedList struct {
-	buckets map[event.Value]*matchList
+	buckets map[corrKey]*matchList
 	wild    matchList
 }
 
-func (l *keyedList) insert(m algebra.Match, kv event.Value, def bool) {
-	if !def {
+func (l *keyedList) insert(m algebra.Match, k corrKey) {
+	if !k.def() {
 		l.wild.insert(m)
 		return
 	}
-	b := l.buckets[kv]
+	b := l.buckets[k]
 	if b == nil {
 		if l.buckets == nil {
-			l.buckets = make(map[event.Value]*matchList, 8)
+			l.buckets = make(map[corrKey]*matchList, 8)
 		}
 		b = &matchList{}
-		l.buckets[kv] = b
+		l.buckets[k] = b
 	}
 	b.insert(m)
 }
 
-func (l *keyedList) remove(m algebra.Match, kv event.Value, def bool) bool {
-	if !def {
+func (l *keyedList) remove(m algebra.Match, k corrKey) bool {
+	if !k.def() {
 		return l.wild.removeMatch(m)
 	}
-	b := l.buckets[kv]
+	b := l.buckets[k]
 	if b == nil {
 		return false
 	}
 	ok := b.removeMatch(m)
 	if ok && len(b.ms) == 0 {
-		delete(l.buckets, kv)
+		delete(l.buckets, k)
 	}
 	return ok
 }
 
-// scan visits every sorted list a (kv, def) probe may combine with — the
+// scan visits every sorted list a probe with key k may combine with — the
 // single source of the pushdown's routing rule: a definite probe sees its
 // own key's bucket plus the wild list; a wild probe sees everything.
-func (l *keyedList) scan(kv event.Value, def bool, fn func(*matchList)) {
-	if def {
-		if b := l.buckets[kv]; b != nil {
+func (l *keyedList) scan(k corrKey, fn func(*matchList)) {
+	if k.def() {
+		if b := l.buckets[k]; b != nil {
 			fn(b)
 		}
 	} else {
@@ -176,10 +214,10 @@ func (l *keyedList) scan(kv event.Value, def bool, fn func(*matchList)) {
 func (l *keyedList) clone() keyedList {
 	c := keyedList{wild: l.wild.clone()}
 	if len(l.buckets) > 0 {
-		c.buckets = make(map[event.Value]*matchList, len(l.buckets))
-		for kv, b := range l.buckets {
+		c.buckets = make(map[corrKey]*matchList, len(l.buckets))
+		for k, b := range l.buckets {
 			cb := b.clone()
-			c.buckets[kv] = &cb
+			c.buckets[k] = &cb
 		}
 	}
 	return c

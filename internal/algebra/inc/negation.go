@@ -33,6 +33,7 @@ const (
 type negCand struct {
 	a        algebra.Match // the positive-side match
 	out      algebra.Match // the transformed output
+	key      corrKey       // a's correlation key — and out's: same payload
 	lo, hi   temporal.Time // blockers occur strictly inside (lo, hi)
 	blockers int
 }
@@ -40,43 +41,39 @@ type negCand struct {
 // negNode implements the four negation operators. When the site's
 // correlation predicate provably implies equality on the pushdown
 // attribute (the expression's CorrKey annotation matches the tree's key;
-// key != nil), both stores are key-indexed: a definite-key blocker visits
+// keyed), both stores are key-indexed: a definite-key blocker visits
 // only its own key's candidates plus the wild ones, and vice versa — a
 // pure index, since corr is false on every skipped pair, so every
 // candidate's blocker count is exactly what the flat scan would produce.
+// An unkeyed site files everything wild: one flat list per store.
 type negNode struct {
-	kind negKind
-	pos  node
-	neg  node
-	w    temporal.Duration
-	nIdx int // UNLESS' 1-based anchor contributor index
-	corr algebra.CorrPred
-	key  *keyCfg
-	sh   *shared
+	kind  negKind
+	pos   node
+	neg   node
+	w     temporal.Duration
+	nIdx  int // UNLESS' 1-based anchor contributor index
+	corr  algebra.CorrPred
+	keyed bool
+	sh    *shared
 
-	// Candidates sorted by (lo, a.ID) — flat when unkeyed, per definite
-	// key plus a wild list when keyed; loOf locates one by its match ID.
-	cands  []negCand
-	kcands map[event.Value][]negCand
+	// Candidates sorted by (lo, a.ID), one list per definite key plus the
+	// wild list; loOf locates one by its match ID.
+	kcands map[corrKey][]negCand
 	wcands []negCand
 	loOf   map[event.ID]temporal.Time
 
-	negs    matchList         // unkeyed negative store
-	knegs   keyedList         // key-indexed negative store
+	negs    keyedList         // the negative-side store
 	maxSpan temporal.Duration // widest hi-lo seen; bounds range scans
 	kd      delta             // reusable child-transition scratch
 }
 
 func newNegNode(kind negKind, pos, neg node, w temporal.Duration, nIdx int,
 	corr algebra.CorrPred, corrKey string, sh *shared) *negNode {
-	n := &negNode{
+	return &negNode{
 		kind: kind, pos: pos, neg: neg, w: w, nIdx: nIdx, corr: corr, sh: sh,
-		loOf: map[event.ID]temporal.Time{},
+		keyed: sh.key != nil && corrKey == sh.key.attr,
+		loOf:  map[event.ID]temporal.Time{},
 	}
-	if sh.key != nil && corrKey == sh.key.attr {
-		n.key = sh.key
-	}
-	return n
 }
 
 // The pos-then-neg order below matches the old both-subtrees-first
@@ -189,62 +186,46 @@ func candFind(cs []negCand, lo temporal.Time, id event.ID) int {
 	return -1
 }
 
-// candAdd stores c in the list a (kv, def)-keyed candidate belongs to.
-func (u *negNode) candAdd(c negCand, kv event.Value, def bool) {
-	switch {
-	case u.key == nil:
-		u.cands = candInsert(u.cands, c)
-	case def:
+// candAdd stores c in the list its key routes to.
+func (u *negNode) candAdd(c negCand) {
+	if k := route(u.keyed, c.key); k.def() {
 		if u.kcands == nil {
-			u.kcands = map[event.Value][]negCand{}
+			u.kcands = map[corrKey][]negCand{}
 		}
-		u.kcands[kv] = candInsert(u.kcands[kv], c)
-	default:
+		u.kcands[k] = candInsert(u.kcands[k], c)
+	} else {
 		u.wcands = candInsert(u.wcands, c)
 	}
 }
 
-// candRemove deletes and returns the candidate at (lo, id) from its list.
-func (u *negNode) candRemove(lo temporal.Time, id event.ID, kv event.Value, def bool) (negCand, bool) {
-	remove := func(cs []negCand) ([]negCand, negCand, bool) {
-		i := candFind(cs, lo, id)
-		if i < 0 {
-			return cs, negCand{}, false
-		}
-		c := cs[i]
-		return append(cs[:i], cs[i+1:]...), c, true
+// candRemove deletes and returns the candidate at (lo, id) from the list
+// (routing) key k names.
+func (u *negNode) candRemove(lo temporal.Time, id event.ID, k corrKey) (c negCand, ok bool) {
+	cs := u.wcands
+	if k.def() {
+		cs = u.kcands[k]
 	}
+	i := candFind(cs, lo, id)
+	if i < 0 {
+		return c, false
+	}
+	c = cs[i]
+	cs = append(cs[:i], cs[i+1:]...)
 	switch {
-	case u.key == nil:
-		var c negCand
-		var ok bool
-		u.cands, c, ok = remove(u.cands)
-		return c, ok
-	case def:
-		cs, c, ok := remove(u.kcands[kv])
-		if ok {
-			if len(cs) == 0 {
-				delete(u.kcands, kv)
-			} else {
-				u.kcands[kv] = cs
-			}
-		}
-		return c, ok
+	case !k.def():
+		u.wcands = cs
+	case len(cs) == 0:
+		delete(u.kcands, k)
 	default:
-		var c negCand
-		var ok bool
-		u.wcands, c, ok = remove(u.wcands)
-		return c, ok
+		u.kcands[k] = cs
 	}
+	return c, true
 }
 
 func (u *negNode) applyPos(out *delta) {
-	for _, it := range u.kd.items {
-		var kv event.Value
-		def := false
-		if u.key != nil {
-			kv, def = u.key.of(it.m.Payload)
-		}
+	for j := range u.kd.items {
+		it := &u.kd.items[j]
+		k := route(u.keyed, it.key)
 		if it.del {
 			lo, ok := u.loOf[it.m.ID]
 			if !ok {
@@ -252,10 +233,10 @@ func (u *negNode) applyPos(out *delta) {
 			}
 			u.sh.u.timeMap(u.loOf, it.m.ID)
 			delete(u.loOf, it.m.ID)
-			if c, found := u.candRemove(lo, it.m.ID, kv, def); found {
-				u.sh.u.candDel(u, &c, kv, def)
+			if c, found := u.candRemove(lo, it.m.ID, k); found {
+				u.sh.u.candDel(u, &c)
 				if c.blockers == 0 {
-					out.del(c.out)
+					out.del(c.out, c.key)
 				}
 			}
 			continue
@@ -264,94 +245,69 @@ func (u *negNode) applyPos(out *delta) {
 		if !ok {
 			continue
 		}
+		c.key = it.key
 		if span := c.hi.Sub(c.lo); span > u.maxSpan {
 			u.maxSpan = span
 		}
 		// Count live blockers strictly inside (lo, hi) — for a definite
 		// candidate only its own key's blockers (plus wild ones) can have
 		// corr true, so only those lists are scanned.
-		count := func(ms *matchList) {
+		u.negs.scan(k, func(ms *matchList) {
 			for i := ms.upperBound(c.lo); i < len(ms.ms) && ms.ms[i].V.Start < c.hi; i++ {
 				if u.corr == nil || u.corr(c.a.Payload, ms.ms[i].Payload) {
 					c.blockers++
 				}
 			}
-		}
-		if u.key == nil {
-			count(&u.negs)
-		} else {
-			u.knegs.scan(kv, def, count)
-		}
-		u.candAdd(c, kv, def)
-		u.sh.u.candAdd(u, c.lo, c.a.ID, kv, def)
+		})
+		u.candAdd(c)
+		u.sh.u.candAdd(u, c.lo, c.a.ID, k)
 		u.sh.u.timeMap(u.loOf, c.a.ID)
 		u.loOf[c.a.ID] = c.lo
 		if c.blockers == 0 {
-			out.add(c.out)
+			out.add(c.out, c.key)
 		}
 	}
 }
 
 func (u *negNode) applyNeg(out *delta) {
-	for _, it := range u.kd.items {
-		t := it.m.V.Start
-		var kv event.Value
-		def := false
-		if u.key != nil {
-			kv, def = u.key.of(it.m.Payload)
-		}
+	for j := range u.kd.items {
+		it := &u.kd.items[j]
+		k := route(u.keyed, it.key)
 		if it.del {
-			var removed bool
-			if u.key == nil {
-				removed = u.negs.removeMatch(it.m)
-				if removed {
-					u.sh.u.listDel(&u.negs, &it.m)
-				}
-			} else {
-				removed = u.knegs.remove(it.m, kv, def)
-				if removed {
-					u.sh.u.kListDel(&u.knegs, &it.m, kv, def)
-				}
-			}
-			if !removed {
+			if !u.negs.remove(it.m, k) {
 				continue
 			}
-			u.eachAffected(t, it.m, kv, def, func(c *negCand, bucket int, bkv event.Value) {
-				u.sh.u.block(u, bucket, bkv, c.lo, c.a.ID, false)
+			u.sh.u.listDel(&u.negs, &it.m, k)
+			u.eachAffected(&it.m, k, func(c *negCand) {
+				u.sh.u.block(u, c, false)
 				c.blockers--
 				if c.blockers == 0 {
-					out.add(c.out)
+					out.add(c.out, c.key)
 				}
 			})
 			continue
 		}
-		if u.key == nil {
-			u.negs.insert(it.m)
-			u.sh.u.listIns(&u.negs, &it.m)
-		} else {
-			u.knegs.insert(it.m, kv, def)
-			u.sh.u.kListIns(&u.knegs, &it.m, kv, def)
-		}
-		u.eachAffected(t, it.m, kv, def, func(c *negCand, bucket int, bkv event.Value) {
-			u.sh.u.block(u, bucket, bkv, c.lo, c.a.ID, true)
+		u.negs.insert(it.m, k)
+		u.sh.u.listIns(&u.negs, &it.m, k)
+		u.eachAffected(&it.m, k, func(c *negCand) {
+			u.sh.u.block(u, c, true)
 			c.blockers++
 			if c.blockers == 1 {
-				out.del(c.out)
+				out.del(c.out, c.key)
 			}
 		})
 	}
 }
 
-// eachAffected visits every candidate whose interval strictly contains t
-// and whose correlation predicate matches the negative match. A definite
-// negative match visits its own key's candidates plus the wild ones; a
-// wild one visits everything, exactly as unkeyed. The callback receives the
-// candidate's list identity (bucket kind + key) so a blocker-count mutation
-// can be journaled in a form the undo path can re-locate — candidate slices
-// reallocate, so a *negCand must never outlive the visit.
-func (u *negNode) eachAffected(t temporal.Time, neg algebra.Match, kv event.Value, def bool,
-	fn func(c *negCand, bucket int, bkv event.Value)) {
-	visit := func(cs []negCand, bucket int, bkv event.Value) {
+// eachAffected visits every candidate whose interval strictly contains the
+// negative match's occurrence and whose correlation predicate matches it.
+// A definite negative match (routing key k) visits its own key's candidates
+// plus the wild ones; a wild one visits everything, exactly as unkeyed.
+// Candidate slices reallocate, so the *negCand must not outlive the visit
+// (the journal re-locates a candidate by its routing key, lo and ID).
+func (u *negNode) eachAffected(neg *algebra.Match, k corrKey, fn func(c *negCand)) {
+	t := neg.V.Start
+	visit := func(cs []negCand) {
 		// Any candidate with lo <= t - maxSpan has hi <= lo + maxSpan <= t.
 		from := sort.Search(len(cs), func(i int) bool { return cs[i].lo > t.Add(-u.maxSpan) })
 		for i := from; i < len(cs) && cs[i].lo < t; i++ {
@@ -360,45 +316,33 @@ func (u *negNode) eachAffected(t temporal.Time, neg algebra.Match, kv event.Valu
 				continue
 			}
 			if u.corr == nil || u.corr(c.a.Payload, neg.Payload) {
-				fn(c, bucket, bkv)
+				fn(c)
 			}
 		}
 	}
-	if u.key == nil {
-		visit(u.cands, bkFlat, nil)
-		return
-	}
-	u.scanCands(kv, def, visit)
-}
-
-// scanCands is eachAffected's analog of keyedList.scan for the candidate
-// lists: the routing rule lives in one place per store shape.
-func (u *negNode) scanCands(kv event.Value, def bool, fn func([]negCand, int, event.Value)) {
-	if def {
-		fn(u.kcands[kv], bkKey, kv)
+	if k.def() {
+		visit(u.kcands[k])
 	} else {
-		for bkv, cs := range u.kcands {
-			fn(cs, bkKey, bkv)
+		for _, cs := range u.kcands {
+			visit(cs)
 		}
 	}
-	fn(u.wcands, bkWild, nil)
+	visit(u.wcands)
 }
 
 func (u *negNode) clone(sh *shared) node {
 	c := &negNode{
 		kind: u.kind, pos: u.pos.clone(sh), neg: u.neg.clone(sh),
-		w: u.w, nIdx: u.nIdx, corr: u.corr, key: u.key, sh: sh,
-		cands:   append([]negCand(nil), u.cands...),
+		w: u.w, nIdx: u.nIdx, corr: u.corr, keyed: u.keyed, sh: sh,
 		wcands:  append([]negCand(nil), u.wcands...),
 		loOf:    make(map[event.ID]temporal.Time, len(u.loOf)),
 		negs:    u.negs.clone(),
-		knegs:   u.knegs.clone(),
 		maxSpan: u.maxSpan,
 	}
 	if len(u.kcands) > 0 {
-		c.kcands = make(map[event.Value][]negCand, len(u.kcands))
-		for kv, cs := range u.kcands {
-			c.kcands[kv] = append([]negCand(nil), cs...)
+		c.kcands = make(map[corrKey][]negCand, len(u.kcands))
+		for k, cs := range u.kcands {
+			c.kcands[k] = append([]negCand(nil), cs...)
 		}
 	}
 	for id, lo := range u.loOf {

@@ -48,9 +48,12 @@ import (
 	"repro/internal/temporal"
 )
 
-// item is one match transition.
+// item is one match transition; key is the match's correlation key as the
+// node that built the match resolved it (key.go) — always wild in an
+// unkeyed tree.
 type item struct {
 	m   algebra.Match
+	key corrKey
 	del bool
 }
 
@@ -63,9 +66,11 @@ type delta struct {
 	items []item
 }
 
-func (d *delta) add(m algebra.Match) { d.items = append(d.items, item{m: m}) }
-func (d *delta) del(m algebra.Match) { d.items = append(d.items, item{m: m, del: true}) }
-func (d *delta) reset()              { d.items = d.items[:0] }
+func (d *delta) add(m algebra.Match, k corrKey) { d.items = append(d.items, item{m: m, key: k}) }
+func (d *delta) del(m algebra.Match, k corrKey) {
+	d.items = append(d.items, item{m: m, key: k, del: true})
+}
+func (d *delta) reset() { d.items = d.items[:0] }
 
 // shared is tree-global state owned by the driving Op: the occurrence times
 // of the available (live, unconsumed) primitive events (UNLESS' nodes
@@ -100,13 +105,19 @@ type buildCtx struct {
 	frozen bool
 }
 
-// joinKey returns the pushdown configuration a join node at this position
-// may use, or nil.
-func (c buildCtx) joinKey(sh *shared) *keyCfg {
-	if c.pos && !c.frozen {
-		return sh.key
+// joinKeyed reports whether a join node at this position may index its
+// stores by the pushdown key.
+func (c buildCtx) joinKeyed(sh *shared) bool {
+	return sh.key != nil && c.pos && !c.frozen
+}
+
+// route is the key a node files a match under: the match's own key where
+// the node indexes by key, wild (one flat list) where it may not.
+func route(keyed bool, k corrKey) corrKey {
+	if keyed {
+		return k
 	}
-	return nil
+	return corrKey{}
 }
 
 // node is one stateful matcher in the tree.
@@ -132,33 +143,66 @@ type node interface {
 // as the aggregate operator's payload cache).
 const internCap = 4096
 
+// keyedMatch is a derived match with its correlation key, resolved once
+// by the node that built the match (key.go).
+type keyedMatch struct {
+	m   algebra.Match
+	key corrKey
+}
+
 // combCache interns derived matches by ID — combined composites keyed by
 // output ID at join nodes, namespaced leaf matches keyed by primitive
-// event ID — shared between an operator and its clones. The monitor's checkpoint operator
-// re-derives exactly the matches the live operator already derived, so
-// the second derivation reuses the first's payload map and lineage
-// slices. Entries are immutable once stored.
+// event ID — shared between an operator and its clones. The monitor's
+// replay re-derives exactly the matches the operator already derived, so
+// the second derivation reuses the first's payload map, lineage slices and
+// resolved key. Entries are immutable once stored. cfg is the tree's
+// pushdown configuration (nil = unkeyed), under which every entry's key is
+// resolved.
 type combCache struct {
-	m map[event.ID]algebra.Match
+	cfg *keyCfg
+	m   map[event.ID]*keyedMatch
 }
 
 // The map is lazily initialized: keyed fan-out builds one tree per
 // correlation key, and most per-key leaves intern only a handful of
 // matches (or none), so pre-sizing here dominated the allocation profile.
-func newCombCache() *combCache { return &combCache{} }
+func newCombCache(cfg *keyCfg) *combCache { return &combCache{cfg: cfg} }
 
-func (c *combCache) get(id event.ID) (algebra.Match, bool) {
-	m, ok := c.m[id]
-	return m, ok
-}
+func (c *combCache) get(id event.ID) *keyedMatch { return c.m[id] }
 
-func (c *combCache) put(id event.ID, m algebra.Match) {
+// intern resolves km's key — the one of() scan a match gets — and stores
+// it under id.
+func (c *combCache) intern(id event.ID, km *keyedMatch) *keyedMatch {
 	if c.m == nil {
-		c.m = make(map[event.ID]algebra.Match, 64)
+		c.m = make(map[event.ID]*keyedMatch, 64)
 	} else if len(c.m) >= internCap {
 		clear(c.m)
 	}
-	c.m[id] = m
+	km.key = c.cfg.of(km.m.Payload)
+	c.m[id] = km
+	return km
+}
+
+// combined returns the interned composite of parts (ID id), building it
+// through algebra.Combine on first derivation.
+func (c *combCache) combined(id event.ID, parts []algebra.Match, w temporal.Duration) *keyedMatch {
+	if km := c.m[id]; km != nil {
+		return km
+	}
+	return c.intern(id, &keyedMatch{m: algebra.Combine(parts, w)})
+}
+
+// keyOf is the retraction path's key lookup for m, interned under id: the
+// key stored beside it, or — once a cache reset dropped the entry — one
+// of() scan. An unkeyed tree has only wild keys.
+func (c *combCache) keyOf(id event.ID, m *algebra.Match) corrKey {
+	if c.cfg == nil {
+		return corrKey{}
+	}
+	if km := c.m[id]; km != nil {
+		return km.key
+	}
+	return c.cfg.of(m.Payload)
 }
 
 // Supported reports whether the expression grammar is fully covered by the
@@ -286,55 +330,61 @@ type leafNode struct {
 	// pushdown shrinking per-key work, these map scans were next in the
 	// profile). Removals leave it stale, forcing at most one extra scan.
 	minVs temporal.Time
-	// interned caches the derived match per primitive event ID, shared
-	// with clones: the checkpoint operator's push of an event the live
-	// operator already saw — and any revival re-push after an un-consume —
-	// reuses the namespaced payload map instead of rebuilding it.
+	// interned caches the derived match and its correlation key per
+	// primitive event ID, shared with clones: a replayed push of an event
+	// the operator already saw — and any revival re-push after an
+	// un-consume — reuses the namespaced payload map and the resolved key
+	// instead of rebuilding them.
 	interned *combCache
 	u        *undoLog
 }
 
 func newLeaf(t algebra.TypeExpr, sh *shared) *leafNode {
 	return &leafNode{t: t, prefix: t.Prefix(), live: map[event.ID]algebra.Match{},
-		minVs: temporal.Infinity, interned: newCombCache(), u: sh.u}
+		minVs: temporal.Infinity, interned: newCombCache(sh.key), u: sh.u}
 }
 
 func (l *leafNode) push(e event.Event, out *delta) {
 	if e.Kind != event.Insert || e.Type != l.t.Type {
 		return
 	}
-	m, ok := l.interned.get(e.ID)
-	if !ok {
+	km := l.interned.get(e.ID)
+	if km == nil {
 		p := make(event.Payload, len(e.Payload))
 		for k, v := range e.Payload {
 			p[l.prefix+"."+k] = v
 		}
-		m = algebra.Match{
+		// One object holds the interned match and its one-element lineage.
+		lm := &struct {
+			keyedMatch
+			cbt [1]event.ID
+		}{cbt: [1]event.ID{e.ID}}
+		lm.m = algebra.Match{
 			ID:         event.Pair(e.ID),
 			V:          e.V,
 			RT:         e.V.Start,
 			FinalizeAt: e.V.Start,
 			FirstVs:    e.V.Start,
 			LastVs:     e.V.Start,
-			CBT:        []event.ID{e.ID},
+			CBT:        lm.cbt[:],
 			Payload:    p,
 		}
-		l.interned.put(e.ID, m)
+		km = l.interned.intern(e.ID, &lm.keyedMatch)
 	}
 	l.u.matchMap(l.live, e.ID)
-	l.live[e.ID] = m
-	if m.V.Start < l.minVs {
+	l.live[e.ID] = km.m
+	if km.m.V.Start < l.minVs {
 		l.u.leafMin(l)
-		l.minVs = m.V.Start
+		l.minVs = km.m.V.Start
 	}
-	out.add(m)
+	out.add(km.m, km.key)
 }
 
 func (l *leafNode) remove(id event.ID, out *delta) {
 	if m, ok := l.live[id]; ok {
 		l.u.matchMap(l.live, id)
 		delete(l.live, id)
-		out.del(m)
+		out.del(m, l.interned.keyOf(id, &m))
 	}
 }
 
@@ -348,7 +398,7 @@ func (l *leafNode) prune(horizon temporal.Time, out *delta) {
 		if m.V.Start < horizon {
 			l.u.matchMap(l.live, id)
 			delete(l.live, id)
-			out.del(m)
+			out.del(m, l.interned.keyOf(id, &m))
 		} else if m.V.Start < low {
 			low = m.V.Start
 		}

@@ -31,6 +31,7 @@ func driveRollback(t *testing.T, name string, expr algebra.Expr, mode algebra.SC
 	t.Helper()
 	oracle := algebra.NewPatternOp(expr, mode, "out")
 	fast := NewOp(expr, mode, "out", opts...)
+	watchKeys(t, fast)
 	label := func(step string, i int) string {
 		return fmt.Sprintf("%s %v seed=%d %s %d", name, mode, seed, step, i)
 	}

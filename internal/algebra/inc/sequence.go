@@ -12,17 +12,17 @@ import (
 // within the window — the only combinations a re-derivation would have
 // found that the previous state did not already hold.
 //
-// Under correlation-key pushdown (key != nil, see key.go) the per-position
+// Under correlation-key pushdown (keyed, see key.go) the per-position
 // lists are key-indexed: a new definite-key match combines only with picks
 // from its own key's bucket plus the wild list, so the enumeration no
-// longer crosses keys the residual EQUAL predicate would drop anyway.
+// longer crosses keys the residual EQUAL predicate would drop anyway. An
+// unkeyed node files every match wild: one flat list per position.
 type seqNode struct {
-	kids []node
-	w    temporal.Duration
-	key  *keyCfg
+	kids  []node
+	w     temporal.Duration
+	keyed bool // this node's lists are indexed by key
 
-	lists  []matchList // unkeyed join state (key == nil)
-	klists []keyedList // key-indexed join state (key != nil)
+	lists []keyedList // per-position join state
 
 	// outs holds the node's live composite matches; uses indexes them by
 	// child-match ID so a child retraction cascades in O(dependents).
@@ -41,18 +41,14 @@ type seqNode struct {
 func newSeqNode(e algebra.SequenceExpr, sh *shared, ctx buildCtx) *seqNode {
 	s := &seqNode{
 		w:     e.W,
-		key:   ctx.joinKey(sh),
+		keyed: ctx.joinKeyed(sh),
+		lists: make([]keyedList, len(e.Kids)),
 		outs:  map[event.ID]algebra.Match{},
 		uses:  map[event.ID][]event.ID{},
 		parts: make([]algebra.Match, len(e.Kids)),
 		ids:   make([]event.ID, len(e.Kids)),
-		comb:  newCombCache(),
+		comb:  newCombCache(sh.key),
 		u:     sh.u,
-	}
-	if s.key != nil {
-		s.klists = make([]keyedList, len(e.Kids))
-	} else {
-		s.lists = make([]matchList, len(e.Kids))
 	}
 	for _, k := range e.Kids {
 		s.kids = append(s.kids, build(k, sh, ctx))
@@ -86,39 +82,27 @@ func (s *seqNode) prune(horizon temporal.Time, out *delta) {
 
 // applyKid folds child i's transition batch (in s.kd) into the join state.
 func (s *seqNode) applyKid(i int, out *delta) {
-	for _, it := range s.kd.items {
-		var kv event.Value
-		def := false
-		if s.key != nil {
-			kv, def = s.key.of(it.m.Payload)
-		}
+	for j := range s.kd.items {
+		it := &s.kd.items[j]
+		k := route(s.keyed, it.key)
 		if it.del {
-			if s.key != nil {
-				if s.klists[i].remove(it.m, kv, def) {
-					s.u.kListDel(&s.klists[i], &it.m, kv, def)
-				}
-			} else if s.lists[i].removeMatch(it.m) {
-				s.u.listDel(&s.lists[i], &it.m)
+			if s.lists[i].remove(it.m, k) {
+				s.u.listDel(&s.lists[i], &it.m, k)
 			}
 			for _, oid := range s.uses[it.m.ID] {
 				if m, ok := s.outs[oid]; ok {
 					s.u.matchMap(s.outs, oid)
 					delete(s.outs, oid)
-					out.del(m)
+					out.del(m, s.comb.keyOf(oid, &m))
 				}
 			}
 			s.u.usesDel(s.uses, it.m.ID)
 			delete(s.uses, it.m.ID)
 			continue
 		}
-		s.enumerate(i, it.m, kv, def, out)
-		if s.key != nil {
-			s.klists[i].insert(it.m, kv, def)
-			s.u.kListIns(&s.klists[i], &it.m, kv, def)
-		} else {
-			s.lists[i].insert(it.m)
-			s.u.listIns(&s.lists[i], &it.m)
-		}
+		s.enumerate(i, it.m, k, out)
+		s.lists[i].insert(it.m, k)
+		s.u.listIns(&s.lists[i], &it.m, k)
 	}
 }
 
@@ -128,7 +112,7 @@ func (s *seqNode) applyKid(i int, out *delta) {
 // pushdown, a definite-key nm draws the other positions' picks from its
 // key's bucket and the wild list only (a wild nm still scans everything —
 // the residual predicates decide, exactly as unkeyed).
-func (s *seqNode) enumerate(fix int, nm algebra.Match, kv event.Value, def bool, out *delta) {
+func (s *seqNode) enumerate(fix int, nm algebra.Match, key corrKey, out *delta) {
 	k := len(s.kids)
 	var rec func(depth int, prev, first temporal.Time)
 	rec = func(depth int, prev, first temporal.Time) {
@@ -171,11 +155,7 @@ func (s *seqNode) enumerate(fix int, nm algebra.Match, kv event.Value, def bool,
 				}
 			}
 		}
-		if s.key == nil {
-			scan(&s.lists[depth])
-			return
-		}
-		s.klists[depth].scan(kv, def, scan)
+		s.lists[depth].scan(key, scan)
 	}
 	rec(0, temporal.MinTime, temporal.MinTime)
 }
@@ -188,24 +168,21 @@ func (s *seqNode) commit(out *delta) {
 	if _, dup := s.outs[id]; dup {
 		return
 	}
-	m, ok := s.comb.get(id)
-	if !ok {
-		m = algebra.Combine(s.parts, s.w)
-		s.comb.put(id, m)
-	}
+	km := s.comb.combined(id, s.parts, s.w)
 	s.u.matchMap(s.outs, id)
-	s.outs[id] = m
+	s.outs[id] = km.m
 	for _, p := range s.parts {
 		s.u.usesApp(s.uses, p.ID)
 		s.uses[p.ID] = append(s.uses[p.ID], id)
 	}
-	out.add(m)
+	out.add(km.m, km.key)
 }
 
 func (s *seqNode) clone(sh *shared) node {
 	c := &seqNode{
 		w:     s.w,
-		key:   s.key,
+		keyed: s.keyed,
+		lists: make([]keyedList, len(s.lists)),
 		outs:  make(map[event.ID]algebra.Match, len(s.outs)),
 		uses:  make(map[event.ID][]event.ID, len(s.uses)),
 		parts: make([]algebra.Match, len(s.parts)),
@@ -216,16 +193,8 @@ func (s *seqNode) clone(sh *shared) node {
 	for _, k := range s.kids {
 		c.kids = append(c.kids, k.clone(sh))
 	}
-	if s.key != nil {
-		c.klists = make([]keyedList, len(s.klists))
-		for i := range s.klists {
-			c.klists[i] = s.klists[i].clone()
-		}
-	} else {
-		c.lists = make([]matchList, len(s.lists))
-		for i := range s.lists {
-			c.lists[i] = s.lists[i].clone()
-		}
+	for i := range s.lists {
+		c.lists[i] = s.lists[i].clone()
 	}
 	for id, m := range s.outs {
 		c.outs[id] = m

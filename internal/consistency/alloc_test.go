@@ -9,6 +9,7 @@ import (
 	"repro/internal/algebra/inc"
 	"repro/internal/delivery"
 	"repro/internal/event"
+	"repro/internal/lang"
 	"repro/internal/operators"
 	"repro/internal/temporal"
 	"repro/internal/workload"
@@ -84,5 +85,66 @@ func TestAllocsVersionedCheckpointCapture(t *testing.T) {
 		base, dense, overhead, ceiling)
 	if overhead > ceiling {
 		t.Fatalf("versioned checkpoint capture adds %.2f allocs/event at cadence 1 (%.2f vs %.2f baseline), above the pinned ceiling %.0f — snapshot capture is no longer O(changed)", overhead, dense, base, ceiling)
+	}
+}
+
+// TestAllocsCompiledQueryUnderDisorder pins what disorder may cost in heap
+// objects where the regression was visible: §3.1's query as compiled
+// (CorrelationKey(Machine_Id, EQUAL), each/consume, the pushdown attribute
+// the analysis proves) over the machine-lifecycle stream at Middle, once in
+// sync order and once through a jittered delivery whose stragglers make
+// the monitor roll the matcher back and replay. A replay re-reads matches
+// the interning caches already hold, so it must not re-buy their derived
+// facts: when the compiled predicates built a slice per call and every key
+// extraction re-boxed its string, the disordered run cost 3× the ordered
+// one per item. Each run builds a fresh operator, so first-time interning
+// is inside both measurements.
+func TestAllocsCompiledQueryUnderDisorder(t *testing.T) {
+	an, err := lang.Compile(`EVENT MissedRestart
+WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours), RESTART AS z, 5 minutes)
+WHERE CorrelationKey(Machine_Id, EQUAL)
+SC(each, consume)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.DefaultMachines()
+	cfg.Machines, cfg.Cycles = 96, 8
+	src, _ := workload.MachineEvents(cfg)
+	period := 10 * temporal.Minute
+	ordered := delivery.Deliver(src, delivery.Ordered(period))
+	jittered := delivery.Deliver(src, delivery.Config{Seed: 3, CTIPeriod: period, Latency: delivery.Latency{
+		Base: 1, Jitter: 15 * temporal.Second, StragglerProb: 0.05, StragglerDelay: temporal.Minute}})
+
+	var replays int
+	measure := func(delivered []event.Event) float64 {
+		return testing.AllocsPerRun(3, func() {
+			op := inc.NewOp(an.Expr, an.Mode, an.Query.Name, inc.WithJoinKey(an.PushKeyAttr))
+			m := NewMonitor(op, Middle())
+			for _, e := range delivered {
+				m.Push(0, e)
+			}
+			m.Finish()
+			replays = m.Metrics().Replays
+		}) / float64(len(delivered))
+	}
+	inOrder := measure(ordered)
+	if replays != 0 {
+		t.Fatalf("the ordered delivery caused %d replays; it must be the no-repair baseline", replays)
+	}
+	disordered := measure(jittered)
+	if replays < len(jittered)/20 {
+		t.Fatalf("the jittered delivery caused only %d replays over %d items; it no longer exercises the repair path", replays, len(jittered))
+	}
+
+	const ceilOrdered, ceilDisordered, ceilRatio = 20.0, 25.0, 1.6 // measured 13.6, 16.6, 1.22 (23.4, 44.1, 1.89 before)
+	t.Logf("compiled §3.1 query at Middle: %.2f allocs/item ordered (ceiling %.0f), %.2f disordered over %d replays (ceiling %.0f), ratio %.2f (ceiling %.1f)",
+		inOrder, ceilOrdered, disordered, replays, ceilDisordered, disordered/inOrder, ceilRatio)
+	if inOrder > ceilOrdered || disordered > ceilDisordered {
+		t.Fatalf("compiled §3.1 query allocates %.2f/item ordered (ceiling %.0f), %.2f disordered (ceiling %.0f)",
+			inOrder, ceilOrdered, disordered, ceilDisordered)
+	}
+	if disordered > ceilRatio*inOrder {
+		t.Fatalf("disorder costs %.2f× the ordered run's heap objects per item (%.2f vs %.2f), above the pinned %.1f× — replay re-allocates what interning already holds",
+			disordered/inOrder, disordered, inOrder, ceilRatio)
 	}
 }

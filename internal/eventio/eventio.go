@@ -52,11 +52,17 @@ func ParseValue(s string) event.Value {
 		((s[0] == '\'' && s[n-1] == '\'') || (s[0] == '"' && s[n-1] == '"')) {
 		return s[1 : n-1]
 	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return n
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return f
+	// Every spelling strconv accepts as a decimal integer or a float starts
+	// with a digit, a sign, a point, or the first letter of "inf"/"nan";
+	// anything else (an identifier like m017) skips both parses, each of
+	// whose failures would allocate a *NumError and a copy of s.
+	if s != "" && (s[0]-'0' <= 9 || strings.IndexByte("+-.iInN", s[0]) >= 0) {
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return n
+		}
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return f
+		}
 	}
 	switch s {
 	case "true":

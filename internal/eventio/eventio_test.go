@@ -2,6 +2,7 @@ package eventio
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,6 +38,66 @@ func TestParseValueDomains(t *testing.T) {
 			t.Errorf("ParseValue(%q) = %#v (%T), want %#v (%T)", c.in, got, got, c.want, c.want)
 		}
 	}
+}
+
+// refParseNumber is ParseValue's number step without the first-byte gate:
+// what strconv itself accepts.
+func refParseNumber(s string) (event.Value, bool) {
+	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return n, true
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		return f, true
+	}
+	return nil, false
+}
+
+// TestParseValueNumberGate: skipping both strconv parses when the first
+// byte cannot start a number never changes a verdict — every spelling
+// strconv accepts still parses (to the same value and type), everything it
+// rejects still falls through to bool/string.
+func TestParseValueNumberGate(t *testing.T) {
+	cases := []struct {
+		in   string
+		want event.Value
+	}{
+		{"inf", math.Inf(1)}, {"Inf", math.Inf(1)}, {"-inf", math.Inf(-1)}, {"infinity", math.Inf(1)},
+		{"NaN", math.NaN()}, {"nan", math.NaN()},
+		{"+1", int64(1)}, {".5", 0.5}, {"-.5", -0.5}, {"1e3", 1000.0}, {"0x1p-2", 0.25},
+		{"1_0", 10.0}, {"_1", "_1"}, {"true", true}, {"'17'", "17"}, {"m017", "m017"}, {"e3", "e3"},
+		{"info", "info"}, {"none", "none"}, {"-", "-"}, {".", "."}, {"", ""},
+	}
+	for _, c := range cases {
+		got := ParseValue(c.in)
+		wantNaN := false
+		if f, ok := c.want.(float64); ok {
+			wantNaN = math.IsNaN(f)
+		}
+		if gf, ok := got.(float64); wantNaN && ok && math.IsNaN(gf) {
+			continue
+		}
+		if !event.ValueEqual(got, c.want) || gotType(got) != gotType(c.want) {
+			t.Errorf("ParseValue(%q) = %#v (%T), want %#v (%T)", c.in, got, got, c.want, c.want)
+		}
+	}
+	// Exhaustively over short strings of the bytes that matter: the gate
+	// agrees with strconv on whether the text is a number at all.
+	alphabet := "019+-.eEiInNxXpP_afty'"
+	var walk func(prefix string, depth int)
+	walk = func(prefix string, depth int) {
+		if _, isNum := refParseNumber(prefix); isNum {
+			if g := gotType(ParseValue(prefix)); g != "int64" && g != "float64" {
+				t.Fatalf("ParseValue(%q) is a %s; strconv parses it as a number", prefix, g)
+			}
+		}
+		if depth == 0 {
+			return
+		}
+		for i := range alphabet {
+			walk(prefix+alphabet[i:i+1], depth-1)
+		}
+	}
+	walk("", 3)
 }
 
 func gotType(v event.Value) string {

@@ -347,7 +347,7 @@ func (b *binder) classify(preds []Pred) ([]predFn, map[int][]algebra.CorrPred, e
 	corrs := map[int][]algebra.CorrPred{}
 	for _, pred := range preds {
 		if pred.IsCorrKey() {
-			pos, siteCorrs := b.corrKeyPredicates(pred)
+			pos, siteCorrs := corrKeyPredicates(pred)
 			positive = append(positive, pos)
 			for s := 1; s <= b.sites; s++ {
 				corrs[s] = append(corrs[s], siteCorrs)
@@ -392,60 +392,45 @@ func (b *binder) termSite(t Term) (int, error) {
 
 // corrKeyPredicates expands CorrelationKey(attr, EQUAL|UNIQUE) (or the
 // [attr Equal 'lit'] shorthand) into a positive equivalence test plus a
-// correlation predicate for negation sites.
-func (b *binder) corrKeyPredicates(pred Pred) (predFn, algebra.CorrPred) {
-	attr, mode, lit := pred.CorrAttr, pred.CorrMode, pred.CorrLit
-	suffix := "." + attr
-	values := func(p event.Payload) []event.Value {
-		var vs []event.Value
-		for k, v := range p {
-			if strings.HasSuffix(k, suffix) {
-				vs = append(vs, v)
-			}
-		}
-		return vs
-	}
+// correlation predicate for negation sites. Both stream over the payload
+// names ending in ".attr" and compare as they go — the matcher evaluates
+// them per delta item and per candidate×blocker visit, on replay too, so
+// they build no slice and allocate nothing.
+func corrKeyPredicates(pred Pred) (predFn, algebra.CorrPred) {
+	suffix, unique, lit := "."+pred.CorrAttr, pred.CorrMode == "UNIQUE", pred.CorrLit
 	pos := func(p event.Payload) bool {
-		vs := values(p)
-		if mode == "UNIQUE" {
-			for i := range vs {
-				for j := i + 1; j < len(vs); j++ {
-					if event.ValueEqual(vs[i], vs[j]) {
+		var first event.Value
+		seen := false
+		for k, v := range p {
+			if !strings.HasSuffix(k, suffix) {
+				continue
+			}
+			if unique {
+				// Pairwise distinct: each unordered pair once, by name order.
+				for k2, v2 := range p {
+					if k < k2 && strings.HasSuffix(k2, suffix) && event.ValueEqual(v, v2) {
 						return false
 					}
 				}
-			}
-			return true
-		}
-		for i := 1; i < len(vs); i++ {
-			if !event.ValueEqual(vs[0], vs[i]) {
+			} else if !seen {
+				first, seen = v, true
+			} else if !event.ValueEqual(first, v) {
 				return false
 			}
 		}
-		if lit != nil && len(vs) > 0 && !event.ValueEqual(vs[0], lit) {
-			return false
-		}
-		return true
+		return !seen || lit == nil || event.ValueEqual(first, lit)
 	}
 	corr := func(posP, negP event.Payload) bool {
-		nvs := values(negP)
-		pvs := values(posP)
-		if mode == "UNIQUE" {
-			for _, nv := range nvs {
-				for _, pv := range pvs {
-					if event.ValueEqual(nv, pv) {
-						return false
-					}
-				}
+		for nk, nv := range negP {
+			if !strings.HasSuffix(nk, suffix) {
+				continue
 			}
-			return true
-		}
-		for _, nv := range nvs {
-			if lit != nil && !event.ValueEqual(nv, lit) {
+			if !unique && lit != nil && !event.ValueEqual(nv, lit) {
 				return false
 			}
-			for _, pv := range pvs {
-				if !event.ValueEqual(nv, pv) {
+			// EQUAL fails on an unequal pair, UNIQUE on an equal one.
+			for pk, pv := range posP {
+				if strings.HasSuffix(pk, suffix) && event.ValueEqual(nv, pv) == unique {
 					return false
 				}
 			}
