@@ -22,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/history"
+	"repro/internal/lang"
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/stream"
@@ -183,22 +184,27 @@ func BenchmarkPubSubRouting(b *testing.B) {
 // --- Ablations ---
 
 // Sequence-matching ablation over the same workload and monitor: the
-// delta-driven matcher tree (the default plan, rewrite
-// `incremental-pattern`) against the semi-naive re-deriving evaluator
-// (WithoutSpecialization).
-func seqBench(b *testing.B, opts ...plan.Option) {
-	const q = `EVENT Pairs WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
+// delta-driven, key-indexed matcher tree plan.Compile builds (rewrites
+// `correlation-pushdown`, `incremental-pattern`) against two reference
+// stages built by hand from the same analysis.
+const seqQuery = `EVENT Pairs WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
 WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
-	p, err := plan.Compile(q, opts...)
+
+func seqAnalysis(b *testing.B) *lang.Analysis {
+	an, err := lang.Compile(seqQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return an
+}
+
+func seqBench(b *testing.B, stage operators.Op) {
 	src, _ := workload.MachineEvents(workload.DefaultMachines())
 	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := consistency.NewMonitor(p.Stages[0].Clone(), consistency.Middle())
+		m := consistency.NewMonitor(stage.Clone(), consistency.Middle())
 		for _, e := range delivered {
 			m.Push(0, e)
 		}
@@ -207,23 +213,34 @@ WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 	b.ReportMetric(float64(len(delivered))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkAblationSequenceIncremental(b *testing.B) { seqBench(b) }
-func BenchmarkAblationSequenceGeneric(b *testing.B) {
-	seqBench(b, plan.WithoutSpecialization())
+func BenchmarkAblationSequenceIncremental(b *testing.B) {
+	p, err := plan.Compile(seqQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seqBench(b, p.Stages[0])
 }
 
-// The same matcher tree with correlation-key pushdown disabled: the delta
+// The semi-naive re-deriving evaluator — the specification the matcher
+// tree is byte-exact against (FuzzIncVsOracle).
+func BenchmarkAblationSequenceGeneric(b *testing.B) {
+	an := seqAnalysis(b)
+	seqBench(b, algebra.NewPatternOp(an.Expr, an.Mode, an.Query.Name))
+}
+
+// The same matcher tree without correlation-key pushdown: the delta
 // against BenchmarkAblationSequenceIncremental is the pushdown's isolated
 // contribution (the join enumerates every cross-key pair again and the
 // residual filter drops them after the fact).
 func BenchmarkAblationSequenceNoPushdown(b *testing.B) {
-	seqBench(b, plan.WithoutPushdown())
+	an := seqAnalysis(b)
+	seqBench(b, inc.NewOp(an.Expr, an.Mode, an.Query.Name))
 }
 
 // Key-index stress: the pushdown win grows with the key domain, since the
 // flat join's fan-out is quadratic in co-live matches across *all* keys
 // while the keyed join only touches one bucket. 64 machines instead of the
-// ablation's 10 — this is the shape cedrbench gates as pattern_keyindex.
+// ablation's 10.
 func BenchmarkAblationPatternKeyIndex(b *testing.B) {
 	src, _ := workload.MachineEvents(workload.Machines{
 		Seed: 1, Machines: 64, Cycles: 4,
@@ -231,9 +248,7 @@ func BenchmarkAblationPatternKeyIndex(b *testing.B) {
 		CycleGap: 30 * temporal.Minute,
 	})
 	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
-	const q = `EVENT Pairs WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
-WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
-	p, err := plan.Compile(q)
+	p, err := plan.Compile(seqQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -399,14 +414,17 @@ func BenchmarkMonitorScalingSharded(b *testing.B) {
 	}
 }
 
-// End-to-end sharded execution of the §3.1 query through the engine. The
-// generic UNLESS evaluator's per-event re-derivation is superlinear in its
-// store size, so key-sharding pays twice here: each shard's store holds
-// only its machines, shrinking the per-event work — a net win even before
-// any parallel wall-clock gain.
+// End-to-end sharded execution of the §3.1 query through the engine, on
+// the fleet stream (192 machines × 20 install/shutdown/restart cycles, in
+// order, a CTI every 10 minutes): long enough that steady-state matching,
+// not registration, dominates. The matcher's expiry sweep walks its whole
+// store, so key-sharding pays twice: each shard's store holds only its own
+// machines, a net win on one core before any parallel wall-clock gain. For
+// the multi-core scaling curve run the 8-shard point under
+// `go test -cpu 1,2,4,8`.
 func BenchmarkCIDR07Sharded(b *testing.B) {
 	src, _ := workload.MachineEvents(workload.Machines{
-		Seed: 1, Machines: 24, Cycles: 5,
+		Seed: 1, Machines: 192, Cycles: 20,
 		RestartDeadline: 5 * temporal.Minute, MissProb: 0.3,
 		CycleGap: 30 * temporal.Minute,
 	})

@@ -200,14 +200,6 @@ func WithShards(n int) interface {
 // shard count (see plan.AutoShards).
 const AutoShards = plan.AutoShards
 
-// WithBurst sets the sharded router's burst size — how many consecutive
-// input items accumulate per shard run before handoff to the workers
-// (0 = the default; negative flushes only on punctuation and control
-// items). Output is byte-identical at any burst size.
-func WithBurst(n int) Option {
-	return sysOption(func(c *sysConfig) { c.eopts = append(c.eopts, engine.WithBurst(n)) })
-}
-
 // WithRouting enables the standing-query fabric's cross-query routing
 // index: each pushed data event is delivered only to the query groups that
 // can possibly match it — by event TYPE, and for key-specialized queries

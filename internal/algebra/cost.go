@@ -2,10 +2,12 @@ package algebra
 
 // ExprCostNs estimates the per-event processing cost of a pattern
 // expression in nanoseconds, for the engine's overhead-aware shard-count
-// heuristic (operators.CostHint). The classes are coarse, calibrated
-// against the cedrbench single-core suite: negation scopes dominate
-// (candidate × blocker bookkeeping plus window finalization), joins cost
-// per contributor position, leaves are near-free.
+// heuristic (operators.CostHint). The classes are coarse and hand-set:
+// negation scopes dominate (candidate × blocker bookkeeping plus window
+// finalization), joins cost per contributor position, leaves are
+// near-free. The measurements they stand in for are bench/e2e's
+// inc.process_ns_per_ev (matcher cost per event) and
+// engine.shards2_ns_per_ev (what a second shard buys).
 func ExprCostNs(e Expr) int {
 	switch x := e.(type) {
 	case TypeExpr:

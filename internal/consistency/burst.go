@@ -2,14 +2,13 @@ package consistency
 
 import "repro/internal/event"
 
-// Burst is a caller-owned accumulator for the batched tagged push path.
-// Where PushTagged hands back per-call slices whose tags are freshly
-// allocated, PushTaggedInto appends outputs and their order tags across
-// many calls into one Burst, carving every tag's bytes out of the shared
-// Arena. A shard worker processes a whole run of input items through its
-// monitor chain into a single Burst and ships that one buffer to the
-// merger — steady-state handoff allocates nothing once the buffers have
-// grown to the workload's high-water mark.
+// Burst is a caller-owned accumulator for the tagged push path:
+// PushTaggedInto appends outputs and their order tags across many calls
+// into one Burst, carving every tag's bytes out of the shared Arena. A
+// shard worker processes a whole run of input items through its monitor
+// chain into a single Burst and ships that one buffer to the merger —
+// steady-state handoff allocates nothing once the buffers have grown to
+// the workload's high-water mark.
 //
 // Tags[i] aliases Arena (or a previous backing array of it after growth;
 // tag bytes are immutable either way). Evs and Tags stay parallel after

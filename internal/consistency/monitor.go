@@ -125,15 +125,14 @@ type Monitor struct {
 	absState  int           // operator state size as of the absorbed boundary
 	stateless bool          // op implements operators.Stateless
 
-	// Sharded-execution support (see PushTagged). All of it is inert — and
-	// free — on the plain Push path.
+	// Sharded-execution support (see PushTaggedInto). All of it is inert —
+	// and free — on the plain Push path.
 	tagging   bool   // current call wants order tags
-	sink      *Burst // batch accumulator for the *Into variants (nil = legacy)
+	sink      *Burst // the *Into variants' output and tag accumulator (nil on the plain path)
 	trigger   []byte // tag prefix the current call's outputs nest under
-	curClass  byte
+	curClass  byte   // (curClass, curSync, curArr): admit position of the
 	curSync   temporal.Time
-	curArr    []byte   // (curClass, curSync, curArr): admit position of the
-	tags      [][]byte // item whose processing is emitting; one tag per m.out item
+	curArr    []byte // item whose processing is emitting
 	advKey    func(dst []byte, e event.Event) []byte
 	probeLog  int // probe items in the live log window (state-size exempt)
 	probeBuf  int // probe items in the alignment buffer (state-size exempt)
@@ -388,24 +387,16 @@ func (m *Monitor) WindowMarkers() int { return m.markerLog }
 // bound may release buffered events, which are returned. The returned slice
 // is valid until the next call on this monitor.
 func (m *Monitor) SetSpec(s Spec) []event.Event {
-	out, _ := m.setSpec(s, nil, nil, nil)
-	return out
+	return m.setSpec(s, nil, nil, nil)
 }
 
-// SetSpecTagged is SetSpec for sharded execution: released output carries
-// order tags (see PushTagged). Both returned slices are valid until the
-// next call on this monitor.
-func (m *Monitor) SetSpecTagged(s Spec, arrival, trigger []byte) ([]event.Event, [][]byte) {
-	return m.setSpec(s, arrival, trigger, nil)
-}
-
-// SetSpecTaggedInto is SetSpecTagged appending into a caller-owned Burst
-// (see PushTaggedInto).
+// SetSpecTaggedInto is SetSpec for sharded execution: released output is
+// appended to sink with its order tags (see PushTaggedInto).
 func (m *Monitor) SetSpecTaggedInto(s Spec, arrival, trigger []byte, sink *Burst) {
 	m.setSpec(s, arrival, trigger, sink)
 }
 
-func (m *Monitor) setSpec(s Spec, arrival, trigger []byte, sink *Burst) ([]event.Event, [][]byte) {
+func (m *Monitor) setSpec(s Spec, arrival, trigger []byte, sink *Burst) []event.Event {
 	m.beginCall(arrival, trigger, sink)
 	m.spec = s
 	m.releaseTimedOut()
@@ -419,41 +410,36 @@ func (m *Monitor) setSpec(s Spec, arrival, trigger []byte, sink *Burst) ([]event
 // items, stamped with the current CEDR time. The returned slice is valid
 // until the next call on this monitor.
 func (m *Monitor) Push(port int, e event.Event) []event.Event {
-	out, _ := m.push(port, e, nil, nil, false, nil)
-	return out
+	return m.push(port, e, nil, nil, false, nil)
 }
 
-// PushTagged is Push for sharded execution. arrival is an order-preserving
-// byte key (package ordkey) placing this item in the global arrival order
-// across all sibling shard monitors; trigger is the tag prefix the outputs
-// nest under (nil at the pipeline head). probe marks an advance-only marker
-// for an event routed to a sibling shard: the monitor advances its operator
-// to the probe's Sync exactly as it would for a local event — so every
-// shard observes identical advance boundaries and emits identical per-key
-// output — but never calls Process and keeps the probe out of every metric
-// and state count.
+// PushTaggedInto is Push for sharded execution. arrival is an
+// order-preserving byte key (package ordkey) placing this item in the
+// global arrival order across all sibling shard monitors; trigger is the
+// tag prefix the outputs nest under (nil at the pipeline head). probe marks
+// an advance-only marker for an event routed to a sibling shard: the
+// monitor advances its operator to the probe's Sync exactly as it would for
+// a local event — so every shard observes identical advance boundaries and
+// emits identical per-key output — but never calls Process and keeps the
+// probe out of every metric and state count.
 //
 // Each output item carries an order tag; sorting the union of all sibling
 // monitors' outputs for one input item by tag reproduces the exact sequence
 // a single un-sharded monitor would have emitted (internal/delivery's merge
-// stage does this). Both returned slices are valid until the next call.
-func (m *Monitor) PushTagged(port int, e event.Event, arrival, trigger []byte, probe bool) ([]event.Event, [][]byte) {
-	return m.push(port, e, arrival, trigger, probe, nil)
-}
-
-// PushTaggedInto is PushTagged for batched sharded execution: instead of
-// returning per-call slices with freshly allocated tags, it appends this
-// call's outputs (CEDR-time-stamped) and their order tags to sink, with
-// the tag bytes carved from sink.Arena. A worker accumulates a whole run
-// of input items into one Burst this way without any per-output
-// allocation once the burst's buffers have grown.
+// stage does this).
+//
+// Nothing is returned: the call's outputs (CEDR-time-stamped) and their
+// order tags are appended to sink, which must not be nil, with the tag
+// bytes carved from sink.Arena. A worker accumulates a whole run of input
+// items into one Burst this way without any per-output allocation once the
+// burst's buffers have grown.
 func (m *Monitor) PushTaggedInto(port int, e event.Event, arrival, trigger []byte, probe bool, sink *Burst) {
 	m.push(port, e, arrival, trigger, probe, sink)
 }
 
-func (m *Monitor) push(port int, e event.Event, arrival, trigger []byte, probe bool, sink *Burst) ([]event.Event, [][]byte) {
+func (m *Monitor) push(port int, e event.Event, arrival, trigger []byte, probe bool, sink *Burst) []event.Event {
 	if port < 0 || port >= len(m.portG) {
-		return nil, nil
+		return nil
 	}
 	m.beginCall(arrival, trigger, sink)
 	if e.C.Start > m.now {
@@ -480,23 +466,20 @@ func (m *Monitor) beginCall(arrival, trigger []byte, sink *Burst) {
 	m.tagging = arrival != nil
 	m.sink = sink
 	m.trigger = trigger
-	m.tags = m.tags[:0]
 }
 
-// endCall finishes one externally driven call. On the legacy tagged path
-// it returns the stamped output buffer and the per-call tag slice; on the
-// batch path (a sink armed by beginCall) it appends the stamped outputs to
-// the sink — whose tags accumulated there directly — and returns nil.
-func (m *Monitor) endCall() ([]event.Event, [][]byte) {
+// endCall finishes one externally driven call: it stamps the output buffer
+// and returns it, or — on the sharded path (a sink armed by beginCall) —
+// appends it to the sink, whose tags accumulated there directly, and
+// returns nil.
+func (m *Monitor) endCall() []event.Event {
+	out := m.stampOut()
 	if s := m.sink; s != nil {
 		m.sink = nil
-		for i := range m.out {
-			m.out[i].C = temporal.From(m.now)
-		}
-		s.Evs = append(s.Evs, m.out...)
-		return nil, nil
+		s.Evs = append(s.Evs, out...)
+		return nil
 	}
-	return m.stampOut(), m.tags
+	return out
 }
 
 // appendTag records the order tag of the output item just appended to
@@ -507,17 +490,10 @@ func (m *Monitor) appendTag(phase byte, id event.ID, ev *event.Event) {
 	if !m.tagging {
 		return
 	}
-	if s := m.sink; s != nil {
-		off := len(s.Arena)
-		s.Arena = m.buildTag(s.Arena, phase, id, ev)
-		s.Tags = append(s.Tags, s.Arena[off:len(s.Arena):len(s.Arena)])
-		return
-	}
-	// Worst-case size: class + sync (9) + escaped arrival (2·len+2) + phase
-	// + the widest subkey (PatternOp's 32-byte advance key), rounded up so
-	// one allocation always suffices.
-	t := make([]byte, 0, len(m.trigger)+2*len(m.curArr)+48)
-	m.tags = append(m.tags, m.buildTag(t, phase, id, ev))
+	s := m.sink
+	off := len(s.Arena)
+	s.Arena = m.buildTag(s.Arena, phase, id, ev)
+	s.Tags = append(s.Tags, s.Arena[off:len(s.Arena):len(s.Arena)])
 }
 
 // buildTag appends one order tag's bytes to t and returns the extended
@@ -1308,23 +1284,16 @@ func (m *Monitor) sampleState() {
 // infinity, flushing blocking operators. The returned items complete the
 // output history and are valid until the next call on this monitor.
 func (m *Monitor) Finish() []event.Event {
-	out, _ := m.finish(nil, nil, nil)
-	return out
+	return m.finish(nil, nil, nil)
 }
 
-// FinishTagged is Finish for sharded execution (see PushTagged). Both
-// returned slices are valid until the next call on this monitor.
-func (m *Monitor) FinishTagged(arrival, trigger []byte) ([]event.Event, [][]byte) {
-	return m.finish(arrival, trigger, nil)
-}
-
-// FinishTaggedInto is FinishTagged appending into a caller-owned Burst
-// (see PushTaggedInto).
+// FinishTaggedInto is Finish for sharded execution: the closing output is
+// appended to sink with its order tags (see PushTaggedInto).
 func (m *Monitor) FinishTaggedInto(arrival, trigger []byte, sink *Burst) {
 	m.finish(arrival, trigger, sink)
 }
 
-func (m *Monitor) finish(arrival, trigger []byte, sink *Burst) ([]event.Event, [][]byte) {
+func (m *Monitor) finish(arrival, trigger []byte, sink *Burst) []event.Event {
 	m.beginCall(arrival, trigger, sink)
 	for _, be := range m.buffer {
 		if be.probe {

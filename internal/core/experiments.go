@@ -1,7 +1,7 @@
 // Package core assembles the paper's experiments from the substrate
 // packages: the consistency-tradeoff measurements behind Figure 8, the
 // (B, M) spectrum sweep behind Figure 9, the baseline comparisons of
-// Section 1, and the ablations DESIGN.md calls out. cmd/cedrbench and the
+// Section 1, and the ablations DESIGN.md calls out. cmd/figures and the
 // repository's benchmarks are thin wrappers over this package.
 package core
 

@@ -67,14 +67,12 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 		e.fanout(rec.Ev)
 	case wal.KindRegister:
 		d := plan.Durable{
-			Src:              rec.Src,
-			HasSpec:          rec.Opts.HasSpec,
-			Spec:             rec.Opts.Spec,
-			Shards:           rec.Opts.Shards,
-			NoSpecialization: rec.Opts.NoSpecialization,
-			NoPushdown:       rec.Opts.NoPushdown,
-			Share:            rec.Opts.Share,
-			Bindings:         rec.Opts.Bindings,
+			Src:      rec.Src,
+			HasSpec:  rec.Opts.HasSpec,
+			Spec:     rec.Opts.Spec,
+			Shards:   rec.Opts.Shards,
+			Share:    rec.Opts.Share,
+			Bindings: rec.Opts.Bindings,
 		}
 		p, err := plan.Compile(d.Src, d.Options()...)
 		if err != nil {

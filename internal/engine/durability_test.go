@@ -8,7 +8,9 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,12 +76,10 @@ func redrive(t *testing.T, e *Engine, recs []wal.Record) {
 			e.Push(rec.Ev)
 		case wal.KindRegister:
 			d := plan.Durable{
-				Src:              rec.Src,
-				HasSpec:          rec.Opts.HasSpec,
-				Spec:             rec.Opts.Spec,
-				Shards:           rec.Opts.Shards,
-				NoSpecialization: rec.Opts.NoSpecialization,
-				NoPushdown:       rec.Opts.NoPushdown,
+				Src:     rec.Src,
+				HasSpec: rec.Opts.HasSpec,
+				Spec:    rec.Opts.Spec,
+				Shards:  rec.Opts.Shards,
 			}
 			p, err := plan.Compile(d.Src, d.Options()...)
 			if err != nil {
@@ -455,4 +455,91 @@ func TestCrashDuringAppend(t *testing.T) {
 		}
 	}
 	compareStreams(t, "durable prefix replay", got, oq.Results())
+}
+
+// TestRestoreIgnoresRetiredPlanFlags: a log written by an older binary may
+// carry register flag bits 0x2 (oracle evaluator) and 0x4 (flat matcher).
+// This binary has neither plan; the record must replay on the default plan
+// and reproduce the plain run's output item for item.
+func TestRestoreIgnoresRetiredPlanFlags(t *testing.T) {
+	defer leakcheck.Check(t)()
+	in := durabilityWorkload()
+	want := run(t, monitorQuery, in, plan.WithSpec(consistency.Middle()))
+	if len(want.Results()) == 0 {
+		t.Fatal("plain run produced no output; the differential would be vacuous")
+	}
+
+	// Write today's log, then set the retired bits in its register record
+	// and re-seal the frame.
+	path := filepath.Join(t.TempDir(), "old.wal")
+	log, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Restore(nil, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RegisterText(monitorQuery, plan.WithSpec(consistency.Middle())); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(in)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := false
+	if _, err := wal.Scan(bytes.NewReader(img), func(rec wal.Record, start, end int64) error {
+		if rec.Kind != wal.KindRegister {
+			return nil
+		}
+		// Frame: u32 len, u32 crc, then the payload — u64 seq, kind byte,
+		// u32-prefixed source, flags.
+		payload := img[start+8 : end]
+		flags := &payload[8+1+4+len(rec.Src)]
+		if *flags != 0x1 {
+			t.Fatalf("register flags = %#x, want 0x1 (HasSpec only)", *flags)
+		}
+		*flags |= 0x2 | 0x4
+		binary.LittleEndian.PutUint32(img[start+4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		patched = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !patched {
+		t.Fatal("no register record in the log")
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	log2, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(log2.Recovered()); n != len(in)+2 {
+		t.Fatalf("recovered %d records from the patched log, want %d", n, len(in)+2)
+	}
+	e2, err := Restore(nil, log2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := e2.Queries()
+	if len(qs) != 1 {
+		t.Fatalf("recovered %d queries, want 1", len(qs))
+	}
+	if got, plain := qs[0].Plan().Explain(), want.Plan().Explain(); got != plain {
+		t.Errorf("restored plan\n%s\nwant the plain run's\n%s", got, plain)
+	}
+	compareStreams(t, "restored results", qs[0].Results(), want.Results())
+	if got := qs[0].Metrics(); !reflect.DeepEqual(got, want.Metrics()) {
+		t.Fatalf("metrics diverge:\n got %+v\nwant %+v", got, want.Metrics())
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

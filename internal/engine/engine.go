@@ -35,7 +35,6 @@ type Engine struct {
 	chains  []*chain          // live execution chains; removal copies (snapshots stay valid)
 	groups  map[string]*chain // sharing identity → its chain
 	shards  int               // default shard count for queries that don't request one
-	burst   int               // router burst size for sharded queries (0 = DefaultBurst)
 	routing bool
 	fabric  *fabric // non-nil iff WithRouting
 
@@ -62,15 +61,6 @@ type Option func(*Engine)
 // count from the plan's cost estimate and the available cores.
 func WithShards(n int) Option {
 	return func(e *Engine) { e.shards = n }
-}
-
-// WithBurst sets the sharded router's burst size: the number of
-// consecutive input items accumulated per shard run before handoff
-// (0 = DefaultBurst, negative = flush only on punctuation and control
-// items). Output is byte-identical at any burst size; only handoff
-// amortization and latency shift.
-func WithBurst(n int) Option {
-	return func(e *Engine) { e.burst = n }
 }
 
 // WithRouting enables the fabric's cross-query routing index: each pushed
@@ -127,13 +117,11 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 		if d, ok := p.Durable(); ok {
 			durable = true
 			e.logAppend(wal.Record{Kind: wal.KindRegister, Src: d.Src, Opts: wal.RegOpts{
-				HasSpec:          d.HasSpec,
-				Spec:             d.Spec,
-				Shards:           d.Shards,
-				NoSpecialization: d.NoSpecialization,
-				NoPushdown:       d.NoPushdown,
-				Share:            d.Share,
-				Bindings:         d.Bindings,
+				HasSpec:  d.HasSpec,
+				Spec:     d.Spec,
+				Shards:   d.Shards,
+				Share:    d.Share,
+				Bindings: d.Bindings,
 			}})
 		}
 	}
@@ -200,7 +188,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 			}
 			return fp.Stages, nil
 		}
-		sh, err := newSharded(n, e.burst, stagesFor, p.Spec, routeForPlan(p.Part, n), ch.deliverMerged, p.MonitorOpts...)
+		sh, err := newSharded(n, DefaultBurst, stagesFor, p.Spec, routeForPlan(p.Part, n), ch.deliverMerged, p.MonitorOpts...)
 		if err == nil {
 			ch.sh = sh
 			ch.shards = n

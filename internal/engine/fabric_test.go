@@ -484,8 +484,8 @@ func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 // fabric does the work of one query; on private chains it does the work of
 // all of them. The assertion is on operation counts — chains built, events
 // evaluated by the head monitors — which is what the wall-clock win follows
-// from; the timing relation itself is gated in cedrbench's calibrated
-// suite (fabric_mixed_fleet_10k vs its _unshared reference).
+// from; the timing itself is bench/e2e's engine.fanout_self_ns_per_ev on
+// the fabric-10k workload.
 func TestFabricSharingThroughput(t *testing.T) {
 	const fleet = 1500
 	in := durabilityWorkload()

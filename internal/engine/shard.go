@@ -6,8 +6,8 @@
 // advance-only probe carrying the event's Sync, so all shards advance
 // their operators at identical boundaries and each shard's output is
 // byte-for-byte the key-restricted slice of what a single-shard run would
-// emit (see Monitor.PushTagged). Workers tag their outputs with order keys
-// and the merger goroutine — one per query — interleaves the per-item
+// emit (see Monitor.PushTaggedInto). Workers tag their outputs with order
+// keys and the merger goroutine — one per query — interleaves the per-item
 // bursts with internal/delivery's merge stage, reconstructing the exact
 // single-shard emission sequence:
 //

@@ -116,13 +116,16 @@ type Stateless interface {
 // makes it slower, not faster.
 type CostHint interface {
 	// PerEventCostNs is the estimated cost of processing one event, in
-	// nanoseconds. A coarse class estimate — calibrated against the
-	// cedrbench single-core suite — not a measurement.
+	// nanoseconds. A coarse class estimate — hand-set against the
+	// single-core numbers bench/e2e now prints as inc.process_ns_per_ev
+	// (matcher) and BenchmarkMonitorScaling (aggregate) — not a
+	// measurement.
 	PerEventCostNs() int
 }
 
 // Per-event cost classes for operators without their own hint, in
-// nanoseconds (calibrated against the cedrbench single-core suite).
+// nanoseconds (hand-set; BenchmarkMonitorFastPath and
+// BenchmarkMonitorScaling carry the per-event figures they approximate).
 const (
 	costStateless = 150 // Select/Project/Slice: predicate or map per event
 	costDefault   = 700 // stateful default: aggregates, joins, difference

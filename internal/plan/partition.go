@@ -96,9 +96,7 @@ func partitionOf(an *lang.Analysis, p *Plan) Partition {
 			return partitionNone("global (ungrouped) aggregate")
 		}
 		return Partition{Mode: PartitionByAttr, Attr: op.GroupBy}
-	// Pattern stages: the incremental matcher tree (the default) and the
-	// semi-naive oracle (WithoutSpecialization).
-	case *algebra.PatternOp, *inc.Op:
+	case *inc.Op:
 		if an == nil || an.PartitionAttr == "" {
 			return partitionNone("no CorrelationKey(attr, EQUAL) clause")
 		}

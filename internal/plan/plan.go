@@ -2,8 +2,8 @@
 // plans: a chain of run-time operators, each to be wrapped in a consistency
 // monitor, plus the query's consistency specification. It applies the
 // logical-to-physical rewrites the paper attributes to the optimizer:
-// specialized operator selection (the incremental sequence matcher when the
-// pattern shape allows it) and stateless-stage reordering.
+// correlation-key pushdown into the incremental matcher tree and
+// stateless-stage reordering.
 package plan
 
 import (
@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/algebra"
 	"repro/internal/algebra/inc"
 	"repro/internal/consistency"
 	"repro/internal/event"
@@ -72,34 +71,15 @@ type Plan struct {
 type Option func(*config)
 
 type config struct {
-	spec       *consistency.Spec
-	noSpecial  bool
-	noPushdown bool
-	outputName string
-	shards     int
-	share      bool
-	bindings   map[string]event.Value
+	spec     *consistency.Spec
+	shards   int
+	share    bool
+	bindings map[string]event.Value
 }
 
 // WithSpec overrides the query's consistency clause.
 func WithSpec(s consistency.Spec) Option {
 	return func(c *config) { c.spec = &s }
-}
-
-// WithoutSpecialization disables the incremental-pattern rewrite, running
-// the pattern stage on the semi-naive re-deriving evaluator instead; the
-// ablation benchmarks use it to compare the two evaluation strategies.
-func WithoutSpecialization() Option {
-	return func(c *config) { c.noSpecial = true }
-}
-
-// WithoutPushdown disables the correlation-key pushdown rewrite: the
-// incremental matcher tree still runs, but joins and negation stores stay
-// flat and every cross-key combination is enumerated before the residual
-// predicates drop it. The key-index ablation benchmarks use it to isolate
-// the pushdown's contribution.
-func WithoutPushdown() Option {
-	return func(c *config) { c.noPushdown = true }
 }
 
 // AutoShards, passed to WithShards (or the engine's default), asks the
@@ -119,10 +99,9 @@ func WithShards(n int) Option {
 }
 
 // WithSharing marks the plan shareable: when another registration with the
-// same identity (ShareKey — source text, bindings, spec, shards, rewrite
-// switches) is already running on the engine, this registration attaches
-// to its chain as an additional subscriber endpoint instead of building new
-// operators. A late attach joins the shared execution in progress — it
+// same identity (ShareKey — source text, bindings, spec, shards) is
+// already running on the engine, this registration attaches to its chain
+// as an additional subscriber endpoint instead of building new operators. A late attach joins the shared execution in progress — it
 // observes outputs from the attach point onward, over state the chain
 // accumulated before it (pub/sub semantics). Plans built directly from
 // operators never share.
@@ -174,26 +153,22 @@ func fromAnalysis(an *lang.Analysis, cfg config) (*Plan, error) {
 
 	// Pattern stage: every pattern query runs on the incremental matcher
 	// tree (internal/algebra/inc), which covers the full §3.3 grammar with
-	// delta propagation instead of per-event re-derivation. The semi-naive
-	// oracle evaluator remains reachable via WithoutSpecialization as the
-	// ablation baseline (and as the fallback for expressions outside the
-	// tree's grammar, should the language grow one).
-	if !cfg.noSpecial && inc.Supported(an.Expr) {
-		// Correlation-key pushdown: when the analysis proved an equality
-		// attribute (CorrelationKey EQUAL or a spanning pairwise-equality
-		// conjunction — see lang.Analysis.PushKeyAttr), the matcher tree
-		// keys its join and negation stores by it; predicates outside that
-		// proof remain in the residual filterNode unchanged.
-		var opOpts []inc.OpOption
-		if an.PushKeyAttr != "" && !cfg.noPushdown {
-			opOpts = append(opOpts, inc.WithJoinKey(an.PushKeyAttr))
-			p.Rewrites = append(p.Rewrites, "correlation-pushdown("+an.PushKeyAttr+")")
-		}
-		p.Stages = append(p.Stages, inc.NewOp(an.Expr, an.Mode, an.Query.Name, opOpts...))
-		p.Rewrites = append(p.Rewrites, "incremental-pattern")
-	} else {
-		p.Stages = append(p.Stages, algebra.NewPatternOp(an.Expr, an.Mode, an.Query.Name))
+	// delta propagation instead of per-event re-derivation.
+	if !inc.Supported(an.Expr) {
+		return nil, fmt.Errorf("plan: %s: pattern expression %T is outside the incremental matcher's grammar", an.Query.Name, an.Expr)
 	}
+	// Correlation-key pushdown: when the analysis proved an equality
+	// attribute (CorrelationKey EQUAL or a spanning pairwise-equality
+	// conjunction — see lang.Analysis.PushKeyAttr), the matcher tree keys
+	// its join and negation stores by it; predicates outside that proof
+	// remain in the residual filterNode unchanged.
+	var opOpts []inc.OpOption
+	if an.PushKeyAttr != "" {
+		opOpts = append(opOpts, inc.WithJoinKey(an.PushKeyAttr))
+		p.Rewrites = append(p.Rewrites, "correlation-pushdown("+an.PushKeyAttr+")")
+	}
+	p.Stages = append(p.Stages, inc.NewOp(an.Expr, an.Mode, an.Query.Name, opOpts...))
+	p.Rewrites = append(p.Rewrites, "incremental-pattern")
 
 	// Slice before projection: both are stateless, and slicing first
 	// discards events the projection would otherwise transform.
@@ -217,14 +192,12 @@ func fromAnalysis(an *lang.Analysis, cfg config) (*Plan, error) {
 // structurally identical plan in a fresh process. It is what the engine's
 // durability layer logs for each registration.
 type Durable struct {
-	Src              string
-	HasSpec          bool
-	Spec             consistency.Spec
-	Shards           int
-	NoSpecialization bool
-	NoPushdown       bool
-	Share            bool
-	Bindings         map[string]event.Value
+	Src      string
+	HasSpec  bool
+	Spec     consistency.Spec
+	Shards   int
+	Share    bool
+	Bindings map[string]event.Value
 }
 
 // Durable returns the plan's serializable construction, or ok == false for
@@ -234,12 +207,10 @@ func (p *Plan) Durable() (Durable, bool) {
 		return Durable{}, false
 	}
 	d := Durable{
-		Src:              p.Src,
-		Shards:           p.cfg.shards,
-		NoSpecialization: p.cfg.noSpecial,
-		NoPushdown:       p.cfg.noPushdown,
-		Share:            p.cfg.share,
-		Bindings:         p.cfg.bindings,
+		Src:      p.Src,
+		Shards:   p.cfg.shards,
+		Share:    p.cfg.share,
+		Bindings: p.cfg.bindings,
 	}
 	if p.cfg.spec != nil {
 		d.HasSpec = true
@@ -258,12 +229,6 @@ func (d Durable) Options() []Option {
 	if d.Shards != 0 {
 		opts = append(opts, WithShards(d.Shards))
 	}
-	if d.NoSpecialization {
-		opts = append(opts, WithoutSpecialization())
-	}
-	if d.NoPushdown {
-		opts = append(opts, WithoutPushdown())
-	}
 	if d.Share {
 		opts = append(opts, WithSharing())
 	}
@@ -276,17 +241,16 @@ func (d Durable) Options() []Option {
 // ShareKey is the plan's execution-sharing identity: two registrations
 // whose keys are equal would build byte-identically behaving operator
 // chains, so the engine may run them on one shared chain. The key covers
-// the source text, the template bindings, the resolved consistency spec,
-// the requested shard count and the rewrite switches. ok is false for
-// hand-built plans (no source identity) — they never share.
+// the source text, the template bindings, the resolved consistency spec
+// and the requested shard count. ok is false for hand-built plans (no
+// source identity) — they never share.
 func (p *Plan) ShareKey() (string, bool) {
 	if p.Src == "" || p.an == nil {
 		return "", false
 	}
 	c := p.cfg
-	return fmt.Sprintf("%s\x1f%d,%d\x1f%d\x1f%t,%t\x1f%s",
-		p.Src, p.Spec.B, p.Spec.M, c.shards, c.noSpecial, c.noPushdown,
-		canonBindings(c.bindings)), true
+	return fmt.Sprintf("%s\x1f%d,%d\x1f%d\x1f%s",
+		p.Src, p.Spec.B, p.Spec.M, c.shards, canonBindings(c.bindings)), true
 }
 
 // canonBindings renders bindings deterministically (sorted keys, dynamic

@@ -4,8 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/algebra/inc"
 	"repro/internal/consistency"
+	"repro/internal/lang"
+	"repro/internal/operators"
 	"repro/internal/temporal"
 )
 
@@ -94,16 +97,27 @@ func TestSpecializationConditions(t *testing.T) {
 			t.Errorf("%s: rewrites = %v", q, p.Rewrites)
 		}
 	}
-	// The ablation escape hatch keeps the semi-naive evaluator reachable.
-	p, err := Compile(`EVENT E WHEN SEQUENCE(A a, B b, 10)`, WithoutSpecialization())
+	// The semi-naive oracle is a test-only construction: a reference plan
+	// is built by hand from the analysis, and such a plan has no durable
+	// form, no sharing identity and cannot be re-instantiated — so no
+	// engine path (WAL replay, fabric, shard fan-out) can reach it.
+	an, err := lang.Compile(`EVENT E WHEN SEQUENCE(A a, B b, 10)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(p.Stages[0].Name(), "pattern:") {
-		t.Errorf("WithoutSpecialization: stage 0 = %s, want semi-naive pattern op", p.Stages[0].Name())
+	ref := &Plan{Name: an.Query.Name, Spec: consistency.Middle(),
+		Stages: []operators.Op{algebra.NewPatternOp(an.Expr, an.Mode, an.Query.Name)}}
+	if !strings.HasPrefix(ref.Stages[0].Name(), "pattern:") {
+		t.Errorf("reference stage 0 = %s, want semi-naive pattern op", ref.Stages[0].Name())
 	}
-	if len(p.Rewrites) != 0 {
-		t.Errorf("WithoutSpecialization recorded rewrites: %v", p.Rewrites)
+	if _, ok := ref.Durable(); ok {
+		t.Error("hand-built oracle plan has a durable form")
+	}
+	if _, ok := ref.ShareKey(); ok {
+		t.Error("hand-built oracle plan has a sharing identity")
+	}
+	if _, err := ref.Fresh(); err == nil {
+		t.Error("hand-built oracle plan re-instantiated")
 	}
 }
 
@@ -113,7 +127,6 @@ func TestCorrelationPushdown(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
-		opts []Option
 		key  string // expected pushdown attribute; "" = no pushdown
 	}{
 		{name: "correlation-key-equal",
@@ -144,10 +157,6 @@ WHERE CorrelationKey(m, EQUAL)`,
 		{name: "single-alias-no-join",
 			src: `EVENT E WHEN ATMOST(2, A a, 10) WHERE CorrelationKey(m, EQUAL)`,
 			key: "m"},
-		{name: "disabled-by-option",
-			src:  `EVENT E WHEN SEQUENCE(A a, B b, 10) WHERE {a.m = b.m}`,
-			opts: []Option{WithoutPushdown()},
-			key:  ""},
 		// A duplicated positive alias makes Combine prime-rename the
 		// colliding payload keys (x.m → x.m'), which neither predicate
 		// family inspects — pushdown must refuse (for both shapes).
@@ -159,7 +168,7 @@ WHERE CorrelationKey(m, EQUAL)`,
 			key: ""},
 	}
 	for _, c := range cases {
-		p, err := Compile(c.src, c.opts...)
+		p, err := Compile(c.src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -41,18 +41,16 @@ func bindings(id string) Option {
 }
 
 // TestShareKeyIdentity: the sharing identity must separate every
-// configuration that changes execution — source, spec, shards, rewrites,
-// bindings — and nothing else.
+// configuration that changes execution — source, spec, shards, bindings —
+// and nothing else.
 func TestShareKeyIdentity(t *testing.T) {
 	base := shareKey(t, shareSrc)
 	if again := shareKey(t, shareSrc); again != base {
 		t.Error("identical compile produced a different share key")
 	}
 	distinct := map[string]string{
-		"spec":       shareKey(t, shareSrc, WithSpec(consistency.Strong())),
-		"shards":     shareKey(t, shareSrc, WithShards(4)),
-		"noSpecial":  shareKey(t, shareSrc, WithoutSpecialization()),
-		"noPushdown": shareKey(t, shareSrc, WithoutPushdown()),
+		"spec":   shareKey(t, shareSrc, WithSpec(consistency.Strong())),
+		"shards": shareKey(t, shareSrc, WithShards(4)),
 	}
 	for label, k := range distinct {
 		if k == base {

@@ -81,15 +81,16 @@ func (k Kind) String() string {
 // exactly the knobs plan.Compile accepts (see plan.Durable). Share and
 // Bindings are encoded behind flag bits a pre-fabric decoder never set, so
 // old-format registration records decode unchanged (Share false, Bindings
-// nil).
+// nil). Flag bits 0x2 and 0x4 selected the oracle evaluator and the flat
+// matcher in older binaries: the encoder never sets them and the decoder
+// ignores them, so such a log replays on the default plan, whose output is
+// byte-identical.
 type RegOpts struct {
-	HasSpec          bool
-	Spec             consistency.Spec
-	Shards           int
-	NoSpecialization bool
-	NoPushdown       bool
-	Share            bool
-	Bindings         map[string]event.Value
+	HasSpec  bool
+	Spec     consistency.Spec
+	Shards   int
+	Share    bool
+	Bindings map[string]event.Value
 }
 
 // Record is one log entry. Which fields are meaningful depends on Kind:
@@ -218,12 +219,6 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 		var flags byte
 		if r.Opts.HasSpec {
 			flags |= 1
-		}
-		if r.Opts.NoSpecialization {
-			flags |= 2
-		}
-		if r.Opts.NoPushdown {
-			flags |= 4
 		}
 		if r.Opts.Share {
 			flags |= 8
@@ -423,8 +418,6 @@ func DecodePayload(payload []byte) (Record, error) {
 		rec.Src = r.str()
 		flags := r.u8()
 		rec.Opts.HasSpec = flags&1 != 0
-		rec.Opts.NoSpecialization = flags&2 != 0
-		rec.Opts.NoPushdown = flags&4 != 0
 		rec.Opts.Share = flags&8 != 0
 		rec.Opts.Spec = r.spec()
 		// Signed round-trip: plan.AutoShards is a negative sentinel and

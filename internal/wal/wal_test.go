@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ func sampleRecords() []wal.Record {
 	composite.RT = 4
 	return []wal.Record{
 		{Kind: wal.KindRegister, Src: "EVENT E WHEN ANY(INSTALL x)", Opts: wal.RegOpts{
-			HasSpec: true, Spec: consistency.Strong(), Shards: 4, NoSpecialization: true, NoPushdown: true,
+			HasSpec: true, Spec: consistency.Strong(), Shards: 4,
 		}},
 		{Kind: wal.KindEvent, Ev: ev},
 		{Kind: wal.KindEvent, Ev: ret},
@@ -86,6 +87,49 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if l.LastSeq() != uint64(len(recs)) {
 		t.Fatalf("LastSeq = %d, want %d", l.LastSeq(), len(recs))
+	}
+}
+
+// registerPayload hand-encodes a registration record's payload (seq, kind,
+// source, flags, spec, shards) without going through AppendRecord, so the
+// decoder can be shown flag bits the encoder no longer writes.
+func registerPayload(seq uint64, src string, flags byte, spec consistency.Spec, shards int32) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint64(nil, seq)
+	b = append(b, byte(wal.KindRegister))
+	b = le.AppendUint32(b, uint32(len(src)))
+	b = append(b, src...)
+	b = append(b, flags)
+	b = le.AppendUint64(b, uint64(spec.B))
+	b = le.AppendUint64(b, uint64(spec.M))
+	return le.AppendUint32(b, uint32(shards))
+}
+
+// TestDecodeIgnoresRetiredPlanFlags: register flag bits 0x2 and 0x4 selected
+// the oracle evaluator and the flat matcher in older binaries. A record
+// carrying them must decode to exactly the record without them — the log
+// replays on the default plan.
+func TestDecodeIgnoresRetiredPlanFlags(t *testing.T) {
+	const src = "EVENT E WHEN SEQUENCE(A a, B b, 10)"
+	spec := consistency.Strong()
+	want := wal.Record{Seq: 9, Kind: wal.KindRegister, Src: src,
+		Opts: wal.RegOpts{HasSpec: true, Spec: spec, Shards: 4}}
+	for _, flags := range []byte{0x1, 0x1 | 0x2, 0x1 | 0x4, 0x1 | 0x2 | 0x4} {
+		got, err := wal.DecodePayload(registerPayload(9, src, flags, spec, 4))
+		if err != nil {
+			t.Fatalf("flags %#x: %v", flags, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("flags %#x decoded to\n %+v\nwant\n %+v", flags, got, want)
+		}
+	}
+	// The encoder never sets them: today's record is the flags-0x1 payload.
+	frame, err := wal.AppendRecord(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain := registerPayload(9, src, 0x1, spec, 4); !bytes.Equal(frame[8:], plain) {
+		t.Errorf("encoded payload\n %x\nwant\n %x", frame[8:], plain)
 	}
 }
 
