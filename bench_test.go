@@ -414,41 +414,63 @@ func BenchmarkMonitorScalingSharded(b *testing.B) {
 	}
 }
 
-// End-to-end sharded execution of the §3.1 query through the engine, on
-// the fleet stream (192 machines × 20 install/shutdown/restart cycles, in
-// order, a CTI every 10 minutes): long enough that steady-state matching,
-// not registration, dominates. The matcher's expiry sweep walks its whole
-// store, so key-sharding pays twice: each shard's store holds only its own
-// machines, a net win on one core before any parallel wall-clock gain. For
-// the multi-core scaling curve run the 8-shard point under
-// `go test -cpu 1,2,4,8`.
-func BenchmarkCIDR07Sharded(b *testing.B) {
+// fleetStream is the fleet workload the sharded and width benchmarks share:
+// n machines × 20 install/shutdown/restart cycles, in order, a CTI every 10
+// minutes — long enough that steady-state matching, not registration,
+// dominates.
+func fleetStream(n int) stream.Stream {
 	src, _ := workload.MachineEvents(workload.Machines{
-		Seed: 1, Machines: 192, Cycles: 20,
+		Seed: 1, Machines: n, Cycles: 20,
 		RestartDeadline: 5 * temporal.Minute, MissProb: 0.3,
 		CycleGap: 30 * temporal.Minute,
 	})
-	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
+	return delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
+}
+
+// fleetBench runs the §3.1 query at Middle over delivered on the given
+// shard count, reporting events/s.
+func fleetBench(b *testing.B, delivered stream.Stream, shards int) {
 	const q = `
 EVENT MissedRestart
 WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours), RESTART AS z, 5 minutes)
 WHERE CorrelationKey(Machine_Id, EQUAL)
 SC(each, consume)`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys := New()
+		query, err := sys.Register(q, WithSpec(Middle()), WithShards(shards))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Run(delivered)
+		if len(query.Alerts()) == 0 {
+			b.Fatal("no alerts")
+		}
+	}
+	b.ReportMetric(float64(len(delivered))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// End-to-end sharded execution of the §3.1 query through the engine, on
+// the 192-machine fleet stream. For the multi-core scaling curve run the
+// 8-shard point under `go test -cpu 1,2,4,8`.
+func BenchmarkCIDR07Sharded(b *testing.B) {
+	delivered := fleetStream(192)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys := New()
-				query, err := sys.Register(q, WithSpec(Middle()), WithShards(shards))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.Run(delivered)
-				if len(query.Alerts()) == 0 {
-					b.Fatal("no alerts")
-				}
-			}
-			b.ReportMetric(float64(len(delivered))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+			fleetBench(b, delivered, shards)
+		})
+	}
+}
+
+// The width sweep: the same query on 1 shard as the fleet — and with it the
+// matcher's live state — doubles three times. Per-event cost is O(affected
+// matches), not O(live state), so events/s should stay flat across the four
+// rows (ROADMAP, "Performance trajectory").
+func BenchmarkFleetWidth(b *testing.B) {
+	for _, n := range []int{24, 48, 96, 192} {
+		delivered := fleetStream(n)
+		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
+			fleetBench(b, delivered, 1)
 		})
 	}
 }

@@ -131,14 +131,36 @@ func evalType(t TypeExpr, store []event.Event) []Match {
 // the operator table. Both the denotational evaluator and the incremental
 // matcher tree derive composite headers, IDs and payloads through it.
 func Combine(ms []Match, w temporal.Duration) Match {
-	first, last := ms[0], ms[len(ms)-1]
-	ids := make([]event.ID, 0, len(ms))
-	cbt := make([]event.ID, 0, len(ms))
-	payload := event.Payload{}
+	ids := make([]event.ID, len(ms))
+	parts := make([]*Match, len(ms))
+	for i := range ms {
+		ids[i], parts[i] = ms[i].ID, &ms[i]
+	}
+	var m Match
+	CombineInto(&m, event.Pair(ids...), nil, parts, w)
+	return m
+}
+
+// CombineInto is Combine for a caller that already holds the composite's
+// ID (the incremental matcher computes it to look the composite up before
+// building it) and keeps the lineage in storage of its own: the composite's
+// CBT is laid out in cbt's backing array when that has the capacity, so
+// match and lineage can share one allocation.
+func CombineInto(dst *Match, id event.ID, cbt []event.ID, parts []*Match, w temporal.Duration) {
+	first, last := parts[0], parts[len(parts)-1]
+	nCBT, nPayload := 0, 0
+	for _, m := range parts {
+		nCBT += len(m.CBT)
+		nPayload += len(m.Payload)
+	}
+	if cap(cbt) < nCBT {
+		cbt = make([]event.ID, 0, nCBT)
+	}
+	cbt = cbt[:0]
+	payload := make(event.Payload, nPayload)
 	rt := first.RT
 	fin := temporal.MinTime
-	for _, m := range ms {
-		ids = append(ids, m.ID)
+	for _, m := range parts {
 		cbt = append(cbt, m.CBT...)
 		if m.RT < rt {
 			rt = m.RT
@@ -157,8 +179,8 @@ func Combine(ms []Match, w temporal.Duration) Match {
 			payload[key] = v
 		}
 	}
-	return Match{
-		ID:         event.Pair(ids...),
+	*dst = Match{
+		ID:         id,
 		V:          temporal.NewInterval(last.V.Start, first.V.Start.Add(w)),
 		RT:         rt,
 		FinalizeAt: fin,

@@ -1,6 +1,8 @@
 package inc
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -16,26 +18,24 @@ import (
 // can derive the same composite from different position subsets, so outputs
 // are reference-counted (the denotational evaluator dedupes by ID).
 //
-// Under correlation-key pushdown (keyed, see key.go) the per-position
+// Under correlation-key pushdown (see key.go and buildCtx) the per-position
 // stores are key-indexed exactly like seqNode's: a definite-key match
 // joins picks from its own bucket plus the wild list.
 type atLeastNode struct {
 	n     int
 	w     temporal.Duration
 	kids  []node
-	keyed bool // this node's lists are indexed by key
+	lists []keyedList // per-position join state, key-indexed where the node may
 
-	lists []keyedList // per-position join state
-
-	outs map[event.ID]algebra.Match
+	outs map[event.ID]*keyedMatch
 	refs map[event.ID]int
 	uses map[event.ID][]event.ID
 
-	picks  []algebra.Match // enumeration scratch
-	sorted []algebra.Match // time-sorted commit scratch
-	ids    []event.ID      // contributor-ID scratch for the interned lookup
-	kd     delta           // reusable child-transition scratch
-	comb   *combCache      // interned composites, shared with clones
+	picks  []*keyedMatch // enumeration scratch
+	sorted []*keyedMatch // time-sorted commit scratch
+	ids    []event.ID    // contributor-ID scratch for the interned lookup
+	kd     delta         // reusable child-transition scratch
+	comb   *combCache    // interned composites, shared with clones
 	u      *undoLog
 }
 
@@ -43,27 +43,27 @@ func newAtLeastNode(e algebra.AtLeastExpr, sh *shared, ctx buildCtx) *atLeastNod
 	a := &atLeastNode{
 		n:      e.N,
 		w:      e.W,
-		keyed:  ctx.joinKeyed(sh),
 		lists:  make([]keyedList, len(e.Kids)),
-		outs:   map[event.ID]algebra.Match{},
+		outs:   map[event.ID]*keyedMatch{},
 		refs:   map[event.ID]int{},
 		uses:   map[event.ID][]event.ID{},
-		picks:  make([]algebra.Match, 0, e.N),
-		sorted: make([]algebra.Match, e.N),
+		picks:  make([]*keyedMatch, 0, e.N),
+		sorted: make([]*keyedMatch, e.N),
 		ids:    make([]event.ID, e.N),
 		comb:   newCombCache(sh.key),
 		u:      sh.u,
 	}
-	for _, k := range e.Kids {
+	for i, k := range e.Kids {
+		a.lists[i].keyed = ctx.joinKeyed(sh)
 		a.kids = append(a.kids, build(k, sh, ctx))
 	}
 	return a
 }
 
-func (a *atLeastNode) push(e event.Event, out *delta) {
+func (a *atLeastNode) push(r *evRec, out *delta) {
 	for i, k := range a.kids {
 		a.kd.reset()
-		k.push(e, &a.kd)
+		k.push(r, &a.kd)
 		a.applyKid(i, out)
 	}
 }
@@ -85,51 +85,49 @@ func (a *atLeastNode) prune(horizon temporal.Time, out *delta) {
 }
 
 func (a *atLeastNode) applyKid(i int, out *delta) {
-	for j := range a.kd.items {
-		it := &a.kd.items[j]
-		k := route(a.keyed, it.key)
+	for _, it := range a.kd.items {
 		if it.del {
-			if a.lists[i].remove(it.m, k) {
-				a.u.listDel(&a.lists[i], &it.m, k)
+			if a.lists[i].remove(it.km) {
+				a.u.listDel(&a.lists[i], it.km)
 			}
-			for _, oid := range a.uses[it.m.ID] {
-				if _, ok := a.outs[oid]; !ok {
+			for _, oid := range a.uses[it.km.m.ID] {
+				km, ok := a.outs[oid]
+				if !ok {
 					continue
 				}
 				a.u.intMap(a.refs, oid)
 				a.refs[oid]--
 				if a.refs[oid] == 0 {
-					m := a.outs[oid]
-					a.u.matchMap(a.outs, oid)
+					a.u.matchMapKnown(a.outs, oid, km)
 					delete(a.outs, oid)
 					a.u.intMap(a.refs, oid)
 					delete(a.refs, oid)
-					out.del(m, a.comb.keyOf(oid, &m))
+					out.del(km)
 				}
 			}
-			a.u.usesDel(a.uses, it.m.ID)
-			delete(a.uses, it.m.ID)
+			a.u.usesDel(a.uses, it.km.m.ID)
+			delete(a.uses, it.km.m.ID)
 			continue
 		}
 		if a.n >= 1 && a.n <= len(a.kids) {
-			a.enumerate(i, it.m, k, out)
+			a.enumerate(i, it.km, out)
 		}
-		a.lists[i].insert(it.m, k)
-		a.u.listIns(&a.lists[i], &it.m, k)
+		a.lists[i].insert(it.km)
+		a.u.listIns(&a.lists[i], it.km)
 	}
 }
 
 // enumerate emits every n-subset of positions containing fix, with one
 // stored match per other chosen position, whose times are pairwise
 // distinct and within w of each other.
-func (a *atLeastNode) enumerate(fix int, nm algebra.Match, key corrKey, out *delta) {
+func (a *atLeastNode) enumerate(fix int, nm *keyedMatch, out *delta) {
 	picks := a.picks[:0]
 	picks = append(picks, nm)
-	minVs, maxVs := nm.V.Start, nm.V.Start
+	minVs, maxVs := nm.m.V.Start, nm.m.V.Start
 	var rec func(pos int, min, max temporal.Time)
 	commit := func() {
 		sorted := append(a.sorted[:0], picks...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].V.Start < sorted[j].V.Start })
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].m.V.Start < sorted[j].m.V.Start })
 		a.commit(sorted, out)
 	}
 	rec = func(pos int, min, max temporal.Time) {
@@ -150,57 +148,59 @@ func (a *atLeastNode) enumerate(fix int, nm algebra.Match, key corrKey, out *del
 				// [max - w, min + w].
 				lo := list.lowerBound(max.Add(-a.w))
 				for idx := lo; idx < len(list.ms); idx++ {
-					m := list.ms[idx]
-					if m.V.Start.Sub(min) > a.w {
+					km := list.ms[idx]
+					vs := km.m.V.Start
+					if vs.Sub(min) > a.w {
 						break
 					}
-					if a.clashes(picks, m.V.Start) {
+					if a.clashes(picks, vs) {
 						continue // strict time order after sorting = pairwise distinct
 					}
 					nmin, nmax := min, max
-					if m.V.Start < nmin {
-						nmin = m.V.Start
+					if vs < nmin {
+						nmin = vs
 					}
-					if m.V.Start > nmax {
-						nmax = m.V.Start
+					if vs > nmax {
+						nmax = vs
 					}
-					picks = append(picks, m)
+					picks = append(picks, km)
 					rec(p+1, nmin, nmax)
 					picks = picks[:len(picks)-1]
 				}
 			}
-			a.lists[p].scan(key, scan)
+			a.lists[p].scan(nm.key, scan)
 		}
 	}
 	rec(0, minVs, maxVs)
 	a.picks = picks[:0]
 }
 
-func (a *atLeastNode) clashes(picks []algebra.Match, vs temporal.Time) bool {
+func (a *atLeastNode) clashes(picks []*keyedMatch, vs temporal.Time) bool {
 	for _, p := range picks {
-		if p.V.Start == vs {
+		if p.m.V.Start == vs {
 			return true
 		}
 	}
 	return false
 }
 
-func (a *atLeastNode) commit(sorted []algebra.Match, out *delta) {
-	for i := range sorted {
-		a.ids[i] = sorted[i].ID
+func (a *atLeastNode) commit(sorted []*keyedMatch, out *delta) {
+	ids := a.ids[:len(sorted)]
+	for i, p := range sorted {
+		ids[i] = p.m.ID
 	}
-	id := event.Pair(a.ids[:len(sorted)]...)
+	id := event.Pair(ids...)
 	a.u.intMap(a.refs, id)
 	a.refs[id]++
-	for _, p := range sorted {
-		a.u.usesApp(a.uses, p.ID)
-		a.uses[p.ID] = append(a.uses[p.ID], id)
+	for _, pid := range ids {
+		a.u.usesApp(a.uses, pid)
+		a.uses[pid] = append(a.uses[pid], id)
 	}
 	if a.refs[id] == 1 {
 		km := a.comb.combined(id, sorted, a.w)
 		a.u.matchMap(a.outs, id)
-		a.outs[id] = km.m
-		out.add(km.m, km.key)
+		a.outs[id] = km
+		out.add(km)
 	}
 }
 
@@ -208,13 +208,12 @@ func (a *atLeastNode) clone(sh *shared) node {
 	c := &atLeastNode{
 		n:      a.n,
 		w:      a.w,
-		keyed:  a.keyed,
 		lists:  make([]keyedList, len(a.lists)),
-		outs:   make(map[event.ID]algebra.Match, len(a.outs)),
-		refs:   make(map[event.ID]int, len(a.refs)),
+		outs:   maps.Clone(a.outs),
+		refs:   maps.Clone(a.refs),
 		uses:   make(map[event.ID][]event.ID, len(a.uses)),
-		picks:  make([]algebra.Match, 0, a.n),
-		sorted: make([]algebra.Match, a.n),
+		picks:  make([]*keyedMatch, 0, a.n),
+		sorted: make([]*keyedMatch, a.n),
 		ids:    make([]event.ID, a.n),
 		comb:   a.comb,
 		u:      sh.u,
@@ -225,14 +224,8 @@ func (a *atLeastNode) clone(sh *shared) node {
 	for i := range a.lists {
 		c.lists[i] = a.lists[i].clone()
 	}
-	for id, m := range a.outs {
-		c.outs[id] = m
-	}
-	for id, r := range a.refs {
-		c.refs[id] = r
-	}
 	for id, v := range a.uses {
-		c.uses[id] = append([]event.ID(nil), v...)
+		c.uses[id] = slices.Clone(v)
 	}
 	return c
 }

@@ -1,6 +1,8 @@
 package inc
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -22,15 +24,13 @@ type atMostNode struct {
 	// entries: every live contributor match, sorted by (Vs, ID); cnt is
 	// the number of entries in [Vs, Vs+w).
 	entries []amEntry
-	outs    map[event.ID]algebra.Match
 	refs    map[event.ID]int
 	kd      delta // reusable child-transition scratch
 	u       *undoLog
 }
 
 type amEntry struct {
-	m   algebra.Match
-	key corrKey // m's correlation key, passed through to the anchor's output
+	km  *keyedMatch
 	cnt int
 }
 
@@ -41,7 +41,6 @@ func newAtMostNode(e algebra.AtMostExpr, sh *shared, ctx buildCtx) *atMostNode {
 	a := &atMostNode{
 		n:    e.N,
 		w:    e.W,
-		outs: map[event.ID]algebra.Match{},
 		refs: map[event.ID]int{},
 		u:    sh.u,
 	}
@@ -51,10 +50,10 @@ func newAtMostNode(e algebra.AtMostExpr, sh *shared, ctx buildCtx) *atMostNode {
 	return a
 }
 
-func (a *atMostNode) push(e event.Event, out *delta) {
+func (a *atMostNode) push(r *evRec, out *delta) {
 	for _, k := range a.kids {
 		a.kd.reset()
-		k.push(e, &a.kd)
+		k.push(r, &a.kd)
 		a.apply(out)
 	}
 }
@@ -77,92 +76,87 @@ func (a *atMostNode) prune(horizon temporal.Time, out *delta) {
 
 // lowerBound is the first index with Vs >= t.
 func (a *atMostNode) lowerBound(t temporal.Time) int {
-	return sort.Search(len(a.entries), func(i int) bool { return a.entries[i].m.V.Start >= t })
+	return sort.Search(len(a.entries), func(i int) bool { return a.entries[i].km.m.V.Start >= t })
 }
 
 func (a *atMostNode) apply(out *delta) {
-	for k := range a.kd.items {
-		it := &a.kd.items[k]
-		t := it.m.V.Start
+	for _, it := range a.kd.items {
+		m := &it.km.m
+		t := m.V.Start
 		if it.del {
 			// Drop one entry with this identity.
 			i := a.lowerBound(t)
-			for i < len(a.entries) && !(a.entries[i].m.ID == it.m.ID && a.entries[i].m.V.Start == t) {
+			for i < len(a.entries) && !(a.entries[i].km.m.ID == m.ID && a.entries[i].km.m.V.Start == t) {
 				i++
 			}
 			if i == len(a.entries) {
 				continue
 			}
 			gone := a.entries[i]
-			a.entries = append(a.entries[:i], a.entries[i+1:]...)
+			a.entries = slices.Delete(a.entries, i, i+1)
 			a.u.amDel(a, i, gone)
 			if gone.cnt <= a.n {
-				a.deref(&gone, out)
+				a.deref(gone.km, out)
 			}
 			// Anchors whose window [Vs, Vs+w) contained t lose one.
-			for j := a.lowerBound(t.Add(-a.w) + 1); j < len(a.entries) && a.entries[j].m.V.Start <= t; j++ {
+			for j := a.lowerBound(t.Add(-a.w) + 1); j < len(a.entries) && a.entries[j].km.m.V.Start <= t; j++ {
 				a.u.amCnt(a, j, false)
 				a.entries[j].cnt--
 				if a.entries[j].cnt == a.n {
-					a.ref(&a.entries[j], out)
+					a.ref(a.entries[j].km, out)
 				}
 			}
 			continue
 		}
 		// Insert, computing the new entry's own count over [t, t+w).
-		i := sort.Search(len(a.entries), func(i int) bool { return !matchBefore(&a.entries[i].m, &it.m) })
-		a.entries = append(a.entries, amEntry{})
-		copy(a.entries[i+1:], a.entries[i:])
-		a.entries[i] = amEntry{m: it.m, key: it.key} // place before searching: the array must be sorted
+		i := sort.Search(len(a.entries), func(i int) bool { return !matchBefore(&a.entries[i].km.m, m) })
+		a.entries = slices.Insert(a.entries, i, amEntry{km: it.km}) // place before counting: the array must be sorted
 		a.entries[i].cnt = a.lowerBound(t.Add(a.w)) - a.lowerBound(t)
 		a.u.amIns(a, i)
 		// Existing anchors whose window contains t gain one.
-		for j := a.lowerBound(t.Add(-a.w) + 1); j < len(a.entries) && a.entries[j].m.V.Start <= t; j++ {
+		for j := a.lowerBound(t.Add(-a.w) + 1); j < len(a.entries) && a.entries[j].km.m.V.Start <= t; j++ {
 			if j == i {
 				continue
 			}
 			a.u.amCnt(a, j, true)
 			a.entries[j].cnt++
 			if a.entries[j].cnt == a.n+1 {
-				a.deref(&a.entries[j], out)
+				a.deref(a.entries[j].km, out)
 			}
 		}
 		if a.entries[i].cnt <= a.n {
-			a.ref(&a.entries[i], out)
+			a.ref(it.km, out)
 		}
 	}
 }
 
-// transform derives the anchor's output, per the ATMOST operator row.
-func (a *atMostNode) transform(b algebra.Match) algebra.Match {
-	m := b
-	m.ID = event.Pair(b.ID)
-	m.V = temporal.NewInterval(b.V.Start, b.V.Start.Add(a.w))
-	m.FinalizeAt = b.V.Start.Add(a.w)
-	return m
+// output derives the anchor's output, per the ATMOST operator row, once per
+// anchor match (keyedMatch.up).
+func (a *atMostNode) output(b *keyedMatch) *keyedMatch {
+	if b.up == nil {
+		end := b.m.V.Start.Add(a.w)
+		b.rehead(event.Pair(b.m.ID), temporal.NewInterval(b.m.V.Start, end), end)
+	}
+	return b.up
 }
 
-func (a *atMostNode) ref(b *amEntry, out *delta) {
-	m := a.transform(b.m)
-	a.u.intMap(a.refs, m.ID)
-	a.refs[m.ID]++
-	if a.refs[m.ID] == 1 {
-		a.u.matchMap(a.outs, m.ID)
-		a.outs[m.ID] = m
-		out.add(m, b.key)
+func (a *atMostNode) ref(b *keyedMatch, out *delta) {
+	o := a.output(b)
+	a.u.intMap(a.refs, o.m.ID)
+	a.refs[o.m.ID]++
+	if a.refs[o.m.ID] == 1 {
+		out.add(o)
 	}
 }
 
-func (a *atMostNode) deref(b *amEntry, out *delta) {
-	m := a.transform(b.m)
-	a.u.intMap(a.refs, m.ID)
-	a.refs[m.ID]--
-	if a.refs[m.ID] == 0 {
-		a.u.intMap(a.refs, m.ID)
-		delete(a.refs, m.ID)
-		a.u.matchMap(a.outs, m.ID)
-		delete(a.outs, m.ID)
-		out.del(m, b.key)
+func (a *atMostNode) deref(b *keyedMatch, out *delta) {
+	o := a.output(b)
+	a.u.intMap(a.refs, o.m.ID)
+	a.refs[o.m.ID]--
+	if a.refs[o.m.ID] == 0 {
+		a.u.intMap(a.refs, o.m.ID)
+		delete(a.refs, o.m.ID)
+		out.del(o)
 	}
 }
 
@@ -170,19 +164,12 @@ func (a *atMostNode) clone(sh *shared) node {
 	c := &atMostNode{
 		n:       a.n,
 		w:       a.w,
-		entries: append([]amEntry(nil), a.entries...),
-		outs:    make(map[event.ID]algebra.Match, len(a.outs)),
-		refs:    make(map[event.ID]int, len(a.refs)),
+		entries: slices.Clone(a.entries),
+		refs:    maps.Clone(a.refs),
 		u:       sh.u,
 	}
 	for _, k := range a.kids {
 		c.kids = append(c.kids, k.clone(sh))
-	}
-	for id, m := range a.outs {
-		c.outs[id] = m
-	}
-	for id, r := range a.refs {
-		c.refs[id] = r
 	}
 	return c
 }

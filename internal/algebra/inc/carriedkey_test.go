@@ -60,17 +60,17 @@ func wrapKeys(t testing.TB, n node, cfg *keyCfg, seen *int) node {
 
 func (w *keyWatch) check(out *delta, from int) {
 	for _, it := range out.items[from:] {
-		if want := w.cfg.of(it.m.Payload); it.key != want {
+		if want := w.cfg.of(it.km.m.Payload); it.km.key != want {
 			w.t.Fatalf("%T emitted match %d (del=%v) carrying key %+v, of(payload) = %+v, payload %v",
-				w.kid, it.m.ID, it.del, it.key, want, it.m.Payload)
+				w.kid, it.km.m.ID, it.del, it.km.key, want, it.km.m.Payload)
 		}
 		*w.seen++
 	}
 }
 
-func (w *keyWatch) push(e event.Event, out *delta) {
+func (w *keyWatch) push(r *evRec, out *delta) {
 	n := len(out.items)
-	w.kid.push(e, out)
+	w.kid.push(r, out)
 	w.check(out, n)
 }
 

@@ -19,9 +19,12 @@ import (
 // pruning — mid-stream clone swaps, and checkpoint capture/rollback/compact
 // over the undo journal), which is then driven through the incremental op
 // and the frozen semi-naive oracle with byte-exact comparison at every
-// step. Keyed shapes run with WithJoinKey, so the
-// pushdown's bucket seams (definite, wild and missing-attribute matches)
-// are fuzzed against the same oracle. Run it as a fuzzer with
+// step. Inserts may be stragglers — occurrences below the newest one, which
+// the expiry queues file by binary insert instead of at their tails — and a
+// far advance may be Advance(∞), the wholesale reset, mid-script. Keyed
+// shapes run with WithJoinKey, so the pushdown's bucket seams (definite,
+// wild and missing-attribute matches) are fuzzed against the same oracle.
+// Run it as a fuzzer with
 //
 //	go test -run '^$' -fuzz '^FuzzIncVsOracle$' -fuzztime 30s ./internal/algebra/inc
 //
@@ -54,11 +57,11 @@ func fuzzShapes() []fuzzShape {
 // Script opcodes: each step consumes two bytes (c, a). c's low nibble
 // selects the action, the rest parameterizes it — see decode below.
 const (
-	fuzzOpInsertMax = 9  // 0..9: insert (weighted toward inserts)
+	fuzzOpInsertMax = 9  // 0..9: insert (weighted toward inserts); c&0x80: a straggler
 	fuzzOpRemove    = 10 // 10,11: aligned full removal
 	fuzzOpAdvance   = 12 // 12,13: small advance
 	fuzzOpClone     = 14 // version/clone ops, sub-selected by a%4 (see decode)
-	fuzzOpFarAdv    = 15 // far advance: forces watermark pruning
+	fuzzOpFarAdv    = 15 // far advance: forces scope pruning; a == 0xff: Advance(∞)
 )
 
 func FuzzIncVsOracle(f *testing.F) {
@@ -138,6 +141,42 @@ func FuzzIncVsOracle(f *testing.F) {
 		f.Add(append(seed, tail...))
 	}
 
+	// Scripts that straddle expiry (the scripted rollback differential,
+	// driveAcrossExpiry, has the same seams as a plain test): a lazy clone
+	// taken while the queues have a popped prefix, stragglers below the
+	// queues' tails, a retraction whose stale entry pops later, one version
+	// rolled back to twice across a run of pops, and the Advance(∞) reset
+	// between two versions, rewound one at a time.
+	straddle := []byte{
+		0x00, 0x05, 0x10, 0x06, 0x20, 0x07, 0x00, 0x09, 0x10, 0x0a, 0x20, 0x0b, // inserts
+		0x0f, 0x00, // far advance: a run of pops
+		0x0e, 0x00, // clone swap: lazy, the journal is still off
+		0x00, 0x05, 0x10, 0x06, 0x20, 0x07, 0x00, 0x09, // inserts
+		0x0e, 0x01, // mark #0
+		0x80, 0x02, 0x90, 0x01, // stragglers
+		0x0a, 0x02, // remove
+		0x0f, 0x00, // far advance: pops, the removed event's stale entry among them
+		0x00, 0x05, 0x10, 0x06, // inserts
+		0x0e, 0x02, // rollback to #0
+		0x0f, 0x08, // far advance: a different run
+		0x20, 0x07, // insert
+		0x0e, 0x02, // rollback to #0 again
+		0x0e, 0x05, // mark #1
+		0x0f, 0xff, // Advance(∞): the reset
+		0x00, 0x05, 0x10, 0x06, // inserts
+		0x0e, 0x09, // mark #2
+		0x20, 0x07, // insert
+		0x0e, 0x0a, // rollback to #2
+		0x0e, 0x06, // rollback to #1, across the reset
+		0x00, 0x05, 0xa0, 0x03, // insert, straggler
+		0x0f, 0x10, // far advance
+		0x0e, 0x07, // compact to #1
+		0x10, 0x06, // insert
+	}
+	for i, name := range []string{"cidr07", "kcidr07", "seq3", "atmost2", "unless-prime", "katleast", "not", "kcancel"} {
+		f.Add(append([]byte{shapeIdx(name), byte(i % 4), byte(i % 4)}, straddle...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -185,8 +224,17 @@ func FuzzIncVsOracle(f *testing.F) {
 			label := fmt.Sprintf("%s %v keys=%d step=%d", shape.name, mode, keys, i)
 			switch op := c & 0x0f; {
 			case op <= fuzzOpInsertMax:
-				if a&0x03 != 0 { // 1 in 4 shares the previous timestamp
+				at := vs
+				if c&0x80 != 0 {
+					// A straggler: below the newest occurrence (and the
+					// expiry queues' tails), not below the last advance.
+					at = max(vs-temporal.Time(a&0x03)-1, 0)
+					if !lastAdvance.IsInfinite() {
+						at = max(at, lastAdvance)
+					}
+				} else if a&0x03 != 0 { // 1 in 4 shares the previous timestamp
 					vs += temporal.Time(a&0x03) + 1
+					at = vs
 				}
 				p := event.Payload{"i": int64(nextID)}
 				switch key := int(a>>2) % (keys + 5); {
@@ -206,7 +254,7 @@ func FuzzIncVsOracle(f *testing.F) {
 				default:
 					p["k"] = float64(3)
 				}
-				e := event.NewInsert(nextID, types[int(c>>4)%len(types)], vs,
+				e := event.NewInsert(nextID, types[int(c>>4)%len(types)], at,
 					temporal.Infinity, p)
 				nextID++
 				checkStep(t, label+" insert", oracle, fast,
@@ -268,8 +316,11 @@ func FuzzIncVsOracle(f *testing.F) {
 					marks = marks[j:]
 					checkStep(t, label+" compact", oracle, fast, nil, nil)
 				}
-			default: // far advance: pushes the watermark past live state
+			default: // far advance: pushes the horizon past live state
 				adv := vs.Add(temporal.Duration(a) + 64)
+				if a == 0xff {
+					adv = temporal.Infinity
+				}
 				if adv > lastAdvance {
 					lastAdvance = adv
 				}

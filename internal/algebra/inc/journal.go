@@ -1,7 +1,8 @@
 package inc
 
 import (
-	"repro/internal/algebra"
+	"slices"
+
 	"repro/internal/event"
 	"repro/internal/temporal"
 )
@@ -19,28 +20,34 @@ import (
 // What is journaled and what is provably safe to skip:
 //
 //   - Every map/store/list mutation is journaled with an exact inverse
-//     (prior value + existence for map keys, the removed/inserted value
-//     for sorted lists, index-based records — sound under strict LIFO —
-//     for the pending list and the ATMOST entry array).
-//   - Op scalars (frontier, watermarks, mature fast-path state) are NOT
-//     journaled per mutation: a barrier snapshots all of them, and
-//     Rollback restores the barrier's copy wholesale.
-//   - The interning caches (combCache entries, leaf payload interning) are
-//     never journaled: entries are immutable values keyed by globally
-//     unique IDs, so a post-rollback re-derivation that hits a cache entry
-//     surviving from the undone future gets the byte-identical match it
-//     would have rebuilt.
+//     (the prior reference + existence for map keys, the removed/inserted
+//     reference for sorted lists, index-based records — sound under strict
+//     LIFO — for the pending list, the ATMOST entry array and the expiry
+//     queues, whose pops are one record per run: the head they started at).
+//   - Op scalars (frontier, mature fast-path state) are NOT journaled per
+//     mutation: a barrier snapshots all of them, and Rollback restores the
+//     barrier's copy wholesale.
+//   - The interning caches (event records, composites, leaf matches, the
+//     re-headed forms memoized on a match) are never journaled: entries are
+//     immutable values keyed by globally unique IDs, so a post-rollback
+//     re-derivation that hits an entry surviving from the undone future
+//     gets the byte-identical match it would have rebuilt — and one that
+//     misses (a cache reset) builds an equal match at another address,
+//     which is why nothing here compares references.
 //   - negNode.maxSpan is never journaled: it only widens, and a
 //     stale-too-wide span merely starts the candidate scan earlier — every
 //     visited candidate is still filtered exactly.
 //   - Scratch buffers (deltas, selection/commit scratch) are not state.
 //
-// Allocation discipline: records go into one flat spine slice; heavyweight
-// payloads (matches, events, candidate structs, ID slices) go into typed
-// side stacks popped in the same LIFO order the spine is undone in, so the
-// steady state appends into amortized-reused backing arrays and the
-// journaling cost per mutation is O(1) with no per-record boxing beyond
-// the two interface words the spine record already carries.
+// Allocation discipline: records go into one flat spine slice; what a
+// record must remember beyond its scalars — a match or event-record
+// reference, a candidate, an ID slice — goes into typed side stacks popped
+// in the same LIFO order the spine is undone in. Matches and events are
+// held by reference (they are immutable and interned), so a record costs a
+// pointer, not a copy; the steady state appends into amortized-reused
+// backing arrays and the journaling cost per mutation is O(1) with no
+// per-record boxing beyond the two interface words the spine record
+// already carries.
 type undoLog struct {
 	on   bool
 	base uint64    // absolute position of recs[0]
@@ -56,9 +63,8 @@ type undoLog struct {
 	run []undoRec
 
 	// Side payload stacks, LIFO-paired with the spine records that use them.
-	ms   []algebra.Match
-	ks   []corrKey // routing keys of the keyed-store records (key.go)
-	evs  []event.Event
+	ms   []*keyedMatch
+	evs  []*evRec
 	cs   []negCand
 	ams  []amEntry
 	idss [][]event.ID
@@ -69,15 +75,14 @@ type undoLog struct {
 	// entries compact has dropped from each. Together with the per-barrier
 	// top positions recorded at mark time they make compact's payload
 	// accounting O(1) instead of a per-record scan of the dropped prefix.
-	msDrop, ksDrop, evsDrop, csDrop, amsDrop, idssDrop, rstsDrop, scalDrop uint64
+	msDrop, evsDrop, csDrop, amsDrop, idssDrop, rstsDrop, scalDrop uint64
 }
 
 // undoRec is one spine record. The kind decides which fields are live; node
-// holds the mutated container (a map, a *keyedList, or the owning node) as
-// an interface over a pointer-shaped value, so appending a record never
-// allocates. The routing key a keyed-store mutation filed its match or
-// candidate under (as carried by the delta item, key.go) rides the ks
-// stack, so the other record kinds do not pay for it.
+// holds the mutated container (a map, a *keyedList, an expiry queue or the
+// owning node) as an interface over a pointer-shaped value, so appending a
+// record never allocates. The routing key a keyed store filed a match or
+// candidate under is re-derived from the match's own key on undo.
 type undoRec struct {
 	kind uint8
 	flag bool
@@ -88,27 +93,35 @@ type undoRec struct {
 }
 
 const (
-	jBarrier  uint8 = iota // a Mark point; payload: scal
-	jEvMap                 // map[ID]Event set/delete; flag=existed; payload evs if existed
-	jTimeMap               // map[ID]Time set/delete; flag=existed; t=old
-	jIntMap                // map[ID]int set/delete; flag=existed; i=old
-	jMatchMap              // map[ID]Match set/delete; flag=existed; payload ms if existed
-	jListIns               // keyedList.insert; payload ms, ks
-	jListDel               // keyedList.remove (successful); payload ms, ks
-	jPendIns               // pendingList.insertAt(i)
-	jPendDel               // pendingList.removeAt(i); payload ms
-	jPendSet               // pendingList.ms[i] overwrite; payload ms (old)
-	jUsesApp               // uses[id] append; flag=existed; i=old len
-	jUsesDel               // delete(uses, id); payload idss
-	jAmIns                 // atMost entries insert at i
-	jAmDel                 // atMost entries remove at i; payload ams
-	jAmCnt                 // atMost entries[i].cnt += delta; flag = delta>0
-	jCandAdd               // negNode.candAdd; t=lo, id=a.ID; payload ks
-	jCandDel               // negNode.candRemove (successful); payload cs
-	jBlock                 // negCand.blockers += delta; t=lo, id=a.ID; flag = delta>0; payload ks
-	jLeafMin               // leafNode.minVs assignment; t=old
-	jReset                 // Advance(∞) full reset; payload rsts
+	jBarrier   uint8 = iota // a Mark point; payload: scal
+	jRecMap                 // map[ID]*evRec set/delete; flag=existed; payload evs if existed
+	jTimeMap                // map[ID]Time set/delete; flag=existed; t=old
+	jIntMap                 // map[ID]int set/delete; flag=existed; i=old
+	jMatchMap               // map[ID]*keyedMatch set/delete; flag=existed; payload ms if existed
+	jListIns                // keyedList.insert; payload ms
+	jListDel                // keyedList.remove (successful); payload ms
+	jPendIns                // pendingList.insertAt(i)
+	jPendDel                // pendingList.removeAt(i); payload ms
+	jPendSet                // pendingList.ms[i] overwrite; payload ms (old)
+	jUsesApp                // uses[id] append; flag=existed; i=old len
+	jUsesDel                // delete(uses, id); payload idss
+	jAmIns                  // atMost entries insert at i
+	jAmDel                  // atMost entries remove at i; payload ams
+	jAmCnt                  // atMost entries[i].cnt += delta; flag = delta>0
+	jCandAdd                // negNode.candAdd; t=lo; payload ms (the positive match)
+	jCandDel                // negNode.candRemove (successful); payload cs
+	jBlock                  // negCand.blockers += delta; t=lo; flag = delta>0; payload ms (the positive match)
+	jQueuePush              // expiryQueue.push at absolute index i
+	jQueuePop               // expiryQueue.expire run; i=old head, id=new head (absolute)
+	jReset                  // Advance(∞) full reset; payload rsts
 )
+
+// undoQueue is the journal's view of an expiry queue of either entry type.
+type undoQueue interface {
+	unpush(i int)
+	unpop(head int)
+	reclaim(to int)
+}
 
 // opScalars is the barrier payload: every Op scalar Rollback restores
 // wholesale, plus the absolute top positions of the payload stacks at mark
@@ -120,10 +133,8 @@ type opScalars struct {
 	minFutureFin temporal.Time
 	dirty        bool
 	stable       int
-	lowVs        temporal.Time
-	lowEmit      temporal.Time
 
-	nMs, nKs, nEvs, nCs, nAms, nIdss, nRsts uint64
+	nMs, nEvs, nCs, nAms, nIdss, nRsts uint64
 }
 
 // resetState is the jReset payload: the wholesale-replaced containers of an
@@ -131,9 +142,10 @@ type opScalars struct {
 type resetState struct {
 	sh       *shared
 	root     node
-	store    map[event.ID]event.Event
-	consumed map[event.ID]event.Event
-	pending  []algebra.Match
+	store    map[event.ID]*evRec
+	consumed map[event.ID]*evRec
+	expiry   *expiryQueue[*evRec]
+	pending  []*keyedMatch
 }
 
 // ---- record appenders ----
@@ -142,28 +154,26 @@ type resetState struct {
 // single predictable branch while off (the legacy clone-driven paths and
 // every standalone operator).
 
-func (u *undoLog) evMap(m map[event.ID]event.Event, id event.ID) {
+func (u *undoLog) recMap(m map[event.ID]*evRec, id event.ID) {
 	if u.on {
-		u.evMapSlow(m, id)
+		old, existed := m[id]
+		u.recMapSlow(m, id, old, existed)
 	}
 }
 
-func (u *undoLog) evMapSlow(m map[event.ID]event.Event, id event.ID) {
-	old, existed := m[id]
+// recMapKnown is recMap for call sites that already hold the entry from a
+// lookup they performed anyway, spared the duplicate map access.
+func (u *undoLog) recMapKnown(m map[event.ID]*evRec, id event.ID, old *evRec) {
+	if u.on {
+		u.recMapSlow(m, id, old, true)
+	}
+}
+
+func (u *undoLog) recMapSlow(m map[event.ID]*evRec, id event.ID, old *evRec, existed bool) {
 	if existed {
 		u.evs = append(u.evs, old)
 	}
-	u.run = append(u.run, undoRec{kind: jEvMap, flag: existed, id: id, node: m})
-}
-
-// evMapKnown is evMap for call sites that already hold the entry from a
-// lookup or iteration they performed anyway — the hottest appender on the
-// consume/prune paths, spared its duplicate map access.
-func (u *undoLog) evMapKnown(m map[event.ID]event.Event, id event.ID, old event.Event) {
-	if u.on {
-		u.evs = append(u.evs, old)
-		u.run = append(u.run, undoRec{kind: jEvMap, flag: true, id: id, node: m})
-	}
+	u.run = append(u.run, undoRec{kind: jRecMap, flag: existed, id: id, node: m})
 }
 
 func (u *undoLog) timeMap(m map[event.ID]temporal.Time, id event.ID) {
@@ -188,36 +198,43 @@ func (u *undoLog) intMapSlow(m map[event.ID]int, id event.ID) {
 	u.run = append(u.run, undoRec{kind: jIntMap, flag: existed, id: id, i: old, node: m})
 }
 
-func (u *undoLog) matchMap(m map[event.ID]algebra.Match, id event.ID) {
+func (u *undoLog) matchMap(m map[event.ID]*keyedMatch, id event.ID) {
 	if u.on {
-		u.matchMapSlow(m, id)
+		old, existed := m[id]
+		u.matchMapSlow(m, id, old, existed)
 	}
 }
 
-func (u *undoLog) matchMapSlow(m map[event.ID]algebra.Match, id event.ID) {
-	old, existed := m[id]
+// matchMapKnown is matchMap for a caller that already holds the entry.
+func (u *undoLog) matchMapKnown(m map[event.ID]*keyedMatch, id event.ID, old *keyedMatch) {
+	if u.on {
+		u.matchMapSlow(m, id, old, true)
+	}
+}
+
+func (u *undoLog) matchMapSlow(m map[event.ID]*keyedMatch, id event.ID, old *keyedMatch, existed bool) {
 	if existed {
 		u.ms = append(u.ms, old)
 	}
 	u.run = append(u.run, undoRec{kind: jMatchMap, flag: existed, id: id, node: m})
 }
 
-func (u *undoLog) listIns(l *keyedList, m *algebra.Match, k corrKey) {
+func (u *undoLog) listIns(l *keyedList, km *keyedMatch) {
 	if u.on {
-		u.listSlow(jListIns, l, m, k)
+		u.matchRec(undoRec{kind: jListIns, node: l}, km)
 	}
 }
 
-func (u *undoLog) listDel(l *keyedList, m *algebra.Match, k corrKey) {
+func (u *undoLog) listDel(l *keyedList, km *keyedMatch) {
 	if u.on {
-		u.listSlow(jListDel, l, m, k)
+		u.matchRec(undoRec{kind: jListDel, node: l}, km)
 	}
 }
 
-func (u *undoLog) listSlow(kind uint8, l *keyedList, m *algebra.Match, k corrKey) {
-	u.ms = append(u.ms, *m)
-	u.ks = append(u.ks, k)
-	u.run = append(u.run, undoRec{kind: kind, node: l})
+// matchRec appends r with km as its ms payload.
+func (u *undoLog) matchRec(r undoRec, km *keyedMatch) {
+	u.ms = append(u.ms, km)
+	u.run = append(u.run, r)
 }
 
 func (u *undoLog) pendIns(l *pendingList, i int) {
@@ -239,8 +256,7 @@ func (u *undoLog) pendSet(l *pendingList, i int) {
 }
 
 func (u *undoLog) pendSlow(kind uint8, l *pendingList, i int) {
-	u.ms = append(u.ms, l.ms[i])
-	u.run = append(u.run, undoRec{kind: kind, i: i, node: l})
+	u.matchRec(undoRec{kind: kind, i: i, node: l}, l.ms[i])
 }
 
 func (u *undoLog) usesApp(m map[event.ID][]event.ID, id event.ID) {
@@ -292,10 +308,9 @@ func (u *undoLog) amCnt(n *atMostNode, i int, inc bool) {
 	}
 }
 
-func (u *undoLog) candAdd(n *negNode, lo temporal.Time, id event.ID, k corrKey) {
+func (u *undoLog) candAdd(n *negNode, c *negCand) {
 	if u.on {
-		u.ks = append(u.ks, k)
-		u.run = append(u.run, undoRec{kind: jCandAdd, t: lo, id: id, node: n})
+		u.matchRec(undoRec{kind: jCandAdd, t: c.lo, node: n}, c.a)
 	}
 }
 
@@ -306,18 +321,23 @@ func (u *undoLog) candDel(n *negNode, c *negCand) {
 	}
 }
 
-// block journals a blocker-count change of c, re-locatable by its routing
-// key, lo and ID (never store a *negCand — the slice backing reallocates).
+// block journals a blocker-count change of c, re-locatable by its positive
+// match and lo (never store a *negCand — the slice backing reallocates).
 func (u *undoLog) block(n *negNode, c *negCand, inc bool) {
 	if u.on {
-		u.ks = append(u.ks, route(n.keyed, c.key))
-		u.run = append(u.run, undoRec{kind: jBlock, t: c.lo, id: c.a.ID, flag: inc, node: n})
+		u.matchRec(undoRec{kind: jBlock, t: c.lo, flag: inc, node: n}, c.a)
 	}
 }
 
-func (u *undoLog) leafMin(l *leafNode) {
+func (u *undoLog) queuePush(q undoQueue, i int) {
 	if u.on {
-		u.run = append(u.run, undoRec{kind: jLeafMin, t: l.minVs, node: l})
+		u.run = append(u.run, undoRec{kind: jQueuePush, i: i, node: q})
+	}
+}
+
+func (u *undoLog) queuePop(q undoQueue, from, to int) {
+	if u.on {
+		u.run = append(u.run, undoRec{kind: jQueuePop, i: from, id: event.ID(to), node: q})
 	}
 }
 
@@ -329,7 +349,8 @@ func (u *undoLog) reset(p *Op) {
 
 func (u *undoLog) resetSlow(p *Op) {
 	u.rsts = append(u.rsts, resetState{
-		sh: p.sh, root: p.root, store: p.store, consumed: p.consumed, pending: p.pending.ms,
+		sh: p.sh, root: p.root, store: p.store, consumed: p.consumed, expiry: p.expiry,
+		pending: p.pending.ms,
 	})
 	u.run = append(u.run, undoRec{kind: jReset, node: p})
 }
@@ -358,11 +379,8 @@ func (u *undoLog) mark(p *Op) uint64 {
 		minFutureFin: p.minFutureFin,
 		dirty:        p.dirty,
 		stable:       p.stable,
-		lowVs:        p.lowVs,
-		lowEmit:      p.lowEmit,
 
 		nMs:   u.msDrop + uint64(len(u.ms)),
-		nKs:   u.ksDrop + uint64(len(u.ks)),
 		nEvs:  u.evsDrop + uint64(len(u.evs)),
 		nCs:   u.csDrop + uint64(len(u.cs)),
 		nAms:  u.amsDrop + uint64(len(u.ams)),
@@ -402,15 +420,14 @@ func (u *undoLog) rollbackTo(pos uint64, p *Op) bool {
 	p.minFutureFin = s.minFutureFin
 	p.dirty = s.dirty
 	p.stable = s.stable
-	p.lowVs = s.lowVs
-	p.lowEmit = s.lowEmit
 	return true
 }
 
 // compact drops the spine and payload prefixes strictly below the barrier
 // of absolute position pos, keeping the barrier itself so pos stays a valid
-// rollback target. Cost is O(dropped), which the caller amortizes over the
-// mutations that created the dropped records.
+// rollback target, and lets the expiry queues reclaim the slots whose pops
+// no retained version can undo any more. Cost is O(dropped), which the
+// caller amortizes over the mutations that created the dropped records.
 func (u *undoLog) compact(pos uint64) {
 	u.flush()
 	if pos < u.base+1 || pos > u.base+uint64(len(u.recs)) {
@@ -420,12 +437,16 @@ func (u *undoLog) compact(pos uint64) {
 	if bar <= 0 || u.recs[bar].kind != jBarrier {
 		return
 	}
+	for i := range u.recs[:bar] {
+		if r := &u.recs[i]; r.kind == jQueuePop {
+			r.node.(undoQueue).reclaim(int(r.id))
+		}
+	}
 	// The barrier's scal entry recorded the absolute stack-top positions at
 	// mark time; the dropped prefix owns exactly the stack segments below
 	// them, so the payload accounting is O(1) — no per-record scan.
 	s := &u.scal[u.recs[bar].i-int(u.scalDrop)]
 	dMs := int(s.nMs - u.msDrop)
-	dKs := int(s.nKs - u.ksDrop)
 	dEvs := int(s.nEvs - u.evsDrop)
 	dCs := int(s.nCs - u.csDrop)
 	dAms := int(s.nAms - u.amsDrop)
@@ -435,7 +456,6 @@ func (u *undoLog) compact(pos uint64) {
 	u.recs = u.recs[:copy(u.recs, u.recs[bar:])]
 	u.base += uint64(bar)
 	u.ms = u.ms[:copy(u.ms, u.ms[dMs:])]
-	u.ks = u.ks[:copy(u.ks, u.ks[dKs:])]
 	u.evs = u.evs[:copy(u.evs, u.evs[dEvs:])]
 	u.cs = u.cs[:copy(u.cs, u.cs[dCs:])]
 	u.ams = u.ams[:copy(u.ams, u.ams[dAms:])]
@@ -443,7 +463,6 @@ func (u *undoLog) compact(pos uint64) {
 	u.rsts = u.rsts[:copy(u.rsts, u.rsts[dRsts:])]
 	u.scal = u.scal[:copy(u.scal, u.scal[bars:])]
 	u.msDrop += uint64(dMs)
-	u.ksDrop += uint64(dKs)
 	u.evsDrop += uint64(dEvs)
 	u.csDrop += uint64(dCs)
 	u.amsDrop += uint64(dAms)
@@ -453,17 +472,10 @@ func (u *undoLog) compact(pos uint64) {
 }
 
 // popMatch pops the ms stack top.
-func (u *undoLog) popMatch() algebra.Match {
-	m := u.ms[len(u.ms)-1]
+func (u *undoLog) popMatch() *keyedMatch {
+	km := u.ms[len(u.ms)-1]
 	u.ms = u.ms[:len(u.ms)-1]
-	return m
-}
-
-// popKey pops the ks stack top.
-func (u *undoLog) popKey() corrKey {
-	k := u.ks[len(u.ks)-1]
-	u.ks = u.ks[:len(u.ks)-1]
-	return k
+	return km
 }
 
 // undo reverses one record, popping its payloads.
@@ -471,8 +483,8 @@ func (u *undoLog) undo(r *undoRec) {
 	switch r.kind {
 	case jBarrier:
 		u.scal = u.scal[:len(u.scal)-1]
-	case jEvMap:
-		m := r.node.(map[event.ID]event.Event)
+	case jRecMap:
+		m := r.node.(map[event.ID]*evRec)
 		if r.flag {
 			m[r.id] = u.evs[len(u.evs)-1]
 			u.evs = u.evs[:len(u.evs)-1]
@@ -494,16 +506,16 @@ func (u *undoLog) undo(r *undoRec) {
 			delete(m, r.id)
 		}
 	case jMatchMap:
-		m := r.node.(map[event.ID]algebra.Match)
+		m := r.node.(map[event.ID]*keyedMatch)
 		if r.flag {
 			m[r.id] = u.popMatch()
 		} else {
 			delete(m, r.id)
 		}
 	case jListIns:
-		r.node.(*keyedList).remove(u.popMatch(), u.popKey())
+		r.node.(*keyedList).remove(u.popMatch())
 	case jListDel:
-		r.node.(*keyedList).insert(u.popMatch(), u.popKey())
+		r.node.(*keyedList).insert(u.popMatch())
 	case jPendIns:
 		r.node.(*pendingList).removeAt(r.i)
 	case jPendDel:
@@ -523,14 +535,11 @@ func (u *undoLog) undo(r *undoRec) {
 		u.idss = u.idss[:len(u.idss)-1]
 	case jAmIns:
 		n := r.node.(*atMostNode)
-		n.entries = append(n.entries[:r.i], n.entries[r.i+1:]...)
+		n.entries = slices.Delete(n.entries, r.i, r.i+1)
 	case jAmDel:
 		n := r.node.(*atMostNode)
-		e := u.ams[len(u.ams)-1]
+		n.entries = slices.Insert(n.entries, r.i, u.ams[len(u.ams)-1])
 		u.ams = u.ams[:len(u.ams)-1]
-		n.entries = append(n.entries, amEntry{})
-		copy(n.entries[r.i+1:], n.entries[r.i:])
-		n.entries[r.i] = e
 	case jAmCnt:
 		n := r.node.(*atMostNode)
 		if r.flag {
@@ -540,7 +549,8 @@ func (u *undoLog) undo(r *undoRec) {
 		}
 	case jCandAdd:
 		n := r.node.(*negNode)
-		n.candRemove(r.t, r.id, u.popKey())
+		a := u.popMatch()
+		n.candRemove(r.t, a.m.ID, route(n.keyed, a.key))
 	case jCandDel:
 		n := r.node.(*negNode)
 		c := u.cs[len(u.cs)-1]
@@ -548,19 +558,22 @@ func (u *undoLog) undo(r *undoRec) {
 		n.candAdd(c)
 	case jBlock:
 		n := r.node.(*negNode)
+		a := u.popMatch()
 		cs := n.wcands
-		if k := u.popKey(); k.def() {
+		if k := route(n.keyed, a.key); k.def() {
 			cs = n.kcands[k]
 		}
-		if i := candFind(cs, r.t, r.id); i >= 0 {
+		if i := candFind(cs, r.t, a.m.ID); i >= 0 {
 			if r.flag {
 				cs[i].blockers--
 			} else {
 				cs[i].blockers++
 			}
 		}
-	case jLeafMin:
-		r.node.(*leafNode).minVs = r.t
+	case jQueuePush:
+		r.node.(undoQueue).unpush(r.i)
+	case jQueuePop:
+		r.node.(undoQueue).unpop(r.i)
 	case jReset:
 		p := r.node.(*Op)
 		rs := u.rsts[len(u.rsts)-1]
@@ -569,6 +582,7 @@ func (u *undoLog) undo(r *undoRec) {
 		p.root = rs.root
 		p.store = rs.store
 		p.consumed = rs.consumed
+		p.expiry = rs.expiry
 		p.pending = pendingList{ms: rs.pending}
 	}
 }

@@ -3,7 +3,6 @@ package inc
 import (
 	"strings"
 
-	"repro/internal/algebra"
 	"repro/internal/event"
 )
 
@@ -39,18 +38,15 @@ import (
 //     counts, and therefore the node's output set, are unchanged exactly.
 //
 // Who computes a match's key, and when. A key is resolved *once*, by the
-// node that builds the match: the leaf when it first interns an event's
+// node that builds the match: the leaf when it first derives an event's
 // namespaced match, a join node when it first interns a composite (one of()
 // scan over the payload Combine just built — exact for its prime-renamed
 // duplicate names by construction). The resolved key is stored beside the
-// match in the interning cache (combCache) and travels beside it in every
-// delta item, so the keyed stores above, their journal records and the
-// negation candidates read it instead of re-scanning the payload on every
-// add, retraction, prune and replayed item. Nodes that only re-head a match
-// (negation, ATMOST, FILTER) pass their input's key through — the payload is
-// the same map. Retractions leave a node from its plain match stores, which
-// do not hold the key; they look it up in the node's interning cache by ID
-// and fall back to of() only on a miss (a cache reset at internCap).
+// match in the one interned keyedMatch every store, delta item, journal
+// record and negation candidate refers to, so nothing re-scans a payload —
+// on adds, retractions, prunes or replayed items. Nodes that only re-head a
+// match (negation, ATMOST) copy their input's key — the payload is the same
+// map — and FILTER passes the reference through.
 //
 // Keys live in a concrete comparable struct, not an interface: numbers
 // collapse to one float64 (so the buckets equate int64(3) with float64(3)
@@ -155,18 +151,21 @@ func canonKey(v event.Value) corrKey {
 
 // keyedList is the join and negation nodes' match store: one (V.Start, ID)-
 // sorted bucket per definite key plus one list for wild matches — which, in
-// an unkeyed node, is every match. Empty buckets are deleted eagerly — the
+// an unkeyed list (keyed false: the node may not index by key, see buildCtx
+// and negNode), is every match. Empty buckets are deleted eagerly — the
 // pruning seam for key-heavy streams: a source cycling through many
-// distinct keys must not leave a map of dead keys behind once the watermark
+// distinct keys must not leave a map of dead keys behind once scope pruning
 // (or a removal storm) drains their matches.
 type keyedList struct {
+	keyed   bool
 	buckets map[corrKey]*matchList
 	wild    matchList
 }
 
-func (l *keyedList) insert(m algebra.Match, k corrKey) {
+func (l *keyedList) insert(km *keyedMatch) {
+	k := route(l.keyed, km.key)
 	if !k.def() {
-		l.wild.insert(m)
+		l.wild.insert(km)
 		return
 	}
 	b := l.buckets[k]
@@ -177,18 +176,20 @@ func (l *keyedList) insert(m algebra.Match, k corrKey) {
 		b = &matchList{}
 		l.buckets[k] = b
 	}
-	b.insert(m)
+	b.insert(km)
 }
 
-func (l *keyedList) remove(m algebra.Match, k corrKey) bool {
+// remove deletes the entry equal to km (by ID at its occurrence time).
+func (l *keyedList) remove(km *keyedMatch) bool {
+	k := route(l.keyed, km.key)
 	if !k.def() {
-		return l.wild.removeMatch(m)
+		return l.wild.removeMatch(&km.m)
 	}
 	b := l.buckets[k]
 	if b == nil {
 		return false
 	}
-	ok := b.removeMatch(m)
+	ok := b.removeMatch(&km.m)
 	if ok && len(b.ms) == 0 {
 		delete(l.buckets, k)
 	}
@@ -199,7 +200,7 @@ func (l *keyedList) remove(m algebra.Match, k corrKey) bool {
 // single source of the pushdown's routing rule: a definite probe sees its
 // own key's bucket plus the wild list; a wild probe sees everything.
 func (l *keyedList) scan(k corrKey, fn func(*matchList)) {
-	if k.def() {
+	if k = route(l.keyed, k); k.def() {
 		if b := l.buckets[k]; b != nil {
 			fn(b)
 		}
@@ -212,7 +213,7 @@ func (l *keyedList) scan(k corrKey, fn func(*matchList)) {
 }
 
 func (l *keyedList) clone() keyedList {
-	c := keyedList{wild: l.wild.clone()}
+	c := keyedList{keyed: l.keyed, wild: l.wild.clone()}
 	if len(l.buckets) > 0 {
 		c.buckets = make(map[corrKey]*matchList, len(l.buckets))
 		for k, b := range l.buckets {

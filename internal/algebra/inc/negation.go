@@ -1,6 +1,8 @@
 package inc
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -31,9 +33,8 @@ const (
 )
 
 type negCand struct {
-	a        algebra.Match // the positive-side match
-	out      algebra.Match // the transformed output
-	key      corrKey       // a's correlation key — and out's: same payload
+	a        *keyedMatch   // the positive-side match
+	out      *keyedMatch   // the output: a itself, or its re-headed form (a.up)
 	lo, hi   temporal.Time // blockers occur strictly inside (lo, hi)
 	blockers int
 }
@@ -69,10 +70,12 @@ type negNode struct {
 
 func newNegNode(kind negKind, pos, neg node, w temporal.Duration, nIdx int,
 	corr algebra.CorrPred, corrKey string, sh *shared) *negNode {
+	keyed := sh.key != nil && corrKey == sh.key.attr
 	return &negNode{
 		kind: kind, pos: pos, neg: neg, w: w, nIdx: nIdx, corr: corr, sh: sh,
-		keyed: sh.key != nil && corrKey == sh.key.attr,
+		keyed: keyed,
 		loOf:  map[event.ID]temporal.Time{},
+		negs:  keyedList{keyed: keyed},
 	}
 }
 
@@ -81,12 +84,12 @@ func newNegNode(kind negKind, pos, neg node, w temporal.Duration, nIdx int,
 // stood before this call's negative-side transitions, which applyNeg then
 // folds in (flipping the just-added candidates too when they overlap).
 
-func (u *negNode) push(e event.Event, out *delta) {
+func (u *negNode) push(r *evRec, out *delta) {
 	u.kd.reset()
-	u.pos.push(e, &u.kd)
+	u.pos.push(r, &u.kd)
 	u.applyPos(out)
 	u.kd.reset()
-	u.neg.push(e, &u.kd)
+	u.neg.push(r, &u.kd)
 	u.applyNeg(out)
 }
 
@@ -110,51 +113,41 @@ func (u *negNode) prune(horizon temporal.Time, out *delta) {
 
 // interval derives the blocking interval and output for a positive match;
 // ok is false when the match can never produce output (UNLESS' arity
-// mismatch or a missing anchor).
-func (u *negNode) interval(a algebra.Match) (c negCand, ok bool) {
-	c.a = a
+// mismatch or a missing anchor). UNLESS and UNLESS' re-head the match, once
+// (keyedMatch.up: the anchor of an UNLESS' is a contributor's occurrence
+// time, fixed with the match); NOT and CANCEL-WHEN pass it through.
+func (u *negNode) interval(a *keyedMatch) (c negCand, ok bool) {
+	c.a, c.out = a, a
+	m := &a.m
 	switch u.kind {
 	case negUnless:
-		c.lo, c.hi = a.V.Start, a.V.Start.Add(u.w)
-		m := a
-		m.ID = event.Pair(a.ID)
-		m.V = temporal.NewInterval(a.V.Start, a.V.Start.Add(u.w))
-		fin := a.V.Start.Add(u.w)
-		if a.FinalizeAt > fin {
-			fin = a.FinalizeAt
+		c.lo, c.hi = m.V.Start, m.V.Start.Add(u.w)
+		if a.up == nil {
+			a.rehead(event.Pair(m.ID), temporal.NewInterval(c.lo, c.hi), temporal.Max(c.hi, m.FinalizeAt))
 		}
-		m.FinalizeAt = fin
-		c.out = m
+		c.out = a.up
 	case negUnlessPrime:
-		if u.nIdx > len(a.CBT) {
+		if u.nIdx > len(m.CBT) {
 			return c, false
 		}
-		anchor, found := u.sh.vs[a.CBT[u.nIdx-1]]
+		anchor, found := u.sh.vs[m.CBT[u.nIdx-1]]
 		if !found {
 			return c, false
 		}
-		scopeEnd := anchor.Add(u.w)
-		c.lo, c.hi = anchor, scopeEnd
-		m := a
-		m.ID = event.Pair(a.ID, event.ID(u.nIdx))
-		vs := temporal.Max(a.V.Start, scopeEnd)
-		ve := a.FirstVs.Add(u.w)
-		if ve <= vs {
-			ve = vs.Add(1)
+		c.lo, c.hi = anchor, anchor.Add(u.w)
+		if a.up == nil {
+			vs := temporal.Max(m.V.Start, c.hi)
+			ve := m.FirstVs.Add(u.w)
+			if ve <= vs {
+				ve = vs.Add(1)
+			}
+			a.rehead(event.Pair(m.ID, event.ID(u.nIdx)), temporal.NewInterval(vs, ve), temporal.Max(c.hi, m.FinalizeAt))
 		}
-		m.V = temporal.NewInterval(vs, ve)
-		fin := scopeEnd
-		if a.FinalizeAt > fin {
-			fin = a.FinalizeAt
-		}
-		m.FinalizeAt = fin
-		c.out = m
+		c.out = a.up
 	case negNot:
-		c.lo, c.hi = a.FirstVs, a.LastVs
-		c.out = a
+		c.lo, c.hi = m.FirstVs, m.LastVs
 	case negCancelWhen:
-		c.lo, c.hi = a.RT, a.V.Start
-		c.out = a
+		c.lo, c.hi = m.RT, m.V.Start
 	}
 	return c, true
 }
@@ -163,16 +156,13 @@ func candBefore(lo temporal.Time, id event.ID, c *negCand) bool {
 	if c.lo != lo {
 		return c.lo < lo
 	}
-	return c.a.ID < id
+	return c.a.m.ID < id
 }
 
 // candInsert inserts c into a (lo, a.ID)-sorted candidate list.
 func candInsert(cs []negCand, c negCand) []negCand {
-	i := sort.Search(len(cs), func(i int) bool { return !candBefore(c.lo, c.a.ID, &cs[i]) })
-	cs = append(cs, negCand{})
-	copy(cs[i+1:], cs[i:])
-	cs[i] = c
-	return cs
+	i := sort.Search(len(cs), func(i int) bool { return !candBefore(c.lo, c.a.m.ID, &cs[i]) })
+	return slices.Insert(cs, i, c)
 }
 
 // candFind locates the candidate for match ID id at interval start lo.
@@ -180,7 +170,7 @@ func candInsert(cs []negCand, c negCand) []negCand {
 // slot when the candidate exists.
 func candFind(cs []negCand, lo temporal.Time, id event.ID) int {
 	i := sort.Search(len(cs), func(i int) bool { return !candBefore(lo, id, &cs[i]) })
-	if i < len(cs) && cs[i].lo == lo && cs[i].a.ID == id {
+	if i < len(cs) && cs[i].lo == lo && cs[i].a.m.ID == id {
 		return i
 	}
 	return -1
@@ -188,7 +178,7 @@ func candFind(cs []negCand, lo temporal.Time, id event.ID) int {
 
 // candAdd stores c in the list its key routes to.
 func (u *negNode) candAdd(c negCand) {
-	if k := route(u.keyed, c.key); k.def() {
+	if k := route(u.keyed, c.a.key); k.def() {
 		if u.kcands == nil {
 			u.kcands = map[corrKey][]negCand{}
 		}
@@ -210,7 +200,7 @@ func (u *negNode) candRemove(lo temporal.Time, id event.ID, k corrKey) (c negCan
 		return c, false
 	}
 	c = cs[i]
-	cs = append(cs[:i], cs[i+1:]...)
+	cs = slices.Delete(cs, i, i+1)
 	switch {
 	case !k.def():
 		u.wcands = cs
@@ -223,29 +213,28 @@ func (u *negNode) candRemove(lo temporal.Time, id event.ID, k corrKey) (c negCan
 }
 
 func (u *negNode) applyPos(out *delta) {
-	for j := range u.kd.items {
-		it := &u.kd.items[j]
-		k := route(u.keyed, it.key)
+	for _, it := range u.kd.items {
+		a := it.km
+		k := route(u.keyed, a.key)
 		if it.del {
-			lo, ok := u.loOf[it.m.ID]
+			lo, ok := u.loOf[a.m.ID]
 			if !ok {
 				continue
 			}
-			u.sh.u.timeMap(u.loOf, it.m.ID)
-			delete(u.loOf, it.m.ID)
-			if c, found := u.candRemove(lo, it.m.ID, k); found {
+			u.sh.u.timeMap(u.loOf, a.m.ID)
+			delete(u.loOf, a.m.ID)
+			if c, found := u.candRemove(lo, a.m.ID, k); found {
 				u.sh.u.candDel(u, &c)
 				if c.blockers == 0 {
-					out.del(c.out, c.key)
+					out.del(c.out)
 				}
 			}
 			continue
 		}
-		c, ok := u.interval(it.m)
+		c, ok := u.interval(a)
 		if !ok {
 			continue
 		}
-		c.key = it.key
 		if span := c.hi.Sub(c.lo); span > u.maxSpan {
 			u.maxSpan = span
 		}
@@ -253,47 +242,45 @@ func (u *negNode) applyPos(out *delta) {
 		// candidate only its own key's blockers (plus wild ones) can have
 		// corr true, so only those lists are scanned.
 		u.negs.scan(k, func(ms *matchList) {
-			for i := ms.upperBound(c.lo); i < len(ms.ms) && ms.ms[i].V.Start < c.hi; i++ {
-				if u.corr == nil || u.corr(c.a.Payload, ms.ms[i].Payload) {
+			for i := ms.upperBound(c.lo); i < len(ms.ms) && ms.ms[i].m.V.Start < c.hi; i++ {
+				if u.corr == nil || u.corr(a.m.Payload, ms.ms[i].m.Payload) {
 					c.blockers++
 				}
 			}
 		})
 		u.candAdd(c)
-		u.sh.u.candAdd(u, c.lo, c.a.ID, k)
-		u.sh.u.timeMap(u.loOf, c.a.ID)
-		u.loOf[c.a.ID] = c.lo
+		u.sh.u.candAdd(u, &c)
+		u.sh.u.timeMap(u.loOf, a.m.ID)
+		u.loOf[a.m.ID] = c.lo
 		if c.blockers == 0 {
-			out.add(c.out, c.key)
+			out.add(c.out)
 		}
 	}
 }
 
 func (u *negNode) applyNeg(out *delta) {
-	for j := range u.kd.items {
-		it := &u.kd.items[j]
-		k := route(u.keyed, it.key)
+	for _, it := range u.kd.items {
 		if it.del {
-			if !u.negs.remove(it.m, k) {
+			if !u.negs.remove(it.km) {
 				continue
 			}
-			u.sh.u.listDel(&u.negs, &it.m, k)
-			u.eachAffected(&it.m, k, func(c *negCand) {
+			u.sh.u.listDel(&u.negs, it.km)
+			u.eachAffected(it.km, func(c *negCand) {
 				u.sh.u.block(u, c, false)
 				c.blockers--
 				if c.blockers == 0 {
-					out.add(c.out, c.key)
+					out.add(c.out)
 				}
 			})
 			continue
 		}
-		u.negs.insert(it.m, k)
-		u.sh.u.listIns(&u.negs, &it.m, k)
-		u.eachAffected(&it.m, k, func(c *negCand) {
+		u.negs.insert(it.km)
+		u.sh.u.listIns(&u.negs, it.km)
+		u.eachAffected(it.km, func(c *negCand) {
 			u.sh.u.block(u, c, true)
 			c.blockers++
 			if c.blockers == 1 {
-				out.del(c.out, c.key)
+				out.del(c.out)
 			}
 		})
 	}
@@ -301,12 +288,12 @@ func (u *negNode) applyNeg(out *delta) {
 
 // eachAffected visits every candidate whose interval strictly contains the
 // negative match's occurrence and whose correlation predicate matches it.
-// A definite negative match (routing key k) visits its own key's candidates
-// plus the wild ones; a wild one visits everything, exactly as unkeyed.
-// Candidate slices reallocate, so the *negCand must not outlive the visit
-// (the journal re-locates a candidate by its routing key, lo and ID).
-func (u *negNode) eachAffected(neg *algebra.Match, k corrKey, fn func(c *negCand)) {
-	t := neg.V.Start
+// A definite negative match visits its own key's candidates plus the wild
+// ones; a wild one visits everything, exactly as unkeyed. Candidate slices
+// reallocate, so the *negCand must not outlive the visit (the journal
+// re-locates a candidate by its positive match and lo).
+func (u *negNode) eachAffected(neg *keyedMatch, fn func(c *negCand)) {
+	t := neg.m.V.Start
 	visit := func(cs []negCand) {
 		// Any candidate with lo <= t - maxSpan has hi <= lo + maxSpan <= t.
 		from := sort.Search(len(cs), func(i int) bool { return cs[i].lo > t.Add(-u.maxSpan) })
@@ -315,12 +302,12 @@ func (u *negNode) eachAffected(neg *algebra.Match, k corrKey, fn func(c *negCand
 			if t >= c.hi {
 				continue
 			}
-			if u.corr == nil || u.corr(c.a.Payload, neg.Payload) {
+			if u.corr == nil || u.corr(c.a.m.Payload, neg.m.Payload) {
 				fn(c)
 			}
 		}
 	}
-	if k.def() {
+	if k := route(u.keyed, neg.key); k.def() {
 		visit(u.kcands[k])
 	} else {
 		for _, cs := range u.kcands {
@@ -334,19 +321,16 @@ func (u *negNode) clone(sh *shared) node {
 	c := &negNode{
 		kind: u.kind, pos: u.pos.clone(sh), neg: u.neg.clone(sh),
 		w: u.w, nIdx: u.nIdx, corr: u.corr, keyed: u.keyed, sh: sh,
-		wcands:  append([]negCand(nil), u.wcands...),
-		loOf:    make(map[event.ID]temporal.Time, len(u.loOf)),
+		wcands:  slices.Clone(u.wcands),
+		loOf:    maps.Clone(u.loOf),
 		negs:    u.negs.clone(),
 		maxSpan: u.maxSpan,
 	}
 	if len(u.kcands) > 0 {
 		c.kcands = make(map[corrKey][]negCand, len(u.kcands))
 		for k, cs := range u.kcands {
-			c.kcands[k] = append([]negCand(nil), cs...)
+			c.kcands[k] = slices.Clone(cs)
 		}
-	}
-	for id, lo := range u.loOf {
-		c.loOf[id] = lo
 	}
 	return c
 }

@@ -25,22 +25,35 @@
 // as blockers arrive and leave; the driving Op decides *emission* (the
 // FinalizeAt frontier and SC modes) exactly as the oracle does.
 //
-// Allocation discipline: nodes append transitions into a caller-owned
-// delta (the out-parameter style below) and keep one reusable scratch
-// delta per node for collecting child transitions, so the steady-state
-// push path allocates nothing for delta plumbing. Derived matches —
-// the leaf's namespaced-payload match and the join nodes' combined
-// composites — are interned in caches shared with clones: the
-// consistency monitor drives every event through a live operator and,
-// later, through its cloned checkpoint (and replays suffixes through
-// snapshot clones), so the second and subsequent derivations of the
-// same match reuse the first one's payload map and lineage outright.
+// Allocation discipline: every derived match is allocated once — the
+// leaf's namespaced match inside its event's record (expiry.go), a join
+// node's composite together with its lineage — interned as an immutable
+// *keyedMatch (the match and its resolved correlation key), and referred to
+// everywhere else: the nodes' stores and indexes, the delta items flowing up
+// the tree, the Op's pending list and emitted table and the undo journal's
+// side stacks all hold that one reference, never a copy. Nodes append
+// transitions into a caller-owned delta (the out-parameter style below) and
+// keep one reusable scratch delta per node for collecting child
+// transitions, so the steady-state push path allocates nothing for delta
+// plumbing. The interning caches are shared with clones: the consistency
+// monitor re-drives a rolled-back operator through events it already saw,
+// so the second and subsequent derivations of the same match reuse the
+// first one outright. References are never compared — a re-derivation after
+// a cache reset is an equal but distinct match — identity is (ID, V.Start).
 // Clones of one operator are only ever driven sequentially (the Op
-// contract), which is what makes the sharing sound; parallel shards
-// build fresh operators via plan.Fresh and never share caches.
+// contract), which is what makes the sharing sound; parallel shards build
+// fresh operators via plan.Fresh and never share caches.
+//
+// Forgetting: state leaves by scope pruning in O(expired). Every store that
+// expires — the Op's event stores, its emitted table, each leaf's live set
+// — has an expiry queue beside it (expiry.go), and a prune pops the queue's
+// head while it lies below the horizon; nothing is scanned to find what
+// expired.
 package inc
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -48,12 +61,11 @@ import (
 	"repro/internal/temporal"
 )
 
-// item is one match transition; key is the match's correlation key as the
-// node that built the match resolved it (key.go) — always wild in an
-// unkeyed tree.
+// item is one match transition: the interned match (with the correlation
+// key the node that built it resolved, key.go — always wild in an unkeyed
+// tree) and its direction.
 type item struct {
-	m   algebra.Match
-	key corrKey
+	km  *keyedMatch
 	del bool
 }
 
@@ -66,24 +78,24 @@ type delta struct {
 	items []item
 }
 
-func (d *delta) add(m algebra.Match, k corrKey) { d.items = append(d.items, item{m: m, key: k}) }
-func (d *delta) del(m algebra.Match, k corrKey) {
-	d.items = append(d.items, item{m: m, key: k, del: true})
-}
-func (d *delta) reset() { d.items = d.items[:0] }
+func (d *delta) add(km *keyedMatch) { d.items = append(d.items, item{km: km}) }
+func (d *delta) del(km *keyedMatch) { d.items = append(d.items, item{km: km, del: true}) }
+func (d *delta) reset()             { d.items = d.items[:0] }
 
 // shared is tree-global state owned by the driving Op: the occurrence times
 // of the available (live, unconsumed) primitive events (UNLESS' nodes
 // resolve their anchor contributor through it at candidate-creation time),
 // the correlation-key pushdown configuration (nil = unkeyed; see key.go),
-// and the operator's undo journal (journal.go), which every node copies at
-// build/clone time so its mutations can be journaled without an indirection
-// through sh on the hot path. u is always non-nil; it records nothing until
-// the first Mark turns it on.
+// the event-record cache (shared with clones, expiry.go) and the operator's
+// undo journal (journal.go), which every node copies at build/clone time so
+// its mutations can be journaled without an indirection through sh on the
+// hot path. u is always non-nil; it records nothing until the first Mark
+// turns it on.
 type shared struct {
-	vs  map[event.ID]temporal.Time
-	key *keyCfg
-	u   *undoLog
+	vs   map[event.ID]temporal.Time
+	key  *keyCfg
+	recs *recCache
+	u    *undoLog
 }
 
 // buildCtx tracks where in the expression a node is being built, which
@@ -122,16 +134,18 @@ func route(keyed bool, k corrKey) corrKey {
 
 // node is one stateful matcher in the tree.
 type node interface {
-	// push feeds one primitive event (insert); the node dispatches it to
-	// its children and folds their deltas into its own state, appending
-	// its own transitions to out.
-	push(e event.Event, out *delta)
+	// push feeds one primitive event (insert), as its record; the node
+	// dispatches it to its children and folds their deltas into its own
+	// state, appending its own transitions to out.
+	push(r *evRec, out *delta)
 	// remove feeds a full removal of a primitive event by ID.
 	remove(id event.ID, out *delta)
 	// prune drops state derived from events with Vs < horizon, exactly as
 	// the oracle's store pruning does: silently below the driver (the
 	// appended transitions let parents stay consistent and let negation
 	// nodes surface revivals, but never turn into output retractions).
+	// Transitions come out in (Vs, insertion) order — the leaves' expiry
+	// queues — so one input journals identically on every run.
 	prune(horizon temporal.Time, out *delta)
 	// clone deep-copies the node, rebinding it to sh. Interning caches
 	// are shared with the clone (clones run sequentially).
@@ -144,65 +158,71 @@ type node interface {
 const internCap = 4096
 
 // keyedMatch is a derived match with its correlation key, resolved once
-// by the node that built the match (key.go).
+// by the node that built the match (key.go). Allocated once, immutable once
+// interned, and held by reference everywhere.
 type keyedMatch struct {
 	m   algebra.Match
 	key corrKey
+	// up memoizes the re-headed form (same payload, lineage and key; new
+	// ID, validity and finalization) that the one node above — an UNLESS
+	// or an ATMOST — derives from this match, so a replay derives it once.
+	// A match flows to exactly one parent, so one slot suffices.
+	up *keyedMatch
 }
 
-// combCache interns derived matches by ID — combined composites keyed by
-// output ID at join nodes, namespaced leaf matches keyed by primitive
-// event ID — shared between an operator and its clones. The monitor's
-// replay re-derives exactly the matches the operator already derived, so
-// the second derivation reuses the first's payload map, lineage slices and
-// resolved key. Entries are immutable once stored. cfg is the tree's
-// pushdown configuration (nil = unkeyed), under which every entry's key is
-// resolved.
+// rehead derives k's re-headed form and memoizes it in k.up.
+func (k *keyedMatch) rehead(id event.ID, v temporal.Interval, finalizeAt temporal.Time) {
+	k.up = &keyedMatch{m: k.m, key: k.key}
+	k.up.m.ID, k.up.m.V, k.up.m.FinalizeAt = id, v, finalizeAt
+}
+
+// expiry orders the leaves' and the emitted table's expiry queues: the last
+// contributor's occurrence (a leaf match's own Vs).
+func (k *keyedMatch) expiry() temporal.Time { return k.m.LastVs }
+
+// combCache interns a join node's combined composites by output ID, shared
+// between an operator and its clones. The monitor's replay re-derives
+// exactly the matches the operator already derived, so the second
+// derivation reuses the first's payload map, lineage and resolved key. cfg
+// is the tree's pushdown configuration (nil = unkeyed), under which every
+// entry's key is resolved.
 type combCache struct {
-	cfg *keyCfg
-	m   map[event.ID]*keyedMatch
+	cfg   *keyCfg
+	m     map[event.ID]*keyedMatch
+	parts []*algebra.Match // combined's CombineInto argument scratch
 }
 
 // The map is lazily initialized: keyed fan-out builds one tree per
-// correlation key, and most per-key leaves intern only a handful of
+// correlation key, and most per-key nodes intern only a handful of
 // matches (or none), so pre-sizing here dominated the allocation profile.
 func newCombCache(cfg *keyCfg) *combCache { return &combCache{cfg: cfg} }
 
-func (c *combCache) get(id event.ID) *keyedMatch { return c.m[id] }
-
-// intern resolves km's key — the one of() scan a match gets — and stores
-// it under id.
-func (c *combCache) intern(id event.ID, km *keyedMatch) *keyedMatch {
+// combined returns the interned composite of parts (ID id), building it
+// through algebra.CombineInto on first derivation: one allocation holds the
+// match, its key and (up to four contributors) its lineage. The key is the
+// one of() scan the composite gets — over the payload Combine just built,
+// exact for its prime-renamed duplicate names by construction.
+func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Duration) *keyedMatch {
+	if km := c.m[id]; km != nil {
+		return km
+	}
+	c.parts = c.parts[:0]
+	for _, p := range parts {
+		c.parts = append(c.parts, &p.m)
+	}
+	cm := &struct {
+		keyedMatch
+		cbt [4]event.ID
+	}{}
+	algebra.CombineInto(&cm.m, id, cm.cbt[:0], c.parts, w)
+	cm.key = c.cfg.of(cm.m.Payload)
 	if c.m == nil {
 		c.m = make(map[event.ID]*keyedMatch, 64)
 	} else if len(c.m) >= internCap {
 		clear(c.m)
 	}
-	km.key = c.cfg.of(km.m.Payload)
-	c.m[id] = km
-	return km
-}
-
-// combined returns the interned composite of parts (ID id), building it
-// through algebra.Combine on first derivation.
-func (c *combCache) combined(id event.ID, parts []algebra.Match, w temporal.Duration) *keyedMatch {
-	if km := c.m[id]; km != nil {
-		return km
-	}
-	return c.intern(id, &keyedMatch{m: algebra.Combine(parts, w)})
-}
-
-// keyOf is the retraction path's key lookup for m, interned under id: the
-// key stored beside it, or — once a cache reset dropped the entry — one
-// of() scan. An unkeyed tree has only wild keys.
-func (c *combCache) keyOf(id event.ID, m *algebra.Match) corrKey {
-	if c.cfg == nil {
-		return corrKey{}
-	}
-	if km := c.m[id]; km != nil {
-		return km.key
-	}
-	return c.cfg.of(m.Payload)
+	c.m[id] = &cm.keyedMatch
+	return &cm.keyedMatch
 }
 
 // Supported reports whether the expression grammar is fully covered by the
@@ -277,7 +297,7 @@ func build(x algebra.Expr, sh *shared, ctx buildCtx) node {
 // range queries over occurrence time — the time-indexed contributor store
 // every join node uses.
 type matchList struct {
-	ms []algebra.Match
+	ms []*keyedMatch
 }
 
 func matchBefore(a, b *algebra.Match) bool {
@@ -287,18 +307,20 @@ func matchBefore(a, b *algebra.Match) bool {
 	return a.ID < b.ID
 }
 
-func (l *matchList) insert(m algebra.Match) {
-	i := sort.Search(len(l.ms), func(i int) bool { return !matchBefore(&l.ms[i], &m) })
-	l.ms = append(l.ms, algebra.Match{})
-	copy(l.ms[i+1:], l.ms[i:])
-	l.ms[i] = m
+// slot is the first index not before m.
+func (l *matchList) slot(m *algebra.Match) int {
+	return sort.Search(len(l.ms), func(i int) bool { return !matchBefore(&l.ms[i].m, m) })
+}
+
+func (l *matchList) insert(km *keyedMatch) {
+	l.ms = slices.Insert(l.ms, l.slot(&km.m), km)
 }
 
 // removeMatch deletes the entry equal to m (by ID at m's occurrence time).
-func (l *matchList) removeMatch(m algebra.Match) bool {
-	i := sort.Search(len(l.ms), func(i int) bool { return !matchBefore(&l.ms[i], &m) })
-	if i < len(l.ms) && l.ms[i].ID == m.ID && l.ms[i].V.Start == m.V.Start {
-		l.ms = append(l.ms[:i], l.ms[i+1:]...)
+func (l *matchList) removeMatch(m *algebra.Match) bool {
+	i := l.slot(m)
+	if i < len(l.ms) && l.ms[i].m.ID == m.ID && l.ms[i].m.V.Start == m.V.Start {
+		l.ms = slices.Delete(l.ms, i, i+1)
 		return true
 	}
 	return false
@@ -306,116 +328,109 @@ func (l *matchList) removeMatch(m algebra.Match) bool {
 
 // lowerBound is the first index with V.Start >= t.
 func (l *matchList) lowerBound(t temporal.Time) int {
-	return sort.Search(len(l.ms), func(i int) bool { return l.ms[i].V.Start >= t })
+	return sort.Search(len(l.ms), func(i int) bool { return l.ms[i].m.V.Start >= t })
 }
 
 // upperBound is the first index with V.Start > t.
 func (l *matchList) upperBound(t temporal.Time) int {
-	return sort.Search(len(l.ms), func(i int) bool { return l.ms[i].V.Start > t })
+	return sort.Search(len(l.ms), func(i int) bool { return l.ms[i].m.V.Start > t })
 }
 
 func (l *matchList) clone() matchList {
-	return matchList{ms: append([]algebra.Match(nil), l.ms...)}
+	return matchList{ms: slices.Clone(l.ms)}
+}
+
+// leafKind is what a leaf and its clones share: which events the leaf
+// matches and how it namespaces them. The record cache derives a leaf's
+// matches through it when it builds an event's record; its address is the
+// leaf's identity there.
+type leafKind struct {
+	typ    string
+	prefix string
+	cfg    *keyCfg
+	// names interns the namespaced attribute names ("<prefix>.<attribute>"):
+	// a stream has a handful of attribute names, so the concatenation is
+	// paid once per name, not once per attribute per event.
+	names map[string]string
+}
+
+// derive builds the leaf match of event e into km, over lineage cbt.
+func (k *leafKind) derive(km *keyedMatch, e *event.Event, cbt []event.ID) {
+	p := make(event.Payload, len(e.Payload))
+	for attr, v := range e.Payload {
+		name, ok := k.names[attr]
+		if !ok {
+			if k.names == nil {
+				k.names = map[string]string{}
+			} else if len(k.names) >= internCap {
+				clear(k.names)
+			}
+			name = k.prefix + "." + attr
+			k.names[attr] = name
+		}
+		p[name] = v
+	}
+	km.m = algebra.Match{
+		ID:         event.Pair(e.ID),
+		V:          e.V,
+		RT:         e.V.Start,
+		FinalizeAt: e.V.Start,
+		FirstVs:    e.V.Start,
+		LastVs:     e.V.Start,
+		CBT:        cbt,
+		Payload:    p,
+	}
+	km.key = k.cfg.of(p)
 }
 
 // leafNode matches all primitive events of one type (algebra.TypeExpr).
 type leafNode struct {
-	t      algebra.TypeExpr
-	prefix string
-	live   map[event.ID]algebra.Match // keyed by primitive event ID
-	// minVs is a conservative lower bound over live occurrence times — the
-	// per-leaf watermark: a prune whose horizon lies at or below it proves
-	// this leaf holds nothing prunable and skips the scan (the Op-level
-	// lowVs gate only proves *some* leaf has prunable state; with the
-	// pushdown shrinking per-key work, these map scans were next in the
-	// profile). Removals leave it stale, forcing at most one extra scan.
-	minVs temporal.Time
-	// interned caches the derived match and its correlation key per
-	// primitive event ID, shared with clones: a replayed push of an event
-	// the operator already saw — and any revival re-push after an
-	// un-consume — reuses the namespaced payload map and the resolved key
-	// instead of rebuilding them.
-	interned *combCache
-	u        *undoLog
+	kind   *leafKind
+	live   map[event.ID]*keyedMatch // keyed by primitive event ID
+	expiry expiryQueue[*keyedMatch] // live, in occurrence order
+	u      *undoLog
 }
 
 func newLeaf(t algebra.TypeExpr, sh *shared) *leafNode {
-	return &leafNode{t: t, prefix: t.Prefix(), live: map[event.ID]algebra.Match{},
-		minVs: temporal.Infinity, interned: newCombCache(sh.key), u: sh.u}
+	k := &leafKind{typ: t.Type, prefix: t.Prefix(), cfg: sh.key}
+	sh.recs.kinds = append(sh.recs.kinds, k)
+	return &leafNode{kind: k, live: map[event.ID]*keyedMatch{}, u: sh.u}
 }
 
-func (l *leafNode) push(e event.Event, out *delta) {
-	if e.Kind != event.Insert || e.Type != l.t.Type {
+func (l *leafNode) push(r *evRec, out *delta) {
+	km := r.matchBy(l.kind)
+	if km == nil {
 		return
 	}
-	km := l.interned.get(e.ID)
-	if km == nil {
-		p := make(event.Payload, len(e.Payload))
-		for k, v := range e.Payload {
-			p[l.prefix+"."+k] = v
-		}
-		// One object holds the interned match and its one-element lineage.
-		lm := &struct {
-			keyedMatch
-			cbt [1]event.ID
-		}{cbt: [1]event.ID{e.ID}}
-		lm.m = algebra.Match{
-			ID:         event.Pair(e.ID),
-			V:          e.V,
-			RT:         e.V.Start,
-			FinalizeAt: e.V.Start,
-			FirstVs:    e.V.Start,
-			LastVs:     e.V.Start,
-			CBT:        lm.cbt[:],
-			Payload:    p,
-		}
-		km = l.interned.intern(e.ID, &lm.keyedMatch)
-	}
-	l.u.matchMap(l.live, e.ID)
-	l.live[e.ID] = km.m
-	if km.m.V.Start < l.minVs {
-		l.u.leafMin(l)
-		l.minVs = km.m.V.Start
-	}
-	out.add(km.m, km.key)
+	l.u.matchMap(l.live, r.id())
+	l.live[r.id()] = km
+	l.expiry.push(km, l.u)
+	out.add(km)
 }
 
 func (l *leafNode) remove(id event.ID, out *delta) {
-	if m, ok := l.live[id]; ok {
-		l.u.matchMap(l.live, id)
+	if km, ok := l.live[id]; ok {
+		l.u.matchMapKnown(l.live, id, km)
 		delete(l.live, id)
-		out.del(m, l.interned.keyOf(id, &m))
+		out.del(km)
 	}
 }
 
 func (l *leafNode) prune(horizon temporal.Time, out *delta) {
-	if horizon <= l.minVs {
-		return
-	}
-	l.u.leafMin(l)
-	low := temporal.Infinity
-	for id, m := range l.live {
-		if m.V.Start < horizon {
-			l.u.matchMap(l.live, id)
+	for _, km := range l.expiry.expire(horizon, l.u) {
+		// Stale unless still live as this very match: a removed event's
+		// entry stays queued, and a re-pushed one has a later entry too.
+		id := km.m.CBT[0]
+		if cur, ok := l.live[id]; ok && cur.m.V.Start == km.m.V.Start {
+			l.u.matchMapKnown(l.live, id, cur)
 			delete(l.live, id)
-			out.del(m, l.interned.keyOf(id, &m))
-		} else if m.V.Start < low {
-			low = m.V.Start
+			out.del(cur)
 		}
 	}
-	l.minVs = low
 }
 
 func (l *leafNode) clone(sh *shared) node {
-	c := &leafNode{t: l.t, prefix: l.prefix,
-		live:     make(map[event.ID]algebra.Match, len(l.live)),
-		minVs:    l.minVs,
-		interned: l.interned,
-		u:        sh.u}
-	for id, m := range l.live {
-		c.live[id] = m
-	}
-	return c
+	return &leafNode{kind: l.kind, live: maps.Clone(l.live), expiry: l.expiry.clone(), u: sh.u}
 }
 
 // filterNode injects a WHERE predicate (algebra.FilterExpr): a stateless
@@ -428,15 +443,15 @@ type filterNode struct {
 
 func (f *filterNode) filter(out *delta) {
 	for _, it := range f.kd.items {
-		if f.pred(it.m.Payload) {
+		if f.pred(it.km.m.Payload) {
 			out.items = append(out.items, it)
 		}
 	}
 }
 
-func (f *filterNode) push(e event.Event, out *delta) {
+func (f *filterNode) push(r *evRec, out *delta) {
 	f.kd.reset()
-	f.kid.push(e, &f.kd)
+	f.kid.push(r, &f.kd)
 	f.filter(out)
 }
 

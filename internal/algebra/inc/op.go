@@ -1,6 +1,8 @@
 package inc
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -48,12 +50,15 @@ type Op struct {
 
 	sh       *shared
 	root     node
-	store    map[event.ID]event.Event // available primitive events
-	consumed map[event.ID]event.Event // consumed contributors, kept for revival
-	pending  pendingList              // the root's live match set, in commit order
-	emitted  map[event.ID]algebra.Match
-	frontier temporal.Time
-	scope    temporal.Duration
+	store    map[event.ID]*evRec  // available primitive events
+	consumed map[event.ID]*evRec  // consumed contributors, kept for revival
+	expiry   *expiryQueue[*evRec] // store ∪ consumed, in occurrence order
+	pending  pendingList          // the root's live match set, in commit order
+	emitted  map[event.ID]*keyedMatch
+	// emittedExpiry orders emitted by LastVs, the instant its scope closes.
+	emittedExpiry expiryQueue[*keyedMatch]
+	frontier      temporal.Time
+	scope         temporal.Duration
 
 	// Emission fast path: mature only runs a commit pass when a pending
 	// match could actually emit. minAddFin tracks the earliest FinalizeAt
@@ -74,16 +79,6 @@ type Op struct {
 	// always walks from 0: its consumed-set threads across groups.
 	stable int
 
-	// Prune watermarks: the prune scans over the tree, the stores and the
-	// emitted table are skipped entirely while the horizon lies at or
-	// below the earliest retained occurrence. Tree state derives from
-	// leaf events, every one of which lives in store, so lowVs covers the
-	// tree too. The watermarks are conservative lower bounds: deletions
-	// leave them stale (forcing at most one extra scan, which recomputes
-	// them exactly).
-	lowVs   temporal.Time // min V.Start over store ∪ consumed
-	lowEmit temporal.Time // min LastVs over emitted
-
 	// aliased: this handle's state is structurally shared with at least one
 	// other handle (a lazy Clone). Every shared structure is frozen — any
 	// handle's first mutation deep-copies its own view first (ensureOwned),
@@ -91,7 +86,7 @@ type Op struct {
 	aliased bool
 
 	rootDelta delta             // reusable root-transition scratch
-	selBuf    []algebra.Match   // per-pass committed-selection scratch
+	selBuf    []*keyedMatch     // per-pass committed-selection scratch
 	consBuf   map[event.ID]bool // per-pass consumed-set scratch
 	outBuf    []event.Event     // mature's reusable output buffer
 	remBuf    []event.Event     // remove's reusable output buffer
@@ -102,7 +97,7 @@ type Op struct {
 // sorts. ID breaks every tie, making the order total: each match has one
 // slot.
 type pendingList struct {
-	ms []algebra.Match
+	ms []*keyedMatch
 }
 
 func commitBefore(a, b *algebra.Match) bool {
@@ -121,19 +116,12 @@ func commitBefore(a, b *algebra.Match) bool {
 // slot locates m's insertion index and whether an entry with m's ID is
 // already there.
 func (l *pendingList) slot(m *algebra.Match) (int, bool) {
-	i := sort.Search(len(l.ms), func(i int) bool { return !commitBefore(&l.ms[i], m) })
-	return i, i < len(l.ms) && l.ms[i].ID == m.ID && !commitBefore(m, &l.ms[i])
+	i := sort.Search(len(l.ms), func(i int) bool { return !commitBefore(&l.ms[i].m, m) })
+	return i, i < len(l.ms) && l.ms[i].m.ID == m.ID && !commitBefore(m, &l.ms[i].m)
 }
 
-func (l *pendingList) insertAt(i int, m algebra.Match) {
-	l.ms = append(l.ms, algebra.Match{})
-	copy(l.ms[i+1:], l.ms[i:])
-	l.ms[i] = m
-}
-
-func (l *pendingList) removeAt(i int) {
-	l.ms = append(l.ms[:i], l.ms[i+1:]...)
-}
+func (l *pendingList) insertAt(i int, km *keyedMatch) { l.ms = slices.Insert(l.ms, i, km) }
+func (l *pendingList) removeAt(i int)                 { l.ms = slices.Delete(l.ms, i, i+1) }
 
 func (l *pendingList) size() int { return len(l.ms) }
 
@@ -165,21 +153,21 @@ func NewOp(expr algebra.Expr, mode algebra.SCMode, outType string, opts ...OpOpt
 		Expr:         expr,
 		Mode:         mode,
 		OutType:      outType,
-		store:        map[event.ID]event.Event{},
-		consumed:     map[event.ID]event.Event{},
-		emitted:      map[event.ID]algebra.Match{},
+		store:        map[event.ID]*evRec{},
+		consumed:     map[event.ID]*evRec{},
+		expiry:       &expiryQueue[*evRec]{},
+		emitted:      map[event.ID]*keyedMatch{},
 		frontier:     temporal.MinTime,
 		scope:        scope,
 		minAddFin:    temporal.Infinity,
 		minFutureFin: temporal.Infinity,
-		lowVs:        temporal.Infinity,
-		lowEmit:      temporal.Infinity,
 	}
 	for _, o := range opts {
 		o(p)
 	}
 	p.trackVs = usesAnchorTimes(expr)
-	p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: newKeyCfg(p.keyAttr), u: &undoLog{}}
+	p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: newKeyCfg(p.keyAttr),
+		recs: newRecCache(), u: &undoLog{}}
 	p.root = build(expr, p.sh, buildCtx{pos: true})
 	return p
 }
@@ -227,25 +215,13 @@ func (p *Op) Name() string { return "incpattern:" + p.Expr.String() }
 // Arity implements operators.Op.
 func (p *Op) Arity() int { return 1 }
 
-// applySource tags where a delta came from; only real removals may turn
-// into output retractions (handled by the emitted scan in remove), and
-// only removal-shaped sources mark the pending set dirty.
-type applySource uint8
-
-const (
-	srcInsert applySource = iota
-	srcRemove
-	srcPrune
-	srcConsume
-	srcRevive
-)
-
 // apply folds a root delta into the pending set.
-func (p *Op) apply(d *delta, src applySource) {
+func (p *Op) apply(d *delta) {
 	u := p.sh.u
 	for _, it := range d.items {
+		m := &it.km.m
 		if it.del {
-			if i, ok := p.pending.slot(&it.m); ok {
+			if i, ok := p.pending.slot(m); ok {
 				u.pendDel(&p.pending, i)
 				p.pending.removeAt(i)
 				if i < p.stable {
@@ -264,25 +240,57 @@ func (p *Op) apply(d *delta, src applySource) {
 			}
 			continue
 		}
-		i, exists := p.pending.slot(&it.m)
+		i, exists := p.pending.slot(m)
 		if exists {
 			u.pendSet(&p.pending, i)
-			p.pending.ms[i] = it.m
+			p.pending.ms[i] = it.km
 			continue
 		}
 		// The stable prefix ends on a group boundary; an insert below it —
 		// or at it, when the new match extends the group just before it —
 		// changes an already-committed group and forces a full re-walk.
 		if i < p.stable || (i == p.stable && i > 0 &&
-			p.pending.ms[i-1].FinalizeAt == it.m.FinalizeAt &&
-			p.pending.ms[i-1].LastVs == it.m.LastVs) {
+			p.pending.ms[i-1].m.FinalizeAt == m.FinalizeAt &&
+			p.pending.ms[i-1].m.LastVs == m.LastVs) {
 			p.stable = 0
 		}
-		p.pending.insertAt(i, it.m)
+		p.pending.insertAt(i, it.km)
 		u.pendIns(&p.pending, i)
-		if it.m.FinalizeAt < p.minAddFin {
-			p.minAddFin = it.m.FinalizeAt
+		if m.FinalizeAt < p.minAddFin {
+			p.minAddFin = m.FinalizeAt
 		}
+	}
+}
+
+// push drives record r through the tree and folds the root's transitions
+// into the pending set.
+func (p *Op) push(r *evRec) {
+	p.rootDelta.reset()
+	p.root.push(r, &p.rootDelta)
+	p.apply(&p.rootDelta)
+}
+
+// withdraw removes event id from the tree (a removal or a consumption) and
+// folds the root's transitions into the pending set.
+func (p *Op) withdraw(id event.ID) {
+	p.rootDelta.reset()
+	p.root.remove(id, &p.rootDelta)
+	p.apply(&p.rootDelta)
+}
+
+// setVs and dropVs maintain the available-occurrence table where an UNLESS'
+// reads it.
+func (p *Op) setVs(r *evRec) {
+	if p.trackVs {
+		p.sh.u.timeMap(p.sh.vs, r.id())
+		p.sh.vs[r.id()] = r.vs
+	}
+}
+
+func (p *Op) dropVs(id event.ID) {
+	if p.trackVs {
+		p.sh.u.timeMap(p.sh.vs, id)
+		delete(p.sh.vs, id)
 	}
 }
 
@@ -298,23 +306,17 @@ func (p *Op) Process(_ int, e event.Event) []event.Event {
 	if e.V.Start > p.frontier {
 		p.frontier = e.V.Start
 	}
-	// Events are stored by value; payload and lineage slices stay shared
-	// with the caller's event. Operator payloads are immutable by contract
-	// (the monitor's repair diff leans on exactly that sharing), so the
-	// defensive deep clone the oracle performs buys nothing here — and the
-	// leaf re-namespaces the payload into a fresh map anyway.
-	p.sh.u.evMap(p.store, e.ID)
-	p.store[e.ID] = e
-	if e.V.Start < p.lowVs {
-		p.lowVs = e.V.Start
-	}
-	if p.trackVs && e.Kind == event.Insert {
-		p.sh.u.timeMap(p.sh.vs, e.ID)
-		p.sh.vs[e.ID] = e.V.Start
-	}
-	p.rootDelta.reset()
-	p.root.push(e, &p.rootDelta)
-	p.apply(&p.rootDelta, srcInsert)
+	// The store holds the event's record, not a copy of the event; payload
+	// and lineage stay shared with the caller's event. Operator payloads are
+	// immutable by contract (the monitor's repair diff leans on exactly that
+	// sharing), so the defensive deep clone the oracle performs buys nothing
+	// here — and the leaf re-namespaces the payload into a fresh map anyway.
+	r := p.sh.recs.of(&e)
+	p.sh.u.recMap(p.store, e.ID)
+	p.store[e.ID] = r
+	p.expiry.push(r, p.sh.u)
+	p.setVs(r)
+	p.push(r)
 	outs := p.mature()
 	p.sh.u.flush()
 	return outs
@@ -324,74 +326,65 @@ func (p *Op) Process(_ int, e event.Event) []event.Event {
 // the tree, retract dependent emitted outputs in deterministic commit
 // order, revive un-consumed contributors, and re-mature.
 func (p *Op) remove(id event.ID) []event.Event {
-	sev, inStore := p.store[id]
-	cev, wasConsumed := p.consumed[id]
+	u := p.sh.u
+	sr, inStore := p.store[id]
+	cr, wasConsumed := p.consumed[id]
 	if !inStore && !wasConsumed {
 		return nil
 	}
 	if inStore {
-		p.sh.u.evMapKnown(p.store, id, sev)
+		u.recMapKnown(p.store, id, sr)
+		delete(p.store, id)
 	}
 	if wasConsumed {
-		p.sh.u.evMapKnown(p.consumed, id, cev)
+		u.recMapKnown(p.consumed, id, cr)
+		delete(p.consumed, id)
 	}
-	delete(p.store, id)
-	delete(p.consumed, id)
-	if p.trackVs {
-		p.sh.u.timeMap(p.sh.vs, id)
-		delete(p.sh.vs, id)
-	}
+	p.dropVs(id)
 	if inStore {
-		p.rootDelta.reset()
-		p.root.remove(id, &p.rootDelta)
-		p.apply(&p.rootDelta, srcRemove)
+		p.withdraw(id)
 	}
 
 	// Emitted outputs that depend on the removed contributor: retract in
 	// the commit order the oracle's (sorted) emitted scan produces.
-	var hit []algebra.Match
-	for _, m := range p.emitted {
-		for _, c := range m.CBT {
+	var hit []*keyedMatch
+	for _, km := range p.emitted {
+		for _, c := range km.m.CBT {
 			if c == id {
-				hit = append(hit, m)
+				hit = append(hit, km)
 				break
 			}
 		}
 	}
-	algebra.SortMatches(hit)
+	sort.Slice(hit, func(i, j int) bool { return commitBefore(&hit[i].m, &hit[j].m) })
 	outs := p.remBuf[:0]
-	for _, m := range hit {
-		r := m.Event(p.OutType)
+	for _, km := range hit {
+		r := km.m.Event(p.OutType)
 		r.Kind = event.Retract
 		r.V.End = r.V.Start
 		outs = append(outs, r)
-		p.sh.u.matchMap(p.emitted, m.ID)
-		delete(p.emitted, m.ID)
+		u.matchMapKnown(p.emitted, km.m.ID, km)
+		delete(p.emitted, km.m.ID)
 		p.dirty = true
 		if wasConsumed || p.Mode.Cons == algebra.Consume {
-			for _, c := range m.CBT {
+			for _, c := range km.m.CBT {
 				if c == id {
 					continue
 				}
-				if ev, ok := p.consumed[c]; ok {
-					p.sh.u.evMapKnown(p.consumed, c, ev)
+				if rec, ok := p.consumed[c]; ok {
+					u.recMapKnown(p.consumed, c, rec)
 					delete(p.consumed, c)
-					p.sh.u.evMap(p.store, c)
-					p.store[c] = ev
-					if p.trackVs {
-						p.sh.u.timeMap(p.sh.vs, c)
-						p.sh.vs[c] = ev.V.Start
-					}
-					p.rootDelta.reset()
-					p.root.push(ev, &p.rootDelta)
-					p.apply(&p.rootDelta, srcRevive)
+					u.recMap(p.store, c)
+					p.store[c] = rec
+					p.setVs(rec)
+					p.push(rec)
 				}
 			}
 		}
 	}
 	outs = append(outs, p.mature()...)
 	p.remBuf = outs[:0]
-	p.sh.u.flush()
+	u.flush()
 	return outs
 }
 
@@ -434,13 +427,13 @@ func (p *Op) mature() []event.Event {
 	}
 
 	cut := start
-	for cut < len(ms) && ms[cut].FinalizeAt <= p.frontier {
+	for cut < len(ms) && ms[cut].m.FinalizeAt <= p.frontier {
 		i := cut
 		j := i + 1
-		for j < len(ms) && ms[j].FinalizeAt == ms[i].FinalizeAt && ms[j].LastVs == ms[i].LastVs {
+		for j < len(ms) && ms[j].m.FinalizeAt == ms[i].m.FinalizeAt && ms[j].m.LastVs == ms[i].m.LastVs {
 			j++
 		}
-		sel = algebra.CommitGroup(ms[i:j], p.Mode, consumed, sel)
+		sel = algebra.CommitGroup(ms[i:j], matchOf, p.Mode, consumed, sel)
 		cut = j
 	}
 
@@ -448,7 +441,7 @@ func (p *Op) mature() []event.Event {
 	// frontier to have covered them, and the frontier only grows), so the
 	// first one's FinalizeAt is the earliest future emission candidate.
 	if cut < len(ms) {
-		p.minFutureFin = ms[cut].FinalizeAt
+		p.minFutureFin = ms[cut].m.FinalizeAt
 	} else {
 		p.minFutureFin = temporal.Infinity
 	}
@@ -461,46 +454,41 @@ func (p *Op) mature() []event.Event {
 	// selection above committed into scratch first — exactly the
 	// ApplySC-then-emit split the oracle uses.
 	outs := p.outBuf[:0]
-	for si := range sel {
-		m := sel[si]
-		if _, done := p.emitted[m.ID]; done {
+	for _, km := range sel {
+		if _, done := p.emitted[km.m.ID]; done {
 			continue
 		}
-		p.sh.u.matchMap(p.emitted, m.ID)
-		p.emitted[m.ID] = m
-		if m.LastVs < p.lowEmit {
-			p.lowEmit = m.LastVs
-		}
+		p.sh.u.matchMap(p.emitted, km.m.ID)
+		p.emitted[km.m.ID] = km
+		p.emittedExpiry.push(km, p.sh.u)
 		if p.Mode.Cons == algebra.Consume {
-			p.consume(m)
+			p.consume(km)
 		}
-		outs = append(outs, m.Event(p.OutType))
+		outs = append(outs, km.m.Event(p.OutType))
 	}
 	p.selBuf = sel[:0]
 	p.outBuf = outs[:0]
 	return outs
 }
 
+// matchOf is CommitGroup's accessor over the pending list's references.
+func matchOf(km **keyedMatch) *algebra.Match { return &(*km).m }
+
 // consume parks an emitted match's contributors in the side store and
 // removes them from the tree, so no later instance can reuse them — and so
 // remove() can resurrect them.
-func (p *Op) consume(m algebra.Match) {
-	for _, id := range m.CBT {
-		ev, ok := p.store[id]
+func (p *Op) consume(km *keyedMatch) {
+	for _, id := range km.m.CBT {
+		r, ok := p.store[id]
 		if !ok {
 			continue
 		}
-		p.sh.u.evMapKnown(p.store, id, ev)
+		p.sh.u.recMapKnown(p.store, id, r)
 		delete(p.store, id)
-		if p.trackVs {
-			p.sh.u.timeMap(p.sh.vs, id)
-			delete(p.sh.vs, id)
-		}
-		p.sh.u.evMap(p.consumed, id)
-		p.consumed[id] = ev
-		p.rootDelta.reset()
-		p.root.remove(id, &p.rootDelta)
-		p.apply(&p.rootDelta, srcConsume)
+		p.dropVs(id)
+		p.sh.u.recMap(p.consumed, id)
+		p.consumed[id] = r
+		p.withdraw(id)
 	}
 }
 
@@ -512,69 +500,60 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 		p.frontier = t
 	}
 	outs := p.mature()
+	u := p.sh.u
 	if !p.frontier.IsInfinite() {
 		// Prune on every advance, exactly like the oracle: even input that
 		// violates the alignment contract (which the oracle tolerates) must
-		// leave both implementations in identical state. The watermarks
-		// skip the scans when nothing can be below the horizon — skipping
-		// a provably empty prune leaves identical state.
+		// leave both implementations in identical state. The queues make
+		// that O(expired): tree state derives from leaf events, every one
+		// of which is in store with an entry in p.expiry, so a run that
+		// popped nothing proves the tree holds nothing prunable either.
 		horizon := p.frontier.Add(-p.scope)
-		if horizon > p.lowVs {
+		if run := p.expiry.expire(horizon, u); len(run) > 0 {
 			p.rootDelta.reset()
 			p.root.prune(horizon, &p.rootDelta)
-			p.apply(&p.rootDelta, srcPrune)
-			low := temporal.Infinity
-			for id, e := range p.store {
-				if e.V.Start < horizon {
-					p.sh.u.evMapKnown(p.store, id, e)
+			p.apply(&p.rootDelta)
+			// An entry is stale unless its event is still held, at this
+			// occurrence time (removed events stay queued; a re-pushed one
+			// has a later entry too).
+			for _, r := range run {
+				id := r.id()
+				if cur, ok := p.store[id]; ok && cur.vs == r.vs {
+					u.recMapKnown(p.store, id, cur)
 					delete(p.store, id)
-					if p.trackVs {
-						p.sh.u.timeMap(p.sh.vs, id)
-						delete(p.sh.vs, id)
-					}
-				} else if e.V.Start < low {
-					low = e.V.Start
+					p.dropVs(id)
 				}
-			}
-			for id, e := range p.consumed {
-				if e.V.Start < horizon {
-					p.sh.u.evMapKnown(p.consumed, id, e)
+				if cur, ok := p.consumed[id]; ok && cur.vs == r.vs {
+					u.recMapKnown(p.consumed, id, cur)
 					delete(p.consumed, id)
-				} else if e.V.Start < low {
-					low = e.V.Start
 				}
 			}
-			p.lowVs = low
 		}
-		if horizon > p.lowEmit {
-			low := temporal.Infinity
-			for id, m := range p.emitted {
-				if m.LastVs < horizon {
-					p.sh.u.matchMap(p.emitted, id)
-					delete(p.emitted, id)
-				} else if m.LastVs < low {
-					low = m.LastVs
-				}
+		for _, km := range p.emittedExpiry.expire(horizon, u) {
+			id := km.m.ID
+			if cur, ok := p.emitted[id]; ok && cur.m.V.Start == km.m.V.Start {
+				u.matchMapKnown(p.emitted, id, cur)
+				delete(p.emitted, id)
 			}
-			p.lowEmit = low
 		}
 	} else {
 		// Wholesale reset: journal the replaced containers (the tree, the
-		// stores, the pending list) as one record, then rebuild. The new
-		// shared struct keeps the same journal.
-		p.sh.u.reset(p)
-		p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: p.sh.key, u: p.sh.u}
+		// stores with their queue, the pending list) as one record, then
+		// rebuild. The new shared struct keeps the same journal; the caches
+		// start over with the tree.
+		u.reset(p)
+		p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: p.sh.key, recs: newRecCache(), u: u}
 		p.root = build(p.Expr, p.sh, buildCtx{pos: true})
-		p.store = map[event.ID]event.Event{}
-		p.consumed = map[event.ID]event.Event{}
+		p.store = map[event.ID]*evRec{}
+		p.consumed = map[event.ID]*evRec{}
+		p.expiry = &expiryQueue[*evRec]{}
 		p.pending = pendingList{}
 		p.dirty = false
 		p.stable = 0
 		p.minAddFin = temporal.Infinity
 		p.minFutureFin = temporal.Infinity
-		p.lowVs = temporal.Infinity
 	}
-	p.sh.u.flush()
+	u.flush()
 	return outs
 }
 
@@ -583,8 +562,8 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 // order, so that tuple is the cross-key position of an Advance output.
 func (p *Op) AppendAdvanceKey(dst []byte, e event.Event) []byte {
 	fin, vs, first := e.V.Start, e.V.Start, e.RT
-	if m, ok := p.emitted[e.ID]; ok {
-		fin, vs, first = m.FinalizeAt, m.V.Start, m.FirstVs
+	if km, ok := p.emitted[e.ID]; ok {
+		fin, vs, first = km.m.FinalizeAt, km.m.V.Start, km.m.FirstVs
 	}
 	dst = ordkey.AppendInt(dst, int64(fin))
 	dst = ordkey.AppendInt(dst, int64(vs))
@@ -602,6 +581,7 @@ func (p *Op) OutputGuarantee(t temporal.Time) temporal.Time {
 
 // StateSize implements operators.Op: retained primitive events (available
 // and consumed — the oracle keeps both in its store) plus emitted matches.
+// It counts the stores, never their expiry queues' slots or stale entries.
 func (p *Op) StateSize() int { return len(p.store) + len(p.consumed) + len(p.emitted) }
 
 // PerEventCostNs implements operators.CostHint for the overhead-aware
@@ -647,41 +627,29 @@ func (p *Op) ensureOwned() {
 // deepClone is the eager copy: mutable state duplicated, interning caches
 // shared, a fresh (off) journal.
 func (p *Op) deepClone() *Op {
-	sh := &shared{vs: make(map[event.ID]temporal.Time, len(p.sh.vs)), key: p.sh.key, u: &undoLog{}}
-	for id, t := range p.sh.vs {
-		sh.vs[id] = t
+	sh := &shared{vs: maps.Clone(p.sh.vs), key: p.sh.key, recs: p.sh.recs, u: &undoLog{}}
+	expiry := p.expiry.clone()
+	return &Op{
+		Expr:          p.Expr,
+		Mode:          p.Mode,
+		OutType:       p.OutType,
+		keyAttr:       p.keyAttr,
+		trackVs:       p.trackVs,
+		sh:            sh,
+		root:          p.root.clone(sh),
+		store:         maps.Clone(p.store),
+		consumed:      maps.Clone(p.consumed),
+		expiry:        &expiry,
+		pending:       pendingList{ms: slices.Clone(p.pending.ms)},
+		emitted:       maps.Clone(p.emitted),
+		emittedExpiry: p.emittedExpiry.clone(),
+		frontier:      p.frontier,
+		scope:         p.scope,
+		minAddFin:     p.minAddFin,
+		minFutureFin:  p.minFutureFin,
+		dirty:         p.dirty,
+		stable:        p.stable,
 	}
-	c := &Op{
-		Expr:         p.Expr,
-		Mode:         p.Mode,
-		OutType:      p.OutType,
-		keyAttr:      p.keyAttr,
-		trackVs:      p.trackVs,
-		sh:           sh,
-		root:         p.root.clone(sh),
-		store:        make(map[event.ID]event.Event, len(p.store)),
-		consumed:     make(map[event.ID]event.Event, len(p.consumed)),
-		pending:      pendingList{ms: append([]algebra.Match(nil), p.pending.ms...)},
-		emitted:      make(map[event.ID]algebra.Match, len(p.emitted)),
-		frontier:     p.frontier,
-		scope:        p.scope,
-		minAddFin:    p.minAddFin,
-		minFutureFin: p.minFutureFin,
-		dirty:        p.dirty,
-		stable:       p.stable,
-		lowVs:        p.lowVs,
-		lowEmit:      p.lowEmit,
-	}
-	for id, e := range p.store {
-		c.store[id] = e
-	}
-	for id, e := range p.consumed {
-		c.consumed[id] = e
-	}
-	for id, m := range p.emitted {
-		c.emitted[id] = m
-	}
-	return c
 }
 
 // Mark implements operators.Versioned: an O(1) barrier append returning a

@@ -19,7 +19,10 @@ import (
 // clone — then keeps driving both with the same suffix, asserting the usual
 // step-for-step byte identity. Compact validates that history below a kept
 // version can be discarded without hurting it, and that rollback to a
-// discarded or invalidated version is refused with state untouched.
+// discarded or invalidated version is refused with state untouched. The
+// random scripts rarely advance far enough to expire anything, so each
+// (expression, mode) also runs driveAcrossExpiry (expiry_test.go): one fixed
+// script that takes every expiry-queue seam across Mark/Rollback.
 
 type rbMark struct {
 	v operators.Version
@@ -148,6 +151,7 @@ func TestRollbackDifferential(t *testing.T) {
 				events := genEvents(rng, 40)
 				driveRollback(t, name, expr, mode, seed, events, rng)
 			}
+			driveAcrossExpiry(t, name, expr, mode)
 		}
 	}
 }
@@ -166,6 +170,9 @@ func TestRollbackDifferentialKeyed(t *testing.T) {
 				driveRollback(t, name+"/"+d.name, expr, algebra.SCMode{}, seed, events, rng,
 					WithJoinKey("k"))
 			}
+		}
+		for _, mode := range scModes() {
+			driveAcrossExpiry(t, name, expr, mode, WithJoinKey("k"))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package inc
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/algebra"
 	"repro/internal/event"
 	"repro/internal/temporal"
@@ -12,54 +15,53 @@ import (
 // within the window — the only combinations a re-derivation would have
 // found that the previous state did not already hold.
 //
-// Under correlation-key pushdown (keyed, see key.go) the per-position
+// Under correlation-key pushdown (see key.go and buildCtx) the per-position
 // lists are key-indexed: a new definite-key match combines only with picks
 // from its own key's bucket plus the wild list, so the enumeration no
 // longer crosses keys the residual EQUAL predicate would drop anyway. An
 // unkeyed node files every match wild: one flat list per position.
 type seqNode struct {
-	kids  []node
-	w     temporal.Duration
-	keyed bool // this node's lists are indexed by key
+	kids []node
+	w    temporal.Duration
 
-	lists []keyedList // per-position join state
+	lists []keyedList // per-position join state, key-indexed where the node may
 
 	// outs holds the node's live composite matches; uses indexes them by
 	// child-match ID so a child retraction cascades in O(dependents).
 	// uses entries are cleaned lazily: a dead output ID is skipped (and the
 	// whole entry dropped when its child match goes).
-	outs map[event.ID]algebra.Match
+	outs map[event.ID]*keyedMatch
 	uses map[event.ID][]event.ID
 
-	parts []algebra.Match // enumeration scratch, one slot per position
-	ids   []event.ID      // contributor-ID scratch for the interned lookup
-	kd    delta           // reusable child-transition scratch
-	comb  *combCache      // interned composites, shared with clones
+	parts []*keyedMatch // enumeration scratch, one slot per position
+	ids   []event.ID    // contributor-ID scratch for the interned lookup
+	kd    delta         // reusable child-transition scratch
+	comb  *combCache    // interned composites, shared with clones
 	u     *undoLog
 }
 
 func newSeqNode(e algebra.SequenceExpr, sh *shared, ctx buildCtx) *seqNode {
 	s := &seqNode{
 		w:     e.W,
-		keyed: ctx.joinKeyed(sh),
 		lists: make([]keyedList, len(e.Kids)),
-		outs:  map[event.ID]algebra.Match{},
+		outs:  map[event.ID]*keyedMatch{},
 		uses:  map[event.ID][]event.ID{},
-		parts: make([]algebra.Match, len(e.Kids)),
+		parts: make([]*keyedMatch, len(e.Kids)),
 		ids:   make([]event.ID, len(e.Kids)),
 		comb:  newCombCache(sh.key),
 		u:     sh.u,
 	}
-	for _, k := range e.Kids {
+	for i, k := range e.Kids {
+		s.lists[i].keyed = ctx.joinKeyed(sh)
 		s.kids = append(s.kids, build(k, sh, ctx))
 	}
 	return s
 }
 
-func (s *seqNode) push(e event.Event, out *delta) {
+func (s *seqNode) push(r *evRec, out *delta) {
 	for i, k := range s.kids {
 		s.kd.reset()
-		k.push(e, &s.kd)
+		k.push(r, &s.kd)
 		s.applyKid(i, out)
 	}
 }
@@ -82,27 +84,25 @@ func (s *seqNode) prune(horizon temporal.Time, out *delta) {
 
 // applyKid folds child i's transition batch (in s.kd) into the join state.
 func (s *seqNode) applyKid(i int, out *delta) {
-	for j := range s.kd.items {
-		it := &s.kd.items[j]
-		k := route(s.keyed, it.key)
+	for _, it := range s.kd.items {
 		if it.del {
-			if s.lists[i].remove(it.m, k) {
-				s.u.listDel(&s.lists[i], &it.m, k)
+			if s.lists[i].remove(it.km) {
+				s.u.listDel(&s.lists[i], it.km)
 			}
-			for _, oid := range s.uses[it.m.ID] {
-				if m, ok := s.outs[oid]; ok {
-					s.u.matchMap(s.outs, oid)
+			for _, oid := range s.uses[it.km.m.ID] {
+				if km, ok := s.outs[oid]; ok {
+					s.u.matchMapKnown(s.outs, oid, km)
 					delete(s.outs, oid)
-					out.del(m, s.comb.keyOf(oid, &m))
+					out.del(km)
 				}
 			}
-			s.u.usesDel(s.uses, it.m.ID)
-			delete(s.uses, it.m.ID)
+			s.u.usesDel(s.uses, it.km.m.ID)
+			delete(s.uses, it.km.m.ID)
 			continue
 		}
-		s.enumerate(i, it.m, k, out)
-		s.lists[i].insert(it.m, k)
-		s.u.listIns(&s.lists[i], &it.m, k)
+		s.enumerate(i, it.km, out)
+		s.lists[i].insert(it.km)
+		s.u.listIns(&s.lists[i], it.km)
 	}
 }
 
@@ -112,7 +112,7 @@ func (s *seqNode) applyKid(i int, out *delta) {
 // pushdown, a definite-key nm draws the other positions' picks from its
 // key's bucket and the wild list only (a wild nm still scans everything —
 // the residual predicates decide, exactly as unkeyed).
-func (s *seqNode) enumerate(fix int, nm algebra.Match, key corrKey, out *delta) {
+func (s *seqNode) enumerate(fix int, nm *keyedMatch, out *delta) {
 	k := len(s.kids)
 	var rec func(depth int, prev, first temporal.Time)
 	rec = func(depth int, prev, first temporal.Time) {
@@ -120,21 +120,22 @@ func (s *seqNode) enumerate(fix int, nm algebra.Match, key corrKey, out *delta) 
 			s.commit(out)
 			return
 		}
-		try := func(m algebra.Match) bool {
+		try := func(km *keyedMatch) bool {
+			vs := km.m.V.Start
 			if depth > 0 {
-				if !(prev < m.V.Start) {
+				if !(prev < vs) {
 					return true // too early; callers decide whether to keep scanning
 				}
-				if m.V.Start.Sub(first) > s.w {
+				if vs.Sub(first) > s.w {
 					return false
 				}
 			}
 			f := first
 			if depth == 0 {
-				f = m.V.Start
+				f = vs
 			}
-			s.parts[depth] = m
-			rec(depth+1, m.V.Start, f)
+			s.parts[depth] = km
+			rec(depth+1, vs, f)
 			return true
 		}
 		if depth == fix {
@@ -147,7 +148,7 @@ func (s *seqNode) enumerate(fix int, nm algebra.Match, key corrKey, out *delta) 
 				lo = list.upperBound(prev)
 			}
 			for idx := lo; idx < len(list.ms); idx++ {
-				if depth < fix && list.ms[idx].V.Start >= nm.V.Start {
+				if depth < fix && list.ms[idx].m.V.Start >= nm.m.V.Start {
 					break // positions before fix must start strictly before nm
 				}
 				if !try(list.ms[idx]) {
@@ -155,14 +156,14 @@ func (s *seqNode) enumerate(fix int, nm algebra.Match, key corrKey, out *delta) 
 				}
 			}
 		}
-		s.lists[depth].scan(key, scan)
+		s.lists[depth].scan(nm.key, scan)
 	}
 	rec(0, temporal.MinTime, temporal.MinTime)
 }
 
 func (s *seqNode) commit(out *delta) {
-	for i := range s.parts {
-		s.ids[i] = s.parts[i].ID
+	for i, p := range s.parts {
+		s.ids[i] = p.m.ID
 	}
 	id := event.Pair(s.ids...)
 	if _, dup := s.outs[id]; dup {
@@ -170,22 +171,21 @@ func (s *seqNode) commit(out *delta) {
 	}
 	km := s.comb.combined(id, s.parts, s.w)
 	s.u.matchMap(s.outs, id)
-	s.outs[id] = km.m
-	for _, p := range s.parts {
-		s.u.usesApp(s.uses, p.ID)
-		s.uses[p.ID] = append(s.uses[p.ID], id)
+	s.outs[id] = km
+	for _, pid := range s.ids {
+		s.u.usesApp(s.uses, pid)
+		s.uses[pid] = append(s.uses[pid], id)
 	}
-	out.add(km.m, km.key)
+	out.add(km)
 }
 
 func (s *seqNode) clone(sh *shared) node {
 	c := &seqNode{
 		w:     s.w,
-		keyed: s.keyed,
 		lists: make([]keyedList, len(s.lists)),
-		outs:  make(map[event.ID]algebra.Match, len(s.outs)),
+		outs:  maps.Clone(s.outs),
 		uses:  make(map[event.ID][]event.ID, len(s.uses)),
-		parts: make([]algebra.Match, len(s.parts)),
+		parts: make([]*keyedMatch, len(s.parts)),
 		ids:   make([]event.ID, len(s.ids)),
 		comb:  s.comb,
 		u:     sh.u,
@@ -196,11 +196,8 @@ func (s *seqNode) clone(sh *shared) node {
 	for i := range s.lists {
 		c.lists[i] = s.lists[i].clone()
 	}
-	for id, m := range s.outs {
-		c.outs[id] = m
-	}
 	for id, v := range s.uses {
-		c.uses[id] = append([]event.ID(nil), v...)
+		c.uses[id] = slices.Clone(v)
 	}
 	return c
 }

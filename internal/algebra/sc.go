@@ -97,21 +97,26 @@ func ApplySC(ms []Match, mode SCMode) []Match {
 		for j < len(ms) && ms[j].FinalizeAt == ms[i].FinalizeAt && ms[j].LastVs == ms[i].LastVs {
 			j++
 		}
-		out = CommitGroup(ms[i:j], mode, consumed, out)
+		out = CommitGroup(ms[i:j], matchItself, mode, consumed, out)
 		i = j
 	}
 	return out
 }
 
+// matchItself is CommitGroup's accessor over match values.
+func matchItself(m *Match) *Match { return m }
+
 // CommitGroup applies the SC mode to one detection group — a maximal run
 // of matches sharing (FinalizeAt, LastVs) in commit order — threading the
 // cross-group consumed set (nil under reuse consumption), and appends the
-// committed matches to out. It is the single definition of the
+// committed entries to out. It is the single definition of the
 // selection/consumption rule: ApplySC (the semi-naive oracle) and the
 // incremental Op's per-group commit (package algebra/inc) both call it,
 // which is what keeps the two evaluation paths byte-identical here by
-// construction.
-func CommitGroup(group []Match, mode SCMode, consumed map[event.ID]bool, out []Match) []Match {
+// construction. The group's element type is the caller's — the oracle
+// commits over match values, the incremental Op over references to its
+// interned matches — and match reads the Match out of one element.
+func CommitGroup[T any](group []T, match func(*T) *Match, mode SCMode, consumed map[event.ID]bool, out []T) []T {
 	viable := func(m *Match) bool {
 		if mode.Cons != Consume {
 			return true
@@ -123,45 +128,46 @@ func CommitGroup(group []Match, mode SCMode, consumed map[event.ID]bool, out []M
 		}
 		return true
 	}
-	commit := func(m Match) {
+	commit := func(gi int) {
 		if mode.Cons == Consume {
-			for _, id := range m.CBT {
+			for _, id := range match(&group[gi]).CBT {
 				consumed[id] = true
 			}
 		}
-		out = append(out, m)
+		out = append(out, group[gi])
 	}
 	if mode.Sel == SelectEach {
 		for gi := range group {
-			if viable(&group[gi]) {
-				commit(group[gi])
+			if viable(match(&group[gi])) {
+				commit(gi)
 			}
 		}
 		return out
 	}
+	bi := -1
 	var best *Match
 	for gi := range group {
-		c := &group[gi]
+		c := match(&group[gi])
 		if !viable(c) {
 			continue
 		}
 		if best == nil {
-			best = c
+			best, bi = c, gi
 			continue
 		}
 		switch mode.Sel {
 		case SelectFirst:
 			if c.FirstVs < best.FirstVs || (c.FirstVs == best.FirstVs && c.ID < best.ID) {
-				best = c
+				best, bi = c, gi
 			}
 		case SelectLast:
 			if c.FirstVs > best.FirstVs || (c.FirstVs == best.FirstVs && c.ID < best.ID) {
-				best = c
+				best, bi = c, gi
 			}
 		}
 	}
 	if best != nil {
-		commit(*best)
+		commit(bi)
 	}
 	return out
 }
