@@ -678,7 +678,3 @@ func (p *Op) Compact(v operators.Version) {
 	}
 	p.sh.u.compact(v.Pos)
 }
-
-// Release implements operators.Versioned: the journal holds nothing per
-// version beyond its barrier record.
-func (p *Op) Release(operators.Version) {}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/stream"
 	"repro/internal/temporal"
+	"repro/internal/workload"
 )
 
 // The monitor-equivalence property: the optimized Monitor must produce
@@ -219,16 +220,17 @@ func TestMonitorEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestMonitorEquivalenceCheckpointCadences pins the monitor across the
-// snapshot-cadence grid — a mark per admitted item (1), tight (3), the
-// default (24), and disabled (0: every repair rebuilds from the checkpoint
-// state) — against the frozen seed reference, which has no snapshot cache
-// at all. The operator grid has one of each Versioned implementation — the
-// incremental matcher's journal, the map journal (aggregate), the join's,
-// and the clone-backed fallback (the same aggregate behind foreign) — so
-// each marks, rolls back and compacts at every cadence. Output and metrics
-// must be invariant under cadence.
-func TestMonitorEquivalenceCheckpointCadences(t *testing.T) {
+// TestMonitorEquivalenceVersionedImpls pins the monitor's use of the
+// Versioned protocol — a mark per admitted item, a rollback per straggler, a
+// compact per checkpoint — against the frozen seed reference, which clones
+// and replays from its checkpoint. The operator grid has one of each
+// implementation: the incremental matcher's journal, the map journal
+// (aggregate), the join's, and the clone-backed fallback (the same aggregate
+// behind foreign). Each also starts at a level that records no versions and
+// loosens to Middle mid-stream: after Strong the stragglers that follow land
+// before every versioned item and repair from the base; after Weak(0) a live
+// item without a version can become a checkpoint boundary.
+func TestMonitorEquivalenceVersionedImpls(t *testing.T) {
 	all := equivalenceOps()
 	ops := map[string]func() operators.Op{
 		"inc-seq":    func() operators.Op { return inc.NewOp(seqEE, algebra.SCMode{}, "out") },
@@ -241,7 +243,6 @@ func TestMonitorEquivalenceCheckpointCadences(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	cadences := []int{1, 3, 24, 0}
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(4200 + int64(trial)))
 		src := randSource(rng, 120+rng.Intn(80))
@@ -251,15 +252,52 @@ func TestMonitorEquivalenceCheckpointCadences(t *testing.T) {
 		for _, name := range names {
 			mk := ops[name]
 			for _, spec := range []Spec{Strong(), Middle(), Weak(40), Level(10, 50)} {
-				for _, every := range cadences {
-					label := fmt.Sprintf("cadence trial %d op %s level %s every %d",
-						trial, name, spec.Name(), every)
-					runBoth(t, label,
-						NewMonitor(mk(), spec, WithSnapshotCadence(every, 0)),
-						newRefMonitor(mk(), spec), delivered, 0, Spec{})
-				}
+				label := fmt.Sprintf("versioned trial %d op %s level %s", trial, name, spec.Name())
+				runBoth(t, label, NewMonitor(mk(), spec), newRefMonitor(mk(), spec), delivered, 0, Spec{})
+			}
+			for _, from := range []Spec{Strong(), Weak(0)} {
+				at := len(delivered)/4 + rng.Intn(len(delivered)/2)
+				label := fmt.Sprintf("versioned trial %d op %s %s->middle@%d", trial, name, from.Name(), at)
+				runBoth(t, label, NewMonitor(mk(), from), newRefMonitor(mk(), from), delivered, at, Middle())
 			}
 		}
+	}
+}
+
+// Retractions in the input reach the net-fact table as shrinks and removals
+// — through select unchanged, through the stateful operators as corrections
+// of their own output — and a disordered delivery can hand the monitor a
+// retraction before the insert it corrects.
+func TestMonitorEquivalenceWithRetractions(t *testing.T) {
+	all := equivalenceOps()
+	for trial := 0; trial < 4; trial++ {
+		rng := rand.New(rand.NewSource(8800 + int64(trial)))
+		src := workload.Corrections(rng.Int63(), 0.5, randSource(rng, 100+rng.Intn(60)))
+		delivered := delivery.Deliver(src, delivery.Disordered(rng.Int63(),
+			temporal.Duration(rng.Intn(80)+20), temporal.Duration(rng.Intn(60)+10),
+			0.15+rng.Float64()*0.3))
+		for _, name := range []string{"select", "count-by-g", "window", "join"} {
+			for _, spec := range []Spec{Middle(), Weak(40), Level(10, 50)} {
+				label := fmt.Sprintf("retraction trial %d op %s level %s", trial, name, spec.Name())
+				runBoth(t, label, NewMonitor(all[name](), spec), newRefMonitor(all[name](), spec), delivered, 0, Spec{})
+			}
+		}
+	}
+}
+
+// A live item admitted at a level that records no versions becomes the
+// checkpoint boundary after the level loosens: Weak(0) keeps the newest item
+// in its window, Middle admits a later one behind it, and a sync point falls
+// between the two. The stragglers that follow repair from that base.
+func TestMonitorEquivalenceUnversionedBoundary(t *testing.T) {
+	ins := func(id event.ID, vs temporal.Time) event.Event {
+		return event.NewInsert(id, "E", vs, vs+40, event.Payload{"g": int64(id % 2), "x": 1.0})
+	}
+	delivered := stream.Stream{ins(1, 5), ins(2, 10), ins(3, 20), // Weak(0): 3 stays live
+		ins(4, 30), event.NewCTI(25), ins(5, 27), ins(6, 26), event.NewCTI(60)}
+	for name, mk := range equivalenceOps() {
+		opt, ref := NewMonitor(mk(), Weak(0)), newRefMonitor(mk(), Weak(0))
+		runBoth(t, "unversioned boundary op "+name, opt, ref, delivered, 2, Middle())
 	}
 }
 

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -51,10 +52,10 @@ import (
 // O(mutations since); reference evaluators and test doubles fall back to a
 // clone per Mark; a Stateless operator has nothing to version. The monitor
 // holds no second operator — the checkpoint is a base Version of the live
-// one, repair snapshots are further Versions, and a repair rewinds the live
-// operator in place. The one shortcut on top is repairStateless, which
-// skips rollback and replay where a stateless operator's own output is
-// provably the whole delta.
+// one, every admitted item records a further Version, and a repair rewinds
+// the live operator in place. The one shortcut on top is repairStateless,
+// which skips rollback and replay where a stateless operator's own output
+// is provably the whole delta.
 //
 // At common sync points all levels have output the same state, which is
 // what makes the levels seamlessly switchable (Section 5); the tests verify
@@ -71,12 +72,26 @@ import (
 //     prefix into the checkpoint is then an O(table) filter: drop the facts
 //     whose source key is covered.
 //
-//   - Repair snapshots: every snapEvery admitted items the monitor marks
-//     the operator and copies the net-fact table. A straggler replays from
-//     the nearest snapshot at or before its position instead of from the
-//     checkpoint, making repair O(straggler depth + snapEvery) rather than
-//     O(items since the last guarantee). Snapshot state is a derived cache
-//     and is excluded from the Metrics state-size axis.
+//   - Every item is a rollback point. Each set or delete on the net-fact
+//     table first appends the entry it replaces to an undo journal, and an
+//     item, once the operator has been driven through it, records where
+//     its span of the journal ends and the operator Version marked there
+//     (seal). Journal order, version order and log order coincide. A
+//     straggler unwinds the journal and rolls the operator back to its
+//     predecessor, re-drives the window from its own position, and diffs
+//     the ids the unwind and the replay touched: repair is O(straggler
+//     depth), whatever the size of the table or the window. Items admitted
+//     while the level cannot repair (Strong, M = 0) skip the Mark; a repair
+//     reaching them rolls back further, to the nearest item that has one or
+//     to the base. The checkpoint truncates the journal at its boundary,
+//     so a journaled entry may name a fact the checkpoint has since
+//     finalized; the unwind treats such an entry as absent.
+//
+//   - Generations live in the table's entries. A journaled or re-derived
+//     entry may carry a stale one: diff, which alone derives generations
+//     (from the entry a repair displaced and the retired-generation
+//     counter), writes the right one into every entry a repair leaves in
+//     the table, and every such entry's id is among those it visits.
 //
 //   - The slices returned by Push, SetSpec and Finish alias an internal
 //     buffer and are valid only until the next call on this monitor;
@@ -85,19 +100,9 @@ type Monitor struct {
 	op   operators.Versioned // live operator
 	spec Spec
 
-	// base is the newest version at or below the absorbed boundary; tail is
-	// the index of the first log item after base's boundary. Items in
-	// [tail, head) are absorbed but physically retained: a repair falling
-	// back to base re-drives them with discarded output (their facts were
-	// already finalized), which rebuilds the operator state as of the
-	// absorbed boundary.
+	// base is the operator version at the absorbed boundary: the state a
+	// repair restores when no live item before the straggler has a version.
 	base operators.Version
-	tail int
-
-	// Snapshot cadence, tunable via WithSnapshotCadence (defaults
-	// snapEvery/maxSnaps). snapCadence <= 0 disables repair snapshots.
-	snapCadence int
-	snapBound   int
 
 	log     []logItem // log[head:] is the live window, sorted by (sync, seq)
 	head    int
@@ -114,14 +119,22 @@ type Monitor struct {
 	seq           int
 	now           temporal.Time // current CEDR time
 
-	snaps     []snapshot // repair snapshots, ascending boundary
-	sinceSnap int
-	dirty     []event.ID              // ids touched by the current repair fold
-	spare     map[event.ID]*netFact   // reusable replay table (swapped with emitted)
-	tblPool   []map[event.ID]*netFact // recycled snapshot tables
+	// undo is the net-fact table's undo journal over the live window, in log
+	// order; a position in it is absolute (index + undoBase), so positions
+	// recorded in log items survive the checkpoint's truncation.
+	undo     []tblUndo
+	undoBase int
+	dirty    []tblUndo // the current repair's diff candidates: id and displaced entry
+	// free holds the entries the last repair unwound out of the table and the
+	// journal both, for apply to reuse: a replay re-derives about as many
+	// facts as it unwinds, so repair allocates none in the steady state.
+	free []*netFact
+	// examined counts the table entries repair has unwound or diffed, for
+	// the test that pins repair's cost to the straggler's depth.
+	examined int
 
 	out       []event.Event // reusable output buffer (valid until next call)
-	diffIDs   []event.ID    // reusable diff scratch
+	diffIDs   []event.ID    // repairStateless's reusable id scratch
 	absState  int           // operator state size as of the absorbed boundary
 	stateless bool          // op implements operators.Stateless
 
@@ -174,17 +187,9 @@ const (
 	tagCTI     byte = 4
 )
 
-const (
-	// snapEvery is the default repair-snapshot cadence in admitted items
-	// (override with WithSnapshotCadence).
-	snapEvery = 24
-	// maxSnaps is the default bound on retained snapshots; the oldest are
-	// dropped first (deep stragglers fall back to the checkpoint).
-	maxSnaps = 16
-	// compactAt triggers log-window compaction once the absorbed prefix
-	// outweighs the live window.
-	compactAt = 64
-)
+// compactAt triggers log-window compaction once the absorbed prefix
+// outweighs the live window.
+const compactAt = 64
 
 type logItem struct {
 	marker bool
@@ -193,7 +198,14 @@ type logItem struct {
 	// level) but never called Process, and replay and checkpointing must do
 	// the same.
 	probe bool
-	t     temporal.Time // marker guarantee time (the Advance argument)
+	// opt records whether the live path speculatively advanced the
+	// operator before this event (true at non-blocking levels). Replay and
+	// checkpointing must reproduce the same calls even if the level has
+	// changed since, so the policy travels with the item.
+	opt bool
+	// versioned marks a rollback point: ver is valid (see seal).
+	versioned bool
+	t         temporal.Time // marker guarantee time (the Advance argument)
 	// key is the marker's position in the replay order. A guarantee that
 	// arrives after the operator has optimistically advanced beyond it was
 	// a no-op live, so it must replay at its live position (the processed
@@ -203,15 +215,15 @@ type logItem struct {
 	port int
 	ev   event.Event
 	seq  int
-	// opt records whether the live path speculatively advanced the
-	// operator before this event (true at non-blocking levels). Replay and
-	// checkpointing must reproduce the same calls even if the level has
-	// changed since, so the policy travels with the item.
-	opt bool
 	// stateAfter is the operator's StateSize after this item was applied to
 	// the sorted prefix ending at it (repair rewrites it for the replayed
 	// suffix): the checkpoint's state size once the item is its boundary.
 	stateAfter int
+	// undoAt is the absolute undo-journal position just past the table
+	// mutations of the prefix ending at this item; ver, valid when versioned,
+	// is the operator version marked there (see seal).
+	undoAt int
+	ver    operators.Version
 }
 
 func (li logItem) sync() temporal.Time {
@@ -230,12 +242,11 @@ type bufEntry struct {
 	ext     []byte // external arrival key (sharded execution; owned copy)
 }
 
-// netFact entries are stored by pointer and shared freely between the live
-// table, the spare table, and snapshot tables — a netFact is immutable once
-// published; every update replaces the pointer (copy-on-write). This keeps
-// table copies allocation-free pointer shares (a by-value map element this
-// large would be stored indirectly by the runtime and heap-allocate on
-// every assignment, including pure copies).
+// netFact entries are stored by pointer and shared between the live table
+// and the undo journal, so the fact itself is immutable once published: an
+// update replaces the pointer (a by-value map element this large would also
+// be stored indirectly by the runtime and heap-allocate on every
+// assignment). Only gen is ever written in place, by diff.
 type netFact struct {
 	ev  event.Event // net emitted fact (V is the current net interval)
 	gen uint64      // generation used in the physical output ID
@@ -251,18 +262,11 @@ func keyLE(a temporal.Time, as int, b temporal.Time, bs int) bool {
 	return a < b || (a == b && as <= bs)
 }
 
-// snapshot is a repair cache entry: the operator version and net-fact table
-// as of the log prefix ending at boundary (bSync, bSeq).
-type snapshot struct {
-	bSync temporal.Time
-	bSeq  int
-	// absSync/absSeq record the checkpoint boundary at creation time; when
-	// it still matches the monitor's, the table holds no absorbed facts and
-	// repair can skip the staleness filter.
-	absSync temporal.Time
-	absSeq  int
-	ver     operators.Version
-	tbl     map[event.ID]*netFact
+// tblUndo is one undo-journal record: the entry a set or delete on the
+// net-fact table replaced (nil when the id was absent).
+type tblUndo struct {
+	id   event.ID
+	prev *netFact
 }
 
 // Metrics quantifies the three axes of Figure 8 — blocking, state size and
@@ -307,24 +311,13 @@ func (m Metrics) MeanBlocking() float64 {
 	return float64(m.TotalBlocking) / float64(m.BlockedEvents)
 }
 
-// MonitorOption configures a Monitor beyond its consistency level.
+// MonitorOption is vestigial: no option exists any more. The type, the
+// NewMonitor parameter and plan.Plan.MonitorOpts stay only because
+// bench/e2e passes them; the next benchmark PR removes all three.
 type MonitorOption func(*Monitor)
 
-// WithSnapshotCadence overrides the repair-snapshot policy: a snapshot
-// every `every` admitted items, keeping at most `max`. every <= 0 disables
-// snapshots entirely (repair always rebuilds from the checkpoint state);
-// max <= 0 keeps the default bound.
-func WithSnapshotCadence(every, max int) MonitorOption {
-	return func(m *Monitor) {
-		m.snapCadence = every
-		if max > 0 {
-			m.snapBound = max
-		}
-	}
-}
-
 // NewMonitor wraps op with a consistency monitor at the given level.
-func NewMonitor(op operators.Op, spec Spec, opts ...MonitorOption) *Monitor {
+func NewMonitor(op operators.Op, spec Spec, _ ...MonitorOption) *Monitor {
 	portG := make([]temporal.Time, op.Arity())
 	for i := range portG {
 		portG[i] = temporal.MinTime
@@ -347,11 +340,6 @@ func NewMonitor(op operators.Op, spec Spec, opts ...MonitorOption) *Monitor {
 		processedSync:  temporal.MinTime,
 		absSync:        temporal.MinTime,
 		maxRetractSync: temporal.MinTime,
-		snapCadence:    snapEvery,
-		snapBound:      maxSnaps,
-	}
-	for _, o := range opts {
-		o(m)
 	}
 	// The genesis mark is the base — the empty prefix's state — and
 	// checkpointTo slides it forward as guarantees absorb the log.
@@ -545,9 +533,9 @@ func (m *Monitor) pushCTI(port int, t temporal.Time, arrival []byte) {
 	if m.tagging {
 		m.curClass, m.curSync, m.curArr = classGuarantee, key, arrival
 	}
-	m.insertLog(logItem{marker: true, t: g, key: key, seq: sq})
+	i := m.insertLog(logItem{marker: true, t: g, key: key, seq: sq})
 	m.emit(key, sq, tagAdvance, m.op.Advance(g))
-	m.log[len(m.log)-1].stateAfter = m.op.StateSize()
+	m.seal(i, m.versioning())
 	// Absorb everything the guarantee finalizes into the checkpoint.
 	m.checkpointTo(g)
 	// Timed-out releases may also be due (the guarantee moved the frontier).
@@ -646,16 +634,16 @@ func (m *Monitor) releaseTimedOut() {
 }
 
 // admit feeds one event to the live operator, via the fast path when it is
-// in order and via snapshot rollback and replay when it is a straggler.
-// Probes advance but never Process.
+// in order and via rollback and replay when it is a straggler. Probes
+// advance but never Process.
 func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []byte) {
 	li := logItem{port: port, probe: probe, ev: e, seq: m.nextSeq(), opt: m.spec.B != Unbounded}
 	if m.tagging {
 		m.curClass, m.curSync, m.curArr = class, e.Sync(), ext
 	}
+	i := m.insertLog(li)
 	if e.Sync() >= m.processedSync {
 		// Fast path: the item extends the sorted window.
-		m.insertLog(li)
 		src := e.Sync()
 		if li.opt {
 			m.emit(src, li.seq, tagAdvance, m.op.Advance(src))
@@ -663,28 +651,18 @@ func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []b
 		if !probe {
 			m.emit(src, li.seq, tagProcess, m.op.Process(port, e))
 		}
-		m.log[len(m.log)-1].stateAfter = m.op.StateSize()
+		m.seal(i, m.versioning())
 		m.processedSync = src
-		m.maybeSnapshot()
 		return
 	}
-	// Straggler: roll back to the nearest snapshot and replay.
+	// Straggler: roll back to its predecessor and replay.
 	if !probe {
 		m.met.Replays++
 	}
-	m.insertLog(li)
-	if m.stateless {
-		if li.probe {
-			// A probe has no Process call, so replaying it through a
-			// stateless operator cannot change the net-fact table; logging
-			// it (above) is all a future replay needs.
-			return
-		}
-		if m.repairStateless(li) {
-			return
-		}
+	if m.stateless && m.repairStateless(i) {
+		return
 	}
-	m.repair(li)
+	m.repair(i)
 }
 
 // repairStateless handles a straggler through a stateless operator without
@@ -692,8 +670,19 @@ func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []b
 // the straggler's own outputs are the complete delta — provided none of
 // them collides with existing state, where fold order against later items
 // would matter (then the generic replay decides). It reports whether the
-// repair was completed.
-func (m *Monitor) repairStateless(li logItem) bool {
+// repair was completed, in which case the straggler log[i] is sealed — the
+// operator has no state, so every item is a rollback point — with its table
+// mutations spliced into the undo journal at its position; when it was not,
+// nothing has changed.
+func (m *Monitor) repairStateless(i int) bool {
+	li := m.log[i]
+	if li.probe {
+		// A probe has no Process call, so replaying it through a stateless
+		// operator cannot change the net-fact table; logging it is all a
+		// future replay needs.
+		m.spliceUndo(i, 0)
+		return true
+	}
 	// A retraction logged at or after the straggler's position may target
 	// the straggler's own output — an interaction only a real replay
 	// applies in the right order. (A retraction straggler is itself already
@@ -732,8 +721,9 @@ func (m *Monitor) repairStateless(li logItem) bool {
 	m.diffIDs = ids
 	src, sq := li.sync(), li.seq
 	var prev event.ID
-	for i, id := range ids {
-		if i > 0 && id == prev {
+	fresh := 0
+	for k, id := range ids {
+		if k > 0 && id == prev {
 			continue
 		}
 		prev = id
@@ -751,131 +741,123 @@ func (m *Monitor) repairStateless(li logItem) bool {
 		m.out = append(m.out, ins)
 		m.appendTag(tagDiff, id, nil)
 		m.met.OutputInserts++
-		m.emitted[id] = &netFact{ev: e, gen: ng, srcSync: src, srcSeq: sq}
+		nf := m.newFact()
+		nf.ev, nf.gen, nf.srcSync, nf.srcSeq = e, ng, src, sq
+		m.set(id, nil, nf)
+		fresh++
 	}
+	m.spliceUndo(i, fresh)
 	return true
 }
 
-// repair rolls the live operator back to the latest snapshot preceding the
-// straggler li (falling back to the base version), replays the log suffix
-// through it, and emits the compensating deltas.
-func (m *Monitor) repair(li logItem) {
-	s, q := li.sync(), li.seq
-	// Snapshots whose prefix spans the straggler's position were built
-	// without it and are no longer reachable states.
-	for n := len(m.snaps); n > 0 && !keyLE(m.snaps[n-1].bSync, m.snaps[n-1].bSeq, s, q); n-- {
-		m.recycle(m.snaps[n-1].tbl)
-		m.snaps[n-1] = snapshot{}
-		m.snaps = m.snaps[:n-1]
+// spliceUndo moves the last n undo records, journaled on behalf of log[i]
+// while later items' records already followed its position, to where the
+// item's span belongs, and seals the item there.
+func (m *Monitor) spliceUndo(i, n int) {
+	start := m.undoBase
+	if i > m.head {
+		start = m.log[i-1].undoAt
 	}
-	// A base rewind re-drives the retained absorbed items [tail, head) to
-	// rebuild the state at the absorbed boundary. replay marks where
-	// folding begins: the facts of items before it are final, so their
-	// outputs are discarded.
-	start, replay := m.tail, m.head
-	// bSync/bSeq is the replay's start boundary: facts whose producer is at
-	// or before it are inherited and cannot silently vanish, so the diff
-	// only needs to visit fold-touched ids plus live facts produced by the
-	// replayed suffix.
-	bSync, bSeq := m.absSync, m.absSeq
-	ver := m.base
-	tbl := m.spare
-	if tbl == nil {
-		tbl = m.takeTable(len(m.emitted) + 8)
-	} else {
-		clear(tbl)
+	if n > 0 {
+		at, end := start-m.undoBase, len(m.undo)-n
+		m.dirty = append(m.dirty[:0], m.undo[end:]...)
+		copy(m.undo[at+n:], m.undo[at:end])
+		copy(m.undo[at:], m.dirty)
+		for j := i + 1; j < len(m.log); j++ {
+			m.log[j].undoAt += n
+		}
 	}
-	m.spare = nil
+	it := &m.log[i]
+	it.undoAt, it.ver, it.versioned = start+n, m.op.Mark(), true
+}
+
+// repair re-derives the live window from log[i] on — a straggler just
+// inserted there — and emits the compensating deltas. It unwinds the table
+// and rolls the operator back to the item before it (or, past items that
+// recorded no version, to the nearest one that did, else the base), re-drives
+// the rest of the log in place and diffs what either step touched.
+func (m *Monitor) repair(i int) {
+	for i > m.head && !m.log[i-1].versioned {
+		i--
+	}
+	ver, at := m.base, 0
+	if i > m.head {
+		ver, at = m.log[i-1].ver, m.log[i-1].undoAt-m.undoBase
+	}
+	// Unwinding newest first, the entry a record is about to replace is the
+	// one its own mutation wrote — for an id's newest record, the entry the
+	// repair displaces, which is what diff compares against.
 	m.dirty = m.dirty[:0]
-	if n := len(m.snaps); n > 0 {
-		sn := m.snaps[n-1]
-		ver = sn.ver
-		for id, nf := range sn.tbl {
-			tbl[id] = nf
-		}
-		start = m.searchAfter(sn.bSync, sn.bSeq)
-		replay = start
-		bSync, bSeq = sn.bSync, sn.bSeq
-		if sn.absSync != m.absSync || sn.absSeq != m.absSeq {
-			// The snapshot predates a checkpoint; drop facts the checkpoint
-			// has already finalized so the table matches a replay from the
-			// current checkpoint.
-			for id, nf := range tbl {
-				if keyLE(nf.srcSync, nf.srcSeq, m.absSync, m.absSeq) {
-					delete(tbl, id)
-				}
-			}
+	for n := len(m.undo) - 1; n >= at; n-- {
+		u := m.undo[n]
+		m.dirty = append(m.dirty, tblUndo{u.id, m.emitted[u.id]})
+		if u.prev == nil || keyLE(u.prev.srcSync, u.prev.srcSeq, m.absSync, m.absSeq) {
+			delete(m.emitted, u.id) // absent, or finalized by a checkpoint since
+		} else {
+			m.emitted[u.id] = u.prev
 		}
 	}
+	m.undo = m.undo[:at]
 	if !m.op.Rollback(ver) {
 		panic("consistency: retained version no longer rollbackable")
 	}
-	m.sinceSnap = 0
-	var created []map[event.ID]*netFact
-	for i := start; i < len(m.log); i++ {
-		item := m.log[i]
-		into := tbl
-		if i < replay {
-			into = nil // absorbed: drive the operator, discard the output
-		}
+	for j := i; j < len(m.log); j++ {
+		item := &m.log[j]
 		if item.marker {
-			m.foldInto(into, item.key, item.seq, m.op.Advance(item.t))
+			m.fold(item.key, item.seq, m.op.Advance(item.t))
 		} else {
 			if item.opt {
-				m.foldInto(into, item.ev.Sync(), item.seq, m.op.Advance(item.ev.Sync()))
+				m.fold(item.ev.Sync(), item.seq, m.op.Advance(item.ev.Sync()))
 			}
 			if !item.probe {
-				m.foldInto(into, item.ev.Sync(), item.seq, m.op.Process(item.port, item.ev))
+				m.fold(item.ev.Sync(), item.seq, m.op.Process(item.port, item.ev))
 			}
 		}
 		// The straggler shifted every later prefix: re-record the checkpoint
-		// state sizes along the new timeline.
-		m.log[i].stateAfter = m.op.StateSize()
-		if into == nil {
-			continue
-		}
-		// Re-seed the snapshot cache as the replay walks forward, so
-		// straggler bursts do not degenerate to checkpoint replays.
-		m.sinceSnap++
-		if m.sinceSnap >= m.snapCadence && i+1 < len(m.log) && m.wantSnapshots() {
-			created = append(created, m.addSnapshot(item.sync(), item.seq, tbl))
+		// state sizes, journal positions and versions along the new
+		// timeline. A window that needed one repair may need another, so the
+		// items become rollback points whatever the level.
+		m.seal(j, true)
+	}
+	// What the unwind took out of the table nothing references but m.dirty,
+	// and diff, which still reads it, draws no entry.
+	for _, d := range m.dirty {
+		if d.prev != nil {
+			m.free = append(m.free, d.prev)
 		}
 	}
-	// Live facts produced by the replayed suffix either got re-derived
-	// (then fold sharing makes them pointer-equal and diff skips them) or
-	// vanished in the new timeline; either way they are diff candidates.
-	// Facts from before the boundary are inherited bit-identical and need
-	// no visit unless the fold touched them.
-	for id, nf := range m.emitted {
-		if !keyLE(nf.srcSync, nf.srcSeq, bSync, bSeq) {
-			m.dirty = append(m.dirty, id)
-		}
+	// The replay's own records name the ids it touched; where the unwind did
+	// not reach an id, the first of them holds the displaced entry.
+	m.dirty = append(m.dirty, m.undo[at:]...)
+	m.diff()
+}
+
+// seal closes log[i] once the live operator has been driven through it: the
+// item records the operator's state size, the end of its span of the undo
+// journal and, when mark is set, a version of the operator — which makes it
+// a rollback point.
+func (m *Monitor) seal(i int, mark bool) {
+	it := &m.log[i]
+	it.stateAfter = m.op.StateSize()
+	it.undoAt = m.undoBase + len(m.undo)
+	if it.versioned = mark; mark {
+		it.ver = m.op.Mark()
 	}
-	m.diff(tbl)
-	// Snapshots taken during this replay captured entries before diff
-	// patched their generations. Re-point them at the live entries where
-	// they denote the same fact, so a later repair inheriting them below
-	// its boundary carries the correct generation without a diff visit.
-	for _, ct := range created {
-		for id, nf := range ct {
-			if live, ok := tbl[id]; ok && nf != live && nf.gen != live.gen &&
-				nf.srcSync == live.srcSync && nf.srcSeq == live.srcSeq &&
-				nf.ev.Identical(live.ev) {
-				ct[id] = live
-			}
-		}
-	}
-	// The old live table becomes the next repair's scratch; its buckets are
-	// reused instead of reallocated.
-	m.spare = m.emitted
-	m.emitted = tbl
+}
+
+// versioning reports whether an item admitted in order should record a
+// version: only where a straggler can follow it — optimistic levels (B < ∞)
+// with memory to repair (M > 0); Strong admits in order, Weak(0) drops every
+// straggler — or where a version costs nothing.
+func (m *Monitor) versioning() bool {
+	return m.stateless || (m.spec.B != Unbounded && m.spec.M != 0)
 }
 
 // insertLog places li at its (sync, seq) position in the live window by
 // binary search. The new item carries the largest seq ever issued, so the
 // upper bound after its key is its unique position; fast-path items land at
-// the end with zero movement.
-func (m *Monitor) insertLog(li logItem) {
+// the end with zero movement. It returns the item's index.
+func (m *Monitor) insertLog(li logItem) int {
 	if li.probe {
 		m.probeLog++
 	}
@@ -892,17 +874,20 @@ func (m *Monitor) insertLog(li logItem) {
 	// Fast path: the item extends the window in order (the overwhelmingly
 	// common case — every admit fast-path item and every released buffer
 	// entry lands here), so the binary search and the shift are skipped.
-	if n := len(m.log); n == m.head {
+	n := len(m.log)
+	if n == m.head {
 		m.log = append(m.log, li)
-		return
-	} else if ts := m.log[n-1].sync(); ts < ls || (ts == ls && m.log[n-1].seq <= li.seq) {
+		return n
+	}
+	if ts := m.log[n-1].sync(); ts < ls || (ts == ls && m.log[n-1].seq <= li.seq) {
 		m.log = append(m.log, li)
-		return
+		return n
 	}
 	i := m.searchAfter(ls, li.seq)
 	m.log = append(m.log, logItem{})
 	copy(m.log[i+1:], m.log[i:])
 	m.log[i] = li
+	return i
 }
 
 // searchAfter returns the index of the first window item ordered after the
@@ -914,95 +899,12 @@ func (m *Monitor) searchAfter(bSync temporal.Time, bSeq int) int {
 	}) + m.head
 }
 
-func (m *Monitor) wantSnapshots() bool {
-	// Snapshots only pay off where repair can happen: optimistic levels
-	// (B < ∞) with memory to repair (M > 0). Strong never replays; weak(0)
-	// drops every straggler. Stateless operators repair without replay, so
-	// they skip the cache entirely. A non-positive cadence disables the
-	// cache outright.
-	return m.spec.B != Unbounded && m.spec.M != 0 && !m.stateless && m.snapCadence > 0
-}
-
-// maybeSnapshot records a repair snapshot at the current end of the log
-// every snapCadence admitted items: a Mark of the operator and a copy of
-// the net-fact table.
-func (m *Monitor) maybeSnapshot() {
-	if !m.wantSnapshots() {
-		return
-	}
-	m.sinceSnap++
-	if m.sinceSnap < m.snapCadence || len(m.log) == m.head {
-		return
-	}
-	last := &m.log[len(m.log)-1]
-	m.addSnapshot(last.sync(), last.seq, m.emitted)
-}
-
-// addSnapshot records the live operator's version and a copy of tbl, which
-// it returns, as the snapshot of the log prefix ending at (bSync, bSeq). A
-// full cache evicts its oldest entry first: that version lies between base
-// and the kept snapshots, so no Compact will ever cover it and it must be
-// released by name.
-func (m *Monitor) addSnapshot(bSync temporal.Time, bSeq int, tbl map[event.ID]*netFact) map[event.ID]*netFact {
-	if len(m.snaps) >= m.snapBound {
-		m.op.Release(m.snaps[0].ver)
-		m.dropSnaps(1)
-	}
-	ct := m.copyTable(tbl)
-	m.snaps = append(m.snaps, snapshot{bSync: bSync, bSeq: bSeq,
-		absSync: m.absSync, absSeq: m.absSeq, ver: m.op.Mark(), tbl: ct})
-	m.sinceSnap = 0
-	return ct
-}
-
-// copyTable duplicates a net-fact table (sharing the immutable entries),
-// preferring a recycled map from discarded snapshots over a fresh
-// allocation.
-func (m *Monitor) copyTable(tbl map[event.ID]*netFact) map[event.ID]*netFact {
-	out := m.takeTable(len(tbl))
-	for id, nf := range tbl {
-		out[id] = nf
-	}
-	return out
-}
-
-// takeTable returns an empty net-fact table: a recycled one when the pool
-// has any, else a fresh one sized for n entries.
-func (m *Monitor) takeTable(n int) map[event.ID]*netFact {
-	if k := len(m.tblPool); k > 0 {
-		tbl := m.tblPool[k-1]
-		m.tblPool[k-1] = nil
-		m.tblPool = m.tblPool[:k-1]
-		clear(tbl)
-		return tbl
-	}
-	return make(map[event.ID]*netFact, n)
-}
-
-// dropSnaps discards the n oldest snapshots, recycling their tables.
-func (m *Monitor) dropSnaps(n int) {
-	for i := 0; i < n; i++ {
-		m.recycle(m.snaps[i].tbl)
-	}
-	k := copy(m.snaps, m.snaps[n:])
-	clear(m.snaps[k:])
-	m.snaps = m.snaps[:k]
-}
-
-// recycle returns a snapshot table to the pool.
-func (m *Monitor) recycle(tbl map[event.ID]*netFact) {
-	if tbl == nil || len(m.tblPool) >= m.snapBound {
-		return
-	}
-	m.tblPool = append(m.tblPool, tbl)
-}
-
 // checkpointTo absorbs every log item with Sync <= g into the checkpoint.
-// No operator is driven: the base version slides forward to the newest mark
-// at or below the new boundary and the history below it is compacted.
-// Instead of replaying the remaining suffix to rebuild the net-emitted
-// table, it drops the facts the absorbed prefix produced — each fact
-// records its source item's Sync — which is equivalent and O(table).
+// No operator is driven: the base slides forward to the version of the last
+// absorbed item, and the operator's history and the undo journal below it
+// are dropped. Instead of replaying the remaining suffix to rebuild the
+// net-emitted table, it drops the facts the absorbed prefix produced — each
+// fact records its source item's Sync — which is equivalent and O(table).
 func (m *Monitor) checkpointTo(g temporal.Time) {
 	cut := m.head
 	for cut < len(m.log) && m.log[cut].sync() <= g {
@@ -1017,31 +919,22 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 	if cut == m.head {
 		return
 	}
-	ls, lq := m.log[cut-1].sync(), m.log[cut-1].seq
-	if cut == len(m.log) || m.stateless {
-		// Every window item is absorbed (or there is no state to be ahead
-		// of the boundary): the live operator state IS the new checkpoint.
-		// Re-mark the base here and drop the whole snapshot cache — every
-		// snapshot's prefix is covered by the new base, and compacting to
-		// the fresh mark would invalidate their versions anyway.
-		m.dropSnaps(len(m.snaps))
+	b := &m.log[cut-1]
+	switch {
+	case b.versioned:
+		m.base = b.ver
+	case cut == len(m.log):
+		// Every window item is absorbed: the live operator state IS the new
+		// checkpoint.
 		m.base = m.op.Mark()
-		m.tail = cut
-	} else {
-		// Snapshots that do not cover the absorbed prefix would need
-		// discarded log items to replay; drop them. The newest dropped
-		// snapshot becomes the base: the closest version at or below the
-		// new absorbed boundary.
-		keep := 0
-		for keep < len(m.snaps) && !keyLE(ls, lq, m.snaps[keep].bSync, m.snaps[keep].bSeq) {
-			keep++
-		}
-		if keep > 0 {
-			m.base = m.snaps[keep-1].ver
-			m.tail = m.searchAfter(m.snaps[keep-1].bSync, m.snaps[keep-1].bSeq)
-			m.dropSnaps(keep)
-		}
+	default:
+		// The boundary was admitted while the level could not repair and the
+		// level has loosened since. Re-driving the window from it changes no
+		// fact and gives it a version.
+		m.repair(cut - 1)
+		m.base = b.ver
 	}
+	ls, lq := b.sync(), b.seq
 	m.head = cut
 	m.absSync, m.absSeq = ls, lq
 	// The latest retraction is the max over the window: if it fell inside
@@ -1057,16 +950,18 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 			delete(m.emitted, id)
 		}
 	}
-	m.absState = m.log[cut-1].stateAfter
+	n := copy(m.undo, m.undo[b.undoAt-m.undoBase:])
+	clear(m.undo[n:])
+	m.undo = m.undo[:n]
+	m.undoBase = b.undoAt
+	m.absState = b.stateAfter
 	m.op.Compact(m.base)
-	// Amortized compaction of the log prefix below the base boundary
-	// (items in [tail, head) must stay: a base rewind re-drives them).
-	if m.tail >= compactAt && m.tail >= len(m.log)-m.tail {
-		n := copy(m.log, m.log[m.tail:])
+	// Amortized compaction of the absorbed log prefix.
+	if m.head >= compactAt && m.head >= len(m.log)-m.head {
+		n := copy(m.log, m.log[m.head:])
 		clear(m.log[n:])
 		m.log = m.log[:n]
-		m.head -= m.tail
-		m.tail = 0
+		m.head = 0
 	}
 }
 
@@ -1082,6 +977,30 @@ func (m *Monitor) trimMemory() {
 	}
 }
 
+// set and del are how the net-fact table moves forward (only repair's unwind
+// and the checkpoint's filter write it otherwise); prev is the entry under
+// id (nil when absent), which the undo journal keeps.
+func (m *Monitor) set(id event.ID, prev, nf *netFact) {
+	m.undo = append(m.undo, tblUndo{id, prev})
+	m.emitted[id] = nf
+}
+
+func (m *Monitor) del(id event.ID, prev *netFact) {
+	m.undo = append(m.undo, tblUndo{id, prev})
+	delete(m.emitted, id)
+}
+
+// newFact returns an entry to fill in, a recycled one when repair left any.
+func (m *Monitor) newFact() *netFact {
+	if n := len(m.free); n > 0 {
+		nf := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return nf
+	}
+	return new(netFact)
+}
+
 // emit records freshly produced operator output in the net-emitted table
 // and appends the physical items — IDs rewritten with the fact's current
 // generation, so that a removed-and-reinserted fact never reuses a physical
@@ -1090,23 +1009,22 @@ func (m *Monitor) trimMemory() {
 // the output.
 func (m *Monitor) emit(srcSync temporal.Time, srcSeq int, phase byte, outs []event.Event) {
 	for _, e := range outs {
-		gid := m.genOf(e.ID)
+		nf := m.emitted[e.ID]
+		var gid uint64
+		if nf != nil {
+			gid = nf.gen
+		} else {
+			gid = m.gen[e.ID]
+		}
 		if e.Kind == event.Retract {
 			m.met.OutputRetractions++
-			if nf, ok := m.emitted[e.ID]; ok {
-				if e.V.End <= nf.ev.V.Start {
-					m.gen[e.ID] = nf.gen + 1 // retire this generation
-					delete(m.emitted, e.ID)
-				} else {
-					shrunk := *nf // copy-on-write: nf may be shared with snapshots
-					shrunk.ev.V.End = e.V.End
-					m.emitted[e.ID] = &shrunk
-				}
+			if nf != nil && e.V.End <= nf.ev.V.Start {
+				m.gen[e.ID] = nf.gen + 1 // retire this generation
 			}
 		} else {
 			m.met.OutputInserts++
-			m.emitted[e.ID] = &netFact{ev: e, gen: gid, srcSync: srcSync, srcSeq: srcSeq}
 		}
+		m.apply(nf, srcSync, srcSeq, gid, e)
 		m.appendTag(phase, e.ID, &e)
 		r := e
 		r.ID = event.Pair(e.ID, event.ID(gid))
@@ -1114,138 +1032,92 @@ func (m *Monitor) emit(srcSync temporal.Time, srcSeq int, phase byte, outs []eve
 	}
 }
 
-func (m *Monitor) genOf(id event.ID) uint64 {
-	if nf, ok := m.emitted[id]; ok {
-		return nf.gen
+// apply folds one operator output into the table, where cur is the entry
+// under its id (nil when absent): an insert overwrites, under generation gen;
+// a retraction shrinks or removes, and is a no-op on an absent fact.
+func (m *Monitor) apply(cur *netFact, srcSync temporal.Time, srcSeq int, gen uint64, e event.Event) {
+	switch {
+	case e.Kind != event.Retract:
+		nf := m.newFact()
+		nf.ev, nf.gen, nf.srcSync, nf.srcSeq = e, gen, srcSync, srcSeq
+		m.set(e.ID, cur, nf)
+	case cur == nil:
+	case e.V.End <= cur.ev.V.Start:
+		m.del(e.ID, cur)
+	default:
+		shrunk := m.newFact()
+		*shrunk = *cur // copy-on-write: the journal keeps cur
+		shrunk.ev.V.End = e.V.End
+		m.set(e.ID, cur, shrunk)
 	}
-	return m.gen[id]
 }
 
-// foldInto applies operator outputs to a net-fact table without emitting
-// (a nil table discards them). When a replayed output reproduces the live
-// table's entry exactly, the existing entry is shared instead of allocating
-// a new one; diff then recognizes untouched facts by pointer identity and
-// skips them.
-func (m *Monitor) foldInto(tbl map[event.ID]*netFact, srcSync temporal.Time, srcSeq int, outs []event.Event) {
-	if tbl == nil {
-		return
-	}
+// fold applies re-driven operator output to the table without emitting;
+// diff assigns the generations afterwards.
+func (m *Monitor) fold(srcSync temporal.Time, srcSeq int, outs []event.Event) {
 	for _, e := range outs {
-		if e.Kind == event.Retract {
-			if nf, ok := tbl[e.ID]; ok {
-				m.dirty = append(m.dirty, e.ID)
-				if e.V.End <= nf.ev.V.Start {
-					delete(tbl, e.ID)
-				} else {
-					shrunk := *nf // copy-on-write: nf may be shared with snapshots
-					shrunk.ev.V.End = e.V.End
-					tbl[e.ID] = &shrunk
-				}
-			}
-			continue
-		}
-		if d, ok := m.emitted[e.ID]; ok && d.srcSync == srcSync && d.srcSeq == srcSeq && d.ev.Identical(e) {
-			tbl[e.ID] = d
-			continue
-		}
-		m.dirty = append(m.dirty, e.ID)
-		tbl[e.ID] = &netFact{ev: e, srcSync: srcSync, srcSeq: srcSeq}
+		m.apply(m.emitted[e.ID], srcSync, srcSeq, 0, e)
 	}
 }
 
-// diff compares the previously emitted net facts against the replayed net
-// facts and appends the compensating physical deltas: retractions for facts
-// that shrank or vanished, fresh inserts (under a bumped generation) for
-// facts that appeared or changed shape. Only the ids in m.dirty — the
-// candidates the repair fold collected — can differ; everything else is
-// inherited or re-derived as the identical shared entry.
-func (m *Monitor) diff(next map[event.ID]*netFact) {
-	ids := append(m.diffIDs[:0], m.dirty...)
-	slices.Sort(ids)
-	m.diffIDs = ids
-
-	var prev event.ID
-	first := true
-	for _, id := range ids {
-		if !first && id == prev {
-			continue // dirty list may hold duplicates
-		}
-		prev, first = id, false
-		old, hadOld := m.emitted[id]
-		nw, hasNew := next[id]
-		if !hadOld && !hasNew {
-			continue // touched during the fold but net-absent on both sides
-		}
-		if hadOld && old == nw {
-			// Shared entry: the replay reproduced this fact bit for bit
-			// (same generation included); nothing to emit or patch.
+// diff compares the entries a repair displaced against the table as the
+// replay left it and appends the compensating physical deltas: retractions
+// for facts that shrank or vanished, fresh inserts (under a bumped
+// generation) for facts that appeared or changed shape. Only the ids in
+// m.dirty can differ, and the first record of each id — the sort is stable
+// — holds the displaced entry.
+func (m *Monitor) diff() {
+	slices.SortStableFunc(m.dirty, func(a, b tblUndo) int { return cmp.Compare(a.id, b.id) })
+	m.examined += len(m.dirty)
+	for n, d := range m.dirty {
+		if n > 0 && d.id == m.dirty[n-1].id {
 			continue
 		}
+		id, old, nw := d.id, d.prev, m.emitted[d.id]
 		switch {
-		case hadOld && !hasNew:
-			r := old.ev
-			r.Kind = event.Retract
-			r.V.End = r.V.Start
-			r.ID = event.Pair(id, event.ID(old.gen))
-			m.out = append(m.out, r)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputRetractions++
-			m.met.Compensations++
+		case old == nil && nw == nil:
+			// touched along the way but net-absent on both sides
+		case nw == nil:
+			m.compensate(id, old, old.ev.V.Start)
 			m.gen[id] = old.gen + 1
-		case !hadOld && hasNew:
-			ng := m.gen[id]
-			ins := nw.ev
-			ins.ID = event.Pair(id, event.ID(ng))
-			if nw.gen != ng {
-				cp := *nw
-				cp.gen = ng
-				next[id] = &cp
-			}
-			m.out = append(m.out, ins)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputInserts++
+		case old == nil:
+			nw.gen = m.gen[id]
+			m.reinsert(id, nw)
 		case old.ev.SameFact(nw.ev):
-			if nw.gen != old.gen {
-				cp := *nw
-				cp.gen = old.gen
-				next[id] = &cp
-			}
+			nw.gen = old.gen
 		case nw.ev.V.Start == old.ev.V.Start && nw.ev.V.End < old.ev.V.End && nw.ev.Payload.Equal(old.ev.Payload):
-			r := old.ev
-			r.Kind = event.Retract
-			r.V.End = nw.ev.V.End
-			r.ID = event.Pair(id, event.ID(old.gen))
-			m.out = append(m.out, r)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputRetractions++
-			m.met.Compensations++
-			if nw.gen != old.gen {
-				cp := *nw
-				cp.gen = old.gen
-				next[id] = &cp
-			}
+			m.compensate(id, old, nw.ev.V.End)
+			nw.gen = old.gen
 		default:
 			// Shape changed: remove and reinsert under a new generation.
-			r := old.ev
-			r.Kind = event.Retract
-			r.V.End = r.V.Start
-			r.ID = event.Pair(id, event.ID(old.gen))
-			m.out = append(m.out, r)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputRetractions++
-			m.met.Compensations++
-			ng := old.gen + 1
-			ins := nw.ev
-			ins.ID = event.Pair(id, event.ID(ng))
-			m.out = append(m.out, ins)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputInserts++
-			cp := *nw
-			cp.gen = ng
-			next[id] = &cp
-			m.gen[id] = ng
+			m.compensate(id, old, old.ev.V.Start)
+			nw.gen = old.gen + 1
+			m.reinsert(id, nw)
+			m.gen[id] = nw.gen
 		}
 	}
+}
+
+// compensate emits the retraction that shrinks the displaced fact old to
+// end (removing it when end is its start).
+func (m *Monitor) compensate(id event.ID, old *netFact, end temporal.Time) {
+	r := old.ev
+	r.Kind = event.Retract
+	r.V.End = end
+	r.ID = event.Pair(id, event.ID(old.gen))
+	m.out = append(m.out, r)
+	m.appendTag(tagDiff, id, nil)
+	m.met.OutputRetractions++
+	m.met.Compensations++
+}
+
+// reinsert emits the replayed fact nw under its generation.
+func (m *Monitor) reinsert(id event.ID, nw *netFact) {
+	ins := nw.ev
+	ins.ID = event.Pair(id, event.ID(nw.gen))
+	m.out = append(m.out, ins)
+	m.appendTag(tagDiff, id, nil)
+	m.met.OutputInserts++
 }
 
 // stampOut sets the CEDR time of the buffered output items to the current
@@ -1267,7 +1139,7 @@ func (m *Monitor) nextSeq() int {
 }
 
 func (m *Monitor) sampleState() {
-	// Snapshot state is a derived cache (bounded by maxSnaps) and is
+	// The undo journal and the items' versions are derived from the log and
 	// deliberately excluded, keeping the Figure 8 state axis comparable to
 	// the reference semantics. Probes are a sibling shard's events seen
 	// through a keyhole — the sibling counts them, so this monitor must not.

@@ -426,7 +426,7 @@ func TestFinishFlushesBlockingOp(t *testing.T) {
 
 // liveVersions wraps a Versioned operator and tracks which of its versions
 // the Versioned contract still obliges it to keep: marked, and not yet
-// ended by a Release, a Compact above them or a Rollback below them.
+// ended by a Compact above them or a Rollback below them.
 type liveVersions struct {
 	operators.Versioned
 	live map[uint64]bool
@@ -463,34 +463,85 @@ func (l *liveVersions) Compact(v operators.Version) {
 	}
 }
 
-func (l *liveVersions) Release(v operators.Version) {
-	l.Versioned.Release(v)
-	delete(l.live, v.Pos)
-}
-
-// TestRetainedVersionsBounded: on a Middle stream that never sends a
-// guarantee the base never moves, so no Compact ever runs; the monitor must
-// still keep at most the base plus maxSnaps versions alive — by releasing
-// each snapshot it evicts — or the clone-backed fallback, which holds an
-// operator copy per live version, would grow without bound.
+// TestRetainedVersionsBounded: the monitor keeps exactly one operator
+// version per item of the live window plus the base — what matters for the
+// clone-backed fallback, which holds an operator copy per live version — and
+// a sync point covering the window leaves the base alone.
 func TestRetainedVersionsBounded(t *testing.T) {
-	src := mkSource(40*snapEvery, 3, 20)
+	src := mkSource(400, 3, 20)
 	delivered := delivery.Deliver(src, delivery.Config{Seed: 11,
 		Latency: delivery.Latency{Base: 1, Jitter: 10, StragglerProb: 0.1, StragglerDelay: 40}})
 	op := &liveVersions{live: map[uint64]bool{},
 		Versioned: operators.AsVersioned(foreign{operators.NewAggregate(operators.Count, "", "g")})}
 	m := NewMonitor(op, Middle())
-	for _, e := range delivered {
+	for i, e := range delivered {
 		if e.IsCTI() {
 			t.Fatal("the delivery was meant to carry no guarantees")
 		}
 		m.Push(0, e)
+		if window := len(m.log) - m.head; len(op.live) != window+1 {
+			t.Fatalf("item %d: %d live versions over a window of %d items, want one each plus the base",
+				i, len(op.live), window)
+		}
 	}
-	if m.Metrics().Replays == 0 || len(m.snaps) != maxSnaps {
-		t.Fatalf("stream did not exercise eviction and repair: %d replays, %d snapshots",
-			m.Metrics().Replays, len(m.snaps))
+	if m.Metrics().Replays == 0 {
+		t.Fatal("stream did not exercise repair")
 	}
-	if op.max > maxSnaps+1 {
-		t.Fatalf("monitor kept %d versions alive, bound is maxSnaps+1 = %d", op.max, maxSnaps+1)
+	m.Push(0, event.NewCTI(m.frontier))
+	if len(m.log) != m.head || len(op.live) != 1 {
+		t.Fatalf("after a covering sync point: window %d, %d live versions, want 0 and the base alone",
+			len(m.log)-m.head, len(op.live))
+	}
+}
+
+// countingOp is a stateful-looking identity operator — every input event is
+// its own output fact — that counts Process calls across all its clones.
+type countingOp struct{ calls *int }
+
+func (countingOp) Name() string { return "counting" }
+func (countingOp) Arity() int   { return 1 }
+func (c countingOp) Process(_ int, e event.Event) []event.Event {
+	*c.calls++
+	return []event.Event{e}
+}
+func (countingOp) Advance(temporal.Time) []event.Event           { return nil }
+func (countingOp) OutputGuarantee(t temporal.Time) temporal.Time { return t }
+func (countingOp) StateSize() int                                { return 0 }
+func (c countingOp) Clone() operators.Op                         { return c }
+
+// windowWithStraggler admits n in-order items at Middle with no sync point,
+// then one straggler with depth items after it, and returns the Process
+// calls and the net-fact entries examined that the straggler cost.
+func windowWithStraggler(t *testing.T, n, depth int) (calls, examined int) {
+	t.Helper()
+	op := countingOp{calls: new(int)}
+	m := NewMonitor(op, Middle())
+	for i := 1; i <= n; i++ {
+		m.Push(0, event.NewInsert(event.ID(i), "E", temporal.Time(10*i), temporal.Infinity, nil))
+	}
+	if len(m.emitted) != n || m.examined != 0 {
+		t.Fatalf("window of %d items: %d live facts, %d entries examined before any repair", n, len(m.emitted), m.examined)
+	}
+	before := *op.calls
+	m.Push(0, event.NewInsert(event.ID(n+1), "E", temporal.Time(10*(n-depth)+5), temporal.Infinity, nil))
+	if m.Metrics().Replays != 1 {
+		t.Fatalf("straggler at depth %d of %d caused %d replays", depth, n, m.Metrics().Replays)
+	}
+	return *op.calls - before, m.examined
+}
+
+// TestRepairCostTracksStragglerDepth pins repair's cost in counts: it
+// re-drives the straggler and the items it displaced, nothing before them,
+// and the table entries it examines do not grow with the table.
+func TestRepairCostTracksStragglerDepth(t *testing.T) {
+	for _, d := range []int{1, 3, 24, 500, 1000} {
+		if calls, _ := windowWithStraggler(t, 1000, d); calls != d+1 {
+			t.Errorf("straggler at depth %d of a 1000-item window: %d Process calls, want %d", d, calls, d+1)
+		}
+	}
+	_, small := windowWithStraggler(t, 10, 4)
+	_, large := windowWithStraggler(t, 10000, 4)
+	if small != large || small == 0 {
+		t.Errorf("repair at depth 4 examined %d entries with 10 live facts, %d with 10000", small, large)
 	}
 }

@@ -188,7 +188,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 			}
 			return fp.Stages, nil
 		}
-		sh, err := newSharded(n, DefaultBurst, stagesFor, p.Spec, routeForPlan(p.Part, n), ch.deliverMerged, p.MonitorOpts...)
+		sh, err := newSharded(n, DefaultBurst, stagesFor, p.Spec, routeForPlan(p.Part, n), ch.deliverMerged)
 		if err == nil {
 			ch.sh = sh
 			ch.shards = n
@@ -200,7 +200,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 	if ch.sh == nil {
 		ch.shards = 1
 		for _, op := range p.Stages {
-			ch.monitors = append(ch.monitors, consistency.NewMonitor(op, p.Spec, p.MonitorOpts...))
+			ch.monitors = append(ch.monitors, consistency.NewMonitor(op, p.Spec))
 		}
 	}
 	return ch

@@ -199,7 +199,7 @@ type sharded struct {
 // deterministic order, on the merger goroutine.
 func newSharded(n, burst int, stagesFor func(shard int) ([]operators.Op, error),
 	spec consistency.Spec, route func(event.Event) int,
-	deliver func([]event.Event), mopts ...consistency.MonitorOption) (*sharded, error) {
+	deliver func([]event.Event)) (*sharded, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -235,7 +235,7 @@ func newSharded(n, burst int, stagesFor func(shard int) ([]operators.Op, error),
 			freeBursts: make(chan *shardBurst, runBufs),
 		}
 		for _, op := range stages {
-			w.monitors = append(w.monitors, consistency.NewMonitor(op, spec, mopts...))
+			w.monitors = append(w.monitors, consistency.NewMonitor(op, spec))
 		}
 		w.mid = make([]*consistency.Burst, len(stages))
 		w.arrScratch = make([][]byte, len(stages))

@@ -95,9 +95,6 @@ func (j *journal[R]) Compact(v Version) {
 	}
 }
 
-// Release implements Versioned: a journal holds nothing per version.
-func (j *journal[R]) Release(Version) {}
-
 // mapRec is the inverse of one set or delete on a map[event.ID]V, or (m ==
 // nil) of one assignment to the operator's frontier.
 type mapRec[V any] struct {
@@ -173,7 +170,6 @@ type statelessVersioned struct{ Op }
 func (statelessVersioned) Mark() Version         { return Version{} }
 func (statelessVersioned) Rollback(Version) bool { return true }
 func (statelessVersioned) Compact(Version)       {}
-func (statelessVersioned) Release(Version)       {}
 
 // cloneVersioned keeps one operator copy per live version. The embedded Op
 // is the live operator; Rollback swaps in a clone of the marked copy, so
@@ -198,11 +194,5 @@ func (c *cloneVersioned) Rollback(v Version) bool {
 func (c *cloneVersioned) Compact(v Version) {
 	if i := c.copies.find(v); i > 0 {
 		c.copies.cut(0, i)
-	}
-}
-
-func (c *cloneVersioned) Release(v Version) {
-	if i := c.copies.find(v); i >= 0 {
-		c.copies.cut(i, i+1)
 	}
 }

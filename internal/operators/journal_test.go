@@ -6,8 +6,8 @@ import "testing"
 type plainOp struct{ Op }
 
 // TestCloneAdapterFreesCopies: the clone-backed fallback holds exactly one
-// operator copy per live version — Release, Compact and Rollback each drop
-// the copies of the versions they end.
+// operator copy per live version — Compact and Rollback each drop the
+// copies of the versions they end.
 func TestCloneAdapterFreesCopies(t *testing.T) {
 	c, ok := AsVersioned(plainOp{NewDifference()}).(*cloneVersioned)
 	if !ok {
@@ -21,16 +21,12 @@ func TestCloneAdapterFreesCopies(t *testing.T) {
 	if held() != 6 {
 		t.Fatalf("6 marks hold %d copies", held())
 	}
-	c.Release(vs[2])
-	if held() != 5 || c.Rollback(vs[2]) {
-		t.Fatalf("Release kept the copy (%d held) or the version", held())
-	}
 	c.Compact(vs[1])
-	if held() != 4 || c.Rollback(vs[0]) {
+	if held() != 5 || c.Rollback(vs[0]) {
 		t.Fatalf("Compact kept copies below its version (%d held)", held())
 	}
-	if !c.Rollback(vs[3]) || held() != 2 {
-		t.Fatalf("Rollback to v3 should leave v1 and v3 (%d held)", held())
+	if !c.Rollback(vs[3]) || held() != 3 {
+		t.Fatalf("Rollback to v3 should leave v1 to v3 (%d held)", held())
 	}
 	if _, ok := AsVersioned(NewDifference()).(*Difference); !ok {
 		t.Fatal("a journaled operator must be returned as is")

@@ -64,8 +64,8 @@ type Op interface {
 
 // Version is an opaque handle onto a point in a Versioned operator's
 // mutation history. Versions are ordered by Pos (later marks have larger
-// positions) and stay valid until a Rollback ends below them, a Compact
-// discards the history below a later version, or they are Released.
+// positions) and stay valid until a Rollback ends below them or a Compact
+// discards the history below a later version.
 type Version struct {
 	Pos uint64
 }
@@ -75,7 +75,9 @@ type Version struct {
 // stateful operators implement it with an undo journal of their own state
 // mutations — capture is O(1), restore O(mutations since) — and AsVersioned
 // adapts everything else. The consistency monitor checkpoints through it:
-// snapshots are Marks, repair is a Rollback plus a replay of the log suffix.
+// every admitted item is followed by a Mark, repair is a Rollback to the
+// straggler's predecessor plus a replay of the items it displaced, and a
+// sync point Compacts below the last item it covers.
 //
 // The contract: Mark returns a handle for the operator's current state.
 // Rollback(v) restores the state the operator had when v was marked and
@@ -93,11 +95,6 @@ type Versioned interface {
 	// Compact discards undo history strictly below v; v and every later
 	// version remain valid rollback targets.
 	Compact(v Version)
-	// Release declares that v alone will never be rolled back to, while
-	// older and newer versions stay valid — what a caller bounding its
-	// retained versions says about the one it evicts. An implementation
-	// holding resources per version frees them; a journal ignores it.
-	Release(v Version)
 }
 
 // Stateless marks operators whose Process output depends only on the input

@@ -196,27 +196,3 @@ func TestVersionedContract(t *testing.T) {
 		}
 	}
 }
-
-// TestVersionedReleaseKeepsNeighbours: releasing one version must leave the
-// older and the newer ones valid.
-func TestVersionedReleaseKeepsNeighbours(t *testing.T) {
-	for name, mk := range versionedImpls() {
-		op := operators.AsVersioned(mk())
-		ev := func(id event.ID) event.Event {
-			return event.NewInsert(id, "E", temporal.Time(id), temporal.Infinity, event.Payload{"g": int64(0)})
-		}
-		v0, s0 := op.Mark(), op.StateSize()
-		op.Process(0, ev(1))
-		v1 := op.Mark()
-		op.Process(0, ev(2))
-		v2, s2 := op.Mark(), op.StateSize()
-		op.Process(0, ev(3))
-		op.Release(v1)
-		if !op.Rollback(v2) || op.StateSize() != s2 {
-			t.Fatalf("%s: newer version unusable after Release (state %d, want %d)", name, op.StateSize(), s2)
-		}
-		if !op.Rollback(v0) || op.StateSize() != s0 {
-			t.Fatalf("%s: older version unusable after Release (state %d, want %d)", name, op.StateSize(), s0)
-		}
-	}
-}

@@ -40,10 +40,8 @@ type Plan struct {
 	Shards int
 	// Part is the partitionability verdict (see partition.go).
 	Part Partition
-	// MonitorOpts configure the consistency monitors the engine wraps each
-	// stage in. Compile leaves it empty; a hand-built plan may set it. It
-	// is a tuning knob only — it never changes output — and is not part of
-	// Durable or ShareKey.
+	// MonitorOpts is vestigial (see consistency.MonitorOption): nothing sets
+	// or reads it but bench/e2e; the next benchmark PR removes it.
 	MonitorOpts []consistency.MonitorOption
 	// Share marks the plan as shareable: the engine may attach this
 	// registration to an already-running chain with the same identity
