@@ -475,6 +475,23 @@ func BenchmarkFleetWidth(b *testing.B) {
 	}
 }
 
+// The payload table's miss path (internal/algebra/inc/payload.go): the
+// 192-machine fleet stream with a unique Seq and Load on every event, so no
+// leaf or composite payload ever repeats and every lookup misses. Compare
+// allocs/op and ns/op against the parent with paired `go test -c` binaries.
+func BenchmarkPatternDistinctPayloads(b *testing.B) {
+	delivered := fleetStream(192)
+	for i, e := range delivered {
+		if e.Kind == event.Insert {
+			e.Payload = e.Payload.Clone()
+			e.Payload["Seq"] = int64(i)
+			e.Payload["Load"] = float64(i) + 0.5
+			delivered[i] = e
+		}
+	}
+	fleetBench(b, delivered, 1)
+}
+
 // --- Infrastructure ---
 
 func BenchmarkCompileQuery(b *testing.B) {

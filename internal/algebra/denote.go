@@ -137,27 +137,46 @@ func Combine(ms []Match, w temporal.Duration) Match {
 		ids[i], parts[i] = ms[i].ID, &ms[i]
 	}
 	var m Match
-	CombineInto(&m, event.Pair(ids...), nil, parts, w)
+	CombineInto(&m, event.Pair(ids...), nil, parts, w, CombinePayload(parts))
 	return m
+}
+
+// CombinePayload builds the composite payload of parts: their namespaced
+// payloads merged in order, a name an earlier part already holds primed
+// ("'") until it is free.
+func CombinePayload(parts []*Match) event.Payload {
+	n := 0
+	for _, m := range parts {
+		n += len(m.Payload)
+	}
+	payload := make(event.Payload, n)
+	for _, m := range parts {
+		for k, v := range m.Payload {
+			for _, dup := payload[k]; dup; _, dup = payload[k] {
+				k += "'"
+			}
+			payload[k] = v
+		}
+	}
+	return payload
 }
 
 // CombineInto is Combine for a caller that already holds the composite's
 // ID (the incremental matcher computes it to look the composite up before
-// building it) and keeps the lineage in storage of its own: the composite's
-// CBT is laid out in cbt's backing array when that has the capacity, so
-// match and lineage can share one allocation.
-func CombineInto(dst *Match, id event.ID, cbt []event.ID, parts []*Match, w temporal.Duration) {
+// building it) and its payload (CombinePayload's, or an equal map the
+// matcher interned), and keeps the lineage in storage of its own: the
+// composite's CBT is laid out in cbt's backing array when that has the
+// capacity, so match and lineage can share one allocation.
+func CombineInto(dst *Match, id event.ID, cbt []event.ID, parts []*Match, w temporal.Duration, payload event.Payload) {
 	first, last := parts[0], parts[len(parts)-1]
-	nCBT, nPayload := 0, 0
+	nCBT := 0
 	for _, m := range parts {
 		nCBT += len(m.CBT)
-		nPayload += len(m.Payload)
 	}
 	if cap(cbt) < nCBT {
 		cbt = make([]event.ID, 0, nCBT)
 	}
 	cbt = cbt[:0]
-	payload := make(event.Payload, nPayload)
 	rt := first.RT
 	fin := temporal.MinTime
 	for _, m := range parts {
@@ -167,16 +186,6 @@ func CombineInto(dst *Match, id event.ID, cbt []event.ID, parts []*Match, w temp
 		}
 		if m.FinalizeAt > fin {
 			fin = m.FinalizeAt
-		}
-		for k, v := range m.Payload {
-			key := k
-			for {
-				if _, dup := payload[key]; !dup {
-					break
-				}
-				key += "'"
-			}
-			payload[key] = v
 		}
 	}
 	*dst = Match{

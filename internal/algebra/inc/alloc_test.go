@@ -163,6 +163,42 @@ WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)`)
 	}
 }
 
+// TestAllocsInternedPayloads pins the payload table's promise (payload.go):
+// a repeated payload costs no map. A leaf deriving an event whose content it
+// has seen allocates nothing; a composite of interned parts allocates only
+// the match-and-lineage block every composite costs.
+func TestAllocsInternedPayloads(t *testing.T) {
+	op := NewOp(algebra.SequenceExpr{Kids: []algebra.Expr{
+		algebra.TypeExpr{Type: "INSTALL", Alias: "x"},
+		algebra.TypeExpr{Type: "SHUTDOWN", Alias: "y"},
+	}, W: 64}, algebra.SCMode{}, "Pairs", WithJoinKey("Machine_Id"))
+	raw := event.Payload{"Machine_Id": "m017", "Load": 0.5, "Seq": int64(9)}
+	var x, y keyedMatch
+	e := event.NewInsert(1, "INSTALL", 0, temporal.Infinity, raw)
+	s := event.NewInsert(2, "SHUTDOWN", 1, temporal.Infinity, raw)
+	kx, ky := op.sh.recs.kinds[0], op.sh.recs.kinds[1]
+	kx.derive(&x, &e, nil)
+	ky.derive(&y, &s, nil)
+	leaf := testing.AllocsPerRun(200, func() { kx.derive(&x, &e, nil) })
+
+	comb := op.root.(*seqNode).comb
+	parts := []*keyedMatch{&x, &y}
+	comb.combined(2, parts, 64)
+	delete(comb.m, 2)
+	composite := testing.AllocsPerRun(200, func() {
+		comb.combined(2, parts, 64)
+		delete(comb.m, 2)
+	})
+
+	const ceilLeaf, ceilComposite = 0.0, 1.0
+	t.Logf("interned payloads: leaf %.2f allocs/match (ceiling %.0f), composite %.2f allocs/match (ceiling %.0f)",
+		leaf, ceilLeaf, composite, ceilComposite)
+	if x.pid == 0 || leaf > ceilLeaf || composite > ceilComposite {
+		t.Fatalf("a repeated payload allocates: leaf %.2f (ceiling %.0f), composite %.2f (ceiling %.0f), pid %d — the payload table no longer interns",
+			leaf, ceilLeaf, composite, ceilComposite, x.pid)
+	}
+}
+
 // TestAllocsKeyResolution pins key resolution itself at zero allocations
 // for every bucketable value type: the key is a plain struct (no boxing of
 // the canonical float64, the string shares the payload's data).

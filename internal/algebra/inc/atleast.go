@@ -50,7 +50,7 @@ func newAtLeastNode(e algebra.AtLeastExpr, sh *shared, ctx buildCtx) *atLeastNod
 		picks:  make([]*keyedMatch, 0, e.N),
 		sorted: make([]*keyedMatch, e.N),
 		ids:    make([]event.ID, e.N),
-		comb:   newCombCache(sh.key),
+		comb:   newCombCache(sh),
 		u:      sh.u,
 	}
 	for i, k := range e.Kids {

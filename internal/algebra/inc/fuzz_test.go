@@ -3,6 +3,7 @@ package inc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,8 +21,9 @@ import (
 // over the undo journal), which is then driven through the incremental op
 // and the frozen semi-naive oracle with byte-exact comparison at every
 // step. Inserts may be stragglers — occurrences below the newest one, which
-// the expiry queues file by binary insert instead of at their tails — and a
-// far advance may be Advance(∞), the wholesale reset, mid-script. Keyed
+// the expiry queues file by binary insert instead of at their tails — or
+// repeat an earlier payload exactly, so the payload table hits (payload.go),
+// and a far advance may be Advance(∞), the wholesale reset, mid-script. Keyed
 // shapes run with WithJoinKey, so the pushdown's bucket seams (definite,
 // wild and missing-attribute matches) are fuzzed against the same oracle.
 // Run it as a fuzzer with
@@ -57,7 +59,7 @@ func fuzzShapes() []fuzzShape {
 // Script opcodes: each step consumes two bytes (c, a). c's low nibble
 // selects the action, the rest parameterizes it — see decode below.
 const (
-	fuzzOpInsertMax = 9  // 0..9: insert (weighted toward inserts); c&0x80: a straggler
+	fuzzOpInsertMax = 9  // 0..9: insert (weighted toward inserts); c&0x80: a straggler; c&0x40: no unique "i"
 	fuzzOpRemove    = 10 // 10,11: aligned full removal
 	fuzzOpAdvance   = 12 // 12,13: small advance
 	fuzzOpClone     = 14 // version/clone ops, sub-selected by a%4 (see decode)
@@ -177,6 +179,26 @@ func FuzzIncVsOracle(f *testing.F) {
 		f.Add(append([]byte{shapeIdx(name), byte(i % 4), byte(i % 4)}, straddle...))
 	}
 
+	// Few keys, repeated payloads (no unique "i"): the payload table hits at
+	// the leaves and for composites of interned parts, including equal numbers
+	// of different types, across a rollback, a prune and the Advance(∞) reset.
+	rep := func(typ, code int) []byte { return []byte{byte(0x40 | typ<<4), byte(code<<2 | 1)} }
+	repeated := slices.Concat(
+		rep(0, 0), rep(1, 0), rep(0, 0), rep(1, 0), rep(2, 0),
+		rep(0, 4), rep(1, 5), rep(0, 5), rep(1, 4), rep(2, 4),
+		[]byte{0x0c, 0x02, 0x0e, 0x01}, // advance, mark
+		rep(1, 0), rep(0, 0), rep(1, 0),
+		[]byte{0x0f, 0x08, 0x0e, 0x02}, // far advance, rollback
+		rep(0, 0), rep(1, 0), rep(2, 0), rep(0, 4), rep(1, 4),
+		[]byte{0x0e, 0x05, 0x0f, 0xff}, // mark, Advance(∞)
+		rep(0, 0), rep(1, 0), rep(0, 5), rep(1, 5),
+		[]byte{0x0e, 0x06, 0x0c, 0x03}, // rollback across the reset, advance
+		rep(0, 0), rep(1, 0), rep(2, 1), rep(0, 0), rep(1, 0),
+	)
+	for i, name := range []string{"seq", "seq-dup", "kseq3", "kcidr07", "katleast", "kunless-dupneg", "atmost2", "unless-prime", "knot", "kcancel"} {
+		f.Add(append([]byte{shapeIdx(name), byte(i % 4), byte(i % 2)}, repeated...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -236,7 +258,10 @@ func FuzzIncVsOracle(f *testing.F) {
 					vs += temporal.Time(a&0x03) + 1
 					at = vs
 				}
-				p := event.Payload{"i": int64(nextID)}
+				p := event.Payload{}
+				if c&0x40 == 0 {
+					p["i"] = int64(nextID) // else the payload repeats: a payload-table hit
+				}
 				switch key := int(a>>2) % (keys + 5); {
 				case key < keys:
 					p["k"] = fmt.Sprintf("k%d", key)

@@ -28,8 +28,9 @@ import (
 //     mutation: a barrier snapshots all of them, and Rollback restores the
 //     barrier's copy wholesale.
 //   - The interning caches (event records, composites, leaf matches, the
-//     re-headed forms memoized on a match) are never journaled: entries are
-//     immutable values keyed by globally unique IDs, so a post-rollback
+//     re-headed forms memoized on a match, the payload table) are never
+//     journaled: entries are immutable values keyed by globally unique IDs
+//     (the payload table: by verified content), so a post-rollback
 //     re-derivation that hits an entry surviving from the undone future
 //     gets the byte-identical match it would have rebuilt — and one that
 //     misses (a cache reset) builds an equal match at another address,

@@ -37,16 +37,16 @@ import (
 //     when the site's Corr is provably false on such pairs — so blocker
 //     counts, and therefore the node's output set, are unchanged exactly.
 //
-// Who computes a match's key, and when. A key is resolved *once*, by the
-// node that builds the match: the leaf when it first derives an event's
-// namespaced match, a join node when it first interns a composite (one of()
-// scan over the payload Combine just built — exact for its prime-renamed
-// duplicate names by construction). The resolved key is stored beside the
+// Who computes a match's key, and when. A key is resolved *once per distinct
+// payload*, by the payload table (payload.go) when it builds a leaf's or a
+// composite's map (one of() scan over the payload Combine just built — exact
+// for its prime-renamed duplicate names by construction); later matches with
+// that content take map and key from the entry. The key is stored beside the
 // match in the one interned keyedMatch every store, delta item, journal
 // record and negation candidate refers to, so nothing re-scans a payload —
 // on adds, retractions, prunes or replayed items. Nodes that only re-head a
-// match (negation, ATMOST) copy their input's key — the payload is the same
-// map — and FILTER passes the reference through.
+// match (negation, ATMOST) copy their input's key and payload id — the
+// payload is the same map — and FILTER passes the reference through.
 //
 // Keys live in a concrete comparable struct, not an interface: numbers
 // collapse to one float64 (so the buckets equate int64(3) with float64(3)

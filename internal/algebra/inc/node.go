@@ -38,8 +38,10 @@
 // plumbing. The interning caches are shared with clones: the consistency
 // monitor re-drives a rolled-back operator through events it already saw,
 // so the second and subsequent derivations of the same match reuse the
-// first one outright. References are never compared — a re-derivation after
-// a cache reset is an equal but distinct match — identity is (ID, V.Start).
+// first one outright, and below them the payload table (payload.go) gives
+// every match of one payload content the same immutable map. References are
+// never compared — a re-derivation after a cache reset is an equal but
+// distinct match — identity is (ID, V.Start).
 // Clones of one operator are only ever driven sequentially (the Op
 // contract), which is what makes the sharing sound; parallel shards build
 // fresh operators via plan.Fresh and never share caches.
@@ -86,15 +88,16 @@ func (d *delta) reset()             { d.items = d.items[:0] }
 // of the available (live, unconsumed) primitive events (UNLESS' nodes
 // resolve their anchor contributor through it at candidate-creation time),
 // the correlation-key pushdown configuration (nil = unkeyed; see key.go),
-// the event-record cache (shared with clones, expiry.go) and the operator's
-// undo journal (journal.go), which every node copies at build/clone time so
-// its mutations can be journaled without an indirection through sh on the
-// hot path. u is always non-nil; it records nothing until the first Mark
-// turns it on.
+// the event-record cache (shared with clones, expiry.go), the payload table
+// (shared with clones, payload.go) and the operator's undo journal
+// (journal.go), which every node copies at build/clone time so its mutations
+// can be journaled without an indirection through sh on the hot path. u is
+// always non-nil; it records nothing until the first Mark turns it on.
 type shared struct {
 	vs   map[event.ID]temporal.Time
 	key  *keyCfg
 	recs *recCache
+	pay  *payloadTable
 	u    *undoLog
 }
 
@@ -163,7 +166,8 @@ const internCap = 4096
 type keyedMatch struct {
 	m   algebra.Match
 	key corrKey
-	// up memoizes the re-headed form (same payload, lineage and key; new
+	pid uint64 // m.Payload's id in the tree's payload table (payload.go); 0: not interned
+	// up memoizes the re-headed form (same payload, lineage, key and pid; new
 	// ID, validity and finalization) that the one node above — an UNLESS
 	// or an ATMOST — derives from this match, so a replay derives it once.
 	// A match flows to exactly one parent, so one slot suffices.
@@ -172,7 +176,7 @@ type keyedMatch struct {
 
 // rehead derives k's re-headed form and memoizes it in k.up.
 func (k *keyedMatch) rehead(id event.ID, v temporal.Interval, finalizeAt temporal.Time) {
-	k.up = &keyedMatch{m: k.m, key: k.key}
+	k.up = &keyedMatch{m: k.m, key: k.key, pid: k.pid}
 	k.up.m.ID, k.up.m.V, k.up.m.FinalizeAt = id, v, finalizeAt
 }
 
@@ -183,11 +187,11 @@ func (k *keyedMatch) expiry() temporal.Time { return k.m.LastVs }
 // combCache interns a join node's combined composites by output ID, shared
 // between an operator and its clones. The monitor's replay re-derives
 // exactly the matches the operator already derived, so the second
-// derivation reuses the first's payload map, lineage and resolved key. cfg
-// is the tree's pushdown configuration (nil = unkeyed), under which every
-// entry's key is resolved.
+// derivation reuses the first's match outright. cfg is the tree's pushdown
+// configuration (nil = unkeyed), pay its payload table.
 type combCache struct {
 	cfg   *keyCfg
+	pay   *payloadTable
 	m     map[event.ID]*keyedMatch
 	parts []*algebra.Match // combined's CombineInto argument scratch
 }
@@ -195,13 +199,12 @@ type combCache struct {
 // The map is lazily initialized: keyed fan-out builds one tree per
 // correlation key, and most per-key nodes intern only a handful of
 // matches (or none), so pre-sizing here dominated the allocation profile.
-func newCombCache(cfg *keyCfg) *combCache { return &combCache{cfg: cfg} }
+func newCombCache(sh *shared) *combCache { return &combCache{cfg: sh.key, pay: sh.pay} }
 
 // combined returns the interned composite of parts (ID id), building it
 // through algebra.CombineInto on first derivation: one allocation holds the
-// match, its key and (up to four contributors) its lineage. The key is the
-// one of() scan the composite gets — over the payload Combine just built,
-// exact for its prime-renamed duplicate names by construction.
+// match, its key and (up to four contributors) its lineage, around the
+// payload and key the payload table hands out for those parts.
 func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Duration) *keyedMatch {
 	if km := c.m[id]; km != nil {
 		return km
@@ -214,8 +217,9 @@ func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Durati
 		keyedMatch
 		cbt [4]event.ID
 	}{}
-	algebra.CombineInto(&cm.m, id, cm.cbt[:0], c.parts, w)
-	cm.key = c.cfg.of(cm.m.Payload)
+	p, key, pid := c.pay.composite(parts, c.parts, c.cfg)
+	algebra.CombineInto(&cm.m, id, cm.cbt[:0], c.parts, w, p)
+	cm.key, cm.pid = key, pid
 	if c.m == nil {
 		c.m = make(map[event.ID]*keyedMatch, 64)
 	} else if len(c.m) >= internCap {
@@ -343,33 +347,49 @@ func (l *matchList) clone() matchList {
 // leafKind is what a leaf and its clones share: which events the leaf
 // matches and how it namespaces them. The record cache derives a leaf's
 // matches through it when it builds an event's record; its address is the
-// leaf's identity there.
+// leaf's identity there, and in the payload table.
 type leafKind struct {
 	typ    string
 	prefix string
 	cfg    *keyCfg
+	pay    *payloadTable
+	salt   uint64 // tells apart the table hashes of leaves matching equal payloads
 	// names interns the namespaced attribute names ("<prefix>.<attribute>"):
 	// a stream has a handful of attribute names, so the concatenation is
 	// paid once per name, not once per attribute per event.
 	names map[string]string
 }
 
-// derive builds the leaf match of event e into km, over lineage cbt.
-func (k *leafKind) derive(km *keyedMatch, e *event.Event, cbt []event.ID) {
-	p := make(event.Payload, len(e.Payload))
-	for attr, v := range e.Payload {
+// namespace builds the leaf's payload of an event carrying raw.
+func (k *leafKind) namespace(raw event.Payload) event.Payload {
+	p := make(event.Payload, len(raw))
+	for attr, v := range raw {
 		name, ok := k.names[attr]
 		if !ok {
-			if k.names == nil {
+			if k.names == nil || len(k.names) >= internCap {
 				k.names = map[string]string{}
-			} else if len(k.names) >= internCap {
-				clear(k.names)
 			}
 			name = k.prefix + "." + attr
 			k.names[attr] = name
 		}
 		p[name] = v
 	}
+	return p
+}
+
+// holds reports whether p, a payload this leaf namespaced, is raw's.
+func (k *leafKind) holds(p, raw event.Payload) bool {
+	for name, v := range p {
+		if w, ok := raw[name[len(k.prefix)+1:]]; !ok || !identical(w, v) {
+			return false
+		}
+	}
+	return len(p) == len(raw)
+}
+
+// derive builds the leaf match of event e into km, over lineage cbt.
+func (k *leafKind) derive(km *keyedMatch, e *event.Event, cbt []event.ID) {
+	p, key, pid := k.pay.leaf(k, e.Payload)
 	km.m = algebra.Match{
 		ID:         event.Pair(e.ID),
 		V:          e.V,
@@ -380,7 +400,7 @@ func (k *leafKind) derive(km *keyedMatch, e *event.Event, cbt []event.ID) {
 		CBT:        cbt,
 		Payload:    p,
 	}
-	km.key = k.cfg.of(p)
+	km.key, km.pid = key, pid
 }
 
 // leafNode matches all primitive events of one type (algebra.TypeExpr).
@@ -392,7 +412,8 @@ type leafNode struct {
 }
 
 func newLeaf(t algebra.TypeExpr, sh *shared) *leafNode {
-	k := &leafKind{typ: t.Type, prefix: t.Prefix(), cfg: sh.key}
+	k := &leafKind{typ: t.Type, prefix: t.Prefix(), cfg: sh.key, pay: sh.pay,
+		salt: uint64(len(sh.recs.kinds)+1) * 0x9e3779b97f4a7c15}
 	sh.recs.kinds = append(sh.recs.kinds, k)
 	return &leafNode{kind: k, live: map[event.ID]*keyedMatch{}, u: sh.u}
 }

@@ -167,7 +167,7 @@ func NewOp(expr algebra.Expr, mode algebra.SCMode, outType string, opts ...OpOpt
 	}
 	p.trackVs = usesAnchorTimes(expr)
 	p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: newKeyCfg(p.keyAttr),
-		recs: newRecCache(), u: &undoLog{}}
+		recs: newRecCache(), pay: &payloadTable{last: new(uint64)}, u: &undoLog{}}
 	p.root = build(expr, p.sh, buildCtx{pos: true})
 	return p
 }
@@ -310,7 +310,7 @@ func (p *Op) Process(_ int, e event.Event) []event.Event {
 	// and lineage stay shared with the caller's event. Operator payloads are
 	// immutable by contract (the monitor's repair diff leans on exactly that
 	// sharing), so the defensive deep clone the oracle performs buys nothing
-	// here — and the leaf re-namespaces the payload into a fresh map anyway.
+	// here — and the leaf namespaces the payload into a tree-owned map anyway.
 	r := p.sh.recs.of(&e)
 	p.sh.u.recMap(p.store, e.ID)
 	p.store[e.ID] = r
@@ -540,9 +540,10 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 		// Wholesale reset: journal the replaced containers (the tree, the
 		// stores with their queue, the pending list) as one record, then
 		// rebuild. The new shared struct keeps the same journal; the caches
-		// start over with the tree.
+		// start over with the tree (the payload table's ids continue).
 		u.reset(p)
-		p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: p.sh.key, recs: newRecCache(), u: u}
+		p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: p.sh.key, recs: newRecCache(),
+			pay: &payloadTable{last: p.sh.pay.last}, u: u}
 		p.root = build(p.Expr, p.sh, buildCtx{pos: true})
 		p.store = map[event.ID]*evRec{}
 		p.consumed = map[event.ID]*evRec{}
@@ -627,7 +628,7 @@ func (p *Op) ensureOwned() {
 // deepClone is the eager copy: mutable state duplicated, interning caches
 // shared, a fresh (off) journal.
 func (p *Op) deepClone() *Op {
-	sh := &shared{vs: maps.Clone(p.sh.vs), key: p.sh.key, recs: p.sh.recs, u: &undoLog{}}
+	sh := &shared{vs: maps.Clone(p.sh.vs), key: p.sh.key, recs: p.sh.recs, pay: p.sh.pay, u: &undoLog{}}
 	expiry := p.expiry.clone()
 	return &Op{
 		Expr:          p.Expr,

@@ -48,7 +48,7 @@ func newSeqNode(e algebra.SequenceExpr, sh *shared, ctx buildCtx) *seqNode {
 		uses:  map[event.ID][]event.ID{},
 		parts: make([]*keyedMatch, len(e.Kids)),
 		ids:   make([]event.ID, len(e.Kids)),
-		comb:  newCombCache(sh.key),
+		comb:  newCombCache(sh),
 		u:     sh.u,
 	}
 	for i, k := range e.Kids {

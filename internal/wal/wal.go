@@ -315,6 +315,11 @@ func (r *byteReader) str() string {
 
 func (r *byteReader) time() temporal.Time { return temporal.Time(r.i64()) }
 
+// minEntry is the least a payload or binding entry encodes in (a name's
+// length and a bool): no count may claim more entries than the bytes left
+// can hold, so a forged count cannot size an allocation.
+const minEntry = 4 + 2
+
 func (r *byteReader) value() event.Value {
 	switch tag := r.u8(); tag {
 	case tagInt64:
@@ -349,7 +354,7 @@ func (r *byteReader) event() event.Event {
 	e.C.Start, e.C.End = r.time(), r.time()
 	e.RT = r.time()
 	nCBT := int(r.u32())
-	if r.err == nil && nCBT > len(r.b)-r.off {
+	if r.err == nil && nCBT > (len(r.b)-r.off)/8 {
 		r.err = fmt.Errorf("wal: lineage count %d exceeds record bounds", nCBT)
 		return e
 	}
@@ -360,7 +365,7 @@ func (r *byteReader) event() event.Event {
 		}
 	}
 	nPay := int(r.u32())
-	if r.err == nil && nPay > len(r.b)-r.off {
+	if r.err == nil && nPay > (len(r.b)-r.off)/minEntry {
 		r.err = fmt.Errorf("wal: payload count %d exceeds record bounds", nPay)
 		return e
 	}
@@ -428,7 +433,7 @@ func DecodePayload(payload []byte) (Record, error) {
 			// before the fabric end at Shards and never set the flag, so
 			// they decode through the branch above unchanged.
 			n := int(r.u32())
-			if r.err == nil && n > len(r.b)-r.off {
+			if r.err == nil && n > (len(r.b)-r.off)/minEntry {
 				r.err = fmt.Errorf("wal: binding count %d exceeds record bounds", n)
 				break
 			}
