@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/event"
@@ -21,7 +22,7 @@ import (
 // The bounds sit ~1.5–3× above the measured steady state, loose enough
 // for map rehash jitter across Go releases, tight enough to catch a
 // return to per-delta allocation (a fresh-cache run measures ~29/event;
-// the interned replay ~6). (Skipped under -race: instrumentation changes
+// the interned replay ~1.6). (Skipped under -race: instrumentation changes
 // allocation counts.)
 
 // allocSeqEvents builds a workload shaped like the sequence-ablation
@@ -78,7 +79,7 @@ func measureSeqHotPath(base *Op, events []event.Event) float64 {
 func TestAllocsSequenceHotPath(t *testing.T) {
 	op := NewOp(allocSeqExpr(), algebra.SCMode{Cons: algebra.Consume}, "Pairs")
 	perEvent := measureSeqHotPath(op, allocSeqEvents(400, "INSTALL", "SHUTDOWN"))
-	const ceiling = 9.0 // measured 5.84
+	const ceiling = 3.0 // measured 1.58 (5.84 while the join kept a uses index)
 	t.Logf("incremental sequence hot path: %.2f allocs/event (ceiling %.1f)", perEvent, ceiling)
 	if perEvent > ceiling {
 		t.Fatalf("incremental sequence hot path allocates %.2f/event, above the pinned ceiling %.1f — the interned-payload/scratch-delta discipline regressed", perEvent, ceiling)
@@ -156,7 +157,7 @@ WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)`)
 	}
 	op := NewOp(an.Expr, an.Mode, an.Query.Name, WithJoinKey(an.PushKeyAttr))
 	perEvent := measureSeqHotPath(op, allocSeqEvents(600, "INSTALL", "SHUTDOWN", "RESTART"))
-	const ceiling = 4.5 // measured 2.90 (11.87 before the key was carried)
+	const ceiling = 2.5 // measured 1.50 (2.90 with a uses index and separately allocated re-headed forms; 11.87 before the key was carried)
 	t.Logf("keyed sequence hot path: %.2f allocs/event (ceiling %.1f)", perEvent, ceiling)
 	if perEvent > ceiling {
 		t.Fatalf("keyed sequence hot path allocates %.2f/event, above the pinned ceiling %.1f — the key-indexed join path regressed", perEvent, ceiling)
@@ -190,12 +191,51 @@ func TestAllocsInternedPayloads(t *testing.T) {
 		delete(comb.m, 2)
 	})
 
+	// Under an UNLESS the composite's allocation also holds the slot its
+	// re-headed form is derived into: the pair is still one allocation.
+	un := NewOp(algebra.UnlessExpr{A: op.Expr, B: algebra.TypeExpr{Type: "RESTART", Alias: "z"}, W: 8},
+		algebra.SCMode{}, "Missed", WithJoinKey("Machine_Id"))
+	neg := un.root.(*negNode)
+	ucomb := neg.pos.(*seqNode).comb
+	var c negCand
+	reheaded := testing.AllocsPerRun(200, func() {
+		c, _ = neg.interval(ucomb.combined(2, parts, 64))
+		delete(ucomb.m, 2)
+	})
+
 	const ceilLeaf, ceilComposite = 0.0, 1.0
-	t.Logf("interned payloads: leaf %.2f allocs/match (ceiling %.0f), composite %.2f allocs/match (ceiling %.0f)",
-		leaf, ceilLeaf, composite, ceilComposite)
+	t.Logf("interned payloads: leaf %.2f allocs/match (ceiling %.0f), composite %.2f allocs/match (ceiling %.0f), composite with its re-headed form %.2f (ceiling %.0f)",
+		leaf, ceilLeaf, composite, ceilComposite, reheaded, ceilComposite)
 	if x.pid == 0 || leaf > ceilLeaf || composite > ceilComposite {
 		t.Fatalf("a repeated payload allocates: leaf %.2f (ceiling %.0f), composite %.2f (ceiling %.0f), pid %d — the payload table no longer interns",
 			leaf, ceilLeaf, composite, ceilComposite, x.pid)
+	}
+	if reheaded > ceilComposite || c.out != c.a.up || !c.a.reheaded() || c.out.m.ID == c.a.m.ID {
+		t.Fatalf("a composite under UNLESS and its re-headed form cost %.2f allocations (ceiling %.0f), or the form is not derived into the composite's slot",
+			reheaded, ceilComposite)
+	}
+}
+
+// TestAllocsMatchBlockSizes pins the sizes of the blocks a match lives in,
+// each at or just under a runtime size class: one more field in keyedMatch
+// would push the leaf block (an event's record and its first leaf match)
+// from the 176-byte class into the 192-byte one for every event, and a
+// composite with its re-headed slot past 320 bytes.
+func TestAllocsMatchBlockSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"keyedMatch", unsafe.Sizeof(keyedMatch{}), 136},
+		{"leaf block", unsafe.Sizeof(evRec{}) + unsafe.Sizeof(leafMatch{}), 176}, // recCache.of's allocation
+	} {
+		t.Logf("%s: %d bytes (ceiling %d)", c.name, c.got, c.want)
+		if c.got > c.want {
+			t.Errorf("%s is %d bytes, above the pinned %d — it crossed into a larger size class", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package inc
 
 import (
 	"maps"
-	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -16,7 +15,9 @@ import (
 // so a new match at position i joins subsets of the *other* positions and
 // the picks are time-sorted before combining. Duplicate parameter positions
 // can derive the same composite from different position subsets, so outputs
-// are reference-counted (the denotational evaluator dedupes by ID).
+// are reference-counted (the denotational evaluator dedupes by ID); a
+// retraction re-enumerates as seqNode's does, each derivation found giving
+// back its reference.
 //
 // Under correlation-key pushdown (see key.go and buildCtx) the per-position
 // stores are key-indexed exactly like seqNode's: a definite-key match
@@ -28,8 +29,7 @@ type atLeastNode struct {
 	lists []keyedList // per-position join state, key-indexed where the node may
 
 	outs map[event.ID]*keyedMatch
-	refs map[event.ID]int
-	uses map[event.ID][]event.ID
+	refs map[event.ID]int // derivations per live output
 
 	picks  []*keyedMatch // enumeration scratch
 	sorted []*keyedMatch // time-sorted commit scratch
@@ -46,16 +46,15 @@ func newAtLeastNode(e algebra.AtLeastExpr, sh *shared, ctx buildCtx) *atLeastNod
 		lists:  make([]keyedList, len(e.Kids)),
 		outs:   map[event.ID]*keyedMatch{},
 		refs:   map[event.ID]int{},
-		uses:   map[event.ID][]event.ID{},
 		picks:  make([]*keyedMatch, 0, e.N),
 		sorted: make([]*keyedMatch, e.N),
 		ids:    make([]event.ID, e.N),
-		comb:   newCombCache(sh),
+		comb:   newCombCache(sh, ctx.up),
 		u:      sh.u,
 	}
 	for i, k := range e.Kids {
 		a.lists[i].keyed = ctx.joinKeyed(sh)
-		a.kids = append(a.kids, build(k, sh, ctx))
+		a.kids = append(a.kids, build(k, sh, buildCtx{pos: ctx.pos, frozen: ctx.frozen}))
 	}
 	return a
 }
@@ -86,51 +85,35 @@ func (a *atLeastNode) prune(horizon temporal.Time, out *delta) {
 
 func (a *atLeastNode) applyKid(i int, out *delta) {
 	for _, it := range a.kd.items {
-		if it.del {
-			if a.lists[i].remove(it.km) {
-				a.u.listDel(&a.lists[i], it.km)
-			}
-			for _, oid := range a.uses[it.km.m.ID] {
-				km, ok := a.outs[oid]
-				if !ok {
-					continue
-				}
-				a.u.intMap(a.refs, oid)
-				a.refs[oid]--
-				if a.refs[oid] == 0 {
-					a.u.matchMapKnown(a.outs, oid, km)
-					delete(a.outs, oid)
-					a.u.intMap(a.refs, oid)
-					delete(a.refs, oid)
-					out.del(km)
-				}
-			}
-			a.u.usesDel(a.uses, it.km.m.ID)
-			delete(a.uses, it.km.m.ID)
-			continue
+		if !it.del {
+			a.enumerate(i, it.km, false, out)
+			a.lists[i].insert(it.km)
+			a.u.listIns(&a.lists[i], it.km)
+		} else if a.lists[i].remove(it.km) {
+			a.u.listDel(&a.lists[i], it.km)
+			a.enumerate(i, it.km, true, out)
 		}
-		if a.n >= 1 && a.n <= len(a.kids) {
-			a.enumerate(i, it.km, out)
-		}
-		a.lists[i].insert(it.km)
-		a.u.listIns(&a.lists[i], it.km)
 	}
 }
 
-// enumerate emits every n-subset of positions containing fix, with one
+// enumerate visits every n-subset of positions containing fix, with one
 // stored match per other chosen position, whose times are pairwise
-// distinct and within w of each other.
-func (a *atLeastNode) enumerate(fix int, nm *keyedMatch, out *delta) {
+// distinct and within w of each other, taking (del: giving back) one
+// reference on its composite. Picks narrow by key as in seqNode.
+func (a *atLeastNode) enumerate(fix int, nm *keyedMatch, del bool, out *delta) {
+	if a.n < 1 || a.n > len(a.kids) {
+		return
+	}
 	picks := a.picks[:0]
 	picks = append(picks, nm)
 	minVs, maxVs := nm.m.V.Start, nm.m.V.Start
-	var rec func(pos int, min, max temporal.Time)
+	var rec func(pos int, min, max temporal.Time, k corrKey)
 	commit := func() {
 		sorted := append(a.sorted[:0], picks...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].m.V.Start < sorted[j].m.V.Start })
-		a.commit(sorted, out)
+		a.commit(sorted, del, out)
 	}
-	rec = func(pos int, min, max temporal.Time) {
+	rec = func(pos int, min, max temporal.Time, k corrKey) {
 		if len(picks) == a.n {
 			commit()
 			return
@@ -164,14 +147,14 @@ func (a *atLeastNode) enumerate(fix int, nm *keyedMatch, out *delta) {
 						nmax = vs
 					}
 					picks = append(picks, km)
-					rec(p+1, nmin, nmax)
+					rec(p+1, nmin, nmax, narrow(k, km))
 					picks = picks[:len(picks)-1]
 				}
 			}
-			a.lists[p].scan(nm.key, scan)
+			a.lists[p].scan(k, scan)
 		}
 	}
-	rec(0, minVs, maxVs)
+	rec(0, minVs, maxVs, nm.key)
 	a.picks = picks[:0]
 }
 
@@ -184,23 +167,35 @@ func (a *atLeastNode) clashes(picks []*keyedMatch, vs temporal.Time) bool {
 	return false
 }
 
-func (a *atLeastNode) commit(sorted []*keyedMatch, out *delta) {
+// commit takes (del: gives back) one reference on the composite of sorted.
+func (a *atLeastNode) commit(sorted []*keyedMatch, del bool, out *delta) {
 	ids := a.ids[:len(sorted)]
 	for i, p := range sorted {
 		ids[i] = p.m.ID
 	}
 	id := event.Pair(ids...)
-	a.u.intMap(a.refs, id)
-	a.refs[id]++
-	for _, pid := range ids {
-		a.u.usesApp(a.uses, pid)
-		a.uses[pid] = append(a.uses[pid], id)
+	n := a.refs[id]
+	if del && n == 0 {
+		return
 	}
-	if a.refs[id] == 1 {
-		km := a.comb.combined(id, sorted, a.w)
-		a.u.matchMap(a.outs, id)
-		a.outs[id] = km
-		out.add(km)
+	a.u.intMap(a.refs, id)
+	switch {
+	case !del:
+		a.refs[id] = n + 1
+		if n == 0 {
+			km := a.comb.combined(id, sorted, a.w)
+			a.u.matchMap(a.outs, id)
+			a.outs[id] = km
+			out.add(km)
+		}
+	case n > 1:
+		a.refs[id] = n - 1
+	default:
+		delete(a.refs, id)
+		km := a.outs[id]
+		a.u.matchMapKnown(a.outs, id, km)
+		delete(a.outs, id)
+		out.del(km)
 	}
 }
 
@@ -211,7 +206,6 @@ func (a *atLeastNode) clone(sh *shared) node {
 		lists:  make([]keyedList, len(a.lists)),
 		outs:   maps.Clone(a.outs),
 		refs:   maps.Clone(a.refs),
-		uses:   make(map[event.ID][]event.ID, len(a.uses)),
 		picks:  make([]*keyedMatch, 0, a.n),
 		sorted: make([]*keyedMatch, a.n),
 		ids:    make([]event.ID, a.n),
@@ -223,9 +217,6 @@ func (a *atLeastNode) clone(sh *shared) node {
 	}
 	for i := range a.lists {
 		c.lists[i] = a.lists[i].clone()
-	}
-	for id, v := range a.uses {
-		c.uses[id] = slices.Clone(v)
 	}
 	return c
 }

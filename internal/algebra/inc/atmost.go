@@ -133,7 +133,7 @@ func (a *atMostNode) apply(out *delta) {
 // output derives the anchor's output, per the ATMOST operator row, once per
 // anchor match (keyedMatch.up).
 func (a *atMostNode) output(b *keyedMatch) *keyedMatch {
-	if b.up == nil {
+	if !b.reheaded() {
 		end := b.m.V.Start.Add(a.w)
 		b.rehead(event.Pair(b.m.ID), temporal.NewInterval(b.m.V.Start, end), end)
 	}

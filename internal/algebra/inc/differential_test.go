@@ -79,6 +79,8 @@ func exprZoo() map[string]algebra.Expr {
 				return event.ValueEqual(p["a.k"], p["b.k"])
 			},
 		},
+		// UNLESS over FILTER over SEQUENCE: the composites' re-headed slot
+		// is reserved through the filter.
 		"cidr07": algebra.UnlessExpr{
 			A: algebra.FilterExpr{
 				Kid: algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "x"), typ("B", "y")}, W: 20},
@@ -88,6 +90,32 @@ func exprZoo() map[string]algebra.Expr {
 			},
 			B: typ("C", "z"), W: 5, Corr: corrOn("k"),
 		},
+		// The shapes around re-headed slots and retraction by re-enumeration.
+		// A duplicate position derives one composite from two position
+		// subsets (refs > 1), and a retraction must give back both.
+		"atleast-dup": algebra.AtLeastExpr{N: 2,
+			Kids: []algebra.Expr{typ("A", ""), typ("A", ""), typ("B", "")}, W: 12},
+		// One event leaves both A positions in one call, so only here — a
+		// SEQUENCE match a blocker retracts from one position alone — can a
+		// composite lose one of its derivations and keep the other.
+		"atleast-dup-not": algebra.AtLeastExpr{N: 2, Kids: []algebra.Expr{
+			algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 6},
+			algebra.NotExpr{Neg: typ("C", "c"),
+				Seq: algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 6}},
+			typ("X", "x")}, W: 12},
+		"atmost-seq": algebra.AtMostExpr{N: 1, Kids: []algebra.Expr{seqAB}, W: 10},
+		// The anchor index lies beyond every composite: each one reserves a
+		// slot that is never filled.
+		"unless-prime-short": algebra.UnlessPrimeExpr{A: seqAB, B: typ("C", "c"), N: 3, W: 6},
+		// Some composites have the anchor (a SEQUENCE under the ANY), some
+		// lack it (a lone C): filled and never-filled slots in one node.
+		"unless-prime-any": algebra.UnlessPrimeExpr{
+			A: algebra.Any(algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 8}, typ("C", "c")),
+			B: typ("X", "x"), N: 2, W: 6},
+		"unless-not": algebra.UnlessExpr{
+			A: algebra.NotExpr{Neg: typ("C", "c"),
+				Seq: algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 9}},
+			B: typ("X", "x"), W: 6},
 	}
 }
 
@@ -392,36 +420,143 @@ func TestDifferentialStragglerBlocker(t *testing.T) {
 
 // TestDifferentialRemovalStorm removes *every* inserted event (in random
 // order among the still-aligned suffix) so retraction cascades, un-consume
-// revival and re-derivation get dense coverage.
+// revival and re-derivation get dense coverage — unkeyed over exprZoo and
+// keyed over keyedZoo × every key distribution (wild matches bridging two
+// definite keys are where a retraction could miss a composite). Each storm
+// runs twice from one journal mark, in two orders, rolled back between.
 func TestDifferentialRemovalStorm(t *testing.T) {
 	for name, expr := range exprZoo() {
 		for _, mode := range scModes() {
 			rng := rand.New(rand.NewSource(5))
-			events := genEvents(rng, 24)
-			oracle := algebra.NewPatternOp(expr, mode, "out")
-			fast := NewOp(expr, mode, "out")
-			for i, e := range events {
-				og := oracle.Process(0, e)
-				ig := fast.Process(0, e)
-				checkStep(t, fmt.Sprintf("%s %v push %d", name, mode, i), oracle, fast, ig, og)
-			}
-			// No advances were issued, so every event is still removable.
-			order := rng.Perm(len(events))
-			for _, j := range order {
-				v := events[j]
-				r := event.NewRetract(v.ID, v.Type, v.V.Start, v.V.Start, nil)
-				og := oracle.Process(0, r)
-				ig := fast.Process(0, r)
-				checkStep(t, fmt.Sprintf("%s %v storm-remove %d", name, mode, j), oracle, fast, ig, og)
-			}
-			og := oracle.Advance(temporal.Infinity)
-			ig := fast.Advance(temporal.Infinity)
-			checkStep(t, fmt.Sprintf("%s %v storm-finish", name, mode), oracle, fast, ig, og)
-			if n := fast.pending.size(); n != 0 {
-				t.Fatalf("%s %v: %d pending matches survived a full removal storm", name, mode, n)
+			driveStorm(t, name, expr, mode, genEvents(rng, 24), rng)
+		}
+	}
+	for name, expr := range keyedZoo() {
+		for _, mode := range scModes() {
+			for _, d := range keyDists() {
+				rng := rand.New(rand.NewSource(6))
+				driveStorm(t, name+"/"+d.name, expr, mode, genDistEvents(rng, 24, d), rng, WithJoinKey("k"))
 			}
 		}
 	}
+}
+
+func driveStorm(t *testing.T, name string, expr algebra.Expr, mode algebra.SCMode,
+	events []event.Event, rng *rand.Rand, opts ...OpOption) {
+	t.Helper()
+	oracle := algebra.NewPatternOp(expr, mode, "out")
+	fast := NewOp(expr, mode, "out", opts...)
+	fast.Mark() // journal every mutation below
+	for i, e := range events {
+		og := oracle.Process(0, e)
+		ig := fast.Process(0, e)
+		checkStep(t, fmt.Sprintf("%s %v push %d", name, mode, i), oracle, fast, ig, og)
+	}
+	full, frozen := fast.Mark(), oracle.Clone()
+	for round := range 2 {
+		if round > 0 {
+			if !fast.Rollback(full) {
+				t.Fatalf("%s %v: rollback to the pre-storm mark refused", name, mode)
+			}
+			oracle = frozen.Clone().(*algebra.PatternOp)
+			checkStep(t, fmt.Sprintf("%s %v storm-rollback", name, mode), oracle, fast, nil, nil)
+		}
+		// No advances were issued, so every event is still removable.
+		for _, j := range rng.Perm(len(events)) {
+			v := events[j]
+			r := event.NewRetract(v.ID, v.Type, v.V.Start, v.V.Start, nil)
+			og := oracle.Process(0, r)
+			ig := fast.Process(0, r)
+			checkStep(t, fmt.Sprintf("%s %v storm %d remove %d", name, mode, round, j), oracle, fast, ig, og)
+		}
+		if n := fast.pending.size(); n != 0 {
+			t.Fatalf("%s %v: %d pending matches survived a full removal storm", name, mode, n)
+		}
+		if n := treeHeld(fast.root); n != 0 {
+			t.Fatalf("%s %v: the matcher tree still holds %d entries after a full removal storm", name, mode, n)
+		}
+	}
+	og := oracle.Advance(temporal.Infinity)
+	ig := fast.Advance(temporal.Infinity)
+	checkStep(t, fmt.Sprintf("%s %v storm-finish", name, mode), oracle, fast, ig, og)
+}
+
+// TestAtLeastRetractsOneDerivation pins ATLEAST's reference counts: a
+// straggler blocker retracts the SEQUENCE match from the NOT position
+// only, so the composite loses one of its two derivations and must stay
+// live through the other, then go with the last one. An emitted composite
+// leaving the pending set early is invisible in the output, so this reads
+// the node's state. (Under consumption the composite's emission would take
+// its contributors out of the tree first.)
+func TestAtLeastRetractsOneDerivation(t *testing.T) {
+	expr := exprZoo()["atleast-dup-not"]
+	for _, mode := range []algebra.SCMode{{}, {Sel: algebra.SelectFirst}} {
+		oracle := algebra.NewPatternOp(expr, mode, "out")
+		fast := NewOp(expr, mode, "out")
+		at := fast.root.(*atLeastNode)
+		step := func(label string, e event.Event, outs, refs int) {
+			checkStep(t, fmt.Sprintf("%v %s", mode, label), oracle, fast, fast.Process(0, e), oracle.Process(0, e))
+			got := 0
+			for _, n := range at.refs {
+				got += n
+			}
+			if len(at.outs) != outs || got != refs {
+				t.Fatalf("%v %s: %d live composites over %d derivations, want %d over %d",
+					mode, label, len(at.outs), got, outs, refs)
+			}
+		}
+		step("a", ev(1, "A", 0, "k", "k1"), 0, 0)
+		step("b", ev(2, "B", 4, "k", "k1"), 0, 0)
+		step("x", ev(3, "X", 6, "k", "k1"), 1, 2)
+		step("straggler c", ev(4, "C", 2, "k", "k1"), 1, 1)
+		step("remove x", event.NewRetract(3, "X", 6, 6, nil), 0, 0)
+	}
+}
+
+// treeHeld counts what a matcher tree holds: live leaf matches, join lists
+// and outputs, ATMOST entries and references, negation candidates and
+// blockers. Once every event is gone it must be zero — a composite a
+// retraction failed to find stays counted here even where the root's
+// filter keeps it out of the output.
+func treeHeld(n node) int {
+	listLen := func(l *keyedList) int {
+		h := len(l.wild.ms)
+		for _, b := range l.buckets {
+			h += len(b.ms)
+		}
+		return h
+	}
+	switch x := n.(type) {
+	case *leafNode:
+		return len(x.live)
+	case *filterNode:
+		return treeHeld(x.kid)
+	case *seqNode:
+		h := len(x.outs)
+		for i, k := range x.kids {
+			h += treeHeld(k) + listLen(&x.lists[i])
+		}
+		return h
+	case *atLeastNode:
+		h := len(x.outs) + len(x.refs)
+		for i, k := range x.kids {
+			h += treeHeld(k) + listLen(&x.lists[i])
+		}
+		return h
+	case *atMostNode:
+		h := len(x.entries) + len(x.refs)
+		for _, k := range x.kids {
+			h += treeHeld(k)
+		}
+		return h
+	case *negNode:
+		h := treeHeld(x.pos) + treeHeld(x.neg) + len(x.wcands) + len(x.loOf) + listLen(&x.negs)
+		for _, cs := range x.kcands {
+			h += len(cs)
+		}
+		return h
+	}
+	panic(fmt.Sprintf("treeHeld: unknown node %T", n))
 }
 
 // --- Correlation-key pushdown differentials ---
@@ -431,13 +566,18 @@ func TestDifferentialRemovalStorm(t *testing.T) {
 // value (vacuously true when absent). Using the exact sema semantics is
 // what makes WithJoinKey sound for these expressions on *any* payload,
 // including events missing the attribute.
-func eqOnKey(attr string) func(event.Payload) bool {
+func eqOnKey(attr string) func(event.Payload) bool { return eqOnKeyTrimmed(attr, "") }
+
+// eqOnKeyPrimed is eqOnKey over the prime-renamed names ("A.k'") too.
+func eqOnKeyPrimed(attr string) func(event.Payload) bool { return eqOnKeyTrimmed(attr, "'") }
+
+func eqOnKeyTrimmed(attr, cutset string) func(event.Payload) bool {
 	suffix := "." + attr
 	return func(p event.Payload) bool {
 		var first event.Value
 		seen := false
 		for k, v := range p {
-			if !strings.HasSuffix(k, suffix) {
+			if !strings.HasSuffix(strings.TrimRight(k, cutset), suffix) {
 				continue
 			}
 			if !seen {
@@ -533,6 +673,25 @@ func keyedZoo() map[string]algebra.Expr {
 		// context) even though the op is keyed — this entry pins that gate.
 		"katmost": filt(algebra.AtMostExpr{N: 1,
 			Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 8}),
+		// The keyed mirrors of exprZoo's re-headed-slot shapes (kcidr07 is
+		// UNLESS over FILTER over SEQUENCE).
+		// Two positions share the alias A, so Combine renames the second
+		// one's attribute "A.k'" — a name the suffix rule never compares:
+		// the filter must read it too, or keying would prune output.
+		"katleast-dup": algebra.FilterExpr{Kid: algebra.AtLeastExpr{N: 2,
+			Kids: []algebra.Expr{typ("A", ""), typ("A", ""), typ("B", "")}, W: 12},
+			Pred: eqOnKeyPrimed("k"), Desc: "CorrelationKey(k, EQUAL) incl. k'"},
+		"katmost-seq": filt(algebra.AtMostExpr{N: 1, Kids: []algebra.Expr{seqAB}, W: 10}),
+		"kunless-prime-short": filt(algebra.UnlessPrimeExpr{A: seqAB, B: typ("C", "c"), N: 3, W: 6,
+			Corr: corrKeyEqual("k"), CorrKey: "k"}),
+		"kunless-prime-any": filt(algebra.UnlessPrimeExpr{
+			A: algebra.Any(algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 8}, typ("C", "c")),
+			B: typ("X", "x"), N: 2, W: 6, Corr: corrKeyEqual("k"), CorrKey: "k"}),
+		"kunless-not": filt(algebra.UnlessExpr{
+			A: algebra.NotExpr{Neg: typ("C", "c"),
+				Seq:  algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 9},
+				Corr: corrKeyEqual("k"), CorrKey: "k"},
+			B: typ("X", "x"), W: 6, Corr: corrKeyEqual("k"), CorrKey: "k"}),
 	}
 }
 

@@ -199,6 +199,26 @@ func FuzzIncVsOracle(f *testing.F) {
 		f.Add(append([]byte{shapeIdx(name), byte(i % 4), byte(i % 2)}, repeated...))
 	}
 
+	// Duplicate ATLEAST positions (one composite, several derivations) and a
+	// SEQUENCE re-headed by ATMOST, whose retractions re-enumerate: the
+	// straggler C lands inside an A–B pair after X completed composites over
+	// it, so the NOT position loses the pair on its own.
+	redo := []byte{
+		0x00, 0x05, 0x10, 0x05, 0x00, 0x01, 0x30, 0x05, // A, B, A (same instant), X
+		0x0e, 0x01, // mark
+		0xa0, 0x03, // straggler C
+		0x10, 0x09, 0x30, 0x06, // B, X
+		0x0a, 0x01, // remove
+		0x0e, 0x02, // rollback
+		0x0a, 0x04, 0x0b, 0x02, // removals
+		0x0f, 0x04, // far advance: prune
+		0x00, 0x05, 0x10, 0x05, // A, B
+	}
+	for i, name := range []string{"atleast-dup", "atleast-dup-not", "katleast-dup", "atmost-seq", "katmost-seq"} {
+		f.Add(append([]byte{shapeIdx(name), byte(i % 4), byte(i % 4)}, redo...))
+		f.Add(append([]byte{shapeIdx(name), byte(i+1) % 4, byte(i % 4)}, straddle...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

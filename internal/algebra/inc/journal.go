@@ -28,13 +28,16 @@ import (
 //     mutation: a barrier snapshots all of them, and Rollback restores the
 //     barrier's copy wholesale.
 //   - The interning caches (event records, composites, leaf matches, the
-//     re-headed forms memoized on a match, the payload table) are never
+//     re-headed forms memoized on a match — filled once, in the slot the
+//     composite reserved or a new one — the payload table) are never
 //     journaled: entries are immutable values keyed by globally unique IDs
 //     (the payload table: by verified content), so a post-rollback
 //     re-derivation that hits an entry surviving from the undone future
 //     gets the byte-identical match it would have rebuilt — and one that
 //     misses (a cache reset) builds an equal match at another address,
 //     which is why nothing here compares references.
+//   - Join nodes keep no dependents index: a retraction re-enumerates its
+//     composites over the journaled lists (sequence.go).
 //   - negNode.maxSpan is never journaled: it only widens, and a
 //     stale-too-wide span merely starts the candidate scan earlier — every
 //     visited candidate is still filtered exactly.
@@ -42,8 +45,8 @@ import (
 //
 // Allocation discipline: records go into one flat spine slice; what a
 // record must remember beyond its scalars — a match or event-record
-// reference, a candidate, an ID slice — goes into typed side stacks popped
-// in the same LIFO order the spine is undone in. Matches and events are
+// reference, a candidate, an ATMOST entry — goes into typed side stacks
+// popped in the same LIFO order the spine is undone in. Matches and events are
 // held by reference (they are immutable and interned), so a record costs a
 // pointer, not a copy; the steady state appends into amortized-reused
 // backing arrays and the journaling cost per mutation is O(1) with no
@@ -68,7 +71,6 @@ type undoLog struct {
 	evs  []*evRec
 	cs   []negCand
 	ams  []amEntry
-	idss [][]event.ID
 	scal []opScalars
 	rsts []resetState
 
@@ -76,7 +78,7 @@ type undoLog struct {
 	// entries compact has dropped from each. Together with the per-barrier
 	// top positions recorded at mark time they make compact's payload
 	// accounting O(1) instead of a per-record scan of the dropped prefix.
-	msDrop, evsDrop, csDrop, amsDrop, idssDrop, rstsDrop, scalDrop uint64
+	msDrop, evsDrop, csDrop, amsDrop, rstsDrop, scalDrop uint64
 }
 
 // undoRec is one spine record. The kind decides which fields are live; node
@@ -104,8 +106,6 @@ const (
 	jPendIns                // pendingList.insertAt(i)
 	jPendDel                // pendingList.removeAt(i); payload ms
 	jPendSet                // pendingList.ms[i] overwrite; payload ms (old)
-	jUsesApp                // uses[id] append; flag=existed; i=old len
-	jUsesDel                // delete(uses, id); payload idss
 	jAmIns                  // atMost entries insert at i
 	jAmDel                  // atMost entries remove at i; payload ams
 	jAmCnt                  // atMost entries[i].cnt += delta; flag = delta>0
@@ -135,7 +135,7 @@ type opScalars struct {
 	dirty        bool
 	stable       int
 
-	nMs, nEvs, nCs, nAms, nIdss, nRsts uint64
+	nMs, nEvs, nCs, nAms, nRsts uint64
 }
 
 // resetState is the jReset payload: the wholesale-replaced containers of an
@@ -260,32 +260,6 @@ func (u *undoLog) pendSlow(kind uint8, l *pendingList, i int) {
 	u.matchRec(undoRec{kind: kind, i: i, node: l}, l.ms[i])
 }
 
-func (u *undoLog) usesApp(m map[event.ID][]event.ID, id event.ID) {
-	if u.on {
-		u.usesAppSlow(m, id)
-	}
-}
-
-func (u *undoLog) usesAppSlow(m map[event.ID][]event.ID, id event.ID) {
-	old, existed := m[id]
-	u.run = append(u.run, undoRec{kind: jUsesApp, flag: existed, i: len(old), id: id, node: m})
-}
-
-func (u *undoLog) usesDel(m map[event.ID][]event.ID, id event.ID) {
-	if u.on {
-		u.usesDelSlow(m, id)
-	}
-}
-
-func (u *undoLog) usesDelSlow(m map[event.ID][]event.ID, id event.ID) {
-	old, existed := m[id]
-	if !existed {
-		return
-	}
-	u.idss = append(u.idss, old)
-	u.run = append(u.run, undoRec{kind: jUsesDel, id: id, node: m})
-}
-
 func (u *undoLog) amIns(n *atMostNode, i int) {
 	if u.on {
 		u.run = append(u.run, undoRec{kind: jAmIns, i: i, node: n})
@@ -385,7 +359,6 @@ func (u *undoLog) mark(p *Op) uint64 {
 		nEvs:  u.evsDrop + uint64(len(u.evs)),
 		nCs:   u.csDrop + uint64(len(u.cs)),
 		nAms:  u.amsDrop + uint64(len(u.ams)),
-		nIdss: u.idssDrop + uint64(len(u.idss)),
 		nRsts: u.rstsDrop + uint64(len(u.rsts)),
 	})
 	// The barrier record remembers its scal entry's absolute index, so
@@ -451,7 +424,6 @@ func (u *undoLog) compact(pos uint64) {
 	dEvs := int(s.nEvs - u.evsDrop)
 	dCs := int(s.nCs - u.csDrop)
 	dAms := int(s.nAms - u.amsDrop)
-	dIdss := int(s.nIdss - u.idssDrop)
 	dRsts := int(s.nRsts - u.rstsDrop)
 	bars := u.recs[bar].i - int(u.scalDrop)
 	u.recs = u.recs[:copy(u.recs, u.recs[bar:])]
@@ -460,14 +432,12 @@ func (u *undoLog) compact(pos uint64) {
 	u.evs = u.evs[:copy(u.evs, u.evs[dEvs:])]
 	u.cs = u.cs[:copy(u.cs, u.cs[dCs:])]
 	u.ams = u.ams[:copy(u.ams, u.ams[dAms:])]
-	u.idss = u.idss[:copy(u.idss, u.idss[dIdss:])]
 	u.rsts = u.rsts[:copy(u.rsts, u.rsts[dRsts:])]
 	u.scal = u.scal[:copy(u.scal, u.scal[bars:])]
 	u.msDrop += uint64(dMs)
 	u.evsDrop += uint64(dEvs)
 	u.csDrop += uint64(dCs)
 	u.amsDrop += uint64(dAms)
-	u.idssDrop += uint64(dIdss)
 	u.rstsDrop += uint64(dRsts)
 	u.scalDrop += uint64(bars)
 }
@@ -523,17 +493,6 @@ func (u *undoLog) undo(r *undoRec) {
 		r.node.(*pendingList).insertAt(r.i, u.popMatch())
 	case jPendSet:
 		r.node.(*pendingList).ms[r.i] = u.popMatch()
-	case jUsesApp:
-		m := r.node.(map[event.ID][]event.ID)
-		if r.flag {
-			m[r.id] = m[r.id][:r.i]
-		} else {
-			delete(m, r.id)
-		}
-	case jUsesDel:
-		m := r.node.(map[event.ID][]event.ID)
-		m[r.id] = u.idss[len(u.idss)-1]
-		u.idss = u.idss[:len(u.idss)-1]
 	case jAmIns:
 		n := r.node.(*atMostNode)
 		n.entries = slices.Delete(n.entries, r.i, r.i+1)

@@ -26,12 +26,14 @@ import (
 //     expansion uses) exists, is canonically comparable, and is one common
 //     value. Anything else — no value, mixed values, an exotic type — is
 //     *wild* and keeps combining with every bucket, exactly as unkeyed.
-//   - Join nodes skip only definite×definite pairs with unequal keys; the
-//     top-level EQUAL filter rejects those composites regardless, so the
-//     root's post-filter output set is unchanged. Join keying is further
-//     restricted to the pattern's positive scope outside any ATMOST (see
-//     buildCtx): negative sides and window counts are not monotone in
-//     their input set, so pruning there could add output, not just work.
+//   - Join nodes skip only combinations holding two unequal definite keys
+//     (narrow); the top-level EQUAL filter rejects those composites
+//     regardless, so the root's post-filter output set is unchanged, and
+//     enumerating from any one part finds a composite again. Join keying
+//     is further restricted to the pattern's positive scope outside any
+//     ATMOST (see buildCtx): negative sides and window counts are not
+//     monotone in their input set, so pruning there could add output, not
+//     just work.
 //   - Negation nodes skip only definite×definite visits with unequal keys,
 //     which the planner only enables (the expression's CorrKey annotation)
 //     when the site's Corr is provably false on such pairs — so blocker
@@ -70,6 +72,14 @@ const (
 )
 
 func (k corrKey) def() bool { return k.kind != keyWild }
+
+// narrow is the key a join enumeration drawing by k draws by once it picked km.
+func narrow(k corrKey, km *keyedMatch) corrKey {
+	if k.def() {
+		return k
+	}
+	return km.key
+}
 
 // keyCfg is the pushdown configuration shared by the tree: the correlation
 // attribute and its precomputed namespace suffix.

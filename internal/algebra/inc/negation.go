@@ -122,7 +122,7 @@ func (u *negNode) interval(a *keyedMatch) (c negCand, ok bool) {
 	switch u.kind {
 	case negUnless:
 		c.lo, c.hi = m.V.Start, m.V.Start.Add(u.w)
-		if a.up == nil {
+		if !a.reheaded() {
 			a.rehead(event.Pair(m.ID), temporal.NewInterval(c.lo, c.hi), temporal.Max(c.hi, m.FinalizeAt))
 		}
 		c.out = a.up
@@ -135,7 +135,7 @@ func (u *negNode) interval(a *keyedMatch) (c negCand, ok bool) {
 			return c, false
 		}
 		c.lo, c.hi = anchor, anchor.Add(u.w)
-		if a.up == nil {
+		if !a.reheaded() {
 			vs := temporal.Max(m.V.Start, c.hi)
 			ve := m.FirstVs.Add(u.w)
 			if ve <= vs {

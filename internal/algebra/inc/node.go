@@ -27,7 +27,9 @@
 //
 // Allocation discipline: every derived match is allocated once — the
 // leaf's namespaced match inside its event's record (expiry.go), a join
-// node's composite together with its lineage — interned as an immutable
+// node's composite with its lineage and, where an UNLESS, UNLESS' or ATMOST
+// above re-heads it, the slot its re-headed form is derived into
+// (keyedMatch.up) — interned as an immutable
 // *keyedMatch (the match and its resolved correlation key), and referred to
 // everywhere else: the nodes' stores and indexes, the delta items flowing up
 // the tree, the Op's pending list and emitted table and the undo journal's
@@ -115,9 +117,14 @@ type shared struct {
 // Negation nodes are exempt from both: their keying (gated per site by the
 // expression's CorrKey annotation) only indexes candidate↔blocker visits
 // and leaves every node's output set bit-identical.
+//
+// up marks where matches get re-headed (UNLESS and UNLESS' positive sides,
+// ATMOST kids, through FILTER, NOT and CANCEL-WHEN) so that a join there
+// reserves the re-headed form's slot in its composites; joins clear it.
 type buildCtx struct {
 	pos    bool
 	frozen bool
+	up     bool
 }
 
 // joinKeyed reports whether a join node at this position may index its
@@ -170,13 +177,20 @@ type keyedMatch struct {
 	// up memoizes the re-headed form (same payload, lineage, key and pid; new
 	// ID, validity and finalization) that the one node above — an UNLESS
 	// or an ATMOST — derives from this match, so a replay derives it once.
-	// A match flows to exactly one parent, so one slot suffices.
+	// A match flows to exactly one parent, so one slot suffices; a composite
+	// may reserve it, empty, in its own allocation (reheaded).
 	up *keyedMatch
 }
 
-// rehead derives k's re-headed form and memoizes it in k.up.
+// reheaded reports whether k.up holds k's re-headed form.
+func (k *keyedMatch) reheaded() bool { return k.up != nil && k.up.m.CBT != nil }
+
+// rehead derives k's re-headed form into k.up, allocating the slot if none.
 func (k *keyedMatch) rehead(id event.ID, v temporal.Interval, finalizeAt temporal.Time) {
-	k.up = &keyedMatch{m: k.m, key: k.key, pid: k.pid}
+	if k.up == nil {
+		k.up = new(keyedMatch)
+	}
+	*k.up = keyedMatch{m: k.m, key: k.key, pid: k.pid}
 	k.up.m.ID, k.up.m.V, k.up.m.FinalizeAt = id, v, finalizeAt
 }
 
@@ -188,10 +202,12 @@ func (k *keyedMatch) expiry() temporal.Time { return k.m.LastVs }
 // between an operator and its clones. The monitor's replay re-derives
 // exactly the matches the operator already derived, so the second
 // derivation reuses the first's match outright. cfg is the tree's pushdown
-// configuration (nil = unkeyed), pay its payload table.
+// configuration (nil = unkeyed), pay its payload table; up: the node's
+// composites get re-headed above it (buildCtx).
 type combCache struct {
 	cfg   *keyCfg
 	pay   *payloadTable
+	up    bool
 	m     map[event.ID]*keyedMatch
 	parts []*algebra.Match // combined's CombineInto argument scratch
 }
@@ -199,11 +215,14 @@ type combCache struct {
 // The map is lazily initialized: keyed fan-out builds one tree per
 // correlation key, and most per-key nodes intern only a handful of
 // matches (or none), so pre-sizing here dominated the allocation profile.
-func newCombCache(sh *shared) *combCache { return &combCache{cfg: sh.key, pay: sh.pay} }
+func newCombCache(sh *shared, up bool) *combCache {
+	return &combCache{cfg: sh.key, pay: sh.pay, up: up}
+}
 
 // combined returns the interned composite of parts (ID id), building it
 // through algebra.CombineInto on first derivation: one allocation holds the
-// match, its key and (up to four contributors) its lineage, around the
+// match, its key, (up to four contributors) its lineage and, under c.up,
+// the empty slot its re-headed form will be derived into, around the
 // payload and key the payload table hands out for those parts.
 func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Duration) *keyedMatch {
 	if km := c.m[id]; km != nil {
@@ -213,20 +232,32 @@ func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Durati
 	for _, p := range parts {
 		c.parts = append(c.parts, &p.m)
 	}
-	cm := &struct {
-		keyedMatch
-		cbt [4]event.ID
-	}{}
+	var km *keyedMatch
+	var cbt []event.ID
+	if c.up {
+		cm := &struct {
+			keyedMatch
+			cbt  [4]event.ID
+			head keyedMatch
+		}{}
+		km, cbt, cm.up = &cm.keyedMatch, cm.cbt[:0], &cm.head
+	} else {
+		cm := &struct {
+			keyedMatch
+			cbt [4]event.ID
+		}{}
+		km, cbt = &cm.keyedMatch, cm.cbt[:0]
+	}
 	p, key, pid := c.pay.composite(parts, c.parts, c.cfg)
-	algebra.CombineInto(&cm.m, id, cm.cbt[:0], c.parts, w, p)
-	cm.key, cm.pid = key, pid
+	algebra.CombineInto(&km.m, id, cbt, c.parts, w, p)
+	km.key, km.pid = key, pid
 	if c.m == nil {
 		c.m = make(map[event.ID]*keyedMatch, 64)
 	} else if len(c.m) >= internCap {
 		clear(c.m)
 	}
-	c.m[id] = &cm.keyedMatch
-	return &cm.keyedMatch
+	c.m[id] = km
+	return km
 }
 
 // Supported reports whether the expression grammar is fully covered by the
@@ -277,13 +308,13 @@ func build(x algebra.Expr, sh *shared, ctx buildCtx) node {
 	case algebra.AtLeastExpr:
 		return newAtLeastNode(e, sh, ctx)
 	case algebra.AtMostExpr:
-		return newAtMostNode(e, sh, buildCtx{pos: ctx.pos, frozen: true})
+		return newAtMostNode(e, sh, buildCtx{pos: ctx.pos, frozen: true, up: true})
 	case algebra.UnlessExpr:
-		neg := buildCtx{frozen: ctx.frozen}
-		return newNegNode(negUnless, build(e.A, sh, ctx), build(e.B, sh, neg), e.W, 0, e.Corr, e.CorrKey, sh)
+		pos, neg := buildCtx{pos: ctx.pos, frozen: ctx.frozen, up: true}, buildCtx{frozen: ctx.frozen}
+		return newNegNode(negUnless, build(e.A, sh, pos), build(e.B, sh, neg), e.W, 0, e.Corr, e.CorrKey, sh)
 	case algebra.UnlessPrimeExpr:
-		neg := buildCtx{frozen: ctx.frozen}
-		return newNegNode(negUnlessPrime, build(e.A, sh, ctx), build(e.B, sh, neg), e.W, e.N, e.Corr, e.CorrKey, sh)
+		pos, neg := buildCtx{pos: ctx.pos, frozen: ctx.frozen, up: true}, buildCtx{frozen: ctx.frozen}
+		return newNegNode(negUnlessPrime, build(e.A, sh, pos), build(e.B, sh, neg), e.W, e.N, e.Corr, e.CorrKey, sh)
 	case algebra.NotExpr:
 		neg := buildCtx{frozen: ctx.frozen}
 		return newNegNode(negNot, build(e.Seq, sh, ctx), build(e.Neg, sh, neg), 0, 0, e.Corr, e.CorrKey, sh)

@@ -2,7 +2,6 @@ package inc
 
 import (
 	"maps"
-	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/event"
@@ -15,6 +14,10 @@ import (
 // within the window — the only combinations a re-derivation would have
 // found that the previous state did not already hold.
 //
+// A retraction re-enumerates: outs always equals the valid combinations
+// over the current lists, so the insertion's enumeration, run for a
+// departing child match, finds exactly the composites that included it.
+//
 // Under correlation-key pushdown (see key.go and buildCtx) the per-position
 // lists are key-indexed: a new definite-key match combines only with picks
 // from its own key's bucket plus the wild list, so the enumeration no
@@ -24,14 +27,8 @@ type seqNode struct {
 	kids []node
 	w    temporal.Duration
 
-	lists []keyedList // per-position join state, key-indexed where the node may
-
-	// outs holds the node's live composite matches; uses indexes them by
-	// child-match ID so a child retraction cascades in O(dependents).
-	// uses entries are cleaned lazily: a dead output ID is skipped (and the
-	// whole entry dropped when its child match goes).
-	outs map[event.ID]*keyedMatch
-	uses map[event.ID][]event.ID
+	lists []keyedList              // per-position join state, key-indexed where the node may
+	outs  map[event.ID]*keyedMatch // the node's live composite matches
 
 	parts []*keyedMatch // enumeration scratch, one slot per position
 	ids   []event.ID    // contributor-ID scratch for the interned lookup
@@ -45,15 +42,14 @@ func newSeqNode(e algebra.SequenceExpr, sh *shared, ctx buildCtx) *seqNode {
 		w:     e.W,
 		lists: make([]keyedList, len(e.Kids)),
 		outs:  map[event.ID]*keyedMatch{},
-		uses:  map[event.ID][]event.ID{},
 		parts: make([]*keyedMatch, len(e.Kids)),
 		ids:   make([]event.ID, len(e.Kids)),
-		comb:  newCombCache(sh),
+		comb:  newCombCache(sh, ctx.up),
 		u:     sh.u,
 	}
 	for i, k := range e.Kids {
 		s.lists[i].keyed = ctx.joinKeyed(sh)
-		s.kids = append(s.kids, build(k, sh, ctx))
+		s.kids = append(s.kids, build(k, sh, buildCtx{pos: ctx.pos, frozen: ctx.frozen}))
 	}
 	return s
 }
@@ -85,39 +81,28 @@ func (s *seqNode) prune(horizon temporal.Time, out *delta) {
 // applyKid folds child i's transition batch (in s.kd) into the join state.
 func (s *seqNode) applyKid(i int, out *delta) {
 	for _, it := range s.kd.items {
-		if it.del {
-			if s.lists[i].remove(it.km) {
-				s.u.listDel(&s.lists[i], it.km)
-			}
-			for _, oid := range s.uses[it.km.m.ID] {
-				if km, ok := s.outs[oid]; ok {
-					s.u.matchMapKnown(s.outs, oid, km)
-					delete(s.outs, oid)
-					out.del(km)
-				}
-			}
-			s.u.usesDel(s.uses, it.km.m.ID)
-			delete(s.uses, it.km.m.ID)
-			continue
+		if !it.del {
+			s.enumerate(i, it.km, false, out)
+			s.lists[i].insert(it.km)
+			s.u.listIns(&s.lists[i], it.km)
+		} else if s.lists[i].remove(it.km) {
+			s.u.listDel(&s.lists[i], it.km)
+			s.enumerate(i, it.km, true, out)
 		}
-		s.enumerate(i, it.km, out)
-		s.lists[i].insert(it.km)
-		s.u.listIns(&s.lists[i], it.km)
 	}
 }
 
-// enumerate emits every combination that includes the new match nm at
-// position fix. Positions are filled left to right; each pick must start
+// enumerate adds (del: retracts) every combination that includes match nm
+// at position fix. Positions are filled left to right; each pick must start
 // strictly after the previous one and within w of the first. Under
-// pushdown, a definite-key nm draws the other positions' picks from its
-// key's bucket and the wild list only (a wild nm still scans everything —
-// the residual predicates decide, exactly as unkeyed).
-func (s *seqNode) enumerate(fix int, nm *keyedMatch, out *delta) {
-	k := len(s.kids)
-	var rec func(depth int, prev, first temporal.Time)
-	rec = func(depth int, prev, first temporal.Time) {
-		if depth == k {
-			s.commit(out)
+// pushdown, picks come from one key's bucket and the wild list only: nm's
+// key, or the first definite key picked while all so far are wild (narrow).
+func (s *seqNode) enumerate(fix int, nm *keyedMatch, del bool, out *delta) {
+	n := len(s.kids)
+	var rec func(depth int, prev, first temporal.Time, k corrKey)
+	rec = func(depth int, prev, first temporal.Time, k corrKey) {
+		if depth == n {
+			s.commit(del, out)
 			return
 		}
 		try := func(km *keyedMatch) bool {
@@ -135,7 +120,7 @@ func (s *seqNode) enumerate(fix int, nm *keyedMatch, out *delta) {
 				f = vs
 			}
 			s.parts[depth] = km
-			rec(depth+1, vs, f)
+			rec(depth+1, vs, f, narrow(k, km))
 			return true
 		}
 		if depth == fix {
@@ -156,27 +141,29 @@ func (s *seqNode) enumerate(fix int, nm *keyedMatch, out *delta) {
 				}
 			}
 		}
-		s.lists[depth].scan(nm.key, scan)
+		s.lists[depth].scan(k, scan)
 	}
-	rec(0, temporal.MinTime, temporal.MinTime)
+	rec(0, temporal.MinTime, temporal.MinTime, nm.key)
 }
 
-func (s *seqNode) commit(out *delta) {
+// commit adds (del: retracts) the combination in s.parts.
+func (s *seqNode) commit(del bool, out *delta) {
 	for i, p := range s.parts {
 		s.ids[i] = p.m.ID
 	}
 	id := event.Pair(s.ids...)
-	if _, dup := s.outs[id]; dup {
-		return
+	km, live := s.outs[id]
+	switch {
+	case del && live:
+		s.u.matchMapKnown(s.outs, id, km)
+		delete(s.outs, id)
+		out.del(km)
+	case !del && !live:
+		km = s.comb.combined(id, s.parts, s.w)
+		s.u.matchMap(s.outs, id)
+		s.outs[id] = km
+		out.add(km)
 	}
-	km := s.comb.combined(id, s.parts, s.w)
-	s.u.matchMap(s.outs, id)
-	s.outs[id] = km
-	for _, pid := range s.ids {
-		s.u.usesApp(s.uses, pid)
-		s.uses[pid] = append(s.uses[pid], id)
-	}
-	out.add(km)
 }
 
 func (s *seqNode) clone(sh *shared) node {
@@ -184,7 +171,6 @@ func (s *seqNode) clone(sh *shared) node {
 		w:     s.w,
 		lists: make([]keyedList, len(s.lists)),
 		outs:  maps.Clone(s.outs),
-		uses:  make(map[event.ID][]event.ID, len(s.uses)),
 		parts: make([]*keyedMatch, len(s.parts)),
 		ids:   make([]event.ID, len(s.ids)),
 		comb:  s.comb,
@@ -195,9 +181,6 @@ func (s *seqNode) clone(sh *shared) node {
 	}
 	for i := range s.lists {
 		c.lists[i] = s.lists[i].clone()
-	}
-	for id, v := range s.uses {
-		c.uses[id] = slices.Clone(v)
 	}
 	return c
 }

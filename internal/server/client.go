@@ -262,7 +262,28 @@ func (c *Client) Flush() error { return c.write(nil, true) }
 // Register compiles and installs src on the server with the full option
 // surface, returning the query's wire identity.
 func (c *Client) Register(src string, ro RegOptions) (RemoteQuery, error) {
-	body := appendStr(nil, src)
+	body, err := appendRegister(nil, src, ro)
+	if err != nil {
+		return RemoteQuery{}, err
+	}
+	f, err := c.request(fRegister, body)
+	if err != nil {
+		return RemoteQuery{}, err
+	}
+	if f.t != fRegistered {
+		return RemoteQuery{}, fmt.Errorf("server: register answered %v", f.t)
+	}
+	r := &reader{b: f.body}
+	q := RemoteQuery{ID: int(r.u32()), Shards: int(r.u32()), Shared: r.u8() == 1, Name: r.str()}
+	if err := r.done(); err != nil {
+		return RemoteQuery{}, err
+	}
+	return q, nil
+}
+
+// appendRegister encodes a register frame body (decodeRegister's inverse).
+func appendRegister(body []byte, src string, ro RegOptions) ([]byte, error) {
+	body = appendStr(body, src)
 	var flags byte
 	var b, m int64
 	if ro.Spec != nil {
@@ -285,23 +306,11 @@ func (c *Client) Register(src string, ro RegOptions) (RemoteQuery, error) {
 			body = appendStr(body, name)
 			var err error
 			if body, err = wal.AppendValue(body, ro.Bindings[name]); err != nil {
-				return RemoteQuery{}, err
+				return nil, err
 			}
 		}
 	}
-	f, err := c.request(fRegister, body)
-	if err != nil {
-		return RemoteQuery{}, err
-	}
-	if f.t != fRegistered {
-		return RemoteQuery{}, fmt.Errorf("server: register answered %v", f.t)
-	}
-	r := &reader{b: f.body}
-	q := RemoteQuery{ID: int(r.u32()), Shards: int(r.u32()), Shared: r.u8() == 1, Name: r.str()}
-	if err := r.done(); err != nil {
-		return RemoteQuery{}, err
-	}
-	return q, nil
+	return body, nil
 }
 
 // Subscribe starts streaming query id's output — accumulated history

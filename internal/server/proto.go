@@ -128,21 +128,27 @@ func appendFrame(dst []byte, t frameType, body []byte) []byte {
 }
 
 // readFrame reads one frame. A torn read or an over-long frame is a
-// connection-fatal error.
+// connection-fatal error. The body grows as its bytes arrive (from what is
+// buffered, or 1 KiB): a length prefix alone buys no maxFrame-sized buffer.
 func readFrame(br *bufio.Reader) (frameType, []byte, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(head[:])
+	n := int(binary.LittleEndian.Uint32(head[:]))
 	if n == 0 || n > maxFrame {
 		return 0, nil, fmt.Errorf("server: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, nil, err
+	buf := make([]byte, min(n, max(br.Buffered(), 1<<10)))
+	for got := 0; ; {
+		if _, err := io.ReadFull(br, buf[got:]); err != nil {
+			return 0, nil, err
+		}
+		if got = len(buf); got == n {
+			return frameType(buf[0]), buf[1:], nil
+		}
+		buf = append(buf, make([]byte, min(n-got, got))...)
 	}
-	return frameType(buf[0]), buf[1:], nil
 }
 
 // ---------------------------------------------------------------------------
