@@ -1,0 +1,77 @@
+//go:build !race
+
+package engine
+
+import (
+	"testing"
+
+	"repro/internal/consistency"
+	"repro/internal/event"
+	"repro/internal/operators"
+	"repro/internal/plan"
+	"repro/internal/temporal"
+)
+
+// TestAllocsRegisterPrivateChain pins what registering one private chain
+// costs in heap objects: the engine, the Query and chain, the one-shard
+// runtime (its struct, worker and monitor slice — no goroutines, channels
+// or free lists), and each stage's monitor. Registration storms (a fabric
+// of private chains re-registered every pass) pay this per chain. The plan
+// is compiled once, outside the measurement. (Skipped under -race:
+// instrumentation changes allocation counts.)
+func TestAllocsRegisterPrivateChain(t *testing.T) {
+	p, err := plan.Compile(monitorQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		New().Register(p)
+	})
+	const ceiling = 11.0 // measured 11: the runtime lives inside the chain and reports through it, so it adds no objects
+	t.Logf("New + one private-chain Register: measured %.0f allocs (ceiling %.0f)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Fatalf("New + one private-chain Register allocates %.0f, above the pinned ceiling %.0f", allocs, ceiling)
+	}
+}
+
+// TestAllocsOneShardPush pins the one-shard runtime's steady-state push at
+// no more heap objects than the same items cost pushed straight into a
+// bare monitor — what the runtime runs at n = 1, without the router,
+// burst and delivery around it. In-order events with a CTI every eighth
+// item are admitted (at Strong, buffered until the CTI), so the tagged
+// path's per-buffered-event arrival-key copy would show here: nothing is
+// merged at n = 1, so nothing may be tagged.
+func TestAllocsOneShardPush(t *testing.T) {
+	for _, spec := range []consistency.Spec{consistency.Middle(), consistency.Strong()} {
+		mk := func() operators.Op { return operators.NewSelect(func(event.Payload) bool { return false }) }
+		perRun := func(push func(event.Event)) float64 {
+			at := temporal.Time(0)
+			run := func() {
+				for i := 0; i < 8; i++ {
+					at++
+					ev := event.NewInsert(event.ID(at), "E", at, at+5, nil)
+					ev.C = temporal.From(at)
+					push(ev)
+				}
+				push(event.NewCTI(at))
+			}
+			for i := 0; i < 512; i++ { // grow the log and buffers to steady capacity
+				run()
+			}
+			return testing.AllocsPerRun(200, run)
+		}
+		m := consistency.NewMonitor(mk(), spec)
+		plain := perRun(func(ev event.Event) { m.Push(0, ev) })
+		sh, err := newSharded("test", 1, 0,
+			func(int) ([]operators.Op, error) { return []operators.Op{mk()}, nil },
+			spec, nil, discard{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := perRun(func(ev event.Event) { sh.push(ev) })
+		t.Logf("one-shard push at %s: measured %.1f allocs per 8 events + CTI (ceiling %.1f, a bare monitor)", spec.Name(), got, plain)
+		if got > plain {
+			t.Fatalf("one-shard push at %s allocates %.1f per run, above a bare monitor's %.1f", spec.Name(), got, plain)
+		}
+	}
+}

@@ -96,7 +96,7 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 		e.finished = true
 		e.mu.Unlock()
 		for _, ch := range e.chainsSnapshot() {
-			ch.finish()
+			ch.sh.finish()
 		}
 	default:
 		return fmt.Errorf("engine: restore: unknown record kind %d", rec.Kind)
@@ -141,9 +141,7 @@ func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 	// Sharded chains process asynchronously; drain them so the restored
 	// engine's visible results reflect the entire replayed history before
 	// the caller sees it.
-	for _, ch := range e.chainsSnapshot() {
-		ch.drain()
-	}
+	e.Drain()
 	e.replaying = false
 	e.log = log
 	return e, nil
@@ -254,7 +252,7 @@ func (e *Engine) Err() error {
 // its pushes produced.
 func (e *Engine) Drain() {
 	for _, ch := range e.chainsSnapshot() {
-		ch.drain()
+		ch.sh.barrier()
 	}
 }
 
@@ -319,5 +317,5 @@ func (e *Engine) shutdownQueries() {
 // delivered everything enqueued so far; a no-op on single-shard queries,
 // which are synchronous.
 func (q *Query) drainShards() {
-	q.ch.drain()
+	q.ch.sh.barrier()
 }

@@ -1,13 +1,14 @@
 // Package engine executes CEDR query plans: it fans incoming physical
-// events out to registered standing queries, drives each query's pipelined
-// chain of consistency-monitored operators, and collects outputs and
-// metrics. Queries may run synchronously (deterministic, used by tests and
-// benchmarks) or as a goroutine-per-stage pipeline connected by channels.
+// events out to registered standing queries, drives each query's chain of
+// consistency-monitored operators, and collects outputs and metrics. Every
+// chain runs on the shard runtime (shard.go): with one shard, inline on the
+// pushing goroutine; with more, on worker goroutines behind a deterministic
+// merge. Both emit the same output.
 //
 // Standing-query fabric: registration is split into two layers. A *chain*
-// is one executing operator pipeline (single-shard monitors or the sharded
-// runtime), the one history of its output, and a consistency.Fanout of the
-// endpoints that subscribed; a *Query* is one registered endpoint — a
+// is one executing operator pipeline (the shard runtime), the one history
+// of its output, and a consistency.Fanout of the endpoints that
+// subscribed; a *Query* is one registered endpoint — a
 // window [from, cut) over its chain's history. Plans compiled with
 // plan.WithSharing that carry the same sharing identity (plan.ShareKey)
 // attach to one shared chain, so N identical registrations cost one
@@ -103,8 +104,9 @@ func New(opts ...Option) *Engine {
 // accumulated state). All other plans get a private chain.
 //
 // A plan that requests shards (plan.WithShards, or the engine default) and
-// passes partitionability analysis runs on the key-partitioned parallel
-// runtime (shard.go); all other plans run single-shard.
+// passes partitionability analysis runs key-partitioned on that many
+// shards (shard.go); all other plans run on the same runtime with one
+// shard. The plan must have at least one stage.
 func (e *Engine) Register(p *plan.Plan) *Query {
 	// Durable engines log the registration ahead of installing it, so a
 	// recovered engine re-creates the query at the same position in the
@@ -165,9 +167,9 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 	return q
 }
 
-// buildChain constructs the executing pipeline for a plan: the sharded
-// runtime when shards are requested and the plan partitions, a single-shard
-// monitor chain otherwise.
+// buildChain constructs the executing pipeline for a plan: the shard
+// runtime with the requested number of shards when the plan partitions,
+// with one shard otherwise.
 func (e *Engine) buildChain(p *plan.Plan) *chain {
 	ch := &chain{name: p.Name, plan: p, eng: e}
 	n := p.Shards
@@ -177,30 +179,21 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 	if n == plan.AutoShards {
 		n = autoShards(p)
 	}
-	if n > 1 && p.Part.OK() {
-		stagesFor := func(shard int) ([]operators.Op, error) {
-			if shard == 0 {
-				return p.Stages, nil
-			}
-			fp, err := p.Fresh()
-			if err != nil {
-				return nil, err
-			}
-			return fp.Stages, nil
+	stagesFor := func(shard int) ([]operators.Op, error) {
+		if shard == 0 {
+			return p.Stages, nil
 		}
-		sh, err := newSharded(n, DefaultBurst, stagesFor, p.Spec, routeForPlan(p.Part, n), ch.deliverMerged)
-		if err == nil {
-			ch.sh = sh
-			ch.shards = n
-			sh.onFail = ch.quarantine
+		fp, err := p.Fresh()
+		if err != nil {
+			return nil, err
 		}
-		// On error (hand-built plan that cannot be re-instantiated): fall
-		// back to single-shard execution below.
+		return fp.Stages, nil
 	}
-	if ch.sh == nil {
-		ch.shards = 1
-		for _, op := range p.Stages {
-			ch.monitors = append(ch.monitors, consistency.NewMonitor(op, p.Spec))
+	// On error (hand-built plan that cannot be re-instantiated) fall back
+	// to one shard.
+	if n <= 1 || !p.Part.OK() || ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, routeForPlan(p.Part, n), ch) != nil {
+		if err := ch.sh.start(p.Name, 1, DefaultBurst, stagesFor, p.Spec, nil, ch); err != nil {
+			panic(err) // a plan without stages
 		}
 	}
 	return ch
@@ -294,7 +287,7 @@ func (e *Engine) Push(ev event.Event) {
 const routeBufCap = 128
 
 // fanout hands one item to every chain that must see it. This is the
-// shared delivery step of Push, Run, and WAL replay.
+// shared delivery step of Push and WAL replay.
 func (e *Engine) fanout(ev event.Event) {
 	if e.fabric != nil && !ev.IsCTI() {
 		var buf [routeBufCap]*chain
@@ -323,71 +316,40 @@ func (e *Engine) Finish() {
 		}
 	}
 	for _, ch := range e.chainsSnapshot() {
-		ch.finish()
+		ch.sh.finish()
 	}
 }
 
 // Run pushes an entire physical stream and finishes; a convenience for
-// finite workloads. The chain list is snapshotted once for the whole run
-// (durable engines go through Push/Finish so every item is logged; routed
-// engines go through the fabric per item).
+// finite workloads.
 func (e *Engine) Run(s stream.Stream) {
-	if e.log != nil {
-		for _, ev := range s {
-			e.Push(ev)
-		}
-		e.Finish()
-		return
-	}
-	if e.fabric != nil {
-		for _, ev := range s {
-			e.fanout(ev)
-		}
-		for _, ch := range e.chainsSnapshot() {
-			ch.finish()
-		}
-		return
-	}
-	chains := e.chainsSnapshot()
 	for _, ev := range s {
-		for _, ch := range chains {
-			ch.push(ev)
-		}
+		e.Push(ev)
 	}
-	for _, ch := range chains {
-		ch.finish()
-	}
+	e.Finish()
 }
 
-// chain is one executing operator pipeline — a chain of consistency
-// monitors, or the sharded parallel runtime behind a deterministic merge —
-// and the single record of what it emitted: history is append-only, never
-// trimmed, and an item's index in it is its chain order tag. Query
-// endpoints are windows over it and only the subscribed ones join fan, so
-// a delivery costs one append plus the subscribers, however many queries
-// share the chain. A private chain has one endpoint for its whole life; a
+// chain is one executing operator pipeline — the shard runtime, whose
+// merge reproduces the one-shard emission order — and the single record
+// of what it emitted: history is append-only, never trimmed, and an item's
+// index in it is its chain order tag. Query endpoints are windows over it
+// and only the subscribed ones join fan, so a delivery costs one append
+// plus the subscribers, however many queries share the chain. A private chain has one endpoint for its whole life; a
 // shared chain (key != "") gains and loses them as plans (un)register.
 type chain struct {
-	name     string // name of the first registrant, for quarantine errors
-	plan     *plan.Plan
-	monitors []*consistency.Monitor
-	sh       *sharded
-	shards   int
-	eng      *Engine
-	key      string // sharing identity ("" = private, never joined)
+	name string // name of the first registrant, for quarantine errors
+	plan *plan.Plan
+	sh   sharded
+	eng  *Engine
+	key  string // sharing identity ("" = private, never joined)
 
-	mu       sync.Mutex
-	finished bool
-	closed   bool  // engine shutdown or last-endpoint teardown: delivery muted
-	err      error // chain-level quarantine: operator stage or shard worker panic
-	refs     int   // registered endpoints, healthy or quarantined; at 0 the chain is torn down
-	live     int   // endpoints whose window is still open; at 0 the chain stops consuming input
-	history  stream.Stream
-	fan      consistency.Fanout // the subscribed endpoints
-
-	// batchA/batchB are the double-buffered inter-stage batches reused by
-	// push and finish, so driving the chain allocates nothing per event.
-	batchA, batchB []event.Event
+	mu      sync.Mutex
+	closed  bool  // engine shutdown or last-endpoint teardown: delivery muted
+	err     error // chain-level quarantine: an operator panicked
+	refs    int   // registered endpoints, healthy or quarantined; at 0 the chain is torn down
+	live    int   // endpoints whose window is still open; at 0 the chain stops consuming input
+	history stream.Stream
+	fan     consistency.Fanout // the subscribed endpoints
 }
 
 // attach opens q's window at the chain's current position (q joins the
@@ -424,84 +386,18 @@ func (ch *chain) cutLocked(q *Query) {
 // pos is the chain position: the order tag the next output item will carry.
 func (ch *chain) pos() uint64 { return uint64(len(ch.history)) }
 
-// push feeds one physical item through the pipeline, delivering any final-
-// stage output to the endpoints, and returns that output (nil on sharded
-// chains, which enqueue asynchronously). The returned slice is reused by
-// the next push; callers must copy what they keep.
+// push feeds one physical item through the pipeline and returns the output
+// it delivered (nil with more than one shard, where push only enqueues).
+// The returned slice is reused by the next push; callers must copy what
+// they keep.
 func (ch *chain) push(ev event.Event) []event.Event {
-	if ch.sh != nil {
-		ch.mu.Lock()
-		dead := ch.err != nil || ch.closed || ch.live == 0
-		ch.mu.Unlock()
-		if !dead {
-			ch.sh.push(ev)
-		}
-		return nil
-	}
 	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.finished || ch.err != nil || ch.live == 0 {
+	dead := ch.err != nil || ch.closed || ch.live == 0
+	ch.mu.Unlock()
+	if dead {
 		return nil
 	}
-	// The monitor chain runs under a recover barrier: a panicking operator
-	// quarantines this chain (every endpoint's Err) instead of killing the
-	// process, and sibling chains sharing the engine keep running.
-	defer func() {
-		if r := recover(); r != nil {
-			ch.quarantineLocked(recoverPanic(ch.name, "operator stage", r))
-		}
-	}()
-	batch := append(ch.batchA[:0], ev)
-	next := ch.batchB[:0]
-	for _, m := range ch.monitors {
-		next = next[:0]
-		for _, item := range batch {
-			next = append(next, m.Push(0, item)...)
-		}
-		batch, next = next, batch
-		if len(batch) == 0 {
-			ch.batchA, ch.batchB = batch, next
-			return nil
-		}
-	}
-	ch.batchA, ch.batchB = batch, next
-	ch.deliverLocked(batch)
-	return batch
-}
-
-// finish flushes the pipeline and closes it: each stage's Finish output
-// cascades through the remaining stages, and subsequent pushes are dropped.
-// On a sharded chain it drains every shard and the merge stage before
-// returning the merged finish outputs.
-func (ch *chain) finish() []event.Event {
-	if ch.sh != nil {
-		return ch.sh.finish()
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.finished || ch.err != nil {
-		return nil
-	}
-	ch.finished = true
-	defer func() {
-		if r := recover(); r != nil {
-			ch.quarantineLocked(recoverPanic(ch.name, "operator stage", r))
-		}
-	}()
-	var final []event.Event
-	for i := range ch.monitors {
-		batch := ch.monitors[i].Finish()
-		for j := i + 1; j < len(ch.monitors); j++ {
-			var next []event.Event
-			for _, item := range batch {
-				next = append(next, ch.monitors[j].Push(0, item)...)
-			}
-			batch = next
-		}
-		final = append(final, batch...)
-	}
-	ch.deliverLocked(final)
-	return final
+	return ch.sh.push(ev)
 }
 
 // deliverLocked records one output batch in the history — which delivers
@@ -517,18 +413,18 @@ func (ch *chain) deliverLocked(items []event.Event) {
 	ch.fan.Deliver(items, first)
 }
 
-// deliverMerged is the sharded runtime's delivery callback; it runs on the
-// merger goroutine (subscriber callbacks therefore run there too).
+// deliverMerged is the shard runtime's delivery callback; it runs on the
+// merger goroutine, or on the pushing goroutine with one shard (subscriber
+// callbacks run there too).
 func (ch *chain) deliverMerged(items []event.Event) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	ch.deliverLocked(items)
 }
 
-// quarantine records a chain-level failure (operator stage or shard
-// worker): every endpoint of the chain fails together. The first error
-// wins; later ones (cascading noise from an already-broken pipeline) are
-// dropped.
+// quarantine records a chain-level failure (a panicking operator): every
+// endpoint of the chain fails together. The first error wins; later ones
+// (cascading noise from an already-broken pipeline) are dropped.
 func (ch *chain) quarantine(err error) {
 	ch.mu.Lock()
 	ch.quarantineLocked(err)
@@ -542,68 +438,15 @@ func (ch *chain) quarantineLocked(err error) {
 	}
 }
 
-// metrics returns per-stage monitor metrics (see Query.Metrics).
-func (ch *chain) metrics() []consistency.Metrics {
-	if ch.sh != nil {
-		return ch.sh.metrics()
-	}
-	out := make([]consistency.Metrics, len(ch.monitors))
-	for i, m := range ch.monitors {
-		out[i] = m.Metrics()
-	}
-	return out
-}
-
-// setSpecApply switches the chain's consistency level without durable
-// logging (the replay path applies already-logged records through it).
-func (ch *chain) setSpecApply(s consistency.Spec) {
-	if ch.sh != nil {
-		ch.sh.setSpec(s)
-		return
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.finished || ch.err != nil {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			ch.quarantineLocked(recoverPanic(ch.name, "operator stage", r))
-		}
-	}()
-	for i, m := range ch.monitors {
-		batch := m.SetSpec(s)
-		for j := i + 1; j < len(ch.monitors); j++ {
-			var next []event.Event
-			for _, item := range batch {
-				next = append(next, ch.monitors[j].Push(0, item)...)
-			}
-			batch = next
-		}
-		ch.deliverLocked(batch)
-	}
-}
-
-// drain waits until a sharded chain has processed and delivered everything
-// enqueued so far; a no-op on single-shard chains, which are synchronous.
-func (ch *chain) drain() {
-	if ch.sh != nil {
-		ch.sh.barrier()
-	}
-}
-
-// shutdown closes the chain without emitting finish outputs: subsequent
-// input is dropped and delivery is muted, then the sharded runtime (if
-// any) is drained so its workers and merger exit. Used by engine shutdown
-// and by the last endpoint's Unregister.
+// shutdown closes the chain without delivering finish outputs: subsequent
+// input is dropped and delivery is muted, then the runtime is finished so
+// any workers and merger exit. Used by engine shutdown and by the last
+// endpoint's Unregister.
 func (ch *chain) shutdown() {
 	ch.mu.Lock()
-	ch.finished = true
 	ch.closed = true
 	ch.mu.Unlock()
-	if ch.sh != nil {
-		ch.sh.finish()
-	}
+	ch.sh.finish()
 }
 
 // Query is one registered standing query: an endpoint of an executing
@@ -635,8 +478,8 @@ const openCut = ^uint64(0) // the cut of a window that still grows with its chai
 
 // Err returns the error that quarantined the query: the recovered panic of
 // this query's subscriber callback (endpoint-level — siblings sharing the
-// chain are unaffected), or of an operator stage or shard worker (chain-
-// level — every query on the chain reports it). A quarantined query stops
+// chain are unaffected), or of an operator (chain-level — every query on
+// the chain reports it, whatever its shard count). A quarantined query stops
 // accumulating output, but its results up to the failure remain readable;
 // queries on other chains are unaffected. Err is nil while the query is
 // healthy.
@@ -656,7 +499,7 @@ func recoverPanic(name, where string, r any) error {
 
 // endpointDeliver is the query's Fanout callback: it runs the subscriber
 // callbacks over a batch the chain has already recorded, under ch.mu, on
-// the pushing goroutine (single-shard) or the merger goroutine (sharded).
+// the pushing goroutine (one shard) or the merger goroutine (more).
 // A subscriber panic unwinds through the Fanout's recover barrier into
 // endpointFail.
 func (q *Query) endpointDeliver(items []event.Event, firstTag uint64) {
@@ -698,9 +541,10 @@ func (q *Query) Name() string { return q.name }
 // Plan returns the compiled plan the query's chain executes.
 func (q *Query) Plan() *plan.Plan { return q.ch.plan }
 
-// Shards returns the number of parallel shards the query's chain runs on
-// (1 for single-shard execution).
-func (q *Query) Shards() int { return q.ch.shards }
+// Shards returns the number of shards the query's chain runs on: 1 (run
+// inline on the pushing goroutine) unless the plan partitions and more were
+// requested.
+func (q *Query) Shards() int { return q.ch.sh.n }
 
 // Shared reports whether the query's chain is joinable by identical
 // registrations (it may still have only one endpoint).
@@ -748,25 +592,27 @@ func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) {
 	}
 }
 
-// Push feeds one physical item through the query's chain and returns the
-// final-stage outputs. On a shared chain the item is processed once and
-// every endpoint observes the output. The returned slice is reused by the
-// next Push on this chain; callers must copy what they keep.
+// Push feeds one physical item through the query's chain. On a shared chain
+// the item is processed once and every endpoint observes the output.
 //
-// On a sharded query Push only enqueues (shards run asynchronously) and
-// returns nil; merged output reaches Results and subscribers in
-// deterministic order as the shards drain.
+// With one shard Push runs the item to completion and returns the final-
+// stage outputs it delivered; the returned slice is reused by the next Push
+// on this chain, so callers must copy what they keep. With more shards Push
+// only enqueues and returns nil; merged output reaches Results and
+// subscribers in deterministic order as the shards drain.
 //
-// Finish closes the query: items pushed afterwards are dropped, on every
-// execution mode.
+// Finish closes the query: items pushed afterwards are dropped, at every
+// shard count.
 func (q *Query) Push(ev event.Event) []event.Event {
 	return q.ch.push(ev)
 }
 
-// Finish flushes the query's chain and closes it (on a shared chain, for
-// every endpoint). See chain.finish.
+// Finish flushes the query's chain, delivers and returns its finish
+// outputs, and closes it: later pushes are dropped (on a shared chain, for
+// every endpoint). With more than one shard it first drains every shard
+// and the merge stage.
 func (q *Query) Finish() []event.Event {
-	return q.ch.finish()
+	return q.ch.sh.finish()
 }
 
 // Results returns a copy of everything delivered to this endpoint so far
@@ -793,23 +639,23 @@ func (q *Query) Tags() []uint64 {
 }
 
 // Metrics returns per-stage monitor metrics of the query's chain (shared
-// endpoints observe identical metrics). On a sharded query it waits for
-// the shards to drain everything pushed so far, then combines the
-// per-shard counters into the single-shard equivalents (callers must not
-// Push concurrently). Combined counters and the head stage's state axes
-// match single-shard execution exactly; downstream stages' MaxState is
-// sampled once per input item and may under-read momentary intra-item
-// peaks a single-shard run would catch.
+// endpoints observe identical metrics; callers must not Push concurrently).
+// With one shard these are the monitors' own counters. With more it waits
+// for the shards to drain everything pushed so far, then combines the
+// per-shard counters into the one-shard equivalents: combined counters and
+// the head stage's state axes match exactly; downstream stages' MaxState
+// is sampled once per input item and may under-read momentary intra-item
+// peaks a one-shard run would catch.
 func (q *Query) Metrics() []consistency.Metrics {
-	return q.ch.metrics()
+	return q.ch.sh.metrics()
 }
 
 // SetSpec switches the query's consistency level at runtime (Section 5's
 // consistency-sensitive adaptation); released buffered output cascades
 // through the chain. On a shared chain the switch applies to the whole
-// group — every endpoint observes the released output. On a sharded query
-// the switch is enqueued and takes effect at this position in the input
-// sequence on every shard.
+// group — every endpoint observes the released output. With more than one
+// shard the switch is enqueued and takes effect at this position in the
+// input sequence on every shard.
 func (q *Query) SetSpec(s consistency.Spec) {
 	if e := q.eng; e != nil && e.log != nil {
 		e.pushMu.Lock()
@@ -824,14 +670,14 @@ func (q *Query) SetSpec(s consistency.Spec) {
 // setSpecApply performs the switch without durable logging (the replay
 // path applies already-logged records through it).
 func (q *Query) setSpecApply(s consistency.Spec) {
-	q.ch.setSpecApply(s)
+	q.ch.sh.setSpec(s)
 }
 
 // Unregister removes the standing query. The endpoint detaches — its
 // window closes and stays readable, subscribers receive nothing further —
 // and when it was the chain's last reference the chain itself is torn
-// down: input is no longer delivered to it and the sharded runtime's
-// goroutines exit. On a shared chain with remaining endpoints execution
+// down: input is no longer delivered to it and the shard runtime's
+// goroutines (if any) exit. On a shared chain with remaining endpoints execution
 // continues undisturbed. On a durable engine the unregistration is logged
 // ahead of taking effect, so recovery reproduces it at the same position
 // in the input sequence. Idempotent.
@@ -894,61 +740,10 @@ func (q *Query) unregisterApply() {
 	}
 }
 
-// RunPipelined executes the query over a finite source as a goroutine-per-
-// stage pipeline connected by channels — the paper's pipelined execution
-// plan — and returns the collected output. The query must be freshly
-// registered (no interleaved Push use). A sharded query is already a
-// goroutine pipeline (worker-per-shard plus a merger); there the source is
-// streamed through the shard router and the merged output returned.
-func (q *Query) RunPipelined(src stream.Stream, buf int) stream.Stream {
-	ch := q.ch
-	if ch.sh != nil {
-		for _, ev := range src {
-			ch.sh.push(ev)
-		}
-		ch.sh.finish()
-		return q.Results()
-	}
-	if buf <= 0 {
-		buf = 64
-	}
-	in := src.Chan(buf)
-	for _, m := range ch.monitors {
-		m := m
-		out := make(chan event.Event, buf)
-		go func(in <-chan event.Event, out chan<- event.Event) {
-			defer close(out)
-			// A panicking stage quarantines the chain and drains its input
-			// so upstream stages don't block on a full channel.
-			defer func() {
-				if r := recover(); r != nil {
-					ch.quarantine(recoverPanic(ch.name, "pipelined stage", r))
-					for range in {
-					}
-				}
-			}()
-			for ev := range in {
-				for _, o := range m.Push(0, ev) {
-					out <- o
-				}
-			}
-			for _, o := range m.Finish() {
-				out <- o
-			}
-		}(in, out)
-		in = out
-	}
-	results := stream.Collect(in)
-	ch.mu.Lock()
-	ch.deliverLocked(results)
-	ch.mu.Unlock()
-	return results
-}
-
 // String implements fmt.Stringer.
 func (q *Query) String() string {
-	if q.ch.shards > 1 {
-		return fmt.Sprintf("query %s: %s × %d shards", q.name, q.ch.plan.Spec.Name(), q.ch.shards)
+	if n := q.ch.sh.n; n > 1 {
+		return fmt.Sprintf("query %s: %s × %d shards", q.name, q.ch.plan.Spec.Name(), n)
 	}
 	return fmt.Sprintf("query %s: %s", q.name, q.ch.plan.Spec.Name())
 }

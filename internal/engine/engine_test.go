@@ -79,36 +79,6 @@ func TestEndToEndConvergesUnderDisorder(t *testing.T) {
 
 func int64ToDur(d temporal.Duration) temporal.Duration { return d }
 
-func TestPipelinedMatchesSynchronous(t *testing.T) {
-	defer leakcheck.Check(t)()
-	src, _ := workload.MachineEvents(workload.DefaultMachines())
-	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
-
-	e := New()
-	sync, err := e.RegisterText(monitorQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run(delivered)
-
-	e2 := New()
-	piped, err := e2.RegisterText(monitorQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := piped.RunPipelined(delivered, 16)
-
-	a, b := sync.Results().Events(), out.Events()
-	if len(a) != len(b) {
-		t.Fatalf("sync %d vs pipelined %d outputs", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Kind != b[i].Kind {
-			t.Fatalf("output %d differs", i)
-		}
-	}
-}
-
 func TestSubscribeCallback(t *testing.T) {
 	src, expected := workload.MachineEvents(workload.DefaultMachines())
 	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
@@ -344,8 +314,9 @@ func TestConcurrentRegisterAndPush(t *testing.T) {
 	}
 }
 
-// The slice returned by Query.Push aliases an internal double buffer; it
-// must carry the per-push outputs correctly across consecutive pushes.
+// The slice returned by Query.Push aliases the one-shard runtime's reused
+// burst; it must carry the per-push outputs correctly across consecutive
+// pushes.
 func TestQueryPushReusesBatchBuffers(t *testing.T) {
 	eng := New()
 	p, err := plan.Compile(`EVENT Out WHEN ANY(E e)`)

@@ -506,7 +506,7 @@ func TestFabricSharingThroughput(t *testing.T) {
 		e.Run(in)
 		live := e.chainsSnapshot()
 		for _, ch := range live {
-			evaluated += ch.metrics()[0].InputEvents
+			evaluated += ch.sh.metrics()[0].InputEvents
 		}
 		return len(live), evaluated
 	}

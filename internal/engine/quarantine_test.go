@@ -6,6 +6,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -22,50 +23,49 @@ import (
 	"repro/internal/workload"
 )
 
-// panicPlan compiles the CIDR07 query and arms its pattern stage to panic
-// on the nth Process call. The returned plan is hand-built (source-less),
-// which is fine: quarantine tests never snapshot.
-func panicPlan(t *testing.T, name string, after int) *plan.Plan {
-	t.Helper()
-	p, err := plan.Compile(monitorQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := append([]operators.Op{faultinject.NewPanicOp(p.Stages[0], after)}, p.Stages[1:]...)
-	return &plan.Plan{Name: name, Stages: stages, Spec: p.Spec}
-}
-
 // TestOperatorPanicQuarantinesQuery: a panicking stage on one query is
-// isolated — its error is surfaced, its output frozen, and a sibling query
-// fed the same input stays byte-identical to an unshared oracle run.
+// isolated — its error names the query and says it was quarantined, the same
+// at every shard count; its output is frozen; and a sibling query fed the
+// same input stays byte-identical to an unshared oracle run.
 func TestOperatorPanicQuarantinesQuery(t *testing.T) {
-	defer leakcheck.Check(t)()
 	in := durabilityWorkload()
+	doomed := strings.Replace(monitorQuery, "EVENT MissedRestart", "EVENT Doomed", 1)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			e := New()
+			bad, err := e.RegisterText(doomed, plan.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bad.Shards() != shards {
+				t.Fatalf("query runs %d shards, want %d", bad.Shards(), shards)
+			}
+			armOperatorPanic(t, bad, 10)
+			good, err := e.RegisterText(monitorQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Run(in)
 
-	e := New()
-	bad := e.Register(panicPlan(t, "doomed", 10))
-	good, err := e.RegisterText(monitorQuery)
-	if err != nil {
-		t.Fatal(err)
+			if bad.Err() == nil {
+				t.Fatal("panicking query reports no error")
+			}
+			if msg := bad.Err().Error(); !strings.Contains(msg, "query Doomed quarantined: operator stage panicked") {
+				t.Fatalf("unexpected quarantine error: %v", msg)
+			}
+			frozen := bad.Results()
+			bad.Push(in[0])
+			if n := len(bad.Results()); n != len(frozen) {
+				t.Fatalf("quarantined query kept emitting: %d -> %d items", len(frozen), n)
+			}
+			if good.Err() != nil {
+				t.Fatalf("sibling query was poisoned: %v", good.Err())
+			}
+			oracle := run(t, monitorQuery, in)
+			compareStreams(t, "sibling isolation", good.Results(), oracle.Results())
+		})
 	}
-	e.Run(in)
-
-	if bad.Err() == nil {
-		t.Fatal("panicking query reports no error")
-	}
-	if !strings.Contains(bad.Err().Error(), "quarantined") {
-		t.Fatalf("unexpected quarantine error: %v", bad.Err())
-	}
-	frozen := bad.Results()
-	bad.Push(in[0])
-	if n := len(bad.Results()); n != len(frozen) {
-		t.Fatalf("quarantined query kept emitting: %d -> %d items", len(frozen), n)
-	}
-	if good.Err() != nil {
-		t.Fatalf("sibling query was poisoned: %v", good.Err())
-	}
-	oracle := run(t, monitorQuery, in)
-	compareStreams(t, "sibling isolation", good.Results(), oracle.Results())
 }
 
 // TestSubscriberPanicQuarantines: a panicking subscriber callback
@@ -125,7 +125,7 @@ func TestShardedWorkerPanicIsolation(t *testing.T) {
 	if err == nil {
 		t.Fatal("worker panic not surfaced")
 	}
-	if !strings.Contains(err.Error(), "shard worker panicked") {
+	if !strings.Contains(err.Error(), "quarantined: operator stage panicked") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	// Output up to the failure is a prefix of the healthy run.
@@ -174,7 +174,7 @@ func TestShardedWorkerPanicEveryBurstOffset(t *testing.T) {
 		if err == nil {
 			t.Fatalf("after=%d: worker panic not surfaced", after)
 		}
-		if !strings.Contains(err.Error(), "shard worker panicked") {
+		if !strings.Contains(err.Error(), "quarantined: operator stage panicked") {
 			t.Fatalf("after=%d: unexpected error: %v", after, err)
 		}
 		if len(out) > len(healthy) {
@@ -207,13 +207,13 @@ func TestShardedQueryWorkerPanicQuarantines(t *testing.T) {
 	// own early trigger (the swap happens before any push, so each worker
 	// goroutine owns its op). Several workers may panic; the first failure
 	// wins and the rest must be absorbed without deadlock.
-	for _, w := range q.ch.sh.workers {
-		w.monitors[0] = consistency.NewMonitor(
+	for i := range q.ch.sh.workers {
+		q.ch.sh.workers[i].monitors[0] = consistency.NewMonitor(
 			faultinject.NewPanicOp(mustStages(t)[0], 3), q.ch.plan.Spec)
 	}
 
 	e.Run(in)
-	if q.Err() == nil || !strings.Contains(q.Err().Error(), "shard worker panicked") {
+	if q.Err() == nil || !strings.Contains(q.Err().Error(), "quarantined: operator stage panicked") {
 		t.Fatalf("worker panic not quarantined: %v", q.Err())
 	}
 	if sibling.Err() != nil {
@@ -233,24 +233,6 @@ func mustStages(t *testing.T) []operators.Op {
 		t.Fatal(err)
 	}
 	return p.Stages
-}
-
-// TestPipelinedStagePanicQuarantines: RunPipelined's goroutine-per-stage
-// mode recovers a stage panic, quarantines, and terminates (no goroutine
-// wedged on a full channel).
-func TestPipelinedStagePanicQuarantines(t *testing.T) {
-	defer leakcheck.Check(t)()
-	in := durabilityWorkload()
-	e := New()
-	q := e.Register(panicPlan(t, "doomed", 10))
-	out := q.RunPipelined(in, 4)
-	if q.Err() == nil {
-		t.Fatal("pipelined stage panic not surfaced")
-	}
-	healthy := run(t, monitorQuery, in)
-	if len(out) > len(healthy.Results()) {
-		t.Fatalf("quarantined pipeline emitted %d items, healthy run %d", len(out), len(healthy.Results()))
-	}
 }
 
 // TestStalledShardStillDrains: a stalled worker delays output but loses

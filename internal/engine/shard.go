@@ -26,13 +26,16 @@
 // lists, so steady-state handoff does not allocate and a slow consumer
 // exerts backpressure on the router.
 //
-// The pipeline is asynchronous: Push enqueues and returns, Finish drains.
-// Results() exposes a deterministic prefix at any time.
+// With more than one shard the pipeline is asynchronous: Push enqueues and
+// returns, Finish drains, and Results() exposes a deterministic prefix at
+// any time. One shard runs inline: no goroutines, channels or free lists —
+// every item goes through the same per-item body (shardWorker.process) on
+// the caller's goroutine, under the same recover barrier, and its output is
+// delivered before the call returns (merging one shard is the identity).
 package engine
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 
 	"repro/internal/consistency"
@@ -141,39 +144,37 @@ func (b *shardBurst) clearOutputs() {
 
 type shardWorker struct {
 	monitors []*consistency.Monitor
-	in       chan *shardRun
-	out      chan *shardBurst
-	// Free lists for the run and burst buffers cycling through this
-	// worker's pipeline (see runBufs).
+	// merged is set when a merger reads this worker's bursts (n > 1): only
+	// then are outputs order-tagged and per-item ends and state traced.
+	merged bool
+	// Handoff channels and free lists for the run and burst buffers cycling
+	// through this worker's pipeline (see runBufs); nil when n = 1.
+	in         chan *shardRun
+	out        chan *shardBurst
 	freeRuns   chan *shardRun
 	freeBursts chan *shardBurst
 
 	arr  []byte // arrival-key scratch (stage 0)
 	trig []byte // per-stage tag-prefix scratch (SetSpec/Finish)
 	// mid[i] accumulates stage i's outputs while the cascade feeds them to
-	// stage i+1; arrScratch[i] is the downstream arrival-key scratch per
-	// cascade depth.
-	mid        []*consistency.Burst
+	// stage i+1; arrScratch[i] is stage i+1's arrival-key scratch.
+	mid        []consistency.Burst
 	arrScratch [][]byte
 }
 
-// sharded is the per-query parallel runtime. The router methods (push,
-// setSpec, finish, barrier) serialize on mu, so concurrent producers are
-// safe — the same guarantee the single-shard Query.Push mutex gives.
+// sharded is the per-query runtime. The router methods (push, setSpec,
+// finish, barrier) serialize on mu, so concurrent producers are safe.
 // metrics additionally requires that no Push lands while it drains
-// (matching the single-shard contract that Metrics reads are only exact
-// between pushes).
+// (Metrics reads are only exact between pushes).
 type sharded struct {
 	n       int
 	stages  int
 	burst   int // flush bound; <= 0 flushes only on control items
 	route   func(event.Event) int
-	workers []*shardWorker
-	deliver func([]event.Event)
-	// onFail receives the first worker-panic error, from the merger
-	// goroutine, before delivery stops. The engine wires it to the query's
-	// quarantine. Set (if at all) before the first push.
-	onFail func(error)
+	workers []shardWorker
+	w1      [1]shardWorker // workers' storage when n = 1
+	sink    shardSink
+	name    string // query name, for the quarantine error
 
 	mu       sync.Mutex // serializes seq assignment and run handoff order
 	seq      int
@@ -183,6 +184,11 @@ type sharded struct {
 	pending []*shardRun
 	pendLen int
 
+	// n = 1: the burst every inline item is processed into, and the first
+	// panic (after which input is dropped).
+	one    shardBurst
+	failed error
+
 	done      chan struct{}
 	barrierCh chan struct{}
 	finishOut []event.Event
@@ -191,57 +197,75 @@ type sharded struct {
 	maxState [maxTracedStages]int
 }
 
-// newSharded builds and starts the sharded runtime. burst is the router's
-// flush bound (0 = DefaultBurst, negative = unbounded: flush only on
-// punctuation/control). stagesFor must return an independent, freshly
-// instantiated operator chain per shard (operator Clones may share scratch
-// and are not safe across goroutines). deliver receives merged output in
-// deterministic order, on the merger goroutine.
-func newSharded(n, burst int, stagesFor func(shard int) ([]operators.Op, error),
-	spec consistency.Spec, route func(event.Event) int,
-	deliver func([]event.Event)) (*sharded, error) {
+// shardSink receives what the runtime produces, on the merger goroutine
+// (n > 1) or the caller's (n = 1): merged output in deterministic order,
+// and the first operator panic as the query's quarantine error, before
+// delivery stops. The engine's chain is one.
+type shardSink interface {
+	deliverMerged(items []event.Event)
+	quarantine(err error)
+}
+
+// newSharded builds and starts the sharded runtime; see start.
+func newSharded(name string, n, burst int, stagesFor func(shard int) ([]operators.Op, error),
+	spec consistency.Spec, route func(event.Event) int, sink shardSink) (*sharded, error) {
+	s := new(sharded)
+	return s, s.start(name, n, burst, stagesFor, spec, route, sink)
+}
+
+// start builds and starts the runtime in place (a chain embeds it). burst
+// is the router's flush bound (0 = DefaultBurst, negative = unbounded:
+// flush only on punctuation/control). stagesFor must return an
+// independent, freshly instantiated operator chain per shard (operator
+// Clones may share scratch and are not safe across goroutines). name
+// labels the quarantine error of a panicking operator.
+func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) ([]operators.Op, error),
+	spec consistency.Spec, route func(event.Event) int, sink shardSink) error {
 	if n < 1 {
 		n = 1
 	}
 	if burst == 0 {
 		burst = DefaultBurst
 	}
-	s := &sharded{
-		n:         n,
-		burst:     burst,
-		route:     route,
-		deliver:   deliver,
-		done:      make(chan struct{}),
-		barrierCh: make(chan struct{}),
+	*s = sharded{n: n, burst: burst, route: route, sink: sink, name: name}
+	s.workers = s.w1[:]
+	if n > 1 {
+		s.workers = make([]shardWorker, n)
 	}
-	for i := 0; i < n; i++ {
+	for i := range s.workers {
 		stages, err := stagesFor(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(stages) == 0 {
-			return nil, fmt.Errorf("engine: shard %d has no stages", i)
+			return fmt.Errorf("engine: shard %d has no stages", i)
 		}
-		if len(stages) > maxTracedStages {
-			return nil, fmt.Errorf("engine: sharded execution traces at most %d stages, plan has %d", maxTracedStages, len(stages))
+		if n > 1 && len(stages) > maxTracedStages {
+			return fmt.Errorf("engine: sharded execution traces at most %d stages, plan has %d", maxTracedStages, len(stages))
 		}
-		if stages[0].Arity() != 1 {
-			return nil, fmt.Errorf("engine: sharded execution requires a single-port head operator")
+		if n > 1 && stages[0].Arity() != 1 {
+			return fmt.Errorf("engine: sharded execution requires a single-port head operator")
 		}
-		w := &shardWorker{
-			in:         make(chan *shardRun, runBufs),
-			out:        make(chan *shardBurst, runBufs),
-			freeRuns:   make(chan *shardRun, runBufs),
-			freeBursts: make(chan *shardBurst, runBufs),
+		w := &s.workers[i]
+		w.monitors = make([]*consistency.Monitor, len(stages))
+		w.mid = make([]consistency.Burst, len(stages)-1)
+		w.arrScratch = make([][]byte, len(stages)-1)
+		for j, op := range stages {
+			w.monitors[j] = consistency.NewMonitor(op, spec)
 		}
-		for _, op := range stages {
-			w.monitors = append(w.monitors, consistency.NewMonitor(op, spec))
-		}
-		w.mid = make([]*consistency.Burst, len(stages))
-		w.arrScratch = make([][]byte, len(stages))
-		for j := range w.mid {
-			w.mid[j] = new(consistency.Burst)
-		}
+	}
+	s.stages = len(s.workers[0].monitors)
+	if n == 1 {
+		return nil // inline: see runInline
+	}
+	s.done, s.barrierCh = make(chan struct{}), make(chan struct{})
+	for i := range s.workers {
+		w := &s.workers[i]
+		w.merged = true
+		w.in = make(chan *shardRun, runBufs)
+		w.out = make(chan *shardBurst, runBufs)
+		w.freeRuns = make(chan *shardRun, runBufs)
+		w.freeBursts = make(chan *shardBurst, runBufs)
 		// Run buffers start empty and grow on first use: the free lists
 		// recycle them, so append growth is a warmup cost only and the
 		// steady state stays allocation-free either way — while plans that
@@ -253,25 +277,52 @@ func newSharded(n, burst int, stagesFor func(shard int) ([]operators.Op, error),
 		for k := 0; k < runBufs; k++ {
 			w.freeBursts <- new(shardBurst)
 		}
-		s.workers = append(s.workers, w)
 		s.pending = append(s.pending, new(shardRun))
-	}
-	s.stages = len(s.workers[0].monitors)
-	for _, w := range s.workers {
-		go w.run()
+		go w.run(name)
 	}
 	go s.mergeLoop()
-	return s, nil
+	return nil
+}
+
+// runInline is the n = 1 runtime: it drives one item through the only
+// shard's monitor chain on the caller's goroutine, under the worker's
+// recover barrier, and delivers the output directly. It returns that
+// output, valid until the next call. Caller holds mu.
+func (s *sharded) runInline(it shardItem) []event.Event {
+	if s.failed != nil {
+		return nil
+	}
+	seq := s.seq
+	s.seq++
+	b := &s.one
+	b.reset()
+	one := [1]shardItem{it}
+	if s.failed = s.workers[0].processRunSafely(s.name, seq, one[:], b); s.failed != nil {
+		s.sink.quarantine(s.failed)
+		return nil
+	}
+	if len(b.out.Evs) > 0 {
+		s.sink.deliverMerged(b.out.Evs)
+	}
+	return b.out.Evs
 }
 
 // push routes one physical item: punctuation broadcasts (and flushes —
 // punctuation is a natural batch boundary), data goes to the key's shard
-// with advance probes everywhere else.
-func (s *sharded) push(ev event.Event) {
+// with advance probes everywhere else. With one shard it runs the item
+// inline and returns its output (see runInline); otherwise it returns nil.
+func (s *sharded) push(ev event.Event) []event.Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished {
-		return
+		return nil
+	}
+	if s.n == 1 {
+		kind := itemData
+		if ev.IsCTI() {
+			kind = itemCTI
+		}
+		return s.runInline(shardItem{kind: kind, ev: ev})
 	}
 	seq := s.seq
 	s.seq++
@@ -287,7 +338,7 @@ func (s *sharded) push(ev event.Event) {
 		}
 		s.pendLen++
 		s.flushLocked()
-		return
+		return nil
 	}
 	owner := 0
 	if s.route != nil {
@@ -307,11 +358,16 @@ func (s *sharded) push(ev event.Event) {
 	if s.burst > 0 && s.pendLen >= s.burst {
 		s.flushLocked()
 	}
+	return nil
 }
 
 // control appends a broadcast control item and flushes the pending runs,
-// so the control item is always the last item of its run. Caller holds mu.
-func (s *sharded) control(kind uint8, spec consistency.Spec) {
+// so the control item is always the last item of its run; with one shard
+// it runs the item inline and returns its output. Caller holds mu.
+func (s *sharded) control(kind uint8, spec consistency.Spec) []event.Event {
+	if s.n == 1 {
+		return s.runInline(shardItem{kind: kind, spec: spec})
+	}
 	if s.pendLen == 0 {
 		for _, r := range s.pending {
 			r.first = s.seq
@@ -324,6 +380,7 @@ func (s *sharded) control(kind uint8, spec consistency.Spec) {
 	}
 	s.pendLen++
 	s.flushLocked()
+	return nil
 }
 
 // flushLocked hands the pending runs to the workers and refills the
@@ -333,7 +390,8 @@ func (s *sharded) flushLocked() {
 	if s.pendLen == 0 {
 		return
 	}
-	for i, w := range s.workers {
+	for i := range s.workers {
+		w := &s.workers[i]
 		w.in <- s.pending[i]
 		r := <-w.freeRuns
 		r.items = r.items[:0]
@@ -360,16 +418,23 @@ func (s *sharded) finish() []event.Event {
 	s.mu.Lock()
 	if !s.finished {
 		s.finished = true
-		s.control(itemFinish, consistency.Spec{})
+		if out := s.control(itemFinish, consistency.Spec{}); len(out) > 0 {
+			s.finishOut = append([]event.Event(nil), out...)
+		}
 	}
 	s.mu.Unlock()
-	<-s.done
+	if s.n > 1 {
+		<-s.done
+	}
 	return s.finishOut
 }
 
 // barrier waits until every shard and the merger have processed everything
-// enqueued so far.
+// enqueued so far; with one shard nothing is ever in flight.
 func (s *sharded) barrier() {
+	if s.n == 1 {
+		return
+	}
 	s.mu.Lock()
 	if s.finished {
 		s.mu.Unlock()
@@ -383,17 +448,19 @@ func (s *sharded) barrier() {
 
 // metrics combines the per-shard monitor metrics into the metrics the
 // single-shard run would report: partitioned counters sum, broadcast
-// punctuation counts once, and the state axes come from the merger's
+// punctuation counts once, and with n > 1 MaxState comes from the merger's
 // per-item cross-shard state trace. The trace samples once per input item,
 // which reproduces the head stage's per-push samples exactly; downstream
 // stages are pushed several times per input item by the cascade, so their
-// MaxState may under-read momentary intra-item peaks.
+// MaxState may under-read momentary intra-item peaks. With one shard the
+// monitors' own counters are returned as they are.
 func (s *sharded) metrics() []consistency.Metrics {
 	s.barrier()
 	out := make([]consistency.Metrics, s.stages)
 	for j := 0; j < s.stages; j++ {
 		agg := s.workers[0].monitors[j].Metrics()
-		for _, w := range s.workers[1:] {
+		for i := 1; i < s.n; i++ {
+			w := &s.workers[i]
 			m := w.monitors[j].Metrics()
 			agg.InputEvents += m.InputEvents
 			agg.OutputInserts += m.OutputInserts
@@ -410,15 +477,17 @@ func (s *sharded) metrics() []consistency.Metrics {
 			// InputCTIs and OutputCTIs: punctuation is broadcast and every
 			// shard counts the identical stream once — keep shard 0's.
 		}
-		// newSharded bounds the chain to maxTracedStages, so the trace
-		// always covers every stage.
-		agg.MaxState = s.maxState[j]
+		if s.n > 1 {
+			// start bounds a merged chain to maxTracedStages, so the
+			// trace always covers every stage.
+			agg.MaxState = s.maxState[j]
+		}
 		out[j] = agg
 	}
 	return out
 }
 
-func (w *shardWorker) run() {
+func (w *shardWorker) run(name string) {
 	var failed error
 	for r := range w.in {
 		b := <-w.freeBursts
@@ -426,7 +495,7 @@ func (w *shardWorker) run() {
 		last := r.items[len(r.items)-1].kind
 		b.first, b.n, b.kind = r.first, len(r.items), last
 		if failed == nil {
-			failed = w.processRunSafely(r, b)
+			failed = w.processRunSafely(name, r.first, r.items, b)
 		}
 		if failed != nil {
 			// Drain mode (and the failing run itself): a panicked worker's
@@ -445,55 +514,56 @@ func (w *shardWorker) run() {
 	}
 }
 
-// processRunSafely drives one run through the monitor chain under a
-// recover barrier: a panicking operator — at any intra-run offset — yields
-// an error (and the caller sends an aligned empty burst) instead of
+// processRunSafely drives a run of items (the first numbered first)
+// through the monitor chain under a recover barrier: a panicking operator —
+// at any intra-run offset — yields the quarantine error of query name (and
+// the caller sends an aligned empty burst, or stops when inline) instead of
 // killing the process or deadlocking the merger.
-func (w *shardWorker) processRunSafely(r *shardRun, b *shardBurst) (err error) {
+func (w *shardWorker) processRunSafely(name string, first int, items []shardItem, b *shardBurst) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = fmt.Errorf("shard worker panicked: %v\n%s", rec, debug.Stack())
+			err = recoverPanic(name, "operator stage", rec)
 		}
 	}()
-	for k := range r.items {
-		w.process(r.first+k, r.items[k], b)
+	for k := range items {
+		w.process(first+k, items[k], b)
 	}
 	return nil
 }
 
 // process drives one item through the shard's monitor chain, appending its
-// outputs and trace to b. It is the worker loop's per-item body, callable
-// synchronously (the critical-path benchmark times a shard's full item
-// sequence this way, without channel overhead).
+// outputs (and, when merged, their tags and the item's trace) to b. It is
+// the worker loop's per-item body and the whole of the one-shard runtime
+// (the critical-path benchmark also times a shard's full item sequence this
+// way, without channel overhead).
 func (w *shardWorker) process(seq int, it shardItem, b *shardBurst) {
 	switch it.kind {
 	case itemData, itemProbe, itemCTI:
-		w.arr = ordkey.AppendUint(w.arr[:0], uint64(seq))
+		arr := w.key(&w.arr, seq, nil)
 		if len(w.monitors) == 1 {
-			w.monitors[0].PushTaggedInto(0, it.ev, w.arr, nil, it.kind == itemProbe, &b.out)
+			w.monitors[0].PushTaggedInto(0, it.ev, arr, nil, it.kind == itemProbe, &b.out)
 		} else {
-			mid := w.mid[0]
+			mid := &w.mid[0]
 			mid.Reset()
-			w.monitors[0].PushTaggedInto(0, it.ev, w.arr, nil, it.kind == itemProbe, mid)
+			w.monitors[0].PushTaggedInto(0, it.ev, arr, nil, it.kind == itemProbe, mid)
 			w.cascade(1, seq, mid, b)
 		}
 	case itemSetSpec, itemFinish:
-		// Mirror the single-shard Query.SetSpec cascade: each stage's
-		// released output flows through the remaining stages, stage by
-		// stage, under a per-stage tag prefix.
+		// Each stage's released output flows through the remaining
+		// stages, stage by stage, under a per-stage tag prefix.
 		for i := range w.monitors {
-			w.trig = ordkey.AppendUint(w.trig[:0], uint64(i))
-			w.arr = ordkey.AppendUint(w.arr[:0], uint64(seq))
+			trig := w.key(&w.trig, i, nil)
+			arr := w.key(&w.arr, seq, nil)
 			last := i == len(w.monitors)-1
 			sink := &b.out
 			if !last {
-				sink = w.mid[i]
+				sink = &w.mid[i]
 				sink.Reset()
 			}
 			if it.kind == itemSetSpec {
-				w.monitors[i].SetSpecTaggedInto(it.spec, w.arr, w.trig, sink)
+				w.monitors[i].SetSpecTaggedInto(it.spec, arr, trig, sink)
 			} else {
-				w.monitors[i].FinishTaggedInto(w.arr, w.trig, sink)
+				w.monitors[i].FinishTaggedInto(arr, trig, sink)
 			}
 			if !last {
 				w.cascade(i+1, seq, sink, b)
@@ -501,6 +571,9 @@ func (w *shardWorker) process(seq int, it shardItem, b *shardBurst) {
 		}
 	case itemBarrier:
 		// State is unchanged; the run round-trip is the synchronization.
+	}
+	if !w.merged {
+		return
 	}
 	b.ends = append(b.ends, int32(b.out.Len()))
 	var st stageState
@@ -515,29 +588,41 @@ func (w *shardWorker) process(seq int, it shardItem, b *shardBurst) {
 	b.states = append(b.states, st)
 }
 
+// key rebuilds *scratch as the order key (n, suffix…) and returns it, or
+// returns nil when unmerged — a nil arrival key tells a monitor not to tag.
+func (w *shardWorker) key(scratch *[]byte, n int, suffix []byte) []byte {
+	if !w.merged {
+		return nil
+	}
+	*scratch = append(ordkey.AppendUint((*scratch)[:0], uint64(n)), suffix...)
+	return *scratch
+}
+
 // cascade drives the outputs accumulated in src (stage from-1's burst)
 // through the monitors from stage `from` on, appending the final stage's
-// tagged outputs to b. Each item's outputs nest under its tag, so the
-// merged cross-shard order reproduces the single-shard stage-by-stage
-// cascade exactly.
+// outputs to b. When merged each item's outputs nest under its tag, so the
+// merged cross-shard order reproduces the one-shard stage-by-stage cascade
+// exactly.
 func (w *shardWorker) cascade(from, seq int, src *consistency.Burst, b *shardBurst) {
 	last := from == len(w.monitors)-1
 	var mid *consistency.Burst
 	if !last {
-		mid = w.mid[from]
+		mid = &w.mid[from]
 	}
 	for k := range src.Evs {
 		// The downstream arrival key is (input seq, upstream tag): globally
 		// ordered across shards and runs, because upstream tags are ordered
 		// within one input item.
-		arr := ordkey.AppendUint(w.arrScratch[from][:0], uint64(seq))
-		arr = append(arr, src.Tags[k]...)
-		w.arrScratch[from] = arr
+		var up []byte
+		if w.merged {
+			up = src.Tags[k]
+		}
+		arr := w.key(&w.arrScratch[from-1], seq, up)
 		if last {
-			w.monitors[from].PushTaggedInto(0, src.Evs[k], arr, src.Tags[k], false, &b.out)
+			w.monitors[from].PushTaggedInto(0, src.Evs[k], arr, up, false, &b.out)
 		} else {
 			mid.Reset()
-			w.monitors[from].PushTaggedInto(0, src.Evs[k], arr, src.Tags[k], false, mid)
+			w.monitors[from].PushTaggedInto(0, src.Evs[k], arr, up, false, mid)
 			w.cascade(from+1, seq, mid, b)
 		}
 	}
@@ -556,8 +641,8 @@ func (s *sharded) mergeLoop() {
 	for {
 		var kind uint8
 		var n int
-		for i, w := range s.workers {
-			b := <-w.out
+		for i := range s.workers {
+			b := <-s.workers[i].out
 			bs[i] = b
 			kind = b.kind
 			n = b.n
@@ -565,9 +650,7 @@ func (s *sharded) mergeLoop() {
 				// First failure wins; the query is quarantined before any
 				// post-failure delivery could happen.
 				failed = b.fail
-				if s.onFail != nil {
-					s.onFail(failed)
-				}
+				s.sink.quarantine(failed)
 			}
 		}
 		out = out[:0]
@@ -610,8 +693,8 @@ func (s *sharded) mergeLoop() {
 		}
 		// Merged events are value copies; the burst buffers can cycle back
 		// to the workers before delivery runs.
-		for i, w := range s.workers {
-			w.freeBursts <- bs[i]
+		for i := range s.workers {
+			s.workers[i].freeBursts <- bs[i]
 			bs[i] = nil
 		}
 		switch kind {
@@ -621,13 +704,13 @@ func (s *sharded) mergeLoop() {
 			// complete after a failure — metrics, Finish, and engine
 			// shutdown must not hang on a quarantined query.
 			if failed == nil && len(out) > 0 {
-				s.deliver(out)
+				s.sink.deliverMerged(out)
 			}
 			s.barrierCh <- struct{}{}
 		case itemFinish:
 			if failed == nil {
 				s.finishOut = append([]event.Event(nil), out...)
-				s.deliver(s.finishOut)
+				s.sink.deliverMerged(s.finishOut)
 			}
 			close(s.done)
 			return
@@ -635,7 +718,7 @@ func (s *sharded) mergeLoop() {
 			// A partial merge after a failure would be wrong output, not
 			// late output: skip delivery entirely once any shard failed.
 			if failed == nil && len(out) > 0 {
-				s.deliver(out)
+				s.sink.deliverMerged(out)
 			}
 		}
 	}
@@ -689,24 +772,31 @@ func RunShardedOp(mk func() operators.Op, spec consistency.Spec, n int,
 // semantics-free.
 func RunShardedOpBurst(mk func() operators.Op, spec consistency.Spec, n, burst int,
 	route func(event.Event) int, in stream.Stream) (stream.Stream, consistency.Metrics, error) {
-	var out stream.Stream
-	sh, err := newSharded(n, burst,
+	var c collector
+	sh, err := newSharded("RunShardedOp", n, burst,
 		func(int) ([]operators.Op, error) { return []operators.Op{mk()}, nil },
-		spec, route,
-		func(items []event.Event) { out = append(out, items...) })
+		spec, route, &c)
 	if err != nil {
 		return nil, consistency.Metrics{}, err
 	}
-	// The merger calls onFail strictly before closing done, and finish
-	// waits on done, so reading failErr after finish is race-free.
-	var failErr error
-	sh.onFail = func(err error) { failErr = err }
 	for _, ev := range in {
 		sh.push(ev)
 	}
+	// The merger reports a failure strictly before closing done, and
+	// finish waits on done, so reading c.err after finish is race-free.
 	sh.finish()
-	if failErr != nil {
-		return out, consistency.Metrics{}, failErr
+	if c.err != nil {
+		return c.out, consistency.Metrics{}, c.err
 	}
-	return out, sh.metrics()[0], nil
+	return c.out, sh.metrics()[0], nil
 }
+
+// collector is a shardSink that keeps the merged output and the first
+// failure.
+type collector struct {
+	out stream.Stream
+	err error
+}
+
+func (c *collector) deliverMerged(items []event.Event) { c.out = append(c.out, items...) }
+func (c *collector) quarantine(err error)              { c.err = err }

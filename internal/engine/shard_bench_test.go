@@ -71,12 +71,9 @@ func BenchmarkShardCriticalPath(b *testing.B) {
 // benchWorker builds a single-stage worker for synchronous driving (no
 // channels or free lists).
 func benchWorker() *shardWorker {
-	w := &shardWorker{monitors: []*consistency.Monitor{
+	return &shardWorker{merged: true, monitors: []*consistency.Monitor{
 		consistency.NewMonitor(operators.NewAggregate(operators.Count, "", "g"), consistency.Middle()),
 	}}
-	w.mid = []*consistency.Burst{new(consistency.Burst)}
-	w.arrScratch = make([][]byte, 1)
-	return w
 }
 
 // shardItemSequences precomputes, per shard, the exact item sequence the

@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/stream"
+	"repro/internal/temporal"
 	"repro/internal/workload"
 )
 
@@ -99,19 +101,24 @@ func TestAutoShardHeuristic(t *testing.T) {
 // monitor log has grown its capacity, routing a full burst of data plus
 // its CTI through router → workers → merger must not allocate. A
 // never-matching Select keeps output out of the measurement, so the number
-// is the handoff machinery alone.
+// is the handoff machinery alone. With one shard the same pushes run
+// inline into one reused burst, under the same bound.
 func TestShardedHandoffAllocFree(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testHandoffAllocFree(t, shards)
+		})
+	}
+}
+
+func testHandoffAllocFree(t *testing.T, shards int) {
 	defer leakcheck.Check(t)()
-	const (
-		shards = 4
-		burst  = 8
-	)
-	sh, err := newSharded(shards, burst,
+	const burst = 8
+	sh, err := newSharded("test", shards, burst,
 		func(int) ([]operators.Op, error) {
 			return []operators.Op{operators.NewSelect(func(event.Payload) bool { return false })}, nil
 		},
-		consistency.Middle(), RouteByAttr("g", shards),
-		func([]event.Event) {})
+		consistency.Middle(), RouteByAttr("g", shards), discard{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func TestShardedHandoffAllocFree(t *testing.T) {
 	sh.push(cti)
 
 	allocs := testing.AllocsPerRun(100, func() {
-		feed(shards * burst)
+		feed(4 * burst)
 		sh.push(cti)
 	})
 	sh.finish()
@@ -152,11 +159,55 @@ func TestShardedHandoffAllocFree(t *testing.T) {
 	}
 }
 
+// discard is a shardSink that keeps nothing.
+type discard struct{}
+
+func (discard) deliverMerged([]event.Event) {}
+func (discard) quarantine(error)            {}
+
+// TestPrivateChainsStartNoGoroutines: a one-shard chain runs inline, so
+// registering, feeding and closing a thousand private chains leaves the
+// goroutine count where it was at every step.
+func TestPrivateChainsStartNoGoroutines(t *testing.T) {
+	defer leakcheck.Check(t)()
+	before := runtime.NumGoroutine()
+	e := New()
+	for i := 0; i < 1000; i++ {
+		q, err := e.RegisterText(`EVENT Out WHEN ANY(E e)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Shards() != 1 {
+			t.Fatalf("private chain runs %d shards, want 1", q.Shards())
+		}
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("1,000 one-shard registrations: %d goroutines, %d before", n, before)
+	}
+	for i := 0; i < 10; i++ {
+		ev := event.NewInsert(event.ID(i+1), "E", temporal.Time(i), temporal.Time(i+5), nil)
+		ev.C = temporal.From(temporal.Time(i))
+		e.Push(ev)
+	}
+	e.Finish()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("after push and finish: %d goroutines, %d before", n, before)
+	}
+	for _, q := range e.Queries() {
+		if len(q.Results()) == 0 {
+			t.Fatalf("%s: no output", q.Name())
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardedMultiCoreSmoke runs the full sharded query path with
 // GOMAXPROCS raised above one so router, workers, and merger execute
 // truly concurrently (and under -race in CI's fault-injection job), then
-// checks the merged output is byte-identical to the single-shard oracle
-// and every goroutine drains.
+// checks the merged output is byte-identical to the plain monitor cascade
+// (runPlainPlan) and every goroutine drains.
 func TestShardedMultiCoreSmoke(t *testing.T) {
 	defer leakcheck.Check(t)()
 	prev := runtime.GOMAXPROCS(4)
@@ -175,6 +226,6 @@ func TestShardedMultiCoreSmoke(t *testing.T) {
 	if q.Err() != nil {
 		t.Fatal(q.Err())
 	}
-	oracle := run(t, monitorQuery, in)
-	compareStreams(t, "multi-core smoke", q.Results(), oracle.Results())
+	want, _ := runPlainPlan(t, q.Plan(), in)
+	compareStreams(t, "multi-core smoke", q.Results(), want)
 }

@@ -82,6 +82,47 @@ func runPlainOp(mk func() operators.Op, spec consistency.Spec, in stream.Stream,
 	return out, m.Metrics()
 }
 
+// runPlainPlan is the plan-level reference, independent of the shard
+// runtime: fresh instances of the plan's stages, one monitor each, driven
+// by the plain Push/Finish cascade — every stage's output fed through the
+// remaining stages in order, and on finish each stage's flush cascaded
+// through the stages after it.
+func runPlainPlan(t *testing.T, p *plan.Plan, in stream.Stream) (stream.Stream, []consistency.Metrics) {
+	t.Helper()
+	fp, err := p.Fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := make([]*consistency.Monitor, len(fp.Stages))
+	for i, op := range fp.Stages {
+		ms[i] = consistency.NewMonitor(op, fp.Spec)
+	}
+	// through pushes batch through stages from on and returns what the
+	// last one emits.
+	through := func(from int, batch []event.Event) []event.Event {
+		for _, m := range ms[from:] {
+			var next []event.Event
+			for _, e := range batch {
+				next = append(next, m.Push(0, e)...)
+			}
+			batch = next
+		}
+		return batch
+	}
+	var out stream.Stream
+	for _, e := range in {
+		out = append(out, through(0, []event.Event{e})...)
+	}
+	for i, m := range ms {
+		out = append(out, through(i+1, m.Finish())...)
+	}
+	met := make([]consistency.Metrics, len(ms))
+	for i, m := range ms {
+		met[i] = m.Metrics()
+	}
+	return out, met
+}
+
 // shardBurstGrid is the router burst-size sweep the differential grids run
 // under: single-item handoff, a bound that straddles run boundaries
 // unevenly, the default, and unbounded (flush only on punctuation and
@@ -92,11 +133,10 @@ var shardBurstGrid = []int{1, 7, DefaultBurst, -1}
 func runShardedOpSwitch(mk func() operators.Op, spec consistency.Spec, n, burst int,
 	route func(event.Event) int, in stream.Stream,
 	switchAt int, switchTo consistency.Spec) (stream.Stream, consistency.Metrics) {
-	var out stream.Stream
-	sh, err := newSharded(n, burst,
+	var c collector
+	sh, err := newSharded("test", n, burst,
 		func(int) ([]operators.Op, error) { return []operators.Op{mk()}, nil },
-		spec, route,
-		func(items []event.Event) { out = append(out, items...) })
+		spec, route, &c)
 	if err != nil {
 		panic(err)
 	}
@@ -108,7 +148,7 @@ func runShardedOpSwitch(mk func() operators.Op, spec consistency.Spec, n, burst 
 	}
 	sh.finish()
 	met := sh.metrics()[0]
-	return out, met
+	return c.out, met
 }
 
 func compareStreams(t *testing.T, label string, got, want stream.Stream) {
@@ -239,9 +279,12 @@ func TestShardedBurstGridEquivalence(t *testing.T) {
 	}
 }
 
-// Compiled plans (pattern head, stateless tail) through the engine: sharded
-// queries must reproduce the single-shard Results stream exactly, and the
-// partitioned metric counters must sum to the single-shard values.
+// Compiled plans (pattern head, stateless tail) through the engine: at
+// every shard count the query must reproduce the plain monitor cascade's
+// output exactly (runPlainPlan, which shares no code with the shard
+// runtime). With one shard every metric matches; with more the partitioned
+// counters must sum to the plain values and the head stage's state axes
+// must match (downstream MaxState may under-read, see Query.Metrics).
 func TestShardedPlanEquivalence(t *testing.T) {
 	defer leakcheck.Check(t)()
 	queries := []struct {
@@ -264,13 +307,12 @@ OUTPUT x.Machine_Id AS machine`},
 				} else {
 					delivered = delivery.Deliver(events, delivery.Ordered(10*temporal.Minute))
 				}
-				ref := run(t, qc.src, delivered, plan.WithSpec(spec))
-				if ref.Shards() != 1 {
-					t.Fatalf("reference unexpectedly sharded")
+				p, err := plan.Compile(qc.src, plan.WithSpec(spec))
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := ref.Results()
-				wantMet := ref.Metrics()
-				for _, n := range []int{2, 4, 8} {
+				want, wantMet := runPlainPlan(t, p, delivered)
+				for _, n := range []int{1, 2, 4, 8} {
 					label := fmt.Sprintf("%s %s disordered=%v shards=%d", qc.name, spec.Name(), disordered, n)
 					q := run(t, qc.src, delivered, plan.WithSpec(spec), plan.WithShards(n))
 					if q.Shards() != n {
@@ -283,38 +325,16 @@ OUTPUT x.Machine_Id AS machine`},
 					}
 					for j := range gotMet {
 						g, w := gotMet[j], wantMet[j]
-						if g.InputEvents != w.InputEvents || g.InputCTIs != w.InputCTIs ||
-							g.OutputInserts != w.OutputInserts || g.OutputRetractions != w.OutputRetractions ||
-							g.OutputCTIs != w.OutputCTIs || g.Compensations != w.Compensations ||
-							g.Dropped != w.Dropped || g.Violations != w.Violations {
-							t.Fatalf("%s: stage %d counters diverge\n got: %+v\nwant: %+v", label, j, g, w)
+						if n > 1 && j > 0 {
+							g.MaxState = w.MaxState
+						}
+						if g != w {
+							t.Fatalf("%s: stage %d metrics diverge\n got: %+v\nwant: %+v", label, j, g, w)
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// RunPipelined on a sharded query streams through the shard pipeline and
-// must reproduce the single-shard result exactly, for random shard counts.
-func TestShardedRunPipelined(t *testing.T) {
-	defer leakcheck.Check(t)()
-	events, _ := workload.MachineEvents(workload.DefaultMachines())
-	delivered := delivery.Deliver(events,
-		delivery.Disordered(3, 10*temporal.Minute, 2*temporal.Minute, 0.2))
-	ref := run(t, monitorQuery, delivered)
-	want := ref.Results()
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 4; trial++ {
-		n := 1 + rng.Intn(8)
-		e := New()
-		q, err := e.RegisterText(monitorQuery, plan.WithShards(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := q.RunPipelined(delivered, 16)
-		compareStreams(t, fmt.Sprintf("pipelined shards=%d", n), got, want)
 	}
 }
 

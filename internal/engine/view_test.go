@@ -43,15 +43,8 @@ func record(q *Query) *recorder {
 // one that panics on its nth Process call. Call before any push.
 func armOperatorPanic(t *testing.T, q *Query, after int) {
 	t.Helper()
-	arm := func(ms []*consistency.Monitor) {
-		ms[0] = consistency.NewMonitor(faultinject.NewPanicOp(mustStages(t)[0], after), q.ch.plan.Spec)
-	}
-	if q.ch.sh == nil {
-		arm(q.ch.monitors)
-		return
-	}
-	for _, w := range q.ch.sh.workers {
-		arm(w.monitors)
+	for i := range q.ch.sh.workers {
+		q.ch.sh.workers[i].monitors[0] = consistency.NewMonitor(faultinject.NewPanicOp(mustStages(t)[0], after), q.ch.plan.Spec)
 	}
 }
 
