@@ -34,6 +34,43 @@ func TestAllocsRegisterPrivateChain(t *testing.T) {
 	}
 }
 
+// TestAllocsRegisterShared pins what a registration that attaches to a
+// running chain costs: the prepared plan, its two rewrites objects (the
+// slice and the pushdown's name), its sharing identity and the Query. No
+// operator is built: a matcher tree alone is dozens of objects, and
+// registering through plan.Compile cost 46 and 58. A template instance adds
+// the option's copy of its bindings map (two objects) and their rendered
+// identity. The chain count must not move. (Skipped under -race.)
+func TestAllocsRegisterShared(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		src     string
+		opts    []plan.Option
+		ceiling float64
+	}{
+		{"plain", monitorQuery, []plan.Option{plan.WithSharing()}, 5},
+		{"template", keyedTemplate, []plan.Option{bindM("m042"), plan.WithSharing()}, 8},
+	} {
+		e := New()
+		if _, err := e.RegisterText(c.src, c.opts...); err != nil {
+			t.Fatal(err)
+		}
+		chains := len(e.chainsSnapshot())
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := e.RegisterText(c.src, c.opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("shared %s RegisterText: measured %.0f allocs (ceiling %.0f)", c.name, allocs, c.ceiling)
+		if allocs > c.ceiling {
+			t.Errorf("shared %s RegisterText allocates %.0f, above the pinned ceiling %.0f", c.name, allocs, c.ceiling)
+		}
+		if got := len(e.chainsSnapshot()); got != chains {
+			t.Errorf("shared %s registrations built chains: %d → %d", c.name, chains, got)
+		}
+	}
+}
+
 // TestAllocsOneShardPush pins the one-shard runtime's steady-state push at
 // no more heap objects than the same items cost pushed straight into a
 // bare monitor — what the runtime runs at n = 1, without the router,

@@ -74,7 +74,7 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 			Share:    rec.Opts.Share,
 			Bindings: rec.Opts.Bindings,
 		}
-		p, err := plan.Compile(d.Src, d.Options()...)
+		p, err := plan.Prepare(d.Src, d.Options()...)
 		if err != nil {
 			return fmt.Errorf("engine: restore: recompile %q: %w", d.Src, err)
 		}

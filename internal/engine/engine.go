@@ -106,7 +106,8 @@ func New(opts ...Option) *Engine {
 // A plan that requests shards (plan.WithShards, or the engine default) and
 // passes partitionability analysis runs key-partitioned on that many
 // shards (shard.go); all other plans run on the same runtime with one
-// shard. The plan must have at least one stage.
+// shard. The plan must have at least one stage, or come from plan.Prepare:
+// its operators are then built only if it gets a chain of its own.
 func (e *Engine) Register(p *plan.Plan) *Query {
 	// Durable engines log the registration ahead of installing it, so a
 	// recovered engine re-creates the query at the same position in the
@@ -169,8 +170,14 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 
 // buildChain constructs the executing pipeline for a plan: the shard
 // runtime with the requested number of shards when the plan partitions,
-// with one shard otherwise.
+// with one shard otherwise. A prepared plan (plan.Prepare) gets its
+// operators here, the only place a registration builds any.
 func (e *Engine) buildChain(p *plan.Plan) *chain {
+	if p.Stages == nil {
+		if fp, err := p.Fresh(); err == nil {
+			p.Stages = fp.Stages
+		}
+	}
 	ch := &chain{name: p.Name, plan: p, eng: e}
 	n := p.Shards
 	if n == 0 {
@@ -191,7 +198,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 	}
 	// On error (hand-built plan that cannot be re-instantiated) fall back
 	// to one shard.
-	if n <= 1 || !p.Part.OK() || ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, routeForPlan(p.Part, n), ch) != nil {
+	if n <= 1 || !p.Part.OK() || ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, RouteByAttr(p.Part.Attr, n), ch) != nil {
 		if err := ch.sh.start(p.Name, 1, DefaultBurst, stagesFor, p.Spec, nil, ch); err != nil {
 			panic(err) // a plan without stages
 		}
@@ -199,13 +206,14 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 	return ch
 }
 
-// RegisterText compiles CEDR query text and registers it. Compilation is
-// cached by source text (plan.Compile), so re-registering the same query —
-// on this engine or another — skips parsing and semantic analysis; with
-// plan.WithSharing it also skips execution (the registrations share one
-// chain).
+// RegisterText compiles CEDR query text and registers it. The semantic
+// analysis is cached by source text and bindings (plan.Prepare), so
+// re-registering the same query — on this engine or another — skips
+// parsing and analysis. Operators are built only with a new chain: with
+// plan.WithSharing a registration whose sharing identity matches a running
+// chain builds none and executes nothing of its own — it attaches.
 func (e *Engine) RegisterText(src string, opts ...plan.Option) (*Query, error) {
-	p, err := plan.Compile(src, opts...)
+	p, err := plan.Prepare(src, opts...)
 	if err != nil {
 		return nil, err
 	}

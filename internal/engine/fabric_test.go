@@ -19,6 +19,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/leakcheck"
 	"repro/internal/plan"
+	"repro/internal/temporal"
 	"repro/internal/wal"
 )
 
@@ -287,6 +288,54 @@ func TestFabricTemplateInstanceIdentity(t *testing.T) {
 	}
 	if _, err := e.RegisterText(keyedTemplate, plan.WithSharing()); err == nil {
 		t.Error("unbound template parameter accepted")
+	}
+}
+
+// TestFabricCollidingBindingsSeparate: two binding sets whose values spell
+// out each other's boundaries — rendered as `name=type:value` joined by
+// `;`, both read "a=string:m1;b=string:z;b=string:q" — are two identities.
+// Each registration gets its own chain and detects only its own machine's
+// alert; attaching the second to the first's chain would hand it the other
+// binding's output.
+func TestFabricCollidingBindingsSeparate(t *testing.T) {
+	const tmpl = `
+EVENT Shutdown
+WHEN SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours)
+WHERE CorrelationKey(Machine_Id, EQUAL) AND [Machine_Id Equal $a] AND {y.Reason = $b}
+`
+	sets := []map[string]event.Value{
+		{"a": "m1;b=string:z", "b": "q"},
+		{"a": "m1", "b": "z;b=string:q"},
+	}
+	e := New(WithRouting())
+	var qs []*Query
+	for _, b := range sets {
+		q, err := e.RegisterText(tmpl, plan.WithBindings(b), plan.WithSharing())
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	if qs[0].ch == qs[1].ch {
+		t.Fatal("colliding binding sets share one chain")
+	}
+	for i, b := range sets {
+		m := event.Payload{"Machine_Id": b["a"]}
+		e.Push(event.NewInsert(event.ID(2*i+1), "INSTALL", temporal.Time(10*i+1), temporal.Infinity, m))
+		e.Push(event.NewInsert(event.ID(2*i+2), "SHUTDOWN", temporal.Time(10*i+2), temporal.Infinity,
+			event.Payload{"Machine_Id": b["a"], "Reason": b["b"]}))
+	}
+	e.Finish()
+	for i, q := range qs {
+		var got []event.Value
+		for _, ev := range q.Results().Events() {
+			if ev.Kind == event.Insert {
+				got = append(got, ev.Payload["x.Machine_Id"])
+			}
+		}
+		if len(got) != 1 || got[0] != sets[i]["a"] {
+			t.Errorf("binding set %d detected machines %q, want only %q", i, got, sets[i]["a"])
+		}
 	}
 }
 

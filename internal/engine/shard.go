@@ -43,7 +43,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/operators"
 	"repro/internal/ordkey"
-	"repro/internal/plan"
 	"repro/internal/stream"
 	"repro/internal/temporal"
 )
@@ -738,18 +737,6 @@ func RouteByAttr(attr string, shards int) func(event.Event) int {
 func RouteByID(shards int) func(event.Event) int {
 	return func(ev event.Event) int {
 		return int(uint64(event.Pair(ev.ID)) % uint64(shards))
-	}
-}
-
-// routeForPlan builds the router a plan's partition verdict calls for.
-func routeForPlan(part plan.Partition, shards int) func(event.Event) int {
-	switch part.Mode {
-	case plan.PartitionByAttr:
-		return RouteByAttr(part.Attr, shards)
-	case plan.PartitionByID:
-		return RouteByID(shards)
-	default:
-		return nil
 	}
 }
 

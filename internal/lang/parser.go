@@ -256,6 +256,9 @@ func (p *parser) parseOpNode(op string) (PatternNode, error) {
 
 // parseDuration parses "12 hours", "5 minutes", "300" etc.
 func (p *parser) parseDuration() (temporal.Duration, error) {
+	if p.cur().kind != tokNumber {
+		return 0, p.errf("expected duration")
+	}
 	num := p.next().text
 	if p.cur().kind == tokIdent && !clauseKeywords[strings.ToUpper(p.cur().text)] {
 		unit := p.next().text

@@ -9,10 +9,8 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/algebra/inc"
 	"repro/internal/consistency"
 	"repro/internal/lang"
-	"repro/internal/operators"
 )
 
 // PartitionMode classifies how a plan's input routes across shards.
@@ -25,9 +23,6 @@ const (
 	// PartitionByAttr: events route by a payload attribute. Every event fed
 	// to the query (retractions included) must carry the attribute.
 	PartitionByAttr
-	// PartitionByID: state and output decompose per fact, so events route
-	// by their event ID (retractions share their insert's ID and follow it).
-	PartitionByID
 )
 
 // Partition is the analysis result attached to a Plan.
@@ -44,15 +39,12 @@ func (p Partition) OK() bool { return p.Mode != PartitionNone }
 
 // String renders the verdict for Explain.
 func (p Partition) String() string {
-	switch p.Mode {
-	case PartitionByAttr:
+	switch {
+	case p.Mode == PartitionByAttr:
 		return "by-attr(" + p.Attr + ")"
-	case PartitionByID:
-		return "by-id"
+	case p.Why == "":
+		return "none"
 	default:
-		if p.Why == "" {
-			return "none"
-		}
 		return "none (" + p.Why + ")"
 	}
 }
@@ -61,61 +53,45 @@ func partitionNone(why string, args ...any) Partition {
 	return Partition{Mode: PartitionNone, Why: fmt.Sprintf(why, args...)}
 }
 
-// partitionOf decides the plan's partitionability.
+// partitionOf decides the partitionability of the plan an compiles to at
+// spec, from the analysis alone: a compiled plan is always the matcher tree
+// (single-port, keyed by the analysis's verdict) followed by stateless
+// Slice and Project stages.
 //
 // Requirements, and why they guarantee byte-identical sharded output:
 //
-//   - Every stage after the head must be stateless: their outputs are a
+//   - Every stage after the head is stateless: their outputs are a
 //     per-event function of the head stage's output, which the head's key
 //     partition already routes consistently.
 //   - Bounded-memory levels (weak, interior M) need a single stage: a
 //     downstream monitor's forgetting horizon tracks the frontier of the
 //     head's output stream, which one shard only observes for its own keys.
-//   - The head operator must decompose by key: grouped aggregation by its
-//     group, pattern evaluation by an EQUAL correlation key (which confines
-//     every detection — negation sites included — to one key), per-fact
-//     operators (stateless, AlterLifetime) by event ID.
+//   - The pattern must decompose by an EQUAL correlation key, which confines
+//     every detection — negation sites included — to one key.
 //   - first/last instance selection picks one instance per detection
 //     instant across all keys, so it couples keys and forces PartitionNone.
-func partitionOf(an *lang.Analysis, p *Plan) Partition {
-	for i, st := range p.Stages[1:] {
-		if _, ok := st.(operators.Stateless); !ok {
-			return partitionNone("downstream stage %d (%s) is stateful", i+1, st.Name())
-		}
+func partitionOf(an *lang.Analysis, spec consistency.Spec) Partition {
+	stages := 1
+	if an.Slice != nil {
+		stages++
 	}
-	if p.Spec.M != consistency.Unbounded && len(p.Stages) > 1 {
-		return partitionNone("bounded memory (M=%d) across %d stages", int64(p.Spec.M), len(p.Stages))
+	if an.OutputMap != nil {
+		stages++
 	}
-	head := p.Stages[0]
-	if head.Arity() != 1 {
-		return partitionNone("multi-port head operator %s", head.Name())
+	if spec.M != consistency.Unbounded && stages > 1 {
+		return partitionNone("bounded memory (M=%d) across %d stages", int64(spec.M), stages)
 	}
-	switch op := head.(type) {
-	case *operators.Aggregate:
-		if op.GroupBy == "" {
-			return partitionNone("global (ungrouped) aggregate")
-		}
-		return Partition{Mode: PartitionByAttr, Attr: op.GroupBy}
-	case *inc.Op:
-		if an == nil || an.PartitionAttr == "" {
-			return partitionNone("no CorrelationKey(attr, EQUAL) clause")
-		}
-		if an.DupPositiveAlias {
-			// Combine prime-renames colliding payload keys ("x.m" → "x.m'"),
-			// which the correlation filter never inspects — detections can
-			// mix keys, so state does not decompose by the attribute.
-			return partitionNone("duplicate positive alias: payload collisions escape CorrelationKey(%s)", an.PartitionAttr)
-		}
-		if an.Mode.Sel != algebra.SelectEach {
-			return partitionNone("first/last instance selection couples keys")
-		}
-		return Partition{Mode: PartitionByAttr, Attr: an.PartitionAttr}
-	case *operators.AlterLifetime:
-		return Partition{Mode: PartitionByID}
-	default:
-		if _, ok := head.(operators.Stateless); ok {
-			return Partition{Mode: PartitionByID}
-		}
-		return partitionNone("head operator %s is not key-decomposable", head.Name())
+	if an.PartitionAttr == "" {
+		return partitionNone("no CorrelationKey(attr, EQUAL) clause")
 	}
+	if an.DupPositiveAlias {
+		// Combine prime-renames colliding payload keys ("x.m" → "x.m'"),
+		// which the correlation filter never inspects — detections can
+		// mix keys, so state does not decompose by the attribute.
+		return partitionNone("duplicate positive alias: payload collisions escape CorrelationKey(%s)", an.PartitionAttr)
+	}
+	if an.Mode.Sel != algebra.SelectEach {
+		return partitionNone("first/last instance selection couples keys")
+	}
+	return Partition{Mode: PartitionByAttr, Attr: an.PartitionAttr}
 }

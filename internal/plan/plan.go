@@ -4,11 +4,19 @@
 // logical-to-physical rewrites the paper attributes to the optimizer:
 // correlation-key pushdown into the incremental matcher tree and
 // stateless-stage reordering.
+//
+// Compile is Prepare, which resolves everything that identifies a plan —
+// spec, routing metadata, rewrites, partition verdict, sharing identity —
+// from the cached analysis without building an operator, then
+// instantiation of its Stages. The engine prepares a registration and
+// instantiates only a chain it builds: attaching to a running one builds
+// none.
 package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -24,7 +32,8 @@ import (
 // consumes the input stream; each later stage consumes the previous
 // monitor's output.
 type Plan struct {
-	Name   string
+	Name string
+	// Stages is the operator chain; nil on a plan from Prepare.
 	Stages []operators.Op
 	Spec   consistency.Spec
 	// Src is the CEDR query text the plan was compiled from ("" for plans
@@ -73,6 +82,7 @@ type config struct {
 	shards   int
 	share    bool
 	bindings map[string]event.Value
+	bkey     string // bindings rendered once (canonBindings): cache key and ShareKey
 }
 
 // WithSpec overrides the query's consistency clause.
@@ -124,65 +134,62 @@ func WithBindings(bindings map[string]event.Value) Option {
 	}
 }
 
-// FromAnalysis compiles an analyzed query. The analysis is treated as
-// immutable and may be shared (the compile cache and per-shard plan
-// instantiation both rely on this); every call builds fresh operator
-// instances.
-func FromAnalysis(an *lang.Analysis, opts ...Option) (*Plan, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return fromAnalysis(an, cfg)
-}
-
-func fromAnalysis(an *lang.Analysis, cfg config) (*Plan, error) {
-	p := &Plan{
-		Name:         an.Query.Name,
-		an:           an,
-		cfg:          cfg,
-		Shards:       cfg.shards,
-		Share:        cfg.share,
-		Bindings:     cfg.bindings,
-		RouteTypes:   an.InputTypes,
-		RouteKeyAttr: an.RouteKeyAttr,
-		RouteKeyVal:  an.RouteKeyVal,
-	}
-
-	// Pattern stage: every pattern query runs on the incremental matcher
-	// tree (internal/algebra/inc), which covers the full §3.3 grammar with
-	// delta propagation instead of per-event re-derivation.
+// prepare fills in everything of p but Src and Stages from an and p's
+// options.
+func (p *Plan) prepare(an *lang.Analysis) error {
+	// Every pattern query runs on the incremental matcher tree
+	// (internal/algebra/inc), which covers the full §3.3 grammar.
 	if !inc.Supported(an.Expr) {
-		return nil, fmt.Errorf("plan: %s: pattern expression %T is outside the incremental matcher's grammar", an.Query.Name, an.Expr)
+		return fmt.Errorf("plan: %s: pattern expression %T is outside the incremental matcher's grammar", an.Query.Name, an.Expr)
 	}
 	// Correlation-key pushdown: when the analysis proved an equality
 	// attribute (CorrelationKey EQUAL or a spanning pairwise-equality
 	// conjunction — see lang.Analysis.PushKeyAttr), the matcher tree keys
 	// its join and negation stores by it; predicates outside that proof
 	// remain in the residual filterNode unchanged.
+	rewrites := make([]string, 0, 3)
+	if an.PushKeyAttr != "" {
+		rewrites = append(rewrites, "correlation-pushdown("+an.PushKeyAttr+")")
+	}
+	rewrites = append(rewrites, "incremental-pattern")
+	if an.Slice != nil && an.OutputMap != nil {
+		rewrites = append(rewrites, "slice-pushdown")
+	}
+	cfg := p.cfg
+	spec := resolveSpec(an, cfg)
+	*p = Plan{
+		Name:         an.Query.Name,
+		an:           an,
+		cfg:          cfg,
+		Spec:         spec,
+		Rewrites:     rewrites,
+		Shards:       cfg.shards,
+		Part:         partitionOf(an, spec),
+		Share:        cfg.share,
+		Bindings:     cfg.bindings,
+		RouteTypes:   an.InputTypes,
+		RouteKeyAttr: an.RouteKeyAttr,
+		RouteKeyVal:  an.RouteKeyVal,
+	}
+	return nil
+}
+
+// stagesOf instantiates a prepared analysis's operator chain: the matcher
+// tree, then slice before projection — both are stateless, and slicing
+// first discards events the projection would otherwise transform.
+func stagesOf(an *lang.Analysis) []operators.Op {
 	var opOpts []inc.OpOption
 	if an.PushKeyAttr != "" {
 		opOpts = append(opOpts, inc.WithJoinKey(an.PushKeyAttr))
-		p.Rewrites = append(p.Rewrites, "correlation-pushdown("+an.PushKeyAttr+")")
 	}
-	p.Stages = append(p.Stages, inc.NewOp(an.Expr, an.Mode, an.Query.Name, opOpts...))
-	p.Rewrites = append(p.Rewrites, "incremental-pattern")
-
-	// Slice before projection: both are stateless, and slicing first
-	// discards events the projection would otherwise transform.
+	stages := []operators.Op{inc.NewOp(an.Expr, an.Mode, an.Query.Name, opOpts...)}
 	if an.Slice != nil {
-		p.Stages = append(p.Stages, operators.NewSlice(*an.Slice))
-		if an.OutputMap != nil {
-			p.Rewrites = append(p.Rewrites, "slice-pushdown")
-		}
+		stages = append(stages, operators.NewSlice(*an.Slice))
 	}
 	if an.OutputMap != nil {
-		p.Stages = append(p.Stages, operators.NewProject(operators.Mapper(an.OutputMap)))
+		stages = append(stages, operators.NewProject(operators.Mapper(an.OutputMap)))
 	}
-
-	p.Spec = resolveSpec(an, cfg)
-	p.Part = partitionOf(an, p)
-	return p, nil
+	return stages
 }
 
 // Durable is the serializable projection of a plan's construction: the
@@ -246,30 +253,54 @@ func (p *Plan) ShareKey() (string, bool) {
 	if p.Src == "" || p.an == nil {
 		return "", false
 	}
-	c := p.cfg
-	return fmt.Sprintf("%s\x1f%d,%d\x1f%d\x1f%s",
-		p.Src, p.Spec.B, p.Spec.M, c.shards, canonBindings(c.bindings)), true
+	var buf [64]byte
+	k := strconv.AppendInt(append(buf[:0], '\x1f'), int64(p.Spec.B), 10)
+	k = strconv.AppendInt(append(k, ','), int64(p.Spec.M), 10)
+	k = strconv.AppendInt(append(k, '\x1f'), int64(p.cfg.shards), 10)
+	return p.Src + string(append(k, '\x1f')) + p.cfg.bkey, true
 }
 
-// canonBindings renders bindings deterministically (sorted keys, dynamic
-// type included so int64(1) and "1" stay distinct identities).
+// canonBindings renders bindings injectively: in sorted name order, each
+// name, its value's dynamic type and its text, every piece length-prefixed,
+// so int64(1), float64(1), "1" and true are four identities and no value
+// can forge the boundary of the next binding.
 func canonBindings(b map[string]event.Value) string {
 	if len(b) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(b))
+	names := make([]string, 0, 8)
 	for k := range b {
-		keys = append(keys, k)
+		names = append(names, k)
 	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		fmt.Fprintf(&sb, "%s=%T:%v", k, b[k], b[k])
+	slices.Sort(names)
+	out := make([]byte, 0, 128)
+	for _, k := range names {
+		out = appendValue(appendPiece(out, k), b[k])
 	}
-	return sb.String()
+	return string(out)
+}
+
+func appendPiece[S string | []byte](dst []byte, s S) []byte {
+	return append(append(strconv.AppendInt(dst, int64(len(s)), 10), ':'), s...)
+}
+
+// appendValue appends v's dynamic type and text as two pieces; fmt renders
+// only types outside the payload vocabulary.
+func appendValue(dst []byte, v event.Value) []byte {
+	var scratch [32]byte
+	switch x := v.(type) {
+	case string:
+		return appendPiece(appendPiece(dst, "string"), x)
+	case int:
+		return appendPiece(appendPiece(dst, "int"), strconv.AppendInt(scratch[:0], int64(x), 10))
+	case int64:
+		return appendPiece(appendPiece(dst, "int64"), strconv.AppendInt(scratch[:0], x, 10))
+	case float64:
+		return appendPiece(appendPiece(dst, "float64"), strconv.AppendFloat(scratch[:0], x, 'g', -1, 64))
+	case bool:
+		return appendPiece(appendPiece(dst, "bool"), strconv.AppendBool(scratch[:0], x))
+	}
+	return appendPiece(appendPiece(dst, fmt.Sprintf("%T", v)), fmt.Sprint(v))
 }
 
 // Fresh re-instantiates the plan: a structurally identical plan whose
@@ -277,18 +308,16 @@ func canonBindings(b map[string]event.Value) string {
 // sharded runtime builds one chain per shard this way — operator Clones may
 // share scratch with their original and are only sequentially safe, whereas
 // independently instantiated chains are safe to drive from concurrent
-// shard workers. Hand-built plans (no retained analysis) cannot be
+// shard workers; the engine builds a prepared plan's (Prepare) first chain
+// this way too. Hand-built plans (no retained analysis) cannot be
 // re-instantiated.
 func (p *Plan) Fresh() (*Plan, error) {
 	if p.an == nil {
 		return nil, fmt.Errorf("plan: %s was built directly from operators and cannot be re-instantiated", p.Name)
 	}
-	fp, err := fromAnalysis(p.an, p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	fp.Src = p.Src
-	return fp, nil
+	fp := *p
+	fp.Stages = stagesOf(p.an)
+	return &fp, nil
 }
 
 func resolveSpec(an *lang.Analysis, cfg config) consistency.Spec {
@@ -351,41 +380,54 @@ func (p *Plan) Explain() string {
 
 // The analysis cache: compiling the same query text repeatedly (standing
 // queries re-registered per engine instance, benchmark loops, shard
-// fan-out) skips the lexer/parser/binder and goes straight to operator
-// instantiation, which FromAnalysis performs fresh per call. Analyses are
-// immutable once built, so sharing one across concurrent compilations is
-// safe.
+// fan-out) skips the lexer/parser/binder and goes straight to preparing the
+// plan. Analyses are immutable once built, so sharing one across concurrent
+// compilations is safe.
 var (
 	cacheMu       sync.RWMutex
-	analysisCache = map[string]*lang.Analysis{}
+	analysisCache = map[cacheKey]*lang.Analysis{}
 	templateCache = map[string]*lang.Query{}
 )
+
+// cacheKey is a source text and its rendered bindings ("" for none).
+type cacheKey struct{ src, bindings string }
 
 // analysisCacheCap bounds each cache; pathological workloads that compile
 // unbounded distinct sources (or bindings) reset it rather than growing
 // without bound.
 const analysisCacheCap = 512
 
-// Compile is the front door: CEDR text to executable plan. Results are
-// cached by source text (plus bindings, for template instances): repeated
-// compilations reuse the semantic analysis and only re-instantiate
-// operators, and template instances additionally share one parse of the
-// template text across all bindings.
+// Compile is the front door: CEDR text to executable plan — Prepare, then
+// a fresh operator chain in Stages.
 func Compile(src string, opts ...Option) (*Plan, error) {
-	var cfg config
+	p, err := Prepare(src, opts...)
+	if err != nil {
+		return nil, err
+	}
+	p.Stages = stagesOf(p.an)
+	return p, nil
+}
+
+// Prepare is Compile without the operators: it accepts and refuses exactly
+// what Compile does, and returns the same plan with Stages nil — the
+// sharing identity (ShareKey), spec, rewrites, partition verdict and
+// routing metadata are all resolved, and Fresh builds the operators. The
+// semantic analysis is cached by source text and bindings, so a repeated
+// registration costs no parse, and template instances additionally share
+// one parse of the template text across all bindings.
+func Prepare(src string, opts ...Option) (*Plan, error) {
+	p := new(Plan) // the options write into its config, which would escape on its own
 	for _, o := range opts {
-		o(&cfg)
+		o(&p.cfg)
 	}
-	key := src
-	if len(cfg.bindings) > 0 {
-		key = src + "\x1f" + canonBindings(cfg.bindings)
-	}
+	p.cfg.bkey = canonBindings(p.cfg.bindings)
+	key := cacheKey{src, p.cfg.bkey}
 	cacheMu.RLock()
 	an := analysisCache[key]
 	cacheMu.RUnlock()
 	if an == nil {
 		var err error
-		if an, err = analyze(src, cfg.bindings); err != nil {
+		if an, err = analyze(src, p.cfg.bindings); err != nil {
 			return nil, err
 		}
 		cacheMu.Lock()
@@ -395,8 +437,7 @@ func Compile(src string, opts ...Option) (*Plan, error) {
 		analysisCache[key] = an
 		cacheMu.Unlock()
 	}
-	p, err := fromAnalysis(an, cfg)
-	if err != nil {
+	if err := p.prepare(an); err != nil {
 		return nil, err
 	}
 	p.Src = src

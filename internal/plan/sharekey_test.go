@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/consistency"
@@ -68,6 +70,90 @@ func TestShareKeyIdentity(t *testing.T) {
 	}
 	if b0 == base {
 		t.Error("bound template shares the unbound query's identity")
+	}
+	// The dynamic type is part of the identity: values event.ValueEqual
+	// calls equal still build different chains.
+	typed := map[string]string{}
+	for _, v := range []event.Value{int64(1), int(1), float64(1), "1", true} {
+		k := shareKey(t, shareTmpl, WithBindings(map[string]event.Value{"m": v}))
+		if prev, dup := typed[k]; dup {
+			t.Errorf("%T(%v) shares an identity with %s", v, v, prev)
+		}
+		typed[k] = fmt.Sprintf("%T(%v)", v, v)
+	}
+}
+
+// TestShareKeyCollidingBindings: two binding sets whose values spell out
+// each other's boundaries (both once rendered "a=string:m1;b=string:z;
+// b=string:q") are two identities, and each gets its own analysis — its
+// own route key — from the compile cache.
+func TestShareKeyCollidingBindings(t *testing.T) {
+	const tmpl = `EVENT E WHEN SEQUENCE(A x, B y, 10) WHERE [m Equal $a] AND {y.n = $b}`
+	sets := []map[string]event.Value{
+		{"a": "m1;b=string:z", "b": "q"},
+		{"a": "m1", "b": "z;b=string:q"},
+	}
+	var keys []string
+	for _, b := range sets {
+		p, err := Compile(tmpl, WithBindings(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.RouteKeyAttr != "m" || p.RouteKeyVal != b["a"] {
+			t.Errorf("bindings %v: route key (%s, %v), want (m, %v)", b, p.RouteKeyAttr, p.RouteKeyVal, b["a"])
+		}
+		k, _ := p.ShareKey()
+		keys = append(keys, k)
+	}
+	if keys[0] == keys[1] {
+		t.Error("colliding binding sets share an identity")
+	}
+}
+
+// TestPrepareIsCompileWithoutStages: a prepared plan is the compiled plan
+// minus its operators — same identity, spec, rewrites, verdict and routing
+// metadata — and Fresh builds the compiled plan's stage chain from it.
+func TestPrepareIsCompileWithoutStages(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		opts []Option
+	}{
+		{shareSrc, nil},
+		{shareSrc, []Option{WithSpec(consistency.Strong()), WithShards(4), WithSharing()}},
+		{shareTmpl, []Option{bindings("m007"), WithSharing()}},
+		{`EVENT E WHEN SEQUENCE(A a, B b, 10) WHERE CorrelationKey(m, EQUAL) OUTPUT a.x # [0, 100)`, nil},
+	} {
+		want, err := Compile(c.src, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Prepare(c.src, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Stages != nil {
+			t.Errorf("Prepare built %d stages", len(p.Stages))
+		}
+		fp, err := p.Fresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stageNames := func(q *Plan) (names []string) {
+			for _, s := range q.Stages {
+				names = append(names, fmt.Sprintf("%T %s", s, s.Name()))
+			}
+			return names
+		}
+		if !reflect.DeepEqual(stageNames(fp), stageNames(want)) {
+			t.Errorf("Fresh of a prepared plan built %v, Compile %v", stageNames(fp), stageNames(want))
+		}
+		p.Stages, want.Stages = nil, nil
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("%q: prepared plan\n%+v\nwant the compiled one\n%+v", c.src, p, want)
+		}
+	}
+	if _, err := Prepare(`EVENT broken WHEN`); err == nil {
+		t.Error("Prepare accepted what Compile refuses")
 	}
 }
 

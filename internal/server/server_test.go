@@ -364,8 +364,12 @@ func TestSessionErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if _, err := c.Register("EVENT Broken WHEN", RegOptions{}); err == nil {
-			t.Fatal("register of broken query succeeded")
+		// The second text ends where a duration must follow: the parser
+		// once read past its last token and panicked the whole server.
+		for _, broken := range []string{"EVENT Broken WHEN", "EVENT A WHEN UNLESS(0,"} {
+			if _, err := c.Register(broken, RegOptions{}); err == nil {
+				t.Fatalf("register of broken query %q succeeded", broken)
+			}
 		}
 		// Session must still work.
 		if _, err := c.Register(stuckHot, RegOptions{}); err != nil {
