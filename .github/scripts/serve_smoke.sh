@@ -14,6 +14,8 @@
 #   5. Assert the server's text results are byte-identical to the
 #      in-process run — including the retraction emitted before the
 #      crash — and that the surviving-alert count matches.
+#   6. Assert a /stream subscription replays the same events, in order,
+#      through the subscription egress.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -117,4 +119,31 @@ got_alerts=$(curl -sf "http://$http/v1/queries/$qid/results?format=text&alerts=1
 [ "$got_alerts" = "$expected_alerts" ] \
     || { echo "FAIL: $got_alerts surviving alerts, want $expected_alerts"; exit 1; }
 
-echo "PASS: $(wc -l <"$workdir/server.txt") output events byte-identical across kill -9 + WAL restart; $got_alerts surviving alert(s)"
+echo "== /stream: the same history through the subscription egress"
+# The stream stays open after replaying the history; --max-time ends it
+# (curl exit 28).
+rc=0
+curl -sN --max-time 2 "http://$http/v1/queries/$qid/stream" >"$workdir/stream.ndjson" || rc=$?
+[ "$rc" = 0 ] || [ "$rc" = 28 ] || { echo "FAIL: stream request failed ($rc)"; exit 1; }
+# Tags count 0, 1, 2, ... in line order.
+awk -F'[:,]' '$2 != NR - 1 { exit 1 }' "$workdir/stream.ndjson" \
+    || { echo "FAIL: stream tags out of order"; cat "$workdir/stream.ndjson"; exit 1; }
+# Its data lines, CTIs elided, are the text results' events in order...
+sed -n 's/^{"tag":[0-9]*,"event":{"kind":"\([a-z]*\)","id":\([0-9]*\),"type":"\([^"]*\)".*/\1#\2 \3/p' \
+    "$workdir/stream.ndjson" >"$workdir/stream.ids"
+cut -d' ' -f1,2 "$workdir/server.txt" >"$workdir/text.ids"
+if ! diff -u "$workdir/text.ids" "$workdir/stream.ids"; then
+    echo "FAIL: stream events differ from the text results"
+    exit 1
+fi
+# ...and every line's event, CTIs included, is byte-identical to the JSON
+# results' element at its position.
+sed 's/^{"tag":[0-9]*,"event":\(.*\)}$/\1/' "$workdir/stream.ndjson" >"$workdir/stream.events"
+curl -sf "http://$http/v1/queries/$qid/results" \
+    | sed -e 's/^\[//' -e 's/^ //' -e 's/\]$//' -e 's/,$//' >"$workdir/results.events"
+if ! diff -u "$workdir/results.events" "$workdir/stream.events"; then
+    echo "FAIL: stream events differ from the JSON results"
+    exit 1
+fi
+
+echo "PASS: $(wc -l <"$workdir/server.txt") output events byte-identical across kill -9 + WAL restart, in the results and on /stream; $got_alerts surviving alert(s)"

@@ -142,19 +142,15 @@ type Option interface {
 }
 
 // QueryOption configures one registration (Register). Options: WithSpec,
-// WithShards, WithTemplate, WithoutSharing.
+// WithShards, WithTemplate, WithoutSharing. They fill in the registration
+// record the write-ahead log stores.
 type QueryOption interface {
-	applyQuery(*queryConfig)
+	applyQuery(*wal.RegOpts)
 }
 
 type sysConfig struct {
 	eopts []engine.Option
 	wopts []wal.LogOption
-}
-
-type queryConfig struct {
-	popts []plan.Option
-	share bool
 }
 
 // sysOption and queryOption adapt plain functions to the option
@@ -163,17 +159,17 @@ type sysOption func(*sysConfig)
 
 func (o sysOption) applySys(c *sysConfig) { o(c) }
 
-type queryOption func(*queryConfig)
+type queryOption func(*wal.RegOpts)
 
-func (o queryOption) applyQuery(c *queryConfig) { o(c) }
+func (o queryOption) applyQuery(c *wal.RegOpts) { o(c) }
 
 type dualOption struct {
 	sys func(*sysConfig)
-	qry func(*queryConfig)
+	qry func(*wal.RegOpts)
 }
 
 func (o dualOption) applySys(c *sysConfig)     { o.sys(c) }
-func (o dualOption) applyQuery(c *queryConfig) { o.qry(c) }
+func (o dualOption) applyQuery(c *wal.RegOpts) { o.qry(c) }
 
 // WithShards makes a query whose plan is key-partitionable run as n
 // parallel shards — one goroutine, operator chain and consistency monitor
@@ -192,7 +188,7 @@ func WithShards(n int) interface {
 } {
 	return dualOption{
 		sys: func(c *sysConfig) { c.eopts = append(c.eopts, engine.WithShards(n)) },
-		qry: func(c *queryConfig) { c.popts = append(c.popts, plan.WithShards(n)) },
+		qry: func(c *wal.RegOpts) { c.Shards = n },
 	}
 }
 
@@ -227,7 +223,7 @@ func WithSyncEvery(n int) Option {
 // WithSpec registers the query at an explicit consistency level,
 // overriding any CONSISTENCY clause in its text.
 func WithSpec(spec Spec) QueryOption {
-	return queryOption(func(c *queryConfig) { c.popts = append(c.popts, plan.WithSpec(spec)) })
+	return queryOption(func(c *wal.RegOpts) { c.HasSpec, c.Spec = true, spec })
 }
 
 // WithTemplate registers the query as an instance of a parameterized
@@ -238,7 +234,7 @@ func WithSpec(spec Spec) QueryOption {
 // costs one compilation per template and one execution per distinct
 // binding.
 func WithTemplate(params Payload) QueryOption {
-	return queryOption(func(c *queryConfig) { c.popts = append(c.popts, plan.WithBindings(params)) })
+	return queryOption(func(c *wal.RegOpts) { c.Bindings = params })
 }
 
 // WithoutSharing gives the registration a private execution chain even if
@@ -246,7 +242,7 @@ func WithTemplate(params Payload) QueryOption {
 // be affected by a sibling's SetConsistency, or must observe output from
 // its own registration point with chain-level isolation.
 func WithoutSharing() QueryOption {
-	return queryOption(func(c *queryConfig) { c.share = false })
+	return queryOption(func(c *wal.RegOpts) { c.Share = false })
 }
 
 // New creates an empty, non-durable system: nothing is persisted, and
@@ -307,15 +303,11 @@ func Restore(snapshot io.Reader, walPath string, opts ...Option) (*System, error
 // SetConsistency or Finish issued through any endpoint applies to the whole
 // shared group; WithoutSharing opts a registration out.
 func (s *System) Register(src string, opts ...QueryOption) (*Query, error) {
-	cfg := queryConfig{share: true}
+	ro := wal.RegOpts{Share: true}
 	for _, o := range opts {
-		o.applyQuery(&cfg)
+		o.applyQuery(&ro)
 	}
-	popts := cfg.popts
-	if cfg.share {
-		popts = append(popts, plan.WithSharing())
-	}
-	q, err := s.eng.RegisterText(src, popts...)
+	q, err := s.eng.RegisterText(src, plan.WithRegOpts(ro))
 	if err != nil {
 		return nil, err
 	}
@@ -444,11 +436,14 @@ func (q *Query) Err() error { return q.q.Err() }
 func (q *Query) Subscribe(fn func(Event)) { q.q.Subscribe(fn) }
 
 // SubscribeTagged registers a synchronous callback receiving every output
-// item together with its chain order tag (see Tags). With replay set the
-// callback first receives the query's output so far — no gap or duplication
-// against concurrent delivery. Subscribe's no-call-back rule applies.
-func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) {
-	q.q.SubscribeTagged(replay, fn)
+// item together with its chain order tag (see Tags), until cancel is
+// called. With replay set the callback first receives the query's output
+// so far — no gap or duplication against concurrent delivery. Subscribe's
+// no-call-back rule applies, to cancel too: call it from outside the
+// callback. After cancel returns the callback never runs again; calling it
+// twice, or after Unregister, is a no-op.
+func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) (cancel func()) {
+	return q.q.SubscribeTagged(replay, fn)
 }
 
 // Tags returns the chain output position of each Results item: Tags()[i]

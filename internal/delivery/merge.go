@@ -7,11 +7,11 @@ import (
 	"repro/internal/event"
 )
 
-// Tagged is one output item of a shard pipeline together with its order
+// tagged is one output item of a shard pipeline together with its order
 // tag: an order-preserving byte key (internal/ordkey, produced by the
 // consistency monitor's tagged push path) that places the item in the
 // emission sequence a single un-sharded pipeline would have produced.
-type Tagged struct {
+type tagged struct {
 	Ev  event.Event
 	Tag []byte
 }
@@ -26,39 +26,14 @@ type Tagged struct {
 // A Merger is reusable (scratch is retained across calls) and not safe for
 // concurrent use.
 type Merger struct {
-	scratch []Tagged
+	scratch []tagged
 	perm    []int
 }
 
-// Merge appends the merged interleaving of the per-shard bursts to dst and
-// returns it. Burst slices are read but not retained.
-func (m *Merger) Merge(dst []event.Event, bursts ...[]Tagged) []event.Event {
-	total := 0
-	for _, b := range bursts {
-		total += len(b)
-	}
-	if total == 0 {
-		return dst
-	}
-	if len(bursts) == 1 {
-		// Single shard: tags are already in emission order.
-		for _, t := range bursts[0] {
-			dst = append(dst, t.Ev)
-		}
-		return dst
-	}
-	all := m.scratch[:0]
-	for _, b := range bursts {
-		all = append(all, b...)
-	}
-	return m.mergeAll(dst, all)
-}
-
-// MergeTagged is Merge over the batched handoff representation: per shard,
-// a run of output events with a parallel tag slice (as accumulated by the
-// consistency monitors' *TaggedInto path) instead of a []Tagged. The
-// per-shard slices must cover the same single input item; slices are read
-// but not retained.
+// MergeTagged appends the merged interleaving of one input item's per-shard
+// output to dst and returns it: per shard, a run of output events with a
+// parallel tag slice, as accumulated by the consistency monitors'
+// *TaggedInto path. Slices are read but not retained.
 func (m *Merger) MergeTagged(dst []event.Event, evs [][]event.Event, tags [][][]byte) []event.Event {
 	total := 0
 	for _, sl := range evs {
@@ -74,16 +49,11 @@ func (m *Merger) MergeTagged(dst []event.Event, evs [][]event.Event, tags [][][]
 	for i, sl := range evs {
 		ts := tags[i]
 		for k := range sl {
-			all = append(all, Tagged{Ev: sl[k], Tag: ts[k]})
+			all = append(all, tagged{Ev: sl[k], Tag: ts[k]})
 		}
 	}
-	return m.mergeAll(dst, all)
-}
-
-// mergeAll sorts the concatenated shard outputs by tag (stably, so equal
-// tags keep shard order and each shard's emission order survives), drops
-// sibling shards' redundant punctuation, and appends the result to dst.
-func (m *Merger) mergeAll(dst []event.Event, all []Tagged) []event.Event {
+	// Sort by tag, stably: equal tags keep shard order, and each shard's
+	// emission order survives.
 	perm := m.perm[:0]
 	for i := range all {
 		perm = append(perm, i)

@@ -66,17 +66,9 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 	case wal.KindEvent, wal.KindCTI:
 		e.fanout(rec.Ev)
 	case wal.KindRegister:
-		d := plan.Durable{
-			Src:      rec.Src,
-			HasSpec:  rec.Opts.HasSpec,
-			Spec:     rec.Opts.Spec,
-			Shards:   rec.Opts.Shards,
-			Share:    rec.Opts.Share,
-			Bindings: rec.Opts.Bindings,
-		}
-		p, err := plan.Prepare(d.Src, d.Options()...)
+		p, err := plan.Prepare(rec.Src, plan.WithRegOpts(rec.Opts))
 		if err != nil {
-			return fmt.Errorf("engine: restore: recompile %q: %w", d.Src, err)
+			return fmt.Errorf("engine: restore: recompile %q: %w", rec.Src, err)
 		}
 		e.Register(p)
 	case wal.KindSpec:
@@ -311,11 +303,4 @@ func (e *Engine) shutdownQueries() {
 	for _, ch := range e.chainsSnapshot() {
 		ch.shutdown()
 	}
-}
-
-// drainShards waits until the query's sharded chain has processed and
-// delivered everything enqueued so far; a no-op on single-shard queries,
-// which are synchronous.
-func (q *Query) drainShards() {
-	q.ch.sh.barrier()
 }

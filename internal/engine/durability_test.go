@@ -75,13 +75,7 @@ func redrive(t *testing.T, e *Engine, recs []wal.Record) {
 		case wal.KindEvent, wal.KindCTI:
 			e.Push(rec.Ev)
 		case wal.KindRegister:
-			d := plan.Durable{
-				Src:     rec.Src,
-				HasSpec: rec.Opts.HasSpec,
-				Spec:    rec.Opts.Spec,
-				Shards:  rec.Opts.Shards,
-			}
-			p, err := plan.Compile(d.Src, d.Options()...)
+			p, err := plan.Compile(rec.Src, plan.WithRegOpts(rec.Opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +219,7 @@ func TestSnapshotRestoreRotation(t *testing.T) {
 	if err := e1.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	q1.drainShards() // sharded delivery is asynchronous; settle before reading
+	q1.ch.sh.barrier() // sharded delivery is asynchronous; settle before reading
 	midResults := q1.Results()
 	for _, ev := range in[half:] {
 		e1.Push(ev)

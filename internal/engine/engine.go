@@ -7,18 +7,18 @@
 //
 // Standing-query fabric: registration is split into two layers. A *chain*
 // is one executing operator pipeline (the shard runtime), the one history
-// of its output, and a consistency.Fanout of the endpoints that
-// subscribed; a *Query* is one registered endpoint — a
-// window [from, cut) over its chain's history. Plans compiled with
-// plan.WithSharing that carry the same sharing identity (plan.ShareKey)
-// attach to one shared chain, so N identical registrations cost one
-// execution and one history; each Query still has its own window, Subscribe
-// callbacks, and Err. Lock order: pushMu → Engine.mu → chain.mu.
+// of its output, and the one list of subscriptions to it; a *Query* is one
+// registered endpoint — a window [from, cut) over its chain's history.
+// Plans compiled with plan.WithSharing that carry the same sharing identity
+// (plan.ShareKey) attach to one shared chain, so N identical registrations
+// cost one execution and one history; each Query still has its own window,
+// Subscribe callbacks, and Err. Lock order: pushMu → Engine.mu → chain.mu.
 package engine
 
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"repro/internal/consistency"
@@ -117,15 +117,9 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 	if e.log != nil && !e.replaying {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if d, ok := p.Durable(); ok {
+		if o, ok := p.Durable(); ok {
 			durable = true
-			e.logAppend(wal.Record{Kind: wal.KindRegister, Src: d.Src, Opts: wal.RegOpts{
-				HasSpec:  d.HasSpec,
-				Spec:     d.Spec,
-				Shards:   d.Shards,
-				Share:    d.Share,
-				Bindings: d.Bindings,
-			}})
+			e.logAppend(wal.Record{Kind: wal.KindRegister, Src: p.Src, Opts: o})
 		}
 	}
 
@@ -341,9 +335,10 @@ func (e *Engine) Run(s stream.Stream) {
 // merge reproduces the one-shard emission order — and the single record
 // of what it emitted: history is append-only, never trimmed, and an item's
 // index in it is its chain order tag. Query endpoints are windows over it
-// and only the subscribed ones join fan, so a delivery costs one append
-// plus the subscribers, however many queries share the chain. A private chain has one endpoint for its whole life; a
-// shared chain (key != "") gains and loses them as plans (un)register.
+// and only their subscriptions join subs, so a delivery costs one append
+// plus the subscribers, however many queries share the chain. A private
+// chain has one endpoint for its whole life; a shared chain (key != "")
+// gains and loses them as plans (un)register.
 type chain struct {
 	name string // name of the first registrant, for quarantine errors
 	plan *plan.Plan
@@ -357,11 +352,17 @@ type chain struct {
 	refs    int   // registered endpoints, healthy or quarantined; at 0 the chain is torn down
 	live    int   // endpoints whose window is still open; at 0 the chain stops consuming input
 	history stream.Stream
-	fan     consistency.Fanout // the subscribed endpoints
+	subs    []*subscription // in subscription order
 }
 
-// attach opens q's window at the chain's current position (q joins the
-// fanout only when it subscribes).
+// subscription is one callback of an endpoint on its chain.
+type subscription struct {
+	q  *Query
+	fn func(event.Event, uint64)
+}
+
+// attach opens q's window at the chain's current position (q's callbacks
+// join subs only when it subscribes).
 func (ch *chain) attach(q *Query) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -370,15 +371,14 @@ func (ch *chain) attach(q *Query) {
 	ch.live++
 }
 
-// detach closes q's window, removes its fanout endpoint if it subscribed,
-// and reports whether the chain is now unreferenced (quarantined endpoints
-// count as references until they unregister). Once per query, under e.mu.
+// detach closes q's window, drops its subscriptions, and reports whether
+// the chain is now unreferenced (quarantined endpoints count as references
+// until they unregister). Once per query, under e.mu.
 func (ch *chain) detach(q *Query) bool {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	ch.cutLocked(q)
-	ch.fan.Detach(q.ep) // nil if q never subscribed: ignored
-	q.ep = nil
+	ch.subs = slices.DeleteFunc(ch.subs, func(s *subscription) bool { return s.q == q })
 	ch.refs--
 	return ch.refs == 0
 }
@@ -409,16 +409,52 @@ func (ch *chain) push(ev event.Event) []event.Event {
 }
 
 // deliverLocked records one output batch in the history — which delivers
-// it to every open window — and runs the subscribed endpoints. Caller holds
-// ch.mu. A closed chain discards late output; a chain-quarantined one has
-// stopped emitting (the history up to the failure stays readable).
+// it to every open window — and runs the subscriptions of healthy endpoints.
+// Caller holds ch.mu. A closed chain discards late output; a
+// chain-quarantined one has stopped emitting (the history up to the failure
+// stays readable).
 func (ch *chain) deliverLocked(items []event.Event) {
 	if ch.closed || ch.err != nil || len(items) == 0 {
 		return
 	}
 	first := ch.pos()
 	ch.history = append(ch.history, items...)
-	ch.fan.Deliver(items, first)
+	failed := false
+	for _, s := range ch.subs {
+		if s.q.err == nil && !s.deliver(items, first) {
+			failed = true
+		}
+	}
+	if failed {
+		ch.subs = slices.DeleteFunc(ch.subs, func(s *subscription) bool { return s.q.err != nil })
+	}
+}
+
+// deliver runs the callback over a batch whose first item has chain order
+// tag first, under a recover barrier: a panic quarantines this endpoint
+// alone — its window closes behind the batch in flight, which stays
+// readable, and its other callbacks stop — while siblings still receive the
+// batch. Reports whether the callback returned. Runs under ch.mu.
+func (s *subscription) deliver(items []event.Event, first uint64) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.q.ch.cutLocked(s.q)
+			s.q.err = recoverPanic(s.q.name, "subscriber callback", r)
+		}
+	}()
+	for i, it := range items {
+		s.fn(it, first+uint64(i))
+	}
+	return true
+}
+
+// unsubscribe drops one subscription; a no-op once it is gone.
+func (ch *chain) unsubscribe(s *subscription) {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if i := slices.Index(ch.subs, s); i >= 0 {
+		ch.subs = slices.Delete(ch.subs, i, i+1)
+	}
 }
 
 // deliverMerged is the shard runtime's delivery callback; it runs on the
@@ -477,9 +513,7 @@ type Query struct {
 
 	// Guarded by ch.mu.
 	from, cut uint64 // window over ch.history; cut is openCut while live
-	subs      []func(event.Event, uint64)
-	ep        *consistency.Endpoint // non-nil once subscribed, until detach
-	err       error                 // endpoint quarantine: this query's subscriber panicked
+	err       error  // endpoint quarantine: this query's subscriber panicked
 }
 
 const openCut = ^uint64(0) // the cut of a window that still grows with its chain
@@ -503,27 +537,6 @@ func (q *Query) Err() error {
 // recoverPanic converts a recovered panic value into the quarantine error.
 func recoverPanic(name, where string, r any) error {
 	return fmt.Errorf("engine: query %s quarantined: %s panicked: %v\n%s", name, where, r, debug.Stack())
-}
-
-// endpointDeliver is the query's Fanout callback: it runs the subscriber
-// callbacks over a batch the chain has already recorded, under ch.mu, on
-// the pushing goroutine (one shard) or the merger goroutine (more).
-// A subscriber panic unwinds through the Fanout's recover barrier into
-// endpointFail.
-func (q *Query) endpointDeliver(items []event.Event, firstTag uint64) {
-	for _, fn := range q.subs {
-		for i, it := range items {
-			fn(it, firstTag+uint64(i))
-		}
-	}
-}
-
-// endpointFail quarantines this endpoint alone after its subscriber
-// panicked: the window closes behind the batch in flight, which stays
-// readable; siblings on the chain keep receiving. Runs under ch.mu.
-func (q *Query) endpointFail(r any) {
-	q.ch.cutLocked(q)
-	q.err = recoverPanic(q.name, "subscriber callback", r)
 }
 
 // View returns the query's window of its chain's history without copying,
@@ -568,15 +581,19 @@ func (q *Query) Subscribe(fn func(event.Event)) {
 }
 
 // SubscribeTagged adds a callback invoked for every output item delivered
-// to this endpoint together with the item's chain order tag; the first
-// subscription attaches the endpoint to the chain's fanout. With replay
-// set, the callback first receives the endpoint's window so far, with no
-// gap or duplication against concurrent delivery: the bulk is replayed
-// without holding up the chain, what the chain emitted meanwhile under its
-// lock, atomically with the subscription. A closed window is replayed and
-// receives nothing further. The network server uses this to frame a remote
-// subscriber's stream identically to an in-process one.
-func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) {
+// to this endpoint together with the item's chain order tag, until cancel
+// is called. With replay set, the callback first receives the endpoint's
+// window so far, with no gap or duplication against concurrent delivery:
+// the bulk is replayed without holding up the chain, what the chain emitted
+// meanwhile under its lock, atomically with the subscription. A closed
+// window is replayed and receives nothing further. The network server uses
+// this to frame a remote subscriber's stream identically to an in-process
+// one.
+//
+// After cancel returns the callback never runs again; a second cancel, or
+// one after Unregister, is a no-op. Cancel takes the chain's lock, so call
+// it from outside the chain's callbacks.
+func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) (cancel func()) {
 	ch := q.ch
 	// replayed runs fn over items tagged first, first+1, …; returns the next tag.
 	replayed := func(items stream.Stream, first uint64) uint64 {
@@ -594,10 +611,12 @@ func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) {
 	if replay {
 		replayed(ch.history[next:min(q.cut, ch.pos())], next)
 	}
-	q.subs = append(q.subs, fn)
-	if q.ep == nil && q.cut == openCut {
-		q.ep = ch.fan.Attach(q.endpointDeliver, q.endpointFail)
+	if q.cut != openCut {
+		return func() {}
 	}
+	s := &subscription{q: q, fn: fn}
+	ch.subs = append(ch.subs, s)
+	return func() { ch.unsubscribe(s) }
 }
 
 // Push feeds one physical item through the query's chain. On a shared chain

@@ -362,7 +362,7 @@ func TestFabricUnregisterTeardown(t *testing.T) {
 	for _, ev := range in[:half] {
 		e.Push(ev)
 	}
-	q1.drainShards()
+	q1.ch.sh.barrier()
 	frozen := len(q1.Results())
 	q1.Unregister()
 	for _, ev := range in[half:] {

@@ -312,7 +312,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	for _, ev := range in[:len(in)/2] {
 		e.Push(ev)
 	}
-	q.drainShards()
+	q.ch.sh.barrier()
 	before := len(q.Results())
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,9 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/consistency"
@@ -228,5 +231,146 @@ func TestFanoutWidthCeiling(t *testing.T) {
 	}
 	if live := qs[0].ch.live; live != 998 {
 		t.Errorf("chain counts %d open windows, want 998", live)
+	}
+}
+
+// echoEndpoints registers n endpoints of one shared chain on which every
+// pushed INSTALL is one output item, and returns a pusher of INSTALLs.
+func echoEndpoints(t *testing.T, n int) ([]*Query, func(k int)) {
+	t.Helper()
+	e := New()
+	qs := make([]*Query, n)
+	for i := range qs {
+		q, err := e.RegisterText(`EVENT AnyInstall WHEN ANY(INSTALL i)`, plan.WithSharing())
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+	}
+	id := event.ID(0)
+	return qs, func(k int) {
+		for range k {
+			id++
+			e.Push(event.NewInsert(id, "INSTALL", temporal.Time(id), temporal.Time(id)+1, nil))
+		}
+	}
+}
+
+// TestFanoutOrderTags: every delivered item carries its position in the
+// chain's cumulative output sequence, across batches and subscribers.
+func TestFanoutOrderTags(t *testing.T) {
+	qs, push := echoEndpoints(t, 2)
+	a, b := record(qs[0]), record(qs[1])
+	push(3)
+	push(1)
+	for _, r := range []*recorder{a, b} {
+		if !reflect.DeepEqual(r.tags, []uint64{0, 1, 2, 3}) {
+			t.Fatalf("tags = %v, want 0..3", r.tags)
+		}
+	}
+}
+
+// TestFanoutLateAttach: a callback subscribed mid-stream starts at the
+// chain's position at subscription time, and its stream is the suffix of an
+// earlier sibling's.
+func TestFanoutLateAttach(t *testing.T) {
+	qs, push := echoEndpoints(t, 2)
+	push(1) // nobody subscribed yet
+	early := record(qs[0])
+	push(2)
+	late := record(qs[1])
+	push(2)
+	if !reflect.DeepEqual(early.tags, []uint64{1, 2, 3, 4}) || !reflect.DeepEqual(late.tags, []uint64{3, 4}) {
+		t.Fatalf("early tags %v, late tags %v; want [1 2 3 4] and [3 4]", early.tags, late.tags)
+	}
+	compareStreams(t, "late subscriber", late.items, early.items[2:])
+}
+
+// TestFanoutPanicIsolation: a panicking callback quarantines its endpoint
+// alone — its window closes behind the batch in flight, its other callbacks
+// stop — while a sibling keeps receiving, that batch included.
+func TestFanoutPanicIsolation(t *testing.T) {
+	qs, push := echoEndpoints(t, 2)
+	before := record(qs[0])
+	qs[0].Subscribe(func(event.Event) { panic("boom") })
+	after := record(qs[0])
+	good := record(qs[1])
+	push(2)
+	push(1)
+	if err := qs[0].Err(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("endpoint error = %v, want the recovered panic", err)
+	}
+	if len(before.items) != 1 || len(after.items) != 0 || qs[0].Len() != 1 {
+		t.Errorf("quarantined endpoint: callbacks saw %d and %d items, window holds %d; want 1, 0 and 1",
+			len(before.items), len(after.items), qs[0].Len())
+	}
+	if qs[1].Err() != nil || !reflect.DeepEqual(good.tags, []uint64{0, 1, 2}) {
+		t.Fatalf("sibling disturbed: err %v, tags %v", qs[1].Err(), good.tags)
+	}
+}
+
+// TestSubscriptionCancel: a cancelled callback never runs again while its
+// siblings keep receiving; a second cancel, and a cancel after Unregister,
+// are no-ops; and cancel gives the chain's subscription list back.
+func TestSubscriptionCancel(t *testing.T) {
+	qs, push := echoEndpoints(t, 2)
+	ch := qs[0].ch
+	var gone, kept recorder
+	cancelGone := qs[0].SubscribeTagged(false, gone.add)
+	cancelKept := qs[1].SubscribeTagged(false, kept.add)
+	push(2)
+	cancelGone()
+	push(2)
+	cancelGone()
+	if len(gone.items) != 2 || len(kept.items) != 4 || len(ch.subs) != 1 {
+		t.Fatalf("after cancel: cancelled saw %d, sibling %d, chain holds %d subscriptions; want 2, 4, 1",
+			len(gone.items), len(kept.items), len(ch.subs))
+	}
+	qs[1].Unregister()
+	cancelKept()
+	cancelKept()
+	push(1)
+	if len(kept.items) != 4 || len(ch.subs) != 0 {
+		t.Fatalf("after unregister: %d items, %d subscriptions; want 4, 0", len(kept.items), len(ch.subs))
+	}
+	// A closed window takes no subscription; its cancel is a no-op too.
+	qs[1].SubscribeTagged(true, kept.add)()
+	if len(ch.subs) != 0 {
+		t.Fatalf("a closed window added a subscription")
+	}
+}
+
+// TestSubscriptionCancelRacesDelivery: cancel from one goroutine while
+// another pushes; once cancel returns, the callback never runs again.
+func TestSubscriptionCancelRacesDelivery(t *testing.T) {
+	qs, push := echoEndpoints(t, 1)
+	q := qs[0]
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				push(1)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for range 50 {
+		var calls atomic.Int64
+		cancel := q.SubscribeTagged(false, func(event.Event, uint64) { calls.Add(1) })
+		for at := q.Len(); q.Len() < at+2; {
+			runtime.Gosched()
+		}
+		cancel()
+		n, at := calls.Load(), q.Len()
+		for q.Len() < at+2 { // deliveries after the cancel
+			runtime.Gosched()
+		}
+		if got := calls.Load(); got != n {
+			t.Fatalf("a cancelled callback ran %d more times", got-n)
+		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/operators"
 	"repro/internal/temporal"
+	"repro/internal/wal"
 )
 
 // Plan is an executable query plan: a unary operator chain. Stage 0
@@ -77,17 +78,26 @@ type Plan struct {
 // Option adjusts plan construction.
 type Option func(*config)
 
+// config is the registration record the options fill in, plus its bindings
+// rendered once (canonBindings): the analysis cache key and part of ShareKey.
 type config struct {
-	spec     *consistency.Spec
-	shards   int
-	share    bool
-	bindings map[string]event.Value
-	bkey     string // bindings rendered once (canonBindings): cache key and ShareKey
+	wal.RegOpts
+	bkey string
+}
+
+// WithRegOpts applies a whole registration record: what Durable returns, a
+// replayed log record, or a network request.
+func WithRegOpts(o wal.RegOpts) Option {
+	return func(c *config) {
+		c.RegOpts = o
+		c.Bindings = nil
+		WithBindings(o.Bindings)(c)
+	}
 }
 
 // WithSpec overrides the query's consistency clause.
 func WithSpec(s consistency.Spec) Option {
-	return func(c *config) { c.spec = &s }
+	return func(c *config) { c.HasSpec, c.Spec = true, s }
 }
 
 // AutoShards, passed to WithShards (or the engine's default), asks the
@@ -103,7 +113,7 @@ const AutoShards = -1
 // partitionability analysis fails (Part) run single-shard regardless;
 // Explain shows the verdict.
 func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
+	return func(c *config) { c.Shards = n }
 }
 
 // WithSharing marks the plan shareable: when another registration with the
@@ -114,7 +124,7 @@ func WithShards(n int) Option {
 // accumulated before it (pub/sub semantics). Plans built directly from
 // operators never share.
 func WithSharing() Option {
-	return func(c *config) { c.share = true }
+	return func(c *config) { c.Share = true }
 }
 
 // WithBindings instantiates a query template: every $name placeholder in
@@ -127,9 +137,9 @@ func WithBindings(bindings map[string]event.Value) Option {
 		if len(bindings) == 0 {
 			return
 		}
-		c.bindings = make(map[string]event.Value, len(bindings))
+		c.Bindings = make(map[string]event.Value, len(bindings))
 		for k, v := range bindings {
-			c.bindings[k] = v
+			c.Bindings[k] = v
 		}
 	}
 }
@@ -163,10 +173,10 @@ func (p *Plan) prepare(an *lang.Analysis) error {
 		cfg:          cfg,
 		Spec:         spec,
 		Rewrites:     rewrites,
-		Shards:       cfg.shards,
+		Shards:       cfg.Shards,
 		Part:         partitionOf(an, spec),
-		Share:        cfg.share,
-		Bindings:     cfg.bindings,
+		Share:        cfg.Share,
+		Bindings:     cfg.Bindings,
 		RouteTypes:   an.InputTypes,
 		RouteKeyAttr: an.RouteKeyAttr,
 		RouteKeyVal:  an.RouteKeyVal,
@@ -192,55 +202,15 @@ func stagesOf(an *lang.Analysis) []operators.Op {
 	return stages
 }
 
-// Durable is the serializable projection of a plan's construction: the
-// source text plus every compile option, sufficient to rebuild a
-// structurally identical plan in a fresh process. It is what the engine's
-// durability layer logs for each registration.
-type Durable struct {
-	Src      string
-	HasSpec  bool
-	Spec     consistency.Spec
-	Shards   int
-	Share    bool
-	Bindings map[string]event.Value
-}
-
-// Durable returns the plan's serializable construction, or ok == false for
-// plans built directly from operators (no source text to re-compile).
-func (p *Plan) Durable() (Durable, bool) {
+// Durable returns the registration record that rebuilds the plan in a fresh
+// process — Prepare(p.Src, WithRegOpts(o)) — which is what the engine's
+// durability layer logs for each registration; ok is false for plans built
+// directly from operators (no source text to re-compile).
+func (p *Plan) Durable() (o wal.RegOpts, ok bool) {
 	if p.Src == "" || p.an == nil {
-		return Durable{}, false
+		return wal.RegOpts{}, false
 	}
-	d := Durable{
-		Src:      p.Src,
-		Shards:   p.cfg.shards,
-		Share:    p.cfg.share,
-		Bindings: p.cfg.bindings,
-	}
-	if p.cfg.spec != nil {
-		d.HasSpec = true
-		d.Spec = *p.cfg.spec
-	}
-	return d, true
-}
-
-// Options rebuilds the compile options a Durable records; Compile(d.Src,
-// d.Options()...) reproduces the original plan.
-func (d Durable) Options() []Option {
-	var opts []Option
-	if d.HasSpec {
-		opts = append(opts, WithSpec(d.Spec))
-	}
-	if d.Shards != 0 {
-		opts = append(opts, WithShards(d.Shards))
-	}
-	if d.Share {
-		opts = append(opts, WithSharing())
-	}
-	if len(d.Bindings) > 0 {
-		opts = append(opts, WithBindings(d.Bindings))
-	}
-	return opts
+	return p.cfg.RegOpts, true
 }
 
 // ShareKey is the plan's execution-sharing identity: two registrations
@@ -256,7 +226,7 @@ func (p *Plan) ShareKey() (string, bool) {
 	var buf [64]byte
 	k := strconv.AppendInt(append(buf[:0], '\x1f'), int64(p.Spec.B), 10)
 	k = strconv.AppendInt(append(k, ','), int64(p.Spec.M), 10)
-	k = strconv.AppendInt(append(k, '\x1f'), int64(p.cfg.shards), 10)
+	k = strconv.AppendInt(append(k, '\x1f'), int64(p.cfg.Shards), 10)
 	return p.Src + string(append(k, '\x1f')) + p.cfg.bkey, true
 }
 
@@ -321,8 +291,8 @@ func (p *Plan) Fresh() (*Plan, error) {
 }
 
 func resolveSpec(an *lang.Analysis, cfg config) consistency.Spec {
-	if cfg.spec != nil {
-		return *cfg.spec
+	if cfg.HasSpec {
+		return cfg.Spec
 	}
 	c := an.Query.Consistency
 	if c == nil {
@@ -420,14 +390,14 @@ func Prepare(src string, opts ...Option) (*Plan, error) {
 	for _, o := range opts {
 		o(&p.cfg)
 	}
-	p.cfg.bkey = canonBindings(p.cfg.bindings)
+	p.cfg.bkey = canonBindings(p.cfg.Bindings)
 	key := cacheKey{src, p.cfg.bkey}
 	cacheMu.RLock()
 	an := analysisCache[key]
 	cacheMu.RUnlock()
 	if an == nil {
 		var err error
-		if an, err = analyze(src, p.cfg.bindings); err != nil {
+		if an, err = analyze(src, p.cfg.Bindings); err != nil {
 			return nil, err
 		}
 		cacheMu.Lock()

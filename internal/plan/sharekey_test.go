@@ -201,7 +201,7 @@ func TestTemplateCompileCache(t *testing.T) {
 	if !d.Share || d.Bindings["m"] != "m042" {
 		t.Errorf("durable form lost sharing/bindings: %+v", d)
 	}
-	p3, err := Compile(d.Src, d.Options()...)
+	p3, err := Compile(p1.Src, WithRegOpts(d))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,13 +99,13 @@ func TestAllocsPushDecode(t *testing.T) {
 }
 
 func TestAllocsEgress(t *testing.T) {
-	c := &conn{out: make(chan []byte, 1)}
-	send := c.egress(1)
+	box := newOutbox(1, nil)
+	send := box.egress(wireOutput(1))
 	out := install(1)
 	out.CBT = []event.ID{1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		send(out, 7)
-		<-c.out
+		<-box.ch
 	})
 	const ceiling = 1.0 // the queued copy
 	t.Logf("subscriber egress: %.2f allocs/output frame (ceiling %.0f)", allocs, ceiling)

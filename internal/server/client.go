@@ -201,53 +201,48 @@ func (c *Client) writeLocked(frame []byte, flush bool) error {
 	return nil
 }
 
-// request performs one flushed request/reply exchange.
-func (c *Client) request(t frameType, body []byte) (cframe, error) {
+// request performs one flushed request/reply exchange, returning the body
+// of a reply of type want.
+func (c *Client) request(t frameType, body []byte, want frameType) ([]byte, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	if err := c.Err(); err != nil {
-		return cframe{}, err
+		return nil, err
 	}
 	if err := c.write(endFrame(append(beginFrame(nil, t), body...)), true); err != nil {
-		return cframe{}, err
+		return nil, err
 	}
-	fail := func(f cframe) (cframe, error) {
-		if f.t == fErr {
-			r := &reader{b: f.body}
-			return cframe{}, errors.New(r.str())
-		}
-		return f, nil
-	}
+	var f cframe
 	select {
-	case f := <-c.replies:
-		return fail(f)
+	case f = <-c.replies:
 	case <-c.done:
 		// The server may have answered (typically its fatal err frame)
 		// right before closing; prefer that over a bare EOF.
 		select {
-		case f := <-c.replies:
-			return fail(f)
+		case f = <-c.replies:
 		default:
+			err := c.Err()
+			if err == nil {
+				err = errors.New("server: connection closed")
+			}
+			return nil, err
 		}
-		err := c.Err()
-		if err == nil {
-			err = errors.New("server: connection closed")
-		}
-		return cframe{}, err
 	}
+	switch f.t {
+	case want:
+		return f.body, nil
+	case fErr:
+		r := &reader{b: f.body}
+		return nil, errors.New(r.str())
+	}
+	return nil, fmt.Errorf("server: %v answered %v", t, f.t)
 }
 
 // Open starts a source session named source (required before Push; an
 // empty name lets the server use the remote address).
 func (c *Client) Open(source string) error {
-	f, err := c.request(fOpen, appendStr(nil, source))
-	if err != nil {
-		return err
-	}
-	if f.t != fOK {
-		return fmt.Errorf("server: open answered %v", f.t)
-	}
-	return nil
+	_, err := c.request(fOpen, appendStr(nil, source), fOK)
+	return err
 }
 
 // Push sends one event — insert, retraction, or CTI — without waiting
@@ -271,82 +266,44 @@ func (c *Client) Flush() error { return c.write(nil, true) }
 // Register compiles and installs src on the server with the full option
 // surface, returning the query's wire identity.
 func (c *Client) Register(src string, ro RegOptions) (RemoteQuery, error) {
-	body, err := appendRegister(nil, src, ro)
+	o := wal.RegOpts{Shards: ro.Shards, Share: !ro.NoSharing, Bindings: ro.Bindings}
+	if ro.Spec != nil {
+		o.HasSpec, o.Spec = true, *ro.Spec
+	}
+	body, err := wal.AppendRegister(nil, src, o)
 	if err != nil {
 		return RemoteQuery{}, err
 	}
-	f, err := c.request(fRegister, body)
-	if err != nil {
-		return RemoteQuery{}, err
-	}
-	if f.t != fRegistered {
-		return RemoteQuery{}, fmt.Errorf("server: register answered %v", f.t)
-	}
-	r := &reader{b: f.body}
-	q := RemoteQuery{ID: int(r.u32()), Shards: int(r.u32()), Shared: r.u8() == 1, Name: r.str()}
-	if err := r.done(); err != nil {
-		return RemoteQuery{}, err
-	}
-	return q, nil
+	qi, err := c.info(fRegister, body)
+	return RemoteQuery{ID: qi.ID, Name: qi.Name, Shards: qi.Shards, Shared: qi.Shared}, err
 }
 
-// appendRegister encodes a register frame body (decodeRegister's inverse).
-func appendRegister(body []byte, src string, ro RegOptions) ([]byte, error) {
-	body = appendStr(body, src)
-	var flags byte
-	var b, m int64
-	if ro.Spec != nil {
-		flags |= 1
-		b, m = int64(ro.Spec.B), int64(ro.Spec.M)
+// info performs a request answered by an info frame.
+func (c *Client) info(t frameType, body []byte) (queryInfo, error) {
+	reply, err := c.request(t, body, fInfo)
+	if err != nil {
+		return queryInfo{}, err
 	}
-	if ro.NoSharing {
-		flags |= 2
+	r := &reader{b: reply}
+	qi := r.info()
+	if err := r.done(); err != nil {
+		return queryInfo{}, err
 	}
-	if len(ro.Bindings) > 0 {
-		flags |= 4
-	}
-	body = append(body, flags)
-	body = appendI64(body, b)
-	body = appendI64(body, m)
-	body = appendU32(body, uint32(int32(ro.Shards)))
-	if len(ro.Bindings) > 0 {
-		body = appendU32(body, uint32(len(ro.Bindings)))
-		// Sorted names: a binding set encodes identically across runs.
-		var names [8]string
-		for _, name := range event.SortedNames(names[:0], ro.Bindings) {
-			body = appendStr(body, name)
-			var err error
-			if body, err = wal.AppendValue(body, ro.Bindings[name]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return body, nil
+	return qi, nil
 }
 
 // Subscribe starts streaming query id's output — accumulated history
-// first (replayed atomically server-side), then live — onto Outputs.
+// first (replayed atomically server-side), then live — onto Outputs. The
+// subscription ends with the connection.
 func (c *Client) Subscribe(id int) error {
-	f, err := c.request(fSubscribe, appendU32(nil, uint32(id)))
-	if err != nil {
-		return err
-	}
-	if f.t != fOK {
-		return fmt.Errorf("server: subscribe answered %v", f.t)
-	}
-	return nil
+	_, err := c.request(fSubscribe, appendU32(nil, uint32(id)), fOK)
+	return err
 }
 
 // Unregister removes query id from the server.
 func (c *Client) Unregister(id int) error {
-	f, err := c.request(fUnregister, appendU32(nil, uint32(id)))
-	if err != nil {
-		return err
-	}
-	if f.t != fOK {
-		return fmt.Errorf("server: unregister answered %v", f.t)
-	}
-	return nil
+	_, err := c.request(fUnregister, appendU32(nil, uint32(id)), fOK)
+	return err
 }
 
 // Sync drains the engine and fsyncs the write-ahead log, returning the
@@ -354,14 +311,11 @@ func (c *Client) Unregister(id int) error {
 // and durable.
 func (c *Client) Sync() error {
 	token := c.nextToken()
-	f, err := c.request(fSync, appendU64(nil, token))
+	reply, err := c.request(fSync, appendU64(nil, token), fSynced)
 	if err != nil {
 		return err
 	}
-	if f.t != fSynced {
-		return fmt.Errorf("server: sync answered %v", f.t)
-	}
-	r := &reader{b: f.body}
+	r := &reader{b: reply}
 	got, msg := r.u64(), r.str()
 	if err := r.done(); err != nil {
 		return err
@@ -379,32 +333,15 @@ func (c *Client) Sync() error {
 // histories (blocked strong-consistency output releases, UNLESS
 // negations resolve).
 func (c *Client) Finish() error {
-	f, err := c.request(fFinish, nil)
-	if err != nil {
-		return err
-	}
-	if f.t != fOK {
-		return fmt.Errorf("server: finish answered %v", f.t)
-	}
-	return nil
+	_, err := c.request(fFinish, nil, fOK)
+	return err
 }
 
 // Status reports query id's shard count, result count, and quarantine
 // error.
 func (c *Client) Status(id int) (Status, error) {
-	f, err := c.request(fStatus, appendU32(nil, uint32(id)))
-	if err != nil {
-		return Status{}, err
-	}
-	if f.t != fStatusR {
-		return Status{}, fmt.Errorf("server: status answered %v", f.t)
-	}
-	r := &reader{b: f.body}
-	st := Status{Query: int(r.u32()), Shards: int(r.u32()), Results: r.u64(), Err: r.str()}
-	if err := r.done(); err != nil {
-		return Status{}, err
-	}
-	return st, nil
+	qi, err := c.info(fStatus, appendU32(nil, uint32(id)))
+	return Status{Query: qi.ID, Shards: qi.Shards, Results: uint64(qi.Results), Err: qi.Err}, err
 }
 
 // tokens distinguishes concurrent-session sync replies in logs; the

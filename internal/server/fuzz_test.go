@@ -27,16 +27,18 @@ import (
 // time; both ways, and a fresh reader per frame, must yield the same frames
 // as one reader reusing its buffer; an event body must decode the same
 // through a connection's shared strings, and through a table whose slots
-// all collide, as without one (types and NaN included); and a register body
-// the decoder accepts must survive appendRegister and a second decode
-// unchanged (NaN compared as equal). The committed seeds cover every
-// client→server frame type and run under plain `go test`; CI fuzzes it with
+// all collide, as without one (types and NaN included) — register bodies
+// too; and a register body the decoder accepts must survive
+// wal.AppendRegister and a second decode unchanged (NaN compared as equal):
+// the frame and the log share that one register codec. The committed seeds
+// cover every client→server frame type and run under plain `go test`; CI
+// fuzzes it with
 //
 //	go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 30s ./internal/server
 func FuzzReadFrame(f *testing.F) {
 	spec := cedr.Spec{B: 5, M: 7}
-	reg := func(src string, ro RegOptions) []byte {
-		body, err := appendRegister(nil, src, ro)
+	reg := func(src string, o wal.RegOpts) []byte {
+		body, err := wal.AppendRegister(nil, src, o)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -59,8 +61,8 @@ func FuzzReadFrame(f *testing.F) {
 		push(event.NewCTI(12)),
 		// Larger than the first read's buffer: one at a time, it grows.
 		push(event.NewInsert(2, "HOT", 4, temporal.Infinity, event.Payload{"blob": strings.Repeat("x", 5000)})),
-		reg(stuckHot, RegOptions{}),
-		reg("EVENT T WHEN ANY(HOT h) WHERE [sensor Equal $s]", RegOptions{Spec: &spec, Shards: -1, NoSharing: true,
+		reg(stuckHot, wal.RegOpts{Share: true}),
+		reg("EVENT T WHEN ANY(HOT h) WHERE [sensor Equal $s]", wal.RegOpts{HasSpec: true, Spec: spec, Shards: -1,
 			Bindings: event.Payload{"s": "A", "i": int64(3), "f": math.NaN(), "b": false}}),
 		frameOf(fSubscribe, appendU32(nil, 1)),
 		frameOf(fUnregister, appendU32(nil, 1)),
@@ -114,20 +116,26 @@ func FuzzReadFrame(f *testing.F) {
 					}
 				}
 			case fRegister:
-				src, ro, err := decodeRegister(fr.body)
+				src, o, err := readRegister(fr.body, nil)
+				for _, dec := range []*wal.Decoder{shared, collided} {
+					src2, o2, err2 := readRegister(fr.body, dec)
+					if (err2 == nil) != (err == nil) || src2 != src || !reflect.DeepEqual(denanOpts(o2), denanOpts(o)) {
+						t.Fatalf("register body decodes differently through shared strings:\n got %q %+v (%v)\nwant %q %+v (%v)", src2, o2, err2, src, o, err)
+					}
+				}
 				if err != nil {
 					continue
 				}
-				body, err := appendRegister(nil, src, regOptions(ro))
+				body, err := wal.AppendRegister(nil, src, o)
 				if err != nil {
-					t.Fatalf("accepted register body %+v does not re-encode: %v", ro, err)
+					t.Fatalf("accepted register body %+v does not re-encode: %v", o, err)
 				}
-				src2, ro2, err := decodeRegister(body)
+				src2, o2, err := readRegister(body, nil)
 				if err != nil {
 					t.Fatalf("re-encoded register body does not decode: %v", err)
 				}
-				if src2 != src || !reflect.DeepEqual(denanOpts(ro2), denanOpts(ro)) {
-					t.Fatalf("round trip changed the register body\n got %q %+v\nwant %q %+v", src2, ro2, src, ro)
+				if src2 != src || !reflect.DeepEqual(denanOpts(o2), denanOpts(o)) {
+					t.Fatalf("round trip changed the register body\n got %q %+v\nwant %q %+v", src2, o2, src, o)
 				}
 			}
 		}
@@ -184,6 +192,13 @@ func decodeBody(fr frame, dec *wal.Decoder) (event.Event, error) {
 	return e, r.done()
 }
 
+// readRegister decodes a register body through dec, as the server does.
+func readRegister(body []byte, dec *wal.Decoder) (string, wal.RegOpts, error) {
+	r := &reader{b: body, dec: dec}
+	src, o := r.register()
+	return src, o, r.done()
+}
+
 // drain reads every frame of data and decodes the register, push and output
 // bodies, as a connection does.
 func drain(data []byte, slow bool, dec *wal.Decoder) {
@@ -195,7 +210,7 @@ func drain(data []byte, slow bool, dec *wal.Decoder) {
 		}
 		switch t {
 		case fRegister:
-			decodeRegister(body)
+			readRegister(body, dec)
 		case fPush, fOutput:
 			decodeBody(frame{t, body}, dec)
 		}
@@ -226,32 +241,18 @@ func sameEvent(a, b event.Event) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// regOptions is the client-side view of decoded register options.
-func regOptions(ro regOpts) RegOptions {
-	o := RegOptions{Shards: ro.shards, NoSharing: ro.noShare, Bindings: ro.bindings}
-	if ro.hasSpec {
-		o.Spec = &ro.spec
-	}
+// denanOpts replaces NaN binding values with "NaN".
+func denanOpts(o wal.RegOpts) wal.RegOpts {
+	o.Bindings = denan(o.Bindings)
 	return o
 }
 
-// denanOpts replaces NaN binding values with "NaN" and an empty binding set
-// with none: a register frame cannot tell those apart.
-func denanOpts(ro regOpts) regOpts {
-	if len(ro.bindings) == 0 {
-		ro.bindings = nil
-		return ro
-	}
-	ro.bindings = denan(ro.bindings)
-	return ro
-}
-
 // denan replaces NaN values with the string "NaN".
-func denan(p event.Payload) event.Payload {
+func denan[M ~map[string]event.Value](p M) M {
 	if p == nil {
 		return nil
 	}
-	out := make(event.Payload, len(p))
+	out := make(M, len(p))
 	for k, v := range p {
 		if f, ok := v.(float64); ok && f != f {
 			v = "NaN"

@@ -2,34 +2,35 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
-	"repro"
 	"repro/internal/consistency"
 	"repro/internal/event"
 	"repro/internal/eventio"
 	"repro/internal/temporal"
+	"repro/internal/wal"
 )
 
-// Handler returns the HTTP/JSON convenience surface — the same system,
-// verbs, and semantics as the binary protocol, reachable with curl:
+// Handler returns the HTTP/JSON surface: a second encoding of the verbs the
+// binary protocol calls, reachable with curl. Each route decodes its
+// request, calls one verb, and encodes the result:
 //
-//	GET    /healthz                     liveness + system error state
-//	GET    /v1/queries                  registry listing
-//	POST   /v1/queries                  register (JSON body, below)
-//	GET    /v1/queries/{id}             one query's status
+//	GET    /healthz                     —           liveness + system error state
+//	GET    /v1/queries                  info        registry listing
+//	POST   /v1/queries                  register    JSON body, below
+//	GET    /v1/queries/{id}             info        the binary status request
 //	DELETE /v1/queries/{id}            unregister
-//	GET    /v1/queries/{id}/results    accumulated output (?format=text, ?alerts=1)
-//	GET    /v1/queries/{id}/stream     live NDJSON output frames with tags
-//	POST   /v1/events                  push a batch: NDJSON/JSON array, or CSV
-//	                                   with Content-Type text/csv (?sync=1 for
-//	                                   a durability barrier after the batch)
-//	POST   /v1/sync                    drain + fsync, report system error
-//	POST   /v1/finish                  flush all queries
+//	GET    /v1/queries/{id}/results    lookup      accumulated output (?format=text, ?alerts=1)
+//	GET    /v1/queries/{id}/stream     subscribe   live NDJSON {"tag": n, "event": {...}} lines
+//	POST   /v1/events                  push (+sync) a batch: NDJSON/JSON array, or CSV with
+//	                                               Content-Type text/csv (?sync=1 for a
+//	                                               durability barrier after the batch)
+//	POST   /v1/sync                    sync        drain + fsync, report system error
+//	POST   /v1/finish                  finish      flush all queries
 //
 // Register body:
 //
@@ -39,7 +40,8 @@ import (
 // where -1 in a consistency bound means unbounded. The text results
 // format prints one event per line in the CLI's rendering with CTI
 // punctuation elided, so a shell diff against the output of
-// `cedr -query ... -events ...` needs no JSON tooling.
+// `cedr -query ... -events ...` needs no JSON tooling. A malformed id or
+// body is 400, an unknown id 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -55,8 +57,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError writes a JSON error body with the given status.
+// httpError writes a JSON error body: 404 for an unknown query, code
+// otherwise.
 func httpError(w http.ResponseWriter, code int, err error) {
+	if errors.Is(err, errNoQuery) {
+		code = http.StatusNotFound
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -70,43 +76,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// pathQuery resolves the {id} path segment to a registry entry.
-func (s *Server) pathQuery(w http.ResponseWriter, r *http.Request) (*entry, bool) {
+// pathID parses the {id} path segment, answering 400 if it is no number.
+func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("server: bad query id %q", r.PathValue("id")))
-		return nil, false
+		return 0, false
 	}
-	ent, err := s.lookup(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return nil, false
-	}
-	return ent, true
-}
-
-// queryInfo is the JSON shape of one registry entry.
-type queryInfo struct {
-	ID      int    `json:"id"`
-	Name    string `json:"name"`
-	Shards  int    `json:"shards"`
-	Shared  bool   `json:"shared"`
-	Results int    `json:"results"`
-	Err     string `json:"err,omitempty"`
-}
-
-func infoOf(e *entry) queryInfo {
-	info := queryInfo{
-		ID:      e.id,
-		Name:    e.q.Name(),
-		Shards:  e.q.Shards(),
-		Shared:  e.q.Shared(),
-		Results: e.q.Len(),
-	}
-	if err := e.q.Err(); err != nil {
-		info.Err = err.Error()
-	}
-	return info
+	return id, true
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -134,28 +111,41 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // registerBody is the POST /v1/queries request shape.
 type registerBody struct {
-	Src         string          `json:"src"`
-	Consistency *consistencyRef `json:"consistency,omitempty"`
-	Shards      int             `json:"shards,omitempty"`
-	NoSharing   bool            `json:"no_sharing,omitempty"`
-	Bindings    map[string]any  `json:"bindings,omitempty"`
+	Src         string `json:"src"`
+	Consistency *struct {
+		B int64 `json:"b"`
+		M int64 `json:"m"`
+	} `json:"consistency,omitempty"`
+	Shards    int            `json:"shards,omitempty"`
+	NoSharing bool           `json:"no_sharing,omitempty"`
+	Bindings  map[string]any `json:"bindings,omitempty"`
 }
 
-// consistencyRef is a (B, M) pair where -1 means unbounded — JSON has
-// no 2^63-1 literal that survives float64 round-trips.
-type consistencyRef struct {
-	B int64 `json:"b"`
-	M int64 `json:"m"`
-}
-
-func (cr *consistencyRef) spec() cedr.Spec {
-	bound := func(v int64) temporal.Duration {
-		if v < 0 {
-			return consistency.Unbounded
+// record is the registration record the body asks for.
+func (b *registerBody) record() (wal.RegOpts, error) {
+	o := wal.RegOpts{Shards: b.Shards, Share: !b.NoSharing}
+	if c := b.Consistency; c != nil {
+		// -1 is unbounded: JSON has no 2^63-1 literal that survives a
+		// float64 round trip.
+		bound := func(v int64) temporal.Duration {
+			if v < 0 {
+				return consistency.Unbounded
+			}
+			return temporal.Duration(v)
 		}
-		return temporal.Duration(v)
+		o.HasSpec, o.Spec = true, consistency.Spec{B: bound(c.B), M: bound(c.M)}
 	}
-	return cedr.Spec{B: bound(cr.B), M: bound(cr.M)}
+	if len(b.Bindings) > 0 {
+		o.Bindings = make(map[string]event.Value, len(b.Bindings))
+		for name, raw := range b.Bindings {
+			v, err := bindingValue(raw)
+			if err != nil {
+				return o, fmt.Errorf("server: binding %q: %w", name, err)
+			}
+			o.Bindings[name] = v
+		}
+	}
+	return o, nil
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -167,30 +157,15 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("server: register body: %w", err))
 		return
 	}
-	var ro regOpts
-	if body.Consistency != nil {
-		ro.hasSpec = true
-		ro.spec = body.Consistency.spec()
-	}
-	ro.shards = body.Shards
-	ro.noShare = body.NoSharing
-	if len(body.Bindings) > 0 {
-		ro.bindings = event.Payload{}
-		for name, raw := range body.Bindings {
-			v, err := bindingValue(raw)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("server: binding %q: %w", name, err))
-				return
-			}
-			ro.bindings[name] = v
+	o, err := body.record()
+	if err == nil {
+		var info queryInfo
+		if info, err = s.register(body.Src, o); err == nil {
+			writeJSON(w, http.StatusCreated, info)
+			return
 		}
 	}
-	ent, err := s.register(body.Src, ro)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, infoOf(ent))
+	httpError(w, http.StatusBadRequest, err)
 }
 
 // bindingValue maps a decoded JSON value onto the event value domains,
@@ -216,23 +191,33 @@ func bindingValue(raw any) (event.Value, error) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if ent, ok := s.pathQuery(w, r); ok {
-		writeJSON(w, http.StatusOK, infoOf(ent))
+	if id, ok := pathID(w, r); ok {
+		if info, err := s.info(id); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+		} else {
+			writeJSON(w, http.StatusOK, info)
+		}
 	}
 }
 
 func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.pathQuery(w, r)
-	if !ok {
-		return
+	if id, ok := pathID(w, r); ok {
+		if err := s.unregister(id); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+		} else {
+			writeJSON(w, http.StatusOK, map[string]any{"unregistered": id})
+		}
 	}
-	ent.q.Unregister()
-	writeJSON(w, http.StatusOK, map[string]any{"unregistered": ent.id})
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.pathQuery(w, r)
+	id, ok := pathID(w, r)
 	if !ok {
+		return
+	}
+	ent, err := s.lookup(id)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	var evs []event.Event
@@ -271,57 +256,47 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("]\n"))
 }
 
-// handleStream sends live output as NDJSON: {"tag": n, "event": {...}}
-// per line, history first, then new output as it is delivered. The same
-// bounded-queue fail-stop as the binary protocol applies: a consumer
-// that stops reading is disconnected.
+// handleStream sends live output as NDJSON, history first, through the same
+// bounded fail-stop outbox as a binary subscription: a consumer that stops
+// reading is cut off, and the subscription ends with the request.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.pathQuery(w, r)
+	id, ok := pathID(w, r)
 	if !ok {
 		return
 	}
-	fl, canFlush := w.(http.Flusher)
+	out := newOutbox(s.queueCap, nil)
+	cancel, err := s.subscribe(id, out, ndjsonLine)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	fl, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-
-	type tagged struct {
-		ev  event.Event
-		tag uint64
-	}
-	queue := make(chan tagged, s.queueCap)
-	var dead atomic.Bool
-	ent.q.SubscribeTagged(true, func(ev event.Event, tag uint64) {
-		if dead.Load() {
-			return
-		}
-		select {
-		case queue <- tagged{ev, tag}:
-		default:
-			dead.Store(true) // overflow: fail-stop this stream
-		}
-	})
-	ctx := r.Context()
 	for {
 		select {
-		case <-ctx.Done():
-			dead.Store(true)
+		case <-r.Context().Done():
 			return
-		case item := <-queue:
-			b, err := eventio.MarshalJSON(item.ev)
-			if err != nil {
-				dead.Store(true)
+		case <-out.done:
+			return
+		case b := <-out.ch:
+			if _, err := w.Write(b); err != nil {
 				return
 			}
-			if _, err := fmt.Fprintf(w, `{"tag":%d,"event":%s}`+"\n", item.tag, b); err != nil {
-				dead.Store(true)
-				return
-			}
-			if canFlush && len(queue) == 0 {
+			if fl != nil && len(out.ch) == 0 {
 				fl.Flush()
 			}
 		}
 	}
+}
+
+// ndjsonLine encodes one output item as a /stream line.
+func ndjsonLine(dst []byte, ev event.Event, tag uint64) ([]byte, error) {
+	b, err := eventio.MarshalJSON(ev)
+	dst = strconv.AppendUint(append(dst, `{"tag":`...), tag, 10)
+	return append(append(append(dst, `,"event":`...), b...), "}\n"...), err
 }
 
 // handleEvents pushes a batch: Content-Type text/csv selects the CLI's
@@ -345,17 +320,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, e := range evs {
-		s.sys.Push(e)
-		if serr := s.sys.Err(); serr != nil {
+		if err := s.push(e); err != nil {
 			httpError(w, http.StatusInternalServerError,
-				fmt.Errorf("server: push %d/%d failed: %w", i+1, len(evs), serr))
+				fmt.Errorf("server: push %d/%d failed: %w", i+1, len(evs), err))
 			return
 		}
 	}
 	if r.URL.Query().Get("sync") == "1" {
-		s.sys.Drain()
-		if serr := s.sys.Sync(); serr != nil {
-			httpError(w, http.StatusInternalServerError, serr)
+		if err := s.sync(); err != nil {
+			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
@@ -363,12 +336,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
-	s.sys.Drain()
-	if err := s.sys.Sync(); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if err := s.sys.Err(); err != nil {
+	if err := s.sync(); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -376,8 +344,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
-	s.sys.Finish()
-	if err := s.sys.Err(); err != nil {
+	if err := s.finish(); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}

@@ -8,13 +8,14 @@
 //
 // Connection layout:
 //
-//	conn  := magic frame*                 magic := "CEDRTCP1" (client sends)
+//	conn  := magic frame*                 magic := "CEDRTCP2" (client sends)
 //	frame := len(u32 LE) type(u8) body    len = 1 + len(body)
 //
-// Events and payload values use the write-ahead log's body encodings
-// (wal.AppendEvent / wal.AppendValue): one codec for the wire and the
-// log, covered by one set of round-trip proofs. Strings are u32-length-
-// prefixed; integers little-endian.
+// Events and registrations use the write-ahead log's body encodings
+// (wal.AppendEvent, wal.AppendRegister): a register frame's body is the
+// body of the KindRegister record the server logs for it, so the wire and
+// the log share one codec, covered by one set of round-trip proofs.
+// Strings are u32-length-prefixed; integers little-endian.
 //
 // Frames are encoded in place, read into one reused buffer per connection
 // (a body is valid until the next frame) and decoded through one wal.Decoder
@@ -24,8 +25,7 @@
 //
 //	open        str source                 open a source session (required before push)
 //	push        event                      insert / retraction / CTI; no per-frame reply
-//	register    str src, u8 flags, i64 B, i64 M, i32 shards
-//	            [u32 n, (str name, value)*n]      flags: 1 spec, 2 no-sharing, 4 bindings
+//	register    registration               the WAL's register body (wal.AppendRegister)
 //	subscribe   u32 query                  start streaming output frames
 //	unregister  u32 query
 //	sync        u64 token                  drain + WAL fsync + surface the system error
@@ -36,10 +36,10 @@
 //
 //	ok          str msg
 //	err         str msg                    request error, or fatal session error pre-close
-//	registered  u32 query, u32 shards, u8 shared, str name
+//	info        u32 query, str name, u32 shards, u8 shared, u64 results, str err
+//	                                       the reply to register and status
 //	output      u32 query, u64 tag, event  one subscribed output item
 //	synced      u64 token, str err         "" = durable and healthy
-//	statusr     u32 query, u32 shards, u64 results, str err
 //
 // Requests are processed in arrival order and replied to in order; output
 // frames from subscriptions interleave arbitrarily with replies (clients
@@ -63,7 +63,7 @@ import (
 
 // Magic is the 8-byte handshake a client sends after connecting; the
 // version byte changes with the frame encoding.
-const Magic = "CEDRTCP1"
+const Magic = "CEDRTCP2"
 
 // maxFrame bounds one frame body, mirroring the WAL's record bound, so a
 // corrupt or hostile length prefix cannot force a giant allocation.
@@ -81,12 +81,11 @@ const (
 	fFinish     frameType = 0x07
 	fStatus     frameType = 0x08
 
-	fOK         frameType = 0x81
-	fErr        frameType = 0x82
-	fRegistered frameType = 0x83
-	fOutput     frameType = 0x84
-	fSynced     frameType = 0x85
-	fStatusR    frameType = 0x86
+	fOK     frameType = 0x81
+	fErr    frameType = 0x82
+	fInfo   frameType = 0x83
+	fOutput frameType = 0x84
+	fSynced frameType = 0x85
 )
 
 // String implements fmt.Stringer for protocol errors.
@@ -112,14 +111,12 @@ func (t frameType) String() string {
 		return "ok"
 	case fErr:
 		return "err"
-	case fRegistered:
-		return "registered"
+	case fInfo:
+		return "info"
 	case fOutput:
 		return "output"
 	case fSynced:
 		return "synced"
-	case fStatusR:
-		return "statusr"
 	default:
 		return fmt.Sprintf("frame(0x%02x)", byte(t))
 	}
@@ -147,6 +144,28 @@ func endFrame(frame []byte) []byte {
 
 // msgFrame is a frame whose body is one string (ok and err replies).
 func msgFrame(t frameType, msg string) []byte { return endFrame(appendStr(beginFrame(nil, t), msg)) }
+
+// infoFrame is the reply to register and status: an info frame, or the
+// request's error.
+func infoFrame(qi queryInfo, err error) []byte {
+	if err != nil {
+		return msgFrame(fErr, err.Error())
+	}
+	b := appendStr(appendU32(beginFrame(nil, fInfo), uint32(qi.ID)), qi.Name)
+	b = appendU32(b, uint32(qi.Shards))
+	if qi.Shared {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	return endFrame(appendStr(appendU64(b, uint64(qi.Results)), qi.Err))
+}
+
+// info decodes an info frame's body (infoFrame's inverse).
+func (r *reader) info() queryInfo {
+	return queryInfo{ID: int(r.u32()), Name: r.str(), Shards: int(r.u32()), Shared: r.u8() == 1,
+		Results: int(r.u64()), Err: r.str()}
+}
 
 // frameReader reads one connection's frames into one reused buffer: a body
 // is valid until the next call. A torn read or an over-long frame is fatal.
@@ -184,14 +203,13 @@ func (fr *frameReader) next() (frameType, []byte, error) {
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
 func appendStr(b []byte, s string) []byte {
 	b = appendU32(b, uint32(len(s)))
 	return append(b, s...)
 }
 
 // reader decodes frame bodies with sticky errors, delegating event and
-// value bodies to the WAL codec through dec (nil: no shared strings).
+// register bodies to the WAL codec through dec (nil: no shared strings).
 type reader struct {
 	b   []byte
 	off int
@@ -239,8 +257,6 @@ func (r *reader) u64() uint64 {
 	return 0
 }
 
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
 func (r *reader) str() string {
 	n := int(r.u32())
 	if r.err == nil && n > len(r.b)-r.off {
@@ -263,17 +279,14 @@ func (r *reader) event() event.Event {
 	return e
 }
 
-func (r *reader) value() event.Value {
+func (r *reader) register() (src string, o wal.RegOpts) {
 	if r.err != nil {
-		return nil
+		return "", o
 	}
-	v, n, err := r.dec.Value(r.b[r.off:])
-	if err != nil {
-		r.fail(err)
-		return nil
-	}
+	src, o, n, err := r.dec.Register(r.b[r.off:])
+	r.fail(err)
 	r.off += n
-	return v
+	return src, o
 }
 
 // done reports decoding success and that the body was fully consumed.

@@ -14,12 +14,17 @@
 //
 // Flow control is fail-stop in both directions. Inbound: input that
 // cannot be made durable is not processed — after a WAL failure the
-// session is told and closed. Outbound: each connection has one bounded
-// output queue; a subscriber that stops draining it is disconnected
-// (the engine's synchronous delivery path never blocks on a slow
-// network reader). The queue bound is the only backpressure mechanism —
-// a deliberate choice, matching the paper's view that consistency
-// repair, not transport pushback, absorbs disorder.
+// session is told and closed. Outbound: each connection, and each HTTP
+// /stream, has one bounded output queue (outbox); a subscriber that stops
+// draining it is disconnected (the engine's synchronous delivery path
+// never blocks on a slow network reader), and its subscriptions end with
+// it. The queue bound is the only backpressure mechanism — a deliberate
+// choice, matching the paper's view that consistency repair, not transport
+// pushback, absorbs disorder.
+//
+// Both network surfaces are encodings of one verb layer (the Server
+// methods under "Verbs"): the binary protocol (proto.go) and HTTP/JSON
+// (http.go) only decode, call a verb, and encode.
 package server
 
 import (
@@ -34,17 +39,16 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/consistency"
 	"repro/internal/event"
-	"repro/internal/temporal"
 	"repro/internal/wal"
 )
 
 // DefaultQueue is the per-connection outbound frame queue bound.
 const DefaultQueue = 4096
 
-// errSlowSubscriber fails a connection whose outbound queue overflowed.
-var errSlowSubscriber = errors.New("server: subscriber queue overflow (client not draining); failing stop")
+// errNoQuery is the error of every verb addressing an id the registry does
+// not hold (HTTP 404).
+var errNoQuery = errors.New("server: no query")
 
 // Server hosts one cedr.System behind any number of listeners.
 type Server struct {
@@ -65,9 +69,8 @@ type Server struct {
 // stable across restarts of a durable system, because recovery replays
 // registrations in log order.
 type entry struct {
-	id  int
-	src string
-	q   *cedr.Query
+	id int
+	q  *cedr.Query
 }
 
 // Option configures a Server.
@@ -147,12 +150,8 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	if s.closed {
 		return nil
 	}
-	c := &conn{
-		s:       s,
-		nc:      nc,
-		out:     make(chan []byte, s.queueCap),
-		drainCh: make(chan struct{}),
-	}
+	c := &conn{s: s, nc: nc}
+	c.out = newOutbox(s.queueCap, func() { nc.Close() })
 	s.conns[c] = struct{}{}
 	return c
 }
@@ -165,7 +164,7 @@ func (s *Server) Shutdown() error {
 	conns := s.stop()
 	s.sys.Drain()
 	for _, c := range conns {
-		c.shutdown()
+		c.out.stop()
 	}
 	s.wg.Wait()
 	return s.sys.Close()
@@ -177,7 +176,7 @@ func (s *Server) Shutdown() error {
 // must carry; production exits use Shutdown.
 func (s *Server) Abort() {
 	for _, c := range s.stop() {
-		c.fail(errors.New("server: aborted"))
+		c.out.fail()
 	}
 	s.wg.Wait()
 }
@@ -200,30 +199,30 @@ func (s *Server) stop() []*conn {
 	return conns
 }
 
-// register compiles and installs a query, assigning its wire id.
-func (s *Server) register(src string, ro regOpts) (*entry, error) {
-	var opts []cedr.QueryOption
-	if ro.hasSpec {
-		opts = append(opts, cedr.WithSpec(ro.spec))
+// ---------------------------------------------------------------------------
+// Verbs: every request of both surfaces, Go values in and out. A binary
+// connection (conn.handle) and an HTTP handler each only decode a request,
+// call one of these, and encode the result.
+
+// register compiles and installs a query, assigning its wire id. The record
+// arrives as the log will store it; the system's options rebuild it.
+func (s *Server) register(src string, o wal.RegOpts) (queryInfo, error) {
+	opts := []cedr.QueryOption{cedr.WithShards(o.Shards), cedr.WithTemplate(o.Bindings)}
+	if o.HasSpec {
+		opts = append(opts, cedr.WithSpec(o.Spec))
 	}
-	if ro.shards != 0 {
-		opts = append(opts, cedr.WithShards(ro.shards))
-	}
-	if len(ro.bindings) > 0 {
-		opts = append(opts, cedr.WithTemplate(ro.bindings))
-	}
-	if ro.noShare {
+	if !o.Share {
 		opts = append(opts, cedr.WithoutSharing())
 	}
 	q, err := s.sys.Register(src, opts...)
 	if err != nil {
-		return nil, err
+		return queryInfo{}, err
 	}
 	s.mu.Lock()
-	e := &entry{id: len(s.entries), src: src, q: q}
+	e := &entry{id: len(s.entries), q: q}
 	s.entries = append(s.entries, e)
 	s.mu.Unlock()
-	return e, nil
+	return infoOf(e), nil
 }
 
 // lookup resolves a wire query id.
@@ -231,82 +230,182 @@ func (s *Server) lookup(id int) (*entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id < 0 || id >= len(s.entries) {
-		return nil, fmt.Errorf("server: no query %d", id)
+		return nil, fmt.Errorf("%w %d", errNoQuery, id)
 	}
 	return s.entries[id], nil
 }
 
-// regOpts is the decoded register frame.
-type regOpts struct {
-	hasSpec  bool
-	spec     cedr.Spec
-	shards   int
-	noShare  bool
-	bindings event.Payload
+// info reports one query.
+func (s *Server) info(id int) (queryInfo, error) {
+	e, err := s.lookup(id)
+	if err != nil {
+		return queryInfo{}, err
+	}
+	return infoOf(e), nil
+}
+
+// push applies one event. An error is the system's durability failure: the
+// event was dropped (fail-stop), and the caller ends its batch or session.
+func (s *Server) push(ev event.Event) error {
+	s.sys.Push(ev)
+	return s.sys.Err()
+}
+
+// sync drains the engine and fsyncs the log: nil means everything pushed so
+// far is processed and durable.
+func (s *Server) sync() error {
+	s.sys.Drain()
+	if err := s.sys.Sync(); err != nil {
+		return err
+	}
+	return s.sys.Err()
+}
+
+// finish flushes every query, reporting the system error after it.
+func (s *Server) finish() error {
+	s.sys.Finish()
+	return s.sys.Err()
+}
+
+// unregister removes one query.
+func (s *Server) unregister(id int) error {
+	e, err := s.lookup(id)
+	if err != nil {
+		return err
+	}
+	e.q.Unregister()
+	return nil
+}
+
+// subscribe streams query id's output into out — history first, then live —
+// each item encoded by enc, until cancel. Call cancel from the consumer's own
+// goroutine, never from a delivery: those run under the chain's lock.
+func (s *Server) subscribe(id int, out *outbox, enc encoder) (cancel func(), err error) {
+	e, err := s.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return e.q.SubscribeTagged(true, out.egress(enc)), nil
+}
+
+// queryInfo is what register and info report about one query: one info
+// frame on the wire (infoFrame), one JSON object over HTTP.
+type queryInfo struct {
+	ID      int    `json:"id"`
+	Name    string `json:"name"`
+	Shards  int    `json:"shards"`
+	Shared  bool   `json:"shared"`
+	Results int    `json:"results"`
+	Err     string `json:"err,omitempty"`
+}
+
+func infoOf(e *entry) queryInfo {
+	info := queryInfo{ID: e.id, Name: e.q.Name(), Shards: e.q.Shards(), Shared: e.q.Shared(), Results: e.q.Len()}
+	if err := e.q.Err(); err != nil {
+		info.Err = err.Error()
+	}
+	return info
+}
+
+// ---------------------------------------------------------------------------
+// Egress
+
+// outbox is the one egress of both surfaces: a bounded queue of encoded
+// frames — a connection's replies and subscribed output, or one /stream's
+// NDJSON lines — drained by one writer. Producers never block, since the
+// engine delivers under its chain's lock: a consumer that lets the queue
+// fill fails the outbox (fail-stop) instead of slowing the engine.
+type outbox struct {
+	ch     chan []byte
+	done   chan struct{} // closed by stop: the writer finishes and exits
+	dead   atomic.Bool
+	once   sync.Once
+	onFail func() // a connection closes its socket, dropping what is queued
+}
+
+func newOutbox(n int, onFail func()) *outbox {
+	return &outbox{ch: make(chan []byte, n), done: make(chan struct{}), onFail: onFail}
+}
+
+// send queues one frame, failing the outbox if the queue is full. Safe from
+// any goroutine.
+func (o *outbox) send(frame []byte) {
+	if o.dead.Load() {
+		return
+	}
+	select {
+	case o.ch <- frame:
+	default:
+		o.fail()
+	}
+}
+
+// stop takes no further frames and wakes the writer. Idempotent.
+func (o *outbox) stop() {
+	o.dead.Store(true)
+	o.once.Do(func() { close(o.done) })
+}
+
+// fail is stop after the consumer went or stopped draining.
+func (o *outbox) fail() {
+	if o.onFail != nil {
+		o.onFail()
+	}
+	o.stop()
+}
+
+// encoder appends one output item — an event and its chain order tag — to
+// dst in a surface's encoding.
+type encoder func(dst []byte, ev event.Event, tag uint64) ([]byte, error)
+
+// egress is a subscription callback feeding o (a no-op once o is dead). It
+// encodes into its own scratch buffer — a query's deliveries are serialized
+// — and queues one exact-size copy.
+func (o *outbox) egress(enc encoder) func(event.Event, uint64) {
+	var scratch []byte
+	return func(ev event.Event, tag uint64) {
+		if o.dead.Load() {
+			return
+		}
+		b, err := enc(reuse(scratch), ev, tag)
+		if err != nil {
+			o.fail()
+			return
+		}
+		scratch = b
+		o.send(bytes.Clone(b))
+	}
+}
+
+// wireOutput encodes query qid's output items as output frames.
+func wireOutput(qid uint32) encoder {
+	return func(dst []byte, ev event.Event, tag uint64) ([]byte, error) {
+		b, err := wal.AppendEvent(appendU64(appendU32(beginFrame(dst, fOutput), qid), tag), ev)
+		return endFrame(b), err
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Connections
 
-// conn is one client connection: a reader goroutine decoding and
-// executing frames in arrival order, and a writer goroutine flushing
-// the bounded outbound queue. Engine subscription callbacks enqueue
-// into the same queue — non-blocking, so a slow client fails this
-// connection and nothing else.
+// conn is one client connection: a reader goroutine decoding and executing
+// frames in arrival order, and a writer goroutine flushing the outbox that
+// replies and subscribed output share — a slow client fails this connection
+// and nothing else.
 type conn struct {
-	s  *Server
-	nc net.Conn
-
-	out     chan []byte
-	dead    atomic.Bool
-	drainCh chan struct{}
-
-	failOnce  sync.Once
-	drainOnce sync.Once
+	s   *Server
+	nc  net.Conn
+	out *outbox
 
 	// Reader-goroutine state (no locking needed).
 	source string
-	subs   map[int]bool
+	subs   map[int]func() // subscribed query id → cancel
 	dec    *wal.Decoder
 }
 
-// send enqueues one outbound frame; overflow fails the connection
-// (fail-stop for slow subscribers). Safe from any goroutine.
-func (c *conn) send(frame []byte) bool {
-	if c.dead.Load() {
-		return false
-	}
-	select {
-	case c.out <- frame:
-		return true
-	default:
-		c.fail(errSlowSubscriber)
-		return false
-	}
-}
-
-// fail hard-stops the connection: no more enqueues, the socket closes,
-// and the writer is released (its final flush fails against the closed
-// socket and any queued frames are dropped).
-func (c *conn) fail(err error) {
-	c.failOnce.Do(func() {
-		c.dead.Store(true)
-		c.nc.Close()
-		_ = err
-	})
-	c.drainOnce.Do(func() { close(c.drainCh) })
-}
-
-// shutdown is the graceful half-close used by Server.Shutdown: stop
-// accepting new output, flush what is queued, then close.
-func (c *conn) shutdown() {
-	c.dead.Store(true)
-	c.drainOnce.Do(func() { close(c.drainCh) })
-}
-
-// writeLoop flushes the outbound queue to the socket, batching bursts
-// through one buffered writer so a saturated subscriber costs one
-// syscall per burst, not per frame.
+// writeLoop flushes the outbox to the socket, batching bursts through one
+// buffered writer so a saturated subscriber costs one syscall per burst, not
+// per frame.
 func (c *conn) writeLoop() {
 	defer c.s.wg.Done()
 	defer c.nc.Close()
@@ -314,14 +413,14 @@ func (c *conn) writeLoop() {
 	flushQueued := func() bool {
 		for {
 			select {
-			case b := <-c.out:
+			case b := <-c.out.ch:
 				if _, err := bw.Write(b); err != nil {
-					c.fail(err)
+					c.out.fail()
 					return false
 				}
 			default:
 				if err := bw.Flush(); err != nil {
-					c.fail(err)
+					c.out.fail()
 					return false
 				}
 				return true
@@ -330,15 +429,15 @@ func (c *conn) writeLoop() {
 	}
 	for {
 		select {
-		case b := <-c.out:
+		case b := <-c.out.ch:
 			if _, err := bw.Write(b); err != nil {
-				c.fail(err)
+				c.out.fail()
 				return
 			}
 			if !flushQueued() {
 				return
 			}
-		case <-c.drainCh:
+		case <-c.out.done:
 			// Final flush with a bound: a peer that has stopped reading
 			// must not pin shutdown.
 			c.nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -349,14 +448,17 @@ func (c *conn) writeLoop() {
 }
 
 // readLoop validates the handshake, then decodes and executes frames in
-// arrival order until the connection dies.
+// arrival order until the connection dies; its subscriptions end with it.
 func (c *conn) readLoop() {
 	defer c.s.wg.Done()
 	defer func() {
 		// Graceful exit, not fail: the writer still flushes anything
 		// queued (a farewell err frame, tail output) before the socket
 		// closes — bounded by the drain deadline.
-		c.shutdown()
+		c.out.stop()
+		for _, cancel := range c.subs {
+			cancel()
+		}
 		c.s.mu.Lock()
 		delete(c.s.conns, c)
 		c.s.mu.Unlock()
@@ -364,8 +466,7 @@ func (c *conn) readLoop() {
 	fr := frameReader{br: bufio.NewReaderSize(c.nc, 64*1024)}
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(fr.br, magic[:]); err != nil || string(magic[:]) != Magic {
-		c.send(msgFrame(fErr, "server: bad handshake (expected "+Magic+")"))
-		c.shutdown()
+		c.out.send(msgFrame(fErr, "server: bad handshake (expected "+Magic+")"))
 		return
 	}
 	c.dec = wal.NewDecoder()
@@ -375,210 +476,105 @@ func (c *conn) readLoop() {
 			return
 		}
 		if err := c.handle(t, body); err != nil {
-			c.send(msgFrame(fErr, err.Error()))
-			c.shutdown()
+			c.out.send(msgFrame(fErr, err.Error()))
 			return
 		}
 	}
 }
 
-// handle executes one frame. A returned error is session-fatal (the
-// client receives it as an err frame and the connection closes);
-// request-scoped errors are replied inline and keep the session alive.
+// handle executes one frame. A returned error is session-fatal (the client
+// receives it as an err frame and the connection closes); request-scoped
+// errors are replied inline and keep the session alive.
 func (c *conn) handle(t frameType, body []byte) error {
+	r := &reader{b: body, dec: c.dec}
+	var reply []byte
 	switch t {
 	case fOpen:
-		r := &reader{b: body}
 		src := r.str()
 		if err := r.done(); err != nil {
 			return err
 		}
-		c.source = src
-		if c.source == "" {
+		if c.source = src; src == "" {
 			c.source = c.nc.RemoteAddr().String()
 		}
-		c.send(msgFrame(fOK, "source "+c.source+" open"))
-		return nil
+		reply = msgFrame(fOK, "source "+c.source+" open")
 
 	case fPush:
 		if c.source == "" {
 			return errors.New("server: push before open — open a source session first")
 		}
-		r := &reader{b: body, dec: c.dec}
 		ev := r.event()
 		if err := r.done(); err != nil {
 			return err
 		}
-		c.s.sys.Push(ev)
-		if err := c.s.sys.Err(); err != nil {
-			// Fail-stop: the push was not made durable and was dropped.
-			return err
-		}
-		return nil
+		// Fail-stop: an event the log could not make durable was dropped.
+		return c.s.push(ev)
 
 	case fRegister:
-		src, ro, derr := decodeRegister(body)
-		if derr != nil {
-			return derr
+		src, o := r.register()
+		if err := r.done(); err != nil {
+			return err
 		}
-		ent, err := c.s.register(src, ro)
-		if err != nil {
-			// Compile errors are request-scoped: report and keep the session.
-			c.send(msgFrame(fErr, err.Error()))
-			return nil
-		}
-		b := appendU32(beginFrame(nil, fRegistered), uint32(ent.id))
-		b = appendU32(b, uint32(ent.q.Shards()))
-		shared := byte(0)
-		if ent.q.Shared() {
-			shared = 1
-		}
-		b = append(b, shared)
-		b = appendStr(b, ent.q.Name())
-		c.send(endFrame(b))
-		return nil
+		// Compile errors are request-scoped: report and keep the session.
+		reply = infoFrame(c.s.register(src, o))
 
-	case fSubscribe:
-		r := &reader{b: body}
+	case fSubscribe, fUnregister, fStatus:
 		id := int(r.u32())
 		if err := r.done(); err != nil {
 			return err
 		}
-		ent, err := c.s.lookup(id)
-		if err != nil {
-			c.send(msgFrame(fErr, err.Error()))
-			return nil
+		switch t {
+		case fSubscribe:
+			reply = c.subscribe(id)
+		case fUnregister:
+			reply = msgFrame(fOK, fmt.Sprintf("query %d unregistered", id))
+			if err := c.s.unregister(id); err != nil {
+				reply = msgFrame(fErr, err.Error())
+			}
+		default:
+			reply = infoFrame(c.s.info(id))
 		}
-		if c.subs == nil {
-			c.subs = map[int]bool{}
-		}
-		if c.subs[id] {
-			c.send(msgFrame(fOK, fmt.Sprintf("already subscribed to query %d", id)))
-			return nil
-		}
-		c.subs[id] = true
-		ent.q.SubscribeTagged(true, c.egress(uint32(id)))
-		c.send(msgFrame(fOK, fmt.Sprintf("subscribed to query %d", id)))
-		return nil
-
-	case fUnregister:
-		r := &reader{b: body}
-		id := int(r.u32())
-		if err := r.done(); err != nil {
-			return err
-		}
-		ent, err := c.s.lookup(id)
-		if err != nil {
-			c.send(msgFrame(fErr, err.Error()))
-			return nil
-		}
-		ent.q.Unregister()
-		c.send(msgFrame(fOK, fmt.Sprintf("query %d unregistered", id)))
-		return nil
 
 	case fSync:
-		r := &reader{b: body}
 		token := r.u64()
 		if err := r.done(); err != nil {
 			return err
 		}
-		c.s.sys.Drain()
 		msg := ""
-		if err := c.s.sys.Sync(); err != nil {
-			msg = err.Error()
-		} else if err := c.s.sys.Err(); err != nil {
+		if err := c.s.sync(); err != nil {
 			msg = err.Error()
 		}
-		b := appendU64(beginFrame(nil, fSynced), token)
-		c.send(endFrame(appendStr(b, msg)))
-		return nil
+		reply = endFrame(appendStr(appendU64(beginFrame(nil, fSynced), token), msg))
 
 	case fFinish:
-		if len(body) != 0 {
-			return errors.New("server: finish frame carries a body")
-		}
-		c.s.sys.Finish()
-		msg := ""
-		if err := c.s.sys.Err(); err != nil {
-			msg = "finish applied; system error: " + err.Error()
-		} else {
-			msg = "finished"
-		}
-		c.send(msgFrame(fOK, msg))
-		return nil
-
-	case fStatus:
-		r := &reader{b: body}
-		id := int(r.u32())
 		if err := r.done(); err != nil {
 			return err
 		}
-		ent, err := c.s.lookup(id)
-		if err != nil {
-			c.send(msgFrame(fErr, err.Error()))
-			return nil
+		msg := "finished"
+		if err := c.s.finish(); err != nil {
+			msg = "finish applied; system error: " + err.Error()
 		}
-		b := appendU32(beginFrame(nil, fStatusR), uint32(ent.id))
-		b = appendU32(b, uint32(ent.q.Shards()))
-		b = appendU64(b, uint64(ent.q.Len()))
-		msg := ""
-		if qerr := ent.q.Err(); qerr != nil {
-			msg = qerr.Error()
-		}
-		c.send(endFrame(appendStr(b, msg)))
-		return nil
+		reply = msgFrame(fOK, msg)
 
 	default:
 		return fmt.Errorf("server: unexpected frame %v from client", t)
 	}
+	c.out.send(reply)
+	return nil
 }
 
-// egress is the callback streaming query qid's output to this connection (a
-// no-op once it is dead). It encodes into its own scratch buffer — a query's
-// deliveries are serialized — and queues one exact-size copy.
-func (c *conn) egress(qid uint32) func(event.Event, uint64) {
-	var scratch []byte
-	return func(ev event.Event, tag uint64) {
-		if c.dead.Load() {
-			return
-		}
-		b := appendU64(appendU32(beginFrame(reuse(scratch), fOutput), qid), tag)
-		b, err := wal.AppendEvent(b, ev)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		scratch = endFrame(b)
-		c.send(bytes.Clone(scratch))
+// subscribe streams query id's output onto this connection, once per id.
+func (c *conn) subscribe(id int) []byte {
+	if c.subs[id] != nil {
+		return msgFrame(fOK, fmt.Sprintf("already subscribed to query %d", id))
 	}
-}
-
-// decodeRegister unpacks a register frame body. A malformed body is a
-// session-fatal error (the framing, not the query, is broken).
-func decodeRegister(body []byte) (string, regOpts, error) {
-	r := &reader{b: body}
-	src := r.str()
-	flags := r.u8()
-	b := r.i64()
-	m := r.i64()
-	shards := int(int32(r.u32()))
-	var ro regOpts
-	if flags&1 != 0 {
-		ro.hasSpec = true
-		ro.spec = consistency.Spec{B: temporal.Duration(b), M: temporal.Duration(m)}
+	cancel, err := c.s.subscribe(id, c.out, wireOutput(uint32(id)))
+	if err != nil {
+		return msgFrame(fErr, err.Error())
 	}
-	ro.noShare = flags&2 != 0
-	ro.shards = shards
-	if flags&4 != 0 {
-		n := int(r.u32())
-		ro.bindings = event.Payload{}
-		for i := 0; i < n && r.err == nil; i++ {
-			name := r.str()
-			ro.bindings[name] = r.value()
-		}
+	if c.subs == nil {
+		c.subs = map[int]func(){}
 	}
-	if err := r.done(); err != nil {
-		return "", regOpts{}, err
-	}
-	return src, ro, nil
+	c.subs[id] = cancel
+	return msgFrame(fOK, fmt.Sprintf("subscribed to query %d", id))
 }

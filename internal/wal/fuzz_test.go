@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -61,6 +62,29 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(forged(append(evHead(), noLineage...))) // payload count
 	reg := registerPayload(21, "EVENT T WHEN ANY(A a)", 0x10, consistency.Strong(), 1)
 	f.Add(forged(reg)) // binding count
+
+	// Registrations as a client frames them: a register frame's body is
+	// AppendRegister's, the same bytes the log stores after seq and kind.
+	wire := func(seq uint64, src string, o wal.RegOpts) []byte {
+		b, err := wal.AppendRegister(append(le.AppendUint64(nil, seq), byte(wal.KindRegister)), src, o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	const tmpl = "EVENT T WHEN ANY(HOT h) WHERE [sensor Equal $s]"
+	f.Add(wire(22, tmpl, wal.RegOpts{HasSpec: true, Spec: consistency.Level(5, 7), Shards: -1, Share: true,
+		Bindings: map[string]event.Value{"s": "A", "i": int64(3), "n": -4, "f": math.NaN(), "b": false}}))
+	f.Add(wire(23, "EVENT E WHEN ANY(HOT h)", wal.RegOpts{Shards: math.MinInt32}))
+	forgedWire := wire(24, tmpl, wal.RegOpts{Shards: -2, Bindings: map[string]event.Value{"s": "A"}})
+	count := 8 + 1 + 4 + len(tmpl) + 1 + 16 + 4 // seq, kind, src, flags, spec, shards
+	if le.Uint32(forgedWire[count:]) != 1 {
+		f.Fatal("the binding count is not where the seeds forge it")
+	}
+	for _, n := range []uint32{2, uint32(len(forgedWire)), math.MaxUint32} {
+		le.PutUint32(forgedWire[count:], n)
+		f.Add(bytes.Clone(forgedWire))
+	}
 
 	// One string as type, name and value, and a value string past the
 	// table's length cap: slots shared between names and boxed values.

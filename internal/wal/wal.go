@@ -81,9 +81,10 @@ func (k Kind) String() string {
 	}
 }
 
-// RegOpts are the serializable plan options of a durable registration —
-// exactly the knobs plan.Compile accepts (see plan.Durable). Share and
-// Bindings are encoded behind flag bits a pre-fabric decoder never set, so
+// RegOpts are a registration's options — exactly the knobs plan.Prepare
+// accepts (plan.WithRegOpts) — and the one record that carries them from a
+// network request to the log and back through replay. Share and Bindings
+// are encoded behind flag bits a pre-fabric decoder never set, so
 // old-format registration records decode unchanged (Share false, Bindings
 // nil). Flag bits 0x2 and 0x4 selected the oracle evaluator and the flat
 // matcher in older binaries: the encoder never sets them and the decoder
@@ -197,6 +198,42 @@ func appendSpec(b []byte, s consistency.Spec) []byte {
 	return appendI64(b, int64(s.M))
 }
 
+// AppendRegister encodes a registration — source text and options — in the
+// body encoding of a KindRegister record onto dst:
+//
+//	str src, u8 flags, i64 B, i64 M, i32 shards, [u32 n, (str name, value)*n]
+//
+// with flags 1 spec, 8 share, 16 bindings (names sorted, so a registration
+// encodes to deterministic bytes). The network protocol's register frame
+// carries exactly this body.
+func AppendRegister(dst []byte, src string, o RegOpts) ([]byte, error) {
+	dst = appendStr(dst, src)
+	var flags byte
+	if o.HasSpec {
+		flags |= 1
+	}
+	if o.Share {
+		flags |= 8
+	}
+	if len(o.Bindings) > 0 {
+		flags |= 16
+	}
+	dst = append(dst, flags)
+	dst = appendSpec(dst, o.Spec)
+	dst = appendU32(dst, uint32(o.Shards))
+	if len(o.Bindings) > 0 {
+		var names [8]string
+		dst = appendU32(dst, uint32(len(o.Bindings)))
+		for _, name := range event.SortedNames(names[:0], o.Bindings) {
+			var err error
+			if dst, err = appendValue(appendStr(dst, name), o.Bindings[name]); err != nil {
+				return dst, err
+			}
+		}
+	}
+	return dst, nil
+}
+
 // AppendRecord encodes one framed record (length prefix, checksum, payload)
 // onto dst. The record's Seq must already be assigned.
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
@@ -213,30 +250,8 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 			return dst[:head], err
 		}
 	case KindRegister:
-		dst = appendStr(dst, r.Src)
-		var flags byte
-		if r.Opts.HasSpec {
-			flags |= 1
-		}
-		if r.Opts.Share {
-			flags |= 8
-		}
-		if len(r.Opts.Bindings) > 0 {
-			flags |= 16
-		}
-		dst = append(dst, flags)
-		dst = appendSpec(dst, r.Opts.Spec)
-		dst = appendU32(dst, uint32(r.Opts.Shards))
-		if len(r.Opts.Bindings) > 0 {
-			// Sorted names: deterministic bytes for a given registration.
-			var names [8]string
-			dst = appendU32(dst, uint32(len(r.Opts.Bindings)))
-			for _, name := range event.SortedNames(names[:0], r.Opts.Bindings) {
-				dst = appendStr(dst, name)
-				if dst, err = appendValue(dst, r.Opts.Bindings[name]); err != nil {
-					return dst[:head], err
-				}
-			}
+		if dst, err = AppendRegister(dst, r.Src, r.Opts); err != nil {
+			return dst[:head], err
 		}
 	case KindSpec:
 		dst = appendU32(dst, uint32(r.Query))
@@ -440,10 +455,47 @@ func (r *byteReader) event() event.Event {
 	return e
 }
 
+func (r *byteReader) register() (src string, o RegOpts) {
+	src = r.str()
+	flags := r.u8()
+	o.HasSpec = flags&1 != 0
+	o.Share = flags&8 != 0
+	o.Spec = r.spec()
+	// Signed round-trip: plan.AutoShards is a negative sentinel and must
+	// survive the u32 framing.
+	o.Shards = int(int32(r.u32()))
+	if flags&16 == 0 {
+		// Records written before the fabric end at Shards and never set
+		// the flag, so they decode here unchanged.
+		return src, o
+	}
+	n := int(r.u32())
+	if r.err == nil && n > (len(r.b)-r.off)/minEntry {
+		r.err = fmt.Errorf("wal: binding count %d exceeds record bounds", n)
+		return src, o
+	}
+	if n > 0 {
+		o.Bindings = make(map[string]event.Value, n)
+		for i := 0; i < n; i++ {
+			name := r.str()
+			o.Bindings[name] = r.value()
+		}
+	}
+	return src, o
+}
+
+// Register decodes a registration produced by AppendRegister from the front
+// of b, returning the number of bytes consumed.
+func (d *Decoder) Register(b []byte) (string, RegOpts, int, error) {
+	r := byteReader{b: b, dec: d}
+	src, o := r.register()
+	return src, o, r.off, r.err
+}
+
 // AppendEvent encodes one event in the WAL's event body encoding onto
-// dst. The network protocol frames events with exactly this encoding, so
-// a served event and its logged record share one codec (and one set of
-// round-trip proofs).
+// dst. The network protocol frames events (and registrations, through
+// AppendRegister) with exactly the log's encodings, so a served request and
+// its logged record share one codec and one set of round-trip proofs.
 func AppendEvent(dst []byte, e event.Event) ([]byte, error) {
 	return appendEvent(dst, e)
 }
@@ -454,20 +506,6 @@ func (d *Decoder) Event(b []byte) (event.Event, int, error) {
 	r := byteReader{b: b, dec: d}
 	e := r.event()
 	return e, r.off, r.err
-}
-
-// AppendValue encodes one payload value in the WAL's tagged value
-// encoding (exported for the network protocol's template bindings).
-func AppendValue(dst []byte, v event.Value) ([]byte, error) {
-	return appendValue(dst, v)
-}
-
-// Value decodes a value produced by AppendValue from the front of b,
-// returning the number of bytes consumed.
-func (d *Decoder) Value(b []byte) (event.Value, int, error) {
-	r := byteReader{b: b, dec: d}
-	v := r.value()
-	return v, r.off, r.err
 }
 
 // DecodePayload decodes one record payload (seq + kind + body, the
@@ -486,31 +524,7 @@ func (d *Decoder) Payload(payload []byte) (Record, error) {
 	case KindEvent, KindCTI:
 		rec.Ev = r.event()
 	case KindRegister:
-		rec.Src = r.str()
-		flags := r.u8()
-		rec.Opts.HasSpec = flags&1 != 0
-		rec.Opts.Share = flags&8 != 0
-		rec.Opts.Spec = r.spec()
-		// Signed round-trip: plan.AutoShards is a negative sentinel and
-		// must survive the u32 framing.
-		rec.Opts.Shards = int(int32(r.u32()))
-		if flags&16 != 0 {
-			// Template bindings trail the fixed fields; records written
-			// before the fabric end at Shards and never set the flag, so
-			// they decode through the branch above unchanged.
-			n := int(r.u32())
-			if r.err == nil && n > (len(r.b)-r.off)/minEntry {
-				r.err = fmt.Errorf("wal: binding count %d exceeds record bounds", n)
-				break
-			}
-			if n > 0 {
-				rec.Opts.Bindings = make(map[string]event.Value, n)
-				for i := 0; i < n; i++ {
-					name := r.str()
-					rec.Opts.Bindings[name] = r.value()
-				}
-			}
-		}
+		rec.Src, rec.Opts = r.register()
 	case KindSpec:
 		rec.Query = int(r.u32())
 		rec.Spec = r.spec()
