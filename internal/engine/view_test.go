@@ -309,6 +309,39 @@ func TestFanoutPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestFanoutCallsOnlyLiveSubscribers: one delivery runs exactly one callback
+// per item for each live subscription — none for a cancelled one, none for a
+// quarantined endpoint's — and subscriptions add no allocations to a push.
+func TestFanoutCallsOnlyLiveSubscribers(t *testing.T) {
+	qs, push := echoEndpoints(t, 6)
+	calls := 0
+	count := func(event.Event, uint64) { calls++ }
+	cancels := make([]func(), 5)
+	for i, q := range qs[:5] {
+		cancels[i] = q.SubscribeTagged(false, count)
+	}
+	qs[5].SubscribeTagged(false, func(event.Event, uint64) { calls++; panic("boom") })
+
+	push(1)
+	if calls != 6 {
+		t.Fatalf("first delivery ran %d callbacks, want 6", calls)
+	}
+	cancels[0]()
+	calls = 0
+	push(1)
+	if calls != 4 {
+		t.Fatalf("delivery after one cancel and one panic ran %d callbacks, want 4", calls)
+	}
+	with := testing.AllocsPerRun(200, func() { push(1) })
+	for _, cancel := range cancels[1:] {
+		cancel()
+	}
+	without := testing.AllocsPerRun(200, func() { push(1) })
+	if with > without {
+		t.Errorf("a push allocates %.1f with 4 live subscriptions, %.1f with none: delivery to subscribers allocates", with, without)
+	}
+}
+
 // TestSubscriptionCancel: a cancelled callback never runs again while its
 // siblings keep receiving; a second cancel, and a cancel after Unregister,
 // are no-ops; and cancel gives the chain's subscription list back.
