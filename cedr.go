@@ -351,8 +351,8 @@ func (s *System) Drain() { s.eng.Drain() }
 func (s *System) Sync() error { return s.eng.SyncWAL() }
 
 // Snapshot writes the system's durable state — the watermarked journal of
-// applied records — to w. Restore(snapshot, freshLog) resumes from it
-// without the original log file, which is how the WAL is rotated. It
+// applied records, the log's own bytes — to w. Restore(snapshot, freshLog)
+// resumes from it without the original log file: that rotates the WAL. It
 // requires a durable system (Open/Restore) whose registered queries were
 // all compiled from source text, and must not run concurrently with Push.
 func (s *System) Snapshot(w io.Writer) error { return s.eng.Snapshot(w) }

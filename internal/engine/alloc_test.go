@@ -3,6 +3,8 @@
 package engine
 
 import (
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/consistency"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/temporal"
+	"repro/internal/wal"
 )
 
 // TestAllocsRegisterPrivateChain pins what registering one private chain
@@ -110,5 +113,45 @@ func TestAllocsOneShardPush(t *testing.T) {
 		if got > plain {
 			t.Fatalf("one-shard push at %s allocates %.1f per run, above a bare monitor's %.1f", spec.Name(), got, plain)
 		}
+	}
+}
+
+// TestAllocsDurablePush pins what durability adds to a push: no heap
+// object — the record is encoded once, into the journal's tail chunk, and
+// the log copies those bytes into its buffer — and at most twice the
+// record's encoded size in bytes, the journal's chunks growing by about
+// that much. Keeping the decoded record cost ≈ 1.3 KiB per push.
+func TestAllocsDurablePush(t *testing.T) {
+	const warm, runs = 4096, 4096
+	cost := func(e *Engine) (allocs, bytes float64) {
+		defer e.Close()
+		if _, err := e.RegisterText(idleQuery); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		push := func() { e.Push(fleetItem(i)); i++ }
+		for range warm { // grow the log's buffer to its steady capacity
+			push()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, push)
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	plainAllocs, plainBytes := cost(New())
+	allocs, bytes := cost(durableEngine(t, filepath.Join(t.TempDir(), "wal")))
+	frame, err := wal.AppendRecord(nil, wal.Record{Seq: 1, Kind: wal.KindEvent, Ev: fleetItem(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := bytes - plainBytes
+	t.Logf("durable push: measured %.0f allocs (ceiling %.0f, a non-durable push), %.1f B beyond a non-durable push (ceiling %d, twice the %d-B record)",
+		allocs, plainAllocs, extra, 2*len(frame), len(frame))
+	if allocs > plainAllocs {
+		t.Errorf("a durable push allocates %.0f objects, a non-durable one %.0f: journaling allocates per record", allocs, plainAllocs)
+	}
+	if extra > float64(2*len(frame)) {
+		t.Errorf("a durable push allocates %.1f B more than a non-durable one, above twice its %d-B encoding", extra, len(frame))
 	}
 }

@@ -11,10 +11,11 @@
 // punctuation), byte for byte.
 //
 // A snapshot is the same idea made portable: the magic header, the
-// watermark (sequence of the last applied record), and the engine's
-// journal of applied records, re-framed with the WAL's own record
-// encoding. A snapshot is self-contained — restoring from it does not
-// need the log file it was cut from, which is what permits WAL rotation:
+// watermark (sequence of the last applied record), wal.Magic and the
+// journal — each applied record's WAL frame, encoded once and kept as
+// bytes — so an engine born on an empty log snapshots exactly its log
+// file. A snapshot is self-contained — restoring from it does not need
+// the log file it was cut from, which is what permits WAL rotation:
 // snapshot, then point the engine at a fresh empty log.
 //
 // Failure model: fail-stop. Once a WAL append or fsync fails, the engine
@@ -39,22 +40,34 @@ import (
 // record encoding.
 const snapMagic = "CEDRSNP\x01"
 
-// logAppend appends one record to the write-ahead log and the in-memory
-// journal, assigning the next engine sequence number. The caller holds
-// e.pushMu (so log order is apply order). It reports whether the record is
-// durable; on a WAL failure the engine fails stop and the caller must drop
-// the input rather than process it.
+// Journal chunks hold 64 KiB; one with under journalSlack free is full.
+const journalChunk, journalSlack = 64 << 10, 1 << 10
+
+// logAppend frames one record, with the next engine sequence number, onto
+// the journal's tail chunk and hands the log those same bytes. The caller
+// holds e.pushMu (so log order is apply order). It reports whether the
+// record is durable; on a failure the engine fails stop (and never
+// snapshots) and the caller must drop the input rather than process it.
 func (e *Engine) logAppend(rec wal.Record) bool {
 	if e.walErr != nil || e.closed {
 		return false
 	}
 	rec.Seq = e.seq + 1
-	if _, err := e.log.Append(rec); err != nil {
+	if n := len(e.journal); n == 0 || cap(e.journal[n-1])-len(e.journal[n-1]) < journalSlack {
+		e.journal = append(e.journal, make([]byte, 0, journalChunk))
+	}
+	tail := &e.journal[len(e.journal)-1]
+	start := len(*tail)
+	b, err := wal.AppendRecord(*tail, rec)
+	if err == nil {
+		*tail = b
+		err = e.log.AppendFrame(b[start:])
+	}
+	if err != nil {
 		e.walErr = fmt.Errorf("engine: wal append: %w", err)
 		return false
 	}
 	e.seq = rec.Seq
-	e.journal = append(e.journal, rec)
 	return true
 }
 
@@ -94,7 +107,6 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 		return fmt.Errorf("engine: restore: unknown record kind %d", rec.Kind)
 	}
 	e.seq = rec.Seq
-	e.journal = append(e.journal, rec)
 	return nil
 }
 
@@ -108,27 +120,23 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 //
 // The log must be opened by the caller (wal.Open / wal.New — opening
 // recovers and truncates any torn tail) and is owned by the engine from
-// here on: Close closes it.
+// here on: Close closes it; its recovered bytes become the journal.
 func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 	if log == nil {
 		return nil, fmt.Errorf("engine: restore requires an open write-ahead log")
 	}
 	e := New(opts...)
 	e.replaying = true
+	var err error
 	if snap != nil {
-		if err := e.replaySnapshot(snap); err != nil {
-			e.shutdownQueries()
-			return nil, err
-		}
+		err = e.replaySnapshot(snap)
 	}
-	for _, rec := range log.Recovered() {
-		if rec.Seq <= e.seq {
-			continue // already applied via the snapshot
-		}
-		if err := e.applyRecord(rec); err != nil {
-			e.shutdownQueries()
-			return nil, err
-		}
+	if err == nil {
+		err = e.replay(log.TakeRecovered(), "log")
+	}
+	if err != nil {
+		e.shutdownQueries()
+		return nil, err
 	}
 	// Sharded chains process asynchronously; drain them so the restored
 	// engine's visible results reflect the entire replayed history before
@@ -137,6 +145,27 @@ func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 	e.replaying = false
 	e.log = log
 	return e, nil
+}
+
+// replay applies the records of a WAL image past the engine's sequence
+// number (the ones at or below it came from the snapshot) and keeps their
+// frames, as they are, as the journal's next chunk. Every byte must decode.
+func (e *Engine) replay(img []byte, what string) error {
+	from := len(img)
+	good, err := wal.Scan(bytes.NewReader(img), func(rec wal.Record, start, _ int64) error {
+		if rec.Seq <= e.seq {
+			return nil
+		}
+		from = min(from, int(start))
+		return e.applyRecord(rec)
+	})
+	if err == nil && good != int64(len(img)) {
+		err = fmt.Errorf("engine: %s corrupt: %d of %d record bytes decode", what, good, len(img))
+	}
+	if err == nil && from < len(img) {
+		e.journal = append(e.journal, img[from:len(img):len(img)])
+	}
+	return err
 }
 
 // replaySnapshot decodes and applies a snapshot. Unlike WAL recovery —
@@ -149,25 +178,12 @@ func (e *Engine) replaySnapshot(r io.Reader) error {
 		return fmt.Errorf("engine: snapshot read: %w", err)
 	}
 	headLen := len(snapMagic) + 8
-	if len(data) < headLen || string(data[:len(snapMagic)]) != snapMagic {
+	if len(data) < headLen+len(wal.Magic) || string(data[:len(snapMagic)]) != snapMagic {
 		return fmt.Errorf("engine: not a CEDR snapshot")
 	}
 	watermark := binary.LittleEndian.Uint64(data[len(snapMagic):headLen])
-	body := data[headLen:]
-	if len(body) < len(wal.Magic) {
-		return fmt.Errorf("engine: snapshot truncated inside record header")
-	}
-	recs, good, err := wal.ReadAll(bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if good != int64(len(body)) {
-		return fmt.Errorf("engine: snapshot corrupt: %d of %d record bytes decode", good, len(body))
-	}
-	for _, rec := range recs {
-		if err := e.applyRecord(rec); err != nil {
-			return err
-		}
+	if err := e.replay(data[headLen:], "snapshot"); err != nil {
+		return err
 	}
 	if e.seq != watermark {
 		return fmt.Errorf("engine: snapshot watermark %d does not match record tail %d", watermark, e.seq)
@@ -175,13 +191,13 @@ func (e *Engine) replaySnapshot(r io.Reader) error {
 	return nil
 }
 
-// Snapshot writes the engine's durable state to w: header, watermark, and
-// the journal of applied records. It refuses while any registered query
-// was built directly from operators (no source text to re-compile — the
-// snapshot could not restore it) and after a WAL failure. The log is
-// synced first, so everything the snapshot claims is also on disk in the
-// log; afterwards the WAL may be rotated (Restore from this snapshot plus
-// a fresh empty log).
+// Snapshot writes the engine's durable state to w: header, watermark,
+// wal.Magic and the journal verbatim — nothing is re-encoded. It refuses
+// while any registered query was built directly from operators (no source
+// text to re-compile — the snapshot could not restore it) and after a WAL
+// failure. The log is synced first, so everything the snapshot claims is
+// also on disk in the log; afterwards the WAL may be rotated (Restore from
+// this snapshot plus a fresh empty log).
 //
 // Callers must not Push concurrently with Snapshot (it holds the engine's
 // durable-append lock, so a concurrent Push would block, not corrupt).
@@ -204,18 +220,11 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		e.walErr = fmt.Errorf("engine: wal sync: %w", err)
 		return e.walErr
 	}
-	buf := make([]byte, 0, 64+64*len(e.journal))
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, e.seq)
-	buf = append(buf, wal.Magic...)
-	var err error
-	for _, rec := range e.journal {
-		if buf, err = wal.AppendRecord(buf, rec); err != nil {
-			return err
+	head := binary.LittleEndian.AppendUint64([]byte(snapMagic), e.seq)
+	for _, b := range append([][]byte{append(head, wal.Magic...)}, e.journal...) {
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("engine: snapshot write: %w", err)
 		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("engine: snapshot write: %w", err)
 	}
 	return nil
 }

@@ -167,7 +167,7 @@ func TestCrashRecoveryAtEveryRecordBoundary(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut=%d: reopen: %v", cut, err)
 				}
-				survived := len(log2.Recovered())
+				survived := int(log2.LastSeq()) // sequences run 1..n
 				e2, err := Restore(nil, log2)
 				if err != nil {
 					t.Fatalf("cut=%d: restore: %v", cut, err)
@@ -422,7 +422,14 @@ func TestCrashDuringAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable := append([]wal.Record(nil), log2.Recovered()...)
+	img, err := os.ReadFile(path) // opening truncated the torn tail
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable, _, err := wal.ReadAll(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(durable) == 0 {
 		t.Fatal("nothing durable before the crash point")
 	}
@@ -515,7 +522,7 @@ func TestRestoreIgnoresRetiredPlanFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(log2.Recovered()); n != len(in)+2 {
+	if n := log2.LastSeq(); n != uint64(len(in)+2) {
 		t.Fatalf("recovered %d records from the patched log, want %d", n, len(in)+2)
 	}
 	e2, err := Restore(nil, log2)
@@ -536,4 +543,50 @@ func TestRestoreIgnoresRetiredPlanFlags(t *testing.T) {
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRestoreRefusesUndecodableRecord: opening a log checks frames, not
+// payloads, so a record whose checksum holds but whose payload does not
+// decode — here an unknown kind, re-sealed — reaches replay, which refuses
+// the log instead of silently dropping that record and every one after it.
+func TestRestoreRefusesUndecodableRecord(t *testing.T) {
+	defer leakcheck.Check(t)()
+	path := filepath.Join(t.TempDir(), "wal")
+	e := durableEngine(t, path)
+	if _, err := e.RegisterText(monitorQuery); err != nil {
+		t.Fatal(err)
+	}
+	e.Push(event.NewCTI(1))
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := [][2]int64{}
+	if _, err := wal.Scan(bytes.NewReader(img), func(_ wal.Record, start, end int64) error {
+		ranges = append(ranges, [2]int64{start, end})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg := ranges[0]
+	payload := img[reg[0]+8 : reg[1]]
+	payload[8] = 0xee // the kind byte, after the sequence number
+	binary.LittleEndian.PutUint32(img[reg[0]+4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := log.LastSeq(); n != 2 {
+		t.Fatalf("opening kept %d records, want both: frames are intact", n)
+	}
+	if _, err := Restore(nil, log); err == nil {
+		t.Fatal("restore replayed a log holding an undecodable record")
+	}
+	log.Close()
 }

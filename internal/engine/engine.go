@@ -43,12 +43,12 @@ type Engine struct {
 	// before the engine is shared; nil means durability is off and the hot
 	// path stays exactly as before (one nil check per Push).
 	log       *wal.Log
-	journal   []wal.Record // applied records, for Snapshot; durable engines only
-	seq       uint64       // sequence of the last applied record
-	replaying bool         // Restore replay in progress: suppress re-logging
-	walErr    error        // first WAL failure; the engine fails stop
-	nonDur    []string     // names of queries that bypassed durable registration
-	pushMu    sync.Mutex   // durable engines: serializes log order = apply order
+	journal   [][]byte   // applied records' WAL frames, a snapshot's body; durable engines only
+	seq       uint64     // sequence of the last applied record
+	replaying bool       // Restore replay in progress: suppress re-logging
+	walErr    error      // first WAL failure; the engine fails stop
+	nonDur    []string   // names of queries that bypassed durable registration
+	pushMu    sync.Mutex // durable engines: serializes log order = apply order
 	closed    bool
 	finished  bool
 }

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -42,9 +44,10 @@ const writeThrough = 64 << 10
 type Log struct {
 	mu        sync.Mutex
 	f         File
-	recovered []Record
+	recovered []byte // the file's intact prefix, until TakeRecovered
 	lastSeq   uint64
 	buf       []byte // encoded records not yet written to the file (< writeThrough bytes)
+	enc       []byte // Append's encoding of its record
 	pending   int    // records in buf
 	every     int
 	err       error // first write/sync failure; the log fails stop
@@ -67,26 +70,34 @@ func Open(path string, opts ...LogOption) (*Log, error) {
 	return l, nil
 }
 
-// New builds a Log over an already-open file: it scans from the start,
-// keeps every intact record, truncates the file at the first torn or
-// corrupt one, and leaves the file positioned for appending. A zero-length
-// file gets the magic header on the first sync.
+// New builds a Log over an already-open file: it keeps the bytes of every
+// intact record, undecoded (TakeRecovered), truncates the file at the first
+// torn or corrupt one, and leaves the file positioned for appending. A
+// zero-length file gets the magic header on the first sync.
 func New(f File, opts ...LogOption) (*Log, error) {
 	l := &Log{f: f, every: 32}
 	for _, o := range opts {
 		o(l)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+	size, err := f.Seek(0, io.SeekEnd)
+	img := make([]byte, max(size, 0)) // the exact size: the journal keeps it
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
 	}
-	recs, good, err := ReadAll(f)
+	if err == nil {
+		_, err = io.ReadFull(f, img)
+	}
 	if err != nil {
 		return nil, err
 	}
-	l.recovered = recs
-	if len(recs) > 0 {
-		l.lastSeq = recs[len(recs)-1].Seq
+	good, err := scan(bytes.NewReader(img), nil, func(rec Record, _, _ int64) error {
+		l.lastSeq = rec.Seq
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	l.recovered = img[:good:good]
 	if good == 0 {
 		// Fresh (or torn-at-magic) file: start over with a clean header.
 		if err := f.Truncate(0); err != nil {
@@ -107,9 +118,15 @@ func New(f File, opts ...LogOption) (*Log, error) {
 	return l, nil
 }
 
-// Recovered returns the records read back at open time (not records
-// appended since). The slice is owned by the log; callers must not mutate.
-func (l *Log) Recovered() []Record { return l.recovered }
+// TakeRecovered hands over the file's bytes read back at open time — the
+// magic header and every intact record, for Scan; empty for a fresh log —
+// and keeps no reference: a second call returns nil.
+func (l *Log) TakeRecovered() (img []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	img, l.recovered = l.recovered, nil
+	return img
+}
 
 // LastSeq returns the highest sequence number in the log (recovered or
 // appended); 0 for an empty log.
@@ -141,30 +158,46 @@ func (l *Log) Syncs() int {
 func (l *Log) Append(rec Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
-	if l.closed {
-		return 0, fmt.Errorf("wal: append to closed log")
-	}
 	if rec.Seq == 0 {
 		rec.Seq = l.lastSeq + 1
-	} else if rec.Seq <= l.lastSeq {
-		return 0, fmt.Errorf("wal: sequence %d not after %d", rec.Seq, l.lastSeq)
 	}
-	buf, err := AppendRecord(l.buf, rec)
+	frame, err := AppendRecord(l.enc[:0], rec)
 	if err != nil {
 		return 0, err // encoding error: record rejected, log still healthy
 	}
-	l.buf = buf
-	l.lastSeq = rec.Seq
-	l.pending++
-	if sync := l.every > 0 && l.pending >= l.every; sync || len(l.buf) >= writeThrough {
-		if err := l.flushLocked(sync); err != nil {
-			return 0, err
-		}
+	l.enc = frame
+	if err := l.appendLocked(frame); err != nil {
+		return 0, err
 	}
 	return rec.Seq, nil
+}
+
+// AppendFrame is Append for one record AppendRecord framed with its Seq
+// assigned: a caller that keeps the frame encodes each record once.
+func (l *Log) AppendFrame(frame []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(frame)
+}
+
+func (l *Log) appendLocked(frame []byte) error {
+	if l.err != nil {
+		return l.err
+	}
+	if l.closed {
+		return fmt.Errorf("wal: append to closed log")
+	}
+	seq := binary.LittleEndian.Uint64(frame[8:])
+	if seq <= l.lastSeq {
+		return fmt.Errorf("wal: sequence %d not after %d", seq, l.lastSeq)
+	}
+	l.buf = append(l.buf, frame...)
+	l.lastSeq = seq
+	l.pending++
+	if sync := l.every > 0 && l.pending >= l.every; sync || len(l.buf) >= writeThrough {
+		return l.flushLocked(sync)
+	}
+	return nil
 }
 
 // Sync flushes buffered records to the file and fsyncs it. The durability

@@ -23,8 +23,9 @@
 // because records are not self-synchronizing.
 //
 // Memory stays bounded: a Log buffers at most 64 KiB of records before
-// writing them out (fsync follows SyncEvery alone), and recovery scans
-// through one payload buffer and one Decoder, which shares repeated strings.
+// writing them out (fsync follows SyncEvery alone), opening one keeps its
+// intact prefix undecoded (Log.TakeRecovered), and Scan decodes through
+// one payload buffer and one Decoder, which shares repeated strings.
 package wal
 
 import (
@@ -545,12 +546,17 @@ func (d *Decoder) Payload(payload []byte) (Record, error) {
 
 // Scan reads framed records from r, calling fn with each record and its
 // [start, end) byte range (magic header included in offsets). Scanning
-// stops silently at the first torn, checksum-corrupt, or out-of-sequence
-// record — recovery-time truncation treats everything from there as a lost
-// tail — and the returned offset is the end of the last good record. A
-// missing or wrong magic header is a hard error (the file is not a WAL),
-// as is an I/O failure other than EOF.
+// stops silently at the first torn, checksum-corrupt, out-of-sequence or
+// undecodable record — recovery-time truncation treats everything from
+// there as a lost tail — and the returned offset is the end of the last
+// good record. A missing or wrong magic header is a hard error (the file is
+// not a WAL), as is an I/O failure other than EOF.
 func Scan(r io.Reader, fn func(rec Record, start, end int64) error) (int64, error) {
+	return scan(r, NewDecoder(), fn)
+}
+
+// scan is Scan through dec; a nil dec decodes nothing (fn sees Seq alone).
+func scan(r io.Reader, dec *Decoder, fn func(rec Record, start, end int64) error) (int64, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		if err == io.EOF {
@@ -569,7 +575,6 @@ func Scan(r io.Reader, fn func(rec Record, start, end int64) error) (int64, erro
 	var lastSeq uint64
 	// One payload buffer for the whole scan: decoding copies out of it.
 	var payload []byte
-	dec := NewDecoder()
 	for {
 		if _, err := io.ReadFull(r, head[:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -579,8 +584,8 @@ func Scan(r io.Reader, fn func(rec Record, start, end int64) error) (int64, erro
 		}
 		n := binary.LittleEndian.Uint32(head[:4])
 		crc := binary.LittleEndian.Uint32(head[4:])
-		if n == 0 || n > maxBody {
-			return good, nil // corrupt length prefix
+		if n < 8+1 || n > maxBody {
+			return good, nil // corrupt length prefix (no room for seq and kind, or too long)
 		}
 		payload = slices.Grow(payload[:0], int(n))[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
@@ -592,9 +597,12 @@ func Scan(r io.Reader, fn func(rec Record, start, end int64) error) (int64, erro
 		if crc32.Checksum(payload, castagnoli) != crc {
 			return good, nil // checksum mismatch
 		}
-		rec, err := dec.Payload(payload)
-		if err != nil {
-			return good, nil // structurally corrupt despite checksum length
+		rec := Record{Seq: binary.LittleEndian.Uint64(payload)}
+		if dec != nil {
+			var err error
+			if rec, err = dec.Payload(payload); err != nil {
+				return good, nil // structurally corrupt despite checksum length
+			}
 		}
 		if rec.Seq <= lastSeq {
 			return good, nil // out of sequence: a stale or spliced tail

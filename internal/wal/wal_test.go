@@ -81,7 +81,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	got := l.Recovered()
+	got := recovered(t, l)
 	want := withSeqs(recs)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
@@ -89,6 +89,16 @@ func TestRoundTrip(t *testing.T) {
 	if l.LastSeq() != uint64(len(recs)) {
 		t.Fatalf("LastSeq = %d, want %d", l.LastSeq(), len(recs))
 	}
+}
+
+// recovered decodes the records l read back at open time.
+func recovered(t *testing.T, l *wal.Log) []wal.Record {
+	t.Helper()
+	recs, _, err := wal.ReadAll(bytes.NewReader(l.TakeRecovered()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // registerPayload hand-encodes a registration record's payload (seq, kind,
@@ -193,7 +203,7 @@ func TestCorruptRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := l.Recovered()
+			got := recovered(t, l)
 			want := withSeqs(recs)[:tc.keep]
 			if len(want) == 0 {
 				want = nil
@@ -218,7 +228,7 @@ func TestCorruptRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l2.Close()
-			if n := len(l2.Recovered()); n != tc.keep+1 {
+			if n := len(recovered(t, l2)); n != tc.keep+1 {
 				t.Fatalf("after truncate+append: %d records, want %d", n, tc.keep+1)
 			}
 		})
@@ -278,6 +288,43 @@ func TestAppendSeqValidation(t *testing.T) {
 	}
 	if seq, err := l.Append(wal.Record{Kind: wal.KindFinish}); err != nil || seq != 11 {
 		t.Fatalf("auto-assign after explicit seq: got %d, %v; want 11, nil", seq, err)
+	}
+}
+
+// TestAppendFrameMatchesAppend: a record framed by AppendRecord and handed
+// over as bytes is logged exactly as Append logs it, under the same
+// sequence rule.
+func TestAppendFrameMatchesAppend(t *testing.T) {
+	dir := t.TempDir()
+	recs := withSeqs(sampleRecords())
+	writeLog(t, filepath.Join(dir, "append"), recs)
+	l, err := wal.Open(filepath.Join(dir, "frames"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		frame, err := wal.AppendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendFrame(frame); err != nil {
+			t.Fatalf("append frame %d: %v", r.Seq, err)
+		}
+	}
+	stale, _ := wal.AppendRecord(nil, recs[0])
+	if err := l.AppendFrame(stale); err == nil {
+		t.Fatal("a frame with a stale sequence was accepted")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(filepath.Join(dir, "append"))
+	b, errB := os.ReadFile(filepath.Join(dir, "frames"))
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("AppendFrame wrote %d bytes, Append %d, not the same", len(b), len(a))
 	}
 }
 
@@ -408,7 +455,7 @@ func TestWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := len(l2.Recovered()); got != 2*n {
+	if got := len(recovered(t, l2)); got != 2*n {
 		t.Fatalf("recovered %d records, want %d", got, 2*n)
 	}
 }
@@ -497,7 +544,7 @@ func TestCrashAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		got := l.Recovered()
+		got := recovered(t, l)
 		if len(got) > len(want) {
 			t.Fatalf("cut=%d: recovered %d records from a %d-record image", cut, len(got), len(want))
 		}
