@@ -52,6 +52,10 @@ import (
 // backing arrays and the journaling cost per mutation is O(1) with no
 // per-record boxing beyond the two interface words the spine record
 // already carries.
+//
+// Slot hygiene: every shrink of the spine, the run or a side stack (flush,
+// rollback, compact) zeroes the slots it gives up, which would otherwise keep
+// their records' nodes and matches — past Advance(∞), the old tree — alive.
 type undoLog struct {
 	on   bool
 	base uint64    // absolute position of recs[0]
@@ -338,6 +342,7 @@ func (u *undoLog) resetSlow(p *Op) {
 func (u *undoLog) flush() {
 	if len(u.run) > 0 {
 		u.recs = append(u.recs, u.run...)
+		clear(u.run)
 		u.run = u.run[:0]
 	}
 }
@@ -381,11 +386,11 @@ func (u *undoLog) rollbackTo(pos uint64, p *Op) bool {
 	if u.recs[tgt-1].kind != jBarrier {
 		return false
 	}
-	for len(u.recs) > tgt {
-		r := &u.recs[len(u.recs)-1]
-		u.undo(r)
-		u.recs = u.recs[:len(u.recs)-1]
+	for n := len(u.recs); n > tgt; n-- {
+		u.undo(&u.recs[n-1])
 	}
+	clear(u.recs[tgt:])
+	u.recs = u.recs[:tgt]
 	// The barrier's payload is now the scal top: every scal entry pushed
 	// after it belonged to a later (now undone) barrier.
 	s := &u.scal[len(u.scal)-1]
@@ -426,14 +431,14 @@ func (u *undoLog) compact(pos uint64) {
 	dAms := int(s.nAms - u.amsDrop)
 	dRsts := int(s.nRsts - u.rstsDrop)
 	bars := u.recs[bar].i - int(u.scalDrop)
-	u.recs = u.recs[:copy(u.recs, u.recs[bar:])]
+	u.recs = shiftDown(u.recs, bar)
 	u.base += uint64(bar)
-	u.ms = u.ms[:copy(u.ms, u.ms[dMs:])]
-	u.evs = u.evs[:copy(u.evs, u.evs[dEvs:])]
-	u.cs = u.cs[:copy(u.cs, u.cs[dCs:])]
-	u.ams = u.ams[:copy(u.ams, u.ams[dAms:])]
-	u.rsts = u.rsts[:copy(u.rsts, u.rsts[dRsts:])]
-	u.scal = u.scal[:copy(u.scal, u.scal[bars:])]
+	u.ms = shiftDown(u.ms, dMs)
+	u.evs = shiftDown(u.evs, dEvs)
+	u.cs = shiftDown(u.cs, dCs)
+	u.ams = shiftDown(u.ams, dAms)
+	u.rsts = shiftDown(u.rsts, dRsts)
+	u.scal = shiftDown(u.scal, bars)
 	u.msDrop += uint64(dMs)
 	u.evsDrop += uint64(dEvs)
 	u.csDrop += uint64(dCs)
@@ -442,23 +447,31 @@ func (u *undoLog) compact(pos uint64) {
 	u.scalDrop += uint64(bars)
 }
 
-// popMatch pops the ms stack top.
-func (u *undoLog) popMatch() *keyedMatch {
-	km := u.ms[len(u.ms)-1]
-	u.ms = u.ms[:len(u.ms)-1]
-	return km
+// shiftDown drops s's first d elements, zeroing the slots the shift vacates.
+func shiftDown[T any](s []T, d int) []T {
+	n := copy(s, s[d:])
+	clear(s[n:])
+	return s[:n]
+}
+
+// pop removes and returns the top of a side stack, zeroing its slot.
+func pop[T any](s *[]T) T {
+	n := len(*s) - 1
+	v := (*s)[n]
+	clear((*s)[n:])
+	*s = (*s)[:n]
+	return v
 }
 
 // undo reverses one record, popping its payloads.
 func (u *undoLog) undo(r *undoRec) {
 	switch r.kind {
 	case jBarrier:
-		u.scal = u.scal[:len(u.scal)-1]
+		pop(&u.scal)
 	case jRecMap:
 		m := r.node.(map[event.ID]*evRec)
 		if r.flag {
-			m[r.id] = u.evs[len(u.evs)-1]
-			u.evs = u.evs[:len(u.evs)-1]
+			m[r.id] = pop(&u.evs)
 		} else {
 			delete(m, r.id)
 		}
@@ -479,27 +492,26 @@ func (u *undoLog) undo(r *undoRec) {
 	case jMatchMap:
 		m := r.node.(map[event.ID]*keyedMatch)
 		if r.flag {
-			m[r.id] = u.popMatch()
+			m[r.id] = pop(&u.ms)
 		} else {
 			delete(m, r.id)
 		}
 	case jListIns:
-		r.node.(*keyedList).remove(u.popMatch())
+		r.node.(*keyedList).remove(pop(&u.ms))
 	case jListDel:
-		r.node.(*keyedList).insert(u.popMatch())
+		r.node.(*keyedList).insert(pop(&u.ms))
 	case jPendIns:
 		r.node.(*pendingList).removeAt(r.i)
 	case jPendDel:
-		r.node.(*pendingList).insertAt(r.i, u.popMatch())
+		r.node.(*pendingList).insertAt(r.i, pop(&u.ms))
 	case jPendSet:
-		r.node.(*pendingList).ms[r.i] = u.popMatch()
+		r.node.(*pendingList).ms[r.i] = pop(&u.ms)
 	case jAmIns:
 		n := r.node.(*atMostNode)
 		n.entries = slices.Delete(n.entries, r.i, r.i+1)
 	case jAmDel:
 		n := r.node.(*atMostNode)
-		n.entries = slices.Insert(n.entries, r.i, u.ams[len(u.ams)-1])
-		u.ams = u.ams[:len(u.ams)-1]
+		n.entries = slices.Insert(n.entries, r.i, pop(&u.ams))
 	case jAmCnt:
 		n := r.node.(*atMostNode)
 		if r.flag {
@@ -509,16 +521,13 @@ func (u *undoLog) undo(r *undoRec) {
 		}
 	case jCandAdd:
 		n := r.node.(*negNode)
-		a := u.popMatch()
+		a := pop(&u.ms)
 		n.candRemove(r.t, a.m.ID, route(n.keyed, a.key))
 	case jCandDel:
-		n := r.node.(*negNode)
-		c := u.cs[len(u.cs)-1]
-		u.cs = u.cs[:len(u.cs)-1]
-		n.candAdd(c)
+		r.node.(*negNode).candAdd(pop(&u.cs))
 	case jBlock:
 		n := r.node.(*negNode)
-		a := u.popMatch()
+		a := pop(&u.ms)
 		cs := n.wcands
 		if k := route(n.keyed, a.key); k.def() {
 			cs = n.kcands[k]
@@ -536,8 +545,7 @@ func (u *undoLog) undo(r *undoRec) {
 		r.node.(undoQueue).unpop(r.i)
 	case jReset:
 		p := r.node.(*Op)
-		rs := u.rsts[len(u.rsts)-1]
-		u.rsts = u.rsts[:len(u.rsts)-1]
+		rs := pop(&u.rsts)
 		p.sh = rs.sh
 		p.root = rs.root
 		p.store = rs.store

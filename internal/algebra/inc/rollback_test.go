@@ -3,6 +3,7 @@ package inc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/algebra"
@@ -173,6 +174,116 @@ func TestRollbackDifferentialKeyed(t *testing.T) {
 		}
 		for _, mode := range scModes() {
 			driveAcrossExpiry(t, name, expr, mode, WithJoinKey("k"))
+		}
+	}
+}
+
+// staleSlots counts the slots of s between its length and its capacity that
+// are not zero: a vacated slot the journal failed to clear, still holding a
+// record's node, match or reset payload reachable.
+func staleSlots[T any](s []T) int {
+	n := 0
+	for _, v := range s[len(s):cap(s)] {
+		if !reflect.ValueOf(&v).Elem().IsZero() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJournalKeepsNoStaleSlots: every shrink of the undo journal zeroes what
+// it gives up. A random Mark/Process/remove/Advance/Rollback/Compact script
+// over the zoo checks, after each step, that no slot in [len, cap) of the
+// spine, the run or a side stack is set: a flush drains the run (Process,
+// Advance), a rollback pops the spine and the stacks, a compaction shifts
+// them all down. The script ends the way a finished monitor does —
+// Advance(∞), then a compaction to a mark past it — after which the journal
+// holds no reset payload at all, so the pre-reset tree is unreachable.
+func TestJournalKeepsNoStaleSlots(t *testing.T) {
+	grown := map[string]int{}
+	check := func(label string, u *undoLog) {
+		t.Helper()
+		for _, s := range []struct {
+			name     string
+			cap, bad int
+		}{
+			{"spine", cap(u.recs), staleSlots(u.recs)},
+			{"run", cap(u.run), staleSlots(u.run)},
+			{"ms", cap(u.ms), staleSlots(u.ms)},
+			{"evs", cap(u.evs), staleSlots(u.evs)},
+			{"cs", cap(u.cs), staleSlots(u.cs)},
+			{"ams", cap(u.ams), staleSlots(u.ams)},
+			{"scal", cap(u.scal), staleSlots(u.scal)},
+			{"rsts", cap(u.rsts), staleSlots(u.rsts)},
+		} {
+			if s.bad > 0 {
+				t.Fatalf("%s: %d stale slots beyond the journal's %s (cap %d)", label, s.bad, s.name, s.cap)
+			}
+			grown[s.name] = max(grown[s.name], s.cap)
+		}
+	}
+	for name, expr := range exprZoo() {
+		for mi, mode := range scModes() {
+			seed := int64(31*mi + 5)
+			rng := rand.New(rand.NewSource(seed))
+			label := func(step string, i int) string {
+				return fmt.Sprintf("%s %v seed=%d %s %d", name, mode, seed, step, i)
+			}
+			op := NewOp(expr, mode, "out")
+			u := op.sh.u
+			vs := []operators.Version{op.Mark()}
+			rollTo := func(j, i int) {
+				if !op.Rollback(vs[j]) {
+					t.Fatalf("%s: rollback to a live version refused", label("rollback", i))
+				}
+				vs = vs[:j+1]
+				check(label("rollback pops", i), u)
+			}
+			lastAdvance := temporal.MinTime
+			events := genEvents(rng, 60)
+			for i, e := range events {
+				op.Process(0, e)
+				check(label("process flush", i), u)
+				if v := events[rng.Intn(i+1)]; rng.Intn(4) == 0 && v.V.Start >= lastAdvance {
+					op.Process(0, event.NewRetract(v.ID, v.Type, v.V.Start, v.V.Start, nil))
+					check(label("remove flush", i), u)
+				}
+				if rng.Intn(4) == 0 {
+					lastAdvance = max(lastAdvance, e.V.Start.Add(temporal.Duration(rng.Intn(8))))
+					op.Advance(lastAdvance)
+					check(label("advance flush", i), u)
+				}
+				if rng.Intn(3) == 0 {
+					vs = append(vs, op.Mark())
+				}
+				if rng.Intn(6) == 0 {
+					rollTo(rng.Intn(len(vs)), i)
+				}
+				if rng.Intn(8) == 0 && len(vs) > 1 {
+					k := 1 + rng.Intn(len(vs)-1)
+					op.Compact(vs[k])
+					vs = vs[k:]
+					check(label("compact shift", i), u)
+				}
+			}
+			// Roll back over the reset once (its payload pops), then finish.
+			vs = append(vs, op.Mark())
+			op.Advance(temporal.Infinity)
+			check(label("advance(∞) flush", 0), u)
+			rollTo(len(vs)-1, len(events))
+			op.Advance(temporal.Infinity)
+			op.Compact(op.Mark())
+			check(label("compact past advance(∞)", 0), u)
+			if len(u.rsts) != 0 {
+				t.Fatalf("%s: the journal still holds %d reset payloads", label("compact past advance(∞)", 0), len(u.rsts))
+			}
+		}
+	}
+	// Every slice the script checks must have held something, or it checked
+	// nothing there.
+	for _, name := range []string{"spine", "run", "ms", "evs", "cs", "ams", "scal", "rsts"} {
+		if grown[name] == 0 {
+			t.Errorf("the script never filled the journal's %s", name)
 		}
 	}
 }

@@ -160,7 +160,8 @@ type Monitor struct {
 	maxRetractSync temporal.Time
 	maxRetractSeq  int
 
-	met Metrics
+	done bool // Finish has run: the monitor is terminal (see Finish)
+	met  Metrics
 }
 
 // Output-order tag admission classes: within one externally driven call,
@@ -385,6 +386,9 @@ func (m *Monitor) SetSpecTaggedInto(s Spec, arrival, trigger []byte, sink *Burst
 }
 
 func (m *Monitor) setSpec(s Spec, arrival, trigger []byte, sink *Burst) []event.Event {
+	if m.done {
+		return nil
+	}
 	m.beginCall(arrival, trigger, sink)
 	m.spec = s
 	m.releaseTimedOut()
@@ -426,7 +430,7 @@ func (m *Monitor) PushTaggedInto(port int, e event.Event, arrival, trigger []byt
 }
 
 func (m *Monitor) push(port int, e event.Event, arrival, trigger []byte, probe bool, sink *Burst) []event.Event {
-	if port < 0 || port >= len(m.portG) {
+	if port < 0 || port >= len(m.portG) || m.done {
 		return nil
 	}
 	m.beginCall(arrival, trigger, sink)
@@ -1155,6 +1159,10 @@ func (m *Monitor) sampleState() {
 // guarantee covered the whole stream) and advances the operator to
 // infinity, flushing blocking operators. The returned items complete the
 // output history and are valid until the next call on this monitor.
+//
+// Finish is terminal: no repair follows an output guarantee of ∞, so the
+// operator is compacted past its last Advance and the repair state is
+// released; Metrics keep their final values. Later calls are no-ops.
 func (m *Monitor) Finish() []event.Event {
 	return m.finish(nil, nil, nil)
 }
@@ -1166,6 +1174,9 @@ func (m *Monitor) FinishTaggedInto(arrival, trigger []byte, sink *Burst) {
 }
 
 func (m *Monitor) finish(arrival, trigger []byte, sink *Burst) []event.Event {
+	if m.done {
+		return nil
+	}
 	m.beginCall(arrival, trigger, sink)
 	for _, be := range m.buffer {
 		if be.probe {
@@ -1185,5 +1196,8 @@ func (m *Monitor) finish(arrival, trigger []byte, sink *Burst) []event.Event {
 	m.out = append(m.out, event.NewCTI(temporal.Infinity))
 	m.appendTag(tagCTI, 0, nil)
 	m.sampleState()
+	m.op.Compact(m.op.Mark())
+	m.done = true
+	m.log, m.undo, m.dirty, m.free, m.emitted, m.gen = nil, nil, nil, nil, nil, nil
 	return m.endCall()
 }

@@ -73,6 +73,46 @@ func TestMiddleEmitsImmediately(t *testing.T) {
 	}
 }
 
+// TestMonitorIgnoresInputAfterFinish: Finish is terminal. Whatever reaches
+// a finished monitor — an in-order event, a straggler, a guarantee, a level
+// switch, a second Finish, plain or tagged — emits nothing and moves no
+// counter.
+func TestMonitorIgnoresInputAfterFinish(t *testing.T) {
+	at := func(e event.Event, c temporal.Time) event.Event {
+		e.C = temporal.From(c)
+		return e
+	}
+	for _, spec := range []Spec{Strong(), Middle(), Weak(5)} {
+		m := NewMonitor(operators.NewAggregate(operators.Count, "", ""), spec)
+		m.Push(0, at(event.NewInsert(1, "E", 0, 10, nil), 100))
+		m.Push(0, at(event.NewInsert(2, "E", 20, 30, nil), 101))
+		m.Push(0, at(event.NewInsert(3, "E", 5, 25, nil), 102))
+		if len(m.Finish()) == 0 {
+			t.Fatalf("%s: Finish emitted nothing", spec.Name())
+		}
+		want := m.Metrics()
+		var sink Burst
+		after := map[string][]event.Event{
+			"in-order push":  m.Push(0, at(event.NewInsert(4, "E", 40, 50, nil), 103)),
+			"straggler push": m.Push(0, at(event.NewInsert(5, "E", 1, 2, nil), 104)),
+			"guarantee":      m.Push(0, at(event.NewCTI(60), 105)),
+			"level switch":   m.SetSpec(Middle()),
+			"second Finish":  m.Finish(),
+		}
+		m.PushTaggedInto(0, at(event.NewInsert(6, "E", 70, 80, nil), 106), []byte{1}, nil, false, &sink)
+		m.FinishTaggedInto([]byte{2}, nil, &sink)
+		after["tagged calls"] = sink.Evs
+		for call, out := range after {
+			if len(out) != 0 {
+				t.Errorf("%s: %s after Finish emitted %v", spec.Name(), call, out)
+			}
+		}
+		if got := m.Metrics(); got != want {
+			t.Errorf("%s: input after Finish moved the metrics\n got: %+v\nwant: %+v", spec.Name(), got, want)
+		}
+	}
+}
+
 func TestMiddleRepairsWithRetractions(t *testing.T) {
 	// An aggregate sees events out of order; the optimistic count must be
 	// repaired by compensating retractions when the straggler lands.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/consistency"
 	"repro/internal/event"
@@ -101,8 +102,8 @@ func checkJournalHeld(t *testing.T, what string, durable int64) {
 		t.Fatal(err)
 	}
 	held, bound := durable-twin, int64(journalItems)*int64(len(frame)+16)+128<<10
-	t.Logf("%s holds %d B beyond its non-durable twin over %d items: %.1f B per item, %d B per encoded event record (bound %d B)",
-		what, held, journalItems, float64(held)/journalItems, len(frame), bound)
+	t.Logf("%s, beyond its non-durable twin over %d items (%.1f B per item, %d B per encoded event record), held %d B (bound %d B)",
+		what, journalItems, float64(held)/journalItems, len(frame), held, bound)
 	if held > bound {
 		t.Fatalf("%s holds %d B beyond a non-durable engine over %d items (%.0f B each), above %d: decoded records are kept",
 			what, held, journalItems, float64(held)/journalItems, bound)
@@ -130,6 +131,39 @@ func TestRestoreKeepsNoDecodedRecords(t *testing.T) {
 	}
 	restored := heldBy(t, func() *Engine { return durableEngine(t, path) })
 	checkJournalHeld(t, "a restored engine", restored)
+}
+
+// TestFinishedChainRetainsOnlyItsHistory: once finished, a chain's output
+// guarantee is ∞ and nothing a repair could read is needed, so the engine
+// holds its history and at most 256 KiB more. Q at Middle over fleet items
+// (INSTALLs only) keeps every one in its matcher until Finish; while the
+// matcher's undo journal kept the Advance(∞) reset record, that whole
+// pre-reset tree stayed reachable after Finish (5.6 MB, 17× the bound).
+func TestFinishedChainRetainsOnlyItsHistory(t *testing.T) {
+	defer leakcheck.Check(t)()
+	// Warm the analysis cache, which outlives any one engine.
+	if _, err := plan.Prepare(monitorQuery); err != nil {
+		t.Fatal(err)
+	}
+	var own int64
+	held := heldBy(t, func() *Engine {
+		e := New()
+		q, err := e.RegisterText(monitorQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range journalItems {
+			e.Push(fleetItem(i))
+		}
+		e.Finish()
+		own = int64(cap(q.ch.history)) * int64(unsafe.Sizeof(event.Event{}))
+		return e
+	})
+	bound := own + 256<<10
+	t.Logf("a finished Middle chain over %d items, its history %d B, held %d B (bound %d B)", journalItems, own, held, bound)
+	if held > bound {
+		t.Fatalf("a finished chain holds %d B, above its history's %d B + 256 KiB: repair state outlives Finish", held, own)
+	}
 }
 
 // driveEveryKind drives e through every record kind: a sharded private
@@ -323,27 +357,27 @@ func (f *memFile) Truncate(size int64) error { f.b = f.b[:size]; return nil }
 func (f *memFile) Sync() error               { return nil }
 func (f *memFile) Close() error              { return nil }
 
-// Work a fuzzed snapshot may ask for: registrations × events and shards ×
-// events are legitimate work, not an allocation bug, so inputs beyond these
-// are skipped.
-const maxFuzzRegs, maxFuzzShards = 4, 4
+// Work a fuzzed snapshot may ask for: registrations × events is legitimate
+// work, not an allocation bug, so inputs beyond this are skipped. (Shards
+// need no bound here: replay prepares every registration, and Prepare
+// refuses more than plan.MaxShards.)
+const maxFuzzRegs = 4
 
 // fuzzable reports whether snap's records stay within maxFuzzRegs
-// registrations of at most maxFuzzShards shards.
+// registrations.
 func fuzzable(snap []byte) bool {
 	if len(snap) < snapHead {
 		return true
 	}
-	regs, ok := 0, true
+	regs := 0
 	// A body Scan refuses, Restore refuses too: nothing to skip.
 	_, _ = wal.Scan(bytes.NewReader(snap[snapHead:]), func(rec wal.Record, _, _ int64) error {
 		if rec.Kind == wal.KindRegister {
 			regs++
-			ok = ok && rec.Opts.Shards <= maxFuzzShards
 		}
 		return nil
 	})
-	return ok && regs <= maxFuzzRegs
+	return regs <= maxFuzzRegs
 }
 
 // restoreMem restores snap over an empty in-memory log.

@@ -165,12 +165,26 @@ type discard struct{}
 func (discard) deliverMerged([]event.Event) {}
 func (discard) quarantine(error)            {}
 
+// settledGoroutines returns the goroutine count once it has stopped
+// falling, polled with runtime.Gosched: an earlier test's chains may still
+// be exiting, and a baseline read at once counts them.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 100; still++ {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m < n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // TestPrivateChainsStartNoGoroutines: a one-shard chain runs inline, so
-// registering, feeding and closing a thousand private chains leaves the
-// goroutine count where it was at every step.
+// registering, feeding and closing a thousand private chains never raises
+// the goroutine count above its settled baseline.
 func TestPrivateChainsStartNoGoroutines(t *testing.T) {
 	defer leakcheck.Check(t)()
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := New()
 	for i := 0; i < 1000; i++ {
 		q, err := e.RegisterText(`EVENT Out WHEN ANY(E e)`)
@@ -181,7 +195,7 @@ func TestPrivateChainsStartNoGoroutines(t *testing.T) {
 			t.Fatalf("private chain runs %d shards, want 1", q.Shards())
 		}
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("1,000 one-shard registrations: %d goroutines, %d before", n, before)
 	}
 	for i := 0; i < 10; i++ {
@@ -190,7 +204,7 @@ func TestPrivateChainsStartNoGoroutines(t *testing.T) {
 		e.Push(ev)
 	}
 	e.Finish()
-	if n := runtime.NumGoroutine(); n != before {
+	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("after push and finish: %d goroutines, %d before", n, before)
 	}
 	for _, q := range e.Queries() {

@@ -111,9 +111,20 @@ const AutoShards = -1
 // WithShards requests key-partitioned execution over n parallel shards
 // (or the engine-chosen count, for AutoShards). Plans whose
 // partitionability analysis fails (Part) run single-shard regardless;
-// Explain shows the verdict.
+// Explain shows the verdict. Prepare refuses n above MaxShards.
 func WithShards(n int) Option {
 	return func(c *config) { c.Shards = n }
+}
+
+// MaxShards bounds the shards (worker goroutines) one registration may
+// request; every register surface and log replay goes through Prepare.
+const MaxShards = 64
+
+// ShardsError is Prepare's refusal of a request above MaxShards.
+type ShardsError struct{ Shards int }
+
+func (e *ShardsError) Error() string {
+	return fmt.Sprintf("plan: %d shards requested, at most %d", e.Shards, MaxShards)
 }
 
 // WithSharing marks the plan shareable: when another registration with the
@@ -389,6 +400,9 @@ func Prepare(src string, opts ...Option) (*Plan, error) {
 	p := new(Plan) // the options write into its config, which would escape on its own
 	for _, o := range opts {
 		o(&p.cfg)
+	}
+	if p.cfg.Shards > MaxShards {
+		return nil, &ShardsError{p.cfg.Shards}
 	}
 	p.cfg.bkey = canonBindings(p.cfg.Bindings)
 	key := cacheKey{src, p.cfg.bkey}

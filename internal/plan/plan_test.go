@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -223,5 +224,26 @@ func TestUnboundedLevelClamp(t *testing.T) {
 	// level(B) with no M: M defaults to unbounded, B kept.
 	if p.Spec.B != temporal.Duration(100) || p.Spec.M != consistency.Unbounded {
 		t.Errorf("spec = %+v", p.Spec)
+	}
+}
+
+// TestPrepareCapsShards: a registration may request up to MaxShards shards
+// (or AutoShards); Prepare — and so Compile, every register surface and log
+// replay — refuses more with a *ShardsError naming the request.
+func TestPrepareCapsShards(t *testing.T) {
+	const src = `EVENT E WHEN ANY(A a) WHERE CorrelationKey(k, EQUAL)`
+	for _, n := range []int{AutoShards, 0, 1, MaxShards} {
+		if _, err := Prepare(src, WithShards(n)); err != nil {
+			t.Errorf("shards %d refused: %v", n, err)
+		}
+	}
+	for _, n := range []int{MaxShards + 1, 1 << 20} {
+		for name, build := range map[string]func(string, ...Option) (*Plan, error){"Prepare": Prepare, "Compile": Compile} {
+			_, err := build(src, WithShards(n))
+			var se *ShardsError
+			if !errors.As(err, &se) || se.Shards != n {
+				t.Errorf("%s with %d shards: %v, want a *ShardsError for %d", name, n, err, n)
+			}
+		}
 	}
 }

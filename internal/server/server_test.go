@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/event"
+	"repro/internal/plan"
 	"repro/internal/wal"
 )
 
@@ -331,6 +333,46 @@ func TestRegisterOptionsOnWire(t *testing.T) {
 	qs := sys.Queries()
 	if len(qs) != 3 {
 		t.Fatalf("server registered %d queries, want 3", len(qs))
+	}
+}
+
+// TestRegisterRefusesShardsAboveCap: a register frame or HTTP body asking
+// for more than plan.MaxShards shards of a partitionable query is refused,
+// registers nothing and starts no goroutine — it once started one worker
+// per requested shard — and the session stays usable.
+func TestRegisterRefusesShardsAboveCap(t *testing.T) {
+	const keyed = `EVENT Keyed WHEN UNLESS(HOT h, COOL c, 10 seconds) WHERE CorrelationKey(sensor, EQUAL)`
+	sys := cedr.New()
+	srv, addr := startServer(t, sys)
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c, err := Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Register(keyed, RegOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// Goroutines an earlier test left may still exit, never start: the
+	// count can only fall unless the refused registration starts one.
+	before := runtime.NumGoroutine()
+	if _, err := c.Register(keyed, RegOptions{Shards: 1 << 20}); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Fatalf("register frame for 1<<20 shards: %v, want a refusal", err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("a refused register frame started goroutines: %d, %d before", n, before)
+	}
+	body := fmt.Sprintf(`{"src": %s, "shards": %d}`, jsonString(keyed), plan.MaxShards+1)
+	if code := httpDo(t, ts, http.MethodPost, "/v1/queries", body, nil); code != http.StatusBadRequest {
+		t.Fatalf("HTTP register for %d shards: status %d, want 400", plan.MaxShards+1, code)
+	}
+	if n := len(sys.Queries()); n != 1 {
+		t.Fatalf("%d queries registered, want only the one within the cap", n)
+	}
+	if _, err := c.Register(keyed, RegOptions{}); err != nil {
+		t.Fatalf("session unusable after a refused register: %v", err)
 	}
 }
 
