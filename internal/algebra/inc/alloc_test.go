@@ -86,38 +86,11 @@ func TestAllocsSequenceHotPath(t *testing.T) {
 	}
 }
 
-// TestAllocsCOWClone pins Clone's copy-on-write promise: cloning an
-// operator with live state is a handle copy — one small struct — not a deep
-// copy of stores, indexes, and pending lists. The deep copy happens lazily
-// on the first mutation (ensureOwned), so a chain of clones that never
-// diverges stays O(1) per clone regardless of state size.
-func TestAllocsCOWClone(t *testing.T) {
-	mode := algebra.SCMode{Cons: algebra.Consume}
-	op := NewOp(allocSeqExpr(), mode, "Pairs")
-	for i, e := range allocSeqEvents(400, "INSTALL", "SHUTDOWN") {
-		op.Process(0, e)
-		if i%16 == 15 {
-			op.Advance(e.V.Start)
-		}
-	}
-	var sink *Op
-	perClone := testing.AllocsPerRun(100, func() {
-		sink = op.Clone().(*Op)
-	})
-	_ = sink
-	const ceiling = 4.0
-	t.Logf("COW clone: %.2f allocs/clone at state size %d (ceiling %.0f)",
-		perClone, op.StateSize(), ceiling)
-	if perClone > ceiling {
-		t.Fatalf("Clone allocates %.2f per call at state size %d, above the pinned ceiling %.0f — the lazy copy-on-write path regressed to an eager deep copy", perClone, op.StateSize(), ceiling)
-	}
-}
-
 // TestAllocsJournalMark pins the Versioned capture cost: with the undo
-// journal on, Mark is a barrier append — O(changed since the last mark),
-// never O(state). At several hundred stored events a regression back to
-// snapshot-by-copy would show up as hundreds of allocations per mark; the
-// ceiling admits only the amortized journal-spine growth.
+// journal on, Mark is an O(1) append, never O(state). At several hundred
+// stored events a regression back to snapshot-by-copy would show up as
+// hundreds of allocations per mark; the ceiling admits only the amortized
+// growth of the journal's marks.
 func TestAllocsJournalMark(t *testing.T) {
 	mode := algebra.SCMode{Cons: algebra.Consume}
 	op := NewOp(allocSeqExpr(), mode, "Pairs")
@@ -197,9 +170,10 @@ func TestAllocsInternedPayloads(t *testing.T) {
 		algebra.SCMode{}, "Missed", WithJoinKey("Machine_Id"))
 	neg := un.root.(*negNode)
 	ucomb := neg.pos.(*seqNode).comb
-	var c negCand
+	var a *keyedMatch
 	reheaded := testing.AllocsPerRun(200, func() {
-		c, _ = neg.interval(ucomb.combined(2, parts, 64))
+		a = ucomb.combined(2, parts, 64)
+		neg.interval(a)
 		delete(ucomb.m, 2)
 	})
 
@@ -210,7 +184,7 @@ func TestAllocsInternedPayloads(t *testing.T) {
 		t.Fatalf("a repeated payload allocates: leaf %.2f (ceiling %.0f), composite %.2f (ceiling %.0f), pid %d — the payload table no longer interns",
 			leaf, ceilLeaf, composite, ceilComposite, x.pid)
 	}
-	if reheaded > ceilComposite || c.out != c.a.up || !c.a.reheaded() || c.out.m.ID == c.a.m.ID {
+	if reheaded > ceilComposite || neg.out(a) != a.up || !a.reheaded() || a.up.m.ID == a.m.ID {
 		t.Fatalf("a composite under UNLESS and its re-headed form cost %.2f allocations (ceiling %.0f), or the form is not derived into the composite's slot",
 			reheaded, ceilComposite)
 	}
@@ -246,11 +220,11 @@ func TestAllocsKeyResolution(t *testing.T) {
 	cfg := newKeyCfg("Machine_Id")
 	for _, v := range []event.Value{"m017", int64(1 << 40), 2.5, true} {
 		p := event.Payload{"x.Machine_Id": v, "y.Machine_Id": v, "x.i": int64(1)}
-		var sink corrKey
+		var sink event.Key
 		allocs := testing.AllocsPerRun(200, func() { sink = cfg.of(p) })
 		t.Logf("key resolution over %T: %.2f allocs (ceiling 0)", v, allocs)
-		if allocs != 0 || !sink.def() {
-			t.Fatalf("resolving a %T key: %.2f allocs, definite=%v; want 0 and definite", v, allocs, sink.def())
+		if allocs != 0 || !sink.Def() {
+			t.Fatalf("resolving a %T key: %.2f allocs, definite=%v; want 0 and definite", v, allocs, sink.Def())
 		}
 	}
 }

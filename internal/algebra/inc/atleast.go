@@ -107,13 +107,13 @@ func (a *atLeastNode) enumerate(fix int, nm *keyedMatch, del bool, out *delta) {
 	picks := a.picks[:0]
 	picks = append(picks, nm)
 	minVs, maxVs := nm.m.V.Start, nm.m.V.Start
-	var rec func(pos int, min, max temporal.Time, k corrKey)
+	var rec func(pos int, min, max temporal.Time, k event.Key)
 	commit := func() {
 		sorted := append(a.sorted[:0], picks...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].m.V.Start < sorted[j].m.V.Start })
 		a.commit(sorted, del, out)
 	}
-	rec = func(pos int, min, max temporal.Time, k corrKey) {
+	rec = func(pos int, min, max temporal.Time, k event.Key) {
 		if len(picks) == a.n {
 			commit()
 			return

@@ -143,7 +143,7 @@ func (q *expiryQueue[T]) push(e T, u *undoLog) {
 // expire pops every entry below horizon, oldest first, and returns the
 // popped run — a view into the queue, valid until its next call.
 func (q *expiryQueue[T]) expire(horizon temporal.Time, u *undoLog) []T {
-	if !u.on {
+	if !u.On() {
 		q.reclaim(q.off + q.head)
 	}
 	h := q.head

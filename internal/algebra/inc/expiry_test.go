@@ -134,11 +134,11 @@ func TestPruneOrderDeterministic(t *testing.T) {
 				op.Advance(vs) // from 12 h on, every advance expires a run
 			}
 		}
-		for _, r := range op.sh.u.recs {
+		for _, r := range journalRecs(op.sh.u) {
 			out = append(out, rec{r.kind, r.flag, r.i, r.id, r.t})
-		}
-		for _, km := range op.sh.u.ms {
-			ms = append(ms, km.m.ID)
+			if r.km != nil {
+				ms = append(ms, r.km.m.ID)
+			}
 		}
 		return out, ms
 	}
@@ -163,7 +163,8 @@ func TestPruneOrderDeterministic(t *testing.T) {
 // exact entry sequence — before and after a reclaim has shifted the slots
 // the records' absolute indexes refer to.
 func TestExpiryQueueUndo(t *testing.T) {
-	u := &undoLog{on: true}
+	u := &undoLog{}
+	u.Mark(opScalars{}) // journaling on
 	q := &expiryQueue[*keyedMatch]{}
 	next := event.ID(1)
 	push := func(vs temporal.Time) {
@@ -182,7 +183,7 @@ func TestExpiryQueueUndo(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		horizon := temporal.Time(20 + 30*round)
 		q.expire(horizon, u)
-		base, mark := live(), len(u.run)
+		base, v := live(), u.Mark(opScalars{})
 		push(200)         // tail
 		push(horizon + 5) // straggler inside the live region
 		push(horizon + 5) // tie: after the first, in insertion order
@@ -193,10 +194,9 @@ func TestExpiryQueueUndo(t *testing.T) {
 		if got := live()[0]; got != next-1 {
 			t.Fatalf("round %d: a straggler below the head sits behind %d", round, got)
 		}
-		for i := len(u.run) - 1; i >= mark; i-- {
-			u.undo(&u.run[i])
+		if _, ok := u.Rollback(v); !ok {
+			t.Fatalf("round %d: rollback to a live version refused", round)
 		}
-		u.run = u.run[:mark]
 		if got := live(); !reflect.DeepEqual(got, base) {
 			t.Fatalf("round %d: undo left %v, want %v", round, got, base)
 		}
@@ -216,10 +216,11 @@ func TestExpiryQueueUndo(t *testing.T) {
 // under Mark/Rollback — a straggler inserted below the queue's tail, a
 // retracted event whose stale entry pops later, consumed contributors
 // revived after a run of pops and expired by the entries they were queued
-// under, a version rolled back to twice across a run of pops, the Advance(∞) reset between two versions,
-// compaction below a version whose pops the queues then reclaim, and a lazy
-// Clone taken while the queues have a popped prefix — byte-exact against the
-// oracle at every step and against the frozen clones at every rewind.
+// under, a version rolled back to twice across a run of pops, the Advance(∞)
+// reset between two versions, compaction below a version whose pops the
+// queues then reclaim, and a Clone taken while the queues have a popped
+// prefix — byte-exact against the oracle at every step and against the
+// frozen clones at every rewind.
 func driveAcrossExpiry(t *testing.T, name string, expr algebra.Expr, mode algebra.SCMode, opts ...OpOption) {
 	t.Helper()
 	oracle := algebra.NewPatternOp(expr, mode, "out")
@@ -266,8 +267,8 @@ func driveAcrossExpiry(t *testing.T, name string, expr algebra.Expr, mode algebr
 		return es
 	}
 
-	// A lazy clone taken mid-queue, before any Mark (a journaled operator
-	// clones eagerly): expire a prefix, freeze both sides, diverge, swap back.
+	// A clone taken mid-queue, before any Mark: expire a prefix, freeze both
+	// sides, diverge, swap back.
 	burst(0, 8)
 	advance(scope + 3) // pops Vs 0..2
 	frozenFast, frozenOracle := fast.Clone().(*Op), oracle.Clone().(*algebra.PatternOp)

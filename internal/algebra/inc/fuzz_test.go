@@ -144,7 +144,7 @@ func FuzzIncVsOracle(f *testing.F) {
 	}
 
 	// Scripts that straddle expiry (the scripted rollback differential,
-	// driveAcrossExpiry, has the same seams as a plain test): a lazy clone
+	// driveAcrossExpiry, has the same seams as a plain test): a clone
 	// taken while the queues have a popped prefix, stragglers below the
 	// queues' tails, a retraction whose stale entry pops later, one version
 	// rolled back to twice across a run of pops, and the Advance(∞) reset
@@ -152,7 +152,7 @@ func FuzzIncVsOracle(f *testing.F) {
 	straddle := []byte{
 		0x00, 0x05, 0x10, 0x06, 0x20, 0x07, 0x00, 0x09, 0x10, 0x0a, 0x20, 0x0b, // inserts
 		0x0f, 0x00, // far advance: a run of pops
-		0x0e, 0x00, // clone swap: lazy, the journal is still off
+		0x0e, 0x00, // clone swap: the journal is still off
 		0x00, 0x05, 0x10, 0x06, 0x20, 0x07, 0x00, 0x09, // inserts
 		0x0e, 0x01, // mark #0
 		0x80, 0x02, 0x90, 0x01, // stragglers
@@ -219,6 +219,21 @@ func FuzzIncVsOracle(f *testing.F) {
 		f.Add(append([]byte{shapeIdx(name), byte(i+1) % 4, byte(i % 4)}, straddle...))
 	}
 
+	// A version a rollback invalidated stays dead after the next mark, though
+	// the new timeline journals exactly what the dead one did.
+	dead := []byte{
+		0x00, 0x05, // insert A
+		0x0e, 0x01, // mark #0
+		0x10, 0x05, // insert B
+		0x0e, 0x05, // mark #1
+		0x0e, 0x02, // rollback to #0: #1 is dead
+		0x10, 0x05, // insert B again
+		0x0e, 0x01, // mark: #1 must stay refused
+	}
+	for _, name := range []string{"seq", "kcidr07"} {
+		f.Add(append([]byte{shapeIdx(name), 0, 0}, dead...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -242,12 +257,12 @@ func FuzzIncVsOracle(f *testing.F) {
 		var removable []event.Event
 
 		// Retained checkpoint marks for the versioning sub-opcodes: the
-		// journal position paired with a frozen oracle clone plus the driver
-		// state needed to resume the script coherently after a rollback.
-		// Rolling back to marks[j] invalidates every later mark (the journal
-		// spine truncates and positions are reused), so the stack is cut to
-		// [:j+1]; a clone swap hands both sides fresh state with an empty
-		// journal, so it clears the stack entirely.
+		// version paired with a frozen oracle clone plus the driver state
+		// needed to resume the script coherently after a rollback. Rolling
+		// back to marks[j] invalidates every later mark and compacting to it
+		// every earlier one: those move to dead, which must stay refused for
+		// good, however many marks follow. A clone swap hands both sides
+		// fresh state with an empty journal, so it clears both stacks.
 		type fuzzMark struct {
 			v   operators.Version
 			o   *algebra.PatternOp
@@ -255,7 +270,7 @@ func FuzzIncVsOracle(f *testing.F) {
 			la  temporal.Time
 			vs  temporal.Time
 		}
-		var marks []fuzzMark
+		var marks, dead []fuzzMark
 
 		body := data[3:]
 		if len(body) > 512 {
@@ -330,7 +345,7 @@ func FuzzIncVsOracle(f *testing.F) {
 				case 0: // swap both ops for their clones
 					oracle = oracle.Clone().(*algebra.PatternOp)
 					fast = fast.Clone().(*Op)
-					marks = marks[:0]
+					marks, dead = marks[:0], dead[:0]
 				case 1: // checkpoint capture: journal mark + frozen oracle
 					marks = append(marks, fuzzMark{
 						v:   fast.Mark(),
@@ -350,6 +365,7 @@ func FuzzIncVsOracle(f *testing.F) {
 					oracle = marks[j].o.Clone().(*algebra.PatternOp)
 					removable = append(removable[:0], marks[j].rem...)
 					lastAdvance, vs = marks[j].la, marks[j].vs
+					dead = append(dead, marks[j+1:]...)
 					marks = marks[:j+1]
 					checkStep(t, label+" rollback", oracle, fast, nil, nil)
 				default: // compact: drop undo history below a retained mark
@@ -358,8 +374,14 @@ func FuzzIncVsOracle(f *testing.F) {
 					}
 					j := int(a>>2) % len(marks)
 					fast.Compact(marks[j].v)
+					dead = append(dead, marks[:j]...)
 					marks = marks[j:]
 					checkStep(t, label+" compact", oracle, fast, nil, nil)
+				}
+				for _, d := range dead {
+					if fast.Rollback(d.v) {
+						t.Fatalf("%s: rollback to invalidated version %v succeeded", label, d.v)
+					}
 				}
 			default: // far advance: pushes the horizon past live state
 				adv := vs.Add(temporal.Duration(a) + 64)

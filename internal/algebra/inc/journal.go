@@ -4,18 +4,20 @@ import (
 	"slices"
 
 	"repro/internal/event"
+	"repro/internal/operators"
 	"repro/internal/temporal"
 )
 
-// The undo journal: the mechanism behind Op's operators.Versioned
-// implementation. While journaling is on, every mutation of the operator's
-// durable state — the stores and pending list on the Op itself and the
-// join/candidate/blocker state inside the matcher tree — first appends an
-// exact inverse record. Mark() is then an O(1) barrier append, Rollback(v)
-// pops and undoes records LIFO back to the barrier, and Compact(v) drops
-// the history below it. This is what turns the consistency monitor's
-// snapshots into near-free version handles and its repair into an
-// O(mutations since) rewind instead of clone-and-replay.
+// The matcher's undo records: what Op journals into operators.Journal, the
+// one undo log behind every journaling operator's Versioned implementation.
+// While journaling is on, every mutation of the operator's durable state —
+// the stores and pending list on the Op itself and the join/candidate/blocker
+// state inside the matcher tree — first appends an exact inverse record; a
+// Mark snapshots the Op's scalars, Rollback undoes records LIFO back to it
+// and restores the snapshot, and Compact drops the history below it. This is
+// what turns the consistency monitor's snapshots into near-free version
+// handles and its repair into an O(mutations since) rewind instead of
+// clone-and-replay.
 //
 // What is journaled and what is provably safe to skip:
 //
@@ -25,8 +27,8 @@ import (
 //     LIFO — for the pending list, the ATMOST entry array and the expiry
 //     queues, whose pops are one record per run: the head they started at).
 //   - Op scalars (frontier, mature fast-path state) are NOT journaled per
-//     mutation: a barrier snapshots all of them, and Rollback restores the
-//     barrier's copy wholesale.
+//     mutation: a Mark snapshots all of them (opScalars), and Rollback
+//     restores the mark's copy wholesale.
 //   - The interning caches (event records, composites, leaf matches, the
 //     re-headed forms memoized on a match — filled once, in the slot the
 //     composite reserved or a new one — the payload table) are never
@@ -43,52 +45,18 @@ import (
 //     visited candidate is still filtered exactly.
 //   - Scratch buffers (deltas, selection/commit scratch) are not state.
 //
-// Allocation discipline: records go into one flat spine slice; what a
-// record must remember beyond its scalars — a match or event-record
-// reference, a candidate, an ATMOST entry — goes into typed side stacks
-// popped in the same LIFO order the spine is undone in. Matches and events are
-// held by reference (they are immutable and interned), so a record costs a
-// pointer, not a copy; the steady state appends into amortized-reused
-// backing arrays and the journaling cost per mutation is O(1) with no
-// per-record boxing beyond the two interface words the spine record
-// already carries.
-//
-// Slot hygiene: every shrink of the spine, the run or a side stack (flush,
-// rollback, compact) zeroes the slots it gives up, which would otherwise keep
-// their records' nodes and matches — past Advance(∞), the old tree — alive.
+// A record carries what it must remember inline: matches and event records
+// by reference (they are immutable and interned), so a record costs a
+// pointer, not a copy, and appending one allocates nothing beyond the
+// journal's amortized growth (a reset's record: its one resetState).
 type undoLog struct {
-	on   bool
-	base uint64    // absolute position of recs[0]
-	recs []undoRec // the spine, in mutation order
-
-	// run stages the records of the open delta commit: appenders write
-	// here, and the Op's mutation entry points (Process/Advance/remove)
-	// flush the whole run onto the spine in one grown append per commit.
-	// Keeping the per-mutation appends off the big spine keeps the hot
-	// tree paths writing into one small, cache-resident buffer; the spine
-	// only sees batch-granular growth. Mark/Rollback/Compact flush
-	// defensively, so spine positions are always computed on a drained run.
-	run []undoRec
-
-	// Side payload stacks, LIFO-paired with the spine records that use them.
-	ms   []*keyedMatch
-	evs  []*evRec
-	cs   []negCand
-	ams  []amEntry
-	scal []opScalars
-	rsts []resetState
-
-	// Absolute bottom positions of the payload stacks and of scal: how many
-	// entries compact has dropped from each. Together with the per-barrier
-	// top positions recorded at mark time they make compact's payload
-	// accounting O(1) instead of a per-record scan of the dropped prefix.
-	msDrop, evsDrop, csDrop, amsDrop, rstsDrop, scalDrop uint64
+	operators.Journal[undoRec, opScalars]
 }
 
-// undoRec is one spine record. The kind decides which fields are live; node
-// holds the mutated container (a map, a *keyedList, an expiry queue or the
-// owning node) as an interface over a pointer-shaped value, so appending a
-// record never allocates. The routing key a keyed store filed a match or
+// undoRec is one inverse record. The kind decides which fields are live;
+// node holds the mutated container (a map, a *keyedList, an expiry queue,
+// the owning node or, for a reset, the *resetState) as an interface over a
+// pointer-shaped value. The routing key a keyed store filed a match or
 // candidate under is re-derived from the match's own key on undo.
 type undoRec struct {
 	kind uint8
@@ -97,28 +65,29 @@ type undoRec struct {
 	id   event.ID
 	t    temporal.Time
 	node any
+	km   *keyedMatch
+	ev   *evRec
 }
 
 const (
-	jBarrier   uint8 = iota // a Mark point; payload: scal
-	jRecMap                 // map[ID]*evRec set/delete; flag=existed; payload evs if existed
+	jRecMap    uint8 = iota // map[ID]*evRec set/delete; flag=existed; ev=old
 	jTimeMap                // map[ID]Time set/delete; flag=existed; t=old
 	jIntMap                 // map[ID]int set/delete; flag=existed; i=old
-	jMatchMap               // map[ID]*keyedMatch set/delete; flag=existed; payload ms if existed
-	jListIns                // keyedList.insert; payload ms
-	jListDel                // keyedList.remove (successful); payload ms
+	jMatchMap               // map[ID]*keyedMatch set/delete; flag=existed; km=old
+	jListIns                // keyedList.insert of km
+	jListDel                // keyedList.remove (successful) of km
 	jPendIns                // pendingList.insertAt(i)
-	jPendDel                // pendingList.removeAt(i); payload ms
-	jPendSet                // pendingList.ms[i] overwrite; payload ms (old)
+	jPendDel                // pendingList.removeAt(i) of km
+	jPendSet                // pendingList.ms[i] overwrite; km=old
 	jAmIns                  // atMost entries insert at i
-	jAmDel                  // atMost entries remove at i; payload ams
+	jAmDel                  // atMost entries remove at i of (km, cnt=id)
 	jAmCnt                  // atMost entries[i].cnt += delta; flag = delta>0
-	jCandAdd                // negNode.candAdd; t=lo; payload ms (the positive match)
-	jCandDel                // negNode.candRemove (successful); payload cs
-	jBlock                  // negCand.blockers += delta; t=lo; flag = delta>0; payload ms (the positive match)
+	jCandAdd                // negNode.candAdd of (a=km, lo=t)
+	jCandDel                // negNode.candRemove (successful) of (a=km, lo=t, blockers=i)
+	jBlock                  // blockers of (a=km, lo=t) += delta; flag = delta>0
 	jQueuePush              // expiryQueue.push at absolute index i
 	jQueuePop               // expiryQueue.expire run; i=old head, id=new head (absolute)
-	jReset                  // Advance(∞) full reset; payload rsts
+	jReset                  // Advance(∞) full reset; node=*resetState
 )
 
 // undoQueue is the journal's view of an expiry queue of either entry type.
@@ -128,23 +97,34 @@ type undoQueue interface {
 	reclaim(to int)
 }
 
-// opScalars is the barrier payload: every Op scalar Rollback restores
-// wholesale, plus the absolute top positions of the payload stacks at mark
-// time — the spine prefix below the barrier owns exactly the stack
-// segments below these positions, which is all compact needs to know.
+// opScalars is the Op state a Mark snapshots instead of journaling.
 type opScalars struct {
-	frontier     temporal.Time
+	frontier temporal.Time
+
+	// Emission fast path: mature only runs a commit pass when a pending
+	// match could actually emit. minAddFin tracks the earliest FinalizeAt
+	// added since the last pass; minFutureFin the earliest pending
+	// FinalizeAt beyond the frontier as of the last pass; dirty forces a
+	// pass after retractions, prunes and revivals, which can make
+	// previously suppressed (selection-losing or consume-blocked) matches
+	// emittable — the oracle re-derives and re-selects every time, so those
+	// late emissions are part of its contract.
 	minAddFin    temporal.Time
 	minFutureFin temporal.Time
 	dirty        bool
-	stable       int
-
-	nMs, nEvs, nCs, nAms, nRsts uint64
+	// stable: pending entries below this index form whole detection groups
+	// already committed by a previous pass and untouched since; under
+	// reuse consumption a pass starts there (selection is deterministic on
+	// group content, so unchanged groups can emit nothing new). Any
+	// insertion or deletion below the boundary resets it. Consume mode
+	// always walks from 0: its consumed-set threads across groups.
+	stable int
 }
 
-// resetState is the jReset payload: the wholesale-replaced containers of an
-// Advance(∞) reset.
+// resetState is what a jReset record restores: the wholesale-replaced
+// containers of an Advance(∞) reset.
 type resetState struct {
+	p        *Op
 	sh       *shared
 	root     node
 	store    map[event.ID]*evRec
@@ -156,322 +136,155 @@ type resetState struct {
 // ---- record appenders ----
 //
 // Each is a thin inlinable guard over a slow path, so the journal costs a
-// single predictable branch while off (the legacy clone-driven paths and
-// every standalone operator).
+// single predictable branch while off (every standalone operator).
 
 func (u *undoLog) recMap(m map[event.ID]*evRec, id event.ID) {
-	if u.on {
+	if u.On() {
 		old, existed := m[id]
-		u.recMapSlow(m, id, old, existed)
+		u.Add(undoRec{kind: jRecMap, flag: existed, id: id, node: m, ev: old})
 	}
 }
 
 // recMapKnown is recMap for call sites that already hold the entry from a
 // lookup they performed anyway, spared the duplicate map access.
 func (u *undoLog) recMapKnown(m map[event.ID]*evRec, id event.ID, old *evRec) {
-	if u.on {
-		u.recMapSlow(m, id, old, true)
+	if u.On() {
+		u.Add(undoRec{kind: jRecMap, flag: true, id: id, node: m, ev: old})
 	}
-}
-
-func (u *undoLog) recMapSlow(m map[event.ID]*evRec, id event.ID, old *evRec, existed bool) {
-	if existed {
-		u.evs = append(u.evs, old)
-	}
-	u.run = append(u.run, undoRec{kind: jRecMap, flag: existed, id: id, node: m})
 }
 
 func (u *undoLog) timeMap(m map[event.ID]temporal.Time, id event.ID) {
-	if u.on {
-		u.timeMapSlow(m, id)
+	if u.On() {
+		old, existed := m[id]
+		u.Add(undoRec{kind: jTimeMap, flag: existed, id: id, t: old, node: m})
 	}
-}
-
-func (u *undoLog) timeMapSlow(m map[event.ID]temporal.Time, id event.ID) {
-	old, existed := m[id]
-	u.run = append(u.run, undoRec{kind: jTimeMap, flag: existed, id: id, t: old, node: m})
 }
 
 func (u *undoLog) intMap(m map[event.ID]int, id event.ID) {
-	if u.on {
-		u.intMapSlow(m, id)
+	if u.On() {
+		old, existed := m[id]
+		u.Add(undoRec{kind: jIntMap, flag: existed, id: id, i: old, node: m})
 	}
 }
 
-func (u *undoLog) intMapSlow(m map[event.ID]int, id event.ID) {
-	old, existed := m[id]
-	u.run = append(u.run, undoRec{kind: jIntMap, flag: existed, id: id, i: old, node: m})
-}
-
 func (u *undoLog) matchMap(m map[event.ID]*keyedMatch, id event.ID) {
-	if u.on {
+	if u.On() {
 		old, existed := m[id]
-		u.matchMapSlow(m, id, old, existed)
+		u.Add(undoRec{kind: jMatchMap, flag: existed, id: id, node: m, km: old})
 	}
 }
 
 // matchMapKnown is matchMap for a caller that already holds the entry.
 func (u *undoLog) matchMapKnown(m map[event.ID]*keyedMatch, id event.ID, old *keyedMatch) {
-	if u.on {
-		u.matchMapSlow(m, id, old, true)
+	if u.On() {
+		u.Add(undoRec{kind: jMatchMap, flag: true, id: id, node: m, km: old})
 	}
-}
-
-func (u *undoLog) matchMapSlow(m map[event.ID]*keyedMatch, id event.ID, old *keyedMatch, existed bool) {
-	if existed {
-		u.ms = append(u.ms, old)
-	}
-	u.run = append(u.run, undoRec{kind: jMatchMap, flag: existed, id: id, node: m})
 }
 
 func (u *undoLog) listIns(l *keyedList, km *keyedMatch) {
-	if u.on {
-		u.matchRec(undoRec{kind: jListIns, node: l}, km)
+	if u.On() {
+		u.Add(undoRec{kind: jListIns, node: l, km: km})
 	}
 }
 
 func (u *undoLog) listDel(l *keyedList, km *keyedMatch) {
-	if u.on {
-		u.matchRec(undoRec{kind: jListDel, node: l}, km)
+	if u.On() {
+		u.Add(undoRec{kind: jListDel, node: l, km: km})
 	}
 }
 
-// matchRec appends r with km as its ms payload.
-func (u *undoLog) matchRec(r undoRec, km *keyedMatch) {
-	u.ms = append(u.ms, km)
-	u.run = append(u.run, r)
-}
-
 func (u *undoLog) pendIns(l *pendingList, i int) {
-	if u.on {
-		u.run = append(u.run, undoRec{kind: jPendIns, i: i, node: l})
+	if u.On() {
+		u.Add(undoRec{kind: jPendIns, i: i, node: l})
 	}
 }
 
 func (u *undoLog) pendDel(l *pendingList, i int) {
-	if u.on {
-		u.pendSlow(jPendDel, l, i)
+	if u.On() {
+		u.Add(undoRec{kind: jPendDel, i: i, node: l, km: l.ms[i]})
 	}
 }
 
 func (u *undoLog) pendSet(l *pendingList, i int) {
-	if u.on {
-		u.pendSlow(jPendSet, l, i)
+	if u.On() {
+		u.Add(undoRec{kind: jPendSet, i: i, node: l, km: l.ms[i]})
 	}
 }
 
-func (u *undoLog) pendSlow(kind uint8, l *pendingList, i int) {
-	u.matchRec(undoRec{kind: kind, i: i, node: l}, l.ms[i])
-}
-
 func (u *undoLog) amIns(n *atMostNode, i int) {
-	if u.on {
-		u.run = append(u.run, undoRec{kind: jAmIns, i: i, node: n})
+	if u.On() {
+		u.Add(undoRec{kind: jAmIns, i: i, node: n})
 	}
 }
 
 func (u *undoLog) amDel(n *atMostNode, i int, e amEntry) {
-	if u.on {
-		u.amDelSlow(n, i, e)
+	if u.On() {
+		u.Add(undoRec{kind: jAmDel, i: i, id: event.ID(e.cnt), node: n, km: e.km})
 	}
 }
 
-func (u *undoLog) amDelSlow(n *atMostNode, i int, e amEntry) {
-	u.ams = append(u.ams, e)
-	u.run = append(u.run, undoRec{kind: jAmDel, i: i, node: n})
-}
-
 func (u *undoLog) amCnt(n *atMostNode, i int, inc bool) {
-	if u.on {
-		u.run = append(u.run, undoRec{kind: jAmCnt, i: i, flag: inc, node: n})
+	if u.On() {
+		u.Add(undoRec{kind: jAmCnt, i: i, flag: inc, node: n})
 	}
 }
 
 func (u *undoLog) candAdd(n *negNode, c *negCand) {
-	if u.on {
-		u.matchRec(undoRec{kind: jCandAdd, t: c.lo, node: n}, c.a)
+	if u.On() {
+		u.Add(undoRec{kind: jCandAdd, t: c.lo, node: n, km: c.a})
 	}
 }
 
 func (u *undoLog) candDel(n *negNode, c *negCand) {
-	if u.on {
-		u.cs = append(u.cs, *c)
-		u.run = append(u.run, undoRec{kind: jCandDel, node: n})
+	if u.On() {
+		u.Add(undoRec{kind: jCandDel, i: c.blockers, t: c.lo, node: n, km: c.a})
 	}
 }
 
 // block journals a blocker-count change of c, re-locatable by its positive
 // match and lo (never store a *negCand — the slice backing reallocates).
 func (u *undoLog) block(n *negNode, c *negCand, inc bool) {
-	if u.on {
-		u.matchRec(undoRec{kind: jBlock, t: c.lo, flag: inc, node: n}, c.a)
+	if u.On() {
+		u.Add(undoRec{kind: jBlock, t: c.lo, flag: inc, node: n, km: c.a})
 	}
 }
 
 func (u *undoLog) queuePush(q undoQueue, i int) {
-	if u.on {
-		u.run = append(u.run, undoRec{kind: jQueuePush, i: i, node: q})
+	if u.On() {
+		u.Add(undoRec{kind: jQueuePush, i: i, node: q})
 	}
 }
 
 func (u *undoLog) queuePop(q undoQueue, from, to int) {
-	if u.on {
-		u.run = append(u.run, undoRec{kind: jQueuePop, i: from, id: event.ID(to), node: q})
+	if u.On() {
+		u.Add(undoRec{kind: jQueuePop, i: from, id: event.ID(to), node: q})
 	}
 }
 
 func (u *undoLog) reset(p *Op) {
-	if u.on {
-		u.resetSlow(p)
+	if u.On() {
+		u.Add(undoRec{kind: jReset, node: &resetState{
+			p: p, sh: p.sh, root: p.root, store: p.store, consumed: p.consumed, expiry: p.expiry,
+			pending: p.pending.ms,
+		}})
 	}
 }
 
-func (u *undoLog) resetSlow(p *Op) {
-	u.rsts = append(u.rsts, resetState{
-		sh: p.sh, root: p.root, store: p.store, consumed: p.consumed, expiry: p.expiry,
-		pending: p.pending.ms,
-	})
-	u.run = append(u.run, undoRec{kind: jReset, node: p})
-}
-
-// ---- barrier / rollback / compact ----
-
-// flush drains the staged run onto the spine. The Op calls it once per
-// mutation entry point (delta commit); mark, rollbackTo and compact call
-// it defensively so every spine position is computed on a drained run.
-func (u *undoLog) flush() {
-	if len(u.run) > 0 {
-		u.recs = append(u.recs, u.run...)
-		clear(u.run)
-		u.run = u.run[:0]
+// Release implements operators.Record: a dropped expiry-queue pop can no
+// longer be undone, so the queue may reclaim the slots it popped.
+func (r undoRec) Release() {
+	if r.kind == jQueuePop {
+		r.node.(undoQueue).reclaim(int(r.id))
 	}
 }
 
-// mark snapshots the Op scalars and appends a barrier, returning the
-// absolute spine position just past it. Journaling turns on at the first
-// mark.
-func (u *undoLog) mark(p *Op) uint64 {
-	u.on = true
-	u.flush()
-	u.scal = append(u.scal, opScalars{
-		frontier:     p.frontier,
-		minAddFin:    p.minAddFin,
-		minFutureFin: p.minFutureFin,
-		dirty:        p.dirty,
-		stable:       p.stable,
-
-		nMs:   u.msDrop + uint64(len(u.ms)),
-		nEvs:  u.evsDrop + uint64(len(u.evs)),
-		nCs:   u.csDrop + uint64(len(u.cs)),
-		nAms:  u.amsDrop + uint64(len(u.ams)),
-		nRsts: u.rstsDrop + uint64(len(u.rsts)),
-	})
-	// The barrier record remembers its scal entry's absolute index, so
-	// compact can find the recorded stack positions without counting the
-	// barriers below it.
-	u.recs = append(u.recs, undoRec{kind: jBarrier, i: int(u.scalDrop) + len(u.scal) - 1})
-	return u.base + uint64(len(u.recs))
-}
-
-// rollbackTo undoes records LIFO down to absolute position pos (which must
-// sit just past a barrier), then restores the Op scalars from that barrier.
-// The barrier itself is peeked, not popped, so the same position can be
-// rolled back to again.
-func (u *undoLog) rollbackTo(pos uint64, p *Op) bool {
-	u.flush()
-	if pos < u.base+1 || pos > u.base+uint64(len(u.recs)) {
-		return false
-	}
-	tgt := int(pos - u.base)
-	if u.recs[tgt-1].kind != jBarrier {
-		return false
-	}
-	for n := len(u.recs); n > tgt; n-- {
-		u.undo(&u.recs[n-1])
-	}
-	clear(u.recs[tgt:])
-	u.recs = u.recs[:tgt]
-	// The barrier's payload is now the scal top: every scal entry pushed
-	// after it belonged to a later (now undone) barrier.
-	s := &u.scal[len(u.scal)-1]
-	p.frontier = s.frontier
-	p.minAddFin = s.minAddFin
-	p.minFutureFin = s.minFutureFin
-	p.dirty = s.dirty
-	p.stable = s.stable
-	return true
-}
-
-// compact drops the spine and payload prefixes strictly below the barrier
-// of absolute position pos, keeping the barrier itself so pos stays a valid
-// rollback target, and lets the expiry queues reclaim the slots whose pops
-// no retained version can undo any more. Cost is O(dropped), which the
-// caller amortizes over the mutations that created the dropped records.
-func (u *undoLog) compact(pos uint64) {
-	u.flush()
-	if pos < u.base+1 || pos > u.base+uint64(len(u.recs)) {
-		return
-	}
-	bar := int(pos-u.base) - 1
-	if bar <= 0 || u.recs[bar].kind != jBarrier {
-		return
-	}
-	for i := range u.recs[:bar] {
-		if r := &u.recs[i]; r.kind == jQueuePop {
-			r.node.(undoQueue).reclaim(int(r.id))
-		}
-	}
-	// The barrier's scal entry recorded the absolute stack-top positions at
-	// mark time; the dropped prefix owns exactly the stack segments below
-	// them, so the payload accounting is O(1) — no per-record scan.
-	s := &u.scal[u.recs[bar].i-int(u.scalDrop)]
-	dMs := int(s.nMs - u.msDrop)
-	dEvs := int(s.nEvs - u.evsDrop)
-	dCs := int(s.nCs - u.csDrop)
-	dAms := int(s.nAms - u.amsDrop)
-	dRsts := int(s.nRsts - u.rstsDrop)
-	bars := u.recs[bar].i - int(u.scalDrop)
-	u.recs = shiftDown(u.recs, bar)
-	u.base += uint64(bar)
-	u.ms = shiftDown(u.ms, dMs)
-	u.evs = shiftDown(u.evs, dEvs)
-	u.cs = shiftDown(u.cs, dCs)
-	u.ams = shiftDown(u.ams, dAms)
-	u.rsts = shiftDown(u.rsts, dRsts)
-	u.scal = shiftDown(u.scal, bars)
-	u.msDrop += uint64(dMs)
-	u.evsDrop += uint64(dEvs)
-	u.csDrop += uint64(dCs)
-	u.amsDrop += uint64(dAms)
-	u.rstsDrop += uint64(dRsts)
-	u.scalDrop += uint64(bars)
-}
-
-// shiftDown drops s's first d elements, zeroing the slots the shift vacates.
-func shiftDown[T any](s []T, d int) []T {
-	n := copy(s, s[d:])
-	clear(s[n:])
-	return s[:n]
-}
-
-// pop removes and returns the top of a side stack, zeroing its slot.
-func pop[T any](s *[]T) T {
-	n := len(*s) - 1
-	v := (*s)[n]
-	clear((*s)[n:])
-	*s = (*s)[:n]
-	return v
-}
-
-// undo reverses one record, popping its payloads.
-func (u *undoLog) undo(r *undoRec) {
+// Undo implements operators.Record.
+func (r undoRec) Undo() {
 	switch r.kind {
-	case jBarrier:
-		pop(&u.scal)
 	case jRecMap:
 		m := r.node.(map[event.ID]*evRec)
 		if r.flag {
-			m[r.id] = pop(&u.evs)
+			m[r.id] = r.ev
 		} else {
 			delete(m, r.id)
 		}
@@ -492,26 +305,26 @@ func (u *undoLog) undo(r *undoRec) {
 	case jMatchMap:
 		m := r.node.(map[event.ID]*keyedMatch)
 		if r.flag {
-			m[r.id] = pop(&u.ms)
+			m[r.id] = r.km
 		} else {
 			delete(m, r.id)
 		}
 	case jListIns:
-		r.node.(*keyedList).remove(pop(&u.ms))
+		r.node.(*keyedList).remove(r.km)
 	case jListDel:
-		r.node.(*keyedList).insert(pop(&u.ms))
+		r.node.(*keyedList).insert(r.km)
 	case jPendIns:
 		r.node.(*pendingList).removeAt(r.i)
 	case jPendDel:
-		r.node.(*pendingList).insertAt(r.i, pop(&u.ms))
+		r.node.(*pendingList).insertAt(r.i, r.km)
 	case jPendSet:
-		r.node.(*pendingList).ms[r.i] = pop(&u.ms)
+		r.node.(*pendingList).ms[r.i] = r.km
 	case jAmIns:
 		n := r.node.(*atMostNode)
 		n.entries = slices.Delete(n.entries, r.i, r.i+1)
 	case jAmDel:
 		n := r.node.(*atMostNode)
-		n.entries = slices.Insert(n.entries, r.i, pop(&u.ams))
+		n.entries = slices.Insert(n.entries, r.i, amEntry{km: r.km, cnt: int(r.id)})
 	case jAmCnt:
 		n := r.node.(*atMostNode)
 		if r.flag {
@@ -521,18 +334,16 @@ func (u *undoLog) undo(r *undoRec) {
 		}
 	case jCandAdd:
 		n := r.node.(*negNode)
-		a := pop(&u.ms)
-		n.candRemove(r.t, a.m.ID, route(n.keyed, a.key))
+		n.candRemove(r.t, r.km.m.ID, route(n.keyed, r.km.key))
 	case jCandDel:
-		r.node.(*negNode).candAdd(pop(&u.cs))
+		r.node.(*negNode).candAdd(negCand{a: r.km, lo: r.t, blockers: r.i})
 	case jBlock:
 		n := r.node.(*negNode)
-		a := pop(&u.ms)
 		cs := n.wcands
-		if k := route(n.keyed, a.key); k.def() {
+		if k := route(n.keyed, r.km.key); k.Def() {
 			cs = n.kcands[k]
 		}
-		if i := candFind(cs, r.t, a.m.ID); i >= 0 {
+		if i := candFind(cs, r.t, r.km.m.ID); i >= 0 {
 			if r.flag {
 				cs[i].blockers--
 			} else {
@@ -544,8 +355,8 @@ func (u *undoLog) undo(r *undoRec) {
 	case jQueuePop:
 		r.node.(undoQueue).unpop(r.i)
 	case jReset:
-		p := r.node.(*Op)
-		rs := pop(&u.rsts)
+		rs := r.node.(*resetState)
+		p := rs.p
 		p.sh = rs.sh
 		p.root = rs.root
 		p.store = rs.store

@@ -50,32 +50,15 @@ import (
 // match (negation, ATMOST) copy their input's key and payload id — the
 // payload is the same map — and FILTER passes the reference through.
 //
-// Keys live in a concrete comparable struct, not an interface: numbers
-// collapse to one float64 (so the buckets equate int64(3) with float64(3)
-// the way event.ValueEqual does) without boxing, and a string key shares
-// the payload's string data. Resolving a key allocates nothing.
-
-// corrKey is a match's resolved correlation key; the zero value is wild.
-type corrKey struct {
-	kind keyKind
-	num  float64 // keyNum: the value; keyBool: 0 or 1
-	str  string  // keyStr: the value
-}
-
-type keyKind uint8
-
-const (
-	keyWild keyKind = iota // no definite key: combines with every bucket
-	keyNum
-	keyStr
-	keyBool
-)
-
-func (k corrKey) def() bool { return k.kind != keyWild }
+// Keys are event.Key values: numbers collapse to one float64 (so the buckets
+// equate int64(3) with float64(3) the way event.ValueEqual does) without
+// boxing, and a string key shares the payload's string data. Resolving a key
+// allocates nothing. The fabric's routing index and the shard router use the
+// same key, so matching, routing and sharding agree on what one key is.
 
 // narrow is the key a join enumeration drawing by k draws by once it picked km.
-func narrow(k corrKey, km *keyedMatch) corrKey {
-	if k.def() {
+func narrow(k event.Key, km *keyedMatch) event.Key {
+	if k.Def() {
 		return k
 	}
 	return km.key
@@ -108,8 +91,8 @@ func newKeyCfg(attr string) *keyCfg {
 // definite unless its exact lookup really carries the key value. Wild is
 // always the safe direction; definite is reserved for matches where every
 // pushable predicate family provably sees exactly this one value.
-func (c *keyCfg) of(p event.Payload) corrKey {
-	var key corrKey
+func (c *keyCfg) of(p event.Payload) event.Key {
+	var key event.Key
 	if c == nil {
 		return key
 	}
@@ -118,45 +101,15 @@ func (c *keyCfg) of(p event.Payload) corrKey {
 			continue
 		}
 		if strings.Contains(name[:len(name)-len(c.suffix)], ".") {
-			return corrKey{} // dotted payload attribute, not an alias.attr lookup
+			return event.Key{} // dotted payload attribute, not an alias.attr lookup
 		}
-		cv := canonKey(v)
-		if !cv.def() || (key.def() && cv != key) {
-			return corrKey{}
+		cv := event.KeyOf(v)
+		if !cv.Def() || (key.Def() && cv != key) {
+			return event.Key{}
 		}
 		key = cv
 	}
 	return key
-}
-
-// canonKey maps a payload value onto the canonical bucket domain: numbers
-// collapse to float64 (matching event.ValueEqual's cross-type numeric
-// equality), strings and bools stand for themselves. Other dynamic types
-// are not bucketable and make the match wild — as does NaN, which is not
-// self-equal: a NaN map key could be inserted but never looked up again
-// (and ValueEqual(NaN, NaN) is false, so nothing equality-based can ever
-// accept a NaN-keyed combination anyway).
-func canonKey(v event.Value) corrKey {
-	switch x := v.(type) {
-	case int:
-		return corrKey{kind: keyNum, num: float64(x)}
-	case int64:
-		return corrKey{kind: keyNum, num: float64(x)}
-	case float64:
-		if x != x {
-			return corrKey{}
-		}
-		return corrKey{kind: keyNum, num: x}
-	case string:
-		return corrKey{kind: keyStr, str: x}
-	case bool:
-		if x {
-			return corrKey{kind: keyBool, num: 1}
-		}
-		return corrKey{kind: keyBool}
-	default:
-		return corrKey{}
-	}
 }
 
 // keyedList is the join and negation nodes' match store: one (V.Start, ID)-
@@ -168,20 +121,20 @@ func canonKey(v event.Value) corrKey {
 // (or a removal storm) drains their matches.
 type keyedList struct {
 	keyed   bool
-	buckets map[corrKey]*matchList
+	buckets map[event.Key]*matchList
 	wild    matchList
 }
 
 func (l *keyedList) insert(km *keyedMatch) {
 	k := route(l.keyed, km.key)
-	if !k.def() {
+	if !k.Def() {
 		l.wild.insert(km)
 		return
 	}
 	b := l.buckets[k]
 	if b == nil {
 		if l.buckets == nil {
-			l.buckets = make(map[corrKey]*matchList, 8)
+			l.buckets = make(map[event.Key]*matchList, 8)
 		}
 		b = &matchList{}
 		l.buckets[k] = b
@@ -192,7 +145,7 @@ func (l *keyedList) insert(km *keyedMatch) {
 // remove deletes the entry equal to km (by ID at its occurrence time).
 func (l *keyedList) remove(km *keyedMatch) bool {
 	k := route(l.keyed, km.key)
-	if !k.def() {
+	if !k.Def() {
 		return l.wild.removeMatch(&km.m)
 	}
 	b := l.buckets[k]
@@ -209,8 +162,8 @@ func (l *keyedList) remove(km *keyedMatch) bool {
 // scan visits every sorted list a probe with key k may combine with — the
 // single source of the pushdown's routing rule: a definite probe sees its
 // own key's bucket plus the wild list; a wild probe sees everything.
-func (l *keyedList) scan(k corrKey, fn func(*matchList)) {
-	if k = route(l.keyed, k); k.def() {
+func (l *keyedList) scan(k event.Key, fn func(*matchList)) {
+	if k = route(l.keyed, k); k.Def() {
 		if b := l.buckets[k]; b != nil {
 			fn(b)
 		}
@@ -225,7 +178,7 @@ func (l *keyedList) scan(k corrKey, fn func(*matchList)) {
 func (l *keyedList) clone() keyedList {
 	c := keyedList{keyed: l.keyed, wild: l.wild.clone()}
 	if len(l.buckets) > 0 {
-		c.buckets = make(map[corrKey]*matchList, len(l.buckets))
+		c.buckets = make(map[event.Key]*matchList, len(l.buckets))
 		for k, b := range l.buckets {
 			cb := b.clone()
 			c.buckets[k] = &cb

@@ -32,10 +32,12 @@ const (
 	negCancelWhen
 )
 
+// negCand is a positive-side match a waiting on its blockers, which occur
+// strictly inside (lo, hi). The node's kind derives hi and the output from a
+// and lo (negNode.hi, negNode.out).
 type negCand struct {
-	a        *keyedMatch   // the positive-side match
-	out      *keyedMatch   // the output: a itself, or its re-headed form (a.up)
-	lo, hi   temporal.Time // blockers occur strictly inside (lo, hi)
+	a        *keyedMatch
+	lo       temporal.Time
 	blockers int
 }
 
@@ -59,7 +61,7 @@ type negNode struct {
 
 	// Candidates sorted by (lo, a.ID), one list per definite key plus the
 	// wild list; loOf locates one by its match ID.
-	kcands map[corrKey][]negCand
+	kcands map[event.Key][]negCand
 	wcands []negCand
 	loOf   map[event.ID]temporal.Time
 
@@ -111,45 +113,63 @@ func (u *negNode) prune(horizon temporal.Time, out *delta) {
 	u.applyNeg(out)
 }
 
-// interval derives the blocking interval and output for a positive match;
-// ok is false when the match can never produce output (UNLESS' arity
-// mismatch or a missing anchor). UNLESS and UNLESS' re-head the match, once
+// interval derives the blocking interval of a positive match; ok is false
+// when the match can never produce output (UNLESS' arity mismatch or a
+// missing anchor). UNLESS and UNLESS' re-head the match, once
 // (keyedMatch.up: the anchor of an UNLESS' is a contributor's occurrence
 // time, fixed with the match); NOT and CANCEL-WHEN pass it through.
-func (u *negNode) interval(a *keyedMatch) (c negCand, ok bool) {
-	c.a, c.out = a, a
+func (u *negNode) interval(a *keyedMatch) (lo, hi temporal.Time, ok bool) {
 	m := &a.m
 	switch u.kind {
 	case negUnless:
-		c.lo, c.hi = m.V.Start, m.V.Start.Add(u.w)
+		lo, hi = m.V.Start, m.V.Start.Add(u.w)
 		if !a.reheaded() {
-			a.rehead(event.Pair(m.ID), temporal.NewInterval(c.lo, c.hi), temporal.Max(c.hi, m.FinalizeAt))
+			a.rehead(event.Pair(m.ID), temporal.NewInterval(lo, hi), temporal.Max(hi, m.FinalizeAt))
 		}
-		c.out = a.up
 	case negUnlessPrime:
 		if u.nIdx > len(m.CBT) {
-			return c, false
+			return lo, hi, false
 		}
 		anchor, found := u.sh.vs[m.CBT[u.nIdx-1]]
 		if !found {
-			return c, false
+			return lo, hi, false
 		}
-		c.lo, c.hi = anchor, anchor.Add(u.w)
+		lo, hi = anchor, anchor.Add(u.w)
 		if !a.reheaded() {
-			vs := temporal.Max(m.V.Start, c.hi)
+			vs := temporal.Max(m.V.Start, hi)
 			ve := m.FirstVs.Add(u.w)
 			if ve <= vs {
 				ve = vs.Add(1)
 			}
-			a.rehead(event.Pair(m.ID, event.ID(u.nIdx)), temporal.NewInterval(vs, ve), temporal.Max(c.hi, m.FinalizeAt))
+			a.rehead(event.Pair(m.ID, event.ID(u.nIdx)), temporal.NewInterval(vs, ve), temporal.Max(hi, m.FinalizeAt))
 		}
-		c.out = a.up
 	case negNot:
-		c.lo, c.hi = m.FirstVs, m.LastVs
+		lo, hi = m.FirstVs, m.LastVs
 	case negCancelWhen:
-		c.lo, c.hi = m.RT, m.V.Start
+		lo, hi = m.RT, m.V.Start
 	}
-	return c, true
+	return lo, hi, true
+}
+
+// hi is the end of c's blocking interval, as interval derived it.
+func (u *negNode) hi(c *negCand) temporal.Time {
+	switch u.kind {
+	case negNot:
+		return c.a.m.LastVs
+	case negCancelWhen:
+		return c.a.m.V.Start
+	default:
+		return c.lo.Add(u.w)
+	}
+}
+
+// out is the output of positive match a: its re-headed form under UNLESS and
+// UNLESS', a itself under NOT and CANCEL-WHEN.
+func (u *negNode) out(a *keyedMatch) *keyedMatch {
+	if u.kind == negUnless || u.kind == negUnlessPrime {
+		return a.up
+	}
+	return a
 }
 
 func candBefore(lo temporal.Time, id event.ID, c *negCand) bool {
@@ -178,9 +198,9 @@ func candFind(cs []negCand, lo temporal.Time, id event.ID) int {
 
 // candAdd stores c in the list its key routes to.
 func (u *negNode) candAdd(c negCand) {
-	if k := route(u.keyed, c.a.key); k.def() {
+	if k := route(u.keyed, c.a.key); k.Def() {
 		if u.kcands == nil {
-			u.kcands = map[corrKey][]negCand{}
+			u.kcands = map[event.Key][]negCand{}
 		}
 		u.kcands[k] = candInsert(u.kcands[k], c)
 	} else {
@@ -190,9 +210,9 @@ func (u *negNode) candAdd(c negCand) {
 
 // candRemove deletes and returns the candidate at (lo, id) from the list
 // (routing) key k names.
-func (u *negNode) candRemove(lo temporal.Time, id event.ID, k corrKey) (c negCand, ok bool) {
+func (u *negNode) candRemove(lo temporal.Time, id event.ID, k event.Key) (c negCand, ok bool) {
 	cs := u.wcands
-	if k.def() {
+	if k.Def() {
 		cs = u.kcands[k]
 	}
 	i := candFind(cs, lo, id)
@@ -202,7 +222,7 @@ func (u *negNode) candRemove(lo temporal.Time, id event.ID, k corrKey) (c negCan
 	c = cs[i]
 	cs = slices.Delete(cs, i, i+1)
 	switch {
-	case !k.def():
+	case !k.Def():
 		u.wcands = cs
 	case len(cs) == 0:
 		delete(u.kcands, k)
@@ -226,23 +246,24 @@ func (u *negNode) applyPos(out *delta) {
 			if c, found := u.candRemove(lo, a.m.ID, k); found {
 				u.sh.u.candDel(u, &c)
 				if c.blockers == 0 {
-					out.del(c.out)
+					out.del(u.out(a))
 				}
 			}
 			continue
 		}
-		c, ok := u.interval(a)
+		lo, hi, ok := u.interval(a)
 		if !ok {
 			continue
 		}
-		if span := c.hi.Sub(c.lo); span > u.maxSpan {
+		c := negCand{a: a, lo: lo}
+		if span := hi.Sub(lo); span > u.maxSpan {
 			u.maxSpan = span
 		}
 		// Count live blockers strictly inside (lo, hi) — for a definite
 		// candidate only its own key's blockers (plus wild ones) can have
 		// corr true, so only those lists are scanned.
 		u.negs.scan(k, func(ms *matchList) {
-			for i := ms.upperBound(c.lo); i < len(ms.ms) && ms.ms[i].m.V.Start < c.hi; i++ {
+			for i := ms.upperBound(c.lo); i < len(ms.ms) && ms.ms[i].m.V.Start < hi; i++ {
 				if u.corr == nil || u.corr(a.m.Payload, ms.ms[i].m.Payload) {
 					c.blockers++
 				}
@@ -253,7 +274,7 @@ func (u *negNode) applyPos(out *delta) {
 		u.sh.u.timeMap(u.loOf, a.m.ID)
 		u.loOf[a.m.ID] = c.lo
 		if c.blockers == 0 {
-			out.add(c.out)
+			out.add(u.out(a))
 		}
 	}
 }
@@ -269,7 +290,7 @@ func (u *negNode) applyNeg(out *delta) {
 				u.sh.u.block(u, c, false)
 				c.blockers--
 				if c.blockers == 0 {
-					out.add(c.out)
+					out.add(u.out(c.a))
 				}
 			})
 			continue
@@ -280,7 +301,7 @@ func (u *negNode) applyNeg(out *delta) {
 			u.sh.u.block(u, c, true)
 			c.blockers++
 			if c.blockers == 1 {
-				out.del(c.out)
+				out.del(u.out(c.a))
 			}
 		})
 	}
@@ -299,7 +320,7 @@ func (u *negNode) eachAffected(neg *keyedMatch, fn func(c *negCand)) {
 		from := sort.Search(len(cs), func(i int) bool { return cs[i].lo > t.Add(-u.maxSpan) })
 		for i := from; i < len(cs) && cs[i].lo < t; i++ {
 			c := &cs[i]
-			if t >= c.hi {
+			if t >= u.hi(c) {
 				continue
 			}
 			if u.corr == nil || u.corr(c.a.m.Payload, neg.m.Payload) {
@@ -307,7 +328,7 @@ func (u *negNode) eachAffected(neg *keyedMatch, fn func(c *negCand)) {
 			}
 		}
 	}
-	if k := route(u.keyed, neg.key); k.def() {
+	if k := route(u.keyed, neg.key); k.Def() {
 		visit(u.kcands[k])
 	} else {
 		for _, cs := range u.kcands {
@@ -327,7 +348,7 @@ func (u *negNode) clone(sh *shared) node {
 		maxSpan: u.maxSpan,
 	}
 	if len(u.kcands) > 0 {
-		c.kcands = make(map[corrKey][]negCand, len(u.kcands))
+		c.kcands = make(map[event.Key][]negCand, len(u.kcands))
 		for k, cs := range u.kcands {
 			c.kcands[k] = slices.Clone(cs)
 		}

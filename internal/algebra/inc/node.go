@@ -33,7 +33,7 @@
 // *keyedMatch (the match and its resolved correlation key), and referred to
 // everywhere else: the nodes' stores and indexes, the delta items flowing up
 // the tree, the Op's pending list and emitted table and the undo journal's
-// side stacks all hold that one reference, never a copy. Nodes append
+// records all hold that one reference, never a copy. Nodes append
 // transitions into a caller-owned delta (the out-parameter style below) and
 // keep one reusable scratch delta per node for collecting child
 // transitions, so the steady-state push path allocates nothing for delta
@@ -135,11 +135,11 @@ func (c buildCtx) joinKeyed(sh *shared) bool {
 
 // route is the key a node files a match under: the match's own key where
 // the node indexes by key, wild (one flat list) where it may not.
-func route(keyed bool, k corrKey) corrKey {
+func route(keyed bool, k event.Key) event.Key {
 	if keyed {
 		return k
 	}
-	return corrKey{}
+	return event.Key{}
 }
 
 // node is one stateful matcher in the tree.
@@ -172,7 +172,7 @@ const internCap = 4096
 // interned, and held by reference everywhere.
 type keyedMatch struct {
 	m   algebra.Match
-	key corrKey
+	key event.Key
 	pid uint64 // m.Payload's id in the tree's payload table (payload.go); 0: not interned
 	// up memoizes the re-headed form (same payload, lineage, key and pid; new
 	// ID, validity and finalization) that the one node above — an UNLESS

@@ -57,33 +57,11 @@ type Op struct {
 	emitted  map[event.ID]*keyedMatch
 	// emittedExpiry orders emitted by LastVs, the instant its scope closes.
 	emittedExpiry expiryQueue[*keyedMatch]
-	frontier      temporal.Time
 	scope         temporal.Duration
 
-	// Emission fast path: mature only runs a commit pass when a pending
-	// match could actually emit. minAddFin tracks the earliest FinalizeAt
-	// added since the last pass; minFutureFin the earliest pending
-	// FinalizeAt beyond the frontier as of the last pass; dirty forces a
-	// pass after retractions, prunes and revivals, which can make
-	// previously suppressed (selection-losing or consume-blocked) matches
-	// emittable — the oracle re-derives and re-selects every time, so those
-	// late emissions are part of its contract.
-	minAddFin    temporal.Time
-	minFutureFin temporal.Time
-	dirty        bool
-	// stable: pending entries below this index form whole detection groups
-	// already committed by a previous pass and untouched since; under
-	// reuse consumption a pass starts there (selection is deterministic on
-	// group content, so unchanged groups can emit nothing new). Any
-	// insertion or deletion below the boundary resets it. Consume mode
-	// always walks from 0: its consumed-set threads across groups.
-	stable int
-
-	// aliased: this handle's state is structurally shared with at least one
-	// other handle (a lazy Clone). Every shared structure is frozen — any
-	// handle's first mutation deep-copies its own view first (ensureOwned),
-	// so Clone itself is O(1).
-	aliased bool
+	// opScalars: the frontier and the emission fast-path state, which a
+	// Mark snapshots instead of journaling (journal.go).
+	opScalars
 
 	rootDelta delta             // reusable root-transition scratch
 	selBuf    []*keyedMatch     // per-pass committed-selection scratch
@@ -150,17 +128,15 @@ func NewOp(expr algebra.Expr, mode algebra.SCMode, outType string, opts ...OpOpt
 		scope = 1
 	}
 	p := &Op{
-		Expr:         expr,
-		Mode:         mode,
-		OutType:      outType,
-		store:        map[event.ID]*evRec{},
-		consumed:     map[event.ID]*evRec{},
-		expiry:       &expiryQueue[*evRec]{},
-		emitted:      map[event.ID]*keyedMatch{},
-		frontier:     temporal.MinTime,
-		scope:        scope,
-		minAddFin:    temporal.Infinity,
-		minFutureFin: temporal.Infinity,
+		Expr:      expr,
+		Mode:      mode,
+		OutType:   outType,
+		store:     map[event.ID]*evRec{},
+		consumed:  map[event.ID]*evRec{},
+		expiry:    &expiryQueue[*evRec]{},
+		emitted:   map[event.ID]*keyedMatch{},
+		scope:     scope,
+		opScalars: opScalars{frontier: temporal.MinTime, minAddFin: temporal.Infinity, minFutureFin: temporal.Infinity},
 	}
 	for _, o := range opts {
 		o(p)
@@ -296,7 +272,6 @@ func (p *Op) dropVs(id event.ID) {
 
 // Process implements operators.Op.
 func (p *Op) Process(_ int, e event.Event) []event.Event {
-	p.ensureOwned()
 	if e.Kind == event.Retract {
 		if !e.V.Empty() {
 			return nil // lifetime shrink: pattern semantics see only Vs
@@ -317,9 +292,7 @@ func (p *Op) Process(_ int, e event.Event) []event.Event {
 	p.expiry.push(r, p.sh.u)
 	p.setVs(r)
 	p.push(r)
-	outs := p.mature()
-	p.sh.u.flush()
-	return outs
+	return p.mature()
 }
 
 // remove handles a full removal of a primitive event: cascade it through
@@ -384,7 +357,6 @@ func (p *Op) remove(id event.ID) []event.Event {
 	}
 	outs = append(outs, p.mature()...)
 	p.remBuf = outs[:0]
-	u.flush()
 	return outs
 }
 
@@ -495,7 +467,6 @@ func (p *Op) consume(km *keyedMatch) {
 // Advance implements operators.Op: move the certainty frontier, emit
 // finalized detections, prune state beyond the expression scope.
 func (p *Op) Advance(t temporal.Time) []event.Event {
-	p.ensureOwned()
 	if t > p.frontier {
 		p.frontier = t
 	}
@@ -554,7 +525,6 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 		p.minAddFin = temporal.Infinity
 		p.minFutureFin = temporal.Infinity
 	}
-	u.flush()
 	return outs
 }
 
@@ -590,44 +560,11 @@ func (p *Op) StateSize() int { return len(p.store) + len(p.consumed) + len(p.emi
 // expression's join and negation structure.
 func (p *Op) PerEventCostNs() int { return algebra.ExprCostNs(p.Expr) }
 
-// Clone implements operators.Op as an O(1) copy-on-write handle: the clone
-// and the original share every state structure, both marked aliased, and
-// whichever handle mutates first deep-copies its own view (ensureOwned).
-// The tree's interning caches are shared either way (clones run
-// sequentially — the Op contract). A clone never inherits scratch buffers:
-// it grows its own on first use.
-//
-// When the undo journal is on (the operator is serving as a Versioned
-// checkpoint target), Clone falls back to an eager deep copy with a fresh,
-// off journal: journal records point into the live structures, so those
-// may not be frozen under an aliased handle.
+// Clone implements operators.Op as an eager copy: mutable state
+// duplicated, interning caches shared (clones run sequentially — the Op
+// contract), a fresh journal that is off, no scratch buffers (a clone grows
+// its own on first use).
 func (p *Op) Clone() operators.Op {
-	if p.sh.u.on {
-		return p.deepClone()
-	}
-	c := new(Op)
-	*c = *p
-	c.rootDelta = delta{}
-	c.selBuf, c.consBuf, c.outBuf, c.remBuf = nil, nil, nil, nil
-	c.aliased = true
-	p.aliased = true
-	return c
-}
-
-// ensureOwned makes the handle the sole owner of its state, deep-copying
-// the shared (frozen) structures on the first mutation after a lazy Clone.
-func (p *Op) ensureOwned() {
-	if p.aliased {
-		c := p.deepClone()
-		c.rootDelta = p.rootDelta
-		c.selBuf, c.consBuf, c.outBuf, c.remBuf = p.selBuf, p.consBuf, p.outBuf, p.remBuf
-		*p = *c
-	}
-}
-
-// deepClone is the eager copy: mutable state duplicated, interning caches
-// shared, a fresh (off) journal.
-func (p *Op) deepClone() *Op {
 	sh := &shared{vs: maps.Clone(p.sh.vs), key: p.sh.key, recs: p.sh.recs, pay: p.sh.pay, u: &undoLog{}}
 	expiry := p.expiry.clone()
 	return &Op{
@@ -644,38 +581,27 @@ func (p *Op) deepClone() *Op {
 		pending:       pendingList{ms: slices.Clone(p.pending.ms)},
 		emitted:       maps.Clone(p.emitted),
 		emittedExpiry: p.emittedExpiry.clone(),
-		frontier:      p.frontier,
 		scope:         p.scope,
-		minAddFin:     p.minAddFin,
-		minFutureFin:  p.minFutureFin,
-		dirty:         p.dirty,
-		stable:        p.stable,
+		opScalars:     p.opScalars,
 	}
 }
 
-// Mark implements operators.Versioned: an O(1) barrier append returning a
+// Mark implements operators.Versioned: an O(1) journal mark returning a
 // handle for the operator's current state. The first Mark turns the undo
 // journal on; from then on every state mutation appends its exact inverse.
-func (p *Op) Mark() operators.Version {
-	p.ensureOwned()
-	return operators.Version{Pos: p.sh.u.mark(p)}
-}
+func (p *Op) Mark() operators.Version { return p.sh.u.Mark(p.opScalars) }
 
 // Rollback implements operators.Versioned: undo every mutation back to v,
 // in O(mutations since v). v stays valid and can be rolled back to again;
-// versions marked after v are invalidated.
+// versions marked after v are invalidated for good.
 func (p *Op) Rollback(v operators.Version) bool {
-	if p.aliased || !p.sh.u.on {
-		return false
+	s, ok := p.sh.u.Rollback(v)
+	if ok {
+		p.opScalars = s
 	}
-	return p.sh.u.rollbackTo(v.Pos, p)
+	return ok
 }
 
 // Compact implements operators.Versioned: discard undo history strictly
-// below v, in O(discarded records).
-func (p *Op) Compact(v operators.Version) {
-	if p.aliased || !p.sh.u.on {
-		return
-	}
-	p.sh.u.compact(v.Pos)
-}
+// below v.
+func (p *Op) Compact(v operators.Version) { p.sh.u.Compact(v) }

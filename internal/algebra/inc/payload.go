@@ -28,7 +28,7 @@ type payloadEntry struct {
 	kind  *leafKind        // leaf entry's leaf; nil for a composite
 	parts [maxParts]uint64 // composite entry's part ids, zero-padded
 	p     event.Payload
-	key   corrKey
+	key   event.Key
 }
 
 const maxParts = 4
@@ -91,7 +91,7 @@ func (t *payloadTable) add(h uint64, e payloadEntry) *payloadEntry {
 }
 
 // leaf returns leaf k's payload, key and payload id for raw.
-func (t *payloadTable) leaf(k *leafKind, raw event.Payload) (event.Payload, corrKey, uint64) {
+func (t *payloadTable) leaf(k *leafKind, raw event.Payload) (event.Payload, event.Key, uint64) {
 	h, ok := contentHash(raw)
 	if !ok {
 		p := k.namespace(raw)
@@ -110,7 +110,7 @@ func (t *payloadTable) leaf(k *leafKind, raw event.Payload) (event.Payload, corr
 
 // composite returns the payload, key and payload id of the composite of
 // parts, whose matches are ms.
-func (t *payloadTable) composite(parts []*keyedMatch, ms []*algebra.Match, cfg *keyCfg) (event.Payload, corrKey, uint64) {
+func (t *payloadTable) composite(parts []*keyedMatch, ms []*algebra.Match, cfg *keyCfg) (event.Payload, event.Key, uint64) {
 	var ids [maxParts]uint64
 	ok := len(parts) <= maxParts
 	for i := 0; ok && i < len(parts); i++ {

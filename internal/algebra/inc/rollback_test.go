@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/event"
@@ -94,8 +95,8 @@ func driveRollback(t *testing.T, name string, expr algebra.Expr, mode algebra.SC
 			j := rng.Intn(len(marks))
 			rollTo(j, i)
 			if rng.Intn(2) == 0 {
-				// The barrier is peeked, not popped: the same version must
-				// accept a second rollback (repeated repairs to one snapshot).
+				// A rollback keeps its version: the same version must accept a
+				// second rollback (repeated repairs to one snapshot).
 				rollTo(j, i)
 			}
 		}
@@ -178,13 +179,21 @@ func TestRollbackDifferentialKeyed(t *testing.T) {
 	}
 }
 
-// staleSlots counts the slots of s between its length and its capacity that
-// are not zero: a vacated slot the journal failed to clear, still holding a
-// record's node, match or reset payload reachable.
-func staleSlots[T any](s []T) int {
+// journalRecs reads the records of u's journal, which keeps them
+// unexported: oldest first, capacity included.
+func journalRecs(u *undoLog) []undoRec {
+	f := reflect.ValueOf(&u.Journal).Elem().FieldByName("recs")
+	return *(*[]undoRec)(unsafe.Pointer(f.UnsafeAddr()))
+}
+
+// staleSlots counts the slots of slice s between its length and its
+// capacity that are not zero: a vacated slot the journal failed to clear,
+// still holding a record's node, match or reset payload reachable.
+func staleSlots(s reflect.Value) int {
 	n := 0
-	for _, v := range s[len(s):cap(s)] {
-		if !reflect.ValueOf(&v).Elem().IsZero() {
+	full := s.Slice(0, s.Cap())
+	for i := s.Len(); i < s.Cap(); i++ {
+		if !full.Index(i).IsZero() {
 			n++
 		}
 	}
@@ -194,32 +203,29 @@ func staleSlots[T any](s []T) int {
 // TestJournalKeepsNoStaleSlots: every shrink of the undo journal zeroes what
 // it gives up. A random Mark/Process/remove/Advance/Rollback/Compact script
 // over the zoo checks, after each step, that no slot in [len, cap) of the
-// spine, the run or a side stack is set: a flush drains the run (Process,
-// Advance), a rollback pops the spine and the stacks, a compaction shifts
-// them all down. The script ends the way a finished monitor does —
-// Advance(∞), then a compaction to a mark past it — after which the journal
-// holds no reset payload at all, so the pre-reset tree is unreachable.
+// journal's records or of its marks is set: a rollback truncates the
+// records and the marks past its version, a compaction shifts them down.
+// The script ends the way a finished monitor does — Advance(∞), then a
+// compaction to a mark past it — after which the journal holds no reset
+// record at all, so the pre-reset tree is unreachable.
 func TestJournalKeepsNoStaleSlots(t *testing.T) {
 	grown := map[string]int{}
 	check := func(label string, u *undoLog) {
 		t.Helper()
+		j := reflect.ValueOf(&u.Journal).Elem()
+		marks := j.FieldByName("marks")
 		for _, s := range []struct {
-			name     string
-			cap, bad int
+			name string
+			v    reflect.Value
 		}{
-			{"spine", cap(u.recs), staleSlots(u.recs)},
-			{"run", cap(u.run), staleSlots(u.run)},
-			{"ms", cap(u.ms), staleSlots(u.ms)},
-			{"evs", cap(u.evs), staleSlots(u.evs)},
-			{"cs", cap(u.cs), staleSlots(u.cs)},
-			{"ams", cap(u.ams), staleSlots(u.ams)},
-			{"scal", cap(u.scal), staleSlots(u.scal)},
-			{"rsts", cap(u.rsts), staleSlots(u.rsts)},
+			{"records", j.FieldByName("recs")},
+			{"mark ids", marks.FieldByName("ids")},
+			{"mark snapshots", marks.FieldByName("vals")},
 		} {
-			if s.bad > 0 {
-				t.Fatalf("%s: %d stale slots beyond the journal's %s (cap %d)", label, s.bad, s.name, s.cap)
+			if bad := staleSlots(s.v); bad > 0 {
+				t.Fatalf("%s: %d stale slots beyond the journal's %s (cap %d)", label, bad, s.name, s.v.Cap())
 			}
-			grown[s.name] = max(grown[s.name], s.cap)
+			grown[s.name] = max(grown[s.name], s.v.Cap())
 		}
 	}
 	for name, expr := range exprZoo() {
@@ -237,21 +243,21 @@ func TestJournalKeepsNoStaleSlots(t *testing.T) {
 					t.Fatalf("%s: rollback to a live version refused", label("rollback", i))
 				}
 				vs = vs[:j+1]
-				check(label("rollback pops", i), u)
+				check(label("rollback truncates", i), u)
 			}
 			lastAdvance := temporal.MinTime
 			events := genEvents(rng, 60)
 			for i, e := range events {
 				op.Process(0, e)
-				check(label("process flush", i), u)
+				check(label("process", i), u)
 				if v := events[rng.Intn(i+1)]; rng.Intn(4) == 0 && v.V.Start >= lastAdvance {
 					op.Process(0, event.NewRetract(v.ID, v.Type, v.V.Start, v.V.Start, nil))
-					check(label("remove flush", i), u)
+					check(label("remove", i), u)
 				}
 				if rng.Intn(4) == 0 {
 					lastAdvance = max(lastAdvance, e.V.Start.Add(temporal.Duration(rng.Intn(8))))
 					op.Advance(lastAdvance)
-					check(label("advance flush", i), u)
+					check(label("advance", i), u)
 				}
 				if rng.Intn(3) == 0 {
 					vs = append(vs, op.Mark())
@@ -266,22 +272,24 @@ func TestJournalKeepsNoStaleSlots(t *testing.T) {
 					check(label("compact shift", i), u)
 				}
 			}
-			// Roll back over the reset once (its payload pops), then finish.
+			// Roll back over the reset once (its record undone), then finish.
 			vs = append(vs, op.Mark())
 			op.Advance(temporal.Infinity)
-			check(label("advance(∞) flush", 0), u)
+			check(label("advance(∞)", 0), u)
 			rollTo(len(vs)-1, len(events))
 			op.Advance(temporal.Infinity)
 			op.Compact(op.Mark())
 			check(label("compact past advance(∞)", 0), u)
-			if len(u.rsts) != 0 {
-				t.Fatalf("%s: the journal still holds %d reset payloads", label("compact past advance(∞)", 0), len(u.rsts))
+			for _, r := range journalRecs(u) {
+				if r.kind == jReset {
+					t.Fatalf("%s: the journal still holds a reset record", label("compact past advance(∞)", 0))
+				}
 			}
 		}
 	}
 	// Every slice the script checks must have held something, or it checked
 	// nothing there.
-	for _, name := range []string{"spine", "run", "ms", "evs", "cs", "ams", "scal", "rsts"} {
+	for _, name := range []string{"records", "mark ids", "mark snapshots"} {
 		if grown[name] == 0 {
 			t.Errorf("the script never filled the journal's %s", name)
 		}

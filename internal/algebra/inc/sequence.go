@@ -99,8 +99,8 @@ func (s *seqNode) applyKid(i int, out *delta) {
 // key, or the first definite key picked while all so far are wild (narrow).
 func (s *seqNode) enumerate(fix int, nm *keyedMatch, del bool, out *delta) {
 	n := len(s.kids)
-	var rec func(depth int, prev, first temporal.Time, k corrKey)
-	rec = func(depth int, prev, first temporal.Time, k corrKey) {
+	var rec func(depth int, prev, first temporal.Time, k event.Key)
+	rec = func(depth int, prev, first temporal.Time, k event.Key) {
 		if depth == n {
 			s.commit(del, out)
 			return

@@ -48,9 +48,11 @@ import (
 // Operator state is captured and restored one way only, through
 // operators.Versioned, which every operator reaches the monitor as
 // (operators.AsVersioned): the stateful operators and the incremental
-// matcher journal their own mutations, so a Mark is O(1) and a Rollback
-// O(mutations since); reference evaluators and test doubles fall back to a
-// clone per Mark; a Stateless operator has nothing to version. The monitor
+// matcher journal their own mutations through the one operators.Journal, so
+// a Mark is O(1), a Rollback O(mutations since), and a version once
+// invalidated is refused for good; reference evaluators and test doubles
+// fall back to a clone per Mark; a Stateless operator has nothing to
+// version. The monitor
 // holds no second operator — the checkpoint is a base Version of the live
 // one, every admitted item records a further Version, and a repair rewinds
 // the live operator in place. The one shortcut on top is repairStateless,

@@ -16,8 +16,9 @@
 //	         delivered every event of the type
 //	fams   — chains keyed on some attribute, grouped per attribute
 //	         ("family"); an event with a definite payload value for the
-//	         attribute reaches only the chains bound to that value, an
-//	         event without one (wild) reaches the whole family
+//	         attribute (event.KeyOf: the matcher's own key) reaches only
+//	         the chains bound to that value, an event without one (wild:
+//	         no value, NaN, an exotic type) reaches the whole family
 //	always — chains with an unknown input alphabet (hand-built plans):
 //	         delivered everything
 //
@@ -32,37 +33,6 @@ import (
 	"repro/internal/event"
 )
 
-// routeVal is the canonical comparable form of a routing-key value,
-// mirroring event.ValueEqual: all numeric types collapse into one float64
-// domain, other supported types compare by identity. Values outside the
-// payload vocabulary (and events missing the attribute) do not canonicalize
-// and stay wild.
-type routeVal struct {
-	kind uint8 // 1 numeric, 2 string, 3 bool
-	num  float64
-	str  string
-}
-
-func canonVal(v event.Value) (routeVal, bool) {
-	switch x := v.(type) {
-	case int64:
-		return routeVal{kind: 1, num: float64(x)}, true
-	case int:
-		return routeVal{kind: 1, num: float64(x)}, true
-	case float64:
-		return routeVal{kind: 1, num: x}, true
-	case string:
-		return routeVal{kind: 2, str: x}, true
-	case bool:
-		rv := routeVal{kind: 3}
-		if x {
-			rv.num = 1
-		}
-		return rv, true
-	}
-	return routeVal{}, false
-}
-
 type fabric struct {
 	mu     sync.RWMutex
 	always []*chain
@@ -76,7 +46,7 @@ type typeEntry struct {
 
 type famEntry struct {
 	attr  string
-	byVal map[routeVal][]*chain
+	byVal map[event.Key][]*chain
 	all   []*chain
 }
 
@@ -93,9 +63,9 @@ func (f *fabric) add(ch *chain) {
 		f.always = append(f.always, ch)
 		return
 	}
-	keyVal, keyed := routeVal{}, false
+	var keyVal event.Key
 	if ch.plan.RouteKeyAttr != "" {
-		keyVal, keyed = canonVal(ch.plan.RouteKeyVal)
+		keyVal = event.KeyOf(ch.plan.RouteKeyVal)
 	}
 	for _, t := range types {
 		te := f.byType[t]
@@ -103,7 +73,7 @@ func (f *fabric) add(ch *chain) {
 			te = &typeEntry{}
 			f.byType[t] = te
 		}
-		if !keyed {
+		if !keyVal.Def() {
 			te.plain = append(te.plain, ch)
 			continue
 		}
@@ -115,7 +85,7 @@ func (f *fabric) add(ch *chain) {
 			}
 		}
 		if fam == nil {
-			fam = &famEntry{attr: ch.plan.RouteKeyAttr, byVal: map[routeVal][]*chain{}}
+			fam = &famEntry{attr: ch.plan.RouteKeyAttr, byVal: map[event.Key][]*chain{}}
 			te.fams = append(te.fams, fam)
 		}
 		fam.byVal[keyVal] = append(fam.byVal[keyVal], ch)
@@ -179,8 +149,8 @@ func (f *fabric) route(ev event.Event, buf []*chain) []*chain {
 			buf = append(buf, fam.all...)
 			continue
 		}
-		if v, ok := canonVal(ev.Payload[fam.attr]); ok {
-			buf = append(buf, fam.byVal[v]...)
+		if k := event.KeyOf(ev.Payload[fam.attr]); k.Def() {
+			buf = append(buf, fam.byVal[k]...)
 		} else {
 			buf = append(buf, fam.all...)
 		}

@@ -723,12 +723,16 @@ func (s *sharded) mergeLoop() {
 	}
 }
 
-// RouteByAttr routes events by a payload attribute, rendered and hashed
-// exactly as grouped aggregation renders and hashes group keys.
-// Retractions must carry the attribute too (all in-repo workloads do).
+// RouteByAttr routes events by the event.Key of a payload attribute — the
+// key the matcher correlates on — so values it calls equal (int64(3) and
+// float64(3)) share a shard, and every wild value (none, NaN, an exotic
+// type) goes to one fixed shard. Retractions must carry the attribute too
+// (all in-repo workloads do). A grouped aggregate keys groups by rendering
+// (operators.KeyString), which agrees whenever the attribute holds numbers
+// only or strings only.
 func RouteByAttr(attr string, shards int) func(event.Event) int {
 	return func(ev event.Event) int {
-		return int(operators.HashString(operators.KeyString(ev.Payload[attr])) % uint64(shards))
+		return int(event.KeyOf(ev.Payload[attr]).Hash() % uint64(shards))
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -335,6 +336,46 @@ OUTPUT x.Machine_Id AS machine`},
 				}
 			}
 		}
+	}
+}
+
+// The shard router keys on what CorrelationKey(attr, EQUAL) compares
+// (event.Key): a key sent once as an int64 and once as a float64 is one key
+// to the matcher, so it must be one shard — rendering the two apart ("1234570"
+// vs "1.23457e+06") split the pair and lost its alert. −0 and 0 are one key
+// too; NaN, never equal to itself, is wild and matches nothing.
+func TestShardedMixedNumericKeys(t *testing.T) {
+	defer leakcheck.Check(t)()
+	const src = `EVENT Pair WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 1 hour)
+WHERE CorrelationKey(Machine_Id, EQUAL)`
+	var events stream.Stream
+	at := temporal.Time(0)
+	add := func(typ string, key event.Value) {
+		at = at.Add(temporal.Second)
+		events = append(events, event.NewInsert(event.ID(len(events)+1), typ, at, temporal.Infinity,
+			event.Payload{"Machine_Id": key}))
+	}
+	const keys = 16
+	for k := 0; k < keys; k++ {
+		v := int64(123457+1009*k) * 10 // %v renders float64(v) in exponent form
+		add("INSTALL", v)
+		add("SHUTDOWN", float64(v))
+	}
+	add("INSTALL", math.Copysign(0, -1))
+	add("SHUTDOWN", 0.0)
+	add("INSTALL", math.NaN())
+	add("SHUTDOWN", math.NaN())
+	delivered := delivery.Deliver(events, delivery.Ordered(10*temporal.Minute))
+	want := run(t, src, delivered)
+	if got := alerts(want); got != keys+1 {
+		t.Fatalf("one shard found %d alerts, want %d", got, keys+1)
+	}
+	for _, n := range []int{2, 4, 8} {
+		q := run(t, src, delivered, plan.WithShards(n))
+		if q.Shards() != n {
+			t.Fatalf("shards=%d: plan did not shard: %s", n, q.Plan().Explain())
+		}
+		compareStreams(t, fmt.Sprintf("shards=%d", n), q.Results(), want.Results())
 	}
 }
 

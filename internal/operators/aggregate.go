@@ -384,9 +384,7 @@ func (a *Aggregate) fold(members []event.Event, seg temporal.Interval) (event.Va
 }
 
 // HashString mixes a string with FNV-1a — the same function the event ID
-// pairing uses. Grouped aggregation derives group IDs from it, and the
-// shard router hashes routing keys with it, so a group's facts and its
-// events agree on both identity and placement.
+// pairing uses. Grouped aggregation derives group IDs from it.
 func HashString(s string) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(s); i++ {

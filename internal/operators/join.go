@@ -58,7 +58,9 @@ const (
 	joinCompacted              // items[port] and index[port] replaced wholesale
 )
 
-func (r joinRec) undo() {
+func (r joinRec) Release() {}
+
+func (r joinRec) Undo() {
 	j, p := r.j, r.port
 	switch r.kind {
 	case joinAppended:
@@ -79,8 +81,8 @@ func (r joinRec) undo() {
 
 // replace journals the overwrite of the live entry in slot i.
 func (j *Join) replace(port, i int, ent joinEntry) {
-	if j.on {
-		j.recs = append(j.recs, joinRec{j: j, kind: joinReplaced, port: port, i: i, old: j.items[port][i]})
+	if j.log.on {
+		j.log.Add(joinRec{j: j, kind: joinReplaced, port: port, i: i, old: j.items[port][i]})
 	}
 	j.items[port][i] = ent
 }
@@ -125,8 +127,8 @@ func (j *Join) Process(port int, e event.Event) []event.Event {
 	if i, ok := j.index[port][e.ID]; ok {
 		j.replace(port, i, joinEntry{ev: e})
 	} else {
-		if j.on {
-			j.recs = append(j.recs, joinRec{j: j, kind: joinAppended, port: port})
+		if j.log.on {
+			j.log.Add(joinRec{j: j, kind: joinAppended, port: port})
 		}
 		j.index[port][e.ID] = len(j.items[port])
 		j.items[port] = append(j.items[port], joinEntry{ev: e})
@@ -195,8 +197,8 @@ func (j *Join) maybeCompact(port int) {
 	if j.dead[port] <= 16 || j.dead[port] <= len(j.items[port])/2 {
 		return
 	}
-	if j.on {
-		j.recs = append(j.recs, joinRec{j: j, kind: joinCompacted, port: port,
+	if j.log.on {
+		j.log.Add(joinRec{j: j, kind: joinCompacted, port: port,
 			side: j.items[port], idx: j.index[port], dead: j.dead[port]})
 	}
 	n := len(j.items[port]) - j.dead[port]

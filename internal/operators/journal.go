@@ -41,59 +41,108 @@ func (vs *versions[T]) cut(lo, hi int) {
 	vs.vals = slices.Delete(vs.vals, lo, hi)
 }
 
-// journal is the undo log behind the stateful operators' Versioned
+// Record is one inverse record of a Journal.
+type Record interface {
+	// Undo reverses the mutation the record was journaled before.
+	Undo()
+	// Release is called when Compact drops the record: no retained version
+	// can undo it any more, so whatever state only its Undo needed may go.
+	Release()
+}
+
+// Journal is the one undo log behind every journaling operator's Versioned
 // implementation: while it is on, every mutation of the operator's durable
 // state first appends its exact inverse as an R. Mark is then an O(1)
-// barrier, Rollback undoes records LIFO back to it, Compact truncates the
+// append, Rollback undoes records LIFO back to it, Compact truncates the
 // history below it. Journaling turns on at the first Mark, so a standalone
 // operator (and every Clone, which starts with a zero journal) pays one
 // predictable branch per mutation. Derived caches and scratch buffers are
-// not state and are never journaled.
+// not state and are never journaled. State an operator does not journal per
+// mutation (a few scalars) it hands to Mark as a snapshot S, which Rollback
+// returns for the operator to restore.
 //
-// Operators embed a journal, which promotes the Versioned methods.
-type journal[R interface{ undo() }] struct {
+// Versions are serial numbers that are never reissued, so a version a
+// deeper Rollback or a Compact invalidated stays invalid for good.
+type Journal[R Record, S any] struct {
 	on    bool
-	recs  []R           // inverse records since the oldest live mark, in mutation order
-	marks versions[int] // live versions → len(recs) at mark time
+	recs  []R               // inverse records since the oldest live mark, in mutation order
+	marks versions[mark[S]] // live versions
 }
 
-// Mark implements Versioned.
-func (j *journal[R]) Mark() Version {
+type mark[S any] struct {
+	at   int // len(recs) at mark time
+	snap S
+}
+
+// On reports whether journaling is on: a mutation appends its inverse only
+// then.
+func (j *Journal[R, S]) On() bool { return j.on }
+
+// Add appends the inverse of the mutation about to happen.
+func (j *Journal[R, S]) Add(r R) { j.recs = append(j.recs, r) }
+
+// Mark returns a version of the current state, snap being the part of it
+// the operator does not journal, and turns journaling on.
+func (j *Journal[R, S]) Mark(snap S) Version {
 	j.on = true
-	return j.marks.push(len(j.recs))
+	return j.marks.push(mark[S]{len(j.recs), snap})
 }
 
-// Rollback implements Versioned, in O(mutations since v).
-func (j *journal[R]) Rollback(v Version) bool {
+// Rollback undoes every mutation since v, in O(mutations since v), and
+// returns v's snapshot. v stays valid; every later version is invalidated.
+// It reports false, changing nothing, when v is no longer valid.
+func (j *Journal[R, S]) Rollback(v Version) (snap S, ok bool) {
 	i := j.marks.find(v)
 	if i < 0 {
-		return false
+		return snap, false
 	}
-	at := j.marks.vals[i]
-	for n := len(j.recs); n > at; n-- {
-		j.recs[n-1].undo()
+	m := j.marks.vals[i]
+	for n := len(j.recs); n > m.at; n-- {
+		j.recs[n-1].Undo()
 	}
-	clear(j.recs[at:])
-	j.recs = j.recs[:at]
+	clear(j.recs[m.at:])
+	j.recs = j.recs[:m.at]
 	j.marks.cut(i+1, len(j.marks.ids))
-	return true
+	return m.snap, true
 }
 
-// Compact implements Versioned, in O(records kept).
-func (j *journal[R]) Compact(v Version) {
+// Compact drops the history below v, releasing each dropped record, in
+// O(records dropped and kept). Versions before v are invalidated.
+func (j *Journal[R, S]) Compact(v Version) {
 	i := j.marks.find(v)
 	if i <= 0 {
 		return
 	}
-	at := j.marks.vals[i]
+	at := j.marks.vals[i].at
+	for k := range j.recs[:at] {
+		j.recs[k].Release()
+	}
 	n := copy(j.recs, j.recs[at:])
 	clear(j.recs[n:])
 	j.recs = j.recs[:n]
 	j.marks.cut(0, i)
 	for k := range j.marks.vals {
-		j.marks.vals[k] -= at
+		j.marks.vals[k].at -= at
 	}
 }
+
+// journal is a Journal whose operator journals all of its state: it needs
+// no snapshot. Operators embed one, which promotes the Versioned methods.
+type journal[R Record] struct {
+	log Journal[R, struct{}]
+}
+
+// Mark implements Versioned.
+func (j *journal[R]) Mark() Version { return j.log.Mark(struct{}{}) }
+
+// Rollback implements Versioned.
+func (j *journal[R]) Rollback(v Version) bool {
+	_, ok := j.log.Rollback(v)
+	return ok
+}
+
+// Compact implements Versioned.
+func (j *journal[R]) Compact(v Version) { j.log.Compact(v) }
 
 // mapRec is the inverse of one set or delete on a map[event.ID]V, or (m ==
 // nil) of one assignment to the operator's frontier.
@@ -106,7 +155,9 @@ type mapRec[V any] struct {
 	t   temporal.Time
 }
 
-func (r mapRec[V]) undo() {
+func (r mapRec[V]) Release() {}
+
+func (r mapRec[V]) Undo() {
 	switch {
 	case r.m == nil:
 		*r.p = r.t
@@ -124,25 +175,25 @@ type mapJournal[V any] struct {
 }
 
 func (j *mapJournal[V]) set(m map[event.ID]V, id event.ID, v V) {
-	if j.on {
+	if j.log.on {
 		old, had := m[id]
-		j.recs = append(j.recs, mapRec[V]{m: m, id: id, old: old, had: had})
+		j.log.Add(mapRec[V]{m: m, id: id, old: old, had: had})
 	}
 	m[id] = v
 }
 
 func (j *mapJournal[V]) del(m map[event.ID]V, id event.ID) {
-	if j.on {
+	if j.log.on {
 		if old, had := m[id]; had {
-			j.recs = append(j.recs, mapRec[V]{m: m, id: id, old: old, had: true})
+			j.log.Add(mapRec[V]{m: m, id: id, old: old, had: true})
 		}
 	}
 	delete(m, id)
 }
 
 func (j *mapJournal[V]) setTime(p *temporal.Time, t temporal.Time) {
-	if j.on {
-		j.recs = append(j.recs, mapRec[V]{p: p, t: *p})
+	if j.log.on {
+		j.log.Add(mapRec[V]{p: p, t: *p})
 	}
 	*p = t
 }

@@ -159,8 +159,7 @@ type AdvanceOrdered interface {
 
 // KeyString renders a payload value exactly as fmt's %v would, with
 // allocation-free fast paths for the common types. Grouped aggregation
-// hashes group keys through it, and the shard router uses the identical
-// rendering so events of one group always land on the group's shard.
+// hashes group keys through it.
 func KeyString(v event.Value) string {
 	switch x := v.(type) {
 	case string:

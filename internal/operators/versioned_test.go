@@ -20,7 +20,8 @@ import (
 // must leave the operator indistinguishable — step for step, in output and
 // StateSize — from a fresh Clone of the frozen copy. Versions invalidated by
 // a deeper Rollback or dropped by Compact must be refused with state
-// untouched, and a version at or above a Compact point must stay usable.
+// untouched — at every later step, however many versions were marked since
+// — and a version at or above a Compact point must stay usable.
 
 var seqEE = algebra.SequenceExpr{Kids: []algebra.Expr{
 	algebra.TypeExpr{Type: "E", Alias: "a"},
@@ -77,6 +78,7 @@ type vRun struct {
 	op    operators.Versioned
 	twin  operators.Op
 	marks []vMark
+	dead  []vMark // every version a Rollback or Compact invalidated
 	drv   vDriver
 	step  int
 }
@@ -102,19 +104,19 @@ func (r *vRun) rollTo(j int) {
 	if !r.op.Rollback(r.marks[j].v) {
 		r.t.Fatalf("%s step %d: rollback to live version %d of %d refused", r.label, r.step, j, len(r.marks))
 	}
-	dead := r.marks[j+1:]
+	r.dead = append(r.dead, r.marks[j+1:]...)
 	r.marks = r.marks[:j+1]
 	r.twin = r.marks[j].frozen.Clone()
 	r.drv = r.marks[j].drv.save()
 	r.check("rollback", nil, nil)
-	r.refuse(dead)
+	r.refuse()
 }
 
 // refuse asserts that none of the invalidated versions can be rolled back
 // to and that trying leaves the operator where it was.
-func (r *vRun) refuse(dead []vMark) {
+func (r *vRun) refuse() {
 	r.t.Helper()
-	for _, d := range dead {
+	for _, d := range r.dead {
 		if r.op.Rollback(d.v) {
 			r.t.Fatalf("%s step %d: rollback to invalidated version %v succeeded", r.label, r.step, d.v)
 		}
@@ -176,13 +178,13 @@ func driveVersioned(t *testing.T, label string, mk func() operators.Op, rng *ran
 		default: // compact, as checkpointing does below its base
 			j := rng.Intn(len(r.marks))
 			r.op.Compact(r.marks[j].v)
-			dead := r.marks[:j]
+			r.dead = append(r.dead, r.marks[:j]...)
 			r.marks = r.marks[j:]
-			r.refuse(dead)
 			if rng.Intn(2) == 0 {
 				r.rollTo(rng.Intn(len(r.marks)))
 			}
 		}
+		r.refuse()
 	}
 	r.rollTo(0)
 }
