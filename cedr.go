@@ -196,18 +196,14 @@ func WithShards(n int) interface {
 // shard count (see plan.AutoShards).
 const AutoShards = plan.AutoShards
 
-// WithRouting enables the standing-query fabric's cross-query routing
-// index: each pushed data event is delivered only to the query groups that
-// can possibly match it — by event TYPE, and for key-specialized queries
-// (a [attr Equal 'literal'] filter, or a template binding) by key value —
-// instead of touching every registered query. Punctuation is still
-// broadcast. Queries whose plans the analyzer cannot prove routable fall
-// into a conservative always-deliver bucket. Routing changes what a query
-// observes as its input stream (as if pre-filtered to events its plan can
-// react to), so emission stamps of blocking output and per-stage input
-// counters may differ from an unrouted run; the detected alert set cannot.
+// WithRouting is accepted and ignored: every system routes each data event
+// only to the queries that can react to it — by event TYPE, and for
+// key-specialized queries by key value — and broadcasts punctuation.
+//
+// Deprecated: routing is always on. WithRouting stays only because
+// bench/e2e passes it; the next benchmark change removes it.
 func WithRouting() Option {
-	return sysOption(func(c *sysConfig) { c.eopts = append(c.eopts, engine.WithRouting()) })
+	return sysOption(func(*sysConfig) {})
 }
 
 // WithSyncEvery sets a durable system's fsync batching: the write-ahead

@@ -3,6 +3,7 @@ package cedr
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -244,20 +245,25 @@ SC(each, consume)
 CONSISTENCY middle`
 
 // TestPublicAPIFabricTemplates: a fleet of per-machine template instances
-// over a routed engine detects exactly the alerts one fleet-wide query
-// would; identical instances share a chain, WithoutSharing opts out, and
-// Unregister removes one endpoint without disturbing its siblings.
+// detects exactly the alerts one fleet-wide query would; identical
+// instances share a chain, WithoutSharing opts out, Unregister removes one
+// endpoint without disturbing its siblings, and the deprecated WithRouting
+// changes nothing.
 func TestPublicAPIFabricTemplates(t *testing.T) {
-	sys := New(WithRouting())
-	var fleet []*Query
-	for m := 0; m < 10; m++ {
-		q, err := sys.Register(missedRestartTmpl,
-			WithTemplate(Payload{"m": workload.MachineID(m)}))
-		if err != nil {
-			t.Fatal(err)
+	register := func(sys *System) []*Query {
+		var fleet []*Query
+		for m := 0; m < 10; m++ {
+			q, err := sys.Register(missedRestartTmpl,
+				WithTemplate(Payload{"m": workload.MachineID(m)}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet = append(fleet, q)
 		}
-		fleet = append(fleet, q)
+		return fleet
 	}
+	sys := New()
+	fleet := register(sys)
 	twin, err := sys.Register(missedRestartTmpl, WithTemplate(Payload{"m": "m000"}))
 	if err != nil {
 		t.Fatal(err)
@@ -275,14 +281,24 @@ func TestPublicAPIFabricTemplates(t *testing.T) {
 	}
 
 	src, expected := workload.MachineEvents(workload.DefaultMachines())
-	sys.Run(Deliver(src, OrderedDelivery(MustDuration(t, "10 minutes"))))
+	in := Deliver(src, OrderedDelivery(MustDuration(t, "10 minutes")))
+	sys.Run(in)
+
+	legacy := New(WithRouting())
+	legacyFleet := register(legacy)
+	legacy.Run(in)
+	for m, q := range fleet {
+		if !reflect.DeepEqual(legacyFleet[m].Results(), q.Results()) {
+			t.Errorf("machine %d: the deprecated routing option changed the results", m)
+		}
+	}
 
 	total := 0
 	for _, q := range fleet {
 		total += len(q.Alerts())
 	}
 	if total != expected {
-		t.Errorf("routed fleet detected %d alerts, fleet-wide query detects %d", total, expected)
+		t.Errorf("fleet detected %d alerts, fleet-wide query detects %d", total, expected)
 	}
 	if got, want := len(twin.Alerts()), len(fleet[0].Alerts()); got != want {
 		t.Errorf("shared twin: %d alerts, sibling has %d", got, want)

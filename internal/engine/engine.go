@@ -1,6 +1,8 @@
-// Package engine executes CEDR query plans: it fans incoming physical
-// events out to registered standing queries, drives each query's chain of
-// consistency-monitored operators, and collects outputs and metrics. Every
+// Package engine executes CEDR query plans: it routes each incoming data
+// event to the standing queries whose plans can react to it (the fabric's
+// routing index, fabric.go — the one delivery path) and punctuation to
+// every query, drives each query's chain of consistency-monitored
+// operators, and collects outputs and metrics. Every
 // chain runs on the shard runtime (shard.go): with one shard, inline on the
 // pushing goroutine; with more, on worker goroutines behind a deterministic
 // merge. Both emit the same output.
@@ -36,8 +38,7 @@ type Engine struct {
 	chains  []*chain          // live execution chains; removal copies (snapshots stay valid)
 	groups  map[string]*chain // sharing identity → its chain
 	shards  int               // default shard count for queries that don't request one
-	routing bool
-	fabric  *fabric // non-nil iff WithRouting
+	fabric  fabric            // routing index over chains: every data item's delivery path
 
 	// Durability (see durability.go). log is attached once, by Restore,
 	// before the engine is shared; nil means durability is off and the hot
@@ -64,27 +65,11 @@ func WithShards(n int) Option {
 	return func(e *Engine) { e.shards = n }
 }
 
-// WithRouting enables the fabric's cross-query routing index: each pushed
-// data event is delivered only to the chains whose plans can possibly match
-// it (by event TYPE and, for key-specialized plans, by routing-key value);
-// punctuation is still broadcast. Routing changes the delivery semantics a
-// chain observes — it behaves as if its input stream had been pre-filtered
-// to the events its plan can react to — so a routed engine is compared
-// against routed independents, never against an unrouted run (emission
-// stamps on blocked output can differ; detected alerts cannot). See
-// fabric.go.
-func WithRouting() Option {
-	return func(e *Engine) { e.routing = true }
-}
-
 // New creates an empty engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{}
 	for _, o := range opts {
 		o(e)
-	}
-	if e.routing {
-		e.fabric = newFabric()
 	}
 	return e
 }
@@ -154,9 +139,7 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 			}
 			e.groups[key] = ch
 		}
-		if e.fabric != nil {
-			e.fabric.add(ch)
-		}
+		e.fabric.add(ch)
 	}
 	e.mu.Unlock()
 	return q
@@ -261,14 +244,14 @@ func (e *Engine) Query(name string) (*Query, bool) {
 	return nil, false
 }
 
-// Push delivers one physical item to the registered queries. Without
-// routing every chain sees every item; with WithRouting data items go
-// through the fabric's routing index and punctuation is broadcast. The
-// chain list is snapshotted once per call — no per-event copying, and
-// concurrent Registers only take effect for subsequent pushes. On a durable
-// engine the item is appended to the write-ahead log first; if the log has
-// failed (fsync error), the engine fails stop and drops the item — input
-// that is not durable is not processed.
+// Push delivers one physical item to the registered queries that can react
+// to it: a data item reaches the chains the fabric's routing index selects
+// for its TYPE and key, punctuation reaches every chain. The delivery set
+// is taken once per call — no per-event copying, and concurrent Registers
+// only take effect for subsequent pushes. On a durable engine the item is
+// appended to the write-ahead log first; if the log has failed (fsync
+// error), the engine fails stop and drops the item — input that is not
+// durable is not processed.
 func (e *Engine) Push(ev event.Event) {
 	if e.log != nil {
 		e.pushMu.Lock()
@@ -288,17 +271,18 @@ func (e *Engine) Push(ev event.Event) {
 // more chains spill to the heap, correctness unaffected.
 const routeBufCap = 128
 
-// fanout hands one item to every chain that must see it. This is the
-// shared delivery step of Push and WAL replay.
+// fanout hands one item to every chain that must see it — a data item to
+// the chains its route selects, punctuation to all. This is the shared
+// delivery step of Push and WAL replay.
 func (e *Engine) fanout(ev event.Event) {
-	if e.fabric != nil && !ev.IsCTI() {
-		var buf [routeBufCap]*chain
-		for _, ch := range e.fabric.route(ev, buf[:0]) {
+	if ev.IsCTI() {
+		for _, ch := range e.chainsSnapshot() {
 			ch.push(ev)
 		}
 		return
 	}
-	for _, ch := range e.chainsSnapshot() {
+	var buf [routeBufCap]*chain
+	for _, ch := range e.fabric.route(ev, buf[:0]) {
 		ch.push(ev)
 	}
 }
@@ -757,9 +741,7 @@ func (q *Query) unregisterApply() {
 		if ch.key != "" {
 			delete(e.groups, ch.key)
 		}
-		if e.fabric != nil {
-			e.fabric.remove(ch)
-		}
+		e.fabric.remove(ch)
 	}
 	e.mu.Unlock()
 	if last {

@@ -1,14 +1,13 @@
-// The standing-query fabric's routing index: a per-engine discrimination
-// step from (event TYPE, routing-key value) to the chains that can possibly
-// care, so one pushed event touches O(matching chains) instead of every
-// registered query. Routing is an engine-level delivery semantics
-// (WithRouting): a chain skipped for an event simply never receives it —
-// exactly as if the event stream had been pre-filtered per query — so a
-// routed fleet is byte-identical to routed independent engines (the
-// differential suite proves it), while against unrouted execution only
-// emission stamps and per-monitor input counters can differ, never the
-// detected alert set (the skip conditions are the soundness claims of
-// plan.RouteTypes and lang.Analysis.RouteKeyAttr).
+// The standing-query fabric's routing index: the engine's one data-delivery
+// path. A per-engine discrimination step from (event TYPE, routing-key
+// value) to the chains that can possibly care, so one pushed event touches
+// O(matching chains) instead of every registered query. A chain skipped for
+// an event simply never receives it — exactly as if the event stream had
+// been pre-filtered to the events its plan can react to — so a chain's
+// output is a function of that filtered stream, whatever else the engine
+// hosts (the skip conditions are the soundness claims of plan.RouteTypes
+// and lang.Analysis.RouteKeyAttr; the differential suite checks the
+// identity against independent engines fed the pre-filtered stream).
 //
 // Index shape, per event TYPE:
 //
@@ -36,7 +35,7 @@ import (
 type fabric struct {
 	mu     sync.RWMutex
 	always []*chain
-	byType map[string]*typeEntry
+	byType map[string]typeEntry // created by the first typed add
 }
 
 type typeEntry struct {
@@ -48,10 +47,6 @@ type famEntry struct {
 	attr  string
 	byVal map[event.Key][]*chain
 	all   []*chain
-}
-
-func newFabric() *fabric {
-	return &fabric{byType: map[string]*typeEntry{}}
 }
 
 // add indexes a freshly built chain by its plan's routing metadata.
@@ -67,38 +62,39 @@ func (f *fabric) add(ch *chain) {
 	if ch.plan.RouteKeyAttr != "" {
 		keyVal = event.KeyOf(ch.plan.RouteKeyVal)
 	}
+	if f.byType == nil {
+		f.byType = map[string]typeEntry{}
+	}
 	for _, t := range types {
 		te := f.byType[t]
-		if te == nil {
-			te = &typeEntry{}
-			f.byType[t] = te
-		}
 		if !keyVal.Def() {
 			te.plain = append(te.plain, ch)
-			continue
-		}
-		var fam *famEntry
-		for _, fe := range te.fams {
-			if fe.attr == ch.plan.RouteKeyAttr {
-				fam = fe
-				break
+		} else {
+			var fam *famEntry
+			for _, fe := range te.fams {
+				if fe.attr == ch.plan.RouteKeyAttr {
+					fam = fe
+					break
+				}
 			}
+			if fam == nil {
+				fam = &famEntry{attr: ch.plan.RouteKeyAttr, byVal: map[event.Key][]*chain{}}
+				te.fams = append(te.fams, fam)
+			}
+			fam.byVal[keyVal] = append(fam.byVal[keyVal], ch)
+			fam.all = append(fam.all, ch)
 		}
-		if fam == nil {
-			fam = &famEntry{attr: ch.plan.RouteKeyAttr, byVal: map[event.Key][]*chain{}}
-			te.fams = append(te.fams, fam)
-		}
-		fam.byVal[keyVal] = append(fam.byVal[keyVal], ch)
-		fam.all = append(fam.all, ch)
+		f.byType[t] = te
 	}
 }
 
-// remove drops a torn-down chain from every bucket it appears in.
+// remove drops a torn-down chain from every bucket add put it in.
 func (f *fabric) remove(ch *chain) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.always = without(f.always, ch)
-	for t, te := range f.byType {
+	for _, t := range ch.plan.RouteTypes {
+		te := f.byType[t]
 		te.plain = without(te.plain, ch)
 		fams := te.fams[:0]
 		for _, fam := range te.fams {
@@ -117,6 +113,8 @@ func (f *fabric) remove(ch *chain) {
 		te.fams = fams
 		if len(te.plain) == 0 && len(te.fams) == 0 {
 			delete(f.byType, t)
+		} else {
+			f.byType[t] = te
 		}
 	}
 }
@@ -139,9 +137,6 @@ func (f *fabric) route(ev event.Event, buf []*chain) []*chain {
 	defer f.mu.RUnlock()
 	buf = append(buf, f.always...)
 	te := f.byType[ev.Type]
-	if te == nil {
-		return buf
-	}
 	buf = append(buf, te.plain...)
 	retract := ev.Kind == event.Retract
 	for _, fam := range te.fams {

@@ -1,7 +1,7 @@
 // Standing-query fabric differentials: a fleet of shared-plan queries must
 // be byte-identical — outputs, order tags, metrics — to the same queries
-// registered on independent engines, with routing on and off, across spec
-// switches, stragglers, and mid-stream unregistration. Plus the fabric's
+// registered on independent engines fed the pre-filtered stream, across
+// spec switches, stragglers, and mid-stream unregistration. Plus the fabric's
 // structural guarantees: chain dedup, routing-index buckets, zero-alloc
 // routing, last-reference teardown, and durable unregistration. Runs under
 // -race in the dedicated CI fault-injection job.
@@ -9,8 +9,10 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,126 +39,139 @@ func bindM(id string) plan.Option {
 	return plan.WithBindings(map[string]event.Value{"m": id})
 }
 
-// TestFabricDifferentialFleet is the fabric's byte-identity witness: a
-// fleet engine hosting shared trios, template instances, and an unrelated
-// plain query is driven against one independent engine per query over the
-// same disordered input, with a mid-stream consistency switch on the shared
-// trio, a mid-stream unregistration of one template sibling, and a late
-// (warm) attachment. Every endpoint's results, order tags, and metrics
-// must match its independent twin exactly — routing off and on.
+// reacts is the pre-filter routing must equal, written from the plan's
+// routing claims alone: every CTI, and data whose TYPE the plan consumes
+// (any TYPE when it declares none) and, for a keyed plan, whose key
+// attribute holds the plan's key or no definite value, or which retracts.
+func reacts(p *plan.Plan, ev event.Event) bool {
+	if ev.IsCTI() || len(p.RouteTypes) == 0 {
+		return true
+	}
+	if !slices.Contains(p.RouteTypes, ev.Type) {
+		return false
+	}
+	want := event.KeyOf(p.RouteKeyVal)
+	if p.RouteKeyAttr == "" || !want.Def() || ev.Kind == event.Retract {
+		return true
+	}
+	k := event.KeyOf(ev.Payload[p.RouteKeyAttr])
+	return !k.Def() || k == want
+}
+
+// TestFabricDifferentialFleet is the fabric's byte-identity witness, and
+// the proof that routing equals pre-filtering: a fleet engine hosting a
+// shared trio, a template pair, a template instance of its own, a plain
+// query and a hand-built plan with no input alphabet is driven over a
+// disordered stream, with a mid-stream consistency switch on the trio, a
+// mid-stream unregistration of one template sibling, and a late (warm)
+// attachment. Every endpoint's results, order tags and metrics must match a
+// twin on an independent engine fed, through Query.Push, only the items
+// reacts admits for its plan — the hand-built plan's twin sees everything.
 func TestFabricDifferentialFleet(t *testing.T) {
 	defer leakcheck.Check(t)()
 	in := durabilityWorkload()
-	specs := []struct {
-		src  string
-		opts []plan.Option
-	}{
-		{monitorQuery, nil},                           // 0 ┐ shared trio:
-		{monitorQuery, nil},                           // 1 │ one chain,
-		{monitorQuery, nil},                           // 2 ┘ three endpoints
-		{keyedTemplate, []plan.Option{bindM("m000")}}, // 3 ┐ template pair,
-		{keyedTemplate, []plan.Option{bindM("m000")}}, // 4 ┘ one chain
-		{keyedTemplate, []plan.Option{bindM("m001")}}, // 5: own chain
-		{`EVENT AnyInstall WHEN ANY(INSTALL i)`, nil}, // 6: plain
+	text := func(src string, opts ...plan.Option) func(*Engine) *Query {
+		return func(e *Engine) *Query {
+			q, err := e.RegisterText(src, append(opts, plan.WithSharing())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q
+		}
+	}
+	bare := func(e *Engine) *Query {
+		p, err := plan.Compile(monitorQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Register(&plan.Plan{Name: "bare", Stages: p.Stages, Spec: p.Spec})
+	}
+	members := []func(*Engine) *Query{
+		text(monitorQuery),                           // 0 ┐ shared trio:
+		text(monitorQuery),                           // 1 │ one chain,
+		text(monitorQuery),                           // 2 ┘ three endpoints
+		text(keyedTemplate, bindM("m000")),           // 3 ┐ template pair,
+		text(keyedTemplate, bindM("m000")),           // 4 ┘ one chain
+		text(keyedTemplate, bindM("m001")),           // 5: own chain
+		text(`EVENT AnyInstall WHEN ANY(INSTALL i)`), // 6: plain
+		bare, // 7: no RouteTypes, the always bucket
 	}
 	specSwitchAt := len(in) / 3
 	unregisterAt := 2 * len(in) / 3
 
-	for _, routing := range []bool{false, true} {
-		label := map[bool]string{false: "unrouted", true: "routed"}[routing]
-		var eopts []Option
-		if routing {
-			eopts = append(eopts, WithRouting())
-		}
+	fleet := New()
+	var fq, iq []*Query
+	for _, reg := range members {
+		fq = append(fq, reg(fleet))
+		iq = append(iq, reg(New()))
+	}
+	if fq[0].ch != fq[1].ch || fq[1].ch != fq[2].ch {
+		t.Fatal("shared trio did not dedup onto one chain")
+	}
+	if fq[3].ch != fq[4].ch || fq[3].ch == fq[5].ch {
+		t.Fatal("template instances grouped wrong")
+	}
+	if len(fq[7].Plan().RouteTypes) != 0 {
+		t.Fatal("hand-built plan declares an input alphabet")
+	}
 
-		fleet := New(eopts...)
-		var fq []*Query
-		for _, s := range specs {
-			q, err := fleet.RegisterText(s.src, append(s.opts, plan.WithSharing())...)
-			if err != nil {
-				t.Fatal(err)
+	var late *Query
+	for i, ev := range in {
+		if i == specSwitchAt {
+			// The switch addresses the shared chain, so it applies to the
+			// whole trio; mirror it on all three twins.
+			fq[0].SetSpec(consistency.Strong())
+			for _, j := range []int{0, 1, 2} {
+				iq[j].SetSpec(consistency.Strong())
 			}
-			fq = append(fq, q)
+			// Late warm attachment to the trio's chain.
+			late = text(monitorQuery)(fleet)
+			if late.ch != fq[0].ch {
+				t.Fatal("late registration did not join the warm chain")
+			}
 		}
-		if fq[0].ch != fq[1].ch || fq[1].ch != fq[2].ch {
-			t.Fatal("shared trio did not dedup onto one chain")
+		if i == unregisterAt {
+			fq[4].Unregister()
+			fq[4].Unregister() // idempotent
 		}
-		if fq[3].ch != fq[4].ch || fq[3].ch == fq[5].ch {
-			t.Fatal("template instances grouped wrong")
+		fleet.Push(ev)
+		for j, q := range iq {
+			if j == 4 && i >= unregisterAt {
+				continue // frozen twin: the unregistered endpoint's prefix
+			}
+			if reacts(q.Plan(), ev) {
+				q.Push(ev)
+			}
 		}
+	}
+	fleet.Finish()
+	for j, q := range iq {
+		if j != 4 {
+			q.Finish()
+		}
+	}
 
-		var ind []*Engine
-		var iq []*Query
-		for _, s := range specs {
-			e := New(eopts...)
-			q, err := e.RegisterText(s.src, append(s.opts, plan.WithSharing())...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ind = append(ind, e)
-			iq = append(iq, q)
+	for j := range members {
+		compareStreams(t, fmt.Sprintf("query %d results", j), fq[j].Results(), iq[j].Results())
+		if !reflect.DeepEqual(fq[j].Tags(), iq[j].Tags()) {
+			t.Errorf("query %d order tags diverge", j)
 		}
-
-		var late *Query
-		for i, ev := range in {
-			if i == specSwitchAt {
-				// The switch addresses the shared chain, so it applies to the
-				// whole trio; mirror it on all three independents.
-				fq[0].SetSpec(consistency.Strong())
-				for _, j := range []int{0, 1, 2} {
-					iq[j].SetSpec(consistency.Strong())
-				}
-				// Late warm attachment to the trio's chain.
-				var err error
-				late, err = fleet.RegisterText(monitorQuery, plan.WithSharing())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if late.ch != fq[0].ch {
-					t.Fatal("late registration did not join the warm chain")
-				}
-			}
-			if i == unregisterAt {
-				fq[4].Unregister()
-				fq[4].Unregister() // idempotent
-			}
-			fleet.Push(ev)
-			for j, e := range ind {
-				if j == 4 && i >= unregisterAt {
-					continue // frozen twin: the unregistered endpoint's prefix
-				}
-				e.Push(ev)
-			}
+		// The unregistered endpoint's results are frozen at its prefix,
+		// but Metrics reads the (still running) shared chain — skip it.
+		if got, want := fq[j].Metrics(), iq[j].Metrics(); j != 4 && !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d metrics diverge\n got: %+v\nwant: %+v", j, got, want)
 		}
-		fleet.Finish()
-		for j, e := range ind {
-			if j != 4 {
-				e.Finish()
-			}
-		}
-
-		for j := range specs {
-			compareStreams(t, label+" results", fq[j].Results(), iq[j].Results())
-			if !reflect.DeepEqual(fq[j].Tags(), iq[j].Tags()) {
-				t.Errorf("%s: query %d order tags diverge", label, j)
-			}
-			// The unregistered endpoint's results are frozen at its prefix,
-			// but Metrics reads the (still running) shared chain — skip it.
-			if j != 4 && !reflect.DeepEqual(fq[j].Metrics(), iq[j].Metrics()) {
-				t.Errorf("%s: query %d metrics diverge", label, j)
-			}
-		}
-		// The late endpoint saw exactly the suffix of its sibling's output,
-		// tagged with the sibling's positions.
-		full, fullTags := fq[0].Results(), fq[0].Tags()
-		off := len(full) - len(late.Results())
-		compareStreams(t, label+" late attach", late.Results(), full[off:])
-		if lt := late.Tags(); len(lt) > 0 && lt[0] != fullTags[off] {
-			t.Errorf("%s: late endpoint first tag %d, want %d", label, lt[0], fullTags[off])
-		}
-		if got, want := len(fleet.Queries()), len(specs); got != want {
-			t.Errorf("%s: %d live queries after unregister, want %d", label, got, want)
-		}
+	}
+	// The late endpoint saw exactly the suffix of its sibling's output,
+	// tagged with the sibling's positions.
+	full, fullTags := fq[0].Results(), fq[0].Tags()
+	off := len(full) - len(late.Results())
+	compareStreams(t, "late attach", late.Results(), full[off:])
+	if lt := late.Tags(); len(lt) > 0 && lt[0] != fullTags[off] {
+		t.Errorf("late endpoint first tag %d, want %d", lt[0], fullTags[off])
+	}
+	if got, want := len(fleet.Queries()), len(members); got != want {
+		t.Errorf("%d live queries after unregister, want %d", got, want)
 	}
 }
 
@@ -165,7 +180,7 @@ func TestFabricDifferentialFleet(t *testing.T) {
 // chains), wild and retracted events reach the whole family, unknown types
 // reach only the always bucket.
 func TestFabricRoutingIndexBuckets(t *testing.T) {
-	e := New(WithRouting())
+	e := New()
 	reg := func(src string, opts ...plan.Option) *Query {
 		t.Helper()
 		q, err := e.RegisterText(src, append(opts, plan.WithSharing())...)
@@ -233,7 +248,7 @@ func TestFabricRoutingIndexBuckets(t *testing.T) {
 // TestFabricRoutingAllocs pins the per-event routing step at zero heap
 // allocations when the match set fits the caller's buffer.
 func TestFabricRoutingAllocs(t *testing.T) {
-	e := New(WithRouting())
+	e := New()
 	for _, id := range []string{"m000", "m001", "m002"} {
 		if _, err := e.RegisterText(keyedTemplate, bindM(id), plan.WithSharing()); err != nil {
 			t.Fatal(err)
@@ -307,7 +322,7 @@ WHERE CorrelationKey(Machine_Id, EQUAL) AND [Machine_Id Equal $a] AND {y.Reason 
 		{"a": "m1;b=string:z", "b": "q"},
 		{"a": "m1", "b": "z;b=string:q"},
 	}
-	e := New(WithRouting())
+	e := New()
 	var qs []*Query
 	for _, b := range sets {
 		q, err := e.RegisterText(tmpl, plan.WithBindings(b), plan.WithSharing())
@@ -471,7 +486,7 @@ func TestFabricUnregisterDurableRoundTrip(t *testing.T) {
 func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 	defer leakcheck.Check(t)()
 	in := durabilityWorkload()
-	e := New(WithRouting())
+	e := New()
 	anchor, err := e.RegisterText(monitorQuery, plan.WithSharing())
 	if err != nil {
 		t.Fatal(err)
