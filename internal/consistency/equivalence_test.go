@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -48,9 +49,11 @@ var seqEE = algebra.SequenceExpr{Kids: []algebra.Expr{
 }, W: 25}
 
 // equivalenceOps covers every way an operator reaches the monitor: the
-// stateless shortcut (select), the journaled operators (aggregates, window,
-// join, difference — the two-port ones fed by pushPorts), and the
-// clone-backed fallback (the oracle pattern evaluator).
+// stateless no-op version (select, and union, whose two ports pushPorts
+// feeds colliding facts under one ID that repair must fold), the journaled
+// operators (aggregates, window, join, difference — the two-port ones fed
+// by pushPorts), and the clone-backed fallback (the oracle pattern
+// evaluator).
 func equivalenceOps() map[string]func() operators.Op {
 	return map[string]func() operators.Op{
 		"select": func() operators.Op {
@@ -59,6 +62,7 @@ func equivalenceOps() map[string]func() operators.Op {
 				return v >= 5
 			})
 		},
+		"union":      func() operators.Op { return operators.NewUnion() },
 		"count-by-g": func() operators.Op { return operators.NewAggregate(operators.Count, "", "g") },
 		"avg-by-g":   func() operators.Op { return operators.NewAggregate(operators.Avg, "x", "g") },
 		"sum":        func() operators.Op { return operators.NewAggregate(operators.Sum, "x", "") },
@@ -120,9 +124,82 @@ func compareTables(t *testing.T, label string, i int, opt *Monitor, ref *refMoni
 		if !ok {
 			t.Fatalf("%s: item %d: emitted has extra fact %v=%v", label, i, id, nf.ev)
 		}
-		if !reflect.DeepEqual(nf.ev, rf.ev) || nf.gen != rf.gen {
+		if !identical(nf.ev, rf.ev) || nf.gen != rf.gen {
 			t.Fatalf("%s: item %d: fact %v differs\n got: %v gen %d\nwant: %v gen %d",
 				label, i, id, nf.ev, nf.gen, rf.ev, rf.gen)
+		}
+	}
+}
+
+// identical is reflect.DeepEqual on two events with the reflection kept to
+// non-scalar payload values, since compareTables runs it on every fact
+// after every push. It is at least as strict: a nil and an empty CBT or Payload differ, payload
+// values of different dynamic types differ, and a value that is not a
+// scalar falls back to reflect.DeepEqual.
+func identical(a, b event.Event) bool {
+	if a.ID != b.ID || a.Kind != b.Kind || a.Type != b.Type || a.V != b.V || a.O != b.O ||
+		a.C != b.C || a.RT != b.RT || (a.CBT == nil) != (b.CBT == nil) || !slices.Equal(a.CBT, b.CBT) ||
+		(a.Payload == nil) != (b.Payload == nil) || len(a.Payload) != len(b.Payload) {
+		return false
+	}
+	for k, v := range a.Payload {
+		w, ok := b.Payload[k]
+		if !ok {
+			return false
+		}
+		switch v.(type) {
+		case int64, float64, string, bool:
+			if v != w {
+				return false
+			}
+		default:
+			if !reflect.DeepEqual(v, w) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestIdenticalIsStrict(t *testing.T) {
+	if n := reflect.TypeOf(event.Event{}).NumField(); n != 9 {
+		t.Fatalf("event.Event has %d fields; identical compares 9", n)
+	}
+	base := event.NewInsert(1, "E", 0, 10, event.Payload{"x": int64(3), "s": "a", "l": []int{1}})
+	base.CBT = []event.ID{1}
+	if !identical(base, base) {
+		t.Fatal("an event differs from itself")
+	}
+	alike := base
+	alike.Payload = event.Payload{"x": int64(3), "s": "a", "l": []int{1}}
+	if !identical(base, alike) {
+		t.Fatal("equal payloads in distinct maps differ")
+	}
+	with := func(edit func(*event.Event)) event.Event {
+		e := base
+		e.Payload = base.Payload.Clone()
+		e.CBT = slices.Clone(base.CBT)
+		edit(&e)
+		return e
+	}
+	for name, pair := range map[string][2]event.Event{
+		"nil vs empty CBT": {with(func(e *event.Event) { e.CBT = nil }), with(func(e *event.Event) { e.CBT = []event.ID{} })},
+		"nil vs empty payload": {with(func(e *event.Event) { e.Payload = nil }),
+			with(func(e *event.Event) { e.Payload = event.Payload{} })},
+		"int64 vs float64": {base, with(func(e *event.Event) { e.Payload["x"] = float64(3) })},
+		"non-scalar value": {base, with(func(e *event.Event) { e.Payload["l"] = []int{2} })},
+		"missing key": {base, with(func(e *event.Event) {
+			delete(e.Payload, "s")
+			e.Payload["t"] = "a"
+		})},
+		"CEDR time": {base, with(func(e *event.Event) { e.C = temporal.From(4) })},
+		"lineage":   {base, with(func(e *event.Event) { e.CBT[0] = 2 })},
+	} {
+		if identical(pair[0], pair[1]) || identical(pair[1], pair[0]) {
+			t.Errorf("%s: identical accepts a difference", name)
+		}
+		if reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s: the case is no difference to reflect.DeepEqual", name)
 		}
 	}
 }

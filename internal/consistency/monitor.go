@@ -51,13 +51,11 @@ import (
 // matcher journal their own mutations through the one operators.Journal, so
 // a Mark is O(1), a Rollback O(mutations since), and a version once
 // invalidated is refused for good; reference evaluators and test doubles
-// fall back to a clone per Mark; a Stateless operator has nothing to
-// version. The monitor
-// holds no second operator — the checkpoint is a base Version of the live
-// one, every admitted item records a further Version, and a repair rewinds
-// the live operator in place. The one shortcut on top is repairStateless,
-// which skips rollback and replay where a stateless operator's own output
-// is provably the whole delta.
+// fall back to a clone per Mark. The monitor holds no second operator — the
+// checkpoint is a base Version of the live one, every admitted item records
+// a further Version, and a repair rewinds the live operator in place. There
+// is one repair path for every operator kind: every straggler rolls back,
+// replays and diffs.
 //
 // At common sync points all levels have output the same state, which is
 // what makes the levels seamlessly switchable (Section 5); the tests verify
@@ -135,10 +133,8 @@ type Monitor struct {
 	// the test that pins repair's cost to the straggler's depth.
 	examined int
 
-	out       []event.Event // reusable output buffer (valid until next call)
-	diffIDs   []event.ID    // repairStateless's reusable id scratch
-	absState  int           // operator state size as of the absorbed boundary
-	stateless bool          // op implements operators.Stateless
+	out      []event.Event // reusable output buffer (valid until next call)
+	absState int           // operator state size as of the absorbed boundary
 
 	// Sharded-execution support (see PushTaggedInto). All of it is inert —
 	// and free — on the plain Push path.
@@ -152,15 +148,6 @@ type Monitor struct {
 	probeLog  int // probe items in the live log window (state-size exempt)
 	probeBuf  int // probe items in the alignment buffer (state-size exempt)
 	markerLog int // guarantee markers in the live log window
-
-	// maxRetractSync/Seq is the (sync, seq) position of the latest
-	// retraction in the live window (MinTime when none). The stateless
-	// repair shortcut is only sound when no logged retraction lies at or
-	// after the straggler — a later retraction may target the straggler's
-	// own fresh output, which only a real replay applies — so it consults
-	// this high-water mark and falls back to generic replay past it.
-	maxRetractSync temporal.Time
-	maxRetractSeq  int
 
 	done bool // Finish has run: the monitor is terminal (see Finish)
 	met  Metrics
@@ -325,24 +312,21 @@ func NewMonitor(op operators.Op, spec Spec, _ ...MonitorOption) *Monitor {
 	for i := range portG {
 		portG[i] = temporal.MinTime
 	}
-	_, stateless := op.(operators.Stateless)
 	var advKey func([]byte, event.Event) []byte
 	if ao, ok := op.(operators.AdvanceOrdered); ok {
 		advKey = ao.AppendAdvanceKey
 	}
 	m := &Monitor{
-		stateless:      stateless,
-		advKey:         advKey,
-		op:             operators.AsVersioned(op),
-		spec:           spec,
-		emitted:        map[event.ID]*netFact{},
-		gen:            map[event.ID]uint64{},
-		portG:          portG,
-		guarantee:      temporal.MinTime,
-		frontier:       temporal.MinTime,
-		processedSync:  temporal.MinTime,
-		absSync:        temporal.MinTime,
-		maxRetractSync: temporal.MinTime,
+		advKey:        advKey,
+		op:            operators.AsVersioned(op),
+		spec:          spec,
+		emitted:       map[event.ID]*netFact{},
+		gen:           map[event.ID]uint64{},
+		portG:         portG,
+		guarantee:     temporal.MinTime,
+		frontier:      temporal.MinTime,
+		processedSync: temporal.MinTime,
+		absSync:       temporal.MinTime,
 	}
 	// The genesis mark is the base — the empty prefix's state — and
 	// checkpointTo slides it forward as guarantees absorb the log.
@@ -665,116 +649,7 @@ func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []b
 	if !probe {
 		m.met.Replays++
 	}
-	if m.stateless && m.repairStateless(i) {
-		return
-	}
 	m.repair(i)
-}
-
-// repairStateless handles a straggler through a stateless operator without
-// rollback or replay: the operator's outputs depend only on the input, so
-// the straggler's own outputs are the complete delta — provided none of
-// them collides with existing state, where fold order against later items
-// would matter (then the generic replay decides). It reports whether the
-// repair was completed, in which case the straggler log[i] is sealed — the
-// operator has no state, so every item is a rollback point — with its table
-// mutations spliced into the undo journal at its position; when it was not,
-// nothing has changed.
-func (m *Monitor) repairStateless(i int) bool {
-	li := m.log[i]
-	if li.probe {
-		// A probe has no Process call, so replaying it through a stateless
-		// operator cannot change the net-fact table; logging it is all a
-		// future replay needs.
-		m.spliceUndo(i, 0)
-		return true
-	}
-	// A retraction logged at or after the straggler's position may target
-	// the straggler's own output — an interaction only a real replay
-	// applies in the right order. (A retraction straggler is itself already
-	// in the log, so retraction stragglers always take the generic path.)
-	if keyLE(li.sync(), li.seq, m.maxRetractSync, m.maxRetractSeq) {
-		return false
-	}
-	// A full replay would advance the rolled-back operator to li's sync
-	// before processing it; for a stateless operator Advance emits nothing
-	// and keeps no frontier, so Process on the live operator is identical.
-	outs := m.op.Process(li.port, li.ev)
-	for _, e := range outs {
-		nf, ok := m.emitted[e.ID]
-		if ok && keyLE(nf.srcSync, nf.srcSeq, li.sync(), li.seq) {
-			// The fact this output lands on was produced at or before the
-			// straggler's replay position; the net result depends on the
-			// per-id fold order. Fall back to the generic path.
-			return false
-		}
-		if !ok && e.Kind == event.Retract {
-			continue // retracting an absent fact is a no-op at any position
-		}
-		// ok && producer after the straggler: a later producer overwrites
-		// whatever the straggler contributes — also a no-op.
-	}
-	// Emit exactly what the reference replay's diff would: the brand-new
-	// facts, in ascending fact-ID order, under the retired-generation
-	// counter, counted as plain inserts.
-	ids := m.diffIDs[:0]
-	for _, e := range outs {
-		if _, ok := m.emitted[e.ID]; !ok && e.Kind != event.Retract {
-			ids = append(ids, e.ID)
-		}
-	}
-	slices.Sort(ids)
-	m.diffIDs = ids
-	src, sq := li.sync(), li.seq
-	var prev event.ID
-	fresh := 0
-	for k, id := range ids {
-		if k > 0 && id == prev {
-			continue
-		}
-		prev = id
-		// Fold semantics: the last insert for an id wins.
-		last := -1
-		for j, e := range outs {
-			if e.ID == id && e.Kind != event.Retract {
-				last = j
-			}
-		}
-		e := outs[last]
-		ng := m.gen[id]
-		ins := e
-		ins.ID = event.Pair(id, event.ID(ng))
-		m.out = append(m.out, ins)
-		m.appendTag(tagDiff, id, nil)
-		m.met.OutputInserts++
-		nf := m.newFact()
-		nf.ev, nf.gen, nf.srcSync, nf.srcSeq = e, ng, src, sq
-		m.set(id, nil, nf)
-		fresh++
-	}
-	m.spliceUndo(i, fresh)
-	return true
-}
-
-// spliceUndo moves the last n undo records, journaled on behalf of log[i]
-// while later items' records already followed its position, to where the
-// item's span belongs, and seals the item there.
-func (m *Monitor) spliceUndo(i, n int) {
-	start := m.undoBase
-	if i > m.head {
-		start = m.log[i-1].undoAt
-	}
-	if n > 0 {
-		at, end := start-m.undoBase, len(m.undo)-n
-		m.dirty = append(m.dirty[:0], m.undo[end:]...)
-		copy(m.undo[at+n:], m.undo[at:end])
-		copy(m.undo[at:], m.dirty)
-		for j := i + 1; j < len(m.log); j++ {
-			m.log[j].undoAt += n
-		}
-	}
-	it := &m.log[i]
-	it.undoAt, it.ver, it.versioned = start+n, m.op.Mark(), true
 }
 
 // repair re-derives the live window from log[i] on — a straggler just
@@ -853,10 +728,10 @@ func (m *Monitor) seal(i int, mark bool) {
 
 // versioning reports whether an item admitted in order should record a
 // version: only where a straggler can follow it — optimistic levels (B < ∞)
-// with memory to repair (M > 0); Strong admits in order, Weak(0) drops every
-// straggler — or where a version costs nothing.
+// with memory to repair (M > 0). Strong admits in order and Weak(0) drops
+// every straggler, so a version there would never be rolled back to.
 func (m *Monitor) versioning() bool {
-	return m.stateless || (m.spec.B != Unbounded && m.spec.M != 0)
+	return m.spec.B != Unbounded && m.spec.M != 0
 }
 
 // insertLog places li at its (sync, seq) position in the live window by
@@ -869,12 +744,6 @@ func (m *Monitor) insertLog(li logItem) int {
 	}
 	if li.marker {
 		m.markerLog++
-	}
-	if !li.marker && !li.probe && li.ev.Kind == event.Retract {
-		s := li.ev.Sync()
-		if s > m.maxRetractSync || (s == m.maxRetractSync && li.seq > m.maxRetractSeq) {
-			m.maxRetractSync, m.maxRetractSeq = s, li.seq
-		}
 	}
 	ls := li.sync()
 	// Fast path: the item extends the window in order (the overwhelmingly
@@ -943,11 +812,6 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 	ls, lq := b.sync(), b.seq
 	m.head = cut
 	m.absSync, m.absSeq = ls, lq
-	// The latest retraction is the max over the window: if it fell inside
-	// the absorbed prefix, so did every other retraction.
-	if keyLE(m.maxRetractSync, m.maxRetractSeq, ls, lq) {
-		m.maxRetractSync, m.maxRetractSeq = temporal.MinTime, 0
-	}
 	// Facts produced by the absorbed prefix are final; forget them. This is
 	// exactly the table a replay of the remaining suffix over the new
 	// checkpoint would build.

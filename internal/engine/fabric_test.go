@@ -10,6 +10,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/leakcheck"
 	"repro/internal/plan"
+	"repro/internal/stream"
 	"repro/internal/temporal"
 	"repro/internal/wal"
 )
@@ -58,18 +60,51 @@ func reacts(p *plan.Plan, ev event.Event) bool {
 	return !k.Def() || k == want
 }
 
+// withStrays interleaves the items routing must treat specially into a
+// stream: after every third data item, at its arrival, one of a TYPE no
+// query consumes, its twin with no Machine_Id or with a NaN one (wild
+// keys), or a payload-less retraction removing it.
+func withStrays(in stream.Stream) stream.Stream {
+	out := make(stream.Stream, 0, len(in)+len(in)/3)
+	n := 0
+	for _, ev := range in {
+		out = append(out, ev)
+		if ev.IsCTI() {
+			continue
+		}
+		if n++; n%3 != 0 {
+			continue
+		}
+		stray := ev
+		stray.ID = ev.ID + 1<<40
+		switch n / 3 % 4 {
+		case 0:
+			stray.Type = "FIRMWARE"
+		case 1:
+			stray.Payload = event.Payload{"Build": int64(n)}
+		case 2:
+			stray.Payload = event.Payload{"Machine_Id": math.NaN()}
+		case 3:
+			stray = event.NewRetract(ev.ID, ev.Type, ev.V.Start, ev.V.Start, nil)
+			stray.C = ev.C
+		}
+		out = append(out, stray)
+	}
+	return out
+}
+
 // TestFabricDifferentialFleet is the fabric's byte-identity witness, and
 // the proof that routing equals pre-filtering: a fleet engine hosting a
 // shared trio, a template pair, a template instance of its own, a plain
 // query and a hand-built plan with no input alphabet is driven over a
-// disordered stream, with a mid-stream consistency switch on the trio, a
-// mid-stream unregistration of one template sibling, and a late (warm)
-// attachment. Every endpoint's results, order tags and metrics must match a
+// disordered stream with stray items (withStrays), with a mid-stream
+// consistency switch on the trio, a mid-stream unregistration of one
+// template sibling, and a late (warm) attachment. Every endpoint's results, order tags and metrics must match a
 // twin on an independent engine fed, through Query.Push, only the items
 // reacts admits for its plan — the hand-built plan's twin sees everything.
 func TestFabricDifferentialFleet(t *testing.T) {
 	defer leakcheck.Check(t)()
-	in := durabilityWorkload()
+	in := withStrays(durabilityWorkload())
 	text := func(src string, opts ...plan.Option) func(*Engine) *Query {
 		return func(e *Engine) *Query {
 			q, err := e.RegisterText(src, append(opts, plan.WithSharing())...)

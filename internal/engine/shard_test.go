@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -155,6 +156,9 @@ func runShardedOpSwitch(mk func() operators.Op, spec consistency.Spec, n, burst 
 	return c.out, met
 }
 
+// compareStreams requires got and want to be identical item for item:
+// reflect.DeepEqual, except that a NaN payload value — which DeepEqual
+// never accepts, not even against itself — compares by its bits.
 func compareStreams(t *testing.T, label string, got, want stream.Stream) {
 	t.Helper()
 	n := len(got)
@@ -162,13 +166,31 @@ func compareStreams(t *testing.T, label string, got, want stream.Stream) {
 		n = len(want)
 	}
 	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(got[i], want[i]) {
+		if !reflect.DeepEqual(nanBits(got[i]), nanBits(want[i])) {
 			t.Fatalf("%s: output[%d] differs\n got: %v\nwant: %v", label, i, got[i], want[i])
 		}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: output length %d, want %d (first %d identical)", label, len(got), len(want), n)
 	}
+}
+
+// nanBits returns e with every NaN payload value replaced by its bits, a
+// uint64, which no payload value otherwise is.
+func nanBits(e event.Event) event.Event {
+	var p event.Payload
+	for k, v := range e.Payload {
+		if f, ok := v.(float64); ok && f != f {
+			if p == nil {
+				p = maps.Clone(e.Payload)
+			}
+			p[k] = math.Float64bits(f)
+		}
+	}
+	if p != nil {
+		e.Payload = p
+	}
+	return e
 }
 
 func TestShardedOpEquivalence(t *testing.T) {

@@ -2,6 +2,7 @@ package history
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -244,13 +245,14 @@ func TestStarSeparatesPayloads(t *testing.T) {
 	}
 }
 
+// Star is a normal form: applying it again changes no row.
 func TestStarIdempotentQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := randomUniTable(rng, 40)
 		once := tbl.Star()
 		twice := once.Star()
-		return once.EqualFacts(twice)
+		return reflect.DeepEqual(once, twice)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

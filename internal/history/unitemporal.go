@@ -86,33 +86,6 @@ func (t UniTable) Ideal() UniTable {
 	return out
 }
 
-// factKey projects out CEDR time and the ID for content comparisons. Note
-// operator outputs mint fresh IDs, so semantic comparisons of operator
-// results are on (V, Payload) only; Definition 7-9 describe outputs as
-// (Vs, Ve, Payload) triples.
-func (r UniRow) factKey() string {
-	return r.V.String() + "§" + r.Payload.Key()
-}
-
-// EqualFacts compares two tables as multisets of (V, Payload) facts,
-// ignoring IDs and CEDR time.
-func (t UniTable) EqualFacts(o UniTable) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	count := make(map[string]int, len(t))
-	for _, r := range t {
-		count[r.factKey()]++
-	}
-	for _, r := range o {
-		count[r.factKey()]--
-		if count[r.factKey()] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Star is the * operator of Definition 10: repeated application of
 // coalescence until no two events with equal payloads have meeting validity
 // intervals. The result is sorted by (payload, Vs) and is a canonical

@@ -99,8 +99,8 @@ type Versioned interface {
 
 // Stateless marks operators whose Process output depends only on the input
 // event — no retained state, no Advance output, and output IDs derived
-// purely from the input. The consistency monitor repairs stragglers through
-// such operators without checkpoint rollback or log replay.
+// purely from the input. AsVersioned gives them a no-op version (there is
+// nothing to roll back) and CostOf a flat per-event cost.
 type Stateless interface {
 	// StatelessOp is a marker; implementations are empty.
 	StatelessOp()
