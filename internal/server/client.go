@@ -133,8 +133,11 @@ func (c *Client) Close() error {
 }
 
 // Outputs streams subscribed output frames in arrival order — for each
-// query, exactly the in-process delivery order, verifiable by tag. The
-// channel closes when the connection ends; check Err then.
+// query, exactly the in-process delivery order, verifiable by tag. Outputs
+// of equal payload content share one payload map (the connection decodes
+// through a wal.Decoder), so payloads are read-only, as
+// event.Payload.Equal's contract already states. The channel closes when
+// the connection ends; check Err then.
 func (c *Client) Outputs() <-chan Output { return c.outputs }
 
 // readLoop decodes server frames, routing outputs to the output channel

@@ -119,7 +119,7 @@ func FuzzReadFrame(f *testing.F) {
 				src, o, err := readRegister(fr.body, nil)
 				for _, dec := range []*wal.Decoder{shared, collided} {
 					src2, o2, err2 := readRegister(fr.body, dec)
-					if (err2 == nil) != (err == nil) || src2 != src || !reflect.DeepEqual(denanOpts(o2), denanOpts(o)) {
+					if (err2 == nil) != (err == nil) || src2 != src || !reflect.DeepEqual(exactOpts(o2), exactOpts(o)) {
 						t.Fatalf("register body decodes differently through shared strings:\n got %q %+v (%v)\nwant %q %+v (%v)", src2, o2, err2, src, o, err)
 					}
 				}
@@ -134,7 +134,7 @@ func FuzzReadFrame(f *testing.F) {
 				if err != nil {
 					t.Fatalf("re-encoded register body does not decode: %v", err)
 				}
-				if src2 != src || !reflect.DeepEqual(denanOpts(o2), denanOpts(o)) {
+				if src2 != src || !reflect.DeepEqual(exactOpts(o2), exactOpts(o)) {
 					t.Fatalf("round trip changed the register body\n got %q %+v\nwant %q %+v", src2, o2, src, o)
 				}
 			}
@@ -235,27 +235,30 @@ func readBytes(data []byte, slow bool) uint64 {
 }
 
 // sameEvent is reflect.DeepEqual — which compares payload values' dynamic
-// types — with every NaN equal to every NaN.
+// types — with floats compared by their bits: NaN equals the same NaN, and
+// −0 differs from 0.
 func sameEvent(a, b event.Event) bool {
-	a.Payload, b.Payload = denan(a.Payload), denan(b.Payload)
+	a.Payload, b.Payload = floatBits(a.Payload), floatBits(b.Payload)
 	return reflect.DeepEqual(a, b)
 }
 
-// denanOpts replaces NaN binding values with "NaN".
-func denanOpts(o wal.RegOpts) wal.RegOpts {
-	o.Bindings = denan(o.Bindings)
+// exactOpts replaces float binding values with their bits.
+func exactOpts(o wal.RegOpts) wal.RegOpts {
+	o.Bindings = floatBits(o.Bindings)
 	return o
 }
 
-// denan replaces NaN values with the string "NaN".
-func denan[M ~map[string]event.Value](p M) M {
+type bits uint64
+
+// floatBits copies p with every float replaced by its bits.
+func floatBits[M ~map[string]event.Value](p M) M {
 	if p == nil {
 		return nil
 	}
 	out := make(M, len(p))
 	for k, v := range p {
-		if f, ok := v.(float64); ok && f != f {
-			v = "NaN"
+		if f, ok := v.(float64); ok {
+			v = bits(math.Float64bits(f))
 		}
 		out[k] = v
 	}

@@ -19,7 +19,8 @@
 //
 // Frames are encoded in place, read into one reused buffer per connection
 // (a body is valid until the next frame) and decoded through one wal.Decoder
-// per connection, which shares repeated types, names and string values.
+// per connection, which shares repeated types, names and string values,
+// and one read-only map per repeated payload.
 //
 // Client → server frames:
 //

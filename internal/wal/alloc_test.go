@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/event"
 	"repro/internal/wal"
 )
 
@@ -51,25 +50,20 @@ func TestAllocsScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink event.Payload
-	perMap := testing.AllocsPerRun(100, func() {
-		sink = make(event.Payload, 1)
-		sink["Machine_Id"] = "m001"
-	})
 	perScan := testing.AllocsPerRun(10, func() {
 		if _, err := wal.Scan(bytes.NewReader(img), nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The table, the payload buffer, the two header arrays; then the first
-	// copy of each distinct string: the type, the name, and eight values
-	// with their boxes.
-	const perScanCeiling = 4 + 2 + 2*8
-	beyond := perScan - n*perMap
-	t.Logf("wal.Scan over %d repeated records: %.3f allocs/record, the payload map %.0f — %.0f per scan beyond the maps (ceiling %d)",
-		n, perScan/n, perMap, beyond, perScanCeiling)
-	if beyond > perScanCeiling {
-		t.Fatalf("scanning %d repeated records allocates %.0f objects beyond their payload maps (%.0f each), above the pinned ceiling %d; the payload buffer or the shared strings are no longer reused",
-			n, beyond, perMap, perScanCeiling)
+	// The tables, the payload buffer, the two header arrays; then the first
+	// copy of each distinct string — the type, the name, and eight values
+	// with their boxes — and the first two of each of the eight payloads
+	// (the second is kept), a map of two objects each. Nothing grows with
+	// the record count.
+	const ceiling = 4 + 2 + 2*8 + 2*2*8
+	t.Logf("wal.Scan over %d repeated records: %.0f allocs per scan (ceiling %d)", n, perScan, ceiling)
+	if perScan > ceiling {
+		t.Fatalf("scanning %d repeated records allocates %.0f objects, above the pinned per-scan ceiling %d; the payload buffer or the shared strings and payloads are no longer reused",
+			n, perScan, ceiling)
 	}
 }

@@ -18,14 +18,18 @@ import (
 // holds — bytes the checksum vouches for but nothing else does. Whatever
 // the input, DecodePayload must not panic and must not allocate more than a
 // constant times the input length (a forged count must not buy a giant
-// allocation); decoding through a shared-strings table — fresh, holding the
-// same record's strings already, or one whose slots all collide — must
-// yield exactly what decoding without one does, value types included; and a
-// record it accepts must survive AppendRecord and a second decode unchanged
-// (NaN compared as equal). Bytes need not survive:
-// retired flag bits 0x2/0x4, duplicate payload names and non-canonical bools
-// all decode to a record whose canonical encoding differs. The committed
-// seeds cover every Kind and run under plain `go test`; CI fuzzes it with
+// allocation); decoding through a Decoder's shared strings and payloads — a
+// fresh table, one pre-filled with every seed, or the zero Decoder, its one
+// slot holding each seed in turn — must yield exactly what decoding without
+// one does, value types and float bits included, on a first decode, a
+// second (which keeps the payload) and a third (which is handed it); no
+// decode may change a payload handed out earlier; and a record
+// it accepts must survive AppendRecord and a second decode unchanged. Bytes
+// need not survive: retired flag bits 0x2/0x4, duplicate payload names and
+// non-canonical bools all decode to a record whose canonical encoding
+// differs. The committed seeds cover every Kind and payloads a table must
+// not confuse — duplicate names, NaN and −0, int(3) beside int64(3), a
+// non-canonical bool — and run under plain `go test`; CI fuzzes it with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 30s ./internal/wal
 func FuzzDecodePayload(f *testing.F) {
@@ -37,13 +41,36 @@ func FuzzDecodePayload(f *testing.F) {
 			event.Payload{"nan": math.NaN(), "neg0": math.Copysign(0, -1)})},
 		wal.Record{Kind: wal.KindUnregister, Query: 3},
 	)
-	for i, r := range seeds {
-		r.Seq = uint64(i + 1)
-		frame, err := wal.AppendRecord(nil, r)
+	// Payloads equal under ==, or under a check that ignores types or
+	// assumes distinct names, that a shared table must still tell apart.
+	for _, p := range []event.Payload{
+		{"n": 3}, {"n": int64(3)}, {"n": 3.0},
+		{"f": math.NaN()}, {"f": -math.NaN()}, {"f": math.Copysign(0, -1)}, {"f": 0.0},
+		{"b": false}, {"b": true}, {"a": int64(1)}, {"a": int64(1), "b": int64(1)}, {"a": int64(1), "b": int64(2)},
+	} {
+		seeds = append(seeds, wal.Record{Kind: wal.KindEvent, Ev: event.NewInsert(3, "T", 0, 9, p)})
+	}
+	var prefill [][]byte // every seed record, for the pre-filled tables
+	for i := range seeds {
+		seeds[i].Seq = uint64(i + 1)
+		frame, err := wal.AppendRecord(nil, seeds[i])
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame[8:])
+		prefill = append(prefill, frame[8:])
+	}
+	// Non-canonical encodings of the last four: true as 2, a payload that
+	// does not end its record, and "a" named twice — a:1 twice has two
+	// entries, all of them in {a:1, b:1}.
+	last := func(i int) []byte { return bytes.Clone(prefill[len(prefill)-i]) }
+	two := last(4)
+	two[len(two)-1] = 2
+	f.Add(two)
+	f.Add(append(last(3), 0))
+	for _, dup := range [][]byte{last(2), last(1)} {
+		dup[bytes.LastIndex(dup, []byte("\x01\x00\x00\x00b"))+4] = 'a'
+		f.Add(dup)
 	}
 	f.Add(registerPayload(20, "EVENT E WHEN SEQUENCE(A a, B b, 10)", 0x1|0x2|0x4, consistency.Strong(), 2))
 
@@ -98,13 +125,39 @@ func FuzzDecodePayload(f *testing.F) {
 		if n, bound := decodeBytes(payload), 16*uint64(len(payload))+4096; n > bound {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(payload), n, bound)
 		}
-		shared, collided := wal.NewDecoder(), new(wal.Decoder)
-		for pass := range 2 { // the second pass hits what the first stored
-			for _, dec := range []*wal.Decoder{shared, collided} {
-				got, gotErr := dec.Payload(payload)
-				if (gotErr == nil) != (err == nil) || !sameRecord(got, rec) {
-					t.Fatalf("pass %d through shared strings decoded\n %+v (%v)\nwant\n %+v (%v)", pass, got, gotErr, rec, err)
+		// Every record handed out, with a copy taken when it was.
+		var handed, copies []wal.Record
+		decode := func(dec *wal.Decoder, b []byte) (wal.Record, error) {
+			got, err := dec.Payload(b)
+			handed, copies = append(handed, got), append(copies, exact(got))
+			return got, err
+		}
+		fresh, filled, collided := wal.NewDecoder(), wal.NewDecoder(), new(wal.Decoder)
+		for _, q := range prefill {
+			decode(filled, q)
+			decode(filled, q) // kept at its second decode
+		}
+		check := func(pass int, what string, dec *wal.Decoder) {
+			got, gotErr := decode(dec, payload)
+			if (gotErr == nil) != (err == nil) || !sameRecord(got, rec) {
+				t.Fatalf("pass %d through %s decoded\n %+v (%v)\nwant\n %+v (%v)", pass, what, got, gotErr, rec, err)
+			}
+		}
+		for pass := range 3 { // the second pass keeps the input, the third hits it
+			check(pass, "a fresh table", fresh)
+			check(pass, "a pre-filled table", filled)
+			for i, q := range prefill { // the one slot holding each seed in turn
+				for range 2 {
+					if got, _ := decode(collided, q); !sameRecord(got, seeds[i]) {
+						t.Fatalf("pass %d: the zero Decoder decoded seed %d as\n %+v\nwant\n %+v", pass, i, got, seeds[i])
+					}
 				}
+				check(pass, "the zero Decoder", collided)
+			}
+		}
+		for i, r := range handed {
+			if !reflect.DeepEqual(exact(r), copies[i]) {
+				t.Fatalf("a later decode changed the record handed out by decode %d:\n %+v\nwas\n %+v", i, exact(r), copies[i])
 			}
 		}
 		if err != nil {
@@ -141,25 +194,31 @@ func decodeBytes(payload []byte) uint64 {
 	return least
 }
 
-// sameRecord is reflect.DeepEqual with every NaN equal to every NaN.
+// sameRecord is reflect.DeepEqual — which compares payload values' dynamic
+// types — with floats compared by their bits: NaN equals the same NaN, and
+// −0 differs from 0.
 func sameRecord(a, b wal.Record) bool {
-	return reflect.DeepEqual(denan(a), denan(b))
+	return reflect.DeepEqual(exact(a), exact(b))
 }
 
-func denan(r wal.Record) wal.Record {
-	r.Ev.Payload = denanMap(r.Ev.Payload)
-	r.Opts.Bindings = denanMap(r.Opts.Bindings)
+// exact copies r's payload and bindings with every float replaced by its
+// bits.
+func exact(r wal.Record) wal.Record {
+	r.Ev.Payload = floatBits(r.Ev.Payload)
+	r.Opts.Bindings = floatBits(r.Opts.Bindings)
 	return r
 }
 
-func denanMap[M ~map[string]event.Value](m M) M {
+type bits uint64
+
+func floatBits[M ~map[string]event.Value](m M) M {
 	if m == nil {
 		return nil
 	}
 	out := make(M, len(m))
 	for k, v := range m {
-		if f, ok := v.(float64); ok && f != f {
-			v = "NaN"
+		if f, ok := v.(float64); ok {
+			v = bits(math.Float64bits(f))
 		}
 		out[k] = v
 	}

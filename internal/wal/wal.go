@@ -25,7 +25,8 @@
 // Memory stays bounded: a Log buffers at most 64 KiB of records before
 // writing them out (fsync follows SyncEvery alone), opening one keeps its
 // intact prefix undecoded (Log.TakeRecovered), and Scan decodes through
-// one payload buffer and one Decoder, which shares repeated strings.
+// one payload buffer and one Decoder, which shares repeated strings and
+// payloads.
 package wal
 
 import (
@@ -272,38 +273,46 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Decoding
 
-// A Decoder's table: 1 << sharedBits direct-mapped slots that never grow —
-// a miss overwrites its slot — holding strings of at most sharedMax bytes.
+// A Decoder's tables: 1 << sharedBits direct-mapped slots each that never
+// grow — a miss overwrites its slot (a payload's, from its second miss in
+// a row there) — one holding strings of at most sharedMax bytes, the other
+// payloads encoded in at most sharedMax bytes.
 const sharedBits, sharedMax = 10, 64
 
-// shared is one slot: a string, boxed once it is decoded as a value.
+// shared is one string slot: a string, boxed once it is decoded as a value.
 type shared struct {
 	s string
 	v event.Value
 }
 
-// Decoder decodes the log's encodings, handing out one copy of each short
-// event type, payload name and string value it decodes again and again. A
-// stream that repeats them (a fleet repeats a few hundred) saves a copy per
-// occurrence; one that does not pays a hash and a compare per string. Hold
-// one per connection or scan: it is not safe for concurrent use. A nil
-// *Decoder shares nothing; the zero Decoder has one slot (tests use it).
-type Decoder struct {
-	mask  uint64
-	slots [1 << sharedBits]shared
+// sharedPayload is one payload slot: a map, its tag, and the hash of the
+// last payload that missed here.
+type sharedPayload struct {
+	tag, seen uint64
+	p         event.Payload
 }
 
-// NewDecoder returns a Decoder with an empty table.
+// Decoder decodes the log's encodings, handing out one copy of each short
+// event type, payload name and string value it decodes again and again, and
+// one map per short payload: items of equal payload content share it, so
+// it is read-only — the contract event.Payload.Equal already states. A
+// stream that repeats them (a fleet repeats a few hundred) saves a copy per
+// occurrence; one that does not pays a hash and a compare per string and
+// payload. Hold one per connection or scan: it is not safe for concurrent
+// use. A nil *Decoder shares nothing; the zero Decoder has one slot per
+// table (tests use it).
+type Decoder struct {
+	mask     uint64
+	slots    [1 << sharedBits]shared
+	payloads [1 << sharedBits]sharedPayload
+}
+
+// NewDecoder returns a Decoder with empty tables.
 func NewDecoder() *Decoder { return &Decoder{mask: 1<<sharedBits - 1} }
 
-// share returns the slot holding b, storing b there on a miss; nil without
-// a table or for a long string.
-func (d *Decoder) share(b []byte) *shared {
-	if d == nil || len(b) > sharedMax {
-		return nil
-	}
-	// Multiplicative hashing a word at a time, deterministic so misses repeat
-	// run to run; a crafted collision costs what no table would anyway.
+// hash is multiplicative hashing a word at a time, deterministic so misses
+// repeat run to run; a crafted collision costs what no table would anyway.
+func hash(b []byte) uint64 {
 	h, w := uint64(len(b)), b
 	for ; len(w) > 8; w = w[8:] {
 		h = (h ^ binary.LittleEndian.Uint64(w)) * 0x9E3779B97F4A7C15
@@ -313,7 +322,19 @@ func (d *Decoder) share(b []byte) *shared {
 	} else if n > 0 {
 		h ^= uint64(w[0]) | uint64(w[n/2])<<8 | uint64(w[n-1])<<16
 	}
-	sl := &d.slots[(h*0x9E3779B97F4A7C15)>>(64-sharedBits)&d.mask]
+	return h * 0x9E3779B97F4A7C15
+}
+
+// index is the slot of hash h: its top bits.
+func (d *Decoder) index(h uint64) uint64 { return h >> (64 - sharedBits) & d.mask }
+
+// share returns the slot holding b, storing b there on a miss; nil without
+// a table or for a long string.
+func (d *Decoder) share(b []byte) *shared {
+	if d == nil || len(b) > sharedMax {
+		return nil
+	}
+	sl := &d.slots[d.index(hash(b))]
 	if sl.s != string(b) {
 		*sl = shared{s: string(b)}
 	}
@@ -331,7 +352,7 @@ func (r *byteReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.b) {
+	if n < 0 || r.off+n > len(r.b) { // n < 0: a u32 length past int on 32-bit
 		r.err = io.ErrUnexpectedEOF
 		return nil
 	}
@@ -447,13 +468,87 @@ func (r *byteReader) event() event.Event {
 		return e
 	}
 	if nPay > 0 {
-		e.Payload = make(event.Payload, nPay)
-		for i := 0; i < nPay; i++ {
-			k := r.str()
-			e.Payload[k] = r.value()
-		}
+		e.Payload = r.payload(nPay)
 	}
 	return e
+}
+
+// payload reads n > 0 payload entries. An event ends every log record and
+// push or output frame, so the buffer's tail is the payload's encoding (a
+// tail that is not never matches); one of at most sharedMax bytes goes
+// through the table. Its slot's map is
+// handed out if the tags (the hash's low bits; none in the zero Decoder)
+// agree and it holds exactly the tail's entries. A miss keeps its map only
+// if the slot's last miss had the same hash: a payload seen once evicts
+// none that repeats, and a stream of distinct payloads keeps none.
+func (r *byteReader) payload(n int) event.Payload {
+	var sl *sharedPayload
+	var h, tag uint64
+	if tail := r.b[r.off:]; r.dec != nil && len(tail) <= sharedMax {
+		h = hash(tail)
+		sl, tag = &r.dec.payloads[r.dec.index(h)], h&r.dec.mask
+		if sl.tag == tag && matches(sl.p, tail, n) {
+			r.off = len(r.b)
+			return sl.p
+		}
+	}
+	p := make(event.Payload, n)
+	for range n {
+		k := r.str()
+		p[k] = r.value()
+	}
+	if sl != nil {
+		if sl.seen == h {
+			sl.tag, sl.p = tag, p
+		}
+		sl.seen = h
+	}
+	return p
+}
+
+// matches reports whether p holds exactly the n entries that make up b:
+// names strictly increasing (so n distinct), each with its value's type and
+// bits.
+func matches(p event.Payload, b []byte, n int) bool {
+	if len(p) != n {
+		return false
+	}
+	r := byteReader{b: b}
+	var prev []byte
+	for i := range n {
+		name := r.take(int(r.u32()))
+		if i > 0 && string(prev) >= string(name) {
+			return false
+		}
+		if v, ok := p[string(name)]; !ok || !r.same(v) {
+			return false
+		}
+		prev = name
+	}
+	return r.err == nil && r.off == len(b)
+}
+
+// same reports whether the value at r's offset decodes to v, type-exact and
+// bit-exact. Its offset afterwards matters only when it does.
+func (r *byteReader) same(v event.Value) bool {
+	switch r.u8() {
+	case tagInt64:
+		x, ok := v.(int64)
+		return ok && x == r.i64()
+	case tagInt:
+		x, ok := v.(int)
+		return ok && x == int(r.i64())
+	case tagFloat64:
+		x, ok := v.(float64)
+		return ok && math.Float64bits(x) == r.u64()
+	case tagString:
+		x, ok := v.(string)
+		return ok && x == string(r.take(int(r.u32())))
+	case tagBool:
+		x, ok := v.(bool)
+		return ok && x == (r.u8() != 0)
+	}
+	return false
 }
 
 func (r *byteReader) register() (src string, o RegOpts) {

@@ -490,21 +490,28 @@ func TestWriteThroughFailStop(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeEvents is the shared-strings guard: 20,000 fleet events
-// decoded through one table, as one connection decodes them. In "repeated"
-// the Machine_Id takes 192 values, as on the fleet stream; in "distinct"
-// every event has its own, so every value lookup misses and the table adds
-// only its cost. Compare allocs/op and ns/op with -benchmem -cpu 1.
+// BenchmarkDecodeEvents is the shared-strings-and-payloads guard: 20,000
+// fleet events decoded through one table, as one connection decodes them.
+// In "repeated" the Machine_Id takes 192 values, as on the fleet stream, so
+// most payloads are handed out again; in "distinct" every event has its
+// own, so every string value and payload lookup misses and the table adds
+// only its cost; in "mixed" the Machine_Id repeats but each event also
+// carries its own Seq, so every payload misses while its strings hit.
+// Compare allocs/op and ns/op with -benchmem -cpu 1.
 func BenchmarkDecodeEvents(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		values int
-	}{{"repeated", 192}, {"distinct", 20000}} {
+		seq    bool
+	}{{"repeated", 192, false}, {"distinct", 20000, false}, {"mixed", 192, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			bodies := make([][]byte, 20000)
 			for i := range bodies {
-				e := event.NewInsert(event.ID(i), "INSTALL", temporal.Time(i), temporal.Infinity,
-					event.Payload{"Machine_Id": fmt.Sprintf("m%05d", i%c.values)})
+				p := event.Payload{"Machine_Id": fmt.Sprintf("m%05d", i%c.values)}
+				if c.seq {
+					p["Seq"] = int64(i)
+				}
+				e := event.NewInsert(event.ID(i), "INSTALL", temporal.Time(i), temporal.Infinity, p)
 				var err error
 				if bodies[i], err = wal.AppendEvent(nil, e); err != nil {
 					b.Fatal(err)
