@@ -1,7 +1,8 @@
 // Package eventio decodes and encodes CEDR events at the system's edges:
 // the CSV line format of the cedr CLI and the JSON object format of the
 // server's HTTP surface. Both front doors share these codecs, so a stream
-// accepted by one round-trips through the other.
+// accepted by one round-trips through the other. ReadCSV shares one
+// read-only payload map between events of equal payload content.
 //
 // CSV lines are
 //
@@ -32,16 +33,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/event"
 	"repro/internal/stream"
 	"repro/internal/temporal"
 )
 
-// MaxLine bounds one CSV line (the default bufio.Scanner limit of 64KB
-// rejected legitimate wide events with "token too long").
+// MaxLine bounds one CSV line.
 const MaxLine = 1 << 20
 
 // ParseValue converts CSV field text into a typed payload value:
@@ -49,148 +51,163 @@ const MaxLine = 1 << 20
 // "false" to bool; everything else stays a string. Surrounding single or
 // double quotes force the string domain ('true' is the string "true",
 // "17" the string "17") and are stripped.
-func ParseValue(s string) event.Value {
-	if n := len(s); n >= 2 &&
-		((s[0] == '\'' && s[n-1] == '\'') || (s[0] == '"' && s[n-1] == '"')) {
-		return s[1 : n-1]
+func ParseValue(s string) event.Value { return parseValue(s, nil) }
+
+// parseValue is ParseValue over text or a line's bytes, a string value
+// through tab (without one: text itself, a copy of bytes).
+func parseValue[T string | []byte](s T, tab *event.Table) event.Value {
+	if quotedForm(s) {
+		s = s[1 : len(s)-1]
+	} else if v, ok := scalar(s); ok {
+		return v
 	}
-	// Every spelling strconv accepts as a decimal integer or a float starts
-	// with a digit, a sign, a point, or the first letter of "inf"/"nan";
-	// anything else (an identifier like m017) skips both parses, each of
-	// whose failures would allocate a *NumError and a copy of s.
-	if s != "" && (s[0]-'0' <= 9 || strings.IndexByte("+-.iInN", s[0]) >= 0) {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return n
-		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return f
-		}
+	if tab == nil {
+		return string(s)
 	}
-	switch s {
-	case "true":
-		return true
-	case "false":
-		return false
-	}
-	return s
+	return tab.Value([]byte(s))
 }
 
-// FormatValue renders a payload value so ParseValue reproduces it — and
-// ParseCSVLine, which trims each field: floats always carry a fraction or
-// exponent marker, and strings that would parse as another domain, carry
-// surrounding quotes or surrounding white space are single-quoted.
-func FormatValue(v event.Value) (string, error) {
-	switch x := v.(type) {
-	case int64:
-		return strconv.FormatInt(x, 10), nil
-	case int:
-		return strconv.Itoa(x), nil
-	case float64:
-		s := strconv.FormatFloat(x, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eEIN") {
-			s += ".0" // distinguish 2.0 from the integer 2
+// scalar parses unquoted s as ParseValue's int64, float64 or bool. Every
+// spelling strconv accepts as a decimal integer or a float starts with a
+// digit, a sign, a point, or the first letter of "inf"/"nan"; anything else
+// (an identifier like m017) skips both parses, each of whose failures would
+// allocate a *NumError and a copy of s.
+func scalar[T string | []byte](s T) (event.Value, bool) {
+	if len(s) > 0 && (s[0]-'0' <= 9 || strings.IndexByte("+-.iInN", s[0]) >= 0) {
+		if n, err := strconv.ParseInt(string(s), 10, 64); err == nil {
+			return n, true
 		}
-		return s, nil
-	case bool:
-		if x {
-			return "true", nil
+		if f, err := strconv.ParseFloat(string(s), 64); err == nil {
+			return f, true
 		}
-		return "false", nil
-	case string:
-		if x == "" || quotedForm(x) || differentDomain(x) || strings.TrimSpace(x) != x {
-			if strings.ContainsAny(x, "'\n") {
-				return "", fmt.Errorf("eventio: string %q needs quoting but contains a quote or newline (use the JSON format)", x)
-			}
-			return "'" + x + "'", nil
-		}
-		// Only a field's first '=' separates: a value may hold more.
-		if strings.ContainsAny(x, ",\n") {
-			return "", fmt.Errorf("eventio: string %q contains CSV structure characters (use the JSON format)", x)
-		}
-		return x, nil
-	default:
-		return "", fmt.Errorf("eventio: unsupported payload value type %T", v)
 	}
+	if string(s) == "true" || string(s) == "false" {
+		return string(s) == "true", true
+	}
+	return nil, false
 }
 
 // quotedForm reports whether s would lose its surrounding quotes in
 // ParseValue.
-func quotedForm(s string) bool {
+func quotedForm[T string | []byte](s T) bool {
 	n := len(s)
 	return n >= 2 && ((s[0] == '\'' && s[n-1] == '\'') || (s[0] == '"' && s[n-1] == '"'))
 }
 
-// differentDomain reports whether bare s parses as a non-string value.
-func differentDomain(s string) bool {
-	_, ok := ParseValue(s).(string)
-	return !ok
+// appendValue appends text ParseValue reproduces v from — and ParseCSVLine,
+// which trims each field: floats always carry a fraction or exponent
+// marker, and strings that would parse as another domain, carry
+// surrounding quotes or white space are single-quoted. It allocates
+// nothing while b has room; false if v has no such text.
+func appendValue(b []byte, v event.Value) ([]byte, bool) {
+	switch x := v.(type) {
+	case int64:
+		return strconv.AppendInt(b, x, 10), true
+	case int:
+		return strconv.AppendInt(b, int64(x), 10), true
+	case float64:
+		n := len(b)
+		if b = strconv.AppendFloat(b, x, 'g', -1, 64); !bytes.ContainsAny(b[n:], ".eEIN") {
+			b = append(b, ".0"...) // distinguish 2.0 from the integer 2
+		}
+		return b, true
+	case bool:
+		return strconv.AppendBool(b, x), true
+	case string:
+		if _, other := scalar(x); other || x == "" || quotedForm(x) || strings.TrimSpace(x) != x {
+			return append(append(append(b, '\''), x...), '\''), clean(x, '\'')
+		}
+		return append(b, x...), clean(x, ',') // a field's first '=' separates: a value may hold more
+	}
+	return b, false
+}
+
+// clean reports whether s holds neither ',' nor '\n', which end a field and
+// a line, nor other: a name's '=', a quoted string's quote.
+func clean(s string, other byte) bool {
+	for i := range len(s) {
+		if c := s[i]; c == ',' || c == '\n' || c == other {
+			return false
+		}
+	}
+	return true
 }
 
 // ParseCSVLine decodes one event line (comments and blank lines are the
-// caller's concern — see ReadCSV). Its errors, like UnmarshalJSON's, quote
-// at most 32 runes of a field: a whole one, quoted and copied, would make
-// rejecting input cost a multiple of its length.
-func ParseCSVLine(line string) (event.Event, error) {
+// caller's concern — see ReadCSV), sharing nothing. Its errors, like
+// UnmarshalJSON's, quote at most 32 runes of a field: a whole one, quoted
+// and copied, would make rejecting input cost a multiple of its length.
+func ParseCSVLine(line string) (event.Event, error) { return parseLine([]byte(line), nil) }
+
+// parseLine is ParseCSVLine over a line's bytes, which it does not retain:
+// strings, and a payload whose text (the line after ve) is short, come
+// through tab.
+func parseLine(line []byte, tab *event.Table) (event.Event, error) {
 	// Fields are cut off one at a time: a line of commas costs no slice.
-	kind, rest, more := strings.Cut(line, ",")
-	kind = strings.TrimSpace(kind) // compared case-insensitively, never copied
-	if strings.EqualFold(kind, "cti") {
+	kind, rest, more := bytes.Cut(line, comma)
+	kind = bytes.TrimSpace(kind) // compared case-insensitively, never copied
+	if bytes.EqualFold(kind, []byte("cti")) {
 		if !more {
 			return event.Event{}, fmt.Errorf("cti needs a timestamp")
 		}
-		ts, _, _ := strings.Cut(rest, ",")
-		t, err := strconv.ParseInt(strings.TrimSpace(ts), 10, 64)
+		ts, _, _ := bytes.Cut(rest, comma)
+		t, err := strconv.ParseInt(string(bytes.TrimSpace(ts)), 10, 64)
 		if err != nil {
 			return event.Event{}, fmt.Errorf("bad cti timestamp %.32q: %v", ts, errors.Unwrap(err))
 		}
 		return event.NewCTI(temporal.Time(t)), nil
 	}
-	var head [4]string // id, type, vs, ve
+	var head [4][]byte // id, type, vs, ve
 	for i := range head {
 		if !more {
 			return event.Event{}, fmt.Errorf("need kind,id,type,vs,ve")
 		}
-		head[i], rest, more = strings.Cut(rest, ",")
+		head[i], rest, more = bytes.Cut(rest, comma)
 	}
-	id, err := strconv.ParseUint(strings.TrimSpace(head[0]), 10, 64)
+	id, err := strconv.ParseUint(string(bytes.TrimSpace(head[0])), 10, 64)
 	if err != nil {
 		return event.Event{}, fmt.Errorf("bad id %.32q: %v", head[0], errors.Unwrap(err))
 	}
-	typ := strings.TrimSpace(head[1])
-	vs, err := strconv.ParseInt(strings.TrimSpace(head[2]), 10, 64)
+	vs, err := strconv.ParseInt(string(bytes.TrimSpace(head[2])), 10, 64)
 	if err != nil {
 		return event.Event{}, fmt.Errorf("bad vs %.32q: %v", head[2], errors.Unwrap(err))
 	}
 	ve := temporal.Infinity
-	if s := strings.TrimSpace(head[3]); s != "inf" && s != "∞" {
-		v, err := strconv.ParseInt(s, 10, 64)
+	if s := bytes.TrimSpace(head[3]); string(s) != "inf" && string(s) != "∞" {
+		v, err := strconv.ParseInt(string(s), 10, 64)
 		if err != nil {
 			return event.Event{}, fmt.Errorf("bad ve %.32q: %v", s, errors.Unwrap(err))
 		}
 		ve = temporal.Time(v)
 	}
-	payload := event.Payload{}
-	for more {
-		var kv string
-		kv, rest, more = strings.Cut(rest, ",")
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
+	typ := tab.String(bytes.TrimSpace(head[1]))
+	payload, slot := tab.Payload(rest, rest, appendFields)
+	if payload == nil {
+		payload = event.Payload{}
+		for more {
+			var kv []byte
+			kv, rest, more = bytes.Cut(rest, comma)
+			if kv = bytes.TrimSpace(kv); len(kv) == 0 {
+				continue
+			}
+			i := bytes.IndexByte(kv, '=')
+			if i < 0 {
+				return event.Event{}, fmt.Errorf("bad field %.32q", kv)
+			}
+			payload[tab.String(kv[:i])] = parseValue(kv[i+1:], tab)
 		}
-		i := strings.IndexByte(kv, '=')
-		if i < 0 {
-			return event.Event{}, fmt.Errorf("bad field %.32q", kv)
-		}
-		payload[kv[:i]] = ParseValue(kv[i+1:])
+		slot.Keep(payload)
 	}
 	switch {
-	case strings.EqualFold(kind, "insert"):
+	case bytes.EqualFold(kind, []byte("insert")):
 		return event.NewInsert(event.ID(id), typ, temporal.Time(vs), ve, payload), nil
-	case strings.EqualFold(kind, "retract"):
+	case bytes.EqualFold(kind, []byte("retract")):
 		return event.NewRetract(event.ID(id), typ, temporal.Time(vs), ve, payload), nil
 	}
 	return event.Event{}, fmt.Errorf("unknown kind %.32q", kind)
 }
+
+var comma = []byte(",")
 
 // FormatCSVLine renders an event so ParseCSVLine reproduces its
 // unitemporal content (payload keys sorted for determinism). Events whose
@@ -200,45 +217,68 @@ func FormatCSVLine(e event.Event) (string, error) {
 	if e.IsCTI() {
 		return fmt.Sprintf("cti,%d", int64(e.V.Start)), nil
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s,%d,%s,%d,", e.Kind, uint64(e.ID), e.Type, int64(e.V.Start))
+	ve := strconv.FormatInt(int64(e.V.End), 10)
 	if e.V.End.IsInfinite() {
-		b.WriteString("inf")
-	} else {
-		fmt.Fprintf(&b, "%d", int64(e.V.End))
+		ve = "inf"
 	}
-	var names [8]string
-	for _, k := range event.SortedNames(names[:0], e.Payload) {
-		if strings.ContainsAny(k, ",=\n") {
-			return "", fmt.Errorf("eventio: payload key %q contains CSV structure characters", k)
+	b := fmt.Appendf(nil, "%s,%d,%s,%d,%s", e.Kind, uint64(e.ID), e.Type, int64(e.V.Start), ve)
+	var err error
+	if len(e.Payload) > 0 {
+		if b, err = appendFields(append(b, ','), e.Payload); err != nil {
+			return "", fmt.Errorf("%w: %v (use the JSON format)", err, e.Payload)
 		}
-		v, err := FormatValue(e.Payload[k])
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, ",%s=%s", k, v)
 	}
-	return b.String(), nil
+	return string(b), nil
 }
+
+// appendFields, the table's re-encoder, appends p as FormatCSVLine writes
+// it after ve's comma, allocating nothing while b has room.
+func appendFields(b []byte, p event.Payload) ([]byte, error) {
+	var names [8]string
+	for i, k := range event.SortedNames(names[:0], p) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var ok bool
+		if b, ok = appendValue(append(append(b, k...), '='), p[k]); !ok || !clean(k, '=') {
+			return b, errNoCSV
+		}
+	}
+	return b, nil
+}
+
+var errNoCSV = errors.New("eventio: a payload field has no CSV form")
 
 // ReadCSV decodes an event stream from one-line-per-event CSV, skipping
 // blank lines and '#' comments. Errors carry name and line number. Lines
-// up to MaxLine (1MiB) are accepted — the previous default 64KB scanner
-// limit failed wide events with an unlocated "token too long".
+// up to MaxLine are accepted. Events of equal payload content may share
+// one map, which is therefore read-only.
 func ReadCSV(r io.Reader, name string) (stream.Stream, error) {
+	tab := tables.Get().(*event.Table)
+	defer tables.Put(tab)
+	return readCSV(r, name, tab)
+}
+
+// tables recycles ReadCSV's tables: a one-line batch does not pay for one.
+var tables = sync.Pool{New: func() any { return event.NewTable() }}
+
+func readCSV(r io.Reader, name string, tab *event.Table) (stream.Stream, error) {
 	var out stream.Stream
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxLine)
+	sc.Buffer(nil, MaxLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		ev, err := ParseCSVLine(line)
+		ev, err := parseLine(line, tab)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", name, lineNo, err)
+		}
+		if len(out) == cap(out) { // double: append grows a long stream by quarters
+			out = slices.Grow(out, len(out)+1)
 		}
 		out = append(out, ev)
 	}
@@ -352,55 +392,46 @@ func MarshalJSON(e event.Event) ([]byte, error) {
 // carrying a fraction or exponent marker, so the int64/float64 distinction
 // survives the round trip.
 func marshalPayload(p event.Payload) (json.RawMessage, error) {
-	var b strings.Builder
-	b.WriteByte('{')
+	b := []byte{'{'}
 	var names [8]string
 	for i, k := range event.SortedNames(names[:0], p) {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		kb, _ := json.Marshal(k)
-		b.Write(kb)
-		b.WriteByte(':')
-		switch x := p[k].(type) {
-		case int64:
-			b.WriteString(strconv.FormatInt(x, 10))
-		case int:
-			b.WriteString(strconv.Itoa(x))
-		case float64:
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("eventio: non-finite float %v in payload key %q has no JSON form", x, k)
-			}
-			s := strconv.FormatFloat(x, 'g', -1, 64)
-			if !strings.ContainsAny(s, ".eE") {
-				s += ".0"
-			}
-			b.WriteString(s)
-		case bool:
-			b.WriteString(strconv.FormatBool(x))
-		case string:
-			sb, err := json.Marshal(x)
-			if err != nil {
-				return nil, err
-			}
-			b.Write(sb)
-		default:
-			return nil, fmt.Errorf("eventio: unsupported payload value type %T for key %q", p[k], k)
+		b = append(append(b, kb...), ':')
+		v := p[k]
+		f, isFloat := v.(float64)
+		if isFloat && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			return nil, fmt.Errorf("eventio: non-finite float %v in payload key %q has no JSON form", f, k)
+		}
+		ok := true
+		if x, isString := v.(string); isString {
+			kb, _ = json.Marshal(x) // a string always marshals
+			b = append(b, kb...)
+		} else { // a finite number's or a bool's CSV text is its JSON
+			b, ok = appendValue(b, v)
+		}
+		if !ok {
+			return nil, fmt.Errorf("eventio: unsupported payload value type %T for key %q", v, k)
 		}
 	}
-	b.WriteByte('}')
-	return json.RawMessage(b.String()), nil
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON decodes one event object produced by MarshalJSON (or
-// hand-written by a client). JSON numbers without fraction or exponent
-// decode as int64, with one as float64.
+// hand-written by a client), followed by nothing but white space. JSON
+// numbers without fraction or exponent decode as int64, with one as
+// float64.
 func UnmarshalJSON(data []byte) (event.Event, error) {
 	var je jsonEvent
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&je); err != nil {
 		return event.Event{}, fmt.Errorf("eventio: %v", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return event.Event{}, fmt.Errorf("eventio: %d bytes after the event object", len(rest))
 	}
 	vs := temporal.Time(je.Vs)
 	switch je.Kind {
@@ -417,33 +448,21 @@ func UnmarshalJSON(data []byte) (event.Event, error) {
 	if je.Ve != nil {
 		ve = temporal.Time(*je.Ve)
 	}
-	var payload event.Payload
-	if len(je.Payload) > 0 {
-		var err error
-		if payload, err = unmarshalPayload(je.Payload); err != nil {
-			return event.Event{}, err
+	payload, err := unmarshalPayload(je.Payload)
+	if err != nil {
+		return event.Event{}, err
+	}
+	e := event.NewInsert(event.ID(je.ID), je.Type, vs, ve, payload)
+	if je.Kind == "retract" {
+		e.Kind = event.Retract
+	}
+	for _, f := range [...]struct {
+		to   *temporal.Time
+		from *jsonTime
+	}{{&e.O.Start, je.Os}, {&e.O.End, je.Oe}, {&e.C.Start, je.Cs}, {&e.C.End, je.Ce}, {&e.RT, je.Rt}} {
+		if f.from != nil {
+			*f.to = temporal.Time(*f.from)
 		}
-	}
-	var e event.Event
-	if je.Kind == "insert" {
-		e = event.NewInsert(event.ID(je.ID), je.Type, vs, ve, payload)
-	} else {
-		e = event.NewRetract(event.ID(je.ID), je.Type, vs, ve, payload)
-	}
-	if je.Os != nil {
-		e.O.Start = temporal.Time(*je.Os)
-	}
-	if je.Oe != nil {
-		e.O.End = temporal.Time(*je.Oe)
-	}
-	if je.Cs != nil {
-		e.C.Start = temporal.Time(*je.Cs)
-	}
-	if je.Ce != nil {
-		e.C.End = temporal.Time(*je.Ce)
-	}
-	if je.Rt != nil {
-		e.RT = temporal.Time(*je.Rt)
 	}
 	for _, id := range je.Cbt {
 		e.CBT = append(e.CBT, event.ID(id))
@@ -451,9 +470,12 @@ func UnmarshalJSON(data []byte) (event.Event, error) {
 	return e, nil
 }
 
-// unmarshalPayload decodes a payload object with json.Number preservation,
-// then replaces each number by its int64 or float64 in place.
+// unmarshalPayload decodes a payload object, if any, with json.Number
+// preservation, then replaces each number by its int64 or float64 in place.
 func unmarshalPayload(raw json.RawMessage) (event.Payload, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
 	var p event.Payload
@@ -498,27 +520,19 @@ func ReadJSONStream(r io.Reader, name string) (stream.Stream, error) {
 			}
 			return nil, fmt.Errorf("%s: event %d: %v", name, n+1, err)
 		}
-		// A top-level array: unpack its elements.
-		if len(raw) > 0 && raw[0] == '[' {
-			var arr []json.RawMessage
-			if err := json.Unmarshal(raw, &arr); err != nil {
+		objs := []json.RawMessage{raw}
+		if len(raw) > 0 && raw[0] == '[' { // a top-level array: unpack its elements
+			if err := json.Unmarshal(raw, &objs); err != nil {
 				return nil, fmt.Errorf("%s: %v", name, err)
 			}
-			for _, el := range arr {
-				n++
-				ev, err := UnmarshalJSON(el)
-				if err != nil {
-					return nil, fmt.Errorf("%s: event %d: %v", name, n, err)
-				}
-				out = append(out, ev)
+		}
+		for _, obj := range objs {
+			n++
+			ev, err := UnmarshalJSON(obj)
+			if err != nil {
+				return nil, fmt.Errorf("%s: event %d: %v", name, n, err)
 			}
-			continue
+			out = append(out, ev)
 		}
-		n++
-		ev, err := UnmarshalJSON(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%s: event %d: %v", name, n, err)
-		}
-		out = append(out, ev)
 	}
 }

@@ -1,12 +1,17 @@
 package eventio
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/stream"
 	"repro/internal/temporal"
 )
 
@@ -123,10 +128,11 @@ func TestValueRoundTrip(t *testing.T) {
 		"plain", "true", "17", "2.5", "", "m003",
 	}
 	for _, v := range values {
-		s, err := FormatValue(v)
-		if err != nil {
-			t.Fatalf("FormatValue(%#v): %v", v, err)
+		b, ok := appendValue(nil, v)
+		if !ok {
+			t.Fatalf("appendValue(%#v) refused it", v)
 		}
+		s := string(b)
 		got := ParseValue(s)
 		if !event.ValueEqual(got, v) || gotType(got) != gotType(v) {
 			t.Errorf("round trip %#v -> %q -> %#v (%T)", v, s, got, got)
@@ -134,15 +140,18 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// appendValue formats every payload value FormatCSVLine writes; it must
+// refuse a value that has no CSV form.
 func TestFormatValueRejectsUnrepresentable(t *testing.T) {
-	if _, err := FormatValue("a,b"); err == nil {
-		t.Error("comma string should be rejected in CSV form")
-	}
-	if _, err := FormatValue("'quoted'"); err == nil {
-		t.Error("string in quoted form cannot survive CSV (JSON handles it)")
-	}
-	if _, err := FormatValue([]string{"x"}); err == nil {
-		t.Error("unsupported type should be rejected")
+	for _, v := range []event.Value{
+		"a,b",      // a comma ends the field
+		"'quoted'", // in quoted form: cannot survive CSV (JSON handles it)
+		" a,b",     // needs quoting, and a quoted comma still ends the field
+		[]string{"x"},
+	} {
+		if _, ok := appendValue(nil, v); ok {
+			t.Errorf("appendValue(%#v) accepted a value with no CSV form", v)
+		}
 	}
 }
 
@@ -285,11 +294,16 @@ func TestJSONErrors(t *testing.T) {
 		`{"kind":"insert","id":1,"type":"X","vs":0,"ve":"soon"}`,          // bad time
 		`{"kind":"insert","id":1,"type":"X","vs":0,"payload":{"a":[1]}}`,  // unsupported value
 		`{"kind":"insert","id":1,"type":"X","vs":0,"payload":{"a":null}}`, // unsupported value
+		`{"kind":"cti","vs":1} garbage`,                                   // trailing bytes
+		`{"kind":"cti","vs":1}{"kind":"cti","vs":2}`,                      // a second object
 	}
 	for _, in := range bad {
 		if _, err := UnmarshalJSON([]byte(in)); err == nil {
 			t.Errorf("UnmarshalJSON(%s) accepted bad input", in)
 		}
+	}
+	if e, err := UnmarshalJSON([]byte("{\"kind\":\"cti\",\"vs\":1} \r\n\t")); err != nil || !e.Identical(event.NewCTI(1)) {
+		t.Errorf("an object followed by white space: %v, %v", e, err)
 	}
 	if _, err := MarshalJSON(event.NewInsert(1, "X", 0, temporal.Infinity,
 		event.Payload{"f": math.NaN()})); err == nil {
@@ -313,5 +327,80 @@ func TestReadJSONStream(t *testing.T) {
 {"kind":"nope","vs":1}`), "mix")
 	if err == nil || !strings.Contains(err.Error(), "event 2") {
 		t.Errorf("want indexed error for event 2, got %v", err)
+	}
+}
+
+// csvStream renders n fleet events as ReadCSV input: the Machine_Id takes
+// values distinct values, and with seq each event also carries its own Seq.
+func csvStream(tb testing.TB, n, values int, seq bool) []byte {
+	var b []byte
+	for i := range n {
+		p := event.Payload{"Machine_Id": fmt.Sprintf("m%05d", i%values)}
+		if seq {
+			p["Seq"] = int64(i)
+		}
+		line, err := FormatCSVLine(event.NewInsert(event.ID(i), "INSTALL", temporal.Time(i), temporal.Infinity, p))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b = append(append(b, line...), '\n')
+	}
+	return b
+}
+
+// TestReadCSVConcurrent: ReadCSV calls running at once take their own
+// tables from the pool, and the payload maps they hand out — kept by one
+// call's table, handed out by a later call's — are only ever read. Each
+// decode equals the table-less one. Run it under -race.
+func TestReadCSVConcurrent(t *testing.T) {
+	in := csvStream(t, 2000, 192, false)
+	var want []event.Event
+	for _, line := range strings.Split(strings.TrimSpace(string(in)), "\n") {
+		e, err := ParseCSVLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, e)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				got, err := ReadCSV(bytes.NewReader(in), "concurrent")
+				if err != nil || !reflect.DeepEqual(got, stream.Stream(want)) {
+					t.Errorf("a concurrent ReadCSV decoded %d events (%v), not the %d ParseCSVLine decodes", len(got), err, len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkReadCSV is ReadCSV's sharing guard, the CSV twin of the WAL's
+// BenchmarkDecodeEvents: 20,000 fleet events per decode. In "repeated" the
+// Machine_Id takes 192 values, as on the fleet stream, so most payloads are
+// handed out again; in "distinct" every event has its own, so every string
+// value and payload lookup misses and the table adds only its cost; in
+// "mixed" the Machine_Id repeats but each event also carries its own Seq,
+// so every payload misses while its strings hit; "one-line" is an
+// HTTP-sized batch of one event. Compare allocs/op and ns/op with
+// -benchmem -cpu 1.
+func BenchmarkReadCSV(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		n, values int
+		seq       bool
+	}{{"repeated", 20000, 192, false}, {"distinct", 20000, 20000, false}, {"mixed", 20000, 192, true}, {"one-line", 1, 1, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			in := csvStream(b, c.n, c.values, c.seq)
+			for b.Loop() {
+				if _, err := ReadCSV(bytes.NewReader(in), "bench"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -55,11 +55,11 @@ func TestAllocsScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The tables, the payload buffer, the two header arrays; then the first
-	// copy of each distinct string — the type, the name, and eight values
-	// with their boxes — and the first two of each of the eight payloads
-	// (the second is kept), a map of two objects each. Nothing grows with
-	// the record count.
+	// The reader, the tables, the payload buffer, the header array; then
+	// the first copy of each distinct string — the type, the name, and
+	// eight values with their boxes — and the first two of each of the
+	// eight payloads (the second is kept), a map of two objects each.
+	// Nothing grows with the record count.
 	const ceiling = 4 + 2 + 2*8 + 2*2*8
 	t.Logf("wal.Scan over %d repeated records: %.0f allocs per scan (ceiling %d)", n, perScan, ceiling)
 	if perScan > ceiling {

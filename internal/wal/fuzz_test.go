@@ -16,9 +16,9 @@ import (
 
 // FuzzDecodePayload fuzzes the decoder recovery runs over every record a log
 // holds — bytes the checksum vouches for but nothing else does. Whatever
-// the input, DecodePayload must not panic and must not allocate more than a
-// constant times the input length (a forged count must not buy a giant
-// allocation); decoding through a Decoder's shared strings and payloads — a
+// the input, decoding without a table must not panic and must not allocate
+// more than a constant times the input length (a forged count must not buy
+// a giant allocation); decoding through a Decoder's shared strings and payloads — a
 // fresh table, one pre-filled with every seed, or the zero Decoder, its one
 // slot holding each seed in turn — must yield exactly what decoding without
 // one does, value types and float bits included, on a first decode, a
@@ -121,7 +121,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(shared[8:])
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec, err := wal.DecodePayload(payload)
+		rec, err := noTable.Payload(payload)
 		if n, bound := decodeBytes(payload), 16*uint64(len(payload))+4096; n > bound {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(payload), n, bound)
 		}
@@ -167,7 +167,7 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted record %+v does not re-encode: %v", rec, err)
 		}
-		back, err := wal.DecodePayload(frame[8:])
+		back, err := noTable.Payload(frame[8:])
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}

@@ -166,7 +166,11 @@ func appendValue(b []byte, v event.Value) ([]byte, error) {
 	}
 }
 
-func appendEvent(b []byte, e event.Event) ([]byte, error) {
+// AppendEvent encodes one event in the WAL's event body encoding onto
+// b. The network protocol frames events (and registrations, through
+// AppendRegister) with exactly the log's encodings, so a served request and
+// its logged record share one codec and one set of round-trip proofs.
+func AppendEvent(b []byte, e event.Event) ([]byte, error) {
 	b = appendU64(b, uint64(e.ID))
 	b = append(b, byte(e.Kind))
 	b = appendStr(b, e.Type)
@@ -181,18 +185,23 @@ func appendEvent(b []byte, e event.Event) ([]byte, error) {
 	for _, id := range e.CBT {
 		b = appendU64(b, uint64(id))
 	}
-	b = appendU32(b, uint32(len(e.Payload)))
-	// Sorted names: deterministic bytes for a given event, so identical runs
-	// produce identical log files.
+	return appendPayload(b, e.Payload)
+}
+
+// appendPayload appends p's count and entries, names sorted: deterministic
+// bytes for a given event, so identical runs produce identical log files.
+// It is the table's re-encoder too: a decoded payload holds only types
+// appendValue encodes, so there it never fails or allocates.
+func appendPayload(b []byte, p event.Payload) ([]byte, error) {
+	b = appendU32(b, uint32(len(p)))
 	var names [8]string
 	var err error
-	for _, k := range event.SortedNames(names[:0], e.Payload) {
-		b = appendStr(b, k)
-		if b, err = appendValue(b, e.Payload[k]); err != nil {
-			return b, err
+	for _, k := range event.SortedNames(names[:0], p) {
+		if b, err = appendValue(appendStr(b, k), p[k]); err != nil {
+			break
 		}
 	}
-	return b, nil
+	return b, err
 }
 
 func appendSpec(b []byte, s consistency.Spec) []byte {
@@ -224,14 +233,7 @@ func AppendRegister(dst []byte, src string, o RegOpts) ([]byte, error) {
 	dst = appendSpec(dst, o.Spec)
 	dst = appendU32(dst, uint32(o.Shards))
 	if len(o.Bindings) > 0 {
-		var names [8]string
-		dst = appendU32(dst, uint32(len(o.Bindings)))
-		for _, name := range event.SortedNames(names[:0], o.Bindings) {
-			var err error
-			if dst, err = appendValue(appendStr(dst, name), o.Bindings[name]); err != nil {
-				return dst, err
-			}
-		}
+		return appendPayload(dst, o.Bindings)
 	}
 	return dst, nil
 }
@@ -248,7 +250,7 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	var err error
 	switch r.Kind {
 	case KindEvent, KindCTI:
-		if dst, err = appendEvent(dst, r.Ev); err != nil {
+		if dst, err = AppendEvent(dst, r.Ev); err != nil {
 			return dst[:head], err
 		}
 	case KindRegister:
@@ -273,79 +275,19 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Decoding
 
-// A Decoder's tables: 1 << sharedBits direct-mapped slots each that never
-// grow — a miss overwrites its slot (a payload's, from its second miss in
-// a row there) — one holding strings of at most sharedMax bytes, the other
-// payloads encoded in at most sharedMax bytes.
-const sharedBits, sharedMax = 10, 64
-
-// shared is one string slot: a string, boxed once it is decoded as a value.
-type shared struct {
-	s string
-	v event.Value
-}
-
-// sharedPayload is one payload slot: a map, its tag, and the hash of the
-// last payload that missed here.
-type sharedPayload struct {
-	tag, seen uint64
-	p         event.Payload
-}
-
-// Decoder decodes the log's encodings, handing out one copy of each short
-// event type, payload name and string value it decodes again and again, and
-// one map per short payload: items of equal payload content share it, so
-// it is read-only — the contract event.Payload.Equal already states. A
-// stream that repeats them (a fleet repeats a few hundred) saves a copy per
-// occurrence; one that does not pays a hash and a compare per string and
-// payload. Hold one per connection or scan: it is not safe for concurrent
-// use. A nil *Decoder shares nothing; the zero Decoder has one slot per
-// table (tests use it).
-type Decoder struct {
-	mask     uint64
-	slots    [1 << sharedBits]shared
-	payloads [1 << sharedBits]sharedPayload
-}
+// Decoder decodes the log's encodings through an event.Table, whose shared
+// payloads are read-only. Hold one per connection or scan. A nil *Decoder
+// shares nothing; the zero Decoder has one slot per table (tests use it).
+type Decoder event.Table
 
 // NewDecoder returns a Decoder with empty tables.
-func NewDecoder() *Decoder { return &Decoder{mask: 1<<sharedBits - 1} }
-
-// hash is multiplicative hashing a word at a time, deterministic so misses
-// repeat run to run; a crafted collision costs what no table would anyway.
-func hash(b []byte) uint64 {
-	h, w := uint64(len(b)), b
-	for ; len(w) > 8; w = w[8:] {
-		h = (h ^ binary.LittleEndian.Uint64(w)) * 0x9E3779B97F4A7C15
-	}
-	if n := len(w); n >= 4 { // the last 4–8 bytes as two overlapping reads
-		h ^= uint64(binary.LittleEndian.Uint32(w)) | uint64(binary.LittleEndian.Uint32(w[n-4:]))<<32
-	} else if n > 0 {
-		h ^= uint64(w[0]) | uint64(w[n/2])<<8 | uint64(w[n-1])<<16
-	}
-	return h * 0x9E3779B97F4A7C15
-}
-
-// index is the slot of hash h: its top bits.
-func (d *Decoder) index(h uint64) uint64 { return h >> (64 - sharedBits) & d.mask }
-
-// share returns the slot holding b, storing b there on a miss; nil without
-// a table or for a long string.
-func (d *Decoder) share(b []byte) *shared {
-	if d == nil || len(b) > sharedMax {
-		return nil
-	}
-	sl := &d.slots[d.index(hash(b))]
-	if sl.s != string(b) {
-		*sl = shared{s: string(b)}
-	}
-	return sl
-}
+func NewDecoder() *Decoder { return (*Decoder)(event.NewTable()) }
 
 type byteReader struct {
 	b   []byte
 	off int
 	err error
-	dec *Decoder // shares short strings (nil: none)
+	tab *event.Table // shares short strings and payloads (nil: none)
 }
 
 func (r *byteReader) take(n int) []byte {
@@ -395,13 +337,7 @@ func (r *byteReader) strBytes() []byte {
 }
 
 // str reads a string through the decoder's table.
-func (r *byteReader) str() string {
-	b := r.strBytes()
-	if sl := r.dec.share(b); sl != nil {
-		return sl.s
-	}
-	return string(b)
-}
+func (r *byteReader) str() string { return r.tab.String(r.strBytes()) }
 
 func (r *byteReader) time() temporal.Time { return temporal.Time(r.i64()) }
 
@@ -419,15 +355,7 @@ func (r *byteReader) value() event.Value {
 	case tagFloat64:
 		return math.Float64frombits(r.u64())
 	case tagString:
-		b := r.strBytes()
-		sl := r.dec.share(b)
-		if sl == nil {
-			return string(b)
-		}
-		if sl.v == nil {
-			sl.v = sl.s
-		}
-		return sl.v
+		return r.tab.Value(r.strBytes())
 	case tagBool:
 		return r.u8() != 0
 	default:
@@ -473,82 +401,23 @@ func (r *byteReader) event() event.Event {
 	return e
 }
 
-// payload reads n > 0 payload entries. An event ends every log record and
-// push or output frame, so the buffer's tail is the payload's encoding (a
-// tail that is not never matches); one of at most sharedMax bytes goes
-// through the table. Its slot's map is
-// handed out if the tags (the hash's low bits; none in the zero Decoder)
-// agree and it holds exactly the tail's entries. A miss keeps its map only
-// if the slot's last miss had the same hash: a payload seen once evicts
-// none that repeats, and a stream of distinct payloads keeps none.
+// payload reads n > 0 entries, their count just read. An event ends every
+// log record and push or output frame, so the entries are the buffer's
+// tail, the table's key (a tail that is not never matches), and with the
+// count the text appendPayload must reproduce.
 func (r *byteReader) payload(n int) event.Payload {
-	var sl *sharedPayload
-	var h, tag uint64
-	if tail := r.b[r.off:]; r.dec != nil && len(tail) <= sharedMax {
-		h = hash(tail)
-		sl, tag = &r.dec.payloads[r.dec.index(h)], h&r.dec.mask
-		if sl.tag == tag && matches(sl.p, tail, n) {
-			r.off = len(r.b)
-			return sl.p
-		}
+	p, slot := r.tab.Payload(r.b[r.off:], r.b[r.off-4:], appendPayload)
+	if p != nil {
+		r.off = len(r.b)
+		return p
 	}
-	p := make(event.Payload, n)
+	p = make(event.Payload, n)
 	for range n {
 		k := r.str()
 		p[k] = r.value()
 	}
-	if sl != nil {
-		if sl.seen == h {
-			sl.tag, sl.p = tag, p
-		}
-		sl.seen = h
-	}
+	slot.Keep(p)
 	return p
-}
-
-// matches reports whether p holds exactly the n entries that make up b:
-// names strictly increasing (so n distinct), each with its value's type and
-// bits.
-func matches(p event.Payload, b []byte, n int) bool {
-	if len(p) != n {
-		return false
-	}
-	r := byteReader{b: b}
-	var prev []byte
-	for i := range n {
-		name := r.take(int(r.u32()))
-		if i > 0 && string(prev) >= string(name) {
-			return false
-		}
-		if v, ok := p[string(name)]; !ok || !r.same(v) {
-			return false
-		}
-		prev = name
-	}
-	return r.err == nil && r.off == len(b)
-}
-
-// same reports whether the value at r's offset decodes to v, type-exact and
-// bit-exact. Its offset afterwards matters only when it does.
-func (r *byteReader) same(v event.Value) bool {
-	switch r.u8() {
-	case tagInt64:
-		x, ok := v.(int64)
-		return ok && x == r.i64()
-	case tagInt:
-		x, ok := v.(int)
-		return ok && x == int(r.i64())
-	case tagFloat64:
-		x, ok := v.(float64)
-		return ok && math.Float64bits(x) == r.u64()
-	case tagString:
-		x, ok := v.(string)
-		return ok && x == string(r.take(int(r.u32())))
-	case tagBool:
-		x, ok := v.(bool)
-		return ok && x == (r.u8() != 0)
-	}
-	return false
 }
 
 func (r *byteReader) register() (src string, o RegOpts) {
@@ -583,36 +452,23 @@ func (r *byteReader) register() (src string, o RegOpts) {
 // Register decodes a registration produced by AppendRegister from the front
 // of b, returning the number of bytes consumed.
 func (d *Decoder) Register(b []byte) (string, RegOpts, int, error) {
-	r := byteReader{b: b, dec: d}
+	r := byteReader{b: b, tab: (*event.Table)(d)}
 	src, o := r.register()
 	return src, o, r.off, r.err
-}
-
-// AppendEvent encodes one event in the WAL's event body encoding onto
-// dst. The network protocol frames events (and registrations, through
-// AppendRegister) with exactly the log's encodings, so a served request and
-// its logged record share one codec and one set of round-trip proofs.
-func AppendEvent(dst []byte, e event.Event) ([]byte, error) {
-	return appendEvent(dst, e)
 }
 
 // Event decodes an event produced by AppendEvent from the front of b,
 // returning the number of bytes consumed.
 func (d *Decoder) Event(b []byte) (event.Event, int, error) {
-	r := byteReader{b: b, dec: d}
+	r := byteReader{b: b, tab: (*event.Table)(d)}
 	e := r.event()
 	return e, r.off, r.err
 }
 
-// DecodePayload decodes one record payload (seq + kind + body, the
-// checksummed region of a frame) without sharing strings.
-func DecodePayload(payload []byte) (Record, error) {
-	return (*Decoder)(nil).Payload(payload)
-}
-
-// Payload decodes one record payload like DecodePayload, through d's table.
+// Payload decodes one record payload (seq + kind + body, the checksummed
+// region of a frame) through d's table; a nil d shares nothing.
 func (d *Decoder) Payload(payload []byte) (Record, error) {
-	r := byteReader{b: payload, dec: d}
+	r := byteReader{b: payload, tab: (*event.Table)(d)}
 	var rec Record
 	rec.Seq = r.u64()
 	rec.Kind = Kind(r.u8())
@@ -652,8 +508,8 @@ func Scan(r io.Reader, fn func(rec Record, start, end int64) error) (int64, erro
 
 // scan is Scan through dec; a nil dec decodes nothing (fn sees Seq alone).
 func scan(r io.Reader, dec *Decoder, fn func(rec Record, start, end int64) error) (int64, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	var head [8]byte // the magic header, then each frame's length and checksum
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil // empty file: a fresh log
 		}
@@ -662,11 +518,10 @@ func scan(r io.Reader, dec *Decoder, fn func(rec Record, start, end int64) error
 		}
 		return 0, err
 	}
-	if string(magic[:]) != Magic {
-		return 0, fmt.Errorf("wal: bad magic %q (not a CEDR WAL)", magic[:])
+	if string(head[:]) != Magic {
+		return 0, fmt.Errorf("wal: bad magic %q (not a CEDR WAL)", head[:])
 	}
 	good := int64(len(Magic))
-	var head [8]byte
 	var lastSeq uint64
 	// One payload buffer for the whole scan: decoding copies out of it.
 	var payload []byte

@@ -17,6 +17,9 @@ import (
 	"repro/internal/wal"
 )
 
+// noTable decodes without sharing strings or payloads.
+var noTable *wal.Decoder
+
 // sampleRecords covers every record kind and every payload value type the
 // encoding supports, including lineage and a retraction.
 func sampleRecords() []wal.Record {
@@ -126,7 +129,7 @@ func TestDecodeIgnoresRetiredPlanFlags(t *testing.T) {
 	want := wal.Record{Seq: 9, Kind: wal.KindRegister, Src: src,
 		Opts: wal.RegOpts{HasSpec: true, Spec: spec, Shards: 4}}
 	for _, flags := range []byte{0x1, 0x1 | 0x2, 0x1 | 0x4, 0x1 | 0x2 | 0x4} {
-		got, err := wal.DecodePayload(registerPayload(9, src, flags, spec, 4))
+		got, err := noTable.Payload(registerPayload(9, src, flags, spec, 4))
 		if err != nil {
 			t.Fatalf("flags %#x: %v", flags, err)
 		}
