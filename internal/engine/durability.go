@@ -27,7 +27,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -152,7 +151,7 @@ func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 // frames, as they are, as the journal's next chunk. Every byte must decode.
 func (e *Engine) replay(img []byte, what string) error {
 	from := len(img)
-	good, err := wal.Scan(bytes.NewReader(img), func(rec wal.Record, start, _ int64) error {
+	good, err := wal.Scan(img, func(rec wal.Record, start, _ int64) error {
 		if rec.Seq <= e.seq {
 			return nil
 		}

@@ -145,7 +145,7 @@ func TestCrashRecoveryAtEveryRecordBoundary(t *testing.T) {
 				t.Fatalf("oracle WAL has a %d-byte tail past the last record", int64(len(img))-good)
 			}
 			var cuts []int64
-			if _, err := wal.Scan(bytes.NewReader(img), func(_ wal.Record, start, end int64) error {
+			if _, err := wal.Scan(img, func(_ wal.Record, start, end int64) error {
 				// Crash exactly at the boundary before this record, and torn
 				// three bytes into its frame.
 				cuts = append(cuts, start, start+3)
@@ -493,7 +493,7 @@ func TestRestoreIgnoresRetiredPlanFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	patched := false
-	if _, err := wal.Scan(bytes.NewReader(img), func(rec wal.Record, start, end int64) error {
+	if _, err := wal.Scan(img, func(rec wal.Record, start, end int64) error {
 		if rec.Kind != wal.KindRegister {
 			return nil
 		}
@@ -565,7 +565,7 @@ func TestRestoreRefusesUndecodableRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranges := [][2]int64{}
-	if _, err := wal.Scan(bytes.NewReader(img), func(_ wal.Record, start, end int64) error {
+	if _, err := wal.Scan(img, func(_ wal.Record, start, end int64) error {
 		ranges = append(ranges, [2]int64{start, end})
 		return nil
 	}); err != nil {

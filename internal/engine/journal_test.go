@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -371,7 +372,7 @@ func fuzzable(snap []byte) bool {
 	}
 	regs := 0
 	// A body Scan refuses, Restore refuses too: nothing to skip.
-	_, _ = wal.Scan(bytes.NewReader(snap[snapHead:]), func(rec wal.Record, _, _ int64) error {
+	_, _ = wal.Scan(snap[snapHead:], func(rec wal.Record, _, _ int64) error {
 		if rec.Kind == wal.KindRegister {
 			regs++
 		}
@@ -393,6 +394,64 @@ func restoreMem(snap []byte) (*Engine, error) {
 	return e, err
 }
 
+// forgedLength returns snap with its last frame's length prefix claiming
+// 64 MiB — the longest record recovery accepts — past the bytes that follow.
+func forgedLength(snap []byte) []byte {
+	snap = bytes.Clone(snap)
+	last := 0
+	for off := snapHead + len(wal.Magic); off+8 <= len(snap); off += 8 + int(binary.LittleEndian.Uint32(snap[off:])) {
+		last = off
+	}
+	binary.LittleEndian.PutUint32(snap[last:], 1<<26)
+	return snap
+}
+
+// TestRestoreForgedLength: Restore refuses a snapshot whose last length
+// prefix is forged, and allocates under 64 KiB more doing so than refusing
+// the same snapshot cut before that frame (an engine and a decoder table,
+// ≈66 KB): replay scans the snapshot where it lies, so a prefix sizes
+// nothing. A scan that streamed it allocated the 64 MiB the prefix claimed.
+func TestRestoreForgedLength(t *testing.T) {
+	defer leakcheck.Check(t)()
+	log, err := wal.New(new(memFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Restore(nil, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Finish() // the snapshot's one record
+	var b bytes.Buffer
+	if err := e.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	forged := forgedLength(b.Bytes())
+	refusal := func(snap []byte) uint64 {
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for range 3 { // the least of three: the runtime allocates beside the test
+			runtime.ReadMemStats(&before)
+			_, err := restoreMem(snap)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("restore accepted a %d-byte snapshot whose last frame is torn or missing", len(snap))
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	got, base := refusal(forged), refusal(forged[:snapHead+len(wal.Magic)])
+	const bound = 64 << 10
+	t.Logf("refusing a %d-byte snapshot whose last length prefix claims 64 MiB: %d B allocated, %d B without that frame (bound %d B more)",
+		len(forged), got, base, bound)
+	if got > base+bound {
+		t.Fatalf("refusing a %d-byte snapshot allocated %d B, %d B without its forged frame (bound %d B more); a forged length prefix sizes an allocation again",
+			len(forged), got, base, bound)
+	}
+}
+
 // FuzzRestore feeds arbitrary snapshot bytes to Restore over an in-memory
 // log — each input as it is and with its frames' checksums recomputed.
 // Whatever the input, Restore must not panic and must leave no goroutine
@@ -400,7 +459,8 @@ func restoreMem(snap []byte) (*Engine, error) {
 // re-snapshot to exactly its input bytes, and two restores of one input
 // must agree — the same error, or the same results for every
 // registration. The seeds (the shapes of TestSnapshotRestoreRotation and
-// of driveEveryKind, a forged watermark, trailing garbage) run under plain
+// of driveEveryKind, a forged watermark, a forged last length prefix,
+// trailing garbage) run under plain
 // `go test`; CI fuzzes it with
 //
 //	go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 30s -fuzzminimizetime 100x ./internal/engine
@@ -454,7 +514,7 @@ func FuzzRestore(f *testing.F) {
 	}
 	for _, s := range [][]byte{
 		fresh, mid, end, every,
-		forged(mid, 1), forged(end, 0xff),
+		forged(mid, 1), forged(end, 0xff), forgedLength(end),
 		append(bytes.Clone(end), "trailing garbage"...),
 	} {
 		f.Add(s)

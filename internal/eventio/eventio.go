@@ -471,7 +471,7 @@ func UnmarshalJSON(data []byte) (event.Event, error) {
 }
 
 // unmarshalPayload decodes a payload object, if any, with json.Number
-// preservation, then replaces each number by its int64 or float64 in place.
+// preservation, then replaces each value by JSONValue's in place.
 func unmarshalPayload(raw json.RawMessage) (event.Payload, error) {
 	if len(raw) == 0 {
 		return nil, nil
@@ -483,26 +483,34 @@ func unmarshalPayload(raw json.RawMessage) (event.Payload, error) {
 		return nil, fmt.Errorf("eventio: payload: %v", err)
 	}
 	for k, v := range p {
-		switch x := v.(type) {
-		case json.Number:
-			s := x.String()
-			if !strings.ContainsAny(s, ".eE") {
-				if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-					p[k] = n
-					continue
-				}
-			}
-			f, err := x.Float64()
-			if err != nil {
-				return nil, fmt.Errorf("eventio: payload key %.32q: bad number %.32s", k, s)
-			}
-			p[k] = f
-		case bool, string:
-		default:
-			return nil, fmt.Errorf("eventio: payload key %.32q has unsupported JSON type %T (values must be numbers, strings, or booleans)", k, v)
+		var err error
+		if p[k], err = JSONValue(v); err != nil {
+			return nil, fmt.Errorf("eventio: payload key %.32q: %v", k, err)
 		}
 	}
 	return p, nil
+}
+
+// JSONValue maps a value decoded with json.Decoder.UseNumber onto the event
+// value domain — the one rule for JSON payload values and query bindings:
+// an integral number in int64's range becomes an int64, any other number a
+// float64; strings and booleans stay; anything else is refused.
+func JSONValue(v any) (event.Value, error) {
+	switch x := v.(type) {
+	case json.Number:
+		if n, err := x.Int64(); err == nil {
+			return n, nil
+		}
+		f, err := x.Float64()
+		if err != nil {
+			return nil, fmt.Errorf("bad number %.32s", x)
+		}
+		return f, nil
+	case bool, string:
+		return x, nil
+	default:
+		return nil, fmt.Errorf("unsupported JSON type %T (values must be numbers, strings, or booleans)", v)
+	}
 }
 
 // ReadJSONStream decodes a sequence of JSON event objects (NDJSON, or any

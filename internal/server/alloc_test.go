@@ -82,9 +82,9 @@ func TestAllocsFrameReader(t *testing.T) {
 func TestAllocsPushDecode(t *testing.T) {
 	dec := wal.NewDecoder()
 	decode := func(body []byte) {
-		r := &reader{b: body, dec: dec}
-		r.event()
-		if err := r.done(); err != nil {
+		r := wal.NewReader(body, dec)
+		r.Event()
+		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -153,11 +153,11 @@ func (c *Client) readLoop() {
 			return
 		}
 		if t == fOutput {
-			r := &reader{b: body, dec: dec}
-			qid := int(r.u32())
-			tag := r.u64()
-			ev := r.event()
-			if err := r.done(); err != nil {
+			r := wal.NewReader(body, dec)
+			qid := int(r.U32())
+			tag := r.U64()
+			ev := r.Event()
+			if err := r.Done(); err != nil {
 				c.fail(err)
 				return
 			}
@@ -173,8 +173,8 @@ func (c *Client) readLoop() {
 		default:
 			// A reply nobody asked for: the server's parting fatal error.
 			if t == fErr {
-				r := &reader{b: body}
-				c.fail(errors.New(r.str()))
+				r := wal.NewReader(body, nil)
+				c.fail(errors.New(r.Str()))
 			} else {
 				c.fail(fmt.Errorf("server: unsolicited %v frame", t))
 			}
@@ -235,8 +235,8 @@ func (c *Client) request(t frameType, body []byte, want frameType) ([]byte, erro
 	case want:
 		return f.body, nil
 	case fErr:
-		r := &reader{b: f.body}
-		return nil, errors.New(r.str())
+		r := wal.NewReader(f.body, nil)
+		return nil, errors.New(r.Str())
 	}
 	return nil, fmt.Errorf("server: %v answered %v", t, f.t)
 }
@@ -244,7 +244,7 @@ func (c *Client) request(t frameType, body []byte, want frameType) ([]byte, erro
 // Open starts a source session named source (required before Push; an
 // empty name lets the server use the remote address).
 func (c *Client) Open(source string) error {
-	_, err := c.request(fOpen, appendStr(nil, source), fOK)
+	_, err := c.request(fOpen, wal.AppendStr(nil, source), fOK)
 	return err
 }
 
@@ -287,25 +287,20 @@ func (c *Client) info(t frameType, body []byte) (queryInfo, error) {
 	if err != nil {
 		return queryInfo{}, err
 	}
-	r := &reader{b: reply}
-	qi := r.info()
-	if err := r.done(); err != nil {
-		return queryInfo{}, err
-	}
-	return qi, nil
+	return readInfo(reply)
 }
 
 // Subscribe starts streaming query id's output — accumulated history
 // first (replayed atomically server-side), then live — onto Outputs. The
 // subscription ends with the connection.
 func (c *Client) Subscribe(id int) error {
-	_, err := c.request(fSubscribe, appendU32(nil, uint32(id)), fOK)
+	_, err := c.request(fSubscribe, wal.AppendU32(nil, uint32(id)), fOK)
 	return err
 }
 
 // Unregister removes query id from the server.
 func (c *Client) Unregister(id int) error {
-	_, err := c.request(fUnregister, appendU32(nil, uint32(id)), fOK)
+	_, err := c.request(fUnregister, wal.AppendU32(nil, uint32(id)), fOK)
 	return err
 }
 
@@ -314,13 +309,13 @@ func (c *Client) Unregister(id int) error {
 // and durable.
 func (c *Client) Sync() error {
 	token := c.nextToken()
-	reply, err := c.request(fSync, appendU64(nil, token), fSynced)
+	reply, err := c.request(fSync, wal.AppendU64(nil, token), fSynced)
 	if err != nil {
 		return err
 	}
-	r := &reader{b: reply}
-	got, msg := r.u64(), r.str()
-	if err := r.done(); err != nil {
+	r := wal.NewReader(reply, nil)
+	got, msg := r.U64(), r.Str()
+	if err := r.Done(); err != nil {
 		return err
 	}
 	if got != token {
@@ -343,7 +338,7 @@ func (c *Client) Finish() error {
 // Status reports query id's shard count, result count, and quarantine
 // error.
 func (c *Client) Status(id int) (Status, error) {
-	qi, err := c.info(fStatus, appendU32(nil, uint32(id)))
+	qi, err := c.info(fStatus, wal.AppendU32(nil, uint32(id)))
 	return Status{Query: qi.ID, Shards: qi.Shards, Results: uint64(qi.Results), Err: qi.Err}, err
 }
 

@@ -55,7 +55,7 @@ func FuzzReadFrame(f *testing.F) {
 		return push(event.NewInsert(id, "HOT", 3, temporal.Infinity, event.Payload{"sensor": sensor, "t": 71.5}))
 	}
 	seeds := [][]byte{
-		frameOf(fOpen, appendStr(nil, "sensors")),
+		frameOf(fOpen, wal.AppendStr(nil, "sensors")),
 		push(event.NewInsert(1, "HOT", 3, temporal.Infinity, event.Payload{"sensor": "A", "t": 71.5, "n": int64(-2), "ok": true})),
 		push(event.NewRetract(1, "HOT", 3, 9, nil)),
 		push(event.NewCTI(12)),
@@ -64,11 +64,11 @@ func FuzzReadFrame(f *testing.F) {
 		reg(stuckHot, wal.RegOpts{Share: true}),
 		reg("EVENT T WHEN ANY(HOT h) WHERE [sensor Equal $s]", wal.RegOpts{HasSpec: true, Spec: spec, Shards: -1,
 			Bindings: event.Payload{"s": "A", "i": int64(3), "f": math.NaN(), "b": false}}),
-		frameOf(fSubscribe, appendU32(nil, 1)),
-		frameOf(fUnregister, appendU32(nil, 1)),
-		frameOf(fSync, appendU64(nil, 42)),
+		frameOf(fSubscribe, wal.AppendU32(nil, 1)),
+		frameOf(fUnregister, wal.AppendU32(nil, 1)),
+		frameOf(fSync, wal.AppendU64(nil, 42)),
 		frameOf(fFinish, nil),
-		frameOf(fStatus, appendU32(nil, 1)),
+		frameOf(fStatus, wal.AppendU32(nil, 1)),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -85,7 +85,7 @@ func FuzzReadFrame(f *testing.F) {
 	big := push(event.NewInsert(3, "HOT", 5, temporal.Infinity, event.Payload{"blob": strings.Repeat("y", maxRetained+100)}))
 	f.Add(bytes.Join([][]byte{big, hot(4, "A"), hot(5, "B"), hot(6, "A"), hot(7, "B")}, nil))
 	// An output frame as the client reads one.
-	out, err := wal.AppendEvent(appendU64(appendU32(nil, 2), 9), event.NewInsert(8, "Echo", 5, 7, event.Payload{"sensor": "A"}))
+	out, err := wal.AppendEvent(wal.AppendU64(wal.AppendU32(nil, 2), 9), event.NewInsert(8, "Echo", 5, 7, event.Payload{"sensor": "A"}))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -183,20 +183,20 @@ func readFrames(br *bufio.Reader, fresh bool) []frame {
 // decodeBody decodes a push or output body through dec, as the server and
 // the client do.
 func decodeBody(fr frame, dec *wal.Decoder) (event.Event, error) {
-	r := &reader{b: fr.body, dec: dec}
+	r := wal.NewReader(fr.body, dec)
 	if fr.t == fOutput {
-		r.u32()
-		r.u64()
+		r.U32()
+		r.U64()
 	}
-	e := r.event()
-	return e, r.done()
+	e := r.Event()
+	return e, r.Done()
 }
 
 // readRegister decodes a register body through dec, as the server does.
 func readRegister(body []byte, dec *wal.Decoder) (string, wal.RegOpts, error) {
-	r := &reader{b: body, dec: dec}
-	src, o := r.register()
-	return src, o, r.done()
+	r := wal.NewReader(body, dec)
+	src, o := r.Register()
+	return src, o, r.Done()
 }
 
 // drain reads every frame of data and decodes the register, push and output

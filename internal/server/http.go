@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -121,8 +122,16 @@ type registerBody struct {
 	Bindings  map[string]any `json:"bindings,omitempty"`
 }
 
-// record is the registration record the body asks for.
-func (b *registerBody) record() (wal.RegOpts, error) {
+// readRegisterBody decodes a POST /v1/queries body into the registration
+// it asks for.
+func readRegisterBody(r io.Reader) (string, wal.RegOpts, error) {
+	var b registerBody
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	dec.UseNumber()
+	if err := dec.Decode(&b); err != nil {
+		return "", wal.RegOpts{}, fmt.Errorf("server: register body: %w", err)
+	}
 	o := wal.RegOpts{Shards: b.Shards, Share: !b.NoSharing}
 	if c := b.Consistency; c != nil {
 		// -1 is unbounded: JSON has no 2^63-1 literal that survives a
@@ -138,56 +147,26 @@ func (b *registerBody) record() (wal.RegOpts, error) {
 	if len(b.Bindings) > 0 {
 		o.Bindings = make(map[string]event.Value, len(b.Bindings))
 		for name, raw := range b.Bindings {
-			v, err := bindingValue(raw)
+			v, err := eventio.JSONValue(raw)
 			if err != nil {
-				return o, fmt.Errorf("server: binding %q: %w", name, err)
+				return "", o, fmt.Errorf("server: binding %q: %w", name, err)
 			}
 			o.Bindings[name] = v
 		}
 	}
-	return o, nil
+	return b.Src, o, nil
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var body registerBody
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
-	if err := dec.Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("server: register body: %w", err))
-		return
-	}
-	o, err := body.record()
+	src, o, err := readRegisterBody(r.Body)
 	if err == nil {
 		var info queryInfo
-		if info, err = s.register(body.Src, o); err == nil {
+		if info, err = s.register(src, o); err == nil {
 			writeJSON(w, http.StatusCreated, info)
 			return
 		}
 	}
 	httpError(w, http.StatusBadRequest, err)
-}
-
-// bindingValue maps a decoded JSON value onto the event value domains,
-// preserving int64 for integral numbers (json.Number via UseNumber).
-func bindingValue(raw any) (event.Value, error) {
-	switch v := raw.(type) {
-	case string:
-		return v, nil
-	case bool:
-		return v, nil
-	case json.Number:
-		if i, err := v.Int64(); err == nil {
-			return i, nil
-		}
-		f, err := v.Float64()
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
-	default:
-		return nil, fmt.Errorf("unsupported binding type %T", raw)
-	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -11,16 +11,18 @@
 //	conn  := magic frame*                 magic := "CEDRTCP2" (client sends)
 //	frame := len(u32 LE) type(u8) body    len = 1 + len(body)
 //
-// Events and registrations use the write-ahead log's body encodings
-// (wal.AppendEvent, wal.AppendRegister): a register frame's body is the
-// body of the KindRegister record the server logs for it, so the wire and
-// the log share one codec, covered by one set of round-trip proofs.
-// Strings are u32-length-prefixed; integers little-endian.
+// Bodies use the write-ahead log's encodings (wal.AppendEvent,
+// wal.AppendRegister, and its strings and integers): a register frame's
+// body is the body of the KindRegister record the server logs for it, so
+// the wire and the log share one codec, covered by one set of round-trip
+// proofs. Strings are u32-length-prefixed; integers little-endian.
 //
 // Frames are encoded in place, read into one reused buffer per connection
-// (a body is valid until the next frame) and decoded through one wal.Decoder
-// per connection, which shares repeated types, names and string values,
-// and one read-only map per repeated payload.
+// (a body is valid until the next frame) and decoded by wal.Reader, the
+// one reader for both surfaces, the wire and the log: through one
+// wal.Decoder per connection, server and client alike, which shares
+// repeated types, names and string values, and one read-only map per
+// repeated payload.
 //
 // Client → server frames:
 //
@@ -58,7 +60,6 @@ import (
 	"io"
 	"slices"
 
-	"repro/internal/event"
 	"repro/internal/wal"
 )
 
@@ -144,7 +145,9 @@ func endFrame(frame []byte) []byte {
 }
 
 // msgFrame is a frame whose body is one string (ok and err replies).
-func msgFrame(t frameType, msg string) []byte { return endFrame(appendStr(beginFrame(nil, t), msg)) }
+func msgFrame(t frameType, msg string) []byte {
+	return endFrame(wal.AppendStr(beginFrame(nil, t), msg))
+}
 
 // infoFrame is the reply to register and status: an info frame, or the
 // request's error.
@@ -152,20 +155,25 @@ func infoFrame(qi queryInfo, err error) []byte {
 	if err != nil {
 		return msgFrame(fErr, err.Error())
 	}
-	b := appendStr(appendU32(beginFrame(nil, fInfo), uint32(qi.ID)), qi.Name)
-	b = appendU32(b, uint32(qi.Shards))
+	b := wal.AppendStr(wal.AppendU32(beginFrame(nil, fInfo), uint32(qi.ID)), qi.Name)
+	b = wal.AppendU32(b, uint32(qi.Shards))
 	if qi.Shared {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	return endFrame(appendStr(appendU64(b, uint64(qi.Results)), qi.Err))
+	return endFrame(wal.AppendStr(wal.AppendU64(b, uint64(qi.Results)), qi.Err))
 }
 
-// info decodes an info frame's body (infoFrame's inverse).
-func (r *reader) info() queryInfo {
-	return queryInfo{ID: int(r.u32()), Name: r.str(), Shards: int(r.u32()), Shared: r.u8() == 1,
-		Results: int(r.u64()), Err: r.str()}
+// readInfo decodes an info frame's body (infoFrame's inverse).
+func readInfo(body []byte) (queryInfo, error) {
+	r := wal.NewReader(body, nil)
+	qi := queryInfo{ID: int(r.U32()), Name: r.Str(), Shards: int(r.U32()), Shared: r.U8() == 1,
+		Results: int(r.U64()), Err: r.Str()}
+	if err := r.Done(); err != nil {
+		return queryInfo{}, err
+	}
+	return qi, nil
 }
 
 // frameReader reads one connection's frames into one reused buffer: a body
@@ -197,106 +205,4 @@ func (fr *frameReader) next() (frameType, []byte, error) {
 	}
 	fr.buf = buf
 	return frameType(buf[0]), buf[1:], nil
-}
-
-// ---------------------------------------------------------------------------
-// Body encoding
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// reader decodes frame bodies with sticky errors, delegating event and
-// register bodies to the WAL codec through dec (nil: no shared strings).
-type reader struct {
-	b   []byte
-	off int
-	err error
-	dec *wal.Decoder
-}
-
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail(io.ErrUnexpectedEOF)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *reader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *reader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err == nil && n > len(r.b)-r.off {
-		r.fail(fmt.Errorf("server: string length %d exceeds frame", n))
-		return ""
-	}
-	return string(r.take(n))
-}
-
-func (r *reader) event() event.Event {
-	if r.err != nil {
-		return event.Event{}
-	}
-	e, n, err := r.dec.Event(r.b[r.off:])
-	if err != nil {
-		r.fail(err)
-		return event.Event{}
-	}
-	r.off += n
-	return e
-}
-
-func (r *reader) register() (src string, o wal.RegOpts) {
-	if r.err != nil {
-		return "", o
-	}
-	src, o, n, err := r.dec.Register(r.b[r.off:])
-	r.fail(err)
-	r.off += n
-	return src, o
-}
-
-// done reports decoding success and that the body was fully consumed.
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("server: %d trailing bytes in frame body", len(r.b)-r.off)
-	}
-	return nil
 }

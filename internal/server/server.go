@@ -380,7 +380,7 @@ func (o *outbox) egress(enc encoder) func(event.Event, uint64) {
 // wireOutput encodes query qid's output items as output frames.
 func wireOutput(qid uint32) encoder {
 	return func(dst []byte, ev event.Event, tag uint64) ([]byte, error) {
-		b, err := wal.AppendEvent(appendU64(appendU32(beginFrame(dst, fOutput), qid), tag), ev)
+		b, err := wal.AppendEvent(wal.AppendU64(wal.AppendU32(beginFrame(dst, fOutput), qid), tag), ev)
 		return endFrame(b), err
 	}
 }
@@ -486,12 +486,12 @@ func (c *conn) readLoop() {
 // receives it as an err frame and the connection closes); request-scoped
 // errors are replied inline and keep the session alive.
 func (c *conn) handle(t frameType, body []byte) error {
-	r := &reader{b: body, dec: c.dec}
+	r := wal.NewReader(body, c.dec)
 	var reply []byte
 	switch t {
 	case fOpen:
-		src := r.str()
-		if err := r.done(); err != nil {
+		src := r.Str()
+		if err := r.Done(); err != nil {
 			return err
 		}
 		if c.source = src; src == "" {
@@ -503,24 +503,24 @@ func (c *conn) handle(t frameType, body []byte) error {
 		if c.source == "" {
 			return errors.New("server: push before open — open a source session first")
 		}
-		ev := r.event()
-		if err := r.done(); err != nil {
+		ev := r.Event()
+		if err := r.Done(); err != nil {
 			return err
 		}
 		// Fail-stop: an event the log could not make durable was dropped.
 		return c.s.push(ev)
 
 	case fRegister:
-		src, o := r.register()
-		if err := r.done(); err != nil {
+		src, o := r.Register()
+		if err := r.Done(); err != nil {
 			return err
 		}
 		// Compile errors are request-scoped: report and keep the session.
 		reply = infoFrame(c.s.register(src, o))
 
 	case fSubscribe, fUnregister, fStatus:
-		id := int(r.u32())
-		if err := r.done(); err != nil {
+		id := int(r.U32())
+		if err := r.Done(); err != nil {
 			return err
 		}
 		switch t {
@@ -536,18 +536,18 @@ func (c *conn) handle(t frameType, body []byte) error {
 		}
 
 	case fSync:
-		token := r.u64()
-		if err := r.done(); err != nil {
+		token := r.U64()
+		if err := r.Done(); err != nil {
 			return err
 		}
 		msg := ""
 		if err := c.s.sync(); err != nil {
 			msg = err.Error()
 		}
-		reply = endFrame(appendStr(appendU64(beginFrame(nil, fSynced), token), msg))
+		reply = endFrame(wal.AppendStr(wal.AppendU64(beginFrame(nil, fSynced), token), msg))
 
 	case fFinish:
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return err
 		}
 		msg := "finished"

@@ -490,7 +490,7 @@ func TestBackpressureFailStop(t *testing.T) {
 	if _, err := stalled.Write([]byte(Magic)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stalled.Write(frameOf(fSubscribe, appendU32(nil, uint32(rq.ID)))); err != nil {
+	if _, err := stalled.Write(frameOf(fSubscribe, wal.AppendU32(nil, uint32(rq.ID)))); err != nil {
 		t.Fatal(err)
 	}
 

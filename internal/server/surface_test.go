@@ -301,3 +301,33 @@ func TestSubscriptionsEndWithConsumer(t *testing.T) {
 		t.Errorf("chain holds %d subscriptions after its consumers left, %d before", n, subs)
 	}
 }
+
+// TestJSONValueRule: a query binding and a payload value read JSON by one
+// rule, eventio.JSONValue: the same dynamic type and value, or both
+// refused.
+func TestJSONValueRule(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		want any // nil: refused
+	}{
+		{`3`, int64(3)}, {`-0`, int64(0)}, {`3.0`, 3.0}, {`1e2`, 100.0},
+		{`9223372036854775808`, 9223372036854775808.0}, {`"x"`, "x"}, {`true`, true},
+		{`null`, nil}, {`[1]`, nil},
+	} {
+		_, o, bindErr := readRegisterBody(strings.NewReader(`{"src": "EVENT E WHEN ANY(A a)", "bindings": {"v": ` + tc.text + `}}`))
+		e, payErr := eventio.UnmarshalJSON([]byte(`{"kind": "insert", "id": 1, "type": "A", "vs": 0, "payload": {"v": ` + tc.text + `}}`))
+		if tc.want == nil {
+			if bindErr == nil || payErr == nil {
+				t.Errorf("%s: binding (%v) and payload value (%v) must both be refused", tc.text, bindErr, payErr)
+			}
+			continue
+		}
+		if bindErr != nil || payErr != nil {
+			t.Errorf("%s: binding (%v) and payload value (%v) must both be accepted", tc.text, bindErr, payErr)
+			continue
+		}
+		if b, p := o.Bindings["v"], e.Payload["v"]; b != tc.want || p != tc.want {
+			t.Errorf("%s: binding %#v (%T), payload value %#v (%T), want %#v (%T)", tc.text, b, b, p, p, tc.want, tc.want)
+		}
+	}
+}

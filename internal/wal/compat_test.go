@@ -19,12 +19,12 @@ import (
 // payload ending right after Shards — and decodes it.
 func TestDecodeOldFormatRegister(t *testing.T) {
 	const src = "EVENT E WHEN ANY(INSTALL x)"
-	payload := appendU64(nil, 1)
+	payload := AppendU64(nil, 1)
 	payload = append(payload, byte(KindRegister))
-	payload = appendStr(payload, src)
+	payload = AppendStr(payload, src)
 	payload = append(payload, byte(1)) // HasSpec — the only old flag set
 	payload = appendSpec(payload, consistency.Strong())
-	payload = appendU32(payload, 4) // Shards
+	payload = AppendU32(payload, 4) // Shards
 
 	file := append([]byte(nil), Magic...)
 	file = binary.LittleEndian.AppendUint32(file, uint32(len(payload)))

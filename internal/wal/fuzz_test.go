@@ -24,7 +24,10 @@ import (
 // one does, value types and float bits included, on a first decode, a
 // second (which keeps the payload) and a third (which is handed it); no
 // decode may change a payload handed out earlier; and a record
-// it accepts must survive AppendRecord and a second decode unchanged. Bytes
+// it accepts must survive AppendRecord and a second decode unchanged. Scan
+// reads each input too, as given and after wal.Magic: it must not panic,
+// must allocate no more than its table and a constant times the input, and
+// must return an offset on a record boundary within the image. Bytes
 // need not survive: retired flag bits 0x2/0x4, duplicate payload names and
 // non-canonical bools all decode to a record whose canonical encoding
 // differs. The committed seeds cover every Kind and payloads a table must
@@ -51,6 +54,7 @@ func FuzzDecodePayload(f *testing.F) {
 		seeds = append(seeds, wal.Record{Kind: wal.KindEvent, Ev: event.NewInsert(3, "T", 0, 9, p)})
 	}
 	var prefill [][]byte // every seed record, for the pre-filled tables
+	img := []byte(wal.Magic)
 	for i := range seeds {
 		seeds[i].Seq = uint64(i + 1)
 		frame, err := wal.AppendRecord(nil, seeds[i])
@@ -59,6 +63,7 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		f.Add(frame[8:])
 		prefill = append(prefill, frame[8:])
+		img = append(img, frame...)
 	}
 	// Non-canonical encodings of the last four: true as 2, a payload that
 	// does not end its record, and "a" named twice — a:1 twice has two
@@ -120,7 +125,17 @@ func FuzzDecodePayload(f *testing.F) {
 		event.Payload{"m007": "m007", "Machine_Id": "m007", "long": long, long: "INSTALL"})})
 	f.Add(shared[8:])
 
+	// Log images, which Scan reads as given and after the magic: every
+	// seed's frame, then a torn length prefix; the same frames without the
+	// magic or the last byte, a torn body.
+	f.Add(append(img, 1, 2, 3))
+	f.Add(img[len(wal.Magic) : len(img)-1])
+
+	table := scanBytes(nil) // what Scan allocates before it reads a byte
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, img := range [][]byte{append([]byte(wal.Magic), payload...), payload} {
+			checkScan(t, img, table)
+		}
 		rec, err := noTable.Payload(payload)
 		if n, bound := decodeBytes(payload), 16*uint64(len(payload))+4096; n > bound {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(payload), n, bound)
@@ -175,6 +190,47 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("round trip changed the record\n got %+v\nwant %+v", back, rec)
 		}
 	})
+}
+
+// checkScan scans img, which must not panic, must allocate no more than a
+// table and a constant times the input, and must return the end of the
+// last record it handed fn — each starting where the one before ended —
+// or 0 for an image with a wrong magic.
+func checkScan(t *testing.T, img []byte, table uint64) {
+	var at int64
+	if len(img) >= len(wal.Magic) {
+		at = int64(len(wal.Magic))
+	}
+	good, err := wal.Scan(img, func(_ wal.Record, start, end int64) error {
+		if start != at || end <= start || end > int64(len(img)) {
+			t.Fatalf("Scan of %d bytes handed out a record at [%d, %d) after one ending at %d", len(img), start, end, at)
+		}
+		at = end
+		return nil
+	})
+	if err != nil {
+		at = 0
+	}
+	if good != at {
+		t.Fatalf("Scan of %d bytes returned offset %d (%v), want %d: the end of the last record it handed out", len(img), good, err, at)
+	}
+	if n, bound := scanBytes(img), table+16*uint64(len(img))+4096; n > bound {
+		t.Fatalf("scanning %d bytes allocated %d (bound %d)", len(img), n, bound)
+	}
+}
+
+// scanBytes is the heap bytes one Scan of img allocates, its table
+// included: the least of three measurements.
+func scanBytes(img []byte) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		wal.Scan(img, nil)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // decodeBytes is the heap bytes one decode of payload allocates, through a

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -90,7 +89,7 @@ func New(f File, opts ...LogOption) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	good, err := scan(bytes.NewReader(img), nil, func(rec Record, _, _ int64) error {
+	good, err := scan(img, nil, func(rec Record, _, _ int64) error {
 		l.lastSeq = rec.Seq
 		return nil
 	})

@@ -1,6 +1,10 @@
 package wal
 
 import (
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -46,8 +50,8 @@ func TestDecoderRetainsBoundedPayloads(t *testing.T) {
 	probe := NewDecoder()
 	var maps [3]unsafe.Pointer
 	for i := range maps {
-		e, _, _ := probe.Event(encode(1))
-		maps[i] = reflect.ValueOf(e.Payload).UnsafePointer()
+		r := NewReader(encode(1), probe)
+		maps[i] = reflect.ValueOf(r.Event().Payload).UnsafePointer()
 	}
 	if maps[0] == maps[1] || maps[1] != maps[2] {
 		t.Fatal("a payload at the sharing bound is not kept at its second decode and shared at its third")
@@ -58,7 +62,9 @@ func TestDecoderRetainsBoundedPayloads(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	dec := NewDecoder()
 	for i := range 2 * n {
-		if _, _, err := dec.Event(encode(i / 2)); err != nil {
+		r := NewReader(encode(i/2), dec)
+		r.Event()
+		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,5 +78,40 @@ func TestDecoderRetainsBoundedPayloads(t *testing.T) {
 	t.Logf("a Decoder after %d distinct %d-byte payloads: held %d B (bound %d B)", n, event.SharedMax, held, bound)
 	if held > bound {
 		t.Fatalf("a Decoder holds %d B after %d distinct payloads (bound %d B); its payload table is no longer bounded", held, n, bound)
+	}
+}
+
+// TestForgedLengthPrefix: a length prefix claiming more than the bytes left
+// is a torn tail, and buys nothing, since recovery decodes the image where
+// it lies. Opening a 32-byte log — the magic, one frame header claiming
+// maxBody, 16 body bytes — keeps no record and allocates under 64 KiB; a
+// scan that streamed the file sized its payload buffer from the prefix
+// and allocated 67 MB.
+func TestForgedLengthPrefix(t *testing.T) {
+	img := binary.LittleEndian.AppendUint32([]byte(Magic), maxBody)
+	img = append(img, make([]byte, 4+16)...) // the checksum, then the body
+	path := filepath.Join(t.TempDir(), "wal")
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 { // the least of three: the runtime allocates beside the test
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		l, err := Open(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept := l.TakeRecovered(); len(kept) > len(Magic) || l.LastSeq() != 0 {
+			t.Fatalf("recovery kept %d bytes, up to seq %d, of a log whose one frame is torn", len(kept), l.LastSeq())
+		}
+		l.Close()
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	const bound = 64 << 10
+	t.Logf("opening a %d-byte log whose length prefix claims %d bytes: %d B allocated (bound %d B)", len(img), maxBody, least, bound)
+	if least > bound {
+		t.Fatalf("opening a %d-byte log allocated %d B (bound %d B); a forged length prefix sizes an allocation again", len(img), least, bound)
 	}
 }

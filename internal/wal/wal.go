@@ -24,9 +24,9 @@
 //
 // Memory stays bounded: a Log buffers at most 64 KiB of records before
 // writing them out (fsync follows SyncEvery alone), opening one keeps its
-// intact prefix undecoded (Log.TakeRecovered), and Scan decodes through
-// one payload buffer and one Decoder, which shares repeated strings and
-// payloads.
+// intact prefix undecoded (Log.TakeRecovered), and Scan decodes each record
+// of that image in place, through one Decoder, which shares repeated
+// strings and payloads.
 package wal
 
 import (
@@ -35,7 +35,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/consistency"
 	"repro/internal/event"
@@ -117,8 +116,8 @@ type Record struct {
 // Magic is the 8-byte file header.
 const Magic = "CEDRWAL\x01"
 
-// maxBody caps a record payload during recovery, so a corrupt length
-// prefix cannot force a giant allocation.
+// maxBody caps a record payload during recovery: a longer length prefix is
+// corrupt.
 const maxBody = 1 << 26
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -126,11 +125,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ---------------------------------------------------------------------------
 // Encoding
 
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
+// AppendU32, AppendU64 and AppendStr append the integers and strings of the
+// log's encodings, which the network protocol's frames share; Reader reads
+// them back.
+func AppendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+func AppendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+func appendI64(b []byte, v int64) []byte  { return AppendU64(b, uint64(v)) }
+func AppendStr(b []byte, s string) []byte {
+	b = AppendU32(b, uint32(len(s)))
 	return append(b, s...)
 }
 func appendTime(b []byte, t temporal.Time) []byte { return appendI64(b, int64(t)) }
@@ -152,9 +154,9 @@ func appendValue(b []byte, v event.Value) ([]byte, error) {
 	case int:
 		return appendI64(append(b, tagInt), int64(x)), nil
 	case float64:
-		return appendU64(append(b, tagFloat64), math.Float64bits(x)), nil
+		return AppendU64(append(b, tagFloat64), math.Float64bits(x)), nil
 	case string:
-		return appendStr(append(b, tagString), x), nil
+		return AppendStr(append(b, tagString), x), nil
 	case bool:
 		b = append(b, tagBool)
 		if x {
@@ -171,9 +173,9 @@ func appendValue(b []byte, v event.Value) ([]byte, error) {
 // AppendRegister) with exactly the log's encodings, so a served request and
 // its logged record share one codec and one set of round-trip proofs.
 func AppendEvent(b []byte, e event.Event) ([]byte, error) {
-	b = appendU64(b, uint64(e.ID))
+	b = AppendU64(b, uint64(e.ID))
 	b = append(b, byte(e.Kind))
-	b = appendStr(b, e.Type)
+	b = AppendStr(b, e.Type)
 	b = appendTime(b, e.V.Start)
 	b = appendTime(b, e.V.End)
 	b = appendTime(b, e.O.Start)
@@ -181,9 +183,9 @@ func AppendEvent(b []byte, e event.Event) ([]byte, error) {
 	b = appendTime(b, e.C.Start)
 	b = appendTime(b, e.C.End)
 	b = appendTime(b, e.RT)
-	b = appendU32(b, uint32(len(e.CBT)))
+	b = AppendU32(b, uint32(len(e.CBT)))
 	for _, id := range e.CBT {
-		b = appendU64(b, uint64(id))
+		b = AppendU64(b, uint64(id))
 	}
 	return appendPayload(b, e.Payload)
 }
@@ -193,11 +195,11 @@ func AppendEvent(b []byte, e event.Event) ([]byte, error) {
 // It is the table's re-encoder too: a decoded payload holds only types
 // appendValue encodes, so there it never fails or allocates.
 func appendPayload(b []byte, p event.Payload) ([]byte, error) {
-	b = appendU32(b, uint32(len(p)))
+	b = AppendU32(b, uint32(len(p)))
 	var names [8]string
 	var err error
 	for _, k := range event.SortedNames(names[:0], p) {
-		if b, err = appendValue(appendStr(b, k), p[k]); err != nil {
+		if b, err = appendValue(AppendStr(b, k), p[k]); err != nil {
 			break
 		}
 	}
@@ -218,7 +220,7 @@ func appendSpec(b []byte, s consistency.Spec) []byte {
 // encodes to deterministic bytes). The network protocol's register frame
 // carries exactly this body.
 func AppendRegister(dst []byte, src string, o RegOpts) ([]byte, error) {
-	dst = appendStr(dst, src)
+	dst = AppendStr(dst, src)
 	var flags byte
 	if o.HasSpec {
 		flags |= 1
@@ -231,7 +233,7 @@ func AppendRegister(dst []byte, src string, o RegOpts) ([]byte, error) {
 	}
 	dst = append(dst, flags)
 	dst = appendSpec(dst, o.Spec)
-	dst = appendU32(dst, uint32(o.Shards))
+	dst = AppendU32(dst, uint32(o.Shards))
 	if len(o.Bindings) > 0 {
 		return appendPayload(dst, o.Bindings)
 	}
@@ -245,7 +247,7 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	head := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // len + crc placeholder
 	body := len(dst)
-	dst = appendU64(dst, r.Seq)
+	dst = AppendU64(dst, r.Seq)
 	dst = append(dst, byte(r.Kind))
 	var err error
 	switch r.Kind {
@@ -258,10 +260,10 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 			return dst[:head], err
 		}
 	case KindSpec:
-		dst = appendU32(dst, uint32(r.Query))
+		dst = AppendU32(dst, uint32(r.Query))
 		dst = appendSpec(dst, r.Spec)
 	case KindUnregister:
-		dst = appendU32(dst, uint32(r.Query))
+		dst = AppendU32(dst, uint32(r.Query))
 	case KindFinish:
 	default:
 		return dst[:head], fmt.Errorf("wal: cannot encode record kind %d", r.Kind)
@@ -283,18 +285,26 @@ type Decoder event.Table
 // NewDecoder returns a Decoder with empty tables.
 func NewDecoder() *Decoder { return (*Decoder)(event.NewTable()) }
 
-type byteReader struct {
+// Reader decodes the log's encodings — which the network protocol's frame
+// bodies share — from one buffer in place, with a sticky error: after the
+// first failure every read returns a zero value, and Done reports it. It
+// shares strings and payloads through a Decoder's table.
+type Reader struct {
 	b   []byte
 	off int
 	err error
 	tab *event.Table // shares short strings and payloads (nil: none)
 }
 
-func (r *byteReader) take(n int) []byte {
+// NewReader returns a Reader over b decoding through d; a nil d shares
+// nothing.
+func NewReader(b []byte, d *Decoder) Reader { return Reader{b: b, tab: (*event.Table)(d)} }
+
+func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.b) { // n < 0: a u32 length past int on 32-bit
+	if n < 0 || n > len(r.b)-r.off { // n < 0: a u32 length past int on 32-bit
 		r.err = io.ErrUnexpectedEOF
 		return nil
 	}
@@ -303,23 +313,26 @@ func (r *byteReader) take(n int) []byte {
 	return out
 }
 
-func (r *byteReader) u32() uint32 {
+// U32 reads a little-endian uint32.
+func (r *Reader) U32() uint32 {
 	if b := r.take(4); b != nil {
 		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
 }
 
-func (r *byteReader) u64() uint64 {
+// U64 reads a little-endian uint64.
+func (r *Reader) U64() uint64 {
 	if b := r.take(8); b != nil {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
 }
 
-func (r *byteReader) i64() int64 { return int64(r.u64()) }
+func (r *Reader) i64() int64 { return int64(r.U64()) }
 
-func (r *byteReader) u8() byte {
+// U8 reads one byte.
+func (r *Reader) U8() byte {
 	if b := r.take(1); b != nil {
 		return b[0]
 	}
@@ -327,37 +340,30 @@ func (r *byteReader) u8() byte {
 }
 
 // strBytes reads a length-prefixed string in place.
-func (r *byteReader) strBytes() []byte {
-	n := int(r.u32())
-	if r.err == nil && n > maxBody {
-		r.err = fmt.Errorf("wal: string length %d exceeds record bounds", n)
-		return nil
-	}
-	return r.take(n)
-}
+func (r *Reader) strBytes() []byte { return r.take(int(r.U32())) }
 
-// str reads a string through the decoder's table.
-func (r *byteReader) str() string { return r.tab.String(r.strBytes()) }
+// Str reads a length-prefixed string through the table.
+func (r *Reader) Str() string { return r.tab.String(r.strBytes()) }
 
-func (r *byteReader) time() temporal.Time { return temporal.Time(r.i64()) }
+func (r *Reader) time() temporal.Time { return temporal.Time(r.i64()) }
 
 // minEntry is the least a payload or binding entry encodes in (a name's
 // length and a bool): no count may claim more entries than the bytes left
 // can hold, so a forged count cannot size an allocation.
 const minEntry = 4 + 2
 
-func (r *byteReader) value() event.Value {
-	switch tag := r.u8(); tag {
+func (r *Reader) value() event.Value {
+	switch tag := r.U8(); tag {
 	case tagInt64:
 		return r.i64()
 	case tagInt:
 		return int(r.i64())
 	case tagFloat64:
-		return math.Float64frombits(r.u64())
+		return math.Float64frombits(r.U64())
 	case tagString:
 		return r.tab.Value(r.strBytes())
 	case tagBool:
-		return r.u8() != 0
+		return r.U8() != 0
 	default:
 		if r.err == nil {
 			r.err = fmt.Errorf("wal: unknown payload value tag %d", tag)
@@ -366,20 +372,23 @@ func (r *byteReader) value() event.Value {
 	}
 }
 
-func (r *byteReader) spec() consistency.Spec {
+func (r *Reader) spec() consistency.Spec {
 	return consistency.Spec{B: temporal.Duration(r.i64()), M: temporal.Duration(r.i64())}
 }
 
-func (r *byteReader) event() event.Event {
+// Event reads an event in AppendEvent's encoding. Its payload is shared
+// only if it ends the buffer, as an event ends every log record and push
+// or output frame.
+func (r *Reader) Event() event.Event {
 	var e event.Event
-	e.ID = event.ID(r.u64())
-	e.Kind = event.Kind(r.u8())
-	e.Type = r.str()
+	e.ID = event.ID(r.U64())
+	e.Kind = event.Kind(r.U8())
+	e.Type = r.Str()
 	e.V.Start, e.V.End = r.time(), r.time()
 	e.O.Start, e.O.End = r.time(), r.time()
 	e.C.Start, e.C.End = r.time(), r.time()
 	e.RT = r.time()
-	nCBT := int(r.u32())
+	nCBT := int(r.U32())
 	if r.err == nil && nCBT > (len(r.b)-r.off)/8 {
 		r.err = fmt.Errorf("wal: lineage count %d exceeds record bounds", nCBT)
 		return e
@@ -387,10 +396,10 @@ func (r *byteReader) event() event.Event {
 	if nCBT > 0 {
 		e.CBT = make([]event.ID, nCBT)
 		for i := range e.CBT {
-			e.CBT[i] = event.ID(r.u64())
+			e.CBT[i] = event.ID(r.U64())
 		}
 	}
-	nPay := int(r.u32())
+	nPay := int(r.U32())
 	if r.err == nil && nPay > (len(r.b)-r.off)/minEntry {
 		r.err = fmt.Errorf("wal: payload count %d exceeds record bounds", nPay)
 		return e
@@ -401,11 +410,10 @@ func (r *byteReader) event() event.Event {
 	return e
 }
 
-// payload reads n > 0 entries, their count just read. An event ends every
-// log record and push or output frame, so the entries are the buffer's
-// tail, the table's key (a tail that is not never matches), and with the
-// count the text appendPayload must reproduce.
-func (r *byteReader) payload(n int) event.Payload {
+// payload reads n > 0 entries, their count just read. The buffer's tail is
+// the table's key (a tail holding more than the entries never matches),
+// and with the count the text appendPayload must reproduce.
+func (r *Reader) payload(n int) event.Payload {
 	p, slot := r.tab.Payload(r.b[r.off:], r.b[r.off-4:], appendPayload)
 	if p != nil {
 		r.off = len(r.b)
@@ -413,28 +421,29 @@ func (r *byteReader) payload(n int) event.Payload {
 	}
 	p = make(event.Payload, n)
 	for range n {
-		k := r.str()
+		k := r.Str()
 		p[k] = r.value()
 	}
 	slot.Keep(p)
 	return p
 }
 
-func (r *byteReader) register() (src string, o RegOpts) {
-	src = r.str()
-	flags := r.u8()
+// Register reads a registration in AppendRegister's encoding.
+func (r *Reader) Register() (src string, o RegOpts) {
+	src = r.Str()
+	flags := r.U8()
 	o.HasSpec = flags&1 != 0
 	o.Share = flags&8 != 0
 	o.Spec = r.spec()
 	// Signed round-trip: plan.AutoShards is a negative sentinel and must
 	// survive the u32 framing.
-	o.Shards = int(int32(r.u32()))
+	o.Shards = int(int32(r.U32()))
 	if flags&16 == 0 {
 		// Records written before the fabric end at Shards and never set
 		// the flag, so they decode here unchanged.
 		return src, o
 	}
-	n := int(r.u32())
+	n := int(r.U32())
 	if r.err == nil && n > (len(r.b)-r.off)/minEntry {
 		r.err = fmt.Errorf("wal: binding count %d exceeds record bounds", n)
 		return src, o
@@ -442,138 +451,107 @@ func (r *byteReader) register() (src string, o RegOpts) {
 	if n > 0 {
 		o.Bindings = make(map[string]event.Value, n)
 		for i := 0; i < n; i++ {
-			name := r.str()
+			name := r.Str()
 			o.Bindings[name] = r.value()
 		}
 	}
 	return src, o
 }
 
-// Register decodes a registration produced by AppendRegister from the front
-// of b, returning the number of bytes consumed.
-func (d *Decoder) Register(b []byte) (string, RegOpts, int, error) {
-	r := byteReader{b: b, tab: (*event.Table)(d)}
-	src, o := r.register()
-	return src, o, r.off, r.err
-}
-
-// Event decodes an event produced by AppendEvent from the front of b,
-// returning the number of bytes consumed.
-func (d *Decoder) Event(b []byte) (event.Event, int, error) {
-	r := byteReader{b: b, tab: (*event.Table)(d)}
-	e := r.event()
-	return e, r.off, r.err
+// Done reports the first decoding failure, or that bytes were left unread.
+func (r *Reader) Done() error {
+	if r.err == nil && r.off != len(r.b) {
+		return fmt.Errorf("wal: %d trailing bytes", len(r.b)-r.off)
+	}
+	return r.err
 }
 
 // Payload decodes one record payload (seq + kind + body, the checksummed
 // region of a frame) through d's table; a nil d shares nothing.
 func (d *Decoder) Payload(payload []byte) (Record, error) {
-	r := byteReader{b: payload, tab: (*event.Table)(d)}
-	var rec Record
-	rec.Seq = r.u64()
-	rec.Kind = Kind(r.u8())
+	r := NewReader(payload, d)
+	rec := Record{Seq: r.U64(), Kind: Kind(r.U8())}
 	switch rec.Kind {
 	case KindEvent, KindCTI:
-		rec.Ev = r.event()
+		rec.Ev = r.Event()
 	case KindRegister:
-		rec.Src, rec.Opts = r.register()
+		rec.Src, rec.Opts = r.Register()
 	case KindSpec:
-		rec.Query = int(r.u32())
+		rec.Query = int(r.U32())
 		rec.Spec = r.spec()
 	case KindUnregister:
-		rec.Query = int(r.u32())
+		rec.Query = int(r.U32())
 	case KindFinish:
 	default:
 		return rec, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
 	}
-	if r.err != nil {
-		return rec, r.err
-	}
-	if r.off != len(payload) {
-		return rec, fmt.Errorf("wal: %d trailing bytes after %s record", len(payload)-r.off, rec.Kind)
-	}
-	return rec, nil
+	return rec, r.Done()
 }
 
-// Scan reads framed records from r, calling fn with each record and its
-// [start, end) byte range (magic header included in offsets). Scanning
-// stops silently at the first torn, checksum-corrupt, out-of-sequence or
-// undecodable record — recovery-time truncation treats everything from
-// there as a lost tail — and the returned offset is the end of the last
-// good record. A missing or wrong magic header is a hard error (the file is
-// not a WAL), as is an I/O failure other than EOF.
-func Scan(r io.Reader, fn func(rec Record, start, end int64) error) (int64, error) {
-	return scan(r, NewDecoder(), fn)
+// Scan decodes the framed records of a log image in place, calling fn with
+// each record and its [start, end) byte range (magic header included in
+// offsets). Scanning stops silently at the first torn, checksum-corrupt,
+// out-of-sequence or undecodable record — recovery-time truncation treats
+// everything from there as a lost tail — and the returned offset is the
+// end of the last good record. A wrong magic header is a hard error (the
+// image is not a WAL); an image shorter than one is a fresh log.
+func Scan(img []byte, fn func(rec Record, start, end int64) error) (int64, error) {
+	return scan(img, NewDecoder(), fn)
 }
 
 // scan is Scan through dec; a nil dec decodes nothing (fn sees Seq alone).
-func scan(r io.Reader, dec *Decoder, fn func(rec Record, start, end int64) error) (int64, error) {
-	var head [8]byte // the magic header, then each frame's length and checksum
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil // empty file: a fresh log
-		}
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil // torn magic write: treat as empty
-		}
-		return 0, err
+func scan(img []byte, dec *Decoder, fn func(rec Record, start, end int64) error) (int64, error) {
+	if len(img) < len(Magic) {
+		return 0, nil // empty file, or a torn magic write: a fresh log
 	}
-	if string(head[:]) != Magic {
-		return 0, fmt.Errorf("wal: bad magic %q (not a CEDR WAL)", head[:])
+	if string(img[:len(Magic)]) != Magic {
+		return 0, fmt.Errorf("wal: bad magic %q (not a CEDR WAL)", img[:len(Magic)])
 	}
-	good := int64(len(Magic))
+	good := len(Magic)
 	var lastSeq uint64
-	// One payload buffer for the whole scan: decoding copies out of it.
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(r, head[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return good, nil // clean end, or torn length prefix
-			}
-			return good, err
+	for len(img)-good >= 8 { // else the end, or a torn length prefix
+		n := int(binary.LittleEndian.Uint32(img[good:]))
+		if n < 8+1 || n > maxBody || n > len(img)-good-8 {
+			// No room for seq and kind, longer than any record, or a
+			// torn body.
+			return int64(good), nil
 		}
-		n := binary.LittleEndian.Uint32(head[:4])
-		crc := binary.LittleEndian.Uint32(head[4:])
-		if n < 8+1 || n > maxBody {
-			return good, nil // corrupt length prefix (no room for seq and kind, or too long)
-		}
-		payload = slices.Grow(payload[:0], int(n))[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return good, nil // torn body
-			}
-			return good, err
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return good, nil // checksum mismatch
+		end := good + 8 + n
+		payload := img[good+8 : end]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(img[good+4:]) {
+			return int64(good), nil // checksum mismatch
 		}
 		rec := Record{Seq: binary.LittleEndian.Uint64(payload)}
 		if dec != nil {
 			var err error
 			if rec, err = dec.Payload(payload); err != nil {
-				return good, nil // structurally corrupt despite checksum length
+				return int64(good), nil // structurally corrupt despite checksum length
 			}
 		}
 		if rec.Seq <= lastSeq {
-			return good, nil // out of sequence: a stale or spliced tail
+			return int64(good), nil // out of sequence: a stale or spliced tail
 		}
 		lastSeq = rec.Seq
-		end := good + 8 + int64(n)
 		if fn != nil {
-			if err := fn(rec, good, end); err != nil {
-				return good, err
+			if err := fn(rec, int64(good), int64(end)); err != nil {
+				return int64(good), err
 			}
 		}
 		good = end
 	}
+	return int64(good), nil
 }
 
-// ReadAll scans every recoverable record from r. It returns the records,
-// the byte offset of the end of the last good record (where a recovering
-// writer truncates), and any hard error from Scan.
+// ReadAll reads r to its end and scans every recoverable record of it. It
+// returns the records, the byte offset of the end of the last good record
+// (where a recovering writer truncates), and any read or Scan error.
 func ReadAll(r io.Reader) ([]Record, int64, error) {
+	img, err := io.ReadAll(r)
+	if err != nil {
+		return nil, 0, err
+	}
 	var recs []Record
-	good, err := Scan(r, func(rec Record, _, _ int64) error {
+	good, err := Scan(img, func(rec Record, _, _ int64) error {
 		recs = append(recs, rec)
 		return nil
 	})

@@ -152,7 +152,7 @@ func TestDecodeIgnoresRetiredPlanFlags(t *testing.T) {
 func recordRanges(t *testing.T, img []byte) [][2]int64 {
 	t.Helper()
 	var ranges [][2]int64
-	if _, err := wal.Scan(bytes.NewReader(img), func(_ wal.Record, start, end int64) error {
+	if _, err := wal.Scan(img, func(_ wal.Record, start, end int64) error {
 		ranges = append(ranges, [2]int64{start, end})
 		return nil
 	}); err != nil {
@@ -523,7 +523,9 @@ func BenchmarkDecodeEvents(b *testing.B) {
 			dec := wal.NewDecoder()
 			for b.Loop() {
 				for _, body := range bodies {
-					if _, _, err := dec.Event(body); err != nil {
+					r := wal.NewReader(body, dec)
+					r.Event()
+					if err := r.Done(); err != nil {
 						b.Fatal(err)
 					}
 				}
