@@ -3,7 +3,7 @@ package event
 import "encoding/binary"
 
 // A Table holds TableSlots strings and TableSlots payloads of at most
-// SharedMax bytes (a payload's key) in direct-mapped slots that never grow.
+// SharedMax bytes of text in direct-mapped slots that never grow.
 const (
 	tableBits  = 10
 	TableSlots = 1 << tableBits
@@ -12,16 +12,26 @@ const (
 
 // Table is what an edge decoder shares between the events it decodes: one
 // copy of each short type, name and string value it reads again and again,
-// and one map per short payload, so events of equal payload content share
-// a read-only map (the contract Payload.Equal states). A stream of
-// distinct ones pays a hash and a compare each. A Table is not safe for
-// concurrent use. A nil *Table shares nothing; the zero Table has one slot
-// of each kind, so every lookup collides (tests use it).
+// and one map per short payload, handed out again only for byte-for-byte
+// the text it was decoded from, so events of equal payload text share a
+// read-only map (the contract Payload.Equal states) and a Table serves one
+// codec. A stream of distinct ones pays a hash and a compare each. A Table
+// is not safe for concurrent use. A nil *Table shares nothing; the zero
+// Table has one slot of each kind, so every lookup collides (tests use it).
 type Table struct {
 	mask     uint64
 	strings  [TableSlots]sharedString
 	payloads [TableSlots]sharedPayload
-	buf      [4 * SharedMax]byte // re-encodings, for the hit rule
+	inline   [8 << 10]byte                 // the kept texts, until they outgrow it
+	spill    *[TableSlots * SharedMax]byte // then these: SharedMax bytes a slot
+	used     int                           // bytes of arena() taken
+}
+
+func (t *Table) arena() []byte {
+	if t.spill != nil {
+		return t.spill[:]
+	}
+	return t.inline[:]
 }
 
 type sharedString struct {
@@ -30,8 +40,10 @@ type sharedString struct {
 }
 
 type sharedPayload struct {
-	tag, seen uint64 // seen: the hash of the last payload that missed here
-	p         Payload
+	p       Payload
+	seen    uint32 // the hash of the last payload that missed here, its top half
+	at      uint16 // p's text is arena()[at:at+n], in a region of room bytes
+	n, room uint8
 }
 
 // NewTable returns a Table with empty slots.
@@ -39,7 +51,8 @@ func NewTable() *Table { return &Table{mask: TableSlots - 1} }
 
 // hash is multiplicative hashing a word at a time, deterministic so misses
 // repeat run to run; a crafted collision costs what no table would anyway.
-// Its top bits pick a slot, its low bits are a payload's tag.
+// Its top bits pick a slot; its top half is what a payload slot saw (low
+// bits see only the low half of each word).
 func hash(b []byte) uint64 {
 	h, w := uint64(len(b)), b
 	for ; len(w) > 8; w = w[8:] {
@@ -88,44 +101,53 @@ func (t *Table) Value(b []byte) Value {
 	return sl.v
 }
 
-// An Encoder appends a codec's encoding of p to dst, allocating nothing
-// while dst has room, or fails if p has none.
-type Encoder func(dst []byte, p Payload) ([]byte, error)
-
-// A PayloadSlot is where a payload's key hashes to.
+// A PayloadSlot is where a payload's text hashes to.
 type PayloadSlot struct {
-	sl     *sharedPayload
-	h, tag uint64
+	t    *Table
+	sl   *sharedPayload
+	text []byte
+	h    uint32
 }
 
-// Payload looks up the payload a decoder is about to decode from text by
-// key (text, or the part of it that tells payloads apart). The slot's map
-// is handed out only if its tag agrees and enc re-encodes it to exactly
-// text: a codec that round-trips decodes text to that very map, and text
-// not in canonical form always misses. A miss returns nil and the slot to
-// Keep the decoded map in (one that keeps nothing past SharedMax bytes).
-func (t *Table) Payload(key, text []byte, enc Encoder) (Payload, PayloadSlot) {
-	if t == nil || len(key) > SharedMax {
+// Payload looks up the payload a decoder is about to decode from text. The
+// slot's map is handed out only if it was decoded from exactly text. A miss
+// returns nil and the slot to Keep the decoded map in (one that keeps
+// nothing past SharedMax bytes).
+func (t *Table) Payload(text []byte) (Payload, PayloadSlot) {
+	if t == nil || len(text) > SharedMax {
 		return nil, PayloadSlot{}
 	}
-	h := hash(key)
-	s := PayloadSlot{&t.payloads[t.index(h)], h, h & t.mask}
-	if p := s.sl.p; p != nil && s.sl.tag == s.tag {
-		if b, err := enc(t.buf[:0], p); err == nil && string(b) == string(text) {
-			return p, s
-		}
+	h := hash(text)
+	s := PayloadSlot{t, &t.payloads[t.index(h)], text, uint32(h >> 32)}
+	if sl := s.sl; sl.p != nil && string(t.arena()[sl.at:int(sl.at)+int(sl.n)]) == string(text) {
+		return sl.p, s
 	}
 	return nil, s
 }
 
-// Keep offers the slot p, decoded on a miss. The slot keeps it only at the
-// payload's second miss in a row there: a payload seen once evicts none
-// that repeats, and a stream of distinct payloads keeps none.
+// Keep offers the slot p, decoded on a miss from exactly the text looked
+// up, without error: a map decoded from a part of it, or refused, would be
+// handed out for the whole. A non-nil p is kept at its second miss in a
+// row in the slot: a payload seen once evicts none that repeats. Its text
+// takes the slot's region or the arena's next bytes, at least its share a
+// slot; when the inline one runs out, the slots clear and move, once, to
+// the spill, where that share is SharedMax bytes, so it never fills.
 func (s PayloadSlot) Keep(p Payload) {
-	if s.sl != nil {
-		if s.sl.seen == s.h {
-			s.sl.tag, s.sl.p = s.tag, p
-		}
-		s.sl.seen = s.h
+	sl, t, n := s.sl, s.t, len(s.text)
+	if sl == nil || p == nil {
+		return
 	}
+	if sl.seen != s.h {
+		sl.seen = s.h
+		return
+	}
+	if int(sl.room) < n {
+		if t.spill == nil && len(t.inline)-t.used < max(n, len(t.inline)/TableSlots) {
+			t.spill, t.used = new([TableSlots * SharedMax]byte), 0
+			clear(t.payloads[:]) // their texts stay inline
+		}
+		sl.at, sl.room = uint16(t.used), uint8(max(n, len(t.arena())/TableSlots))
+		t.used += int(sl.room)
+	}
+	sl.p, sl.seen, sl.n = p, s.h, uint8(copy(t.arena()[sl.at:], s.text))
 }

@@ -43,7 +43,7 @@ func TestAllocsReadCSV(t *testing.T) {
 		values  int
 		ceiling float64 // per line
 	}{{"repeated", 192, 0.36}, {"distinct", lines, 4.01}} {
-		in := csvStream(t, lines, c.values, false)
+		in := csvStream(t, lines, c.values, fleetID, false)
 		perLine := testing.AllocsPerRun(2, func() {
 			if _, err := readCSV(bytes.NewReader(in), "allocs", event.NewTable()); err != nil {
 				t.Fatal(err)
@@ -53,5 +53,24 @@ func TestAllocsReadCSV(t *testing.T) {
 		if perLine > c.ceiling {
 			t.Errorf("ReadCSV allocates %.4f objects a line on %s payloads, above the pinned ceiling %.2f", perLine, c.name, c.ceiling)
 		}
+	}
+}
+
+// TestAllocsReadJSON: what ReadJSONStream allocates per line of a 20,000-line
+// fleet stream with 192 payloads, through a fresh table: what encoding/json
+// allocates for the object, its raw payload text and its strings, and the
+// line's share of the stream's backing array. A payload handed out again
+// skips its json.Decoder and its map: without a table a line cost 31.0.
+func TestAllocsReadJSON(t *testing.T) {
+	const lines, ceiling = 20000, 23.04
+	in := jsonStream(t, lines, 192, fleetID, false)
+	perLine := testing.AllocsPerRun(2, func() {
+		if _, err := readJSON(bytes.NewReader(in), "allocs", event.NewTable()); err != nil {
+			t.Fatal(err)
+		}
+	}) / lines
+	t.Logf("ReadJSONStream of %d lines, repeated payloads: %.4f allocs/line (ceiling %.2f)", lines, perLine, ceiling)
+	if perLine > ceiling {
+		t.Errorf("ReadJSONStream allocates %.4f objects a line on repeated payloads, above the pinned ceiling %.2f", perLine, ceiling)
 	}
 }

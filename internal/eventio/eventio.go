@@ -1,8 +1,9 @@
 // Package eventio decodes and encodes CEDR events at the system's edges:
 // the CSV line format of the cedr CLI and the JSON object format of the
 // server's HTTP surface. Both front doors share these codecs, so a stream
-// accepted by one round-trips through the other. ReadCSV shares one
-// read-only payload map between events of equal payload content.
+// accepted by one round-trips through the other. ReadCSV and
+// ReadJSONStream share one read-only payload map between events of equal
+// payload text.
 //
 // CSV lines are
 //
@@ -181,7 +182,7 @@ func parseLine(line []byte, tab *event.Table) (event.Event, error) {
 		ve = temporal.Time(v)
 	}
 	typ := tab.String(bytes.TrimSpace(head[1]))
-	payload, slot := tab.Payload(rest, rest, appendFields)
+	payload, slot := tab.Payload(rest)
 	if payload == nil {
 		payload = event.Payload{}
 		for more {
@@ -222,45 +223,31 @@ func FormatCSVLine(e event.Event) (string, error) {
 		ve = "inf"
 	}
 	b := fmt.Appendf(nil, "%s,%d,%s,%d,%s", e.Kind, uint64(e.ID), e.Type, int64(e.V.Start), ve)
-	var err error
-	if len(e.Payload) > 0 {
-		if b, err = appendFields(append(b, ','), e.Payload); err != nil {
-			return "", fmt.Errorf("%w: %v (use the JSON format)", err, e.Payload)
+	var names [8]string
+	for _, k := range event.SortedNames(names[:0], e.Payload) {
+		var ok bool
+		if b, ok = appendValue(append(append(append(b, ','), k...), '='), e.Payload[k]); !ok || !clean(k, '=') {
+			return "", fmt.Errorf("eventio: a payload field has no CSV form: %v (use the JSON format)", e.Payload)
 		}
 	}
 	return string(b), nil
 }
 
-// appendFields, the table's re-encoder, appends p as FormatCSVLine writes
-// it after ve's comma, allocating nothing while b has room.
-func appendFields(b []byte, p event.Payload) ([]byte, error) {
-	var names [8]string
-	for i, k := range event.SortedNames(names[:0], p) {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var ok bool
-		if b, ok = appendValue(append(append(b, k...), '='), p[k]); !ok || !clean(k, '=') {
-			return b, errNoCSV
-		}
-	}
-	return b, nil
-}
-
-var errNoCSV = errors.New("eventio: a payload field has no CSV form")
-
 // ReadCSV decodes an event stream from one-line-per-event CSV, skipping
 // blank lines and '#' comments. Errors carry name and line number. Lines
-// up to MaxLine are accepted. Events of equal payload content may share
-// one map, which is therefore read-only.
+// up to MaxLine are accepted. Events of equal payload text may share one
+// map, which is therefore read-only.
 func ReadCSV(r io.Reader, name string) (stream.Stream, error) {
-	tab := tables.Get().(*event.Table)
-	defer tables.Put(tab)
+	tab := csvTables.Get().(*event.Table)
+	defer csvTables.Put(tab)
 	return readCSV(r, name, tab)
 }
 
-// tables recycles ReadCSV's tables: a one-line batch does not pay for one.
-var tables = sync.Pool{New: func() any { return event.NewTable() }}
+// csvTables and jsonTables recycle the readers' tables, so a one-line batch
+// does not pay for one. A table serves one codec: a text both accept, such
+// as {"a=b":1}, decodes to a different map in each.
+var csvTables = sync.Pool{New: func() any { return event.NewTable() }}
+var jsonTables = sync.Pool{New: func() any { return event.NewTable() }}
 
 func readCSV(r io.Reader, name string, tab *event.Table) (stream.Stream, error) {
 	var out stream.Stream
@@ -423,7 +410,10 @@ func marshalPayload(p event.Payload) (json.RawMessage, error) {
 // hand-written by a client), followed by nothing but white space. JSON
 // numbers without fraction or exponent decode as int64, with one as
 // float64.
-func UnmarshalJSON(data []byte) (event.Event, error) {
+func UnmarshalJSON(data []byte) (event.Event, error) { return unmarshalJSON(data, nil) }
+
+// unmarshalJSON is UnmarshalJSON sharing a short payload text through tab.
+func unmarshalJSON(data []byte, tab *event.Table) (event.Event, error) {
 	var je jsonEvent
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -448,7 +438,7 @@ func UnmarshalJSON(data []byte) (event.Event, error) {
 	if je.Ve != nil {
 		ve = temporal.Time(*je.Ve)
 	}
-	payload, err := unmarshalPayload(je.Payload)
+	payload, err := unmarshalPayload(je.Payload, tab)
 	if err != nil {
 		return event.Event{}, err
 	}
@@ -471,14 +461,18 @@ func UnmarshalJSON(data []byte) (event.Event, error) {
 }
 
 // unmarshalPayload decodes a payload object, if any, with json.Number
-// preservation, then replaces each value by JSONValue's in place.
-func unmarshalPayload(raw json.RawMessage) (event.Payload, error) {
+// preservation, then replaces each value by JSONValue's in place; a text
+// tab kept is not decoded again.
+func unmarshalPayload(raw json.RawMessage, tab *event.Table) (event.Payload, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
+	p, slot := tab.Payload(raw)
+	if p != nil {
+		return p, nil
+	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
-	var p event.Payload
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("eventio: payload: %v", err)
 	}
@@ -488,6 +482,7 @@ func unmarshalPayload(raw json.RawMessage) (event.Payload, error) {
 			return nil, fmt.Errorf("eventio: payload key %.32q: %v", k, err)
 		}
 	}
+	slot.Keep(p)
 	return p, nil
 }
 
@@ -515,8 +510,15 @@ func JSONValue(v any) (event.Value, error) {
 
 // ReadJSONStream decodes a sequence of JSON event objects (NDJSON, or any
 // whitespace-separated concatenation; a top-level JSON array also works).
-// Errors carry name and the 1-based index of the failing object.
+// Errors carry name and the 1-based index of the failing object. Events of
+// equal payload text may share one map, which is therefore read-only.
 func ReadJSONStream(r io.Reader, name string) (stream.Stream, error) {
+	tab := jsonTables.Get().(*event.Table)
+	defer jsonTables.Put(tab)
+	return readJSON(r, name, tab)
+}
+
+func readJSON(r io.Reader, name string, tab *event.Table) (stream.Stream, error) {
 	dec := json.NewDecoder(r)
 	var out stream.Stream
 	n := 0
@@ -536,7 +538,7 @@ func ReadJSONStream(r io.Reader, name string) (stream.Stream, error) {
 		}
 		for _, obj := range objs {
 			n++
-			ev, err := UnmarshalJSON(obj)
+			ev, err := unmarshalJSON(obj, tab)
 			if err != nil {
 				return nil, fmt.Errorf("%s: event %d: %v", name, n, err)
 			}

@@ -3,6 +3,7 @@ package eventio
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strconv"
@@ -330,16 +331,64 @@ func TestReadJSONStream(t *testing.T) {
 	}
 }
 
+// TestReadersKeepTheirOwnTables: a payload text both codecs accept
+// decodes to a different map in each, so ReadCSV and ReadJSONStream each
+// decode it as their one-event decoder does, however often the other has
+// just read it through a pooled table.
+func TestReadersKeepTheirOwnTables(t *testing.T) {
+	const text = `{"a=b":1}`
+	line := "insert,1,T,0,inf," + text
+	obj := `{"kind":"insert","id":1,"type":"T","vs":0,"ve":"inf","payload":` + text + `}`
+	wantCSV, err := ParseCSVLine(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := UnmarshalJSON([]byte(obj))
+	if err != nil || reflect.DeepEqual(wantCSV.Payload, wantJSON.Payload) {
+		t.Fatalf("%s must decode to a different payload in each codec: %v, %v (%v)", text, wantCSV.Payload, wantJSON.Payload, err)
+	}
+	for range 3 {
+		for _, c := range []struct {
+			read func(io.Reader, string) (stream.Stream, error)
+			in   string
+			want event.Event
+		}{{ReadCSV, line, wantCSV}, {ReadJSONStream, obj, wantJSON}} {
+			got, err := c.read(strings.NewReader(strings.Repeat(c.in+"\n", 3)), "apart")
+			if err != nil || !reflect.DeepEqual(got, stream.Stream{c.want, c.want, c.want}) {
+				t.Fatalf("%s decoded through a pooled table as %v (%v), want three of %v", c.in, got, err, c.want)
+			}
+		}
+	}
+}
+
 // csvStream renders n fleet events as ReadCSV input: the Machine_Id takes
-// values distinct values, and with seq each event also carries its own Seq.
-func csvStream(tb testing.TB, n, values int, seq bool) []byte {
+// values distinct values, formatted by id (fleetID or wideID), and with seq
+// each event also carries its own Seq.
+func csvStream(tb testing.TB, n, values int, id string, seq bool) []byte {
+	return fleetStream(tb, n, values, id, seq, func(e event.Event) ([]byte, error) {
+		line, err := FormatCSVLine(e)
+		return []byte(line), err
+	})
+}
+
+// jsonStream is csvStream's events as ReadJSONStream input, one object a
+// line.
+func jsonStream(tb testing.TB, n, values int, id string, seq bool) []byte {
+	return fleetStream(tb, n, values, id, seq, MarshalJSON)
+}
+
+// fleetID is the fleet stream's Machine_Id; wideID makes a payload's text
+// 40 bytes in CSV, 46 in JSON.
+const fleetID, wideID = "m%05d", "m%028d"
+
+func fleetStream(tb testing.TB, n, values int, id string, seq bool, format func(event.Event) ([]byte, error)) []byte {
 	var b []byte
 	for i := range n {
-		p := event.Payload{"Machine_Id": fmt.Sprintf("m%05d", i%values)}
+		p := event.Payload{"Machine_Id": fmt.Sprintf(id, i%values)}
 		if seq {
 			p["Seq"] = int64(i)
 		}
-		line, err := FormatCSVLine(event.NewInsert(event.ID(i), "INSTALL", temporal.Time(i), temporal.Infinity, p))
+		line, err := format(event.NewInsert(event.ID(i), "INSTALL", temporal.Time(i), temporal.Infinity, p))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -348,12 +397,12 @@ func csvStream(tb testing.TB, n, values int, seq bool) []byte {
 	return b
 }
 
-// TestReadCSVConcurrent: ReadCSV calls running at once take their own
-// tables from the pool, and the payload maps they hand out — kept by one
-// call's table, handed out by a later call's — are only ever read. Each
-// decode equals the table-less one. Run it under -race.
+// TestReadCSVConcurrent: ReadCSV and ReadJSONStream calls running at once
+// take their own tables from the pools, and the payload maps they hand out
+// — kept by one call's table, handed out by a later call's — are only ever
+// read. Each decode equals the table-less one. Run it under -race.
 func TestReadCSVConcurrent(t *testing.T) {
-	in := csvStream(t, 2000, 192, false)
+	in := csvStream(t, 2000, 192, fleetID, false)
 	var want []event.Event
 	for _, line := range strings.Split(strings.TrimSpace(string(in)), "\n") {
 		e, err := ParseCSVLine(line)
@@ -362,15 +411,20 @@ func TestReadCSVConcurrent(t *testing.T) {
 		}
 		want = append(want, e)
 	}
+	readers := []struct {
+		read func(io.Reader, string) (stream.Stream, error)
+		in   []byte
+	}{{ReadCSV, in}, {ReadJSONStream, jsonStream(t, 2000, 192, fleetID, false)}}
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range 5 {
-				got, err := ReadCSV(bytes.NewReader(in), "concurrent")
+			for i := range 10 {
+				r := readers[i%2]
+				got, err := r.read(bytes.NewReader(r.in), "concurrent")
 				if err != nil || !reflect.DeepEqual(got, stream.Stream(want)) {
-					t.Errorf("a concurrent ReadCSV decoded %d events (%v), not the %d ParseCSVLine decodes", len(got), err, len(want))
+					t.Errorf("a concurrent read decoded %d events (%v), not the %d ParseCSVLine decodes", len(got), err, len(want))
 					return
 				}
 			}
@@ -385,19 +439,44 @@ func TestReadCSVConcurrent(t *testing.T) {
 // handed out again; in "distinct" every event has its own, so every string
 // value and payload lookup misses and the table adds only its cost; in
 // "mixed" the Machine_Id repeats but each event also carries its own Seq,
-// so every payload misses while its strings hit; "one-line" is an
-// HTTP-sized batch of one event. Compare allocs/op and ns/op with
-// -benchmem -cpu 1.
+// so every payload misses while its strings hit; in "wide" 600 payloads of
+// 40 bytes repeat, 24 KB of text to keep; "one-line" is an HTTP-sized
+// batch of one event. Compare allocs/op and ns/op with -benchmem -cpu 1.
 func BenchmarkReadCSV(b *testing.B) {
 	for _, c := range []struct {
 		name      string
 		n, values int
+		id        string
 		seq       bool
-	}{{"repeated", 20000, 192, false}, {"distinct", 20000, 20000, false}, {"mixed", 20000, 192, true}, {"one-line", 1, 1, false}} {
+	}{{"repeated", 20000, 192, fleetID, false}, {"distinct", 20000, 20000, fleetID, false}, {"mixed", 20000, 192, fleetID, true},
+		{"wide", 20000, 600, wideID, false}, {"one-line", 1, 1, fleetID, false}} {
 		b.Run(c.name, func(b *testing.B) {
-			in := csvStream(b, c.n, c.values, c.seq)
+			in := csvStream(b, c.n, c.values, c.id, c.seq)
 			for b.Loop() {
 				if _, err := ReadCSV(bytes.NewReader(in), "bench"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadJSON is ReadJSONStream's sharing guard, BenchmarkReadCSV's
+// cases over the same events as JSON objects: in "repeated" most payloads
+// are handed out again, in "distinct" every lookup misses and the table
+// adds only its cost, in "wide" 600 payloads of 46 bytes repeat,
+// "one-line" is an HTTP-sized batch of one event. Compare allocs/op and
+// ns/op with -benchmem -cpu 1.
+func BenchmarkReadJSON(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		n, values int
+		id        string
+	}{{"repeated", 20000, 192, fleetID}, {"distinct", 20000, 20000, fleetID}, {"wide", 20000, 600, wideID}, {"one-line", 1, 1, fleetID}} {
+		b.Run(c.name, func(b *testing.B) {
+			in := jsonStream(b, c.n, c.values, c.id, false)
+			for b.Loop() {
+				if _, err := ReadJSONStream(bytes.NewReader(in), "bench"); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,7 +2,9 @@ package eventio
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/stream"
 )
 
 // FuzzParseEvent fuzzes the two decoders of untrusted bytes at the system's
@@ -23,18 +26,19 @@ import (
 // CSV form cannot carry (a comma, a newline, a quote in a string that needs
 // quoting); it may never change one.
 //
-// A CSV line ReadCSV would read as one line is also decoded through a
-// payload table, as a three-line stream: the first copy misses, the second
-// misses again and is kept, the third is handed the kept map. The stream
-// goes through a fresh table, one pre-filled with every CSV seed, and the
-// zero table (one slot) holding each seed in turn; every event must be
-// ParseCSVLine's, bit for bit, no decode may change a payload handed out
-// earlier, and a line in FormatCSVLine's own form must share its map from
-// the third copy on. The premise of that hit rule — a payload is handed out
-// again only when re-encoding it reproduces the text — is that the CSV
-// codec round-trips, which the first half checks. The committed seeds cover
-// both formats and texts the table must tell apart, and run under plain
-// `go test`; CI fuzzes it with
+// An accepted CSV line ReadCSV would read as one line, and an accepted JSON
+// object, are also decoded through a payload table by their stream reader
+// (ReadCSV's, ReadJSONStream's), as a three-event stream: the first copy
+// misses, the second misses again and is kept, the third is handed the kept
+// map. The stream goes through a fresh table, one pre-filled with every
+// seed of its format, and the zero table (one slot) holding each seed in
+// turn; every event must be the table-less decoder's, bit for bit, no
+// decode may change a payload handed out earlier, and a payload whose text
+// fits the table must be shared from the third copy on. The hit rule —
+// a kept map is handed out again only for the very text it was decoded
+// from — rests on each codec decoding a text deterministically. The
+// committed seeds cover both formats and texts the table must tell apart,
+// and run under plain `go test`; CI fuzzes it with
 //
 //	go test -run '^$' -fuzz '^FuzzParseEvent$' -fuzztime 30s ./internal/eventio
 func FuzzParseEvent(f *testing.F) {
@@ -60,12 +64,28 @@ func FuzzParseEvent(f *testing.F) {
 	} {
 		seeds = append(seeds, strings.TrimSuffix("insert,9,T,0,inf,"+text, ","))
 	}
-	var prefill []string // the seeds ReadCSV reads as one line each, for the pre-filled tables
+	// JSON payload texts a table must tell apart: 1 beside 1.0 and "1",
+	// duplicate and reordered names, white space, null, an empty object,
+	// and texts on either side of the bound.
+	var objects []string
+	for _, text := range []string{
+		`{"n":1}`, `{"n":1.0}`, `{"n":"1"}`, `{"a":1,"a":2}`, `{"b":1,"a":1}`, `{"a":1,"b":1}`,
+		`{ "a":1}`, `{"f":-0}`, `{"f":0}`, `null`, `{}`,
+		`{"a":"` + strings.Repeat("x", event.SharedMax-8) + `"}`, `{"a":"` + strings.Repeat("x", event.SharedMax-7) + `"}`,
+	} {
+		objects = append(objects, `{"kind":"insert","id":9,"type":"T","vs":0,"payload":`+text+`}`)
+	}
+	var csvSeeds, jsonSeeds []string // the seeds each stream reader reads as one event, for the pre-filled tables
+	for _, s := range append(seeds, objects...) {
+		if _, err := ParseCSVLine(s); err == nil {
+			csvSeeds = append(csvSeeds, s)
+		}
+		if _, err := UnmarshalJSON([]byte(s)); err == nil {
+			jsonSeeds = append(jsonSeeds, s)
+		}
+	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
-		if _, err := ParseCSVLine(s); err == nil {
-			prefill = append(prefill, s)
-		}
 	}
 	// A rejected field echoed whole in the error used to cost 35 times its
 	// length (strconv's quoting, then fmt's copies).
@@ -82,6 +102,9 @@ func FuzzParseEvent(f *testing.F) {
 		fmt.Fprintf(&wide, ",%c%c=", '!'+i%90, '!'+i/90)
 	}
 	f.Add([]byte(wide.String()))
+	for _, s := range objects {
+		f.Add([]byte(s))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		line := string(data)
@@ -97,7 +120,7 @@ func FuzzParseEvent(f *testing.F) {
 				}
 			}
 			if !strings.Contains(line, "\n") {
-				checkShared(t, line, e, prefill)
+				checkShared(t, csvCodec, line, e, csvSeeds)
 			}
 		}
 		if e, err := UnmarshalJSON(data); err == nil {
@@ -109,20 +132,37 @@ func FuzzParseEvent(f *testing.F) {
 			if err != nil || !sameEvent(back, e) {
 				t.Fatalf("JSON round trip %s -> %s changed the event\n got %#v (%v)\nwant %#v", data, b, back, err, e)
 			}
+			checkShared(t, jsonCodec, line, e, jsonSeeds)
 		}
 	})
 }
 
-// checkShared decodes line, which ParseCSVLine decodes to want, as a
-// three-line stream through a fresh table, a table pre-filled with every
-// line of prefill (each read twice, so kept), and the zero table after each
-// prefill line in turn.
-func checkShared(t *testing.T, line string, want event.Event, prefill []string) {
+// A codec is one edge format as checkShared drives it: its stream reader
+// through a given table, and the payload text of an input it accepts.
+type codec struct {
+	read func(io.Reader, string, *event.Table) (stream.Stream, error)
+	text func(in string) string
+}
+
+var (
+	csvCodec  = codec{readCSV, func(line string) string { return append(strings.SplitN(line, ",", 6), "")[5] }}
+	jsonCodec = codec{readJSON, func(obj string) string {
+		var je jsonEvent
+		json.Unmarshal([]byte(obj), &je) // accepted, so it unmarshals
+		return string(je.Payload)
+	}}
+)
+
+// checkShared decodes in, which c's one-event decoder decodes to want, as
+// a three-event stream through a fresh table, a table pre-filled with every
+// input of prefill (each read twice, so kept), and the zero table after
+// each prefill input in turn.
+func checkShared(t *testing.T, c codec, in string, want event.Event, prefill []string) {
 	var handed, copies []event.Event // every event handed out, and a copy taken when it was
-	read := func(what string, tab *event.Table, lines ...string) []event.Event {
-		s, err := readCSV(strings.NewReader(strings.Join(lines, "\n")), "fuzz", tab)
+	read := func(what string, tab *event.Table, ins ...string) []event.Event {
+		s, err := c.read(strings.NewReader(strings.Join(ins, "\n")), "fuzz", tab)
 		if err != nil {
-			t.Fatalf("through %s: ReadCSV refused a line ParseCSVLine accepts: %v", what, err)
+			t.Fatalf("through %s: the stream reader refused an input the one-event decoder accepts: %v", what, err)
 		}
 		for _, e := range s {
 			handed, copies = append(handed, e), append(copies, exact(e))
@@ -132,27 +172,24 @@ func checkShared(t *testing.T, line string, want event.Event, prefill []string) 
 	check := func(what string, got []event.Event) {
 		for i, e := range got[len(got)-3:] {
 			if !sameEvent(e, want) {
-				t.Fatalf("copy %d of %q through %s decoded\n %#v\nwant\n %#v", i, line, what, e, want)
+				t.Fatalf("copy %d of %q through %s decoded\n %#v\nwant\n %#v", i, in, what, e, want)
 			}
 		}
 	}
-	fresh := read("a fresh table", event.NewTable(), line, line, line)
+	fresh := read("a fresh table", event.NewTable(), in, in, in)
 	check("a fresh table", fresh)
-	if s, err := FormatCSVLine(want); err == nil && s == line && !want.IsCTI() {
-		text := append(strings.SplitN(line, ",", 6), "")[5] // the line after ve
-		shared := reflect.ValueOf(fresh[1].Payload).UnsafePointer() == reflect.ValueOf(fresh[2].Payload).UnsafePointer()
-		if len(text) <= event.SharedMax && !shared {
-			t.Fatalf("%q, in FormatCSVLine's form, was not handed its kept payload at its third decode", line)
-		}
+	if !want.IsCTI() && want.Payload != nil && len(c.text(in)) <= event.SharedMax &&
+		reflect.ValueOf(fresh[1].Payload).UnsafePointer() != reflect.ValueOf(fresh[2].Payload).UnsafePointer() {
+		t.Fatalf("%q, whose payload text fits the table, was not handed its kept payload at its third decode", in)
 	}
 	filled := event.NewTable()
 	for _, p := range prefill {
 		read("a pre-filled table", filled, p, p)
 	}
-	check("a pre-filled table", read("a pre-filled table", filled, line, line, line))
+	check("a pre-filled table", read("a pre-filled table", filled, in, in, in))
 	var zero event.Table
 	for _, p := range prefill {
-		check(fmt.Sprintf("the zero table holding %q", p), read("the zero table", &zero, p, p, line, line, line))
+		check(fmt.Sprintf("the zero table holding %q", p), read("the zero table", &zero, p, p, in, in, in))
 	}
 	for i, e := range handed {
 		if !reflect.DeepEqual(exact(e), copies[i]) {

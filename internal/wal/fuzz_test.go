@@ -23,7 +23,11 @@ import (
 // slot holding each seed in turn — must yield exactly what decoding without
 // one does, value types and float bits included, on a first decode, a
 // second (which keeps the payload) and a third (which is handed it); no
-// decode may change a payload handed out earlier; and a record
+// decode may change a payload handed out earlier; an accepted payload
+// whose text (its entries) fits the table and names as many distinct names
+// as its count claims must be handed out by the fresh table at the third —
+// in whatever encoding, since a kept map is handed out again for the very
+// text it was decoded from, never for a re-encoding; and a record
 // it accepts must survive AppendRecord and a second decode unchanged. Scan
 // reads each input too, as given and after wal.Magic: it must not panic,
 // must allocate no more than its table and a constant times the input, and
@@ -131,6 +135,12 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(append(img, 1, 2, 3))
 	f.Add(img[len(wal.Magic) : len(img)-1])
 
+	// A kept payload's entries under another count: {a:1}, claimed as two
+	// entries, which the pre-filled table must not hand out.
+	recount := last(3)
+	le.PutUint32(recount[bytes.LastIndex(recount, []byte("\x01\x00\x00\x00a"))-4:], 2)
+	f.Add(recount)
+
 	table := scanBytes(nil) // what Scan allocates before it reads a byte
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, img := range [][]byte{append([]byte(wal.Magic), payload...), payload} {
@@ -152,14 +162,18 @@ func FuzzDecodePayload(f *testing.F) {
 			decode(filled, q)
 			decode(filled, q) // kept at its second decode
 		}
-		check := func(pass int, what string, dec *wal.Decoder) {
+		check := func(pass int, what string, dec *wal.Decoder) wal.Record {
 			got, gotErr := decode(dec, payload)
 			if (gotErr == nil) != (err == nil) || !sameRecord(got, rec) {
 				t.Fatalf("pass %d through %s decoded\n %+v (%v)\nwant\n %+v (%v)", pass, what, got, gotErr, rec, err)
 			}
+			return got
 		}
-		for pass := range 3 { // the second pass keeps the input, the third hits it
-			check(pass, "a fresh table", fresh)
+		// The second pass keeps the input, the third hits it: kept and hit
+		// are what the fresh table hands out there.
+		var kept, hit event.Payload
+		for pass := range 3 {
+			kept, hit = hit, check(pass, "a fresh table", fresh).Ev.Payload
 			check(pass, "a pre-filled table", filled)
 			for i, q := range prefill { // the one slot holding each seed in turn
 				for range 2 {
@@ -177,6 +191,16 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if len(rec.Ev.Payload) > 0 {
+			bare := rec
+			bare.Ev.Payload = nil
+			head, _ := wal.AppendRecord(nil, bare)
+			at := len(head) - 8 // the payload's entries start after its count
+			if len(payload)-at <= event.SharedMax && int(le.Uint32(payload[at-4:])) == len(rec.Ev.Payload) &&
+				reflect.ValueOf(kept).UnsafePointer() != reflect.ValueOf(hit).UnsafePointer() {
+				t.Fatalf("a payload whose %d-byte text fits the table was not handed out at its third decode", len(payload)-at)
+			}
 		}
 		frame, err := wal.AppendRecord(nil, rec)
 		if err != nil {

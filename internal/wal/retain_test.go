@@ -72,8 +72,9 @@ func TestDecoderRetainsBoundedPayloads(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(dec)
 	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	// The tables themselves, then one map per slot: 16 heap bytes per
-	// encoded byte covers a map of as many entries as event.SharedMax bytes hold.
+	// The tables themselves, then one map per slot and its kept text in the
+	// spill arena: 16 heap bytes per encoded byte covers a map of as many
+	// entries as event.SharedMax bytes hold, and the text.
 	bound := int64(reflect.TypeFor[Decoder]().Size()) + event.TableSlots*16*event.SharedMax
 	t.Logf("a Decoder after %d distinct %d-byte payloads: held %d B (bound %d B)", n, event.SharedMax, held, bound)
 	if held > bound {

@@ -192,8 +192,6 @@ func AppendEvent(b []byte, e event.Event) ([]byte, error) {
 
 // appendPayload appends p's count and entries, names sorted: deterministic
 // bytes for a given event, so identical runs produce identical log files.
-// It is the table's re-encoder too: a decoded payload holds only types
-// appendValue encodes, so there it never fails or allocates.
 func appendPayload(b []byte, p event.Payload) ([]byte, error) {
 	b = AppendU32(b, uint32(len(p)))
 	var names [8]string
@@ -410,12 +408,13 @@ func (r *Reader) Event() event.Event {
 	return e
 }
 
-// payload reads n > 0 entries, their count just read. The buffer's tail is
-// the table's key (a tail holding more than the entries never matches),
-// and with the count the text appendPayload must reproduce.
+// payload reads n > 0 entries, their count just read, from the buffer's
+// tail: the table's text. It keeps only entries that are the whole tail
+// and name n distinct names, so a kept map of n entries is what its text
+// decodes to under this count (n entries end a tail for one n alone).
 func (r *Reader) payload(n int) event.Payload {
-	p, slot := r.tab.Payload(r.b[r.off:], r.b[r.off-4:], appendPayload)
-	if p != nil {
+	p, slot := r.tab.Payload(r.b[r.off:])
+	if len(p) == n {
 		r.off = len(r.b)
 		return p
 	}
@@ -424,7 +423,9 @@ func (r *Reader) payload(n int) event.Payload {
 		k := r.Str()
 		p[k] = r.value()
 	}
-	slot.Keep(p)
+	if r.err == nil && r.off == len(r.b) && len(p) == n {
+		slot.Keep(p)
+	}
 	return p
 }
 

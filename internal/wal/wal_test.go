@@ -493,24 +493,57 @@ func TestWriteThroughFailStop(t *testing.T) {
 	}
 }
 
+// TestDecoderSharesOnlyWholePayloads: a Decoder hands a kept payload out
+// only where decoding its bytes would yield it. A record whose payload is
+// followed by a stray byte is refused at every decode through one Decoder,
+// not accepted from its third, once a map decoded from a part of its tail
+// was kept; and a kept payload's entries under another count are refused.
+func TestDecoderSharesOnlyWholePayloads(t *testing.T) {
+	frame, err := wal.AppendRecord(nil, fleetRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, dec := frame[8:], wal.NewDecoder()
+	stray := append(bytes.Clone(body), 0)
+	for i := range 3 {
+		if _, err := dec.Payload(stray); err == nil {
+			t.Fatalf("decode %d of a record with a stray byte after its payload was accepted", i+1)
+		}
+	}
+	for i := range 3 {
+		if _, err := dec.Payload(body); err != nil {
+			t.Fatalf("decode %d of the record without the stray byte: %v", i+1, err)
+		}
+	}
+	empty, _ := wal.AppendRecord(nil, wal.Record{Kind: wal.KindEvent, Ev: event.NewInsert(1, "INSTALL", 1, temporal.Infinity, nil)})
+	recount := bytes.Clone(body)
+	binary.LittleEndian.PutUint32(recount[len(empty)-8-4:], 2) // the payload count: 1 entry, now claimed as 2
+	for i := range 3 {
+		if _, err := dec.Payload(recount); err == nil {
+			t.Fatalf("decode %d of a kept payload's entries under count 2 was accepted", i+1)
+		}
+	}
+}
+
 // BenchmarkDecodeEvents is the shared-strings-and-payloads guard: 20,000
 // fleet events decoded through one table, as one connection decodes them.
 // In "repeated" the Machine_Id takes 192 values, as on the fleet stream, so
 // most payloads are handed out again; in "distinct" every event has its
 // own, so every string value and payload lookup misses and the table adds
 // only its cost; in "mixed" the Machine_Id repeats but each event also
-// carries its own Seq, so every payload misses while its strings hit.
+// carries its own Seq, so every payload misses while its strings hit; in
+// "wide" 600 payloads of 48 bytes repeat, 28.8 KB of text to keep.
 // Compare allocs/op and ns/op with -benchmem -cpu 1.
 func BenchmarkDecodeEvents(b *testing.B) {
 	for _, c := range []struct {
-		name   string
-		values int
-		seq    bool
-	}{{"repeated", 192, false}, {"distinct", 20000, false}, {"mixed", 192, true}} {
+		name, id string
+		values   int
+		seq      bool
+	}{{"repeated", "m%05d", 192, false}, {"distinct", "m%05d", 20000, false}, {"mixed", "m%05d", 192, true}, {"wide", "m%028d", 600, false}} {
 		b.Run(c.name, func(b *testing.B) {
 			bodies := make([][]byte, 20000)
 			for i := range bodies {
-				p := event.Payload{"Machine_Id": fmt.Sprintf("m%05d", i%c.values)}
+				p := event.Payload{"Machine_Id": fmt.Sprintf(c.id, i%c.values)}
 				if c.seq {
 					p["Seq"] = int64(i)
 				}
