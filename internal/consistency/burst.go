@@ -5,8 +5,8 @@ import "repro/internal/event"
 // Burst is a caller-owned accumulator for the tagged push path:
 // PushTaggedInto appends outputs and their order tags across many calls
 // into one Burst, carving every tag's bytes out of the shared Arena. A
-// shard worker processes a whole run of input items through its monitor
-// chain into a single Burst and ships that one buffer to the merger —
+// shard worker processes a whole run of input items through its head
+// monitor into a single Burst and ships that one buffer to the merger —
 // steady-state handoff allocates nothing once the buffers have grown to
 // the workload's high-water mark.
 //

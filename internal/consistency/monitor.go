@@ -140,7 +140,6 @@ type Monitor struct {
 	// and free — on the plain Push path.
 	tagging   bool   // current call wants order tags
 	sink      *Burst // the *Into variants' output and tag accumulator (nil on the plain path)
-	trigger   []byte // tag prefix the current call's outputs nest under
 	curClass  byte   // (curClass, curSync, curArr): admit position of the
 	curSync   temporal.Time
 	curArr    []byte // item whose processing is emitting
@@ -362,20 +361,20 @@ func (m *Monitor) WindowMarkers() int { return m.markerLog }
 // bound may release buffered events, which are returned. The returned slice
 // is valid until the next call on this monitor.
 func (m *Monitor) SetSpec(s Spec) []event.Event {
-	return m.setSpec(s, nil, nil, nil)
+	return m.setSpec(s, nil, nil)
 }
 
 // SetSpecTaggedInto is SetSpec for sharded execution: released output is
 // appended to sink with its order tags (see PushTaggedInto).
-func (m *Monitor) SetSpecTaggedInto(s Spec, arrival, trigger []byte, sink *Burst) {
-	m.setSpec(s, arrival, trigger, sink)
+func (m *Monitor) SetSpecTaggedInto(s Spec, arrival []byte, sink *Burst) {
+	m.setSpec(s, arrival, sink)
 }
 
-func (m *Monitor) setSpec(s Spec, arrival, trigger []byte, sink *Burst) []event.Event {
+func (m *Monitor) setSpec(s Spec, arrival []byte, sink *Burst) []event.Event {
 	if m.done {
 		return nil
 	}
-	m.beginCall(arrival, trigger, sink)
+	m.beginCall(arrival, sink)
 	m.spec = s
 	m.releaseTimedOut()
 	m.trimMemory()
@@ -388,13 +387,12 @@ func (m *Monitor) setSpec(s Spec, arrival, trigger []byte, sink *Burst) []event.
 // items, stamped with the current CEDR time. The returned slice is valid
 // until the next call on this monitor.
 func (m *Monitor) Push(port int, e event.Event) []event.Event {
-	return m.push(port, e, nil, nil, false, nil)
+	return m.push(port, e, nil, false, nil)
 }
 
 // PushTaggedInto is Push for sharded execution. arrival is an
 // order-preserving byte key (package ordkey) placing this item in the
-// global arrival order across all sibling shard monitors; trigger is the
-// tag prefix the outputs nest under (nil at the pipeline head). probe marks
+// global arrival order across all sibling shard monitors. probe marks
 // an advance-only marker for an event routed to a sibling shard: the
 // monitor advances its operator to the probe's Sync exactly as it would for
 // a local event — so every shard observes identical advance boundaries and
@@ -411,15 +409,15 @@ func (m *Monitor) Push(port int, e event.Event) []event.Event {
 // bytes carved from sink.Arena. A worker accumulates a whole run of input
 // items into one Burst this way without any per-output allocation once the
 // burst's buffers have grown.
-func (m *Monitor) PushTaggedInto(port int, e event.Event, arrival, trigger []byte, probe bool, sink *Burst) {
-	m.push(port, e, arrival, trigger, probe, sink)
+func (m *Monitor) PushTaggedInto(port int, e event.Event, arrival []byte, probe bool, sink *Burst) {
+	m.push(port, e, arrival, probe, sink)
 }
 
-func (m *Monitor) push(port int, e event.Event, arrival, trigger []byte, probe bool, sink *Burst) []event.Event {
+func (m *Monitor) push(port int, e event.Event, arrival []byte, probe bool, sink *Burst) []event.Event {
 	if port < 0 || port >= len(m.portG) || m.done {
 		return nil
 	}
-	m.beginCall(arrival, trigger, sink)
+	m.beginCall(arrival, sink)
 	if e.C.Start > m.now {
 		m.now = e.C.Start
 	}
@@ -439,11 +437,10 @@ func (m *Monitor) push(port int, e event.Event, arrival, trigger []byte, probe b
 
 // beginCall resets the output buffer and arms or disarms tagging for one
 // externally driven call.
-func (m *Monitor) beginCall(arrival, trigger []byte, sink *Burst) {
+func (m *Monitor) beginCall(arrival []byte, sink *Burst) {
 	m.out = m.out[:0]
 	m.tagging = arrival != nil
 	m.sink = sink
-	m.trigger = trigger
 }
 
 // endCall finishes one externally driven call: it stamps the output buffer
@@ -477,7 +474,6 @@ func (m *Monitor) appendTag(phase byte, id event.ID, ev *event.Event) {
 // buildTag appends one order tag's bytes to t and returns the extended
 // slice.
 func (m *Monitor) buildTag(t []byte, phase byte, id event.ID, ev *event.Event) []byte {
-	t = append(t, m.trigger...)
 	t = append(t, m.curClass)
 	t = ordkey.AppendInt(t, int64(m.curSync))
 	t = ordkey.AppendBytes(t, m.curArr)
@@ -1030,20 +1026,20 @@ func (m *Monitor) sampleState() {
 // operator is compacted past its last Advance and the repair state is
 // released; Metrics keep their final values. Later calls are no-ops.
 func (m *Monitor) Finish() []event.Event {
-	return m.finish(nil, nil, nil)
+	return m.finish(nil, nil)
 }
 
 // FinishTaggedInto is Finish for sharded execution: the closing output is
 // appended to sink with its order tags (see PushTaggedInto).
-func (m *Monitor) FinishTaggedInto(arrival, trigger []byte, sink *Burst) {
-	m.finish(arrival, trigger, sink)
+func (m *Monitor) FinishTaggedInto(arrival []byte, sink *Burst) {
+	m.finish(arrival, sink)
 }
 
-func (m *Monitor) finish(arrival, trigger []byte, sink *Burst) []event.Event {
+func (m *Monitor) finish(arrival []byte, sink *Burst) []event.Event {
 	if m.done {
 		return nil
 	}
-	m.beginCall(arrival, trigger, sink)
+	m.beginCall(arrival, sink)
 	for _, be := range m.buffer {
 		if be.probe {
 			m.probeBuf--

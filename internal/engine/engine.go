@@ -653,10 +653,9 @@ func (q *Query) Tags() []uint64 {
 // endpoints observe identical metrics; callers must not Push concurrently).
 // With one shard these are the monitors' own counters. With more it waits
 // for the shards to drain everything pushed so far, then combines the
-// per-shard counters into the one-shard equivalents: combined counters and
-// the head stage's state axes match exactly; downstream stages' MaxState
-// is sampled once per input item and may under-read momentary intra-item
-// peaks a one-shard run would catch.
+// head's per-shard counters into the one-shard ones; the stages after the
+// head run once, so theirs are their own. Every stage's metrics equal a
+// one-shard run's.
 func (q *Query) Metrics() []consistency.Metrics {
 	return q.ch.sh.metrics()
 }

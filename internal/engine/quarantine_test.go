@@ -208,7 +208,7 @@ func TestShardedQueryWorkerPanicQuarantines(t *testing.T) {
 	// goroutine owns its op). Several workers may panic; the first failure
 	// wins and the rest must be absorbed without deadlock.
 	for i := range q.ch.sh.workers {
-		q.ch.sh.workers[i].monitors[0] = consistency.NewMonitor(
+		q.ch.sh.workers[i].head = consistency.NewMonitor(
 			faultinject.NewPanicOp(mustStages(t)[0], 3), q.ch.plan.Spec)
 	}
 
@@ -224,6 +224,55 @@ func TestShardedQueryWorkerPanicQuarantines(t *testing.T) {
 	// The quarantined query keeps dropping input without deadlock.
 	q.Push(in[0])
 	q.Finish()
+}
+
+// TestShardedTailPanicQuarantines: the stages after the head run once —
+// inline with one shard, on the merger's goroutine with more — under their
+// own recover barrier. A panicking tail operator quarantines the chain with
+// the operator-stage error, its output stops at a prefix of the healthy
+// run, and Drain, Metrics and Finish all return.
+func TestShardedTailPanicQuarantines(t *testing.T) {
+	in := durabilityWorkload()
+	p, err := plan.Compile(pairsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			e := New()
+			q, err := e.RegisterText(pairsQuery, plan.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Shards() != shards || len(q.ch.sh.tail) != 1 {
+				t.Fatalf("query runs %d shards and %d tail stages, want %d and 1", q.Shards(), len(q.ch.sh.tail), shards)
+			}
+			// Swapped before any push: the tail's goroutine owns it from here.
+			q.ch.sh.tail[0] = consistency.NewMonitor(faultinject.NewPanicOp(p.Stages[1], 5), q.ch.plan.Spec)
+			for _, ev := range in {
+				e.Push(ev)
+			}
+			e.Drain()
+			if q.Err() == nil || !strings.Contains(q.Err().Error(), "query Pairs quarantined: operator stage panicked") {
+				t.Fatalf("tail panic not quarantined: %v", q.Err())
+			}
+			if met := q.Metrics(); len(met) != 2 {
+				t.Fatalf("%d metric stages, want 2", len(met))
+			}
+			frozen := q.Results()
+			q.Finish()
+			e.Finish()
+			if n := len(q.Results()); n != len(frozen) {
+				t.Fatalf("quarantined query kept emitting: %d -> %d items", len(frozen), n)
+			}
+			healthy := run(t, pairsQuery, in, plan.WithShards(shards)).Results()
+			if len(frozen) >= len(healthy) {
+				t.Fatalf("failed run emitted %d items, the healthy run %d", len(frozen), len(healthy))
+			}
+			compareStreams(t, "pre-failure prefix", frozen, healthy[:len(frozen)])
+		})
+	}
 }
 
 func mustStages(t *testing.T) []operators.Op {

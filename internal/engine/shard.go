@@ -1,19 +1,23 @@
 // Sharded execution: the key-partitioned parallel runtime.
 //
-// A sharded query runs N copies of its monitor chain, each owned by one
-// worker goroutine. The router hashes every data event to its key's shard
-// and broadcasts punctuation to all shards; every other shard receives an
-// advance-only probe carrying the event's Sync, so all shards advance
-// their operators at identical boundaries and each shard's output is
-// byte-for-byte the key-restricted slice of what a single-shard run would
-// emit (see Monitor.PushTaggedInto). Workers tag their outputs with order
-// keys and the merger goroutine — one per query — interleaves the per-item
-// bursts with internal/delivery's merge stage, reconstructing the exact
-// single-shard emission sequence:
+// Only a plan's head stage (the matcher) is sharded. A sharded query runs
+// N copies of the head's monitor, each owned by one worker goroutine. The
+// router hashes every data event to its key's shard and broadcasts
+// punctuation to all shards; every other shard receives an advance-only
+// probe carrying the event's Sync, so all shards advance their operators
+// at identical boundaries and each shard's output is byte-for-byte the
+// key-restricted slice of what a single-shard head would emit (see
+// Monitor.PushTaggedInto). Workers tag their outputs with order keys and
+// the merger goroutine — one per query — interleaves the per-item bursts
+// with internal/delivery's merge stage, reconstructing the exact
+// single-shard head output. The stages after the head (a compiled plan's
+// Slice and Project) run once, on the merger's goroutine, fed that merged
+// stream: each of their monitors sees the one-shard input at its level, so
+// its output and metrics are the one-shard ones.
 //
-//	            ┌─ worker 0: monitors ─┐
-//	router ──► ─┼─ worker 1: monitors ─┼─► merger ──► results + subscribers
-//	 (hash key) └─ worker …: monitors ─┘   (order tags)
+//	            ┌─ worker 0: head ─┐
+//	router ──► ─┼─ worker 1: head ─┼─► merger ──► tail ──► results + subscribers
+//	 (hash key) └─ worker …: head ─┘  (order tags)
 //
 // Handoff is batched: the router accumulates per-shard *runs* of
 // consecutive items and flushes a run to every worker at identical global
@@ -29,9 +33,10 @@
 // With more than one shard the pipeline is asynchronous: Push enqueues and
 // returns, Finish drains, and Results() exposes a deterministic prefix at
 // any time. One shard runs inline: no goroutines, channels or free lists —
-// every item goes through the same per-item body (shardWorker.process) on
-// the caller's goroutine, under the same recover barrier, and its output is
-// delivered before the call returns (merging one shard is the identity).
+// every item goes through the same per-item body (shardWorker.process) and
+// the same tail on the caller's goroutine, under the same recover
+// barriers, and its output is delivered before the call returns (merging
+// one shard is the identity).
 package engine
 
 import (
@@ -72,9 +77,6 @@ const (
 	// ahead of a worker (or a worker ahead of the merger) blocks on the
 	// free list instead of growing a queue.
 	runBufs = 4
-	// maxTracedStages bounds the per-stage state trace carried in each
-	// burst (inline, allocation-free). Plans have at most three stages.
-	maxTracedStages = 8
 )
 
 type shardItem struct {
@@ -92,34 +94,26 @@ type shardRun struct {
 	items []shardItem
 }
 
-// stageState is one input item's per-stage monitor state sample (see
-// shardBurst.states).
-type stageState struct {
-	state  [maxTracedStages]int32
-	shared [maxTracedStages]int32
-}
-
 // shardBurst is one worker→merger handoff unit: the aggregated tagged
 // outputs of a whole shard run.
 type shardBurst struct {
-	first int   // sequence number of the run's first input item
-	n     int   // input items covered
-	kind  uint8 // kind of the run's last item (the flush cause)
-	// out accumulates the final stage's outputs and order tags for the
-	// whole run; ends[k] is the exclusive end offset of item k's outputs,
+	first int              // sequence number of the run's first input item
+	n     int              // input items covered
+	kind  uint8            // kind of the run's last item (the flush cause)
+	spec  consistency.Spec // the run's last item's level, when it is a switch
+	// out accumulates the head's outputs and order tags for the whole
+	// run; ends[k] is the exclusive end offset of item k's outputs,
 	// so the merger can merge the aligned runs item by item (tags are only
 	// globally ordered within one input item).
 	out  consistency.Burst
 	ends []int32
-	// states[k] is the per-stage state sample after item k: state[j] is
-	// stage j's monitor state minus the guarantee markers in its log
-	// window; shared[j] is that marker count. Broadcast punctuation is
-	// logged once per shard but contributes once to the single-shard
-	// state, so the merger sums state across shards and adds one shard's
-	// shared count — reproducing the single-shard monitor's per-push state
-	// samples exactly (probes are already excluded from every shard's own
-	// count).
-	states []stageState
+	// states[k] is the head monitor's state after item k, less the
+	// guarantee markers in its log window on every shard but shard 0.
+	// Broadcast punctuation is logged once per shard but contributes once
+	// to the single-shard state, so the sum across shards reproduces the
+	// single-shard head's per-push state samples exactly (probes are
+	// already excluded from every shard's own count).
+	states []int32
 	// fail carries a worker panic to the merger. The failed worker stays
 	// in its loop emitting aligned empty bursts, so the merger's run
 	// alignment never skews and healthy siblings keep draining.
@@ -142,10 +136,12 @@ func (b *shardBurst) clearOutputs() {
 }
 
 type shardWorker struct {
-	monitors []*consistency.Monitor
+	head *consistency.Monitor
 	// merged is set when a merger reads this worker's bursts (n > 1): only
 	// then are outputs order-tagged and per-item ends and state traced.
-	merged bool
+	// dropMarkers is set on every merged worker but shard 0 (see
+	// shardBurst.states).
+	merged, dropMarkers bool
 	// Handoff channels and free lists for the run and burst buffers cycling
 	// through this worker's pipeline (see runBufs); nil when n = 1.
 	in         chan *shardRun
@@ -153,12 +149,7 @@ type shardWorker struct {
 	freeRuns   chan *shardRun
 	freeBursts chan *shardBurst
 
-	arr  []byte // arrival-key scratch (stage 0)
-	trig []byte // per-stage tag-prefix scratch (SetSpec/Finish)
-	// mid[i] accumulates stage i's outputs while the cascade feeds them to
-	// stage i+1; arrScratch[i] is stage i+1's arrival-key scratch.
-	mid        []consistency.Burst
-	arrScratch [][]byte
+	arr []byte // arrival-key scratch
 }
 
 // sharded is the per-query runtime. The router methods (push, setSpec,
@@ -167,11 +158,16 @@ type shardWorker struct {
 // (Metrics reads are only exact between pushes).
 type sharded struct {
 	n       int
-	stages  int
 	burst   int // flush bound; <= 0 flushes only on control items
 	route   func(event.Event) int
 	workers []shardWorker
 	w1      [1]shardWorker // workers' storage when n = 1
+	// tail holds the monitors of the stages after the head, run once on
+	// the head's merged output (see runTail): on the caller's goroutine
+	// with one shard, on the merger's with more. tailOut is its reused
+	// output buffer.
+	tail    []*consistency.Monitor
+	tailOut []event.Event
 	sink    shardSink
 	name    string // query name, for the quarantine error
 
@@ -192,8 +188,9 @@ type sharded struct {
 	barrierCh chan struct{}
 	finishOut []event.Event
 
-	// merger-owned; read only after a barrier or done handshake.
-	maxState [maxTracedStages]int
+	// merger-owned; read only after a barrier or done handshake: the head's
+	// MaxState across shards (n > 1).
+	maxState int
 }
 
 // shardSink receives what the runtime produces, on the merger goroutine
@@ -216,7 +213,8 @@ func newSharded(name string, n, burst int, stagesFor func(shard int) ([]operator
 // is the router's flush bound (0 = DefaultBurst, negative = unbounded:
 // flush only on punctuation/control). stagesFor must return an
 // independent, freshly instantiated operator chain per shard (operator
-// Clones may share scratch and are not safe across goroutines). name
+// Clones may share scratch and are not safe across goroutines); every
+// shard runs its chain's head, and shard 0's chain supplies the tail. name
 // labels the quarantine error of a panicking operator.
 func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) ([]operators.Op, error),
 	spec consistency.Spec, route func(event.Event) int, sink shardSink) error {
@@ -239,28 +237,23 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) ([]
 		if len(stages) == 0 {
 			return fmt.Errorf("engine: shard %d has no stages", i)
 		}
-		if n > 1 && len(stages) > maxTracedStages {
-			return fmt.Errorf("engine: sharded execution traces at most %d stages, plan has %d", maxTracedStages, len(stages))
-		}
 		if n > 1 && stages[0].Arity() != 1 {
 			return fmt.Errorf("engine: sharded execution requires a single-port head operator")
 		}
-		w := &s.workers[i]
-		w.monitors = make([]*consistency.Monitor, len(stages))
-		w.mid = make([]consistency.Burst, len(stages)-1)
-		w.arrScratch = make([][]byte, len(stages)-1)
-		for j, op := range stages {
-			w.monitors[j] = consistency.NewMonitor(op, spec)
+		s.workers[i].head = consistency.NewMonitor(stages[0], spec)
+		if i == 0 {
+			for _, op := range stages[1:] {
+				s.tail = append(s.tail, consistency.NewMonitor(op, spec))
+			}
 		}
 	}
-	s.stages = len(s.workers[0].monitors)
 	if n == 1 {
 		return nil // inline: see runInline
 	}
 	s.done, s.barrierCh = make(chan struct{}), make(chan struct{})
 	for i := range s.workers {
 		w := &s.workers[i]
-		w.merged = true
+		w.merged, w.dropMarkers = true, i > 0
 		w.in = make(chan *shardRun, runBufs)
 		w.out = make(chan *shardBurst, runBufs)
 		w.freeRuns = make(chan *shardRun, runBufs)
@@ -284,8 +277,8 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) ([]
 }
 
 // runInline is the n = 1 runtime: it drives one item through the only
-// shard's monitor chain on the caller's goroutine, under the worker's
-// recover barrier, and delivers the output directly. It returns that
+// shard's head and then the tail on the caller's goroutine, under their
+// recover barriers, and delivers the output directly. It returns that
 // output, valid until the next call. Caller holds mu.
 func (s *sharded) runInline(it shardItem) []event.Event {
 	if s.failed != nil {
@@ -296,14 +289,62 @@ func (s *sharded) runInline(it shardItem) []event.Event {
 	b := &s.one
 	b.reset()
 	one := [1]shardItem{it}
-	if s.failed = s.workers[0].processRunSafely(s.name, seq, one[:], b); s.failed != nil {
-		s.sink.quarantine(s.failed)
+	var out []event.Event
+	err := s.workers[0].processRunSafely(s.name, seq, one[:], b)
+	if err == nil {
+		out, err = s.runTail(b.out.Evs, it.kind, it.spec)
+	}
+	if s.failed = err; err != nil {
+		s.sink.quarantine(err)
 		return nil
 	}
-	if len(b.out.Evs) > 0 {
-		s.sink.deliverMerged(b.out.Evs)
+	if len(out) > 0 {
+		s.sink.deliverMerged(out)
 	}
-	return b.out.Evs
+	return out
+}
+
+// runTail drives a run's head output through the tail and returns the
+// last stage's output, valid until the next call (head itself when the
+// plan has no tail). A run that ends in a level switch or finish then
+// crosses the tail stage by stage, as a plain monitor cascade does: each
+// stage's release passes through the stages after it, still at the old
+// level, before the next stage switches. A panicking tail operator yields
+// the quarantine error instead of unwinding.
+func (s *sharded) runTail(head []event.Event, kind uint8, spec consistency.Spec) (out []event.Event, err error) {
+	if len(s.tail) == 0 {
+		return head, nil
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			out, err = nil, recoverPanic(s.name, "operator stage", rec)
+		}
+	}()
+	out = s.through(0, head, s.tailOut[:0])
+	for i, m := range s.tail {
+		switch kind {
+		case itemSetSpec:
+			out = s.through(i+1, m.SetSpec(spec), out)
+		case itemFinish:
+			out = s.through(i+1, m.Finish(), out)
+		}
+	}
+	s.tailOut = out
+	return out, nil
+}
+
+// through pushes evs through tail stages from on, each output item on to
+// the next stage before the next input item, and appends the last stage's
+// output to out. evs may be a monitor's output buffer: only later stages
+// are called while it is read.
+func (s *sharded) through(from int, evs, out []event.Event) []event.Event {
+	if from == len(s.tail) {
+		return append(out, evs...)
+	}
+	for _, e := range evs {
+		out = s.through(from+1, s.tail[from].Push(0, e), out)
+	}
+	return out
 }
 
 // push routes one physical item: punctuation broadcasts (and flushes —
@@ -445,43 +486,40 @@ func (s *sharded) barrier() {
 	<-s.barrierCh
 }
 
-// metrics combines the per-shard monitor metrics into the metrics the
-// single-shard run would report: partitioned counters sum, broadcast
-// punctuation counts once, and with n > 1 MaxState comes from the merger's
-// per-item cross-shard state trace. The trace samples once per input item,
-// which reproduces the head stage's per-push samples exactly; downstream
-// stages are pushed several times per input item by the cascade, so their
-// MaxState may under-read momentary intra-item peaks. With one shard the
-// monitors' own counters are returned as they are.
+// metrics returns the per-stage metrics the single-shard run would report.
+// The head's per-shard metrics combine: partitioned counters sum,
+// broadcast punctuation counts once, and with n > 1 MaxState comes from
+// the merger's per-item cross-shard state trace, which reproduces the
+// head's per-push samples exactly. The tail runs once, so its monitors'
+// own counters are the one-shard ones.
 func (s *sharded) metrics() []consistency.Metrics {
 	s.barrier()
-	out := make([]consistency.Metrics, s.stages)
-	for j := 0; j < s.stages; j++ {
-		agg := s.workers[0].monitors[j].Metrics()
-		for i := 1; i < s.n; i++ {
-			w := &s.workers[i]
-			m := w.monitors[j].Metrics()
-			agg.InputEvents += m.InputEvents
-			agg.OutputInserts += m.OutputInserts
-			agg.OutputRetractions += m.OutputRetractions
-			agg.Compensations += m.Compensations
-			agg.Dropped += m.Dropped
-			agg.Violations += m.Violations
-			agg.Replays += m.Replays
-			agg.BlockedEvents += m.BlockedEvents
-			agg.TotalBlocking += m.TotalBlocking
-			// Broadcast guarantee markers are logged per shard but count
-			// once in the single-shard state.
-			agg.CurState += m.CurState - w.monitors[j].WindowMarkers()
-			// InputCTIs and OutputCTIs: punctuation is broadcast and every
-			// shard counts the identical stream once — keep shard 0's.
-		}
-		if s.n > 1 {
-			// start bounds a merged chain to maxTracedStages, so the
-			// trace always covers every stage.
-			agg.MaxState = s.maxState[j]
-		}
-		out[j] = agg
+	agg := s.workers[0].head.Metrics()
+	for i := 1; i < s.n; i++ {
+		w := &s.workers[i]
+		m := w.head.Metrics()
+		agg.InputEvents += m.InputEvents
+		agg.OutputInserts += m.OutputInserts
+		agg.OutputRetractions += m.OutputRetractions
+		agg.Compensations += m.Compensations
+		agg.Dropped += m.Dropped
+		agg.Violations += m.Violations
+		agg.Replays += m.Replays
+		agg.BlockedEvents += m.BlockedEvents
+		agg.TotalBlocking += m.TotalBlocking
+		// Broadcast guarantee markers are logged per shard but count once
+		// in the single-shard state.
+		agg.CurState += m.CurState - w.head.WindowMarkers()
+		// InputCTIs and OutputCTIs: punctuation is broadcast and every
+		// shard counts the identical stream once — keep shard 0's.
+	}
+	if s.n > 1 {
+		agg.MaxState = s.maxState
+	}
+	out := make([]consistency.Metrics, 1, 1+len(s.tail))
+	out[0] = agg
+	for _, m := range s.tail {
+		out = append(out, m.Metrics())
 	}
 	return out
 }
@@ -491,8 +529,8 @@ func (w *shardWorker) run(name string) {
 	for r := range w.in {
 		b := <-w.freeBursts
 		b.reset()
-		last := r.items[len(r.items)-1].kind
-		b.first, b.n, b.kind = r.first, len(r.items), last
+		last := r.items[len(r.items)-1]
+		b.first, b.n, b.kind, b.spec = r.first, len(r.items), last.kind, last.spec
 		if failed == nil {
 			failed = w.processRunSafely(name, r.first, r.items, b)
 		}
@@ -507,14 +545,14 @@ func (w *shardWorker) run(name string) {
 		b.fail = failed
 		w.freeRuns <- r
 		w.out <- b
-		if last == itemFinish {
+		if last.kind == itemFinish {
 			return
 		}
 	}
 }
 
 // processRunSafely drives a run of items (the first numbered first)
-// through the monitor chain under a recover barrier: a panicking operator —
+// through the head monitor under a recover barrier: a panicking operator —
 // at any intra-run offset — yields the quarantine error of query name (and
 // the caller sends an aligned empty burst, or stops when inline) instead of
 // killing the process or deadlocking the merger.
@@ -530,44 +568,24 @@ func (w *shardWorker) processRunSafely(name string, first int, items []shardItem
 	return nil
 }
 
-// process drives one item through the shard's monitor chain, appending its
+// process drives one item through the shard's head monitor, appending its
 // outputs (and, when merged, their tags and the item's trace) to b. It is
-// the worker loop's per-item body and the whole of the one-shard runtime
+// the worker loop's per-item body and the head of the one-shard runtime
 // (the critical-path benchmark also times a shard's full item sequence this
 // way, without channel overhead).
 func (w *shardWorker) process(seq int, it shardItem, b *shardBurst) {
+	var arr []byte // a nil arrival key tells the monitor not to tag
+	if w.merged {
+		w.arr = ordkey.AppendUint(w.arr[:0], uint64(seq))
+		arr = w.arr
+	}
 	switch it.kind {
 	case itemData, itemProbe, itemCTI:
-		arr := w.key(&w.arr, seq, nil)
-		if len(w.monitors) == 1 {
-			w.monitors[0].PushTaggedInto(0, it.ev, arr, nil, it.kind == itemProbe, &b.out)
-		} else {
-			mid := &w.mid[0]
-			mid.Reset()
-			w.monitors[0].PushTaggedInto(0, it.ev, arr, nil, it.kind == itemProbe, mid)
-			w.cascade(1, seq, mid, b)
-		}
-	case itemSetSpec, itemFinish:
-		// Each stage's released output flows through the remaining
-		// stages, stage by stage, under a per-stage tag prefix.
-		for i := range w.monitors {
-			trig := w.key(&w.trig, i, nil)
-			arr := w.key(&w.arr, seq, nil)
-			last := i == len(w.monitors)-1
-			sink := &b.out
-			if !last {
-				sink = &w.mid[i]
-				sink.Reset()
-			}
-			if it.kind == itemSetSpec {
-				w.monitors[i].SetSpecTaggedInto(it.spec, arr, trig, sink)
-			} else {
-				w.monitors[i].FinishTaggedInto(arr, trig, sink)
-			}
-			if !last {
-				w.cascade(i+1, seq, sink, b)
-			}
-		}
+		w.head.PushTaggedInto(0, it.ev, arr, it.kind == itemProbe, &b.out)
+	case itemSetSpec:
+		w.head.SetSpecTaggedInto(it.spec, arr, &b.out)
+	case itemFinish:
+		w.head.FinishTaggedInto(arr, &b.out)
 	case itemBarrier:
 		// State is unchanged; the run round-trip is the synchronization.
 	}
@@ -575,61 +593,16 @@ func (w *shardWorker) process(seq int, it shardItem, b *shardBurst) {
 		return
 	}
 	b.ends = append(b.ends, int32(b.out.Len()))
-	var st stageState
-	for j, m := range w.monitors {
-		if j >= maxTracedStages {
-			break
-		}
-		mk := int32(m.WindowMarkers())
-		st.state[j] = int32(m.CurState()) - mk
-		st.shared[j] = mk
+	st := w.head.CurState()
+	if w.dropMarkers {
+		st -= w.head.WindowMarkers()
 	}
-	b.states = append(b.states, st)
-}
-
-// key rebuilds *scratch as the order key (n, suffix…) and returns it, or
-// returns nil when unmerged — a nil arrival key tells a monitor not to tag.
-func (w *shardWorker) key(scratch *[]byte, n int, suffix []byte) []byte {
-	if !w.merged {
-		return nil
-	}
-	*scratch = append(ordkey.AppendUint((*scratch)[:0], uint64(n)), suffix...)
-	return *scratch
-}
-
-// cascade drives the outputs accumulated in src (stage from-1's burst)
-// through the monitors from stage `from` on, appending the final stage's
-// outputs to b. When merged each item's outputs nest under its tag, so the
-// merged cross-shard order reproduces the one-shard stage-by-stage cascade
-// exactly.
-func (w *shardWorker) cascade(from, seq int, src *consistency.Burst, b *shardBurst) {
-	last := from == len(w.monitors)-1
-	var mid *consistency.Burst
-	if !last {
-		mid = &w.mid[from]
-	}
-	for k := range src.Evs {
-		// The downstream arrival key is (input seq, upstream tag): globally
-		// ordered across shards and runs, because upstream tags are ordered
-		// within one input item.
-		var up []byte
-		if w.merged {
-			up = src.Tags[k]
-		}
-		arr := w.key(&w.arrScratch[from-1], seq, up)
-		if last {
-			w.monitors[from].PushTaggedInto(0, src.Evs[k], arr, up, false, &b.out)
-		} else {
-			mid.Reset()
-			w.monitors[from].PushTaggedInto(0, src.Evs[k], arr, up, false, mid)
-			w.cascade(from+1, seq, mid, b)
-		}
-	}
+	b.states = append(b.states, int32(st))
 }
 
 // mergeLoop gathers each run's bursts from all shards, merges the aligned
-// per-item output slices into the single-shard emission order, and
-// delivers once per run.
+// per-item output slices into the single-shard head's emission order,
+// drives that through the tail, and delivers once per run.
 func (s *sharded) mergeLoop() {
 	var mg delivery.Merger
 	var out []event.Event
@@ -639,12 +612,12 @@ func (s *sharded) mergeLoop() {
 	tags := make([][][]byte, s.n)
 	for {
 		var kind uint8
+		var spec consistency.Spec
 		var n int
 		for i := range s.workers {
 			b := <-s.workers[i].out
 			bs[i] = b
-			kind = b.kind
-			n = b.n
+			kind, spec, n = b.kind, b.spec, b.n
 			if b.fail != nil && failed == nil {
 				// First failure wins; the query is quarantined before any
 				// post-failure delivery could happen.
@@ -656,33 +629,17 @@ func (s *sharded) mergeLoop() {
 		if failed == nil {
 			for k := 0; k < n; k++ {
 				// Per-item cross-shard state trace (see shardBurst.states).
-				var sum [maxTracedStages]int
-				for i, b := range bs {
-					if k >= len(b.states) {
-						continue
-					}
-					st := &b.states[k]
-					for j := 0; j < s.stages && j < maxTracedStages; j++ {
-						sum[j] += int(st.state[j])
-						if i == 0 {
-							sum[j] += int(st.shared[j])
-						}
-					}
+				sum := 0
+				for _, b := range bs {
+					sum += int(b.states[k])
 				}
-				for j := 0; j < s.stages && j < maxTracedStages; j++ {
-					if sum[j] > s.maxState[j] {
-						s.maxState[j] = sum[j]
-					}
-				}
+				s.maxState = max(s.maxState, sum)
 				// Tags are only globally ordered within one input item, so
 				// merge the aligned runs item by item.
 				for i, b := range bs {
-					start, end := 0, 0
-					if k < len(b.ends) {
-						end = int(b.ends[k])
-						if k > 0 {
-							start = int(b.ends[k-1])
-						}
+					start, end := 0, int(b.ends[k])
+					if k > 0 {
+						start = int(b.ends[k-1])
 					}
 					evs[i] = b.out.Evs[start:end]
 					tags[i] = b.out.Tags[start:end]
@@ -696,29 +653,31 @@ func (s *sharded) mergeLoop() {
 			s.workers[i].freeBursts <- bs[i]
 			bs[i] = nil
 		}
+		if failed == nil {
+			final, err := s.runTail(out, kind, spec)
+			if err != nil {
+				failed = err
+				s.sink.quarantine(failed)
+			} else {
+				if kind == itemFinish {
+					s.finishOut = append([]event.Event(nil), final...)
+				}
+				if len(final) > 0 {
+					s.sink.deliverMerged(final)
+				}
+			}
+		}
+		// A partial merge after a failure would be wrong output, not late
+		// output: delivery stops once any shard or the tail failed. The
+		// barrier and finish handshakes still complete — metrics, Finish,
+		// and engine shutdown must not hang on a quarantined query. A
+		// run's output is delivered before its handshake.
 		switch kind {
 		case itemBarrier:
-			// Deliver the run's output before the handshake, then keep
-			// going. Barriers (and the finish handshake below) still
-			// complete after a failure — metrics, Finish, and engine
-			// shutdown must not hang on a quarantined query.
-			if failed == nil && len(out) > 0 {
-				s.sink.deliverMerged(out)
-			}
 			s.barrierCh <- struct{}{}
 		case itemFinish:
-			if failed == nil {
-				s.finishOut = append([]event.Event(nil), out...)
-				s.sink.deliverMerged(s.finishOut)
-			}
 			close(s.done)
 			return
-		default:
-			// A partial merge after a failure would be wrong output, not
-			// late output: skip delivery entirely once any shard failed.
-			if failed == nil && len(out) > 0 {
-				s.sink.deliverMerged(out)
-			}
 		}
 	}
 }
@@ -726,10 +685,12 @@ func (s *sharded) mergeLoop() {
 // RouteByAttr routes events by the event.Key of a payload attribute — the
 // key the matcher correlates on — so values it calls equal (int64(3) and
 // float64(3)) share a shard, and every wild value (none, NaN, an exotic
-// type) goes to one fixed shard. Retractions must carry the attribute too
-// (all in-repo workloads do). A grouped aggregate keys groups by rendering
-// (operators.KeyString), which agrees whenever the attribute holds numbers
-// only or strings only.
+// type) goes to one fixed shard — a payload-less retraction too, whatever
+// shard its insert went to. A wild event meets there only the keys hashed
+// to that shard, so where the matcher would correlate it with other keys
+// the sharded output differs from one shard's. A grouped aggregate keys
+// groups by rendering (operators.KeyString), which agrees whenever the
+// attribute holds numbers only or strings only.
 func RouteByAttr(attr string, shards int) func(event.Event) int {
 	return func(ev event.Event) int {
 		return int(event.KeyOf(ev.Payload[attr]).Hash() % uint64(shards))

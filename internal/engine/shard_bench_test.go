@@ -71,9 +71,8 @@ func BenchmarkShardCriticalPath(b *testing.B) {
 // benchWorker builds a single-stage worker for synchronous driving (no
 // channels or free lists).
 func benchWorker() *shardWorker {
-	return &shardWorker{merged: true, monitors: []*consistency.Monitor{
-		consistency.NewMonitor(operators.NewAggregate(operators.Count, "", "g"), consistency.Middle()),
-	}}
+	return &shardWorker{merged: true,
+		head: consistency.NewMonitor(operators.NewAggregate(operators.Count, "", "g"), consistency.Middle())}
 }
 
 // shardItemSequences precomputes, per shard, the exact item sequence the

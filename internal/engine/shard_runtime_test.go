@@ -240,6 +240,6 @@ func TestShardedMultiCoreSmoke(t *testing.T) {
 	if q.Err() != nil {
 		t.Fatal(q.Err())
 	}
-	want, _ := runPlainPlan(t, q.Plan(), in)
+	want, _ := runPlainPlan(t, q.Plan(), in, 0, consistency.Spec{})
 	compareStreams(t, "multi-core smoke", q.Results(), want)
 }

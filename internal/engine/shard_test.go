@@ -86,11 +86,14 @@ func runPlainOp(mk func() operators.Op, spec consistency.Spec, in stream.Stream,
 
 // runPlainPlan is the plan-level reference, independent of the shard
 // runtime: fresh instances of the plan's stages, one monitor each, driven
-// by the plain Push/Finish cascade — every stage's output fed through the
-// remaining stages in order, and on finish each stage's flush cascaded
-// through the stages after it. It is fed the plan's routed input: the
-// items of in that reacts admits, as the engine delivers them.
-func runPlainPlan(t *testing.T, p *plan.Plan, in stream.Stream) (stream.Stream, []consistency.Metrics) {
+// by the plain Push/SetSpec/Finish cascade — every stage's output fed
+// through the remaining stages in order, and on a level switch or finish
+// each stage's release cascaded through the stages after it before the
+// next stage switches. It is fed the plan's routed input: the items of in
+// that reacts admits, as the engine delivers them. With switchAt > 0 the
+// level switches to switchTo after the first switchAt items of in.
+func runPlainPlan(t *testing.T, p *plan.Plan, in stream.Stream,
+	switchAt int, switchTo consistency.Spec) (stream.Stream, []consistency.Metrics) {
 	t.Helper()
 	fp, err := p.Fresh()
 	if err != nil {
@@ -113,9 +116,14 @@ func runPlainPlan(t *testing.T, p *plan.Plan, in stream.Stream) (stream.Stream, 
 		return batch
 	}
 	var out stream.Stream
-	for _, e := range in {
+	for i, e := range in {
 		if reacts(p, e) {
 			out = append(out, through(0, []event.Event{e})...)
+		}
+		if switchAt > 0 && i+1 == switchAt {
+			for j, m := range ms {
+				out = append(out, through(j+1, m.SetSpec(switchTo))...)
+			}
 		}
 	}
 	for i, m := range ms {
@@ -305,12 +313,18 @@ func TestShardedBurstGridEquivalence(t *testing.T) {
 	}
 }
 
+// pairsQuery is a two-stage plan: a keyed matcher head and an OUTPUT
+// projection tail.
+const pairsQuery = `EVENT Pairs WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
+WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)
+OUTPUT x.Machine_Id AS machine`
+
 // Compiled plans (pattern head, stateless tail) through the engine: at
-// every shard count the query must reproduce the plain monitor cascade's
-// output exactly (runPlainPlan, which shares no code with the shard
-// runtime). With one shard every metric matches; with more the partitioned
-// counters must sum to the plain values and the head stage's state axes
-// must match (downstream MaxState may under-read, see Query.Metrics).
+// every shard count, level and mid-stream level switch the query must
+// reproduce the plain monitor cascade's output and every stage's metrics
+// exactly (runPlainPlan, which shares no code with the shard runtime).
+// Only the head is sharded; the tail runs once on the merged stream, so
+// its monitors see the one-shard input and report the one-shard metrics.
 func TestShardedPlanEquivalence(t *testing.T) {
 	defer leakcheck.Check(t)()
 	queries := []struct {
@@ -318,44 +332,67 @@ func TestShardedPlanEquivalence(t *testing.T) {
 		src  string
 	}{
 		{"unless", monitorQuery},
-		{"sequence-output", `EVENT Pairs WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
-WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)
-OUTPUT x.Machine_Id AS machine`},
+		{"sequence-output", pairsQuery},
 	}
 	events, _ := workload.MachineEvents(workload.DefaultMachines())
+	streams := []struct {
+		name string
+		in   stream.Stream
+	}{
+		{"ordered", delivery.Deliver(events, delivery.Ordered(10*temporal.Minute))},
+		{"disordered", delivery.Deliver(events,
+			delivery.Disordered(9, 10*temporal.Minute, 2*temporal.Minute, 0.3))},
+		{"durability", durabilityWorkload()},
+	}
+	levels := []consistency.Spec{
+		consistency.Strong(),
+		consistency.Middle(),
+		consistency.Level(temporal.Minute, consistency.Unbounded),
+		consistency.Weak(5 * temporal.Minute),
+	}
+	// Each level runs without a switch and with a switch to Middle and to
+	// Strong at a third of the stream.
+	switches := []*consistency.Spec{nil, ptr(consistency.Middle()), ptr(consistency.Strong())}
 	for _, qc := range queries {
-		for _, spec := range []consistency.Spec{consistency.Strong(), consistency.Middle()} {
-			for _, disordered := range []bool{false, true} {
-				var delivered stream.Stream
-				if disordered {
-					delivered = delivery.Deliver(events,
-						delivery.Disordered(9, 10*temporal.Minute, 2*temporal.Minute, 0.3))
-				} else {
-					delivered = delivery.Deliver(events, delivery.Ordered(10*temporal.Minute))
-				}
+		for _, sc := range streams {
+			for _, spec := range levels {
 				p, err := plan.Compile(qc.src, plan.WithSpec(spec))
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantMet := runPlainPlan(t, p, delivered)
-				for _, n := range []int{1, 2, 4, 8} {
-					label := fmt.Sprintf("%s %s disordered=%v shards=%d", qc.name, spec.Name(), disordered, n)
-					q := run(t, qc.src, delivered, plan.WithSpec(spec), plan.WithShards(n))
-					if q.Shards() != n {
-						t.Fatalf("%s: plan did not shard: %s", label, q.Plan().Explain())
+				for _, to := range switches {
+					switchAt, switchTo, label := 0, consistency.Spec{}, spec.Name()
+					if to != nil {
+						switchAt, switchTo = len(sc.in)/3, *to
+						label += "->" + to.Name()
 					}
-					compareStreams(t, label, q.Results(), want)
-					gotMet := q.Metrics()
-					if len(gotMet) != len(wantMet) {
-						t.Fatalf("%s: %d metric stages, want %d", label, len(gotMet), len(wantMet))
-					}
-					for j := range gotMet {
-						g, w := gotMet[j], wantMet[j]
-						if n > 1 && j > 0 {
-							g.MaxState = w.MaxState
+					want, wantMet := runPlainPlan(t, p, sc.in, switchAt, switchTo)
+					for _, n := range []int{1, 2, 4, 8} {
+						label := fmt.Sprintf("%s %s %s shards=%d", qc.name, sc.name, label, n)
+						e := New()
+						q, err := e.RegisterText(qc.src, plan.WithSpec(spec), plan.WithShards(n))
+						if err != nil {
+							t.Fatal(err)
 						}
-						if g != w {
-							t.Fatalf("%s: stage %d metrics diverge\n got: %+v\nwant: %+v", label, j, g, w)
+						if q.Shards() != n {
+							t.Fatalf("%s: plan did not shard: %s", label, q.Plan().Explain())
+						}
+						for i, ev := range sc.in {
+							e.Push(ev)
+							if i+1 == switchAt {
+								q.SetSpec(switchTo)
+							}
+						}
+						e.Finish()
+						compareStreams(t, label, q.Results(), want)
+						gotMet := q.Metrics()
+						if len(gotMet) != len(wantMet) {
+							t.Fatalf("%s: %d metric stages, want %d", label, len(gotMet), len(wantMet))
+						}
+						for j := range gotMet {
+							if gotMet[j] != wantMet[j] {
+								t.Fatalf("%s: stage %d metrics diverge\n got: %+v\nwant: %+v", label, j, gotMet[j], wantMet[j])
+							}
 						}
 					}
 				}
@@ -363,6 +400,8 @@ OUTPUT x.Machine_Id AS machine`},
 		}
 	}
 }
+
+func ptr[T any](v T) *T { return &v }
 
 // The shard router keys on what CorrelationKey(attr, EQUAL) compares
 // (event.Key): a key sent once as an int64 and once as a float64 is one key

@@ -47,7 +47,7 @@ func record(q *Query) *recorder {
 func armOperatorPanic(t *testing.T, q *Query, after int) {
 	t.Helper()
 	for i := range q.ch.sh.workers {
-		q.ch.sh.workers[i].monitors[0] = consistency.NewMonitor(faultinject.NewPanicOp(mustStages(t)[0], after), q.ch.plan.Spec)
+		q.ch.sh.workers[i].head = consistency.NewMonitor(faultinject.NewPanicOp(mustStages(t)[0], after), q.ch.plan.Spec)
 	}
 }
 

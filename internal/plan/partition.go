@@ -1,7 +1,7 @@
-// Partitionability analysis: decides whether a compiled plan can run as N
-// key-partitioned shards — each shard owning a disjoint key range, its own
-// operator instances and its own consistency monitors — such that the
-// merged shard output is byte-identical to single-shard execution (see
+// Partitionability analysis: decides whether a compiled plan's head can run
+// as N key-partitioned shards — each shard owning a disjoint key range, its
+// own head operator and its own consistency monitor — such that the merged
+// shard output is byte-identical to single-shard execution (see
 // internal/engine's sharded runtime and internal/delivery's merge stage).
 package plan
 
@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/consistency"
 	"repro/internal/lang"
 )
 
@@ -20,8 +19,10 @@ const (
 	// PartitionNone: the plan is not key-decomposable; it runs on a single
 	// shard regardless of the requested shard count.
 	PartitionNone PartitionMode = iota
-	// PartitionByAttr: events route by a payload attribute. Every event fed
-	// to the query (retractions included) must carry the attribute.
+	// PartitionByAttr: events route by a payload attribute. An event with
+	// no defined value for it, and a retraction without a payload, goes to
+	// one fixed shard (engine.RouteByAttr), where it meets only the keys
+	// hashed there.
 	PartitionByAttr
 )
 
@@ -53,34 +54,19 @@ func partitionNone(why string, args ...any) Partition {
 	return Partition{Mode: PartitionNone, Why: fmt.Sprintf(why, args...)}
 }
 
-// partitionOf decides the partitionability of the plan an compiles to at
-// spec, from the analysis alone: a compiled plan is always the matcher tree
+// partitionOf decides the partitionability of the plan an compiles to,
+// from the analysis alone: a compiled plan is always the matcher tree
 // (single-port, keyed by the analysis's verdict) followed by stateless
-// Slice and Project stages.
+// Slice and Project stages. Only the head is sharded; the stages after it
+// run once, on the merged head output, at any level.
 //
 // Requirements, and why they guarantee byte-identical sharded output:
 //
-//   - Every stage after the head is stateless: their outputs are a
-//     per-event function of the head stage's output, which the head's key
-//     partition already routes consistently.
-//   - Bounded-memory levels (weak, interior M) need a single stage: a
-//     downstream monitor's forgetting horizon tracks the frontier of the
-//     head's output stream, which one shard only observes for its own keys.
 //   - The pattern must decompose by an EQUAL correlation key, which confines
 //     every detection — negation sites included — to one key.
 //   - first/last instance selection picks one instance per detection
 //     instant across all keys, so it couples keys and forces PartitionNone.
-func partitionOf(an *lang.Analysis, spec consistency.Spec) Partition {
-	stages := 1
-	if an.Slice != nil {
-		stages++
-	}
-	if an.OutputMap != nil {
-		stages++
-	}
-	if spec.M != consistency.Unbounded && stages > 1 {
-		return partitionNone("bounded memory (M=%d) across %d stages", int64(spec.M), stages)
-	}
+func partitionOf(an *lang.Analysis) Partition {
 	if an.PartitionAttr == "" {
 		return partitionNone("no CorrelationKey(attr, EQUAL) clause")
 	}

@@ -43,17 +43,14 @@ func TestPartitionVerdicts(t *testing.T) {
 			"by-attr(m)",
 			"plan E [weak(M=5)]\n" + head + pushed + "\n  partition: by-attr(m)\n"},
 		{"bounded-m-projection", keyed + `OUTPUT a.x CONSISTENCY weak(5)`,
-			"none (bounded memory (M=5) across 2 stages)",
-			"plan E [weak(M=5)]\n" + head + "  1: project\n" + pushed +
-				"\n  partition: none (bounded memory (M=5) across 2 stages)\n"},
+			"by-attr(m)",
+			"plan E [weak(M=5)]\n" + head + "  1: project\n" + pushed + "\n  partition: by-attr(m)\n"},
 		{"bounded-m-level-projection", keyed + `OUTPUT a.x CONSISTENCY level(0, 7)`,
-			"none (bounded memory (M=7) across 2 stages)",
-			"plan E [weak(M=7)]\n" + head + "  1: project\n" + pushed +
-				"\n  partition: none (bounded memory (M=7) across 2 stages)\n"},
+			"by-attr(m)",
+			"plan E [weak(M=7)]\n" + head + "  1: project\n" + pushed + "\n  partition: by-attr(m)\n"},
 		{"bounded-m-slice", keyed + `# [0, 100) CONSISTENCY weak(3)`,
-			"none (bounded memory (M=3) across 2 stages)",
-			"plan E [weak(M=3)]\n" + head + "  1: slice\n" + pushed +
-				"\n  partition: none (bounded memory (M=3) across 2 stages)\n"},
+			"by-attr(m)",
+			"plan E [weak(M=3)]\n" + head + "  1: slice\n" + pushed + "\n  partition: by-attr(m)\n"},
 		{"slice-and-project", keyed + `OUTPUT a.x # [0, 100)`,
 			"by-attr(m)",
 			"plan E [middle]\n" + head + "  1: slice\n  2: project\n" + pushed +

@@ -185,7 +185,7 @@ func (p *Plan) prepare(an *lang.Analysis) error {
 		Spec:         spec,
 		Rewrites:     rewrites,
 		Shards:       cfg.Shards,
-		Part:         partitionOf(an, spec),
+		Part:         partitionOf(an),
 		Share:        cfg.Share,
 		Bindings:     cfg.Bindings,
 		RouteTypes:   an.InputTypes,
