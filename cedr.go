@@ -291,11 +291,13 @@ func Restore(snapshot io.Reader, walPath string, opts ...Option) (*System, error
 // WithoutSharing).
 //
 // Registrations share by default: when an identical query is already
-// standing — same text, same resolved consistency level, same shard and
-// rewrite configuration, same template bindings — the new registration does
-// not build a second execution pipeline; it attaches to the standing one as
-// an independent endpoint (own Results, Subscribe callbacks, Err) and
-// observes output from its attachment point onward. A registration-time
+// standing — same text, same resolved consistency level, same template
+// bindings — the new registration does not build a second execution
+// pipeline; it attaches to the standing one as an independent endpoint (own
+// Results, Subscribe callbacks, Err) and observes output from its
+// attachment point onward. A shard request does not split the identity:
+// sharded output equals one shard's, so an attached registration runs on
+// the standing pipeline's shard count. A registration-time
 // SetConsistency or Finish issued through any endpoint applies to the whole
 // shared group; WithoutSharing opts a registration out.
 func (s *System) Register(src string, opts ...QueryOption) (*Query, error) {
@@ -469,7 +471,9 @@ func (q *Query) Unregister() { q.q.Unregister() }
 func (q *Query) Shared() bool { return q.q.Shared() }
 
 // Shards returns the number of parallel shards the query runs on (1 unless
-// sharding was requested and the plan is key-partitionable).
+// sharding was requested and the plan is key-partitionable). A shared
+// registration reports the shard count of the pipeline it attached to,
+// whatever it requested.
 func (q *Query) Shards() int { return q.q.Shards() }
 
 // Explain renders the compiled plan.

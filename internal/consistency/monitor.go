@@ -136,13 +136,14 @@ type Monitor struct {
 	out      []event.Event // reusable output buffer (valid until next call)
 	absState int           // operator state size as of the absorbed boundary
 
-	// Sharded-execution support (see PushTaggedInto). All of it is inert —
-	// and free — on the plain Push path.
-	tagging   bool   // current call wants order tags
-	sink      *Burst // the *Into variants' output and tag accumulator (nil on the plain path)
-	curClass  byte   // (curClass, curSync, curArr): admit position of the
-	curSync   temporal.Time
-	curArr    []byte // item whose processing is emitting
+	// Sharded-execution support (see PushTaggedInto). On the plain Push
+	// path only step moves; the rest is inert.
+	tagging bool   // current call wants order tags
+	sink    *Burst // the *Into variants' output and tag accumulator (nil on the plain path)
+	// step counts, over the monitor's whole life, every admission, every
+	// guarantee advance and every emitted CTI; an output's tag leads with the
+	// step that emitted it.
+	step      uint64
 	advKey    func(dst []byte, e event.Event) []byte
 	probeLog  int // probe items in the live log window (state-size exempt)
 	probeBuf  int // probe items in the alignment buffer (state-size exempt)
@@ -152,23 +153,9 @@ type Monitor struct {
 	met  Metrics
 }
 
-// Output-order tag admission classes: within one externally driven call,
-// the monitor admits the pushed item itself first, then buffered releases
-// (in (Sync, arrival) order), then the guarantee advance, then emits
-// punctuation — and emission follows admission. The class byte encodes
-// that, making tag order track emission order even when a buffered release
-// carries an older Sync than the pushed item (possible after a
-// blocking-bound tightening via SetSpec left events in the buffer).
-const (
-	classPushed    byte = 1
-	classRelease   byte = 2
-	classGuarantee byte = 3
-	classCTI       byte = 4
-)
-
-// Output-order tag phases: within one admitted item, the speculative
-// Advance's outputs precede the Process outputs, repair diffs stand alone,
-// and punctuation comes last.
+// Output-order tag phases: within one step, the speculative Advance's
+// outputs precede the Process outputs, repair diffs stand alone, and
+// punctuation is a step of its own.
 const (
 	tagAdvance byte = 1
 	tagDiff    byte = 2
@@ -228,7 +215,6 @@ type bufEntry struct {
 	arrival temporal.Time
 	seq     int
 	probe   bool
-	ext     []byte // external arrival key (sharded execution; owned copy)
 }
 
 // netFact entries are stored by pointer and shared between the live table
@@ -361,20 +347,21 @@ func (m *Monitor) WindowMarkers() int { return m.markerLog }
 // bound may release buffered events, which are returned. The returned slice
 // is valid until the next call on this monitor.
 func (m *Monitor) SetSpec(s Spec) []event.Event {
-	return m.setSpec(s, nil, nil)
+	return m.setSpec(s, false, nil)
 }
 
 // SetSpecTaggedInto is SetSpec for sharded execution: released output is
-// appended to sink with its order tags (see PushTaggedInto).
-func (m *Monitor) SetSpecTaggedInto(s Spec, arrival []byte, sink *Burst) {
-	m.setSpec(s, arrival, sink)
+// appended to sink, with its order tags when tag is set (see
+// PushTaggedInto).
+func (m *Monitor) SetSpecTaggedInto(s Spec, tag bool, sink *Burst) {
+	m.setSpec(s, tag, sink)
 }
 
-func (m *Monitor) setSpec(s Spec, arrival []byte, sink *Burst) []event.Event {
+func (m *Monitor) setSpec(s Spec, tag bool, sink *Burst) []event.Event {
 	if m.done {
 		return nil
 	}
-	m.beginCall(arrival, sink)
+	m.beginCall(tag, sink)
 	m.spec = s
 	m.releaseTimedOut()
 	m.trimMemory()
@@ -387,48 +374,51 @@ func (m *Monitor) setSpec(s Spec, arrival []byte, sink *Burst) []event.Event {
 // items, stamped with the current CEDR time. The returned slice is valid
 // until the next call on this monitor.
 func (m *Monitor) Push(port int, e event.Event) []event.Event {
-	return m.push(port, e, nil, false, nil)
+	return m.push(port, e, false, false, nil)
 }
 
-// PushTaggedInto is Push for sharded execution. arrival is an
-// order-preserving byte key (package ordkey) placing this item in the
-// global arrival order across all sibling shard monitors. probe marks
-// an advance-only marker for an event routed to a sibling shard: the
-// monitor advances its operator to the probe's Sync exactly as it would for
-// a local event — so every shard observes identical advance boundaries and
-// emits identical per-key output — but never calls Process and keeps the
-// probe out of every metric and state count.
+// PushTaggedInto is Push for sharded execution. probe marks an
+// advance-only marker for an event routed to a sibling shard: the monitor
+// advances its operator to the probe's Sync exactly as it would for a local
+// event — so every shard observes identical advance boundaries and emits
+// identical per-key output — but never calls Process and keeps the probe
+// out of every metric and state count.
 //
-// Each output item carries an order tag; sorting the union of all sibling
-// monitors' outputs for one input item by tag reproduces the exact sequence
-// a single un-sharded monitor would have emitted (internal/delivery's merge
-// stage does this).
+// When tag is set, each output item carries an order tag: the monitor's
+// step count at emission (see Monitor.step), the phase, and a sub-key (the
+// repaired fact's id, or the operator's AppendAdvanceKey). A probe takes
+// every branch its data item takes but the Process call, so sibling
+// monitors driven through the same calls — data on the owner, a probe
+// elsewhere, punctuation and control broadcast — take the same steps for
+// their whole life. Sorting the union of their outputs by tag therefore
+// reproduces the exact sequence one un-sharded monitor would have emitted,
+// across any number of calls (Merger does this).
 //
 // Nothing is returned: the call's outputs (CEDR-time-stamped) and their
 // order tags are appended to sink, which must not be nil, with the tag
 // bytes carved from sink.Arena. A worker accumulates a whole run of input
 // items into one Burst this way without any per-output allocation once the
 // burst's buffers have grown.
-func (m *Monitor) PushTaggedInto(port int, e event.Event, arrival []byte, probe bool, sink *Burst) {
-	m.push(port, e, arrival, probe, sink)
+func (m *Monitor) PushTaggedInto(port int, e event.Event, tag, probe bool, sink *Burst) {
+	m.push(port, e, tag, probe, sink)
 }
 
-func (m *Monitor) push(port int, e event.Event, arrival []byte, probe bool, sink *Burst) []event.Event {
+func (m *Monitor) push(port int, e event.Event, tag, probe bool, sink *Burst) []event.Event {
 	if port < 0 || port >= len(m.portG) || m.done {
 		return nil
 	}
-	m.beginCall(arrival, sink)
+	m.beginCall(tag, sink)
 	if e.C.Start > m.now {
 		m.now = e.C.Start
 	}
 	if e.IsCTI() {
 		m.met.InputCTIs++
-		m.pushCTI(port, e.Sync(), arrival)
+		m.pushCTI(port, e.Sync())
 	} else {
 		if !probe {
 			m.met.InputEvents++
 		}
-		m.pushData(port, e, probe, arrival)
+		m.pushData(port, e, probe)
 	}
 	m.trimMemory()
 	m.sampleState()
@@ -437,9 +427,9 @@ func (m *Monitor) push(port int, e event.Event, arrival []byte, probe bool, sink
 
 // beginCall resets the output buffer and arms or disarms tagging for one
 // externally driven call.
-func (m *Monitor) beginCall(arrival []byte, sink *Burst) {
+func (m *Monitor) beginCall(tag bool, sink *Burst) {
 	m.out = m.out[:0]
-	m.tagging = arrival != nil
+	m.tagging = tag
 	m.sink = sink
 }
 
@@ -459,8 +449,7 @@ func (m *Monitor) endCall() []event.Event {
 
 // appendTag records the order tag of the output item just appended to
 // m.out. It must be called exactly once per appended item on tagged calls;
-// (m.curSync, m.curArr) identify the admitted item whose processing is
-// emitting.
+// m.step identifies the step that is emitting.
 func (m *Monitor) appendTag(phase byte, id event.ID, ev *event.Event) {
 	if !m.tagging {
 		return
@@ -474,9 +463,7 @@ func (m *Monitor) appendTag(phase byte, id event.ID, ev *event.Event) {
 // buildTag appends one order tag's bytes to t and returns the extended
 // slice.
 func (m *Monitor) buildTag(t []byte, phase byte, id event.ID, ev *event.Event) []byte {
-	t = append(t, m.curClass)
-	t = ordkey.AppendInt(t, int64(m.curSync))
-	t = ordkey.AppendBytes(t, m.curArr)
+	t = ordkey.AppendUint(t, m.step)
 	t = append(t, phase)
 	switch phase {
 	case tagDiff:
@@ -489,7 +476,7 @@ func (m *Monitor) buildTag(t []byte, phase byte, id event.ID, ev *event.Event) [
 	return t
 }
 
-func (m *Monitor) pushCTI(port int, t temporal.Time, arrival []byte) {
+func (m *Monitor) pushCTI(port int, t temporal.Time) {
 	if t > m.portG[port] {
 		m.portG[port] = t
 	}
@@ -516,9 +503,7 @@ func (m *Monitor) pushCTI(port int, t temporal.Time, arrival []byte) {
 		key = m.processedSync
 	}
 	sq := m.nextSeq()
-	if m.tagging {
-		m.curClass, m.curSync, m.curArr = classGuarantee, key, arrival
-	}
+	m.step++
 	i := m.insertLog(logItem{marker: true, t: g, key: key, seq: sq})
 	m.emit(key, sq, tagAdvance, m.op.Advance(g))
 	m.seal(i, m.versioning())
@@ -528,17 +513,14 @@ func (m *Monitor) pushCTI(port int, t temporal.Time, arrival []byte) {
 	m.releaseTimedOut()
 	og := m.op.OutputGuarantee(g)
 	m.met.OutputCTIs++
-	if m.tagging {
-		// g is identical on every sibling shard (punctuation is broadcast),
-		// so the punctuation tags match exactly and the merge collapses the
-		// redundant copies to one.
-		m.curClass, m.curSync, m.curArr = classCTI, g, arrival
-	}
+	// Every sibling shard emits this punctuation at the same step, so the
+	// tags match exactly and the merge collapses the redundant copies.
+	m.step++
 	m.out = append(m.out, event.NewCTI(og))
 	m.appendTag(tagCTI, 0, nil)
 }
 
-func (m *Monitor) pushData(port int, e event.Event, probe bool, ext []byte) {
+func (m *Monitor) pushData(port int, e event.Event, probe bool) {
 	if e.Sync() < m.guarantee {
 		if !probe {
 			m.met.Violations++
@@ -560,9 +542,6 @@ func (m *Monitor) pushData(port int, e event.Event, probe bool, ext []byte) {
 		// sorted by binary insertion (upper bound, so equal Syncs keep
 		// arrival order).
 		be := bufEntry{port: port, ev: e, arrival: m.now, seq: m.nextSeq(), probe: probe}
-		if m.tagging {
-			be.ext = append([]byte(nil), ext...)
-		}
 		if probe {
 			m.probeBuf++
 		}
@@ -572,7 +551,7 @@ func (m *Monitor) pushData(port int, e event.Event, probe bool, ext []byte) {
 		copy(m.buffer[i+1:], m.buffer[i:])
 		m.buffer[i] = be
 	} else {
-		m.admit(classPushed, port, e, probe, ext)
+		m.admit(port, e, probe)
 	}
 	m.releaseTimedOut()
 }
@@ -591,7 +570,7 @@ func (m *Monitor) releaseCovered(g temporal.Time) {
 			m.met.BlockedEvents++
 			m.met.TotalBlocking += m.now.Sub(be.arrival)
 		}
-		m.admit(classRelease, be.port, be.ev, be.probe, be.ext)
+		m.admit(be.port, be.ev, be.probe)
 	}
 	m.buffer = m.buffer[i:]
 }
@@ -614,7 +593,7 @@ func (m *Monitor) releaseTimedOut() {
 			m.met.BlockedEvents++
 			m.met.TotalBlocking += m.now.Sub(be.arrival)
 		}
-		m.admit(classRelease, be.port, be.ev, be.probe, be.ext)
+		m.admit(be.port, be.ev, be.probe)
 	}
 	m.buffer = m.buffer[i:]
 }
@@ -622,11 +601,9 @@ func (m *Monitor) releaseTimedOut() {
 // admit feeds one event to the live operator, via the fast path when it is
 // in order and via rollback and replay when it is a straggler. Probes
 // advance but never Process.
-func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []byte) {
+func (m *Monitor) admit(port int, e event.Event, probe bool) {
 	li := logItem{port: port, probe: probe, ev: e, seq: m.nextSeq(), opt: m.spec.B != Unbounded}
-	if m.tagging {
-		m.curClass, m.curSync, m.curArr = class, e.Sync(), ext
-	}
+	m.step++
 	i := m.insertLog(li)
 	if e.Sync() >= m.processedSync {
 		// Fast path: the item extends the sorted window.
@@ -1026,35 +1003,32 @@ func (m *Monitor) sampleState() {
 // operator is compacted past its last Advance and the repair state is
 // released; Metrics keep their final values. Later calls are no-ops.
 func (m *Monitor) Finish() []event.Event {
-	return m.finish(nil, nil)
+	return m.finish(false, nil)
 }
 
 // FinishTaggedInto is Finish for sharded execution: the closing output is
-// appended to sink with its order tags (see PushTaggedInto).
-func (m *Monitor) FinishTaggedInto(arrival []byte, sink *Burst) {
-	m.finish(arrival, sink)
+// appended to sink, with its order tags when tag is set (see
+// PushTaggedInto).
+func (m *Monitor) FinishTaggedInto(tag bool, sink *Burst) {
+	m.finish(tag, sink)
 }
 
-func (m *Monitor) finish(arrival []byte, sink *Burst) []event.Event {
+func (m *Monitor) finish(tag bool, sink *Burst) []event.Event {
 	if m.done {
 		return nil
 	}
-	m.beginCall(arrival, sink)
+	m.beginCall(tag, sink)
 	for _, be := range m.buffer {
 		if be.probe {
 			m.probeBuf--
 		}
-		m.admit(classRelease, be.port, be.ev, be.probe, be.ext)
+		m.admit(be.port, be.ev, be.probe)
 	}
 	m.buffer = nil
-	if m.tagging {
-		m.curClass, m.curSync, m.curArr = classGuarantee, temporal.Infinity, arrival
-	}
+	m.step++
 	m.emit(temporal.Infinity, m.seq, tagAdvance, m.op.Advance(temporal.Infinity))
 	m.met.OutputCTIs++
-	if m.tagging {
-		m.curClass = classCTI
-	}
+	m.step++
 	m.out = append(m.out, event.NewCTI(temporal.Infinity))
 	m.appendTag(tagCTI, 0, nil)
 	m.sampleState()

@@ -99,8 +99,8 @@ func TestMonitorIgnoresInputAfterFinish(t *testing.T) {
 			"level switch":   m.SetSpec(Middle()),
 			"second Finish":  m.Finish(),
 		}
-		m.PushTaggedInto(0, at(event.NewInsert(6, "E", 70, 80, nil), 106), []byte{1}, false, &sink)
-		m.FinishTaggedInto([]byte{2}, &sink)
+		m.PushTaggedInto(0, at(event.NewInsert(6, "E", 70, 80, nil), 106), true, false, &sink)
+		m.FinishTaggedInto(true, &sink)
 		after["tagged calls"] = sink.Evs
 		for call, out := range after {
 			if len(out) != 0 {

@@ -548,7 +548,7 @@ func (q *Query) Plan() *plan.Plan { return q.ch.plan }
 
 // Shards returns the number of shards the query's chain runs on: 1 (run
 // inline on the pushing goroutine) unless the plan partitions and more were
-// requested.
+// requested — by the registration that built the chain, when it is shared.
 func (q *Query) Shards() int { return q.ch.sh.n }
 
 // Shared reports whether the query's chain is joinable by identical

@@ -7,10 +7,12 @@
 // probe carrying the event's Sync, so all shards advance their operators
 // at identical boundaries and each shard's output is byte-for-byte the
 // key-restricted slice of what a single-shard head would emit (see
-// Monitor.PushTaggedInto). Workers tag their outputs with order keys and
-// the merger goroutine — one per query — interleaves the per-item bursts
-// with internal/delivery's merge stage, reconstructing the exact
-// single-shard head output. The stages after the head (a compiled plan's
+// Monitor.PushTaggedInto). Driven through the same calls, the sibling
+// heads take the same steps for their whole life, so each worker tags its
+// outputs with its own head's step count and the merger goroutine — one
+// per query — sorts each run's aligned bursts once by those tags
+// (consistency.Merger), reconstructing the exact single-shard head output.
+// The stages after the head (a compiled plan's
 // Slice and Project) run once, on the merger's goroutine, fed that merged
 // stream: each of their monitors sees the one-shard input at its level, so
 // its output and metrics are the one-shard ones.
@@ -20,15 +22,14 @@
 //	 (hash key) └─ worker …: head ─┘  (order tags)
 //
 // Handoff is batched: the router accumulates per-shard *runs* of
-// consecutive items and flushes a run to every worker at identical global
-// sequence boundaries — when the run reaches the burst size, on
-// punctuation, on spec switches, and at barriers/finish. Workers process a
-// whole run per channel receive into one aggregated burst (outputs, order
-// tags in a shared arena, per-item state trace), and the merger
-// reconstructs the per-event deterministic order by merging the aligned
-// runs item by item. Run and burst buffers cycle through per-worker free
-// lists, so steady-state handoff does not allocate and a slow consumer
-// exerts backpressure on the router.
+// consecutive items and flushes a run to every worker at identical input
+// boundaries — when the run reaches the burst size, on punctuation, on
+// spec switches, and at barriers/finish. Workers process a whole run per
+// channel receive into one aggregated burst (outputs, order tags in a
+// shared arena, per-item state trace), and the merger merges the aligned
+// bursts of a run in one pass. Run and burst buffers cycle through
+// per-worker free lists, so steady-state handoff does not allocate and a
+// slow consumer exerts backpressure on the router.
 //
 // With more than one shard the pipeline is asynchronous: Push enqueues and
 // returns, Finish drains, and Results() exposes a deterministic prefix at
@@ -44,18 +45,16 @@ import (
 	"sync"
 
 	"repro/internal/consistency"
-	"repro/internal/delivery"
 	"repro/internal/event"
 	"repro/internal/operators"
-	"repro/internal/ordkey"
 	"repro/internal/stream"
 	"repro/internal/temporal"
 )
 
-// Shard item kinds. Every worker receives every sequence number exactly
-// once (data on the owning shard, a probe elsewhere; control items are
-// broadcast), which is what lets the merger align runs without extra
-// bookkeeping.
+// Shard item kinds. Every worker receives every input item exactly once
+// (data on the owning shard, a probe elsewhere; control items are
+// broadcast), which is what keeps the sibling heads in step and lets the
+// merger align runs without extra bookkeeping.
 const (
 	itemData uint8 = iota
 	itemProbe
@@ -86,27 +85,20 @@ type shardItem struct {
 }
 
 // shardRun is one router→worker handoff unit: a run of consecutive input
-// items. items[k] has global sequence number first+k; the router flushes
-// all workers at identical boundaries, so the k-th item of every shard's
-// run is the same input item (data on the owner, a probe elsewhere).
+// items. The router flushes all workers at identical boundaries, so the
+// k-th item of every shard's run is the same input item (data on the
+// owner, a probe elsewhere).
 type shardRun struct {
-	first int
 	items []shardItem
 }
 
 // shardBurst is one worker→merger handoff unit: the aggregated tagged
 // outputs of a whole shard run.
 type shardBurst struct {
-	first int              // sequence number of the run's first input item
-	n     int              // input items covered
-	kind  uint8            // kind of the run's last item (the flush cause)
-	spec  consistency.Spec // the run's last item's level, when it is a switch
-	// out accumulates the head's outputs and order tags for the whole
-	// run; ends[k] is the exclusive end offset of item k's outputs,
-	// so the merger can merge the aligned runs item by item (tags are only
-	// globally ordered within one input item).
-	out  consistency.Burst
-	ends []int32
+	kind uint8            // kind of the run's last item (the flush cause)
+	spec consistency.Spec // the run's last item's level, when it is a switch
+	// out accumulates the head's outputs and order tags for the whole run.
+	out consistency.Burst
 	// states[k] is the head monitor's state after item k, less the
 	// guarantee markers in its log window on every shard but shard 0.
 	// Broadcast punctuation is logged once per shard but contributes once
@@ -127,18 +119,17 @@ func (b *shardBurst) reset() {
 }
 
 // clearOutputs drops the burst's outputs and traces but keeps its run
-// header (first/n/kind) — the shape a failed worker's aligned empty
+// header (kind/spec) — the shape a failed worker's aligned empty
 // response takes.
 func (b *shardBurst) clearOutputs() {
 	b.out.Reset()
-	b.ends = b.ends[:0]
 	b.states = b.states[:0]
 }
 
 type shardWorker struct {
 	head *consistency.Monitor
 	// merged is set when a merger reads this worker's bursts (n > 1): only
-	// then are outputs order-tagged and per-item ends and state traced.
+	// then are outputs order-tagged and per-item state traced.
 	// dropMarkers is set on every merged worker but shard 0 (see
 	// shardBurst.states).
 	merged, dropMarkers bool
@@ -148,8 +139,6 @@ type shardWorker struct {
 	out        chan *shardBurst
 	freeRuns   chan *shardRun
 	freeBursts chan *shardBurst
-
-	arr []byte // arrival-key scratch
 }
 
 // sharded is the per-query runtime. The router methods (push, setSpec,
@@ -171,8 +160,7 @@ type sharded struct {
 	sink    shardSink
 	name    string // query name, for the quarantine error
 
-	mu       sync.Mutex // serializes seq assignment and run handoff order
-	seq      int
+	mu       sync.Mutex // serializes run handoff order
 	finished bool
 	// pending[i] is worker i's run being filled; all pending runs hold the
 	// same pendLen items (the per-shard views of the same input items).
@@ -284,13 +272,11 @@ func (s *sharded) runInline(it shardItem) []event.Event {
 	if s.failed != nil {
 		return nil
 	}
-	seq := s.seq
-	s.seq++
 	b := &s.one
 	b.reset()
 	one := [1]shardItem{it}
 	var out []event.Event
-	err := s.workers[0].processRunSafely(s.name, seq, one[:], b)
+	err := s.workers[0].processRunSafely(s.name, one[:], b)
 	if err == nil {
 		out, err = s.runTail(b.out.Evs, it.kind, it.spec)
 	}
@@ -364,13 +350,6 @@ func (s *sharded) push(ev event.Event) []event.Event {
 		}
 		return s.runInline(shardItem{kind: kind, ev: ev})
 	}
-	seq := s.seq
-	s.seq++
-	if s.pendLen == 0 {
-		for _, r := range s.pending {
-			r.first = seq
-		}
-	}
 	if ev.IsCTI() {
 		it := shardItem{kind: itemCTI, ev: ev}
 		for _, r := range s.pending {
@@ -408,13 +387,7 @@ func (s *sharded) control(kind uint8, spec consistency.Spec) []event.Event {
 	if s.n == 1 {
 		return s.runInline(shardItem{kind: kind, spec: spec})
 	}
-	if s.pendLen == 0 {
-		for _, r := range s.pending {
-			r.first = s.seq
-		}
-	}
 	it := shardItem{kind: kind, spec: spec}
-	s.seq++
 	for _, r := range s.pending {
 		r.items = append(r.items, it)
 	}
@@ -530,9 +503,9 @@ func (w *shardWorker) run(name string) {
 		b := <-w.freeBursts
 		b.reset()
 		last := r.items[len(r.items)-1]
-		b.first, b.n, b.kind, b.spec = r.first, len(r.items), last.kind, last.spec
+		b.kind, b.spec = last.kind, last.spec
 		if failed == nil {
-			failed = w.processRunSafely(name, r.first, r.items, b)
+			failed = w.processRunSafely(name, r.items, b)
 		}
 		if failed != nil {
 			// Drain mode (and the failing run itself): a panicked worker's
@@ -551,19 +524,19 @@ func (w *shardWorker) run(name string) {
 	}
 }
 
-// processRunSafely drives a run of items (the first numbered first)
-// through the head monitor under a recover barrier: a panicking operator —
+// processRunSafely drives a run of items through the head monitor under a
+// recover barrier: a panicking operator —
 // at any intra-run offset — yields the quarantine error of query name (and
 // the caller sends an aligned empty burst, or stops when inline) instead of
 // killing the process or deadlocking the merger.
-func (w *shardWorker) processRunSafely(name string, first int, items []shardItem, b *shardBurst) (err error) {
+func (w *shardWorker) processRunSafely(name string, items []shardItem, b *shardBurst) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = recoverPanic(name, "operator stage", rec)
 		}
 	}()
 	for k := range items {
-		w.process(first+k, items[k], b)
+		w.process(items[k], b)
 	}
 	return nil
 }
@@ -573,26 +546,20 @@ func (w *shardWorker) processRunSafely(name string, first int, items []shardItem
 // the worker loop's per-item body and the head of the one-shard runtime
 // (the critical-path benchmark also times a shard's full item sequence this
 // way, without channel overhead).
-func (w *shardWorker) process(seq int, it shardItem, b *shardBurst) {
-	var arr []byte // a nil arrival key tells the monitor not to tag
-	if w.merged {
-		w.arr = ordkey.AppendUint(w.arr[:0], uint64(seq))
-		arr = w.arr
-	}
+func (w *shardWorker) process(it shardItem, b *shardBurst) {
 	switch it.kind {
 	case itemData, itemProbe, itemCTI:
-		w.head.PushTaggedInto(0, it.ev, arr, it.kind == itemProbe, &b.out)
+		w.head.PushTaggedInto(0, it.ev, w.merged, it.kind == itemProbe, &b.out)
 	case itemSetSpec:
-		w.head.SetSpecTaggedInto(it.spec, arr, &b.out)
+		w.head.SetSpecTaggedInto(it.spec, w.merged, &b.out)
 	case itemFinish:
-		w.head.FinishTaggedInto(arr, &b.out)
+		w.head.FinishTaggedInto(w.merged, &b.out)
 	case itemBarrier:
 		// State is unchanged; the run round-trip is the synchronization.
 	}
 	if !w.merged {
 		return
 	}
-	b.ends = append(b.ends, int32(b.out.Len()))
 	st := w.head.CurState()
 	if w.dropMarkers {
 		st -= w.head.WindowMarkers()
@@ -600,24 +567,22 @@ func (w *shardWorker) process(seq int, it shardItem, b *shardBurst) {
 	b.states = append(b.states, int32(st))
 }
 
-// mergeLoop gathers each run's bursts from all shards, merges the aligned
-// per-item output slices into the single-shard head's emission order,
-// drives that through the tail, and delivers once per run.
+// mergeLoop gathers each run's bursts from all shards, merges them into
+// the single-shard head's emission order, drives that through the tail,
+// and delivers once per run.
 func (s *sharded) mergeLoop() {
-	var mg delivery.Merger
+	var mg consistency.Merger
 	var out []event.Event
 	var failed error
 	bs := make([]*shardBurst, s.n)
-	evs := make([][]event.Event, s.n)
-	tags := make([][][]byte, s.n)
+	outs := make([]*consistency.Burst, s.n)
 	for {
 		var kind uint8
 		var spec consistency.Spec
-		var n int
 		for i := range s.workers {
 			b := <-s.workers[i].out
-			bs[i] = b
-			kind, spec, n = b.kind, b.spec, b.n
+			bs[i], outs[i] = b, &b.out
+			kind, spec = b.kind, b.spec
 			if b.fail != nil && failed == nil {
 				// First failure wins; the query is quarantined before any
 				// post-failure delivery could happen.
@@ -627,25 +592,15 @@ func (s *sharded) mergeLoop() {
 		}
 		out = out[:0]
 		if failed == nil {
-			for k := 0; k < n; k++ {
+			for k := range bs[0].states {
 				// Per-item cross-shard state trace (see shardBurst.states).
 				sum := 0
 				for _, b := range bs {
 					sum += int(b.states[k])
 				}
 				s.maxState = max(s.maxState, sum)
-				// Tags are only globally ordered within one input item, so
-				// merge the aligned runs item by item.
-				for i, b := range bs {
-					start, end := 0, int(b.ends[k])
-					if k > 0 {
-						start = int(b.ends[k-1])
-					}
-					evs[i] = b.out.Evs[start:end]
-					tags[i] = b.out.Tags[start:end]
-				}
-				out = mg.MergeTagged(out, evs, tags)
 			}
+			out = mg.Merge(out, outs)
 		}
 		// Merged events are value copies; the burst buffers can cycle back
 		// to the workers before delivery runs.

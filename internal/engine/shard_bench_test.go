@@ -54,7 +54,7 @@ func BenchmarkShardCriticalPath(b *testing.B) {
 							if seq%DefaultBurst == 0 {
 								burst.reset()
 							}
-							w.process(seq, it, &burst)
+							w.process(it, &burst)
 						}
 						if d := time.Since(start); d > slowest {
 							slowest = d
@@ -105,8 +105,8 @@ func shardItemSequences(in stream.Stream, shards int, route func(event.Event) in
 }
 
 // BenchmarkShardMergeStage isolates the merge stage's own cost: the tagged
-// bursts of a sharded run are captured once, then replayed through the
-// Merger's per-item burst merge.
+// bursts of a sharded run are captured once, DefaultBurst items each as the
+// workers hand them off, then merged one run at a time.
 func BenchmarkShardMergeStage(b *testing.B) {
 	cfg := workload.DefaultUniform()
 	cfg.Events = 4000
@@ -116,36 +116,29 @@ func BenchmarkShardMergeStage(b *testing.B) {
 			30*temporal.Duration(cfg.Spacing), 0.1))
 	const shards = 4
 	perShard := shardItemSequences(delivered, shards, RouteByAttr("g", shards))
-	items := len(perShard[0])
-	// Per shard, one unbounded burst covering the whole sequence; ends
-	// gives the per-item slices the merger consumes.
-	full := make([]*shardBurst, shards)
-	for s := 0; s < shards; s++ {
+	// bursts[s][r] is shard s's burst for the r-th run.
+	bursts := make([][]*shardBurst, shards)
+	for s := range bursts {
 		w := benchWorker()
-		full[s] = new(shardBurst)
-		for seq, it := range perShard[s] {
-			w.process(seq, it, full[s])
+		for k, it := range perShard[s] {
+			if k%DefaultBurst == 0 {
+				bursts[s] = append(bursts[s], new(shardBurst))
+			}
+			w.process(it, bursts[s][len(bursts[s])-1])
 		}
 	}
-	evs := make([][]event.Event, shards)
-	tags := make([][][]byte, shards)
+	outs := make([]*consistency.Burst, shards)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var mg delivery.Merger
+		var mg consistency.Merger
 		var out []event.Event
 		total := 0
-		for k := 0; k < items; k++ {
-			for s, fb := range full {
-				start := 0
-				if k > 0 {
-					start = int(fb.ends[k-1])
-				}
-				end := int(fb.ends[k])
-				evs[s] = fb.out.Evs[start:end]
-				tags[s] = fb.out.Tags[start:end]
+		for r := range bursts[0] {
+			for s := range bursts {
+				outs[s] = &bursts[s][r].out
 			}
-			out = mg.MergeTagged(out[:0], evs, tags)
+			out = mg.Merge(out[:0], outs)
 			total += len(out)
 		}
 		if total == 0 {

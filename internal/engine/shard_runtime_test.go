@@ -10,12 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/consistency"
-	"repro/internal/delivery"
 	"repro/internal/event"
 	"repro/internal/leakcheck"
 	"repro/internal/operators"
 	"repro/internal/plan"
-	"repro/internal/stream"
 	"repro/internal/temporal"
 	"repro/internal/workload"
 )
@@ -96,66 +94,68 @@ func TestAutoShardHeuristic(t *testing.T) {
 	}
 }
 
-// TestShardedHandoffAllocFree pins the batched handoff's steady state at
-// zero allocations per run: once the free-list buffers have cycled and the
-// monitor log has grown its capacity, routing a full burst of data plus
-// its CTI through router → workers → merger must not allocate. A
-// never-matching Select keeps output out of the measurement, so the number
-// is the handoff machinery alone. With one shard the same pushes run
-// inline into one reused burst, under the same bound.
+// TestShardedHandoffAllocFree pins the batched handoff's steady-state
+// allocations per run of 32 events and a CTI at the last one's Sync. The
+// stream's Sync keeps advancing, so every event is admitted — at Middle on
+// arrival, at Strong and Level(100, ∞) through the alignment buffer — and
+// none is dropped as a violation. A never-matching Select keeps output out
+// of the measurement (punctuation aside), so the number is the handoff
+// machinery and the monitors' own bookkeeping; with one shard the same
+// pushes run inline into one reused burst. The ≈2 allocations per shard
+// per run left at the blocking levels are the alignment buffer regrowing
+// after it re-slices from its front; compacting it in place instead would
+// cost O(buffer) per release at finite B.
 func TestShardedHandoffAllocFree(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	levels := []struct {
+		name     string
+		spec     consistency.Spec
+		ceilings [2]float64 // at shards 1 and 4
+	}{
+		{"middle", consistency.Middle(), [2]float64{0, 1}},
+		{"strong", consistency.Strong(), [2]float64{2, 10}},
+		{"level(100,∞)", consistency.Level(100, consistency.Unbounded), [2]float64{2, 11}},
+	}
+	for i, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			testHandoffAllocFree(t, shards)
+			for _, l := range levels {
+				t.Run(l.name, func(t *testing.T) {
+					testHandoffAllocFree(t, l.name, l.spec, shards, l.ceilings[i])
+				})
+			}
 		})
 	}
 }
 
-func testHandoffAllocFree(t *testing.T, shards int) {
+func testHandoffAllocFree(t *testing.T, name string, spec consistency.Spec, shards int, ceiling float64) {
 	defer leakcheck.Check(t)()
 	const burst = 8
 	sh, err := newSharded("test", shards, burst,
 		func(int) ([]operators.Op, error) {
 			return []operators.Op{operators.NewSelect(func(event.Payload) bool { return false })}, nil
 		},
-		consistency.Middle(), RouteByAttr("g", shards), discard{})
+		spec, RouteByAttr("g", shards), discard{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workload.Uniform{Seed: 9, Events: 4096, Groups: 8, Spacing: 4, Lifetime: 10}
-	in := delivery.Deliver(workload.UniformEvents(cfg), delivery.Ordered(8))
-	var data stream.Stream
-	for _, ev := range in {
-		if !ev.IsCTI() {
-			data = append(data, ev)
+	data := workload.UniformEvents(workload.Uniform{Seed: 9, Events: 8192, Groups: 8, Spacing: 4, Lifetime: 10})
+	next := 0
+	run := func() {
+		for i := 0; i < 32; i++ {
+			sh.push(data[next])
+			next++
 		}
-	}
-	if len(data) < 2048 {
-		t.Fatalf("workload too small: %d data events", len(data))
+		sh.push(event.NewCTI(data[next-1].Sync()))
 	}
 	// Warmup: cycle every run/burst buffer several times and let the
 	// monitor logs reach their steady capacity.
-	next := 0
-	feed := func(n int) {
-		for i := 0; i < n; i++ {
-			sh.push(data[next%len(data)])
-			next++
-		}
+	for i := 0; i < 32; i++ {
+		run()
 	}
-	feed(1024)
-	cti := event.NewCTI(data[len(data)-1].Sync())
-	sh.push(cti)
-
-	allocs := testing.AllocsPerRun(100, func() {
-		feed(4 * burst)
-		sh.push(cti)
-	})
+	allocs := testing.AllocsPerRun(100, run)
 	sh.finish()
-	// The monitor's repair log grows by append, so its doubling reallocs
-	// amortize to (well under) one per run over the measurement window;
-	// everything else must be free.
-	if allocs > 1 {
-		t.Fatalf("steady-state handoff allocates %.1f per run, want <= 1", allocs)
+	t.Logf("%s handoff at %d shards: measured %.2f allocs/run (ceiling %.0f)", name, shards, allocs, ceiling)
+	if allocs > ceiling {
+		t.Fatalf("steady-state handoff allocates %.2f per run, want <= %.0f", allocs, ceiling)
 	}
 }
 

@@ -505,6 +505,45 @@ func TestShardedSubscribe(t *testing.T) {
 	compareStreams(t, "subscribe vs results", stream.Stream(seen), q.Results())
 }
 
+// TestShardsShareOneChain: a shard count is not part of the sharing
+// identity. Sharing registrations of one query at 4 shards, 1 shard and
+// AutoShards — in that order and in reverse — attach to the first
+// registrant's chain and report its shard count, and every endpoint's
+// results and tags equal an unshared one-shard run's.
+func TestShardsShareOneChain(t *testing.T) {
+	defer leakcheck.Check(t)()
+	in := durabilityWorkload()
+	want := run(t, monitorQuery, in, plan.WithShards(1))
+	for _, order := range [][]int{{4, 1, plan.AutoShards}, {plan.AutoShards, 1, 4}} {
+		e := New()
+		var qs []*Query
+		for _, n := range order {
+			q, err := e.RegisterText(monitorQuery, plan.WithSharing(), plan.WithShards(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, q)
+		}
+		e.Run(in)
+		if order[0] == 4 && qs[0].Shards() != 4 {
+			t.Fatalf("%v: first registrant runs on %d shards, want 4", order, qs[0].Shards())
+		}
+		for i, q := range qs {
+			label := fmt.Sprintf("%v: endpoint %d", order, i)
+			if q.ch != qs[0].ch {
+				t.Errorf("%s has its own chain", label)
+			}
+			if q.Shards() != qs[0].Shards() {
+				t.Errorf("%s reports %d shards, the chain runs %d", label, q.Shards(), qs[0].Shards())
+			}
+			compareStreams(t, label, q.Results(), want.Results())
+			if !reflect.DeepEqual(q.Tags(), want.Tags()) {
+				t.Errorf("%s: tags differ from the unshared run's", label)
+			}
+		}
+	}
+}
+
 // The compile cache must hand out independent operator instances per
 // registration: two queries from one source never share state.
 func TestCompileCacheIndependentInstances(t *testing.T) {

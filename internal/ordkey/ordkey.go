@@ -1,9 +1,11 @@
 // Package ordkey builds order-preserving byte keys: appending encoded
 // fields yields byte strings whose lexicographic order equals the
-// field-by-field order of the encoded values. The sharded runtime uses
-// these keys as output-order tags — each shard tags its outputs locally,
-// and the merge stage reconstructs the exact global emission sequence by
-// comparing tags with bytes.Compare.
+// field-by-field order of the encoded values. The consistency monitor
+// builds its output-order tags from them — the emitting step, then a
+// repaired fact's id or the operator's advance key (AppendAdvanceKey) —
+// and the shard merge
+// reconstructs the exact one-shard emission sequence by comparing tags
+// with bytes.Compare.
 package ordkey
 
 // AppendUint appends v as 8 big-endian bytes, so that byte order equals
@@ -20,22 +22,10 @@ func AppendInt(dst []byte, v int64) []byte {
 	return AppendUint(dst, uint64(v)^(1<<63))
 }
 
-// AppendBytes appends s escaped (0x00 becomes 0x00 0x01) and terminated
+// AppendString appends s escaped (0x00 becomes 0x00 0x01) and terminated
 // (0x00 0x00), so that no encoding is a prefix of another and the byte
 // order of encodings equals the byte order of the raw strings. This makes
 // variable-length fields safe to embed in the middle of a key.
-func AppendBytes(dst, s []byte) []byte {
-	for _, b := range s {
-		if b == 0x00 {
-			dst = append(dst, 0x00, 0x01)
-			continue
-		}
-		dst = append(dst, b)
-	}
-	return append(dst, 0x00, 0x00)
-}
-
-// AppendString is AppendBytes for strings.
 func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if s[i] == 0x00 {

@@ -2,7 +2,7 @@
 // as N key-partitioned shards — each shard owning a disjoint key range, its
 // own head operator and its own consistency monitor — such that the merged
 // shard output is byte-identical to single-shard execution (see
-// internal/engine's sharded runtime and internal/delivery's merge stage).
+// internal/engine's sharded runtime and the consistency package's Merger).
 package plan
 
 import (

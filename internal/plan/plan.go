@@ -128,9 +128,12 @@ func (e *ShardsError) Error() string {
 }
 
 // WithSharing marks the plan shareable: when another registration with the
-// same identity (ShareKey — source text, bindings, spec, shards) is
-// already running on the engine, this registration attaches to its chain
-// as an additional subscriber endpoint instead of building new operators. A late attach joins the shared execution in progress — it
+// same identity (ShareKey — source text, bindings, spec) is already
+// running on the engine, this registration attaches to its chain as an
+// additional subscriber endpoint instead of building new operators,
+// whatever shard count it requests: a shard count changes only speed, so
+// the attached registration runs on the chain's. A late attach joins the
+// shared execution in progress — it
 // observes outputs from the attach point onward, over state the chain
 // accumulated before it (pub/sub semantics). Plans built directly from
 // operators never share.
@@ -227,9 +230,11 @@ func (p *Plan) Durable() (o wal.RegOpts, ok bool) {
 // ShareKey is the plan's execution-sharing identity: two registrations
 // whose keys are equal would build byte-identically behaving operator
 // chains, so the engine may run them on one shared chain. The key covers
-// the source text, the template bindings, the resolved consistency spec
-// and the requested shard count. ok is false for hand-built plans (no
-// source identity) — they never share.
+// the source text, the template bindings and the resolved consistency
+// spec. The requested shard count is left out: sharded output is
+// byte-identical to one shard's, so registrations that differ only in it
+// share the first one's chain. ok is false for hand-built plans (no source
+// identity) — they never share.
 func (p *Plan) ShareKey() (string, bool) {
 	if p.Src == "" || p.an == nil {
 		return "", false
@@ -237,7 +242,6 @@ func (p *Plan) ShareKey() (string, bool) {
 	var buf [64]byte
 	k := strconv.AppendInt(append(buf[:0], '\x1f'), int64(p.Spec.B), 10)
 	k = strconv.AppendInt(append(k, ','), int64(p.Spec.M), 10)
-	k = strconv.AppendInt(append(k, '\x1f'), int64(p.cfg.Shards), 10)
 	return p.Src + string(append(k, '\x1f')) + p.cfg.bkey, true
 }
 
