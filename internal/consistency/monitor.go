@@ -108,7 +108,7 @@ type Monitor struct {
 	head    int
 	emitted map[event.ID]*netFact
 	gen     map[event.ID]uint64
-	buffer  []bufEntry // alignment buffer, sorted by Sync (stable by seq)
+	buffer  []bufEntry // alignment buffer, sorted by Sync (equal Syncs in arrival order)
 
 	portG         []temporal.Time
 	guarantee     temporal.Time
@@ -213,7 +213,6 @@ type bufEntry struct {
 	port    int
 	ev      event.Event
 	arrival temporal.Time
-	seq     int
 	probe   bool
 }
 
@@ -363,7 +362,7 @@ func (m *Monitor) setSpec(s Spec, tag bool, sink *Burst) []event.Event {
 	}
 	m.beginCall(tag, sink)
 	m.spec = s
-	m.releaseTimedOut()
+	m.release(m.timedOut())
 	m.trimMemory()
 	m.sampleState()
 	return m.endCall()
@@ -495,7 +494,7 @@ func (m *Monitor) pushCTI(port int, t temporal.Time) {
 	}
 	// Clean releases: buffered events covered by the guarantee, in Sync
 	// order.
-	m.releaseCovered(g)
+	m.release(sort.Search(len(m.buffer), func(k int) bool { return m.buffer[k].ev.Sync() > g }))
 	// Record and apply the guarantee itself, positioned where the live
 	// operator actually executes it.
 	key := g
@@ -510,7 +509,7 @@ func (m *Monitor) pushCTI(port int, t temporal.Time) {
 	// Absorb everything the guarantee finalizes into the checkpoint.
 	m.checkpointTo(g)
 	// Timed-out releases may also be due (the guarantee moved the frontier).
-	m.releaseTimedOut()
+	m.release(m.timedOut())
 	og := m.op.OutputGuarantee(g)
 	m.met.OutputCTIs++
 	// Every sibling shard emits this punctuation at the same step, so the
@@ -541,7 +540,7 @@ func (m *Monitor) pushData(port int, e event.Event, probe bool) {
 		// In-order so far: hold for possible stragglers. The buffer is kept
 		// sorted by binary insertion (upper bound, so equal Syncs keep
 		// arrival order).
-		be := bufEntry{port: port, ev: e, arrival: m.now, seq: m.nextSeq(), probe: probe}
+		be := bufEntry{port: port, ev: e, arrival: m.now, probe: probe}
 		if probe {
 			m.probeBuf++
 		}
@@ -553,17 +552,13 @@ func (m *Monitor) pushData(port int, e event.Event, probe bool) {
 	} else {
 		m.admit(port, e, probe)
 	}
-	m.releaseTimedOut()
+	m.release(m.timedOut())
 }
 
-// releaseCovered processes buffered events whose Sync the guarantee covers.
-func (m *Monitor) releaseCovered(g temporal.Time) {
-	i := 0
-	for ; i < len(m.buffer); i++ {
-		if m.buffer[i].ev.Sync() > g {
-			break
-		}
-		be := m.buffer[i]
+// release admits the first n buffered events — a prefix of the Sync-sorted
+// buffer whose hold has ended — and records how long each was blocked.
+func (m *Monitor) release(n int) {
+	for _, be := range m.buffer[:n] {
 		if be.probe {
 			m.probeBuf--
 		} else {
@@ -572,30 +567,16 @@ func (m *Monitor) releaseCovered(g temporal.Time) {
 		}
 		m.admit(be.port, be.ev, be.probe)
 	}
-	m.buffer = m.buffer[i:]
+	m.buffer = m.buffer[n:]
 }
 
-// releaseTimedOut processes buffered events whose blocking budget B has
-// been exhausted by frontier progress.
-func (m *Monitor) releaseTimedOut() {
-	if len(m.buffer) == 0 || m.spec.B == Unbounded {
-		return
+// timedOut counts the buffered events whose blocking budget B frontier
+// progress has exhausted.
+func (m *Monitor) timedOut() int {
+	if m.spec.B == Unbounded {
+		return 0
 	}
-	i := 0
-	for ; i < len(m.buffer); i++ {
-		be := m.buffer[i]
-		if be.ev.Sync().Add(m.spec.B) >= m.frontier {
-			break
-		}
-		if be.probe {
-			m.probeBuf--
-		} else {
-			m.met.BlockedEvents++
-			m.met.TotalBlocking += m.now.Sub(be.arrival)
-		}
-		m.admit(be.port, be.ev, be.probe)
-	}
-	m.buffer = m.buffer[i:]
+	return sort.Search(len(m.buffer), func(k int) bool { return m.buffer[k].ev.Sync().Add(m.spec.B) >= m.frontier })
 }
 
 // admit feeds one event to the live operator, via the fast path when it is

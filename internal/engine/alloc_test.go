@@ -31,7 +31,7 @@ func TestAllocsRegisterPrivateChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		New().Register(p)
+		New().register(p)
 	})
 	const ceiling = 15.0 // measured 15: 10 for the chain (the runtime lives inside it) + 5 for the index (20 with a pointer per TYPE entry and an eagerly made map)
 	t.Logf("New + one private-chain Register: measured %.0f allocs (ceiling %.0f)", allocs, ceiling)
@@ -106,7 +106,7 @@ func TestAllocsOneShardPush(t *testing.T) {
 		m := consistency.NewMonitor(mk(), spec)
 		plain := perRun(func(ev event.Event) { m.Push(0, ev) })
 		sh, err := newSharded("test", 1, 0,
-			func(int) ([]operators.Op, error) { return []operators.Op{mk()}, nil },
+			func(int) []operators.Op { return []operators.Op{mk()} },
 			spec, nil, discard{})
 		if err != nil {
 			t.Fatal(err)

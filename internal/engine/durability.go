@@ -71,8 +71,7 @@ func (e *Engine) logAppend(rec wal.Record) bool {
 }
 
 // applyRecord re-applies one logged record during replay: the same code
-// paths as live operation, minus the logging (e.log is still nil, and
-// e.replaying suppresses the Register branch).
+// paths as live operation, minus the logging (e.log is still nil).
 func (e *Engine) applyRecord(rec wal.Record) error {
 	switch rec.Kind {
 	case wal.KindEvent, wal.KindCTI:
@@ -82,7 +81,7 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("engine: restore: recompile %q: %w", rec.Src, err)
 		}
-		e.Register(p)
+		e.register(p)
 	case wal.KindSpec:
 		qs := e.snapshot()
 		if rec.Query < 0 || rec.Query >= len(qs) {
@@ -125,7 +124,6 @@ func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("engine: restore requires an open write-ahead log")
 	}
 	e := New(opts...)
-	e.replaying = true
 	var err error
 	if snap != nil {
 		err = e.replaySnapshot(snap)
@@ -141,7 +139,6 @@ func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 	// engine's visible results reflect the entire replayed history before
 	// the caller sees it.
 	e.Drain()
-	e.replaying = false
 	e.log = log
 	return e, nil
 }
@@ -192,11 +189,9 @@ func (e *Engine) replaySnapshot(r io.Reader) error {
 
 // Snapshot writes the engine's durable state to w: header, watermark,
 // wal.Magic and the journal verbatim — nothing is re-encoded. It refuses
-// while any registered query was built directly from operators (no source
-// text to re-compile — the snapshot could not restore it) and after a WAL
-// failure. The log is synced first, so everything the snapshot claims is
-// also on disk in the log; afterwards the WAL may be rotated (Restore from
-// this snapshot plus a fresh empty log).
+// after a WAL failure. The log is synced first, so everything the snapshot
+// claims is also on disk in the log; afterwards the WAL may be rotated
+// (Restore from this snapshot plus a fresh empty log).
 //
 // Callers must not Push concurrently with Snapshot (it holds the engine's
 // durable-append lock, so a concurrent Push would block, not corrupt).
@@ -208,12 +203,6 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	}
 	if e.walErr != nil {
 		return e.walErr
-	}
-	e.mu.RLock()
-	nonDur := append([]string(nil), e.nonDur...)
-	e.mu.RUnlock()
-	if len(nonDur) > 0 {
-		return fmt.Errorf("engine: snapshot refused: queries %v were built directly from operators and cannot be restored", nonDur)
 	}
 	if err := e.log.Sync(); err != nil {
 		e.walErr = fmt.Errorf("engine: wal sync: %w", err)

@@ -75,11 +75,9 @@ func redrive(t *testing.T, e *Engine, recs []wal.Record) {
 		case wal.KindEvent, wal.KindCTI:
 			e.Push(rec.Ev)
 		case wal.KindRegister:
-			p, err := plan.Compile(rec.Src, plan.WithRegOpts(rec.Opts))
-			if err != nil {
+			if _, err := e.RegisterText(rec.Src, plan.WithRegOpts(rec.Opts)); err != nil {
 				t.Fatal(err)
 			}
-			e.Register(p)
 		case wal.KindSpec:
 			e.Queries()[rec.Query].SetSpec(rec.Spec)
 		case wal.KindFinish:
@@ -269,8 +267,97 @@ func TestSnapshotRestoreRotation(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusals: snapshots require a durable engine and refuse
-// while a hand-built (source-less) plan is registered, and a corrupt
+// TestSnapshotRestoresEveryRegistrationShape: a snapshot carries every way
+// an endpoint can be registered — a shared attach, template instances
+// sharing and not, an opt-out of sharing, explicit and automatic shard
+// counts, a spec override — and the spec switch and unregistration that
+// followed. Restored onto an empty log and fed the same remaining input,
+// every registration's results, order tags, metrics and chain shape equal
+// the original's.
+func TestSnapshotRestoresEveryRegistrationShape(t *testing.T) {
+	defer leakcheck.Check(t)()
+	in := durabilityWorkload()
+	half := len(in) / 2
+	dir := t.TempDir()
+	open := func(name string) *wal.Log {
+		log, err := wal.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	e1, err := Restore(nil, open("orig.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := plan.WithSharing()
+	for _, r := range []struct {
+		src  string
+		opts []plan.Option
+	}{
+		{monitorQuery, []plan.Option{shared}},
+		{monitorQuery, []plan.Option{shared}}, // attaches
+		{keyedTemplate, []plan.Option{bindM("m000"), shared}},
+		{keyedTemplate, []plan.Option{bindM("m000"), shared}}, // attaches
+		{keyedTemplate, []plan.Option{bindM("m001"), shared}},
+		{monitorQuery, nil}, // without sharing: a private chain
+		{monitorQuery, []plan.Option{plan.WithShards(4)}},
+		{monitorQuery, []plan.Option{plan.WithShards(plan.AutoShards)}},
+		{monitorQuery, []plan.Option{plan.WithSpec(consistency.Strong()), shared}},
+	} {
+		if _, err := e1.RegisterText(r.src, r.opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := e1.snapshot()
+	if qs[0].ch != qs[1].ch || qs[2].ch != qs[3].ch || qs[5].Shared() || qs[6].Shards() != 4 {
+		t.Fatal("registrations did not take the shapes under test")
+	}
+	for _, ev := range in[:half] {
+		e1.Push(ev)
+	}
+	qs[6].SetSpec(consistency.Strong())
+	qs[3].Unregister()
+	var snap bytes.Buffer
+	if err := e1.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Restore(bytes.NewReader(snap.Bytes()), open("rotated.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{e1, e2} {
+		for _, ev := range in[half:] {
+			e.Push(ev)
+		}
+		e.Finish()
+	}
+	rs := e2.snapshot()
+	if len(rs) != len(qs) {
+		t.Fatalf("restored %d registrations, want %d", len(rs), len(qs))
+	}
+	for i, q := range qs {
+		r := rs[i]
+		label := fmt.Sprintf("registration %d", i)
+		compareStreams(t, label+" results", r.Results(), q.Results())
+		if !reflect.DeepEqual(r.Tags(), q.Tags()) {
+			t.Errorf("%s: order tags diverge", label)
+		}
+		if got, want := r.Metrics(), q.Metrics(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: metrics diverge\n got: %+v\nwant: %+v", label, got, want)
+		}
+		if r.Shards() != q.Shards() || r.Shared() != q.Shared() {
+			t.Errorf("%s: restored on %d shards (shared %v), want %d (shared %v)", label, r.Shards(), r.Shared(), q.Shards(), q.Shared())
+		}
+	}
+	for _, e := range []*Engine{e1, e2} {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotRefusals: snapshots require a durable engine, and a corrupt
 // snapshot is a hard restore error rather than a silent partial replay.
 func TestSnapshotRefusals(t *testing.T) {
 	defer leakcheck.Check(t)()
@@ -279,28 +366,8 @@ func TestSnapshotRefusals(t *testing.T) {
 		t.Fatal("snapshot of a non-durable engine succeeded")
 	}
 
-	dir := t.TempDir()
-	log, err := wal.Open(filepath.Join(dir, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Restore(nil, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	// Hand-built plan: compiled stages but no source text.
-	hp, err := plan.Compile(monitorQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := &plan.Plan{Name: "bare", Stages: hp.Stages, Spec: hp.Spec}
-	e.Register(bare)
-	if err := e.Snapshot(&buf); err == nil {
-		t.Fatal("snapshot succeeded with a source-less plan registered")
-	}
-
 	// Corrupt snapshot → hard error.
+	dir := t.TempDir()
 	log2, err := wal.Open(filepath.Join(dir, "wal2"))
 	if err != nil {
 		t.Fatal(err)

@@ -43,15 +43,13 @@ type Engine struct {
 	// Durability (see durability.go). log is attached once, by Restore,
 	// before the engine is shared; nil means durability is off and the hot
 	// path stays exactly as before (one nil check per Push).
-	log       *wal.Log
-	journal   [][]byte   // applied records' WAL frames, a snapshot's body; durable engines only
-	seq       uint64     // sequence of the last applied record
-	replaying bool       // Restore replay in progress: suppress re-logging
-	walErr    error      // first WAL failure; the engine fails stop
-	nonDur    []string   // names of queries that bypassed durable registration
-	pushMu    sync.Mutex // durable engines: serializes log order = apply order
-	closed    bool
-	finished  bool
+	log      *wal.Log
+	journal  [][]byte   // applied records' WAL frames, a snapshot's body; durable engines only
+	seq      uint64     // sequence of the last applied record
+	walErr   error      // first WAL failure; the engine fails stop
+	pushMu   sync.Mutex // durable engines: serializes log order = apply order
+	closed   bool
+	finished bool
 }
 
 // Option adjusts engine construction.
@@ -74,48 +72,56 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// Register compiles the plan into a standing query.
+// RegisterText compiles CEDR query text and registers it as a standing
+// query: the one way a query enters an engine (recovery re-registers the
+// logged text the same way). On a durable engine the registration is
+// logged ahead of taking effect. The semantic analysis is cached by source
+// text and bindings (plan.Prepare), so re-registering the same query — on
+// this engine or another — skips parsing and analysis.
 //
-// Ordering guarantee: Register is safe to call concurrently with Push. The
-// new query observes every item pushed after Register returns and none
-// pushed before it was called; items pushed concurrently with the call may
-// or may not be observed (each in-flight Push snapshots the chain list
+// Ordering guarantee: RegisterText is safe to call concurrently with Push.
+// The new query observes every item pushed after RegisterText returns and
+// none pushed before it was called; items pushed concurrently with the call
+// may or may not be observed (each in-flight Push snapshots the chain list
 // once, so a query never sees a suffix of one Push's fan-out).
 //
-// A plan compiled with plan.WithSharing whose sharing identity matches an
-// already-registered chain does not build a second pipeline: the new query
-// attaches as another endpoint of the existing chain, observing its output
-// from the attachment point onward (pub/sub semantics over the warm chain's
-// accumulated state). All other plans get a private chain.
+// A registration with plan.WithSharing whose sharing identity matches an
+// already-registered chain builds no operators and executes nothing of its
+// own: the new query attaches as another endpoint of the existing chain,
+// observing its output from the attachment point onward (pub/sub semantics
+// over the warm chain's accumulated state). All others get a private chain.
 //
 // A plan that requests shards (plan.WithShards, or the engine default) and
 // passes partitionability analysis runs key-partitioned on that many
 // shards (shard.go); all other plans run on the same runtime with one
-// shard. The plan must have at least one stage, or come from plan.Prepare:
-// its operators are then built only if it gets a chain of its own.
-func (e *Engine) Register(p *plan.Plan) *Query {
+// shard.
+func (e *Engine) RegisterText(src string, opts ...plan.Option) (*Query, error) {
+	p, err := plan.Prepare(src, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return e.register(p), nil
+}
+
+// register installs a plan from plan.Prepare (or plan.Compile) as a
+// standing query; RegisterText and WAL replay are its callers. A prepared
+// plan's operators are built only if it gets a chain of its own.
+func (e *Engine) register(p *plan.Plan) *Query {
 	// Durable engines log the registration ahead of installing it, so a
 	// recovered engine re-creates the query at the same position in the
-	// input sequence. Plans without source text cannot be re-compiled on
-	// recovery; they register, but Snapshot refuses until they are gone.
-	durable := false
-	if e.log != nil && !e.replaying {
+	// input sequence. Replay registers before the log is attached.
+	if e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if o, ok := p.Durable(); ok {
-			durable = true
-			e.logAppend(wal.Record{Kind: wal.KindRegister, Src: p.Src, Opts: o})
-		}
+		e.logAppend(wal.Record{Kind: wal.KindRegister, Src: p.Src, Opts: p.Durable()})
 	}
 
 	e.mu.Lock()
 	var ch *chain
 	key := ""
 	if p.Share {
-		if k, ok := p.ShareKey(); ok {
-			key = k
-			ch = e.groups[key]
-		}
+		key = p.ShareKey()
+		ch = e.groups[key]
 	}
 	fresh := ch == nil
 	if fresh {
@@ -123,10 +129,6 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 		ch.key = key
 	}
 	q := &Query{name: p.Name, eng: e, ch: ch, idx: len(e.queries)}
-	if e.log != nil && !e.replaying && !durable {
-		q.nonDur = true
-		e.nonDur = append(e.nonDur, p.Name)
-	}
 	e.queries = append(e.queries, q)
 	// Attach before publishing the chain, so the first endpoint's window
 	// opens at position 0 of a fresh chain's history.
@@ -151,9 +153,7 @@ func (e *Engine) Register(p *plan.Plan) *Query {
 // operators here, the only place a registration builds any.
 func (e *Engine) buildChain(p *plan.Plan) *chain {
 	if p.Stages == nil {
-		if fp, err := p.Fresh(); err == nil {
-			p.Stages = fp.Stages
-		}
+		p.Stages = p.Fresh().Stages
 	}
 	ch := &chain{name: p.Name, plan: p, eng: e}
 	n := p.Shards
@@ -163,38 +163,22 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 	if n == plan.AutoShards {
 		n = autoShards(p)
 	}
-	stagesFor := func(shard int) ([]operators.Op, error) {
-		if shard == 0 {
-			return p.Stages, nil
-		}
-		fp, err := p.Fresh()
-		if err != nil {
-			return nil, err
-		}
-		return fp.Stages, nil
+	var route func(event.Event) int
+	if n > 1 && p.Part.OK() {
+		route = RouteByAttr(p.Part.Attr, n)
+	} else {
+		n = 1
 	}
-	// On error (hand-built plan that cannot be re-instantiated) fall back
-	// to one shard.
-	if n <= 1 || !p.Part.OK() || ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, RouteByAttr(p.Part.Attr, n), ch) != nil {
-		if err := ch.sh.start(p.Name, 1, DefaultBurst, stagesFor, p.Spec, nil, ch); err != nil {
-			panic(err) // a plan without stages
+	stagesFor := func(shard int) []operators.Op {
+		if shard == 0 {
+			return p.Stages
 		}
+		return p.Fresh().Stages
+	}
+	if err := ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, route, ch); err != nil {
+		panic(err) // unreachable: a compiled plan's head is the single-port matcher
 	}
 	return ch
-}
-
-// RegisterText compiles CEDR query text and registers it. The semantic
-// analysis is cached by source text and bindings (plan.Prepare), so
-// re-registering the same query — on this engine or another — skips
-// parsing and analysis. Operators are built only with a new chain: with
-// plan.WithSharing a registration whose sharing identity matches a running
-// chain builds none and executes nothing of its own — it attaches.
-func (e *Engine) RegisterText(src string, opts ...plan.Option) (*Query, error) {
-	p, err := plan.Prepare(src, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return e.Register(p), nil
 }
 
 // Queries lists the registered queries (unregistered ones excluded).
@@ -211,7 +195,7 @@ func (e *Engine) Queries() []*Query {
 }
 
 // snapshot returns the full registration list — including unregistered
-// tombstones — without copying. Register only ever appends (the backing
+// tombstones — without copying. register only ever appends (the backing
 // array is never mutated in place), so the returned slice stays valid after
 // the lock is released. Indexing into it with a WAL query id is always
 // in-bounds for ids the log produced.
@@ -222,7 +206,7 @@ func (e *Engine) snapshot() []*Query {
 	return qs
 }
 
-// chainsSnapshot returns the live chain list without copying. Register
+// chainsSnapshot returns the live chain list without copying. register
 // appends; Unregister replaces the slice wholesale (copy-on-write), so a
 // snapshot taken before a removal still sees a consistent list.
 func (e *Engine) chainsSnapshot() []*chain {
@@ -247,11 +231,11 @@ func (e *Engine) Query(name string) (*Query, bool) {
 // Push delivers one physical item to the registered queries that can react
 // to it: a data item reaches the chains the fabric's routing index selects
 // for its TYPE and key, punctuation reaches every chain. The delivery set
-// is taken once per call — no per-event copying, and concurrent Registers
-// only take effect for subsequent pushes. On a durable engine the item is
-// appended to the write-ahead log first; if the log has failed (fsync
-// error), the engine fails stop and drops the item — input that is not
-// durable is not processed.
+// is taken once per call — no per-event copying, and concurrent
+// registrations only take effect for subsequent pushes. On a durable
+// engine the item is appended to the write-ahead log first; if the log has
+// failed (fsync error), the engine fails stop and drops the item — input
+// that is not durable is not processed.
 func (e *Engine) Push(ev event.Event) {
 	if e.log != nil {
 		e.pushMu.Lock()
@@ -484,14 +468,14 @@ func (ch *chain) shutdown() {
 // to the chain position when its subscriber panics (behind the batch in
 // flight) or it unregisters, and until then the window grows with the
 // chain. Window, subscribers, and subscriber-panic quarantine are per-
-// endpoint; Push, Finish, SetSpec, and Metrics address the chain (on a
-// shared chain, the whole group — documented on each method).
+// endpoint; SetSpec and Metrics address the chain (on a shared chain, the
+// whole group — documented on each method). Input reaches a query only
+// through its engine's Push and Finish, which log it on a durable engine.
 type Query struct {
-	name   string
-	eng    *Engine // owning engine, for durable logging and unregistration
-	ch     *chain
-	idx    int  // position in the engine's registration list (the WAL's query id)
-	nonDur bool // registration bypassed the WAL (plan had no source text)
+	name string
+	eng  *Engine // owning engine, for durable logging and unregistration
+	ch   *chain
+	idx  int // position in the engine's registration list (the WAL's query id)
 
 	unregistered bool // guarded by eng.mu
 
@@ -603,29 +587,6 @@ func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) (canc
 	return func() { ch.unsubscribe(s) }
 }
 
-// Push feeds one physical item through the query's chain. On a shared chain
-// the item is processed once and every endpoint observes the output.
-//
-// With one shard Push runs the item to completion and returns the final-
-// stage outputs it delivered; the returned slice is reused by the next Push
-// on this chain, so callers must copy what they keep. With more shards Push
-// only enqueues and returns nil; merged output reaches Results and
-// subscribers in deterministic order as the shards drain.
-//
-// Finish closes the query: items pushed afterwards are dropped, at every
-// shard count.
-func (q *Query) Push(ev event.Event) []event.Event {
-	return q.ch.push(ev)
-}
-
-// Finish flushes the query's chain, delivers and returns its finish
-// outputs, and closes it: later pushes are dropped (on a shared chain, for
-// every endpoint). With more than one shard it first drains every shard
-// and the merge stage.
-func (q *Query) Finish() []event.Event {
-	return q.ch.sh.finish()
-}
-
 // Results returns a copy of everything delivered to this endpoint so far
 // (data and punctuation), in emission order: the chain's history from the
 // query's registration to now, or to its quarantine or unregistration.
@@ -667,10 +628,10 @@ func (q *Query) Metrics() []consistency.Metrics {
 // shard the switch is enqueued and takes effect at this position in the
 // input sequence on every shard.
 func (q *Query) SetSpec(s consistency.Spec) {
-	if e := q.eng; e != nil && e.log != nil {
+	if e := q.eng; e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if !e.replaying && !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: q.idx, Spec: s}) {
+		if !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: q.idx, Spec: s}) {
 			return
 		}
 	}
@@ -692,14 +653,11 @@ func (q *Query) setSpecApply(s consistency.Spec) {
 // ahead of taking effect, so recovery reproduces it at the same position
 // in the input sequence. Idempotent.
 func (q *Query) Unregister() {
-	e := q.eng
-	if e != nil && e.log != nil {
+	if e := q.eng; e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if !e.replaying && !q.nonDur {
-			if !e.logAppend(wal.Record{Kind: wal.KindUnregister, Query: q.idx}) {
-				return
-			}
+		if !e.logAppend(wal.Record{Kind: wal.KindUnregister, Query: q.idx}) {
+			return
 		}
 	}
 	q.unregisterApply()
@@ -716,15 +674,6 @@ func (q *Query) unregisterApply() {
 		return
 	}
 	q.unregistered = true
-	if q.nonDur {
-		// Release this registration's snapshot refusal.
-		for i, name := range e.nonDur {
-			if name == q.name {
-				e.nonDur = append(e.nonDur[:i], e.nonDur[i+1:]...)
-				break
-			}
-		}
-	}
 	ch := q.ch
 	last := ch.detach(q)
 	if last {

@@ -36,9 +36,11 @@ func run(t *testing.T, src string, s stream.Stream, opts ...plan.Option) *Query 
 	return q
 }
 
-func alerts(q *Query) int {
+func alerts(q *Query) int { return inserts(q.Results()) }
+
+func inserts(s stream.Stream) int {
 	n := 0
-	for _, ev := range q.Results().Events() {
+	for _, ev := range s.Events() {
 		if ev.Kind == event.Insert {
 			n++
 		}
@@ -138,12 +140,12 @@ func TestRuntimeSpecSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ev := range delivered {
-		q.Push(ev)
+		e.Push(ev)
 		if i == len(delivered)/2 {
 			q.SetSpec(consistency.Strong())
 		}
 	}
-	q.Finish()
+	e.Finish()
 	net := 0
 	for _, ev := range q.Results().Events() {
 		if ev.Kind == event.Insert {
@@ -175,40 +177,37 @@ WHERE {a.k = b.k}`)
 	if !strings.HasPrefix(p.Stages[0].Name(), "incpattern:") {
 		t.Errorf("stage 0 = %s", p.Stages[0].Name())
 	}
-	generic := oraclePlan(t, `EVENT Seq WHEN SEQUENCE(A a, B b, 10)`)
-	if !strings.HasPrefix(generic.Stages[0].Name(), "pattern:") {
-		t.Errorf("reference stage 0 = %s", generic.Stages[0].Name())
+	if generic := oracleOp(t, `EVENT Seq WHEN SEQUENCE(A a, B b, 10)`); !strings.HasPrefix(generic.Name(), "pattern:") {
+		t.Errorf("reference op = %s", generic.Name())
 	}
-	if p.Explain() == "" || generic.Explain() == "" {
+	if p.Explain() == "" {
 		t.Error("Explain empty")
 	}
 }
 
-// oraclePlan hand-builds the reference plan of a pattern-only query: the
+// oracleOp builds the reference operator of a pattern-only query: the
 // semi-naive re-deriving evaluator where plan.Compile puts the incremental
 // matcher tree.
-func oraclePlan(t *testing.T, src string) *plan.Plan {
+func oracleOp(t *testing.T, src string) operators.Op {
 	t.Helper()
 	an, err := lang.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &plan.Plan{Name: an.Query.Name, Spec: consistency.Middle(),
-		Stages: []operators.Op{algebra.NewPatternOp(an.Expr, an.Mode, an.Query.Name)}}
+	return algebra.NewPatternOp(an.Expr, an.Mode, an.Query.Name)
 }
 
-// The specialized and generic plans must produce identical detections.
+// The specialized plan (the incremental matcher tree plan.Compile builds)
+// and the semi-naive re-deriving oracle must produce identical detections.
 func TestSpecializedPlanEquivalence(t *testing.T) {
 	src, _ := workload.MachineEvents(workload.DefaultMachines())
 	delivered := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
 	const q = `EVENT InstallShutdown WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
 WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 	fast := run(t, q, delivered)
-	e := New()
-	slow := e.Register(oraclePlan(t, q))
-	e.Run(delivered)
-	if alerts(fast) == 0 || alerts(fast) != alerts(slow) {
-		t.Errorf("fast = %d, slow = %d", alerts(fast), alerts(slow))
+	slow, _ := consistency.RunStreams(oracleOp(t, q), consistency.Middle(), delivered)
+	if alerts(fast) == 0 || alerts(fast) != inserts(slow) {
+		t.Errorf("fast = %d, slow = %d", alerts(fast), inserts(slow))
 	}
 }
 
@@ -259,13 +258,7 @@ func TestSlicedQuery(t *testing.T) {
 func TestConcurrentRegisterAndPush(t *testing.T) {
 	defer leakcheck.Check(t)()
 	eng := New()
-	register := func() (*Query, error) {
-		p, err := plan.Compile(`EVENT Out WHEN ANY(E e)`)
-		if err != nil {
-			return nil, err
-		}
-		return eng.Register(p), nil
-	}
+	register := func() (*Query, error) { return eng.RegisterText(`EVENT Out WHEN ANY(E e)`) }
 	first, err := register()
 	if err != nil {
 		t.Fatal(err)
@@ -314,21 +307,20 @@ func TestConcurrentRegisterAndPush(t *testing.T) {
 	}
 }
 
-// The slice returned by Query.Push aliases the one-shard runtime's reused
+// The slice returned by chain.push aliases the one-shard runtime's reused
 // burst; it must carry the per-push outputs correctly across consecutive
 // pushes.
 func TestQueryPushReusesBatchBuffers(t *testing.T) {
 	eng := New()
-	p, err := plan.Compile(`EVENT Out WHEN ANY(E e)`)
+	q, err := eng.RegisterText(`EVENT Out WHEN ANY(E e)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := eng.Register(p)
 	var collected []event.ID
 	for i := 0; i < 100; i++ {
 		ev := event.NewInsert(event.ID(i+1), "E", temporal.Time(i), temporal.Time(i+1), nil)
 		ev.C = temporal.From(temporal.Time(i))
-		for _, o := range q.Push(ev) {
+		for _, o := range q.ch.push(ev) {
 			if o.Kind == event.Insert {
 				collected = append(collected, o.ID)
 			}

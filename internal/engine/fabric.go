@@ -7,7 +7,7 @@
 // output is a function of that filtered stream, whatever else the engine
 // hosts (the skip conditions are the soundness claims of plan.RouteTypes
 // and lang.Analysis.RouteKeyAttr; the differential suite checks the
-// identity against independent engines fed the pre-filtered stream).
+// identity against independent chains fed the pre-filtered stream).
 //
 // Index shape, per event TYPE:
 //
@@ -18,8 +18,9 @@
 //	         attribute (event.KeyOf: the matcher's own key) reaches only
 //	         the chains bound to that value, an event without one (wild:
 //	         no value, NaN, an exotic type) reaches the whole family
-//	always — chains with an unknown input alphabet (hand-built plans):
-//	         delivered everything
+//
+// Every chain's plan is compiled from text, so every chain names its input
+// TYPEs: an event of a TYPE no plan references reaches no chain.
 //
 // Retractions route conservatively to the whole family — the retraction's
 // payload need not repeat the insert's key — and CTIs bypass the fabric
@@ -34,8 +35,7 @@ import (
 
 type fabric struct {
 	mu     sync.RWMutex
-	always []*chain
-	byType map[string]typeEntry // created by the first typed add
+	byType map[string]typeEntry // created by the first add
 }
 
 type typeEntry struct {
@@ -53,11 +53,6 @@ type famEntry struct {
 func (f *fabric) add(ch *chain) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	types := ch.plan.RouteTypes
-	if len(types) == 0 {
-		f.always = append(f.always, ch)
-		return
-	}
 	var keyVal event.Key
 	if ch.plan.RouteKeyAttr != "" {
 		keyVal = event.KeyOf(ch.plan.RouteKeyVal)
@@ -65,7 +60,7 @@ func (f *fabric) add(ch *chain) {
 	if f.byType == nil {
 		f.byType = map[string]typeEntry{}
 	}
-	for _, t := range types {
+	for _, t := range ch.plan.RouteTypes {
 		te := f.byType[t]
 		if !keyVal.Def() {
 			te.plain = append(te.plain, ch)
@@ -92,7 +87,6 @@ func (f *fabric) add(ch *chain) {
 func (f *fabric) remove(ch *chain) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.always = without(f.always, ch)
 	for _, t := range ch.plan.RouteTypes {
 		te := f.byType[t]
 		te.plain = without(te.plain, ch)
@@ -135,7 +129,6 @@ func without(chains []*chain, ch *chain) []*chain {
 func (f *fabric) route(ev event.Event, buf []*chain) []*chain {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	buf = append(buf, f.always...)
 	te := f.byType[ev.Type]
 	buf = append(buf, te.plain...)
 	retract := ev.Kind == event.Retract

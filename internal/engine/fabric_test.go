@@ -43,10 +43,10 @@ func bindM(id string) plan.Option {
 
 // reacts is the pre-filter routing must equal, written from the plan's
 // routing claims alone: every CTI, and data whose TYPE the plan consumes
-// (any TYPE when it declares none) and, for a keyed plan, whose key
-// attribute holds the plan's key or no definite value, or which retracts.
+// and, for a keyed plan, whose key attribute holds the plan's key or no
+// definite value, or which retracts.
 func reacts(p *plan.Plan, ev event.Event) bool {
-	if ev.IsCTI() || len(p.RouteTypes) == 0 {
+	if ev.IsCTI() {
 		return true
 	}
 	if !slices.Contains(p.RouteTypes, ev.Type) {
@@ -95,13 +95,13 @@ func withStrays(in stream.Stream) stream.Stream {
 
 // TestFabricDifferentialFleet is the fabric's byte-identity witness, and
 // the proof that routing equals pre-filtering: a fleet engine hosting a
-// shared trio, a template pair, a template instance of its own, a plain
-// query and a hand-built plan with no input alphabet is driven over a
-// disordered stream with stray items (withStrays), with a mid-stream
-// consistency switch on the trio, a mid-stream unregistration of one
-// template sibling, and a late (warm) attachment. Every endpoint's results, order tags and metrics must match a
-// twin on an independent engine fed, through Query.Push, only the items
-// reacts admits for its plan — the hand-built plan's twin sees everything.
+// shared trio, a template pair, a template instance of its own and a plain
+// query is driven over a disordered stream with stray items (withStrays),
+// with a mid-stream consistency switch on the trio, a mid-stream
+// unregistration of one template sibling, and a late (warm) attachment.
+// Every endpoint's results, order tags and metrics must match a twin on an
+// independent engine whose chain is fed directly, past the fabric, only
+// the items reacts admits for its plan.
 func TestFabricDifferentialFleet(t *testing.T) {
 	defer leakcheck.Check(t)()
 	in := withStrays(durabilityWorkload())
@@ -114,13 +114,6 @@ func TestFabricDifferentialFleet(t *testing.T) {
 			return q
 		}
 	}
-	bare := func(e *Engine) *Query {
-		p, err := plan.Compile(monitorQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Register(&plan.Plan{Name: "bare", Stages: p.Stages, Spec: p.Spec})
-	}
 	members := []func(*Engine) *Query{
 		text(monitorQuery),                           // 0 ┐ shared trio:
 		text(monitorQuery),                           // 1 │ one chain,
@@ -129,7 +122,6 @@ func TestFabricDifferentialFleet(t *testing.T) {
 		text(keyedTemplate, bindM("m000")),           // 4 ┘ one chain
 		text(keyedTemplate, bindM("m001")),           // 5: own chain
 		text(`EVENT AnyInstall WHEN ANY(INSTALL i)`), // 6: plain
-		bare, // 7: no RouteTypes, the always bucket
 	}
 	specSwitchAt := len(in) / 3
 	unregisterAt := 2 * len(in) / 3
@@ -145,9 +137,6 @@ func TestFabricDifferentialFleet(t *testing.T) {
 	}
 	if fq[3].ch != fq[4].ch || fq[3].ch == fq[5].ch {
 		t.Fatal("template instances grouped wrong")
-	}
-	if len(fq[7].Plan().RouteTypes) != 0 {
-		t.Fatal("hand-built plan declares an input alphabet")
 	}
 
 	var late *Query
@@ -175,14 +164,14 @@ func TestFabricDifferentialFleet(t *testing.T) {
 				continue // frozen twin: the unregistered endpoint's prefix
 			}
 			if reacts(q.Plan(), ev) {
-				q.Push(ev)
+				q.ch.push(ev)
 			}
 		}
 	}
 	fleet.Finish()
 	for j, q := range iq {
 		if j != 4 {
-			q.Finish()
+			q.ch.sh.finish()
 		}
 	}
 
@@ -211,9 +200,8 @@ func TestFabricDifferentialFleet(t *testing.T) {
 }
 
 // TestFabricRoutingIndexBuckets pins the routing index's delivery sets:
-// keyed events reach only their group (plus type-plain and always-deliver
-// chains), wild and retracted events reach the whole family, unknown types
-// reach only the always bucket.
+// keyed events reach only their group (plus type-plain chains), wild and
+// retracted events reach the whole family, unknown types reach no chain.
 func TestFabricRoutingIndexBuckets(t *testing.T) {
 	e := New()
 	reg := func(src string, opts ...plan.Option) *Query {
@@ -260,22 +248,10 @@ func TestFabricRoutingIndexBuckets(t *testing.T) {
 		t.Errorf("unknown type routed to %d chains, want 0", len(set))
 	}
 
-	// A hand-built plan has no input alphabet: always delivered.
-	p, err := plan.Compile(monitorQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := e.Register(&plan.Plan{Name: "bare", Stages: p.Stages, Spec: p.Spec})
-	set = route(event.NewInsert(5, "UNRELATED", 0, 10, nil))
-	if !set[bare.ch] || len(set) != 1 {
-		t.Errorf("always bucket wrong: %v", set)
-	}
-
 	// Unregistering prunes every bucket.
 	k0.Unregister()
-	bare.Unregister()
 	set = route(install(6, event.Payload{"Machine_Id": "m000"}))
-	if set[k0.ch] || set[bare.ch] {
+	if set[k0.ch] {
 		t.Errorf("unregistered chains still routed: %v", set)
 	}
 }

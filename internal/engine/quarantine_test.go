@@ -55,7 +55,7 @@ func TestOperatorPanicQuarantinesQuery(t *testing.T) {
 				t.Fatalf("unexpected quarantine error: %v", msg)
 			}
 			frozen := bad.Results()
-			bad.Push(in[0])
+			bad.ch.push(in[0])
 			if n := len(bad.Results()); n != len(frozen) {
 				t.Fatalf("quarantined query kept emitting: %d -> %d items", len(frozen), n)
 			}
@@ -222,8 +222,8 @@ func TestShardedQueryWorkerPanicQuarantines(t *testing.T) {
 	oracle := run(t, monitorQuery, in)
 	compareStreams(t, "sibling under worker panic", sibling.Results(), oracle.Results())
 	// The quarantined query keeps dropping input without deadlock.
-	q.Push(in[0])
-	q.Finish()
+	q.ch.push(in[0])
+	q.ch.sh.finish()
 }
 
 // TestShardedTailPanicQuarantines: the stages after the head run once —
@@ -261,7 +261,7 @@ func TestShardedTailPanicQuarantines(t *testing.T) {
 				t.Fatalf("%d metric stages, want 2", len(met))
 			}
 			frozen := q.Results()
-			q.Finish()
+			q.ch.sh.finish()
 			e.Finish()
 			if n := len(q.Results()); n != len(frozen) {
 				t.Fatalf("quarantined query kept emitting: %d -> %d items", len(frozen), n)

@@ -174,7 +174,6 @@ type sharded struct {
 
 	done      chan struct{}
 	barrierCh chan struct{}
-	finishOut []event.Event
 
 	// merger-owned; read only after a barrier or done handshake: the head's
 	// MaxState across shards (n > 1).
@@ -191,7 +190,7 @@ type shardSink interface {
 }
 
 // newSharded builds and starts the sharded runtime; see start.
-func newSharded(name string, n, burst int, stagesFor func(shard int) ([]operators.Op, error),
+func newSharded(name string, n, burst int, stagesFor func(shard int) []operators.Op,
 	spec consistency.Spec, route func(event.Event) int, sink shardSink) (*sharded, error) {
 	s := new(sharded)
 	return s, s.start(name, n, burst, stagesFor, spec, route, sink)
@@ -200,11 +199,12 @@ func newSharded(name string, n, burst int, stagesFor func(shard int) ([]operator
 // start builds and starts the runtime in place (a chain embeds it). burst
 // is the router's flush bound (0 = DefaultBurst, negative = unbounded:
 // flush only on punctuation/control). stagesFor must return an
-// independent, freshly instantiated operator chain per shard (operator
-// Clones may share scratch and are not safe across goroutines); every
-// shard runs its chain's head, and shard 0's chain supplies the tail. name
-// labels the quarantine error of a panicking operator.
-func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) ([]operators.Op, error),
+// independent, freshly instantiated, non-empty operator chain per shard
+// (operator Clones may share scratch and are not safe across goroutines);
+// every shard runs its chain's head, and shard 0's chain supplies the tail.
+// name labels the quarantine error of a panicking operator. start fails
+// only on a multi-port head with more than one shard.
+func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []operators.Op,
 	spec consistency.Spec, route func(event.Event) int, sink shardSink) error {
 	if n < 1 {
 		n = 1
@@ -218,13 +218,7 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) ([]
 		s.workers = make([]shardWorker, n)
 	}
 	for i := range s.workers {
-		stages, err := stagesFor(i)
-		if err != nil {
-			return err
-		}
-		if len(stages) == 0 {
-			return fmt.Errorf("engine: shard %d has no stages", i)
-		}
+		stages := stagesFor(i)
 		if n > 1 && stages[0].Arity() != 1 {
 			return fmt.Errorf("engine: sharded execution requires a single-port head operator")
 		}
@@ -382,10 +376,11 @@ func (s *sharded) push(ev event.Event) []event.Event {
 
 // control appends a broadcast control item and flushes the pending runs,
 // so the control item is always the last item of its run; with one shard
-// it runs the item inline and returns its output. Caller holds mu.
-func (s *sharded) control(kind uint8, spec consistency.Spec) []event.Event {
+// it runs the item inline. Caller holds mu.
+func (s *sharded) control(kind uint8, spec consistency.Spec) {
 	if s.n == 1 {
-		return s.runInline(shardItem{kind: kind, spec: spec})
+		s.runInline(shardItem{kind: kind, spec: spec})
+		return
 	}
 	it := shardItem{kind: kind, spec: spec}
 	for _, r := range s.pending {
@@ -393,7 +388,6 @@ func (s *sharded) control(kind uint8, spec consistency.Spec) []event.Event {
 	}
 	s.pendLen++
 	s.flushLocked()
-	return nil
 }
 
 // flushLocked hands the pending runs to the workers and refills the
@@ -424,22 +418,18 @@ func (s *sharded) setSpec(spec consistency.Spec) {
 	s.control(itemSetSpec, spec)
 }
 
-// finish flushes every shard, waits for the merger to drain, and returns
-// the merged output of the final run (any still-pending items plus the
-// finish flush itself).
-func (s *sharded) finish() []event.Event {
+// finish flushes every shard and waits for the merger to deliver the final
+// run (any still-pending items plus the finish flush itself).
+func (s *sharded) finish() {
 	s.mu.Lock()
 	if !s.finished {
 		s.finished = true
-		if out := s.control(itemFinish, consistency.Spec{}); len(out) > 0 {
-			s.finishOut = append([]event.Event(nil), out...)
-		}
+		s.control(itemFinish, consistency.Spec{})
 	}
 	s.mu.Unlock()
 	if s.n > 1 {
 		<-s.done
 	}
-	return s.finishOut
 }
 
 // barrier waits until every shard and the merger have processed everything
@@ -613,13 +603,8 @@ func (s *sharded) mergeLoop() {
 			if err != nil {
 				failed = err
 				s.sink.quarantine(failed)
-			} else {
-				if kind == itemFinish {
-					s.finishOut = append([]event.Event(nil), final...)
-				}
-				if len(final) > 0 {
-					s.sink.deliverMerged(final)
-				}
+			} else if len(final) > 0 {
+				s.sink.deliverMerged(final)
 			}
 		}
 		// A partial merge after a failure would be wrong output, not late
@@ -681,7 +666,7 @@ func RunShardedOpBurst(mk func() operators.Op, spec consistency.Spec, n, burst i
 	route func(event.Event) int, in stream.Stream) (stream.Stream, consistency.Metrics, error) {
 	var c collector
 	sh, err := newSharded("RunShardedOp", n, burst,
-		func(int) ([]operators.Op, error) { return []operators.Op{mk()}, nil },
+		func(int) []operators.Op { return []operators.Op{mk()} },
 		spec, route, &c)
 	if err != nil {
 		return nil, consistency.Metrics{}, err

@@ -34,14 +34,12 @@ func TestAutoShardHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheap := &plan.Plan{
-		Name:   "cheap",
-		Stages: []operators.Op{operators.NewAggregate(operators.Count, "", "g")},
-		Spec:   consistency.Middle(),
-		Part:   plan.Partition{Mode: plan.PartitionByAttr, Attr: "g"},
+	cheap, err := plan.Compile(`EVENT E WHEN ANY(A a) WHERE CorrelationKey(k, EQUAL)`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cheap.CostNs() >= 2*shardTaxNs {
-		t.Fatalf("fixture drifted: cheap plan costs %d", cheap.CostNs())
+	if !cheap.Part.OK() || cheap.CostNs() >= 2*shardTaxNs {
+		t.Fatalf("fixture drifted: cheap plan part=%v cost=%d", cheap.Part, cheap.CostNs())
 	}
 
 	// The single-core branch is reachable on any host by narrowing
@@ -130,8 +128,8 @@ func testHandoffAllocFree(t *testing.T, name string, spec consistency.Spec, shar
 	defer leakcheck.Check(t)()
 	const burst = 8
 	sh, err := newSharded("test", shards, burst,
-		func(int) ([]operators.Op, error) {
-			return []operators.Op{operators.NewSelect(func(event.Payload) bool { return false })}, nil
+		func(int) []operators.Op {
+			return []operators.Op{operators.NewSelect(func(event.Payload) bool { return false })}
 		},
 		spec, RouteByAttr("g", shards), discard{})
 	if err != nil {

@@ -95,10 +95,7 @@ func runPlainOp(mk func() operators.Op, spec consistency.Spec, in stream.Stream,
 func runPlainPlan(t *testing.T, p *plan.Plan, in stream.Stream,
 	switchAt int, switchTo consistency.Spec) (stream.Stream, []consistency.Metrics) {
 	t.Helper()
-	fp, err := p.Fresh()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := p.Fresh()
 	ms := make([]*consistency.Monitor, len(fp.Stages))
 	for i, op := range fp.Stages {
 		ms[i] = consistency.NewMonitor(op, fp.Spec)
@@ -148,7 +145,7 @@ func runShardedOpSwitch(mk func() operators.Op, spec consistency.Spec, n, burst 
 	switchAt int, switchTo consistency.Spec) (stream.Stream, consistency.Metrics) {
 	var c collector
 	sh, err := newSharded("test", n, burst,
-		func(int) ([]operators.Op, error) { return []operators.Op{mk()}, nil },
+		func(int) []operators.Op { return []operators.Op{mk()} },
 		spec, route, &c)
 	if err != nil {
 		panic(err)
@@ -560,11 +557,7 @@ func TestCompileCacheIndependentInstances(t *testing.T) {
 			t.Fatalf("stage %d shared between compilations", i)
 		}
 	}
-	fp, err := p1.Fresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp.Stages[0] == p1.Stages[0] {
+	if fp := p1.Fresh(); fp.Stages[0] == p1.Stages[0] {
 		t.Fatal("Fresh returned the original stage instance")
 	}
 }
@@ -583,14 +576,14 @@ func TestPushAfterFinishUniform(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ev := range delivered[:half] {
-			q.Push(ev)
+			q.ch.push(ev)
 		}
-		q.Finish()
+		q.ch.sh.finish()
 		got := len(q.Results())
 		for _, ev := range delivered[half:] {
-			q.Push(ev)
+			q.ch.push(ev)
 		}
-		q.Finish()
+		q.ch.sh.finish()
 		if after := len(q.Results()); after != got {
 			t.Errorf("shards=%d: %d items appeared after Finish (closed query must drop pushes)", n, after-got)
 		}

@@ -225,7 +225,7 @@ func TestFanoutWidthCeiling(t *testing.T) {
 	e.Push(event.NewInsert(1<<20, "INSTALL", 1<<20, 1<<20+1, nil))
 	qs[2].Unregister()
 	calls = 0
-	n := len(qs[0].Push(event.NewInsert(1<<20+1, "INSTALL", 1<<20+1, 1<<20+2, nil)))
+	n := len(qs[0].ch.push(event.NewInsert(1<<20+1, "INSTALL", 1<<20+1, 1<<20+2, nil)))
 	if n == 0 || calls != 2*n {
 		t.Errorf("a delivery of %d items ran %d subscriber callbacks, want %d (2 live subscribed endpoints of 1,000)", n, calls, 2*n)
 	}

@@ -201,8 +201,8 @@ func (j *mapJournal[V]) setTime(p *temporal.Time, t temporal.Time) {
 // AsVersioned gives any operator the Versioned protocol, so a caller needs
 // one checkpoint strategy only. An operator that journals its own state is
 // returned as is; a Stateless one has nothing to version; everything else —
-// reference evaluators, test doubles, foreign operators in hand-built plans
-// — gets a clone-backed fallback whose Mark costs an O(state) Clone.
+// reference evaluators, test doubles, any operator driven straight through
+// a monitor — gets a clone-backed fallback whose Mark costs an O(state) Clone.
 func AsVersioned(op Op) Versioned {
 	if v, ok := op.(Versioned); ok {
 		return v

@@ -31,16 +31,16 @@ import (
 
 // Plan is an executable query plan: a unary operator chain. Stage 0
 // consumes the input stream; each later stage consumes the previous
-// monitor's output.
+// monitor's output. Plans come only from Prepare and Compile.
 type Plan struct {
 	Name string
-	// Stages is the operator chain; nil on a plan from Prepare.
+	// Stages is the operator chain; nil on a plan from Prepare until the
+	// engine builds it (Fresh).
 	Stages []operators.Op
 	Spec   consistency.Spec
-	// Src is the CEDR query text the plan was compiled from ("" for plans
-	// built directly from operators). A non-empty Src plus the serializable
-	// options (Durable) is what the engine's write-ahead log records, so a
-	// recovered engine can re-compile the identical plan.
+	// Src is the CEDR query text the plan was compiled from. Src plus the
+	// serializable options (Durable) is what the engine's write-ahead log
+	// records, so a recovered engine can re-compile the identical plan.
 	Src string
 	// Rewrites records which optimizer rules fired, for Explain.
 	Rewrites []string
@@ -63,14 +63,14 @@ type Plan struct {
 	Bindings map[string]event.Value
 	// RouteTypes / RouteKeyAttr / RouteKeyVal mirror the analysis's routing
 	// metadata (lang.Analysis.InputTypes, RouteKeyAttr, RouteKeyVal) for
-	// the engine's cross-query fabric; RouteTypes nil means the input
-	// alphabet is unknown and the plan must see every event.
+	// the engine's cross-query fabric: the plan sees only events of its
+	// RouteTypes.
 	RouteTypes   []string
 	RouteKeyAttr string
 	RouteKeyVal  event.Value
 
 	// an and cfg are retained so Fresh can re-instantiate the operator
-	// chain; nil for hand-built plans.
+	// chain and Durable and ShareKey can name the plan.
 	an  *lang.Analysis
 	cfg config
 }
@@ -135,8 +135,7 @@ func (e *ShardsError) Error() string {
 // the attached registration runs on the chain's. A late attach joins the
 // shared execution in progress — it
 // observes outputs from the attach point onward, over state the chain
-// accumulated before it (pub/sub semantics). Plans built directly from
-// operators never share.
+// accumulated before it (pub/sub semantics).
 func WithSharing() Option {
 	return func(c *config) { c.Share = true }
 }
@@ -218,14 +217,8 @@ func stagesOf(an *lang.Analysis) []operators.Op {
 
 // Durable returns the registration record that rebuilds the plan in a fresh
 // process — Prepare(p.Src, WithRegOpts(o)) — which is what the engine's
-// durability layer logs for each registration; ok is false for plans built
-// directly from operators (no source text to re-compile).
-func (p *Plan) Durable() (o wal.RegOpts, ok bool) {
-	if p.Src == "" || p.an == nil {
-		return wal.RegOpts{}, false
-	}
-	return p.cfg.RegOpts, true
-}
+// durability layer logs for each registration.
+func (p *Plan) Durable() wal.RegOpts { return p.cfg.RegOpts }
 
 // ShareKey is the plan's execution-sharing identity: two registrations
 // whose keys are equal would build byte-identically behaving operator
@@ -233,16 +226,12 @@ func (p *Plan) Durable() (o wal.RegOpts, ok bool) {
 // the source text, the template bindings and the resolved consistency
 // spec. The requested shard count is left out: sharded output is
 // byte-identical to one shard's, so registrations that differ only in it
-// share the first one's chain. ok is false for hand-built plans (no source
-// identity) — they never share.
-func (p *Plan) ShareKey() (string, bool) {
-	if p.Src == "" || p.an == nil {
-		return "", false
-	}
+// share the first one's chain.
+func (p *Plan) ShareKey() string {
 	var buf [64]byte
 	k := strconv.AppendInt(append(buf[:0], '\x1f'), int64(p.Spec.B), 10)
 	k = strconv.AppendInt(append(k, ','), int64(p.Spec.M), 10)
-	return p.Src + string(append(k, '\x1f')) + p.cfg.bkey, true
+	return p.Src + string(append(k, '\x1f')) + p.cfg.bkey
 }
 
 // canonBindings renders bindings injectively: in sorted name order, each
@@ -294,15 +283,11 @@ func appendValue(dst []byte, v event.Value) []byte {
 // share scratch with their original and are only sequentially safe, whereas
 // independently instantiated chains are safe to drive from concurrent
 // shard workers; the engine builds a prepared plan's (Prepare) first chain
-// this way too. Hand-built plans (no retained analysis) cannot be
-// re-instantiated.
-func (p *Plan) Fresh() (*Plan, error) {
-	if p.an == nil {
-		return nil, fmt.Errorf("plan: %s was built directly from operators and cannot be re-instantiated", p.Name)
-	}
+// this way too.
+func (p *Plan) Fresh() *Plan {
 	fp := *p
 	fp.Stages = stagesOf(p.an)
-	return &fp, nil
+	return &fp
 }
 
 func resolveSpec(an *lang.Analysis, cfg config) consistency.Spec {

@@ -5,11 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/algebra/inc"
 	"repro/internal/consistency"
-	"repro/internal/lang"
-	"repro/internal/operators"
 	"repro/internal/temporal"
 )
 
@@ -97,28 +94,6 @@ func TestSpecializationConditions(t *testing.T) {
 		if len(p.Rewrites) == 0 || p.Rewrites[0] != "incremental-pattern" {
 			t.Errorf("%s: rewrites = %v", q, p.Rewrites)
 		}
-	}
-	// The semi-naive oracle is a test-only construction: a reference plan
-	// is built by hand from the analysis, and such a plan has no durable
-	// form, no sharing identity and cannot be re-instantiated — so no
-	// engine path (WAL replay, fabric, shard fan-out) can reach it.
-	an, err := lang.Compile(`EVENT E WHEN SEQUENCE(A a, B b, 10)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := &Plan{Name: an.Query.Name, Spec: consistency.Middle(),
-		Stages: []operators.Op{algebra.NewPatternOp(an.Expr, an.Mode, an.Query.Name)}}
-	if !strings.HasPrefix(ref.Stages[0].Name(), "pattern:") {
-		t.Errorf("reference stage 0 = %s, want semi-naive pattern op", ref.Stages[0].Name())
-	}
-	if _, ok := ref.Durable(); ok {
-		t.Error("hand-built oracle plan has a durable form")
-	}
-	if _, ok := ref.ShareKey(); ok {
-		t.Error("hand-built oracle plan has a sharing identity")
-	}
-	if _, err := ref.Fresh(); err == nil {
-		t.Error("hand-built oracle plan re-instantiated")
 	}
 }
 

@@ -31,11 +31,7 @@ func shareKey(t *testing.T, src string, opts ...Option) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, ok := p.ShareKey()
-	if !ok {
-		t.Fatalf("no share key for %q", src)
-	}
-	return k
+	return p.ShareKey()
 }
 
 func bindings(id string) Option {
@@ -99,8 +95,7 @@ func TestShareKeyCollidingBindings(t *testing.T) {
 		if p.RouteKeyAttr != "m" || p.RouteKeyVal != b["a"] {
 			t.Errorf("bindings %v: route key (%s, %v), want (m, %v)", b, p.RouteKeyAttr, p.RouteKeyVal, b["a"])
 		}
-		k, _ := p.ShareKey()
-		keys = append(keys, k)
+		keys = append(keys, p.ShareKey())
 	}
 	if keys[0] == keys[1] {
 		t.Error("colliding binding sets share an identity")
@@ -131,10 +126,7 @@ func TestPrepareIsCompileWithoutStages(t *testing.T) {
 		if p.Stages != nil {
 			t.Errorf("Prepare built %d stages", len(p.Stages))
 		}
-		fp, err := p.Fresh()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := p.Fresh()
 		stageNames := func(q *Plan) (names []string) {
 			for _, s := range q.Stages {
 				names = append(names, fmt.Sprintf("%T %s", s, s.Name()))
@@ -151,19 +143,6 @@ func TestPrepareIsCompileWithoutStages(t *testing.T) {
 	}
 	if _, err := Prepare(`EVENT broken WHEN`); err == nil {
 		t.Error("Prepare accepted what Compile refuses")
-	}
-}
-
-// TestShareKeyRefusesHandBuilt: a plan without source text has no durable
-// identity and must never share.
-func TestShareKeyRefusesHandBuilt(t *testing.T) {
-	p, err := Compile(shareSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := &Plan{Name: "bare", Stages: p.Stages, Spec: p.Spec, Share: true}
-	if k, ok := bare.ShareKey(); ok {
-		t.Errorf("hand-built plan got share key %q", k)
 	}
 }
 
@@ -191,10 +170,7 @@ func TestTemplateCompileCache(t *testing.T) {
 		t.Error("template compiled without bindings")
 	}
 
-	d, ok := p1.Durable()
-	if !ok {
-		t.Fatal("template plan not durable")
-	}
+	d := p1.Durable()
 	if !d.Share || d.Bindings["m"] != "m042" {
 		t.Errorf("durable form lost sharing/bindings: %+v", d)
 	}
@@ -202,9 +178,7 @@ func TestTemplateCompileCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, _ := p1.ShareKey()
-	k3, _ := p3.ShareKey()
-	if k1 != k3 {
+	if p1.ShareKey() != p3.ShareKey() {
 		t.Error("durable round trip changed the share key")
 	}
 }
