@@ -15,7 +15,7 @@ import (
 	"repro/internal/wal"
 )
 
-// TestAllocsRegisterPrivateChain pins what registering one private chain
+// TestAllocsRegisterPrivateChain pins what installing one private chain
 // costs in heap objects: the engine, the Query and chain, the one-shard
 // runtime (its struct and worker — no goroutines, channels or free
 // lists), each stage's monitor, and the chain's entries in the
@@ -23,15 +23,15 @@ import (
 // typed registration) and one bucket slice per input TYPE, three here.
 // Registration storms (a fabric of private chains re-registered every
 // pass) pay this per chain. The plan is compiled once, outside the
-// measurement. (Skipped under -race: instrumentation changes allocation
-// counts.)
+// measurement, and handed to install, the fresh-chain half of register.
+// (Skipped under -race: instrumentation changes allocation counts.)
 func TestAllocsRegisterPrivateChain(t *testing.T) {
 	p, err := plan.Compile(monitorQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		New().register(p)
+		New().install(p, plan.Key{})
 	})
 	const ceiling = 15.0 // measured 15: 10 for the chain (the runtime lives inside it) + 5 for the index (20 with a pointer per TYPE entry and an eagerly made map)
 	t.Logf("New + one private-chain Register: measured %.0f allocs (ceiling %.0f)", allocs, ceiling)
@@ -41,12 +41,14 @@ func TestAllocsRegisterPrivateChain(t *testing.T) {
 }
 
 // TestAllocsRegisterShared pins what a registration that attaches to a
-// running chain costs: the prepared plan, its two rewrites objects (the
-// slice and the pushdown's name), its sharing identity and the Query. No
-// operator is built: a matcher tree alone is dozens of objects, and
-// registering through plan.Compile cost 46 and 58. A template instance adds
-// the option's copy of its bindings map (two objects) and their rendered
-// identity. The chain count must not move. (Skipped under -race.)
+// running chain costs: the registration record the options write into
+// (it escapes through the option calls) and the Query. No plan is built —
+// the sharing identity is a comparable plan.Key over the source text, the
+// bindings' rendering and the spec — so no operator either: a matcher tree
+// alone is dozens of objects, and registering through plan.Compile cost 46
+// and 58. A template instance adds its bindings' rendering, which also
+// keys the analysis cache. The chain count must not move. (Skipped under
+// -race.)
 func TestAllocsRegisterShared(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -54,8 +56,8 @@ func TestAllocsRegisterShared(t *testing.T) {
 		opts    []plan.Option
 		ceiling float64
 	}{
-		{"plain", monitorQuery, []plan.Option{plan.WithSharing()}, 5},
-		{"template", keyedTemplate, []plan.Option{bindM("m042"), plan.WithSharing()}, 8},
+		{"plain", monitorQuery, []plan.Option{plan.WithSharing()}, 2},
+		{"template", keyedTemplate, []plan.Option{bindM("m042"), plan.WithSharing()}, 3},
 	} {
 		e := New()
 		if _, err := e.RegisterText(c.src, c.opts...); err != nil {

@@ -11,10 +11,11 @@
 // is one executing operator pipeline (the shard runtime), the one history
 // of its output, and the one list of subscriptions to it; a *Query* is one
 // registered endpoint — a window [from, cut) over its chain's history.
-// Plans compiled with plan.WithSharing that carry the same sharing identity
-// (plan.ShareKey) attach to one shared chain, so N identical registrations
-// cost one execution and one history; each Query still has its own window,
-// Subscribe callbacks, and Err. Lock order: pushMu → Engine.mu → chain.mu.
+// Registrations made with plan.WithSharing that carry the same sharing
+// identity (plan.Key) attach to one shared chain, so N identical
+// registrations cost one execution and one history; each Query still has
+// its own window, Subscribe callbacks, and Err. Lock order: pushMu →
+// Engine.mu → chain.mu.
 package engine
 
 import (
@@ -34,11 +35,11 @@ import (
 // Engine hosts standing queries.
 type Engine struct {
 	mu      sync.RWMutex
-	queries []*Query          // every registration ever, tombstoned on unregister (stable WAL indices)
-	chains  []*chain          // live execution chains; removal copies (snapshots stay valid)
-	groups  map[string]*chain // sharing identity → its chain
-	shards  int               // default shard count for queries that don't request one
-	fabric  fabric            // routing index over chains: every data item's delivery path
+	queries []*Query            // every registration ever, tombstoned on unregister (stable WAL indices)
+	chains  []*chain            // live execution chains; removal copies (snapshots stay valid)
+	groups  map[plan.Key]*chain // sharing identity → its shared chain
+	shards  int                 // default shard count for queries that don't request one
+	fabric  fabric              // routing index over chains: every data item's delivery path
 
 	// Durability (see durability.go). log is attached once, by Restore,
 	// before the engine is shared; nil means durability is off and the hot
@@ -85,9 +86,10 @@ func New(opts ...Option) *Engine {
 // may or may not be observed (each in-flight Push snapshots the chain list
 // once, so a query never sees a suffix of one Push's fan-out).
 //
-// A registration with plan.WithSharing whose sharing identity matches an
-// already-registered chain builds no operators and executes nothing of its
-// own: the new query attaches as another endpoint of the existing chain,
+// A registration with plan.WithSharing whose sharing identity (plan.Key,
+// resolved by plan.Prepare) matches an already-registered chain builds no
+// plan and executes nothing of its own: a map lookup finds the chain, and
+// the new query attaches as another endpoint of it,
 // observing its output from the attachment point onward (pub/sub semantics
 // over the warm chain's accumulated state). All others get a private chain.
 //
@@ -96,65 +98,69 @@ func New(opts ...Option) *Engine {
 // shards (shard.go); all other plans run on the same runtime with one
 // shard.
 func (e *Engine) RegisterText(src string, opts ...plan.Option) (*Query, error) {
-	p, err := plan.Prepare(src, opts...)
+	r, err := plan.Prepare(src, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return e.register(p), nil
+	return e.register(r), nil
 }
 
-// register installs a plan from plan.Prepare (or plan.Compile) as a
-// standing query; RegisterText and WAL replay are its callers. A prepared
-// plan's operators are built only if it gets a chain of its own.
-func (e *Engine) register(p *plan.Plan) *Query {
+// register installs a prepared registration as a standing query;
+// RegisterText and WAL replay are its callers. A shareable registration
+// whose Key names a running chain attaches to it, which builds no plan;
+// any other gets a chain of its own (install).
+func (e *Engine) register(r plan.Prepared) *Query {
 	// Durable engines log the registration ahead of installing it, so a
 	// recovered engine re-creates the query at the same position in the
 	// input sequence. Replay registers before the log is attached.
 	if e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		e.logAppend(wal.Record{Kind: wal.KindRegister, Src: p.Src, Opts: p.Durable()})
+		e.logAppend(wal.Record{Kind: wal.KindRegister, Src: r.Key.Src, Opts: r.Opts})
 	}
-
 	e.mu.Lock()
-	var ch *chain
-	key := ""
-	if p.Share {
-		key = p.ShareKey()
-		ch = e.groups[key]
+	defer e.mu.Unlock()
+	var key plan.Key
+	if r.Opts.Share {
+		if ch := e.groups[r.Key]; ch != nil {
+			return e.endpoint(ch)
+		}
+		key = r.Key
 	}
-	fresh := ch == nil
-	if fresh {
-		ch = e.buildChain(p)
-		ch.key = key
-	}
-	q := &Query{name: p.Name, eng: e, ch: ch, idx: len(e.queries)}
-	e.queries = append(e.queries, q)
+	return e.install(r.Plan(), key)
+}
+
+// install builds p's chain — joinable under key unless key is zero — and
+// its first endpoint. Caller holds e.mu.
+func (e *Engine) install(p *plan.Plan, key plan.Key) *Query {
+	ch := e.buildChain(p)
+	ch.key = key
 	// Attach before publishing the chain, so the first endpoint's window
 	// opens at position 0 of a fresh chain's history.
-	ch.attach(q)
-	if fresh {
-		e.chains = append(e.chains, ch)
-		if key != "" {
-			if e.groups == nil {
-				e.groups = map[string]*chain{}
-			}
-			e.groups[key] = ch
+	q := e.endpoint(ch)
+	e.chains = append(e.chains, ch)
+	if ch.shared() {
+		if e.groups == nil {
+			e.groups = map[plan.Key]*chain{}
 		}
-		e.fabric.add(ch)
+		e.groups[key] = ch
 	}
-	e.mu.Unlock()
+	e.fabric.add(ch)
+	return q
+}
+
+// endpoint registers a new Query on ch. Caller holds e.mu.
+func (e *Engine) endpoint(ch *chain) *Query {
+	q := &Query{name: ch.name, eng: e, ch: ch, idx: len(e.queries)}
+	e.queries = append(e.queries, q)
+	ch.attach(q)
 	return q
 }
 
 // buildChain constructs the executing pipeline for a plan: the shard
 // runtime with the requested number of shards when the plan partitions,
-// with one shard otherwise. A prepared plan (plan.Prepare) gets its
-// operators here, the only place a registration builds any.
+// with one shard otherwise.
 func (e *Engine) buildChain(p *plan.Plan) *chain {
-	if p.Stages == nil {
-		p.Stages = p.Fresh().Stages
-	}
 	ch := &chain{name: p.Name, plan: p, eng: e}
 	n := p.Shards
 	if n == 0 {
@@ -312,7 +318,7 @@ type chain struct {
 	plan *plan.Plan
 	sh   sharded
 	eng  *Engine
-	key  string // sharing identity ("" = private, never joined)
+	key  plan.Key // sharing identity (zero = private, never joined)
 
 	mu      sync.Mutex
 	closed  bool  // engine shutdown or last-endpoint teardown: delivery muted
@@ -358,6 +364,9 @@ func (ch *chain) cutLocked(q *Query) {
 		ch.live--
 	}
 }
+
+// shared reports whether registrations with the chain's Key may join it.
+func (ch *chain) shared() bool { return ch.key != plan.Key{} }
 
 // pos is the chain position: the order tag the next output item will carry.
 func (ch *chain) pos() uint64 { return uint64(len(ch.history)) }
@@ -537,7 +546,7 @@ func (q *Query) Shards() int { return q.ch.sh.n }
 
 // Shared reports whether the query's chain is joinable by identical
 // registrations (it may still have only one endpoint).
-func (q *Query) Shared() bool { return q.ch.key != "" }
+func (q *Query) Shared() bool { return q.ch.shared() }
 
 // Subscribe adds a callback invoked for every output item (including
 // punctuation) delivered to this endpoint. Callbacks run synchronously on
@@ -686,7 +695,7 @@ func (q *Query) unregisterApply() {
 				break
 			}
 		}
-		if ch.key != "" {
+		if ch.shared() {
 			delete(e.groups, ch.key)
 		}
 		e.fabric.remove(ch)

@@ -365,6 +365,94 @@ WHERE CorrelationKey(Machine_Id, EQUAL) AND [Machine_Id Equal $a] AND {y.Reason 
 	}
 }
 
+// TestFabricBindingsOwnedByTheChain: a registration reads its bindings map
+// without copying it, so a chain must keep its own copy where it keeps its
+// plan. Changing the map once RegisterText returns changes neither the
+// running chain's plan nor what a snapshot restores, and registering with
+// the changed map is another identity, with a chain of its own.
+func TestFabricBindingsOwnedByTheChain(t *testing.T) {
+	defer leakcheck.Check(t)()
+	dir := t.TempDir()
+	e := durableEngine(t, filepath.Join(dir, "orig.wal"))
+	defer e.Close()
+	m := map[string]event.Value{"m": "m000"}
+	q, err := e.RegisterText(keyedTemplate, plan.WithBindings(m), plan.WithSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	explain := q.Plan().Explain()
+	m["m"] = "m001"
+	check := func(what string, q *Query) {
+		t.Helper()
+		p := q.Plan()
+		if got := p.Durable().Bindings["m"]; got != "m000" || p.RouteKeyVal != "m000" || p.Explain() != explain {
+			t.Errorf("%s: plan bound to %v, routed by %v, explained\n%s\nwant m000 and\n%s", what, got, p.RouteKeyVal, p.Explain(), explain)
+		}
+	}
+	check("running chain", q)
+	var snap bytes.Buffer
+	if err := e.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(filepath.Join(dir, "restored.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(&snap, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check("restored chain", r.Queries()[0])
+	q2, err := e.RegisterText(keyedTemplate, plan.WithBindings(m), plan.WithSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2.ch == q.ch || len(e.chainsSnapshot()) != 2 || q2.Plan().Durable().Bindings["m"] != "m001" {
+		t.Error("the changed map did not get a chain of its own")
+	}
+}
+
+// TestFabricIdentityOutlivesTheAnalysisCache: chains are keyed by what a
+// registration says — source text, bindings, spec — never by the cached
+// analysis, which the plan package drops once its cache fills (at 512
+// entries). Q registered again after more distinct sources than that
+// attaches to Q's running chain, and its window continues the chain's
+// order tags.
+func TestFabricIdentityOutlivesTheAnalysisCache(t *testing.T) {
+	in := durabilityWorkload()
+	half := len(in) / 2
+	e := New()
+	q1, err := e.RegisterText(monitorQuery, plan.WithSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range in[:half] {
+		e.Push(ev)
+	}
+	for i := range 600 {
+		if _, err := plan.Prepare(fmt.Sprintf("EVENT E%d WHEN ANY(A a)", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := q1.Len()
+	q2, err := e.RegisterText(monitorQuery, plan.WithSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2.ch != q1.ch || !q2.Shared() || len(e.chainsSnapshot()) != 1 {
+		t.Fatal("Q registered after the analysis cache cleared did not attach to its chain")
+	}
+	for _, ev := range in[half:] {
+		e.Push(ev)
+	}
+	e.Finish()
+	tags := q1.Tags()
+	if at == 0 || !reflect.DeepEqual(q2.Tags(), tags[at:]) {
+		t.Errorf("the attached window's tags do not continue the chain's from %d", at)
+	}
+}
+
 // TestFabricUnregisterTeardown: endpoints detach independently; the last
 // reference tears the shared sharded chain down and every goroutine exits
 // (leakcheck). The surviving sibling's output is unaffected by its peer's

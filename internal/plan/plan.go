@@ -5,16 +5,16 @@
 // correlation-key pushdown into the incremental matcher tree and
 // stateless-stage reordering.
 //
-// Compile is Prepare, which resolves everything that identifies a plan —
-// spec, routing metadata, rewrites, partition verdict, sharing identity —
-// from the cached analysis without building an operator, then
-// instantiation of its Stages. The engine prepares a registration and
-// instantiates only a chain it builds: attaching to a running one builds
-// none.
+// Compile is Prepare, which resolves a registration's sharing identity
+// (Key) and its cached analysis without building anything, then Plan,
+// which builds the plan and its operators. The engine prepares every
+// registration and builds a plan only for a chain it creates: attaching to
+// a running one is a map lookup.
 package plan
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -31,11 +31,9 @@ import (
 
 // Plan is an executable query plan: a unary operator chain. Stage 0
 // consumes the input stream; each later stage consumes the previous
-// monitor's output. Plans come only from Prepare and Compile.
+// monitor's output. Plans come only from Prepared.Plan and Compile.
 type Plan struct {
-	Name string
-	// Stages is the operator chain; nil on a plan from Prepare until the
-	// engine builds it (Fresh).
+	Name   string
 	Stages []operators.Op
 	Spec   consistency.Spec
 	// Src is the CEDR query text the plan was compiled from. Src plus the
@@ -53,14 +51,6 @@ type Plan struct {
 	// MonitorOpts is vestigial (see consistency.MonitorOption): nothing sets
 	// or reads it but bench/e2e; the next benchmark PR removes it.
 	MonitorOpts []consistency.MonitorOption
-	// Share marks the plan as shareable: the engine may attach this
-	// registration to an already-running chain with the same identity
-	// (ShareKey) instead of instantiating new operators. See WithSharing.
-	Share bool
-	// Bindings are the template parameter values this plan was instantiated
-	// with (WithBindings); nil for plain queries. They are part of the
-	// plan's durable construction and its sharing identity.
-	Bindings map[string]event.Value
 	// RouteTypes / RouteKeyAttr / RouteKeyVal mirror the analysis's routing
 	// metadata (lang.Analysis.InputTypes, RouteKeyAttr, RouteKeyVal) for
 	// the engine's cross-query fabric: the plan sees only events of its
@@ -69,35 +59,24 @@ type Plan struct {
 	RouteKeyAttr string
 	RouteKeyVal  event.Value
 
-	// an and cfg are retained so Fresh can re-instantiate the operator
-	// chain and Durable and ShareKey can name the plan.
-	an  *lang.Analysis
-	cfg config
+	// an and opts are retained so Fresh can re-instantiate the operator
+	// chain and Durable can name the plan; opts owns its bindings.
+	an   *lang.Analysis
+	opts wal.RegOpts
 }
 
-// Option adjusts plan construction.
-type Option func(*config)
-
-// config is the registration record the options fill in, plus its bindings
-// rendered once (canonBindings): the analysis cache key and part of ShareKey.
-type config struct {
-	wal.RegOpts
-	bkey string
-}
+// Option adjusts plan construction: it fills in the registration record.
+type Option func(*wal.RegOpts)
 
 // WithRegOpts applies a whole registration record: what Durable returns, a
 // replayed log record, or a network request.
 func WithRegOpts(o wal.RegOpts) Option {
-	return func(c *config) {
-		c.RegOpts = o
-		c.Bindings = nil
-		WithBindings(o.Bindings)(c)
-	}
+	return func(c *wal.RegOpts) { *c = o }
 }
 
 // WithSpec overrides the query's consistency clause.
 func WithSpec(s consistency.Spec) Option {
-	return func(c *config) { c.HasSpec, c.Spec = true, s }
+	return func(c *wal.RegOpts) { c.HasSpec, c.Spec = true, s }
 }
 
 // AutoShards, passed to WithShards (or the engine's default), asks the
@@ -113,7 +92,7 @@ const AutoShards = -1
 // partitionability analysis fails (Part) run single-shard regardless;
 // Explain shows the verdict. Prepare refuses n above MaxShards.
 func WithShards(n int) Option {
-	return func(c *config) { c.Shards = n }
+	return func(c *wal.RegOpts) { c.Shards = n }
 }
 
 // MaxShards bounds the shards (worker goroutines) one registration may
@@ -127,44 +106,57 @@ func (e *ShardsError) Error() string {
 	return fmt.Sprintf("plan: %d shards requested, at most %d", e.Shards, MaxShards)
 }
 
-// WithSharing marks the plan shareable: when another registration with the
-// same identity (ShareKey — source text, bindings, spec) is already
+// WithSharing marks the registration shareable: when another registration
+// with the same identity (Key — source text, bindings, spec) is already
 // running on the engine, this registration attaches to its chain as an
-// additional subscriber endpoint instead of building new operators,
-// whatever shard count it requests: a shard count changes only speed, so
-// the attached registration runs on the chain's. A late attach joins the
-// shared execution in progress — it
-// observes outputs from the attach point onward, over state the chain
-// accumulated before it (pub/sub semantics).
+// additional subscriber endpoint instead of building a plan, whatever
+// shard count it requests: a shard count changes only speed, so the
+// attached registration runs on the chain's. A late attach joins the
+// shared execution in progress — it observes outputs from the attach point
+// onward, over state the chain accumulated before it (pub/sub semantics).
 func WithSharing() Option {
-	return func(c *config) { c.Share = true }
+	return func(c *wal.RegOpts) { c.Share = true }
 }
 
 // WithBindings instantiates a query template: every $name placeholder in
 // the source text is replaced by bindings[name] at compile time. The parsed
 // template is cached by source text, so stamping out many instances costs
 // one parse plus a per-instance semantic analysis. Bindings become part of
-// the plan's durable construction and sharing identity.
+// the registration's durable record and sharing identity. The map is read,
+// not copied, until a plan is built (Prepared.Plan), which keeps its own
+// copy; the caller may change it once registration returns.
 func WithBindings(bindings map[string]event.Value) Option {
-	return func(c *config) {
-		if len(bindings) == 0 {
-			return
-		}
-		c.Bindings = make(map[string]event.Value, len(bindings))
-		for k, v := range bindings {
-			c.Bindings[k] = v
-		}
-	}
+	return func(c *wal.RegOpts) { c.Bindings = bindings }
 }
 
-// prepare fills in everything of p but Src and Stages from an and p's
-// options.
-func (p *Plan) prepare(an *lang.Analysis) error {
-	// Every pattern query runs on the incremental matcher tree
-	// (internal/algebra/inc), which covers the full §3.3 grammar.
-	if !inc.Supported(an.Expr) {
-		return fmt.Errorf("plan: %s: pattern expression %T is outside the incremental matcher's grammar", an.Query.Name, an.Expr)
-	}
+// Key is a registration's execution-sharing identity: two registrations
+// whose keys are equal would build byte-identically behaving operator
+// chains, so the engine may run them on one shared chain. It is the source
+// text, the bindings' injective rendering (canonBindings, which keys the
+// analysis cache too) and the resolved consistency spec — never the cached
+// analysis, which the cache may drop and rebuild. The requested shard
+// count is left out: sharded output is byte-identical to one shard's, so
+// registrations that differ only in it share the first one's chain.
+type Key struct {
+	Src, Bindings string
+	Spec          consistency.Spec
+}
+
+// Prepared is a registration resolved without building anything: its
+// sharing identity, its registration record and the cached analysis a
+// plan is built from.
+type Prepared struct {
+	Key  Key
+	Opts wal.RegOpts
+	an   *lang.Analysis
+}
+
+// Plan builds the registration's plan: a fresh operator chain, the
+// optimizer's rewrites, the partition verdict and the routing metadata.
+// The plan owns a copy of the bindings.
+func (r Prepared) Plan() *Plan {
+	an, opts := r.an, r.Opts
+	opts.Bindings = maps.Clone(opts.Bindings)
 	// Correlation-key pushdown: when the analysis proved an equality
 	// attribute (CorrelationKey EQUAL or a spanning pairwise-equality
 	// conjunction — see lang.Analysis.PushKeyAttr), the matcher tree keys
@@ -178,23 +170,20 @@ func (p *Plan) prepare(an *lang.Analysis) error {
 	if an.Slice != nil && an.OutputMap != nil {
 		rewrites = append(rewrites, "slice-pushdown")
 	}
-	cfg := p.cfg
-	spec := resolveSpec(an, cfg)
-	*p = Plan{
+	return &Plan{
 		Name:         an.Query.Name,
-		an:           an,
-		cfg:          cfg,
-		Spec:         spec,
+		Stages:       stagesOf(an),
+		Spec:         r.Key.Spec,
+		Src:          r.Key.Src,
 		Rewrites:     rewrites,
-		Shards:       cfg.Shards,
+		Shards:       opts.Shards,
 		Part:         partitionOf(an),
-		Share:        cfg.Share,
-		Bindings:     cfg.Bindings,
 		RouteTypes:   an.InputTypes,
 		RouteKeyAttr: an.RouteKeyAttr,
 		RouteKeyVal:  an.RouteKeyVal,
+		an:           an,
+		opts:         opts,
 	}
-	return nil
 }
 
 // stagesOf instantiates a prepared analysis's operator chain: the matcher
@@ -218,21 +207,7 @@ func stagesOf(an *lang.Analysis) []operators.Op {
 // Durable returns the registration record that rebuilds the plan in a fresh
 // process — Prepare(p.Src, WithRegOpts(o)) — which is what the engine's
 // durability layer logs for each registration.
-func (p *Plan) Durable() wal.RegOpts { return p.cfg.RegOpts }
-
-// ShareKey is the plan's execution-sharing identity: two registrations
-// whose keys are equal would build byte-identically behaving operator
-// chains, so the engine may run them on one shared chain. The key covers
-// the source text, the template bindings and the resolved consistency
-// spec. The requested shard count is left out: sharded output is
-// byte-identical to one shard's, so registrations that differ only in it
-// share the first one's chain.
-func (p *Plan) ShareKey() string {
-	var buf [64]byte
-	k := strconv.AppendInt(append(buf[:0], '\x1f'), int64(p.Spec.B), 10)
-	k = strconv.AppendInt(append(k, ','), int64(p.Spec.M), 10)
-	return p.Src + string(append(k, '\x1f')) + p.cfg.bkey
-}
+func (p *Plan) Durable() wal.RegOpts { return p.opts }
 
 // canonBindings renders bindings injectively: in sorted name order, each
 // name, its value's dynamic type and its text, every piece length-prefixed,
@@ -282,17 +257,16 @@ func appendValue(dst []byte, v event.Value) []byte {
 // sharded runtime builds one chain per shard this way — operator Clones may
 // share scratch with their original and are only sequentially safe, whereas
 // independently instantiated chains are safe to drive from concurrent
-// shard workers; the engine builds a prepared plan's (Prepare) first chain
-// this way too.
+// shard workers.
 func (p *Plan) Fresh() *Plan {
 	fp := *p
 	fp.Stages = stagesOf(p.an)
 	return &fp
 }
 
-func resolveSpec(an *lang.Analysis, cfg config) consistency.Spec {
-	if cfg.HasSpec {
-		return cfg.Spec
+func resolveSpec(an *lang.Analysis, o *wal.RegOpts) consistency.Spec {
+	if o.HasSpec {
+		return o.Spec
 	}
 	c := an.Query.Consistency
 	if c == nil {
@@ -352,15 +326,13 @@ func (p *Plan) Explain() string {
 // queries re-registered per engine instance, benchmark loops, shard
 // fan-out) skips the lexer/parser/binder and goes straight to preparing the
 // plan. Analyses are immutable once built, so sharing one across concurrent
-// compilations is safe.
+// compilations is safe. An analysis is keyed by the Key of its source text
+// and bindings, with the zero Spec.
 var (
 	cacheMu       sync.RWMutex
-	analysisCache = map[cacheKey]*lang.Analysis{}
+	analysisCache = map[Key]*lang.Analysis{}
 	templateCache = map[string]*lang.Query{}
 )
-
-// cacheKey is a source text and its rendered bindings ("" for none).
-type cacheKey struct{ src, bindings string }
 
 // analysisCacheCap bounds each cache; pathological workloads that compile
 // unbounded distinct sources (or bindings) reset it rather than growing
@@ -368,40 +340,42 @@ type cacheKey struct{ src, bindings string }
 const analysisCacheCap = 512
 
 // Compile is the front door: CEDR text to executable plan — Prepare, then
-// a fresh operator chain in Stages.
+// Plan.
 func Compile(src string, opts ...Option) (*Plan, error) {
-	p, err := Prepare(src, opts...)
+	r, err := Prepare(src, opts...)
 	if err != nil {
 		return nil, err
 	}
-	p.Stages = stagesOf(p.an)
-	return p, nil
+	return r.Plan(), nil
 }
 
-// Prepare is Compile without the operators: it accepts and refuses exactly
-// what Compile does, and returns the same plan with Stages nil — the
-// sharing identity (ShareKey), spec, rewrites, partition verdict and
-// routing metadata are all resolved, and Fresh builds the operators. The
-// semantic analysis is cached by source text and bindings, so a repeated
-// registration costs no parse, and template instances additionally share
-// one parse of the template text across all bindings.
-func Prepare(src string, opts ...Option) (*Plan, error) {
-	p := new(Plan) // the options write into its config, which would escape on its own
-	for _, o := range opts {
-		o(&p.cfg)
+// Prepare is Compile without the plan: it accepts and refuses exactly what
+// Compile does, and resolves the registration's sharing identity (Key) and
+// record, building no plan and no operator. The semantic analysis is
+// cached by source text and bindings, so a repeated registration costs no
+// parse, and template instances additionally share one parse of the
+// template text across all bindings.
+func Prepare(src string, opts ...Option) (Prepared, error) {
+	var o wal.RegOpts // the options write through a pointer: it lives on the heap either way
+	for _, opt := range opts {
+		opt(&o)
 	}
-	if p.cfg.Shards > MaxShards {
-		return nil, &ShardsError{p.cfg.Shards}
+	if o.Shards > MaxShards {
+		return Prepared{}, &ShardsError{o.Shards}
 	}
-	p.cfg.bkey = canonBindings(p.cfg.Bindings)
-	key := cacheKey{src, p.cfg.bkey}
+	key := Key{Src: src, Bindings: canonBindings(o.Bindings)}
 	cacheMu.RLock()
 	an := analysisCache[key]
 	cacheMu.RUnlock()
 	if an == nil {
 		var err error
-		if an, err = analyze(src, p.cfg.Bindings); err != nil {
-			return nil, err
+		if an, err = analyze(src, o.Bindings); err != nil {
+			return Prepared{}, err
+		}
+		// Every pattern query runs on the incremental matcher tree
+		// (internal/algebra/inc), which covers the full §3.3 grammar.
+		if !inc.Supported(an.Expr) {
+			return Prepared{}, fmt.Errorf("plan: %s: pattern expression %T is outside the incremental matcher's grammar", an.Query.Name, an.Expr)
 		}
 		cacheMu.Lock()
 		if len(analysisCache) >= analysisCacheCap {
@@ -410,11 +384,8 @@ func Prepare(src string, opts ...Option) (*Plan, error) {
 		analysisCache[key] = an
 		cacheMu.Unlock()
 	}
-	if err := p.prepare(an); err != nil {
-		return nil, err
-	}
-	p.Src = src
-	return p, nil
+	key.Spec = resolveSpec(an, &o)
+	return Prepared{Key: key, Opts: o, an: an}, nil
 }
 
 // analyze runs the language front end on a cache miss. Plain queries go

@@ -213,8 +213,11 @@ func TestPrepareCapsShards(t *testing.T) {
 		}
 	}
 	for _, n := range []int{MaxShards + 1, 1 << 20} {
-		for name, build := range map[string]func(string, ...Option) (*Plan, error){"Prepare": Prepare, "Compile": Compile} {
-			_, err := build(src, WithShards(n))
+		for name, build := range map[string]func(string, ...Option) error{
+			"Prepare": func(s string, o ...Option) error { _, err := Prepare(s, o...); return err },
+			"Compile": func(s string, o ...Option) error { _, err := Compile(s, o...); return err },
+		} {
+			err := build(src, WithShards(n))
 			var se *ShardsError
 			if !errors.As(err, &se) || se.Shards != n {
 				t.Errorf("%s with %d shards: %v, want a *ShardsError for %d", name, n, err, n)

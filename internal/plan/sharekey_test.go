@@ -25,13 +25,13 @@ WHERE CorrelationKey(Machine_Id, EQUAL) AND [Machine_Id Equal $m]
 SC(each, consume)
 `
 
-func shareKey(t *testing.T, src string, opts ...Option) string {
+func shareKey(t *testing.T, src string, opts ...Option) Key {
 	t.Helper()
-	p, err := Compile(src, opts...)
+	r, err := Prepare(src, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.ShareKey()
+	return r.Key
 }
 
 func bindings(id string) Option {
@@ -66,7 +66,7 @@ func TestShareKeyIdentity(t *testing.T) {
 	}
 	// The dynamic type is part of the identity: values event.ValueEqual
 	// calls equal still build different chains.
-	typed := map[string]string{}
+	typed := map[Key]string{}
 	for _, v := range []event.Value{int64(1), int(1), float64(1), "1", true} {
 		k := shareKey(t, shareTmpl, WithBindings(map[string]event.Value{"m": v}))
 		if prev, dup := typed[k]; dup {
@@ -86,25 +86,25 @@ func TestShareKeyCollidingBindings(t *testing.T) {
 		{"a": "m1;b=string:z", "b": "q"},
 		{"a": "m1", "b": "z;b=string:q"},
 	}
-	var keys []string
+	var keys []Key
 	for _, b := range sets {
-		p, err := Compile(tmpl, WithBindings(b))
+		r, err := Prepare(tmpl, WithBindings(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.RouteKeyAttr != "m" || p.RouteKeyVal != b["a"] {
+		if p := r.Plan(); p.RouteKeyAttr != "m" || p.RouteKeyVal != b["a"] {
 			t.Errorf("bindings %v: route key (%s, %v), want (m, %v)", b, p.RouteKeyAttr, p.RouteKeyVal, b["a"])
 		}
-		keys = append(keys, p.ShareKey())
+		keys = append(keys, r.Key)
 	}
 	if keys[0] == keys[1] {
 		t.Error("colliding binding sets share an identity")
 	}
 }
 
-// TestPrepareIsCompileWithoutStages: a prepared plan is the compiled plan
-// minus its operators — same identity, spec, rewrites, verdict and routing
-// metadata — and Fresh builds the compiled plan's stage chain from it.
+// TestPrepareIsCompileWithoutStages: Prepare builds no plan, and its Plan
+// is the compiled plan — same identity, spec, rewrites, verdict, routing
+// metadata and stage chain — as is Fresh of either.
 func TestPrepareIsCompileWithoutStages(t *testing.T) {
 	for _, c := range []struct {
 		src  string
@@ -119,22 +119,24 @@ func TestPrepareIsCompileWithoutStages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := Prepare(c.src, c.opts...)
+		r, err := Prepare(c.src, c.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Stages != nil {
-			t.Errorf("Prepare built %d stages", len(p.Stages))
+		if r.Key.Src != want.Src || r.Key.Spec != want.Spec || !reflect.DeepEqual(r.Opts, want.Durable()) {
+			t.Errorf("%q: prepared %+v, %+v; compiled %q %+v %+v", c.src, r.Key, r.Opts, want.Src, want.Spec, want.Durable())
 		}
-		fp := p.Fresh()
+		p := r.Plan()
 		stageNames := func(q *Plan) (names []string) {
 			for _, s := range q.Stages {
 				names = append(names, fmt.Sprintf("%T %s", s, s.Name()))
 			}
 			return names
 		}
-		if !reflect.DeepEqual(stageNames(fp), stageNames(want)) {
-			t.Errorf("Fresh of a prepared plan built %v, Compile %v", stageNames(fp), stageNames(want))
+		for _, q := range []*Plan{p, p.Fresh(), want.Fresh()} {
+			if !reflect.DeepEqual(stageNames(q), stageNames(want)) {
+				t.Errorf("a prepared registration built %v, Compile %v", stageNames(q), stageNames(want))
+			}
 		}
 		p.Stages, want.Stages = nil, nil
 		if !reflect.DeepEqual(p, want) {
@@ -157,7 +159,7 @@ func TestTemplateCompileCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p1.Share || !p2.Share {
+	if !p1.Durable().Share || !p2.Durable().Share {
 		t.Error("WithSharing not recorded")
 	}
 	if p1.RouteKeyAttr != "Machine_Id" || p1.RouteKeyVal != "m042" {
@@ -174,11 +176,7 @@ func TestTemplateCompileCache(t *testing.T) {
 	if !d.Share || d.Bindings["m"] != "m042" {
 		t.Errorf("durable form lost sharing/bindings: %+v", d)
 	}
-	p3, err := Compile(p1.Src, WithRegOpts(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.ShareKey() != p3.ShareKey() {
+	if shareKey(t, p1.Src, WithRegOpts(d)) != shareKey(t, shareTmpl, bindings("m042"), WithSharing()) {
 		t.Error("durable round trip changed the share key")
 	}
 }
