@@ -56,7 +56,8 @@ import (
 type (
 	// Event is a stream item: an insert, a retraction, or punctuation.
 	Event = event.Event
-	// Payload is an event's attribute map.
+	// Payload is an event's attribute map. A payload a query delivers, like
+	// its lineage, is shared with the engine and other readers: read-only.
 	Payload = event.Payload
 	// ID identifies an event.
 	ID = event.ID
@@ -378,6 +379,7 @@ func (q *Query) Name() string { return q.q.Name() }
 // Results returns everything emitted so far: inserts, retractions and
 // punctuation, in emission order: a copy of the query's window of its
 // chain's history, from registration to now (or quarantine or unregistration).
+// The items' payloads and lineage are shared, not copied: never write them.
 func (q *Query) Results() Stream { return q.q.Results() }
 
 // Len returns the number of items Results would return, without copying.
@@ -430,7 +432,8 @@ func (q *Query) Err() error { return q.q.Err() }
 // locked, and every read of a query (Results, Tags, Len, Alerts, Err,
 // Subscribe) takes that lock: a callback that calls into this query or any
 // query sharing its pipeline — by default, any query registered from the
-// same text — deadlocks. Hand the item to another goroutine instead.
+// same text — deadlocks. Hand the item to another goroutine instead. Its
+// payload and lineage are shared with every reader: never write them.
 func (q *Query) Subscribe(fn func(Event)) { q.q.Subscribe(fn) }
 
 // SubscribeTagged registers a synchronous callback receiving every output
@@ -439,7 +442,7 @@ func (q *Query) Subscribe(fn func(Event)) { q.q.Subscribe(fn) }
 // so far — no gap or duplication against concurrent delivery. Subscribe's
 // no-call-back rule applies, to cancel too: call it from outside the
 // callback. After cancel returns the callback never runs again; calling it
-// twice, or after Unregister, is a no-op.
+// twice, or after Unregister, is a no-op. Items are read-only, as in Subscribe.
 func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) (cancel func()) {
 	return q.q.SubscribeTagged(replay, fn)
 }

@@ -27,7 +27,9 @@ type Match struct {
 	Payload         event.Payload // namespaced: "<alias>.<field>"
 }
 
-// Event renders the match as a physical composite event.
+// Event renders the match as a physical composite event. It shares the
+// match's payload, read-only like every emitted payload, and copies the
+// lineage, whose sharing would pin the whole match to the event's holders.
 func (m Match) Event(typ string) event.Event {
 	return event.Event{
 		ID:      m.ID,
@@ -37,7 +39,7 @@ func (m Match) Event(typ string) event.Event {
 		O:       temporal.From(m.V.Start),
 		RT:      m.RT,
 		CBT:     append([]event.ID(nil), m.CBT...),
-		Payload: m.Payload.Clone(),
+		Payload: m.Payload,
 	}
 }
 

@@ -219,30 +219,11 @@ func eventsEqual(a, b []event.Event) bool {
 		return false
 	}
 	for i := range a {
-		if !denan(a[i]).Identical(denan(b[i])) {
+		if !a[i].Identical(b[i]) {
 			return false
 		}
 	}
 	return true
-}
-
-// denan returns e with its NaN payload values replaced by the string "NaN"
-// (in a copied payload): NaN is not ValueEqual to itself, so two outputs
-// carrying the same NaN would otherwise never compare Identical.
-func denan(e event.Event) event.Event {
-	var p event.Payload
-	for k, v := range e.Payload {
-		if f, ok := v.(float64); ok && f != f {
-			if p == nil {
-				p = e.Payload.Clone()
-			}
-			p[k] = "NaN"
-		}
-	}
-	if p != nil {
-		e.Payload = p
-	}
-	return e
 }
 
 // checkStep compares one Process/Advance step of the two implementations,

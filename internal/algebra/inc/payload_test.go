@@ -5,10 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/event"
+	"repro/internal/operators"
 	"repro/internal/temporal"
 )
 
@@ -196,40 +199,83 @@ func TestDifferentialRepeatedPayloads(t *testing.T) {
 	}
 }
 
-// TestEmittedPayloadMutationIsolated scribbles over every emitted payload; a
-// twin that nobody scribbles on must emit the same stream.
-func TestEmittedPayloadMutationIsolated(t *testing.T) {
+// TestEmittedPayloadsShared: an output carries the map the matcher interned,
+// not a copy — outputs of one type-exact content, from an op and from its
+// clone (which shares the op's table), carry one map — and a fresh twin,
+// with a table of its own, emits the same stream by content.
+func TestEmittedPayloadsShared(t *testing.T) {
 	expr := keyedZoo()["kcidr07"]
 	for _, mode := range scModes() {
-		scribbled := NewOp(expr, mode, "out", WithJoinKey("k"))
-		clean := NewOp(expr, mode, "out", WithJoinKey("k"))
-		rng := rand.New(rand.NewSource(11))
-		emitted := 0
-		step := func(label string, got, want []event.Event) {
+		op := NewOp(expr, mode, "out", WithJoinKey("k"))
+		twin := NewOp(expr, mode, "out", WithJoinKey("k"))
+		var clone operators.Op
+		held := map[string]event.Payload{} // content → the one map carrying it
+		reused := 0
+		check := func(label string, got, want []event.Event) {
+			t.Helper()
 			if !eventsEqual(got, want) {
-				t.Fatalf("%v %s: output diverged after mutating emitted payloads\n clean: %v\n  got: %v",
+				t.Fatalf("%v %s: output diverged from the fresh twin\n twin: %v\n  got: %v",
 					mode, label, want, got)
 			}
-			emitted += len(got)
-			for _, e := range got {
-				for k := range e.Payload {
-					e.Payload[k] = "scribbled"
+			for i, e := range got {
+				if len(e.Payload) == 0 {
+					continue
 				}
-				e.Payload["x.k"] = "k0"
-				delete(e.Payload, "y.k")
+				if sameMap(e.Payload, want[i].Payload) {
+					t.Fatalf("%v %s: the op and its fresh twin share a map", mode, label)
+				}
+				c := exactContent(e.Payload)
+				if p, ok := held[c]; !ok {
+					held[c] = e.Payload
+				} else if !sameMap(p, e.Payload) {
+					t.Fatalf("%v %s: two maps carry %s", mode, label, c)
+				} else {
+					reused++
+				}
 			}
 		}
-		for i, e := range genRepeatEvents(rng, 120) {
-			step("push", scribbled.Process(0, e), clean.Process(0, e))
+		events := genRepeatEvents(rand.New(rand.NewSource(11)), 240)
+		for i, e := range events {
+			if i == len(events)/2 {
+				clone = op.Clone()
+			}
+			want := twin.Process(0, e)
+			check("push", op.Process(0, e), want)
+			if clone != nil {
+				check("clone push", clone.Process(0, e), want)
+			}
 			if i%5 == 4 {
-				step("advance", scribbled.Advance(e.V.Start+1), clean.Advance(e.V.Start+1))
+				want := twin.Advance(e.V.Start + 1)
+				check("advance", op.Advance(e.V.Start+1), want)
+				if clone != nil {
+					check("clone advance", clone.Advance(e.V.Start+1), want)
+				}
 			}
 		}
-		step("finish", scribbled.Advance(temporal.Infinity), clean.Advance(temporal.Infinity))
-		if emitted < 10 {
-			t.Fatalf("%v: only %d outputs; the stream no longer exercises emission", mode, emitted)
+		t.Logf("%v: %d outputs reused a map", mode, reused)
+		if reused < 10 {
+			t.Fatalf("%v: only %d outputs reused a map; the stream no longer repeats contents", mode, reused)
 		}
 	}
+}
+
+// exactContent renders a payload type-exactly (floats by their bits): the
+// identity the payload table interns by.
+func exactContent(p event.Payload) string {
+	names := make([]string, 0, len(p))
+	for k := range p {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, k := range names {
+		v := p[k]
+		if f, ok := v.(float64); ok {
+			v = math.Float64bits(f)
+		}
+		fmt.Fprintf(&b, "%s=%T:%v|", k, p[k], v)
+	}
+	return b.String()
 }
 
 // TestPayloadIDsNeverReused: ids stay unique across an internCap clear and

@@ -1,9 +1,12 @@
 package consistency
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/algebra"
+	"repro/internal/algebra/inc"
 	"repro/internal/delivery"
 	"repro/internal/event"
 	"repro/internal/history"
@@ -583,5 +586,44 @@ func TestRepairCostTracksStragglerDepth(t *testing.T) {
 	_, large := windowWithStraggler(t, 10000, 4)
 	if small != large || small == 0 {
 		t.Errorf("repair at depth 4 examined %d entries with 10 live facts, %d with 10000", small, large)
+	}
+}
+
+// TestRepairKeepsUnchangedNaNFact: a straggler replay re-derives a fact
+// whose payload carries NaN. The re-derived fact is unchanged, so the repair
+// diff must keep it — not retract it and re-insert it — whether or not the
+// operator hands back the payload map it emitted before. The straggler is of
+// a type the pattern ignores, so the only right output is the one insert.
+func TestRepairKeepsUnchangedNaNFact(t *testing.T) {
+	expr := algebra.SequenceExpr{Kids: []algebra.Expr{
+		algebra.TypeExpr{Type: "A", Alias: "a"},
+		algebra.TypeExpr{Type: "B", Alias: "b"},
+	}, W: 100}
+	arrive := func(e event.Event, c temporal.Time) event.Event {
+		e.C = temporal.From(c)
+		return e
+	}
+	in := stream.Stream{
+		arrive(event.NewInsert(1, "A", 10, temporal.Infinity, event.Payload{"v": math.NaN()}), 1),
+		arrive(event.NewInsert(2, "B", 20, temporal.Infinity, event.Payload{"v": int64(1)}), 2),
+		arrive(event.NewInsert(3, "C", 15, temporal.Infinity, nil), 3), // straggler
+	}
+	for name, op := range map[string]operators.Op{
+		"inc":    inc.NewOp(expr, algebra.SCMode{}, "out"),
+		"oracle": algebra.NewPatternOp(expr, algebra.SCMode{}, "out"),
+	} {
+		out, met := RunStreams(op, Middle(), in)
+		if met.Replays != 1 {
+			t.Errorf("%s: replays = %d, want 1 (the straggler no longer repairs)", name, met.Replays)
+		}
+		var data stream.Stream
+		for _, e := range out {
+			if !e.IsCTI() {
+				data = append(data, e)
+			}
+		}
+		if len(data) != 1 || data[0].Kind != event.Insert {
+			t.Errorf("%s: got %v, want the one insert of the NaN-carrying match", name, data)
+		}
 	}
 }

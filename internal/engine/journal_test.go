@@ -167,6 +167,47 @@ func TestFinishedChainRetainsOnlyItsHistory(t *testing.T) {
 	}
 }
 
+// TestRunningChainRetainsSlotsNotPayloads: a running chain's history grows
+// by one slot per output and by next to nothing else — the output carries
+// the payload map the matcher interned, of which the fleet has 192, not a
+// copy of it. An unfinished Echo chain is measured at 20k and 40k items;
+// the growth between, less the history slots, is divided by the outputs
+// added (≈339 B an output while every output copied its payload).
+func TestRunningChainRetainsSlotsNotPayloads(t *testing.T) {
+	defer leakcheck.Check(t)()
+	const echo = `EVENT Echo WHEN INSTALL h`
+	slot := int64(unsafe.Sizeof(event.Event{}))
+	// beyond is what the chain holds beyond its history slots after n
+	// items, and how many outputs it holds.
+	beyond := func(n int) (held int64, outs int) {
+		var own int64
+		held = heldBy(t, func() *Engine {
+			e := New()
+			q, err := e.RegisterText(echo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range n {
+				e.Push(fleetItem(i))
+			}
+			outs = q.Len()
+			own = int64(cap(q.ch.history)) * slot
+			return e
+		})
+		return held - own, outs
+	}
+	beyond(1000) // warm the analysis cache, which outlives any one engine
+	held20, outs20 := beyond(journalItems)
+	held40, outs40 := beyond(2 * journalItems)
+	per := float64(held40-held20) / float64(outs40-outs20)
+	const bound = 32
+	t.Logf("a running Echo chain grows %.1f B per output beyond its %d-B slot: held %d B (bound %d B) over %d outputs",
+		per, slot, held40-held20, bound*(outs40-outs20), outs40-outs20)
+	if per > bound {
+		t.Fatalf("a running chain grows %.1f B per output beyond its history slot, above %d B: outputs copy what they could share", per, bound)
+	}
+}
+
 // driveEveryKind drives e through every record kind: a sharded private
 // registration and a shared template instance (bindings in its register
 // record), the durability workload with a consistency switch and an

@@ -205,7 +205,9 @@ func (p Payload) Clone() Payload {
 	return out
 }
 
-// Equal reports deep equality of payloads.
+// Equal reports content equality: the same names, values ValueEqual or both
+// NaN, so a payload equals its copy whether or not they share a map.
+// Predicates compare with ValueEqual, where NaN equals nothing.
 func (p Payload) Equal(o Payload) bool {
 	// Payloads are immutable by operator contract and widely shared by
 	// shallow event copies, so identical backing means equal — an O(1)
@@ -218,12 +220,14 @@ func (p Payload) Equal(o Payload) bool {
 	}
 	for k, v := range p {
 		w, ok := o[k]
-		if !ok || !ValueEqual(v, w) {
+		if !ok || !ValueEqual(v, w) && !(isNaN(v) && isNaN(w)) {
 			return false
 		}
 	}
 	return true
 }
+
+func isNaN(v Value) bool { f, ok := v.(float64); return ok && f != f }
 
 // shares reports whether two payloads use the same backing map — a word
 // compare of the map pointers.

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +105,25 @@ func TestPayloadEqualAndKey(t *testing.T) {
 	var empty Payload
 	if empty.Key() != "" || empty.String() != "{}" {
 		t.Error("empty payload rendering")
+	}
+}
+
+// TestPayloadEqualIsReflexive: a payload carrying NaN equals its copy, so
+// whether two payloads are equal does not depend on their sharing a map.
+// ValueEqual, which predicates compare with, keeps NaN unequal to itself.
+func TestPayloadEqualIsReflexive(t *testing.T) {
+	p := Payload{"v": math.NaN(), "k": "a"}
+	if !p.Equal(p.Clone()) {
+		t.Error("a NaN payload does not equal its copy")
+	}
+	if p.Equal(Payload{"v": 1.0, "k": "a"}) || (Payload{"v": 1.0, "k": "a"}).Equal(p) {
+		t.Error("NaN equals a number")
+	}
+	if p.Equal(Payload{"v": "NaN", "k": "a"}) {
+		t.Error("NaN equals a string")
+	}
+	if ValueEqual(math.NaN(), math.NaN()) {
+		t.Error("ValueEqual(NaN, NaN): predicates must keep NaN wild")
 	}
 }
 

@@ -7,6 +7,7 @@
 package history
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/event"
@@ -32,15 +33,8 @@ type BiRow struct {
 // deterministically before comparison.
 type BiTable []BiRow
 
-// Clone deep-copies the table.
-func (t BiTable) Clone() BiTable {
-	out := make(BiTable, len(t))
-	for i, r := range t {
-		r.Payload = r.Payload.Clone()
-		out[i] = r
-	}
-	return out
-}
+// Clone copies the table's rows; payloads are immutable, so they are shared.
+func (t BiTable) Clone() BiTable { return slices.Clone(t) }
 
 // Reduce performs the first canonicalization step of Section 4: for each K,
 // only the entry with the earliest Oe time is retained. (Each retraction of

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/event"
@@ -35,15 +36,8 @@ func FromEvents(evs []event.Event) UniTable {
 	return out
 }
 
-// Clone deep-copies the table.
-func (t UniTable) Clone() UniTable {
-	out := make(UniTable, len(t))
-	for i, r := range t {
-		r.Payload = r.Payload.Clone()
-		out[i] = r
-	}
-	return out
-}
+// Clone copies the table's rows; payloads are immutable, so they are shared.
+func (t UniTable) Clone() UniTable { return slices.Clone(t) }
 
 // Reduce keeps, for each ID, only the entry with the earliest Ve — the
 // unitemporal counterpart of bitemporal reduction, since every retraction of

@@ -177,7 +177,7 @@ func Analyze(q *Query) (*Analysis, error) {
 	}
 
 	a.InputTypes = inputTypes(q.When)
-	if !b.dupPos && !hasOp(q.When, "ATMOST") {
+	if !b.dupPos && !HasOp(q.When, "ATMOST") {
 		for _, pred := range q.Where {
 			if pred.IsCorrKey() && pred.CorrMode == "EQUAL" && pred.CorrLit != nil {
 				a.RouteKeyAttr, a.RouteKeyVal = pred.CorrAttr, pred.CorrLit
@@ -621,15 +621,15 @@ func inputTypes(n PatternNode) []string {
 	return out
 }
 
-// hasOp reports whether the pattern contains the named operator anywhere.
-func hasOp(n PatternNode, op string) bool {
+// HasOp reports whether the pattern contains the named operator anywhere.
+func HasOp(n PatternNode, op string) bool {
 	switch x := n.(type) {
 	case OpNode:
 		if x.Op == op {
 			return true
 		}
 		for _, k := range x.Kids {
-			if hasOp(k, op) {
+			if HasOp(k, op) {
 				return true
 			}
 		}

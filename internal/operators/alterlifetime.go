@@ -1,6 +1,8 @@
 package operators
 
 import (
+	"maps"
+
 	"repro/internal/event"
 	"repro/internal/temporal"
 )
@@ -131,7 +133,7 @@ func (a *AlterLifetime) Process(_ int, e event.Event) []event.Event {
 	if e.Kind == event.Retract {
 		return a.retract(e)
 	}
-	a.set(a.inputs, e.ID, e.Clone())
+	a.set(a.inputs, e.ID, e)
 	iv, ok := a.outputFor(e)
 	if !ok {
 		return nil
@@ -144,7 +146,7 @@ func (a *AlterLifetime) Process(_ int, e event.Event) []event.Event {
 		O:       temporal.From(iv.Start),
 		RT:      e.RT,
 		CBT:     []event.ID{e.ID},
-		Payload: e.Payload.Clone(),
+		Payload: e.Payload,
 	}
 	a.set(a.emitted, e.ID, out)
 	return []event.Event{out}
@@ -171,9 +173,7 @@ func (a *AlterLifetime) retract(e event.Event) []event.Event {
 	var newIv temporal.Interval
 	newOK := false
 	if !in.V.Empty() {
-		cur := in.Clone()
-		cur.Kind = event.Insert
-		newIv, newOK = a.outputFor(cur)
+		newIv, newOK = a.outputFor(in) // in is the stored insert, shrunk
 	}
 
 	var out []event.Event
@@ -212,7 +212,7 @@ func (a *AlterLifetime) reinsert(in event.Event, iv temporal.Interval) event.Eve
 		O:       temporal.From(iv.Start),
 		RT:      in.RT,
 		CBT:     []event.ID{in.ID},
-		Payload: in.Payload.Clone(),
+		Payload: in.Payload,
 	}
 	a.set(a.emitted, in.ID, out)
 	return out
@@ -245,14 +245,6 @@ func (a *AlterLifetime) StateSize() int { return len(a.inputs) }
 
 // Clone implements Op; the clone starts with its journal off.
 func (a *AlterLifetime) Clone() Op {
-	c := &AlterLifetime{name: a.name, FVs: a.FVs, FDur: a.FDur, Guarantee: a.Guarantee,
-		inputs:  make(map[event.ID]event.Event, len(a.inputs)),
-		emitted: make(map[event.ID]event.Event, len(a.emitted))}
-	for id, e := range a.inputs {
-		c.inputs[id] = e.Clone()
-	}
-	for id, e := range a.emitted {
-		c.emitted[id] = e.Clone()
-	}
-	return c
+	return &AlterLifetime{name: a.name, FVs: a.FVs, FDur: a.FDur, Guarantee: a.Guarantee,
+		inputs: maps.Clone(a.inputs), emitted: maps.Clone(a.emitted)}
 }

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/event"
@@ -58,7 +59,7 @@ func (d *Difference) Process(port int, e event.Event) []event.Event {
 		}
 		return nil
 	}
-	d.set(side, e.ID, e.Clone())
+	d.set(side, e.ID, e)
 	return nil
 }
 
@@ -83,7 +84,7 @@ func (d *Difference) Advance(t temporal.Time) []event.Event {
 				O:       temporal.From(piece.Start),
 				RT:      l.RT,
 				CBT:     []event.ID{l.ID},
-				Payload: l.Payload.Clone(),
+				Payload: l.Payload,
 			})
 		}
 	}
@@ -154,13 +155,5 @@ func (d *Difference) StateSize() int { return len(d.left) + len(d.right) }
 
 // Clone implements Op; the clone starts with its journal off.
 func (d *Difference) Clone() Op {
-	c := NewDifference()
-	c.frontier = d.frontier
-	for id, e := range d.left {
-		c.left[id] = e.Clone()
-	}
-	for id, e := range d.right {
-		c.right[id] = e.Clone()
-	}
-	return c
+	return &Difference{frontier: d.frontier, left: maps.Clone(d.left), right: maps.Clone(d.right)}
 }

@@ -1,6 +1,8 @@
 package operators
 
 import (
+	"maps"
+
 	"repro/internal/event"
 	"repro/internal/temporal"
 )
@@ -266,10 +268,7 @@ func (j *Join) Clone() Op {
 	c := &Join{Theta: j.Theta, RightPrefix: j.RightPrefix, dead: j.dead}
 	for port := 0; port < 2; port++ {
 		c.items[port] = append([]joinEntry(nil), j.items[port]...)
-		c.index[port] = make(map[event.ID]int, len(j.index[port]))
-		for id, i := range j.index[port] {
-			c.index[port][id] = i
-		}
+		c.index[port] = maps.Clone(j.index[port])
 	}
 	return c
 }

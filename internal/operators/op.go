@@ -188,8 +188,7 @@ type ThetaJoin func(left, right event.Payload) bool
 // retractTo builds the retraction delta that shrinks an emitted output
 // event to newEnd (full removal when newEnd <= V.Start).
 func retractTo(out event.Event, newEnd temporal.Time) event.Event {
-	r := out.Clone()
-	r.Kind = event.Retract
-	r.V.End = newEnd
-	return r
+	out.Kind = event.Retract
+	out.V.End = newEnd
+	return out
 }

@@ -66,6 +66,8 @@ func partitionNone(why string, args ...any) Partition {
 //     every detection — negation sites included — to one key.
 //   - first/last instance selection picks one instance per detection
 //     instant across all keys, so it couples keys and forces PartitionNone.
+//   - ATMOST counts instances before the correlation filter, across all
+//     keys, so it couples keys too.
 func partitionOf(an *lang.Analysis) Partition {
 	if an.PartitionAttr == "" {
 		return partitionNone("no CorrelationKey(attr, EQUAL) clause")
@@ -78,6 +80,9 @@ func partitionOf(an *lang.Analysis) Partition {
 	}
 	if an.Mode.Sel != algebra.SelectEach {
 		return partitionNone("first/last instance selection couples keys")
+	}
+	if lang.HasOp(an.Query.When, "ATMOST") {
+		return partitionNone("ATMOST counts instances across keys")
 	}
 	return Partition{Mode: PartitionByAttr, Attr: an.PartitionAttr}
 }

@@ -39,6 +39,10 @@ func TestPartitionVerdicts(t *testing.T) {
 		{"last-selection", keyed + `SC(last, reuse)`,
 			"none (first/last instance selection couples keys)",
 			"plan E [middle]\n" + head + pushed + "\n  partition: none (first/last instance selection couples keys)\n"},
+		{"atmost", `EVENT E WHEN ATMOST(1, SEQUENCE(A a, B b, 10), 5) WHERE CorrelationKey(m, EQUAL)`,
+			"none (ATMOST counts instances across keys)",
+			"plan E [middle]\n  0: incpattern:ATMOST(1, SEQUENCE(A AS a, B AS b, 10t), 5t) WHERE CorrelationKey(m, EQUAL)\n" +
+				pushed + "\n  partition: none (ATMOST counts instances across keys)\n"},
 		{"bounded-m-one-stage", keyed + `CONSISTENCY weak(5)`,
 			"by-attr(m)",
 			"plan E [weak(M=5)]\n" + head + pushed + "\n  partition: by-attr(m)\n"},
