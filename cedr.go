@@ -415,7 +415,8 @@ func (q *Query) Alerts() []Event {
 	return out
 }
 
-// Metrics returns per-stage monitor metrics (stage 0 is the pattern).
+// Metrics returns the query's monitor metrics: one entry, the pattern's
+// (the stages after it are stateless maps and run under no monitor).
 func (q *Query) Metrics() []Metrics { return q.q.Metrics() }
 
 // Err returns the error that quarantined the query — the recovered panic

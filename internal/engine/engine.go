@@ -182,7 +182,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 		return p.Fresh().Stages
 	}
 	if err := ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, route, ch); err != nil {
-		panic(err) // unreachable: a compiled plan's head is the single-port matcher
+		panic(err) // unreachable: a compiled plan is the single-port matcher, then Slice/Project
 	}
 	return ch
 }
@@ -619,23 +619,22 @@ func (q *Query) Tags() []uint64 {
 	return tags
 }
 
-// Metrics returns per-stage monitor metrics of the query's chain (shared
-// endpoints observe identical metrics; callers must not Push concurrently).
-// With one shard these are the monitors' own counters. With more it waits
-// for the shards to drain everything pushed so far, then combines the
-// head's per-shard counters into the one-shard ones; the stages after the
-// head run once, so theirs are their own. Every stage's metrics equal a
-// one-shard run's.
+// Metrics returns the monitor metrics of the query's chain: one entry, the
+// head's — the stages after the matcher are stateless maps and run under
+// no monitor (shared endpoints observe identical metrics; callers must not
+// Push concurrently). With one shard these are the monitor's own counters.
+// With more it waits for the shards to drain everything pushed so far, then
+// combines the head's per-shard counters into the one-shard ones.
 func (q *Query) Metrics() []consistency.Metrics {
 	return q.ch.sh.metrics()
 }
 
 // SetSpec switches the query's consistency level at runtime (Section 5's
-// consistency-sensitive adaptation); released buffered output cascades
-// through the chain. On a shared chain the switch applies to the whole
-// group — every endpoint observes the released output. With more than one
-// shard the switch is enqueued and takes effect at this position in the
-// input sequence on every shard.
+// consistency-sensitive adaptation); the head's released buffered output
+// is mapped through the later stages like any other. On a shared chain the
+// switch applies to the whole group — every endpoint observes the released
+// output. With more than one shard the switch is enqueued and takes effect
+// at this position in the input sequence on every shard.
 func (q *Query) SetSpec(s consistency.Spec) {
 	if e := q.eng; e.log != nil {
 		e.pushMu.Lock()

@@ -226,11 +226,12 @@ func TestShardedQueryWorkerPanicQuarantines(t *testing.T) {
 	q.ch.sh.finish()
 }
 
-// TestShardedTailPanicQuarantines: the stages after the head run once —
-// inline with one shard, on the merger's goroutine with more — under their
-// own recover barrier. A panicking tail operator quarantines the chain with
-// the operator-stage error, its output stops at a prefix of the healthy
-// run, and Drain, Metrics and Finish all return.
+// TestShardedTailPanicQuarantines: the stages after the head run inside
+// each worker, under the recover barrier that guards its head. A panicking
+// map stage quarantines the chain with the operator-stage error, its
+// output stops at a prefix of the healthy run, and Drain, Metrics and
+// Finish all return. Every worker's stage shares one trigger, so it fires
+// at the fifth mapped item whichever shard maps it.
 func TestShardedTailPanicQuarantines(t *testing.T) {
 	in := durabilityWorkload()
 	p, err := plan.Compile(pairsQuery)
@@ -245,20 +246,25 @@ func TestShardedTailPanicQuarantines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if q.Shards() != shards || len(q.ch.sh.tail) != 1 {
-				t.Fatalf("query runs %d shards and %d tail stages, want %d and 1", q.Shards(), len(q.ch.sh.tail), shards)
+			ws := q.ch.sh.workers
+			if q.Shards() != shards || len(ws[0].stages) != 1 {
+				t.Fatalf("query runs %d shards and %d map stages, want %d and 1", q.Shards(), len(ws[0].stages), shards)
 			}
-			// Swapped before any push: the tail's goroutine owns it from here.
-			q.ch.sh.tail[0] = consistency.NewMonitor(faultinject.NewPanicOp(p.Stages[1], 5), q.ch.plan.Spec)
+			// Swapped before any push: each worker's goroutine owns its
+			// clone from here, and the clones share the trigger's count.
+			trigger := faultinject.NewPanicOp(p.Stages[1], 5)
+			for i := range ws {
+				ws[i].stages[0] = trigger.Clone()
+			}
 			for _, ev := range in {
 				e.Push(ev)
 			}
 			e.Drain()
 			if q.Err() == nil || !strings.Contains(q.Err().Error(), "query Pairs quarantined: operator stage panicked") {
-				t.Fatalf("tail panic not quarantined: %v", q.Err())
+				t.Fatalf("map stage panic not quarantined: %v", q.Err())
 			}
-			if met := q.Metrics(); len(met) != 2 {
-				t.Fatalf("%d metric stages, want 2", len(met))
+			if met := q.Metrics(); len(met) != 1 {
+				t.Fatalf("%d metric stages, want 1", len(met))
 			}
 			frozen := q.Results()
 			q.ch.sh.finish()

@@ -12,14 +12,15 @@
 // outputs with its own head's step count and the merger goroutine — one
 // per query — sorts each run's aligned bursts once by those tags
 // (consistency.Merger), reconstructing the exact single-shard head output.
-// The stages after the head (a compiled plan's
-// Slice and Project) run once, on the merger's goroutine, fed that merged
-// stream: each of their monitors sees the one-shard input at its level, so
-// its output and metrics are the one-shard ones.
+// The stages after the head (a compiled plan's Slice and Project) are
+// stateless, so they need no monitor: each worker maps every data item its
+// head emits through them before the merge (shardWorker.mapFrom), an item
+// dropped there taking its tag with it, and punctuation passes unchanged.
+// The query's output is the one-shard head's output mapped item by item.
 //
-//	            ┌─ worker 0: head ─┐
-//	router ──► ─┼─ worker 1: head ─┼─► merger ──► tail ──► results + subscribers
-//	 (hash key) └─ worker …: head ─┘  (order tags)
+//	            ┌─ worker 0: head ─► map ─┐
+//	router ──► ─┼─ worker 1: head ─► map ─┼─► merger ──► results + subscribers
+//	 (hash key) └─ worker …: head ─► map ─┘  (order tags)
 //
 // Handoff is batched: the router accumulates per-shard *runs* of
 // consecutive items and flushes a run to every worker at identical input
@@ -34,10 +35,10 @@
 // With more than one shard the pipeline is asynchronous: Push enqueues and
 // returns, Finish drains, and Results() exposes a deterministic prefix at
 // any time. One shard runs inline: no goroutines, channels or free lists —
-// every item goes through the same per-item body (shardWorker.process) and
-// the same tail on the caller's goroutine, under the same recover
-// barriers, and its output is delivered before the call returns (merging
-// one shard is the identity).
+// every item goes through the same per-item body (shardWorker.process) on
+// the caller's goroutine, under the same recover barrier, and its output
+// is delivered before the call returns (merging one shard is the
+// identity).
 package engine
 
 import (
@@ -95,9 +96,9 @@ type shardRun struct {
 // shardBurst is one worker→merger handoff unit: the aggregated tagged
 // outputs of a whole shard run.
 type shardBurst struct {
-	kind uint8            // kind of the run's last item (the flush cause)
-	spec consistency.Spec // the run's last item's level, when it is a switch
-	// out accumulates the head's outputs and order tags for the whole run.
+	kind uint8 // kind of the run's last item (the flush cause)
+	// out accumulates the mapped head outputs and their order tags for the
+	// whole run.
 	out consistency.Burst
 	// states[k] is the head monitor's state after item k, less the
 	// guarantee markers in its log window on every shard but shard 0.
@@ -119,8 +120,8 @@ func (b *shardBurst) reset() {
 }
 
 // clearOutputs drops the burst's outputs and traces but keeps its run
-// header (kind/spec) — the shape a failed worker's aligned empty
-// response takes.
+// header (kind) — the shape a failed worker's aligned empty response
+// takes.
 func (b *shardBurst) clearOutputs() {
 	b.out.Reset()
 	b.states = b.states[:0]
@@ -128,6 +129,12 @@ func (b *shardBurst) clearOutputs() {
 
 type shardWorker struct {
 	head *consistency.Monitor
+	// stages are the plan's stateless stages after the head, this worker's
+	// own instances; mapFrom runs the head's data output through them.
+	stages []operators.Op
+	// mapped is mapFrom's scratch: the head's outputs of one item and
+	// their tags, before mapping (its Arena is unused).
+	mapped consistency.Burst
 	// merged is set when a merger reads this worker's bursts (n > 1): only
 	// then are outputs order-tagged and per-item state traced.
 	// dropMarkers is set on every merged worker but shard 0 (see
@@ -151,12 +158,6 @@ type sharded struct {
 	route   func(event.Event) int
 	workers []shardWorker
 	w1      [1]shardWorker // workers' storage when n = 1
-	// tail holds the monitors of the stages after the head, run once on
-	// the head's merged output (see runTail): on the caller's goroutine
-	// with one shard, on the merger's with more. tailOut is its reused
-	// output buffer.
-	tail    []*consistency.Monitor
-	tailOut []event.Event
 	sink    shardSink
 	name    string // query name, for the quarantine error
 
@@ -201,9 +202,10 @@ func newSharded(name string, n, burst int, stagesFor func(shard int) []operators
 // flush only on punctuation/control). stagesFor must return an
 // independent, freshly instantiated, non-empty operator chain per shard
 // (operator Clones may share scratch and are not safe across goroutines);
-// every shard runs its chain's head, and shard 0's chain supplies the tail.
-// name labels the quarantine error of a panicking operator. start fails
-// only on a multi-port head with more than one shard.
+// every shard runs its chain's head under a monitor and maps the head's
+// output through the rest. name labels the quarantine error of a panicking
+// operator. start fails on a multi-port head with more than one shard and
+// on a stage after the head that is not operators.Stateless.
 func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []operators.Op,
 	spec consistency.Spec, route func(event.Event) int, sink shardSink) error {
 	if n < 1 {
@@ -222,12 +224,13 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []o
 		if n > 1 && stages[0].Arity() != 1 {
 			return fmt.Errorf("engine: sharded execution requires a single-port head operator")
 		}
-		s.workers[i].head = consistency.NewMonitor(stages[0], spec)
-		if i == 0 {
-			for _, op := range stages[1:] {
-				s.tail = append(s.tail, consistency.NewMonitor(op, spec))
+		for _, op := range stages[1:] {
+			if _, ok := op.(operators.Stateless); !ok {
+				return fmt.Errorf("engine: stage %s after the head is not stateless", op.Name())
 			}
 		}
+		s.workers[i].head = consistency.NewMonitor(stages[0], spec)
+		s.workers[i].stages = stages[1:]
 	}
 	if n == 1 {
 		return nil // inline: see runInline
@@ -259,9 +262,9 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []o
 }
 
 // runInline is the n = 1 runtime: it drives one item through the only
-// shard's head and then the tail on the caller's goroutine, under their
-// recover barriers, and delivers the output directly. It returns that
-// output, valid until the next call. Caller holds mu.
+// shard on the caller's goroutine, under its recover barrier, and delivers
+// the output directly. It returns that output, valid until the next call.
+// Caller holds mu.
 func (s *sharded) runInline(it shardItem) []event.Event {
 	if s.failed != nil {
 		return nil
@@ -269,62 +272,14 @@ func (s *sharded) runInline(it shardItem) []event.Event {
 	b := &s.one
 	b.reset()
 	one := [1]shardItem{it}
-	var out []event.Event
-	err := s.workers[0].processRunSafely(s.name, one[:], b)
-	if err == nil {
-		out, err = s.runTail(b.out.Evs, it.kind, it.spec)
-	}
-	if s.failed = err; err != nil {
-		s.sink.quarantine(err)
+	if s.failed = s.workers[0].processRunSafely(s.name, one[:], b); s.failed != nil {
+		s.sink.quarantine(s.failed)
 		return nil
 	}
-	if len(out) > 0 {
-		s.sink.deliverMerged(out)
+	if len(b.out.Evs) > 0 {
+		s.sink.deliverMerged(b.out.Evs)
 	}
-	return out
-}
-
-// runTail drives a run's head output through the tail and returns the
-// last stage's output, valid until the next call (head itself when the
-// plan has no tail). A run that ends in a level switch or finish then
-// crosses the tail stage by stage, as a plain monitor cascade does: each
-// stage's release passes through the stages after it, still at the old
-// level, before the next stage switches. A panicking tail operator yields
-// the quarantine error instead of unwinding.
-func (s *sharded) runTail(head []event.Event, kind uint8, spec consistency.Spec) (out []event.Event, err error) {
-	if len(s.tail) == 0 {
-		return head, nil
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			out, err = nil, recoverPanic(s.name, "operator stage", rec)
-		}
-	}()
-	out = s.through(0, head, s.tailOut[:0])
-	for i, m := range s.tail {
-		switch kind {
-		case itemSetSpec:
-			out = s.through(i+1, m.SetSpec(spec), out)
-		case itemFinish:
-			out = s.through(i+1, m.Finish(), out)
-		}
-	}
-	s.tailOut = out
-	return out, nil
-}
-
-// through pushes evs through tail stages from on, each output item on to
-// the next stage before the next input item, and appends the last stage's
-// output to out. evs may be a monitor's output buffer: only later stages
-// are called while it is read.
-func (s *sharded) through(from int, evs, out []event.Event) []event.Event {
-	if from == len(s.tail) {
-		return append(out, evs...)
-	}
-	for _, e := range evs {
-		out = s.through(from+1, s.tail[from].Push(0, e), out)
-	}
-	return out
+	return b.out.Evs
 }
 
 // push routes one physical item: punctuation broadcasts (and flushes —
@@ -449,12 +404,12 @@ func (s *sharded) barrier() {
 	<-s.barrierCh
 }
 
-// metrics returns the per-stage metrics the single-shard run would report.
-// The head's per-shard metrics combine: partitioned counters sum,
-// broadcast punctuation counts once, and with n > 1 MaxState comes from
-// the merger's per-item cross-shard state trace, which reproduces the
-// head's per-push samples exactly. The tail runs once, so its monitors'
-// own counters are the one-shard ones.
+// metrics returns the chain's one monitor's metrics, as the single-shard
+// run would report them — one entry, the head's. The head's per-shard
+// metrics combine: partitioned counters sum, broadcast punctuation counts
+// once, and with n > 1 MaxState comes from the merger's per-item
+// cross-shard state trace, which reproduces the head's per-push samples
+// exactly.
 func (s *sharded) metrics() []consistency.Metrics {
 	s.barrier()
 	agg := s.workers[0].head.Metrics()
@@ -479,12 +434,7 @@ func (s *sharded) metrics() []consistency.Metrics {
 	if s.n > 1 {
 		agg.MaxState = s.maxState
 	}
-	out := make([]consistency.Metrics, 1, 1+len(s.tail))
-	out[0] = agg
-	for _, m := range s.tail {
-		out = append(out, m.Metrics())
-	}
-	return out
+	return []consistency.Metrics{agg}
 }
 
 func (w *shardWorker) run(name string) {
@@ -493,7 +443,7 @@ func (w *shardWorker) run(name string) {
 		b := <-w.freeBursts
 		b.reset()
 		last := r.items[len(r.items)-1]
-		b.kind, b.spec = last.kind, last.spec
+		b.kind = last.kind
 		if failed == nil {
 			failed = w.processRunSafely(name, r.items, b)
 		}
@@ -514,8 +464,8 @@ func (w *shardWorker) run(name string) {
 	}
 }
 
-// processRunSafely drives a run of items through the head monitor under a
-// recover barrier: a panicking operator —
+// processRunSafely drives a run of items through the head monitor and the
+// stages after it under a recover barrier: a panicking operator —
 // at any intra-run offset — yields the quarantine error of query name (and
 // the caller sends an aligned empty burst, or stops when inline) instead of
 // killing the process or deadlocking the merger.
@@ -532,11 +482,12 @@ func (w *shardWorker) processRunSafely(name string, items []shardItem, b *shardB
 }
 
 // process drives one item through the shard's head monitor, appending its
-// outputs (and, when merged, their tags and the item's trace) to b. It is
-// the worker loop's per-item body and the head of the one-shard runtime
-// (the critical-path benchmark also times a shard's full item sequence this
-// way, without channel overhead).
+// outputs mapped through the stages after the head (and, when merged, their
+// tags and the item's trace) to b. It is the worker loop's per-item body
+// and the whole of the one-shard runtime (the critical-path benchmark also
+// times a shard's full item sequence this way, without channel overhead).
 func (w *shardWorker) process(it shardItem, b *shardBurst) {
+	from := b.out.Len()
 	switch it.kind {
 	case itemData, itemProbe, itemCTI:
 		w.head.PushTaggedInto(0, it.ev, w.merged, it.kind == itemProbe, &b.out)
@@ -547,6 +498,7 @@ func (w *shardWorker) process(it shardItem, b *shardBurst) {
 	case itemBarrier:
 		// State is unchanged; the run round-trip is the synchronization.
 	}
+	w.mapFrom(from, &b.out)
 	if !w.merged {
 		return
 	}
@@ -557,9 +509,50 @@ func (w *shardWorker) process(it shardItem, b *shardBurst) {
 	b.states = append(b.states, int32(st))
 }
 
+// mapFrom maps the outputs out holds from index from on through the stages
+// after the head: a data item is replaced by what the last stage makes of
+// it, each output keeping the item's order tag, and punctuation passes
+// unchanged. The stages are stateless, so no monitor aligns or repairs
+// them: a changelog mapped item by item is the changelog of the mapped
+// stream.
+func (w *shardWorker) mapFrom(from int, out *consistency.Burst) {
+	if len(w.stages) == 0 {
+		return
+	}
+	in := &w.mapped
+	in.Evs = append(in.Evs[:0], out.Evs[from:]...)
+	out.Evs = out.Evs[:from]
+	if w.merged {
+		in.Tags = append(in.Tags[:0], out.Tags[from:]...)
+		out.Tags = out.Tags[:from]
+	}
+	for k, e := range in.Evs {
+		var tag []byte
+		if w.merged {
+			tag = in.Tags[k]
+		}
+		w.mapItem(0, e, tag, out)
+	}
+}
+
+// mapItem appends what the stages from on make of e to out, each output
+// tagged tag when merged. A stage's output buffer is read only while later
+// stages run.
+func (w *shardWorker) mapItem(from int, e event.Event, tag []byte, out *consistency.Burst) {
+	if from == len(w.stages) || e.IsCTI() {
+		out.Evs = append(out.Evs, e)
+		if w.merged {
+			out.Tags = append(out.Tags, tag)
+		}
+		return
+	}
+	for _, o := range w.stages[from].Process(0, e) {
+		w.mapItem(from+1, o, tag, out)
+	}
+}
+
 // mergeLoop gathers each run's bursts from all shards, merges them into
-// the single-shard head's emission order, drives that through the tail,
-// and delivers once per run.
+// the single-shard emission order, and delivers once per run.
 func (s *sharded) mergeLoop() {
 	var mg consistency.Merger
 	var out []event.Event
@@ -568,11 +561,10 @@ func (s *sharded) mergeLoop() {
 	outs := make([]*consistency.Burst, s.n)
 	for {
 		var kind uint8
-		var spec consistency.Spec
 		for i := range s.workers {
 			b := <-s.workers[i].out
 			bs[i], outs[i] = b, &b.out
-			kind, spec = b.kind, b.spec
+			kind = b.kind
 			if b.fail != nil && failed == nil {
 				// First failure wins; the query is quarantined before any
 				// post-failure delivery could happen.
@@ -598,20 +590,14 @@ func (s *sharded) mergeLoop() {
 			s.workers[i].freeBursts <- bs[i]
 			bs[i] = nil
 		}
-		if failed == nil {
-			final, err := s.runTail(out, kind, spec)
-			if err != nil {
-				failed = err
-				s.sink.quarantine(failed)
-			} else if len(final) > 0 {
-				s.sink.deliverMerged(final)
-			}
+		if failed == nil && len(out) > 0 {
+			s.sink.deliverMerged(out)
 		}
 		// A partial merge after a failure would be wrong output, not late
-		// output: delivery stops once any shard or the tail failed. The
-		// barrier and finish handshakes still complete — metrics, Finish,
-		// and engine shutdown must not hang on a quarantined query. A
-		// run's output is delivered before its handshake.
+		// output: delivery stops once any shard failed. The barrier and
+		// finish handshakes still complete — metrics, Finish, and engine
+		// shutdown must not hang on a quarantined query. A run's output is
+		// delivered before its handshake.
 		switch kind {
 		case itemBarrier:
 			s.barrierCh <- struct{}{}

@@ -218,7 +218,7 @@ func TestPrivateChainsStartNoGoroutines(t *testing.T) {
 // TestShardedMultiCoreSmoke runs the full sharded query path with
 // GOMAXPROCS raised above one so router, workers, and merger execute
 // truly concurrently (and under -race in CI's fault-injection job), then
-// checks the merged output is byte-identical to the plain monitor cascade
+// checks the merged output is byte-identical to the plain head monitor's
 // (runPlainPlan) and every goroutine drains.
 func TestShardedMultiCoreSmoke(t *testing.T) {
 	defer leakcheck.Check(t)()

@@ -85,52 +85,51 @@ func runPlainOp(mk func() operators.Op, spec consistency.Spec, in stream.Stream,
 }
 
 // runPlainPlan is the plan-level reference, independent of the shard
-// runtime: fresh instances of the plan's stages, one monitor each, driven
-// by the plain Push/SetSpec/Finish cascade — every stage's output fed
-// through the remaining stages in order, and on a level switch or finish
-// each stage's release cascaded through the stages after it before the
-// next stage switches. It is fed the plan's routed input: the items of in
+// runtime: fresh instances of the plan's stages, one monitor around the
+// head driven by the plain Push/SetSpec/Finish calls, and every data item
+// it emits mapped through the later stages' Process in order, punctuation
+// passed unchanged. It is fed the plan's routed input: the items of in
 // that reacts admits, as the engine delivers them. With switchAt > 0 the
 // level switches to switchTo after the first switchAt items of in.
 func runPlainPlan(t *testing.T, p *plan.Plan, in stream.Stream,
 	switchAt int, switchTo consistency.Spec) (stream.Stream, []consistency.Metrics) {
 	t.Helper()
 	fp := p.Fresh()
-	ms := make([]*consistency.Monitor, len(fp.Stages))
-	for i, op := range fp.Stages {
-		ms[i] = consistency.NewMonitor(op, fp.Spec)
-	}
-	// through pushes batch through stages from on and returns what the
-	// last one emits.
-	through := func(from int, batch []event.Event) []event.Event {
-		for _, m := range ms[from:] {
-			var next []event.Event
-			for _, e := range batch {
-				next = append(next, m.Push(0, e)...)
-			}
-			batch = next
-		}
-		return batch
-	}
+	head := consistency.NewMonitor(fp.Stages[0], fp.Spec)
 	var out stream.Stream
+	emit := func(batch []event.Event) {
+		out = append(out, mapStages(fp.Stages[1:], batch)...)
+	}
 	for i, e := range in {
 		if reacts(p, e) {
-			out = append(out, through(0, []event.Event{e})...)
+			emit(head.Push(0, e))
 		}
 		if switchAt > 0 && i+1 == switchAt {
-			for j, m := range ms {
-				out = append(out, through(j+1, m.SetSpec(switchTo))...)
-			}
+			emit(head.SetSpec(switchTo))
 		}
 	}
-	for i, m := range ms {
-		out = append(out, through(i+1, m.Finish())...)
+	emit(head.Finish())
+	return out, []consistency.Metrics{head.Metrics()}
+}
+
+// mapStages maps every data item of batch through stages by their Process,
+// in order, and passes punctuation unchanged.
+func mapStages(stages []operators.Op, batch []event.Event) []event.Event {
+	var out []event.Event
+	for _, e := range batch {
+		items := []event.Event{e}
+		if !e.IsCTI() {
+			for _, op := range stages {
+				var next []event.Event
+				for _, it := range items {
+					next = append(next, op.Process(0, it)...)
+				}
+				items = next
+			}
+		}
+		out = append(out, items...)
 	}
-	met := make([]consistency.Metrics, len(ms))
-	for i, m := range ms {
-		met[i] = m.Metrics()
-	}
-	return out, met
+	return out
 }
 
 // shardBurstGrid is the router burst-size sweep the differential grids run
@@ -310,18 +309,18 @@ func TestShardedBurstGridEquivalence(t *testing.T) {
 	}
 }
 
-// pairsQuery is a two-stage plan: a keyed matcher head and an OUTPUT
-// projection tail.
+// pairsQuery is a two-stage plan: a keyed matcher head and the OUTPUT
+// projection mapped over its output.
 const pairsQuery = `EVENT Pairs WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours)
 WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)
 OUTPUT x.Machine_Id AS machine`
 
-// Compiled plans (pattern head, stateless tail) through the engine: at
-// every shard count, level and mid-stream level switch the query must
-// reproduce the plain monitor cascade's output and every stage's metrics
-// exactly (runPlainPlan, which shares no code with the shard runtime).
-// Only the head is sharded; the tail runs once on the merged stream, so
-// its monitors see the one-shard input and report the one-shard metrics.
+// Compiled plans (pattern head, stateless stages after it) through the
+// engine: at every shard count, level and mid-stream level switch the query
+// must reproduce the plain head monitor's output mapped item by item and
+// its metrics exactly (runPlainPlan, which shares no code with the shard
+// runtime). Only the head runs under a monitor, so the chain reports one
+// entry of metrics.
 func TestShardedPlanEquivalence(t *testing.T) {
 	defer leakcheck.Check(t)()
 	queries := []struct {

@@ -1,6 +1,7 @@
 // Package plan compiles analyzed CEDR queries into executable physical
-// plans: a chain of run-time operators, each to be wrapped in a consistency
-// monitor, plus the query's consistency specification. It applies the
+// plans: a chain of run-time operators — a matcher to be wrapped in a
+// consistency monitor, then stateless maps — plus the query's consistency
+// specification. It applies the
 // logical-to-physical rewrites the paper attributes to the optimizer:
 // correlation-key pushdown into the incremental matcher tree and
 // stateless-stage reordering.
@@ -29,9 +30,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Plan is an executable query plan: a unary operator chain. Stage 0
-// consumes the input stream; each later stage consumes the previous
-// monitor's output. Plans come only from Prepared.Plan and Compile.
+// Plan is an executable query plan: a unary operator chain. Stage 0, the
+// matcher, consumes the input stream under a consistency monitor; each
+// later stage is stateless and maps every data item the stage before it
+// emits. Plans come only from Prepared.Plan and Compile.
 type Plan struct {
 	Name   string
 	Stages []operators.Op

@@ -133,7 +133,7 @@ func TestPrepareIsCompileWithoutStages(t *testing.T) {
 			}
 			return names
 		}
-		for _, q := range []*Plan{p, p.Fresh(), want.Fresh()} {
+		for _, q := range append([]*Plan(nil), p, p.Fresh(), want.Fresh()) {
 			if !reflect.DeepEqual(stageNames(q), stageNames(want)) {
 				t.Errorf("a prepared registration built %v, Compile %v", stageNames(q), stageNames(want))
 			}
