@@ -400,7 +400,7 @@ func BenchmarkMonitorScalingSharded(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					out, _, err := engine.RunShardedOp(
 						func() operators.Op { return operators.NewAggregate(operators.Count, "", "g") },
-						consistency.Middle(), shards, engine.RouteByAttr("g", shards), delivered)
+						consistency.Middle(), shards, 0, engine.RouteByAttr("g", shards), delivered)
 					if err != nil {
 						b.Fatal(err)
 					}

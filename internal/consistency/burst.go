@@ -46,10 +46,10 @@ type tagged struct {
 
 // Merger is the deterministic shard-merge stage: it interleaves the tagged
 // bursts of sibling monitors into the exact sequence one un-sharded monitor
-// emits. Its contract is the one PushTaggedInto states: the siblings are
-// driven through the same calls (data on one of them, a probe with the same
-// Sync and CEDR time on the rest, punctuation and control on all), so they
-// take the same steps, and their bursts cover the same stretch of input.
+// emits. Its contract is the one PushTaggedInto states: every sibling sees
+// the whole input — data, punctuation and control — and its operator
+// processes only the keys it owns, so they take the same steps, and their
+// bursts cover the same stretch of input.
 // Each sibling's own emission order survives (the sort is stable, and equal
 // tags keep sibling order); the tags fix the order across siblings; and a
 // CTI whose tag equals the previous CTI's is a sibling's redundant copy of

@@ -137,17 +137,17 @@ type Monitor struct {
 	absState int           // operator state size as of the absorbed boundary
 
 	// Sharded-execution support (see PushTaggedInto). On the plain Push
-	// path only step moves; the rest is inert.
+	// path only step moves; the rest is inert. Every shard's monitor sees
+	// the whole input; which keys its operator owns is the operator's
+	// business, so nothing here knows of shards.
 	tagging bool   // current call wants order tags
 	sink    *Burst // the *Into variants' output and tag accumulator (nil on the plain path)
 	// step counts, over the monitor's whole life, every admission, every
 	// guarantee advance and every emitted CTI; an output's tag leads with the
 	// step that emitted it.
-	step      uint64
-	advKey    func(dst []byte, e event.Event) []byte
-	probeLog  int // probe items in the live log window (state-size exempt)
-	probeBuf  int // probe items in the alignment buffer (state-size exempt)
-	markerLog int // guarantee markers in the live log window
+	step   uint64
+	advKey func(dst []byte, e event.Event) []byte
+	window int // buffer + live log window at the last sampleState (see Window)
 
 	done bool // Finish has run: the monitor is terminal (see Finish)
 	met  Metrics
@@ -169,11 +169,6 @@ const compactAt = 64
 
 type logItem struct {
 	marker bool
-	// probe marks an advance-only marker from a sibling shard: the live path
-	// speculatively advanced the operator to its Sync (under an optimistic
-	// level) but never called Process, and replay and checkpointing must do
-	// the same.
-	probe bool
 	// opt records whether the live path speculatively advanced the
 	// operator before this event (true at non-blocking levels). Replay and
 	// checkpointing must reproduce the same calls even if the level has
@@ -213,7 +208,6 @@ type bufEntry struct {
 	port    int
 	ev      event.Event
 	arrival temporal.Time
-	probe   bool
 }
 
 // netFact entries are stored by pointer and shared between the live table
@@ -333,11 +327,12 @@ func (m *Monitor) CurState() int { return m.met.CurState }
 // Guarantee returns the current combined input guarantee.
 func (m *Monitor) Guarantee() temporal.Time { return m.guarantee }
 
-// WindowMarkers returns the number of guarantee markers in the live log
-// window. Sharded metric combination needs it: punctuation is broadcast, so
-// every shard logs the same marker, but the single-shard equivalent state
-// counts it once.
-func (m *Monitor) WindowMarkers() int { return m.markerLog }
+// Window returns the alignment buffer plus the live log window, as sampled
+// with CurState at the end of the last call (Finish releases the log, so a
+// live count would not match the sample). Sharded metric combination needs
+// it: every shard buffers and logs the whole input, but the single-shard
+// equivalent state counts it once.
+func (m *Monitor) Window() int { return m.window }
 
 // SetSpec switches the consistency level at runtime. The paper observes
 // that at common sync points every level holds the same output state, so
@@ -373,36 +368,32 @@ func (m *Monitor) setSpec(s Spec, tag bool, sink *Burst) []event.Event {
 // items, stamped with the current CEDR time. The returned slice is valid
 // until the next call on this monitor.
 func (m *Monitor) Push(port int, e event.Event) []event.Event {
-	return m.push(port, e, false, false, nil)
+	return m.push(port, e, false, nil)
 }
 
-// PushTaggedInto is Push for sharded execution. probe marks an
-// advance-only marker for an event routed to a sibling shard: the monitor
-// advances its operator to the probe's Sync exactly as it would for a local
-// event — so every shard observes identical advance boundaries and emits
-// identical per-key output — but never calls Process and keeps the probe
-// out of every metric and state count.
+// PushTaggedInto is Push for sharded execution. Every shard's monitor is
+// driven through the same calls — the whole input, punctuation and control
+// included — and its operator processes only the keys it owns, so sibling
+// monitors take the same steps for their whole life and each emits the
+// key-restricted slice of one un-sharded monitor's output.
 //
 // When tag is set, each output item carries an order tag: the monitor's
 // step count at emission (see Monitor.step), the phase, and a sub-key (the
-// repaired fact's id, or the operator's AppendAdvanceKey). A probe takes
-// every branch its data item takes but the Process call, so sibling
-// monitors driven through the same calls — data on the owner, a probe
-// elsewhere, punctuation and control broadcast — take the same steps for
-// their whole life. Sorting the union of their outputs by tag therefore
-// reproduces the exact sequence one un-sharded monitor would have emitted,
-// across any number of calls (Merger does this).
+// repaired fact's id, or the operator's AppendAdvanceKey). Sorting the
+// union of the siblings' outputs by tag therefore reproduces the exact
+// sequence one un-sharded monitor would have emitted, across any number of
+// calls (Merger does this).
 //
 // Nothing is returned: the call's outputs (CEDR-time-stamped) and their
 // order tags are appended to sink, which must not be nil, with the tag
 // bytes carved from sink.Arena. A worker accumulates a whole run of input
 // items into one Burst this way without any per-output allocation once the
 // burst's buffers have grown.
-func (m *Monitor) PushTaggedInto(port int, e event.Event, tag, probe bool, sink *Burst) {
-	m.push(port, e, tag, probe, sink)
+func (m *Monitor) PushTaggedInto(port int, e event.Event, tag bool, sink *Burst) {
+	m.push(port, e, tag, sink)
 }
 
-func (m *Monitor) push(port int, e event.Event, tag, probe bool, sink *Burst) []event.Event {
+func (m *Monitor) push(port int, e event.Event, tag bool, sink *Burst) []event.Event {
 	if port < 0 || port >= len(m.portG) || m.done {
 		return nil
 	}
@@ -414,10 +405,8 @@ func (m *Monitor) push(port int, e event.Event, tag, probe bool, sink *Burst) []
 		m.met.InputCTIs++
 		m.pushCTI(port, e.Sync())
 	} else {
-		if !probe {
-			m.met.InputEvents++
-		}
-		m.pushData(port, e, probe)
+		m.met.InputEvents++
+		m.pushData(port, e)
 	}
 	m.trimMemory()
 	m.sampleState()
@@ -519,11 +508,9 @@ func (m *Monitor) pushCTI(port int, t temporal.Time) {
 	m.appendTag(tagCTI, 0, nil)
 }
 
-func (m *Monitor) pushData(port int, e event.Event, probe bool) {
+func (m *Monitor) pushData(port int, e event.Event) {
 	if e.Sync() < m.guarantee {
-		if !probe {
-			m.met.Violations++
-		}
+		m.met.Violations++
 		return
 	}
 	if e.Sync() > m.frontier {
@@ -531,26 +518,21 @@ func (m *Monitor) pushData(port int, e event.Event, probe bool) {
 	}
 	// Weak levels forget stragglers beyond the memory horizon.
 	if m.spec.M != Unbounded && e.Sync() < m.frontier.Add(-m.spec.M) {
-		if !probe {
-			m.met.Dropped++
-		}
+		m.met.Dropped++
 		return
 	}
 	if m.spec.B > 0 && e.Sync() >= m.processedSync {
 		// In-order so far: hold for possible stragglers. The buffer is kept
 		// sorted by binary insertion (upper bound, so equal Syncs keep
 		// arrival order).
-		be := bufEntry{port: port, ev: e, arrival: m.now, probe: probe}
-		if probe {
-			m.probeBuf++
-		}
+		be := bufEntry{port: port, ev: e, arrival: m.now}
 		s := e.Sync()
 		i := sort.Search(len(m.buffer), func(k int) bool { return m.buffer[k].ev.Sync() > s })
 		m.buffer = append(m.buffer, bufEntry{})
 		copy(m.buffer[i+1:], m.buffer[i:])
 		m.buffer[i] = be
 	} else {
-		m.admit(port, e, probe)
+		m.admit(port, e)
 	}
 	m.release(m.timedOut())
 }
@@ -559,15 +541,20 @@ func (m *Monitor) pushData(port int, e event.Event, probe bool) {
 // buffer whose hold has ended — and records how long each was blocked.
 func (m *Monitor) release(n int) {
 	for _, be := range m.buffer[:n] {
-		if be.probe {
-			m.probeBuf--
-		} else {
-			m.met.BlockedEvents++
-			m.met.TotalBlocking += m.now.Sub(be.arrival)
-		}
-		m.admit(be.port, be.ev, be.probe)
+		m.met.BlockedEvents++
+		m.met.TotalBlocking += m.now.Sub(be.arrival)
+		m.admit(be.port, be.ev)
 	}
-	m.buffer = m.buffer[n:]
+	// The buffer keeps its array: a rest no longer than the released prefix
+	// moves to the front, which costs at most one copy per released event;
+	// a longer rest is re-sliced and moves on a later release.
+	if rest := len(m.buffer) - n; rest <= n {
+		copy(m.buffer, m.buffer[n:])
+		clear(m.buffer[rest:])
+		m.buffer = m.buffer[:rest]
+	} else {
+		m.buffer = m.buffer[n:]
+	}
 }
 
 // timedOut counts the buffered events whose blocking budget B frontier
@@ -580,10 +567,9 @@ func (m *Monitor) timedOut() int {
 }
 
 // admit feeds one event to the live operator, via the fast path when it is
-// in order and via rollback and replay when it is a straggler. Probes
-// advance but never Process.
-func (m *Monitor) admit(port int, e event.Event, probe bool) {
-	li := logItem{port: port, probe: probe, ev: e, seq: m.nextSeq(), opt: m.spec.B != Unbounded}
+// in order and via rollback and replay when it is a straggler.
+func (m *Monitor) admit(port int, e event.Event) {
+	li := logItem{port: port, ev: e, seq: m.nextSeq(), opt: m.spec.B != Unbounded}
 	m.step++
 	i := m.insertLog(li)
 	if e.Sync() >= m.processedSync {
@@ -592,17 +578,13 @@ func (m *Monitor) admit(port int, e event.Event, probe bool) {
 		if li.opt {
 			m.emit(src, li.seq, tagAdvance, m.op.Advance(src))
 		}
-		if !probe {
-			m.emit(src, li.seq, tagProcess, m.op.Process(port, e))
-		}
+		m.emit(src, li.seq, tagProcess, m.op.Process(port, e))
 		m.seal(i, m.versioning())
 		m.processedSync = src
 		return
 	}
 	// Straggler: roll back to its predecessor and replay.
-	if !probe {
-		m.met.Replays++
-	}
+	m.met.Replays++
 	m.repair(i)
 }
 
@@ -644,9 +626,7 @@ func (m *Monitor) repair(i int) {
 			if item.opt {
 				m.fold(item.ev.Sync(), item.seq, m.op.Advance(item.ev.Sync()))
 			}
-			if !item.probe {
-				m.fold(item.ev.Sync(), item.seq, m.op.Process(item.port, item.ev))
-			}
+			m.fold(item.ev.Sync(), item.seq, m.op.Process(item.port, item.ev))
 		}
 		// The straggler shifted every later prefix: re-record the checkpoint
 		// state sizes, journal positions and versions along the new
@@ -693,12 +673,6 @@ func (m *Monitor) versioning() bool {
 // upper bound after its key is its unique position; fast-path items land at
 // the end with zero movement. It returns the item's index.
 func (m *Monitor) insertLog(li logItem) int {
-	if li.probe {
-		m.probeLog++
-	}
-	if li.marker {
-		m.markerLog++
-	}
 	ls := li.sync()
 	// Fast path: the item extends the window in order (the overwhelmingly
 	// common case — every admit fast-path item and every released buffer
@@ -737,12 +711,6 @@ func (m *Monitor) searchAfter(bSync temporal.Time, bSeq int) int {
 func (m *Monitor) checkpointTo(g temporal.Time) {
 	cut := m.head
 	for cut < len(m.log) && m.log[cut].sync() <= g {
-		if m.log[cut].probe {
-			m.probeLog--
-		}
-		if m.log[cut].marker {
-			m.markerLog--
-		}
 		cut++
 	}
 	if cut == m.head {
@@ -965,10 +933,9 @@ func (m *Monitor) nextSeq() int {
 func (m *Monitor) sampleState() {
 	// The undo journal and the items' versions are derived from the log and
 	// deliberately excluded, keeping the Figure 8 state axis comparable to
-	// the reference semantics. Probes are a sibling shard's events seen
-	// through a keyhole — the sibling counts them, so this monitor must not.
-	cur := (len(m.buffer) - m.probeBuf) + (len(m.log) - m.head - m.probeLog) +
-		m.op.StateSize() + m.absState
+	// the reference semantics.
+	m.window = len(m.buffer) + len(m.log) - m.head
+	cur := m.window + m.op.StateSize() + m.absState
 	m.met.CurState = cur
 	if cur > m.met.MaxState {
 		m.met.MaxState = cur
@@ -1000,10 +967,7 @@ func (m *Monitor) finish(tag bool, sink *Burst) []event.Event {
 	}
 	m.beginCall(tag, sink)
 	for _, be := range m.buffer {
-		if be.probe {
-			m.probeBuf--
-		}
-		m.admit(be.port, be.ev, be.probe)
+		m.admit(be.port, be.ev)
 	}
 	m.buffer = nil
 	m.step++

@@ -102,7 +102,7 @@ func TestMonitorIgnoresInputAfterFinish(t *testing.T) {
 			"level switch":   m.SetSpec(Middle()),
 			"second Finish":  m.Finish(),
 		}
-		m.PushTaggedInto(0, at(event.NewInsert(6, "E", 70, 80, nil), 106), true, false, &sink)
+		m.PushTaggedInto(0, at(event.NewInsert(6, "E", 70, 80, nil), 106), true, &sink)
 		m.FinishTaggedInto(true, &sink)
 		after["tagged calls"] = sink.Evs
 		for call, out := range after {

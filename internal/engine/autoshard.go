@@ -7,16 +7,18 @@ import (
 )
 
 // Sharding is only a win when each event's share of operator work
-// outweighs its share of runtime overhead: routing, an advance probe on
-// every sibling shard, order-tag bookkeeping, and the merge. With batched
-// handoff the channel round-trip amortizes across a run, but the per-event
-// probe work scales with the shard count — so the heuristic treats the tax
-// as per shard: a plan only earns its n-th shard if its per-event cost
-// can amortize n × shardTaxNs.
+// outweighs its share of runtime overhead. Every shard sees the whole
+// input; ownKeys decides what its head processes, so every sibling monitor
+// still buffers, logs and advances over each event, and order tags and the
+// merge come on top. With batched handoff the channel round-trip amortizes
+// across a run, but the per-event monitor work scales with the shard count
+// — so the heuristic treats the tax as per shard: a plan only earns its
+// n-th shard if its per-event cost can amortize n × shardTaxNs.
 const shardTaxNs = 500
 
-// maxAutoShards caps the heuristic: past this width the per-event probe
-// broadcast outgrows the marginal parallel win on every workload measured.
+// maxAutoShards caps the heuristic: past this width the per-event
+// monitor work every shard repeats outgrows the marginal parallel win on
+// every workload measured.
 const maxAutoShards = 8
 
 // autoShards resolves plan.AutoShards into a concrete shard count: the

@@ -121,7 +121,7 @@ func TestShardedWorkerPanicIsolation(t *testing.T) {
 	armed := faultinject.NewPanicOp(operators.NewAggregate(operators.Count, "", "g"), 150)
 	out, _, err := RunShardedOp(
 		func() operators.Op { return armed.Clone() },
-		consistency.Middle(), 4, RouteByAttr("g", 4), in)
+		consistency.Middle(), 4, 0, RouteByAttr("g", 4), in)
 	if err == nil {
 		t.Fatal("worker panic not surfaced")
 	}
@@ -131,7 +131,7 @@ func TestShardedWorkerPanicIsolation(t *testing.T) {
 	// Output up to the failure is a prefix of the healthy run.
 	healthy, _, err := RunShardedOp(
 		func() operators.Op { return operators.NewAggregate(operators.Count, "", "g") },
-		consistency.Middle(), 4, RouteByAttr("g", 4), in)
+		consistency.Middle(), 4, 0, RouteByAttr("g", 4), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestShardedWorkerPanicEveryBurstOffset(t *testing.T) {
 	in := delivery.Deliver(workload.UniformEvents(cfg), delivery.Ordered(8))
 	mk := func() operators.Op { return operators.NewAggregate(operators.Count, "", "g") }
 
-	healthy, _, err := RunShardedOpBurst(mk, consistency.Middle(), shards, burst,
+	healthy, _, err := RunShardedOp(mk, consistency.Middle(), shards, burst,
 		RouteByAttr("g", shards), in)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestShardedWorkerPanicEveryBurstOffset(t *testing.T) {
 	// on every worker, several times over.
 	for after := 1; after <= 4*shards*burst; after++ {
 		armed := faultinject.NewPanicOp(mk(), after)
-		out, _, err := RunShardedOpBurst(
+		out, _, err := RunShardedOp(
 			func() operators.Op { return armed.Clone() },
 			consistency.Middle(), shards, burst, RouteByAttr("g", shards), in)
 		if err == nil {
@@ -207,10 +207,7 @@ func TestShardedQueryWorkerPanicQuarantines(t *testing.T) {
 	// own early trigger (the swap happens before any push, so each worker
 	// goroutine owns its op). Several workers may panic; the first failure
 	// wins and the rest must be absorbed without deadlock.
-	for i := range q.ch.sh.workers {
-		q.ch.sh.workers[i].head = consistency.NewMonitor(
-			faultinject.NewPanicOp(mustStages(t)[0], 3), q.ch.plan.Spec)
-	}
+	armOperatorPanic(t, q, 3)
 
 	e.Run(in)
 	if q.Err() == nil || !strings.Contains(q.Err().Error(), "quarantined: operator stage panicked") {
@@ -301,7 +298,7 @@ func TestStalledShardStillDrains(t *testing.T) {
 	start := time.Now()
 	out, _, err := RunShardedOp(
 		func() operators.Op { return armed.Clone() },
-		consistency.Middle(), 4, RouteByAttr("g", 4), in)
+		consistency.Middle(), 4, 0, RouteByAttr("g", 4), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +307,7 @@ func TestStalledShardStillDrains(t *testing.T) {
 	}
 	want, _, err := RunShardedOp(
 		func() operators.Op { return operators.NewAggregate(operators.Count, "", "g") },
-		consistency.Middle(), 4, RouteByAttr("g", 4), in)
+		consistency.Middle(), 4, 0, RouteByAttr("g", 4), in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,36 +1,36 @@
 // Sharded execution: the key-partitioned parallel runtime.
 //
 // Only a plan's head stage (the matcher) is sharded. A sharded query runs
-// N copies of the head's monitor, each owned by one worker goroutine. The
-// router hashes every data event to its key's shard and broadcasts
-// punctuation to all shards; every other shard receives an advance-only
-// probe carrying the event's Sync, so all shards advance their operators
-// at identical boundaries and each shard's output is byte-for-byte the
+// N copies of the head's monitor, each owned by one worker goroutine.
+// Every shard sees the whole input; ownKeys decides what its head
+// processes: the shard's head operator passes on only the data events the
+// route sends to that shard, while its monitor logs, buffers and advances
+// over every item. Driven through the same calls, the sibling heads take
+// the same steps for their whole life and each emits, byte for byte, the
 // key-restricted slice of what a single-shard head would emit (see
-// Monitor.PushTaggedInto). Driven through the same calls, the sibling
-// heads take the same steps for their whole life, so each worker tags its
-// outputs with its own head's step count and the merger goroutine — one
-// per query — sorts each run's aligned bursts once by those tags
-// (consistency.Merger), reconstructing the exact single-shard head output.
+// Monitor.PushTaggedInto). Each worker tags its outputs with its own head's
+// step count and the merger goroutine — one per query — sorts each run's
+// aligned bursts once by those tags (consistency.Merger), reconstructing
+// the exact single-shard head output.
 // The stages after the head (a compiled plan's Slice and Project) are
 // stateless, so they need no monitor: each worker maps every data item its
 // head emits through them before the merge (shardWorker.mapFrom), an item
 // dropped there taking its tag with it, and punctuation passes unchanged.
 // The query's output is the one-shard head's output mapped item by item.
 //
-//	            ┌─ worker 0: head ─► map ─┐
-//	router ──► ─┼─ worker 1: head ─► map ─┼─► merger ──► results + subscribers
-//	 (hash key) └─ worker …: head ─► map ─┘  (order tags)
+//	            ┌─ worker 0: ownKeys head ─► map ─┐
+//	router ──► ─┼─ worker 1: ownKeys head ─► map ─┼─► merger ──► results + subscribers
+//	(one run)   └─ worker …: ownKeys head ─► map ─┘  (order tags)
 //
-// Handoff is batched: the router accumulates per-shard *runs* of
-// consecutive items and flushes a run to every worker at identical input
-// boundaries — when the run reaches the burst size, on punctuation, on
-// spec switches, and at barriers/finish. Workers process a whole run per
-// channel receive into one aggregated burst (outputs, order tags in a
+// Handoff is batched: the router appends each input item once to one
+// shared *run* of consecutive items and hands that run to every worker —
+// when it reaches the burst size, on punctuation, on spec switches, and at
+// barriers/finish. Workers only read the run; each processes a whole run
+// per channel receive into one aggregated burst (outputs, order tags in a
 // shared arena, per-item state trace), and the merger merges the aligned
-// bursts of a run in one pass. Run and burst buffers cycle through
-// per-worker free lists, so steady-state handoff does not allocate and a
-// slow consumer exerts backpressure on the router.
+// bursts of a run in one pass, then recycles the run. Runs cycle through
+// one free list and bursts through per-worker ones, so steady-state handoff
+// does not allocate and a slow consumer exerts backpressure on the router.
 //
 // With more than one shard the pipeline is asynchronous: Push enqueues and
 // returns, Finish drains, and Results() exposes a deterministic prefix at
@@ -38,7 +38,7 @@
 // every item goes through the same per-item body (shardWorker.process) on
 // the caller's goroutine, under the same recover barrier, and its output
 // is delivered before the call returns (merging one shard is the
-// identity).
+// identity). Its head is the plan's operator itself, unwrapped.
 package engine
 
 import (
@@ -49,17 +49,13 @@ import (
 	"repro/internal/event"
 	"repro/internal/operators"
 	"repro/internal/stream"
-	"repro/internal/temporal"
 )
 
-// Shard item kinds. Every worker receives every input item exactly once
-// (data on the owning shard, a probe elsewhere; control items are
-// broadcast), which is what keeps the sibling heads in step and lets the
-// merger align runs without extra bookkeeping.
+// Shard item kinds. Every worker reads every input item exactly once (the
+// one shared run), which is what keeps the sibling heads in step and lets
+// the merger align runs without extra bookkeeping.
 const (
-	itemData uint8 = iota
-	itemProbe
-	itemCTI
+	itemEvent uint8 = iota // a data item or punctuation
 	itemSetSpec
 	itemBarrier
 	itemFinish
@@ -67,15 +63,15 @@ const (
 
 const (
 	// DefaultBurst is the router's default flush bound: the number of
-	// consecutive input items accumulated per shard run before handoff.
+	// consecutive input items accumulated per run before handoff.
 	// Large enough to amortize the channel round-trip and merge setup over
 	// many events, small enough to keep latency and buffer footprint modest.
 	DefaultBurst = 64
-	// runBufs is the number of run and burst buffers cycling per worker:
-	// one being filled by the router, up to two in flight, one being
-	// consumed. The free lists double as backpressure — a router that gets
-	// ahead of a worker (or a worker ahead of the merger) blocks on the
-	// free list instead of growing a queue.
+	// runBufs is the number of runs cycling through the shared free list,
+	// and of bursts cycling through each worker's: one being filled, up to
+	// two in flight, one being consumed. The free lists double as
+	// backpressure — a router that gets ahead of the workers (or a worker
+	// ahead of the merger) blocks on a free list instead of growing a queue.
 	runBufs = 4
 )
 
@@ -85,27 +81,26 @@ type shardItem struct {
 	spec consistency.Spec
 }
 
-// shardRun is one router→worker handoff unit: a run of consecutive input
-// items. The router flushes all workers at identical boundaries, so the
-// k-th item of every shard's run is the same input item (data on the
-// owner, a probe elsewhere).
+// shardRun is one router→workers handoff unit: a run of consecutive input
+// items, read by every worker. It returns to the router's free list once
+// the merger holds every shard's burst for it.
 type shardRun struct {
 	items []shardItem
 }
 
 // shardBurst is one worker→merger handoff unit: the aggregated tagged
-// outputs of a whole shard run.
+// outputs of a whole run.
 type shardBurst struct {
-	kind uint8 // kind of the run's last item (the flush cause)
+	run *shardRun // the run this burst answers; the merger recycles it
 	// out accumulates the mapped head outputs and their order tags for the
 	// whole run.
 	out consistency.Burst
-	// states[k] is the head monitor's state after item k, less the
-	// guarantee markers in its log window on every shard but shard 0.
-	// Broadcast punctuation is logged once per shard but contributes once
-	// to the single-shard state, so the sum across shards reproduces the
-	// single-shard head's per-push state samples exactly (probes are
-	// already excluded from every shard's own count).
+	// states[k] is the head monitor's state after item k, less its
+	// alignment buffer and log window (Monitor.Window) on every shard but
+	// shard 0. Every shard buffers and logs the whole input, which the
+	// single-shard state counts once, while each shard's operator holds its
+	// own keys only, so the sum across shards reproduces the single-shard
+	// head's per-push state samples exactly.
 	states []int32
 	// fail carries a worker panic to the merger. The failed worker stays
 	// in its loop emitting aligned empty bursts, so the merger's run
@@ -119,9 +114,8 @@ func (b *shardBurst) reset() {
 	b.fail = nil
 }
 
-// clearOutputs drops the burst's outputs and traces but keeps its run
-// header (kind) — the shape a failed worker's aligned empty response
-// takes.
+// clearOutputs drops the burst's outputs and traces but keeps its run —
+// the shape a failed worker's aligned empty response takes.
 func (b *shardBurst) clearOutputs() {
 	b.out.Reset()
 	b.states = b.states[:0]
@@ -137,15 +131,50 @@ type shardWorker struct {
 	mapped consistency.Burst
 	// merged is set when a merger reads this worker's bursts (n > 1): only
 	// then are outputs order-tagged and per-item state traced.
-	// dropMarkers is set on every merged worker but shard 0 (see
+	// dropWindow is set on every merged worker but shard 0 (see
 	// shardBurst.states).
-	merged, dropMarkers bool
-	// Handoff channels and free lists for the run and burst buffers cycling
+	merged, dropWindow bool
+	// Handoff channels and the free list for the burst buffers cycling
 	// through this worker's pipeline (see runBufs); nil when n = 1.
 	in         chan *shardRun
 	out        chan *shardBurst
-	freeRuns   chan *shardRun
 	freeBursts chan *shardBurst
+}
+
+// ownKeys makes op a shard's head operator: every shard sees the whole
+// input, and ownKeys decides what its head processes. Process passes on
+// only the data events route sends to shard and returns nil for the rest,
+// calling nothing underneath; every other call goes through. The monitor
+// around it logs, buffers and advances over every item, so sibling heads
+// take the same steps (see Monitor.PushTaggedInto). It keeps op's own
+// version journal (operators.AsVersioned) and its AppendAdvanceKey.
+func ownKeys(op operators.Op, route func(event.Event) int, shard int) operators.Op {
+	k := &ownedKeys{Versioned: operators.AsVersioned(op), route: route, shard: shard}
+	if ao, ok := op.(operators.AdvanceOrdered); ok {
+		k.advKey = ao.AppendAdvanceKey
+	}
+	return k
+}
+
+type ownedKeys struct {
+	operators.Versioned
+	route  func(event.Event) int
+	shard  int
+	advKey func(dst []byte, e event.Event) []byte // nil when op has none
+}
+
+func (k *ownedKeys) Process(port int, e event.Event) []event.Event {
+	if k.route(e) != k.shard {
+		return nil
+	}
+	return k.Versioned.Process(port, e)
+}
+
+func (k *ownedKeys) AppendAdvanceKey(dst []byte, e event.Event) []byte {
+	if k.advKey == nil {
+		return dst
+	}
+	return k.advKey(dst, e)
 }
 
 // sharded is the per-query runtime. The router methods (push, setSpec,
@@ -155,7 +184,6 @@ type shardWorker struct {
 type sharded struct {
 	n       int
 	burst   int // flush bound; <= 0 flushes only on control items
-	route   func(event.Event) int
 	workers []shardWorker
 	w1      [1]shardWorker // workers' storage when n = 1
 	sink    shardSink
@@ -163,10 +191,10 @@ type sharded struct {
 
 	mu       sync.Mutex // serializes run handoff order
 	finished bool
-	// pending[i] is worker i's run being filled; all pending runs hold the
-	// same pendLen items (the per-shard views of the same input items).
-	pending []*shardRun
-	pendLen int
+	// pending is the run being filled; freeRuns holds the runs the merger
+	// has recycled (see runBufs).
+	pending  *shardRun
+	freeRuns chan *shardRun
 
 	// n = 1: the burst every inline item is processed into, and the first
 	// panic (after which input is dropped).
@@ -202,10 +230,11 @@ func newSharded(name string, n, burst int, stagesFor func(shard int) []operators
 // flush only on punctuation/control). stagesFor must return an
 // independent, freshly instantiated, non-empty operator chain per shard
 // (operator Clones may share scratch and are not safe across goroutines);
-// every shard runs its chain's head under a monitor and maps the head's
-// output through the rest. name labels the quarantine error of a panicking
-// operator. start fails on a multi-port head with more than one shard and
-// on a stage after the head that is not operators.Stateless.
+// every shard runs its chain's head under a monitor — through ownKeys, with
+// route, when n > 1 — and maps the head's output through the rest. name
+// labels the quarantine error of a panicking operator. start fails on a
+// multi-port head with more than one shard and on a stage after the head
+// that is not operators.Stateless.
 func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []operators.Op,
 	spec consistency.Spec, route func(event.Event) int, sink shardSink) error {
 	if n < 1 {
@@ -214,14 +243,15 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []o
 	if burst == 0 {
 		burst = DefaultBurst
 	}
-	*s = sharded{n: n, burst: burst, route: route, sink: sink, name: name}
+	*s = sharded{n: n, burst: burst, sink: sink, name: name}
 	s.workers = s.w1[:]
 	if n > 1 {
 		s.workers = make([]shardWorker, n)
 	}
 	for i := range s.workers {
 		stages := stagesFor(i)
-		if n > 1 && stages[0].Arity() != 1 {
+		head := stages[0]
+		if n > 1 && head.Arity() != 1 {
 			return fmt.Errorf("engine: sharded execution requires a single-port head operator")
 		}
 		for _, op := range stages[1:] {
@@ -229,32 +259,34 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []o
 				return fmt.Errorf("engine: stage %s after the head is not stateless", op.Name())
 			}
 		}
-		s.workers[i].head = consistency.NewMonitor(stages[0], spec)
+		if n > 1 {
+			head = ownKeys(head, route, i)
+		}
+		s.workers[i].head = consistency.NewMonitor(head, spec)
 		s.workers[i].stages = stages[1:]
 	}
 	if n == 1 {
 		return nil // inline: see runInline
 	}
 	s.done, s.barrierCh = make(chan struct{}), make(chan struct{})
+	// Run buffers start empty and grow on first use: the free list recycles
+	// them, so append growth is a warmup cost only and the steady state
+	// stays allocation-free either way — while plans that never see a full
+	// burst (or are registered and quickly finished) skip the up-front
+	// burst-sized allocations entirely.
+	s.pending, s.freeRuns = new(shardRun), make(chan *shardRun, runBufs)
+	for k := 0; k < runBufs-1; k++ {
+		s.freeRuns <- new(shardRun)
+	}
 	for i := range s.workers {
 		w := &s.workers[i]
-		w.merged, w.dropMarkers = true, i > 0
+		w.merged, w.dropWindow = true, i > 0
 		w.in = make(chan *shardRun, runBufs)
 		w.out = make(chan *shardBurst, runBufs)
-		w.freeRuns = make(chan *shardRun, runBufs)
 		w.freeBursts = make(chan *shardBurst, runBufs)
-		// Run buffers start empty and grow on first use: the free lists
-		// recycle them, so append growth is a warmup cost only and the
-		// steady state stays allocation-free either way — while plans that
-		// never see a full burst (or are registered and quickly finished)
-		// skip the up-front burst-sized allocations entirely.
-		for k := 0; k < runBufs-1; k++ {
-			w.freeRuns <- new(shardRun)
-		}
 		for k := 0; k < runBufs; k++ {
 			w.freeBursts <- new(shardBurst)
 		}
-		s.pending = append(s.pending, new(shardRun))
 		go w.run(name)
 	}
 	go s.mergeLoop()
@@ -282,84 +314,51 @@ func (s *sharded) runInline(it shardItem) []event.Event {
 	return b.out.Evs
 }
 
-// push routes one physical item: punctuation broadcasts (and flushes —
-// punctuation is a natural batch boundary), data goes to the key's shard
-// with advance probes everywhere else. With one shard it runs the item
-// inline and returns its output (see runInline); otherwise it returns nil.
+// push appends one physical item, data or punctuation, to the shared run;
+// punctuation flushes it (a natural batch boundary). With one shard it runs
+// the item inline and returns its output (see runInline); otherwise it
+// returns nil.
 func (s *sharded) push(ev event.Event) []event.Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished {
 		return nil
 	}
+	it := shardItem{kind: itemEvent, ev: ev}
 	if s.n == 1 {
-		kind := itemData
-		if ev.IsCTI() {
-			kind = itemCTI
-		}
-		return s.runInline(shardItem{kind: kind, ev: ev})
+		return s.runInline(it)
 	}
-	if ev.IsCTI() {
-		it := shardItem{kind: itemCTI, ev: ev}
-		for _, r := range s.pending {
-			r.items = append(r.items, it)
-		}
-		s.pendLen++
-		s.flushLocked()
-		return nil
-	}
-	owner := 0
-	if s.route != nil {
-		owner = s.route(ev)
-	}
-	// The probe mirrors the event's Sync and CEDR arrival time; sibling
-	// monitors advance (and stamp output) exactly as the owner does.
-	probe := event.Event{V: temporal.From(ev.Sync()), C: ev.C}
-	for i, r := range s.pending {
-		if i == owner {
-			r.items = append(r.items, shardItem{kind: itemData, ev: ev})
-		} else {
-			r.items = append(r.items, shardItem{kind: itemProbe, ev: probe})
-		}
-	}
-	s.pendLen++
-	if s.burst > 0 && s.pendLen >= s.burst {
+	s.pending.items = append(s.pending.items, it)
+	if ev.IsCTI() || s.burst > 0 && len(s.pending.items) >= s.burst {
 		s.flushLocked()
 	}
 	return nil
 }
 
-// control appends a broadcast control item and flushes the pending runs,
-// so the control item is always the last item of its run; with one shard
-// it runs the item inline. Caller holds mu.
+// control appends a control item and flushes the run, so the control item
+// is always the last item of its run; with one shard it runs the item
+// inline. Caller holds mu.
 func (s *sharded) control(kind uint8, spec consistency.Spec) {
+	it := shardItem{kind: kind, spec: spec}
 	if s.n == 1 {
-		s.runInline(shardItem{kind: kind, spec: spec})
+		s.runInline(it)
 		return
 	}
-	it := shardItem{kind: kind, spec: spec}
-	for _, r := range s.pending {
-		r.items = append(r.items, it)
-	}
-	s.pendLen++
+	s.pending.items = append(s.pending.items, it)
 	s.flushLocked()
 }
 
-// flushLocked hands the pending runs to the workers and refills the
-// pending slots from the free lists (blocking there is the backpressure).
-// Caller holds mu.
+// flushLocked hands the pending run to every worker and refills it from
+// the free list (blocking there is the backpressure). Caller holds mu.
 func (s *sharded) flushLocked() {
-	if s.pendLen == 0 {
+	if len(s.pending.items) == 0 {
 		return
 	}
 	for i := range s.workers {
-		w := &s.workers[i]
-		w.in <- s.pending[i]
-		r := <-w.freeRuns
-		r.items = r.items[:0]
-		s.pending[i] = r
+		s.workers[i].in <- s.pending
 	}
-	s.pendLen = 0
+	s.pending = <-s.freeRuns
+	s.pending.items = s.pending.items[:0]
 }
 
 // setSpec broadcasts a consistency-level switch; it takes effect at this
@@ -405,31 +404,21 @@ func (s *sharded) barrier() {
 }
 
 // metrics returns the chain's one monitor's metrics, as the single-shard
-// run would report them — one entry, the head's. The head's per-shard
-// metrics combine: partitioned counters sum, broadcast punctuation counts
-// once, and with n > 1 MaxState comes from the merger's per-item
-// cross-shard state trace, which reproduces the head's per-push samples
-// exactly.
+// run would report them — one entry, the head's. Every shard sees the whole
+// input, so the input-side counters are shard 0's; what the heads emit and
+// hold is summed, the buffer and log window counted once; and with n > 1
+// MaxState comes from the merger's per-item cross-shard state trace, which
+// reproduces the head's per-push samples exactly.
 func (s *sharded) metrics() []consistency.Metrics {
 	s.barrier()
 	agg := s.workers[0].head.Metrics()
 	for i := 1; i < s.n; i++ {
-		w := &s.workers[i]
-		m := w.head.Metrics()
-		agg.InputEvents += m.InputEvents
+		h := s.workers[i].head
+		m := h.Metrics()
 		agg.OutputInserts += m.OutputInserts
 		agg.OutputRetractions += m.OutputRetractions
 		agg.Compensations += m.Compensations
-		agg.Dropped += m.Dropped
-		agg.Violations += m.Violations
-		agg.Replays += m.Replays
-		agg.BlockedEvents += m.BlockedEvents
-		agg.TotalBlocking += m.TotalBlocking
-		// Broadcast guarantee markers are logged per shard but count once
-		// in the single-shard state.
-		agg.CurState += m.CurState - w.head.WindowMarkers()
-		// InputCTIs and OutputCTIs: punctuation is broadcast and every
-		// shard counts the identical stream once — keep shard 0's.
+		agg.CurState += m.CurState - h.Window()
 	}
 	if s.n > 1 {
 		agg.MaxState = s.maxState
@@ -442,8 +431,8 @@ func (w *shardWorker) run(name string) {
 	for r := range w.in {
 		b := <-w.freeBursts
 		b.reset()
+		b.run = r
 		last := r.items[len(r.items)-1]
-		b.kind = last.kind
 		if failed == nil {
 			failed = w.processRunSafely(name, r.items, b)
 		}
@@ -456,7 +445,6 @@ func (w *shardWorker) run(name string) {
 			b.clearOutputs()
 		}
 		b.fail = failed
-		w.freeRuns <- r
 		w.out <- b
 		if last.kind == itemFinish {
 			return
@@ -489,8 +477,8 @@ func (w *shardWorker) processRunSafely(name string, items []shardItem, b *shardB
 func (w *shardWorker) process(it shardItem, b *shardBurst) {
 	from := b.out.Len()
 	switch it.kind {
-	case itemData, itemProbe, itemCTI:
-		w.head.PushTaggedInto(0, it.ev, w.merged, it.kind == itemProbe, &b.out)
+	case itemEvent:
+		w.head.PushTaggedInto(0, it.ev, w.merged, &b.out)
 	case itemSetSpec:
 		w.head.SetSpecTaggedInto(it.spec, w.merged, &b.out)
 	case itemFinish:
@@ -503,8 +491,8 @@ func (w *shardWorker) process(it shardItem, b *shardBurst) {
 		return
 	}
 	st := w.head.CurState()
-	if w.dropMarkers {
-		st -= w.head.WindowMarkers()
+	if w.dropWindow {
+		st -= w.head.Window()
 	}
 	b.states = append(b.states, int32(st))
 }
@@ -560,11 +548,9 @@ func (s *sharded) mergeLoop() {
 	bs := make([]*shardBurst, s.n)
 	outs := make([]*consistency.Burst, s.n)
 	for {
-		var kind uint8
 		for i := range s.workers {
 			b := <-s.workers[i].out
 			bs[i], outs[i] = b, &b.out
-			kind = b.kind
 			if b.fail != nil && failed == nil {
 				// First failure wins; the query is quarantined before any
 				// post-failure delivery could happen.
@@ -584,8 +570,11 @@ func (s *sharded) mergeLoop() {
 			}
 			out = mg.Merge(out, outs)
 		}
-		// Merged events are value copies; the burst buffers can cycle back
-		// to the workers before delivery runs.
+		// Merged events are value copies; the run and the burst buffers can
+		// cycle back before delivery runs.
+		r := bs[0].run
+		kind := r.items[len(r.items)-1].kind
+		s.freeRuns <- r
 		for i := range s.workers {
 			s.workers[i].freeBursts <- bs[i]
 			bs[i] = nil
@@ -636,19 +625,11 @@ func RouteByID(shards int) func(event.Event) int {
 // metrics — the sharded counterpart of consistency.RunStreams. mk must
 // return a fresh, independent *single-port* operator instance on every
 // call (multi-port operators do not shard and are reported as an error);
-// route maps each data event to its shard (see RouteByAttr, RouteByID).
-// A worker panic during the run is recovered and returned as an error
-// alongside the output merged up to the failure.
-func RunShardedOp(mk func() operators.Op, spec consistency.Spec, n int,
-	route func(event.Event) int, in stream.Stream) (stream.Stream, consistency.Metrics, error) {
-	return RunShardedOpBurst(mk, spec, n, 0, route, in)
-}
-
-// RunShardedOpBurst is RunShardedOp with an explicit router burst size
-// (0 = DefaultBurst, negative = flush only on punctuation/control); the
-// burst-grid differential tests sweep it to prove run boundaries are
-// semantics-free.
-func RunShardedOpBurst(mk func() operators.Op, spec consistency.Spec, n, burst int,
+// burst is the router's flush bound (0 = DefaultBurst, negative = flush
+// only on punctuation/control); route maps each data event to its shard
+// (see RouteByAttr, RouteByID). A worker panic during the run is recovered
+// and returned as an error alongside the output merged up to the failure.
+func RunShardedOp(mk func() operators.Op, spec consistency.Spec, n, burst int,
 	route func(event.Event) int, in stream.Stream) (stream.Stream, consistency.Metrics, error) {
 	var c collector
 	sh, err := newSharded("RunShardedOp", n, burst,

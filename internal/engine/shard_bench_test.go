@@ -15,8 +15,8 @@ import (
 )
 
 // BenchmarkShardCriticalPath measures the sharded runtime's critical path:
-// each shard's full item sequence (its own events, advance probes for the
-// rest, broadcast punctuation) is driven synchronously and timed, and
+// every shard reads the whole item sequence (its head processing its own
+// keys only, see ownKeys), each shard is driven synchronously and timed, and
 // events/s is reported against the slowest shard. This is the projected
 // k-core throughput of the parallel runtime with the channel plumbing
 // factored out — the measurement that stays meaningful on single-core CI
@@ -39,16 +39,16 @@ func BenchmarkShardCriticalPath(b *testing.B) {
 		for _, shards := range []int{1, 2, 4, 8} {
 			name := fmt.Sprintf("stragglers=%d%%/middle/shards=%d", int(stragglers*100), shards)
 			b.Run(name, func(b *testing.B) {
-				perShard := shardItemSequences(delivered, shards, RouteByAttr("g", shards))
+				items := shardItems(delivered)
 				b.ResetTimer()
 				var worst time.Duration
 				for i := 0; i < b.N; i++ {
 					var slowest time.Duration
 					for s := 0; s < shards; s++ {
-						w := benchWorker()
+						w := benchWorker(shards, s)
 						var burst shardBurst
 						start := time.Now()
-						for seq, it := range perShard[s] {
+						for seq, it := range items {
 							// Reset at run boundaries, as the worker loop
 							// does per handoff.
 							if seq%DefaultBurst == 0 {
@@ -68,40 +68,26 @@ func BenchmarkShardCriticalPath(b *testing.B) {
 	}
 }
 
-// benchWorker builds a single-stage worker for synchronous driving (no
-// channels or free lists).
-func benchWorker() *shardWorker {
-	return &shardWorker{merged: true,
-		head: consistency.NewMonitor(operators.NewAggregate(operators.Count, "", "g"), consistency.Middle())}
+// benchWorker builds shard's single-stage worker of a shards-wide run for
+// synchronous driving (no channels or free lists), its head wrapped as the
+// runtime wraps it.
+func benchWorker(shards, shard int) *shardWorker {
+	var op operators.Op = operators.NewAggregate(operators.Count, "", "g")
+	if shards > 1 {
+		op = ownKeys(op, RouteByAttr("g", shards), shard)
+	}
+	return &shardWorker{merged: true, dropWindow: shard > 0,
+		head: consistency.NewMonitor(op, consistency.Middle())}
 }
 
-// shardItemSequences precomputes, per shard, the exact item sequence the
-// router would deliver; item k carries global sequence number k on every
-// shard.
-func shardItemSequences(in stream.Stream, shards int, route func(event.Event) int) [][]shardItem {
-	out := make([][]shardItem, shards)
+// shardItems precomputes the item sequence the router hands every shard:
+// the whole input, then the finish item.
+func shardItems(in stream.Stream) []shardItem {
+	out := make([]shardItem, 0, len(in)+1)
 	for _, ev := range in {
-		if ev.IsCTI() {
-			for s := 0; s < shards; s++ {
-				out[s] = append(out[s], shardItem{kind: itemCTI, ev: ev})
-			}
-			continue
-		}
-		owner := route(ev)
-		probe := event.Event{V: temporal.From(ev.Sync()), C: ev.C}
-		for s := 0; s < shards; s++ {
-			if s == owner {
-				out[s] = append(out[s], shardItem{kind: itemData, ev: ev})
-			} else {
-				out[s] = append(out[s], shardItem{kind: itemProbe, ev: probe})
-			}
-		}
+		out = append(out, shardItem{kind: itemEvent, ev: ev})
 	}
-	fin := shardItem{kind: itemFinish}
-	for s := 0; s < shards; s++ {
-		out[s] = append(out[s], fin)
-	}
-	return out
+	return append(out, shardItem{kind: itemFinish})
 }
 
 // BenchmarkShardMergeStage isolates the merge stage's own cost: the tagged
@@ -115,12 +101,12 @@ func BenchmarkShardMergeStage(b *testing.B) {
 		delivery.Disordered(cfg.Seed, 100*temporal.Duration(cfg.Spacing),
 			30*temporal.Duration(cfg.Spacing), 0.1))
 	const shards = 4
-	perShard := shardItemSequences(delivered, shards, RouteByAttr("g", shards))
+	items := shardItems(delivered)
 	// bursts[s][r] is shard s's burst for the r-th run.
 	bursts := make([][]*shardBurst, shards)
 	for s := range bursts {
-		w := benchWorker()
-		for k, it := range perShard[s] {
+		w := benchWorker(shards, s)
+		for k, it := range items {
 			if k%DefaultBurst == 0 {
 				bursts[s] = append(bursts[s], new(shardBurst))
 			}

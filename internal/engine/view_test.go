@@ -18,6 +18,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
+	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/stream"
 	"repro/internal/temporal"
@@ -42,12 +43,18 @@ func record(q *Query) *recorder {
 	return r
 }
 
-// armOperatorPanic swaps the head operator of q's chain (of every shard) for
-// one that panics on its nth Process call. Call before any push.
+// armOperatorPanic swaps the head operator of q's chain (of every shard,
+// each with its own trigger) for one that panics on its nth Process call,
+// wrapped as start wraps a sharded head. Call before any push.
 func armOperatorPanic(t *testing.T, q *Query, after int) {
 	t.Helper()
+	n := len(q.ch.sh.workers)
 	for i := range q.ch.sh.workers {
-		q.ch.sh.workers[i].head = consistency.NewMonitor(faultinject.NewPanicOp(mustStages(t)[0], after), q.ch.plan.Spec)
+		var op operators.Op = faultinject.NewPanicOp(mustStages(t)[0], after)
+		if n > 1 {
+			op = ownKeys(op, RouteByAttr(q.ch.plan.Part.Attr, n), i)
+		}
+		q.ch.sh.workers[i].head = consistency.NewMonitor(op, q.ch.plan.Spec)
 	}
 }
 
