@@ -149,7 +149,7 @@ type Monitor struct {
 	advKey func(dst []byte, e event.Event) []byte
 	window int // buffer + live log window at the last sampleState (see Window)
 
-	done bool // Finish has run: the monitor is terminal (see Finish)
+	done bool // Finish or Stop has run: the monitor is terminal (see Stop)
 	met  Metrics
 }
 
@@ -948,8 +948,8 @@ func (m *Monitor) sampleState() {
 // output history and are valid until the next call on this monitor.
 //
 // Finish is terminal: no repair follows an output guarantee of ∞, so the
-// operator is compacted past its last Advance and the repair state is
-// released; Metrics keep their final values. Later calls are no-ops.
+// operator is compacted past its last Advance and then let go with the
+// repair state (see Stop); Metrics keep their final values.
 func (m *Monitor) Finish() []event.Event {
 	return m.finish(false, nil)
 }
@@ -978,7 +978,17 @@ func (m *Monitor) finish(tag bool, sink *Burst) []event.Event {
 	m.appendTag(tagCTI, 0, nil)
 	m.sampleState()
 	m.op.Compact(m.op.Mark())
+	out := m.endCall()
+	m.Stop()
+	return out
+}
+
+// Stop ends the monitor without flushing: it lets go of the operator, the
+// log, the buffers and the repair state (Finish ends with it; a runtime
+// calls it on a panicked operator). Metrics and Window keep their values;
+// later calls are no-ops.
+func (m *Monitor) Stop() {
 	m.done = true
-	m.log, m.undo, m.dirty, m.free, m.emitted, m.gen = nil, nil, nil, nil, nil, nil
-	return m.endCall()
+	m.op, m.advKey, m.out, m.sink = nil, nil, nil, nil
+	m.log, m.undo, m.dirty, m.free, m.emitted, m.gen, m.buffer = nil, nil, nil, nil, nil, nil, nil
 }

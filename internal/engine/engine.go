@@ -159,9 +159,10 @@ func (e *Engine) endpoint(ch *chain) *Query {
 
 // buildChain constructs the executing pipeline for a plan: the shard
 // runtime with the requested number of shards when the plan partitions,
-// with one shard otherwise.
+// with one shard otherwise. The runtime alone owns the running operators:
+// the chain keeps p without its stages, so a spent chain lets go of them.
 func (e *Engine) buildChain(p *plan.Plan) *chain {
-	ch := &chain{name: p.Name, plan: p, eng: e}
+	ch := &chain{name: p.Name, plan: *p, eng: e}
 	n := p.Shards
 	if n == 0 {
 		n = e.shards
@@ -184,6 +185,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 	if err := ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, route, ch); err != nil {
 		panic(err) // unreachable: a compiled plan is the single-port matcher, then Slice/Project
 	}
+	ch.plan.Stages = nil
 	return ch
 }
 
@@ -314,8 +316,8 @@ func (e *Engine) Run(s stream.Stream) {
 // chain has one endpoint for its whole life; a shared chain (key != "")
 // gains and loses them as plans (un)register.
 type chain struct {
-	name string // name of the first registrant, for quarantine errors
-	plan *plan.Plan
+	name string    // name of the first registrant, for quarantine errors
+	plan plan.Plan // what the chain was built from, less its stages (see buildChain)
 	sh   sharded
 	eng  *Engine
 	key  plan.Key // sharing identity (zero = private, never joined)
@@ -536,8 +538,9 @@ func (q *Query) Len() int {
 // Name returns the query's registered name.
 func (q *Query) Name() string { return q.name }
 
-// Plan returns the compiled plan the query's chain executes.
-func (q *Query) Plan() *plan.Plan { return q.ch.plan }
+// Plan returns the compiled plan the query's chain executes, read-only. It
+// holds no operator instances (the runtime owns them): Stages is empty.
+func (q *Query) Plan() *plan.Plan { return &q.ch.plan }
 
 // Shards returns the number of shards the query's chain runs on: 1 (run
 // inline on the pushing goroutine) unless the plan partitions and more were

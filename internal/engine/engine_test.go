@@ -185,6 +185,45 @@ WHERE {a.k = b.k}`)
 	}
 }
 
+// TestRunningPlanExplainsItsStages: a registered query's plan holds no
+// operator instances — the chain's runtime owns them, so a spent chain can
+// let go of them — yet it explains itself exactly as the plan compiled
+// from the same source and options does, before input and after Finish.
+func TestRunningPlanExplainsItsStages(t *testing.T) {
+	defer leakcheck.Check(t)()
+	for _, c := range []struct {
+		src  string
+		opts []plan.Option
+	}{
+		{monitorQuery, nil},
+		{pairsQuery, []plan.Option{plan.WithShards(4)}},
+		{keyedTemplate, []plan.Option{bindM("m001"), plan.WithSharing(), plan.WithSpec(consistency.Strong())}},
+	} {
+		p, err := plan.Compile(c.src, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New()
+		q, err := e.RegisterText(c.src, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			if got := q.Plan(); len(got.Stages) != 0 || got.Explain() != p.Explain() {
+				t.Errorf("%s %s: a running plan holds %d stages and explains\n%s\nwant none and\n%s",
+					p.Name, when, len(got.Stages), got.Explain(), p.Explain())
+			}
+		}
+		check("before input")
+		e.Run(durabilityWorkload())
+		check("after Finish")
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // oracleOp builds the reference operator of a pattern-only query: the
 // semi-naive re-deriving evaluator where plan.Compile puts the incremental
 // matcher tree.

@@ -12,17 +12,21 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"repro/internal/consistency"
+	"repro/internal/delivery"
 	"repro/internal/event"
 	"repro/internal/leakcheck"
 	"repro/internal/plan"
 	"repro/internal/stream"
 	"repro/internal/temporal"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // idleQuery is a stateless query no fleet item matches: a durable engine
@@ -136,10 +140,12 @@ func TestRestoreKeepsNoDecodedRecords(t *testing.T) {
 
 // TestFinishedChainRetainsOnlyItsHistory: once finished, a chain's output
 // guarantee is ∞ and nothing a repair could read is needed, so the engine
-// holds its history and at most 256 KiB more. Q at Middle over fleet items
+// holds its history and at most 16 KiB more. Q at Middle over fleet items
 // (INSTALLs only) keeps every one in its matcher until Finish; while the
 // matcher's undo journal kept the Advance(∞) reset record, that whole
-// pre-reset tree stayed reachable after Finish (5.6 MB, 17× the bound).
+// pre-reset tree stayed reachable after Finish (5.6 MB), and while the
+// chain's plan and the finished monitor still referenced the matcher it
+// held 33 KB beyond the history.
 func TestFinishedChainRetainsOnlyItsHistory(t *testing.T) {
 	defer leakcheck.Check(t)()
 	// Warm the analysis cache, which outlives any one engine.
@@ -160,11 +166,149 @@ func TestFinishedChainRetainsOnlyItsHistory(t *testing.T) {
 		own = int64(cap(q.ch.history)) * int64(unsafe.Sizeof(event.Event{}))
 		return e
 	})
-	bound := own + 256<<10
+	bound := own + 16<<10
 	t.Logf("a finished Middle chain over %d items, its history %d B, held %d B (bound %d B)", journalItems, own, held, bound)
 	if held > bound {
-		t.Fatalf("a finished chain holds %d B, above its history's %d B + 256 KiB: repair state outlives Finish", held, own)
+		t.Fatalf("a finished chain holds %d B, above its history's %d B + 16 KiB: repair state outlives Finish", held, own)
 	}
+}
+
+// TestSpentChainRetainsOnlyItsHistory: a chain that can take no more input
+// — finished, torn down by its last endpoint's Unregister, or quarantined
+// by a panicking operator and then finished — holds its history and
+// nothing of its matcher: every shard's head operator is collected, and
+// the engine holds at most the history — its slots and the output payload
+// maps they refer to — and 16 KiB more. The §3.1 query and a twin with an
+// OUTPUT clause (whose map stages outlive the head) run at Middle over a
+// disordered machine stream with sync points, so the matcher holds
+// composites and the monitor repair state when it stops; the twin also
+// runs at Strong over the stream without sync points, so Finish releases
+// every output in one call, through buffers a spent chain must not keep.
+func TestSpentChainRetainsOnlyItsHistory(t *testing.T) {
+	defer leakcheck.Check(t)()
+	src, _ := workload.MachineEvents(workload.Machines{
+		Seed: 3, Machines: 64, Cycles: 10,
+		RestartDeadline: 5 * temporal.Minute, MissProb: 0.3, CycleGap: 30 * temporal.Minute,
+	})
+	synced := delivery.Deliver(src, delivery.Disordered(3, temporal.Minute, 10*temporal.Minute, 0.2))
+	var unsynced stream.Stream
+	for _, ev := range synced {
+		if !ev.IsCTI() {
+			unsynced = append(unsynced, ev)
+		}
+	}
+	slot := int64(unsafe.Sizeof(event.Event{}))
+	// payloadBytes is what the history's own share of an output payload
+	// map may take: the alert's interned composite payload or the OUTPUT
+	// clause's projection, ≈360–490 B each here.
+	const payloadBytes = 512
+	for _, c := range []struct {
+		query string
+		spec  consistency.Spec
+		in    stream.Stream
+	}{
+		{monitorQuery, consistency.Middle(), synced},
+		{pairsQuery, consistency.Middle(), synced},
+		{pairsQuery, consistency.Strong(), unsynced},
+	} {
+		// Warm the analysis cache, which outlives any one engine.
+		p, err := plan.Compile(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, end := range []string{"finish", "unregister", "quarantine"} {
+			for _, shards := range []int{1, 4} {
+				for _, endpoints := range []int{1, 2} {
+					name := fmt.Sprintf("%s/%s/%s/shards=%d/endpoints=%d", p.Name, c.spec.Name(), end, shards, endpoints)
+					t.Run(name, func(t *testing.T) {
+						var own int64
+						var payloads int
+						held := heldBy(t, func() *Engine {
+							e := New()
+							var qs []*Query
+							for range endpoints {
+								opts := []plan.Option{plan.WithShards(shards), plan.WithSpec(c.spec)}
+								if endpoints > 1 {
+									opts = append(opts, plan.WithSharing())
+								}
+								q, err := e.RegisterText(c.query, opts...)
+								if err != nil {
+									t.Fatal(err)
+								}
+								qs = append(qs, q)
+							}
+							q := qs[0]
+							if q.Shards() != shards || qs[len(qs)-1].ch != q.ch {
+								t.Fatalf("%d endpoints on %d shards, want one chain on %d", len(qs), q.Shards(), shards)
+							}
+							if end == "quarantine" {
+								armOperatorPanic(t, q, 100)
+							}
+							alive := headProbes(q)
+							for _, ev := range c.in {
+								e.Push(ev)
+							}
+							if end == "unregister" {
+								for _, q := range qs {
+									q.Unregister()
+								}
+							} else {
+								e.Finish()
+							}
+							if (end == "quarantine") != (q.Err() != nil) {
+								t.Fatalf("quarantined: %v", q.Err())
+							}
+							// A stopped head keeps its counters (read here on
+							// the caller's goroutine, stopped on a worker's).
+							if met := q.Metrics(); met[0].InputEvents == 0 {
+								t.Fatalf("a spent chain's metrics read %+v", met[0])
+							}
+							runtime.GC()
+							runtime.GC()
+							for i, alive := range alive {
+								if alive() {
+									t.Errorf("shard %d's head operator is still reachable", i)
+								}
+							}
+							maps := map[uintptr]bool{}
+							for _, ev := range q.ch.history {
+								if !ev.IsCTI() {
+									maps[reflect.ValueOf(ev.Payload).Pointer()] = true
+								}
+							}
+							payloads = len(maps)
+							own = int64(cap(q.ch.history))*slot + int64(payloads)*payloadBytes
+							return e
+						})
+						bound := own + 16<<10
+						t.Logf("%s: history %d B with %d output payloads, held %d B (bound %d B)", name, own, payloads, held, bound)
+						if held > bound {
+							t.Fatalf("a spent chain holds %d B, above its history's %d B + 16 KiB", held, own)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// headProbes returns, for each shard of q's chain, a probe that reports
+// whether the operator its head monitor runs is still reachable. It reads
+// the monitor's unexported op field by reflection and unwraps ownKeys, so
+// each probe watches the instance the plan built for its shard (or the one
+// armOperatorPanic put in its place), whatever else refers to it.
+func headProbes(q *Query) []func() bool {
+	var probes []func() bool
+	for i := range q.ch.sh.workers {
+		f := reflect.ValueOf(q.ch.sh.workers[i].head).Elem().FieldByName("op")
+		op := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
+		if k, ok := op.(*ownedKeys); ok {
+			op = k.Versioned
+		}
+		wp := weak.Make((*byte)(reflect.ValueOf(op).UnsafePointer()))
+		probes = append(probes, func() bool { return wp.Value() != nil })
+	}
+	return probes
 }
 
 // TestRunningChainRetainsSlotsNotPayloads: a running chain's history grows

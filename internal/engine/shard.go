@@ -43,6 +43,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/consistency"
@@ -124,7 +125,8 @@ func (b *shardBurst) clearOutputs() {
 type shardWorker struct {
 	head *consistency.Monitor
 	// stages are the plan's stateless stages after the head, this worker's
-	// own instances; mapFrom runs the head's data output through them.
+	// own instances (copied: the head's array must not outlive it); mapFrom
+	// runs the head's data output through them.
 	stages []operators.Op
 	// mapped is mapFrom's scratch: the head's outputs of one item and
 	// their tags, before mapping (its Arena is unused).
@@ -263,7 +265,9 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []o
 			head = ownKeys(head, route, i)
 		}
 		s.workers[i].head = consistency.NewMonitor(head, spec)
-		s.workers[i].stages = stages[1:]
+		if len(stages) > 1 {
+			s.workers[i].stages = slices.Clone(stages[1:])
+		}
 	}
 	if n == 1 {
 		return nil // inline: see runInline
@@ -373,7 +377,8 @@ func (s *sharded) setSpec(spec consistency.Spec) {
 }
 
 // finish flushes every shard and waits for the merger to deliver the final
-// run (any still-pending items plus the finish flush itself).
+// run (any still-pending items plus the finish flush itself), then lets
+// go of its run and burst buffers (under mu: the router may be refilling).
 func (s *sharded) finish() {
 	s.mu.Lock()
 	if !s.finished {
@@ -384,6 +389,13 @@ func (s *sharded) finish() {
 	if s.n > 1 {
 		<-s.done
 	}
+	s.mu.Lock()
+	s.one, s.pending, s.freeRuns = shardBurst{}, nil, nil
+	for i := range s.workers {
+		w := &s.workers[i]
+		w.mapped, w.in, w.out, w.freeBursts = consistency.Burst{}, nil, nil, nil
+	}
+	s.mu.Unlock()
 }
 
 // barrier waits until every shard and the merger have processed everything
@@ -456,10 +468,12 @@ func (w *shardWorker) run(name string) {
 // stages after it under a recover barrier: a panicking operator —
 // at any intra-run offset — yields the quarantine error of query name (and
 // the caller sends an aligned empty burst, or stops when inline) instead of
-// killing the process or deadlocking the merger.
+// killing the process or deadlocking the merger. The head is never driven
+// again, so its monitor is stopped, letting go of the unusable operator.
 func (w *shardWorker) processRunSafely(name string, items []shardItem, b *shardBurst) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
+			w.head.Stop()
 			err = recoverPanic(name, "operator stage", rec)
 		}
 	}()

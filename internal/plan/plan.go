@@ -35,7 +35,8 @@ import (
 // later stage is stateless and maps every data item the stage before it
 // emits. Plans come only from Prepared.Plan and Compile.
 type Plan struct {
-	Name   string
+	Name string
+	// Stages are the plan's operators; a running query's plan holds none.
 	Stages []operators.Op
 	Spec   consistency.Spec
 	// Src is the CEDR query text the plan was compiled from. Src plus the
@@ -295,9 +296,9 @@ func resolveSpec(an *lang.Analysis, o *wal.RegOpts) consistency.Spec {
 }
 
 // CostNs estimates the plan's per-event processing cost in nanoseconds:
-// the sum of its stages' operator cost classes (operators.CostOf). The
-// engine's auto-shard heuristic compares it to the sharded runtime's
-// per-event handoff tax.
+// the sum of its Stages' operator cost classes (operators.CostOf; 0 for a
+// running query's plan). The engine's auto-shard heuristic compares it to
+// the sharded runtime's per-event handoff tax before the chain starts.
 func (p *Plan) CostNs() int {
 	c := 0
 	for _, op := range p.Stages {
@@ -306,11 +307,12 @@ func (p *Plan) CostNs() int {
 	return c
 }
 
-// Explain renders the plan.
+// Explain renders the plan. It names the stages the plan's analysis
+// builds, so a running query's plan, which holds none, explains the same.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %s [%s]\n", p.Name, p.Spec.Name())
-	for i, s := range p.Stages {
+	for i, s := range stagesOf(p.an) {
 		fmt.Fprintf(&b, "  %d: %s\n", i, s.Name())
 	}
 	if len(p.Rewrites) > 0 {
