@@ -390,8 +390,7 @@ func (q *Query) Len() int { return q.q.Len() }
 func (q *Query) Alerts() []Event {
 	live := map[ID]Event{}
 	var order []ID
-	results, _ := q.q.View()
-	for _, e := range results {
+	for _, e := range q.q.View() {
 		if e.IsCTI() {
 			continue
 		}

@@ -137,6 +137,28 @@ WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)`)
 	}
 }
 
+// TestAllocsAdvanceToInfinity pins what Advance(∞) costs a fresh §3.1
+// matcher: its reset journals the old containers and leaves none, so the
+// tree a finishing monitor would never read is not built (29 allocations
+// while the reset rebuilt it). What remains is the new shared struct and
+// payload table, which the table's ids run on through.
+func TestAllocsAdvanceToInfinity(t *testing.T) {
+	an, err := lang.Compile(`EVENT MissedRestart
+WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours), RESTART AS z, 5 minutes)
+WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() *Op { return NewOp(an.Expr, an.Mode, an.Query.Name, WithJoinKey(an.PushKeyAttr)) }
+	build := testing.AllocsPerRun(100, func() { mk() })
+	finish := testing.AllocsPerRun(100, func() { mk().Advance(temporal.Infinity) })
+	const ceiling = 2.0 // measured 2: the shared struct and the payload table
+	t.Logf("Advance(∞) on a fresh matcher: measured %.0f allocs (ceiling %.0f)", finish-build, ceiling)
+	if finish-build > ceiling {
+		t.Fatalf("Advance(∞) allocates %.0f, above the pinned ceiling %.0f: the reset builds a tree", finish-build, ceiling)
+	}
+}
+
 // TestAllocsInternedPayloads pins the payload table's promise (payload.go):
 // a repeated payload costs no map. A leaf deriving an event whose content it
 // has seen allocates nothing; a composite of interned parts allocates only

@@ -131,9 +131,6 @@ func NewOp(expr algebra.Expr, mode algebra.SCMode, outType string, opts ...OpOpt
 		Expr:      expr,
 		Mode:      mode,
 		OutType:   outType,
-		store:     map[event.ID]*evRec{},
-		consumed:  map[event.ID]*evRec{},
-		expiry:    &expiryQueue[*evRec]{},
 		emitted:   map[event.ID]*keyedMatch{},
 		scope:     scope,
 		opScalars: opScalars{frontier: temporal.MinTime, minAddFin: temporal.Infinity, minFutureFin: temporal.Infinity},
@@ -142,10 +139,19 @@ func NewOp(expr algebra.Expr, mode algebra.SCMode, outType string, opts ...OpOpt
 		o(p)
 	}
 	p.trackVs = usesAnchorTimes(expr)
-	p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: newKeyCfg(p.keyAttr),
-		recs: newRecCache(), pay: &payloadTable{last: new(uint64)}, u: &undoLog{}}
-	p.root = build(expr, p.sh, buildCtx{pos: true})
+	p.sh = &shared{key: newKeyCfg(p.keyAttr), pay: &payloadTable{last: new(uint64)}, u: &undoLog{}}
+	p.build()
 	return p
+}
+
+// build gives an Op without a tree — a new one, or one reset by
+// Advance(∞) — its empty tree, stores and caches.
+func (p *Op) build() {
+	p.sh.vs, p.sh.recs = map[event.ID]temporal.Time{}, newRecCache()
+	p.root = build(p.Expr, p.sh, buildCtx{pos: true})
+	p.store = map[event.ID]*evRec{}
+	p.consumed = map[event.ID]*evRec{}
+	p.expiry = &expiryQueue[*evRec]{}
 }
 
 // usesAnchorTimes reports whether the expression contains an UNLESS' node
@@ -272,6 +278,9 @@ func (p *Op) dropVs(id event.ID) {
 
 // Process implements operators.Op.
 func (p *Op) Process(_ int, e event.Event) []event.Event {
+	if p.root == nil {
+		p.build()
+	}
 	if e.Kind == event.Retract {
 		if !e.V.Empty() {
 			return nil // lifetime shrink: pattern semantics see only Vs
@@ -389,7 +398,7 @@ func (p *Op) mature() []event.Event {
 	// can only affect groups later still, so the walk stops there.
 	sel := p.selBuf[:0]
 	var consumed map[event.ID]bool
-	if p.Mode.Cons == algebra.Consume {
+	if p.Mode.Cons == algebra.Consume && start < len(ms) {
 		if p.consBuf == nil {
 			p.consBuf = map[event.ID]bool{}
 		} else {
@@ -507,18 +516,14 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 				delete(p.emitted, id)
 			}
 		}
-	} else {
+	} else if p.root != nil {
 		// Wholesale reset: journal the replaced containers (the tree, the
-		// stores with their queue, the pending list) as one record, then
-		// rebuild. The new shared struct keeps the same journal; the caches
-		// start over with the tree (the payload table's ids continue).
+		// stores with their queue, the pending list) as one record and
+		// leave none (Process builds a tree for an item after ∞). The new
+		// shared struct keeps the journal; the payload table's ids continue.
 		u.reset(p)
-		p.sh = &shared{vs: map[event.ID]temporal.Time{}, key: p.sh.key, recs: newRecCache(),
-			pay: &payloadTable{last: p.sh.pay.last}, u: u}
-		p.root = build(p.Expr, p.sh, buildCtx{pos: true})
-		p.store = map[event.ID]*evRec{}
-		p.consumed = map[event.ID]*evRec{}
-		p.expiry = &expiryQueue[*evRec]{}
+		p.sh = &shared{key: p.sh.key, pay: &payloadTable{last: p.sh.pay.last}, u: u}
+		p.root, p.store, p.consumed, p.expiry = nil, nil, nil, nil
 		p.pending = pendingList{}
 		p.dirty = false
 		p.stable = 0
@@ -563,10 +568,15 @@ func (p *Op) PerEventCostNs() int { return algebra.ExprCostNs(p.Expr) }
 // Clone implements operators.Op as an eager copy: mutable state
 // duplicated, interning caches shared (clones run sequentially — the Op
 // contract), a fresh journal that is off, no scratch buffers (a clone grows
-// its own on first use).
+// its own on first use) and no tree if p has none.
 func (p *Op) Clone() operators.Op {
 	sh := &shared{vs: maps.Clone(p.sh.vs), key: p.sh.key, recs: p.sh.recs, pay: p.sh.pay, u: &undoLog{}}
-	expiry := p.expiry.clone()
+	var root node
+	var expiry *expiryQueue[*evRec]
+	if p.root != nil {
+		q := p.expiry.clone()
+		root, expiry = p.root.clone(sh), &q
+	}
 	return &Op{
 		Expr:          p.Expr,
 		Mode:          p.Mode,
@@ -574,10 +584,10 @@ func (p *Op) Clone() operators.Op {
 		keyAttr:       p.keyAttr,
 		trackVs:       p.trackVs,
 		sh:            sh,
-		root:          p.root.clone(sh),
+		root:          root,
 		store:         maps.Clone(p.store),
 		consumed:      maps.Clone(p.consumed),
-		expiry:        &expiry,
+		expiry:        expiry,
 		pending:       pendingList{ms: slices.Clone(p.pending.ms)},
 		emitted:       maps.Clone(p.emitted),
 		emittedExpiry: p.emittedExpiry.clone(),

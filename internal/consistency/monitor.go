@@ -163,10 +163,6 @@ const (
 	tagCTI     byte = 4
 )
 
-// compactAt triggers log-window compaction once the absorbed prefix
-// outweighs the live window.
-const compactAt = 64
-
 type logItem struct {
 	marker bool
 	// opt records whether the live path speculatively advanced the
@@ -748,8 +744,9 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 	m.undoBase = b.undoAt
 	m.absState = b.stateAfter
 	m.op.Compact(m.base)
-	// Amortized compaction of the absorbed log prefix.
-	if m.head >= compactAt && m.head >= len(m.log)-m.head {
+	// Amortized compaction of the absorbed log prefix, which keeps the array
+	// at about the live window.
+	if m.head >= len(m.log)-m.head {
 		n := copy(m.log, m.log[m.head:])
 		clear(m.log[n:])
 		m.log = m.log[:n]

@@ -627,3 +627,24 @@ func TestRepairKeepsUnchangedNaNFact(t *testing.T) {
 		}
 	}
 }
+
+// TestMonitorLogStaysWindowSized: the log compacts at every checkpoint
+// that absorbs at least half of it, so its array stays at about the live
+// window. Middle over 10k ordered events with a sync point every 10 keeps
+// a window of a dozen items; while compaction waited for 64 absorbed items,
+// the array grew to 128 slots.
+func TestMonitorLogStaysWindowSized(t *testing.T) {
+	m := NewMonitor(operators.NewSelect(passAll), Middle())
+	window, size := 0, 0
+	for i, ev := range mkSource(10_000, 2, 5) {
+		m.Push(0, ev)
+		if i%10 == 9 {
+			m.Push(0, event.NewCTI(ev.V.Start+1))
+		}
+		window, size = max(window, m.Window()), max(size, cap(m.log))
+	}
+	t.Logf("largest window %d items, largest log array %d slots", window, size)
+	if window == 0 || size > 2*window {
+		t.Fatalf("the log array reached %d slots for a window of at most %d items", size, window)
+	}
+}

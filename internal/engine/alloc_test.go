@@ -40,6 +40,46 @@ func TestAllocsRegisterPrivateChain(t *testing.T) {
 	}
 }
 
+// TestAllocsHistoryAppend pins that a chain's history writes each item
+// once: n items, appended in batches that straddle chunk boundaries, cost
+// one allocation per chunk of chunkLen items plus the chunk index's
+// growth, and bytes for the chunks and the index alone — a flat slice
+// re-copied on every doubling allocates about twice the items' bytes.
+// (Skipped under -race.)
+func TestAllocsHistoryAppend(t *testing.T) {
+	const n, batch = 10*chunkLen + 5, 7
+	items := make([]event.Event, batch)
+	chunks := (n + chunkLen - 1) / chunkLen
+	var index []*[chunkLen]event.Event
+	growths := 0
+	for range chunks {
+		if len(index) == cap(index) {
+			growths++
+		}
+		index = append(index, nil)
+	}
+	fill := func() history {
+		var h history
+		for h.n < n {
+			h.append(items[:min(batch, n-h.n)])
+		}
+		return h
+	}
+	allocs := testing.AllocsPerRun(20, func() { fill() })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := fill()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	// The index's arrays sum to under twice its last; 1 KiB spare.
+	ceiling, byteBound := float64(chunks)+float64(growths), chunks*4096+2*uint64(cap(index))*8+1024
+	t.Logf("history append of %d items in batches of %d: measured %.0f allocs (ceiling %.0f: %d chunks + %d index growths), %d B (bound %d B)",
+		n, batch, allocs, ceiling, chunks, growths, bytes, byteBound)
+	if allocs > ceiling || bytes > byteBound || h.n != n || uint64(len(h.chunks)) != chunks {
+		t.Fatalf("%d items: %.0f allocs, %d B, %d chunks: the history re-copies what it wrote", h.n, allocs, bytes, len(h.chunks))
+	}
+}
+
 // TestAllocsRegisterShared pins what a registration that attaches to a
 // running chain costs: the registration record the options write into
 // (it escapes through the option calls) and the Query. No plan is built —

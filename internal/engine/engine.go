@@ -20,9 +20,11 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/consistency"
 	"repro/internal/event"
@@ -151,7 +153,7 @@ func (e *Engine) install(p *plan.Plan, key plan.Key) *Query {
 
 // endpoint registers a new Query on ch. Caller holds e.mu.
 func (e *Engine) endpoint(ch *chain) *Query {
-	q := &Query{name: ch.name, eng: e, ch: ch, idx: len(e.queries)}
+	q := &Query{ch: ch, idx: len(e.queries)}
 	e.queries = append(e.queries, q)
 	ch.attach(q)
 	return q
@@ -229,7 +231,7 @@ func (e *Engine) Query(name string) (*Query, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, q := range e.queries {
-		if q.name == name && !q.unregistered {
+		if q.ch.name == name && !q.unregistered {
 			return q, true
 		}
 	}
@@ -309,8 +311,8 @@ func (e *Engine) Run(s stream.Stream) {
 
 // chain is one executing operator pipeline — the shard runtime, whose
 // merge reproduces the one-shard emission order — and the single record
-// of what it emitted: history is append-only, never trimmed, and an item's
-// index in it is its chain order tag. Query endpoints are windows over it
+// of what it emitted: the history, whose item with chain order tag t is
+// its t-th. Query endpoints are windows over it
 // and only their subscriptions join subs, so a delivery costs one append
 // plus the subscribers, however many queries share the chain. A private
 // chain has one endpoint for its whole life; a shared chain (key != "")
@@ -327,8 +329,45 @@ type chain struct {
 	err     error // chain-level quarantine: an operator panicked
 	refs    int   // registered endpoints, healthy or quarantined; at 0 the chain is torn down
 	live    int   // endpoints whose window is still open; at 0 the chain stops consuming input
-	history stream.Stream
+	history history
 	subs    []*subscription // in subscription order
+}
+
+// chunkLen is the history's unit of growth: the items that fill one 4 KiB
+// size class.
+const chunkLen = uint64(4096 / unsafe.Sizeof(event.Event{}))
+
+// history is a chain's output, append-only, never trimmed, never re-copied:
+// the item tagged t is chunks[t/chunkLen][t%chunkLen]. A slot below n is
+// never written again, so a copy of the header taken under the chain's lock
+// reads its items without the lock while the writer appends.
+type history struct {
+	chunks []*[chunkLen]event.Event
+	n      uint64
+}
+
+// append writes items at the end of the history.
+func (h *history) append(items []event.Event) {
+	for len(items) > 0 {
+		i := h.n % chunkLen
+		if i == 0 {
+			h.chunks = append(h.chunks, new([chunkLen]event.Event))
+		}
+		k := copy(h.chunks[len(h.chunks)-1][i:], items)
+		items = items[k:]
+		h.n += uint64(k)
+	}
+}
+
+// window iterates the items tagged [from, end ≤ n) with their tags.
+func (h history) window(from, end uint64) iter.Seq2[uint64, event.Event] {
+	return func(yield func(uint64, event.Event) bool) {
+		for t := from; t < end; t++ {
+			if !yield(t, h.chunks[t/chunkLen][t%chunkLen]) {
+				return
+			}
+		}
+	}
 }
 
 // subscription is one callback of an endpoint on its chain.
@@ -371,7 +410,7 @@ func (ch *chain) cutLocked(q *Query) {
 func (ch *chain) shared() bool { return ch.key != plan.Key{} }
 
 // pos is the chain position: the order tag the next output item will carry.
-func (ch *chain) pos() uint64 { return uint64(len(ch.history)) }
+func (ch *chain) pos() uint64 { return ch.history.n }
 
 // push feeds one physical item through the pipeline and returns the output
 // it delivered (nil with more than one shard, where push only enqueues).
@@ -397,7 +436,7 @@ func (ch *chain) deliverLocked(items []event.Event) {
 		return
 	}
 	first := ch.pos()
-	ch.history = append(ch.history, items...)
+	ch.history.append(items)
 	failed := false
 	for _, s := range ch.subs {
 		if s.q.err == nil && !s.deliver(items, first) {
@@ -418,7 +457,7 @@ func (s *subscription) deliver(items []event.Event, first uint64) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.q.ch.cutLocked(s.q)
-			s.q.err = recoverPanic(s.q.name, "subscriber callback", r)
+			s.q.err = recoverPanic(s.q.ch.name, "subscriber callback", r)
 		}
 	}()
 	for i, it := range items {
@@ -461,20 +500,20 @@ func (ch *chain) quarantineLocked(err error) {
 	}
 }
 
-// shutdown closes the chain without delivering finish outputs: subsequent
-// input is dropped and delivery is muted, then the runtime is finished so
-// any workers and merger exit. Used by engine shutdown and by the last
-// endpoint's Unregister.
+// shutdown closes the chain without finishing it: subsequent input is
+// dropped and delivery is muted, then the runtime is stopped (computing
+// nothing more) so any workers and merger exit. Used by engine shutdown
+// and by the last endpoint's Unregister.
 func (ch *chain) shutdown() {
 	ch.mu.Lock()
 	ch.closed = true
 	ch.mu.Unlock()
-	ch.sh.finish()
+	ch.sh.stop()
 }
 
 // Query is one registered standing query: an endpoint of an executing
 // chain. It holds no output of its own — it is the window [from, cut) over
-// the chain's history: from is the chain position when the query
+// the chain's chunked history: from is the chain position when the query
 // registered (0 on a fresh chain, later on a warm shared one); cut is set
 // to the chain position when its subscriber panics (behind the batch in
 // flight) or it unregisters, and until then the window grows with the
@@ -483,12 +522,10 @@ func (ch *chain) shutdown() {
 // whole group — documented on each method). Input reaches a query only
 // through its engine's Push and Finish, which log it on a durable engine.
 type Query struct {
-	name string
-	eng  *Engine // owning engine, for durable logging and unregistration
-	ch   *chain
-	idx  int // position in the engine's registration list (the WAL's query id)
+	ch  *chain // its name and engine are the query's
+	idx int    // position in the engine's registration list (the WAL's query id)
 
-	unregistered bool // guarded by eng.mu
+	unregistered bool // guarded by ch.eng.mu
 
 	// Guarded by ch.mu.
 	from, cut uint64 // window over ch.history; cut is openCut while live
@@ -518,25 +555,30 @@ func recoverPanic(name, where string, r any) error {
 	return fmt.Errorf("engine: query %s quarantined: %s panicked: %v\n%s", name, where, r, debug.Stack())
 }
 
-// View returns the query's window of its chain's history without copying,
-// and the chain order tag of its first item (item i has tag first+i). The
-// slice is shared with the chain and every sibling endpoint: read-only.
-func (q *Query) View() (items stream.Stream, first uint64) {
-	ch := q.ch
-	ch.mu.Lock()
-	h, from, cut := ch.history, q.from, q.cut
-	ch.mu.Unlock()
-	return h[from:min(cut, uint64(len(h)))], from
+// View iterates the query's window of its chain's history as it is when
+// View is called, each item with its chain order tag, without copying or
+// locking (see history). The items are shared with the chain and every
+// sibling endpoint: read-only.
+func (q *Query) View() iter.Seq2[uint64, event.Event] {
+	h, from, end := q.window()
+	return h.window(from, end)
+}
+
+// window takes the history's header and the window [from, end) under the lock.
+func (q *Query) window() (h history, from, end uint64) {
+	q.ch.mu.Lock()
+	defer q.ch.mu.Unlock()
+	return q.ch.history, q.from, min(q.cut, q.ch.pos())
 }
 
 // Len returns how many items Results would return, in O(1).
 func (q *Query) Len() int {
-	items, _ := q.View()
-	return len(items)
+	_, from, end := q.window()
+	return int(end - from)
 }
 
 // Name returns the query's registered name.
-func (q *Query) Name() string { return q.name }
+func (q *Query) Name() string { return q.ch.name }
 
 // Plan returns the compiled plan the query's chain executes, read-only. It
 // holds no operator instances (the runtime owns them): Stages is empty.
@@ -575,21 +617,20 @@ func (q *Query) Subscribe(fn func(event.Event)) {
 // it from outside the chain's callbacks.
 func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) (cancel func()) {
 	ch := q.ch
-	// replayed runs fn over items tagged first, first+1, …; returns the next tag.
-	replayed := func(items stream.Stream, first uint64) uint64 {
-		for i, e := range items {
-			fn(e, first+uint64(i))
-		}
-		return first + uint64(len(items))
-	}
 	var next uint64
 	if replay {
-		next = replayed(q.View())
+		h, from, end := q.window()
+		for t, e := range h.window(from, end) {
+			fn(e, t)
+		}
+		next = end
 	}
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	if replay {
-		replayed(ch.history[next:min(q.cut, ch.pos())], next)
+		for t, e := range ch.history.window(next, min(q.cut, ch.pos())) {
+			fn(e, t)
+		}
 	}
 	if q.cut != openCut {
 		return func() {}
@@ -603,8 +644,12 @@ func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) (canc
 // (data and punctuation), in emission order: the chain's history from the
 // query's registration to now, or to its quarantine or unregistration.
 func (q *Query) Results() stream.Stream {
-	items, _ := q.View()
-	return append(stream.Stream(nil), items...)
+	h, from, end := q.window()
+	out := make(stream.Stream, 0, end-from)
+	for _, e := range h.window(from, end) {
+		out = append(out, e)
+	}
+	return out
 }
 
 // Tags returns the chain output position of each Results item: Tags()[i]
@@ -614,10 +659,10 @@ func (q *Query) Results() stream.Stream {
 // independently-executed copy of the same plan over the same input assigns
 // the same positions — the fabric's order-identity witness.
 func (q *Query) Tags() []uint64 {
-	items, first := q.View()
-	tags := make([]uint64, len(items))
+	_, from, end := q.window()
+	tags := make([]uint64, end-from)
 	for i := range tags {
-		tags[i] = first + uint64(i)
+		tags[i] = from + uint64(i)
 	}
 	return tags
 }
@@ -639,7 +684,7 @@ func (q *Query) Metrics() []consistency.Metrics {
 // output. With more than one shard the switch is enqueued and takes effect
 // at this position in the input sequence on every shard.
 func (q *Query) SetSpec(s consistency.Spec) {
-	if e := q.eng; e.log != nil {
+	if e := q.ch.eng; e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
 		if !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: q.idx, Spec: s}) {
@@ -664,7 +709,7 @@ func (q *Query) setSpecApply(s consistency.Spec) {
 // ahead of taking effect, so recovery reproduces it at the same position
 // in the input sequence. Idempotent.
 func (q *Query) Unregister() {
-	if e := q.eng; e.log != nil {
+	if e := q.ch.eng; e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
 		if !e.logAppend(wal.Record{Kind: wal.KindUnregister, Query: q.idx}) {
@@ -678,7 +723,7 @@ func (q *Query) Unregister() {
 // replay path applies already-logged records through it), tearing the
 // chain down when the last reference goes.
 func (q *Query) unregisterApply() {
-	e := q.eng
+	e := q.ch.eng
 	e.mu.Lock()
 	if q.unregistered {
 		e.mu.Unlock()
@@ -711,7 +756,7 @@ func (q *Query) unregisterApply() {
 // String implements fmt.Stringer.
 func (q *Query) String() string {
 	if n := q.ch.sh.n; n > 1 {
-		return fmt.Sprintf("query %s: %s × %d shards", q.name, q.ch.plan.Spec.Name(), n)
+		return fmt.Sprintf("query %s: %s × %d shards", q.ch.name, q.ch.plan.Spec.Name(), n)
 	}
-	return fmt.Sprintf("query %s: %s", q.name, q.ch.plan.Spec.Name())
+	return fmt.Sprintf("query %s: %s", q.ch.name, q.ch.plan.Spec.Name())
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/consistency"
@@ -24,6 +25,15 @@ WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours),
 WHERE CorrelationKey(Machine_Id, EQUAL)
 SC(each, consume)
 `
+
+// TestEndpointSize: an endpoint is its window over a chain and little
+// else — its name and engine are the chain's — so a fabric of 10,000
+// endpoints costs 64 B each.
+func TestEndpointSize(t *testing.T) {
+	if n := unsafe.Sizeof(Query{}); n > 64 {
+		t.Fatalf("a Query endpoint takes %d B, above 64", n)
+	}
+}
 
 func run(t *testing.T, src string, s stream.Stream, opts ...plan.Option) *Query {
 	t.Helper()

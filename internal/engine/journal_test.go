@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 	"weak"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/delivery"
 	"repro/internal/event"
 	"repro/internal/leakcheck"
+	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/stream"
 	"repro/internal/temporal"
@@ -163,7 +165,7 @@ func TestFinishedChainRetainsOnlyItsHistory(t *testing.T) {
 			e.Push(fleetItem(i))
 		}
 		e.Finish()
-		own = int64(cap(q.ch.history)) * int64(unsafe.Sizeof(event.Event{}))
+		own = historyBytes(q.ch)
 		return e
 	})
 	bound := own + 16<<10
@@ -177,8 +179,8 @@ func TestFinishedChainRetainsOnlyItsHistory(t *testing.T) {
 // — finished, torn down by its last endpoint's Unregister, or quarantined
 // by a panicking operator and then finished — holds its history and
 // nothing of its matcher: every shard's head operator is collected, and
-// the engine holds at most the history — its slots and the output payload
-// maps they refer to — and 16 KiB more. The §3.1 query and a twin with an
+// the engine holds at most the history — its chunks, their index and the
+// output payload maps they refer to — and 16 KiB more. The §3.1 query and a twin with an
 // OUTPUT clause (whose map stages outlive the head) run at Middle over a
 // disordered machine stream with sync points, so the matcher holds
 // composites and the monitor repair state when it stops; the twin also
@@ -197,7 +199,6 @@ func TestSpentChainRetainsOnlyItsHistory(t *testing.T) {
 			unsynced = append(unsynced, ev)
 		}
 	}
-	slot := int64(unsafe.Sizeof(event.Event{}))
 	// payloadBytes is what the history's own share of an output payload
 	// map may take: the alert's interned composite payload or the OUTPUT
 	// clause's projection, ≈360–490 B each here.
@@ -271,13 +272,13 @@ func TestSpentChainRetainsOnlyItsHistory(t *testing.T) {
 								}
 							}
 							maps := map[uintptr]bool{}
-							for _, ev := range q.ch.history {
+							for _, ev := range q.ch.history.window(0, q.ch.pos()) {
 								if !ev.IsCTI() {
 									maps[reflect.ValueOf(ev.Payload).Pointer()] = true
 								}
 							}
 							payloads = len(maps)
-							own = int64(cap(q.ch.history))*slot + int64(payloads)*payloadBytes
+							own = historyBytes(q.ch) + int64(payloads)*payloadBytes
 							return e
 						})
 						bound := own + 16<<10
@@ -290,6 +291,98 @@ func TestSpentChainRetainsOnlyItsHistory(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLastUnregisterComputesNothing: tearing a chain down stops it
+// instead of finishing it. A Strong chain without sync points holds all its
+// output until Finish; when its last endpoint unregisters, no shard's head
+// operator is advanced to ∞ and no output is computed — Metrics'
+// OutputInserts is what it was before the teardown. A twin that finishes
+// instead advances every shard's head once and emits, which shows the
+// counter counts.
+func TestLastUnregisterComputesNothing(t *testing.T) {
+	p, err := plan.Compile(pairsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := workload.MachineEvents(workload.Machines{
+		Seed: 3, Machines: 16, Cycles: 4,
+		RestartDeadline: 5 * temporal.Minute, MissProb: 0.3, CycleGap: 30 * temporal.Minute,
+	})
+	for _, shards := range []int{1, 4} {
+		for _, end := range []string{"unregister", "finish"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, end), func(t *testing.T) {
+				defer leakcheck.Check(t)()
+				e := New()
+				q, err := e.RegisterText(pairsQuery, plan.WithShards(shards), plan.WithSpec(consistency.Strong()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if q.Shards() != shards {
+					t.Fatalf("runs on %d shards, want %d", q.Shards(), shards)
+				}
+				var finishes atomic.Int64
+				for i := range q.ch.sh.workers {
+					var op operators.Op = finishCounter{Op: p.Fresh().Stages[0], finishes: &finishes}
+					if shards > 1 {
+						op = ownKeys(op, RouteByAttr(q.ch.plan.Part.Attr, shards), i)
+					}
+					q.ch.sh.workers[i].head = consistency.NewMonitor(op, q.ch.plan.Spec)
+				}
+				for _, ev := range src {
+					e.Push(ev)
+				}
+				e.Drain()
+				before := q.Metrics()[0]
+				if before.InputEvents == 0 || q.Len() != 0 {
+					t.Fatalf("before the end: %d inputs, %d outputs; want input held back", before.InputEvents, q.Len())
+				}
+				if end == "unregister" {
+					q.Unregister()
+				} else {
+					e.Finish()
+				}
+				after := q.Metrics()[0]
+				t.Logf("%s: %d Advance(∞) calls, OutputInserts %d → %d", end, finishes.Load(), before.OutputInserts, after.OutputInserts)
+				switch {
+				case end == "unregister" && (finishes.Load() != 0 || after.OutputInserts != before.OutputInserts):
+					t.Fatalf("the last Unregister advanced the heads to ∞ %d times and computed %d outputs for nobody",
+						finishes.Load(), after.OutputInserts-before.OutputInserts)
+				case end == "finish" && (finishes.Load() != int64(shards) || after.OutputInserts == before.OutputInserts):
+					t.Fatalf("Finish advanced the heads to ∞ %d times (want %d) and emitted %d outputs",
+						finishes.Load(), shards, after.OutputInserts-before.OutputInserts)
+				}
+			})
+		}
+	}
+}
+
+// finishCounter counts its operator's advances to ∞ (clones share the
+// count).
+type finishCounter struct {
+	operators.Op
+	finishes *atomic.Int64
+}
+
+func (c finishCounter) Advance(t temporal.Time) []event.Event {
+	if t.IsInfinite() {
+		c.finishes.Add(1)
+	}
+	return c.Op.Advance(t)
+}
+
+func (c finishCounter) Clone() operators.Op { return finishCounter{c.Op.Clone(), c.finishes} }
+
+func (c finishCounter) AppendAdvanceKey(dst []byte, e event.Event) []byte {
+	return c.Op.(operators.AdvanceOrdered).AppendAdvanceKey(dst, e)
+}
+
+// historyBytes is what ch's history takes: its chunks of chunkLen slots
+// and their index.
+func historyBytes(ch *chain) int64 {
+	h := ch.history
+	return int64(len(h.chunks))*int64(chunkLen*uint64(unsafe.Sizeof(event.Event{}))) +
+		int64(cap(h.chunks))*int64(unsafe.Sizeof(h.chunks[0]))
 }
 
 // headProbes returns, for each shard of q's chain, a probe that reports
@@ -315,13 +408,13 @@ func headProbes(q *Query) []func() bool {
 // by one slot per output and by next to nothing else — the output carries
 // the payload map the matcher interned, of which the fleet has 192, not a
 // copy of it. An unfinished Echo chain is measured at 20k and 40k items;
-// the growth between, less the history slots, is divided by the outputs
+// the growth between, less the history's chunks, is divided by the outputs
 // added (≈339 B an output while every output copied its payload).
 func TestRunningChainRetainsSlotsNotPayloads(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const echo = `EVENT Echo WHEN INSTALL h`
 	slot := int64(unsafe.Sizeof(event.Event{}))
-	// beyond is what the chain holds beyond its history slots after n
+	// beyond is what the chain holds beyond its history's chunks after n
 	// items, and how many outputs it holds.
 	beyond := func(n int) (held int64, outs int) {
 		var own int64
@@ -335,7 +428,7 @@ func TestRunningChainRetainsSlotsNotPayloads(t *testing.T) {
 				e.Push(fleetItem(i))
 			}
 			outs = q.Len()
-			own = int64(cap(q.ch.history)) * slot
+			own = historyBytes(q.ch)
 			return e
 		})
 		return held - own, outs

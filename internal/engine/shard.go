@@ -60,6 +60,7 @@ const (
 	itemSetSpec
 	itemBarrier
 	itemFinish
+	itemStop // ends the runtime like itemFinish, without the closing flush
 )
 
 const (
@@ -379,11 +380,16 @@ func (s *sharded) setSpec(spec consistency.Spec) {
 // finish flushes every shard and waits for the merger to deliver the final
 // run (any still-pending items plus the finish flush itself), then lets
 // go of its run and burst buffers (under mu: the router may be refilling).
-func (s *sharded) finish() {
+func (s *sharded) finish() { s.end(itemFinish) }
+
+// stop is finish with every head stopped instead: no Advance(∞), no flush.
+func (s *sharded) stop() { s.end(itemStop) }
+
+func (s *sharded) end(kind uint8) {
 	s.mu.Lock()
 	if !s.finished {
 		s.finished = true
-		s.control(itemFinish, consistency.Spec{})
+		s.control(kind, consistency.Spec{})
 	}
 	s.mu.Unlock()
 	if s.n > 1 {
@@ -458,7 +464,7 @@ func (w *shardWorker) run(name string) {
 		}
 		b.fail = failed
 		w.out <- b
-		if last.kind == itemFinish {
+		if last.kind == itemFinish || last.kind == itemStop {
 			return
 		}
 	}
@@ -497,6 +503,8 @@ func (w *shardWorker) process(it shardItem, b *shardBurst) {
 		w.head.SetSpecTaggedInto(it.spec, w.merged, &b.out)
 	case itemFinish:
 		w.head.FinishTaggedInto(w.merged, &b.out)
+	case itemStop:
+		w.head.Stop()
 	case itemBarrier:
 		// State is unchanged; the run round-trip is the synchronization.
 	}
@@ -604,7 +612,7 @@ func (s *sharded) mergeLoop() {
 		switch kind {
 		case itemBarrier:
 			s.barrierCh <- struct{}{}
-		case itemFinish:
+		case itemFinish, itemStop:
 			close(s.done)
 			return
 		}

@@ -133,14 +133,17 @@ func TestViewEquivalence(t *testing.T) {
 			doomed.Finish()
 
 			for _, ep := range eps {
-				items, first := ep.q.View()
+				var view recorder
+				for tag, e := range ep.q.View() {
+					view.add(e, tag)
+				}
 				compareStreams(t, ep.name+": Results", ep.q.Results(), ep.rec.items)
-				compareStreams(t, ep.name+": View", items, ep.rec.items)
+				compareStreams(t, ep.name+": View", view.items, ep.rec.items)
 				if got := ep.q.Tags(); len(got) != len(ep.rec.tags) || (len(got) > 0 && !reflect.DeepEqual(got, ep.rec.tags)) {
 					t.Errorf("%s: Tags = %v, recorder saw %v", ep.name, got, ep.rec.tags)
 				}
-				if len(ep.rec.tags) > 0 && first != ep.rec.tags[0] {
-					t.Errorf("%s: window starts at tag %d, recorder's first is %d", ep.name, first, ep.rec.tags[0])
+				if len(view.tags) > 0 && !reflect.DeepEqual(view.tags, ep.rec.tags) {
+					t.Errorf("%s: View's tags = %v, recorder saw %v", ep.name, view.tags, ep.rec.tags)
 				}
 				if got := ep.q.Len(); got != len(ep.rec.items) {
 					t.Errorf("%s: Len = %d, recorder saw %d", ep.name, got, len(ep.rec.items))
@@ -412,5 +415,160 @@ func TestSubscriptionCancelRacesDelivery(t *testing.T) {
 		if got := calls.Load(); got != n {
 			t.Fatalf("a cancelled callback ran %d more times", got-n)
 		}
+	}
+}
+
+// TestViewAcrossChunkBoundaries: the chunked history reads as one flat
+// slice. A recorder subscribed from tag 0 is the flat reference; endpoints
+// attached at tags chunkLen−1, chunkLen and chunkLen+1, one unregistered
+// mid-chunk, one whose subscriber panics mid-batch in a batch that
+// crosses a chunk boundary, and one replayed by SubscribeTagged(replay)
+// and read through View while another goroutine pushes must each read,
+// through View, Results, Tags, Len and replay, exactly their window of it.
+func TestViewAcrossChunkBoundaries(t *testing.T) {
+	const echo = `EVENT Echo WHEN ANY(INSTALL i) WHERE CorrelationKey(Machine_Id, EQUAL)`
+	k := chunkLen
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			e := New()
+			type endpoint struct {
+				name     string
+				q        *Query
+				from, to uint64 // the window's expected bounds; to = 0 while open
+			}
+			var eps []*endpoint
+			attach := func(name string) *endpoint {
+				q, err := e.RegisterText(echo, plan.WithSharing(), plan.WithShards(shards), plan.WithSpec(consistency.Strong()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if q.Shards() != shards {
+					t.Fatalf("%s runs on %d shards, want %d", name, q.Shards(), shards)
+				}
+				ep := &endpoint{name: name, q: q, from: q.ch.pos()}
+				eps = append(eps, ep)
+				return ep
+			}
+			ref := record(attach("reference").q)
+			ch := eps[0].q.ch
+			id, at := event.ID(0), temporal.Time(0)
+			// batch pushes n INSTALLs and the CTI that releases them at
+			// Strong: n+1 items, delivered in one batch.
+			batch := func(n int) {
+				for range n {
+					id++
+					at++
+					e.Push(event.NewInsert(id, "INSTALL", at, at+1, event.Payload{"Machine_Id": int64(id % 7)}))
+				}
+				at += 2
+				e.Push(event.NewCTI(at))
+				e.Drain()
+			}
+			// to pushes until the chain is at tag t.
+			to := func(t uint64) {
+				for ch.pos()+2 <= t {
+					batch(1)
+				}
+				if ch.pos() < t {
+					batch(0)
+				}
+			}
+			to(k - 1)
+			cut := attach("attached at chunkLen-1, unregistered mid-chunk")
+			to(k)
+			attach("attached at chunkLen")
+			to(k + 1)
+			attach("attached at chunkLen+1")
+			to(k + k/2)
+			cut.q.Unregister()
+			cut.to = ch.pos()
+
+			to(2*k - 3)
+			panicky := attach("subscriber panics mid-batch across a chunk boundary")
+			seen := 0
+			panicky.q.SubscribeTagged(false, func(event.Event, uint64) {
+				if seen++; seen == 3 {
+					panic("subscriber exploded")
+				}
+			})
+			batch(5)
+			panicky.to = ch.pos()
+			if panicky.q.Err() == nil || panicky.from/k == panicky.to/k {
+				t.Fatalf("the panicking batch [%d, %d) did not quarantine its endpoint across a chunk boundary (err %v)", panicky.from, panicky.to, panicky.q.Err())
+			}
+
+			racer := attach("replayed and viewed while another goroutine pushes")
+			// The pusher runs while the racer subscribes and views, and
+			// pushes once more after both, so the subscription sees live
+			// output too.
+			subscribed, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := range 3 * k {
+					batch(int(i % 5))
+				}
+				<-subscribed
+				batch(3)
+			}()
+			for racer.q.Len() < int(k) {
+				runtime.Gosched()
+			}
+			var replayed, viewed recorder
+			cancel := racer.q.SubscribeTagged(true, replayed.add)
+			for tag, ev := range racer.q.View() {
+				viewed.add(ev, tag)
+			}
+			close(subscribed)
+			<-done
+			cancel()
+			e.Finish()
+			end := ch.pos()
+			if end < 4*k || uint64(len(ref.items)) != end {
+				t.Fatalf("chain at tag %d, reference holds %d items: want 4 chunks, all recorded", end, len(ref.items))
+			}
+			racerEnd := racer.from + uint64(len(replayed.items))
+			if len(viewed.items) < int(k) || racerEnd != end-1 {
+				t.Fatalf("the racing reads saw %d items (View) and [%d, %d) (replay), want ≥ %d and up to the finishing CTI at %d",
+					len(viewed.items), racer.from, racerEnd, k, end-1)
+			}
+
+			tags := func(from, to uint64) []uint64 {
+				var ts []uint64
+				for t := from; t < to; t++ {
+					ts = append(ts, t)
+				}
+				return ts
+			}
+			check := func(name string, got recorder, from, to uint64) {
+				t.Helper()
+				compareStreams(t, name, got.items, ref.items[from:to])
+				if want := tags(from, to); !reflect.DeepEqual(got.tags, want) {
+					t.Errorf("%s: tags %v, want %v", name, got.tags, want)
+				}
+			}
+			check(racer.name+": replay", replayed, racer.from, racerEnd)
+			check(racer.name+": View", viewed, racer.from, racer.from+uint64(len(viewed.items)))
+			for _, ep := range eps {
+				to := ep.to
+				if to == 0 {
+					to = end
+				}
+				var view, replay recorder
+				for tag, ev := range ep.q.View() {
+					view.add(ev, tag)
+				}
+				check(ep.name+": View", view, ep.from, to)
+				ep.q.SubscribeTagged(true, replay.add)()
+				check(ep.name+": replay", replay, ep.from, to)
+				compareStreams(t, ep.name+": Results", ep.q.Results(), ref.items[ep.from:to])
+				if got, want := ep.q.Tags(), tags(ep.from, to); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Tags %v, want %v", ep.name, got, want)
+				}
+				if got := ep.q.Len(); got != int(to-ep.from) {
+					t.Errorf("%s: Len %d, want %d", ep.name, got, to-ep.from)
+				}
+			}
+		})
 	}
 }
