@@ -349,11 +349,11 @@ func (s *System) Drain() { s.eng.Drain() }
 // guarantee mid-stream.
 func (s *System) Sync() error { return s.eng.SyncWAL() }
 
-// Snapshot writes the system's durable state — the watermarked journal of
-// applied records, the log's own bytes — to w. Restore(snapshot, freshLog)
-// resumes from it without the original log file: that rotates the WAL. It
-// requires a durable system (Open/Restore) whose registered queries were
-// all compiled from source text, and must not run concurrently with Push.
+// Snapshot writes the system's durable state — the watermarked records,
+// read back from the log file — to w. Restore(snapshot, freshLog) resumes
+// from it without the original log file: that rotates the WAL. It requires
+// an open durable system (Open/Restore), must not run concurrently with
+// Push, and fails only itself unless the log loses its end (then Err).
 func (s *System) Snapshot(w io.Writer) error { return s.eng.Snapshot(w) }
 
 // Err reports the system's durability failure, if any (WAL append, fsync,

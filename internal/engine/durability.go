@@ -11,10 +11,10 @@
 // punctuation), byte for byte.
 //
 // A snapshot is the same idea made portable: the magic header, the
-// watermark (sequence of the last applied record), wal.Magic and the
-// journal — each applied record's WAL frame, encoded once and kept as
-// bytes — so an engine born on an empty log snapshots exactly its log
-// file. A snapshot is self-contained — restoring from it does not need
+// watermark (sequence of the last applied record), wal.Magic and every
+// applied record's WAL frame, read back from the log file — the engine
+// keeps no copy — so an engine born on an empty log snapshots exactly its
+// log file. A snapshot is self-contained — restoring from it does not need
 // the log file it was cut from, which is what permits WAL rotation:
 // snapshot, then point the engine at a fresh empty log.
 //
@@ -39,30 +39,16 @@ import (
 // record encoding.
 const snapMagic = "CEDRSNP\x01"
 
-// Journal chunks hold 64 KiB; one with under journalSlack free is full.
-const journalChunk, journalSlack = 64 << 10, 1 << 10
-
-// logAppend frames one record, with the next engine sequence number, onto
-// the journal's tail chunk and hands the log those same bytes. The caller
-// holds e.pushMu (so log order is apply order). It reports whether the
-// record is durable; on a failure the engine fails stop (and never
+// logAppend logs one record with the next engine sequence number. The
+// caller holds e.pushMu (so log order is apply order). It reports whether
+// the record is durable; on a failure the engine fails stop (and never
 // snapshots) and the caller must drop the input rather than process it.
 func (e *Engine) logAppend(rec wal.Record) bool {
 	if e.walErr != nil || e.closed {
 		return false
 	}
 	rec.Seq = e.seq + 1
-	if n := len(e.journal); n == 0 || cap(e.journal[n-1])-len(e.journal[n-1]) < journalSlack {
-		e.journal = append(e.journal, make([]byte, 0, journalChunk))
-	}
-	tail := &e.journal[len(e.journal)-1]
-	start := len(*tail)
-	b, err := wal.AppendRecord(*tail, rec)
-	if err == nil {
-		*tail = b
-		err = e.log.AppendFrame(b[start:])
-	}
-	if err != nil {
+	if _, err := e.log.Append(rec); err != nil {
 		e.walErr = fmt.Errorf("engine: wal append: %w", err)
 		return false
 	}
@@ -118,7 +104,7 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 //
 // The log must be opened by the caller (wal.Open / wal.New — opening
 // recovers and truncates any torn tail) and is owned by the engine from
-// here on: Close closes it; its recovered bytes become the journal.
+// here on: Close closes it; its recovered bytes are dropped once replayed.
 func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 	if log == nil {
 		return nil, fmt.Errorf("engine: restore requires an open write-ahead log")
@@ -128,8 +114,9 @@ func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 	if snap != nil {
 		err = e.replaySnapshot(snap)
 	}
+	from := 0
 	if err == nil {
-		err = e.replay(log.TakeRecovered(), "log")
+		from, err = e.replay(log.TakeRecovered(), "log")
 	}
 	if err != nil {
 		e.shutdownQueries()
@@ -139,15 +126,15 @@ func Restore(snap io.Reader, log *wal.Log, opts ...Option) (*Engine, error) {
 	// engine's visible results reflect the entire replayed history before
 	// the caller sees it.
 	e.Drain()
-	e.log = log
+	e.log, e.logFrom = log, int64(max(from, len(wal.Magic)))
 	return e, nil
 }
 
 // replay applies the records of a WAL image past the engine's sequence
-// number (the ones at or below it came from the snapshot) and keeps their
-// frames, as they are, as the journal's next chunk. Every byte must decode.
-func (e *Engine) replay(img []byte, what string) error {
-	from := len(img)
+// number (the ones at or below it came from the snapshot) and returns the
+// offset of the first of them (len(img) if none). Every byte must decode.
+func (e *Engine) replay(img []byte, what string) (from int, err error) {
+	from = len(img)
 	good, err := wal.Scan(img, func(rec wal.Record, start, _ int64) error {
 		if rec.Seq <= e.seq {
 			return nil
@@ -158,10 +145,7 @@ func (e *Engine) replay(img []byte, what string) error {
 	if err == nil && good != int64(len(img)) {
 		err = fmt.Errorf("engine: %s corrupt: %d of %d record bytes decode", what, good, len(img))
 	}
-	if err == nil && from < len(img) {
-		e.journal = append(e.journal, img[from:len(img):len(img)])
-	}
-	return err
+	return from, err
 }
 
 // replaySnapshot decodes and applies a snapshot. Unlike WAL recovery —
@@ -178,9 +162,11 @@ func (e *Engine) replaySnapshot(r io.Reader) error {
 		return fmt.Errorf("engine: not a CEDR snapshot")
 	}
 	watermark := binary.LittleEndian.Uint64(data[len(snapMagic):headLen])
-	if err := e.replay(data[headLen:], "snapshot"); err != nil {
+	from, err := e.replay(data[headLen:], "snapshot")
+	if err != nil {
 		return err
 	}
+	e.base = data[headLen+from:]
 	if e.seq != watermark {
 		return fmt.Errorf("engine: snapshot watermark %d does not match record tail %d", watermark, e.seq)
 	}
@@ -188,33 +174,34 @@ func (e *Engine) replaySnapshot(r io.Reader) error {
 }
 
 // Snapshot writes the engine's durable state to w: header, watermark,
-// wal.Magic and the journal verbatim — nothing is re-encoded. It refuses
-// after a WAL failure. The log is synced first, so everything the snapshot
-// claims is also on disk in the log; afterwards the WAL may be rotated
-// (Restore from this snapshot plus a fresh empty log).
+// wal.Magic, the records of the snapshot it was restored from (if any),
+// then the log's records, read back from the synced file — nothing is
+// re-encoded; afterwards the WAL may be rotated (Restore from this
+// snapshot plus a fresh empty log). It refuses after a WAL failure and
+// after Close. A failed read of the log or write to w fails only this
+// snapshot, unless the log cannot seek back to its end: then the engine
+// fails stop, as on a failed append.
 //
 // Callers must not Push concurrently with Snapshot (it holds the engine's
 // durable-append lock, so a concurrent Push would block, not corrupt).
 func (e *Engine) Snapshot(w io.Writer) error {
 	e.pushMu.Lock()
 	defer e.pushMu.Unlock()
-	if e.log == nil {
+	switch {
+	case e.log == nil:
 		return fmt.Errorf("engine: snapshot requires a durable engine (engine.Restore)")
-	}
-	if e.walErr != nil {
+	case e.walErr != nil:
 		return e.walErr
-	}
-	if err := e.log.Sync(); err != nil {
-		e.walErr = fmt.Errorf("engine: wal sync: %w", err)
-		return e.walErr
+	case e.closed:
+		return fmt.Errorf("engine: snapshot of a closed engine")
 	}
 	head := binary.LittleEndian.AppendUint64([]byte(snapMagic), e.seq)
-	for _, b := range append([][]byte{append(head, wal.Magic...)}, e.journal...) {
+	for _, b := range [][]byte{append(head, wal.Magic...), e.base} {
 		if _, err := w.Write(b); err != nil {
 			return fmt.Errorf("engine: snapshot write: %w", err)
 		}
 	}
-	return nil
+	return e.log.CopyTo(w, e.logFrom)
 }
 
 // Err reports the engine's durability failure, if any: the first WAL

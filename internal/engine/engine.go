@@ -47,7 +47,8 @@ type Engine struct {
 	// before the engine is shared; nil means durability is off and the hot
 	// path stays exactly as before (one nil check per Push).
 	log      *wal.Log
-	journal  [][]byte   // applied records' WAL frames, a snapshot's body; durable engines only
+	base     []byte     // the restored snapshot's records, a snapshot's body before the log's
+	logFrom  int64      // the log file's offset of its first record past base
 	seq      uint64     // sequence of the last applied record
 	walErr   error      // first WAL failure; the engine fails stop
 	pushMu   sync.Mutex // durable engines: serializes log order = apply order

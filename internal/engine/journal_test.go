@@ -1,11 +1,12 @@
-// The journal is the WAL's own bytes: what a durable engine keeps of its
-// input is each record's encoding, never the decoded record, and a
-// snapshot's body is the log file verbatim.
+// A durable engine keeps no copy of its log: each record is encoded once,
+// into the log's write buffer, never kept decoded, and a snapshot's body is
+// the log file verbatim, read back from the file.
 package engine
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -32,7 +33,7 @@ import (
 )
 
 // idleQuery is a stateless query no fleet item matches: a durable engine
-// running it holds little beyond its journal.
+// running it holds little beyond its log's write buffer.
 const idleQuery = `EVENT Idle WHEN RESTART r`
 
 // fleetItem is the i-th item of a fleet-shaped stream: an INSTALL by one
@@ -97,47 +98,52 @@ func durableEngine(t *testing.T, path string) *Engine {
 	return e
 }
 
-// checkJournalHeld fails unless a durable engine holds, beyond what a
-// non-durable twin fed the same items holds, at most each record's
-// encoding plus 16 bytes, and 128 KiB (the log's write buffer, the
-// journal's last chunk).
-func checkJournalHeld(t *testing.T, what string, durable int64) {
+// journalBound is what a durable engine may hold beyond a non-durable
+// twin, whatever the number of records: the log's write buffer at its
+// largest kept capacity (128 KiB) and 4 KiB more.
+const journalBound = 128<<10 + 4<<10
+
+// checkJournalHeld fails unless a durable engine over n fleet items, built
+// by durable(n), holds at most journalBound beyond a non-durable twin fed
+// the same items, at journalItems and at twice as many: what it holds
+// stays flat as its log grows.
+func checkJournalHeld(t *testing.T, what string, durable func(n int) int64) {
 	t.Helper()
-	twin := heldBy(t, func() *Engine { return idleEngine(t, New(), journalItems) })
-	frame, err := wal.AppendRecord(nil, wal.Record{Seq: 1, Kind: wal.KindEvent, Ev: fleetItem(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	held, bound := durable-twin, int64(journalItems)*int64(len(frame)+16)+128<<10
-	t.Logf("%s, beyond its non-durable twin over %d items (%.1f B per item, %d B per encoded event record), held %d B (bound %d B)",
-		what, journalItems, float64(held)/journalItems, len(frame), held, bound)
-	if held > bound {
-		t.Fatalf("%s holds %d B beyond a non-durable engine over %d items (%.0f B each), above %d: decoded records are kept",
-			what, held, journalItems, float64(held)/journalItems, bound)
+	for _, n := range []int{journalItems, 2 * journalItems} {
+		twin := heldBy(t, func() *Engine { return idleEngine(t, New(), n) })
+		held := durable(n) - twin
+		t.Logf("%s, beyond its non-durable twin over %d items, held %d B (bound %d B)", what, n, held, journalBound)
+		if held > journalBound {
+			t.Fatalf("%s holds %d B beyond a non-durable engine over %d items (%.0f B each), above %d: it keeps a copy of its log",
+				what, held, n, float64(held)/float64(n), journalBound)
+		}
 	}
 }
 
-// TestDurableJournalRetainsEncodedBytes: what a durable engine keeps of
-// each pushed record is the record's WAL encoding — not the decoded record
-// and the payload map it pins (≈ 630 B per fleet record).
+// TestDurableJournalRetainsEncodedBytes: a durable engine keeps nothing of
+// the records it pushed — not the decoded record and the payload map it
+// pins (≈ 630 B per fleet record), nor its encoding (124 B) — beyond the
+// log's write buffer.
 func TestDurableJournalRetainsEncodedBytes(t *testing.T) {
 	defer leakcheck.Check(t)()
-	path := filepath.Join(t.TempDir(), "wal")
-	durable := heldBy(t, func() *Engine { return idleEngine(t, durableEngine(t, path), journalItems) })
-	checkJournalHeld(t, "a durable engine", durable)
+	checkJournalHeld(t, "a durable engine", func(n int) int64 {
+		path := filepath.Join(t.TempDir(), "wal")
+		return heldBy(t, func() *Engine { return idleEngine(t, durableEngine(t, path), n) })
+	})
 }
 
-// TestRestoreKeepsNoDecodedRecords: an engine restored from a log keeps
-// the log's bytes as its journal, and neither it nor the log keeps a
-// decoded record.
+// TestRestoreKeepsNoDecodedRecords: an engine restored from a log drops
+// the log's bytes once it has replayed them, and neither it nor the log
+// keeps a decoded record.
 func TestRestoreKeepsNoDecodedRecords(t *testing.T) {
 	defer leakcheck.Check(t)()
-	path := filepath.Join(t.TempDir(), "wal")
-	if err := idleEngine(t, durableEngine(t, path), journalItems).Close(); err != nil {
-		t.Fatal(err)
-	}
-	restored := heldBy(t, func() *Engine { return durableEngine(t, path) })
-	checkJournalHeld(t, "a restored engine", restored)
+	checkJournalHeld(t, "a restored engine", func(n int) int64 {
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := idleEngine(t, durableEngine(t, path), n).Close(); err != nil {
+			t.Fatal(err)
+		}
+		return heldBy(t, func() *Engine { return durableEngine(t, path) })
+	})
 }
 
 // TestFinishedChainRetainsOnlyItsHistory: once finished, a chain's output
@@ -635,6 +641,217 @@ func (f *memFile) Seek(off int64, whence int) (int64, error) {
 func (f *memFile) Truncate(size int64) error { f.b = f.b[:size]; return nil }
 func (f *memFile) Sync() error               { return nil }
 func (f *memFile) Close() error              { return nil }
+
+// faultyFile is a memFile whose Seek or Read fails on the failSeek-th or
+// failRead-th call from when the count is set (0: never).
+type faultyFile struct {
+	memFile
+	failSeek, failRead int
+}
+
+var errInjected = errors.New("injected fault")
+
+// fails counts one call down and reports whether it is the one to fail.
+func fails(n *int) bool {
+	if *n == 0 {
+		return false
+	}
+	*n--
+	return *n == 0
+}
+
+func (f *faultyFile) Seek(off int64, whence int) (int64, error) {
+	if fails(&f.failSeek) {
+		return 0, errInjected
+	}
+	return f.memFile.Seek(off, whence)
+}
+
+func (f *faultyFile) Read(p []byte) (int, error) {
+	if fails(&f.failRead) {
+		return 0, errInjected
+	}
+	return f.memFile.Read(p)
+}
+
+// failingWriter takes n bytes, then fails.
+type failingWriter struct{ n int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.n)
+	if w.n -= n; n < len(p) {
+		return n, errInjected
+	}
+	return n, nil
+}
+
+// TestSnapshotReadFailures: a snapshot reads its body back from the log
+// file, so the file can fail it. A failed seek or read of the log, or a
+// failed write to the snapshot's writer, fails only that snapshot: the
+// engine takes input afterwards, appended where it belongs — its log file
+// ends up byte-identical to a twin's that never failed — and snapshots
+// its log file. A log that cannot seek back to its end does not know
+// where to append, so the engine fails stop: Err reports it and later
+// input is dropped. A closed engine refuses to snapshot.
+func TestSnapshotReadFailures(t *testing.T) {
+	defer leakcheck.Check(t)()
+	in := durabilityWorkload()
+	half := len(in) / 2
+	for _, c := range []struct {
+		name               string
+		failSeek, failRead int
+		failWrite          bool
+		failStop           bool
+	}{
+		{name: "seek to note the end", failSeek: 1},
+		{name: "seek to the first record", failSeek: 2},
+		{name: "read", failRead: 1},
+		{name: "write", failWrite: true},
+		{name: "seek back to the end", failSeek: 3, failStop: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			start := func(f wal.File) (*Engine, *wal.Log, *Query) {
+				log, err := wal.New(f, wal.SyncEvery(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := Restore(nil, log)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := e.RegisterText(monitorQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ev := range in[:half] {
+					e.Push(ev)
+				}
+				return e, log, q
+			}
+			f := new(faultyFile)
+			e, log, q := start(f)
+			defer e.Close()
+			f.failSeek, f.failRead = c.failSeek, c.failRead
+			var w io.Writer = io.Discard
+			if c.failWrite {
+				w = &failingWriter{n: snapHead + len(wal.Magic) + 100}
+			}
+			if err := e.Snapshot(w); !errors.Is(err, errInjected) {
+				t.Fatalf("snapshot returned %v, want the injected fault", err)
+			}
+			if f.failSeek != 0 || f.failRead != 0 {
+				t.Fatalf("the snapshot never reached the injected fault (%d seeks, %d reads to go)", f.failSeek, f.failRead)
+			}
+			seq, outs := log.LastSeq(), q.Len()
+			for _, ev := range in[half:] {
+				e.Push(ev)
+			}
+			if c.failStop {
+				if err := e.Err(); !errors.Is(err, errInjected) {
+					t.Fatalf("Err is %v after the log lost its end, want the injected fault", err)
+				}
+				if log.LastSeq() != seq || q.Len() != outs {
+					t.Fatalf("input after the failure was logged (seq %d → %d) or processed (%d → %d outputs)", seq, log.LastSeq(), outs, q.Len())
+				}
+				if err := e.Snapshot(io.Discard); err == nil {
+					t.Fatal("a failed engine snapshots")
+				}
+				return
+			}
+			if err := e.Err(); err != nil {
+				t.Fatalf("a failed snapshot failed the engine: %v", err)
+			}
+			twinFile := new(memFile)
+			twin, _, _ := start(twinFile)
+			for _, ev := range in[half:] {
+				twin.Push(ev)
+			}
+			if err := twin.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(f.b, twinFile.b) {
+				t.Fatalf("after a failed snapshot the log file holds %d B (%d records), a twin's that never failed %d B",
+					len(f.b), log.LastSeq(), len(twinFile.b))
+			}
+			if body := snapshotOf(t, e)[snapHead:]; !bytes.Equal(body, f.b) {
+				t.Fatalf("the next snapshot's body (%d B) is not the log file (%d B)", len(body), len(f.b))
+			}
+		})
+	}
+	t.Run("closed", func(t *testing.T) {
+		e := idleEngine(t, durableEngine(t, filepath.Join(t.TempDir(), "wal")), 100)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := e.Snapshot(&b); err == nil || b.Len() != 0 {
+			t.Fatalf("a closed engine snapshots: wrote %d B, err %v", b.Len(), err)
+		}
+	})
+}
+
+// TestSnapshotsBetweenPushes: snapshots taken between pushes each read the
+// log file as it stands, and appending resumes at the file's end, so every
+// snapshot's body is the file and the final log restores to the same
+// results and the same snapshot.
+func TestSnapshotsBetweenPushes(t *testing.T) {
+	defer leakcheck.Check(t)()
+	in := durabilityWorkload()
+	path := filepath.Join(t.TempDir(), "wal")
+	log, err := wal.Open(path, wal.SyncEvery(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Restore(nil, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.RegisterText(monitorQuery, plan.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last []byte
+	for i, ev := range in {
+		e.Push(ev)
+		if (i+1)%(len(in)/4) != 0 || i+1 == len(in) {
+			continue
+		}
+		last = snapshotOf(t, e)
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(last[snapHead:], file) {
+			t.Fatalf("the snapshot after %d items has a %d-B body, the log file %d B", i+1, len(last)-snapHead, len(file))
+		}
+	}
+	e.Finish()
+	end := snapshotOf(t, e)
+	if len(end) <= len(last) {
+		t.Fatal("no record logged after the last mid-stream snapshot")
+	}
+	e.Drain()
+	want := q.Results()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log2, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Restore(nil, log2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	compareStreams(t, "restored from the final log", e2.snapshot()[0].Results(), want)
+	if got := snapshotOf(t, e2); !bytes.Equal(got, end) {
+		t.Fatalf("the final log re-snapshots to %d B, want %d B", len(got), len(end))
+	}
+}
 
 // Work a fuzzed snapshot may ask for: registrations × events is legitimate
 // work, not an allocation bug, so inputs beyond this are skipped. (Shards

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -46,7 +45,6 @@ type Log struct {
 	recovered []byte // the file's intact prefix, until TakeRecovered
 	lastSeq   uint64
 	buf       []byte // encoded records not yet written to the file (< writeThrough bytes)
-	enc       []byte // Append's encoding of its record
 	pending   int    // records in buf
 	every     int
 	err       error // first write/sync failure; the log fails stop
@@ -79,7 +77,7 @@ func New(f File, opts ...LogOption) (*Log, error) {
 		o(l)
 	}
 	size, err := f.Seek(0, io.SeekEnd)
-	img := make([]byte, max(size, 0)) // the exact size: the journal keeps it
+	img := make([]byte, max(size, 0))
 	if err == nil {
 		_, err = f.Seek(0, io.SeekStart)
 	}
@@ -149,52 +147,63 @@ func (l *Log) Syncs() int {
 	return l.syncs
 }
 
-// Append encodes and buffers one record, flushing + fsyncing per the
-// batching policy, and returns the record's sequence number. A zero Seq is
-// auto-assigned (last + 1); a non-zero Seq must be strictly increasing.
-// After any write or sync failure the log fails stop: every subsequent
-// Append returns the original error.
+// Append encodes one record straight onto the write buffer, flushing +
+// fsyncing per the batching policy, and returns the record's sequence
+// number. A zero Seq is auto-assigned (last + 1); a non-zero Seq must be
+// strictly increasing. After any write or sync failure the log fails
+// stop: every subsequent Append returns the original error.
 func (l *Log) Append(rec Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.err != nil {
+		return 0, l.err
+	}
+	if l.closed {
+		return 0, fmt.Errorf("wal: append to closed log")
+	}
 	if rec.Seq == 0 {
 		rec.Seq = l.lastSeq + 1
+	} else if rec.Seq <= l.lastSeq {
+		return 0, fmt.Errorf("wal: sequence %d not after %d", rec.Seq, l.lastSeq)
 	}
-	frame, err := AppendRecord(l.enc[:0], rec)
-	if err != nil {
-		return 0, err // encoding error: record rejected, log still healthy
+	var err error
+	if l.buf, err = AppendRecord(l.buf, rec); err != nil {
+		return 0, err // encoding error: AppendRecord cut the buffer back; the log is still healthy
 	}
-	l.enc = frame
-	if err := l.appendLocked(frame); err != nil {
-		return 0, err
+	l.lastSeq = rec.Seq
+	l.pending++
+	sync := l.every > 0 && l.pending >= l.every
+	if (sync || len(l.buf) >= writeThrough) && l.flushLocked(sync) != nil {
+		return 0, l.err
 	}
 	return rec.Seq, nil
 }
 
-// AppendFrame is Append for one record AppendRecord framed with its Seq
-// assigned: a caller that keeps the frame encodes each record once.
-func (l *Log) AppendFrame(frame []byte) error {
+// CopyTo syncs the log and copies the file from offset from to its end to
+// w. A failed read or write fails only the copy; a log that cannot seek
+// back to its end no longer knows where to append, and fails stop.
+func (l *Log) CopyTo(w io.Writer, from int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(frame)
-}
-
-func (l *Log) appendLocked(frame []byte) error {
-	if l.err != nil {
+	if l.closed {
+		return fmt.Errorf("wal: copy from closed log")
+	}
+	if l.err != nil || l.flushLocked(true) != nil {
 		return l.err
 	}
-	if l.closed {
-		return fmt.Errorf("wal: append to closed log")
+	end, err := l.f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return fmt.Errorf("wal: seek: %w", err)
 	}
-	seq := binary.LittleEndian.Uint64(frame[8:])
-	if seq <= l.lastSeq {
-		return fmt.Errorf("wal: sequence %d not after %d", seq, l.lastSeq)
+	if _, err = l.f.Seek(from, io.SeekStart); err == nil {
+		_, err = io.CopyN(w, l.f, end-from)
 	}
-	l.buf = append(l.buf, frame...)
-	l.lastSeq = seq
-	l.pending++
-	if sync := l.every > 0 && l.pending >= l.every; sync || len(l.buf) >= writeThrough {
-		return l.flushLocked(sync)
+	if _, serr := l.f.Seek(end, io.SeekStart); serr != nil {
+		l.err = fmt.Errorf("wal: seek back to the end: %w", serr)
+		return l.err
+	}
+	if err != nil {
+		return fmt.Errorf("wal: copy: %w", err)
 	}
 	return nil
 }

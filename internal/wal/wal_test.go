@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -294,40 +295,122 @@ func TestAppendSeqValidation(t *testing.T) {
 	}
 }
 
-// TestAppendFrameMatchesAppend: a record framed by AppendRecord and handed
-// over as bytes is logged exactly as Append logs it, under the same
-// sequence rule.
-func TestAppendFrameMatchesAppend(t *testing.T) {
-	dir := t.TempDir()
+// TestAppendWritesItsFrames: Append encodes each record onto the log's
+// buffer, so the file is wal.Magic followed by exactly the frames
+// AppendRecord makes of the records; a stale or equal sequence and an
+// unencodable record are refused without touching the buffer or the file,
+// and the log stays healthy.
+func TestAppendWritesItsFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
 	recs := withSeqs(sampleRecords())
-	writeLog(t, filepath.Join(dir, "append"), recs)
-	l, err := wal.Open(filepath.Join(dir, "frames"))
+	l, err := wal.Open(path, wal.SyncEvery(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		frame, err := wal.AppendRecord(nil, r)
+	defer l.Close()
+	fileIs := func(what string, want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.AppendFrame(frame); err != nil {
-			t.Fatalf("append frame %d: %v", r.Seq, err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the file holds %d B, want %d B", what, len(got), len(want))
 		}
 	}
-	stale, _ := wal.AppendRecord(nil, recs[0])
-	if err := l.AppendFrame(stale); err == nil {
-		t.Fatal("a frame with a stale sequence was accepted")
+	refuse := func(what string) {
+		t.Helper()
+		last := l.LastSeq()
+		for _, r := range []wal.Record{
+			{Seq: last, Kind: wal.KindFinish},     // equal
+			{Seq: last - 1, Kind: wal.KindFinish}, // stale
+			{Kind: wal.Kind(200)},                 // unencodable
+		} {
+			if seq, err := l.Append(r); err == nil {
+				t.Fatalf("%s: record %+v accepted as %d", what, r, seq)
+			}
+		}
+		if err := l.Err(); err != nil || l.LastSeq() != last {
+			t.Fatalf("%s: a refused record left the log at %d (want %d), err %v", what, l.LastSeq(), last, err)
+		}
+	}
+	half := len(recs) / 2
+	for _, r := range recs[:half] {
+		if _, err := l.Append(r); err != nil {
+			t.Fatalf("append %d: %v", r.Seq, err)
+		}
+	}
+	refuse("buffered")
+	fileIs("before a sync", nil) // everything waits in the buffer
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fileIs("after a sync", append([]byte(wal.Magic), framesOf(t, recs[:half])...))
+	refuse("synced")
+	for _, r := range recs[half:] {
+		want := r.Seq
+		r.Seq = 0 // auto-assigned: the refusals took no sequence number
+		if seq, err := l.Append(r); err != nil || seq != want {
+			t.Fatalf("append after refusals: got %d, %v; want %d", seq, err, want)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fileIs("every record", append([]byte(wal.Magic), framesOf(t, recs)...))
+}
+
+// framesOf is the concatenated AppendRecord frames of recs.
+func framesOf(t *testing.T, recs []wal.Record) []byte {
+	t.Helper()
+	var b []byte
+	for _, r := range recs {
+		var err error
+		if b, err = wal.AppendRecord(b, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// TestCopyToReadsTheFileBack: CopyTo syncs the log and copies the file from
+// an offset to its end, and appending then continues at the end.
+func TestCopyToReadsTheFileBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	recs := withSeqs(sampleRecords())
+	l, err := wal.Open(path, wal.SyncEvery(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	half := len(recs) / 2
+	for i, r := range recs {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 != half && i+1 != len(recs) {
+			continue
+		}
+		var got bytes.Buffer
+		if err := l.CopyTo(&got, int64(len(wal.Magic))); err != nil {
+			t.Fatal(err)
+		}
+		if want := framesOf(t, recs[:i+1]); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("after %d records CopyTo wrote %d B, want their %d B of frames", i+1, got.Len(), len(want))
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, errA := os.ReadFile(filepath.Join(dir, "append"))
-	b, errB := os.ReadFile(filepath.Join(dir, "frames"))
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("AppendFrame wrote %d bytes, Append %d, not the same", len(b), len(a))
+	if want := append([]byte(wal.Magic), framesOf(t, recs)...); !bytes.Equal(file, want) {
+		t.Fatalf("the file holds %d B, want %d B: an append after CopyTo did not land at the end", len(file), len(want))
+	}
+	if err := l.CopyTo(io.Discard, 0); err == nil {
+		t.Fatal("CopyTo on a closed log succeeded")
 	}
 }
 
