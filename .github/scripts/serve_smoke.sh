@@ -16,6 +16,8 @@
 #      crash — and that the surviving-alert count matches.
 #   6. Assert a /stream subscription replays the same events, in order,
 #      through the subscription egress.
+#   7. Assert /metrics counted at least the streamed lines as egress
+#      frames, and no overflow.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -145,5 +147,13 @@ if ! diff -u "$workdir/results.events" "$workdir/stream.events"; then
     echo "FAIL: stream events differ from the JSON results"
     exit 1
 fi
+
+echo "== /metrics: the egress counted what it streamed"
+curl -sf "http://$http/metrics" >"$workdir/metrics.txt"
+frames=$(sed -n 's/^cedr_egress_frames_total \([0-9]*\)$/\1/p' "$workdir/metrics.txt")
+overflows=$(sed -n 's/^cedr_egress_overflows_total \([0-9]*\)$/\1/p' "$workdir/metrics.txt")
+streamed=$(wc -l <"$workdir/stream.ndjson")
+[ -n "$frames" ] && [ "$frames" -ge "$streamed" ] && [ "$overflows" = 0 ] \
+    || { echo "FAIL: egress counted ${frames:-no} frames for $streamed streamed lines, ${overflows:-no} overflows"; cat "$workdir/metrics.txt"; exit 1; }
 
 echo "PASS: $(wc -l <"$workdir/server.txt") output events byte-identical across kill -9 + WAL restart, in the results and on /stream; $got_alerts surviving alert(s)"

@@ -34,7 +34,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	httpAddr := fs.String("http", "", "optional HTTP/JSON address (e.g. :8080)")
 	walPath := fs.String("wal", "", "write-ahead log path (durable server; replays existing records first)")
 	syncEvery := fs.Int("sync-every", 0, "fsync after this many WAL records (0 = library default)")
-	queue := fs.Int("queue", 0, "per-connection outbound queue bound (0 = default)")
+	queue := fs.Int("queue", 0, "per-connection outbound queue bound, in frames waiting to be written (0 = default); memory follows the bytes queued")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -167,6 +167,11 @@ func (e *Engine) replaySnapshot(r io.Reader) error {
 		return err
 	}
 	e.base = data[headLen+from:]
+	if cap(e.base) > len(e.base) { // keep the records, not io.ReadAll's slack
+		b := make([]byte, len(e.base))
+		copy(b, e.base)
+		e.base = b
+	}
 	if e.seq != watermark {
 		return fmt.Errorf("engine: snapshot watermark %d does not match record tail %d", watermark, e.seq)
 	}

@@ -7,8 +7,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/event"
 	"repro/internal/temporal"
@@ -17,8 +20,8 @@ import (
 
 // Allocation ceilings of the serve path: neither end of a connection
 // allocates per frame in the steady state except for what a decoded event
-// or a queued output frame must own. (Skipped under -race: instrumentation
-// changes allocation counts.)
+// must own. (Skipped under -race: instrumentation changes allocation
+// counts.)
 
 // install is a fleet-stream event: what every push of serve-durable carries.
 func install(i int) event.Event {
@@ -123,17 +126,64 @@ func TestAllocsPushDecode(t *testing.T) {
 }
 
 func TestAllocsEgress(t *testing.T) {
-	box := newOutbox(1, nil)
+	box := newOutbox(1, new(egressStats), nil)
 	send := box.egress(wireOutput(1))
 	out := install(1)
 	out.CBT = []event.ID{1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		send(out, 7)
-		<-box.ch
+		if err := box.flush(io.Discard); err != nil {
+			t.Fatal(err)
+		}
 	})
-	const ceiling = 1.0 // the queued copy
-	t.Logf("subscriber egress: %.2f allocs/output frame (ceiling %.0f)", allocs, ceiling)
+	const ceiling = 0
+	t.Logf("subscriber egress: %.2f allocs/output frame (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
-		t.Fatalf("an output frame costs %.2f allocations, above the pinned ceiling %.0f; it is no longer encoded into the subscription's scratch buffer", allocs, ceiling)
+		t.Fatalf("an output frame costs %.2f allocations, above the pinned ceiling %d; it is no longer encoded into the subscription's scratch buffer and copied into a reused block", allocs, ceiling)
 	}
+}
+
+// TestOutboxRetainsOneBlock: an outbox's memory follows what it queues, not
+// its frame bound. A new one allocates no queue (a channel at the bound was
+// 96 KiB at DefaultQueue), and after 10,000 output frames are queued and
+// written it holds one block, the block lists' headers and itself.
+func TestOutboxRetainsOneBlock(t *testing.T) {
+	const boxes = 100
+	kept, stats := make([]*outbox, boxes), new(egressStats)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range kept {
+		kept[i] = newOutbox(DefaultQueue, stats, nil)
+	}
+	runtime.ReadMemStats(&after)
+	perBox := (after.TotalAlloc - before.TotalAlloc) / boxes
+	t.Logf("a new outbox at DefaultQueue allocates %d B (ceiling 1024)", perBox)
+	if perBox >= 1<<10 {
+		t.Fatalf("a new outbox allocates %d B; its queue is sized by the bound, not by what it holds", perBox)
+	}
+
+	out := install(1)
+	out.CBT = []event.ID{1}
+	held, headers := int64(math.MaxInt64), 0
+	for range 3 { // the least of three: the runtime allocates beside the test
+		base := liveHeap()
+		box := newOutbox(DefaultQueue, stats, nil)
+		send := box.egress(wireOutput(1))
+		for i := range 10_000 {
+			send(out, uint64(i))
+			if i%1000 == 999 {
+				if err := box.flush(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		held = min(held, int64(liveHeap())-int64(base))
+		headers = (cap(box.blocks) + cap(box.free)) * int(unsafe.Sizeof([]byte(nil)))
+	}
+	bound := int64(blockSize+headers) + 2<<10 // + the outbox, its channels and scratch frame
+	t.Logf("an outbox after 10,000 frames queued and written held %d B (bound %d B)", held, bound)
+	if held > bound {
+		t.Fatalf("an outbox holds %d B after its frames were written, above one %d-B block, %d B of list headers and 2 KiB", held, blockSize, headers)
+	}
+	runtime.KeepAlive(kept)
 }

@@ -1,0 +1,244 @@
+package server
+
+import (
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/wal"
+)
+
+// scrape reads srv's GET /metrics into series → value.
+func scrape(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", rec.Code)
+	}
+	m := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
+		series, v, ok := strings.Cut(line, " ")
+		f, err := strconv.ParseFloat(v, 64)
+		if !ok || err != nil {
+			t.Fatalf("GET /metrics: bad sample line %q", line)
+		}
+		m[series] = f
+	}
+	return m
+}
+
+// TestEgressCounters: /metrics reconciles with what the clients saw. A
+// subscribed session's frames counter equals the outputs and replies it
+// received, no batch is written empty, and a subscriber that stops reading
+// counts exactly one overflow.
+func TestEgressCounters(t *testing.T) {
+	t.Run("subscribed", func(t *testing.T) {
+		events := lateStream()
+		want, _ := referenceRun(t, stuckHot, events)
+		srv, addr := startServer(t, cedr.New())
+		defer srv.Shutdown()
+		c, err := Dial(addr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		replies := 0
+		reply := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			replies++
+		}
+		reply(c.Open("src"))
+		rq, err := c.Register(stuckHot, RegOptions{})
+		reply(err)
+		reply(c.Subscribe(rq.ID))
+		for _, e := range events {
+			if err := c.Push(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reply(c.Finish())
+		got := collect(t, c, len(want))
+
+		m := scrape(t, srv)
+		if frames := m["cedr_egress_frames_total"]; frames != float64(len(got)+replies) {
+			t.Errorf("frames counter %v, want %d outputs + %d replies", frames, len(got), replies)
+		}
+		if w := m["cedr_egress_writes_total"]; w < 1 || w > m["cedr_egress_frames_total"] {
+			t.Errorf("writes counter %v, want 1 to the frames counter (%v)", w, m["cedr_egress_frames_total"])
+		}
+		if m["cedr_egress_bytes_total"] < m["cedr_egress_frames_total"]*5 {
+			t.Errorf("bytes counter %v below 5 header bytes per frame", m["cedr_egress_bytes_total"])
+		}
+		if m["cedr_egress_queued_frames_max"] < 1 || m["cedr_egress_overflows_total"] != 0 || m["cedr_connections"] != 1 {
+			t.Errorf("queued max %v, overflows %v, connections %v: want ≥ 1, 0, 1",
+				m["cedr_egress_queued_frames_max"], m["cedr_egress_overflows_total"], m["cedr_connections"])
+		}
+		for _, class := range []string{"mark_assist", "mark_dedicated", "mark_idle", "pause"} {
+			if _, ok := m[`cedr_gc_cpu_seconds_total{class="`+class+`"}`]; !ok {
+				t.Errorf("no GC CPU sample for class %s", class)
+			}
+		}
+	})
+
+	t.Run("stalled", func(t *testing.T) {
+		srv, addr := startServer(t, cedr.New(), WithQueue(4))
+		defer srv.Shutdown()
+		src, err := Dial(addr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		if err := src.Open("pusher"); err != nil {
+			t.Fatal(err)
+		}
+		rq, err := src.Register(`EVENT Echo WHEN HOT h CONSISTENCY middle`, RegOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stalled, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stalled.Close()
+		if _, err := stalled.Write(append([]byte(Magic), frameOf(fSubscribe, wal.AppendU32(nil, uint32(rq.ID)))...)); err != nil {
+			t.Fatal(err)
+		}
+
+		// Push bulky output until the stalled subscriber's queue overflows,
+		// then as much again: a dead outbox counts no second overflow.
+		blob := strings.Repeat("x", 32<<10)
+		push := func(i int) {
+			e := cedr.NewEvent(cedr.ID(i+1), "HOT", cedr.Time(i)*1000, cedr.Forever, cedr.Payload{"blob": blob})
+			if err := src.Push(e); err != nil {
+				t.Fatal(err)
+			}
+			if i%32 == 31 {
+				if err := src.Sync(); err != nil {
+					t.Fatalf("pusher failed at %d: %v", i, err)
+				}
+			}
+		}
+		i := 0
+		for ; scrape(t, srv)["cedr_egress_overflows_total"] == 0; i++ {
+			if i == 4096 {
+				t.Fatal("no overflow after 4,096 pushes of 32 KiB")
+			}
+			push(i)
+		}
+		for end := 2 * i; i < end; i++ {
+			push(i)
+		}
+		stalled.SetReadDeadline(time.Now().Add(10 * time.Second))
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := stalled.Read(buf); err != nil {
+				break
+			}
+		}
+		if n := scrape(t, srv)["cedr_egress_overflows_total"]; n != 1 {
+			t.Fatalf("overflows counter %v after one stalled subscriber, want 1", n)
+		}
+	})
+}
+
+// TestConcurrentProducersShareOneOutbox: two chains deliver into one
+// connection's outbox at once, each pushed by its own source connection.
+// Every frame decodes, and each query's outputs arrive complete, their tags
+// strictly increasing.
+func TestConcurrentProducersShareOneOutbox(t *testing.T) {
+	srv, addr := startServer(t, cedr.New())
+	defer srv.Shutdown()
+	sub, err := Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	types := []string{"HOT", "COOL"}
+	for _, typ := range types {
+		rq, err := sub.Register(`EVENT Echo`+typ+` WHEN `+typ+` x CONSISTENCY middle`, RegOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Subscribe(rq.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const n = 1000
+	var wg sync.WaitGroup
+	for _, typ := range types {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(addr, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			if err := c.Open(typ); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range n {
+				e := cedr.NewEvent(cedr.ID(i+1), typ, cedr.Time(i), cedr.Forever, cedr.Payload{"i": int64(i)})
+				if err := c.Push(e); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := c.Sync(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	want, total := map[int]int{}, 0
+	for id := range types {
+		st, err := sub.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = int(st.Results)
+		total += want[id]
+	}
+	got, last := map[int]int{}, map[int]uint64{}
+	deadline := time.After(10 * time.Second)
+	for seen := 0; seen < total; seen++ {
+		select {
+		case out, ok := <-sub.Outputs():
+			if !ok {
+				t.Fatalf("connection closed after %d/%d outputs: %v", seen, total, sub.Err())
+			}
+			if got[out.Query] > 0 && out.Tag <= last[out.Query] {
+				t.Fatalf("query %d: tag %d after %d", out.Query, out.Tag, last[out.Query])
+			}
+			got[out.Query]++
+			last[out.Query] = out.Tag
+		case <-deadline:
+			t.Fatalf("timed out after %d/%d outputs", seen, total)
+		}
+	}
+	for id, w := range want {
+		if w < n || got[id] != w {
+			t.Errorf("query %d: %d outputs received, %d produced (at least %d inputs)", id, got[id], w, n)
+		}
+	}
+}

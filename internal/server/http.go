@@ -12,6 +12,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/event"
 	"repro/internal/eventio"
+	"repro/internal/telemetry"
 	"repro/internal/temporal"
 	"repro/internal/wal"
 )
@@ -21,6 +22,8 @@ import (
 // request, calls one verb, and encodes the result:
 //
 //	GET    /healthz                     —           liveness + system error state
+//	GET    /metrics                     —           Prometheus text: egress counters,
+//	                                               connections, GC CPU by class
 //	GET    /v1/queries                  info        registry listing
 //	POST   /v1/queries                  register    JSON body, below
 //	GET    /v1/queries/{id}             info        the binary status request
@@ -46,6 +49,7 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/queries", s.handleList)
 	mux.HandleFunc("POST /v1/queries", s.handleRegister)
 	mux.HandleFunc("GET /v1/queries/{id}", s.handleStatus)
@@ -97,6 +101,25 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		body["error"] = err.Error()
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// handleMetrics reads the egress counters every outbox shares, without
+// taking any outbox's lock.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	conns := len(s.conns)
+	s.mu.Unlock()
+	sum := &s.egress
+	var t telemetry.Text
+	t.Counter("cedr_egress_frames_total", "Frames queued for clients and subscribers.", sum.frames.Load())
+	t.Counter("cedr_egress_bytes_total", "Bytes queued for clients and subscribers.", sum.bytes.Load())
+	t.Counter("cedr_egress_writes_total", "Batches of queued frames written.", sum.writes.Load())
+	t.Counter("cedr_egress_overflows_total", "Consumers failed because their queue reached its frame bound.", sum.overflows.Load())
+	t.Gauge("cedr_egress_queued_frames_max", "The most frames one queue has held at once.", sum.peak.Load())
+	t.Gauge("cedr_connections", "Open binary-protocol connections.", uint64(conns))
+	t.GCCPU("cedr_gc_cpu_seconds_total")
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	t.WriteTo(w)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -243,7 +266,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out := newOutbox(s.queueCap, nil)
+	out := newOutbox(s.queueCap, &s.egress, nil)
 	cancel, err := s.subscribe(id, out, ndjsonLine)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -260,11 +283,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-out.done:
 			return
-		case b := <-out.ch:
-			if _, err := w.Write(b); err != nil {
+		case <-out.wake:
+			if err := out.flush(w); err != nil {
 				return
 			}
-			if fl != nil && len(out.ch) == 0 {
+			if fl != nil {
 				fl.Flush()
 			}
 		}

@@ -15,12 +15,13 @@
 // Flow control is fail-stop in both directions. Inbound: input that
 // cannot be made durable is not processed — after a WAL failure the
 // session is told and closed. Outbound: each connection, and each HTTP
-// /stream, has one bounded output queue (outbox); a subscriber that stops
-// draining it is disconnected (the engine's synchronous delivery path
-// never blocks on a slow network reader), and its subscriptions end with
-// it. The queue bound is the only backpressure mechanism — a deliberate
-// choice, matching the paper's view that consistency repair, not transport
-// pushback, absorbs disorder.
+// /stream, has one output queue (outbox) bounded in frames, whose memory
+// follows the bytes it holds, in fixed-size blocks; a subscriber that lets
+// it reach its bound is disconnected (the engine's synchronous delivery
+// path never blocks on a slow network reader), and its subscriptions end
+// with it. The queue bound is the only backpressure mechanism — a
+// deliberate choice, matching the paper's view that consistency repair,
+// not transport pushback, absorbs disorder.
 //
 // Both network surfaces are encodings of one verb layer (the Server
 // methods under "Verbs"): the binary protocol (proto.go) and HTTP/JSON
@@ -29,7 +30,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -40,10 +40,12 @@ import (
 
 	"repro"
 	"repro/internal/event"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
-// DefaultQueue is the per-connection outbound frame queue bound.
+// DefaultQueue is the per-connection outbound queue bound, in frames. It
+// limits how many frames may wait; it allocates nothing up front.
 const DefaultQueue = 4096
 
 // errNoQuery is the error of every verb addressing an id the registry does
@@ -61,6 +63,8 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	closed    bool
 
+	egress egressStats // every outbox's counters, read by /metrics
+
 	wg sync.WaitGroup
 }
 
@@ -76,9 +80,10 @@ type entry struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithQueue sets the per-connection outbound frame queue bound (default
-// DefaultQueue). When a subscriber lets the queue fill, the connection
-// is failed rather than letting delivery block the engine.
+// WithQueue sets the per-connection outbound queue bound, in frames
+// waiting to be written (default DefaultQueue); the queue's memory follows
+// the bytes those frames hold. When a subscriber lets the queue fill, the
+// connection is failed rather than letting delivery block the engine.
 func WithQueue(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -151,7 +156,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		return nil
 	}
 	c := &conn{s: s, nc: nc}
-	c.out = newOutbox(s.queueCap, func() { nc.Close() })
+	c.out = newOutbox(s.queueCap, &s.egress, func() { nc.Close() })
 	s.conns[c] = struct{}{}
 	return c
 }
@@ -310,34 +315,97 @@ func infoOf(e *entry) queryInfo {
 // ---------------------------------------------------------------------------
 // Egress
 
-// outbox is the one egress of both surfaces: a bounded queue of encoded
-// frames — a connection's replies and subscribed output, or one /stream's
-// NDJSON lines — drained by one writer. Producers never block, since the
-// engine delivers under its chain's lock: a consumer that lets the queue
-// fill fails the outbox (fail-stop) instead of slowing the engine.
+// blockSize is the size of the byte blocks an outbox queues frames in.
+const blockSize = 16 << 10
+
+// outbox is the one egress of both surfaces: a queue of encoded frames — a
+// connection's replies and subscribed output, or one /stream's NDJSON lines
+// — drained by one writer. The bound limits the frames queued; memory
+// follows the bytes queued, in fixed-size blocks that frames may span, and
+// a drained outbox keeps one block. Producers never block, since the engine
+// delivers under its chain's lock: a consumer that lets the queue fill
+// fails the outbox (fail-stop) instead of slowing the engine.
 type outbox struct {
-	ch     chan []byte
-	done   chan struct{} // closed by stop: the writer finishes and exits
+	mu     sync.Mutex
+	blocks [][]byte // the queued bytes
+	free   [][]byte // the last written list, emptied: the next list's array
+	spare  []byte   // one written block, kept for reuse
+	n, max int      // frames queued, and the bound
 	dead   atomic.Bool
+
+	vec    net.Buffers   // the writer's: WriteTo consumes it
+	wake   chan struct{} // something was queued since the writer last took
+	done   chan struct{} // closed by stop: the writer finishes and exits
 	once   sync.Once
-	onFail func() // a connection closes its socket, dropping what is queued
+	onFail func()       // a connection closes its socket, dropping what is queued
+	stats  *egressStats // shared by every outbox of a server
 }
 
-func newOutbox(n int, onFail func()) *outbox {
-	return &outbox{ch: make(chan []byte, n), done: make(chan struct{}), onFail: onFail}
+func newOutbox(n int, stats *egressStats, onFail func()) *outbox {
+	return &outbox{max: n, wake: make(chan struct{}, 1), done: make(chan struct{}), onFail: onFail, stats: stats}
 }
 
-// send queues one frame, failing the outbox if the queue is full. Safe from
-// any goroutine.
+// send queues a copy of one encoded frame, failing the outbox if the queue
+// is full. A no-op once o is dead; safe from any goroutine.
 func (o *outbox) send(frame []byte) {
+	o.mu.Lock()
 	if o.dead.Load() {
+		o.mu.Unlock()
 		return
 	}
-	select {
-	case o.ch <- frame:
-	default:
+	if o.n == o.max {
+		o.dead.Store(true) // under mu: no later frame queues or counts
+		o.stats.overflows.Add(1)
+		o.mu.Unlock()
 		o.fail()
+		return
 	}
+	for b := frame; len(b) > 0; {
+		if len(o.blocks) == 0 || len(o.blocks[len(o.blocks)-1]) == blockSize {
+			if o.spare == nil {
+				o.spare = make([]byte, 0, blockSize)
+			}
+			o.blocks, o.spare = append(o.blocks, o.spare), nil
+		}
+		tail := &o.blocks[len(o.blocks)-1]
+		k := min(len(b), blockSize-len(*tail))
+		*tail, b = append(*tail, b[:k]...), b[k:]
+	}
+	o.n++
+	o.stats.frames.Add(1)
+	o.stats.bytes.Add(uint64(len(frame)))
+	o.stats.peak.Observe(uint64(o.n))
+	o.mu.Unlock()
+	select {
+	case o.wake <- struct{}{}:
+	default:
+	}
+}
+
+// flush writes everything queued to w as one batch — one vectored write on
+// a socket — and keeps one written block for reuse. Only the writer calls
+// it.
+func (o *outbox) flush(w io.Writer) error {
+	o.mu.Lock()
+	blocks := o.blocks
+	if len(blocks) == 0 {
+		o.mu.Unlock()
+		return nil
+	}
+	o.blocks, o.free, o.n = o.free, nil, 0
+	o.mu.Unlock()
+	first := blocks[0][:0]
+	o.vec = blocks
+	_, err := o.vec.WriteTo(w)
+	o.stats.writes.Add(1)
+	clear(blocks)
+	o.mu.Lock()
+	if o.spare == nil {
+		o.spare = first
+	}
+	o.free = blocks[:0]
+	o.mu.Unlock()
+	return err
 }
 
 // stop takes no further frames and wakes the writer. Idempotent.
@@ -360,7 +428,7 @@ type encoder func(dst []byte, ev event.Event, tag uint64) ([]byte, error)
 
 // egress is a subscription callback feeding o (a no-op once o is dead). It
 // encodes into its own scratch buffer — a query's deliveries are serialized
-// — and queues one exact-size copy.
+// — and queues a copy.
 func (o *outbox) egress(enc encoder) func(event.Event, uint64) {
 	var scratch []byte
 	return func(ev event.Event, tag uint64) {
@@ -373,8 +441,15 @@ func (o *outbox) egress(enc encoder) func(event.Event, uint64) {
 			return
 		}
 		scratch = b
-		o.send(bytes.Clone(b))
+		o.send(b)
 	}
+}
+
+// egressStats are the outboxes' counters, which /metrics reads without any
+// outbox's lock.
+type egressStats struct {
+	frames, bytes, writes, overflows atomic.Uint64
+	peak                             telemetry.Max // frames one queue held at once
 }
 
 // wireOutput encodes query qid's output items as output frames.
@@ -403,45 +478,24 @@ type conn struct {
 	dec    *wal.Decoder
 }
 
-// writeLoop flushes the outbox to the socket, batching bursts through one
-// buffered writer so a saturated subscriber costs one syscall per burst, not
-// per frame.
+// writeLoop writes the outbox to the socket, everything queued when it
+// wakes in one vectored write, so a saturated subscriber costs one syscall
+// per burst, not per frame.
 func (c *conn) writeLoop() {
 	defer c.s.wg.Done()
 	defer c.nc.Close()
-	bw := bufio.NewWriterSize(c.nc, 64*1024)
-	flushQueued := func() bool {
-		for {
-			select {
-			case b := <-c.out.ch:
-				if _, err := bw.Write(b); err != nil {
-					c.out.fail()
-					return false
-				}
-			default:
-				if err := bw.Flush(); err != nil {
-					c.out.fail()
-					return false
-				}
-				return true
-			}
-		}
-	}
 	for {
 		select {
-		case b := <-c.out.ch:
-			if _, err := bw.Write(b); err != nil {
+		case <-c.out.wake:
+			if err := c.out.flush(c.nc); err != nil {
 				c.out.fail()
-				return
-			}
-			if !flushQueued() {
 				return
 			}
 		case <-c.out.done:
 			// Final flush with a bound: a peer that has stopped reading
 			// must not pin shutdown.
 			c.nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			flushQueued()
+			c.out.flush(c.nc)
 			return
 		}
 	}
