@@ -17,7 +17,9 @@
 #   6. Assert a /stream subscription replays the same events, in order,
 #      through the subscription egress.
 #   7. Assert /metrics counted at least the streamed lines as egress
-#      frames, and no overflow.
+#      frames, and no overflow; and that the history counters' items
+#      plus sync points are the query's stream, replayed from the WAL
+#      and pushed since.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -155,5 +157,13 @@ overflows=$(sed -n 's/^cedr_egress_overflows_total \([0-9]*\)$/\1/p' "$workdir/m
 streamed=$(wc -l <"$workdir/stream.ndjson")
 [ -n "$frames" ] && [ "$frames" -ge "$streamed" ] && [ "$overflows" = 0 ] \
     || { echo "FAIL: egress counted ${frames:-no} frames for $streamed streamed lines, ${overflows:-no} overflows"; cat "$workdir/metrics.txt"; exit 1; }
+# The restarted process rebuilt the one chain's history by replaying the
+# WAL: its history counters hold exactly the streamed lines.
+items=$(sed -n 's/^cedr_history_items_total \([0-9]*\)$/\1/p' "$workdir/metrics.txt")
+syncs=$(sed -n 's/^cedr_history_sync_points_total \([0-9]*\)$/\1/p' "$workdir/metrics.txt")
+chunk_bytes=$(sed -n 's/^cedr_history_chunk_bytes_total \([0-9]*\)$/\1/p' "$workdir/metrics.txt")
+[ -n "$items" ] && [ -n "$syncs" ] && [ -n "$chunk_bytes" ] && [ $((items + syncs)) = "$streamed" ] \
+    || { echo "FAIL: history counted ${items:-no} items + ${syncs:-no} sync points for $streamed streamed lines"; cat "$workdir/metrics.txt"; exit 1; }
+echo "history: $items items + $syncs sync points in $chunk_bytes chunk bytes"
 
 echo "PASS: $(wc -l <"$workdir/server.txt") output events byte-identical across kill -9 + WAL restart, in the results and on /stream; $got_alerts surviving alert(s)"

@@ -73,6 +73,8 @@ type (
 	Metrics = consistency.Metrics
 	// DeliveryConfig controls the out-of-order delivery simulator.
 	DeliveryConfig = delivery.Config
+	// HistoryStats counts what a system's queries have kept of their output.
+	HistoryStats = engine.HistoryStats
 )
 
 // Forever is the infinite end time for events that remain valid until
@@ -355,6 +357,11 @@ func (s *System) Sync() error { return s.eng.SyncWAL() }
 // an open durable system (Open/Restore), must not run concurrently with
 // Push, and fails only itself unless the log loses its end (then Err).
 func (s *System) Snapshot(w io.Writer) error { return s.eng.Snapshot(w) }
+
+// HistoryStats reads the counters of the output histories: data items and
+// sync points appended (by recovery's replay too) and the bytes of the
+// chunks allocated for them.
+func (s *System) HistoryStats() HistoryStats { return s.eng.HistoryStats() }
 
 // Err reports the system's durability failure, if any (WAL append, fsync,
 // or close error). A failed system drops further input — fail-stop — so

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/consistency"
 	"repro/internal/event"
@@ -39,43 +40,111 @@ func TestAllocsRegisterPrivateChain(t *testing.T) {
 	}
 }
 
-// TestAllocsHistoryAppend pins that a chain's history writes each item
-// once: n items, appended in batches that straddle chunk boundaries, cost
-// one allocation per chunk of chunkLen items plus the chunk index's
-// growth, and bytes for the chunks and the index alone — a flat slice
-// re-copied on every doubling allocates about twice the items' bytes.
-// (Skipped under -race.)
-func TestAllocsHistoryAppend(t *testing.T) {
-	const n, batch = 10*chunkLen + 5, 7
-	items := make([]event.Event, batch)
-	chunks := (n + chunkLen - 1) / chunkLen
-	var index []*[chunkLen]event.Event
-	growths := 0
-	for range chunks {
-		if len(index) == cap(index) {
-			growths++
-		}
-		index = append(index, nil)
-	}
+// appendCost fills a history with n items, a batch of items at a time, and
+// returns it with the allocations and bytes that took.
+func appendCost(items []event.Event, n uint64) (h history, allocs float64, bytes uint64) {
 	fill := func() history {
 		var h history
+		var c historyCounters
 		for h.n < n {
-			h.append(items[:min(batch, n-h.n)])
+			h.append(items[:min(uint64(len(items)), n-h.n)], &c)
 		}
 		return h
 	}
-	allocs := testing.AllocsPerRun(20, func() { fill() })
+	allocs = testing.AllocsPerRun(20, func() { fill() })
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	h := fill()
+	h = fill()
 	runtime.ReadMemStats(&after)
-	bytes := after.TotalAlloc - before.TotalAlloc
-	// The index's arrays sum to under twice its last; 1 KiB spare.
-	ceiling, byteBound := float64(chunks)+float64(growths), chunks*4096+2*uint64(cap(index))*8+1024
-	t.Logf("history append of %d items in batches of %d: measured %.0f allocs (ceiling %.0f: %d chunks + %d index growths), %d B (bound %d B)",
+	return h, allocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// indexGrowth is how often an index of T grows while k chunks are
+// appended to it, and the bytes its last array takes: its arrays sum to
+// under twice that.
+func indexGrowth[T any](k uint64) (growths int, last uint64) {
+	var index []T
+	for range k {
+		if len(index) == cap(index) {
+			growths++
+		}
+		index = append(index, *new(T))
+	}
+	return growths, uint64(cap(index)) * uint64(unsafe.Sizeof(*new(T)))
+}
+
+// TestAllocsHistoryAppend pins that a chain's history writes each data
+// item once: n items, appended in batches that straddle chunk boundaries,
+// cost one allocation per chunk — the first of firstLen items (512 B),
+// then chunkLen each (4 KiB) — plus the chunk index's growth, and bytes
+// for the chunks and the index alone — a flat slice re-copied on every
+// doubling allocates about twice the items' bytes. (Skipped under -race.)
+func TestAllocsHistoryAppend(t *testing.T) {
+	const n, batch = firstLen + 10*chunkLen + 5, 7
+	chunks := 1 + (n-firstLen+chunkLen-1)/chunkLen
+	growths, index := indexGrowth[[]event.Event](chunks)
+	h, allocs, bytes := appendCost(make([]event.Event, batch), n)
+	// 1 KiB spare.
+	ceiling, byteBound := float64(chunks)+float64(growths), 512+(chunks-1)*4096+2*index+1024
+	t.Logf("history append of %d data items in batches of %d: measured %.0f allocs (ceiling %.0f: %d chunks + %d index growths), %d B (bound %d B)",
 		n, batch, allocs, ceiling, chunks, growths, bytes, byteBound)
-	if allocs > ceiling || bytes > byteBound || h.n != n || uint64(len(h.chunks)) != chunks {
-		t.Fatalf("%d items: %.0f allocs, %d B, %d chunks: the history re-copies what it wrote", h.n, allocs, bytes, len(h.chunks))
+	if allocs > ceiling || bytes > byteBound || h.n != n || h.ns != 0 || uint64(len(h.data)) != chunks {
+		t.Fatalf("%d items: %.0f allocs, %d B, %d chunks: the history re-copies what it wrote", h.n, allocs, bytes, len(h.data))
+	}
+}
+
+// TestAllocsHistorySyncPoints pins what a history keeps of a sync point:
+// n canonical sync points (what the monitor emits) cost one allocation per
+// chunk of syncLen plus the index's growth, and at most 24 B each plus one
+// chunk and the index — not a 120-B event slot. A chain of 2 detections
+// and 76 sync points, one fabric-10k template chain's pass, holds at most
+// 5 KiB: a 512-B first data chunk, one sync chunk and the two indexes
+// (12 KiB while every item took an event slot in 4 KiB chunks). (Skipped
+// under -race.)
+func TestAllocsHistorySyncPoints(t *testing.T) {
+	cti := func(i int) event.Event {
+		ev := event.NewCTI(temporal.Time(i))
+		ev.C = temporal.From(temporal.Time(i + 1))
+		return ev
+	}
+	const n, batch = 4*syncLen + 5, 7
+	items := make([]event.Event, batch)
+	for i := range items {
+		items[i] = cti(i)
+	}
+	chunks := (n + syncLen - 1) / syncLen
+	growths, index := indexGrowth[*[syncLen]syncPoint](chunks)
+	h, allocs, bytes := appendCost(items, n)
+	// 1 KiB spare.
+	ceiling, byteBound := float64(chunks)+float64(growths), 24*n+4096+2*index+1024
+	t.Logf("history append of %d sync points in batches of %d: measured %.0f allocs (ceiling %.0f: %d chunks + %d index growths), %d B (bound %d B)",
+		n, batch, allocs, ceiling, chunks, growths, bytes, byteBound)
+	if allocs > ceiling || bytes > byteBound || h.n != n || h.ns != n || len(h.data) != 0 {
+		t.Fatalf("%d sync points: %.0f allocs, %d B, %d kept as data: a sync point costs more than its 24 B", h.n, allocs, bytes, h.n-h.ns)
+	}
+
+	// A template chain's pass, one output batch per input sync point; its
+	// detections carry payloads made before the measurement.
+	pass := make([][]event.Event, 76)
+	for i := range pass {
+		pass[i] = []event.Event{cti(i)}
+		if i == 30 || i == 60 {
+			pass[i] = append([]event.Event{event.NewInsert(event.ID(i), "Alert", temporal.Time(i), temporal.Infinity,
+				event.Payload{"Machine_Id": "m001"})}, pass[i]...)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var chain history
+	var c historyCounters
+	for _, items := range pass {
+		chain.append(items, &c)
+	}
+	runtime.ReadMemStats(&after)
+	held := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a chain of %d detections and %d sync points: %d B (bound %d B)", chain.n-chain.ns, chain.ns, held, 5<<10)
+	if chain.n-chain.ns != 2 || chain.ns != 76 || held > 5<<10 {
+		t.Fatalf("a chain of %d detections and %d sync points holds %d B, above 5 KiB", chain.n-chain.ns, chain.ns, held)
 	}
 }
 

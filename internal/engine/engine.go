@@ -23,7 +23,9 @@ import (
 	"iter"
 	"runtime/debug"
 	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/consistency"
@@ -31,6 +33,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/stream"
+	"repro/internal/temporal"
 	"repro/internal/wal"
 )
 
@@ -42,6 +45,7 @@ type Engine struct {
 	groups  map[plan.Key]*chain // sharing identity → its shared chain
 	shards  int                 // default shard count for queries that don't request one
 	fabric  fabric              // routing index over chains: every data item's delivery path
+	hist    historyCounters     // what every chain has appended to its history
 
 	// Durability (see durability.go). log is attached once, by Restore,
 	// before the engine is shared; nil means durability is off and the hot
@@ -54,6 +58,19 @@ type Engine struct {
 	pushMu   sync.Mutex // durable engines: serializes log order = apply order
 	closed   bool
 	finished bool
+}
+
+// historyCounters count what an engine's chains append to their histories.
+type historyCounters struct{ items, syncs, bytes atomic.Uint64 }
+
+// HistoryStats is what the chains of an engine have appended to their
+// histories since it was made: data items, sync points, and the bytes of
+// the chunks allocated to hold them.
+type HistoryStats struct{ Items, SyncPoints, ChunkBytes uint64 }
+
+// HistoryStats reads the history counters, without locking.
+func (e *Engine) HistoryStats() HistoryStats {
+	return HistoryStats{e.hist.items.Load(), e.hist.syncs.Load(), e.hist.bytes.Load()}
 }
 
 // Option adjusts engine construction.
@@ -334,37 +351,99 @@ type chain struct {
 	subs    []*subscription // in subscription order
 }
 
-// chunkLen is the history's unit of growth: the items that fill one 4 KiB
-// size class.
-const chunkLen = uint64(4096 / unsafe.Sizeof(event.Event{}))
+// chunkLen is the data chunks' unit of growth: the items that fill one
+// 4 KiB size class. A history's first data chunk holds firstLen (512 B), so
+// a chain with a handful of detections does not hold 4 KiB for them;
+// syncLen sync points fill a sync chunk's 4 KiB.
+const (
+	chunkLen = uint64(4096 / unsafe.Sizeof(event.Event{}))
+	firstLen = uint64(512 / unsafe.Sizeof(event.Event{}))
+	syncLen  = uint64(4096 / unsafe.Sizeof(syncPoint{}))
+)
 
-// history is a chain's output, append-only, never trimmed, never re-copied:
-// the item tagged t is chunks[t/chunkLen][t%chunkLen]. A slot below n is
-// never written again, so a copy of the header taken under the chain's lock
-// reads its items without the lock while the writer appends.
-type history struct {
-	chunks []*[chunkLen]event.Event
-	n      uint64
+// syncPoint is a canonical sync point in a history: its chain order tag,
+// guarantee time t and CEDR time c. It reads back as
+// Event{Kind: CTI, V: From(t), O: From(t), C: From(c)}, which is all the
+// monitor's output CTIs carry.
+type syncPoint struct {
+	tag  uint64
+	t, c temporal.Time
 }
 
-// append writes items at the end of the history.
-func (h *history) append(items []event.Event) {
-	for len(items) > 0 {
-		i := h.n % chunkLen
-		if i == 0 {
-			h.chunks = append(h.chunks, new([chunkLen]event.Event))
+// history is a chain's output, append-only, never trimmed, never re-copied,
+// in two lists merged by tag: data items (inserts, retractions and any
+// non-canonical CTI) in full, in chunks of firstLen and then chunkLen
+// items, and canonical sync points as 24-B syncPoints, syncLen to a chunk.
+// A slot below its list's length is never written again, so a copy of the
+// header taken under the chain's lock reads its items without the lock
+// while the writer appends.
+type history struct {
+	data  [][]event.Event
+	syncs []*[syncLen]syncPoint
+	n, ns uint64 // items, of them sync points
+}
+
+// isSyncPoint reports whether ev is exactly what a syncPoint reads back as.
+func isSyncPoint(ev *event.Event) bool {
+	return ev.Kind == event.CTI && ev.V == temporal.From(ev.V.Start) && ev.O == ev.V &&
+		ev.C == temporal.From(ev.C.Start) && ev.ID == 0 && ev.Type == "" && ev.RT == 0 &&
+		ev.CBT == nil && ev.Payload == nil
+}
+
+// append writes items at the end of the history and counts them in c.
+func (h *history) append(items []event.Event, c *historyCounters) {
+	ns, bytes := h.ns, uint64(0)
+	for i := range items {
+		if ev := &items[i]; isSyncPoint(ev) {
+			if h.ns%syncLen == 0 {
+				h.syncs = append(h.syncs, new([syncLen]syncPoint))
+				bytes += uint64(unsafe.Sizeof(*h.syncs[0]))
+			}
+			*h.sync(h.ns) = syncPoint{h.n, ev.V.Start, ev.C.Start}
+			h.ns++
+		} else {
+			k, j, size := dataSlot(h.n - h.ns)
+			if j == 0 {
+				h.data = append(h.data, make([]event.Event, size))
+				bytes += size * uint64(unsafe.Sizeof(*ev))
+			}
+			h.data[k][j] = *ev
 		}
-		k := copy(h.chunks[len(h.chunks)-1][i:], items)
-		items = items[k:]
-		h.n += uint64(k)
+		h.n++
 	}
+	c.items.Add(uint64(len(items)) - (h.ns - ns))
+	c.syncs.Add(h.ns - ns)
+	c.bytes.Add(bytes)
+}
+
+func (h *history) sync(i uint64) *syncPoint { return &h.syncs[i/syncLen][i%syncLen] }
+
+// dataSlot locates the d-th data item: slot j of chunk k, which holds size.
+func dataSlot(d uint64) (k, j, size uint64) {
+	if d < firstLen {
+		return 0, d, firstLen
+	}
+	return 1 + (d-firstLen)/chunkLen, (d - firstLen) % chunkLen, chunkLen
 }
 
 // window iterates the items tagged [from, end ≤ n) with their tags.
 func (h history) window(from, end uint64) iter.Seq2[uint64, event.Event] {
 	return func(yield func(uint64, event.Event) bool) {
+		// s sync points and from−s data items precede tag from.
+		s := uint64(sort.Search(int(h.ns), func(i int) bool { return h.sync(uint64(i)).tag >= from }))
+		d := from - s
 		for t := from; t < end; t++ {
-			if !yield(t, h.chunks[t/chunkLen][t%chunkLen]) {
+			var ev event.Event
+			if s < h.ns && h.sync(s).tag == t {
+				p := h.sync(s)
+				ev = event.Event{Kind: event.CTI, V: temporal.From(p.t), O: temporal.From(p.t), C: temporal.From(p.c)}
+				s++
+			} else {
+				k, j, _ := dataSlot(d)
+				ev = h.data[k][j]
+				d++
+			}
+			if !yield(t, ev) {
 				return
 			}
 		}
@@ -437,7 +516,7 @@ func (ch *chain) deliverLocked(items []event.Event) {
 		return
 	}
 	first := ch.pos()
-	ch.history.append(items)
+	ch.history.append(items, &ch.eng.hist)
 	failed := false
 	for _, s := range ch.subs {
 		if s.q.err == nil && !s.deliver(items, first) {
@@ -558,8 +637,10 @@ func recoverPanic(name, where string, r any) error {
 
 // View iterates the query's window of its chain's history as it is when
 // View is called, each item with its chain order tag, without copying or
-// locking (see history). The items are shared with the chain and every
-// sibling endpoint: read-only.
+// locking (see history): data items as they were emitted, sync points
+// rebuilt from their records, identical field for field. A data item's
+// payload and lineage are shared with the chain and every sibling
+// endpoint: read-only.
 func (q *Query) View() iter.Seq2[uint64, event.Event] {
 	h, from, end := q.window()
 	return h.window(from, end)

@@ -433,12 +433,16 @@ func (c finishCounter) AppendAdvanceKey(dst []byte, e event.Event) []byte {
 	return c.Op.(operators.AdvanceOrdered).AppendAdvanceKey(dst, e)
 }
 
-// historyBytes is what ch's history takes: its chunks of chunkLen slots
-// and their index.
+// historyBytes is what ch's history takes: its data chunks, its sync
+// chunks and their two indexes.
 func historyBytes(ch *chain) int64 {
 	h := ch.history
-	return int64(len(h.chunks))*int64(chunkLen*uint64(unsafe.Sizeof(event.Event{}))) +
-		int64(cap(h.chunks))*int64(unsafe.Sizeof(h.chunks[0]))
+	b := int64(len(h.syncs))*int64(unsafe.Sizeof(*h.syncs[0])) +
+		int64(cap(h.syncs))*int64(unsafe.Sizeof(h.syncs[0])) + int64(cap(h.data))*int64(unsafe.Sizeof(h.data[0]))
+	for _, c := range h.data {
+		b += int64(cap(c)) * int64(unsafe.Sizeof(c[0]))
+	}
+	return b
 }
 
 // headProbes returns, for each shard of q's chain, a probe that reports

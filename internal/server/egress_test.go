@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro"
 	"repro/internal/wal"
@@ -35,6 +36,82 @@ func scrape(t *testing.T, srv *Server) map[string]float64 {
 		m[series] = f
 	}
 	return m
+}
+
+// TestHistoryCounters: /metrics' history counters reconcile with the
+// queries' output. Over a stream that carries each chain's sync points
+// across a chunk boundary, pushed through a client, the items and sync
+// points counted equal the sum of Len() over the distinct chains — a
+// registration that shares a chain adds nothing — split by kind, and the
+// chunk bytes hold every item at its size with at most one partly filled
+// chunk of each list a chain.
+func TestHistoryCounters(t *testing.T) {
+	sys := cedr.New()
+	var chains []*cedr.Query
+	for _, r := range []struct {
+		src  string
+		opts []cedr.QueryOption
+	}{
+		{stuckHot, nil},
+		{stuckHot, []cedr.QueryOption{cedr.WithoutSharing()}},
+		{`EVENT Echo WHEN HOT h CONSISTENCY middle`, nil},
+	} {
+		q, err := sys.Register(r.src, r.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains = append(chains, q)
+	}
+	if _, err := sys.Register(stuckHot); err != nil { // shares the first chain
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, sys)
+	defer srv.Shutdown()
+	c, err := Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Open("src"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 600 {
+		at := cedr.Time(i) * 1000
+		e := cedr.NewCTI(at)
+		if i%3 != 2 {
+			e = cedr.NewEvent(cedr.ID(i+1), "HOT", at, cedr.Forever, cedr.Payload{"sensor": strconv.Itoa(i % 5)})
+		}
+		if err := c.Push(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	var items, syncs, lens float64
+	for _, q := range chains {
+		lens += float64(q.Len())
+		for _, e := range q.Results() {
+			if e.IsCTI() {
+				syncs++
+			} else {
+				items++
+			}
+		}
+	}
+	m := scrape(t, srv)
+	got := m["cedr_history_items_total"]
+	t.Logf("%d chains: %v items, %v sync points, %v chunk bytes", len(chains), got, m["cedr_history_sync_points_total"], m["cedr_history_chunk_bytes_total"])
+	if got != items || m["cedr_history_sync_points_total"] != syncs || items+syncs != lens || syncs <= 3*170 {
+		t.Fatalf("history counters read %v items and %v sync points; the %d chains hold %v and %v (want > 510)",
+			got, m["cedr_history_sync_points_total"], len(chains), items, syncs)
+	}
+	low := items*float64(unsafe.Sizeof(cedr.Event{})) + syncs*24
+	high := low + float64(len(chains))*2*4096
+	if b := m["cedr_history_chunk_bytes_total"]; b < low || b > high {
+		t.Fatalf("history chunk bytes %v, want [%v, %v]", b, low, high)
+	}
 }
 
 // TestEgressCounters: /metrics reconciles with what the clients saw. A

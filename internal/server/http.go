@@ -104,7 +104,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics reads the egress counters every outbox shares, without
-// taking any outbox's lock.
+// taking any outbox's lock, and the engine's history counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	conns := len(s.conns)
@@ -117,6 +117,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	t.Counter("cedr_egress_overflows_total", "Consumers failed because their queue reached its frame bound.", sum.overflows.Load())
 	t.Gauge("cedr_egress_queued_frames_max", "The most frames one queue has held at once.", sum.peak.Load())
 	t.Gauge("cedr_connections", "Open binary-protocol connections.", uint64(conns))
+	h := s.sys.HistoryStats()
+	t.Counter("cedr_history_items_total", "Data items appended to query output histories.", h.Items)
+	t.Counter("cedr_history_sync_points_total", "Sync points appended to query output histories.", h.SyncPoints)
+	t.Counter("cedr_history_chunk_bytes_total", "Bytes of output history chunks allocated.", h.ChunkBytes)
 	t.GCCPU("cedr_gc_cpu_seconds_total")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	t.WriteTo(w)
