@@ -330,7 +330,12 @@ func TestPatternOpFullRemovalRetractsOutputs(t *testing.T) {
 	a := ev(1, "A", 0)
 	b := ev(2, "B", 5)
 	op.Process(0, a)
-	outs := op.Process(0, b)
+	// Time enters the operator only through Advance: B's Vs is past the
+	// frontier, so Process alone matures nothing.
+	if outs := op.Process(0, b); len(outs) != 0 {
+		t.Fatalf("Process matured a detection past the frontier: %v", outs)
+	}
+	outs := op.Advance(5)
 	if len(outs) != 1 {
 		t.Fatalf("expected one detection, got %v", outs)
 	}
@@ -358,7 +363,10 @@ func TestPatternOpConsumedContributorRevival(t *testing.T) {
 		SCMode{Cons: Consume}, "out")
 	op.Process(0, ev(1, "A", 0))
 	op.Process(0, ev(2, "A", 2))
-	outs := op.Process(0, ev(3, "B", 5))
+	if outs := op.Process(0, ev(3, "B", 5)); len(outs) != 0 {
+		t.Fatalf("Process matured a pair past the frontier: %v", outs)
+	}
+	outs := op.Advance(5)
 	// Chronicle order commits (A@0, B@5), consuming both; (A@2, B@5) is
 	// blocked by the consumption of B.
 	if len(outs) != 1 || outs[0].Kind != event.Insert {

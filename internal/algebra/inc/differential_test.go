@@ -741,6 +741,61 @@ func TestDifferentialKeyedUnderMonitor(t *testing.T) {
 	}
 }
 
+// TestProcessEmitsOnlyItsOwnKey pins what a sharded head (the engine's
+// ownKeys) relies on: time enters the op only through Advance, so
+// Process(e) emits only detections whose contributors share e's key, and a
+// shard that skips the keys it does not own misses none of its own. Every
+// keyed shape the planner shards (each-instance selection, no ATMOST) runs
+// with an Advance only before every fifth item, so most events land past
+// the frontier, where a Process that moved the frontier itself would
+// mature other keys' pending detections. Only the distributions where every
+// event carries a definite "k" take part: a keyless item routes to one
+// fixed shard and may join any key.
+func TestProcessEmitsOnlyItsOwnKey(t *testing.T) {
+	for _, dist := range keyDists() {
+		if dist.missing > 0 || dist.dotted > 0 {
+			continue
+		}
+		checked := 0
+		for name, expr := range keyedZoo() {
+			if strings.HasPrefix(name, "katmost") {
+				continue
+			}
+			for _, mode := range scModes() {
+				if mode.Sel != algebra.SelectEach {
+					continue
+				}
+				for trial := int64(0); trial < 3; trial++ {
+					events := genDistEvents(rand.New(rand.NewSource(40+trial)), 60, dist)
+					key := make(map[event.ID]event.Key, len(events))
+					for _, e := range events {
+						key[e.ID] = event.KeyOf(e.Payload["k"])
+					}
+					op := NewOp(expr, mode, "out", WithJoinKey("k"))
+					for i, e := range events {
+						if i%5 == 0 {
+							op.Advance(e.Sync())
+						}
+						for _, o := range op.Process(0, e) {
+							checked++
+							for _, c := range o.CBT {
+								if key[c] != key[e.ID] {
+									t.Fatalf("%s %v %s trial %d: Process(#%d, k=%v) emitted %v with contributor #%d of another key",
+										name, mode, dist.name, trial, e.ID, e.Payload["k"], o, c)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no Process call emitted anything; the property went unchecked", dist.name)
+		}
+		t.Logf("%s: %d outputs of Process checked", dist.name, checked)
+	}
+}
+
 // TestKeyedStoresPruneBuckets pins the pruning seam of the key-indexed
 // stores: a stream cycling through ever-new keys must not accumulate dead
 // buckets once the watermark passes their matches (the empty-bucket GC in

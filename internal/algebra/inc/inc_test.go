@@ -31,7 +31,12 @@ func TestOpSequenceBasics(t *testing.T) {
 	op := NewOp(algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b")}, W: 10},
 		algebra.SCMode{}, "out")
 	op.Process(0, ev(1, "A", 0, "i", int64(1)))
-	outs := op.Process(0, ev(2, "B", 5, "i", int64(2)))
+	// Time enters the operator only through Advance: B's Vs is past the
+	// frontier, so Process alone matures nothing.
+	if outs := op.Process(0, ev(2, "B", 5, "i", int64(2))); len(outs) != 0 {
+		t.Fatalf("Process matured a detection past the frontier: %v", outs)
+	}
+	outs := op.Advance(5)
 	if len(outs) != 1 {
 		t.Fatalf("expected one detection, got %v", outs)
 	}
@@ -87,7 +92,10 @@ func TestOpConsumedContributorRevival(t *testing.T) {
 		algebra.SCMode{Cons: algebra.Consume}, "out")
 	op.Process(0, ev(1, "A", 0))
 	op.Process(0, ev(2, "A", 2))
-	if outs := op.Process(0, ev(3, "B", 5)); inserts(outs) != 1 {
+	if outs := op.Process(0, ev(3, "B", 5)); len(outs) != 0 {
+		t.Fatalf("Process matured a pair past the frontier: %v", outs)
+	}
+	if outs := op.Advance(5); inserts(outs) != 1 {
 		t.Fatalf("consume mode must commit one pair: %v", outs)
 	}
 	outs := op.Process(0, event.NewRetract(1, "A", 0, 0, nil))

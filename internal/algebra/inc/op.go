@@ -287,9 +287,6 @@ func (p *Op) Process(_ int, e event.Event) []event.Event {
 		}
 		return p.remove(e.ID)
 	}
-	if e.V.Start > p.frontier {
-		p.frontier = e.V.Start
-	}
 	// The store holds the event's record, not a copy of the event; payload
 	// and lineage stay shared with the caller's event. Operator payloads are
 	// immutable by contract (the monitor's repair diff leans on exactly that

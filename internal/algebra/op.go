@@ -154,9 +154,6 @@ func (p *PatternOp) Process(_ int, e event.Event) []event.Event {
 		}
 		return p.remove(e.ID)
 	}
-	if e.V.Start > p.frontier {
-		p.frontier = e.V.Start
-	}
 	ec := e.Clone()
 	p.store[e.ID] = ec
 	if !p.consumed[e.ID] {

@@ -165,10 +165,10 @@ const (
 
 type logItem struct {
 	marker bool
-	// opt records whether the live path speculatively advanced the
-	// operator before this event (true at non-blocking levels). Replay and
-	// checkpointing must reproduce the same calls even if the level has
-	// changed since, so the policy travels with the item.
+	// opt: the live path advanced the operator before this event (at B < ∞;
+	// at Strong an advance per item would split aggregate output segments).
+	// Replay repeats the same calls even if the level has changed since, so
+	// the policy travels with the item.
 	opt bool
 	// versioned marks a rollback point: ver is valid (see seal).
 	versioned bool

@@ -331,6 +331,12 @@ func TestShardedPlanEquivalence(t *testing.T) {
 		{"sequence-output", pairsQuery},
 	}
 	events, _ := workload.MachineEvents(workload.DefaultMachines())
+	// strong-keys: a matcher that moved its own frontier inside Process
+	// matured every key's detections on the owning shard only, so sharded
+	// Strong swapped alerts of different keys on this stream (output[30]
+	// at 2 shards).
+	swapped, _ := workload.MachineEvents(workload.Machines{Seed: 4, Machines: 12, Cycles: 6,
+		RestartDeadline: 5 * temporal.Minute, MissProb: 0.4, CycleGap: 30 * temporal.Minute})
 	streams := []struct {
 		name string
 		in   stream.Stream
@@ -339,6 +345,8 @@ func TestShardedPlanEquivalence(t *testing.T) {
 		{"disordered", delivery.Deliver(events,
 			delivery.Disordered(9, 10*temporal.Minute, 2*temporal.Minute, 0.3))},
 		{"durability", durabilityWorkload()},
+		{"strong-keys", delivery.Deliver(swapped,
+			delivery.Disordered(4, 10*temporal.Minute, 20*temporal.Minute, 0.2))},
 	}
 	levels := []consistency.Spec{
 		consistency.Strong(),

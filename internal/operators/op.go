@@ -29,9 +29,10 @@ import (
 // The contract: Process and Advance calls are interleaved such that every
 // data event passed to Process(port, e) has e.Sync() >= t for the largest t
 // previously passed to Advance. Advance(t) promises that all future input
-// on every port has Sync >= t. Under that contract the operator's
-// cumulative output, folded into a history table, equals the operator's
-// denotational semantics applied to the input history.
+// on every port has Sync >= t, and it is the only way time enters an
+// operator: Process never moves the operator's clock. Under that contract
+// the cumulative output, folded into a history table, equals the
+// operator's denotational semantics applied to the input history.
 //
 // Buffer contract: the slice returned by Process or Advance is owned by the
 // operator and valid only until the next call on it (or any of its clones);
