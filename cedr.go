@@ -75,6 +75,8 @@ type (
 	DeliveryConfig = delivery.Config
 	// HistoryStats counts what a system's queries have kept of their output.
 	HistoryStats = engine.HistoryStats
+	// MatcherStats counts the composite lookups of a system's matchers.
+	MatcherStats = engine.MatcherStats
 )
 
 // Forever is the infinite end time for events that remain valid until
@@ -362,6 +364,11 @@ func (s *System) Snapshot(w io.Writer) error { return s.eng.Snapshot(w) }
 // sync points appended (by recovery's replay too) and the bytes of the
 // chunks allocated for them.
 func (s *System) HistoryStats() HistoryStats { return s.eng.HistoryStats() }
+
+// MatcherStats reads the running queries' matcher counters: composites
+// built and composite cache hits (a query's leave the sum when it finishes
+// or unregisters). It waits for sharded queries to drain.
+func (s *System) MatcherStats() MatcherStats { return s.eng.MatcherStats() }
 
 // Err reports the system's durability failure, if any (WAL append, fsync,
 // or close error). A failed system drops further input — fail-stop — so

@@ -250,3 +250,54 @@ func TestAllocsKeyResolution(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsKeyedBucketReuse pins that a key-indexed store reuses the
+// storage of the buckets it drains: once a keyedList's buckets and a keyed
+// negation node's candidate lists have emptied, filing matches under new
+// keys allocates nothing (a drained bucket was one allocation, and a list
+// of candidates another, each time a key came back). The spare lists never
+// hold more than the most buckets live at once.
+func TestAllocsKeyedBucketReuse(t *testing.T) {
+	const keys = 8
+	kms := make([]*keyedMatch, 4*keys)
+	for i := range kms {
+		kms[i] = &keyedMatch{
+			m:   algebra.Match{ID: event.ID(i + 1), V: temporal.NewInterval(temporal.Time(i), temporal.Time(i+1))},
+			key: event.KeyOf(fmt.Sprintf("k%d", i)),
+		}
+	}
+	neg, ok := NewOp(keyedZoo()["kunless"], algebra.SCMode{}, "out", WithJoinKey("k")).root.(*negNode)
+	if !ok || !neg.keyed {
+		t.Fatal("kunless's root is not a keyed negation node")
+	}
+	l := keyedList{keyed: true}
+	peak := 0
+	// rekey files keys matches under keys it has not used since its last
+	// call, then drains them.
+	next := 0
+	rekey := func() {
+		batch := kms[next : next+keys]
+		next = (next + keys) % len(kms)
+		for _, km := range batch {
+			l.insert(km)
+			neg.candAdd(negCand{a: km, lo: km.m.V.Start})
+		}
+		peak = max(peak, len(l.buckets), len(neg.kcands))
+		for _, km := range batch {
+			l.remove(km)
+			neg.candRemove(km.m.V.Start, km.m.ID, km.key)
+		}
+	}
+	for range len(kms) / keys { // every key once: the maps and spare lists reach their size
+		rekey()
+	}
+	allocs := testing.AllocsPerRun(100, rekey)
+	const ceiling = 0.0
+	t.Logf("re-keying %d drained buckets: measured %.2f allocs (ceiling %.0f)", keys, allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("re-keying drained buckets allocates %.2f, above the pinned ceiling %.0f: emptied buckets are not reused", allocs, ceiling)
+	}
+	if len(l.spare) > peak || len(neg.spare) > peak {
+		t.Errorf("spare lists hold %d buckets and %d candidate lists; at most %d were ever live at once", len(l.spare), len(neg.spare), peak)
+	}
+}

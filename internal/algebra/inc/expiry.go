@@ -48,11 +48,14 @@ func (r *evRec) matchBy(k *leafKind) *keyedMatch {
 // operator already saw, so a replayed Process reuses the first one's record
 // — leaf matches, namespaced payloads and resolved keys included. Like
 // every interning cache of the tree it is bounded by internCap and holds
-// entries keyed by globally unique IDs: one ID, one event. kinds lists the
-// tree's leaves (build registers them; a tree has a handful).
+// entries keyed by globally unique IDs: one ID, one event (a caller that
+// reissues an ID gets the first event's record). kinds lists the tree's
+// leaves and combs its join nodes' composite caches (build registers both;
+// a tree has a handful); Op.Compact empties the composite caches, never m.
 type recCache struct {
 	m     map[event.ID]*evRec
 	kinds []*leafKind
+	combs []*combCache
 }
 
 // newRecCache sizes kinds for a typical tree in one allocation: queries are
@@ -92,7 +95,7 @@ func (c *recCache) of(e *event.Event) *evRec {
 		return &evRec{ids: [1]event.ID{e.ID}, vs: e.V.Start}
 	}
 	if c.m == nil {
-		c.m = make(map[event.ID]*evRec, 64)
+		c.m = map[event.ID]*evRec{}
 	} else if len(c.m) >= internCap {
 		clear(c.m)
 	}

@@ -25,31 +25,39 @@ WHERE CorrelationKey(Machine_Id, EQUAL) SC(each, consume)`)
 	return NewOp(an.Expr, an.Mode, an.Query.Name, WithJoinKey(an.PushKeyAttr))
 }
 
-// eachLeaf visits the leaves under n.
-func eachLeaf(n node, fn func(*leafNode)) {
+// eachNode visits n and every node under it.
+func eachNode(n node, fn func(node)) {
+	fn(n)
 	switch x := n.(type) {
-	case *leafNode:
-		fn(x)
 	case *seqNode:
 		for _, k := range x.kids {
-			eachLeaf(k, fn)
+			eachNode(k, fn)
 		}
 	case *atLeastNode:
 		for _, k := range x.kids {
-			eachLeaf(k, fn)
+			eachNode(k, fn)
 		}
 	case *atMostNode:
 		for _, k := range x.kids {
-			eachLeaf(k, fn)
+			eachNode(k, fn)
 		}
 	case *negNode:
-		eachLeaf(x.pos, fn)
-		eachLeaf(x.neg, fn)
+		eachNode(x.pos, fn)
+		eachNode(x.neg, fn)
 	case *filterNode:
-		eachLeaf(x.kid, fn)
+		eachNode(x.kid, fn)
 	case *keyWatch:
-		eachLeaf(x.kid, fn)
+		eachNode(x.kid, fn)
 	}
+}
+
+// eachLeaf visits the leaves under n.
+func eachLeaf(n node, fn func(*leafNode)) {
+	eachNode(n, func(n node) {
+		if l, ok := n.(*leafNode); ok {
+			fn(l)
+		}
+	})
 }
 
 // expiryVisits sums the entries every expiry loop of op has examined.
@@ -116,12 +124,11 @@ func TestPruneOrderDeterministic(t *testing.T) {
 		t.Fatalf("prune order %v, want %v: (Vs, insertion)", got, want)
 	}
 
-	type rec struct {
+	type rec struct { // i and id carry a record's time too
 		kind uint8
 		flag bool
 		i    int
 		id   event.ID
-		t    temporal.Time
 	}
 	journal := func() (out []rec, ms []event.ID) {
 		op := cidr07(t)
@@ -135,7 +142,7 @@ func TestPruneOrderDeterministic(t *testing.T) {
 			}
 		}
 		for _, r := range journalRecs(op.sh.u) {
-			out = append(out, rec{r.kind, r.flag, r.i, r.id, r.t})
+			out = append(out, rec{r.kind, r.flag, r.i, r.id})
 			if r.km != nil {
 				ms = append(ms, r.km.m.ID)
 			}

@@ -53,17 +53,18 @@ type undoLog struct {
 	operators.Journal[undoRec, opScalars]
 }
 
-// undoRec is one inverse record. The kind decides which fields are live;
-// node holds the mutated container (a map, a *keyedList, an expiry queue,
-// the owning node or, for a reset, the *resetState) as an interface over a
-// pointer-shaped value. The routing key a keyed store filed a match or
+// undoRec is one inverse record, 56 B. The kind decides which fields are
+// live; node holds the mutated container (a map, a *keyedList, an expiry
+// queue, the owning node or, for a reset, the *resetState) as an interface
+// over a pointer-shaped value. A record has no time field: a time rides in
+// whichever of i and id the kind leaves free (a candidate's lo in id, a time
+// map's old value in i). The routing key a keyed store filed a match or
 // candidate under is re-derived from the match's own key on undo.
 type undoRec struct {
 	kind uint8
 	flag bool
 	i    int
 	id   event.ID
-	t    temporal.Time
 	node any
 	km   *keyedMatch
 	ev   *evRec
@@ -71,7 +72,7 @@ type undoRec struct {
 
 const (
 	jRecMap    uint8 = iota // map[ID]*evRec set/delete; flag=existed; ev=old
-	jTimeMap                // map[ID]Time set/delete; flag=existed; t=old
+	jTimeMap                // map[ID]Time set/delete; flag=existed; i=old
 	jIntMap                 // map[ID]int set/delete; flag=existed; i=old
 	jMatchMap               // map[ID]*keyedMatch set/delete; flag=existed; km=old
 	jListIns                // keyedList.insert of km
@@ -82,9 +83,9 @@ const (
 	jAmIns                  // atMost entries insert at i
 	jAmDel                  // atMost entries remove at i of (km, cnt=id)
 	jAmCnt                  // atMost entries[i].cnt += delta; flag = delta>0
-	jCandAdd                // negNode.candAdd of (a=km, lo=t)
-	jCandDel                // negNode.candRemove (successful) of (a=km, lo=t, blockers=i)
-	jBlock                  // blockers of (a=km, lo=t) += delta; flag = delta>0
+	jCandAdd                // negNode.candAdd of (a=km, lo=id)
+	jCandDel                // negNode.candRemove (successful) of (a=km, lo=id, blockers=i)
+	jBlock                  // blockers of (a=km, lo=id) += delta; flag = delta>0
 	jQueuePush              // expiryQueue.push at absolute index i
 	jQueuePop               // expiryQueue.expire run; i=old head, id=new head (absolute)
 	jReset                  // Advance(∞) full reset; node=*resetState
@@ -156,7 +157,7 @@ func (u *undoLog) recMapKnown(m map[event.ID]*evRec, id event.ID, old *evRec) {
 func (u *undoLog) timeMap(m map[event.ID]temporal.Time, id event.ID) {
 	if u.On() {
 		old, existed := m[id]
-		u.Add(undoRec{kind: jTimeMap, flag: existed, id: id, t: old, node: m})
+		u.Add(undoRec{kind: jTimeMap, flag: existed, i: int(old), id: id, node: m})
 	}
 }
 
@@ -231,13 +232,13 @@ func (u *undoLog) amCnt(n *atMostNode, i int, inc bool) {
 
 func (u *undoLog) candAdd(n *negNode, c *negCand) {
 	if u.On() {
-		u.Add(undoRec{kind: jCandAdd, t: c.lo, node: n, km: c.a})
+		u.Add(undoRec{kind: jCandAdd, id: event.ID(c.lo), node: n, km: c.a})
 	}
 }
 
 func (u *undoLog) candDel(n *negNode, c *negCand) {
 	if u.On() {
-		u.Add(undoRec{kind: jCandDel, i: c.blockers, t: c.lo, node: n, km: c.a})
+		u.Add(undoRec{kind: jCandDel, i: c.blockers, id: event.ID(c.lo), node: n, km: c.a})
 	}
 }
 
@@ -245,7 +246,7 @@ func (u *undoLog) candDel(n *negNode, c *negCand) {
 // match and lo (never store a *negCand — the slice backing reallocates).
 func (u *undoLog) block(n *negNode, c *negCand, inc bool) {
 	if u.On() {
-		u.Add(undoRec{kind: jBlock, t: c.lo, flag: inc, node: n, km: c.a})
+		u.Add(undoRec{kind: jBlock, id: event.ID(c.lo), flag: inc, node: n, km: c.a})
 	}
 }
 
@@ -291,7 +292,7 @@ func (r undoRec) Undo() {
 	case jTimeMap:
 		m := r.node.(map[event.ID]temporal.Time)
 		if r.flag {
-			m[r.id] = r.t
+			m[r.id] = temporal.Time(r.i)
 		} else {
 			delete(m, r.id)
 		}
@@ -334,16 +335,16 @@ func (r undoRec) Undo() {
 		}
 	case jCandAdd:
 		n := r.node.(*negNode)
-		n.candRemove(r.t, r.km.m.ID, route(n.keyed, r.km.key))
+		n.candRemove(temporal.Time(r.id), r.km.m.ID, route(n.keyed, r.km.key))
 	case jCandDel:
-		r.node.(*negNode).candAdd(negCand{a: r.km, lo: r.t, blockers: r.i})
+		r.node.(*negNode).candAdd(negCand{a: r.km, lo: temporal.Time(r.id), blockers: r.i})
 	case jBlock:
 		n := r.node.(*negNode)
 		cs := n.wcands
 		if k := route(n.keyed, r.km.key); k.Def() {
 			cs = n.kcands[k]
 		}
-		if i := candFind(cs, r.t, r.km.m.ID); i >= 0 {
+		if i := candFind(cs, temporal.Time(r.id), r.km.m.ID); i >= 0 {
 			if r.flag {
 				cs[i].blockers--
 			} else {

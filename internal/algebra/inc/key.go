@@ -115,14 +115,16 @@ func (c *keyCfg) of(p event.Payload) event.Key {
 // keyedList is the join and negation nodes' match store: one (V.Start, ID)-
 // sorted bucket per definite key plus one list for wild matches — which, in
 // an unkeyed list (keyed false: the node may not index by key, see buildCtx
-// and negNode), is every match. Empty buckets are deleted eagerly — the
-// pruning seam for key-heavy streams: a source cycling through many
-// distinct keys must not leave a map of dead keys behind once scope pruning
-// (or a removal storm) drains their matches.
+// and negNode), is every match. A bucket that empties leaves the map at
+// once — a source cycling through many distinct keys must not leave a map
+// of dead keys behind once scope pruning (or a removal storm) drains their
+// matches — and goes to spare, whose buckets the next new keys take: spare
+// never holds more than the most buckets live at once.
 type keyedList struct {
 	keyed   bool
 	buckets map[event.Key]*matchList
 	wild    matchList
+	spare   []*matchList // emptied buckets, storage kept
 }
 
 func (l *keyedList) insert(km *keyedMatch) {
@@ -136,7 +138,11 @@ func (l *keyedList) insert(km *keyedMatch) {
 		if l.buckets == nil {
 			l.buckets = make(map[event.Key]*matchList, 8)
 		}
-		b = &matchList{}
+		if n := len(l.spare); n > 0 {
+			b, l.spare = l.spare[n-1], l.spare[:n-1]
+		} else {
+			b = &matchList{}
+		}
 		l.buckets[k] = b
 	}
 	b.insert(km)
@@ -155,6 +161,7 @@ func (l *keyedList) remove(km *keyedMatch) bool {
 	ok := b.removeMatch(&km.m)
 	if ok && len(b.ms) == 0 {
 		delete(l.buckets, k)
+		l.spare = append(l.spare, b)
 	}
 	return ok
 }

@@ -60,10 +60,12 @@ type negNode struct {
 	sh    *shared
 
 	// Candidates sorted by (lo, a.ID), one list per definite key plus the
-	// wild list; loOf locates one by its match ID.
+	// wild list; loOf locates one by its match ID. A key's list that
+	// empties goes to spare for the next new key, as keyedList's buckets do.
 	kcands map[event.Key][]negCand
 	wcands []negCand
 	loOf   map[event.ID]temporal.Time
+	spare  [][]negCand
 
 	negs    keyedList         // the negative-side store
 	maxSpan temporal.Duration // widest hi-lo seen; bounds range scans
@@ -202,7 +204,11 @@ func (u *negNode) candAdd(c negCand) {
 		if u.kcands == nil {
 			u.kcands = map[event.Key][]negCand{}
 		}
-		u.kcands[k] = candInsert(u.kcands[k], c)
+		cs := u.kcands[k]
+		if n := len(u.spare); cs == nil && n > 0 {
+			cs, u.spare = u.spare[n-1], u.spare[:n-1]
+		}
+		u.kcands[k] = candInsert(cs, c)
 	} else {
 		u.wcands = candInsert(u.wcands, c)
 	}
@@ -226,6 +232,7 @@ func (u *negNode) candRemove(lo temporal.Time, id event.ID, k event.Key) (c negC
 		u.wcands = cs
 	case len(cs) == 0:
 		delete(u.kcands, k)
+		u.spare = append(u.spare, cs)
 	default:
 		u.kcands[k] = cs
 	}

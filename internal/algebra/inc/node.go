@@ -94,14 +94,19 @@ func (d *delta) reset()             { d.items = d.items[:0] }
 // (shared with clones, payload.go) and the operator's undo journal
 // (journal.go), which every node copies at build/clone time so its mutations
 // can be journaled without an indirection through sh on the hot path. u is
-// always non-nil; it records nothing until the first Mark turns it on.
+// always non-nil; it records nothing until the first Mark turns it on. n
+// counts the composite lookups; clones and resets keep the one set.
 type shared struct {
 	vs   map[event.ID]temporal.Time
 	key  *keyCfg
 	recs *recCache
 	pay  *payloadTable
 	u    *undoLog
+	n    *lookups
 }
+
+// lookups counts combCache.combined calls: built on a miss, hits otherwise.
+type lookups struct{ built, hits uint64 }
 
 // buildCtx tracks where in the expression a node is being built, which
 // decides whether join nodes may apply the pushdown key:
@@ -164,7 +169,8 @@ type node interface {
 
 // internCap bounds every interning cache in the tree; pathological streams
 // reset a full cache rather than growing it without bound (the same policy
-// as the aggregate operator's payload cache).
+// as the aggregate operator's payload cache). Checkpoints empty the
+// composite caches long before (Op.Compact).
 const internCap = 4096
 
 // keyedMatch is a derived match with its correlation key, resolved once
@@ -207,16 +213,19 @@ func (k *keyedMatch) expiry() temporal.Time { return k.m.LastVs }
 type combCache struct {
 	cfg   *keyCfg
 	pay   *payloadTable
+	n     *lookups
 	up    bool
 	m     map[event.ID]*keyedMatch
 	parts []*algebra.Match // combined's CombineInto argument scratch
 }
 
-// The map is lazily initialized: keyed fan-out builds one tree per
-// correlation key, and most per-key nodes intern only a handful of
-// matches (or none), so pre-sizing here dominated the allocation profile.
+// The map is made on first use, never pre-sized: between two checkpoints,
+// each of which empties it (Op.Compact, through the record cache's list), a
+// template chain's node interns a handful of composites.
 func newCombCache(sh *shared, up bool) *combCache {
-	return &combCache{cfg: sh.key, pay: sh.pay, up: up}
+	c := &combCache{cfg: sh.key, pay: sh.pay, n: sh.n, up: up}
+	sh.recs.combs = append(sh.recs.combs, c)
+	return c
 }
 
 // combined returns the interned composite of parts (ID id), building it
@@ -226,8 +235,10 @@ func newCombCache(sh *shared, up bool) *combCache {
 // payload and key the payload table hands out for those parts.
 func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Duration) *keyedMatch {
 	if km := c.m[id]; km != nil {
+		c.n.hits++
 		return km
 	}
+	c.n.built++
 	c.parts = c.parts[:0]
 	for _, p := range parts {
 		c.parts = append(c.parts, &p.m)
@@ -252,7 +263,7 @@ func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Durati
 	algebra.CombineInto(&km.m, id, cbt, c.parts, w, p)
 	km.key, km.pid = key, pid
 	if c.m == nil {
-		c.m = make(map[event.ID]*keyedMatch, 64)
+		c.m = map[event.ID]*keyedMatch{}
 	} else if len(c.m) >= internCap {
 		clear(c.m)
 	}

@@ -62,6 +62,7 @@ type Op struct {
 	// opScalars: the frontier and the emission fast-path state, which a
 	// Mark snapshots instead of journaling (journal.go).
 	opScalars
+	lookups lookups // what sh.n points to
 
 	rootDelta delta             // reusable root-transition scratch
 	selBuf    []*keyedMatch     // per-pass committed-selection scratch
@@ -139,7 +140,7 @@ func NewOp(expr algebra.Expr, mode algebra.SCMode, outType string, opts ...OpOpt
 		o(p)
 	}
 	p.trackVs = usesAnchorTimes(expr)
-	p.sh = &shared{key: newKeyCfg(p.keyAttr), pay: &payloadTable{last: new(uint64)}, u: &undoLog{}}
+	p.sh = &shared{key: newKeyCfg(p.keyAttr), pay: &payloadTable{last: new(uint64)}, u: &undoLog{}, n: &p.lookups}
 	p.build()
 	return p
 }
@@ -519,7 +520,7 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 		// leave none (Process builds a tree for an item after ∞). The new
 		// shared struct keeps the journal; the payload table's ids continue.
 		u.reset(p)
-		p.sh = &shared{key: p.sh.key, pay: &payloadTable{last: p.sh.pay.last}, u: u}
+		p.sh = &shared{key: p.sh.key, pay: &payloadTable{last: p.sh.pay.last}, u: u, n: p.sh.n}
 		p.root, p.store, p.consumed, p.expiry = nil, nil, nil, nil
 		p.pending = pendingList{}
 		p.dirty = false
@@ -567,7 +568,7 @@ func (p *Op) PerEventCostNs() int { return algebra.ExprCostNs(p.Expr) }
 // contract), a fresh journal that is off, no scratch buffers (a clone grows
 // its own on first use) and no tree if p has none.
 func (p *Op) Clone() operators.Op {
-	sh := &shared{vs: maps.Clone(p.sh.vs), key: p.sh.key, recs: p.sh.recs, pay: p.sh.pay, u: &undoLog{}}
+	sh := &shared{vs: maps.Clone(p.sh.vs), key: p.sh.key, recs: p.sh.recs, pay: p.sh.pay, u: &undoLog{}, n: p.sh.n}
 	var root node
 	var expiry *expiryQueue[*evRec]
 	if p.root != nil {
@@ -593,6 +594,11 @@ func (p *Op) Clone() operators.Op {
 	}
 }
 
+// CompositeLookups reports the composites the tree's join nodes built and
+// the lookups their caches answered, over the operator's life and its
+// clones'. Plain counters: read them only between calls that drive the tree.
+func (p *Op) CompositeLookups() (built, hits uint64) { return p.sh.n.built, p.sh.n.hits }
+
 // Mark implements operators.Versioned: an O(1) journal mark returning a
 // handle for the operator's current state. The first Mark turns the undo
 // journal on; from then on every state mutation appends its exact inverse.
@@ -610,5 +616,14 @@ func (p *Op) Rollback(v operators.Version) bool {
 }
 
 // Compact implements operators.Versioned: discard undo history strictly
-// below v.
-func (p *Op) Compact(v operators.Version) { p.sh.u.Compact(v) }
+// below v. Nothing below v is replayed again, and a composite a replay
+// above it misses is rebuilt equal, so every composite cache is emptied
+// too, its storage kept.
+func (p *Op) Compact(v operators.Version) {
+	p.sh.u.Compact(v)
+	if p.sh.recs != nil {
+		for _, c := range p.sh.recs.combs {
+			clear(c.m)
+		}
+	}
+}

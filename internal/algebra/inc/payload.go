@@ -77,7 +77,7 @@ func (t *payloadTable) head(h uint64) int32 {
 // stays grown).
 func (t *payloadTable) add(h uint64, e payloadEntry) *payloadEntry {
 	if t.idx == nil {
-		t.idx = make(map[uint64]int32, 64)
+		t.idx = map[uint64]int32{}
 	} else if len(t.ents) >= internCap {
 		clear(t.idx)
 		clear(t.ents)

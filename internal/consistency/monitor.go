@@ -315,6 +315,9 @@ func (m *Monitor) Spec() Spec { return m.spec }
 // Metrics returns a snapshot of the monitor's counters.
 func (m *Monitor) Metrics() Metrics { return m.met }
 
+// Op returns the operator the monitor drives; nil once it has stopped.
+func (m *Monitor) Op() operators.Versioned { return m.op }
+
 // CurState returns the live state-size counter alone, without copying the
 // full Metrics struct — the sharded runtime samples it once per input item
 // for its per-item state traces, where the struct copy is measurable.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/temporal"
+	"repro/internal/workload"
 )
 
 // TestAllocsRegisterPrivateChain pins what installing one private chain
@@ -263,5 +264,61 @@ func TestAllocsDurablePush(t *testing.T) {
 	}
 	if extra > ceiling {
 		t.Errorf("a durable push allocates %.1f B more than a non-durable one, above %d: the record is kept", extra, ceiling)
+	}
+}
+
+// templateChainPass is one pass of a fabric's routed template chain: the
+// fleet's machine m000 under keyedTemplate at Middle, fed that machine's
+// cycles (seven, 21 events) and every sync point of the 64-machine fleet
+// (one per ten minutes) on a fresh engine. It returns the bytes the pushes
+// and the Finish allocated.
+func templateChainPass(t *testing.T, items []event.Event) uint64 {
+	t.Helper()
+	e := New()
+	defer e.Close()
+	if _, err := e.RegisterText(keyedTemplate, bindM("m000"), plan.WithSpec(consistency.Middle())); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ev := range items {
+		e.Push(ev)
+	}
+	e.Finish()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAllocsTemplateChainPass pins the bytes one small routed chain
+// allocates per pass — what a fabric of thousands of template chains pays
+// once per chain. Most of it is what the matcher keeps to repair with: its
+// undo journal (56-B records), its interning maps (made empty, never
+// pre-sized for 64 entries) and its composites (emptied at each sync
+// point). It measured 40,688 B (47,616 B with 64-B records, maps
+// pre-sized for 64 and composites kept until 4,096); the bound leaves 8%.
+// (Skipped under -race.)
+func TestAllocsTemplateChainPass(t *testing.T) {
+	cfg := workload.DefaultMachines()
+	cfg.Seed, cfg.Machines, cfg.Cycles = 3, 64, 7
+	fleet, _ := workload.MachineEvents(cfg)
+	var items []event.Event
+	sync := temporal.Time(0)
+	for _, ev := range fleet {
+		for ; sync <= ev.V.Start; sync += temporal.Time(10 * temporal.Minute) {
+			items = append(items, event.NewCTI(sync))
+		}
+		if ev.Payload["Machine_Id"] == workload.MachineID(0) {
+			items = append(items, ev)
+		}
+	}
+	items = append(items, event.NewCTI(sync))
+	held := templateChainPass(t, items)
+	for range 4 { // the least of five passes: a collection or a stray goroutine only adds
+		held = min(held, templateChainPass(t, items))
+	}
+	const bound = 44_000
+	t.Logf("one pass of a routed template chain over %d items (one machine's cycles, every sync point) held %d B (bound %d B)", len(items), held, bound)
+	if held > bound {
+		t.Fatalf("a routed template chain pass allocates %d B, above the bound %d B: the matcher's journal or caches grew", held, bound)
 	}
 }

@@ -73,6 +73,21 @@ func (e *Engine) HistoryStats() HistoryStats {
 	return HistoryStats{e.hist.items.Load(), e.hist.syncs.Load(), e.hist.bytes.Load()}
 }
 
+// MatcherStats counts the composite lookups of the running chains' pattern
+// matchers: composites built, and lookups a join node's cache answered. A
+// chain's counts leave the sum when it finishes or is torn down.
+type MatcherStats struct{ Composites, CompositeHits uint64 }
+
+// MatcherStats sums the matcher counters of every running chain, each read
+// once its shards have drained what was pushed before the call.
+func (e *Engine) MatcherStats() MatcherStats {
+	var st MatcherStats
+	for _, ch := range e.chainsSnapshot() {
+		ch.sh.matcherStats(&st)
+	}
+	return st
+}
+
 // Option adjusts engine construction.
 type Option func(*Engine)
 

@@ -444,6 +444,32 @@ func (s *sharded) metrics() []consistency.Metrics {
 	return []consistency.Metrics{agg}
 }
 
+// matcherStats adds the heads' composite lookups to st unless the chain has
+// finished (its heads let go of their operators). It holds mu throughout, so
+// no push runs while it reads, once the shards have drained (barrier).
+func (s *sharded) matcherStats(st *MatcherStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.finished {
+		return
+	}
+	if s.n > 1 {
+		s.control(itemBarrier, consistency.Spec{})
+		<-s.barrierCh
+	}
+	for i := range s.workers {
+		op := s.workers[i].head.Op()
+		if k, ok := op.(*ownedKeys); ok {
+			op = k.Versioned
+		}
+		if op, ok := op.(interface{ CompositeLookups() (uint64, uint64) }); ok {
+			built, hits := op.CompositeLookups()
+			st.Composites += built
+			st.CompositeHits += hits
+		}
+	}
+}
+
 func (w *shardWorker) run(name string) {
 	var failed error
 	for r := range w.in {

@@ -319,3 +319,55 @@ func TestConcurrentProducersShareOneOutbox(t *testing.T) {
 		}
 	}
 }
+
+// TestMatcherCountersMetrics: /metrics carries the matchers' composite
+// counters, summed over the running chains — a one-shard one and a
+// two-shard one — as System.MatcherStats reads them, and a disordered stream
+// repaired at Middle both builds composites and finds them again in the
+// caches.
+func TestMatcherCountersMetrics(t *testing.T) {
+	const missedRestart = `
+EVENT MissedRestart
+WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours), RESTART AS z, 5 minutes)
+WHERE CorrelationKey(Machine_Id, EQUAL)
+CONSISTENCY middle`
+	sys := cedr.New()
+	for _, opts := range [][]cedr.QueryOption{{cedr.WithoutSharing()}, {cedr.WithoutSharing(), cedr.WithShards(2)}} {
+		if _, err := sys.Register(missedRestart, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, _ := startServer(t, sys)
+	defer srv.Shutdown()
+	const minute = cedr.Duration(60_000)
+	var evs []cedr.Event
+	for c := range 40 {
+		at, m := cedr.Time(0).Add(cedr.Duration(c)*10*minute), cedr.Payload{"Machine_Id": "m" + strconv.Itoa(c%4)}
+		restart := 2 * minute
+		if c%3 == 0 {
+			restart = 9 * minute
+		}
+		evs = append(evs,
+			cedr.NewEvent(cedr.ID(3*c+1), "INSTALL", at, cedr.Forever, m),
+			cedr.NewEvent(cedr.ID(3*c+2), "SHUTDOWN", at.Add(minute), cedr.Forever, m),
+			cedr.NewEvent(cedr.ID(3*c+3), "RESTART", at.Add(minute+restart), cedr.Forever, m))
+	}
+	for i := 0; i+1 < len(evs); i += 4 { // every fourth pair arrives swapped
+		evs[i], evs[i+1] = evs[i+1], evs[i]
+	}
+	for i, e := range evs {
+		sys.Push(e)
+		if i%10 == 9 && i+2 < len(evs) {
+			sys.Push(cedr.NewCTI(min(evs[i+1].V.Start, evs[i+2].V.Start)))
+		}
+	}
+	m, want := scrape(t, srv), sys.MatcherStats()
+	built, hits := m["cedr_matcher_composites_total"], m["cedr_matcher_composite_cache_hits_total"]
+	t.Logf("%v composites built, %v cache hits", built, hits)
+	if built != float64(want.Composites) || hits != float64(want.CompositeHits) {
+		t.Fatalf("/metrics reads %v built and %v hits; MatcherStats %+v", built, hits, want)
+	}
+	if built == 0 || hits == 0 {
+		t.Fatalf("a repaired disordered stream built %v composites and hit %v", built, hits)
+	}
+}

@@ -104,7 +104,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics reads the egress counters every outbox shares, without
-// taking any outbox's lock, and the engine's history counters.
+// taking any outbox's lock, the engine's history counters and, once each
+// chain's shards have drained, its matchers' counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	conns := len(s.conns)
@@ -121,6 +122,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	t.Counter("cedr_history_items_total", "Data items appended to query output histories.", h.Items)
 	t.Counter("cedr_history_sync_points_total", "Sync points appended to query output histories.", h.SyncPoints)
 	t.Counter("cedr_history_chunk_bytes_total", "Bytes of output history chunks allocated.", h.ChunkBytes)
+	m := s.sys.MatcherStats()
+	t.Counter("cedr_matcher_composites_total", "Composite matches the running queries' matchers built.", m.Composites)
+	t.Counter("cedr_matcher_composite_cache_hits_total", "Composite lookups a matcher's cache answered.", m.CompositeHits)
 	t.GCCPU("cedr_gc_cpu_seconds_total")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	t.WriteTo(w)
