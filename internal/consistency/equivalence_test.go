@@ -115,11 +115,11 @@ func equivalenceLevels(rng *rand.Rand) []Spec {
 // property-test failures debuggable.
 func compareTables(t *testing.T, label string, i int, opt *Monitor, ref *refMonitor) {
 	t.Helper()
-	if len(opt.emitted) != len(ref.emitted) {
+	if len(opt.win.emitted) != len(ref.emitted) {
 		t.Fatalf("%s: item %d: emitted table size %d, reference %d\n got: %v\nwant: %v",
-			label, i, len(opt.emitted), len(ref.emitted), opt.emitted, ref.emitted)
+			label, i, len(opt.win.emitted), len(ref.emitted), opt.win.emitted, ref.emitted)
 	}
-	for id, nf := range opt.emitted {
+	for id, nf := range opt.win.emitted {
 		rf, ok := ref.emitted[id]
 		if !ok {
 			t.Fatalf("%s: item %d: emitted has extra fact %v=%v", label, i, id, nf.ev)
@@ -408,7 +408,7 @@ func TestMonitorEquivalenceTwoPort(t *testing.T) {
 		for _, spec := range []Spec{Strong(), Middle(), Weak(40)} {
 			opt := NewMonitor(operators.NewJoin(theta), spec)
 			ref := newRefMonitor(operators.NewJoin(theta), spec)
-			// Merge the two ports in arrival order, as FeedMerged would.
+			// Merge the two ports in arrival order, as RunStreams does.
 			type portItem struct {
 				port int
 				ev   event.Event

@@ -399,16 +399,14 @@ func TestRunStreamsEmptyInput(t *testing.T) {
 func TestCTIOnlyStreamAdvancesGuarantee(t *testing.T) {
 	m := NewMonitor(operators.NewAggregate(operators.Count, "", ""), Strong())
 	for _, tt := range []temporal.Time{10, 20, 30} {
-		cti := event.NewCTI(tt)
-		m.Push(0, cti)
-	}
-	if m.Guarantee() != 30 {
-		t.Errorf("guarantee = %v", m.Guarantee())
+		out := m.Push(0, event.NewCTI(tt))
+		if len(out) != 1 || !out[0].IsCTI() || out[0].Sync() != tt {
+			t.Errorf("CTI(%v) emitted %v, want the one output CTI at %v", tt, out, tt)
+		}
 	}
 	// Regressing punctuation is ignored.
-	m.Push(0, event.NewCTI(5))
-	if m.Guarantee() != 30 {
-		t.Errorf("guarantee regressed to %v", m.Guarantee())
+	if out := m.Push(0, event.NewCTI(5)); len(out) != 0 {
+		t.Errorf("regressing CTI(5) emitted %v, want nothing", out)
 	}
 }
 
@@ -522,7 +520,7 @@ func TestRetainedVersionsBounded(t *testing.T) {
 			t.Fatal("the delivery was meant to carry no guarantees")
 		}
 		m.Push(0, e)
-		if window := len(m.log) - m.head; len(op.live) != window+1 {
+		if window := len(m.win.log) - m.win.head; len(op.live) != window+1 {
 			t.Fatalf("item %d: %d live versions over a window of %d items, want one each plus the base",
 				i, len(op.live), window)
 		}
@@ -531,9 +529,9 @@ func TestRetainedVersionsBounded(t *testing.T) {
 		t.Fatal("stream did not exercise repair")
 	}
 	m.Push(0, event.NewCTI(m.frontier))
-	if len(m.log) != m.head || len(op.live) != 1 {
+	if len(m.win.log) != m.win.head || len(op.live) != 1 {
 		t.Fatalf("after a covering sync point: window %d, %d live versions, want 0 and the base alone",
-			len(m.log)-m.head, len(op.live))
+			len(m.win.log)-m.win.head, len(op.live))
 	}
 }
 
@@ -562,15 +560,15 @@ func windowWithStraggler(t *testing.T, n, depth int) (calls, examined int) {
 	for i := 1; i <= n; i++ {
 		m.Push(0, event.NewInsert(event.ID(i), "E", temporal.Time(10*i), temporal.Infinity, nil))
 	}
-	if len(m.emitted) != n || m.examined != 0 {
-		t.Fatalf("window of %d items: %d live facts, %d entries examined before any repair", n, len(m.emitted), m.examined)
+	if len(m.win.emitted) != n || m.win.examined != 0 {
+		t.Fatalf("window of %d items: %d live facts, %d entries examined before any repair", n, len(m.win.emitted), m.win.examined)
 	}
 	before := *op.calls
 	m.Push(0, event.NewInsert(event.ID(n+1), "E", temporal.Time(10*(n-depth)+5), temporal.Infinity, nil))
 	if m.Metrics().Replays != 1 {
 		t.Fatalf("straggler at depth %d of %d caused %d replays", depth, n, m.Metrics().Replays)
 	}
-	return *op.calls - before, m.examined
+	return *op.calls - before, m.win.examined
 }
 
 // TestRepairCostTracksStragglerDepth pins repair's cost in counts: it
@@ -641,7 +639,7 @@ func TestMonitorLogStaysWindowSized(t *testing.T) {
 		if i%10 == 9 {
 			m.Push(0, event.NewCTI(ev.V.Start+1))
 		}
-		window, size = max(window, m.Window()), max(size, cap(m.log))
+		window, size = max(window, m.Window()), max(size, cap(m.win.log))
 	}
 	t.Logf("largest window %d items, largest log array %d slots", window, size)
 	if window == 0 || size > 2*window {

@@ -9,21 +9,12 @@ import (
 )
 
 // RunStreams executes an operator under a consistency monitor over physical
-// input streams (one per port), merging them by CEDR arrival time. It is
-// the single-operator execution harness used by tests, benchmarks and the
-// engine's leaf pipelines. The final Finish flushes the monitor so the
-// output history is complete.
+// input streams (one per port), pushing them in global CEDR arrival order
+// (ties broken by port, then stream position). It is the single-operator
+// harness of the figures, the tests and the benchmarks; the engine drives
+// its monitors only through its shard runtime. The final Finish flushes the
+// monitor so the output history is complete.
 func RunStreams(op operators.Op, spec Spec, inputs ...stream.Stream) (stream.Stream, Metrics) {
-	m := NewMonitor(op, spec)
-	out := FeedMerged(m, inputs...)
-	out = append(out, m.Finish()...)
-	return out, m.Metrics()
-}
-
-// FeedMerged pushes the per-port physical streams into the monitor in
-// global CEDR arrival order (ties broken by port, then stream position) and
-// returns the outputs produced so far, without finishing.
-func FeedMerged(m *Monitor, inputs ...stream.Stream) stream.Stream {
 	type tagged struct {
 		port int
 		pos  int
@@ -48,9 +39,11 @@ func FeedMerged(m *Monitor, inputs ...stream.Stream) stream.Stream {
 		}
 		return all[i].pos < all[j].pos
 	})
-	out := make(stream.Stream, 0, total)
+	m := NewMonitor(op, spec)
+	out := Burst{Evs: make(stream.Stream, 0, total)}
 	for _, t := range all {
-		out = append(out, m.Push(t.port, t.ev)...)
+		m.PushTaggedInto(t.port, t.ev, false, &out)
 	}
-	return out
+	m.FinishTaggedInto(false, &out)
+	return out.Evs, m.Metrics()
 }

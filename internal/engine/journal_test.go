@@ -447,13 +447,13 @@ func historyBytes(ch *chain) int64 {
 
 // headProbes returns, for each shard of q's chain, a probe that reports
 // whether the operator its head monitor runs is still reachable. It reads
-// the monitor's unexported op field by reflection and unwraps ownKeys, so
+// the monitor's unexported win.op field by reflection and unwraps ownKeys, so
 // each probe watches the instance the plan built for its shard (or the one
 // armOperatorPanic put in its place), whatever else refers to it.
 func headProbes(q *Query) []func() bool {
 	var probes []func() bool
 	for i := range q.ch.sh.workers {
-		f := reflect.ValueOf(q.ch.sh.workers[i].head).Elem().FieldByName("op")
+		f := reflect.ValueOf(q.ch.sh.workers[i].head).Elem().FieldByName("win").FieldByName("op")
 		op := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
 		if k, ok := op.(*ownedKeys); ok {
 			op = k.Versioned

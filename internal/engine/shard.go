@@ -521,7 +521,7 @@ func (w *shardWorker) processRunSafely(name string, items []shardItem, b *shardB
 // and the whole of the one-shard runtime (the critical-path benchmark also
 // times a shard's full item sequence this way, without channel overhead).
 func (w *shardWorker) process(it shardItem, b *shardBurst) {
-	from := b.out.Len()
+	from := len(b.out.Evs)
 	switch it.kind {
 	case itemEvent:
 		w.head.PushTaggedInto(0, it.ev, w.merged, &b.out)

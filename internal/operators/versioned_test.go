@@ -53,7 +53,8 @@ func versionedImpls() map[string]func() operators.Op {
 
 // vDriver generates an aligned script: every event's Sync is at or after
 // the last Advance. Its fields are the whole generator state, so a mark can
-// save it by value (live is copied) and a rollback can resume from there.
+// save it by value (live is copied) and a rollback can resume from there,
+// keeping only nextID, which never goes back (see rollTo).
 type vDriver struct {
 	frontier temporal.Time
 	nextID   event.ID
@@ -107,7 +108,11 @@ func (r *vRun) rollTo(j int) {
 	r.dead = append(r.dead, r.marks[j+1:]...)
 	r.marks = r.marks[:j+1]
 	r.twin = r.marks[j].frozen.Clone()
+	// The script resumes from the mark, but IDs stay monotonic: an ID names
+	// one event for good, even across a rewind (as the engine's do).
+	next := r.drv.nextID
 	r.drv = r.marks[j].drv.save()
+	r.drv.nextID = next
 	r.check("rollback", nil, nil)
 	r.refuse()
 }
