@@ -311,20 +311,18 @@ func (s *System) Register(src string, opts ...QueryOption) (*Query, error) {
 		o.applyQuery(&ro)
 	}
 	q, err := s.eng.RegisterText(src, plan.WithRegOpts(ro))
-	if err != nil {
-		return nil, err
-	}
-	return &Query{q: q}, nil
+	return (*Query)(q), err
 }
 
-// Queries returns every standing query in registration order. After Open
-// recovers a crashed system this is how the caller re-acquires handles to
-// the replayed queries (subscriptions are not persisted — re-Subscribe
-// here).
+// Queries returns every standing query in registration order, each the
+// pointer Register returned for it. After Open recovers a crashed system
+// this is how the caller re-acquires handles to the replayed queries
+// (subscriptions are not persisted — re-Subscribe here).
 func (s *System) Queries() []*Query {
-	var out []*Query
-	for _, q := range s.eng.Queries() {
-		out = append(out, &Query{q: q})
+	qs := s.eng.Queries()
+	out := make([]*Query, len(qs))
+	for i, q := range qs {
+		out[i] = (*Query)(q)
 	}
 	return out
 }
@@ -365,10 +363,14 @@ func (s *System) Snapshot(w io.Writer) error { return s.eng.Snapshot(w) }
 // chunks allocated for them.
 func (s *System) HistoryStats() HistoryStats { return s.eng.HistoryStats() }
 
-// MatcherStats reads the running queries' matcher counters: composites
-// built and composite cache hits (a query's leave the sum when it finishes
-// or unregisters). It waits for sharded queries to drain.
+// MatcherStats reads the queries' matcher counters: composites built and
+// composite cache hits, by running queries and by those that finished,
+// unregistered or were quarantined. It waits for sharded queries to drain.
 func (s *System) MatcherStats() MatcherStats { return s.eng.MatcherStats() }
+
+// Standing counts the registered queries (unregistered ones excluded) and
+// the execution chains they run on: shared registrations run on one.
+func (s *System) Standing() (queries, chains int) { return s.eng.Standing() }
 
 // Err reports the system's durability failure, if any (WAL append, fsync,
 // or close error). A failed system drops further input — fail-stop — so
@@ -382,29 +384,29 @@ func (s *System) Err() error { return s.eng.Err() }
 // where the log ends. Idempotent.
 func (s *System) Close() error { return s.eng.Close() }
 
-// Query is a registered standing query.
-type Query struct {
-	q *engine.Query
-}
+// Query is a registered standing query. It is the engine's endpoint itself,
+// not a wrapper around it: Register returns it and Queries returns that same
+// pointer, so two handles to one registration compare equal.
+type Query engine.Query
 
 // Name returns the query's EVENT name.
-func (q *Query) Name() string { return q.q.Name() }
+func (q *Query) Name() string { return (*engine.Query)(q).Name() }
 
 // Results returns everything emitted so far: inserts, retractions and
 // punctuation, in emission order: a copy of the query's window of its
 // chain's history, from registration to now (or quarantine or unregistration).
 // The items' payloads and lineage are shared, not copied: never write them.
-func (q *Query) Results() Stream { return q.q.Results() }
+func (q *Query) Results() Stream { return (*engine.Query)(q).Results() }
 
 // Len returns the number of items Results would return, without copying.
-func (q *Query) Len() int { return q.q.Len() }
+func (q *Query) Len() int { return (*engine.Query)(q).Len() }
 
 // Alerts returns the net surviving detections: inserts that were not
 // subsequently retracted (compensated).
 func (q *Query) Alerts() []Event {
 	live := map[ID]Event{}
 	var order []ID
-	for _, e := range q.q.View() {
+	for _, e := range (*engine.Query)(q).View() {
 		if e.IsCTI() {
 			continue
 		}
@@ -430,14 +432,14 @@ func (q *Query) Alerts() []Event {
 
 // Metrics returns the query's monitor metrics: one entry, the pattern's
 // (the stages after it are stateless maps and run under no monitor).
-func (q *Query) Metrics() []Metrics { return q.q.Metrics() }
+func (q *Query) Metrics() []Metrics { return (*engine.Query)(q).Metrics() }
 
 // Err returns the error that quarantined the query — the recovered panic
 // of an operator, shard worker, or subscriber callback — or nil while the
 // query is healthy. A quarantined query stops processing input and
 // emitting output; its results up to the failure remain readable, and
 // sibling queries on the same system are unaffected.
-func (q *Query) Err() error { return q.q.Err() }
+func (q *Query) Err() error { return (*engine.Query)(q).Err() }
 
 // Subscribe registers a synchronous callback for every output item
 // delivered to this query from now on.
@@ -448,7 +450,7 @@ func (q *Query) Err() error { return q.q.Err() }
 // query sharing its pipeline — by default, any query registered from the
 // same text — deadlocks. Hand the item to another goroutine instead. Its
 // payload and lineage are shared with every reader: never write them.
-func (q *Query) Subscribe(fn func(Event)) { q.q.Subscribe(fn) }
+func (q *Query) Subscribe(fn func(Event)) { (*engine.Query)(q).Subscribe(fn) }
 
 // SubscribeTagged registers a synchronous callback receiving every output
 // item together with its chain order tag (see Tags), until cancel is
@@ -458,7 +460,7 @@ func (q *Query) Subscribe(fn func(Event)) { q.q.Subscribe(fn) }
 // callback. After cancel returns the callback never runs again; calling it
 // twice, or after Unregister, is a no-op. Items are read-only, as in Subscribe.
 func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) (cancel func()) {
-	return q.q.SubscribeTagged(replay, fn)
+	return (*engine.Query)(q).SubscribeTagged(replay, fn)
 }
 
 // Tags returns the chain output position of each Results item: Tags()[i]
@@ -468,12 +470,12 @@ func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) (cancel fun
 // An independent execution of the same plan over the same input assigns
 // identical positions, so tags let a remote subscriber verify it observed
 // exactly the in-process output sequence.
-func (q *Query) Tags() []uint64 { return q.q.Tags() }
+func (q *Query) Tags() []uint64 { return (*engine.Query)(q).Tags() }
 
 // SetConsistency switches the query's consistency level at runtime. On a
 // shared registration the switch applies to the whole group — every
 // endpoint of the standing query observes the released output.
-func (q *Query) SetConsistency(spec Spec) { q.q.SetSpec(spec) }
+func (q *Query) SetConsistency(spec Spec) { (*engine.Query)(q).SetSpec(spec) }
 
 // Unregister removes the standing query: its Results up to this point stay
 // readable, subscribers receive nothing further, and when it was the last
@@ -481,17 +483,17 @@ func (q *Query) SetConsistency(spec Spec) { q.q.SetSpec(spec) }
 // down (goroutines exit, input is no longer delivered to it). On a durable
 // system the unregistration is logged, so recovery reproduces it.
 // Idempotent.
-func (q *Query) Unregister() { q.q.Unregister() }
+func (q *Query) Unregister() { (*engine.Query)(q).Unregister() }
 
 // Shared reports whether the query runs on a joinable shared chain
 // (registered without WithoutSharing and eligible for sharing).
-func (q *Query) Shared() bool { return q.q.Shared() }
+func (q *Query) Shared() bool { return (*engine.Query)(q).Shared() }
 
 // Shards returns the number of parallel shards the query runs on (1 unless
 // sharding was requested and the plan is key-partitionable). A shared
 // registration reports the shard count of the pipeline it attached to,
 // whatever it requested.
-func (q *Query) Shards() int { return q.q.Shards() }
+func (q *Query) Shards() int { return (*engine.Query)(q).Shards() }
 
 // Explain renders the compiled plan.
-func (q *Query) Explain() string { return q.q.Plan().Explain() }
+func (q *Query) Explain() string { return (*engine.Query)(q).Plan().Explain() }

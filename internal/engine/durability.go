@@ -67,7 +67,9 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("engine: restore: recompile %q: %w", rec.Src, err)
 		}
-		e.register(p)
+		if _, err := e.register(p); err != nil {
+			return fmt.Errorf("engine: restore: %w", err)
+		}
 	case wal.KindSpec:
 		qs := e.snapshot()
 		if rec.Query < 0 || rec.Query >= len(qs) {

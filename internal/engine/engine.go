@@ -21,6 +21,7 @@ package engine
 import (
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -46,6 +47,8 @@ type Engine struct {
 	shards  int                 // default shard count for queries that don't request one
 	fabric  fabric              // routing index over chains: every data item's delivery path
 	hist    historyCounters     // what every chain has appended to its history
+	stopped matcherCounters     // composite lookups of every head that has stopped
+	live    int                 // registered endpoints, less the unregistered
 
 	// Durability (see durability.go). log is attached once, by Restore,
 	// before the engine is shared; nil means durability is off and the hot
@@ -73,19 +76,45 @@ func (e *Engine) HistoryStats() HistoryStats {
 	return HistoryStats{e.hist.items.Load(), e.hist.syncs.Load(), e.hist.bytes.Load()}
 }
 
-// MatcherStats counts the composite lookups of the running chains' pattern
-// matchers: composites built, and lookups a join node's cache answered. A
-// chain's counts leave the sum when it finishes or is torn down.
+// MatcherStats counts the composite lookups of an engine's pattern
+// matchers: composites built, and lookups a join node's cache answered.
 type MatcherStats struct{ Composites, CompositeHits uint64 }
 
-// MatcherStats sums the matcher counters of every running chain, each read
-// once its shards have drained what was pushed before the call.
-func (e *Engine) MatcherStats() MatcherStats {
-	var st MatcherStats
-	for _, ch := range e.chainsSnapshot() {
-		ch.sh.matcherStats(&st)
+// matcherCounters sum matchers' composite lookups. The engine's hold those
+// of every head that has stopped (finished, torn down or quarantined) and
+// so let go of its matcher, so that the engine's totals never fall.
+type matcherCounters struct{ built, hits atomic.Uint64 }
+
+// add adds the composite lookups of a head operator, if it is a matcher (a
+// stopped head's is nil).
+func (c *matcherCounters) add(op operators.Versioned) {
+	if k, ok := op.(*ownedKeys); ok {
+		op = k.Versioned
 	}
-	return st
+	if m, ok := op.(interface{ CompositeLookups() (uint64, uint64) }); ok {
+		built, hits := m.CompositeLookups()
+		c.built.Add(built)
+		c.hits.Add(hits)
+	}
+}
+
+// MatcherStats sums the matcher counters of every head that has stopped
+// and of every running chain, each read once its shards have drained what
+// was pushed before the call. It is exact when no chain stops meanwhile.
+func (e *Engine) MatcherStats() MatcherStats {
+	var run matcherCounters
+	for _, ch := range e.chainsSnapshot() {
+		ch.sh.matcherStats(&run)
+	}
+	return MatcherStats{run.built.Load() + e.stopped.built.Load(), run.hits.Load() + e.stopped.hits.Load()}
+}
+
+// Standing counts the registered endpoints, less the unregistered, and the
+// chains they run on, finished ones included.
+func (e *Engine) Standing() (queries, chains int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.live, len(e.chains)
 }
 
 // Option adjusts engine construction.
@@ -137,32 +166,39 @@ func (e *Engine) RegisterText(src string, opts ...plan.Option) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.register(r), nil
+	return e.register(r)
 }
 
 // register installs a prepared registration as a standing query;
 // RegisterText and WAL replay are its callers. A shareable registration
 // whose Key names a running chain attaches to it, which builds no plan;
-// any other gets a chain of its own (install).
-func (e *Engine) register(r plan.Prepared) *Query {
+// any other gets a chain of its own (install). It refuses a registration
+// before anything changes once the list, tombstones included, holds
+// math.MaxInt32 entries: the largest query id an endpoint keeps.
+func (e *Engine) register(r plan.Prepared) (*Query, error) {
+	if e.log != nil {
+		e.pushMu.Lock()
+		defer e.pushMu.Unlock()
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.queries) >= math.MaxInt32 {
+		return nil, fmt.Errorf("engine: the registration list holds %d queries, its most", len(e.queries))
+	}
 	// Durable engines log the registration ahead of installing it, so a
 	// recovered engine re-creates the query at the same position in the
 	// input sequence. Replay registers before the log is attached.
 	if e.log != nil {
-		e.pushMu.Lock()
-		defer e.pushMu.Unlock()
 		e.logAppend(wal.Record{Kind: wal.KindRegister, Src: r.Key.Src, Opts: r.Opts})
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var key plan.Key
 	if r.Opts.Share {
 		if ch := e.groups[r.Key]; ch != nil {
-			return e.endpoint(ch)
+			return e.endpoint(ch), nil
 		}
 		key = r.Key
 	}
-	return e.install(r.Plan(), key)
+	return e.install(r.Plan(), key), nil
 }
 
 // install builds p's chain — joinable under key unless key is zero — and
@@ -186,8 +222,9 @@ func (e *Engine) install(p *plan.Plan, key plan.Key) *Query {
 
 // endpoint registers a new Query on ch. Caller holds e.mu.
 func (e *Engine) endpoint(ch *chain) *Query {
-	q := &Query{ch: ch, idx: len(e.queries)}
+	q := &Query{ch: ch, idx: int32(len(e.queries))}
 	e.queries = append(e.queries, q)
+	e.live++
 	ch.attach(q)
 	return q
 }
@@ -217,7 +254,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 		}
 		return p.Fresh().Stages
 	}
-	if err := ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, route, ch); err != nil {
+	if err := ch.sh.start(p.Name, n, DefaultBurst, stagesFor, p.Spec, route, ch, &e.stopped); err != nil {
 		panic(err) // unreachable: a compiled plan is the single-port matcher, then Slice/Project
 	}
 	ch.plan.Stages = nil
@@ -228,7 +265,7 @@ func (e *Engine) buildChain(p *plan.Plan) *chain {
 func (e *Engine) Queries() []*Query {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]*Query, 0, len(e.queries))
+	out := make([]*Query, 0, e.live)
 	for _, q := range e.queries {
 		if !q.unregistered {
 			out = append(out, q)
@@ -368,12 +405,14 @@ type chain struct {
 
 // chunkLen is the data chunks' unit of growth: the items that fill one
 // 4 KiB size class. A history's first data chunk holds firstLen (512 B), so
-// a chain with a handful of detections does not hold 4 KiB for them;
-// syncLen sync points fill a sync chunk's 4 KiB.
+// a chain with a handful of detections does not hold 4 KiB for them.
+// syncLen sync points (42) fill a sync chunk of 1,008 B in the 1 KiB size
+// class: a quiet chain's few dozen sync points take a chunk or two, and a
+// long chain pays one 8-B index slot per chunk, under 1% of its records.
 const (
 	chunkLen = uint64(4096 / unsafe.Sizeof(event.Event{}))
 	firstLen = uint64(512 / unsafe.Sizeof(event.Event{}))
-	syncLen  = uint64(4096 / unsafe.Sizeof(syncPoint{}))
+	syncLen  = uint64(1024 / unsafe.Sizeof(syncPoint{}))
 )
 
 // syncPoint is a canonical sync point in a history: its chain order tag,
@@ -617,10 +656,9 @@ func (ch *chain) shutdown() {
 // whole group — documented on each method). Input reaches a query only
 // through its engine's Push and Finish, which log it on a durable engine.
 type Query struct {
-	ch  *chain // its name and engine are the query's
-	idx int    // position in the engine's registration list (the WAL's query id)
-
-	unregistered bool // guarded by ch.eng.mu
+	ch           *chain // its name and engine are the query's
+	idx          int32  // position in the engine's registration list (the WAL's query id)
+	unregistered bool   // guarded by ch.eng.mu
 
 	// Guarded by ch.mu.
 	from, cut uint64 // window over ch.history; cut is openCut while live
@@ -784,7 +822,7 @@ func (q *Query) SetSpec(s consistency.Spec) {
 	if e := q.ch.eng; e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: q.idx, Spec: s}) {
+		if !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: int(q.idx), Spec: s}) {
 			return
 		}
 	}
@@ -809,7 +847,7 @@ func (q *Query) Unregister() {
 	if e := q.ch.eng; e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if !e.logAppend(wal.Record{Kind: wal.KindUnregister, Query: q.idx}) {
+		if !e.logAppend(wal.Record{Kind: wal.KindUnregister, Query: int(q.idx)}) {
 			return
 		}
 	}
@@ -827,6 +865,7 @@ func (q *Query) unregisterApply() {
 		return
 	}
 	q.unregistered = true
+	e.live--
 	ch := q.ch
 	last := ch.detach(q)
 	if last {

@@ -137,6 +137,9 @@ type shardWorker struct {
 	// dropWindow is set on every merged worker but shard 0 (see
 	// shardBurst.states).
 	merged, dropWindow bool
+	// lookups receives the head matcher's composite lookups when the head
+	// stops (stopHead).
+	lookups *matcherCounters
 	// Handoff channels and the free list for the burst buffers cycling
 	// through this worker's pipeline (see runBufs); nil when n = 1.
 	in         chan *shardRun
@@ -225,7 +228,7 @@ type shardSink interface {
 func newSharded(name string, n, burst int, stagesFor func(shard int) []operators.Op,
 	spec consistency.Spec, route func(event.Event) int, sink shardSink) (*sharded, error) {
 	s := new(sharded)
-	return s, s.start(name, n, burst, stagesFor, spec, route, sink)
+	return s, s.start(name, n, burst, stagesFor, spec, route, sink, new(matcherCounters))
 }
 
 // start builds and starts the runtime in place (a chain embeds it). burst
@@ -235,11 +238,12 @@ func newSharded(name string, n, burst int, stagesFor func(shard int) []operators
 // (operator Clones may share scratch and are not safe across goroutines);
 // every shard runs its chain's head under a monitor — through ownKeys, with
 // route, when n > 1 — and maps the head's output through the rest. name
-// labels the quarantine error of a panicking operator. start fails on a
-// multi-port head with more than one shard and on a stage after the head
-// that is not operators.Stateless.
+// labels the quarantine error of a panicking operator, and each head adds
+// its matcher's counts to lookups as it stops. start fails on a multi-port
+// head with more than one shard and on a stage after the head that is not
+// operators.Stateless.
 func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []operators.Op,
-	spec consistency.Spec, route func(event.Event) int, sink shardSink) error {
+	spec consistency.Spec, route func(event.Event) int, sink shardSink, lookups *matcherCounters) error {
 	if n < 1 {
 		n = 1
 	}
@@ -266,6 +270,7 @@ func (s *sharded) start(name string, n, burst int, stagesFor func(shard int) []o
 			head = ownKeys(head, route, i)
 		}
 		s.workers[i].head = consistency.NewMonitor(head, spec)
+		s.workers[i].lookups = lookups
 		if len(stages) > 1 {
 			s.workers[i].stages = slices.Clone(stages[1:])
 		}
@@ -444,10 +449,10 @@ func (s *sharded) metrics() []consistency.Metrics {
 	return []consistency.Metrics{agg}
 }
 
-// matcherStats adds the heads' composite lookups to st unless the chain has
+// matcherStats adds the heads' composite lookups to c unless the chain has
 // finished (its heads let go of their operators). It holds mu throughout, so
 // no push runs while it reads, once the shards have drained (barrier).
-func (s *sharded) matcherStats(st *MatcherStats) {
+func (s *sharded) matcherStats(c *matcherCounters) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished {
@@ -458,16 +463,21 @@ func (s *sharded) matcherStats(st *MatcherStats) {
 		<-s.barrierCh
 	}
 	for i := range s.workers {
-		op := s.workers[i].head.Op()
-		if k, ok := op.(*ownedKeys); ok {
-			op = k.Versioned
-		}
-		if op, ok := op.(interface{ CompositeLookups() (uint64, uint64) }); ok {
-			built, hits := op.CompositeLookups()
-			st.Composites += built
-			st.CompositeHits += hits
-		}
+		c.add(s.workers[i].head.Op())
 	}
+}
+
+// stopHead stops the head (finish flushes it first) and adds its matcher's
+// counts, read once it has stopped, to lookups. A head already stopped has
+// none to add.
+func (w *shardWorker) stopHead(finish bool, out *consistency.Burst) {
+	op := w.head.Op()
+	if finish {
+		w.head.FinishTaggedInto(w.merged, out)
+	} else {
+		w.head.Stop()
+	}
+	w.lookups.add(op)
 }
 
 func (w *shardWorker) run(name string) {
@@ -505,7 +515,7 @@ func (w *shardWorker) run(name string) {
 func (w *shardWorker) processRunSafely(name string, items []shardItem, b *shardBurst) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			w.head.Stop()
+			w.stopHead(false, nil)
 			err = recoverPanic(name, "operator stage", rec)
 		}
 	}()
@@ -527,10 +537,8 @@ func (w *shardWorker) process(it shardItem, b *shardBurst) {
 		w.head.PushTaggedInto(0, it.ev, w.merged, &b.out)
 	case itemSetSpec:
 		w.head.SetSpecTaggedInto(it.spec, w.merged, &b.out)
-	case itemFinish:
-		w.head.FinishTaggedInto(w.merged, &b.out)
-	case itemStop:
-		w.head.Stop()
+	case itemFinish, itemStop:
+		w.stopHead(it.kind == itemFinish, &b.out)
 	case itemBarrier:
 		// State is unchanged; the run round-trip is the synchronization.
 	}
@@ -660,14 +668,6 @@ func RouteByAttr(attr string, shards int) func(event.Event) int {
 	}
 }
 
-// RouteByID routes events by their fact ID; retractions share their
-// insert's ID and follow it to the same shard.
-func RouteByID(shards int) func(event.Event) int {
-	return func(ev event.Event) int {
-		return int(uint64(event.Pair(ev.ID)) % uint64(shards))
-	}
-}
-
 // RunShardedOp executes one operator as an n-shard parallel pipeline over a
 // finite physical stream and returns the merged output plus the combined
 // metrics — the sharded counterpart of consistency.RunStreams. mk must
@@ -675,7 +675,7 @@ func RouteByID(shards int) func(event.Event) int {
 // call (multi-port operators do not shard and are reported as an error);
 // burst is the router's flush bound (0 = DefaultBurst, negative = flush
 // only on punctuation/control); route maps each data event to its shard
-// (see RouteByAttr, RouteByID). A worker panic during the run is recovered
+// (see RouteByAttr). A worker panic during the run is recovered
 // and returned as an error alongside the output merged up to the failure.
 func RunShardedOp(mk func() operators.Op, spec consistency.Spec, n, burst int,
 	route func(event.Event) int, in stream.Stream) (stream.Stream, consistency.Metrics, error) {

@@ -648,3 +648,11 @@ func TestConcurrentRegisterTextAndPush(t *testing.T) {
 		t.Fatalf("registered %d queries, want 101", len(qs))
 	}
 }
+
+// RouteByID routes events by their fact ID; retractions share their
+// insert's ID and follow it to the same shard.
+func RouteByID(shards int) func(event.Event) int {
+	return func(ev event.Event) int {
+		return int(uint64(event.Pair(ev.ID)) % uint64(shards))
+	}
+}

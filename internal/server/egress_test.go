@@ -326,19 +326,35 @@ func TestConcurrentProducersShareOneOutbox(t *testing.T) {
 // repaired at Middle both builds composites and finds them again in the
 // caches.
 func TestMatcherCountersMetrics(t *testing.T) {
-	const missedRestart = `
-EVENT MissedRestart
-WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours), RESTART AS z, 5 minutes)
-WHERE CorrelationKey(Machine_Id, EQUAL)
-CONSISTENCY middle`
 	sys := cedr.New()
 	for _, opts := range [][]cedr.QueryOption{{cedr.WithoutSharing()}, {cedr.WithoutSharing(), cedr.WithShards(2)}} {
-		if _, err := sys.Register(missedRestart, opts...); err != nil {
+		if _, err := sys.Register(missedRestartMiddle, opts...); err != nil {
 			t.Fatal(err)
 		}
 	}
 	srv, _ := startServer(t, sys)
 	defer srv.Shutdown()
+	pushRepaired(sys, disorderedFleet())
+	m, want := scrape(t, srv), sys.MatcherStats()
+	built, hits := m["cedr_matcher_composites_total"], m["cedr_matcher_composite_cache_hits_total"]
+	t.Logf("%v composites built, %v cache hits", built, hits)
+	if built != float64(want.Composites) || hits != float64(want.CompositeHits) {
+		t.Fatalf("/metrics reads %v built and %v hits; MatcherStats %+v", built, hits, want)
+	}
+	if built == 0 || hits == 0 {
+		t.Fatalf("a repaired disordered stream built %v composites and hit %v", built, hits)
+	}
+}
+
+const missedRestartMiddle = `
+EVENT MissedRestart
+WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours), RESTART AS z, 5 minutes)
+WHERE CorrelationKey(Machine_Id, EQUAL)
+CONSISTENCY middle`
+
+// disorderedFleet is 40 install cycles over 4 machines, a third of them
+// restarted too late, with every fourth pair of events swapped.
+func disorderedFleet() []cedr.Event {
 	const minute = cedr.Duration(60_000)
 	var evs []cedr.Event
 	for c := range 40 {
@@ -355,19 +371,107 @@ CONSISTENCY middle`
 	for i := 0; i+1 < len(evs); i += 4 { // every fourth pair arrives swapped
 		evs[i], evs[i+1] = evs[i+1], evs[i]
 	}
+	return evs
+}
+
+// pushRepaired pushes evs with a sync point after every tenth event, at
+// the earlier of the next two events' starts: the swapped pairs before it
+// are repaired, not blocked.
+func pushRepaired(sys *cedr.System, evs []cedr.Event) {
 	for i, e := range evs {
 		sys.Push(e)
 		if i%10 == 9 && i+2 < len(evs) {
 			sys.Push(cedr.NewCTI(min(evs[i+1].V.Start, evs[i+2].V.Start)))
 		}
 	}
-	m, want := scrape(t, srv), sys.MatcherStats()
-	built, hits := m["cedr_matcher_composites_total"], m["cedr_matcher_composite_cache_hits_total"]
-	t.Logf("%v composites built, %v cache hits", built, hits)
-	if built != float64(want.Composites) || hits != float64(want.CompositeHits) {
-		t.Fatalf("/metrics reads %v built and %v hits; MatcherStats %+v", built, hits, want)
+}
+
+// TestMatcherCountersNeverFall: the matcher counters are totals, so a
+// scrape after an Unregister, and one after a Finish, reads at least what
+// the scrape before it read — a head that stops adds its matcher's counts
+// to the engine's before its monitor lets go of the matcher. Two private
+// chains at shards 1, then 2: one is unregistered halfway through the
+// stream, and the other finishes.
+func TestMatcherCountersNeverFall(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		sys := cedr.New()
+		var qs []*cedr.Query
+		for range 2 {
+			q, err := sys.Register(missedRestartMiddle, cedr.WithoutSharing(), cedr.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, q)
+		}
+		srv := New(sys)
+		evs := disorderedFleet()
+		half := len(evs) / 2
+		for _, step := range []struct {
+			name string
+			in   []cedr.Event
+			stop func()
+		}{
+			{"Unregister", evs[:half], qs[0].Unregister},
+			{"Finish", evs[half:], sys.Finish},
+		} {
+			pushRepaired(sys, step.in)
+			before := scrape(t, srv)
+			step.stop()
+			after, want := scrape(t, srv), sys.MatcherStats()
+			for _, series := range []string{"cedr_matcher_composites_total", "cedr_matcher_composite_cache_hits_total"} {
+				t.Logf("shards=%d: %s %v before %s, %v after", shards, series, before[series], step.name, after[series])
+				if before[series] == 0 || after[series] < before[series] {
+					t.Errorf("shards=%d: %s reads %v before %s and %v after", shards, series, before[series], step.name, after[series])
+				}
+			}
+			if after["cedr_matcher_composites_total"] != float64(want.Composites) || after["cedr_matcher_composite_cache_hits_total"] != float64(want.CompositeHits) {
+				t.Errorf("shards=%d: /metrics after %s disagrees with MatcherStats %+v", shards, step.name, want)
+			}
+		}
+		srv.Shutdown()
 	}
-	if built == 0 || hits == 0 {
-		t.Fatalf("a repaired disordered stream built %v composites and hit %v", built, hits)
+}
+
+// TestStandingGauges: cedr_queries counts the registered endpoints that
+// are not unregistered, len(Queries()), and cedr_chains the chains they
+// run on, after shared, template and private registrations and an
+// Unregister.
+func TestStandingGauges(t *testing.T) {
+	sys := cedr.New()
+	srv := New(sys)
+	defer srv.Shutdown()
+	check := func(when string, chains int) {
+		t.Helper()
+		m := scrape(t, srv)
+		t.Logf("%s: cedr_queries %v, cedr_chains %v", when, m["cedr_queries"], m["cedr_chains"])
+		if m["cedr_queries"] != float64(len(sys.Queries())) || m["cedr_chains"] != float64(chains) {
+			t.Errorf("%s: /metrics reads %v queries and %v chains; want %d and %d",
+				when, m["cedr_queries"], m["cedr_chains"], len(sys.Queries()), chains)
+		}
 	}
+	check("empty", 0)
+	register := func(src string, opts ...cedr.QueryOption) *cedr.Query {
+		t.Helper()
+		q, err := sys.Register(src, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for range 3 {
+		register(missedRestartMiddle) // three endpoints, one shared chain
+	}
+	check("3 shared", 1)
+	const tmpl = `EVENT Restarted WHEN RESTART AS r WHERE [Machine_Id Equal $m]`
+	for i := range 4 {
+		register(tmpl, cedr.WithTemplate(cedr.Payload{"m": "m" + strconv.Itoa(i%2)})) // two bindings, two chains
+	}
+	check("3 shared + 4 template", 3)
+	private := register(missedRestartMiddle, cedr.WithoutSharing())
+	register(missedRestartMiddle, cedr.WithoutSharing())
+	check("3 shared + 4 template + 2 private", 5)
+	private.Unregister()
+	check("one private unregistered", 4)
+	sys.Queries()[0].Unregister()
+	check("one shared unregistered", 4)
 }

@@ -104,8 +104,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics reads the egress counters every outbox shares, without
-// taking any outbox's lock, the engine's history counters and, once each
-// chain's shards have drained, its matchers' counters.
+// taking any outbox's lock, the engine's history counters, its standing
+// queries and chains and, once each chain's shards have drained, its
+// matchers' counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	conns := len(s.conns)
@@ -122,8 +123,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	t.Counter("cedr_history_items_total", "Data items appended to query output histories.", h.Items)
 	t.Counter("cedr_history_sync_points_total", "Sync points appended to query output histories.", h.SyncPoints)
 	t.Counter("cedr_history_chunk_bytes_total", "Bytes of output history chunks allocated.", h.ChunkBytes)
+	queries, chains := s.sys.Standing()
+	t.Gauge("cedr_queries", "Registered queries, less the unregistered.", uint64(queries))
+	t.Gauge("cedr_chains", "Execution chains the registered queries run on.", uint64(chains))
 	m := s.sys.MatcherStats()
-	t.Counter("cedr_matcher_composites_total", "Composite matches the running queries' matchers built.", m.Composites)
+	t.Counter("cedr_matcher_composites_total", "Composite matches the queries' matchers built.", m.Composites)
 	t.Counter("cedr_matcher_composite_cache_hits_total", "Composite lookups a matcher's cache answered.", m.CompositeHits)
 	t.GCCPU("cedr_gc_cpu_seconds_total")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -220,7 +220,7 @@ func TestHTTPMatchesWire(t *testing.T) {
 // API reports it, so it is read through reflection; callers establish
 // happens-before with every subscribe and cancel first.
 func subscriptions(q *cedr.Query) int {
-	return reflect.ValueOf(q).Elem().FieldByName("q").Elem().FieldByName("ch").Elem().FieldByName("subs").Len()
+	return reflect.ValueOf(q).Elem().FieldByName("ch").Elem().FieldByName("subs").Len()
 }
 
 // liveHeap is the heap in use after a full collection.

@@ -57,27 +57,6 @@ func (s Stream) WithArrivalTimes() Stream {
 	return out
 }
 
-// Chan sends the stream over a fresh channel, closing it at the end.
-func (s Stream) Chan(buf int) <-chan event.Event {
-	ch := make(chan event.Event, buf)
-	go func() {
-		defer close(ch)
-		for _, e := range s {
-			ch <- e
-		}
-	}()
-	return ch
-}
-
-// Collect drains a channel into a Stream.
-func Collect(ch <-chan event.Event) Stream {
-	var out Stream
-	for e := range ch {
-		out = append(out, e)
-	}
-	return out
-}
-
 // Stats summarizes the orderliness of a physical stream.
 type Stats struct {
 	Events      int               // data items
@@ -91,14 +70,6 @@ type Stats struct {
 // Disordered reports whether any item arrived after an item with a later
 // Sync time.
 func (st Stats) Disordered() bool { return st.Inversions > 0 }
-
-// MeanLateness is the average lateness over data items (0 if none).
-func (st Stats) MeanLateness() float64 {
-	if st.Events == 0 {
-		return 0
-	}
-	return float64(st.SumLateness) / float64(st.Events)
-}
 
 // Measure computes disorder statistics over the stream in its physical
 // (arrival) order. Inversions are counted pairwise against the running

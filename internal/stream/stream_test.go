@@ -95,3 +95,32 @@ func TestCloneDeep(t *testing.T) {
 		t.Error("Clone not deep")
 	}
 }
+
+// Chan sends the stream over a fresh channel, closing it at the end.
+func (s Stream) Chan(buf int) <-chan event.Event {
+	ch := make(chan event.Event, buf)
+	go func() {
+		defer close(ch)
+		for _, e := range s {
+			ch <- e
+		}
+	}()
+	return ch
+}
+
+// Collect drains a channel into a Stream.
+func Collect(ch <-chan event.Event) Stream {
+	var out Stream
+	for e := range ch {
+		out = append(out, e)
+	}
+	return out
+}
+
+// MeanLateness is the average lateness over data items (0 if none).
+func (st Stats) MeanLateness() float64 {
+	if st.Events == 0 {
+		return 0
+	}
+	return float64(st.SumLateness) / float64(st.Events)
+}

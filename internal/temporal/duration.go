@@ -48,13 +48,3 @@ func ParseDuration(s string) (Duration, error) {
 	}
 	return Duration(n) * ticks, nil
 }
-
-// MustParseDuration is ParseDuration that panics on error; intended for
-// constants in tests and examples.
-func MustParseDuration(s string) Duration {
-	d, err := ParseDuration(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}

@@ -136,10 +136,6 @@ func (i Interval) Intersect(o Interval) Interval {
 	return Interval{Start: Max(i.Start, o.Start), End: Min(i.End, o.End)}
 }
 
-// Meets reports whether i ends exactly where o starts (Definition 10 of the
-// paper: two intervals [T1,T2), [T1',T2') meet iff T2 = T1').
-func (i Interval) Meets(o Interval) bool { return i.End == o.Start }
-
 // Duration returns the length of the interval, saturating for infinite
 // endpoints. Empty intervals have duration zero.
 func (i Interval) Duration() Duration {
@@ -147,14 +143,6 @@ func (i Interval) Duration() Duration {
 		return 0
 	}
 	return i.End.Sub(i.Start)
-}
-
-// ClipEnd returns a copy of i whose end is at most end.
-func (i Interval) ClipEnd(end Time) Interval {
-	if i.End > end {
-		i.End = end
-	}
-	return i
 }
 
 // String renders the interval in the paper's [start, end) notation.

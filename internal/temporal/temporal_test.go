@@ -239,3 +239,24 @@ func TestMustParseDurationPanics(t *testing.T) {
 	}()
 	MustParseDuration("not a duration")
 }
+
+// Meets reports whether i ends exactly where o starts (Definition 10 of the
+// paper: two intervals [T1,T2), [T1',T2') meet iff T2 = T1').
+func (i Interval) Meets(o Interval) bool { return i.End == o.Start }
+
+// ClipEnd returns a copy of i whose end is at most end.
+func (i Interval) ClipEnd(end Time) Interval {
+	if i.End > end {
+		i.End = end
+	}
+	return i
+}
+
+// MustParseDuration is ParseDuration that panics on error.
+func MustParseDuration(s string) Duration {
+	d, err := ParseDuration(s)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
