@@ -75,7 +75,7 @@ type (
 	DeliveryConfig = delivery.Config
 	// HistoryStats counts what a system's queries have kept of their output.
 	HistoryStats = engine.HistoryStats
-	// MatcherStats counts the composite lookups of a system's matchers.
+	// MatcherStats counts a system's matchers' composite lookups and undo records.
 	MatcherStats = engine.MatcherStats
 )
 
@@ -365,7 +365,8 @@ func (s *System) HistoryStats() HistoryStats { return s.eng.HistoryStats() }
 
 // MatcherStats reads the queries' matcher counters: composites built and
 // composite cache hits, by running queries and by those that finished,
-// unregistered or were quarantined. It waits for sharded queries to drain.
+// unregistered or were quarantined, and the running queries' live undo
+// records. It waits for sharded queries to drain.
 func (s *System) MatcherStats() MatcherStats { return s.eng.MatcherStats() }
 
 // Standing counts the registered queries (unregistered ones excluded) and
@@ -474,7 +475,8 @@ func (q *Query) Tags() []uint64 { return (*engine.Query)(q).Tags() }
 
 // SetConsistency switches the query's consistency level at runtime. On a
 // shared registration the switch applies to the whole group — every
-// endpoint of the standing query observes the released output.
+// endpoint of the standing query observes the released output. On an
+// unregistered query it does nothing.
 func (q *Query) SetConsistency(spec Spec) { (*engine.Query)(q).SetSpec(spec) }
 
 // Unregister removes the standing query: its Results up to this point stay

@@ -49,9 +49,10 @@ func (r *evRec) matchBy(k *leafKind) *keyedMatch {
 // — leaf matches, namespaced payloads and resolved keys included. Like
 // every interning cache of the tree it is bounded by internCap and holds
 // entries keyed by globally unique IDs: one ID, one event (a caller that
-// reissues an ID gets the first event's record). kinds lists the tree's
-// leaves and combs its join nodes' composite caches (build registers both;
-// a tree has a handful); Op.Compact empties the composite caches, never m.
+// reissues an ID gets the first event's record). A replay never reaches
+// below the last checkpoint, so Op.Compact empties m, and with it the
+// composite caches in combs; kinds lists the tree's leaves (build registers
+// both; a tree has a handful).
 type recCache struct {
 	m     map[event.ID]*evRec
 	kinds []*leafKind

@@ -599,6 +599,9 @@ func (p *Op) Clone() operators.Op {
 // clones'. Plain counters: read them only between calls that drive the tree.
 func (p *Op) CompositeLookups() (built, hits uint64) { return p.sh.n.built, p.sh.n.hits }
 
+// UndoRecords is the number of live records in the undo journal.
+func (p *Op) UndoRecords() int { return p.sh.u.Len() }
+
 // Mark implements operators.Versioned: an O(1) journal mark returning a
 // handle for the operator's current state. The first Mark turns the undo
 // journal on; from then on every state mutation appends its exact inverse.
@@ -616,12 +619,13 @@ func (p *Op) Rollback(v operators.Version) bool {
 }
 
 // Compact implements operators.Versioned: discard undo history strictly
-// below v. Nothing below v is replayed again, and a composite a replay
-// above it misses is rebuilt equal, so every composite cache is emptied
-// too, its storage kept.
+// below v. Nothing below v is replayed again, and a record or composite a
+// replay above it misses is rebuilt equal, so the record cache and every
+// composite cache are emptied too, their storage kept.
 func (p *Op) Compact(v operators.Version) {
 	p.sh.u.Compact(v)
 	if p.sh.recs != nil {
+		clear(p.sh.recs.m)
 		for _, c := range p.sh.recs.combs {
 			clear(c.m)
 		}

@@ -179,11 +179,18 @@ func TestRollbackDifferentialKeyed(t *testing.T) {
 	}
 }
 
-// journalRecs reads the records of u's journal, which keeps them
-// unexported: oldest first, capacity included.
+// journalRecs reads the live records of u's journal, which keeps them
+// unexported in chunks at absolute positions: oldest first.
 func journalRecs(u *undoLog) []undoRec {
-	f := reflect.ValueOf(&u.Journal).Elem().FieldByName("recs")
-	return *(*[]undoRec)(unsafe.Pointer(f.UnsafeAddr()))
+	j := reflect.ValueOf(&u.Journal).Elem()
+	chunks, lo := j.FieldByName("chunks"), int(j.FieldByName("lo").Int())
+	n := chunks.Type().Elem().Elem().Len()
+	var out []undoRec
+	for p := lo; p < int(j.FieldByName("end").Int()); p++ {
+		c := chunks.Index(p/n - lo/n).Elem()
+		out = append(out, *(*undoRec)(unsafe.Pointer(c.Index(p % n).UnsafeAddr())))
+	}
+	return out
 }
 
 // staleSlots counts the slots of slice s between its length and its
@@ -202,23 +209,45 @@ func staleSlots(s reflect.Value) int {
 
 // TestJournalKeepsNoStaleSlots: every shrink of the undo journal zeroes what
 // it gives up. A random Mark/Process/remove/Advance/Rollback/Compact script
-// over the zoo checks, after each step, that no slot in [len, cap) of the
-// journal's records or of its marks is set: a rollback truncates the
-// records and the marks past its version, a compaction shifts them down.
-// The script ends the way a finished monitor does — Advance(∞), then a
-// compaction to a mark past it — after which the journal holds no reset
-// record at all, so the pre-reset tree is unreachable.
+// over the zoo checks, after each step, that every slot of the journal's
+// chunks outside its live records is zero, that every chunk it handed back
+// to the pool is zero, and that no slot in [len, cap) of its marks is set:
+// a rollback truncates the records and the marks past its version, a
+// compaction drops them from the front. The script ends the way a finished
+// monitor does — Advance(∞), then a compaction to a mark past it — after
+// which the journal holds no reset record at all, so the pre-reset tree is
+// unreachable.
 func TestJournalKeepsNoStaleSlots(t *testing.T) {
 	grown := map[string]int{}
+	var held map[uintptr]reflect.Value // the chunks the journal held at the last check
 	check := func(label string, u *undoLog) {
 		t.Helper()
 		j := reflect.ValueOf(&u.Journal).Elem()
+		chunks := j.FieldByName("chunks")
+		lo, end := int(j.FieldByName("lo").Int()), int(j.FieldByName("end").Int())
+		n := chunks.Type().Elem().Elem().Len()
+		now := map[uintptr]reflect.Value{}
+		for k := range chunks.Len() {
+			c := chunks.Index(k)
+			now[c.Pointer()] = reflect.NewAt(c.Type().Elem(), c.UnsafePointer()) // not the slot, which a free clears
+			for i := range n {
+				if p := (lo/n+k)*n + i; (p < lo || p >= end) && !c.Elem().Index(i).IsZero() {
+					t.Fatalf("%s: stale record at position %d, outside the live [%d, %d)", label, p, lo, end)
+				}
+			}
+		}
+		for p, c := range held {
+			if _, ok := now[p]; !ok && !c.Elem().IsZero() {
+				t.Fatalf("%s: a chunk handed back to the pool is not zero", label)
+			}
+		}
+		held = now
+		grown["records"] = max(grown["records"], chunks.Len())
 		marks := j.FieldByName("marks")
 		for _, s := range []struct {
 			name string
 			v    reflect.Value
 		}{
-			{"records", j.FieldByName("recs")},
 			{"mark ids", marks.FieldByName("ids")},
 			{"mark snapshots", marks.FieldByName("vals")},
 		} {
@@ -237,6 +266,7 @@ func TestJournalKeepsNoStaleSlots(t *testing.T) {
 			}
 			op := NewOp(expr, mode, "out")
 			u := op.sh.u
+			held = nil
 			vs := []operators.Version{op.Mark()}
 			rollTo := func(j, i int) {
 				if !op.Rollback(vs[j]) {

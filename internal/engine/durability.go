@@ -70,18 +70,18 @@ func (e *Engine) applyRecord(rec wal.Record) error {
 		if _, err := e.register(p); err != nil {
 			return fmt.Errorf("engine: restore: %w", err)
 		}
-	case wal.KindSpec:
+	case wal.KindSpec, wal.KindUnregister:
 		qs := e.snapshot()
 		if rec.Query < 0 || rec.Query >= len(qs) {
-			return fmt.Errorf("engine: restore: spec switch for unknown query %d", rec.Query)
+			return fmt.Errorf("engine: restore: record kind %d for unknown query %d", rec.Kind, rec.Query)
 		}
-		qs[rec.Query].setSpecApply(rec.Spec)
-	case wal.KindUnregister:
-		qs := e.snapshot()
-		if rec.Query < 0 || rec.Query >= len(qs) {
-			return fmt.Errorf("engine: restore: unregistration of unknown query %d", rec.Query)
+		switch q := qs[rec.Query]; {
+		case q == nil: // unregistered: its tombstone keeps no chain
+		case rec.Kind == wal.KindSpec:
+			q.setSpecApply(rec.Spec)
+		default:
+			q.unregisterApply()
 		}
-		qs[rec.Query].unregisterApply()
 	case wal.KindFinish:
 		e.mu.Lock()
 		e.finished = true

@@ -339,6 +339,12 @@ func TestSnapshotRestoresEveryRegistrationShape(t *testing.T) {
 	for i, q := range qs {
 		r := rs[i]
 		label := fmt.Sprintf("registration %d", i)
+		if (r == nil) != (i == 3) {
+			t.Errorf("%s: restored as a tombstone: %v, want %v", label, r == nil, i == 3)
+		}
+		if r == nil {
+			continue // unregistered: its tombstone keeps no chain to compare
+		}
 		compareStreams(t, label+" results", r.Results(), q.Results())
 		if !reflect.DeepEqual(r.Tags(), q.Tags()) {
 			t.Errorf("%s: order tags diverge", label)
@@ -656,4 +662,73 @@ func TestRestoreRefusesUndecodableRecord(t *testing.T) {
 		t.Fatal("restore replayed a log holding an undecodable record")
 	}
 	log.Close()
+}
+
+// TestSpecSwitchAfterUnregisterIsANoOp: an unregistered endpoint's SetSpec
+// neither switches its shared survivor nor logs, so the survivor's output
+// is that of a run without the switch, and crash recovery reproduces it.
+func TestSpecSwitchAfterUnregisterIsANoOp(t *testing.T) {
+	defer leakcheck.Check(t)()
+	dir := t.TempDir()
+	// A workload whose output a switch to strong changes.
+	src, _ := workload.MachineEvents(workload.DefaultMachines())
+	in := delivery.Deliver(src, delivery.Disordered(5, 10*temporal.Minute, 2*temporal.Minute, 0.25))
+	third := len(in) / 3
+
+	ref := New()
+	defer ref.Close()
+	qr, err := ref.RegisterText(monitorQuery, plan.WithSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range in {
+		ref.Push(ev)
+	}
+
+	log1, err := wal.Open(filepath.Join(dir, "spec.wal"), wal.SyncEvery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := Restore(nil, log1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qa, err := e1.RegisterText(monitorQuery, plan.WithSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := e1.RegisterText(monitorQuery, plan.WithSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range in[:third] {
+		e1.Push(ev)
+	}
+	qb.Unregister()
+	seq := e1.seq
+	qb.SetSpec(consistency.Strong())
+	if e1.seq != seq {
+		t.Errorf("the unregistered handle's switch was logged: sequence %d → %d", seq, e1.seq)
+	}
+	for _, ev := range in[third:] {
+		e1.Push(ev)
+	}
+	want := qa.Results()
+	compareStreams(t, "survivor against a run without the switch", want, qr.Results())
+	// Crash: no Finish, no Close — the log is all that survives.
+
+	log2, err := wal.Open(filepath.Join(dir, "spec.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Restore(nil, log2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	live := e2.Queries()
+	if len(live) != 1 {
+		t.Fatalf("recovered %d live queries, want 1", len(live))
+	}
+	compareStreams(t, "recovered survivor", live[0].Results(), want)
 }

@@ -41,7 +41,7 @@ import (
 // Engine hosts standing queries.
 type Engine struct {
 	mu      sync.RWMutex
-	queries []*Query            // every registration ever, tombstoned on unregister (stable WAL indices)
+	queries []*Query            // every registration ever, nil once unregistered (stable WAL indices)
 	chains  []*chain            // live execution chains; removal copies (snapshots stay valid)
 	groups  map[plan.Key]*chain // sharing identity → its shared chain
 	shards  int                 // default shard count for queries that don't request one
@@ -77,8 +77,9 @@ func (e *Engine) HistoryStats() HistoryStats {
 }
 
 // MatcherStats counts the composite lookups of an engine's pattern
-// matchers: composites built, and lookups a join node's cache answered.
-type MatcherStats struct{ Composites, CompositeHits uint64 }
+// matchers: composites built, and lookups a join node's cache answered;
+// and the running matchers' live undo records.
+type MatcherStats struct{ Composites, CompositeHits, UndoRecords uint64 }
 
 // matcherCounters sum matchers' composite lookups. The engine's hold those
 // of every head that has stopped (finished, torn down or quarantined) and
@@ -88,14 +89,19 @@ type matcherCounters struct{ built, hits atomic.Uint64 }
 // add adds the composite lookups of a head operator, if it is a matcher (a
 // stopped head's is nil).
 func (c *matcherCounters) add(op operators.Versioned) {
-	if k, ok := op.(*ownedKeys); ok {
-		op = k.Versioned
-	}
-	if m, ok := op.(interface{ CompositeLookups() (uint64, uint64) }); ok {
+	if m, ok := unkeyed(op).(interface{ CompositeLookups() (uint64, uint64) }); ok {
 		built, hits := m.CompositeLookups()
 		c.built.Add(built)
 		c.hits.Add(hits)
 	}
+}
+
+// unkeyed strips a head operator's key filter, if it has one.
+func unkeyed(op operators.Versioned) operators.Versioned {
+	if k, ok := op.(*ownedKeys); ok {
+		return k.Versioned
+	}
+	return op
 }
 
 // MatcherStats sums the matcher counters of every head that has stopped
@@ -103,10 +109,11 @@ func (c *matcherCounters) add(op operators.Versioned) {
 // was pushed before the call. It is exact when no chain stops meanwhile.
 func (e *Engine) MatcherStats() MatcherStats {
 	var run matcherCounters
+	var undo uint64
 	for _, ch := range e.chainsSnapshot() {
-		ch.sh.matcherStats(&run)
+		undo += ch.sh.matcherStats(&run)
 	}
-	return MatcherStats{run.built.Load() + e.stopped.built.Load(), run.hits.Load() + e.stopped.hits.Load()}
+	return MatcherStats{run.built.Load() + e.stopped.built.Load(), run.hits.Load() + e.stopped.hits.Load(), undo}
 }
 
 // Standing counts the registered endpoints, less the unregistered, and the
@@ -267,18 +274,17 @@ func (e *Engine) Queries() []*Query {
 	defer e.mu.RUnlock()
 	out := make([]*Query, 0, e.live)
 	for _, q := range e.queries {
-		if !q.unregistered {
+		if q != nil {
 			out = append(out, q)
 		}
 	}
 	return out
 }
 
-// snapshot returns the full registration list — including unregistered
-// tombstones — without copying. register only ever appends (the backing
-// array is never mutated in place), so the returned slice stays valid after
-// the lock is released. Indexing into it with a WAL query id is always
-// in-bounds for ids the log produced.
+// snapshot returns the full registration list, an unregistered query's
+// entry a nil tombstone, without copying. Only replay reads it, on the
+// goroutine that applies its registrations and unregistrations. Indexing
+// into it with a WAL query id is always in-bounds for ids the log produced.
 func (e *Engine) snapshot() []*Query {
 	e.mu.RLock()
 	qs := e.queries
@@ -301,7 +307,7 @@ func (e *Engine) Query(name string) (*Query, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, q := range e.queries {
-		if q.ch.name == name && !q.unregistered {
+		if q != nil && q.ch.name == name {
 			return q, true
 		}
 	}
@@ -656,9 +662,8 @@ func (ch *chain) shutdown() {
 // whole group — documented on each method). Input reaches a query only
 // through its engine's Push and Finish, which log it on a durable engine.
 type Query struct {
-	ch           *chain // its name and engine are the query's
-	idx          int32  // position in the engine's registration list (the WAL's query id)
-	unregistered bool   // guarded by ch.eng.mu
+	ch  *chain // its name and engine are the query's
+	idx int32  // position in the engine's registration list (the WAL's query id)
 
 	// Guarded by ch.mu.
 	from, cut uint64 // window over ch.history; cut is openCut while live
@@ -817,14 +822,20 @@ func (q *Query) Metrics() []consistency.Metrics {
 // is mapped through the later stages like any other. On a shared chain the
 // switch applies to the whole group — every endpoint observes the released
 // output. With more than one shard the switch is enqueued and takes effect
-// at this position in the input sequence on every shard.
+// at this position in the input sequence on every shard. On an
+// unregistered endpoint it does nothing and logs nothing: its shared
+// survivors keep their level, as replay of its tombstone does.
 func (q *Query) SetSpec(s consistency.Spec) {
-	if e := q.ch.eng; e.log != nil {
+	e := q.ch.eng
+	if e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: int(q.idx), Spec: s}) {
-			return
-		}
+	}
+	e.mu.RLock()
+	registered := e.queries[q.idx] == q
+	e.mu.RUnlock()
+	if !registered || e.log != nil && !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: int(q.idx), Spec: s}) {
+		return
 	}
 	q.setSpecApply(s)
 }
@@ -856,15 +867,18 @@ func (q *Query) Unregister() {
 
 // unregisterApply detaches the endpoint without durable logging (the
 // replay path applies already-logged records through it), tearing the
-// chain down when the last reference goes.
+// chain down when the last reference goes. Its list entry becomes a nil
+// tombstone: only the caller's handle still reaches the chain's window.
 func (q *Query) unregisterApply() {
 	e := q.ch.eng
 	e.mu.Lock()
-	if q.unregistered {
+	if e.queries[q.idx] != q {
 		e.mu.Unlock()
 		return
 	}
-	q.unregistered = true
+	// A lock-free reader of snapshot() must not run beside this write;
+	// replay, its only one, applies unregistrations on its own goroutine.
+	e.queries[q.idx] = nil
 	e.live--
 	ch := q.ch
 	last := ch.detach(q)

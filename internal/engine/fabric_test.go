@@ -553,11 +553,16 @@ func TestFabricUnregisterDurableRoundTrip(t *testing.T) {
 	}
 	compareStreams(t, "recovered shared survivor", live[0].Results(), wantA)
 	compareStreams(t, "recovered template", live[1].Results(), wantT)
-	// The tombstoned registration replayed too: frozen at the unregister.
-	compareStreams(t, "recovered tombstone", e2.snapshot()[1].Results(), wantB)
-	if live[0].ch != e2.snapshot()[1].ch {
-		t.Error("recovered survivor and tombstone no longer share lineage")
+	// The unregistration replayed too: its entry is a tombstone that keeps
+	// no chain. The original handle still reads its window, frozen at the
+	// unregister: a prefix of its shared survivor's.
+	if e2.snapshot()[1] != nil {
+		t.Error("the recovered unregistration left its endpoint in the registration list")
 	}
+	if len(wantB) == 0 || len(wantB) > len(wantA) {
+		t.Fatalf("the unregistered handle reads %d items, its survivor %d", len(wantB), len(wantA))
+	}
+	compareStreams(t, "unregistered handle", wantB, wantA[:len(wantB)])
 
 	var snap bytes.Buffer
 	if err := e2.Snapshot(&snap); err != nil {

@@ -505,6 +505,78 @@ func TestRunningChainRetainsSlotsNotPayloads(t *testing.T) {
 	}
 }
 
+// TestUnregisteredQueryRetainsNoChain: the registration list keeps an
+// unregistered query's place, which the WAL's query ids index, but not its
+// chain, so churned registrations leave the engine a few bytes each. Each
+// cycle registers an Echo query, pushes 50 fleet items and unregisters it;
+// the live heap grew ≈29 KB a cycle while the list kept the endpoint,
+// and through it the torn-down chain's history, plan and runtime.
+func TestUnregisteredQueryRetainsNoChain(t *testing.T) {
+	defer leakcheck.Check(t)()
+	e := New()
+	defer e.Close()
+	item := 0
+	churn := func(cycles int) {
+		for range cycles {
+			q, err := e.RegisterText(`EVENT Echo WHEN INSTALL h`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 50 {
+				e.Push(fleetItem(item))
+				item++
+			}
+			q.Unregister()
+		}
+	}
+	const cycles, bound = 1000, 128 // bytes a cycle
+	churn(cycles)                   // warm the analysis cache and grow the list
+	base := liveHeap()
+	churn(cycles)
+	held := liveHeap() - base
+	t.Logf("%d churned registrations held %d B (bound %d B)", cycles, held, bound*cycles)
+	if held > bound*cycles {
+		t.Fatalf("%d unregistered queries hold %d B, %d B each: the registration list keeps their chains", cycles, held, held/cycles)
+	}
+}
+
+// TestCheckpointRetainsNoUndoChunk: a Middle Echo chain fed no sync point
+// keeps undo records for every push (nothing compacts its journal: ROADMAP
+// Known defect 3), which MatcherStats' UndoRecords — the
+// cedr_matcher_undo_records gauge — shows rising; one sync point that covers
+// them all returns the count to 0, and the journal then holds no chunk.
+func TestCheckpointRetainsNoUndoChunk(t *testing.T) {
+	e := New()
+	defer e.Close()
+	q, err := e.RegisterText(`EVENT Echo WHEN INSTALL h`, plan.WithSpec(consistency.Middle()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := func() reflect.Value {
+		op := reflect.ValueOf(q.ch.sh.workers[0].head.Op()).Elem()
+		return op.FieldByName("sh").Elem().FieldByName("u").Elem().FieldByName("Journal").FieldByName("chunks")
+	}
+	var last uint64
+	const pushes = 100
+	for i := range pushes {
+		e.Push(event.NewInsert(event.ID(i+1), "INSTALL", temporal.Time(i), temporal.Infinity, nil))
+		n := e.MatcherStats().UndoRecords
+		if n <= last {
+			t.Fatalf("push %d: %d undo records, %d before: the gauge did not rise", i, n, last)
+		}
+		last = n
+	}
+	before := chunks().Len()
+	e.Push(event.NewCTI(pushes))
+	n, c := e.MatcherStats().UndoRecords, chunks()
+	held := c.Len() * int(c.Type().Elem().Elem().Size())
+	t.Logf("%d pushes kept %d undo records in %d chunks; a covering sync point left %d records, whose chunks held %d B (bound 0 B)",
+		pushes, last, before, n, held)
+	if n != 0 || held != 0 {
+		t.Fatalf("after a covering sync point the journal keeps %d records in %d chunks", n, c.Len())
+	}
+}
+
 // driveEveryKind drives e through every record kind: a sharded private
 // registration and a shared template instance (bindings in its register
 // record), the durability workload with a consistency switch and an
@@ -652,7 +724,13 @@ func TestSnapshotBodyIsTheLog(t *testing.T) {
 		t.Fatalf("committed snapshot restores %d registrations, want %d", n, m)
 	}
 	for i, q := range e4.snapshot() {
-		compareStreams(t, fmt.Sprintf("committed snapshot, query %d", i), q.Results(), live.snapshot()[i].Results())
+		w := live.snapshot()[i]
+		if (q == nil) != (w == nil) {
+			t.Fatalf("committed snapshot, query %d: a tombstone %v, want %v", i, q == nil, w == nil)
+		}
+		if q != nil { // an unregistered query's tombstone keeps no chain to compare
+			compareStreams(t, fmt.Sprintf("committed snapshot, query %d", i), q.Results(), w.Results())
+		}
 	}
 	live.shutdownQueries()
 	if err := e4.Close(); err != nil {
@@ -1122,6 +1200,12 @@ func checkRestore(t *testing.T, snap []byte) {
 		t.Fatalf("two restores register %d and %d queries", len(q1), len(q2))
 	}
 	for i := range q1 {
+		if (q1[i] == nil) != (q2[i] == nil) {
+			t.Fatalf("two restores of one input disagree on whether query %d is unregistered", i)
+		}
+		if q1[i] == nil {
+			continue // a tombstone keeps no chain to compare
+		}
 		// %#v: NaN payload values print alike, where DeepEqual says they differ.
 		if r1, r2 := fmt.Sprintf("%#v", q1[i].Results()), fmt.Sprintf("%#v", q2[i].Results()); r1 != r2 {
 			t.Fatalf("two restores of one input give query %d different results:\n%s\n%s", i, r1, r2)

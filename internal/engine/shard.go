@@ -449,22 +449,28 @@ func (s *sharded) metrics() []consistency.Metrics {
 	return []consistency.Metrics{agg}
 }
 
-// matcherStats adds the heads' composite lookups to c unless the chain has
-// finished (its heads let go of their operators). It holds mu throughout, so
-// no push runs while it reads, once the shards have drained (barrier).
-func (s *sharded) matcherStats(c *matcherCounters) {
+// matcherStats adds the heads' composite lookups to c and returns their
+// live undo records, unless the chain has finished (its heads let go of
+// their operators). It holds mu throughout, so no push runs while it reads,
+// once the shards have drained (barrier).
+func (s *sharded) matcherStats(c *matcherCounters) (undo uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished {
-		return
+		return 0
 	}
 	if s.n > 1 {
 		s.control(itemBarrier, consistency.Spec{})
 		<-s.barrierCh
 	}
 	for i := range s.workers {
-		c.add(s.workers[i].head.Op())
+		op := s.workers[i].head.Op()
+		c.add(op)
+		if m, ok := unkeyed(op).(interface{ UndoRecords() int }); ok {
+			undo += uint64(m.UndoRecords())
+		}
 	}
+	return undo
 }
 
 // stopHead stops the head (finish flushes it first) and adds its matcher's

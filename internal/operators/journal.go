@@ -2,6 +2,7 @@ package operators
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/event"
 	"repro/internal/temporal"
@@ -53,7 +54,7 @@ type Record interface {
 // Journal is the one undo log behind every journaling operator's Versioned
 // implementation: while it is on, every mutation of the operator's durable
 // state first appends its exact inverse as an R. Mark is then an O(1)
-// append, Rollback undoes records LIFO back to it, Compact truncates the
+// append, Rollback undoes records LIFO back to it, Compact drops the
 // history below it. Journaling turns on at the first Mark, so a standalone
 // operator (and every Clone, which starts with a zero journal) pays one
 // predictable branch per mutation. Derived caches and scratch buffers are
@@ -61,31 +62,64 @@ type Record interface {
 // mutation (a few scalars) it hands to Mark as a snapshot S, which Rollback
 // returns for the operator to restore.
 //
+// Records sit at absolute positions in chunks of chunkLen, the first chunk
+// holding position lo, so a mark keeps its position for good and nothing is
+// ever copied down. Every slot outside the live records [lo, end) is zero;
+// a chunk that Compact or Rollback vacates goes back to a process-wide pool
+// of its record type for any journal to take, and a journal whose every
+// record a Compact dropped holds no chunk.
+//
 // Versions are serial numbers that are never reissued, so a version a
 // deeper Rollback or a Compact invalidated stays invalid for good.
 type Journal[R Record, S any] struct {
-	on    bool
-	recs  []R               // inverse records since the oldest live mark, in mutation order
-	marks versions[mark[S]] // live versions
+	on      bool
+	chunks  []*[chunkLen]R    // chunks[k] holds positions (lo/chunkLen+k)·chunkLen on
+	lo, end int               // the live records' positions, oldest first
+	marks   versions[mark[S]] // live versions
 }
 
+const chunkLen = 32
+
 type mark[S any] struct {
-	at   int // len(recs) at mark time
+	at   int // end at mark time
 	snap S
+}
+
+// chunkPools holds one sync.Pool of zeroed chunks per record type, keyed
+// by a nil *[chunkLen]R.
+var chunkPools sync.Map
+
+func chunkPool[R any]() *sync.Pool {
+	key := any((*[chunkLen]R)(nil))
+	p, ok := chunkPools.Load(key)
+	if !ok {
+		p, _ = chunkPools.LoadOrStore(key, &sync.Pool{New: func() any { return new([chunkLen]R) }})
+	}
+	return p.(*sync.Pool)
 }
 
 // On reports whether journaling is on: a mutation appends its inverse only
 // then.
 func (j *Journal[R, S]) On() bool { return j.on }
 
+// Len is the number of live records: those a retained version can undo.
+func (j *Journal[R, S]) Len() int { return j.end - j.lo }
+
 // Add appends the inverse of the mutation about to happen.
-func (j *Journal[R, S]) Add(r R) { j.recs = append(j.recs, r) }
+func (j *Journal[R, S]) Add(r R) {
+	k := j.end/chunkLen - j.lo/chunkLen
+	if k == len(j.chunks) {
+		j.chunks = append(j.chunks, chunkPool[R]().Get().(*[chunkLen]R))
+	}
+	j.chunks[k][j.end%chunkLen] = r
+	j.end++
+}
 
 // Mark returns a version of the current state, snap being the part of it
 // the operator does not journal, and turns journaling on.
 func (j *Journal[R, S]) Mark(snap S) Version {
 	j.on = true
-	return j.marks.push(mark[S]{len(j.recs), snap})
+	return j.marks.push(mark[S]{j.end, snap})
 }
 
 // Rollback undoes every mutation since v, in O(mutations since v), and
@@ -97,33 +131,46 @@ func (j *Journal[R, S]) Rollback(v Version) (snap S, ok bool) {
 		return snap, false
 	}
 	m := j.marks.vals[i]
-	for n := len(j.recs); n > m.at; n-- {
-		j.recs[n-1].Undo()
+	for ; j.end > m.at; j.end-- {
+		r := &j.chunks[(j.end-1)/chunkLen-j.lo/chunkLen][(j.end-1)%chunkLen]
+		(*r).Undo()
+		*r = *new(R)
 	}
-	clear(j.recs[m.at:])
-	j.recs = j.recs[:m.at]
+	keep := (j.end+chunkLen-1)/chunkLen - j.lo/chunkLen // the chunks below end, if a Compact left any
+	j.free(min(keep, len(j.chunks)), len(j.chunks))
 	j.marks.cut(i+1, len(j.marks.ids))
 	return m.snap, true
 }
 
 // Compact drops the history below v, releasing each dropped record, in
-// O(records dropped and kept). Versions before v are invalidated.
+// O(records dropped). Versions before v are invalidated.
 func (j *Journal[R, S]) Compact(v Version) {
 	i := j.marks.find(v)
 	if i <= 0 {
 		return
 	}
 	at := j.marks.vals[i].at
-	for k := range j.recs[:at] {
-		j.recs[k].Release()
+	for p := j.lo; p < at; p++ {
+		r := &j.chunks[p/chunkLen-j.lo/chunkLen][p%chunkLen]
+		(*r).Release()
+		*r = *new(R)
 	}
-	n := copy(j.recs, j.recs[at:])
-	clear(j.recs[n:])
-	j.recs = j.recs[:n]
+	n := at/chunkLen - j.lo/chunkLen // the chunks wholly below at
+	if at == j.end {
+		n = len(j.chunks)
+	}
+	j.free(0, n)
+	j.lo = at
 	j.marks.cut(0, i)
-	for k := range j.marks.vals {
-		j.marks.vals[k].at -= at
+}
+
+// free hands chunks [from, to), all zero, back to the pool.
+func (j *Journal[R, S]) free(from, to int) {
+	pool := chunkPool[R]()
+	for _, c := range j.chunks[from:to] {
+		pool.Put(c)
 	}
+	j.chunks = slices.Delete(j.chunks, from, to)
 }
 
 // journal is a Journal whose operator journals all of its state: it needs

@@ -346,6 +346,31 @@ func TestMatcherCountersMetrics(t *testing.T) {
 	}
 }
 
+// TestMatcherUndoRecordsGauge: /metrics' cedr_matcher_undo_records counts
+// the running matchers' live undo records: it rises with each push to a
+// Middle chain fed no sync point, and a covering sync point returns it to 0.
+func TestMatcherUndoRecordsGauge(t *testing.T) {
+	sys := cedr.New()
+	if _, err := sys.Register("EVENT Echo WHEN INSTALL h\nCONSISTENCY middle"); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := startServer(t, sys)
+	defer srv.Shutdown()
+	last := 0.0
+	for i := range 3 {
+		sys.Push(cedr.NewEvent(cedr.ID(i+1), "INSTALL", cedr.Time(i), cedr.Forever, nil))
+		n := scrape(t, srv)["cedr_matcher_undo_records"]
+		if n <= last {
+			t.Fatalf("push %d: the gauge reads %v, %v before", i, n, last)
+		}
+		last = n
+	}
+	sys.Push(cedr.NewCTI(cedr.Time(3)))
+	if n := scrape(t, srv)["cedr_matcher_undo_records"]; n != 0 {
+		t.Fatalf("after a covering sync point the gauge reads %v, want 0", n)
+	}
+}
+
 const missedRestartMiddle = `
 EVENT MissedRestart
 WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 12 hours), RESTART AS z, 5 minutes)

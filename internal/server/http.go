@@ -129,6 +129,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.sys.MatcherStats()
 	t.Counter("cedr_matcher_composites_total", "Composite matches the queries' matchers built.", m.Composites)
 	t.Counter("cedr_matcher_composite_cache_hits_total", "Composite lookups a matcher's cache answered.", m.CompositeHits)
+	t.Gauge("cedr_matcher_undo_records", "Live undo records the running chains' matchers keep for repair.", m.UndoRecords)
 	t.GCCPU("cedr_gc_cpu_seconds_total")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	t.WriteTo(w)
