@@ -75,7 +75,7 @@ type (
 	DeliveryConfig = delivery.Config
 	// HistoryStats counts what a system's queries have kept of their output.
 	HistoryStats = engine.HistoryStats
-	// MatcherStats counts a system's matchers' composite lookups and undo records.
+	// MatcherStats counts a system's matchers' composite lookups and what they hold.
 	MatcherStats = engine.MatcherStats
 )
 
@@ -366,7 +366,7 @@ func (s *System) HistoryStats() HistoryStats { return s.eng.HistoryStats() }
 // MatcherStats reads the queries' matcher counters: composites built and
 // composite cache hits, by running queries and by those that finished,
 // unregistered or were quarantined, and the running queries' live undo
-// records. It waits for sharded queries to drain.
+// records and payload-table slots. It waits for sharded queries to drain.
 func (s *System) MatcherStats() MatcherStats { return s.eng.MatcherStats() }
 
 // Standing counts the registered queries (unregistered ones excluded) and

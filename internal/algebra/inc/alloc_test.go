@@ -4,7 +4,9 @@ package inc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -202,9 +204,9 @@ func TestAllocsInternedPayloads(t *testing.T) {
 	const ceilLeaf, ceilComposite = 0.0, 1.0
 	t.Logf("interned payloads: leaf %.2f allocs/match (ceiling %.0f), composite %.2f allocs/match (ceiling %.0f), composite with its re-headed form %.2f (ceiling %.0f)",
 		leaf, ceilLeaf, composite, ceilComposite, reheaded, ceilComposite)
-	if x.pid == 0 || leaf > ceilLeaf || composite > ceilComposite {
+	if x.pe.id == 0 || leaf > ceilLeaf || composite > ceilComposite {
 		t.Fatalf("a repeated payload allocates: leaf %.2f (ceiling %.0f), composite %.2f (ceiling %.0f), pid %d — the payload table no longer interns",
-			leaf, ceilLeaf, composite, ceilComposite, x.pid)
+			leaf, ceilLeaf, composite, ceilComposite, x.pe.id)
 	}
 	if reheaded > ceilComposite || neg.out(a) != a.up || !a.reheaded() || a.up.m.ID == a.m.ID {
 		t.Fatalf("a composite under UNLESS and its re-headed form cost %.2f allocations (ceiling %.0f), or the form is not derived into the composite's slot",
@@ -212,27 +214,88 @@ func TestAllocsInternedPayloads(t *testing.T) {
 	}
 }
 
+// TestAllocsUninternedPayloads pins what a payload the table cannot intern
+// costs per match: a NaN leaf payload its namespaced map, a composite of
+// five parts its combined map and its blocks. The slot either takes in the
+// table's chunks adds no allocation per match (a chunk holds 8 to 2,048).
+// The ceilings are the readings from before the table kept such payloads in
+// its chunks.
+func TestAllocsUninternedPayloads(t *testing.T) {
+	op := NewOp(algebra.SequenceExpr{Kids: []algebra.Expr{typ("A", "a"), typ("B", "b"), typ("C", "c"),
+		typ("D", "d"), typ("E", "e")}, W: 64}, algebra.SCMode{}, "Five", WithJoinKey("k"))
+	kinds := op.sh.recs.kinds
+	var x keyedMatch
+	e := event.NewInsert(1, "A", 0, temporal.Infinity, event.Payload{"k": "k0", "v": math.NaN()})
+	leaf := testing.AllocsPerRun(200, func() { kinds[0].derive(&x, &e, nil) })
+	parts := make([]*keyedMatch, len(kinds))
+	for i, k := range kinds {
+		parts[i] = deriveLeaf(k, event.Payload{"k": "k0"})
+	}
+	comb := op.root.(*seqNode).comb
+	composite := testing.AllocsPerRun(200, func() {
+		comb.combined(2, parts, 64)
+		delete(comb.m, 2)
+	})
+	const ceilLeaf, ceilComposite = 2.0, 3.0
+	t.Logf("uninterned payloads: NaN leaf %.2f allocs/match (ceiling %.0f), five-part composite %.2f (ceiling %.0f)",
+		leaf, ceilLeaf, composite, ceilComposite)
+	if leaf > ceilLeaf || composite > ceilComposite {
+		t.Fatalf("an uninterned payload allocates more per match: NaN leaf %.2f (ceiling %.0f), five-part composite %.2f (ceiling %.0f)",
+			leaf, ceilLeaf, composite, ceilComposite)
+	}
+}
+
 // TestAllocsMatchBlockSizes pins the sizes of the blocks a match lives in,
-// each at or just under a runtime size class: one more field in keyedMatch
-// would push the leaf block (an event's record and its first leaf match)
-// from the 176-byte class into the 192-byte one for every event, and a
-// composite with its re-headed slot past 320 bytes.
+// each at a runtime size class: one more field in keyedMatch would push the
+// leaf block (an event's record and its first leaf match) from the 144-byte
+// class into the 160-byte one for every event, and a composite with its
+// re-headed slot (what combCache.combined allocates under up) past 240 bytes.
 func TestAllocsMatchBlockSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
+	un := NewOp(algebra.UnlessExpr{A: algebra.SequenceExpr{Kids: []algebra.Expr{
+		algebra.TypeExpr{Type: "INSTALL", Alias: "x"},
+		algebra.TypeExpr{Type: "SHUTDOWN", Alias: "y"},
+	}, W: 64}, B: algebra.TypeExpr{Type: "RESTART", Alias: "z"}, W: 8}, algebra.SCMode{}, "Missed")
+	comb := un.root.(*negNode).pos.(*seqNode).comb
+	x, y := deriveLeaf(un.sh.recs.kinds[0], event.Payload{"v": 1}), deriveLeaf(un.sh.recs.kinds[1], event.Payload{"v": 1})
+	composite := bytesPerRun(200, func() {
+		comb.combined(2, []*keyedMatch{x, y}, 64)
+		delete(comb.m, 2)
+	})
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"keyedMatch", unsafe.Sizeof(keyedMatch{}), 136},
-		{"leaf block", unsafe.Sizeof(evRec{}) + unsafe.Sizeof(leafMatch{}), 176}, // recCache.of's allocation
+		{"keyedMatch", unsafe.Sizeof(keyedMatch{}), 104},
+		{"leaf block", unsafe.Sizeof(evRec{}) + unsafe.Sizeof(leafMatch{}), 144}, // recCache.of's allocation
+		{"composite with its re-headed slot", uintptr(composite), 240},
 	} {
 		t.Logf("%s: %d bytes (ceiling %d)", c.name, c.got, c.want)
 		if c.got > c.want {
 			t.Errorf("%s is %d bytes, above the pinned %d — it crossed into a larger size class", c.name, c.got, c.want)
 		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes, rounded
+// up to their size classes, that one call of f allocates on average over
+// runs calls, the least of five such batches (a stray allocation only adds).
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
 }
 
 // TestAllocsKeyResolution pins key resolution itself at zero allocations
@@ -262,8 +325,8 @@ func TestAllocsKeyedBucketReuse(t *testing.T) {
 	kms := make([]*keyedMatch, 4*keys)
 	for i := range kms {
 		kms[i] = &keyedMatch{
-			m:   algebra.Match{ID: event.ID(i + 1), V: temporal.NewInterval(temporal.Time(i), temporal.Time(i+1))},
-			key: event.KeyOf(fmt.Sprintf("k%d", i)),
+			m:  algebra.Match{ID: event.ID(i + 1), V: temporal.NewInterval(temporal.Time(i), temporal.Time(i+1))},
+			pe: &payloadEntry{key: event.KeyOf(fmt.Sprintf("k%d", i))},
 		}
 	}
 	neg, ok := NewOp(keyedZoo()["kunless"], algebra.SCMode{}, "out", WithJoinKey("k")).root.(*negNode)
@@ -285,7 +348,7 @@ func TestAllocsKeyedBucketReuse(t *testing.T) {
 		peak = max(peak, len(l.buckets), len(neg.kcands))
 		for _, km := range batch {
 			l.remove(km)
-			neg.candRemove(km.m.V.Start, km.m.ID, km.key)
+			neg.candRemove(km.m.V.Start, km.m.ID, km.pe.key)
 		}
 	}
 	for range len(kms) / keys { // every key once: the maps and spare lists reach their size

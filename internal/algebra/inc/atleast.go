@@ -154,7 +154,7 @@ func (a *atLeastNode) enumerate(fix int, nm *keyedMatch, del bool, out *delta) {
 			a.lists[p].scan(k, scan)
 		}
 	}
-	rec(0, minVs, maxVs, nm.key)
+	rec(0, minVs, maxVs, nm.pe.key)
 	a.picks = picks[:0]
 }
 

@@ -60,9 +60,9 @@ func wrapKeys(t testing.TB, n node, cfg *keyCfg, seen *int) node {
 
 func (w *keyWatch) check(out *delta, from int) {
 	for _, it := range out.items[from:] {
-		if want := w.cfg.of(it.km.m.Payload); it.km.key != want {
+		if want := w.cfg.of(it.km.m.Payload); it.km.pe.key != want {
 			w.t.Fatalf("%T emitted match %d (del=%v) carrying key %+v, of(payload) = %+v, payload %v",
-				w.kid, it.km.m.ID, it.del, it.km.key, want, it.km.m.Payload)
+				w.kid, it.km.m.ID, it.del, it.km.pe.key, want, it.km.m.Payload)
 		}
 		*w.seen++
 	}

@@ -335,13 +335,13 @@ func (r undoRec) Undo() {
 		}
 	case jCandAdd:
 		n := r.node.(*negNode)
-		n.candRemove(temporal.Time(r.id), r.km.m.ID, route(n.keyed, r.km.key))
+		n.candRemove(temporal.Time(r.id), r.km.m.ID, route(n.keyed, r.km.pe.key))
 	case jCandDel:
 		r.node.(*negNode).candAdd(negCand{a: r.km, lo: temporal.Time(r.id), blockers: r.i})
 	case jBlock:
 		n := r.node.(*negNode)
 		cs := n.wcands
-		if k := route(n.keyed, r.km.key); k.Def() {
+		if k := route(n.keyed, r.km.pe.key); k.Def() {
 			cs = n.kcands[k]
 		}
 		if i := candFind(cs, temporal.Time(r.id), r.km.m.ID); i >= 0 {

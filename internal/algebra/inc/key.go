@@ -43,12 +43,12 @@ import (
 // payload*, by the payload table (payload.go) when it builds a leaf's or a
 // composite's map (one of() scan over the payload Combine just built — exact
 // for its prime-renamed duplicate names by construction); later matches with
-// that content take map and key from the entry. The key is stored beside the
-// match in the one interned keyedMatch every store, delta item, journal
-// record and negation candidate refers to, so nothing re-scans a payload —
+// that content point at the entry too. The key stays in the entry, which the
+// one interned keyedMatch every store, delta item, journal record and
+// negation candidate refers to points at, so nothing re-scans a payload —
 // on adds, retractions, prunes or replayed items. Nodes that only re-head a
-// match (negation, ATMOST) copy their input's key and payload id — the
-// payload is the same map — and FILTER passes the reference through.
+// match (negation, ATMOST) copy their input's entry pointer — the payload is
+// the same map — and FILTER passes the reference through.
 //
 // Keys are event.Key values: numbers collapse to one float64 (so the buckets
 // equate int64(3) with float64(3) the way event.ValueEqual does) without
@@ -61,7 +61,7 @@ func narrow(k event.Key, km *keyedMatch) event.Key {
 	if k.Def() {
 		return k
 	}
-	return km.key
+	return km.pe.key
 }
 
 // keyCfg is the pushdown configuration shared by the tree: the correlation
@@ -128,7 +128,7 @@ type keyedList struct {
 }
 
 func (l *keyedList) insert(km *keyedMatch) {
-	k := route(l.keyed, km.key)
+	k := route(l.keyed, km.pe.key)
 	if !k.Def() {
 		l.wild.insert(km)
 		return
@@ -150,7 +150,7 @@ func (l *keyedList) insert(km *keyedMatch) {
 
 // remove deletes the entry equal to km (by ID at its occurrence time).
 func (l *keyedList) remove(km *keyedMatch) bool {
-	k := route(l.keyed, km.key)
+	k := route(l.keyed, km.pe.key)
 	if !k.Def() {
 		return l.wild.removeMatch(&km.m)
 	}

@@ -200,7 +200,7 @@ func candFind(cs []negCand, lo temporal.Time, id event.ID) int {
 
 // candAdd stores c in the list its key routes to.
 func (u *negNode) candAdd(c negCand) {
-	if k := route(u.keyed, c.a.key); k.Def() {
+	if k := route(u.keyed, c.a.pe.key); k.Def() {
 		if u.kcands == nil {
 			u.kcands = map[event.Key][]negCand{}
 		}
@@ -242,7 +242,7 @@ func (u *negNode) candRemove(lo temporal.Time, id event.ID, k event.Key) (c negC
 func (u *negNode) applyPos(out *delta) {
 	for _, it := range u.kd.items {
 		a := it.km
-		k := route(u.keyed, a.key)
+		k := route(u.keyed, a.pe.key)
 		if it.del {
 			lo, ok := u.loOf[a.m.ID]
 			if !ok {
@@ -335,7 +335,7 @@ func (u *negNode) eachAffected(neg *keyedMatch, fn func(c *negCand)) {
 			}
 		}
 	}
-	if k := route(u.keyed, neg.key); k.Def() {
+	if k := route(u.keyed, neg.pe.key); k.Def() {
 		visit(u.kcands[k])
 	} else {
 		for _, cs := range u.kcands {

@@ -30,7 +30,7 @@
 // node's composite with its lineage and, where an UNLESS, UNLESS' or ATMOST
 // above re-heads it, the slot its re-headed form is derived into
 // (keyedMatch.up) — interned as an immutable
-// *keyedMatch (the match and its resolved correlation key), and referred to
+// *keyedMatch (the match and its payload's table entry), and referred to
 // everywhere else: the nodes' stores and indexes, the delta items flowing up
 // the tree, the Op's pending list and emitted table and the undo journal's
 // records all hold that one reference, never a copy. Nodes append
@@ -41,7 +41,9 @@
 // monitor re-drives a rolled-back operator through events it already saw,
 // so the second and subsequent derivations of the same match reuse the
 // first one outright, and below them the payload table (payload.go) gives
-// every match of one payload content the same immutable map. References are
+// every match of one payload content the same entry: one immutable map, its
+// resolved correlation key and its id. A full table starts new chunks and
+// never rewrites an entry a match points at. References are
 // never compared — a re-derivation after a cache reset is an equal but
 // distinct match — identity is (ID, V.Start).
 // Clones of one operator are only ever driven sequentially (the Op
@@ -173,14 +175,14 @@ type node interface {
 // composite caches long before (Op.Compact).
 const internCap = 4096
 
-// keyedMatch is a derived match with its correlation key, resolved once
-// by the node that built the match (key.go). Allocated once, immutable once
-// interned, and held by reference everywhere.
+// keyedMatch is a derived match and its payload's entry in the tree's
+// payload table (payload.go), which holds the correlation key the table
+// resolved once per content (key.go) and the payload's id. Allocated once,
+// immutable once interned, and held by reference everywhere.
 type keyedMatch struct {
-	m   algebra.Match
-	key event.Key
-	pid uint64 // m.Payload's id in the tree's payload table (payload.go); 0: not interned
-	// up memoizes the re-headed form (same payload, lineage, key and pid; new
+	m  algebra.Match
+	pe *payloadEntry // m.Payload's entry: its key and id
+	// up memoizes the re-headed form (same payload, lineage and entry; new
 	// ID, validity and finalization) that the one node above — an UNLESS
 	// or an ATMOST — derives from this match, so a replay derives it once.
 	// A match flows to exactly one parent, so one slot suffices; a composite
@@ -196,7 +198,7 @@ func (k *keyedMatch) rehead(id event.ID, v temporal.Interval, finalizeAt tempora
 	if k.up == nil {
 		k.up = new(keyedMatch)
 	}
-	*k.up = keyedMatch{m: k.m, key: k.key, pid: k.pid}
+	*k.up = keyedMatch{m: k.m, pe: k.pe}
 	k.up.m.ID, k.up.m.V, k.up.m.FinalizeAt = id, v, finalizeAt
 }
 
@@ -259,9 +261,8 @@ func (c *combCache) combined(id event.ID, parts []*keyedMatch, w temporal.Durati
 		}{}
 		km, cbt = &cm.keyedMatch, cm.cbt[:0]
 	}
-	p, key, pid := c.pay.composite(parts, c.parts, c.cfg)
-	algebra.CombineInto(&km.m, id, cbt, c.parts, w, p)
-	km.key, km.pid = key, pid
+	km.pe = c.pay.composite(parts, c.parts, c.cfg)
+	algebra.CombineInto(&km.m, id, cbt, c.parts, w, km.pe.p)
 	if c.m == nil {
 		c.m = map[event.ID]*keyedMatch{}
 	} else if len(c.m) >= internCap {
@@ -431,7 +432,7 @@ func (k *leafKind) holds(p, raw event.Payload) bool {
 
 // derive builds the leaf match of event e into km, over lineage cbt.
 func (k *leafKind) derive(km *keyedMatch, e *event.Event, cbt []event.ID) {
-	p, key, pid := k.pay.leaf(k, e.Payload)
+	km.pe = k.pay.leaf(k, e.Payload)
 	km.m = algebra.Match{
 		ID:         event.Pair(e.ID),
 		V:          e.V,
@@ -440,9 +441,8 @@ func (k *leafKind) derive(km *keyedMatch, e *event.Event, cbt []event.ID) {
 		FirstVs:    e.V.Start,
 		LastVs:     e.V.Start,
 		CBT:        cbt,
-		Payload:    p,
+		Payload:    km.pe.p,
 	}
-	km.key, km.pid = key, pid
 }
 
 // leafNode matches all primitive events of one type (algebra.TypeExpr).

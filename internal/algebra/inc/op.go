@@ -599,8 +599,9 @@ func (p *Op) Clone() operators.Op {
 // clones'. Plain counters: read them only between calls that drive the tree.
 func (p *Op) CompositeLookups() (built, hits uint64) { return p.sh.n.built, p.sh.n.hits }
 
-// UndoRecords is the number of live records in the undo journal.
-func (p *Op) UndoRecords() int { return p.sh.u.Len() }
+// Held is what the matcher keeps to repair with: the live records in its
+// undo journal, and the slots taken in its payload table.
+func (p *Op) Held() (undo, entries int) { return p.sh.u.Len(), int(p.sh.pay.n) }
 
 // Mark implements operators.Versioned: an O(1) journal mark returning a
 // handle for the operator's current state. The first Mark turns the undo

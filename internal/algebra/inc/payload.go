@@ -3,28 +3,34 @@ package inc
 import (
 	"hash/maphash"
 	"math"
+	"math/bits"
 
 	"repro/internal/algebra"
 	"repro/internal/event"
 )
 
 // payloadTable hash-conses the tree's payload maps: every match with one
-// content shares one immutable map and its resolved key. Leaf entries are
-// keyed by (leaf, raw payload) — only string, int, int64, non-NaN float64
-// and bool values intern, verified type-exactly (floats by bits) — and
-// composites of ≤ maxParts interned parts by the parts' ids, in order. Like
-// the other caches it is shared with clones, cleared at internCap and
-// rebuilt at Advance(∞) (a Rollback restores the old tree's table). Ids come
-// from one counter per operator lineage: a live match outlives its entry.
+// content points at one entry, which holds the immutable map, its resolved
+// key and its id. Leaf entries are keyed by (leaf, raw payload) — only
+// string, int, int64, non-NaN float64 and bool values intern, verified
+// type-exactly (floats by bits) — and composites of ≤ maxParts interned parts
+// by the parts' ids, in order. A payload that cannot intern takes an
+// unindexed slot (id 0) in the same chunks. Matches point into the chunks,
+// so an entry never moves and is never rewritten: a table whose internCap
+// slots are taken starts a new chunk list, and the old chunks live as long
+// as a match points into them. Like the other caches the table is shared
+// with clones and rebuilt at Advance(∞) (a Rollback restores the old tree's
+// table). Ids come from one counter per operator lineage.
 type payloadTable struct {
-	idx  map[uint64]int32 // hash → its newest entry; older ones chain through next
-	ents []payloadEntry
-	last *uint64 // the lineage's last issued id
+	idx    map[uint64]int32 // hash → its newest entry's slot; older ones chain through next
+	chunks [][]payloadEntry // the slots, by at
+	n      int32            // slots taken
+	last   *uint64          // the lineage's last issued id
 }
 
 type payloadEntry struct {
-	id    uint64
-	next  int32            // the next older entry with this hash, or -1
+	id    uint64           // 0: not interned
+	next  int32            // the slot of the next older entry with this hash, or 0
 	kind  *leafKind        // leaf entry's leaf; nil for a composite
 	parts [maxParts]uint64 // composite entry's part ids, zero-padded
 	p     event.Payload
@@ -65,68 +71,64 @@ func identical(a, b event.Value) bool {
 	return a == b
 }
 
-// head is the newest entry with hash h, or -1.
-func (t *payloadTable) head(h uint64) int32 {
-	if i, ok := t.idx[h]; ok {
-		return i
-	}
-	return -1
+// at is the entry in slot i (from 1: chunk c holds slots [8<<c - 7, 16<<c - 7)).
+func (t *payloadTable) at(i int32) *payloadEntry {
+	q := uint32(i) + 7
+	c := bits.Len32(q) - 4
+	return &t.chunks[c][q-8<<c]
 }
 
-// add interns e under hash h, clearing a full table first (its storage
-// stays grown).
-func (t *payloadTable) add(h uint64, e payloadEntry) *payloadEntry {
-	if t.idx == nil {
-		t.idx = map[uint64]int32{}
-	} else if len(t.ents) >= internCap {
+// add stores e in the next slot, interned under hash h if index. A full
+// table starts a new chunk list first: a template chain interns a handful of
+// payloads, so the first chunk is small, and each next one twice as large.
+func (t *payloadTable) add(h uint64, index bool, e payloadEntry) *payloadEntry {
+	if t.n == internCap {
 		clear(t.idx)
-		clear(t.ents)
-		t.ents = t.ents[:0]
+		t.chunks, t.n = nil, 0
 	}
-	*t.last++
-	e.id, e.next = *t.last, t.head(h)
-	t.idx[h] = int32(len(t.ents))
-	t.ents = append(t.ents, e)
-	return &t.ents[len(t.ents)-1]
+	t.n++
+	if c := bits.Len32(uint32(t.n)+7) - 4; c == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]payloadEntry, min(8<<c, internCap+8-8<<c)))
+	}
+	if index {
+		if t.idx == nil {
+			t.idx = map[uint64]int32{}
+		}
+		*t.last++
+		e.id, e.next, t.idx[h] = *t.last, t.idx[h], t.n
+	}
+	s := t.at(t.n)
+	*s = e
+	return s
 }
 
-// leaf returns leaf k's payload, key and payload id for raw.
-func (t *payloadTable) leaf(k *leafKind, raw event.Payload) (event.Payload, event.Key, uint64) {
+// leaf returns the entry of leaf k's payload for raw.
+func (t *payloadTable) leaf(k *leafKind, raw event.Payload) *payloadEntry {
 	h, ok := contentHash(raw)
-	if !ok {
-		p := k.namespace(raw)
-		return p, k.cfg.of(p), 0
-	}
 	h = finish(h ^ k.salt)
-	for i := t.head(h); i >= 0; i = t.ents[i].next {
-		if e := &t.ents[i]; e.kind == k && k.holds(e.p, raw) {
-			return e.p, e.key, e.id
+	for i := t.idx[h]; ok && i > 0; i = t.at(i).next {
+		if e := t.at(i); e.kind == k && k.holds(e.p, raw) {
+			return e
 		}
 	}
 	p := k.namespace(raw)
-	e := t.add(h, payloadEntry{kind: k, p: p, key: k.cfg.of(p)})
-	return e.p, e.key, e.id
+	return t.add(h, ok, payloadEntry{kind: k, p: p, key: k.cfg.of(p)})
 }
 
-// composite returns the payload, key and payload id of the composite of
-// parts, whose matches are ms.
-func (t *payloadTable) composite(parts []*keyedMatch, ms []*algebra.Match, cfg *keyCfg) (event.Payload, event.Key, uint64) {
+// composite returns the entry of the composite of parts, whose matches
+// are ms.
+func (t *payloadTable) composite(parts []*keyedMatch, ms []*algebra.Match, cfg *keyCfg) *payloadEntry {
 	var ids [maxParts]uint64
 	ok := len(parts) <= maxParts
 	for i := 0; ok && i < len(parts); i++ {
-		ids[i], ok = parts[i].pid, parts[i].pid != 0
-	}
-	if !ok {
-		p := algebra.CombinePayload(ms)
-		return p, cfg.of(p), 0
+		ids[i], ok = parts[i].pe.id, parts[i].pe.id != 0
 	}
 	h := finish(maphash.Comparable(hashSeed, ids))
-	for i := t.head(h); i >= 0; i = t.ents[i].next {
-		if e := &t.ents[i]; e.kind == nil && e.parts == ids {
-			return e.p, e.key, e.id
+	for i := t.idx[h]; ok && i > 0; i = t.at(i).next {
+		if e := t.at(i); e.kind == nil && e.parts == ids {
+			return e
 		}
 	}
 	p := algebra.CombinePayload(ms)
-	e := t.add(h, payloadEntry{parts: ids, p: p, key: cfg.of(p)})
-	return e.p, e.key, e.id
+	return t.add(h, ok, payloadEntry{parts: ids, p: p, key: cfg.of(p)})
 }

@@ -49,8 +49,8 @@ func checkLeaf(t *testing.T, k *leafKind, raw event.Payload, km *keyedMatch) {
 				km.m.Payload[k.prefix+"."+attr], v)
 		}
 	}
-	if want := k.cfg.of(km.m.Payload); km.key != want {
-		t.Fatalf("payload %v carries key %+v, want %+v", km.m.Payload, km.key, want)
+	if want := k.cfg.of(km.m.Payload); km.pe.key != want {
+		t.Fatalf("payload %v carries key %+v, want %+v", km.m.Payload, km.pe.key, want)
 	}
 }
 
@@ -63,23 +63,23 @@ func TestPayloadInternTypeExact(t *testing.T) {
 		raw := event.Payload{"k": v, "n": "x"}
 		km := deriveLeaf(a, raw)
 		checkLeaf(t, a, raw, km)
-		if km.pid == 0 {
+		if km.pe.id == 0 {
 			t.Fatalf("%#v: not interned", v)
 		}
-		if prev, dup := first[km.pid]; dup {
-			t.Fatalf("%#v shares payload id %d with %#v", v, km.pid, prev)
+		if prev, dup := first[km.pe.id]; dup {
+			t.Fatalf("%#v shares payload id %d with %#v", v, km.pe.id, prev)
 		}
-		first[km.pid] = v
+		first[km.pe.id] = v
 		again := deriveLeaf(a, event.Payload{"n": "x", "k": v})
-		if again.pid != km.pid || !sameMap(again.m.Payload, km.m.Payload) {
-			t.Fatalf("%#v: a repeated payload got a second map (ids %d, %d)", v, km.pid, again.pid)
+		if again.pe.id != km.pe.id || !sameMap(again.m.Payload, km.m.Payload) {
+			t.Fatalf("%#v: a repeated payload got a second map (ids %d, %d)", v, km.pe.id, again.pe.id)
 		}
 	}
 	// The other leaf, same raw content: its own namespaced map.
 	b := op.sh.recs.kinds[1]
 	raw := event.Payload{"k": int64(3), "n": "x"}
-	if kb, ka := deriveLeaf(b, raw), deriveLeaf(a, raw); kb.pid == ka.pid {
-		t.Fatalf("leaves a and b share payload id %d", ka.pid)
+	if kb, ka := deriveLeaf(b, raw), deriveLeaf(a, raw); kb.pe.id == ka.pe.id {
+		t.Fatalf("leaves a and b share payload id %d", ka.pe.id)
 	} else {
 		checkLeaf(t, b, raw, kb)
 	}
@@ -92,8 +92,8 @@ func TestPayloadNeverInternsExotic(t *testing.T) {
 		map[string]any{"k": 3}, struct{ X int }{3}} {
 		raw := event.Payload{"k": "k0", "v": v}
 		x, y := deriveLeaf(a, raw), deriveLeaf(a, raw)
-		if x.pid != 0 || y.pid != 0 || sameMap(x.m.Payload, y.m.Payload) {
-			t.Fatalf("%#v: interned (ids %d, %d)", v, x.pid, y.pid)
+		if x.pe.id != 0 || y.pe.id != 0 || sameMap(x.m.Payload, y.m.Payload) {
+			t.Fatalf("%#v: interned (ids %d, %d)", v, x.pe.id, y.pe.id)
 		}
 		if len(x.m.Payload) != 2 || x.m.Payload["a.k"] != "k0" {
 			t.Fatalf("%#v: payload %v", v, x.m.Payload)
@@ -104,8 +104,8 @@ func TestPayloadNeverInternsExotic(t *testing.T) {
 		seq := op.root.(*seqNode)
 		c1 := seq.comb.combined(event.ID(100), parts, 10)
 		c2 := seq.comb.combined(event.ID(101), parts, 10)
-		if c1.pid != 0 || sameMap(c1.m.Payload, c2.m.Payload) {
-			t.Fatalf("%#v: composite over an uninterned part interned (id %d)", v, c1.pid)
+		if c1.pe.id != 0 || sameMap(c1.m.Payload, c2.m.Payload) {
+			t.Fatalf("%#v: composite over an uninterned part interned (id %d)", v, c1.pe.id)
 		}
 	}
 }
@@ -127,7 +127,7 @@ func TestPayloadHashCollision(t *testing.T) {
 				checkLeaf(t, k, raw, km)
 				if j := 2*i + ki; round == 0 {
 					leaves = append(leaves, km)
-				} else if km.pid != leaves[j].pid || !sameMap(km.m.Payload, leaves[j].m.Payload) {
+				} else if km.pe.id != leaves[j].pe.id || !sameMap(km.m.Payload, leaves[j].m.Payload) {
 					t.Fatalf("round 2, %#v at leaf %d: a second map under collision", v, ki)
 				}
 			}
@@ -140,12 +140,12 @@ func TestPayloadHashCollision(t *testing.T) {
 				id++
 				got := seq.comb.combined(id, parts, 10)
 				want := algebra.CombinePayload([]*algebra.Match{&parts[0].m, &parts[1].m})
-				if got.pid == 0 || !reflect.DeepEqual(got.m.Payload, want) {
+				if got.pe.id == 0 || !reflect.DeepEqual(got.m.Payload, want) {
 					t.Fatalf("composite of %v and %v: payload %v (id %d), want %v",
-						parts[0].m.Payload, parts[1].m.Payload, got.m.Payload, got.pid, want)
+						parts[0].m.Payload, parts[1].m.Payload, got.m.Payload, got.pe.id, want)
 				}
-				if got.key != op.sh.key.of(want) {
-					t.Fatalf("composite %v carries key %+v", want, got.key)
+				if got.pe.key != op.sh.key.of(want) {
+					t.Fatalf("composite %v carries key %+v", want, got.pe.key)
 				}
 			}
 		}
@@ -278,36 +278,56 @@ func exactContent(p event.Payload) string {
 	return b.String()
 }
 
-// TestPayloadIDsNeverReused: ids stay unique across an internCap clear and
-// across Advance(∞) followed by a Rollback past it, and a restored tree keeps
-// its own table.
+// TestPayloadIDsNeverReused: ids stay unique across a full table's reset
+// and across Advance(∞) followed by a Rollback past it, and a restored tree
+// keeps its own table. Matches point into the table, so every match derived
+// before a reset, a rebuild or a restore still reads its own id, key and map.
 func TestPayloadIDsNeverReused(t *testing.T) {
 	op := seqABOp()
 	a := op.sh.recs.kinds[0]
 	seen := map[uint64]bool{}
-	fresh := func(label string, pid uint64) {
+	type held struct {
+		km  *keyedMatch
+		id  uint64
+		key event.Key
+		p   event.Payload
+	}
+	var kept []held
+	fresh := func(label string, km *keyedMatch) {
 		t.Helper()
-		if pid == 0 || seen[pid] {
+		if pid := km.pe.id; pid == 0 || seen[pid] {
 			t.Fatalf("%s: payload id %d reused (or not interned)", label, pid)
 		}
-		seen[pid] = true
+		seen[km.pe.id] = true
+		kept = append(kept, held{km, km.pe.id, km.pe.key, km.m.Payload})
 	}
+	unchanged := func(label string) {
+		t.Helper()
+		for _, h := range kept {
+			if e := h.km.pe; e.id != h.id || e.key != h.key || !sameMap(e.p, h.p) {
+				t.Fatalf("%s: a match derived with id %d, key %+v, payload %v now reads id %d, key %+v, payload %v",
+					label, h.id, h.key, h.p, e.id, e.key, e.p)
+			}
+		}
+	}
+	leaf := func(i int) event.Payload { return event.Payload{"v": int64(i), "k": fmt.Sprintf("k%d", i%3)} }
 	for i := 0; i <= internCap; i++ {
-		fresh("fill", deriveLeaf(a, event.Payload{"v": int64(i)}).pid)
+		fresh("fill", deriveLeaf(a, leaf(i)))
 	}
-	if tab := op.sh.pay; len(tab.ents) != 1 || cap(tab.ents) < internCap {
-		t.Fatalf("after the clear: %d entries, capacity %d; want 1 and the grown storage kept", len(tab.ents), cap(tab.ents))
+	if tab := op.sh.pay; tab.n != 1 || len(tab.chunks) != 1 {
+		t.Fatalf("after the reset: %d slots in %d chunks; want 1 in a new chunk list", tab.n, len(tab.chunks))
 	}
-	fresh("after the clear", deriveLeaf(a, event.Payload{"v": int64(0)}).pid)
+	fresh("after the reset", deriveLeaf(a, leaf(0)))
+	unchanged("after the reset")
 
-	// Across the reset: ids the rebuilt table issues, then ids the restored
+	// Across the rebuild: ids the rebuilt table issues, then ids the restored
 	// one issues, are all new.
 	at := temporal.Time(0)
-	push := func(typ string, v int64) uint64 {
+	push := func(typ string, v int64) *keyedMatch {
 		at++
 		e := event.NewInsert(event.ID(at), typ, at, temporal.Infinity, event.Payload{"v": v, "k": "k0"})
 		op.Process(0, e)
-		return op.store[e.ID].leaf.pid
+		return &op.store[e.ID].leaf.keyedMatch
 	}
 	op.Mark()
 	fresh("before", push("A", -1))
@@ -321,6 +341,7 @@ func TestPayloadIDsNeverReused(t *testing.T) {
 		fresh("rebuilt table", push("A", i))
 		fresh("rebuilt table", push("B", i))
 	}
+	unchanged("in the rebuilt table")
 	if !op.Rollback(v) {
 		t.Fatal("rollback refused")
 	}
@@ -331,4 +352,5 @@ func TestPayloadIDsNeverReused(t *testing.T) {
 		fresh("restored table", push("A", i))
 		fresh("restored table", push("B", i))
 	}
+	unchanged("in the restored table")
 }

@@ -143,7 +143,7 @@ func (s *seqNode) enumerate(fix int, nm *keyedMatch, del bool, out *delta) {
 		}
 		s.lists[depth].scan(k, scan)
 	}
-	rec(0, temporal.MinTime, temporal.MinTime, nm.key)
+	rec(0, temporal.MinTime, temporal.MinTime, nm.pe.key)
 }
 
 // commit adds (del: retracts) the combination in s.parts.

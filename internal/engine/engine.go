@@ -78,8 +78,8 @@ func (e *Engine) HistoryStats() HistoryStats {
 
 // MatcherStats counts the composite lookups of an engine's pattern
 // matchers: composites built, and lookups a join node's cache answered;
-// and the running matchers' live undo records.
-type MatcherStats struct{ Composites, CompositeHits, UndoRecords uint64 }
+// and the running matchers' live undo records and payload-table slots.
+type MatcherStats struct{ Composites, CompositeHits, UndoRecords, PayloadEntries uint64 }
 
 // matcherCounters sum matchers' composite lookups. The engine's hold those
 // of every head that has stopped (finished, torn down or quarantined) and
@@ -109,11 +109,12 @@ func unkeyed(op operators.Versioned) operators.Versioned {
 // was pushed before the call. It is exact when no chain stops meanwhile.
 func (e *Engine) MatcherStats() MatcherStats {
 	var run matcherCounters
-	var undo uint64
+	var m MatcherStats
 	for _, ch := range e.chainsSnapshot() {
-		undo += ch.sh.matcherStats(&run)
+		ch.sh.matcherStats(&run, &m)
 	}
-	return MatcherStats{run.built.Load() + e.stopped.built.Load(), run.hits.Load() + e.stopped.hits.Load(), undo}
+	m.Composites, m.CompositeHits = run.built.Load()+e.stopped.built.Load(), run.hits.Load()+e.stopped.hits.Load()
+	return m
 }
 
 // Standing counts the registered endpoints, less the unregistered, and the
@@ -809,10 +810,10 @@ func (q *Query) Tags() []uint64 {
 
 // Metrics returns the monitor metrics of the query's chain: one entry, the
 // head's — the stages after the matcher are stateless maps and run under
-// no monitor (shared endpoints observe identical metrics; callers must not
-// Push concurrently). With one shard these are the monitor's own counters.
-// With more it waits for the shards to drain everything pushed so far, then
-// combines the head's per-shard counters into the one-shard ones.
+// no monitor (shared endpoints observe identical metrics). It reads once the
+// shards have drained everything pushed so far, with no push running: with
+// one shard these are the monitor's own counters, with more it combines the
+// head's per-shard counters into the one-shard ones.
 func (q *Query) Metrics() []consistency.Metrics {
 	return q.ch.sh.metrics()
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -385,5 +386,49 @@ func TestQueryPushReusesBatchBuffers(t *testing.T) {
 			t.Fatalf("duplicate output id %v: buffer reuse leaked stale items", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestMetricsWhilePushing: Metrics may be read while another goroutine
+// pushes, as a served query's are (its pushes run on the server's
+// goroutine). It reads under the chain's lock once the shards have drained,
+// so the race detector sees no race, and the metrics at the end are a
+// sequential run's.
+func TestMetricsWhilePushing(t *testing.T) {
+	src, _ := workload.MachineEvents(workload.DefaultMachines())
+	in := delivery.Deliver(src, delivery.Ordered(10*temporal.Minute))
+	for _, shards := range []int{1, 2} {
+		drive := func(read bool) ([]consistency.Metrics, int) {
+			e := New()
+			defer e.Close()
+			q, err := e.RegisterText(monitorQuery, plan.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for _, ev := range in {
+					e.Push(ev)
+				}
+			}()
+			reads := 0
+			for ; read; reads++ {
+				select {
+				case <-done:
+					read = false
+				default:
+					q.Metrics()
+				}
+			}
+			<-done
+			return q.Metrics(), reads
+		}
+		got, reads := drive(true)
+		want, _ := drive(false)
+		t.Logf("%d shards: %d reads while pushing", shards, reads)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: metrics read while pushing end at %+v, a sequential run's at %+v", shards, got, want)
+		}
 	}
 }

@@ -577,6 +577,34 @@ func TestCheckpointRetainsNoUndoChunk(t *testing.T) {
 	}
 }
 
+// TestMatcherPayloadEntries: MatcherStats' PayloadEntries — the
+// cedr_matcher_payload_entries gauge — counts the slots the running
+// matchers' payload tables hold. A §3.1 chain fed k machines' ordered
+// stream holds one leaf entry per machine for each of INSTALL, SHUTDOWN and
+// RESTART, and one for the machine's INSTALL × SHUTDOWN composite: every
+// cycle repeats its machine's contents. A finished chain holds none.
+func TestMatcherPayloadEntries(t *testing.T) {
+	cfg := workload.DefaultMachines()
+	src, _ := workload.MachineEvents(cfg)
+	e := New()
+	defer e.Close()
+	if _, err := e.RegisterText(monitorQuery); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range delivery.Deliver(src, delivery.Ordered(10*temporal.Minute)) {
+		e.Push(ev)
+	}
+	n, want := e.MatcherStats().PayloadEntries, uint64(3*cfg.Machines+cfg.Machines)
+	t.Logf("%d machines' ordered stream: %d payload entries (want %d)", cfg.Machines, n, want)
+	if n != want {
+		t.Fatalf("%d machines' ordered stream: %d payload entries, want %d", cfg.Machines, n, want)
+	}
+	e.Finish()
+	if n := e.MatcherStats().PayloadEntries; n != 0 {
+		t.Fatalf("after Finish: %d payload entries, want 0", n)
+	}
+}
+
 // driveEveryKind drives e through every record kind: a sharded private
 // registration and a shared template instance (bindings in its register
 // record), the durability workload with a consistency switch and an

@@ -184,9 +184,8 @@ func (k *ownedKeys) AppendAdvanceKey(dst []byte, e event.Event) []byte {
 }
 
 // sharded is the per-query runtime. The router methods (push, setSpec,
-// finish, barrier) serialize on mu, so concurrent producers are safe.
-// metrics additionally requires that no Push lands while it drains
-// (Metrics reads are only exact between pushes).
+// finish, barrier) serialize on mu, so concurrent producers are safe, and
+// metrics reads under it.
 type sharded struct {
 	n       int
 	burst   int // flush bound; <= 0 flushes only on control items
@@ -412,18 +411,29 @@ func (s *sharded) end(kind uint8) {
 // barrier waits until every shard and the merger have processed everything
 // enqueued so far; with one shard nothing is ever in flight.
 func (s *sharded) barrier() {
-	if s.n == 1 {
-		return
+	if s.drain() {
+		s.mu.Unlock()
 	}
+}
+
+// drain locks mu once every shard has processed everything pushed before the
+// call, so that no push runs while the caller reads the heads, and reports
+// true; a finished chain's shards have stopped, and drain waits for them and
+// returns false, unlocked.
+func (s *sharded) drain() bool {
 	s.mu.Lock()
 	if s.finished {
 		s.mu.Unlock()
-		<-s.done
-		return
+		if s.n > 1 {
+			<-s.done
+		}
+		return false
 	}
-	s.control(itemBarrier, consistency.Spec{})
-	s.mu.Unlock()
-	<-s.barrierCh
+	if s.n > 1 {
+		s.control(itemBarrier, consistency.Spec{})
+		<-s.barrierCh
+	}
+	return true
 }
 
 // metrics returns the chain's one monitor's metrics, as the single-shard
@@ -433,7 +443,9 @@ func (s *sharded) barrier() {
 // MaxState comes from the merger's per-item cross-shard state trace, which
 // reproduces the head's per-push samples exactly.
 func (s *sharded) metrics() []consistency.Metrics {
-	s.barrier()
+	if s.drain() {
+		defer s.mu.Unlock()
+	}
 	agg := s.workers[0].head.Metrics()
 	for i := 1; i < s.n; i++ {
 		h := s.workers[i].head
@@ -449,28 +461,23 @@ func (s *sharded) metrics() []consistency.Metrics {
 	return []consistency.Metrics{agg}
 }
 
-// matcherStats adds the heads' composite lookups to c and returns their
-// live undo records, unless the chain has finished (its heads let go of
-// their operators). It holds mu throughout, so no push runs while it reads,
-// once the shards have drained (barrier).
-func (s *sharded) matcherStats(c *matcherCounters) (undo uint64) {
-	s.mu.Lock()
+// matcherStats adds the heads' composite lookups to c and what their
+// matchers hold to held, unless the chain has finished (its heads let go of
+// their operators). It reads with the shards drained and mu held.
+func (s *sharded) matcherStats(c *matcherCounters, held *MatcherStats) {
+	if !s.drain() {
+		return
+	}
 	defer s.mu.Unlock()
-	if s.finished {
-		return 0
-	}
-	if s.n > 1 {
-		s.control(itemBarrier, consistency.Spec{})
-		<-s.barrierCh
-	}
 	for i := range s.workers {
 		op := s.workers[i].head.Op()
 		c.add(op)
-		if m, ok := unkeyed(op).(interface{ UndoRecords() int }); ok {
-			undo += uint64(m.UndoRecords())
+		if m, ok := unkeyed(op).(interface{ Held() (undo, entries int) }); ok {
+			undo, entries := m.Held()
+			held.UndoRecords += uint64(undo)
+			held.PayloadEntries += uint64(entries)
 		}
 	}
-	return undo
 }
 
 // stopHead stops the head (finish flushes it first) and adds its matcher's

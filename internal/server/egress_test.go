@@ -349,6 +349,8 @@ func TestMatcherCountersMetrics(t *testing.T) {
 // TestMatcherUndoRecordsGauge: /metrics' cedr_matcher_undo_records counts
 // the running matchers' live undo records: it rises with each push to a
 // Middle chain fed no sync point, and a covering sync point returns it to 0.
+// Beside it, cedr_matcher_payload_entries counts one entry for the pushes'
+// one content.
 func TestMatcherUndoRecordsGauge(t *testing.T) {
 	sys := cedr.New()
 	if _, err := sys.Register("EVENT Echo WHEN INSTALL h\nCONSISTENCY middle"); err != nil {
@@ -364,6 +366,9 @@ func TestMatcherUndoRecordsGauge(t *testing.T) {
 			t.Fatalf("push %d: the gauge reads %v, %v before", i, n, last)
 		}
 		last = n
+	}
+	if n := scrape(t, srv)["cedr_matcher_payload_entries"]; n != 1 {
+		t.Fatalf("three pushes of one (empty) payload: the payload-entries gauge reads %v, want 1", n)
 	}
 	sys.Push(cedr.NewCTI(cedr.Time(3)))
 	if n := scrape(t, srv)["cedr_matcher_undo_records"]; n != 0 {

@@ -130,6 +130,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	t.Counter("cedr_matcher_composites_total", "Composite matches the queries' matchers built.", m.Composites)
 	t.Counter("cedr_matcher_composite_cache_hits_total", "Composite lookups a matcher's cache answered.", m.CompositeHits)
 	t.Gauge("cedr_matcher_undo_records", "Live undo records the running chains' matchers keep for repair.", m.UndoRecords)
+	t.Gauge("cedr_matcher_payload_entries", "Payload-table slots the running chains' matchers hold.", m.PayloadEntries)
 	t.GCCPU("cedr_gc_cpu_seconds_total")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	t.WriteTo(w)
