@@ -19,7 +19,7 @@
 #   7. Assert /metrics counted at least the streamed lines as egress
 #      frames, and no overflow; and that the history counters' items
 #      plus sync points are the query's stream, replayed from the WAL
-#      and pushed since.
+#      and pushed since, in the chunk bytes its three lists allocate.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -164,6 +164,11 @@ syncs=$(sed -n 's/^cedr_history_sync_points_total \([0-9]*\)$/\1/p' "$workdir/me
 chunk_bytes=$(sed -n 's/^cedr_history_chunk_bytes_total \([0-9]*\)$/\1/p' "$workdir/metrics.txt")
 [ -n "$items" ] && [ -n "$syncs" ] && [ -n "$chunk_bytes" ] && [ $((items + syncs)) = "$streamed" ] \
     || { echo "FAIL: history counted ${items:-no} items + ${syncs:-no} sync points for $streamed streamed lines"; cat "$workdir/metrics.txt"; exit 1; }
+# Its chunks: a first data chunk of 4 items (480 B), a sync chunk of 42
+# (1,008 B) and a first lineage chunk of 4 IDs (32 B), which holds the
+# three outputs' one-ID lineage.
+[ "$chunk_bytes" = 1520 ] \
+    || { echo "FAIL: history chunk bytes $chunk_bytes, want 1520 (480 data + 1008 sync + 32 lineage)"; cat "$workdir/metrics.txt"; exit 1; }
 echo "history: $items items + $syncs sync points in $chunk_bytes chunk bytes"
 
 echo "PASS: $(wc -l <"$workdir/server.txt") output events byte-identical across kill -9 + WAL restart, in the results and on /stream; $got_alerts surviving alert(s)"

@@ -339,7 +339,7 @@ func (p *Op) remove(id event.ID) []event.Event {
 	sort.Slice(hit, func(i, j int) bool { return commitBefore(&hit[i].m, &hit[j].m) })
 	outs := p.remBuf[:0]
 	for _, km := range hit {
-		r := km.m.Event(p.OutType)
+		r := p.output(&km.m)
 		r.Kind = event.Retract
 		r.V.End = r.V.Start
 		outs = append(outs, r)
@@ -443,11 +443,19 @@ func (p *Op) mature() []event.Event {
 		if p.Mode.Cons == algebra.Consume {
 			p.consume(km)
 		}
-		outs = append(outs, km.m.Event(p.OutType))
+		outs = append(outs, p.output(&km.m))
 	}
 	p.selBuf = sel[:0]
 	p.outBuf = outs[:0]
 	return outs
+}
+
+// output is m's output event (algebra.Match.Event's). An interned match is
+// never written, so the event carries m's own lineage, capped so that no
+// append reaches past it: whatever keeps the output copies what it keeps.
+func (p *Op) output(m *algebra.Match) event.Event {
+	return event.Event{ID: m.ID, Kind: event.Insert, Type: p.OutType, V: m.V, O: temporal.From(m.V.Start),
+		RT: m.RT, CBT: m.CBT[:len(m.CBT):len(m.CBT)], Payload: m.Payload}
 }
 
 // matchOf is CommitGroup's accessor over the pending list's references.

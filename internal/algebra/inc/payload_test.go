@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/event"
@@ -202,7 +204,9 @@ func TestDifferentialRepeatedPayloads(t *testing.T) {
 // TestEmittedPayloadsShared: an output carries the map the matcher interned,
 // not a copy — outputs of one type-exact content, from an op and from its
 // clone (which shares the op's table), carry one map — and a fresh twin,
-// with a table of its own, emits the same stream by content.
+// with a table of its own, emits the same stream by content. Likewise an
+// output of the op carries its emitted match's own lineage, capped, and no
+// later step writes a lineage it handed out.
 func TestEmittedPayloadsShared(t *testing.T) {
 	expr := keyedZoo()["kcidr07"]
 	for _, mode := range scModes() {
@@ -211,11 +215,22 @@ func TestEmittedPayloadsShared(t *testing.T) {
 		var clone operators.Op
 		held := map[string]event.Payload{} // content → the one map carrying it
 		reused := 0
+		var lineages, copies [][]event.ID // every lineage handed out, and its content then
 		check := func(label string, got, want []event.Event) {
 			t.Helper()
 			if !eventsEqual(got, want) {
 				t.Fatalf("%v %s: output diverged from the fresh twin\n twin: %v\n  got: %v",
 					mode, label, want, got)
+			}
+			for _, e := range got {
+				lineages, copies = append(lineages, e.CBT), append(copies, slices.Clone(e.CBT))
+				if cap(e.CBT) != len(e.CBT) {
+					t.Fatalf("%v %s: lineage of %d IDs in room for %d", mode, label, len(e.CBT), cap(e.CBT))
+				}
+				if km := op.emitted[e.ID]; (label == "push" || label == "advance") && e.Kind == event.Insert &&
+					unsafe.SliceData(e.CBT) != unsafe.SliceData(km.m.CBT) {
+					t.Fatalf("%v %s: output %v does not carry its match's lineage", mode, label, e)
+				}
 			}
 			for i, e := range got {
 				if len(e.Payload) == 0 {
@@ -250,6 +265,11 @@ func TestEmittedPayloadsShared(t *testing.T) {
 				if clone != nil {
 					check("clone advance", clone.Advance(e.V.Start+1), want)
 				}
+			}
+		}
+		for i, cbt := range lineages {
+			if !slices.Equal(cbt, copies[i]) {
+				t.Fatalf("%v: a lineage handed out as %v now reads %v", mode, copies[i], cbt)
 			}
 		}
 		t.Logf("%v: %d outputs reused a map", mode, reused)

@@ -444,3 +444,105 @@ func TestMonitorEquivalenceTwoPort(t *testing.T) {
 		}
 	}
 }
+
+// checkFreeFacts fails unless w's recycled facts are at most freeCap, each
+// once, and none is an entry of the table or the entry a retained undo
+// record would restore: newFact may then overwrite any of them.
+func checkFreeFacts(t *testing.T, label string, item int, w *window) {
+	t.Helper()
+	if len(w.free) > freeCap {
+		t.Fatalf("%s: item %d: %d recycled facts, above the cap %d", label, item, len(w.free), freeCap)
+	}
+	if len(w.free) == 0 {
+		return
+	}
+	free := make(map[*netFact]bool, len(w.free))
+	for _, nf := range w.free {
+		if free[nf] {
+			t.Fatalf("%s: item %d: fact %v recycled twice", label, item, nf.ev)
+		}
+		free[nf] = true
+	}
+	for _, u := range w.undo {
+		if u.prev != nil && free[u.prev] {
+			t.Fatalf("%s: item %d: the undo record of id %d names recycled fact %v", label, item, u.id, u.prev.ev)
+		}
+	}
+	for id, nf := range w.emitted {
+		if free[nf] {
+			t.Fatalf("%s: item %d: the table's entry for id %d is a recycled fact", label, item, id)
+		}
+	}
+}
+
+// TestCheckpointRecyclesOnlyUnreferencedFacts: the facts a checkpoint
+// finalizes and a repair unwinds are reused, and only those nothing names.
+// Over the first randomized equivalence trial of each delivery class —
+// ordered, disordered, duplicating — every operator at every level, with a
+// mid-stream switch to Middle, after every call no retained undo record and no table
+// entry is a recycled fact, and the free list stays within its cap; the
+// ordered deliveries at Middle, which never repair, recycle at their
+// checkpoints. A checkpoint that finalizes 10,000 facts keeps freeCap.
+func TestCheckpointRecyclesOnlyUnreferencedFacts(t *testing.T) {
+	ops := equivalenceOps()
+	checkpointed := 0
+	for trial := 0; trial < 3; trial++ {
+		rng := rand.New(rand.NewSource(1729 + int64(trial)))
+		src := randSource(rng, 150+rng.Intn(150))
+		var cfg delivery.Config
+		switch trial { // as TestMonitorEquivalenceRandomized's trial%3
+		case 0:
+			cfg = delivery.Ordered(temporal.Duration(rng.Intn(40) + 5))
+		case 1:
+			cfg = delivery.Disordered(rng.Int63(), temporal.Duration(rng.Intn(100)+20),
+				temporal.Duration(rng.Intn(80)+10), 0.1+rng.Float64()*0.4)
+		default:
+			cfg = delivery.Config{Seed: rng.Int63(),
+				Latency:       delivery.Latency{Base: 1, Jitter: 25, StragglerProb: 0.3, StragglerDelay: 60},
+				CTIPeriod:     temporal.Duration(rng.Intn(120) + 10),
+				DuplicateProb: 0.1}
+		}
+		delivered := delivery.Deliver(src, cfg)
+		levels := equivalenceLevels(rng)
+		for name, mk := range ops {
+			in := delivered
+			if name == "difference" || name == "oracle-seq" { // quadratic in their own right
+				in = in[:len(in)/6]
+			}
+			for _, spec := range levels {
+				label := fmt.Sprintf("trial %d op %s level %s", trial, name, spec.Name())
+				m := NewMonitor(mk(), spec)
+				for i, e := range in {
+					pushPorts(len(m.portG), e, func(port int, e event.Event) {
+						m.Push(port, e)
+						checkFreeFacts(t, label, i, &m.win)
+					})
+					if i == len(in)/2 {
+						m.SetSpec(Middle())
+						checkFreeFacts(t, label+": the switch", i, &m.win)
+					}
+				}
+				if trial == 0 && spec == Middle() && m.Metrics().Replays == 0 && len(m.win.free) > 0 {
+					checkpointed++
+				}
+				m.Finish()
+			}
+		}
+	}
+	if checkpointed == 0 {
+		t.Fatal("no ordered Middle run recycled a fact at a checkpoint")
+	}
+
+	m := NewMonitor(operators.NewSelect(passAll), Middle())
+	for i := range 10_000 {
+		m.Push(0, event.NewInsert(event.ID(i+1), "E", temporal.Time(i), temporal.Infinity, nil))
+	}
+	if len(m.win.emitted) != 10_000 || len(m.win.free) != 0 {
+		t.Fatalf("before the checkpoint: %d facts, %d recycled; want 10000 and none", len(m.win.emitted), len(m.win.free))
+	}
+	m.Push(0, event.NewCTI(10_000))
+	checkFreeFacts(t, "a checkpoint of 10,000 facts", 10_000, &m.win)
+	if len(m.win.emitted) != 0 || len(m.win.free) != freeCap {
+		t.Fatalf("after a checkpoint of 10,000 facts: %d left, %d recycled; want none and %d", len(m.win.emitted), len(m.win.free), freeCap)
+	}
+}

@@ -75,9 +75,10 @@ type window struct {
 	undo     []tblUndo
 	undoBase int
 	dirty    []tblUndo // the current repair's diff candidates: id and displaced entry
-	// free holds the entries the last repair unwound out of the table and the
-	// journal both, for apply to reuse: a replay re-derives about as many
-	// facts as it unwinds, so repair allocates none in the steady state.
+	// free holds up to freeCap entries nothing references, for apply to
+	// reuse: those a repair unwound out of the table and the journal both,
+	// and those a checkpoint finalized (no retained undo record names a fact
+	// still in the table: the unwind that puts one back truncates its record).
 	free []*netFact
 
 	absState int           // operator state size as of the absorbed boundary
@@ -230,7 +231,7 @@ func (w *window) repair(i int, s *tagSink) {
 	// and diff, which still reads it, draws no entry.
 	for _, d := range w.dirty {
 		if d.prev != nil {
-			w.free = append(w.free, d.prev)
+			w.recycle(d.prev)
 		}
 	}
 	// The replay's own records name the ids it touched; where the unwind did
@@ -318,6 +319,8 @@ func (w *window) checkpointTo(g temporal.Time, s *tagSink) {
 	for id, nf := range w.emitted {
 		if keyLE(nf.srcSync, nf.srcSeq, ls, lq) {
 			delete(w.emitted, id)
+			*nf = netFact{} // holds no payload or lineage while it waits
+			w.recycle(nf)
 		}
 	}
 	n := copy(w.undo, w.undo[b.undoAt-w.undoBase:])
@@ -353,7 +356,16 @@ func (w *window) del(id event.ID, prev *netFact) {
 	delete(w.emitted, id)
 }
 
-// newFact returns an entry to fill in, a recycled one when repair left any.
+// freeCap bounds free: a few checkpoints' worth, not a table's.
+const freeCap = 256
+
+func (w *window) recycle(nf *netFact) {
+	if len(w.free) < freeCap {
+		w.free = append(w.free, nf)
+	}
+}
+
+// newFact returns an entry to fill in, a recycled one when there is any.
 func (w *window) newFact() *netFact {
 	if n := len(w.free); n > 0 {
 		nf := w.free[n-1]

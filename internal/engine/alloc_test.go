@@ -361,3 +361,90 @@ func TestRegisterRefusesAFullList(t *testing.T) {
 			err, full, seq, e.seq, e.live, len(e.chainsSnapshot()))
 	}
 }
+
+// TestAllocsMiddleEchoSteadyState pins what a Middle Echo chain allocates
+// per push, with a sync point after every 16: the event's record, which
+// holds its leaf match, and growth amortized over the chunks of the
+// history and the matcher's journal. The output's lineage is copied once,
+// into the history's chunk, and its net fact is one the last checkpoint
+// finalized; a copy of the lineage at every emission and a new fact per
+// output made it 3 (the record, the lineage, the fact). Payloads repeat, so
+// the matcher's table shares them. The ceiling is the reading: 1.00.
+// (Skipped under -race.)
+func TestAllocsMiddleEchoSteadyState(t *testing.T) {
+	e := New()
+	if _, err := e.RegisterText(`EVENT Echo WHEN INSTALL h`, plan.WithSpec(consistency.Middle())); err != nil {
+		t.Fatal(err)
+	}
+	payloads := []event.Payload{{"Machine_Id": "m001"}, {"Machine_Id": "m002"}, {"Machine_Id": "m003"}}
+	i := 0
+	run := func() {
+		for range 16 {
+			i++
+			e.Push(event.NewInsert(event.ID(i), "INSTALL", temporal.Time(i), temporal.Infinity, payloads[i%3]))
+		}
+		e.Push(event.NewCTI(temporal.Time(i)))
+	}
+	for range 64 { // grow the log, the journal and the free list to their steady capacity
+		run()
+	}
+	const ceiling = 1.0
+	perPush := testing.AllocsPerRun(400, run) / 16
+	t.Logf("a Middle Echo chain with a sync point every 16 pushes: measured %.2f allocs/push (ceiling %.2f)", perPush, ceiling)
+	if perPush > ceiling {
+		t.Fatalf("a Middle Echo push allocates %.2f objects, above %.2f: the output path copies a lineage or makes a fact again", perPush, ceiling)
+	}
+	e.Finish()
+}
+
+// TestHistoryRetainsLineageNotMatches: a finished §3.1 chain over the fleet
+// stream, with a subscriber that kept every event, holds per detection its
+// history's share and the subscriber's, whose lineage is the history's
+// copy: nothing pins the 240-B block the matcher built a composite and its
+// re-headed form in, which an output that shared the matcher's lineage
+// would. The bound is the reading while every emission made its own copy
+// of the lineage, plus 5%. (Skipped under -race.)
+func TestHistoryRetainsLineageNotMatches(t *testing.T) {
+	cfg := workload.DefaultMachines()
+	cfg.Seed, cfg.Machines, cfg.Cycles = 3, 64, 10
+	fleet, _ := workload.MachineEvents(cfg)
+	var items []event.Event
+	sync := temporal.Time(0)
+	for _, ev := range fleet {
+		for ; sync <= ev.V.Start; sync += temporal.Time(10 * temporal.Minute) {
+			items = append(items, event.NewCTI(sync))
+		}
+		items = append(items, ev)
+	}
+	if _, err := plan.Prepare(monitorQuery); err != nil { // warm the analysis cache, which outlives any engine
+		t.Fatal(err)
+	}
+	var kept []event.Event
+	held := heldBy(t, func() *Engine {
+		e := New()
+		q, err := e.RegisterText(monitorQuery, plan.WithSpec(consistency.Middle()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Subscribe(func(ev event.Event) { kept = append(kept, ev) })
+		for _, ev := range items {
+			e.Push(ev)
+		}
+		e.Finish()
+		return e
+	})
+	detections := 0
+	for _, ev := range kept {
+		if ev.Kind == event.Insert {
+			detections++
+		}
+	}
+	perDetection := float64(held) / float64(detections)
+	const bound = 630 // 600 B while every emission copied its lineage, + 5%
+	t.Logf("a finished §3.1 chain with %d detections and a subscriber that kept its %d events: %.0f B a detection, held %d B (bound %d B)",
+		detections, len(kept), perDetection, held, bound*detections)
+	if detections < 100 || perDetection > bound {
+		t.Fatalf("%d detections held %.0f B each, above %d B: an output pins the matcher's block", detections, perDetection, bound)
+	}
+	runtime.KeepAlive(items) // live across heldBy's base reading, so live after it
+}

@@ -416,10 +416,14 @@ type chain struct {
 // syncLen sync points (42) fill a sync chunk of 1,008 B in the 1 KiB size
 // class: a quiet chain's few dozen sync points take a chunk or two, and a
 // long chain pays one 8-B index slot per chunk, under 1% of its records.
+// Lineage chunks start at firstIDs IDs and double up to idsLen (512 B): a
+// chain with a detection or two holds about their lineage's size.
 const (
 	chunkLen = uint64(4096 / unsafe.Sizeof(event.Event{}))
 	firstLen = uint64(512 / unsafe.Sizeof(event.Event{}))
 	syncLen  = uint64(1024 / unsafe.Sizeof(syncPoint{}))
+	firstIDs = 4
+	idsLen   = 64
 )
 
 // syncPoint is a canonical sync point in a history: its chain order tag,
@@ -435,13 +439,16 @@ type syncPoint struct {
 // in two lists merged by tag: data items (inserts, retractions and any
 // non-canonical CTI) in full, in chunks of firstLen and then chunkLen
 // items, and canonical sync points as 24-B syncPoints, syncLen to a chunk.
+// A data item's lineage is copied into the history's own lineage chunks,
+// so no kept item pins the matcher block its operator emitted it from.
 // A slot below its list's length is never written again, so a copy of the
 // header taken under the chain's lock reads its items without the lock
 // while the writer appends.
 type history struct {
 	data  [][]event.Event
 	syncs []*[syncLen]syncPoint
-	n, ns uint64 // items, of them sync points
+	ids   []event.ID // the current lineage chunk, written up to len only
+	n, ns uint64     // items, of them sync points
 }
 
 // isSyncPoint reports whether ev is exactly what a syncPoint reads back as.
@@ -451,7 +458,8 @@ func isSyncPoint(ev *event.Event) bool {
 		ev.CBT == nil && ev.Payload == nil
 }
 
-// append writes items at the end of the history and counts them in c.
+// append writes items at the end of the history, their lineage pointed at
+// the history's copy (the caller and subscribers see it), and counts them.
 func (h *history) append(items []event.Event, c *historyCounters) {
 	ns, bytes := h.ns, uint64(0)
 	for i := range items {
@@ -468,6 +476,9 @@ func (h *history) append(items []event.Event, c *historyCounters) {
 				h.data = append(h.data, make([]event.Event, size))
 				bytes += size * uint64(unsafe.Sizeof(*ev))
 			}
+			if len(ev.CBT) > 0 {
+				bytes += h.lineage(ev)
+			}
 			h.data[k][j] = *ev
 		}
 		h.n++
@@ -475,6 +486,20 @@ func (h *history) append(items []event.Event, c *historyCounters) {
 	c.items.Add(uint64(len(items)) - (h.ns - ns))
 	c.syncs.Add(h.ns - ns)
 	c.bytes.Add(bytes)
+}
+
+// lineage moves ev's lineage into the lineage chunk, starting one (of its
+// size, past idsLen) where it does not fit, and returns the bytes allocated.
+func (h *history) lineage(ev *event.Event) (bytes uint64) {
+	n := len(ev.CBT)
+	if len(h.ids)+n > cap(h.ids) {
+		size := max(min(2*cap(h.ids), idsLen), firstIDs, n)
+		h.ids = make([]event.ID, 0, size)
+		bytes = uint64(size) * uint64(unsafe.Sizeof(event.ID(0)))
+	}
+	h.ids = append(h.ids, ev.CBT...)
+	ev.CBT = h.ids[len(h.ids)-n : len(h.ids) : len(h.ids)]
+	return bytes
 }
 
 func (h *history) sync(i uint64) *syncPoint { return &h.syncs[i/syncLen][i%syncLen] }

@@ -81,18 +81,42 @@ func sameItem(a, b event.Event) bool {
 }
 
 // TestHistoryDifferential: a history of seeded random batches reads as the
-// flat slice of the items appended. For every from ≤ end ≤ n, window(from,
-// end) yields exactly the reference's items [from, end) with their tags;
-// canonical sync points, and only they, are kept as sync records; the
-// engine counters count the items, the sync points and exactly the chunks
-// allocated.
+// flat slice of the items appended. append points each item's lineage at
+// the history's own copy — equal, capped, never the caller's array — in
+// lineage chunks of 4 IDs doubling to 64. For every from ≤ end ≤ n,
+// window(from, end) yields exactly the reference's items [from, end) with
+// their tags; canonical sync points, and only they, are kept as sync
+// records; the engine counters count the items, the sync points and
+// exactly the chunks allocated.
 func TestHistoryDifferential(t *testing.T) {
 	const seed = 0
 	var h history
 	var c historyCounters
 	var ref []event.Event
+	var idsBytes, last, room uint64 // lineage chunks: their bytes, the last one's IDs and room
 	for _, b := range historyBatches(seed) {
+		given := make([][]event.ID, len(b))
+		for i := range b {
+			given[i] = b[i].CBT
+		}
 		h.append(b, &c)
+		for i, ev := range b {
+			if len(given[i]) == 0 {
+				if unsafe.SliceData(ev.CBT) != unsafe.SliceData(given[i]) {
+					t.Fatalf("seed %d: append replaced an empty lineage", seed)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(ev.CBT, given[i]) || cap(ev.CBT) != len(ev.CBT) ||
+				unsafe.SliceData(ev.CBT) == unsafe.SliceData(given[i]) {
+				t.Fatalf("seed %d: item %v keeps lineage %v (cap %d); want a capped copy of %v", seed, ev, ev.CBT, cap(ev.CBT), given[i])
+			}
+			if n := uint64(len(ev.CBT)); n > room {
+				last = max(min(2*last, idsLen), firstIDs, n)
+				idsBytes, room = idsBytes+8*last, last
+			}
+			room -= uint64(len(ev.CBT))
+		}
 		ref = append(ref, b...)
 	}
 	n := uint64(len(ref))
@@ -105,7 +129,7 @@ func TestHistoryDifferential(t *testing.T) {
 	if h.n != n || h.ns != syncs || h.ns <= 2*syncLen || n-h.ns <= firstLen+2*chunkLen {
 		t.Fatalf("seed %d: %d items, %d sync records; want %d, %d, each list across two chunk boundaries", seed, h.n, h.ns, n, syncs)
 	}
-	chunkBytes := uint64(len(h.syncs)) * uint64(unsafe.Sizeof(*h.syncs[0]))
+	chunkBytes := uint64(len(h.syncs))*uint64(unsafe.Sizeof(*h.syncs[0])) + idsBytes
 	for _, d := range h.data {
 		chunkBytes += uint64(cap(d)) * uint64(unsafe.Sizeof(d[0]))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -112,6 +113,12 @@ type seenPayload struct {
 	print string
 }
 
+// seenLineage is an output's lineage as delivered, and a copy of it.
+type seenLineage struct {
+	where     string
+	cbt, copy []event.ID
+}
+
 // TestNoStageWritesAPayload: emitted payloads are shared, not copied — the
 // matcher hands out the map it interned, Slice passes it on, the history
 // keeps it and every subscriber receives it — which is sound only while no
@@ -124,7 +131,10 @@ type seenPayload struct {
 // against its lineage too, for a write made before it was delivered: each
 // of its values must be a value of one of its contributors, and outputs of
 // one ID must carry one content throughout. Every query's output at four
-// shards must be byte-identical to its output at one.
+// shards must be byte-identical to its output at one. Lineage is shared
+// the same way — the matcher hands out its own, and the history's copy is
+// what subscribers receive, capped so no append reaches past it — so every
+// delivered output's lineage is re-checked at the end too.
 func TestNoStageWritesAPayload(t *testing.T) {
 	defer leakcheck.Check(t)()
 	in := delivery.Deliver(payloadStream(rand.New(rand.NewSource(5)), 400),
@@ -151,6 +161,7 @@ func TestNoStageWritesAPayload(t *testing.T) {
 	single := map[string]stream.Stream{}
 	for _, shards := range []int{1, 4} {
 		var seen []seenPayload
+		var lineages []seenLineage
 		look := func(where string, p event.Payload) {
 			if p != nil {
 				seen = append(seen, seenPayload{where, p, fingerprint(p)})
@@ -179,6 +190,10 @@ func TestNoStageWritesAPayload(t *testing.T) {
 				outputs++
 				where := fmt.Sprintf("shards=%d %s: output %v", shards, src, ev)
 				look(where, ev.Payload)
+				lineages = append(lineages, seenLineage{where, ev.CBT, slices.Clone(ev.CBT)})
+				if cap(ev.CBT) != len(ev.CBT) {
+					t.Errorf("%s: lineage of %d IDs in room for %d", where, len(ev.CBT), cap(ev.CBT))
+				}
 				if !fromLineage(ev) {
 					t.Errorf("%s: a value no contributor carries", where)
 				}
@@ -201,6 +216,11 @@ func TestNoStageWritesAPayload(t *testing.T) {
 				t.Fatalf("%s: payload changed after it was seen\n was %s\n now %s", s.where, s.print, now)
 			}
 		}
+		for _, l := range lineages {
+			if !slices.Equal(l.cbt, l.copy) {
+				t.Fatalf("%s: lineage changed after it was delivered\n was %v\n now %v", l.where, l.copy, l.cbt)
+			}
+		}
 		for src, q := range queries {
 			if shards == 1 {
 				single[src] = q.Results()
@@ -214,7 +234,7 @@ func TestNoStageWritesAPayload(t *testing.T) {
 		if outputs < 1000 {
 			t.Fatalf("shards=%d: only %d outputs; the stream no longer exercises the plans", shards, outputs)
 		}
-		t.Logf("shards=%d: %d queries (%d sharded), %d outputs, %d payloads checked",
-			shards, len(payloadQueries()), sharded, outputs, len(seen))
+		t.Logf("shards=%d: %d queries (%d sharded), %d outputs, %d payloads and %d lineages checked",
+			shards, len(payloadQueries()), sharded, outputs, len(seen), len(lineages))
 	}
 }

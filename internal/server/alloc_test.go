@@ -125,6 +125,53 @@ func TestAllocsPushDecode(t *testing.T) {
 	}
 }
 
+// TestAllocsClientOutputDecode: the client's decoder carves each output's
+// lineage from its chunk, so n output frames of a fleet detection with a
+// one-ID lineage, decoded as the client's reader does, cost at most n/32
+// allocations (64 lineages fill a chunk); a lineage of its own per frame
+// was n. Every output keeps its own IDs.
+func TestAllocsClientOutputDecode(t *testing.T) {
+	const n = 4096
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		e := install(i)
+		e.CBT = []event.ID{event.ID(i)}
+		body, err := wal.AppendEvent(wal.AppendU64(wal.AppendU32(nil, 1), uint64(i)), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	dec := wal.NewDecoder()
+	outs := make([]event.Event, 0, len(bodies))
+	for _, b := range bodies[:3] { // the table keeps a payload from its second copy
+		if _, err := decodeBody(frame{fOutput, b}, dec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun truncates to whole allocations per run: count them all.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range bodies {
+		out, err := decodeBody(frame{fOutput, b}, dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	runtime.ReadMemStats(&after)
+	allocs, ceiling := after.Mallocs-before.Mallocs, uint64(n/32)
+	t.Logf("client decode of %d outputs with a one-ID lineage: measured %d allocs (ceiling %d)", n, allocs, ceiling)
+	if allocs > ceiling {
+		t.Fatalf("decoding %d output frames allocates %d objects, above %d: lineage is no longer carved from a chunk", n, allocs, ceiling)
+	}
+	for i, out := range outs {
+		if out.ID != event.ID(i) || len(out.CBT) != 1 || out.CBT[0] != event.ID(i) || cap(out.CBT) != 1 {
+			t.Fatalf("output %d decoded as %v, lineage %v (cap %d)", i, out, out.CBT, cap(out.CBT))
+		}
+	}
+}
+
 func TestAllocsEgress(t *testing.T) {
 	box := newOutbox(1, new(egressStats), nil)
 	send := box.egress(wireOutput(1))

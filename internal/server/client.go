@@ -136,8 +136,9 @@ func (c *Client) Close() error {
 // query, exactly the in-process delivery order, verifiable by tag. Outputs
 // of equal payload content share one payload map (the connection decodes
 // through a wal.Decoder), so payloads are read-only, as
-// event.Payload.Equal's contract already states. The channel closes when
-// the connection ends; check Err then.
+// event.Payload.Equal's contract already states; lineage is read-only too,
+// carved from chunks that outputs share. The channel closes when the
+// connection ends; check Err then.
 func (c *Client) Outputs() <-chan Output { return c.outputs }
 
 // readLoop decodes server frames, routing outputs to the output channel

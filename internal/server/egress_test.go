@@ -43,8 +43,9 @@ func scrape(t *testing.T, srv *Server) map[string]float64 {
 // across a chunk boundary, pushed through a client, the items and sync
 // points counted equal the sum of Len() over the distinct chains — a
 // registration that shares a chain adds nothing — split by kind, and the
-// chunk bytes hold every item at its size with at most one partly filled
-// chunk of each list a chain.
+// chunk bytes hold every item at its size and its lineage's IDs at 8 B
+// each, with at most one partly filled chunk of each of the three lists
+// (data, sync points, lineage) a chain.
 func TestHistoryCounters(t *testing.T) {
 	sys := cedr.New()
 	var chains []*cedr.Query
@@ -89,7 +90,7 @@ func TestHistoryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var items, syncs, lens float64
+	var items, syncs, ids, lens float64
 	for _, q := range chains {
 		lens += float64(q.Len())
 		for _, e := range q.Results() {
@@ -97,6 +98,7 @@ func TestHistoryCounters(t *testing.T) {
 				syncs++
 			} else {
 				items++
+				ids += float64(len(e.CBT))
 			}
 		}
 	}
@@ -107,8 +109,11 @@ func TestHistoryCounters(t *testing.T) {
 		t.Fatalf("history counters read %v items and %v sync points; the %d chains hold %v and %v (want > 510)",
 			got, m["cedr_history_sync_points_total"], len(chains), items, syncs)
 	}
-	low := items*float64(unsafe.Sizeof(cedr.Event{})) + syncs*24
-	high := low + float64(len(chains))*2*4096
+	low := items*float64(unsafe.Sizeof(cedr.Event{})) + syncs*24 + ids*8
+	high := low + float64(len(chains))*(2*4096+512)
+	if ids < items {
+		t.Fatalf("%v items carry %v lineage IDs; every detection has a contributor", items, ids)
+	}
 	if b := m["cedr_history_chunk_bytes_total"]; b < low || b > high {
 		t.Fatalf("history chunk bytes %v, want [%v, %v]", b, low, high)
 	}

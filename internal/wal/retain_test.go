@@ -116,3 +116,47 @@ func TestForgedLengthPrefix(t *testing.T) {
 		t.Fatalf("opening a %d-byte log allocated %d B (bound %d B); a forged length prefix sizes an allocation again", len(img), least, bound)
 	}
 }
+
+// TestForgedLineageCountSizesNoChunk: a Decoder carves lineage from chunks
+// of idsLen IDs, and a lineage count sizes no chunk: a count past the bytes
+// left fails the event before anything is allocated, and a lineage longer
+// than idsLen — which the bytes left do hold — gets an array of its own
+// while the chunk stays as it was.
+func TestForgedLineageCountSizesNoChunk(t *testing.T) {
+	encode := func(n int) []byte {
+		e := event.NewInsert(1, "INSTALL", 3, 9, nil)
+		for i := range n {
+			e.CBT = append(e.CBT, event.ID(i+1))
+		}
+		b, err := AppendEvent(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	d := NewDecoder()
+	forged := encode(2)
+	binary.LittleEndian.PutUint32(forged[len(forged)-4-2*8-4:], 1<<28)
+	r := NewReader(forged, d)
+	if r.Event(); r.Done() == nil || d.ids != nil {
+		t.Fatalf("a forged lineage count decoded (%v), leaving a %d-ID chunk", r.Done(), cap(d.ids))
+	}
+	r = NewReader(encode(idsLen+1), d)
+	if e := r.Event(); r.Done() != nil || len(e.CBT) != idsLen+1 || d.ids != nil {
+		t.Fatalf("a %d-ID lineage decoded as %d IDs (%v), leaving a %d-ID chunk", idsLen+1, len(e.CBT), r.Done(), cap(d.ids))
+	}
+	var kept [][]event.ID
+	for range 2*idsLen/3 + 1 {
+		r = NewReader(encode(3), d)
+		e := r.Event()
+		if r.Done() != nil || !reflect.DeepEqual(e.CBT, []event.ID{1, 2, 3}) || cap(e.CBT) != 3 || cap(d.ids) != idsLen {
+			t.Fatalf("a 3-ID lineage decoded as %v (cap %d, %v) from a %d-ID chunk", e.CBT, cap(e.CBT), r.Done(), cap(d.ids))
+		}
+		kept = append(kept, e.CBT)
+	}
+	for _, cbt := range kept {
+		if !reflect.DeepEqual(cbt, []event.ID{1, 2, 3}) {
+			t.Fatalf("a later decode wrote an earlier lineage: %v", cbt)
+		}
+	}
+}

@@ -276,12 +276,18 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 // Decoding
 
 // Decoder decodes the log's encodings through an event.Table, whose shared
-// payloads are read-only. Hold one per connection or scan. A nil *Decoder
-// shares nothing; the zero Decoder has one slot per table (tests use it).
-type Decoder event.Table
+// payloads are read-only, and carves lineage, read-only too, from chunks of
+// idsLen IDs. Hold one per connection or scan. A nil *Decoder shares
+// nothing; the zero Decoder has one slot per table (tests use it).
+type Decoder struct {
+	tab event.Table
+	ids []event.ID // the current lineage chunk, written up to len only
+}
+
+const idsLen = 64 // 512 B
 
 // NewDecoder returns a Decoder with empty tables.
-func NewDecoder() *Decoder { return (*Decoder)(event.NewTable()) }
+func NewDecoder() *Decoder { return &Decoder{tab: *event.NewTable()} }
 
 // Reader decodes the log's encodings — which the network protocol's frame
 // bodies share — from one buffer in place, with a sticky error: after the
@@ -292,11 +298,17 @@ type Reader struct {
 	off int
 	err error
 	tab *event.Table // shares short strings and payloads (nil: none)
+	d   *Decoder     // carves lineage (nil: each its own)
 }
 
 // NewReader returns a Reader over b decoding through d; a nil d shares
 // nothing.
-func NewReader(b []byte, d *Decoder) Reader { return Reader{b: b, tab: (*event.Table)(d)} }
+func NewReader(b []byte, d *Decoder) Reader {
+	if d == nil {
+		return Reader{b: b}
+	}
+	return Reader{b: b, tab: &d.tab, d: d}
+}
 
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
@@ -392,7 +404,7 @@ func (r *Reader) Event() event.Event {
 		return e
 	}
 	if nCBT > 0 {
-		e.CBT = make([]event.ID, nCBT)
+		e.CBT = r.lineage(nCBT)
 		for i := range e.CBT {
 			e.CBT[i] = event.ID(r.U64())
 		}
@@ -406,6 +418,20 @@ func (r *Reader) Event() event.Event {
 		e.Payload = r.payload(nPay)
 	}
 	return e
+}
+
+// lineage returns room for n > 0 IDs, which the bytes left hold: carved
+// from the Decoder's chunk, which no count sizes, or allocated.
+func (r *Reader) lineage(n int) []event.ID {
+	d := r.d
+	if d == nil || n > idsLen {
+		return make([]event.ID, n)
+	}
+	if len(d.ids)+n > cap(d.ids) {
+		d.ids = make([]event.ID, 0, idsLen)
+	}
+	d.ids = d.ids[:len(d.ids)+n]
+	return d.ids[len(d.ids)-n : len(d.ids) : len(d.ids)]
 }
 
 // payload reads n > 0 entries, their count just read, from the buffer's
