@@ -6,11 +6,14 @@
 #   1. Run a late-arrival stream through the batch CLI (in-process
 #      reference): one optimistic detection, one compensating
 #      retraction, one surviving detection.
-#   2. Start `cedr serve` with a WAL, register the same query over
-#      HTTP, push a prefix of the stream over loopback, sync.
+#   2. Start `cedr serve` with a WAL, register and unregister a
+#      throwaway query, register the same query over HTTP (its id is
+#      its WAL query id: 1), push a prefix of the stream over loopback,
+#      sync.
 #   3. kill -9 the server (no shutdown, no drain).
-#   4. Restart from the same WAL, assert the query was recovered,
-#      push the rest of the stream, finish.
+#   4. Restart from the same WAL, assert the query was recovered under
+#      id 1 and the throwaway's id answers 404, push the rest of the
+#      stream, finish.
 #   5. Assert the server's text results are byte-identical to the
 #      in-process run — including the retraction emitted before the
 #      crash — and that the surviving-alert count matches.
@@ -86,12 +89,18 @@ start_server() {
 echo "== start server (WAL at $wal)"
 start_server
 
+echo "== register and unregister a throwaway query over HTTP"
+curl -sf -X POST "http://$http/v1/queries" \
+    -H 'Content-Type: application/json' \
+    --data '{"src":"EVENT Throwaway WHEN HOT h"}' >/dev/null
+curl -sf -X DELETE "http://$http/v1/queries/0" >/dev/null
+
 echo "== register query over HTTP"
 qid=$(curl -sf -X POST "http://$http/v1/queries" \
     -H 'Content-Type: application/json' \
     --data '{"src":"EVENT StuckHot\nWHEN UNLESS(HOT h, COOL c, 10 seconds)\nWHERE {h.sensor = c.sensor}\nCONSISTENCY middle"}' \
     | sed -n 's/.*"id": \([0-9]*\).*/\1/p')
-[ -n "$qid" ] || { echo "FAIL: register returned no id"; exit 1; }
+[ "$qid" = 1 ] || { echo "FAIL: register returned id '$qid', want 1 (the throwaway took 0)"; exit 1; }
 echo "registered query id=$qid"
 
 echo "== push prefix over loopback (durable sync)"
@@ -107,6 +116,12 @@ echo "== restart from WAL"
 start_server
 grep -q 'recovered 1 query' "$workdir/serve.log" \
     || { echo "FAIL: restart did not report recovery"; cat "$workdir/serve.log"; exit 1; }
+# Ids are WAL query ids: the unregistered throwaway stays gone, and the
+# query answers to the id it had before the crash.
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$http/v1/queries/0")
+[ "$code" = 404 ] || { echo "FAIL: unregistered query 0 answers $code after the restart, want 404"; exit 1; }
+curl -sf "http://$http/v1/queries/$qid" | grep -q '"name": "StuckHot"' \
+    || { echo "FAIL: query $qid is not StuckHot after the restart"; exit 1; }
 
 echo "== push suffix, finish"
 curl -sf -X POST "http://$http/v1/events?sync=1" \

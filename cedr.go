@@ -327,6 +327,13 @@ func (s *System) Queries() []*Query {
 	return out
 }
 
+// Query returns the registered query whose WAL query id (Query.ID) is id,
+// the pointer Register returned for it, or nil when no registration had
+// that id or its query unregistered. Open replays registrations and
+// unregistrations in log order, so an id names the same query after a
+// crash and restart.
+func (s *System) Query(id int) *Query { return (*Query)(s.eng.Query(id)) }
+
 // Push delivers one physical item to every registered query. The event's
 // CEDR arrival time is taken from its C interval (Deliver stamps it); for
 // hand-built events an unset arrival time is acceptable and treated as
@@ -392,6 +399,11 @@ type Query engine.Query
 
 // Name returns the query's EVENT name.
 func (q *Query) Name() string { return (*engine.Query)(q).Name() }
+
+// ID returns the query's WAL query id: the number of registrations made on
+// the system before it, unregistered ones included. System.Query resolves
+// it while the query is registered.
+func (q *Query) ID() int { return (*engine.Query)(q).ID() }
 
 // Results returns everything emitted so far: inserts, retractions and
 // punctuation, in emission order: a copy of the query's window of its

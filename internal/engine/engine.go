@@ -303,16 +303,16 @@ func (e *Engine) chainsSnapshot() []*chain {
 	return cs
 }
 
-// Query returns the named query, if registered.
-func (e *Engine) Query(name string) (*Query, bool) {
+// Query returns the registered query whose WAL query id is id, or nil when
+// no registration had that id or its query unregistered. Replay rebuilds the
+// list, tombstones included, so an id names the same query after a restart.
+func (e *Engine) Query(id int) *Query {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	for _, q := range e.queries {
-		if q != nil && q.ch.name == name {
-			return q, true
-		}
+	if id < 0 || id >= len(e.queries) {
+		return nil
 	}
-	return nil, false
+	return e.queries[id]
 }
 
 // Push delivers one physical item to the registered queries that can react
@@ -745,6 +745,10 @@ func (q *Query) Len() int {
 
 // Name returns the query's registered name.
 func (q *Query) Name() string { return q.ch.name }
+
+// ID returns the query's WAL query id: its position in the registration
+// list, which Engine.Query resolves while it is registered.
+func (q *Query) ID() int { return int(q.idx) }
 
 // Plan returns the compiled plan the query's chain executes, read-only. It
 // holds no operator instances (the runtime owns them): Stages is empty.

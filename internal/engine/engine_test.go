@@ -134,11 +134,15 @@ func TestMultipleQueriesShareInput(t *testing.T) {
 	if alerts(q2) != wantInstalls {
 		t.Errorf("q2 outputs = %d, want %d", alerts(q2), wantInstalls)
 	}
-	if _, ok := e.Query("MissedRestart"); !ok {
+	if e.Query(q1.ID()) != q1 || e.Query(q2.ID()) != q2 {
 		t.Error("query lookup failed")
 	}
-	if _, ok := e.Query("nope"); ok {
+	if e.Query(-1) != nil || e.Query(2) != nil {
 		t.Error("phantom query found")
+	}
+	q1.Unregister()
+	if e.Query(q1.ID()) != nil || e.Query(q2.ID()) != q2 {
+		t.Error("an unregistered id still resolves, or a survivor's id moved")
 	}
 }
 

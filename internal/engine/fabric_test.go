@@ -366,10 +366,11 @@ WHERE CorrelationKey(Machine_Id, EQUAL) AND [Machine_Id Equal $a] AND {y.Reason 
 }
 
 // TestFabricBindingsOwnedByTheChain: a registration reads its bindings map
-// without copying it, so a chain must keep its own copy where it keeps its
-// plan. Changing the map once RegisterText returns changes neither the
-// running chain's plan nor what a snapshot restores, and registering with
-// the changed map is another identity, with a chain of its own.
+// and keeps none of it: the chain's plan holds what the analysis bound.
+// Changing the map once RegisterText returns changes neither the running
+// chain's plan (its route key and explanation) nor what a snapshot
+// restores, and registering with the changed map is another identity, with
+// a chain of its own.
 func TestFabricBindingsOwnedByTheChain(t *testing.T) {
 	defer leakcheck.Check(t)()
 	dir := t.TempDir()
@@ -385,8 +386,8 @@ func TestFabricBindingsOwnedByTheChain(t *testing.T) {
 	check := func(what string, q *Query) {
 		t.Helper()
 		p := q.Plan()
-		if got := p.Durable().Bindings["m"]; got != "m000" || p.RouteKeyVal != "m000" || p.Explain() != explain {
-			t.Errorf("%s: plan bound to %v, routed by %v, explained\n%s\nwant m000 and\n%s", what, got, p.RouteKeyVal, p.Explain(), explain)
+		if p.RouteKeyVal != "m000" || p.Explain() != explain {
+			t.Errorf("%s: plan routed by %v, explained\n%s\nwant m000 and\n%s", what, p.RouteKeyVal, p.Explain(), explain)
 		}
 	}
 	check("running chain", q)
@@ -408,7 +409,7 @@ func TestFabricBindingsOwnedByTheChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q2.ch == q.ch || len(e.chainsSnapshot()) != 2 || q2.Plan().Durable().Bindings["m"] != "m001" {
+	if q2.ch == q.ch || len(e.chainsSnapshot()) != 2 || q2.Plan().RouteKeyVal != "m001" {
 		t.Error("the changed map did not get a chain of its own")
 	}
 }

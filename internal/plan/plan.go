@@ -15,7 +15,6 @@ package plan
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -39,9 +38,7 @@ type Plan struct {
 	// Stages are the plan's operators; a running query's plan holds none.
 	Stages []operators.Op
 	Spec   consistency.Spec
-	// Src is the CEDR query text the plan was compiled from. Src plus the
-	// serializable options (Durable) is what the engine's write-ahead log
-	// records, so a recovered engine can re-compile the identical plan.
+	// Src is the CEDR query text the plan was compiled from.
 	Src string
 	// Rewrites records which optimizer rules fired, for Explain.
 	Rewrites []string
@@ -62,17 +59,15 @@ type Plan struct {
 	RouteKeyAttr string
 	RouteKeyVal  event.Value
 
-	// an and opts are retained so Fresh can re-instantiate the operator
-	// chain and Durable can name the plan; opts owns its bindings.
-	an   *lang.Analysis
-	opts wal.RegOpts
+	// an is retained so Fresh can re-instantiate the operator chain.
+	an *lang.Analysis
 }
 
 // Option adjusts plan construction: it fills in the registration record.
 type Option func(*wal.RegOpts)
 
-// WithRegOpts applies a whole registration record: what Durable returns, a
-// replayed log record, or a network request.
+// WithRegOpts applies a whole registration record: a replayed log record,
+// or a network request.
 func WithRegOpts(o wal.RegOpts) Option {
 	return func(c *wal.RegOpts) { *c = o }
 }
@@ -126,8 +121,7 @@ func WithSharing() Option {
 // template is cached by source text, so stamping out many instances costs
 // one parse plus a per-instance semantic analysis. Bindings become part of
 // the registration's durable record and sharing identity. The map is read,
-// not copied, until a plan is built (Prepared.Plan), which keeps its own
-// copy; the caller may change it once registration returns.
+// never kept: the caller may change it once registration returns.
 func WithBindings(bindings map[string]event.Value) Option {
 	return func(c *wal.RegOpts) { c.Bindings = bindings }
 }
@@ -146,8 +140,8 @@ type Key struct {
 }
 
 // Prepared is a registration resolved without building anything: its
-// sharing identity, its registration record and the cached analysis a
-// plan is built from.
+// sharing identity, its registration record (Opts: what the engine logs)
+// and the cached analysis a plan is built from.
 type Prepared struct {
 	Key  Key
 	Opts wal.RegOpts
@@ -156,10 +150,8 @@ type Prepared struct {
 
 // Plan builds the registration's plan: a fresh operator chain, the
 // optimizer's rewrites, the partition verdict and the routing metadata.
-// The plan owns a copy of the bindings.
 func (r Prepared) Plan() *Plan {
-	an, opts := r.an, r.Opts
-	opts.Bindings = maps.Clone(opts.Bindings)
+	an := r.an
 	// Correlation-key pushdown: when the analysis proved an equality
 	// attribute (CorrelationKey EQUAL or a spanning pairwise-equality
 	// conjunction — see lang.Analysis.PushKeyAttr), the matcher tree keys
@@ -179,13 +171,12 @@ func (r Prepared) Plan() *Plan {
 		Spec:         r.Key.Spec,
 		Src:          r.Key.Src,
 		Rewrites:     rewrites,
-		Shards:       opts.Shards,
+		Shards:       r.Opts.Shards,
 		Part:         partitionOf(an),
 		RouteTypes:   an.InputTypes,
 		RouteKeyAttr: an.RouteKeyAttr,
 		RouteKeyVal:  an.RouteKeyVal,
 		an:           an,
-		opts:         opts,
 	}
 }
 
@@ -206,11 +197,6 @@ func stagesOf(an *lang.Analysis) []operators.Op {
 	}
 	return stages
 }
-
-// Durable returns the registration record that rebuilds the plan in a fresh
-// process — Prepare(p.Src, WithRegOpts(o)) — which is what the engine's
-// durability layer logs for each registration.
-func (p *Plan) Durable() wal.RegOpts { return p.opts }
 
 // canonBindings renders bindings injectively: in sorted name order, each
 // name, its value's dynamic type and its text, every piece length-prefixed,

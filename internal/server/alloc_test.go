@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro"
 	"repro/internal/event"
 	"repro/internal/temporal"
 	"repro/internal/wal"
@@ -233,4 +234,52 @@ func TestOutboxRetainsOneBlock(t *testing.T) {
 		t.Fatalf("an outbox holds %d B after its frames were written, above one %d-B block, %d B of list headers and 2 KiB", held, blockSize, headers)
 	}
 	runtime.KeepAlive(kept)
+}
+
+// TestServerChurnRetainsNoQuery: the server keeps no list of queries, so a
+// query registered, fed and unregistered through its verbs is garbage once
+// it goes, as it is through the facade. The least of three readings, after
+// n and after 2n churned queries, stays within 64 B a query: the engine's
+// tombstone and its list's growth. A server that kept every registration
+// held ≈7.6 KB a query: its endpoint, its chain's history and its plan.
+func TestServerChurnRetainsNoQuery(t *testing.T) {
+	srv := New(cedr.New())
+	defer srv.Shutdown()
+	item := 0
+	churn := func(queries int) {
+		for range queries {
+			info, err := srv.register(`EVENT Echo WHEN INSTALL h`, wal.RegOpts{Share: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 20 {
+				item++
+				if err := srv.push(install(item)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.unregister(info.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const n, bound = 1000, 64 // bytes a query
+	churn(n)                  // warm the analysis cache
+	heldN, held2N := int64(math.MaxInt64), int64(math.MaxInt64)
+	for range 3 { // the least of three: the runtime allocates beside the test
+		base := int64(liveHeap())
+		churn(n)
+		heldN = min(heldN, int64(liveHeap())-base)
+		churn(n)
+		held2N = min(held2N, int64(liveHeap())-base)
+	}
+	for _, r := range []struct {
+		queries int
+		held    int64
+	}{{n, heldN}, {2 * n, held2N}} {
+		t.Logf("%d queries churned through the server's verbs held %d B (bound %d B)", r.queries, r.held, bound*r.queries)
+		if r.held > int64(bound*r.queries) {
+			t.Errorf("%d churned queries hold %d B, %d B each: something keeps unregistered queries", r.queries, r.held, r.held/int64(r.queries))
+		}
+	}
 }

@@ -51,23 +51,6 @@ type Output struct {
 	Event event.Event
 }
 
-// RemoteQuery identifies a query registered through (or discovered via)
-// the wire protocol.
-type RemoteQuery struct {
-	ID     int
-	Name   string
-	Shards int
-	Shared bool
-}
-
-// Status is a status reply.
-type Status struct {
-	Query   int
-	Shards  int
-	Results uint64
-	Err     string // the quarantine error, "" while healthy
-}
-
 // RegOptions mirrors the Register(src, ...QueryOption) surface on the
 // wire. Zero value = defaults (query-text consistency, auto sharing,
 // no template bindings, system-default shards).
@@ -268,25 +251,24 @@ func (c *Client) Push(e event.Event) error {
 func (c *Client) Flush() error { return c.write(nil, true) }
 
 // Register compiles and installs src on the server with the full option
-// surface, returning the query's wire identity.
-func (c *Client) Register(src string, ro RegOptions) (RemoteQuery, error) {
+// surface, returning the query's info: its ID addresses it from here on.
+func (c *Client) Register(src string, ro RegOptions) (QueryInfo, error) {
 	o := wal.RegOpts{Shards: ro.Shards, Share: !ro.NoSharing, Bindings: ro.Bindings}
 	if ro.Spec != nil {
 		o.HasSpec, o.Spec = true, *ro.Spec
 	}
 	body, err := wal.AppendRegister(nil, src, o)
 	if err != nil {
-		return RemoteQuery{}, err
+		return QueryInfo{}, err
 	}
-	qi, err := c.info(fRegister, body)
-	return RemoteQuery{ID: qi.ID, Name: qi.Name, Shards: qi.Shards, Shared: qi.Shared}, err
+	return c.info(fRegister, body)
 }
 
 // info performs a request answered by an info frame.
-func (c *Client) info(t frameType, body []byte) (queryInfo, error) {
+func (c *Client) info(t frameType, body []byte) (QueryInfo, error) {
 	reply, err := c.request(t, body, fInfo)
 	if err != nil {
-		return queryInfo{}, err
+		return QueryInfo{}, err
 	}
 	return readInfo(reply)
 }
@@ -336,11 +318,10 @@ func (c *Client) Finish() error {
 	return err
 }
 
-// Status reports query id's shard count, result count, and quarantine
-// error.
-func (c *Client) Status(id int) (Status, error) {
-	qi, err := c.info(fStatus, wal.AppendU32(nil, uint32(id)))
-	return Status{Query: qi.ID, Shards: qi.Shards, Results: uint64(qi.Results), Err: qi.Err}, err
+// Status reports query id's name, shard count, result count, and
+// quarantine error.
+func (c *Client) Status(id int) (QueryInfo, error) {
+	return c.info(fStatus, wal.AppendU32(nil, uint32(id)))
 }
 
 // tokens distinguishes concurrent-session sync replies in logs; the

@@ -21,10 +21,10 @@ import (
 // binary protocol calls, reachable with curl. Each route decodes its
 // request, calls one verb, and encodes the result:
 //
-//	GET    /healthz                     —           liveness + system error state
+//	GET    /healthz                     —           liveness, registered queries, system error
 //	GET    /metrics                     —           Prometheus text: egress counters,
 //	                                               connections, GC CPU by class
-//	GET    /v1/queries                  info        registry listing
+//	GET    /v1/queries                  info        every registered query, by id
 //	POST   /v1/queries                  register    JSON body, below
 //	GET    /v1/queries/{id}             info        the binary status request
 //	DELETE /v1/queries/{id}            unregister
@@ -44,8 +44,9 @@ import (
 // where -1 in a consistency bound means unbounded. The text results
 // format prints one event per line in the CLI's rendering with CTI
 // punctuation elided, so a shell diff against the output of
-// `cedr -query ... -events ...` needs no JSON tooling. A malformed id or
-// body is 400, an unknown id 404.
+// `cedr -query ... -events ...` needs no JSON tooling. An {id} is the
+// query's WAL query id. A malformed id or body is 400; an id that names no
+// registered query — never registered, or unregistered — is 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -92,9 +93,7 @@ func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	n := len(s.entries)
-	s.mu.Unlock()
+	n, _ := s.sys.Standing()
 	body := map[string]any{"ok": true, "queries": n}
 	if err := s.sys.Err(); err != nil {
 		body["ok"] = false
@@ -137,12 +136,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	entries := append([]*entry(nil), s.entries...)
-	s.mu.Unlock()
-	infos := make([]queryInfo, 0, len(entries))
-	for _, e := range entries {
-		infos = append(infos, infoOf(e))
+	qs := s.sys.Queries()
+	infos := make([]QueryInfo, 0, len(qs))
+	for _, q := range qs {
+		infos = append(infos, infoOf(q))
 	}
 	writeJSON(w, http.StatusOK, infos)
 }
@@ -197,7 +194,7 @@ func readRegisterBody(r io.Reader) (string, wal.RegOpts, error) {
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	src, o, err := readRegisterBody(r.Body)
 	if err == nil {
-		var info queryInfo
+		var info QueryInfo
 		if info, err = s.register(src, o); err == nil {
 			writeJSON(w, http.StatusCreated, info)
 			return
@@ -231,16 +228,16 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ent, err := s.lookup(id)
+	q, err := s.lookup(id)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	var evs []event.Event
 	if r.URL.Query().Get("alerts") == "1" {
-		evs = ent.q.Alerts()
+		evs = q.Alerts()
 	} else {
-		evs = ent.q.Results()
+		evs = q.Results()
 	}
 	if r.URL.Query().Get("format") == "text" {
 		// The CLI's rendering: one event per line, CTI punctuation

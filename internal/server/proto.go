@@ -151,7 +151,7 @@ func msgFrame(t frameType, msg string) []byte {
 
 // infoFrame is the reply to register and status: an info frame, or the
 // request's error.
-func infoFrame(qi queryInfo, err error) []byte {
+func infoFrame(qi QueryInfo, err error) []byte {
 	if err != nil {
 		return msgFrame(fErr, err.Error())
 	}
@@ -166,12 +166,12 @@ func infoFrame(qi queryInfo, err error) []byte {
 }
 
 // readInfo decodes an info frame's body (infoFrame's inverse).
-func readInfo(body []byte) (queryInfo, error) {
+func readInfo(body []byte) (QueryInfo, error) {
 	r := wal.NewReader(body, nil)
-	qi := queryInfo{ID: int(r.U32()), Name: r.Str(), Shards: int(r.U32()), Shared: r.U8() == 1,
+	qi := QueryInfo{ID: int(r.U32()), Name: r.Str(), Shards: int(r.U32()), Shared: r.U8() == 1,
 		Results: int(r.U64()), Err: r.Str()}
 	if err := r.Done(); err != nil {
-		return queryInfo{}, err
+		return QueryInfo{}, err
 	}
 	return qi, nil
 }

@@ -6,11 +6,12 @@
 //
 // One Server wraps one cedr.System. Connections are independent source
 // sessions pushing into the same engine (the first deployment shape
-// where real concurrency flows through Push), and queries live in a
-// server-wide registry in registration order, so a query registered on
-// one connection can be subscribed from another — and, on a durable
-// system, re-subscribed by id after a crash and restart, because WAL
-// replay reconstructs the registry in the same order.
+// where real concurrency flows through Push). The server keeps no list of
+// queries: a query's id is its WAL query id (cedr.Query.ID), resolved by
+// the system, so a query registered on one connection can be subscribed
+// from another — and, on a durable system, re-subscribed by id after a
+// crash and restart, because WAL replay numbers the registrations, the
+// unregistered ones included, as the first run did.
 //
 // Flow control is fail-stop in both directions. Inbound: input that
 // cannot be made durable is not processed — after a WAL failure the
@@ -48,8 +49,8 @@ import (
 // limits how many frames may wait; it allocates nothing up front.
 const DefaultQueue = 4096
 
-// errNoQuery is the error of every verb addressing an id the registry does
-// not hold (HTTP 404).
+// errNoQuery is the error of every verb addressing an id that names no
+// registered query (HTTP 404).
 var errNoQuery = errors.New("server: no query")
 
 // Server hosts one cedr.System behind any number of listeners.
@@ -58,7 +59,6 @@ type Server struct {
 	queueCap int
 
 	mu        sync.Mutex
-	entries   []*entry
 	conns     map[*conn]struct{}
 	listeners map[net.Listener]struct{}
 	closed    bool
@@ -66,15 +66,6 @@ type Server struct {
 	egress egressStats // every outbox's counters, read by /metrics
 
 	wg sync.WaitGroup
-}
-
-// entry is one registry slot: a standing query plus the identity the
-// wire protocol addresses it by. Ids are dense registration indices —
-// stable across restarts of a durable system, because recovery replays
-// registrations in log order.
-type entry struct {
-	id int
-	q  *cedr.Query
 }
 
 // Option configures a Server.
@@ -93,9 +84,9 @@ func WithQueue(n int) Option {
 }
 
 // New wraps an existing system. Queries already standing — typically
-// recovered by WAL replay in cedr.Open — are adopted into the registry
-// in registration order, so clients can re-subscribe by the ids they
-// held before the restart.
+// recovered by WAL replay in cedr.Open — answer to the ids they had before
+// the restart, their WAL query ids; an id that was unregistered answers "no
+// query", before a restart and after one.
 func New(sys *cedr.System, opts ...Option) *Server {
 	s := &Server{
 		sys:       sys,
@@ -105,9 +96,6 @@ func New(sys *cedr.System, opts ...Option) *Server {
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	for _, q := range sys.Queries() {
-		s.entries = append(s.entries, &entry{id: len(s.entries), q: q})
 	}
 	return s
 }
@@ -209,9 +197,10 @@ func (s *Server) stop() []*conn {
 // connection (conn.handle) and an HTTP handler each only decode a request,
 // call one of these, and encode the result.
 
-// register compiles and installs a query, assigning its wire id. The record
-// arrives as the log will store it; the system's options rebuild it.
-func (s *Server) register(src string, o wal.RegOpts) (queryInfo, error) {
+// register compiles and installs a query; its wire id is its WAL query id.
+// The record arrives as the log will store it; the system's options rebuild
+// it.
+func (s *Server) register(src string, o wal.RegOpts) (QueryInfo, error) {
 	opts := []cedr.QueryOption{cedr.WithShards(o.Shards), cedr.WithTemplate(o.Bindings)}
 	if o.HasSpec {
 		opts = append(opts, cedr.WithSpec(o.Spec))
@@ -221,32 +210,26 @@ func (s *Server) register(src string, o wal.RegOpts) (queryInfo, error) {
 	}
 	q, err := s.sys.Register(src, opts...)
 	if err != nil {
-		return queryInfo{}, err
+		return QueryInfo{}, err
 	}
-	s.mu.Lock()
-	e := &entry{id: len(s.entries), q: q}
-	s.entries = append(s.entries, e)
-	s.mu.Unlock()
-	return infoOf(e), nil
+	return infoOf(q), nil
 }
 
-// lookup resolves a wire query id.
-func (s *Server) lookup(id int) (*entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id < 0 || id >= len(s.entries) {
-		return nil, fmt.Errorf("%w %d", errNoQuery, id)
+// lookup resolves a wire query id through the system.
+func (s *Server) lookup(id int) (*cedr.Query, error) {
+	if q := s.sys.Query(id); q != nil {
+		return q, nil
 	}
-	return s.entries[id], nil
+	return nil, fmt.Errorf("%w %d", errNoQuery, id)
 }
 
 // info reports one query.
-func (s *Server) info(id int) (queryInfo, error) {
-	e, err := s.lookup(id)
+func (s *Server) info(id int) (QueryInfo, error) {
+	q, err := s.lookup(id)
 	if err != nil {
-		return queryInfo{}, err
+		return QueryInfo{}, err
 	}
-	return infoOf(e), nil
+	return infoOf(q), nil
 }
 
 // push applies one event. An error is the system's durability failure: the
@@ -274,11 +257,11 @@ func (s *Server) finish() error {
 
 // unregister removes one query.
 func (s *Server) unregister(id int) error {
-	e, err := s.lookup(id)
+	q, err := s.lookup(id)
 	if err != nil {
 		return err
 	}
-	e.q.Unregister()
+	q.Unregister()
 	return nil
 }
 
@@ -286,16 +269,17 @@ func (s *Server) unregister(id int) error {
 // each item encoded by enc, until cancel. Call cancel from the consumer's own
 // goroutine, never from a delivery: those run under the chain's lock.
 func (s *Server) subscribe(id int, out *outbox, enc encoder) (cancel func(), err error) {
-	e, err := s.lookup(id)
+	q, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	return e.q.SubscribeTagged(true, out.egress(enc)), nil
+	return q.SubscribeTagged(true, out.egress(enc)), nil
 }
 
-// queryInfo is what register and info report about one query: one info
-// frame on the wire (infoFrame), one JSON object over HTTP.
-type queryInfo struct {
+// QueryInfo is what register and status report about one query: one info
+// frame on the wire (infoFrame), one JSON object over HTTP. ID is the
+// query's WAL query id; Err is its quarantine error, "" while healthy.
+type QueryInfo struct {
 	ID      int    `json:"id"`
 	Name    string `json:"name"`
 	Shards  int    `json:"shards"`
@@ -304,9 +288,9 @@ type queryInfo struct {
 	Err     string `json:"err,omitempty"`
 }
 
-func infoOf(e *entry) queryInfo {
-	info := queryInfo{ID: e.id, Name: e.q.Name(), Shards: e.q.Shards(), Shared: e.q.Shared(), Results: e.q.Len()}
-	if err := e.q.Err(); err != nil {
+func infoOf(q *cedr.Query) QueryInfo {
+	info := QueryInfo{ID: q.ID(), Name: q.Name(), Shards: q.Shards(), Shared: q.Shared(), Results: q.Len()}
+	if err := q.Err(); err != nil {
 		info.Err = err.Error()
 	}
 	return info

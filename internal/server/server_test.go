@@ -606,6 +606,130 @@ func TestCrashRecoveryOverWire(t *testing.T) {
 	assertSameOutput(t, want, got)
 }
 
+// TestIDsSurviveRestartAfterUnregister: a query's id is its WAL query id,
+// so unregistering one query renumbers no other, before a restart or after
+// it. A, B and C register on a durable system, A unregisters, the stream is
+// pushed, and the server crashes; after the restart B and C answer status
+// (binary and HTTP) and a subscription by the ids they had, each
+// subscription replaying byte for byte what it replayed before the crash,
+// while A's id names no query and the listing holds B and C alone.
+func TestIDsSurviveRestartAfterUnregister(t *testing.T) {
+	srcs := []string{`EVENT Gone WHEN COOL c`, stuckHot, `EVENT Hot WHEN HOT h`}
+	walPath := filepath.Join(t.TempDir(), "serve.wal")
+
+	// replay subscribes c to each of ids in turn and reads its history.
+	replay := func(c *Client, ids []int) map[int][]tagged {
+		out := map[int][]tagged{}
+		for _, id := range ids {
+			st, err := c.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Subscribe(id); err != nil {
+				t.Fatal(err)
+			}
+			out[id] = collect(t, c, st.Results)
+		}
+		return out
+	}
+	noQuery := func(when string, c *Client, id int) {
+		t.Helper()
+		if _, err := c.Status(id); err == nil || !strings.Contains(err.Error(), "no query") {
+			t.Fatalf("%s: status of unregistered id %d: %v, want no query", when, id, err)
+		}
+		if err := c.Subscribe(id); err == nil {
+			t.Fatalf("%s: subscribed to unregistered id %d", when, id)
+		}
+	}
+
+	sys1, err := cedr.Open(walPath, cedr.WithSyncEvery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1, addr1 := startServer(t, sys1)
+	c1, err := Dial(addr1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Open("src"); err != nil {
+		t.Fatal(err)
+	}
+	infos := make([]QueryInfo, len(srcs))
+	for i, src := range srcs {
+		if infos[i], err = c1.Register(src, RegOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, kept := infos[0].ID, []int{infos[1].ID, infos[2].ID}
+	if err := c1.Unregister(a); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range lateStream() {
+		if err := c1.Push(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c1.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	noQuery("before the restart", c1, a)
+	before := replay(c1, kept)
+	for _, id := range kept {
+		if len(before[id]) == 0 {
+			t.Fatalf("query %d produced no output; bad scenario", id)
+		}
+	}
+	srv1.Abort()
+	c1.Close()
+
+	sys2, err := cedr.Open(walPath, cedr.WithSyncEvery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, addr2 := startServer(t, sys2)
+	defer srv2.Shutdown()
+	ts := httptest.NewServer(srv2.Handler())
+	defer ts.Close()
+	c2, err := Dial(addr2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+
+	noQuery("after the restart", c2, a)
+	if code := httpDo(t, ts, http.MethodGet, fmt.Sprintf("/v1/queries/%d", a), "", nil); code != http.StatusNotFound {
+		t.Fatalf("GET unregistered query %d: status %d, want 404", a, code)
+	}
+	var listed []QueryInfo
+	if code := httpDo(t, ts, http.MethodGet, "/v1/queries", "", &listed); code != http.StatusOK {
+		t.Fatalf("list: status %d", code)
+	}
+	var health struct{ Queries int }
+	if code := httpDo(t, ts, http.MethodGet, "/healthz", "", &health); code != http.StatusOK || health.Queries != len(kept) {
+		t.Fatalf("healthz: status %d, %d queries, want %d", code, health.Queries, len(kept))
+	}
+	if len(listed) != len(kept) {
+		t.Fatalf("listed %+v, want ids %v", listed, kept)
+	}
+	for i, id := range kept {
+		st, err := c2.Status(id)
+		if err != nil {
+			t.Fatalf("query %d after the restart: %v", id, err)
+		}
+		var h QueryInfo
+		if code := httpDo(t, ts, http.MethodGet, fmt.Sprintf("/v1/queries/%d", id), "", &h); code != http.StatusOK {
+			t.Fatalf("GET query %d after the restart: status %d", id, code)
+		}
+		if want := infos[i+1]; st.ID != id || st.Name != want.Name || h != st || listed[i] != st {
+			t.Errorf("query %d after the restart: wire %+v, http %+v, listed %+v; registered as %+v", id, st, h, listed[i], want)
+		}
+	}
+	after := replay(c2, kept)
+	for _, id := range kept {
+		assertSameOutput(t, before[id], after[id])
+	}
+}
+
 // TestHTTPSurface drives the JSON convenience API end to end and checks
 // its text rendering matches the in-process one line for line.
 func TestHTTPSurface(t *testing.T) {

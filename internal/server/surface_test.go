@@ -117,7 +117,7 @@ func TestHTTPMatchesWire(t *testing.T) {
 		{`{"src": ` + jsonString(armed) + `, "bindings": {"armed": true}}`, armed,
 			RegOptions{Bindings: cedr.Payload{"armed": true}}},
 	} {
-		var h queryInfo
+		var h QueryInfo
 		if code := httpDo(t, ts, http.MethodPost, "/v1/queries", tc.body, &h); code != http.StatusCreated {
 			t.Fatalf("register %s: status %d", tc.body, code)
 		}
@@ -183,7 +183,7 @@ func TestHTTPMatchesWire(t *testing.T) {
 
 	// Status.
 	for _, id := range []int{0, 5} {
-		var h queryInfo
+		var h QueryInfo
 		if code := httpDo(t, ts, http.MethodGet, fmt.Sprintf("/v1/queries/%d", id), "", &h); code != http.StatusOK {
 			t.Fatalf("status %d: %d", id, code)
 		}
@@ -191,7 +191,7 @@ func TestHTTPMatchesWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.ID != w.Query || h.Shards != w.Shards || uint64(h.Results) != w.Results || h.Err != w.Err {
+		if h != w {
 			t.Errorf("status %d: http %+v, wire %+v", id, h, w)
 		}
 	}
