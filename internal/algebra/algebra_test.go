@@ -408,17 +408,6 @@ func TestPatternOpRemovalOfBlockerRevives(t *testing.T) {
 	}
 }
 
-func TestTypesCollection(t *testing.T) {
-	expr := UnlessExpr{
-		A: SequenceExpr{Kids: []Expr{typ("INSTALL", "x"), typ("SHUTDOWN", "y")}, W: 10},
-		B: typ("RESTART", "z"), W: 5,
-	}
-	ts := Types(expr)
-	if len(ts) != 3 {
-		t.Errorf("Types = %v", ts)
-	}
-}
-
 func TestExprStrings(t *testing.T) {
 	expr := UnlessExpr{
 		A: SequenceExpr{Kids: []Expr{typ("INSTALL", "x"), typ("SHUTDOWN", "y")}, W: 10},

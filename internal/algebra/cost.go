@@ -40,8 +40,3 @@ func kidsCostNs(kids []Expr, perJoin int) int {
 	}
 	return c
 }
-
-// PerEventCostNs implements operators.CostHint: the semi-naive evaluator
-// re-derives matches from the full store on every push, so it costs a
-// multiple of the incremental tree's delta propagation.
-func (p *PatternOp) PerEventCostNs() int { return 3 * ExprCostNs(p.Expr) }

@@ -244,47 +244,3 @@ func kidList(kids []Expr) string {
 func nary(name string, kids []Expr, w temporal.Duration) string {
 	return fmt.Sprintf("%s(%s, %s)", name, kidList(kids), w)
 }
-
-// Types collects the event types an expression consumes.
-func Types(e Expr) []string {
-	set := map[string]bool{}
-	collectTypes(e, set)
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	return out
-}
-
-func collectTypes(e Expr, set map[string]bool) {
-	switch x := e.(type) {
-	case TypeExpr:
-		set[x.Type] = true
-	case SequenceExpr:
-		for _, k := range x.Kids {
-			collectTypes(k, set)
-		}
-	case AtLeastExpr:
-		for _, k := range x.Kids {
-			collectTypes(k, set)
-		}
-	case AtMostExpr:
-		for _, k := range x.Kids {
-			collectTypes(k, set)
-		}
-	case UnlessExpr:
-		collectTypes(x.A, set)
-		collectTypes(x.B, set)
-	case UnlessPrimeExpr:
-		collectTypes(x.A, set)
-		collectTypes(x.B, set)
-	case NotExpr:
-		collectTypes(x.Neg, set)
-		collectTypes(x.Seq, set)
-	case CancelWhenExpr:
-		collectTypes(x.E, set)
-		collectTypes(x.Cancel, set)
-	case FilterExpr:
-		collectTypes(x.Kid, set)
-	}
-}

@@ -664,6 +664,45 @@ func TestRestoreRefusesUndecodableRecord(t *testing.T) {
 	log.Close()
 }
 
+// TestRepeatedUnregisterLogsNothing: a durable engine logs a handle's first
+// Unregister only; a repeat leaves the log's last sequence number and its
+// file size where they were.
+func TestRepeatedUnregisterLogsNothing(t *testing.T) {
+	defer leakcheck.Check(t)()
+	path := filepath.Join(t.TempDir(), "unregister.wal")
+	log, err := wal.Open(path, wal.SyncEvery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Restore(nil, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	q, err := e.RegisterText(monitorQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	before := size()
+	q.Unregister()
+	seq, after := log.LastSeq(), size()
+	if seq != 2 || after <= before {
+		t.Fatalf("the first Unregister was not logged: sequence %d, %d → %d bytes", seq, before, after)
+	}
+	q.Unregister()
+	q.Unregister()
+	if n, sz := log.LastSeq(), size(); n != seq || sz != after {
+		t.Errorf("a repeated Unregister grew the log: sequence %d → %d, %d → %d bytes", seq, n, after, sz)
+	}
+}
+
 // TestSpecSwitchAfterUnregisterIsANoOp: an unregistered endpoint's SetSpec
 // neither switches its shared survivor nor logs, so the survivor's output
 // is that of a run without the switch, and crash recovery reproduces it.

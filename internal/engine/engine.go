@@ -861,13 +861,19 @@ func (q *Query) SetSpec(s consistency.Spec) {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
 	}
-	e.mu.RLock()
-	registered := e.queries[q.idx] == q
-	e.mu.RUnlock()
-	if !registered || e.log != nil && !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: int(q.idx), Spec: s}) {
+	if !q.registered() || e.log != nil && !e.logAppend(wal.Record{Kind: wal.KindSpec, Query: int(q.idx), Spec: s}) {
 		return
 	}
 	q.setSpecApply(s)
+}
+
+// registered reports whether the endpoint is still in the engine's list:
+// SetSpec and Unregister log nothing for a handle that is not.
+func (q *Query) registered() bool {
+	e := q.ch.eng
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.queries[q.idx] == q
 }
 
 // setSpecApply performs the switch without durable logging (the replay
@@ -883,12 +889,12 @@ func (q *Query) setSpecApply(s consistency.Spec) {
 // goroutines (if any) exit. On a shared chain with remaining endpoints execution
 // continues undisturbed. On a durable engine the unregistration is logged
 // ahead of taking effect, so recovery reproduces it at the same position
-// in the input sequence. Idempotent.
+// in the input sequence. Idempotent: a repeated call logs nothing.
 func (q *Query) Unregister() {
 	if e := q.ch.eng; e.log != nil {
 		e.pushMu.Lock()
 		defer e.pushMu.Unlock()
-		if !e.logAppend(wal.Record{Kind: wal.KindUnregister, Query: int(q.idx)}) {
+		if !q.registered() || !e.logAppend(wal.Record{Kind: wal.KindUnregister, Query: int(q.idx)}) {
 			return
 		}
 	}
