@@ -40,6 +40,7 @@ package cedr
 
 import (
 	"io"
+	"math"
 
 	"repro/internal/consistency"
 	"repro/internal/delivery"
@@ -463,17 +464,20 @@ func (q *Query) Err() error { return (*engine.Query)(q).Err() }
 // query sharing its pipeline — by default, any query registered from the
 // same text — deadlocks. Hand the item to another goroutine instead. Its
 // payload and lineage are shared with every reader: never write them.
-func (q *Query) Subscribe(fn func(Event)) { (*engine.Query)(q).Subscribe(fn) }
+func (q *Query) Subscribe(fn func(Event)) {
+	q.SubscribeTagged(math.MaxUint64, func(e Event, _ uint64) { fn(e) })
+}
 
 // SubscribeTagged registers a synchronous callback receiving every output
-// item together with its chain order tag (see Tags), until cancel is
-// called. With replay set the callback first receives the query's output
-// so far — no gap or duplication against concurrent delivery. Subscribe's
-// no-call-back rule applies, to cancel too: call it from outside the
-// callback. After cancel returns the callback never runs again; calling it
-// twice, or after Unregister, is a no-op. Items are read-only, as in Subscribe.
-func (q *Query) SubscribeTagged(replay bool, fn func(Event, uint64)) (cancel func()) {
-	return (*engine.Query)(q).SubscribeTagged(replay, fn)
+// item tagged from onward with its chain order tag (see Tags), until cancel
+// is called. from is clamped into the query's output: 0 first replays it
+// all, a tag at or past its end is Subscribe's "from now on". There is no
+// gap or duplication against concurrent delivery. Subscribe's no-call-back
+// rule applies, to cancel too: call it from outside the callback. After
+// cancel returns the callback never runs again; calling it twice, or after
+// Unregister, is a no-op. Items are read-only, as in Subscribe.
+func (q *Query) SubscribeTagged(from uint64, fn func(Event, uint64)) (cancel func()) {
+	return (*engine.Query)(q).SubscribeTagged(from, fn)
 }
 
 // Tags returns the chain output position of each Results item: Tags()[i]

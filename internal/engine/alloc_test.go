@@ -426,7 +426,7 @@ func TestHistoryRetainsLineageNotMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.Subscribe(func(ev event.Event) { kept = append(kept, ev) })
+		subscribe(q, func(ev event.Event) { kept = append(kept, ev) })
 		for _, ev := range items {
 			e.Push(ev)
 		}

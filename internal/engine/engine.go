@@ -14,7 +14,7 @@
 // Registrations made with plan.WithSharing that carry the same sharing
 // identity (plan.Key) attach to one shared chain, so N identical
 // registrations cost one execution and one history; each Query still has
-// its own window, Subscribe callbacks, and Err. Lock order: pushMu →
+// its own window, SubscribeTagged callbacks, and Err. Lock order: pushMu →
 // Engine.mu → chain.mu.
 package engine
 
@@ -763,44 +763,30 @@ func (q *Query) Shards() int { return q.ch.sh.n }
 // registrations (it may still have only one endpoint).
 func (q *Query) Shared() bool { return q.ch.shared() }
 
-// Subscribe adds a callback invoked for every output item (including
-// punctuation) delivered to this endpoint. Callbacks run synchronously on
-// the delivering goroutine, under the chain's lock: they must not call back
-// into a query of the same chain. A callback added after the chain has
-// already emitted output sees only subsequent output.
-func (q *Query) Subscribe(fn func(event.Event)) {
-	q.SubscribeTagged(false, func(e event.Event, _ uint64) { fn(e) })
-}
-
-// SubscribeTagged adds a callback invoked for every output item delivered
-// to this endpoint together with the item's chain order tag, until cancel
-// is called. With replay set, the callback first receives the endpoint's
-// window so far, with no gap or duplication against concurrent delivery:
-// the bulk is replayed without holding up the chain, what the chain emitted
-// meanwhile under its lock, atomically with the subscription. A closed
-// window is replayed and receives nothing further. The network server uses
-// this to frame a remote subscriber's stream identically to an in-process
-// one.
+// SubscribeTagged adds a callback invoked, until cancel is called, for
+// every item of the endpoint's window tagged from onward, with its chain
+// order tag. from is clamped into the window [start, end] as it is at the
+// call: 0 reads it all, a tag at or past its end only output from now on.
+// The bulk is read without holding up the chain, what it emitted meanwhile
+// under its lock, atomically with the subscription: no gap, no duplicate.
+// A closed window is read and receives nothing further. Callbacks run on
+// the delivering goroutine under the chain's lock: they must not call back
+// into a query of the same chain. The network server uses this to frame a
+// remote subscriber's stream identically to an in-process one.
 //
 // After cancel returns the callback never runs again; a second cancel, or
 // one after Unregister, is a no-op. Cancel takes the chain's lock, so call
 // it from outside the chain's callbacks.
-func (q *Query) SubscribeTagged(replay bool, fn func(event.Event, uint64)) (cancel func()) {
+func (q *Query) SubscribeTagged(from uint64, fn func(event.Event, uint64)) (cancel func()) {
 	ch := q.ch
-	var next uint64
-	if replay {
-		h, from, end := q.window()
-		for t, e := range h.window(from, end) {
-			fn(e, t)
-		}
-		next = end
+	h, start, end := q.window()
+	for t, e := range h.window(min(max(from, start), end), end) {
+		fn(e, t)
 	}
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	if replay {
-		for t, e := range ch.history.window(next, min(q.cut, ch.pos())) {
-			fn(e, t)
-		}
+	for t, e := range ch.history.window(end, min(q.cut, ch.pos())) {
+		fn(e, t)
 	}
 	if q.cut != openCut {
 		return func() {}

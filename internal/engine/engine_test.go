@@ -102,7 +102,7 @@ func TestSubscribeCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	q.Subscribe(func(ev event.Event) {
+	subscribe(q, func(ev event.Event) {
 		if !ev.IsCTI() && ev.Kind == event.Insert {
 			got++
 		}

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/consistency"
 	"repro/internal/event"
@@ -585,9 +584,10 @@ func TestFabricUnregisterDurableRoundTrip(t *testing.T) {
 }
 
 // TestFabricConcurrentSubscribeUnregister is the race smoke test: endpoints
-// join, subscribe, and leave a shared chain while pushes are in flight.
-// Success is the absence of data races (-race), deadlocks, and leaks, and
-// a replayed subscription whose tags run consecutively.
+// join, subscribe, and leave a shared chain while pushes are in flight —
+// the pusher runs until every registrar is done. Success is the absence of
+// data races (-race), deadlocks, and leaks, and a subscription from tag 0
+// whose tags start at its window's start and run consecutively.
 func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 	defer leakcheck.Check(t)()
 	in := durabilityWorkload()
@@ -596,22 +596,25 @@ func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
+	started, stop, pushed := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(pushed)
+		for pass := 0; ; pass++ {
 			for _, ev := range in {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				e.Push(ev)
+			}
+			if pass == 0 {
+				close(started)
 			}
 		}
 	}()
+	<-started
+	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -622,24 +625,23 @@ func TestFabricConcurrentSubscribeUnregister(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				q.Subscribe(func(event.Event) {})
+				subscribe(q, func(event.Event) {})
 				// Replay against in-flight delivery: no gap, no duplicate.
-				var next uint64
-				started := false
-				q.SubscribeTagged(true, func(_ event.Event, tag uint64) {
-					if started && tag != next {
-						t.Errorf("replayed subscription jumped from tag %d to %d", next-1, tag)
+				_, next, _ := q.window()
+				q.SubscribeTagged(0, func(_ event.Event, tag uint64) {
+					if tag != next {
+						t.Errorf("subscription from 0 expected tag %d, got %d", next, tag)
 					}
-					started, next = true, tag+1
+					next = tag + 1
 				})
 				_ = q.Results()
 				q.Unregister()
 			}
 		}()
 	}
-	time.Sleep(10 * time.Millisecond)
-	close(stop)
 	wg.Wait()
+	close(stop)
+	<-pushed
 	if anchor.Err() != nil {
 		t.Fatal(anchor.Err())
 	}

@@ -181,7 +181,7 @@ func TestNoStageWritesAPayload(t *testing.T) {
 				sharded++
 			}
 			byID := map[event.ID]string{}
-			q.Subscribe(func(ev event.Event) {
+			subscribe(q, func(ev event.Event) {
 				if ev.IsCTI() {
 					return
 				}

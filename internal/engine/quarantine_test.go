@@ -84,13 +84,13 @@ func TestSubscriberPanicQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered, after := 0, 0
-	q.Subscribe(func(event.Event) {
+	subscribe(q, func(event.Event) {
 		delivered++
 		if delivered == 3 {
 			panic("subscriber exploded")
 		}
 	})
-	q.Subscribe(func(event.Event) { after++ })
+	subscribe(q, func(event.Event) { after++ })
 	e.Run(in)
 	if q.Err() == nil || !strings.Contains(q.Err().Error(), "subscriber callback") {
 		t.Fatalf("subscriber panic not surfaced: %v", q.Err())

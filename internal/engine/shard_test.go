@@ -495,7 +495,7 @@ func TestShardedSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []event.Event
-	q.Subscribe(func(ev event.Event) { seen = append(seen, ev) })
+	subscribe(q, func(ev event.Event) { seen = append(seen, ev) })
 	e.Run(delivered)
 	got := 0
 	for _, ev := range seen {

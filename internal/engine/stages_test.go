@@ -157,7 +157,7 @@ func TestOutputClauseAddsNoLatency(t *testing.T) {
 			push := 0
 			pushes := map[*Query][]int{}
 			for _, q := range []*Query{plain, output} {
-				q.Subscribe(func(ev event.Event) {
+				subscribe(q, func(ev event.Event) {
 					if ev.Kind == event.Insert {
 						pushes[q] = append(pushes[q], push)
 					}

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -39,8 +40,13 @@ func (r *recorder) add(e event.Event, tag uint64) {
 
 func record(q *Query) *recorder {
 	r := &recorder{}
-	q.SubscribeTagged(false, r.add)
+	q.SubscribeTagged(math.MaxUint64, r.add)
 	return r
+}
+
+// subscribe adds fn for q's output from now on, without its tags.
+func subscribe(q *Query, fn func(event.Event)) {
+	q.SubscribeTagged(math.MaxUint64, func(e event.Event, _ uint64) { fn(e) })
 }
 
 // armOperatorPanic swaps the head operator of q's chain (of every shard,
@@ -104,7 +110,7 @@ func TestViewEquivalence(t *testing.T) {
 			// the first later one that is not the last of its batch.
 			panicky := add("subscriber panics mid-batch", healthy)
 			seen := 0
-			panicky.q.SubscribeTagged(false, func(_ event.Event, tag uint64) {
+			panicky.q.SubscribeTagged(math.MaxUint64, func(_ event.Event, tag uint64) {
 				if seen++; seen >= panicAt && tag < panicky.rec.tags[len(panicky.rec.tags)-1] {
 					panic("subscriber exploded")
 				}
@@ -149,7 +155,7 @@ func TestViewEquivalence(t *testing.T) {
 					t.Errorf("%s: Len = %d, recorder saw %d", ep.name, got, len(ep.rec.items))
 				}
 				var replay recorder
-				ep.q.SubscribeTagged(true, replay.add)
+				ep.q.SubscribeTagged(0, replay.add)
 				compareStreams(t, ep.name+": replay", replay.items, ep.rec.items)
 				if len(replay.tags) > 0 && !reflect.DeepEqual(replay.tags, ep.rec.tags) {
 					t.Errorf("%s: replayed tags = %v, recorder saw %v", ep.name, replay.tags, ep.rec.tags)
@@ -229,9 +235,9 @@ func TestFanoutWidthCeiling(t *testing.T) {
 	// Subscribe 4 of the 1,000; quarantine one and unregister another.
 	calls := 0
 	for _, q := range qs[:4] {
-		q.Subscribe(func(event.Event) { calls++ })
+		subscribe(q, func(event.Event) { calls++ })
 	}
-	qs[1].Subscribe(func(event.Event) { panic("subscriber exploded") })
+	subscribe(qs[1], func(event.Event) { panic("subscriber exploded") })
 	e.Push(event.NewInsert(1<<20, "INSTALL", 1<<20, 1<<20+1, nil))
 	qs[2].Unregister()
 	calls = 0
@@ -302,7 +308,7 @@ func TestFanoutLateAttach(t *testing.T) {
 func TestFanoutPanicIsolation(t *testing.T) {
 	qs, push := echoEndpoints(t, 2)
 	before := record(qs[0])
-	qs[0].Subscribe(func(event.Event) { panic("boom") })
+	subscribe(qs[0], func(event.Event) { panic("boom") })
 	after := record(qs[0])
 	good := record(qs[1])
 	push(2)
@@ -328,9 +334,9 @@ func TestFanoutCallsOnlyLiveSubscribers(t *testing.T) {
 	count := func(event.Event, uint64) { calls++ }
 	cancels := make([]func(), 5)
 	for i, q := range qs[:5] {
-		cancels[i] = q.SubscribeTagged(false, count)
+		cancels[i] = q.SubscribeTagged(math.MaxUint64, count)
 	}
-	qs[5].SubscribeTagged(false, func(event.Event, uint64) { calls++; panic("boom") })
+	qs[5].SubscribeTagged(math.MaxUint64, func(event.Event, uint64) { calls++; panic("boom") })
 
 	push(1)
 	if calls != 6 {
@@ -369,8 +375,8 @@ func TestSubscriptionCancel(t *testing.T) {
 	qs, push := echoEndpoints(t, 2)
 	ch := qs[0].ch
 	var gone, kept recorder
-	cancelGone := qs[0].SubscribeTagged(false, gone.add)
-	cancelKept := qs[1].SubscribeTagged(false, kept.add)
+	cancelGone := qs[0].SubscribeTagged(math.MaxUint64, gone.add)
+	cancelKept := qs[1].SubscribeTagged(math.MaxUint64, kept.add)
 	push(2)
 	cancelGone()
 	push(2)
@@ -387,7 +393,7 @@ func TestSubscriptionCancel(t *testing.T) {
 		t.Fatalf("after unregister: %d items, %d subscriptions; want 4, 0", len(kept.items), len(ch.subs))
 	}
 	// A closed window takes no subscription; its cancel is a no-op too.
-	qs[1].SubscribeTagged(true, kept.add)()
+	qs[1].SubscribeTagged(0, kept.add)()
 	if len(ch.subs) != 0 {
 		t.Fatalf("a closed window added a subscription")
 	}
@@ -413,7 +419,7 @@ func TestSubscriptionCancelRacesDelivery(t *testing.T) {
 	defer func() { close(stop); <-done }()
 	for range 50 {
 		var calls atomic.Int64
-		cancel := q.SubscribeTagged(false, func(event.Event, uint64) { calls.Add(1) })
+		cancel := q.SubscribeTagged(math.MaxUint64, func(event.Event, uint64) { calls.Add(1) })
 		for at := q.Len(); q.Len() < at+2; {
 			runtime.Gosched()
 		}
@@ -432,9 +438,12 @@ func TestSubscriptionCancelRacesDelivery(t *testing.T) {
 // slice. A recorder subscribed from tag 0 is the flat reference; endpoints
 // attached at tags chunkLen−1, chunkLen and chunkLen+1, one unregistered
 // mid-chunk, one whose subscriber panics mid-batch in a batch that
-// crosses a chunk boundary, and one replayed by SubscribeTagged(replay)
-// and read through View while another goroutine pushes must each read,
-// through View, Results, Tags, Len and replay, exactly their window of it.
+// crosses a chunk boundary, and one subscribed from a mid-window tag and
+// read through View while another goroutine pushes must each read,
+// through View, Results, Tags, Len and SubscribeTagged, exactly their
+// window of it. SubscribeTagged(from) reads [clamp(from), end) for every
+// from around the window's edges and the chunk boundaries: an endpoint of
+// a warm chain subscribed from 0 reads its own window, no more.
 func TestViewAcrossChunkBoundaries(t *testing.T) {
 	const echo = `EVENT Echo WHEN ANY(INSTALL i) WHERE CorrelationKey(Machine_Id, EQUAL)`
 	k := chunkLen
@@ -497,7 +506,7 @@ func TestViewAcrossChunkBoundaries(t *testing.T) {
 			to(2*k - 3)
 			panicky := attach("subscriber panics mid-batch across a chunk boundary")
 			seen := 0
-			panicky.q.SubscribeTagged(false, func(event.Event, uint64) {
+			panicky.q.SubscribeTagged(math.MaxUint64, func(event.Event, uint64) {
 				if seen++; seen == 3 {
 					panic("subscriber exploded")
 				}
@@ -508,7 +517,7 @@ func TestViewAcrossChunkBoundaries(t *testing.T) {
 				t.Fatalf("the panicking batch [%d, %d) did not quarantine its endpoint across a chunk boundary (err %v)", panicky.from, panicky.to, panicky.q.Err())
 			}
 
-			racer := attach("replayed and viewed while another goroutine pushes")
+			racer := attach("subscribed mid-window and viewed while another goroutine pushes")
 			// The pusher runs while the racer subscribes and views, and
 			// pushes once more after both, so the subscription sees live
 			// output too.
@@ -525,7 +534,8 @@ func TestViewAcrossChunkBoundaries(t *testing.T) {
 				runtime.Gosched()
 			}
 			var replayed, viewed recorder
-			cancel := racer.q.SubscribeTagged(true, replayed.add)
+			mid := racer.from + k/2
+			cancel := racer.q.SubscribeTagged(mid, replayed.add)
 			for tag, ev := range racer.q.View() {
 				viewed.add(ev, tag)
 			}
@@ -537,10 +547,10 @@ func TestViewAcrossChunkBoundaries(t *testing.T) {
 			if end < 4*k || uint64(len(ref.items)) != end {
 				t.Fatalf("chain at tag %d, reference holds %d items: want 4 chunks, all recorded", end, len(ref.items))
 			}
-			racerEnd := racer.from + uint64(len(replayed.items))
+			racerEnd := mid + uint64(len(replayed.items))
 			if len(viewed.items) < int(k) || racerEnd != end-1 {
-				t.Fatalf("the racing reads saw %d items (View) and [%d, %d) (replay), want ≥ %d and up to the finishing CTI at %d",
-					len(viewed.items), racer.from, racerEnd, k, end-1)
+				t.Fatalf("the racing reads saw %d items (View) and [%d, %d) (subscription), want ≥ %d and up to the finishing CTI at %d",
+					len(viewed.items), mid, racerEnd, k, end-1)
 			}
 
 			tags := func(from, to uint64) []uint64 {
@@ -557,20 +567,23 @@ func TestViewAcrossChunkBoundaries(t *testing.T) {
 					t.Errorf("%s: tags %v, want %v", name, got.tags, want)
 				}
 			}
-			check(racer.name+": replay", replayed, racer.from, racerEnd)
+			check(racer.name+": subscription", replayed, mid, racerEnd)
 			check(racer.name+": View", viewed, racer.from, racer.from+uint64(len(viewed.items)))
 			for _, ep := range eps {
 				to := ep.to
 				if to == 0 {
 					to = end
 				}
-				var view, replay recorder
+				var view recorder
 				for tag, ev := range ep.q.View() {
 					view.add(ev, tag)
 				}
 				check(ep.name+": View", view, ep.from, to)
-				ep.q.SubscribeTagged(true, replay.add)()
-				check(ep.name+": replay", replay, ep.from, to)
+				for _, from := range []uint64{0, ep.from, ep.from + 1, k - 1, k, k + 1, to, math.MaxUint64} {
+					var sub recorder
+					ep.q.SubscribeTagged(from, sub.add)()
+					check(fmt.Sprintf("%s: subscribed from %d", ep.name, from), sub, min(max(from, ep.from), to), to)
+				}
 				compareStreams(t, ep.name+": Results", ep.q.Results(), ref.items[ep.from:to])
 				if got, want := ep.q.Tags(), tags(ep.from, to); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: Tags %v, want %v", ep.name, got, want)

@@ -273,7 +273,7 @@ func readCSV(r io.Reader, name string, tab *event.Table) (stream.Stream, error) 
 		if err == bufio.ErrTooLong {
 			return nil, fmt.Errorf("%s:%d: line exceeds %d bytes", name, lineNo+1, MaxLine)
 		}
-		return nil, fmt.Errorf("%s:%d: %v", name, lineNo+1, err)
+		return nil, fmt.Errorf("%s:%d: %w", name, lineNo+1, err)
 	}
 	return out, nil
 }
@@ -528,7 +528,7 @@ func readJSON(r io.Reader, name string, tab *event.Table) (stream.Stream, error)
 			if err == io.EOF {
 				return out, nil
 			}
-			return nil, fmt.Errorf("%s: event %d: %v", name, n+1, err)
+			return nil, fmt.Errorf("%s: event %d: %w", name, n+1, err)
 		}
 		objs := []json.RawMessage{raw}
 		if len(raw) > 0 && raw[0] == '[' { // a top-level array: unpack its elements

@@ -63,11 +63,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError writes a JSON error body: 404 for an unknown query, code
-// otherwise.
+// httpError writes a JSON error body: 404 for an unknown query, 413 for a
+// body over maxFrame, code otherwise.
 func httpError(w http.ResponseWriter, code int, err error) {
 	if errors.Is(err, errNoQuery) {
 		code = http.StatusNotFound
+	} else if errors.As(err, new(*http.MaxBytesError)) {
+		code = http.StatusRequestEntityTooLarge
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -192,7 +194,7 @@ func readRegisterBody(r io.Reader) (string, wal.RegOpts, error) {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	src, o, err := readRegisterBody(r.Body)
+	src, o, err := readRegisterBody(http.MaxBytesReader(w, r.Body, maxFrame))
 	if err == nil {
 		var info QueryInfo
 		if info, err = s.register(src, o); err == nil {
@@ -316,9 +318,11 @@ func ndjsonLine(dst []byte, ev event.Event, tag uint64) ([]byte, error) {
 // CSV line format, anything else the canonical event JSON (NDJSON or a
 // top-level array). The batch is applied in order; the response reports
 // how many events were accepted, and a durability failure mid-batch
-// stops the batch (fail-stop) with a 500 naming the failure.
+// stops the batch (fail-stop) with a 500 naming the failure. The batch is
+// decoded whole first, so a body over maxFrame is a 413, nothing pushed.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	name := "http"
+	r.Body = http.MaxBytesReader(w, r.Body, maxFrame)
 	var (
 		evs []event.Event
 		err error

@@ -273,7 +273,7 @@ func (s *Server) subscribe(id int, out *outbox, enc encoder) (cancel func(), err
 	if err != nil {
 		return nil, err
 	}
-	return q.SubscribeTagged(true, out.egress(enc)), nil
+	return q.SubscribeTagged(0, out.egress(enc)), nil
 }
 
 // QueryInfo is what register and status report about one query: one info

@@ -57,7 +57,7 @@ func referenceRun(t *testing.T, src string, events []event.Event, opts ...cedr.Q
 		t.Fatal(err)
 	}
 	var got []tagged
-	q.SubscribeTagged(false, func(e cedr.Event, tag uint64) {
+	q.SubscribeTagged(0, func(e cedr.Event, tag uint64) {
 		got = append(got, tagged{tag, e})
 	})
 	for _, e := range events {
@@ -860,6 +860,60 @@ insert,2,HOT,15000,inf,sensor=B
 func jsonString(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
+}
+
+// commentedCSV streams head, then CSV comment lines of 64 bytes up to n
+// bytes in all, without holding more than one read's worth.
+type commentedCSV struct {
+	head string
+	off  int
+	n    int
+}
+
+func (c *commentedCSV) Read(p []byte) (int, error) {
+	if c.off == c.n {
+		return 0, io.EOF
+	}
+	p = p[:min(len(p), c.n-c.off)]
+	for i := range p {
+		switch at := c.off + i; {
+		case at < len(c.head):
+			p[i] = c.head[at]
+		case (at-len(c.head))%64 == 63:
+			p[i] = '\n'
+		default:
+			p[i] = '#'
+		}
+	}
+	c.off += len(p)
+	return len(p), nil
+}
+
+// TestEventsBodyIsBounded: POST /v1/events decodes its whole batch before
+// it pushes any of it, so a body over maxFrame — a wire frame's bound — is
+// refused with a 413 and nothing pushed, an event at its head included,
+// where the same head alone is accepted.
+func TestEventsBodyIsBounded(t *testing.T) {
+	sys := cedr.New()
+	q, err := sys.Register(`EVENT AnyInstall WHEN ANY(INSTALL i)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = "insert,1,INSTALL,1,inf,Machine_Id=m1\ncti,10\n"
+	h := New(sys).Handler()
+	post := func(body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/events", body)
+		req.Header.Set("Content-Type", "text/csv")
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(&commentedCSV{head: head, n: maxFrame + 1}); rec.Code != http.StatusRequestEntityTooLarge || q.Len() != 0 {
+		t.Fatalf("a %d-byte body: %d %s, query holds %d items; want 413 and none", maxFrame+1, rec.Code, rec.Body, q.Len())
+	}
+	if rec := post(strings.NewReader(head)); rec.Code != http.StatusOK || q.Len() == 0 {
+		t.Fatalf("the body's head alone: %d %s, query holds %d items; want 200 and its output", rec.Code, rec.Body, q.Len())
+	}
 }
 
 // TestGracefulShutdownFlushes ensures Shutdown lets queued output reach

@@ -167,7 +167,7 @@ func TestHTTPMatchesWire(t *testing.T) {
 	wire := collect(t, c, len(want))
 	assertSameOutput(t, want, wire)
 	var local []tagged
-	cancelLocal := sys.Queries()[id].SubscribeTagged(true, func(e cedr.Event, tag uint64) { local = append(local, tagged{tag, e}) })
+	cancelLocal := sys.Queries()[id].SubscribeTagged(0, func(e cedr.Event, tag uint64) { local = append(local, tagged{tag, e}) })
 	cancelLocal()
 	assertSameOutput(t, want, local)
 	lines := <-streamed
